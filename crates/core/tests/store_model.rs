@@ -58,6 +58,14 @@ fn sharded_one_matches_idealized_schedule() {
     let (end_ideal, out_ideal) = run_workload(StoreModel::Idealized, 1);
     let (end_sharded, out_sharded) = run_workload(StoreModel::Sharded(1), 1);
     assert_eq!(end_ideal, end_sharded, "virtual end clocks diverged");
+    // The end clock is the workload's last event. Each op's 250 ms timeout
+    // is cancelled when the op completes; were it left to expire, every run
+    // would end at "last op + 250 ms" and the equality above would compare
+    // little else.
+    assert!(
+        end_ideal < SimTime::ZERO + SimDuration::from_millis(250),
+        "run ended at {end_ideal:?}: a dead timeout timer set the end clock"
+    );
     assert_eq!(out_ideal.len(), out_sharded.len());
     for (a, b) in out_ideal.iter().zip(&out_sharded) {
         assert_eq!(a.0, b.0);

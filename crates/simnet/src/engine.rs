@@ -1,20 +1,27 @@
 //! The discrete-event engine and the cooperative task executor.
 //!
 //! A [`Sim`] owns a virtual clock, a time-ordered event queue, and a
-//! single-threaded executor for `async` tasks. Events are closures scheduled
-//! for a future instant; tasks are futures that suspend on simulation
-//! primitives ([`sleep`](Sim::sleep), channels, [`crate::sync`] waiters) and
-//! are woken by events. Ties in the event queue are broken by insertion
-//! order, which makes every run fully deterministic: the same program and
-//! seed produce the identical event trace, nanosecond for nanosecond.
+//! single-threaded executor for `async` tasks. Events are either closures
+//! scheduled for a future instant or timers ([`sleep`](Sim::sleep)); tasks
+//! are futures that suspend on simulation primitives (timers, channels,
+//! [`crate::sync`] waiters) and are woken by events. Ties in the event queue
+//! are broken by insertion order, which makes every run fully deterministic:
+//! the same program and seed produce the identical event trace, nanosecond
+//! for nanosecond.
 //!
 //! The executor is deliberately tiny — no work stealing, no threads — because
-//! simulated time, not wall time, is the quantity under measurement.
+//! simulated time, not wall time, is the quantity under measurement. Its
+//! steady state allocates nothing: timers and tasks live in generation-checked
+//! slabs, a task's waker is built once when it is spawned, and a timer that is
+//! dropped before it fires leaves the queue (see `DESIGN.md`, "simnet
+//! engine").
 
+use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
+use std::marker::PhantomData;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -23,21 +30,108 @@ use std::task::{Context, Poll, Wake, Waker};
 use parking_lot::Mutex;
 
 use crate::rng::SimRng;
-use crate::sync::{oneshot, OneReceiver};
 use crate::time::{SimDuration, SimTime};
+
+/// Address of a slab entry: the slot, and the slot's generation when the
+/// entry was inserted. A key outlives its entry harmlessly — once the entry is
+/// removed the generation moves on and the key resolves to nothing, even after
+/// the slot is reused.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+struct Key {
+    slot: u32,
+    generation: u32,
+}
+
+/// A `Vec` of reusable slots addressed by [`Key`].
+struct Slab<T> {
+    slots: Vec<(u32, Option<T>)>,
+    free: Vec<u32>,
+}
+
+impl<T> Slab<T> {
+    fn new() -> Slab<T> {
+        Slab {
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    /// Stores the value `make` builds from the key it will live under.
+    fn insert_with(&mut self, make: impl FnOnce(Key) -> T) -> Key {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push((0, None));
+            (self.slots.len() - 1) as u32
+        });
+        let entry = &mut self.slots[slot as usize];
+        let key = Key {
+            slot,
+            generation: entry.0,
+        };
+        entry.1 = Some(make(key));
+        key
+    }
+
+    fn get_mut(&mut self, key: Key) -> Option<&mut T> {
+        match self.slots.get_mut(key.slot as usize) {
+            Some((generation, value)) if *generation == key.generation => value.as_mut(),
+            _ => None,
+        }
+    }
+
+    fn contains(&self, key: Key) -> bool {
+        self.slots
+            .get(key.slot as usize)
+            .is_some_and(|(generation, value)| *generation == key.generation && value.is_some())
+    }
+
+    /// Takes the entry out and retires its key.
+    fn remove(&mut self, key: Key) -> Option<T> {
+        let (generation, value) = self.slots.get_mut(key.slot as usize)?;
+        if *generation != key.generation {
+            return None;
+        }
+        let value = value.take()?;
+        *generation = generation.wrapping_add(1);
+        self.free.push(key.slot);
+        Some(value)
+    }
+}
 
 /// Identifier of a spawned task.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct TaskId(u64);
+pub struct TaskId(Key);
 
-type BoxFuture = Pin<Box<dyn Future<Output = ()>>>;
+/// Handle of a pending or fired timer, held by [`crate::sync::Sleep`].
+#[derive(Clone, Copy)]
+pub(crate) struct TimerKey(Key);
 
-/// An event queue entry: fire `action` at `time`. `seq` breaks ties so that
-/// two events scheduled for the same instant fire in scheduling order.
+/// A task's future, its output type erased so the task table holds tasks of
+/// every type. Unit outputs — every fire-and-forget task — box for free.
+type TaskFuture = Pin<Box<dyn Future<Output = Box<dyn Any>>>>;
+
+enum Action {
+    /// Mark the timer fired and wake whoever polled its `Sleep`.
+    Timer(TimerKey),
+    /// Run the closure.
+    Call(Box<dyn FnOnce()>),
+}
+
+/// An event queue entry: perform `action` at `time`. `seq` breaks ties so
+/// that two events scheduled for the same instant fire in scheduling order.
 struct EventEntry {
     time: SimTime,
     seq: u64,
-    action: Box<dyn FnOnce()>,
+    action: Action,
+}
+
+impl EventEntry {
+    /// False for the entry a cancelled timer left behind.
+    fn is_live(&self, timers: &Slab<Timer>) -> bool {
+        match self.action {
+            Action::Timer(key) => timers.contains(key.0),
+            Action::Call(_) => true,
+        }
+    }
 }
 
 impl PartialEq for EventEntry {
@@ -57,6 +151,32 @@ impl Ord for EventEntry {
     }
 }
 
+/// The time-ordered queue. A cancelled timer's entry stays in the heap as a
+/// tombstone (it no longer resolves in the timer slab) until it reaches the
+/// top or the tombstones outnumber the live entries, when the heap is rebuilt
+/// without them: the heap is never more than twice the live events long.
+struct EventQueue {
+    heap: BinaryHeap<Reverse<EventEntry>>,
+    tombstones: usize,
+}
+
+struct Timer {
+    fired: bool,
+    waker: Option<Waker>,
+}
+
+struct Task {
+    /// The future and the waker built when the task was spawned. Both are out
+    /// of the table while the task is polled (a poll may spawn or wake other
+    /// tasks) and gone once it has finished.
+    idle: Option<(TaskFuture, Waker)>,
+    /// The finished task's output, waiting for the join handle.
+    output: Option<Box<dyn Any>>,
+    join_waker: Option<Waker>,
+    /// The join handle is gone: free the slot when the task finishes.
+    detached: bool,
+}
+
 struct SimWaker {
     id: TaskId,
     ready: Arc<Mutex<VecDeque<TaskId>>>,
@@ -64,6 +184,10 @@ struct SimWaker {
 
 impl Wake for SimWaker {
     fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
         self.ready.lock().push_back(self.id);
     }
 }
@@ -71,13 +195,14 @@ impl Wake for SimWaker {
 struct EngineCore {
     now: Cell<SimTime>,
     seq: Cell<u64>,
-    events: RefCell<BinaryHeap<Reverse<EventEntry>>>,
+    events: RefCell<EventQueue>,
+    timers: RefCell<Slab<Timer>>,
     /// Tasks ready to be polled. Shared with wakers, hence the (uncontended)
     /// mutex: `std::task::Wake` requires `Send + Sync` even though this
     /// executor never leaves one thread.
     ready: Arc<Mutex<VecDeque<TaskId>>>,
-    tasks: RefCell<HashMap<TaskId, Option<BoxFuture>>>,
-    next_task: Cell<u64>,
+    tasks: RefCell<Slab<Task>>,
+    live_tasks: Cell<usize>,
     events_executed: Cell<u64>,
     polls: Cell<u64>,
     rng: RefCell<SimRng>,
@@ -92,17 +217,52 @@ pub struct Sim {
 /// Await side of [`Sim::spawn`]: resolves with the task's output once the
 /// task completes. Dropping the handle detaches the task (it keeps running).
 pub struct JoinHandle<T> {
-    rx: OneReceiver<T>,
+    sim: Sim,
+    id: TaskId,
+    _output: PhantomData<fn() -> T>,
 }
 
-impl<T> Future for JoinHandle<T> {
+impl<T: 'static> JoinHandle<T> {
+    /// The task's output if it has finished; claiming it frees the task's
+    /// slot.
+    fn try_take(&self) -> Option<T> {
+        let mut tasks = self.sim.core.tasks.borrow_mut();
+        tasks.get_mut(self.id.0)?.output.as_ref()?;
+        let out = tasks.remove(self.id.0)?.output?.downcast();
+        Some(*out.expect("a task's output has its handle's type"))
+    }
+}
+
+impl<T: 'static> Future for JoinHandle<T> {
     type Output = T;
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
-        // OneReceiver is Unpin (it only holds an Rc), so no projection needed.
-        match Pin::new(&mut self.get_mut().rx).poll(cx) {
-            Poll::Ready(Ok(v)) => Poll::Ready(v),
-            Poll::Ready(Err(_)) => panic!("simulation task dropped without completing"),
-            Poll::Pending => Poll::Pending,
+        if let Some(out) = self.try_take() {
+            return Poll::Ready(out);
+        }
+        let mut tasks = self.sim.core.tasks.borrow_mut();
+        let task = tasks
+            .get_mut(self.id.0)
+            .expect("join handle polled after it returned the task's output");
+        if !matches!(&task.join_waker, Some(w) if w.will_wake(cx.waker())) {
+            task.join_waker = Some(cx.waker().clone());
+        }
+        Poll::Pending
+    }
+}
+
+impl<T> Drop for JoinHandle<T> {
+    fn drop(&mut self) {
+        let mut tasks = self.sim.core.tasks.borrow_mut();
+        let Some(task) = tasks.get_mut(self.id.0) else {
+            return; // output already claimed
+        };
+        task.detached = true;
+        if task.output.is_some() {
+            let finished = tasks.remove(self.id.0);
+            // The unclaimed output may itself hold simulation handles: drop
+            // it with the table released.
+            drop(tasks);
+            drop(finished);
         }
     }
 }
@@ -114,10 +274,14 @@ impl Sim {
             core: Rc::new(EngineCore {
                 now: Cell::new(SimTime::ZERO),
                 seq: Cell::new(0),
-                events: RefCell::new(BinaryHeap::new()),
+                events: RefCell::new(EventQueue {
+                    heap: BinaryHeap::new(),
+                    tombstones: 0,
+                }),
+                timers: RefCell::new(Slab::new()),
                 ready: Arc::new(Mutex::new(VecDeque::new())),
-                tasks: RefCell::new(HashMap::new()),
-                next_task: Cell::new(0),
+                tasks: RefCell::new(Slab::new()),
+                live_tasks: Cell::new(0),
                 events_executed: Cell::new(0),
                 polls: Cell::new(0),
                 rng: RefCell::new(SimRng::new(seed)),
@@ -143,6 +307,10 @@ impl Sim {
     /// Schedules `action` to run at absolute time `at`. Scheduling in the
     /// past is a logic error and panics: it would rewind causality.
     pub fn schedule_at(&self, at: SimTime, action: impl FnOnce() + 'static) {
+        self.enqueue(at, Action::Call(Box::new(action)));
+    }
+
+    fn enqueue(&self, at: SimTime, action: Action) {
         assert!(
             at >= self.now(),
             "cannot schedule event in the past: at={at:?} now={:?}",
@@ -150,27 +318,77 @@ impl Sim {
         );
         let seq = self.core.seq.get();
         self.core.seq.set(seq + 1);
-        self.core.events.borrow_mut().push(Reverse(EventEntry {
+        self.core.events.borrow_mut().heap.push(Reverse(EventEntry {
             time: at,
             seq,
-            action: Box::new(action),
+            action,
         }));
+    }
+
+    /// Arms a timer for `at`. Its queue entry is made now, so it takes its
+    /// place among same-instant events by when it was armed, not by when its
+    /// `Sleep` is first polled.
+    pub(crate) fn start_timer(&self, at: SimTime) -> TimerKey {
+        let key = TimerKey(self.core.timers.borrow_mut().insert_with(|_| Timer {
+            fired: false,
+            waker: None,
+        }));
+        self.enqueue(at, Action::Timer(key));
+        key
+    }
+
+    /// Ready once the timer has fired; until then the timer wakes `cx`.
+    pub(crate) fn poll_timer(&self, key: TimerKey, cx: &mut Context<'_>) -> Poll<()> {
+        let mut timers = self.core.timers.borrow_mut();
+        let timer = timers.get_mut(key.0).expect("a Sleep owns its timer");
+        if timer.fired {
+            return Poll::Ready(());
+        }
+        if !matches!(&timer.waker, Some(w) if w.will_wake(cx.waker())) {
+            timer.waker = Some(cx.waker().clone());
+        }
+        Poll::Pending
+    }
+
+    /// Releases the timer; one that has not fired leaves the event queue. A
+    /// key whose timer is already gone is ignored.
+    pub(crate) fn cancel_timer(&self, key: TimerKey) {
+        let mut timers = self.core.timers.borrow_mut();
+        match timers.remove(key.0) {
+            Some(timer) if !timer.fired => {}
+            _ => return,
+        }
+        let mut events = self.core.events.borrow_mut();
+        events.tombstones += 1;
+        if events.tombstones * 2 > events.heap.len() {
+            events.heap.retain(|Reverse(entry)| entry.is_live(&timers));
+            events.tombstones = 0;
+        }
     }
 
     /// Spawns a task on the executor. The task starts at the next executor
     /// dispatch (it does not run synchronously inside `spawn`).
     pub fn spawn<T: 'static>(&self, fut: impl Future<Output = T> + 'static) -> JoinHandle<T> {
-        let (tx, rx) = oneshot();
-        let id = TaskId(self.core.next_task.get());
-        self.core.next_task.set(id.0 + 1);
-        let wrapped: BoxFuture = Box::pin(async move {
-            let out = fut.await;
-            // Receiver may be dropped (detached task); ignore.
-            let _ = tx.send(out);
-        });
-        self.core.tasks.borrow_mut().insert(id, Some(wrapped));
+        let fut: TaskFuture = Box::pin(async move { Box::new(fut.await) as Box<dyn Any> });
+        let id = TaskId(self.core.tasks.borrow_mut().insert_with(|key| {
+            let waker = Waker::from(Arc::new(SimWaker {
+                id: TaskId(key),
+                ready: self.core.ready.clone(),
+            }));
+            Task {
+                idle: Some((fut, waker)),
+                output: None,
+                join_waker: None,
+                detached: false,
+            }
+        }));
+        self.core.live_tasks.set(self.core.live_tasks.get() + 1);
         self.core.ready.lock().push_back(id);
-        JoinHandle { rx }
+        JoinHandle {
+            sim: self.clone(),
+            id,
+            _output: PhantomData,
+        }
     }
 
     /// A future that completes after `d` of simulated time.
@@ -186,7 +404,8 @@ impl Sim {
     }
 
     /// Runs the simulation until both the event queue and the ready queue are
-    /// empty. Returns the final virtual time.
+    /// empty. Returns the final virtual time: that of the last event
+    /// executed (a cancelled timer is not an event).
     pub fn run(&self) -> SimTime {
         self.run_inner(None)
     }
@@ -201,18 +420,11 @@ impl Sim {
     /// Other pending tasks/events are left in place and can be resumed with
     /// further `run*` or `block_on` calls.
     pub fn block_on<T: 'static>(&self, main: impl Future<Output = T> + 'static) -> T {
-        let done: Rc<Cell<bool>> = Rc::new(Cell::new(false));
-        let out: Rc<RefCell<Option<T>>> = Rc::new(RefCell::new(None));
-        {
-            let done = done.clone();
-            let out = out.clone();
-            self.spawn(async move {
-                let v = main.await;
-                *out.borrow_mut() = Some(v);
-                done.set(true);
-            });
-        }
-        while !done.get() {
+        let main = self.spawn(main);
+        loop {
+            if let Some(out) = main.try_take() {
+                return out;
+            }
             if !self.step() {
                 panic!(
                     "simulation deadlock: block_on future is pending but no events remain \
@@ -220,8 +432,6 @@ impl Sim {
                 );
             }
         }
-        let v = out.borrow_mut().take();
-        v.expect("block_on output present")
     }
 
     /// Executes one unit of work (all currently-ready task polls, or one
@@ -230,15 +440,9 @@ impl Sim {
         if self.drain_ready() {
             return true;
         }
-        let next = self.core.events.borrow_mut().pop();
-        match next {
-            Some(Reverse(ev)) => {
-                debug_assert!(ev.time >= self.core.now.get());
-                self.core.now.set(ev.time);
-                self.core
-                    .events_executed
-                    .set(self.core.events_executed.get() + 1);
-                (ev.action)();
+        match self.next_event(None) {
+            Some(ev) => {
+                self.fire(ev);
                 self.drain_ready();
                 true
             }
@@ -251,28 +455,53 @@ impl Sim {
             if self.drain_ready() {
                 continue;
             }
-            // Peek: respect the deadline without consuming the event.
-            let next_time = self.core.events.borrow().peek().map(|Reverse(e)| e.time);
-            match next_time {
-                Some(t) => {
-                    if let Some(d) = deadline {
-                        if t > d {
-                            self.core.now.set(d.max(self.core.now.get()));
-                            return self.now();
-                        }
-                    }
-                    let Reverse(ev) = self.core.events.borrow_mut().pop().expect("peeked");
-                    self.core.now.set(ev.time);
-                    self.core
-                        .events_executed
-                        .set(self.core.events_executed.get() + 1);
-                    (ev.action)();
-                }
+            match self.next_event(deadline) {
+                Some(ev) => self.fire(ev),
                 None => {
                     if let Some(d) = deadline {
                         self.core.now.set(d.max(self.core.now.get()));
                     }
                     return self.now();
+                }
+            }
+        }
+    }
+
+    /// Pops the earliest event, unless it lies beyond `deadline`. Tombstones
+    /// that have reached the top are discarded on the way, so neither the
+    /// clock nor the deadline check ever sees a cancelled timer.
+    fn next_event(&self, deadline: Option<SimTime>) -> Option<EventEntry> {
+        let mut events = self.core.events.borrow_mut();
+        let timers = self.core.timers.borrow();
+        loop {
+            let Reverse(top) = events.heap.peek()?;
+            if !top.is_live(&timers) {
+                events.heap.pop();
+                events.tombstones -= 1;
+                continue;
+            }
+            if deadline.is_some_and(|d| top.time > d) {
+                return None;
+            }
+            return events.heap.pop().map(|Reverse(entry)| entry);
+        }
+    }
+
+    fn fire(&self, ev: EventEntry) {
+        debug_assert!(ev.time >= self.core.now.get());
+        self.core.now.set(ev.time);
+        self.core
+            .events_executed
+            .set(self.core.events_executed.get() + 1);
+        match ev.action {
+            Action::Call(action) => action(),
+            Action::Timer(key) => {
+                let waker = self.core.timers.borrow_mut().get_mut(key.0).and_then(|t| {
+                    t.fired = true;
+                    t.waker.take()
+                });
+                if let Some(waker) = waker {
+                    waker.wake();
                 }
             }
         }
@@ -287,27 +516,40 @@ impl Sim {
                 Some(id) => id,
                 None => break,
             };
-            // Take the future out of its slot so the tasks map is not
+            // Take the future out of its slot so the task table is not
             // borrowed while polling (a poll may spawn or wake other tasks).
-            let fut = match self.core.tasks.borrow_mut().get_mut(&id) {
-                Some(slot) => slot.take(),
-                None => None, // already finished; stale wake
+            let mut tasks = self.core.tasks.borrow_mut();
+            let idle = tasks.get_mut(id.0).and_then(|task| task.idle.take());
+            drop(tasks);
+            let Some((mut fut, waker)) = idle else {
+                continue; // finished, or woke itself mid-poll: stale wake
             };
-            let Some(mut fut) = fut else { continue };
             any = true;
             self.core.polls.set(self.core.polls.get() + 1);
-            let waker = Waker::from(Arc::new(SimWaker {
-                id,
-                ready: self.core.ready.clone(),
-            }));
-            let mut cx = Context::from_waker(&waker);
-            match fut.as_mut().poll(&mut cx) {
-                Poll::Ready(()) => {
-                    self.core.tasks.borrow_mut().remove(&id);
-                }
-                Poll::Pending => {
-                    if let Some(slot) = self.core.tasks.borrow_mut().get_mut(&id) {
-                        *slot = Some(fut);
+            let polled = fut.as_mut().poll(&mut Context::from_waker(&waker));
+            let mut tasks = self.core.tasks.borrow_mut();
+            let task = tasks
+                .get_mut(id.0)
+                .expect("a task keeps its slot while polled");
+            match polled {
+                Poll::Pending => task.idle = Some((fut, waker)),
+                Poll::Ready(out) => {
+                    self.core.live_tasks.set(self.core.live_tasks.get() - 1);
+                    if task.detached {
+                        let finished = tasks.remove(id.0);
+                        // Futures and outputs may hold simulation handles
+                        // whose drop re-enters the engine: release the
+                        // table first.
+                        drop(tasks);
+                        drop((finished, out, fut));
+                    } else {
+                        task.output = Some(out);
+                        let join_waker = task.join_waker.take();
+                        drop(tasks);
+                        drop(fut);
+                        if let Some(w) = join_waker {
+                            w.wake();
+                        }
                     }
                 }
             }
@@ -316,6 +558,7 @@ impl Sim {
     }
 
     /// Number of events executed so far (diagnostics, determinism checks).
+    /// A timer cancelled before its instant never executes.
     pub fn events_executed(&self) -> u64 {
         self.core.events_executed.get()
     }
@@ -327,7 +570,14 @@ impl Sim {
 
     /// Number of tasks that have been spawned and not yet completed.
     pub fn live_tasks(&self) -> usize {
-        self.core.tasks.borrow().len()
+        self.core.live_tasks.get()
+    }
+
+    /// Number of events waiting to execute: scheduled closures and armed
+    /// timers, not counting timers that were cancelled.
+    pub fn pending_events(&self) -> usize {
+        let events = self.core.events.borrow();
+        events.heap.len() - events.tombstones
     }
 }
 
@@ -498,5 +748,97 @@ mod tests {
         }
         sim2.run();
         assert_eq!(first, *log2.borrow());
+    }
+
+    fn noop_cx() -> Context<'static> {
+        Context::from_waker(Waker::noop())
+    }
+
+    #[test]
+    fn dropping_an_unpolled_sleep_cancels_it() {
+        let sim = Sim::new(1);
+        sim.schedule(SimDuration::from_nanos(10), || {});
+        let sleep = sim.sleep(SimDuration::from_millis(250));
+        assert_eq!(sim.pending_events(), 2);
+        drop(sleep);
+        assert_eq!(sim.pending_events(), 1);
+        // The run ends at the last live event: the cancelled timer neither
+        // executes nor moves the clock.
+        assert_eq!(sim.run().as_nanos(), 10);
+        assert_eq!(sim.events_executed(), 1);
+    }
+
+    #[test]
+    fn cancelled_timers_keep_same_instant_order() {
+        let sim = Sim::new(1);
+        let at = SimDuration::from_nanos(5);
+        // Armed in index order; every other one is cancelled, and the rest
+        // are awaited in reverse: firing order is arming order all the same.
+        let mut sleeps: Vec<_> = (0..16u32).map(|i| (i, sim.sleep(at))).collect();
+        sleeps.retain(|(i, _)| i % 2 == 0);
+        let log: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(Vec::new()));
+        for (i, sleep) in sleeps.into_iter().rev() {
+            let log = log.clone();
+            sim.spawn(async move {
+                sleep.await;
+                log.borrow_mut().push(i);
+            });
+        }
+        sim.run();
+        assert_eq!(*log.borrow(), vec![0, 2, 4, 6, 8, 10, 12, 14]);
+        assert_eq!(sim.events_executed(), 8);
+    }
+
+    #[test]
+    fn stale_timer_key_cannot_touch_the_slot_s_next_timer() {
+        let sim = Sim::new(1);
+        let old = sim.start_timer(SimTime::from_nanos(10));
+        sim.cancel_timer(old);
+        let new = sim.start_timer(SimTime::from_nanos(20));
+        assert_eq!(old.0.slot, new.0.slot, "the slot is reused");
+        assert_ne!(old.0.generation, new.0.generation);
+
+        // A second cancel through the stale key is ignored...
+        sim.cancel_timer(old);
+        assert_eq!(sim.pending_events(), 1);
+        // ...and the cancelled timer's instant passes without firing the
+        // slot's new occupant.
+        sim.run_until(SimTime::from_nanos(15));
+        assert_eq!(sim.events_executed(), 0);
+        assert!(sim.poll_timer(new, &mut noop_cx()).is_pending());
+
+        assert_eq!(sim.run().as_nanos(), 20);
+        assert!(sim.poll_timer(new, &mut noop_cx()).is_ready());
+        sim.cancel_timer(new);
+    }
+
+    #[test]
+    fn queue_length_follows_live_timers() {
+        let sim = Sim::new(1);
+        let keep = sim.sleep(SimDuration::from_millis(1));
+        for _ in 0..10_000 {
+            drop(sim.sleep(SimDuration::from_millis(250)));
+            assert_eq!(sim.pending_events(), 1);
+            let heap = sim.core.events.borrow().heap.len();
+            assert!(heap <= 3, "{heap} queue entries for one live timer");
+        }
+        drop(keep);
+        assert_eq!(sim.pending_events(), 0);
+    }
+
+    #[test]
+    fn a_finished_task_s_slot_is_reused() {
+        let sim = Sim::new(1);
+        for round in 0..1_000u32 {
+            let joined = sim.spawn(async move { round });
+            sim.spawn(async {}); // detached
+            let s = sim.clone();
+            assert_eq!(
+                sim.block_on(async move { joined.await + s.spawn(async { 1 }).await }),
+                round + 1
+            );
+            assert_eq!(sim.live_tasks(), 0);
+        }
+        assert!(sim.core.tasks.borrow().slots.len() <= 4);
     }
 }

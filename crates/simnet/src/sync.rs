@@ -11,55 +11,44 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
-use std::rc::{Rc, Weak};
+use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-use crate::engine::Sim;
+use crate::engine::{Sim, TimerKey};
 use crate::time::SimDuration;
 
 // ---------------------------------------------------------------------------
 // Sleep
 // ---------------------------------------------------------------------------
 
-struct SleepState {
-    done: bool,
-    waker: Option<Waker>,
-}
-
 /// Future returned by [`Sim::sleep`]. Completes after the requested span of
-/// simulated time.
+/// simulated time. The timer is armed when the `Sleep` is made, not when it
+/// is first polled, and dropping a `Sleep` that has not completed cancels it:
+/// the timer leaves the event queue and never executes.
 pub struct Sleep {
-    state: Rc<RefCell<SleepState>>,
+    sim: Sim,
+    timer: TimerKey,
 }
 
 impl Sleep {
     pub(crate) fn start(sim: &Sim, d: SimDuration) -> Sleep {
-        let state = Rc::new(RefCell::new(SleepState {
-            done: false,
-            waker: None,
-        }));
-        let ev_state = state.clone();
-        sim.schedule(d, move || {
-            let mut s = ev_state.borrow_mut();
-            s.done = true;
-            if let Some(w) = s.waker.take() {
-                w.wake();
-            }
-        });
-        Sleep { state }
+        Sleep {
+            sim: sim.clone(),
+            timer: sim.start_timer(sim.now() + d),
+        }
     }
 }
 
 impl Future for Sleep {
     type Output = ();
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let mut s = self.state.borrow_mut();
-        if s.done {
-            Poll::Ready(())
-        } else {
-            s.waker = Some(cx.waker().clone());
-            Poll::Pending
-        }
+        self.sim.poll_timer(self.timer, cx)
+    }
+}
+
+impl Drop for Sleep {
+    fn drop(&mut self) {
+        self.sim.cancel_timer(self.timer);
     }
 }
 
@@ -300,7 +289,36 @@ impl<T> Future for Recv<'_, T> {
 /// every wakeup (condition-variable style), e.g. by UCR counters.
 #[derive(Default)]
 pub struct Notify {
-    wakers: RefCell<Vec<Waker>>,
+    waiters: RefCell<Waiters>,
+}
+
+/// Parked wakers in parking order. Nearly every wait set has one waiter (a
+/// counter's requester, a queue's consumer), which lives inline; only a
+/// second concurrent waiter allocates.
+#[derive(Default)]
+struct Waiters {
+    first: Option<Waker>,
+    rest: Vec<Waker>,
+}
+
+impl Waiters {
+    /// Parks `waker` unless a parked waker already wakes the same task: a
+    /// waiter re-polled before any notification stays parked once.
+    fn park(&mut self, waker: &Waker) {
+        if self
+            .first
+            .iter()
+            .chain(&self.rest)
+            .any(|w| w.will_wake(waker))
+        {
+            return;
+        }
+        // `rest` is only ever non-empty behind an occupied `first`.
+        match self.first {
+            None => self.first = Some(waker.clone()),
+            Some(_) => self.rest.push(waker.clone()),
+        }
+    }
 }
 
 impl Notify {
@@ -311,49 +329,46 @@ impl Notify {
 
     /// Wakes every task currently parked on this set.
     pub fn notify_all(&self) {
-        for w in self.wakers.borrow_mut().drain(..) {
+        let mut waiters = self.waiters.borrow_mut();
+        if let Some(w) = waiters.first.take() {
+            w.wake();
+        }
+        for w in waiters.rest.drain(..) {
             w.wake();
         }
     }
 
     /// Number of currently parked waiters (diagnostics).
     pub fn waiters(&self) -> usize {
-        self.wakers.borrow().len()
+        let waiters = self.waiters.borrow();
+        usize::from(waiters.first.is_some()) + waiters.rest.len()
     }
 
     /// Awaits until `pred()` returns true, re-checking after every
     /// notification. The predicate is checked immediately first, so a
     /// satisfied condition never blocks.
-    pub fn wait_until<F: FnMut() -> bool>(self: &Rc<Self>, pred: F) -> WaitUntil<F> {
-        WaitUntil {
-            notify: Rc::downgrade(self),
-            pred,
-        }
+    pub fn wait_until<F: FnMut() -> bool>(&self, pred: F) -> WaitUntil<'_, F> {
+        WaitUntil { notify: self, pred }
     }
 }
 
 /// Future returned by [`Notify::wait_until`].
-pub struct WaitUntil<F> {
-    notify: Weak<Notify>,
+pub struct WaitUntil<'a, F> {
+    notify: &'a Notify,
     pred: F,
 }
 
-impl<F> Unpin for WaitUntil<F> {}
+impl<F> Unpin for WaitUntil<'_, F> {}
 
-impl<F: FnMut() -> bool> Future for WaitUntil<F> {
+impl<F: FnMut() -> bool> Future for WaitUntil<'_, F> {
     type Output = ();
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
         let this = self.get_mut();
         if (this.pred)() {
             return Poll::Ready(());
         }
-        if let Some(n) = this.notify.upgrade() {
-            n.wakers.borrow_mut().push(cx.waker().clone());
-            Poll::Pending
-        } else {
-            // The Notify was dropped: the condition can never change again.
-            Poll::Ready(())
-        }
+        this.notify.waiters.borrow_mut().park(cx.waker());
+        Poll::Pending
     }
 }
 
@@ -539,5 +554,91 @@ mod tests {
         let got = sim.block_on(async move { timeout(&s, SimDuration::from_micros(5), rx).await });
         assert_eq!(got, Ok(Ok(7)));
         assert_eq!(sim.now().as_nanos(), 100);
+    }
+
+    #[test]
+    fn timeout_won_by_the_inner_future_leaves_the_queue() {
+        let sim = Sim::new(1);
+        sim.schedule(SimDuration::from_millis(1), || {});
+        let before = sim.pending_events();
+        let s = sim.clone();
+        let got = sim.block_on(async move {
+            let quick = s.sleep(SimDuration::from_micros(1));
+            timeout(&s, SimDuration::from_millis(250), quick).await
+        });
+        assert_eq!(got, Ok(()));
+        assert_eq!(sim.pending_events(), before);
+        // The deadline never executes: the run ends with the last live event.
+        assert_eq!(sim.run().as_nanos(), 1_000_000);
+        assert_eq!(sim.events_executed(), 2);
+    }
+
+    #[test]
+    fn sequential_timeouts_do_not_accumulate() {
+        let sim = Sim::new(1);
+        let s = sim.clone();
+        sim.block_on(async move {
+            for _ in 0..100_000 {
+                let quick = s.sleep(SimDuration::from_micros(1));
+                let won = timeout(&s, SimDuration::from_millis(250), quick).await;
+                assert_eq!(won, Ok(()));
+                assert!(s.pending_events() <= 4);
+            }
+        });
+        assert_eq!(sim.pending_events(), 0);
+        assert_eq!(sim.now().as_nanos(), 100_000 * 1_000);
+    }
+
+    #[test]
+    fn notify_parks_a_repolled_waiter_once() {
+        use std::cell::Cell;
+        let sim = Sim::new(1);
+        let notify = Rc::new(Notify::new());
+        let flag = Rc::new(Cell::new(false));
+        let (n, f) = (notify.clone(), flag.clone());
+        sim.spawn(async move {
+            let mut wait = n.wait_until(|| f.get());
+            // Re-polled with no notification in between, as a task woken
+            // for another reason re-polls everything it is waiting on.
+            std::future::poll_fn(|cx| {
+                for _ in 0..1_000 {
+                    assert!(Pin::new(&mut wait).poll(cx).is_pending());
+                }
+                Poll::Ready(())
+            })
+            .await;
+            wait.await;
+        });
+        sim.run();
+        assert_eq!(notify.waiters(), 1);
+
+        let polls = sim.task_polls();
+        flag.set(true);
+        notify.notify_all();
+        sim.run();
+        assert_eq!(sim.task_polls() - polls, 1);
+        assert_eq!(sim.live_tasks(), 0);
+    }
+
+    #[test]
+    fn notify_wakes_waiters_in_parking_order() {
+        use std::cell::Cell;
+        let sim = Sim::new(1);
+        let notify = Rc::new(Notify::new());
+        let flag = Rc::new(Cell::new(false));
+        let order = Rc::new(RefCell::new(Vec::new()));
+        for i in 0..3u32 {
+            let (n, f, order) = (notify.clone(), flag.clone(), order.clone());
+            sim.spawn(async move {
+                n.wait_until(|| f.get()).await;
+                order.borrow_mut().push(i);
+            });
+        }
+        sim.run();
+        assert_eq!(notify.waiters(), 3);
+        flag.set(true);
+        notify.notify_all();
+        sim.run();
+        assert_eq!(*order.borrow(), vec![0, 1, 2]);
     }
 }

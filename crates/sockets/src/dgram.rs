@@ -28,7 +28,7 @@ pub const MAX_DGRAM_BYTES: usize = 65_507;
 
 pub(crate) struct DgramInbox {
     pub queue: RefCell<VecDeque<(SocketAddr, Vec<u8>)>>,
-    pub notify: Rc<Notify>,
+    pub notify: Notify,
     pub dropped: std::cell::Cell<u64>,
 }
 
@@ -118,10 +118,10 @@ impl DgramSocket {
             if self.fabric.is_dead(self.local.node) {
                 return Err(SockError::Closed);
             }
-            let inbox = self.inbox.clone();
-            let notify = self.inbox.notify.clone();
-            notify
-                .wait_until(move || !inbox.queue.borrow().is_empty())
+            let inbox = &self.inbox;
+            inbox
+                .notify
+                .wait_until(|| !inbox.queue.borrow().is_empty())
                 .await;
         }
     }

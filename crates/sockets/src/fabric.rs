@@ -202,7 +202,7 @@ impl SockFabric {
         }
         let inbox = Rc::new(DgramInbox {
             queue: RefCell::new(std::collections::VecDeque::new()),
-            notify: Rc::new(simnet::sync::Notify::new()),
+            notify: simnet::sync::Notify::new(),
             dropped: Cell::new(0),
         });
         let (profile, net) = self.inner.stack_env(stack)?;

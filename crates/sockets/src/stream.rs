@@ -62,7 +62,7 @@ pub struct SocketAddr {
 /// Per-direction receive buffer (lives at the receiving endpoint).
 pub(crate) struct RecvBuf {
     pub data: RefCell<VecDeque<u8>>,
-    pub notify: Rc<Notify>,
+    pub notify: Notify,
     pub closed: Cell<bool>,
     /// Latest scheduled delivery instant: keeps the byte stream in order
     /// even when a jitter spike delays one message.
@@ -73,7 +73,7 @@ impl RecvBuf {
     pub(crate) fn new() -> Rc<RecvBuf> {
         Rc::new(RecvBuf {
             data: RefCell::new(VecDeque::new()),
-            notify: Rc::new(Notify::new()),
+            notify: Notify::new(),
             closed: Cell::new(false),
             last_delivery: Cell::new(simnet::SimTime::ZERO),
         })
@@ -242,10 +242,9 @@ impl Socket {
             if self.rx.closed.get() {
                 return Err(SockError::Closed);
             }
-            let rx = self.rx.clone();
-            let notify = self.rx.notify.clone();
-            notify
-                .wait_until(move || !rx.data.borrow().is_empty() || rx.closed.get())
+            let rx = &self.rx;
+            rx.notify
+                .wait_until(|| !rx.data.borrow().is_empty() || rx.closed.get())
                 .await;
         }
     }

@@ -29,7 +29,7 @@ use crate::UcrError;
 pub(crate) struct CtrInner {
     pub id: u64,
     pub value: Cell<u64>,
-    pub notify: Rc<Notify>,
+    pub notify: Notify,
 }
 
 impl CtrInner {
@@ -57,7 +57,7 @@ impl Counter {
             inner: Rc::new(CtrInner {
                 id,
                 value: Cell::new(0),
-                notify: Rc::new(Notify::new()),
+                notify: Notify::new(),
             }),
             sim,
             tracer,
@@ -92,13 +92,11 @@ impl Counter {
     /// `deadline` elapses. The blocking-with-timeout primitive Memcached
     /// uses after issuing a request (paper §V-B).
     pub async fn wait_for(&self, target: u64, deadline: SimDuration) -> Result<(), UcrError> {
-        let inner = self.inner.clone();
+        let inner = &self.inner;
         if inner.value.get() >= target {
             return Ok(());
         }
-        let notify = inner.notify.clone();
-        let inner2 = inner.clone();
-        let wait = notify.wait_until(move || inner2.value.get() >= target);
+        let wait = inner.notify.wait_until(|| inner.value.get() >= target);
         match timeout(&self.sim, deadline, wait).await {
             Ok(()) => Ok(()),
             Err(_) => {

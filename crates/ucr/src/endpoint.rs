@@ -75,6 +75,16 @@ impl SendBuf<'_> {
     }
 }
 
+/// Stages the wire prefix of a message — packet header, then application
+/// header — in a buffer with room for `extra` more bytes, so the HCA's
+/// gather of an eager payload appends without reallocating.
+pub(crate) fn stage_head(pkt: &PacketHeader, hdr: &[u8], extra: usize) -> Vec<u8> {
+    let mut head = Vec::with_capacity(PACKET_HEADER_BYTES + hdr.len() + extra);
+    head.extend_from_slice(&pkt.encode());
+    head.extend_from_slice(hdr);
+    head
+}
+
 pub(crate) struct EpInner {
     pub id: u64,
     pub qp: QueuePair,
@@ -179,18 +189,20 @@ impl Endpoint {
         pkt.origin_ctr = opts.origin.as_ref().map(Counter::id).unwrap_or(0);
         pkt.completion_ctr = opts.completion.as_ref().map(Counter::id).unwrap_or(0);
 
-        if let Some(ud_dest) = inner.ud_dest {
+        let eager = payload <= rt.eager_threshold.get();
+        if inner.ud_dest.is_some() && !(eager && total <= rt.ud_payload_limit()) {
             // Unreliable endpoint: single-datagram eager only. The eager
             // threshold bounds the payload; the MTU bounds the full
             // datagram (packet header included) — both must hold.
-            let limit = rt.ud_payload_limit();
-            if payload > rt.eager_threshold.get() || total > limit {
-                return Err(UcrError::MessageTooLarge);
-            }
+            return Err(UcrError::MessageTooLarge);
+        }
+        if eager {
+            // Eager: stage header+data into a communication buffer (one
+            // copy at this end, one at the target), single transaction.
+            // Owned payloads skip the staging copy: the buffer rides the
+            // HCA's gather list as-is.
             sim.sleep(rt.stage_cost(data.len())).await;
-            let mut head = Vec::with_capacity(PACKET_HEADER_BYTES + hdr.len());
-            head.extend_from_slice(&pkt.encode());
-            head.extend_from_slice(hdr);
+            let head = stage_head(&pkt, hdr, data.len());
             if data.is_owned() {
                 rt.stats.eager_copy_saved_bytes.add(data.len() as u64);
             }
@@ -206,54 +218,19 @@ impl Endpoint {
                     imm: None,
                 },
             );
-            wr.ud_dest = Some(ud_dest);
+            wr.ud_dest = inner.ud_dest;
             inner
                 .qp
                 .post_send(wr)
                 .map_err(|_| UcrError::EndpointFailed)?;
+            let sent = if inner.ud_dest.is_some() {
+                "am_send_ud"
+            } else {
+                "am_send_eager"
+            };
             rt.tracer.instant(
                 Layer::Ucr,
-                "am_send_ud",
-                rt.node,
-                Track::Endpoint(inner.id),
-                wr_id,
-                payload as u64,
-                sim.now(),
-            );
-            rt.stats.messages_sent.inc();
-            return Ok(());
-        }
-
-        if payload <= rt.eager_threshold.get() {
-            // Eager: stage header+data into a communication buffer (one
-            // copy at this end, one at the target), single transaction.
-            // Owned payloads skip the staging copy: the buffer rides the
-            // HCA's gather list as-is.
-            sim.sleep(rt.stage_cost(data.len())).await;
-            let mut head = Vec::with_capacity(PACKET_HEADER_BYTES + hdr.len());
-            head.extend_from_slice(&pkt.encode());
-            head.extend_from_slice(hdr);
-            if data.is_owned() {
-                rt.stats.eager_copy_saved_bytes.add(data.len() as u64);
-            }
-            let wr_id = rt.alloc_wr(Pending::EagerSend {
-                origin: opts.origin,
-                ep: Rc::downgrade(inner),
-            });
-            inner
-                .qp
-                .post_send(SendWr::new(
-                    wr_id,
-                    SendOp::SendGather {
-                        head,
-                        data: data.into_vec(),
-                        imm: None,
-                    },
-                ))
-                .map_err(|_| UcrError::EndpointFailed)?;
-            rt.tracer.instant(
-                Layer::Ucr,
-                "am_send_eager",
+                sent,
                 rt.node,
                 Track::Endpoint(inner.id),
                 wr_id,
@@ -274,9 +251,6 @@ impl Endpoint {
             pkt.rkey = mr.rkey();
             pkt.offset = 0;
             pkt.token = rt.stash_rndv_src(mr);
-            let mut buf = Vec::with_capacity(PACKET_HEADER_BYTES + hdr.len());
-            buf.extend_from_slice(&pkt.encode());
-            buf.extend_from_slice(hdr);
             let wr_id = rt.alloc_wr(Pending::CtrlSend {
                 ep: Rc::downgrade(inner),
             });
@@ -285,7 +259,7 @@ impl Endpoint {
                 .post_send(SendWr::new(
                     wr_id,
                     SendOp::SendInline {
-                        data: buf,
+                        data: stage_head(&pkt, hdr, 0),
                         imm: None,
                     },
                 ))

@@ -20,7 +20,7 @@ use verbs::{
 };
 
 use crate::counter::{Counter, CtrInner};
-use crate::endpoint::{Endpoint, EpInner};
+use crate::endpoint::{stage_head, Endpoint, EpInner};
 use crate::handler::{AmData, AmDest, AmHandler};
 use crate::wire::{PacketHeader, PacketKind, PACKET_HEADER_BYTES};
 use crate::UcrError;
@@ -865,8 +865,8 @@ impl RtInner {
             return;
         }
         let len = wc.byte_len as usize;
-        let head = buf.read_at(0, PACKET_HEADER_BYTES.min(len));
-        let Some(pkt) = PacketHeader::decode(&head) else {
+        let pkt = PacketHeader::decode(&buf.bytes()[..PACKET_HEADER_BYTES.min(len)]);
+        let Some(pkt) = pkt else {
             self.retire_recv_buffer(buf);
             return;
         };
@@ -900,7 +900,6 @@ impl RtInner {
                 self.sim
                     .sleep(self.profile.host.am_dispatch + self.stage_cost(pkt.data_len as usize))
                     .await;
-                let hdr = buf.read_at(PACKET_HEADER_BYTES, pkt.hdr_len as usize);
                 let handler = self.handlers.borrow().get(&pkt.msg_id).cloned();
                 let Some(handler) = handler else {
                     self.stats.unknown_msg_dropped.inc();
@@ -908,6 +907,10 @@ impl RtInner {
                     return;
                 };
                 let track = Track::Endpoint(ep.id());
+                // The handlers read the application header in place, in the
+                // network buffer; the buffer is retired once both have run.
+                let bytes = buf.bytes();
+                let hdr = &bytes[PACKET_HEADER_BYTES..hdr_end];
                 self.tracer.begin(
                     Layer::Ucr,
                     "header_handler",
@@ -917,7 +920,7 @@ impl RtInner {
                     pkt.data_len,
                     self.sim.now(),
                 );
-                let dest = handler.on_header(&ep, &hdr, pkt.data_len as usize);
+                let dest = handler.on_header(&ep, hdr, pkt.data_len as usize);
                 self.tracer.end(
                     Layer::Ucr,
                     "header_handler",
@@ -929,19 +932,16 @@ impl RtInner {
                 );
                 let am_data = match dest {
                     // Single copy: the payload moves straight off the
-                    // network buffer into its owned destination
-                    // (previously the whole packet was read into a
-                    // scratch Vec and the data range copied out again).
-                    AmDest::Pool => AmData::Pool(buf.read_at(hdr_end, pkt.data_len as usize)),
+                    // network buffer into its owned destination.
+                    AmDest::Pool => AmData::Pool(bytes[hdr_end..data_end].to_vec()),
                     AmDest::Buffer(slice) => {
                         let n = (pkt.data_len as usize).min(slice.len());
                         // Copy into the caller's registered destination.
-                        let _ = slice_write(&slice, &buf.read_at(hdr_end, n));
+                        let _ = slice.write_prefix(&bytes[hdr_end..hdr_end + n]);
                         AmData::Placed(n)
                     }
                     AmDest::Discard => AmData::Discarded,
                 };
-                self.retire_recv_buffer(buf);
                 self.tracer.begin(
                     Layer::Ucr,
                     "completion_handler",
@@ -951,7 +951,7 @@ impl RtInner {
                     pkt.data_len,
                     self.sim.now(),
                 );
-                handler.on_complete(&ep, &hdr, am_data);
+                handler.on_complete(&ep, hdr, am_data);
                 self.tracer.end(
                     Layer::Ucr,
                     "completion_handler",
@@ -961,6 +961,8 @@ impl RtInner {
                     pkt.data_len,
                     self.sim.now(),
                 );
+                drop(bytes);
+                self.retire_recv_buffer(buf);
                 self.stats.eager_delivered.inc();
                 self.bump_counter(pkt.target_ctr);
                 if pkt.completion_ctr != 0 {
@@ -981,7 +983,7 @@ impl RtInner {
                     self.retire_recv_buffer(buf);
                     return;
                 }
-                let hdr = buf.read_at(PACKET_HEADER_BYTES, pkt.hdr_len as usize);
+                let hdr = buf.bytes()[PACKET_HEADER_BYTES..hdr_end].to_vec();
                 self.retire_recv_buffer(buf);
                 let handler = self.handlers.borrow().get(&pkt.msg_id).cloned();
                 let Some(handler) = handler else {
@@ -1126,7 +1128,9 @@ impl RtInner {
                 let handler = self.handlers.borrow().get(&pkt.msg_id).cloned();
                 if let Some(handler) = handler {
                     let am_data = match dest {
-                        RndvDest::Pool(mr) => AmData::Pool(mr.read_at(0, pkt.data_len as usize)),
+                        // Zero copy: the landing region's buffer becomes
+                        // the handler's payload.
+                        RndvDest::Pool(mr) => AmData::Pool(mr.into_vec()),
                         RndvDest::Buffer(_) => AmData::Placed(pkt.data_len as usize),
                         RndvDest::Discard(_) => AmData::Discarded,
                     };
@@ -1200,19 +1204,10 @@ impl RtInner {
         let _ = ep.inner.qp.post_send(SendWr::new(
             wr_id,
             SendOp::SendInline {
-                data: pkt.encode().to_vec(),
+                data: stage_head(&pkt, &[], 0),
                 imm: None,
             },
         ));
         self.stats.fins_sent.inc();
     }
-}
-
-/// Writes into an MrSlice from plain bytes (helper for the eager path).
-fn slice_write(slice: &MrSlice, data: &[u8]) -> Result<(), ()> {
-    // MrSlice::read exists for reading; writing goes through the DMA path
-    // used by verbs internally. Reuse the public surface: the slice's
-    // region was registered with LOCAL_WRITE, so a recv-style placement is
-    // legitimate here.
-    slice.write_prefix(data).map_err(|_| ())
 }

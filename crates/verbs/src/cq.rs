@@ -18,7 +18,7 @@ use crate::types::Wc;
 
 pub(crate) struct CqInner {
     pub queue: RefCell<VecDeque<Wc>>,
-    pub notify: Rc<Notify>,
+    pub notify: Notify,
 }
 
 /// A completion queue. Clone freely; clones share the queue.
@@ -34,7 +34,7 @@ impl Cq {
         Cq {
             inner: Rc::new(CqInner {
                 queue: RefCell::new(VecDeque::new()),
-                notify: Rc::new(Notify::new()),
+                notify: Notify::new(),
             }),
             sim,
             poll_overhead,
@@ -67,10 +67,10 @@ impl Cq {
                 self.sim.sleep(self.poll_overhead).await;
                 return wc;
             }
-            let notify = self.inner.notify.clone();
-            let inner = self.inner.clone();
-            notify
-                .wait_until(move || !inner.queue.borrow().is_empty())
+            let inner = &self.inner;
+            inner
+                .notify
+                .wait_until(|| !inner.queue.borrow().is_empty())
                 .await;
         }
     }

@@ -7,7 +7,7 @@
 //! and bounds, and then actually moves the bytes — so data integrity is
 //! end-to-end observable in tests.
 
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::rc::{Rc, Weak};
 
 use crate::types::{Access, RemoteMemory, VerbsError};
@@ -103,11 +103,24 @@ impl Mr {
         buf[offset..offset + data.len()].copy_from_slice(data);
     }
 
+    /// The region's bytes, borrowed in place (application-side read without
+    /// a copy). The region must not be written — by the application or by
+    /// inbound DMA — while the borrow is held.
+    pub fn bytes(&self) -> Ref<'_, [u8]> {
+        Ref::map(self.inner.buf.borrow(), Vec::as_slice)
+    }
+
     /// Copies bytes out of the region (application-side read).
     pub fn read_at(&self, offset: usize, len: usize) -> Vec<u8> {
-        let buf = self.inner.buf.borrow();
+        let buf = self.bytes();
         assert!(offset + len <= buf.len(), "read_at out of bounds");
         buf[offset..offset + len].to_vec()
+    }
+
+    /// Deregisters the region and returns its buffer without copying it.
+    /// Windows still held on the region see it empty.
+    pub fn into_vec(self) -> Vec<u8> {
+        std::mem::take(&mut *self.inner.buf.borrow_mut())
     }
 
     /// A window over `[offset, offset+len)` usable in work requests.
