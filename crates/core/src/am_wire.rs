@@ -82,6 +82,13 @@ impl McOp {
         }
     }
 
+    /// True for the six verbs that write a value: `Set`, `Add`, `Replace`,
+    /// `Append`, `Prepend`, `Cas`.
+    pub(crate) fn is_store(self) -> bool {
+        use McOp::*;
+        matches!(self, Set | Add | Replace | Append | Prepend | Cas)
+    }
+
     fn from_u8(v: u8) -> Option<McOp> {
         Some(match v {
             1 => McOp::Get,
@@ -440,34 +447,30 @@ pub fn encode_mget_entry(out: &mut Vec<u8>, key: &[u8], flags: u32, cas: u64, va
     out.extend_from_slice(value);
 }
 
-/// One decoded multi-get entry: `(key, flags, cas, value)`.
-pub type MgetEntry = (Vec<u8>, u32, u64, Vec<u8>);
+/// Encoded size of one multi-get entry.
+pub(crate) fn mget_entry_len(klen: usize, vlen: usize) -> usize {
+    2 + klen + 16 + vlen
+}
 
-/// Decodes a multi-get payload into `(key, flags, cas, value)` tuples.
-pub fn decode_mget_entries(mut b: &[u8], n: usize) -> Option<Vec<MgetEntry>> {
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        if b.len() < 2 {
-            return None;
-        }
-        let klen = u16::from_le_bytes(b[..2].try_into().ok()?) as usize;
-        b = &b[2..];
-        if b.len() < klen + 16 {
-            return None;
-        }
-        let key = b[..klen].to_vec();
-        b = &b[klen..];
-        let flags = u32::from_le_bytes(b[..4].try_into().ok()?);
-        let cas = u64::from_le_bytes(b[4..12].try_into().ok()?);
-        let vlen = u32::from_le_bytes(b[12..16].try_into().ok()?) as usize;
-        b = &b[16..];
-        if b.len() < vlen {
-            return None;
-        }
-        out.push((key, flags, cas, b[..vlen].to_vec()));
-        b = &b[vlen..];
+/// Splits the next multi-get entry off the front of `b` without copying:
+/// `(key, flags, cas, value)`; `None` on malformed input.
+pub(crate) fn next_mget_entry<'a>(b: &mut &'a [u8]) -> Option<(&'a [u8], u32, u64, &'a [u8])> {
+    let klen = u16::from_le_bytes(b.get(..2)?.try_into().ok()?) as usize;
+    let rest = &b[2..];
+    if rest.len() < klen + 16 {
+        return None;
     }
-    Some(out)
+    let (key, rest) = rest.split_at(klen);
+    let flags = u32::from_le_bytes(rest[..4].try_into().ok()?);
+    let cas = u64::from_le_bytes(rest[4..12].try_into().ok()?);
+    let vlen = u32::from_le_bytes(rest[12..16].try_into().ok()?) as usize;
+    let rest = &rest[16..];
+    if rest.len() < vlen {
+        return None;
+    }
+    let (value, rest) = rest.split_at(vlen);
+    *b = rest;
+    Some((key, flags, cas, value))
 }
 
 #[cfg(test)]
@@ -551,9 +554,13 @@ mod tests {
         let mut buf = Vec::new();
         encode_mget_entry(&mut buf, b"k1", 1, 10, b"v1");
         encode_mget_entry(&mut buf, b"k2", 2, 20, &vec![9u8; 5000]);
-        let got = decode_mget_entries(&buf, 2).unwrap();
-        assert_eq!(got[0], (b"k1".to_vec(), 1, 10, b"v1".to_vec()));
-        assert_eq!(got[1].3.len(), 5000);
-        assert_eq!(decode_mget_entries(&buf[..10], 2), None);
+        let mut rest = buf.as_slice();
+        assert_eq!(
+            next_mget_entry(&mut rest),
+            Some((&b"k1"[..], 1, 10, &b"v1"[..]))
+        );
+        assert_eq!(next_mget_entry(&mut rest).unwrap().3.len(), 5000);
+        assert!(rest.is_empty());
+        assert_eq!(next_mget_entry(&mut &buf[..10]), None);
     }
 }

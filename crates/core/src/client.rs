@@ -13,14 +13,13 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::pin::Pin;
 use std::rc::Rc;
 
 use mcproto::{
-    arith_extras, encode_command, parse_response, store_extras, udp_fragment, BinFrame, BinOpcode,
-    BinStatus, Command, GetValue, Response, StoreVerb, UdpFrame, UDP_CHUNK_BYTES,
+    encode_command, parse_response, udp_fragment, BinFrame, Command, Response, UdpFrame,
+    UDP_CHUNK_BYTES,
 };
-use mcstore::Value;
+use mcstore::{NumericError, SetOutcome, Value};
 use simnet::metrics::{LatencySpans, Stage};
 use simnet::sync::timeout;
 use simnet::trace::{Layer, Track};
@@ -31,9 +30,11 @@ use ucr::{
 };
 
 use crate::am_wire::{
-    decode_mget_entries, DirReq, DirResp, McOp, ReqHeader, RespHeader, RespStatus,
-    BYPASS_VERSION_BYTES, MSG_MC_DIR_REQ, MSG_MC_DIR_RESP, MSG_MC_REQ, MSG_MC_RESP,
+    DirReq, DirResp, McOp, RespHeader, BYPASS_VERSION_BYTES, MSG_MC_DIR_REQ, MSG_MC_DIR_RESP,
+    MSG_MC_REQ, MSG_MC_RESP,
 };
+use crate::codec;
+use crate::request::{Reply, Request};
 use crate::server::BASE_UNIX_TIME;
 use crate::world::World;
 
@@ -338,6 +339,16 @@ enum Conn {
     },
 }
 
+impl Conn {
+    fn close(&self) {
+        match self {
+            Conn::Ucr(ep) => ep.close(),
+            Conn::Sock(sock) => sock.close(),
+            Conn::Udp { .. } => {} // the socket unbinds on drop
+        }
+    }
+}
+
 struct CliInner {
     sim: Sim,
     node: NodeId,
@@ -566,11 +577,7 @@ impl McClient {
     /// a timeout) so the next operation reconnects from scratch.
     pub fn reset_connections(&self) {
         for (_, conn) in self.inner.conns.borrow_mut().drain() {
-            match &*conn {
-                Conn::Ucr(ep) => ep.close(),
-                Conn::Sock(sock) => sock.close(),
-                Conn::Udp { .. } => {} // the socket unbinds on drop
-            }
+            conn.close();
         }
         for (_, ep) in self.inner.bypass_eps.borrow_mut().drain() {
             ep.close();
@@ -647,48 +654,21 @@ impl McClient {
         let inner = &self.inner;
         inner.ops.set(inner.ops.get() + 1);
         let sidx = inner.route(key);
-        let conn = inner.conn(sidx).await?;
-        match &*conn {
-            Conn::Ucr(ep) => {
-                if inner.cfg.bypass_get {
-                    if let Some(done) = inner.bypass_get(sidx, ep, key).await {
-                        return done;
-                    }
-                    // Bypass gave up (descriptor trouble, retry budget):
-                    // fall through to the classic AM round trip.
+        if inner.cfg.bypass_get {
+            if let Conn::Ucr(ep) = &*inner.conn(sidx).await? {
+                if let Some(done) = inner.bypass_get(sidx, ep, key).await {
+                    return done;
                 }
-                let (resp, data) = inner
-                    .ucr_round_trip(
-                        ep,
-                        |req_id, ctr| ReqHeader::new(McOp::Get, req_id, ctr, key.to_vec()),
-                        Vec::new(),
-                    )
-                    .await?;
-                match resp.status {
-                    RespStatus::Hit => Ok(Some(Value {
-                        data,
-                        flags: resp.flags,
-                        cas: resp.cas,
-                    })),
-                    RespStatus::Miss => Ok(None),
-                    _ => Err(McError::Protocol),
-                }
-            }
-            c @ (Conn::Sock(_) | Conn::Udp { .. }) => {
-                let cmd = Command::Gets {
-                    keys: vec![key.to_vec()],
-                };
-                let resp = inner.sock_round_trip(c, &cmd).await?;
-                match resp {
-                    Response::Values(mut vs) => Ok(vs.pop().map(|v| Value {
-                        data: v.data,
-                        flags: v.flags,
-                        cas: v.cas.unwrap_or(0),
-                    })),
-                    _ => Err(McError::Protocol),
-                }
+                // Bypass gave up (descriptor trouble, retry budget): fall
+                // through to the classic AM round trip.
             }
         }
+        let keys = [key];
+        fetched(
+            inner
+                .exchange(sidx, &Request::new(McOp::Get, &keys))
+                .await?,
+        )
     }
 
     /// Multi-key fetch. Keys may span servers; requests are grouped per
@@ -696,68 +676,14 @@ impl McClient {
     pub async fn mget(&self, keys: &[&[u8]]) -> Result<Vec<(Vec<u8>, Value)>, McError> {
         let inner = &self.inner;
         inner.ops.set(inner.ops.get() + 1);
-        let mut by_server: HashMap<usize, Vec<Vec<u8>>> = HashMap::new();
-        for k in keys {
-            by_server
-                .entry(inner.route(k))
-                .or_default()
-                .push(k.to_vec());
-        }
         let mut out = Vec::new();
-        let mut groups: Vec<_> = by_server.into_iter().collect();
-        groups.sort_by_key(|(s, _)| *s);
-        for (sidx, group) in groups {
-            let conn = inner.conn(sidx).await?;
-            match &*conn {
-                Conn::Ucr(ep) => {
-                    let (resp, data) = inner
-                        .ucr_round_trip(
-                            ep,
-                            |req_id, ctr| ReqHeader {
-                                op: McOp::Mget,
-                                req_id,
-                                ctr_id: ctr,
-                                flags: 0,
-                                exptime: 0,
-                                cas: 0,
-                                delta: 0,
-                                keys: group.clone(),
-                            },
-                            Vec::new(),
-                        )
-                        .await?;
-                    let entries = decode_mget_entries(&data, resp.nvalues as usize)
-                        .ok_or(McError::Protocol)?;
-                    for (key, flags, cas, value) in entries {
-                        out.push((
-                            key,
-                            Value {
-                                data: value,
-                                flags,
-                                cas,
-                            },
-                        ));
-                    }
-                }
-                c @ (Conn::Sock(_) | Conn::Udp { .. }) => {
-                    let cmd = Command::Gets { keys: group };
-                    match inner.sock_round_trip(c, &cmd).await? {
-                        Response::Values(vs) => {
-                            for v in vs {
-                                out.push((
-                                    v.key,
-                                    Value {
-                                        data: v.data,
-                                        flags: v.flags,
-                                        cas: v.cas.unwrap_or(0),
-                                    },
-                                ));
-                            }
-                        }
-                        _ => return Err(McError::Protocol),
-                    }
-                }
-            }
+        for (sidx, idxs) in group_by_server(inner, keys.iter().copied()) {
+            let group: Vec<&[u8]> = idxs.iter().map(|&i| keys[i]).collect();
+            let req = Request::new(McOp::Mget, &group);
+            let Reply::Values(hits) = inner.exchange(sidx, &req).await? else {
+                return Err(McError::Protocol);
+            };
+            out.extend(hits.into_iter().map(|(i, v)| (group[i].to_vec(), v)));
         }
         Ok(out)
     }
@@ -769,20 +695,10 @@ impl McClient {
     /// order. Returns [`McError::Protocol`] on socket transports, which
     /// have no out-of-order wire correlation.
     pub async fn issue_get(&self, key: &[u8]) -> Result<InFlightGet, McError> {
-        let inner = &self.inner;
-        inner.ops.set(inner.ops.get() + 1);
-        let conn = inner.conn(inner.route(key)).await?;
-        let Conn::Ucr(ep) = &*conn else {
-            return Err(McError::Protocol);
-        };
-        let op = inner
-            .ucr_issue(
-                ep,
-                |req_id, ctr| ReqHeader::new(McOp::Get, req_id, ctr, key.to_vec()),
-                Vec::new(),
-            )
-            .await?;
-        Ok(InFlightGet { op })
+        let keys = [key];
+        self.inner
+            .issue(&Request::new(McOp::Get, &keys), fetched)
+            .await
     }
 
     /// Issues an unconditional store without waiting for the response
@@ -794,25 +710,9 @@ impl McClient {
         flags: u32,
         exptime: u32,
     ) -> Result<InFlightSet, McError> {
-        let inner = &self.inner;
-        inner.ops.set(inner.ops.get() + 1);
-        let conn = inner.conn(inner.route(key)).await?;
-        let Conn::Ucr(ep) = &*conn else {
-            return Err(McError::Protocol);
-        };
-        let op = inner
-            .ucr_issue(
-                ep,
-                |req_id, ctr| {
-                    let mut h = ReqHeader::new(McOp::Set, req_id, ctr, key.to_vec());
-                    h.flags = flags;
-                    h.exptime = exptime;
-                    h
-                },
-                value.to_vec(),
-            )
-            .await?;
-        Ok(InFlightSet { op })
+        let keys = [key];
+        let req = Request::store(McOp::Set, &keys, value, flags, exptime, 0);
+        self.inner.issue(&req, stored).await
     }
 
     /// Pipelined multi-get: fetches every key while keeping up to
@@ -825,87 +725,18 @@ impl McClient {
     /// back to one-at-a-time sequential round trips — a silent degrade
     /// accounted in the `client.nodeN.batch_fallback_ops` counter.
     pub async fn get_many(&self, keys: &[&[u8]]) -> Result<Vec<Option<Value>>, McError> {
-        let inner = &self.inner;
-        inner.ops.set(inner.ops.get() + keys.len() as u64);
-        let depth = inner.cfg.pipeline_depth.max(1);
         let mut out: Vec<Option<Value>> = Vec::new();
         out.resize_with(keys.len(), || None);
-        for (sidx, idxs) in group_by_server(inner, keys.iter().copied()) {
-            let conn = inner.conn(sidx).await?;
-            match &*conn {
-                Conn::Ucr(ep) => {
-                    let mut window: VecDeque<(usize, UcrInFlight)> = VecDeque::new();
-                    for i in idxs {
-                        if window.len() == depth {
-                            if let Some((j, op)) = window.pop_front() {
-                                inner.inflight_gauge.set(window.len() as f64);
-                                out[j] = decode_get_resp(inner.ucr_complete(op).await?)?;
-                                inner.op_done();
-                            }
-                        }
-                        let key = keys[i];
-                        let op = inner
-                            .ucr_issue(
-                                ep,
-                                |req_id, ctr| ReqHeader::new(McOp::Get, req_id, ctr, key.to_vec()),
-                                Vec::new(),
-                            )
-                            .await?;
-                        window.push_back((i, op));
-                        inner.inflight_gauge.set(window.len() as f64);
-                    }
-                    while let Some((j, op)) = window.pop_front() {
-                        inner.inflight_gauge.set(window.len() as f64);
-                        out[j] = decode_get_resp(inner.ucr_complete(op).await?)?;
-                        inner.op_done();
-                    }
-                }
-                Conn::Sock(sock) if !inner.cfg.binary_protocol => {
-                    let cmds: Vec<Command> = idxs
-                        .iter()
-                        .map(|&i| Command::Gets {
-                            keys: vec![keys[i].to_vec()],
-                        })
-                        .collect();
-                    let resps = inner.sock_pipeline(sock, &cmds, depth).await?;
-                    for (&j, resp) in idxs.iter().zip(resps) {
-                        match resp {
-                            Response::Values(mut vs) => {
-                                out[j] = vs.pop().map(|v| Value {
-                                    data: v.data,
-                                    flags: v.flags,
-                                    cas: v.cas.unwrap_or(0),
-                                });
-                                inner.op_done();
-                            }
-                            _ => return Err(McError::Protocol),
-                        }
-                    }
-                }
-                c @ (Conn::Sock(_) | Conn::Udp { .. }) => {
-                    // Binary-protocol and UDP connections have no
-                    // pipelined batch path: each op is a full sequential
-                    // round trip, accounted in `batch_fallback_ops`.
-                    inner.count_batch_fallback(idxs.len() as u64);
-                    for i in idxs {
-                        let cmd = Command::Gets {
-                            keys: vec![keys[i].to_vec()],
-                        };
-                        match inner.sock_round_trip(c, &cmd).await? {
-                            Response::Values(mut vs) => {
-                                out[i] = vs.pop().map(|v| Value {
-                                    data: v.data,
-                                    flags: v.flags,
-                                    cas: v.cas.unwrap_or(0),
-                                });
-                                inner.op_done();
-                            }
-                            _ => return Err(McError::Protocol),
-                        }
-                    }
-                }
-            }
-        }
+        self.inner
+            .batch(
+                keys.len(),
+                |i| Request::new(McOp::Get, std::slice::from_ref(&keys[i])),
+                |i, reply| {
+                    out[i] = fetched(reply)?;
+                    Ok(())
+                },
+            )
+            .await?;
         Ok(out)
     }
 
@@ -922,138 +753,29 @@ impl McClient {
         flags: u32,
         exptime: u32,
     ) -> Result<Vec<Result<(), McError>>, McError> {
-        let inner = &self.inner;
-        inner.ops.set(inner.ops.get() + items.len() as u64);
-        let depth = inner.cfg.pipeline_depth.max(1);
         let mut out: Vec<Result<(), McError>> = Vec::new();
         out.resize_with(items.len(), || Ok(()));
-        for (sidx, idxs) in group_by_server(inner, items.iter().map(|(k, _)| *k)) {
-            let conn = inner.conn(sidx).await?;
-            match &*conn {
-                Conn::Ucr(ep) => {
-                    let mut window: VecDeque<(usize, UcrInFlight)> = VecDeque::new();
-                    for i in idxs {
-                        if window.len() == depth {
-                            if let Some((j, op)) = window.pop_front() {
-                                inner.inflight_gauge.set(window.len() as f64);
-                                let (resp, _) = inner.ucr_complete(op).await?;
-                                out[j] = status_to_result(resp.status);
-                                inner.op_done();
-                            }
-                        }
-                        let (key, value) = items[i];
-                        let op = inner
-                            .ucr_issue(
-                                ep,
-                                |req_id, ctr| {
-                                    let mut h =
-                                        ReqHeader::new(McOp::Set, req_id, ctr, key.to_vec());
-                                    h.flags = flags;
-                                    h.exptime = exptime;
-                                    h
-                                },
-                                value.to_vec(),
-                            )
-                            .await?;
-                        window.push_back((i, op));
-                        inner.inflight_gauge.set(window.len() as f64);
-                    }
-                    while let Some((j, op)) = window.pop_front() {
-                        inner.inflight_gauge.set(window.len() as f64);
-                        let (resp, _) = inner.ucr_complete(op).await?;
-                        out[j] = status_to_result(resp.status);
-                        inner.op_done();
-                    }
-                }
-                Conn::Sock(sock) if !inner.cfg.binary_protocol => {
-                    let cmds: Vec<Command> = idxs
-                        .iter()
-                        .map(|&i| Command::Store {
-                            verb: StoreVerb::Set,
-                            key: items[i].0.to_vec(),
-                            flags,
-                            exptime,
-                            data: items[i].1.to_vec(),
-                            noreply: false,
-                        })
-                        .collect();
-                    let resps = inner.sock_pipeline(sock, &cmds, depth).await?;
-                    for (&j, resp) in idxs.iter().zip(resps) {
-                        out[j] = match resp {
-                            Response::Stored => Ok(()),
-                            Response::NotStored => Err(McError::NotStored),
-                            Response::ServerError(m) if m.contains("too large") => {
-                                Err(McError::TooLarge)
-                            }
-                            Response::ServerError(_) => Err(McError::OutOfMemory),
-                            _ => Err(McError::Protocol),
-                        };
-                        inner.op_done();
-                    }
-                }
-                c @ (Conn::Sock(_) | Conn::Udp { .. }) => {
-                    // Sequential degrade (no pipelined batch path here);
-                    // see `batch_fallback_ops`.
-                    inner.count_batch_fallback(idxs.len() as u64);
-                    for i in idxs {
-                        let (key, value) = items[i];
-                        let cmd = Command::Store {
-                            verb: StoreVerb::Set,
-                            key: key.to_vec(),
-                            flags,
-                            exptime,
-                            data: value.to_vec(),
-                            noreply: false,
-                        };
-                        out[i] = match inner.sock_round_trip(c, &cmd).await? {
-                            Response::Stored => Ok(()),
-                            Response::NotStored => Err(McError::NotStored),
-                            Response::ServerError(m) if m.contains("too large") => {
-                                Err(McError::TooLarge)
-                            }
-                            Response::ServerError(_) => Err(McError::OutOfMemory),
-                            _ => Err(McError::Protocol),
-                        };
-                        inner.op_done();
-                    }
-                }
-            }
-        }
+        self.inner
+            .batch(
+                items.len(),
+                |i| {
+                    let (key, value) = &items[i];
+                    let key = std::slice::from_ref(key);
+                    Request::store(McOp::Set, key, value, flags, exptime, 0)
+                },
+                |i, reply| {
+                    out[i] = stored(reply);
+                    Ok(())
+                },
+            )
+            .await?;
         Ok(out)
     }
 
     /// Removes a key; `Ok(true)` if it existed.
     pub async fn delete(&self, key: &[u8]) -> Result<bool, McError> {
-        let inner = &self.inner;
-        inner.ops.set(inner.ops.get() + 1);
-        let conn = inner.conn(inner.route(key)).await?;
-        match &*conn {
-            Conn::Ucr(ep) => {
-                let (resp, _) = inner
-                    .ucr_round_trip(
-                        ep,
-                        |req_id, ctr| ReqHeader::new(McOp::Delete, req_id, ctr, key.to_vec()),
-                        Vec::new(),
-                    )
-                    .await?;
-                match resp.status {
-                    RespStatus::Ok => Ok(true),
-                    RespStatus::NotFound => Ok(false),
-                    _ => Err(McError::Protocol),
-                }
-            }
-            c @ (Conn::Sock(_) | Conn::Udp { .. }) => {
-                let cmd = Command::Delete {
-                    key: key.to_vec(),
-                    noreply: false,
-                };
-                match inner.sock_round_trip(c, &cmd).await? {
-                    Response::Deleted => Ok(true),
-                    Response::NotFound => Ok(false),
-                    _ => Err(McError::Protocol),
-                }
-            }
-        }
+        let keys = [key];
+        found(self.keyed(&Request::new(McOp::Delete, &keys)).await?)
     }
 
     /// Increments a decimal value; returns the new value.
@@ -1068,97 +790,31 @@ impl McClient {
 
     /// Refreshes a key's expiration.
     pub async fn touch(&self, key: &[u8], exptime: u32) -> Result<bool, McError> {
-        let inner = &self.inner;
-        inner.ops.set(inner.ops.get() + 1);
-        let conn = inner.conn(inner.route(key)).await?;
-        match &*conn {
-            Conn::Ucr(ep) => {
-                let (resp, _) = inner
-                    .ucr_round_trip(
-                        ep,
-                        |req_id, ctr| {
-                            let mut h = ReqHeader::new(McOp::Touch, req_id, ctr, key.to_vec());
-                            h.exptime = exptime;
-                            h
-                        },
-                        Vec::new(),
-                    )
-                    .await?;
-                match resp.status {
-                    RespStatus::Ok => Ok(true),
-                    RespStatus::NotFound => Ok(false),
-                    _ => Err(McError::Protocol),
-                }
-            }
-            c @ (Conn::Sock(_) | Conn::Udp { .. }) => {
-                let cmd = Command::Touch {
-                    key: key.to_vec(),
-                    exptime,
-                    noreply: false,
-                };
-                match inner.sock_round_trip(c, &cmd).await? {
-                    Response::Touched => Ok(true),
-                    Response::NotFound => Ok(false),
-                    _ => Err(McError::Protocol),
-                }
-            }
-        }
+        let keys = [key];
+        let req = Request {
+            exptime,
+            ..Request::new(McOp::Touch, &keys)
+        };
+        found(self.keyed(&req).await?)
     }
 
     /// Flushes every server in the pool.
     pub async fn flush_all(&self) -> Result<(), McError> {
-        let inner = &self.inner;
-        for sidx in 0..inner.cfg.servers.len() {
-            let conn = inner.conn(sidx).await?;
-            match &*conn {
-                Conn::Ucr(ep) => {
-                    let (resp, _) = inner
-                        .ucr_round_trip(
-                            ep,
-                            |req_id, ctr| ReqHeader::new(McOp::FlushAll, req_id, ctr, Vec::new()),
-                            Vec::new(),
-                        )
-                        .await?;
-                    if resp.status != RespStatus::Ok {
-                        return Err(McError::Protocol);
-                    }
-                }
-                c @ (Conn::Sock(_) | Conn::Udp { .. }) => {
-                    let cmd = Command::FlushAll {
-                        delay: 0,
-                        noreply: false,
-                    };
-                    match inner.sock_round_trip(c, &cmd).await? {
-                        Response::Ok => {}
-                        _ => return Err(McError::Protocol),
-                    }
-                }
-            }
+        for sidx in 0..self.inner.cfg.servers.len() {
+            let req = Request::new(McOp::FlushAll, &[]);
+            let Reply::Done = self.inner.exchange(sidx, &req).await? else {
+                return Err(McError::Protocol);
+            };
         }
         Ok(())
     }
 
     /// Server version string (first server).
     pub async fn version(&self) -> Result<String, McError> {
-        let inner = &self.inner;
-        let conn = inner.conn(0).await?;
-        match &*conn {
-            Conn::Ucr(ep) => {
-                let (_, data) = inner
-                    .ucr_round_trip(
-                        ep,
-                        |req_id, ctr| ReqHeader::new(McOp::Version, req_id, ctr, Vec::new()),
-                        Vec::new(),
-                    )
-                    .await?;
-                Ok(String::from_utf8_lossy(&data).into_owned())
-            }
-            c @ (Conn::Sock(_) | Conn::Udp { .. }) => {
-                match inner.sock_round_trip(c, &Command::Version).await? {
-                    Response::Version(v) => Ok(v),
-                    _ => Err(McError::Protocol),
-                }
-            }
+        let req = Request::new(McOp::Version, &[]);
+        match self.inner.exchange(0, &req).await? {
+            Reply::Version(v) => Ok(v),
+            _ => Err(McError::Protocol),
         }
     }
 
@@ -1168,42 +824,26 @@ impl McClient {
     }
 
     /// A statistics sub-report from the first server (`"slabs"`,
-    /// `"items"`; empty = general stats).
+    /// `"items"`, …; empty = general stats; an unknown name is an empty
+    /// report). Works on every transport.
     pub async fn stats_report(&self, which: &str) -> Result<Vec<(String, String)>, McError> {
-        let inner = &self.inner;
-        let arg: Vec<u8> = which.as_bytes().to_vec();
-        let conn = inner.conn(0).await?;
-        match &*conn {
-            Conn::Ucr(ep) => {
-                let (_, data) = inner
-                    .ucr_round_trip(
-                        ep,
-                        |req_id, ctr| ReqHeader::new(McOp::Stats, req_id, ctr, arg.clone()),
-                        Vec::new(),
-                    )
-                    .await?;
-                let text = String::from_utf8_lossy(&data);
-                Ok(text
-                    .lines()
-                    .filter_map(|l| {
-                        let mut it = l.splitn(2, ' ');
-                        Some((it.next()?.to_string(), it.next().unwrap_or("").to_string()))
-                    })
-                    .collect())
-            }
-            c @ (Conn::Sock(_) | Conn::Udp { .. }) => {
-                let cmd = Command::Stats {
-                    arg: (!arg.is_empty()).then_some(arg),
-                };
-                match inner.sock_round_trip(c, &cmd).await? {
-                    Response::Stats(st) => Ok(st),
-                    // A bare END (empty report) parses as an empty value
-                    // list; the two are indistinguishable on the wire.
-                    Response::Values(v) if v.is_empty() => Ok(Vec::new()),
-                    _ => Err(McError::Protocol),
-                }
-            }
+        let name = [which.as_bytes()];
+        let keys = if which.is_empty() { &[][..] } else { &name };
+        match self
+            .inner
+            .exchange(0, &Request::new(McOp::Stats, keys))
+            .await?
+        {
+            Reply::Stats(pairs) => Ok(pairs),
+            _ => Err(McError::Protocol),
         }
+    }
+
+    /// One round trip of a single-key request to the key's server.
+    async fn keyed(&self, req: &Request<'_, &[u8]>) -> Result<Reply, McError> {
+        let inner = &self.inner;
+        inner.ops.set(inner.ops.get() + 1);
+        inner.exchange(inner.route(req.key()), req).await
     }
 
     async fn store_op(
@@ -1215,135 +855,54 @@ impl McClient {
         exptime: u32,
         cas: u64,
     ) -> Result<(), McError> {
-        let inner = &self.inner;
-        inner.ops.set(inner.ops.get() + 1);
-        let conn = inner.conn(inner.route(key)).await?;
-        match &*conn {
-            Conn::Ucr(ep) => {
-                let (resp, _) = inner
-                    .ucr_round_trip(
-                        ep,
-                        |req_id, ctr| {
-                            let mut h = ReqHeader::new(op, req_id, ctr, key.to_vec());
-                            h.flags = flags;
-                            h.exptime = exptime;
-                            h.cas = cas;
-                            h
-                        },
-                        value.to_vec(),
-                    )
-                    .await?;
-                status_to_result(resp.status)
-            }
-            c @ (Conn::Sock(_) | Conn::Udp { .. }) => {
-                let cmd = match op {
-                    McOp::Cas => Command::Cas {
-                        key: key.to_vec(),
-                        flags,
-                        exptime,
-                        cas,
-                        data: value.to_vec(),
-                        noreply: false,
-                    },
-                    _ => Command::Store {
-                        verb: match op {
-                            McOp::Set => StoreVerb::Set,
-                            McOp::Add => StoreVerb::Add,
-                            McOp::Replace => StoreVerb::Replace,
-                            McOp::Append => StoreVerb::Append,
-                            McOp::Prepend => StoreVerb::Prepend,
-                            _ => unreachable!("not a storage verb"),
-                        },
-                        key: key.to_vec(),
-                        flags,
-                        exptime,
-                        data: value.to_vec(),
-                        noreply: false,
-                    },
-                };
-                match inner.sock_round_trip(c, &cmd).await? {
-                    Response::Stored => Ok(()),
-                    Response::NotStored => Err(McError::NotStored),
-                    Response::Exists => Err(McError::Exists),
-                    Response::NotFound => Err(McError::NotFound),
-                    Response::ServerError(m) if m.contains("too large") => Err(McError::TooLarge),
-                    Response::ServerError(_) => Err(McError::OutOfMemory),
-                    _ => Err(McError::Protocol),
-                }
-            }
-        }
+        let keys = [key];
+        let req = Request::store(op, &keys, value, flags, exptime, cas);
+        stored(self.keyed(&req).await?)
     }
 
     async fn arith(&self, op: McOp, key: &[u8], delta: u64) -> Result<u64, McError> {
-        let inner = &self.inner;
-        inner.ops.set(inner.ops.get() + 1);
-        let conn = inner.conn(inner.route(key)).await?;
-        match &*conn {
-            Conn::Ucr(ep) => {
-                let (resp, _) = inner
-                    .ucr_round_trip(
-                        ep,
-                        |req_id, ctr| {
-                            let mut h = ReqHeader::new(op, req_id, ctr, key.to_vec());
-                            h.delta = delta;
-                            h
-                        },
-                        Vec::new(),
-                    )
-                    .await?;
-                match resp.status {
-                    RespStatus::Number => Ok(resp.number),
-                    RespStatus::NotFound => Err(McError::NotFound),
-                    RespStatus::NotNumeric => Err(McError::NotNumeric),
-                    _ => Err(McError::Protocol),
-                }
-            }
-            c @ (Conn::Sock(_) | Conn::Udp { .. }) => {
-                let cmd = if op == McOp::Incr {
-                    Command::Incr {
-                        key: key.to_vec(),
-                        delta,
-                        noreply: false,
-                    }
-                } else {
-                    Command::Decr {
-                        key: key.to_vec(),
-                        delta,
-                        noreply: false,
-                    }
-                };
-                match inner.sock_round_trip(c, &cmd).await? {
-                    Response::Number(n) => Ok(n),
-                    Response::NotFound => Err(McError::NotFound),
-                    Response::ClientError(_) => Err(McError::NotNumeric),
-                    _ => Err(McError::Protocol),
-                }
-            }
+        let keys = [key];
+        let req = Request {
+            delta,
+            ..Request::new(op, &keys)
+        };
+        match self.keyed(&req).await? {
+            Reply::Number(Ok(n)) => Ok(n),
+            Reply::Number(Err(NumericError::NotFound)) => Err(McError::NotFound),
+            Reply::Number(Err(NumericError::NotNumeric)) => Err(McError::NotNumeric),
+            _ => Err(McError::Protocol),
         }
     }
 }
 
-fn status_to_result(s: RespStatus) -> Result<(), McError> {
-    match s {
-        RespStatus::Stored | RespStatus::Ok => Ok(()),
-        RespStatus::NotStored => Err(McError::NotStored),
-        RespStatus::Exists => Err(McError::Exists),
-        RespStatus::NotFound => Err(McError::NotFound),
-        RespStatus::TooLarge => Err(McError::TooLarge),
-        RespStatus::OutOfMemory => Err(McError::OutOfMemory),
+/// A fetch reply as the `Option<Value>` the API returns.
+fn fetched(reply: Reply) -> Result<Option<Value>, McError> {
+    match reply {
+        Reply::Value(hit) => Ok(hit),
         _ => Err(McError::Protocol),
     }
 }
 
-/// Decodes a get response into the `Option<Value>` shape.
-fn decode_get_resp((resp, data): (RespHeader, Vec<u8>)) -> Result<Option<Value>, McError> {
-    match resp.status {
-        RespStatus::Hit => Ok(Some(Value {
-            data,
-            flags: resp.flags,
-            cas: resp.cas,
-        })),
-        RespStatus::Miss => Ok(None),
+/// A storage reply as the API's result: the one place a store outcome
+/// becomes a client error.
+fn stored(reply: Reply) -> Result<(), McError> {
+    let Reply::Stored { outcome, .. } = reply else {
+        return Err(McError::Protocol);
+    };
+    match outcome {
+        SetOutcome::Stored => Ok(()),
+        SetOutcome::NotStored => Err(McError::NotStored),
+        SetOutcome::Exists => Err(McError::Exists),
+        SetOutcome::NotFound => Err(McError::NotFound),
+        SetOutcome::TooLarge => Err(McError::TooLarge),
+        SetOutcome::OutOfMemory => Err(McError::OutOfMemory),
+    }
+}
+
+/// A delete/touch reply as "did the key exist".
+fn found(reply: Reply) -> Result<bool, McError> {
+    match reply {
+        Reply::Found(hit) => Ok(hit),
         _ => Err(McError::Protocol),
     }
 }
@@ -1363,58 +922,38 @@ fn group_by_server<'a>(
     groups
 }
 
-/// A get issued but not yet completed — the handle half of the
+/// A request issued but not yet completed — the handle half of the
 /// issue/complete split (UCR transports). Dropping it abandons the op
 /// and scrubs its response from the in-flight table (on arrival if need
 /// be).
-pub struct InFlightGet {
+pub struct InFlight<T> {
     op: UcrInFlight,
+    kind: McOp,
+    finish: fn(Reply) -> Result<T, McError>,
 }
 
-impl InFlightGet {
+/// A get issued but not yet completed; see [`McClient::issue_get`].
+pub type InFlightGet = InFlight<Option<Value>>;
+
+/// A store issued but not yet completed; see [`McClient::issue_set`].
+pub type InFlightSet = InFlight<()>;
+
+impl<T> InFlight<T> {
     /// True once the response has landed in the in-flight table, i.e.
-    /// [`complete`](InFlightGet::complete) will not block.
+    /// [`complete`](InFlight::complete) will not block.
     pub fn is_ready(&self) -> bool {
-        self.op.cli.ucr_ready(self.op.req_id)
+        self.op.cli.pending.borrow().contains_key(&self.op.req_id)
     }
 
-    /// The request id this get travels under (diagnostics/tests).
+    /// The request id this op travels under (diagnostics/tests).
     pub fn req_id(&self) -> u64 {
         self.op.req_id
     }
 
     /// Waits for the response and decodes it.
-    pub async fn complete(self) -> Result<Option<Value>, McError> {
+    pub async fn complete(self) -> Result<T, McError> {
         let cli = self.op.cli.clone();
-        decode_get_resp(cli.ucr_complete(self.op).await?)
-    }
-}
-
-/// A store issued but not yet completed — the handle half of the
-/// issue/complete split (UCR transports). Dropping it abandons the op
-/// and scrubs its response from the in-flight table (on arrival if need
-/// be).
-pub struct InFlightSet {
-    op: UcrInFlight,
-}
-
-impl InFlightSet {
-    /// True once the response has landed in the in-flight table, i.e.
-    /// [`complete`](InFlightSet::complete) will not block.
-    pub fn is_ready(&self) -> bool {
-        self.op.cli.ucr_ready(self.op.req_id)
-    }
-
-    /// The request id this store travels under (diagnostics/tests).
-    pub fn req_id(&self) -> u64 {
-        self.op.req_id
-    }
-
-    /// Waits for the response and decodes it.
-    pub async fn complete(self) -> Result<(), McError> {
-        let cli = self.op.cli.clone();
-        let (resp, _) = cli.ucr_complete(self.op).await?;
-        status_to_result(resp.status)
+        (self.finish)(cli.ucr_complete(self.kind, &[], self.op).await?)
     }
 }
 
@@ -1497,18 +1036,114 @@ impl CliInner {
         Ok(conn)
     }
 
-    /// Sends AM 1 and blocks on the counter until AM 2 lands (§V-B).
-    /// Issue and completion are split so the batch APIs can keep several
-    /// requests in flight; depth-1 callers go through both halves
-    /// back-to-back, which is the exact classic sequence.
-    async fn ucr_round_trip(
+    /// One request/response with server `sidx`: picks the connection and
+    /// does its transport's encode, round trip and decode. Over UCR this
+    /// sends AM 1 and blocks on the counter until AM 2 lands (§V-B) — the
+    /// issue and completion halves back-to-back, which is the exact
+    /// classic sequence.
+    async fn exchange(
         self: &Rc<Self>,
-        ep: &Endpoint,
-        build: impl FnOnce(u64, u64) -> ReqHeader,
-        data: Vec<u8>,
-    ) -> Result<(RespHeader, Vec<u8>), McError> {
-        let op = self.ucr_issue(ep, build, data).await?;
-        self.ucr_complete(op).await
+        sidx: usize,
+        req: &Request<'_, &[u8]>,
+    ) -> Result<Reply, McError> {
+        let conn = self.conn(sidx).await?;
+        match &*conn {
+            Conn::Ucr(ep) => {
+                let op = self.ucr_issue(ep, req).await?;
+                self.ucr_complete(req.op, req.keys, op).await
+            }
+            Conn::Sock(sock) if self.cfg.binary_protocol => {
+                let frames = codec::binary::encode_request(req);
+                let frames = self.bin_round_trip(sock, frames, req.op).await?;
+                codec::binary::decode_reply(req.op, req.keys, frames)
+            }
+            Conn::Sock(sock) => {
+                let cmd = codec::ascii::encode_request(req);
+                let resp = self.ascii_round_trip(sock, &cmd).await?;
+                codec::ascii::decode_reply(req.op, req.keys, resp)
+            }
+            Conn::Udp { sock, server } => {
+                let cmd = codec::ascii::encode_request(req);
+                let resp = self.udp_round_trip(sock, *server, &cmd).await?;
+                codec::ascii::decode_reply(req.op, req.keys, resp)
+            }
+        }
+    }
+
+    /// Issues a single-key request to its server without waiting (UCR
+    /// transports only); `finish` turns its reply into the API's result.
+    async fn issue<T>(
+        self: &Rc<Self>,
+        req: &Request<'_, &[u8]>,
+        finish: fn(Reply) -> Result<T, McError>,
+    ) -> Result<InFlight<T>, McError> {
+        self.ops.set(self.ops.get() + 1);
+        let conn = self.conn(self.route(req.key())).await?;
+        let Conn::Ucr(ep) = &*conn else {
+            return Err(McError::Protocol);
+        };
+        let op = self.ucr_issue(ep, req).await?;
+        let kind = req.op;
+        Ok(InFlight { op, kind, finish })
+    }
+
+    /// Runs requests `make(0..n)` as a pipelined batch, up to
+    /// `pipeline_depth` outstanding per connection, handing each reply to
+    /// `sink` with its index. Requests are grouped per server by their
+    /// key; within a group they complete in issue order.
+    async fn batch<'k>(
+        self: &Rc<Self>,
+        n: usize,
+        make: impl Fn(usize) -> Request<'k, &'k [u8]>,
+        mut sink: impl FnMut(usize, Reply) -> Result<(), McError>,
+    ) -> Result<(), McError> {
+        self.ops.set(self.ops.get() + n as u64);
+        let depth = self.cfg.pipeline_depth.max(1);
+        for (sidx, idxs) in group_by_server(self, (0..n).map(|i| make(i).key())) {
+            let conn = self.conn(sidx).await?;
+            match &*conn {
+                Conn::Ucr(ep) => {
+                    let mut window: VecDeque<(usize, UcrInFlight)> = VecDeque::new();
+                    let mut issue = idxs.into_iter();
+                    loop {
+                        // Top the window up, then complete its oldest op.
+                        while window.len() < depth {
+                            let Some(i) = issue.next() else { break };
+                            window.push_back((i, self.ucr_issue(ep, &make(i)).await?));
+                            self.inflight_gauge.set(window.len() as f64);
+                        }
+                        let Some((j, op)) = window.pop_front() else {
+                            break;
+                        };
+                        self.inflight_gauge.set(window.len() as f64);
+                        sink(j, self.ucr_complete(make(j).op, &[], op).await?)?;
+                        self.op_done();
+                    }
+                }
+                Conn::Sock(sock) if !self.cfg.binary_protocol => {
+                    let cmds: Vec<Command> = idxs
+                        .iter()
+                        .map(|&i| codec::ascii::encode_request(&make(i)))
+                        .collect();
+                    let resps = self.sock_pipeline(sock, &cmds, depth).await?;
+                    for (&j, resp) in idxs.iter().zip(resps) {
+                        sink(j, codec::ascii::decode_reply(make(j).op, &[], resp)?)?;
+                        self.op_done();
+                    }
+                }
+                Conn::Sock(_) | Conn::Udp { .. } => {
+                    // Binary-protocol and UDP connections have no
+                    // pipelined batch path: each op is a full sequential
+                    // round trip, accounted in `batch_fallback_ops`.
+                    self.count_batch_fallback(idxs.len() as u64);
+                    for i in idxs {
+                        sink(i, self.exchange(sidx, &make(i)).await?)?;
+                        self.op_done();
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Issue half: allocates a request id + completion counter, sends
@@ -1518,14 +1153,13 @@ impl CliInner {
     async fn ucr_issue(
         self: &Rc<Self>,
         ep: &Endpoint,
-        build: impl FnOnce(u64, u64) -> ReqHeader,
-        data: Vec<u8>,
+        req: &Request<'_, &[u8]>,
     ) -> Result<UcrInFlight, McError> {
         let rt = self.ucr.as_ref().ok_or(McError::Disconnected)?;
         let req_id = self.next_req.get();
         self.next_req.set(req_id + 1);
         let ctr = rt.counter();
-        let req = build(req_id, ctr.id());
+        let (hdr, data) = codec::ucr::encode_request(req, req_id, ctr.id());
         self.span(|sp| sp.begin(req_id, self.sim.now()));
         self.tracer.begin(
             Layer::Core,
@@ -1537,25 +1171,14 @@ impl CliInner {
             self.sim.now(),
         );
         let sent = ep
-            .send_message_owned(MSG_MC_REQ, &req.encode(), data, SendOptions::default())
+            .send_message_owned(MSG_MC_REQ, &hdr.encode(), data, SendOptions::default())
             .await;
         if sent.is_err() {
             self.span(|sp| sp.discard(req_id));
             self.end_op(req_id, 0);
             return Err(McError::Disconnected);
         }
-        self.span(|sp| sp.mark(req_id, Stage::ClientSerialize, self.sim.now()));
-        // Profiler marker: the request left the node — the issue stage of
-        // the critical path ends here (detail only).
-        self.tracer.instant_detail(
-            Layer::Core,
-            "client_sent",
-            self.node,
-            Track::Main,
-            req_id,
-            0,
-            self.sim.now(),
-        );
+        self.op_sent(req_id);
         Ok(UcrInFlight {
             req_id,
             ctr,
@@ -1566,34 +1189,34 @@ impl CliInner {
 
     /// Completion half: waits on the request's counter (responses for
     /// *other* in-flight requests may land first — the handler parks them
-    /// in the table by request id) and claims the parked response.
-    async fn ucr_complete(&self, mut op: UcrInFlight) -> Result<(RespHeader, Vec<u8>), McError> {
-        if op.ctr.wait_for(1, self.cfg.op_timeout).await.is_err() {
+    /// in the table by request id), claims the parked response, and
+    /// decodes it as the reply to an `op` request over `keys`.
+    async fn ucr_complete(
+        &self,
+        op: McOp,
+        keys: &[&[u8]],
+        mut handle: UcrInFlight,
+    ) -> Result<Reply, McError> {
+        if handle.ctr.wait_for(1, self.cfg.op_timeout).await.is_err() {
             // Server presumed dead: the corrective action of §IV-A. The
             // op's `Drop` discards its spans and flags the request id so
             // a late-arriving response is dropped, not parked forever.
             return Err(McError::Timeout);
         }
-        op.completed = true;
-        let resp = self.pending.borrow_mut().remove(&op.req_id);
+        handle.completed = true;
+        let resp = self.pending.borrow_mut().remove(&handle.req_id);
         match resp {
-            Some(resp) => {
-                self.span(|sp| sp.finish(op.req_id, self.sim.now()));
-                self.end_op(op.req_id, resp.1.len() as u64);
-                Ok(resp)
+            Some((hdr, payload)) => {
+                self.span(|sp| sp.finish(handle.req_id, self.sim.now()));
+                self.end_op(handle.req_id, payload.len() as u64);
+                codec::ucr::decode_reply(op, keys, hdr, payload)
             }
             None => {
-                self.span(|sp| sp.discard(op.req_id));
-                self.end_op(op.req_id, 0);
+                self.span(|sp| sp.discard(handle.req_id));
+                self.end_op(handle.req_id, 0);
                 Err(McError::Protocol)
             }
         }
-    }
-
-    /// True once the response for an issued request is parked in the
-    /// in-flight table, i.e. completing it will not block.
-    fn ucr_ready(&self, req_id: u64) -> bool {
-        self.pending.borrow().contains_key(&req_id)
     }
 
     // -----------------------------------------------------------------
@@ -1894,47 +1517,31 @@ impl CliInner {
         }
     }
 
-    /// One request/response over a non-UCR connection: ASCII or binary
-    /// over a stream socket, or the framed UDP protocol.
-    async fn sock_round_trip(&self, conn: &Conn, cmd: &Command) -> Result<Response, McError> {
-        let sock = match conn {
-            Conn::Sock(sock) => sock,
-            Conn::Udp { sock, server } => {
-                return self.udp_round_trip(sock, *server, cmd).await;
-            }
-            Conn::Ucr(_) => unreachable!("UCR ops use ucr_round_trip"),
-        };
-        if self.cfg.binary_protocol {
-            return self.sock_round_trip_bin(sock, cmd).await;
+    /// Awaits `fut` under the per-operation timeout.
+    async fn timed<T>(
+        &self,
+        fut: impl std::future::Future<Output = Result<T, McError>>,
+    ) -> Result<T, McError> {
+        match timeout(&self.sim, self.cfg.op_timeout, std::pin::pin!(fut)).await {
+            Ok(r) => r,
+            Err(_) => Err(McError::Timeout),
         }
+    }
+
+    /// One ASCII request/response over a stream socket.
+    async fn ascii_round_trip(
+        &self,
+        sock: &Rc<Socket>,
+        cmd: &Command,
+    ) -> Result<Response, McError> {
         let span_id = self.begin_sock_span();
-        let wire = encode_command(cmd);
-        if sock.write_all(&wire).await.is_err() {
+        if sock.write_all(&encode_command(cmd)).await.is_err() {
             self.close_sock_span(span_id, false);
             return Err(McError::Disconnected);
         }
-        // The write has cleared the send path: serialization is done.
-        self.span(|sp| sp.mark(span_id, Stage::ClientSerialize, self.sim.now()));
-        self.sock_sent_marker(span_id);
-        let sock = sock.clone();
-        let fut: Pin<Box<dyn std::future::Future<Output = Result<Response, McError>>>> =
-            Box::pin(async move {
-                let mut buf = Vec::new();
-                loop {
-                    match parse_response(&buf) {
-                        Ok(Some((resp, _used))) => return Ok(resp),
-                        Ok(None) => match sock.read(64 * 1024).await {
-                            Ok(bytes) => buf.extend_from_slice(&bytes),
-                            Err(_) => return Err(McError::Disconnected),
-                        },
-                        Err(_) => return Err(McError::Protocol),
-                    }
-                }
-            });
-        let out = match timeout(&self.sim, self.cfg.op_timeout, fut).await {
-            Ok(r) => r,
-            Err(_) => Err(McError::Timeout),
-        };
+        self.op_sent(span_id);
+        let mut buf = Vec::new();
+        let out = self.timed(read_frame(sock, &mut buf, parse_response)).await;
         self.close_sock_span(span_id, out.is_ok());
         out
     }
@@ -1961,9 +1568,11 @@ impl CliInner {
         span_id
     }
 
-    /// Profiler marker for the sockets path: the request bytes have
-    /// cleared the send path (detail only).
-    fn sock_sent_marker(&self, span_id: u64) {
+    /// The request has left the node (handed to the HCA, or cleared the
+    /// socket send path): client-side serialization — the issue stage of
+    /// the critical path — ends here (the profiler marker is detail only).
+    fn op_sent(&self, span_id: u64) {
+        self.span(|sp| sp.mark(span_id, Stage::ClientSerialize, self.sim.now()));
         self.tracer.instant_detail(
             Layer::Core,
             "client_sent",
@@ -2044,57 +1653,26 @@ impl CliInner {
                 }
                 sent += 1;
             }
-            let sock2 = sock.clone();
-            let carried = std::mem::take(&mut buf);
-            type RespFut<'a> = Pin<
-                Box<dyn std::future::Future<Output = Result<(Response, Vec<u8>), McError>> + 'a>,
-            >;
-            let fut: RespFut<'_> = Box::pin(async move {
-                let mut buf = carried;
-                loop {
-                    match parse_response(&buf) {
-                        Ok(Some((resp, used))) => {
-                            buf.drain(..used);
-                            return Ok((resp, buf));
-                        }
-                        Ok(None) => match sock2.read(64 * 1024).await {
-                            Ok(bytes) => buf.extend_from_slice(&bytes),
-                            Err(_) => return Err(McError::Disconnected),
-                        },
-                        Err(_) => return Err(McError::Protocol),
-                    }
-                }
-            });
-            match timeout(&self.sim, self.cfg.op_timeout, fut).await {
-                Ok(Ok((resp, rest))) => {
-                    buf = rest;
-                    out.push(resp);
-                }
-                Ok(Err(e)) => {
+            match self.timed(read_frame(sock, &mut buf, parse_response)).await {
+                Ok(resp) => out.push(resp),
+                Err(e) => {
                     self.evict_sock(sock);
                     return Err(e);
-                }
-                Err(_) => {
-                    self.evict_sock(sock);
-                    return Err(McError::Timeout);
                 }
             }
         }
         Ok(out)
     }
-}
 
-impl CliInner {
-    /// Binary-protocol round trip: translates the command to frames
-    /// (multiget becomes a GetKQ pipeline closed by Noop — the protocol's
-    /// signature optimization), sends, and folds the response frames back
-    /// into the common `Response` shape.
-    async fn sock_round_trip_bin(
+    /// Binary-protocol round trip: sends `frames` (a multiget is a GetKQ
+    /// pipeline closed by Noop) and collects the response frames up to the
+    /// terminal one.
+    async fn bin_round_trip(
         &self,
         sock: &Rc<Socket>,
-        cmd: &Command,
-    ) -> Result<Response, McError> {
-        let frames = command_to_frames(cmd);
+        frames: Vec<BinFrame>,
+        op: McOp,
+    ) -> Result<Vec<BinFrame>, McError> {
         let Some(terminal) = frames.last() else {
             return Err(McError::Protocol);
         };
@@ -2108,49 +1686,29 @@ impl CliInner {
             self.close_sock_span(span_id, false);
             return Err(McError::Disconnected);
         }
-        self.span(|sp| sp.mark(span_id, Stage::ClientSerialize, self.sim.now()));
-        self.sock_sent_marker(span_id);
-
-        let sock = sock.clone();
-        let is_stat = matches!(cmd, Command::Stats { .. });
-        let fut: Pin<Box<dyn std::future::Future<Output = Result<Vec<BinFrame>, McError>>>> =
-            Box::pin(async move {
-                let mut buf = Vec::new();
-                let mut got = Vec::new();
+        self.op_sent(span_id);
+        // A statistics report ends with an empty frame; everything else
+        // with the frame echoing the last request's opaque.
+        let is_stat = op == McOp::Stats;
+        let out = self
+            .timed(async {
+                let (mut buf, mut got) = (Vec::new(), Vec::new());
                 loop {
-                    match BinFrame::parse(&buf) {
-                        Ok(Some((frame, used))) => {
-                            buf.drain(..used);
-                            let done = if is_stat {
-                                frame.key.is_empty() && frame.value.is_empty()
-                            } else {
-                                frame.opaque == terminal_opaque
-                            };
-                            got.push(frame);
-                            if done {
-                                return Ok(got);
-                            }
-                        }
-                        Ok(None) => match sock.read(64 * 1024).await {
-                            Ok(bytes) => buf.extend_from_slice(&bytes),
-                            Err(_) => return Err(McError::Disconnected),
-                        },
-                        Err(_) => return Err(McError::Protocol),
+                    let frame = read_frame(sock, &mut buf, BinFrame::parse).await?;
+                    let done = if is_stat {
+                        frame.key.is_empty() && frame.value.is_empty()
+                    } else {
+                        frame.opaque == terminal_opaque
+                    };
+                    got.push(frame);
+                    if done {
+                        return Ok(got);
                     }
                 }
-            });
-        let frames = match timeout(&self.sim, self.cfg.op_timeout, fut).await {
-            Ok(Ok(r)) => r,
-            other => {
-                self.close_sock_span(span_id, false);
-                return match other {
-                    Ok(Err(e)) => Err(e),
-                    _ => Err(McError::Timeout),
-                };
-            }
-        };
-        self.close_sock_span(span_id, true);
-        frames_to_response(cmd, frames)
+            })
+            .await;
+        self.close_sock_span(span_id, out.is_ok());
+        out
     }
 
     /// The memcached UDP protocol (SIII): one framed request datagram,
@@ -2175,220 +1733,48 @@ impl CliInner {
                 .await
                 .map_err(|_| McError::Disconnected)?;
         }
-        let sock = sock.clone();
-        let fut: Pin<Box<dyn std::future::Future<Output = Result<Response, McError>>>> =
-            Box::pin(async move {
-                let mut frames: Vec<(UdpFrame, Vec<u8>)> = Vec::new();
-                loop {
-                    let (_, datagram) =
-                        sock.recv_from().await.map_err(|_| McError::Disconnected)?;
-                    let Ok((frame, payload)) = UdpFrame::decode(&datagram) else {
-                        continue;
+        self.timed(async {
+            let mut frames: Vec<(UdpFrame, Vec<u8>)> = Vec::new();
+            loop {
+                let (_, datagram) = sock.recv_from().await.map_err(|_| McError::Disconnected)?;
+                let Ok((frame, payload)) = UdpFrame::decode(&datagram) else {
+                    continue;
+                };
+                if frame.request_id != req_id {
+                    continue; // stale response from a timed-out request
+                }
+                frames.push((frame, payload.to_vec()));
+                if let Some(whole) = mcproto::udp_reassemble(req_id, &frames) {
+                    return match parse_response(&whole) {
+                        Ok(Some((resp, _))) => Ok(resp),
+                        _ => Err(McError::Protocol),
                     };
-                    if frame.request_id != req_id {
-                        continue; // stale response from a timed-out request
-                    }
-                    frames.push((frame, payload.to_vec()));
-                    if let Some(whole) = mcproto::udp_reassemble(req_id, &frames) {
-                        return match parse_response(&whole) {
-                            Ok(Some((resp, _))) => Ok(resp),
-                            _ => Err(McError::Protocol),
-                        };
-                    }
                 }
-            });
-        match timeout(&self.sim, self.cfg.op_timeout, fut).await {
-            Ok(r) => r,
-            Err(_) => Err(McError::Timeout),
-        }
+            }
+        })
+        .await
     }
 }
 
-/// Encodes one logical command as binary frames. Multi-key fetches become
-/// quiet GetKQ frames closed by a Noop; everything else is one frame.
-fn command_to_frames(cmd: &Command) -> Vec<BinFrame> {
-    let mut opaque = 1u32;
-    let mut next = || {
-        opaque += 1;
-        opaque
-    };
-    match cmd {
-        Command::Store {
-            verb,
-            key,
-            flags,
-            exptime,
-            data,
-            noreply: _,
-        } => {
-            let opcode = match verb {
-                StoreVerb::Set => BinOpcode::Set,
-                StoreVerb::Add => BinOpcode::Add,
-                StoreVerb::Replace => BinOpcode::Replace,
-                StoreVerb::Append => BinOpcode::Append,
-                StoreVerb::Prepend => BinOpcode::Prepend,
-            };
-            let mut f = BinFrame::request(opcode, next());
-            if !matches!(verb, StoreVerb::Append | StoreVerb::Prepend) {
-                f.extras = store_extras(*flags, *exptime);
+/// Reads from `sock` into `buf` until `parse` frames one message off its
+/// front (one read may deliver the tail of message N glued to the head of
+/// message N+1, which stays in `buf`).
+async fn read_frame<T>(
+    sock: &Socket,
+    buf: &mut Vec<u8>,
+    parse: impl Fn(&[u8]) -> Result<Option<(T, usize)>, mcproto::ProtoError>,
+) -> Result<T, McError> {
+    loop {
+        match parse(buf) {
+            Ok(Some((msg, used))) => {
+                buf.drain(..used);
+                return Ok(msg);
             }
-            f.key = key.clone();
-            f.value = data.clone();
-            vec![f]
-        }
-        Command::Cas {
-            key,
-            flags,
-            exptime,
-            cas,
-            data,
-            noreply: _,
-        } => {
-            let mut f = BinFrame::request(BinOpcode::Set, next());
-            f.extras = store_extras(*flags, *exptime);
-            f.key = key.clone();
-            f.value = data.clone();
-            f.cas = *cas;
-            vec![f]
-        }
-        Command::Get { keys } | Command::Gets { keys } => {
-            if keys.len() == 1 {
-                let mut f = BinFrame::request(BinOpcode::GetK, next());
-                f.key = keys[0].clone();
-                vec![f]
-            } else {
-                let mut out: Vec<BinFrame> = keys
-                    .iter()
-                    .map(|k| {
-                        let mut f = BinFrame::request(BinOpcode::GetKQ, next());
-                        f.key = k.clone();
-                        f
-                    })
-                    .collect();
-                out.push(BinFrame::request(BinOpcode::Noop, next()));
-                out
-            }
-        }
-        Command::Delete { key, noreply: _ } => {
-            let mut f = BinFrame::request(BinOpcode::Delete, next());
-            f.key = key.clone();
-            vec![f]
-        }
-        Command::Incr {
-            key,
-            delta,
-            noreply: _,
-        } => {
-            let mut f = BinFrame::request(BinOpcode::Increment, next());
-            f.key = key.clone();
-            f.extras = arith_extras(*delta, 0, u32::MAX);
-            vec![f]
-        }
-        Command::Decr {
-            key,
-            delta,
-            noreply: _,
-        } => {
-            let mut f = BinFrame::request(BinOpcode::Decrement, next());
-            f.key = key.clone();
-            f.extras = arith_extras(*delta, 0, u32::MAX);
-            vec![f]
-        }
-        Command::Touch {
-            key,
-            exptime,
-            noreply: _,
-        } => {
-            let mut f = BinFrame::request(BinOpcode::Touch, next());
-            f.key = key.clone();
-            f.extras = exptime.to_be_bytes().to_vec();
-            vec![f]
-        }
-        Command::FlushAll { delay, noreply: _ } => {
-            let mut f = BinFrame::request(BinOpcode::Flush, next());
-            if *delay > 0 {
-                f.extras = delay.to_be_bytes().to_vec();
-            }
-            vec![f]
-        }
-        Command::Stats { .. } => vec![BinFrame::request(BinOpcode::Stat, next())],
-        Command::Version => vec![BinFrame::request(BinOpcode::Version, next())],
-        Command::Quit => vec![BinFrame::request(BinOpcode::Quit, next())],
-    }
-}
-
-/// Folds binary response frames back into the shared `Response` shape.
-fn frames_to_response(cmd: &Command, frames: Vec<BinFrame>) -> Result<Response, McError> {
-    match cmd {
-        Command::Get { .. } | Command::Gets { .. } => {
-            let mut values = Vec::new();
-            for f in frames {
-                match f.opcode {
-                    BinOpcode::GetK | BinOpcode::GetKQ => {
-                        if f.status() == Some(BinStatus::Ok) {
-                            let flags = f
-                                .extras
-                                .as_slice()
-                                .try_into()
-                                .map(u32::from_be_bytes)
-                                .unwrap_or(0);
-                            values.push(GetValue {
-                                key: f.key,
-                                flags,
-                                data: f.value,
-                                cas: Some(f.cas),
-                            });
-                        }
-                    }
-                    BinOpcode::Noop => {}
-                    _ => return Err(McError::Protocol),
-                }
-            }
-            Ok(Response::Values(values))
-        }
-        Command::Stats { .. } => {
-            let mut stats = Vec::new();
-            for f in frames {
-                if f.key.is_empty() {
-                    break;
-                }
-                stats.push((
-                    String::from_utf8_lossy(&f.key).into_owned(),
-                    String::from_utf8_lossy(&f.value).into_owned(),
-                ));
-            }
-            Ok(Response::Stats(stats))
-        }
-        _ => {
-            let f = frames.last().ok_or(McError::Protocol)?;
-            let status = f.status().ok_or(McError::Protocol)?;
-            Ok(match (status, cmd) {
-                (BinStatus::Ok, Command::Incr { .. } | Command::Decr { .. }) => {
-                    let n = f
-                        .value
-                        .as_slice()
-                        .try_into()
-                        .map(u64::from_be_bytes)
-                        .map_err(|_| McError::Protocol)?;
-                    Response::Number(n)
-                }
-                (BinStatus::Ok, Command::Delete { .. }) => Response::Deleted,
-                (BinStatus::Ok, Command::Touch { .. }) => Response::Touched,
-                (BinStatus::Ok, Command::Version) => {
-                    Response::Version(String::from_utf8_lossy(&f.value).into_owned())
-                }
-                (BinStatus::Ok, Command::FlushAll { .. }) => Response::Ok,
-                (BinStatus::Ok, _) => Response::Stored,
-                (BinStatus::KeyNotFound, _) => Response::NotFound,
-                (BinStatus::KeyExists, _) => Response::Exists,
-                (BinStatus::NotStored, _) => Response::NotStored,
-                (BinStatus::TooLarge, _) => Response::ServerError("object too large".into()),
-                (BinStatus::OutOfMemory, _) => Response::ServerError("out of memory".into()),
-                (BinStatus::NonNumeric, _) => {
-                    Response::ClientError("cannot increment or decrement non-numeric value".into())
-                }
-                (BinStatus::InvalidArgs | BinStatus::UnknownCommand, _) => Response::Error,
-            })
+            Ok(None) => match sock.read(64 * 1024).await {
+                Ok(bytes) => buf.extend_from_slice(&bytes),
+                Err(_) => return Err(McError::Disconnected),
+            },
+            Err(_) => return Err(McError::Protocol),
         }
     }
 }
@@ -2396,11 +1782,7 @@ fn frames_to_response(cmd: &Command, frames: Vec<BinFrame>) -> Result<Response, 
 impl Drop for CliInner {
     fn drop(&mut self) {
         for (_, conn) in self.conns.borrow_mut().drain() {
-            match &*conn {
-                Conn::Ucr(ep) => ep.close(),
-                Conn::Sock(sock) => sock.close(),
-                Conn::Udp { .. } => {} // the socket unbinds on drop
-            }
+            conn.close();
         }
     }
 }

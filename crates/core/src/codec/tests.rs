@@ -1,0 +1,207 @@
+//! Each wire's codec is its own inverse: what the client encodes the
+//! server decodes to the same request, and what the server encodes the
+//! client decodes to the same reply.
+
+use mcproto::{encode_command, encode_response, parse_command, parse_response, BinFrame};
+use mcstore::{NumericError, SetOutcome, Value};
+
+use super::{ascii, binary, ucr};
+use crate::am_wire::{McOp, ReqHeader, RespHeader};
+use crate::request::{Reply, Request};
+
+const KEYS: [&[u8]; 3] = [b"alpha", b"beta", b"gamma"];
+
+/// One request of every op, as a client builds them.
+fn requests() -> Vec<Request<'static, &'static [u8]>> {
+    use McOp::*;
+    let one = &KEYS[..1];
+    let mut all = vec![
+        Request::new(Get, one),
+        Request::new(Mget, &KEYS),
+        Request::store(Cas, one, b"value", 7, 60, 99),
+        Request::new(Delete, one),
+        Request::new(Incr, one).with_delta(5),
+        Request::new(Decr, one).with_delta(6),
+        Request::new(Touch, one).with_exptime(30),
+        Request::new(FlushAll, &[]),
+        Request::new(FlushAll, &[]).with_exptime(4),
+        Request::new(Version, &[]),
+        Request::new(Stats, &[]),
+        Request::new(Stats, &KEYS[1..2]),
+    ];
+    for op in [Set, Add, Replace] {
+        all.push(Request::store(op, one, b"value", 7, 60, 0));
+    }
+    for op in [Append, Prepend] {
+        all.push(Request::store(op, one, b"value", 0, 0, 0));
+    }
+    all
+}
+
+/// A request in comparable form: `(op, keys, value, flags, exptime, cas,
+/// delta, initial)`.
+type Fields = (McOp, Vec<Vec<u8>>, Vec<u8>, u32, u32, u64, u64, Option<u64>);
+
+fn fields<K: AsRef<[u8]>>(req: &Request<'_, K>) -> Fields {
+    let mut keys: Vec<Vec<u8>> = req.keys.iter().map(|k| k.as_ref().to_vec()).collect();
+    if keys == [Vec::new()] {
+        // UCR headers and binary frames always have a key slot: a keyless
+        // op travels with it empty.
+        keys.clear();
+    }
+    let value = req.value.to_vec();
+    (
+        req.op,
+        keys,
+        value,
+        req.flags,
+        req.exptime,
+        req.cas,
+        req.delta,
+        req.initial,
+    )
+}
+
+#[test]
+fn requests_survive_every_wire() {
+    for req in requests() {
+        let want = fields(&req);
+
+        let (hdr, data) = ucr::encode_request(&req, 1, 2);
+        let hdr = ReqHeader::decode(&hdr.encode()).expect("header decodes");
+        let got = ucr::decode_request(&hdr, &data);
+        assert_eq!(fields(&got), want, "ucr {:?}", req.op);
+
+        let wire = encode_command(&ascii::encode_request(&req));
+        let (cmd, used) = parse_command(&wire).unwrap().expect("complete command");
+        assert_eq!(used, wire.len());
+        let (got, noreply) = ascii::decode_request(&cmd).expect("not quit");
+        assert!(!noreply);
+        assert_eq!(fields(&got), want, "ascii {:?}", req.op);
+
+        let frames = binary::encode_request(&req);
+        if req.op == McOp::Mget {
+            // A GetKQ per key, closed by a Noop.
+            assert_eq!(frames.len(), req.keys.len() + 1);
+            continue;
+        }
+        let (frame, _) = BinFrame::parse(&frames[0].encode()).unwrap().unwrap();
+        let got = binary::decode_request(&frame).expect("well-formed extras");
+        let mut want = want;
+        if matches!(req.op, McOp::Incr | McOp::Decr) {
+            // "No initial value" travels as the all-ones expiry.
+            want.4 = u32::MAX;
+        }
+        assert_eq!(fields(&got), want, "binary {:?}", req.op);
+    }
+}
+
+fn value(data: &[u8], flags: u32, cas: u64) -> Value {
+    Value {
+        data: data.to_vec(),
+        flags,
+        cas,
+    }
+}
+
+/// One reply of every shape, with the op that asked for it.
+fn replies() -> Vec<(McOp, Reply)> {
+    use McOp::*;
+    let mut all = vec![
+        (Get, Reply::Value(Some(value(b"payload", 3, 41)))),
+        (Get, Reply::Value(None)),
+        (
+            Mget,
+            Reply::Values(vec![(0, value(b"a", 1, 5)), (2, value(b"ccc", 0, 6))]),
+        ),
+        (Mget, Reply::Values(Vec::new())),
+        (Delete, Reply::Found(true)),
+        (Delete, Reply::Found(false)),
+        (Touch, Reply::Found(true)),
+        (Touch, Reply::Found(false)),
+        (Incr, Reply::Number(Ok(u64::MAX))),
+        (Decr, Reply::Number(Err(NumericError::NotFound))),
+        (Incr, Reply::Number(Err(NumericError::NotNumeric))),
+        (FlushAll, Reply::Done),
+        (Version, Reply::Version("1.4.5-test".to_string())),
+        (Stats, Reply::Stats(Vec::new())),
+        (
+            Stats,
+            Reply::Stats(vec![
+                ("pid".to_string(), "7".to_string()),
+                ("#".to_string(), "HELP a line with spaces".to_string()),
+            ]),
+        ),
+    ];
+    for outcome in [
+        SetOutcome::Stored,
+        SetOutcome::NotStored,
+        SetOutcome::Exists,
+        SetOutcome::NotFound,
+        SetOutcome::TooLarge,
+        SetOutcome::OutOfMemory,
+    ] {
+        let cas = if outcome == SetOutcome::Stored { 17 } else { 0 };
+        all.push((Cas, Reply::Stored { outcome, cas }));
+    }
+    all
+}
+
+fn copy(reply: &Reply) -> Reply {
+    match reply {
+        Reply::Value(hit) => Reply::Value(hit.clone()),
+        Reply::Values(hits) => Reply::Values(hits.clone()),
+        Reply::Stored { outcome, cas } => Reply::Stored {
+            outcome: *outcome,
+            cas: *cas,
+        },
+        Reply::Found(hit) => Reply::Found(*hit),
+        Reply::Number(n) => Reply::Number(*n),
+        Reply::Done => Reply::Done,
+        Reply::Version(v) => Reply::Version(v.clone()),
+        Reply::Stats(pairs) => Reply::Stats(pairs.clone()),
+    }
+}
+
+#[test]
+fn replies_survive_every_wire() {
+    let server_keys: Vec<Vec<u8>> = KEYS.iter().map(|k| k.to_vec()).collect();
+    for (op, reply) in replies() {
+        let nkeys = if op == McOp::Mget { 3 } else { 1 };
+        let keys = &KEYS[..nkeys];
+        let req = Request::new(op, keys);
+
+        let (hdr, payload) = ucr::encode_reply(9, copy(&reply), &server_keys);
+        assert_eq!(payload.len(), reply.payload_len(keys), "{op:?} {reply:?}");
+        let hdr = RespHeader::decode(&hdr.encode()).expect("header decodes");
+        let got = ucr::decode_reply(op, keys, hdr, payload).unwrap();
+        assert_eq!(got, reply, "ucr {op:?}");
+
+        // ASCII carries no CAS token on a store.
+        let want = match copy(&reply) {
+            Reply::Stored { outcome, .. } => Reply::Stored { outcome, cas: 0 },
+            other => other,
+        };
+        let cmd = ascii::encode_request(&req);
+        let wire = encode_response(&ascii::encode_reply(cmd, copy(&reply)));
+        let (resp, used) = parse_response(&wire).unwrap().expect("complete response");
+        assert_eq!(used, wire.len());
+        let got = ascii::decode_reply(op, keys, resp).unwrap();
+        assert_eq!(got, want, "ascii {op:?}");
+
+        if op == McOp::Mget {
+            continue; // a binary multiget is a train of single-key gets
+        }
+        let frame = binary::encode_request(&req).remove(0);
+        let frames = binary::encode_reply(frame, copy(&reply));
+        let wire: Vec<u8> = frames.iter().flat_map(BinFrame::encode).collect();
+        let mut rest = wire.as_slice();
+        let mut parsed = Vec::new();
+        while let Some((frame, used)) = BinFrame::parse(rest).unwrap() {
+            parsed.push(frame);
+            rest = &rest[used..];
+        }
+        let got = binary::decode_reply(op, keys, parsed).unwrap();
+        assert_eq!(got, reply, "binary {op:?}");
+    }
+}

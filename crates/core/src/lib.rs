@@ -33,17 +33,18 @@
 
 mod am_wire;
 mod client;
+mod codec;
 mod observatory;
+mod request;
 mod server;
 mod world;
 
 pub use am_wire::{
-    decode_mget_entries, encode_mget_entry, McOp, ReqHeader, RespHeader, RespStatus, MSG_MC_REQ,
-    MSG_MC_RESP,
+    encode_mget_entry, McOp, ReqHeader, RespHeader, RespStatus, MSG_MC_REQ, MSG_MC_RESP,
 };
 pub use client::{
-    crc32, fnv1a_32, one_at_a_time, Distribution, InFlightGet, InFlightSet, KeyHash, McClient,
-    McClientConfig, McError, Transport,
+    crc32, fnv1a_32, one_at_a_time, Distribution, InFlight, InFlightGet, InFlightSet, KeyHash,
+    McClient, McClientConfig, McError, Transport,
 };
 pub use observatory::{ObservatoryConfig, SloObjective, WorkloadObservatory};
 pub use server::{McServer, McServerConfig, SrvStats, StoreModel, BASE_UNIX_TIME, SERVER_VERSION};

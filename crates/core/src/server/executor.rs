@@ -1,0 +1,572 @@
+//! The request executor: the one place a [`Request`] is charged, locked,
+//! run against the store, observed, and turned into a [`Reply`].
+//!
+//! The store's `RefCell` is a private field of [`Executor`], so no
+//! front-end can reach a store verb except through [`Executor::serve`]
+//! (or, for one shard's slice of a scattered multiget,
+//! [`Executor::fetch_shard`]). Everything a request costs in virtual time
+//! is charged here, per [`StoreModel`].
+
+use std::cell::{Cell, Ref, RefCell};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Range;
+use std::rc::Rc;
+
+use mcstore::{NumericError, SegmentedStore, SetOutcome, ShardRouter, Value};
+use simnet::metrics::{LatencySpans, Metrics, Stage};
+use simnet::trace::{Event, Layer, Phase, Track};
+use simnet::vlock::{VLock, VLockGuard, VLockMeters, VLockStats};
+use simnet::{NodeId, Sim, SimDuration, SimTime, Tracer};
+use ucr::UcrRuntime;
+
+use super::bypass::BypassDir;
+use super::stats::{self, ServiceTimes, StoreGauges};
+use super::{McServerConfig, SrvStats, StoreModel, BASE_UNIX_TIME, SERVER_VERSION};
+use crate::am_wire::{DirReq, DirResp, McOp};
+use crate::observatory::WorkloadObservatory;
+use crate::request::{Reply, Request};
+use crate::world::World;
+
+/// The trace span covering a worker's service of one request; opened and
+/// closed under this one name.
+const SERVICE_SPAN: &str = "worker_service";
+
+/// How a front-end names a request in the span and trace streams.
+#[derive(Clone, Copy)]
+pub(super) enum OpId {
+    /// UCR: the request id on the wire. Latency marks are keyed by it and
+    /// the service span is always emitted.
+    Wire(u64),
+    /// Sockets: the wire carries no id, so this is a server-local span
+    /// key. Latency marks attribute to the single open client op and the
+    /// service span is emitted in detail (profiler) mode only.
+    Local(u64),
+}
+
+impl OpId {
+    fn key(self) -> u64 {
+        match self {
+            OpId::Wire(op) | OpId::Local(op) => op,
+        }
+    }
+}
+
+/// Store, locks, cost model and telemetry of one server.
+pub(super) struct Executor {
+    store: RefCell<SegmentedStore>,
+    model: StoreModel,
+    router: ShardRouter,
+    /// Virtual-time locks guarding store access: empty under `Idealized`,
+    /// one under `GlobalLock`, one per segment under `Sharded`.
+    locks: Vec<Rc<VLock>>,
+    worker_fixed: SimDuration,
+    hash_lookup: SimDuration,
+    /// Item-directory mirrors for the bypass-GET path, one per RDMA
+    /// fabric (`[ib, roce]`). Empty until a client's first
+    /// `MSG_MC_DIR_REQ` lands on that fabric.
+    mirrors: [BypassDir; 2],
+    /// Set once any directory request has been served; gates the store's
+    /// slab-event tracking and the post-op mirror sync.
+    bypass_on: Cell<bool>,
+    /// Per-operation worker service times, keyed by [`McOp::label`];
+    /// surfaced through `stats`.
+    pub(super) op_times: RefCell<HashMap<&'static str, ServiceTimes>>,
+    pub(super) node: NodeId,
+    pub(super) sim: Sim,
+    pub(super) counters: SrvStats,
+    /// UCR runtimes, `[ib, roce]`, once listening.
+    pub(super) fabrics: [RefCell<Option<UcrRuntime>>; 2],
+    /// Latency-attribution sink, when attached (adds no virtual time).
+    pub(super) spans: RefCell<Option<Rc<LatencySpans>>>,
+    /// Cross-layer event tracer (cluster-wide; adds no virtual time).
+    pub(super) tracer: Rc<Tracer>,
+    /// Cluster metrics registry (adds no virtual time).
+    pub(super) metrics: Rc<Metrics>,
+    pub(super) gauges: StoreGauges,
+    /// Workload observatory (hot keys, exemplars, SLOs), when attached.
+    pub(super) observatory: Option<Rc<WorkloadObservatory>>,
+}
+
+impl Executor {
+    pub(super) fn new(world: &World, node: NodeId, config: &McServerConfig) -> Executor {
+        let sim = world.sim().clone();
+        let metrics = world.cluster.metrics().clone();
+        let tracer = world.cluster.tracer().clone();
+        // `Idealized` and `GlobalLock` keep the classic unsharded layout;
+        // `Sharded(n)` splits the arena (memory cap divided losslessly).
+        let shards = match config.store_model {
+            StoreModel::Idealized | StoreModel::GlobalLock => 1,
+            StoreModel::Sharded(n) => n,
+        };
+        let store = SegmentedStore::new(config.store, shards);
+        let router = *store.router();
+        // One lock per serialization domain. `Idealized` has none: lock
+        // setup registers metrics and tracer bindings, and the default
+        // model must leave every observable surface untouched.
+        let locks: Vec<Rc<VLock>> = match config.store_model {
+            StoreModel::Idealized => Vec::new(),
+            StoreModel::GlobalLock => vec![VLock::new(&sim)],
+            StoreModel::Sharded(_) => (0..router.count()).map(|_| VLock::new(&sim)).collect(),
+        };
+        for (s, lock) in locks.iter().enumerate() {
+            let prefix = format!("mc.node{}.shard{}", node.0, s);
+            lock.bind_meters(VLockMeters {
+                ops: metrics.counter(&format!("{prefix}.ops")),
+                lock_wait_ns: metrics.counter(&format!("{prefix}.lock_wait_ns")),
+                lock_hold_ns: metrics.counter(&format!("{prefix}.lock_hold_ns")),
+                contended: metrics.counter(&format!("{prefix}.contended")),
+            });
+            lock.set_tracer(tracer.clone(), node);
+        }
+        let profile = world.profile();
+        Executor {
+            store: RefCell::new(store),
+            model: config.store_model,
+            router,
+            locks,
+            worker_fixed: profile.host.worker_fixed,
+            hash_lookup: profile.host.hash_lookup,
+            mirrors: Default::default(),
+            bypass_on: Cell::new(false),
+            op_times: RefCell::new(HashMap::new()),
+            node,
+            sim,
+            counters: SrvStats::default(),
+            fabrics: Default::default(),
+            spans: RefCell::new(None),
+            gauges: StoreGauges::new(&metrics, node),
+            observatory: config
+                .observatory
+                .as_ref()
+                .map(|cfg| WorkloadObservatory::new(cfg, node.0, &metrics)),
+            tracer,
+            metrics,
+        }
+    }
+
+    /// Serves one request on the calling worker: charges its service time
+    /// and takes its locks as the [`StoreModel`] dictates, executes it,
+    /// feeds the telemetry, and syncs the bypass mirrors.
+    ///
+    /// The returned guards still hold the request's store locks. UCR
+    /// posts its reply synchronously and so sends inside the critical
+    /// section (the historical schedule); a sockets front-end drops the
+    /// guards before its awaited write.
+    pub(super) async fn serve(
+        &self,
+        req: &Request<'_>,
+        id: OpId,
+        track: Track,
+    ) -> (Reply, Vec<VLockGuard>) {
+        let started = self.begin(id, track, req.value.len() as u64);
+        let mut guards = Vec::new();
+        let reply = if self.model == StoreModel::Idealized {
+            // The whole service time is one uncontended charge — the exact
+            // schedule every pre-`StoreModel` experiment ran under.
+            self.sim.sleep(self.service_cost(req.keys.len())).await;
+            self.run(req)
+        } else {
+            // Locked models split it: the fixed dispatch/parse portion runs
+            // lock-free, then `lock_shards` serializes the hash/item portion.
+            self.charge_fixed().await;
+            if let Some(groups) = self.shard_groups(req.op, req.keys) {
+                // A multi-key read spanning shards, not split at dispatch
+                // (sockets connections keep their worker under every
+                // model): visit the shards group by group.
+                let mut hits = Vec::new();
+                for (shard, idxs) in groups {
+                    let fetch = self.fetch_shard(shard, req.keys, &idxs, &mut hits, id, track);
+                    drop(fetch.await); // release this shard before the next
+                }
+                hits.sort_unstable_by_key(|(i, _)| *i);
+                Reply::Values(hits)
+            } else {
+                let shards = match req.op {
+                    // Flush and stats touch every segment.
+                    McOp::FlushAll | McOp::Stats => 0..self.router.count(),
+                    _ => {
+                        let s = self.router.index(req.key());
+                        s..s + 1
+                    }
+                };
+                guards = self
+                    .lock_shards(shards, req.keys.len(), id.key(), track)
+                    .await;
+                self.run(req)
+            }
+        };
+        let out = reply.payload_len(req.keys) as u64;
+        let moved = out.max(req.value.len() as u64);
+        self.finish(req.op, id, track, started, out, Some((req.key(), moved)));
+        (reply, guards)
+    }
+
+    /// Executes `req` against the store at the current instant (no await
+    /// between the mutation and the mirror sync).
+    fn run(&self, req: &Request<'_>) -> Reply {
+        let now = self.now_secs();
+        let mut store = self.store.borrow_mut();
+        let reply = execute(&mut store, req, now, |store, name| {
+            stats::report(self, store, name)
+        });
+        if let Some(obs) = self.observatory.as_ref() {
+            let key = req.key();
+            let klen = key.len();
+            match (req.op, &reply) {
+                (McOp::Get, Reply::Value(hit)) => {
+                    let hit = hit.as_ref();
+                    let class = hit.and_then(|v| store.class_of(klen, v.data.len()));
+                    obs.observe_key(key, false, class);
+                }
+                (McOp::Mget, Reply::Values(hits)) => {
+                    observe_reads(obs, &store, req.keys, 0..req.keys.len(), hits)
+                }
+                (op, _) if op.is_store() => {
+                    obs.observe_key(key, true, store.class_of(klen, req.value.len()))
+                }
+                (McOp::Delete | McOp::Incr | McOp::Decr | McOp::Touch, _) => {
+                    obs.observe_key(key, true, None)
+                }
+                _ => {}
+            }
+        }
+        drop(store);
+        self.sync_mirrors();
+        reply
+    }
+
+    /// Locks one shard, charges its keys' hash/item time, and fetches
+    /// `keys[i]` for `i` in `idxs`, appending the hits to `hits` — one
+    /// shard's share of a scattered multiget, wherever it was split (the
+    /// UCR dispatcher's per-worker parts, or [`Executor::serve`]'s
+    /// in-worker groups). Returns the still-held shard lock.
+    pub(super) async fn fetch_shard(
+        &self,
+        shard: usize,
+        keys: &[Vec<u8>],
+        idxs: &[usize],
+        hits: &mut Vec<(usize, Value)>,
+        id: OpId,
+        track: Track,
+    ) -> Vec<VLockGuard> {
+        let guards = self
+            .lock_shards(shard..shard + 1, idxs.len(), id.key(), track)
+            .await;
+        let now = self.now_secs();
+        let mut store = self.store.borrow_mut();
+        let first = hits.len();
+        fetch(&mut store, keys, idxs.iter().copied(), now, hits);
+        if let Some(obs) = self.observatory.as_ref() {
+            observe_reads(obs, &store, keys, idxs.iter().copied(), &hits[first..]);
+        }
+        drop(store);
+        self.sync_mirrors();
+        guards
+    }
+
+    /// Groups a multi-key read's key indices by owning shard when it has
+    /// to be served shard by shard: `Mget` under [`StoreModel::Sharded`]
+    /// with keys on more than one shard. `None` otherwise.
+    pub(super) fn shard_groups(
+        &self,
+        op: McOp,
+        keys: &[Vec<u8>],
+    ) -> Option<BTreeMap<usize, Vec<usize>>> {
+        if op != McOp::Mget || !matches!(self.model, StoreModel::Sharded(_)) {
+            return None;
+        }
+        let mut shards = keys.iter().map(|k| self.router.index(k));
+        let first = shards.next()?;
+        if shards.all(|s| s == first) {
+            return None;
+        }
+        let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for (i, k) in keys.iter().enumerate() {
+            groups.entry(self.router.index(k)).or_default().push(i);
+        }
+        Some(groups)
+    }
+
+    /// The shard owning `key` when requests route by shard affinity
+    /// ([`StoreModel::Sharded`]).
+    pub(super) fn affine_shard(&self, key: &[u8]) -> Option<usize> {
+        matches!(self.model, StoreModel::Sharded(_)).then(|| self.router.index(key))
+    }
+
+    /// Acquires the store locks a request touching `shards` needs, in
+    /// ascending order (the deadlock-free total order), then charges the
+    /// per-key hash/item cost *inside* the critical section — that is
+    /// the serialized portion of upstream memcached's `cache_lock`.
+    async fn lock_shards(
+        &self,
+        shards: Range<usize>,
+        keys: usize,
+        op: u64,
+        track: Track,
+    ) -> Vec<VLockGuard> {
+        let mut guards = Vec::new();
+        match self.model {
+            StoreModel::Idealized => return guards,
+            StoreModel::GlobalLock => guards.push(self.locks[0].lock(op, track).await),
+            StoreModel::Sharded(_) => {
+                let set: BTreeSet<usize> = shards.collect();
+                for s in set {
+                    guards.push(self.locks[s].lock(op, track).await);
+                }
+            }
+        }
+        self.sim.sleep(self.hash_lookup * keys.max(1) as u64).await;
+        guards
+    }
+
+    /// The lock-free fixed portion (dispatch, parse) of a request's
+    /// service time under the locked models.
+    pub(super) async fn charge_fixed(&self) {
+        self.sim.sleep(self.worker_fixed).await;
+    }
+
+    /// Worker-thread service charge for one request.
+    fn service_cost(&self, keys: usize) -> SimDuration {
+        self.worker_fixed + self.hash_lookup * keys.max(1) as u64
+    }
+
+    fn now_secs(&self) -> u32 {
+        BASE_UNIX_TIME + self.sim.now().as_secs_f64() as u32
+    }
+
+    /// Records a stage boundary of request `id` in both telemetry streams.
+    /// A wire id keys the latency mark and is always traced; a local id
+    /// attributes the mark to the single open client op and is traced in
+    /// detail (profiler) mode only.
+    pub(super) fn mark(
+        &self,
+        id: OpId,
+        stage: Stage,
+        phase: Phase,
+        name: &'static str,
+        track: Track,
+        bytes: u64,
+    ) {
+        let at = self.sim.now();
+        let (op, traced) = match id {
+            OpId::Wire(op) => {
+                self.span(|sp| sp.mark(op, stage, at));
+                (op, true)
+            }
+            OpId::Local(op) => {
+                self.span(|sp| sp.mark_open(stage, at));
+                (op, self.tracer.detail())
+            }
+        };
+        if traced {
+            self.tracer.emit(Event {
+                layer: Layer::Core,
+                name,
+                phase,
+                node: Some(self.node),
+                track,
+                op,
+                bytes,
+                at,
+            });
+        }
+    }
+
+    /// Opens a worker's service window for one request (or one part of a
+    /// scattered multiget): the dispatch wait ends here.
+    pub(super) fn begin(&self, id: OpId, track: Track, bytes: u64) -> SimTime {
+        self.mark(
+            id,
+            Stage::DispatchWait,
+            Phase::Begin,
+            SERVICE_SPAN,
+            track,
+            bytes,
+        );
+        self.sim.now()
+    }
+
+    /// Closes the service window opened at `started`: the per-op service
+    /// times, the span marks, and — given the `(key, bytes moved)` to
+    /// attribute it to — the observatory's SLO and exemplar feed.
+    pub(super) fn finish(
+        &self,
+        op: McOp,
+        id: OpId,
+        track: Track,
+        started: SimTime,
+        bytes: u64,
+        observe: Option<(&[u8], u64)>,
+    ) {
+        let now = self.sim.now();
+        let service = now.saturating_since(started);
+        let label = op.label();
+        self.op_times
+            .borrow_mut()
+            .entry(label)
+            .or_default()
+            .record(service);
+        if let (Some(obs), Some((key, moved))) = (self.observatory.as_ref(), observe) {
+            obs.observe_service(label, key, moved, service, id.key(), now);
+        }
+        self.mark(
+            id,
+            Stage::WorkerService,
+            Phase::End,
+            SERVICE_SPAN,
+            track,
+            bytes,
+        );
+    }
+
+    /// Runs `f` against the attached span sink, if any.
+    pub(super) fn span(&self, f: impl FnOnce(&LatencySpans)) {
+        if let Some(sp) = self.spans.borrow().as_ref() {
+            f(sp);
+        }
+    }
+
+    /// Propagates store mutations to the bypass mirrors: drains the slab
+    /// events the just-finished operation emitted and applies them to
+    /// every fabric's mirror pages. Called synchronously after each
+    /// store-touching request (no await between the mutation and the
+    /// drain), so a client's RDMA read can never observe a mirror that
+    /// lags the store across a scheduling point. No-op until the first
+    /// directory request turns event tracking on.
+    fn sync_mirrors(&self) {
+        if !self.bypass_on.get() {
+            return;
+        }
+        let batches = self.store.borrow_mut().take_slab_events();
+        if batches.is_empty() {
+            return;
+        }
+        let store = self.store.borrow();
+        for (seg, events) in &batches {
+            for dir in &self.mirrors {
+                dir.apply(store.segment(*seg), *seg, events);
+            }
+        }
+    }
+
+    /// Serves one bypass directory lookup on fabric `side` (`[ib, roce]`).
+    /// The key resolves read-only — no LRU bump, no stats. The first
+    /// lookup turns the store's slab-event tracking on.
+    pub(super) fn dir_lookup(&self, side: usize, rt: &UcrRuntime, req: &DirReq) -> DirResp {
+        if !self.bypass_on.replace(true) {
+            self.store.borrow_mut().set_event_tracking(true);
+        }
+        self.mirrors[side].serve(&self.store.borrow(), self.now_secs(), rt, req)
+    }
+
+    /// Read-only view of the store (occupancy, statistics).
+    pub(super) fn store(&self) -> Ref<'_, SegmentedStore> {
+        self.store.borrow()
+    }
+
+    pub(super) fn model(&self) -> StoreModel {
+        self.model
+    }
+
+    pub(super) fn lock_stats(&self) -> Vec<VLockStats> {
+        self.locks.iter().map(|l| l.stats()).collect()
+    }
+}
+
+/// Feeds the keys of a multi-key read into the observatory: hits (a
+/// subsequence of `idxs`, in order) carry the slab class their value
+/// occupies, misses carry none.
+fn observe_reads(
+    obs: &WorkloadObservatory,
+    store: &SegmentedStore,
+    keys: &[Vec<u8>],
+    idxs: impl Iterator<Item = usize>,
+    hits: &[(usize, Value)],
+) {
+    let mut hits = hits.iter().peekable();
+    for i in idxs {
+        let class = hits
+            .next_if(|(j, _)| *j == i)
+            .and_then(|(_, v)| store.class_of(keys[i].len(), v.data.len()));
+        obs.observe_key(&keys[i], false, class);
+    }
+}
+
+/// Fetches `keys[i]` for each `i` in `idxs`, appending the hits in order.
+fn fetch(
+    store: &mut SegmentedStore,
+    keys: &[Vec<u8>],
+    idxs: impl Iterator<Item = usize>,
+    now: u32,
+    hits: &mut Vec<(usize, Value)>,
+) {
+    hits.extend(idxs.filter_map(|i| Some((i, store.get(&keys[i], now)?))));
+}
+
+/// One storage verb. A stored item's fresh CAS token comes from a
+/// read-only `locate`: no hit counted, no LRU bump, no value copy.
+fn store_item(store: &mut SegmentedStore, req: &Request<'_>, now: u32) -> Reply {
+    let (key, value, flags, exptime) = (req.key(), req.value, req.flags, req.exptime);
+    let outcome = match req.op {
+        McOp::Set => store.set(key, value, flags, exptime, now),
+        McOp::Add => store.add(key, value, flags, exptime, now),
+        McOp::Replace => store.replace(key, value, flags, exptime, now),
+        McOp::Append => store.append(key, value, now),
+        McOp::Prepend => store.prepend(key, value, now),
+        McOp::Cas => store.cas(key, value, flags, exptime, req.cas, now),
+        op => unreachable!("{op:?} is not a storage verb"),
+    };
+    let cas = match outcome {
+        SetOutcome::Stored => store.locate(key, now).map_or(0, |(_, item)| item.cas),
+        _ => 0,
+    };
+    Reply::Stored { outcome, cas }
+}
+
+/// Executes one request against the store: the one place every store
+/// verb is called from. `stats` renders a statistics sub-report (it needs
+/// server state the store does not hold).
+pub(super) fn execute(
+    store: &mut SegmentedStore,
+    req: &Request<'_>,
+    now: u32,
+    stats: impl FnOnce(&mut SegmentedStore, &[u8]) -> Vec<(String, String)>,
+) -> Reply {
+    let key = req.key();
+    match req.op {
+        McOp::Get => Reply::Value(store.get(key, now)),
+        McOp::Mget => {
+            let mut hits = Vec::new();
+            fetch(store, req.keys, 0..req.keys.len(), now, &mut hits);
+            Reply::Values(hits)
+        }
+        McOp::Set | McOp::Add | McOp::Replace | McOp::Append | McOp::Prepend | McOp::Cas => {
+            store_item(store, req, now)
+        }
+        McOp::Delete => Reply::Found(store.delete(key, now)),
+        McOp::Incr | McOp::Decr => {
+            let result = if req.op == McOp::Incr {
+                store.incr(key, req.delta, now)
+            } else {
+                store.decr(key, req.delta, now)
+            };
+            match (result, req.initial) {
+                (Err(NumericError::NotFound), Some(initial)) => {
+                    let digits = initial.to_string();
+                    let create =
+                        Request::store(McOp::Set, req.keys, digits.as_bytes(), 0, req.exptime, 0);
+                    store_item(store, &create, now);
+                    Reply::Number(Ok(initial))
+                }
+                (result, _) => Reply::Number(result),
+            }
+        }
+        McOp::Touch => Reply::Found(store.touch(key, req.exptime, now)),
+        McOp::FlushAll => {
+            store.flush_all(now.saturating_add(req.exptime));
+            Reply::Done
+        }
+        McOp::Version => Reply::Version(SERVER_VERSION.to_string()),
+        McOp::Stats => Reply::Stats(stats(store, key)),
+    }
+}

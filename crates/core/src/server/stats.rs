@@ -1,0 +1,299 @@
+//! The `stats` surface: the sub-report registry, the general report, the
+//! storage-occupancy gauges, and `stats reset`.
+//!
+//! A report is a list of `(name, value)` pairs — the one representation.
+//! Each wire frames the pairs its own way (`STAT name value` lines, one
+//! binary frame per pair, `name value\n` text over UCR); an unknown
+//! sub-report is an empty list, i.e. a bare terminator on every wire.
+
+use std::cell::RefCell;
+use std::collections::{BTreeMap, HashMap};
+use std::rc::Rc;
+
+use mcstore::{ClassId, SegmentedStore};
+use simnet::metrics::{Gauge, Metrics};
+use simnet::trace::Layer;
+use simnet::{NodeId, SimDuration};
+
+use super::executor::Executor;
+use super::SERVER_VERSION;
+use crate::observatory::WorkloadObservatory;
+
+type Pairs = Vec<(String, String)>;
+type Report = fn(&Executor, &mut SegmentedStore) -> Pairs;
+
+/// Every `stats <name>` the server answers, on every wire.
+const REPORTS: &[(&str, Report)] = &[
+    ("", general),
+    ("slabs", |_, store| store.slab_stat_lines()),
+    ("items", |_, store| store.item_stat_lines()),
+    ("trace", trace),
+    ("prom", prom),
+    ("hot", |exec, _| {
+        observed(exec, |obs| obs.hot_stat_lines(exec.sim.now()))
+    }),
+    ("slo", |exec, _| {
+        observed(exec, |obs| obs.slo_stat_lines(exec.sim.now()))
+    }),
+    ("exemplars", |exec, _| {
+        observed(exec, WorkloadObservatory::exemplar_stat_lines)
+    }),
+    ("profile", profile),
+    ("reset", reset),
+];
+
+/// Renders sub-report `name` (empty = the general report).
+pub(super) fn report(exec: &Executor, store: &mut SegmentedStore, name: &[u8]) -> Pairs {
+    REPORTS
+        .iter()
+        .find(|(n, _)| n.as_bytes() == name)
+        .map(|(_, render)| render(exec, store))
+        .unwrap_or_default()
+}
+
+fn pair(k: &str, v: impl ToString) -> (String, String) {
+    (k.to_string(), v.to_string())
+}
+
+fn general(exec: &Executor, store: &mut SegmentedStore) -> Pairs {
+    let st = store.stats();
+    let c = &exec.counters;
+    let mut out = vec![
+        pair("version", SERVER_VERSION),
+        pair("curr_items", store.curr_items()),
+        pair("bytes", store.bytes_stored()),
+        pair("get_hits", st.get_hits),
+        pair("get_misses", st.get_misses),
+        pair("cmd_set", st.sets),
+        pair("evictions", st.evictions),
+        pair("reclaimed", st.reclaimed),
+        pair("cas_hits", st.cas_hits),
+        pair("cas_badval", st.cas_badval),
+        pair("total_items", st.total_items),
+        pair("ucr_requests", c.ucr_requests.get()),
+        pair("sock_requests", c.sock_requests.get()),
+        pair("curr_connections", c.connections.get()),
+    ];
+    // UCR runtime counters (eager/rendezvous traffic, drops, faults).
+    if let Some(rt) = exec.fabrics[0].borrow().as_ref() {
+        out.extend(rt.stats().report());
+    }
+    // Per-stage latency attribution, when a span sink is attached.
+    if let Some(sp) = exec.spans.borrow().as_ref() {
+        out.extend(sp.report());
+    }
+    // Per-operation worker service-time summaries.
+    let times = exec.op_times.borrow();
+    let mut labels: Vec<&&str> = times.keys().collect();
+    labels.sort_unstable();
+    for label in labels {
+        let t = &times[*label];
+        let us = |d: SimDuration| format!("{:.3}", d.as_micros_f64());
+        out.push(pair(&format!("op.{label}.count"), t.count));
+        out.push(pair(&format!("op.{label}.service_us.mean"), us(t.mean())));
+        out.push(pair(
+            &format!("op.{label}.service_us.p50"),
+            us(t.quantile(0.50)),
+        ));
+        out.push(pair(
+            &format!("op.{label}.service_us.p99"),
+            us(t.quantile(0.99)),
+        ));
+    }
+    out
+}
+
+/// Worker service times of one op, kept as a count per distinct duration.
+/// Virtual-time costs repeat exactly — a handful of distinct values per op
+/// unless locks are contended — so this stays small where a sample list
+/// grows by 8 bytes per request served; summaries are exact either way.
+#[derive(Default)]
+pub(super) struct ServiceTimes {
+    by_nanos: BTreeMap<u64, u64>,
+    count: u64,
+    sum_nanos: u64,
+}
+
+impl ServiceTimes {
+    pub(super) fn record(&mut self, d: SimDuration) {
+        *self.by_nanos.entry(d.as_nanos()).or_default() += 1;
+        self.count += 1;
+        self.sum_nanos += d.as_nanos();
+    }
+
+    fn mean(&self) -> SimDuration {
+        SimDuration::from_nanos(self.sum_nanos.checked_div(self.count).unwrap_or(0))
+    }
+
+    /// The `q`-quantile, nearest-rank (the rule of
+    /// `simnet::metrics::Histogram`); zero when empty.
+    fn quantile(&self, q: f64) -> SimDuration {
+        let rank = (self.count.saturating_sub(1) as f64 * q).round() as u64;
+        let mut seen = 0;
+        for (nanos, n) in &self.by_nanos {
+            seen += n;
+            if seen > rank {
+                return SimDuration::from_nanos(*nanos);
+            }
+        }
+        SimDuration::ZERO
+    }
+}
+
+/// Per-layer event counts plus the state of the flight recorder
+/// (paper-independent observability surface).
+fn trace(exec: &Executor, _: &mut SegmentedStore) -> Pairs {
+    let t = &exec.tracer;
+    let mut lines: Pairs = Layer::ALL
+        .iter()
+        .map(|l| pair(&format!("trace.events.{}", l.label()), t.layer_count(*l)))
+        .collect();
+    lines.push(pair("trace.events.total", t.total_events()));
+    lines.push(pair("trace.flight.len", t.flight_len()));
+    lines.push(pair("trace.flight.dropped", t.flight_dropped()));
+    lines.push(pair("trace.faults", t.fault_count()));
+    lines
+}
+
+/// The cluster's Prometheus exposition, carried over the stats plumbing
+/// as `(first-token, rest-of-line)` pairs. Each exposition line has
+/// exactly one space after its first token (`#` for comment lines, the
+/// series name otherwise), so clients reconstruct the text losslessly by
+/// rejoining `"{k} {v}"`.
+fn prom(exec: &Executor, store: &mut SegmentedStore) -> Pairs {
+    // Bring every live gauge up to date first: store occupancy plus the
+    // UCR runtime gauges otherwise refreshed on progress-engine wakes.
+    exec.gauges.publish(store);
+    for rt in &exec.fabrics {
+        if let Some(rt) = rt.borrow().as_ref() {
+            rt.publish_gauges();
+        }
+    }
+    let text = match exec.observatory.as_ref() {
+        Some(obs) => {
+            obs.refresh_gauges();
+            simnet::timeseries::prometheus_text_with_exemplars(
+                &exec.metrics,
+                &obs.ring().snapshot(),
+            )
+        }
+        None => simnet::timeseries::prometheus_text(&exec.metrics),
+    };
+    text.lines()
+        .map(|l| {
+            let (k, v) = l.split_once(' ').unwrap_or((l, ""));
+            pair(k, v)
+        })
+        .collect()
+}
+
+/// A workload-observatory report (a disabled observatory answers with a
+/// single `observatory off` line).
+fn observed(exec: &Executor, lines: impl FnOnce(&WorkloadObservatory) -> Pairs) -> Pairs {
+    match exec.observatory.as_ref() {
+        Some(obs) => lines(obs),
+        None => vec![pair("observatory", "off")],
+    }
+}
+
+/// The attached profiler's critical-path aggregates, windowed signatures,
+/// and unaccounted-time audit (a single `profiler off` line when none is
+/// attached — profiling is opt-in, like the observatory).
+fn profile(exec: &Executor, _: &mut SegmentedStore) -> Pairs {
+    match exec.tracer.profiler() {
+        Some(p) => p.stat_lines(),
+        None => vec![pair("profiler", "off")],
+    }
+}
+
+/// `stats reset` (memcached parity): zeroes every counter and histogram —
+/// server request counters, storage-engine statistics, per-op service
+/// histograms, UCR runtime counters on both fabrics, and the cluster
+/// registry's counters/histograms — while preserving gauges and their
+/// watermarks (levels describe *current* state; a reset must not forge
+/// them).
+fn reset(exec: &Executor, store: &mut SegmentedStore) -> Pairs {
+    exec.counters.ucr_requests.set(0);
+    exec.counters.sock_requests.set(0);
+    store.reset_stats();
+    for t in exec.op_times.borrow_mut().values_mut() {
+        *t = ServiceTimes::default();
+    }
+    for rt in &exec.fabrics {
+        if let Some(rt) = rt.borrow().as_ref() {
+            rt.stats().reset();
+        }
+    }
+    if let Some(obs) = exec.observatory.as_ref() {
+        obs.reset();
+    }
+    exec.metrics.reset_counters_and_histograms();
+    vec![pair("reset", "ok")]
+}
+
+/// Gauge handles for one slab class (`mc.nodeN.slab.classC.*`).
+struct ClassGauges {
+    used: Rc<Gauge>,
+    free: Rc<Gauge>,
+    occupancy: Rc<Gauge>,
+    evictions: Rc<Gauge>,
+}
+
+/// Storage-engine occupancy in the cluster registry: store-level
+/// item/byte counts (`mc.nodeN.store.*`) plus per-slab-class used/free
+/// chunks, occupancy ratio, and eviction totals. Gauge watermarks give the
+/// high-water occupancy for free. Pure host-side accounting — costs no
+/// virtual time.
+pub(super) struct StoreGauges {
+    metrics: Rc<Metrics>,
+    node: NodeId,
+    items: Rc<Gauge>,
+    bytes: Rc<Gauge>,
+    /// Created lazily for populated classes only (a default store has
+    /// dozens of classes, most never touched).
+    classes: RefCell<HashMap<usize, ClassGauges>>,
+}
+
+impl StoreGauges {
+    pub(super) fn new(metrics: &Rc<Metrics>, node: NodeId) -> StoreGauges {
+        StoreGauges {
+            metrics: metrics.clone(),
+            node,
+            items: metrics.gauge(&format!("mc.node{}.store.curr_items", node.0)),
+            bytes: metrics.gauge(&format!("mc.node{}.store.bytes", node.0)),
+            classes: RefCell::new(HashMap::new()),
+        }
+    }
+
+    pub(super) fn publish(&self, store: &SegmentedStore) {
+        self.items.set(store.curr_items() as f64);
+        self.bytes.set(store.bytes_stored() as f64);
+        let evictions = store.class_evictions();
+        let mut classes = self.classes.borrow_mut();
+        for c in 0..store.class_count() {
+            let st = store.class_stats(ClassId(c as u8));
+            let evicted = evictions.get(c).copied().unwrap_or(0);
+            if st.pages == 0 && evicted == 0 {
+                continue; // class never touched: keep the registry lean
+            }
+            let g = classes.entry(c).or_insert_with(|| {
+                let prefix = format!("mc.node{}.slab.class{}", self.node.0, c);
+                ClassGauges {
+                    used: self.metrics.gauge(&format!("{prefix}.used_chunks")),
+                    free: self.metrics.gauge(&format!("{prefix}.free_chunks")),
+                    occupancy: self.metrics.gauge(&format!("{prefix}.occupancy")),
+                    evictions: self.metrics.gauge(&format!("{prefix}.evictions")),
+                }
+            });
+            g.used.set(st.used as f64);
+            g.free.set(st.free as f64);
+            let chunks = st.used + st.free;
+            g.occupancy.set(if chunks == 0 {
+                0.0
+            } else {
+                st.used as f64 / chunks as f64
+            });
+            g.evictions.set(evicted as f64);
+        }
+    }
+}

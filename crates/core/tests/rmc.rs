@@ -660,62 +660,6 @@ fn ascii_and_binary_clients_coexist_on_one_server() {
     });
 }
 
-#[test]
-fn binary_and_ascii_report_equal_results() {
-    // Differential check: both protocols against the same command stream
-    // must agree on every outcome.
-    let world = world_a();
-    let _server = McServer::start(&world, SRV, McServerConfig::default());
-    let bin = binary_client(&world, Stack::Ipoib);
-    let ascii = McClient::new(
-        &world,
-        NodeId(2),
-        McClientConfig::single(Transport::Sockets(Stack::Ipoib), SRV),
-    );
-    world.sim().block_on(async move {
-        for i in 0..30u32 {
-            let key = format!("diff-{}", i % 7);
-            let val = format!("value-{i}");
-            match i % 5 {
-                0 => {
-                    let a = bin.set(key.as_bytes(), val.as_bytes(), 0, 0).await;
-                    let b = ascii.set(key.as_bytes(), val.as_bytes(), 0, 0).await;
-                    assert_eq!(a, b, "set {i}");
-                }
-                1 => {
-                    let a = bin.get(key.as_bytes()).await.unwrap().map(|v| v.data);
-                    let b = ascii.get(key.as_bytes()).await.unwrap().map(|v| v.data);
-                    assert_eq!(a, b, "get {i}");
-                }
-                2 => {
-                    // The two adds run back to back: if the first stored,
-                    // the second must see NotStored; if the key already
-                    // existed, both fail identically.
-                    let a = bin.add(key.as_bytes(), b"x", 0, 0).await;
-                    let b = ascii.add(key.as_bytes(), b"y", 0, 0).await;
-                    if a.is_ok() {
-                        assert_eq!(b, Err(McError::NotStored), "add {i}");
-                    } else {
-                        assert_eq!(a, Err(McError::NotStored), "add {i}");
-                        assert_eq!(b, Err(McError::NotStored), "add {i}");
-                    }
-                }
-                3 => {
-                    // Back-to-back deletes: at most the first can hit.
-                    let a = bin.delete(key.as_bytes()).await.unwrap();
-                    let b = ascii.delete(key.as_bytes()).await.unwrap();
-                    assert!(!(a && b), "both deletes cannot hit {i}");
-                }
-                _ => {
-                    let a = bin.touch(key.as_bytes(), 60).await.unwrap();
-                    let b = ascii.touch(key.as_bytes(), 60).await.unwrap();
-                    assert_eq!(a, b, "touch {i} (key deleted by neither)");
-                }
-            }
-        }
-    });
-}
-
 // ---------------------------------------------------------------------
 // UDP protocol (the SIII Facebook baseline)
 // ---------------------------------------------------------------------

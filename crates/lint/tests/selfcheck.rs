@@ -48,12 +48,13 @@ fn interprocedural_pass_sees_the_real_tree() {
     );
 
     // R6: the PR 8 sharded store is the one multi-acquisition site —
-    // lock_shards takes locks[0] then ascending shard indices, and both
-    // acquisitions must be *provably* ascending (not merely skipped).
+    // the executor's lock_shards takes locks[0] then ascending shard
+    // indices, and both acquisitions must be *provably* ascending (not
+    // merely skipped).
     let srv: Vec<_> = s
         .r6_acquisitions
         .iter()
-        .filter(|(f, _, _)| f == "crates/core/src/server.rs")
+        .filter(|(f, _, _)| f == "crates/core/src/server/executor.rs")
         .collect();
     assert!(
         srv.len() >= 2,
@@ -70,7 +71,7 @@ fn interprocedural_pass_sees_the_real_tree() {
     for want in [
         ("crates/ucr/src/runtime.rs", "cache"),
         ("crates/ucr/src/runtime.rs", "recv_bufs"),
-        ("crates/core/src/server.rs", "pages"),
+        ("crates/core/src/server/bypass.rs", "pages"),
     ] {
         assert!(
             s.r7_obligations

@@ -416,7 +416,8 @@ impl Store {
         }
     }
 
-    /// Invalidates everything stored strictly before `now`.
+    /// Invalidates everything stored strictly before `now`, from `now` on
+    /// (a `now` in the future is a delayed flush).
     pub fn flush_all(&mut self, now: u32) {
         self.oldest_live = now;
         if self.track_events {
@@ -874,7 +875,11 @@ impl Store {
 
     fn is_dead(&self, id: u32, now: u32) -> bool {
         let it = &self.items[id as usize];
-        (it.exp != 0 && it.exp <= now) || (self.oldest_live != 0 && it.stored_at < self.oldest_live)
+        // A flush barrier set in the future (`flush_all <delay>`) kills
+        // nothing until the clock reaches it.
+        let flushed =
+            self.oldest_live != 0 && self.oldest_live <= now && it.stored_at < self.oldest_live;
+        (it.exp != 0 && it.exp <= now) || flushed
     }
 
     fn maybe_start_expansion(&mut self) {

@@ -169,6 +169,23 @@ fn flush_all_invalidates_older_items() {
 }
 
 #[test]
+fn delayed_flush_takes_effect_at_its_deadline() {
+    let mut s = store();
+    s.set(b"old", b"v", 0, 0, 100);
+    s.flush_all(110); // `flush_all 10` issued at t=100
+    s.set(b"mid", b"v", 0, 0, 105);
+    assert!(
+        s.get(b"old", 109).is_some(),
+        "nothing dies before the deadline"
+    );
+    assert!(s.get(b"mid", 109).is_some());
+    assert!(s.get(b"old", 110).is_none(), "everything older dies at it");
+    assert!(s.get(b"mid", 110).is_none());
+    s.set(b"new", b"v", 0, 0, 110);
+    assert!(s.get(b"new", 111).is_some());
+}
+
+#[test]
 fn oversized_item_rejected() {
     let mut s = store();
     assert_eq!(

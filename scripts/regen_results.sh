@@ -1,0 +1,42 @@
+#!/usr/bin/env bash
+# Regenerates every committed results/* file from the rmc-bench bins.
+#
+# "Every results/* regenerates bit-identically" is the repo's definition of
+# behavioural equality, so a refactor is checked with
+#
+#     scripts/regen_results.sh && git diff --exit-code results/
+#
+# A bin's stdout is its results/<bin>.txt; the JSON, .prom, .folded and
+# .trace.json companions are written by the bins themselves. `mcslap` runs
+# with the flags its committed JSON was made with and `bench_summary` runs
+# last, because it digests what the others wrote. Prints seconds per bin.
+# (results/metric_manifest.json belongs to `rmc-lint --write-manifest`, and
+# results/bench_baseline.json is the hand-ratcheted trajectory baseline.)
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+cargo build --release --quiet -p rmc-bench --bins
+bin_dir="${CARGO_TARGET_DIR:-target}/release"
+
+# run <bin> <stdout file> [args...]
+run() {
+    local name=$1 out=$2 start ms
+    shift 2
+    start=$(date +%s%N)
+    "$bin_dir/$name" "$@" >"$out" 2>/dev/null
+    ms=$((($(date +%s%N) - start) / 1000000))
+    printf '%-28s %3d.%03d s\n' "$name" $((ms / 1000)) $((ms % 1000))
+}
+
+for name in \
+    fig3_latency_a fig4_latency_b fig5_mixed fig6_throughput \
+    ablation_counters ablation_eager_threshold ablation_workers \
+    ext_bottlenecks ext_bypass_get ext_facebook_udp ext_jitter_percentiles \
+    ext_latency_attribution ext_observatory ext_pipeline_depth ext_profile \
+    ext_roce ext_trace_timeline ext_ud_scale; do
+    run "$name" "results/$name.txt"
+done
+# These two write their own files; their stdout is not a results file.
+run ext_workload_observatory /dev/null
+run mcslap /dev/null --transport sdp --depth 4
+run bench_summary /dev/null
