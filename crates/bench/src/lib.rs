@@ -21,8 +21,11 @@ use std::rc::Rc;
 pub mod json_out;
 
 use rmc::{McClient, McClientConfig, McError, McServer, McServerConfig, Transport, World};
-use simnet::metrics::{Histogram, LatencySpans, Stage, STAGE_COUNT};
-use simnet::{NodeId, SimDuration, Stack};
+use simnet::metrics::Histogram;
+use simnet::{
+    AuditReport, NodeId, PathStage, Profiler, ProfilerConfig, SimDuration, Stack, Tracer,
+    PATH_STAGE_COUNT,
+};
 
 /// Which testbed to instantiate.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -129,25 +132,26 @@ pub fn measure_latency(
     iters: u32,
     seed: u64,
 ) -> f64 {
-    run_latency(cluster, transport, mix, size, iters, seed, None)
+    run_latency(cluster, transport, mix, size, iters, seed, |_| ()).0
 }
 
 /// The shared latency loop behind [`measure_latency`] and
-/// [`measure_latency_attributed`]. When `spans` is given it is attached
-/// to both ends *after* the warm-up pass, so the recorded breakdown
-/// covers exactly the timed operations; spans add no virtual time, so
-/// the measured mean is identical either way.
-fn run_latency(
+/// [`measure_latency_attributed`]. `instrument` runs on the cluster tracer
+/// *after* the warm-up pass, so a profiler attached there decomposes
+/// exactly the timed operations (one client, so its request ids need no
+/// node prefix); tracing adds no virtual time, so the measured mean is
+/// identical either way.
+fn run_latency<T: 'static>(
     cluster: ClusterKind,
     transport: Transport,
     mix: Mix,
     size: usize,
     iters: u32,
     seed: u64,
-    spans: Option<Rc<LatencySpans>>,
-) -> f64 {
+    instrument: impl FnOnce(&Rc<Tracer>) -> T + 'static,
+) -> (f64, T) {
     let world = cluster.world(seed, 4);
-    let server = McServer::start(&world, NodeId(0), McServerConfig::default());
+    let _server = McServer::start(&world, NodeId(0), McServerConfig::default());
     let client = McClient::new(
         &world,
         NodeId(1),
@@ -155,16 +159,14 @@ fn run_latency(
     );
     let sim = world.sim().clone();
     let sim2 = sim.clone();
+    let tracer = world.cluster.tracer().clone();
     sim.block_on(async move {
         let value = vec![0x5au8; size];
         let key = b"bench-key";
         // Warm up: establish the connection and populate the item.
         client.set(key, &value, 0, 0).await.expect("warm-up set");
         client.get(key).await.expect("warm-up get");
-        if let Some(sp) = spans {
-            client.attach_spans(Some(sp.clone()));
-            server.attach_spans(Some(sp));
-        }
+        let instrumented = instrument(&tracer);
 
         let t0 = sim2.now();
         let mut ops = 0u32;
@@ -199,7 +201,7 @@ fn run_latency(
             }
         }
         let elapsed = sim2.now() - t0;
-        elapsed.as_micros_f64() / ops as f64
+        (elapsed.as_micros_f64() / ops as f64, instrumented)
     })
 }
 
@@ -210,42 +212,56 @@ pub struct AttributedLatency {
     /// End-to-end mean latency, microseconds — computed exactly as
     /// [`measure_latency`] computes it (elapsed / ops).
     pub mean_us: f64,
-    /// Mean time in each pipeline stage, microseconds, in
-    /// [`Stage::ALL`] order.
-    pub stage_means_us: [f64; STAGE_COUNT],
-    /// Sum of the stage means — equals the end-to-end mean recorded by
-    /// the spans (the attribution invariant).
-    pub attributed_mean_us: f64,
-    /// Operations with a complete recorded span.
-    pub ops_attributed: u64,
+    /// Mean time in each critical-path stage, microseconds, in
+    /// [`PathStage::ALL`] order.
+    pub stage_means_us: [f64; PATH_STAGE_COUNT],
+    /// The profiler's audit of the timed ops: how many were decomposed,
+    /// how many broke `Σ stages + residual == end-to-end` (always 0), and
+    /// the time no stage claimed.
+    pub audit: AuditReport,
 }
 
 impl AttributedLatency {
     /// Mean time in `stage`, microseconds.
-    pub fn stage_us(&self, stage: Stage) -> f64 {
-        self.stage_means_us[stage as usize]
+    pub fn stage_us(&self, stage: PathStage) -> f64 {
+        self.stage_means_us[stage.index()]
+    }
+
+    /// Mean absolute unaccounted time per op, microseconds.
+    pub fn residual_us(&self) -> f64 {
+        mean_us(self.audit.residual_abs_total, self.audit.ops)
     }
 
     /// Renders the breakdown as an aligned table.
     pub fn render(&self, title: &str) -> String {
         let mut out = format!("{title}\n");
-        for stage in Stage::ALL {
+        for stage in PathStage::ALL {
             out.push_str(&format!(
                 "{:>18} {:>9.3} us\n",
                 stage.label(),
                 self.stage_us(stage)
             ));
         }
+        out.push_str(&format!(
+            "{:>18} {:>9.3} us\n",
+            "residual",
+            self.residual_us()
+        ));
         out.push_str(&format!("{:>18} {:>9.3} us\n", "end_to_end", self.mean_us));
         out
     }
 }
 
+/// `total / ops` at integer-nanosecond resolution, in microseconds.
+fn mean_us(total: SimDuration, ops: u64) -> f64 {
+    (total / ops.max(1)).as_micros_f64()
+}
+
 /// Like [`measure_latency`], but also records where each operation's time
-/// went: the span sink is attached to both client and server after warm-up
-/// and every timed operation's stage breakdown is recorded. The returned
-/// breakdown sums to the measured end-to-end mean (within integer-ns
-/// rounding) — the cross-layer invariant `tests/attribution.rs` checks.
+/// went: the profiler decomposes every timed operation's critical path
+/// into the eight [`PathStage`]s plus an explicit residual, so the stage
+/// means and the residual sum to the measured end-to-end mean — the
+/// cross-layer invariant `tests/attribution.rs` checks.
 pub fn measure_latency_attributed(
     cluster: ClusterKind,
     transport: Transport,
@@ -254,21 +270,14 @@ pub fn measure_latency_attributed(
     iters: u32,
     seed: u64,
 ) -> AttributedLatency {
-    let spans = LatencySpans::new();
-    let mean_us = run_latency(
-        cluster,
-        transport,
-        mix,
-        size,
-        iters,
-        seed,
-        Some(spans.clone()),
-    );
+    let (mean, profiler) = run_latency(cluster, transport, mix, size, iters, seed, |tracer| {
+        Profiler::attach(tracer, ProfilerConfig::default())
+    });
+    let audit = profiler.audit();
     AttributedLatency {
-        mean_us,
-        stage_means_us: spans.stage_means_us(),
-        attributed_mean_us: spans.sum_of_stage_means_us(),
-        ops_attributed: spans.completed(),
+        mean_us: mean,
+        stage_means_us: PathStage::ALL.map(|s| mean_us(profiler.stage_total(s), audit.ops)),
+        audit,
     }
 }
 

@@ -20,7 +20,6 @@ use mcproto::{
     UDP_CHUNK_BYTES,
 };
 use mcstore::{NumericError, SetOutcome, Value};
-use simnet::metrics::{LatencySpans, Stage};
 use simnet::sync::timeout;
 use simnet::trace::{Layer, Track};
 use simnet::{NodeId, Sim, SimDuration, Stack, Tracer};
@@ -317,18 +316,13 @@ impl Drop for UcrInFlight {
         }
         // Abandoned mid-flight: claim the parked response if it already
         // landed, otherwise flag the id so the handler drops the response
-        // on arrival, and close the op's latency span and trace span.
+        // on arrival, and close the op's trace span.
         if self.cli.pending.borrow_mut().remove(&self.req_id).is_none() {
             self.cli.cancelled.borrow_mut().insert(self.req_id);
         }
-        self.cli.span(|sp| sp.discard(self.req_id));
         self.cli.end_op(self.req_id, 0);
     }
 }
-
-/// Shared slot holding the (optional) latency-attribution sink, so the
-/// UCR response handler closure can see spans attached after setup.
-type SpanSlot = Rc<RefCell<Option<Rc<LatencySpans>>>>;
 
 enum Conn {
     Ucr(Endpoint),
@@ -362,8 +356,6 @@ struct CliInner {
     ring: Vec<(u32, usize)>,
     /// Operations issued (diagnostics).
     ops: Cell<u64>,
-    /// Latency-attribution sink, when attached (adds no virtual time).
-    spans: SpanSlot,
     /// Cross-layer event tracer (cluster-wide; adds no virtual time).
     tracer: Rc<Tracer>,
     /// Live pipelined-window occupancy (`client.nodeN.inflight`); the
@@ -415,7 +407,6 @@ impl McClient {
         let pending: PendingResponses = Rc::new(RefCell::new(HashMap::new()));
         let cancelled: CancelledIds = Rc::new(RefCell::new(HashSet::new()));
         let dir_pending: PendingDirResponses = Rc::new(RefCell::new(HashMap::new()));
-        let spans: SpanSlot = Rc::new(RefCell::new(None));
         // Resolve the RDMA fabric first: asking for RoCE on a cluster
         // whose Ethernet adapters lack it leaves `ucr` unset, and every
         // operation then fails with `McError::Disconnected` — the same
@@ -431,7 +422,6 @@ impl McClient {
                 let rt = UcrRuntime::new(fabric, node);
                 let pending2 = pending.clone();
                 let cancelled2 = cancelled.clone();
-                let spans2 = spans.clone();
                 let sim2 = world.sim().clone();
                 let tracer2 = tracer.clone();
                 rt.register_handler(
@@ -444,11 +434,7 @@ impl McClient {
                                 // instead of parking it forever.
                                 return;
                             }
-                            if let Some(sp) = spans2.borrow().as_ref() {
-                                // Response landed: wire time ends here.
-                                sp.mark(resp.req_id, Stage::ReplyWire, sim2.now());
-                            }
-                            // Profiler marker: the response-wire stage of
+                            // Response landed: the response-wire stage of
                             // the critical path ends here (detail only).
                             tracer2.instant_detail(
                                 Layer::Core,
@@ -516,7 +502,6 @@ impl McClient {
                 }),
                 ring,
                 ops: Cell::new(0),
-                spans,
                 tracer,
                 inflight_gauge: world
                     .cluster
@@ -535,14 +520,6 @@ impl McClient {
                 bypass_buf: RefCell::new(None),
             }),
         }
-    }
-
-    /// Attaches (or clears) a latency-attribution sink: every subsequent
-    /// operation records its per-stage breakdown there. Pass the same
-    /// sink to [`McServer::attach_spans`](crate::McServer::attach_spans)
-    /// so the server-side stages land in the same spans.
-    pub fn attach_spans(&self, spans: Option<Rc<LatencySpans>>) {
-        *self.inner.spans.borrow_mut() = spans;
     }
 
     /// The node this client runs on.
@@ -1160,7 +1137,6 @@ impl CliInner {
         self.next_req.set(req_id + 1);
         let ctr = rt.counter();
         let (hdr, data) = codec::ucr::encode_request(req, req_id, ctr.id());
-        self.span(|sp| sp.begin(req_id, self.sim.now()));
         self.tracer.begin(
             Layer::Core,
             "client_op",
@@ -1174,7 +1150,6 @@ impl CliInner {
             .send_message_owned(MSG_MC_REQ, &hdr.encode(), data, SendOptions::default())
             .await;
         if sent.is_err() {
-            self.span(|sp| sp.discard(req_id));
             self.end_op(req_id, 0);
             return Err(McError::Disconnected);
         }
@@ -1199,7 +1174,7 @@ impl CliInner {
     ) -> Result<Reply, McError> {
         if handle.ctr.wait_for(1, self.cfg.op_timeout).await.is_err() {
             // Server presumed dead: the corrective action of §IV-A. The
-            // op's `Drop` discards its spans and flags the request id so
+            // op's `Drop` closes its trace span and flags the request id so
             // a late-arriving response is dropped, not parked forever.
             return Err(McError::Timeout);
         }
@@ -1207,12 +1182,10 @@ impl CliInner {
         let resp = self.pending.borrow_mut().remove(&handle.req_id);
         match resp {
             Some((hdr, payload)) => {
-                self.span(|sp| sp.finish(handle.req_id, self.sim.now()));
                 self.end_op(handle.req_id, payload.len() as u64);
                 codec::ucr::decode_reply(op, keys, hdr, payload)
             }
             None => {
-                self.span(|sp| sp.discard(handle.req_id));
                 self.end_op(handle.req_id, 0);
                 Err(McError::Protocol)
             }
@@ -1510,13 +1483,6 @@ impl CliInner {
         );
     }
 
-    /// Runs `f` against the attached span sink, if any.
-    fn span(&self, f: impl FnOnce(&LatencySpans)) {
-        if let Some(sp) = self.spans.borrow().as_ref() {
-            f(sp);
-        }
-    }
-
     /// Awaits `fut` under the per-operation timeout.
     async fn timed<T>(
         &self,
@@ -1546,16 +1512,15 @@ impl CliInner {
         out
     }
 
-    /// Opens a latency span for a socket round trip. The ASCII wire has no
-    /// request id, so the span id is purely client-local. In profiler
-    /// (detail) mode the round trip also gets a `client_op` trace span, so
-    /// sockets ops appear on the critical-path stream like UCR ops do —
-    /// server-side sockets events correlate via the profiler's
-    /// single-open-op rule (the server's op-id domain is its own).
+    /// Opens the `client_op` trace span of a socket round trip. The ASCII
+    /// wire has no request id, so the span id is purely client-local, and
+    /// the span is emitted in profiler (detail) mode only: sockets ops then
+    /// appear on the critical-path stream like UCR ops do — server-side
+    /// sockets events correlate via the profiler's single-open-op rule
+    /// (the server's op-id domain is its own).
     fn begin_sock_span(&self) -> u64 {
         let span_id = self.next_req.get();
         self.next_req.set(span_id + 1);
-        self.span(|sp| sp.begin(span_id, self.sim.now()));
         self.tracer.begin_detail(
             Layer::Core,
             "client_op",
@@ -1572,7 +1537,6 @@ impl CliInner {
     /// socket send path): client-side serialization — the issue stage of
     /// the critical path — ends here (the profiler marker is detail only).
     fn op_sent(&self, span_id: u64) {
-        self.span(|sp| sp.mark(span_id, Stage::ClientSerialize, self.sim.now()));
         self.tracer.instant_detail(
             Layer::Core,
             "client_sent",
@@ -1584,15 +1548,11 @@ impl CliInner {
         );
     }
 
-    /// Closes (or abandons) a socket round-trip span: the response is
-    /// fully parsed, so reply-wire time ends here and the residue is the
-    /// client completion stage.
+    /// Closes (or abandons) a socket round-trip span: on success the
+    /// response is fully parsed, so the response-wire stage ends here and
+    /// the residue is the client completion stage.
     fn close_sock_span(&self, span_id: u64, ok: bool) {
         if ok {
-            self.span(|sp| {
-                sp.mark(span_id, Stage::ReplyWire, self.sim.now());
-                sp.finish(span_id, self.sim.now());
-            });
             self.tracer.instant_detail(
                 Layer::Core,
                 "client_reply",
@@ -1602,8 +1562,6 @@ impl CliInner {
                 0,
                 self.sim.now(),
             );
-        } else {
-            self.span(|sp| sp.discard(span_id));
         }
         self.tracer.end_detail(
             Layer::Core,
@@ -1631,7 +1589,7 @@ impl CliInner {
     /// Pipelined ASCII round trips: writes up to `depth` commands ahead
     /// of the reads and parses the FIFO responses with a persistent
     /// buffer (one read may deliver the tail of response N glued to the
-    /// head of response N+1). Per-op latency spans are not recorded —
+    /// head of response N+1). Per-op `client_op` spans are not emitted —
     /// overlapping requests have no single wire residence to attribute.
     /// Every failure evicts the connection: the response stream is out of
     /// sync with the writes, so it cannot be reused.

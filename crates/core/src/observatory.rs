@@ -37,7 +37,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use mcstore::ClassId;
-use simnet::metrics::{Histogram, Metrics, STAGE_COUNT};
+use simnet::metrics::{Histogram, Metrics};
 use simnet::sketch::{hash_key, SketchConfig, WorkloadSketch};
 use simnet::{ExemplarConfig, ExemplarRing, SimDuration, SimTime, SloSpec, SloTracker};
 
@@ -195,17 +195,8 @@ impl WorkloadObservatory {
         if let Some(slo) = self.slo(op) {
             slo.record(service, at);
         }
-        self.ring.offer(
-            &hist,
-            &name,
-            op,
-            hash_key(key),
-            bytes,
-            service,
-            req_id,
-            [SimDuration::default(); STAGE_COUNT],
-            at,
-        );
+        self.ring
+            .offer(&hist, &name, op, hash_key(key), bytes, service, req_id, at);
     }
 
     /// Publishes the sketch-derived gauges (called before a metrics

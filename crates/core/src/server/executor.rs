@@ -13,7 +13,7 @@ use std::ops::Range;
 use std::rc::Rc;
 
 use mcstore::{NumericError, SegmentedStore, SetOutcome, ShardRouter, Value};
-use simnet::metrics::{LatencySpans, Metrics, Stage};
+use simnet::metrics::Metrics;
 use simnet::trace::{Event, Layer, Phase, Track};
 use simnet::vlock::{VLock, VLockGuard, VLockMeters, VLockStats};
 use simnet::{NodeId, Sim, SimDuration, SimTime, Tracer};
@@ -31,15 +31,15 @@ use crate::world::World;
 /// closed under this one name.
 const SERVICE_SPAN: &str = "worker_service";
 
-/// How a front-end names a request in the span and trace streams.
+/// How a front-end names a request on the trace stream.
 #[derive(Clone, Copy)]
 pub(super) enum OpId {
-    /// UCR: the request id on the wire. Latency marks are keyed by it and
-    /// the service span is always emitted.
+    /// UCR: the request id on the wire, the same id the client's
+    /// `client_op` span carries. Always traced.
     Wire(u64),
     /// Sockets: the wire carries no id, so this is a server-local span
-    /// key. Latency marks attribute to the single open client op and the
-    /// service span is emitted in detail (profiler) mode only.
+    /// key (the profiler attributes it to the single open client op),
+    /// traced in detail (profiler) mode only.
     Local(u64),
 }
 
@@ -76,8 +76,6 @@ pub(super) struct Executor {
     pub(super) counters: SrvStats,
     /// UCR runtimes, `[ib, roce]`, once listening.
     pub(super) fabrics: [RefCell<Option<UcrRuntime>>; 2],
-    /// Latency-attribution sink, when attached (adds no virtual time).
-    pub(super) spans: RefCell<Option<Rc<LatencySpans>>>,
     /// Cross-layer event tracer (cluster-wide; adds no virtual time).
     pub(super) tracer: Rc<Tracer>,
     /// Cluster metrics registry (adds no virtual time).
@@ -133,7 +131,6 @@ impl Executor {
             sim,
             counters: SrvStats::default(),
             fabrics: Default::default(),
-            spans: RefCell::new(None),
             gauges: StoreGauges::new(&metrics, node),
             observatory: config
                 .observatory
@@ -334,60 +331,39 @@ impl Executor {
         BASE_UNIX_TIME + self.sim.now().as_secs_f64() as u32
     }
 
-    /// Records a stage boundary of request `id` in both telemetry streams.
-    /// A wire id keys the latency mark and is always traced; a local id
-    /// attributes the mark to the single open client op and is traced in
-    /// detail (profiler) mode only.
+    /// Emits a stage boundary of request `id` on the trace stream: a wire
+    /// id always, a local id in detail (profiler) mode only.
     pub(super) fn mark(
         &self,
         id: OpId,
-        stage: Stage,
         phase: Phase,
         name: &'static str,
         track: Track,
         bytes: u64,
     ) {
-        let at = self.sim.now();
-        let (op, traced) = match id {
-            OpId::Wire(op) => {
-                self.span(|sp| sp.mark(op, stage, at));
-                (op, true)
-            }
-            OpId::Local(op) => {
-                self.span(|sp| sp.mark_open(stage, at));
-                (op, self.tracer.detail())
-            }
-        };
-        if traced {
+        if matches!(id, OpId::Wire(_)) || self.tracer.detail() {
             self.tracer.emit(Event {
                 layer: Layer::Core,
                 name,
                 phase,
                 node: Some(self.node),
                 track,
-                op,
+                op: id.key(),
                 bytes,
-                at,
+                at: self.sim.now(),
             });
         }
     }
 
     /// Opens a worker's service window for one request (or one part of a
-    /// scattered multiget): the dispatch wait ends here.
+    /// scattered multiget): the worker-queue stage ends here.
     pub(super) fn begin(&self, id: OpId, track: Track, bytes: u64) -> SimTime {
-        self.mark(
-            id,
-            Stage::DispatchWait,
-            Phase::Begin,
-            SERVICE_SPAN,
-            track,
-            bytes,
-        );
+        self.mark(id, Phase::Begin, SERVICE_SPAN, track, bytes);
         self.sim.now()
     }
 
     /// Closes the service window opened at `started`: the per-op service
-    /// times, the span marks, and — given the `(key, bytes moved)` to
+    /// times, the span end, and — given the `(key, bytes moved)` to
     /// attribute it to — the observatory's SLO and exemplar feed.
     pub(super) fn finish(
         &self,
@@ -409,21 +385,7 @@ impl Executor {
         if let (Some(obs), Some((key, moved))) = (self.observatory.as_ref(), observe) {
             obs.observe_service(label, key, moved, service, id.key(), now);
         }
-        self.mark(
-            id,
-            Stage::WorkerService,
-            Phase::End,
-            SERVICE_SPAN,
-            track,
-            bytes,
-        );
-    }
-
-    /// Runs `f` against the attached span sink, if any.
-    pub(super) fn span(&self, f: impl FnOnce(&LatencySpans)) {
-        if let Some(sp) = self.spans.borrow().as_ref() {
-            f(sp);
-        }
+        self.mark(id, Phase::End, SERVICE_SPAN, track, bytes);
     }
 
     /// Propagates store mutations to the bypass mirrors: drains the slab

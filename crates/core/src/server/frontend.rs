@@ -14,7 +14,6 @@ use mcproto::{
     Response, UdpFrame, MAGIC_REQUEST,
 };
 use mcstore::Value;
-use simnet::metrics::Stage;
 use simnet::trace::{Phase, Track};
 use socksim::{DgramSocket, Socket};
 use ucr::{AmData, AmHandler, Endpoint, SendOptions};
@@ -60,15 +59,8 @@ impl SrvInner {
     /// A request has landed and is decoded: the request-wire stage ends at
     /// the dispatch hand-off.
     fn mark_dispatch(&self, id: OpId, bytes: u64) {
-        let exec = &self.exec;
-        exec.mark(
-            id,
-            Stage::RequestWire,
-            Phase::Instant,
-            "dispatch",
-            Track::Main,
-            bytes,
-        );
+        self.exec
+            .mark(id, Phase::Instant, "dispatch", Track::Main, bytes);
         self.count(match id {
             OpId::Wire(_) => &self.exec.counters.ucr_requests,
             OpId::Local(_) => &self.exec.counters.sock_requests,
@@ -181,8 +173,8 @@ async fn serve_ucr_mget_part(
 ) {
     let (exec, req) = (&srv.exec, &merge.req);
     let (id, track) = (OpId::Wire(req.req_id), Track::Worker(widx));
-    // Stage marks accumulate deltas per stage, so marking once per part
-    // attributes each part's queueing and service into the shared span.
+    // One `worker_service` span per part under the shared request id: the
+    // profiler takes the earliest begin and the latest end.
     let started = exec.begin(id, track, idxs.len() as u64);
     exec.charge_fixed().await;
     let mut hits = Vec::with_capacity(idxs.len());

@@ -29,7 +29,6 @@ use std::rc::{Rc, Weak};
 
 use mcproto::{BinFrame, Command};
 use mcstore::StoreConfig;
-use simnet::metrics::LatencySpans;
 use simnet::sync::{self, Receiver, Sender};
 use simnet::{NodeId, Sim, Stack};
 use socksim::{DgramSocket, Socket};
@@ -323,14 +322,6 @@ impl McServer {
     /// monitor).
     pub fn observatory(&self) -> Option<Rc<WorkloadObservatory>> {
         self.inner.exec.observatory.clone()
-    }
-
-    /// Attaches (or clears) a latency-attribution sink. Use the same sink
-    /// as the client's [`McClient::attach_spans`](crate::McClient::
-    /// attach_spans) so server-side stages (request-wire end, dispatch
-    /// wait, worker service) land in the same per-operation spans.
-    pub fn attach_spans(&self, spans: Option<Rc<LatencySpans>>) {
-        *self.inner.exec.spans.borrow_mut() = spans;
     }
 
     /// Stops accepting and serving. UCR endpoints fail over to their error

@@ -78,10 +78,6 @@ fn general(exec: &Executor, store: &mut SegmentedStore) -> Pairs {
     if let Some(rt) = exec.fabrics[0].borrow().as_ref() {
         out.extend(rt.stats().report());
     }
-    // Per-stage latency attribution, when a span sink is attached.
-    if let Some(sp) = exec.spans.borrow().as_ref() {
-        out.extend(sp.report());
-    }
     // Per-operation worker service-time summaries.
     let times = exec.op_times.borrow();
     let mut labels: Vec<&&str> = times.keys().collect();

@@ -182,6 +182,54 @@ fn flush_all_invalidates_every_published_descriptor() {
 }
 
 #[test]
+fn delayed_flush_retires_descriptors_fetched_before_its_deadline() {
+    let world = World::cluster_a(77, 8);
+    let _server = McServer::start(&world, SRV, McServerConfig::default());
+    let c = bypass_client(&world);
+    let sim = world.sim().clone();
+    sim.block_on(async move {
+        c.set(b"doomed", b"still-here", 0, 0).await.unwrap();
+        // Items stored within the flush's own second are spared.
+        world.sim().sleep(SimDuration::from_secs(1)).await;
+
+        // `flush_all 2`, which the client API cannot express, over a raw
+        // ASCII connection.
+        let addr = socksim::SocketAddr {
+            node: SRV,
+            port: 11211,
+        };
+        let timeout = SimDuration::from_millis(250);
+        let raw = world
+            .socks
+            .connect(Stack::TenGigEToe, NodeId(2), addr, timeout)
+            .await
+            .unwrap();
+        raw.write_all(b"flush_all 2\r\n").await.unwrap();
+        assert_eq!(raw.read(64).await.unwrap(), b"OK\r\n");
+        raw.close();
+
+        // The request bumped the version, so this get re-fetches the
+        // descriptor — between the request and the deadline, when the
+        // item is still live.
+        let rt = c.ucr_runtime().unwrap();
+        let v = c.get(b"doomed").await.unwrap().unwrap();
+        assert_eq!(v.data, b"still-here");
+        let reads = rt.stats().bypass_reads.get();
+        assert!(reads >= 1, "the hit was a one-sided read");
+
+        // Nothing bumps versions at the deadline: the re-cached
+        // descriptor has to know when it dies.
+        world.sim().sleep(SimDuration::from_secs(3)).await;
+        assert_eq!(c.get(b"doomed").await.unwrap(), None, "stale read");
+        assert_eq!(
+            rt.stats().bypass_reads.get(),
+            reads,
+            "no one-sided read of the dead value"
+        );
+    });
+}
+
+#[test]
 fn slab_migration_falls_back_then_republishes() {
     for (name, world) in worlds() {
         let _server = McServer::start(&world, SRV, McServerConfig::default());

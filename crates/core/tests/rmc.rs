@@ -6,7 +6,7 @@
 use rmc::{
     Distribution, McClient, McClientConfig, McError, McServer, McServerConfig, Transport, World,
 };
-use simnet::{NodeId, SimDuration, Stack};
+use simnet::{EventRecorder, Layer, NodeId, SimDuration, Stack, Tracer};
 
 const SRV: NodeId = NodeId(0);
 const CLI: NodeId = NodeId(1);
@@ -840,8 +840,45 @@ fn stats_subreports_expose_slabs_and_items() {
 }
 
 // ---------------------------------------------------------------------
-// Protocol efficiency: fabric message counts (network tracing)
+// Protocol efficiency: fabric message counts (tracer wire events)
 // ---------------------------------------------------------------------
+
+/// One fabric message, rebuilt from its `wire_tx`/`wire_rx` event pair.
+#[derive(Debug)]
+struct WireMsg {
+    src: NodeId,
+    dst: NodeId,
+    bytes: u64,
+}
+
+/// Starts recording the cluster's trace stream.
+fn record_wire(tracer: &Tracer) -> std::rc::Rc<EventRecorder> {
+    let rec = EventRecorder::new();
+    tracer.add_sink(rec.clone());
+    rec
+}
+
+/// Drains the fabric messages `rec` saw: `Network::transmit` reports each
+/// as one `Layer::Wire` pair, `wire_tx` on the sender then `wire_rx` on
+/// the receiver.
+fn take_wire(rec: &EventRecorder) -> Vec<WireMsg> {
+    let wire: Vec<_> = rec
+        .take()
+        .into_iter()
+        .filter(|e| e.layer == Layer::Wire)
+        .collect();
+    wire.chunks(2)
+        .map(|pair| {
+            assert_eq!((pair[0].name, pair[1].name), ("wire_tx", "wire_rx"));
+            assert_eq!(pair[0].bytes, pair[1].bytes);
+            WireMsg {
+                src: pair[0].node.unwrap(),
+                dst: pair[1].node.unwrap(),
+                bytes: pair[0].bytes,
+            }
+        })
+        .collect()
+}
 
 #[test]
 fn ucr_get_costs_exactly_two_fabric_messages() {
@@ -850,13 +887,13 @@ fn ucr_get_costs_exactly_two_fabric_messages() {
     let world = world_b();
     let _server = McServer::start(&world, SRV, McServerConfig::default());
     let c = client(&world, Transport::Ucr);
-    let ib = world.cluster.ib().clone();
+    let tracer = world.cluster.tracer().clone();
     world.sim().block_on(async move {
         c.set(b"k", &vec![1u8; 512], 0, 0).await.unwrap();
         c.get(b"k").await.unwrap().unwrap(); // warm
-        ib.set_trace(true);
+        let rec = record_wire(&tracer);
         c.get(b"k").await.unwrap().unwrap();
-        let trace = ib.take_trace();
+        let trace = take_wire(&rec);
         assert_eq!(
             trace.len(),
             2,
@@ -877,12 +914,12 @@ fn ucr_large_set_uses_rendezvous_message_pattern() {
     let world = world_b();
     let _server = McServer::start(&world, SRV, McServerConfig::default());
     let c = client(&world, Transport::Ucr);
-    let ib = world.cluster.ib().clone();
+    let tracer = world.cluster.tracer().clone();
     world.sim().block_on(async move {
         c.set(b"warm", b"x", 0, 0).await.unwrap();
-        ib.set_trace(true);
+        let rec = record_wire(&tracer);
         c.set(b"big", &vec![7u8; 64 * 1024], 0, 0).await.unwrap();
-        let trace = ib.take_trace();
+        let trace = take_wire(&rec);
         assert_eq!(trace.len(), 5, "rendezvous set message pattern: {trace:#?}");
         // Exactly one transfer carries the bulk data, flowing toward the
         // server (the RDMA read response).
@@ -900,17 +937,14 @@ fn wire_overhead_is_fixed_for_ucr_and_grows_for_sockets() {
     // grows with the value — one face of the semantic mismatch (SIII).
     fn overhead(world: &World, transport: Transport, size: u64) -> i64 {
         let c = client(world, transport);
-        let net = match transport.stack().net() {
-            simnet::NetKind::Ib => world.cluster.ib().clone(),
-            k => world.cluster.network(k).unwrap().clone(),
-        };
+        let tracer = world.cluster.tracer().clone();
         world.sim().block_on(async move {
             c.set(b"k", &vec![1u8; size as usize], 0, 0).await.unwrap();
             c.get(b"k").await.unwrap().unwrap();
-            net.set_trace(true);
+            let rec = record_wire(&tracer);
             c.get(b"k").await.unwrap().unwrap();
-            let total: u64 = net.take_trace().iter().map(|t| t.bytes).sum();
-            net.set_trace(false);
+            let total: u64 = take_wire(&rec).iter().map(|t| t.bytes).sum();
+            tracer.clear_sinks();
             total as i64 - size as i64
         })
     }

@@ -25,7 +25,7 @@
 //!   positive.
 //!
 //! The soundness caveats of lexical name resolution are documented in
-//! DESIGN.md §16; every interprocedural rule (R1v2/R3v2/R6/R7) states
+//! DESIGN.md §13; every interprocedural rule (R1v2/R3v2/R6/R7) states
 //! which direction it errs in.
 
 use std::collections::{BTreeMap, BTreeSet};

@@ -589,8 +589,8 @@ pub(crate) struct SpanSite {
 
 /// Finds every tracer-span emission in a token stream. Recognition is
 /// by shape: a `begin`/`end`(`_detail`) method call whose first argument
-/// is a `Layer::…` placement (`LatencySpans::begin(op, now)` and other
-/// `begin`s never start with `Layer`).
+/// is a `Layer::…` placement (the tracer's emission helpers are the only
+/// `begin`/`end` methods that start with `Layer`).
 pub(crate) fn span_sites(toks: &[Token]) -> Vec<SpanSite> {
     let punct = |i: usize, c: char| {
         toks.get(i)

@@ -8,6 +8,6 @@ pub fn spans(tr: &Tracer, node: NodeId, wr: u64, at: SimTime) {
     tr.end(Layer::Ucr, "orphan_end", node, Track::Main, wr, 0, at);
     tr.begin(Layer::Ucr, "zero_key", node, Track::Main, 0, 0, at);
     tr.end(Layer::Ucr, "zero_key", node, Track::Main, wr, 0, at);
-    // Not a tracer span: LatencySpans::begin takes no Layer argument.
-    sp.begin(req_id, at);
+    // Not a tracer span: this `begin` takes no Layer argument.
+    txn.begin(req_id, at);
 }

@@ -2,8 +2,9 @@
 //! tail" records.
 //!
 //! A p99 number says the tail exists; an exemplar says *which* request it
-//! was — its op, key hash, payload size, per-stage breakdown, and the
-//! span id that finds it on the cross-layer trace timeline. Capture is
+//! was — its op, key hash, payload size, and the span id that finds it on
+//! the cross-layer trace timeline (and, once the op retires under a
+//! profiler, its critical-path breakdown). Capture is
 //! quantile-gated: a completed operation is recorded only when its
 //! latency reaches the configured quantile of the histogram it feeds
 //! (evaluated against the live distribution, so the gate adapts as the
@@ -15,7 +16,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use crate::metrics::{Histogram, STAGE_COUNT};
+use crate::metrics::Histogram;
 use crate::time::{SimDuration, SimTime};
 
 /// Default ring capacity.
@@ -60,11 +61,8 @@ pub struct Exemplar {
     /// Virtual time of completion.
     pub at: SimTime,
     /// Correlation id (`req_id`): the `op` field of the matching tracer
-    /// spans (`client_op`, `worker_service`) and latency spans.
+    /// spans (`client_op`, `worker_service`).
     pub span_id: u64,
-    /// Per-stage breakdown when captured via [`crate::LatencySpans`]
-    /// (all zero at capture points without one).
-    pub stages: [SimDuration; STAGE_COUNT],
     /// Registry name of the histogram this record exemplifies.
     pub hist: String,
     /// The op's critical-path decomposition, filled in by an attached
@@ -120,7 +118,6 @@ impl ExemplarRing {
         bytes: u64,
         latency: SimDuration,
         span_id: u64,
-        stages: [SimDuration; STAGE_COUNT],
         at: SimTime,
     ) -> bool {
         self.seen.set(self.seen.get() + 1);
@@ -139,7 +136,6 @@ impl ExemplarRing {
             threshold,
             at,
             span_id,
-            stages,
             hist: hist_name.to_string(),
             path: None,
         });
@@ -255,27 +251,16 @@ mod tests {
             min_samples: 10,
         });
         let hist = Histogram::new();
-        let zero = [SimDuration::default(); STAGE_COUNT];
         // Below min_samples: even a huge latency is not captured.
         hist.record(us(1000));
-        assert!(!ring.offer(&hist, "h", "get", 1, 4, us(1000), 7, zero, SimTime::ZERO));
+        assert!(!ring.offer(&hist, "h", "get", 1, 4, us(1000), 7, SimTime::ZERO));
         // Populate a tight distribution, then offer a tail sample.
         for _ in 0..20 {
             hist.record(us(10));
         }
-        assert!(!ring.offer(&hist, "h", "get", 1, 4, us(9), 8, zero, SimTime::ZERO));
+        assert!(!ring.offer(&hist, "h", "get", 1, 4, us(9), 8, SimTime::ZERO));
         hist.record(us(500));
-        assert!(ring.offer(
-            &hist,
-            "h",
-            "get",
-            2,
-            4,
-            us(500),
-            9,
-            zero,
-            SimTime::from_nanos(5)
-        ));
+        assert!(ring.offer(&hist, "h", "get", 2, 4, us(500), 9, SimTime::from_nanos(5)));
         let snap = ring.snapshot();
         assert_eq!(snap.len(), 1);
         assert!(snap[0].latency >= snap[0].threshold);
@@ -291,7 +276,6 @@ mod tests {
             quantile: 0.5,
             min_samples: 0,
         });
-        let zero = [SimDuration::default(); STAGE_COUNT];
         for i in 0..10u64 {
             ring.push(Exemplar {
                 op: "get",
@@ -301,7 +285,6 @@ mod tests {
                 threshold: us(0),
                 at: SimTime::ZERO,
                 span_id: i,
-                stages: zero,
                 hist: "h".to_string(),
                 path: None,
             });

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use crate::engine::Sim;
-use crate::metrics::{Metrics, TraceEvent, TraceKind, TraceSubscriber};
+use crate::metrics::Metrics;
 use crate::profiles::{ClusterProfile, NetKind};
 use crate::resource::FifoResource;
 use crate::time::{SimDuration, SimTime};
@@ -48,21 +48,6 @@ struct Port {
     ingress: FifoResource,
 }
 
-/// A recorded transfer (tracing enabled via [`Network::set_trace`]).
-#[derive(Clone, Copy, Debug)]
-pub struct Transfer {
-    /// Sender.
-    pub src: NodeId,
-    /// Receiver.
-    pub dst: NodeId,
-    /// Payload + protocol bytes on the wire.
-    pub bytes: u64,
-    /// When the transfer was handed to the network.
-    pub start: SimTime,
-    /// When the last bit arrived.
-    pub delivered: SimTime,
-}
-
 /// One physical network: a full-duplex port per node plus a switch.
 pub struct Network {
     kind: NetKind,
@@ -70,8 +55,6 @@ pub struct Network {
     propagation: SimDuration,
     mtu: u32,
     ports: Vec<Port>,
-    trace: std::cell::RefCell<Option<Vec<Transfer>>>,
-    subscriber: std::cell::RefCell<Option<Rc<dyn TraceSubscriber>>>,
     tracer: Rc<Tracer>,
 }
 
@@ -102,35 +85,8 @@ impl Network {
             propagation: link.propagation,
             mtu: link.mtu,
             ports,
-            trace: std::cell::RefCell::new(None),
-            subscriber: std::cell::RefCell::new(None),
             tracer,
         }
-    }
-
-    /// Enables (or disables) transfer tracing. Tracing records every
-    /// message crossing this network — protocol-efficiency tests assert
-    /// on the counts (e.g. a UCR eager get is exactly two IB messages).
-    pub fn set_trace(&self, on: bool) {
-        *self.trace.borrow_mut() = on.then(Vec::new);
-    }
-
-    /// Drains and returns the recorded transfers.
-    pub fn take_trace(&self) -> Vec<Transfer> {
-        self.trace
-            .borrow_mut()
-            .as_mut()
-            .map(std::mem::take)
-            .unwrap_or_default()
-    }
-
-    /// Attaches (or clears) a structured trace subscriber. Unlike
-    /// [`set_trace`](Network::set_trace)'s buffered transfer log, the
-    /// subscriber sees each wire event as a typed [`TraceEvent`] the
-    /// moment the transfer is submitted — the hook tests and the latency
-    /// attribution layer build on.
-    pub fn set_subscriber(&self, sub: Option<Rc<dyn TraceSubscriber>>) {
-        *self.subscriber.borrow_mut() = sub;
     }
 
     /// Which physical network this is.
@@ -162,6 +118,10 @@ impl Network {
     /// receiver's ingress port is then occupied for the serialization time
     /// (cut-through, so an uncontended transfer costs `ser + propagation`
     /// once, not twice, while ingress contention still queues).
+    ///
+    /// Each message reaches the cluster [`Tracer`] as one `wire_tx`/`wire_rx`
+    /// instant pair stamped with its computed times — what the
+    /// protocol-efficiency tests count (a UCR eager get is exactly two).
     pub fn transmit(
         &self,
         sim: &Sim,
@@ -181,31 +141,6 @@ impl Network {
             .occupy_from(arrival_start, ser);
         // The ingress port cannot finish before the last bit left the wire.
         let delivered = delivered.max(egress_done + self.propagation);
-        if let Some(t) = self.trace.borrow_mut().as_mut() {
-            t.push(Transfer {
-                src,
-                dst,
-                bytes,
-                start,
-                delivered,
-            });
-        }
-        if let Some(sub) = self.subscriber.borrow().as_ref() {
-            sub.event(&TraceEvent {
-                kind: TraceKind::WireTx,
-                node: Some(src),
-                peer: Some(dst),
-                bytes,
-                at: egress_start,
-            });
-            sub.event(&TraceEvent {
-                kind: TraceKind::WireRx,
-                node: Some(dst),
-                peer: Some(src),
-                bytes,
-                at: delivered,
-            });
-        }
         self.tracer.instant(
             trace::Layer::Wire,
             "wire_tx",
@@ -349,14 +284,6 @@ impl Cluster {
     /// recorder lives inside it. See [`trace`](crate::trace).
     pub fn tracer(&self) -> &Rc<Tracer> {
         &self.tracer
-    }
-
-    /// Attaches (or clears) one structured trace subscriber on every
-    /// physical network of the cluster.
-    pub fn set_subscriber(&self, sub: Option<Rc<dyn TraceSubscriber>>) {
-        for net in self.networks.values() {
-            net.set_subscriber(sub.clone());
-        }
     }
 
     /// The whole metrics registry rendered in Prometheus text exposition

@@ -54,10 +54,8 @@ pub mod vlock;
 
 pub use engine::{JoinHandle, Sim, TaskId};
 pub use exemplar::{Exemplar, ExemplarConfig, ExemplarRing};
-pub use fabric::{Cluster, Network, Node, NodeId, Transfer};
-pub use metrics::{
-    LatencySpans, Metrics, Stage, TraceEvent, TraceKind, TraceRecorder, TraceSubscriber,
-};
+pub use fabric::{Cluster, Network, Node, NodeId};
+pub use metrics::Metrics;
 pub use profiler::{
     AuditReport, CriticalPath, PathStage, Profiler, ProfilerConfig, WindowReport, PATH_STAGE_COUNT,
 };

@@ -1,31 +1,23 @@
-//! Metrics and latency attribution.
+//! Metrics primitives and the named registry.
 //!
 //! The paper justifies its design by *decomposing* per-message cost: §VI-D
 //! attributes the request-rate gap to which server resource saturates (HCA
-//! work-request pipeline vs kernel protocol processing), and the latency
-//! discussion splits an operation into serialize / wire / dispatch /
-//! service stages. This module builds that decomposition into the stack as
-//! a first-class observability layer:
+//! work-request pipeline vs kernel protocol processing). This module holds
+//! the instruments that decomposition is published through:
 //!
 //! * [`Counter`] / [`Gauge`] / [`Histogram`] — `Cell`/`RefCell`-based
 //!   primitives (the simulation is single-threaded) with percentile
 //!   summaries over **virtual** time;
-//! * [`Metrics`] — a named registry producing `stats`-style reports;
-//! * [`Stage`] / [`LatencySpans`] — per-request stage timestamping whose
-//!   invariant is checked by the cross-layer attribution test: the
-//!   per-stage breakdown of an operation sums *exactly* to its end-to-end
-//!   latency, because stages are deltas between consecutive boundary
-//!   timestamps on one virtual clock;
-//! * [`TraceSubscriber`] / [`TraceRecorder`] — a structured event stream
-//!   generalizing `Network::set_trace`: wire transfers and stage crossings
-//!   as typed events carrying node, byte count, and virtual timestamp.
+//! * [`Metrics`] — a named registry producing `stats`-style reports.
+//!
+//! Per-request stage attribution is the [`Profiler`](crate::profiler)'s
+//! job, fed by the [`Tracer`](crate::trace) event stream.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use crate::fabric::NodeId;
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 // ---------------------------------------------------------------------
 // Primitives
@@ -431,376 +423,9 @@ impl Metrics {
     }
 }
 
-// ---------------------------------------------------------------------
-// Latency attribution: stages and spans
-// ---------------------------------------------------------------------
-
-/// The per-request pipeline stages of one memcached operation, in
-/// timeline order (the §VI-D decomposition).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
-pub enum Stage {
-    /// Client-side request build + staging copy into the comm buffer.
-    ClientSerialize = 0,
-    /// Request on the wire: egress queueing, serialization, propagation,
-    /// and receive-side protocol processing up to dispatch.
-    RequestWire = 1,
-    /// Queued at the server waiting for the connection's worker.
-    DispatchWait = 2,
-    /// Worker service: parse, hash-table work, memcpy, store execution.
-    WorkerService = 3,
-    /// Response on the wire back to the client.
-    ReplyWire = 4,
-    /// Client-side wakeup and response decode.
-    ClientComplete = 5,
-}
-
-/// Number of stages.
-pub const STAGE_COUNT: usize = 6;
-
-impl Stage {
-    /// All stages, in timeline order.
-    pub const ALL: [Stage; STAGE_COUNT] = [
-        Stage::ClientSerialize,
-        Stage::RequestWire,
-        Stage::DispatchWait,
-        Stage::WorkerService,
-        Stage::ReplyWire,
-        Stage::ClientComplete,
-    ];
-
-    /// Snake-case label used in reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            Stage::ClientSerialize => "client_serialize",
-            Stage::RequestWire => "request_wire",
-            Stage::DispatchWait => "dispatch_wait",
-            Stage::WorkerService => "worker_service",
-            Stage::ReplyWire => "reply_wire",
-            Stage::ClientComplete => "client_complete",
-        }
-    }
-}
-
-struct OpenSpan {
-    started: SimTime,
-    last: SimTime,
-    stages: [SimDuration; STAGE_COUNT],
-}
-
-/// Per-stage latency attribution for a stream of requests.
-///
-/// The client side calls [`begin`](LatencySpans::begin) when an operation
-/// starts and [`finish`](LatencySpans::finish) when it returns; each layer
-/// the request crosses calls [`mark`](LatencySpans::mark) (by operation
-/// id) or [`mark_open`](LatencySpans::mark_open) (server side of protocols
-/// that do not carry the id, valid while a single operation is in flight).
-/// A mark attributes the time since the previous boundary to the given
-/// stage, so per-operation stage durations sum to the end-to-end latency
-/// *by construction* — the invariant the cross-layer test checks.
-///
-/// Spans add no virtual time: attaching them never perturbs a simulation.
-#[derive(Default)]
-pub struct LatencySpans {
-    open: RefCell<HashMap<u64, OpenSpan>>,
-    stages: [Histogram; STAGE_COUNT],
-    end_to_end: Histogram,
-    subscriber: RefCell<Option<Rc<dyn TraceSubscriber>>>,
-    exemplars: RefCell<Option<Rc<crate::exemplar::ExemplarRing>>>,
-}
-
-impl LatencySpans {
-    /// An empty span sink, ready to attach to a client and a server.
-    pub fn new() -> Rc<LatencySpans> {
-        Rc::new(LatencySpans::default())
-    }
-
-    /// Forwards every stage crossing as a [`TraceEvent`] too.
-    pub fn set_subscriber(&self, sub: Option<Rc<dyn TraceSubscriber>>) {
-        *self.subscriber.borrow_mut() = sub;
-    }
-
-    /// Attaches a tail-latency exemplar ring: every finished span whose
-    /// end-to-end latency clears the ring's quantile gate is captured
-    /// with its full per-stage breakdown and the operation id as span
-    /// correlation key.
-    pub fn set_exemplars(&self, ring: Option<Rc<crate::exemplar::ExemplarRing>>) {
-        *self.exemplars.borrow_mut() = ring;
-    }
-
-    /// Opens the span for operation `op` at `now`.
-    pub fn begin(&self, op: u64, now: SimTime) {
-        self.open.borrow_mut().insert(
-            op,
-            OpenSpan {
-                started: now,
-                last: now,
-                stages: [SimDuration::ZERO; STAGE_COUNT],
-            },
-        );
-    }
-
-    /// Attributes the time since the previous boundary of `op` to `stage`.
-    /// Unknown ids are ignored (spans may be attached mid-stream).
-    pub fn mark(&self, op: u64, stage: Stage, now: SimTime) {
-        let mut open = self.open.borrow_mut();
-        let Some(span) = open.get_mut(&op) else {
-            return;
-        };
-        span.stages[stage as usize] += now.saturating_since(span.last);
-        span.last = now;
-        drop(open);
-        self.emit_stage(op, stage, now);
-    }
-
-    /// Like [`mark`](LatencySpans::mark), for instrumentation points that
-    /// cannot see the operation id (e.g. the server side of the ASCII
-    /// protocol, which has no request identifier on the wire). Applies
-    /// only when exactly one span is open — with concurrent operations
-    /// the attribution would be ambiguous, so it is skipped.
-    pub fn mark_open(&self, stage: Stage, now: SimTime) {
-        let op = {
-            let open = self.open.borrow();
-            if open.len() != 1 {
-                return;
-            }
-            *open.keys().next().expect("len checked")
-        };
-        self.mark(op, stage, now);
-    }
-
-    /// Closes the span for `op` at `now`: the residue since the last
-    /// boundary goes to [`Stage::ClientComplete`], and the whole
-    /// operation is recorded in every stage histogram plus end-to-end.
-    pub fn finish(&self, op: u64, now: SimTime) {
-        let span = { self.open.borrow_mut().remove(&op) };
-        let Some(mut span) = span else { return };
-        span.stages[Stage::ClientComplete as usize] += now.saturating_since(span.last);
-        for (i, h) in self.stages.iter().enumerate() {
-            h.record(span.stages[i]);
-        }
-        let e2e = now.saturating_since(span.started);
-        self.end_to_end.record(e2e);
-        if let Some(ring) = self.exemplars.borrow().as_ref() {
-            ring.offer(
-                &self.end_to_end,
-                "latency.end_to_end",
-                "e2e",
-                0,
-                0,
-                e2e,
-                op,
-                span.stages,
-                now,
-            );
-        }
-        self.emit_stage(op, Stage::ClientComplete, now);
-    }
-
-    /// Abandons the span for `op` (operation timed out or failed).
-    pub fn discard(&self, op: u64) {
-        self.open.borrow_mut().remove(&op);
-    }
-
-    /// The histogram of one stage.
-    pub fn stage(&self, stage: Stage) -> &Histogram {
-        &self.stages[stage as usize]
-    }
-
-    /// The end-to-end latency histogram.
-    pub fn end_to_end(&self) -> &Histogram {
-        &self.end_to_end
-    }
-
-    /// Mean of each stage, microseconds, in [`Stage::ALL`] order.
-    pub fn stage_means_us(&self) -> [f64; STAGE_COUNT] {
-        let mut out = [0.0; STAGE_COUNT];
-        for (i, h) in self.stages.iter().enumerate() {
-            out[i] = h.mean().as_micros_f64();
-        }
-        out
-    }
-
-    /// Sum of the per-stage means, microseconds. Equals the end-to-end
-    /// mean up to integer-nanosecond division (the attribution invariant).
-    pub fn sum_of_stage_means_us(&self) -> f64 {
-        self.stage_means_us().iter().sum()
-    }
-
-    /// Completed operations recorded.
-    pub fn completed(&self) -> u64 {
-        self.end_to_end.count()
-    }
-
-    /// Renders the attribution as `stats`-style lines
-    /// (`latency.<stage>.{mean_us,p99_us}` plus end-to-end).
-    pub fn report(&self) -> Vec<(String, String)> {
-        let mut out = Vec::new();
-        let mut push = |name: String, s: HistogramSummary| {
-            out.push((
-                format!("{name}.mean_us"),
-                format!("{:.3}", s.mean.as_micros_f64()),
-            ));
-            out.push((
-                format!("{name}.p99_us"),
-                format!("{:.3}", s.p99.as_micros_f64()),
-            ));
-        };
-        for stage in Stage::ALL {
-            push(
-                format!("latency.{}", stage.label()),
-                self.stage(stage).summary(),
-            );
-        }
-        push("latency.end_to_end".to_string(), self.end_to_end.summary());
-        out.push((
-            "latency.ops_attributed".to_string(),
-            self.completed().to_string(),
-        ));
-        out
-    }
-
-    fn emit_stage(&self, op: u64, stage: Stage, now: SimTime) {
-        if let Some(sub) = self.subscriber.borrow().as_ref() {
-            sub.event(&TraceEvent {
-                kind: TraceKind::Stage { stage, op },
-                node: None,
-                peer: None,
-                bytes: 0,
-                at: now,
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Structured trace subscription
-// ---------------------------------------------------------------------
-
-/// What a [`TraceEvent`] describes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraceKind {
-    /// A fabric transfer began serializing at the source port.
-    WireTx,
-    /// A fabric transfer was delivered into the destination port.
-    WireRx,
-    /// A request crossed a latency-attribution stage boundary.
-    Stage {
-        /// The stage whose boundary was crossed.
-        stage: Stage,
-        /// The operation the span belongs to.
-        op: u64,
-    },
-}
-
-/// One structured trace event (the generalization of
-/// `Network::set_trace`'s transfer records).
-#[derive(Clone, Copy, Debug)]
-pub struct TraceEvent {
-    /// Event kind.
-    pub kind: TraceKind,
-    /// Observing node: sender for [`TraceKind::WireTx`], receiver for
-    /// [`TraceKind::WireRx`]; absent for stage crossings.
-    pub node: Option<NodeId>,
-    /// The other end of a wire event.
-    pub peer: Option<NodeId>,
-    /// Bytes on the wire (zero for stage crossings).
-    pub bytes: u64,
-    /// Virtual timestamp the event describes. Wire events are emitted at
-    /// submission with their *computed* times, so a delivery event can
-    /// carry a timestamp later than the clock at emission.
-    pub at: SimTime,
-}
-
-/// Receives structured trace events from the fabrics and span sinks.
-pub trait TraceSubscriber {
-    /// Called once per event, in submission order.
-    fn event(&self, ev: &TraceEvent);
-}
-
-/// Default [`TraceRecorder`] capacity — generous (a multi-client
-/// throughput run fits comfortably) while keeping a runaway simulation's
-/// trace heap bounded.
-pub const TRACE_RECORDER_DEFAULT_CAPACITY: usize = 1 << 20;
-
-/// A [`TraceSubscriber`] that records every event for later inspection —
-/// what protocol-efficiency tests attach to count messages on the wire.
-///
-/// The buffer is bounded: once `capacity` events are held, further events
-/// are discarded and counted in [`dropped`](TraceRecorder::dropped), so a
-/// long simulation cannot grow the recorder without limit. [`take`]
-/// (TraceRecorder::take) frees the buffer and recording resumes.
-pub struct TraceRecorder {
-    events: RefCell<Vec<TraceEvent>>,
-    capacity: usize,
-    dropped: Cell<u64>,
-}
-
-impl Default for TraceRecorder {
-    fn default() -> TraceRecorder {
-        TraceRecorder {
-            events: RefCell::new(Vec::new()),
-            capacity: TRACE_RECORDER_DEFAULT_CAPACITY,
-            dropped: Cell::new(0),
-        }
-    }
-}
-
-impl TraceRecorder {
-    /// A fresh recorder with the default capacity, ready to pass as a
-    /// subscriber.
-    pub fn new() -> Rc<TraceRecorder> {
-        Rc::new(TraceRecorder::default())
-    }
-
-    /// A recorder that holds at most `capacity` events at a time.
-    pub fn with_capacity(capacity: usize) -> Rc<TraceRecorder> {
-        Rc::new(TraceRecorder {
-            events: RefCell::new(Vec::new()),
-            capacity: capacity.max(1),
-            dropped: Cell::new(0),
-        })
-    }
-
-    /// Drains and returns everything recorded so far.
-    pub fn take(&self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.events.borrow_mut())
-    }
-
-    /// Number of recorded events matching `pred`.
-    pub fn count(&self, pred: impl Fn(&TraceEvent) -> bool) -> usize {
-        self.events.borrow().iter().filter(|e| pred(e)).count()
-    }
-
-    /// Number of distinct wire messages recorded (delivery events).
-    pub fn wire_messages(&self) -> usize {
-        self.count(|e| e.kind == TraceKind::WireRx)
-    }
-
-    /// Events discarded because the buffer was at capacity when they
-    /// arrived.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.get()
-    }
-}
-
-impl TraceSubscriber for TraceRecorder {
-    fn event(&self, ev: &TraceEvent) {
-        let mut events = self.events.borrow_mut();
-        if events.len() >= self.capacity {
-            self.dropped.set(self.dropped.get() + 1);
-            return;
-        }
-        events.push(*ev);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn t(ns: u64) -> SimTime {
-        SimTime::from_nanos(ns)
-    }
 
     #[test]
     fn counter_and_gauge_basics() {
@@ -960,35 +585,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_recorder_drops_and_counts_overflow() {
-        let rec = TraceRecorder::with_capacity(2);
-        for i in 0..5u64 {
-            rec.event(&TraceEvent {
-                kind: TraceKind::WireRx,
-                node: Some(NodeId(0)),
-                peer: Some(NodeId(1)),
-                bytes: i,
-                at: t(i * 10),
-            });
-        }
-        assert_eq!(rec.dropped(), 3);
-        let kept = rec.take();
-        assert_eq!(kept.len(), 2);
-        assert_eq!(kept[0].bytes, 0);
-        assert_eq!(kept[1].bytes, 1);
-        // Draining frees capacity: recording resumes.
-        rec.event(&TraceEvent {
-            kind: TraceKind::WireRx,
-            node: Some(NodeId(0)),
-            peer: Some(NodeId(1)),
-            bytes: 99,
-            at: t(100),
-        });
-        assert_eq!(rec.take().len(), 1);
-        assert_eq!(rec.dropped(), 3);
-    }
-
-    #[test]
     fn registry_creates_on_first_use_and_reports() {
         let m = Metrics::new();
         m.counter("reqs").add(7);
@@ -1005,89 +601,5 @@ mod tests {
         m.reset();
         assert_eq!(m.counter_value("reqs"), 0);
         assert_eq!(m.histogram("lat").count(), 0);
-    }
-
-    #[test]
-    fn span_stages_sum_to_end_to_end() {
-        let spans = LatencySpans::new();
-        spans.begin(1, t(0));
-        spans.mark(1, Stage::ClientSerialize, t(100));
-        spans.mark(1, Stage::RequestWire, t(350));
-        spans.mark(1, Stage::DispatchWait, t(400));
-        spans.mark(1, Stage::WorkerService, t(900));
-        spans.mark(1, Stage::ReplyWire, t(1150));
-        spans.finish(1, t(1200));
-        assert_eq!(spans.completed(), 1);
-        assert_eq!(spans.stage(Stage::ClientSerialize).sum().as_nanos(), 100);
-        assert_eq!(spans.stage(Stage::WorkerService).sum().as_nanos(), 500);
-        assert_eq!(spans.stage(Stage::ClientComplete).sum().as_nanos(), 50);
-        let total: u64 = Stage::ALL
-            .iter()
-            .map(|&s| spans.stage(s).sum().as_nanos())
-            .sum();
-        assert_eq!(total, spans.end_to_end().sum().as_nanos());
-    }
-
-    #[test]
-    fn unmarked_stages_record_zero_so_means_stay_aligned() {
-        let spans = LatencySpans::new();
-        for op in 0..4u64 {
-            let base = op * 10_000;
-            spans.begin(op, t(base));
-            // Only some ops cross the wire stages.
-            if op % 2 == 0 {
-                spans.mark(op, Stage::RequestWire, t(base + 300));
-            }
-            spans.finish(op, t(base + 1000));
-        }
-        // Every histogram has one entry per completed op.
-        for s in Stage::ALL {
-            assert_eq!(spans.stage(s).count(), 4);
-        }
-        let sum: f64 = spans.sum_of_stage_means_us();
-        let e2e = spans.end_to_end().mean().as_micros_f64();
-        assert!((sum - e2e).abs() < 1e-6, "{sum} vs {e2e}");
-    }
-
-    #[test]
-    fn mark_open_requires_exactly_one_open_span() {
-        let spans = LatencySpans::new();
-        spans.begin(1, t(0));
-        spans.mark_open(Stage::RequestWire, t(100));
-        spans.begin(2, t(100));
-        spans.mark_open(Stage::WorkerService, t(200)); // ambiguous: ignored
-        spans.finish(1, t(300));
-        spans.finish(2, t(300));
-        assert_eq!(spans.stage(Stage::RequestWire).sum().as_nanos(), 100);
-        assert_eq!(spans.stage(Stage::WorkerService).sum().as_nanos(), 0);
-    }
-
-    #[test]
-    fn discard_drops_without_recording() {
-        let spans = LatencySpans::new();
-        spans.begin(9, t(0));
-        spans.discard(9);
-        spans.finish(9, t(100)); // unknown id: no-op
-        assert_eq!(spans.completed(), 0);
-    }
-
-    #[test]
-    fn recorder_collects_stage_events() {
-        let spans = LatencySpans::new();
-        let rec = TraceRecorder::new();
-        spans.set_subscriber(Some(rec.clone()));
-        spans.begin(5, t(0));
-        spans.mark(5, Stage::RequestWire, t(10));
-        spans.finish(5, t(20));
-        let evs = rec.take();
-        assert_eq!(evs.len(), 2);
-        assert!(matches!(
-            evs[0].kind,
-            TraceKind::Stage {
-                stage: Stage::RequestWire,
-                op: 5
-            }
-        ));
-        assert_eq!(rec.wire_messages(), 0);
     }
 }

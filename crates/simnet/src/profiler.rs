@@ -14,7 +14,7 @@
 //!    lock wait → lock hold → service → response wire → complete), with
 //!    an explicit signed *unaccounted* residual so that
 //!    `Σ stages + residual == end-to-end` holds **exactly** for every
-//!    op — the same identity discipline as PR 1's attribution tests.
+//!    op (pinned by `tests/attribution.rs` and `tests/profiling.rs`).
 //! 3. **Windowed top-K signatures** — completed paths are bucketed into
 //!    fixed virtual-time windows; each window aggregates per-stage
 //!    p50/p99 and the top-K *critical-path signatures* (the ordered
@@ -58,10 +58,10 @@ use crate::trace::{Event, EventSink, Layer, Phase, Tracer, Track};
 pub const PATH_STAGE_COUNT: usize = 8;
 
 /// Ordered stages of a request's critical path, client issue to client
-/// completion. Coarser client-side stage accounting lives in
-/// [`Stage`](crate::metrics::Stage); this taxonomy splits the server side
-/// by *cause* (queueing vs lock wait vs lock hold vs service) using the
-/// cross-layer trace stream, which the client-local view cannot see.
+/// completion — the repo's one stage vocabulary (the §VI-D decomposition).
+/// The server side is split by *cause* (queueing vs lock wait vs lock hold
+/// vs service) from the cross-layer trace stream, which a client-local
+/// view cannot see.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PathStage {
     /// Client-side serialization/post until the request leaves the node.

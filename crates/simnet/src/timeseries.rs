@@ -1307,7 +1307,6 @@ mod tests {
             threshold: SimDuration::from_micros(100),
             at: t(5),
             span_id: 41,
-            stages: Default::default(),
             hist: "mc.node0.op_get".to_string(),
             path: None,
         });
@@ -1442,7 +1441,6 @@ mod tests {
             threshold: SimDuration::from_micros(100),
             at: t(9),
             span_id: 77,
-            stages: Default::default(),
             hist: "mc.node0.op_get".to_string(),
             path: None,
         };

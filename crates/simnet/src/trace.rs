@@ -1,7 +1,6 @@
 //! Cross-layer span/instant event tracing over virtual time.
 //!
-//! Generalizes the wire-level [`TraceEvent`](crate::metrics::TraceEvent)
-//! stream into one event model every layer of the stack emits into: the
+//! One event model every layer of the stack emits into: the
 //! fabric (wire tx/rx), verbs (work-request post/completion, CM), UCR
 //! (active-message lifecycle, counters, endpoint faults), and the
 //! memcached core (dispatch, worker service, client ops). Events carry a
@@ -523,16 +522,37 @@ impl Tracer {
     }
 }
 
+/// Default [`EventRecorder`] capacity — generous (a multi-client
+/// throughput run fits comfortably) while keeping a runaway simulation's
+/// trace heap bounded.
+pub const EVENT_RECORDER_DEFAULT_CAPACITY: usize = 1 << 20;
+
 /// An [`EventSink`] that buffers every event — the test/export collector.
-#[derive(Default)]
+///
+/// The buffer is bounded: once `capacity` events are held, further events
+/// are discarded and counted in [`dropped`](EventRecorder::dropped), so a
+/// long simulation cannot grow the recorder without limit.
+/// [`take`](EventRecorder::take) frees the buffer and recording resumes.
 pub struct EventRecorder {
     events: RefCell<Vec<Event>>,
+    capacity: usize,
+    dropped: Cell<u64>,
 }
 
 impl EventRecorder {
-    /// A fresh recorder, ready to pass to [`Tracer::add_sink`].
+    /// A fresh recorder with the default capacity, ready to pass to
+    /// [`Tracer::add_sink`].
     pub fn new() -> Rc<EventRecorder> {
-        Rc::new(EventRecorder::default())
+        EventRecorder::with_capacity(EVENT_RECORDER_DEFAULT_CAPACITY)
+    }
+
+    /// A recorder that holds at most `capacity` events at a time.
+    pub fn with_capacity(capacity: usize) -> Rc<EventRecorder> {
+        Rc::new(EventRecorder {
+            events: RefCell::new(Vec::new()),
+            capacity: capacity.max(1),
+            dropped: Cell::new(0),
+        })
     }
 
     /// Copies out everything recorded so far.
@@ -559,11 +579,22 @@ impl EventRecorder {
     pub fn count(&self, pred: impl Fn(&Event) -> bool) -> usize {
         self.events.borrow().iter().filter(|e| pred(e)).count()
     }
+
+    /// Events discarded because the buffer was at capacity when they
+    /// arrived.
+    pub fn dropped(&self) -> u64 {
+        self.dropped.get()
+    }
 }
 
 impl EventSink for EventRecorder {
     fn on_event(&self, ev: &Event) {
-        self.events.borrow_mut().push(*ev);
+        let mut events = self.events.borrow_mut();
+        if events.len() >= self.capacity {
+            self.dropped.set(self.dropped.get() + 1);
+            return;
+        }
+        events.push(*ev);
     }
 }
 
@@ -636,5 +667,28 @@ mod tests {
         t.emit(ev(Layer::Core, "dispatch", 2));
         assert_eq!(rec.len(), 1);
         assert_eq!(t.flight_len(), 2);
+    }
+
+    #[test]
+    fn bounded_recorder_drops_and_counts_overflow() {
+        let rec = EventRecorder::with_capacity(2);
+        for i in 0..5u64 {
+            rec.on_event(&Event {
+                bytes: i,
+                ..ev(Layer::Wire, "wire_rx", i * 10)
+            });
+        }
+        assert_eq!(rec.dropped(), 3);
+        let kept = rec.take();
+        assert_eq!(kept.len(), 2);
+        assert_eq!(kept[0].bytes, 0);
+        assert_eq!(kept[1].bytes, 1);
+        // Draining frees capacity: recording resumes.
+        rec.on_event(&Event {
+            bytes: 99,
+            ..ev(Layer::Wire, "wire_rx", 100)
+        });
+        assert_eq!(rec.take().len(), 1);
+        assert_eq!(rec.dropped(), 3);
     }
 }

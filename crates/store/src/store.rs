@@ -507,19 +507,33 @@ impl Store {
     /// [`get`](Store::get) this neither bumps the LRU nor reclaims expired
     /// items nor counts a hit/miss — serving a descriptor is not a cache
     /// access, and the directory handler runs outside the worker path.
+    /// The reported `exp` is when the item stops being live: its own
+    /// expiry, or an earlier pending flush deadline.
     pub fn locate(&self, key: &[u8], now: u32) -> Option<ItemLocation> {
         let id = self.lookup(key)?;
         if self.is_dead(id, now) {
             return None;
         }
         let it = &self.items[id as usize];
+        // A pending flush barrier that covers the item (`flush_all <delay>`)
+        // ends its life at the deadline, and nothing bumps the version
+        // then: report the barrier as the expiry, the one staleness signal
+        // a bypass reader checks on its own clock.
+        let exp = if self.oldest_live > now && it.stored_at < self.oldest_live {
+            match it.exp {
+                0 => self.oldest_live,
+                exp => exp.min(self.oldest_live),
+            }
+        } else {
+            it.exp
+        };
         Some(ItemLocation {
             loc: it.loc,
             klen: it.klen,
             vlen: it.vlen,
             flags: it.flags,
             cas: it.cas,
-            exp: it.exp,
+            exp,
             version: self.slabs.version(it.loc),
         })
     }

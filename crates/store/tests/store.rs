@@ -174,15 +174,23 @@ fn delayed_flush_takes_effect_at_its_deadline() {
     s.set(b"old", b"v", 0, 0, 100);
     s.flush_all(110); // `flush_all 10` issued at t=100
     s.set(b"mid", b"v", 0, 0, 105);
+    s.set(b"ttl", b"v", 0, 3, 105); // expires at 108, before the deadline
+                                    // A descriptor handed out while the barrier is pending lives only to
+                                    // the barrier (an earlier expiry of the item's own still wins).
+    assert_eq!(s.locate(b"old", 105).unwrap().exp, 110);
+    assert_eq!(s.locate(b"mid", 109).unwrap().exp, 110);
+    assert_eq!(s.locate(b"ttl", 105).unwrap().exp, 108);
     assert!(
         s.get(b"old", 109).is_some(),
         "nothing dies before the deadline"
     );
     assert!(s.get(b"mid", 109).is_some());
+    assert!(s.locate(b"old", 110).is_none());
     assert!(s.get(b"old", 110).is_none(), "everything older dies at it");
     assert!(s.get(b"mid", 110).is_none());
     s.set(b"new", b"v", 0, 0, 110);
     assert!(s.get(b"new", 111).is_some());
+    assert_eq!(s.locate(b"new", 111).unwrap().exp, 0, "the barrier passed");
 }
 
 #[test]

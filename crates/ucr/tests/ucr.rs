@@ -5,7 +5,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use simnet::{Cluster, NodeId, SimDuration};
+use simnet::{Cluster, EventRecorder, Layer, NodeId, SimDuration};
 use ucr::{AmData, AmDest, AmHandler, Endpoint, FnHandler, SendOptions, UcrError, UcrRuntime};
 use verbs::{Access, IbFabric};
 
@@ -828,7 +828,7 @@ fn boundary_probe(payload: usize, thr: usize) -> (u64, u64, usize) {
     });
     let sender = UcrRuntime::new(&fabric, NodeId(0));
     sender.set_eager_threshold(thr);
-    let recorder = simnet::TraceRecorder::new();
+    let recorder = EventRecorder::new();
     let data = vec![0xabu8; payload];
     let cluster2 = cluster.clone();
     let rec2 = recorder.clone();
@@ -839,7 +839,7 @@ fn boundary_probe(payload: usize, thr: usize) -> (u64, u64, usize) {
             .await
             .unwrap();
         // Count only the message itself (not connection setup).
-        cluster2.set_subscriber(Some(rec2));
+        cluster2.tracer().add_sink(rec2);
         let done = sender2.counter();
         ep.send_message(
             SINK,
@@ -855,12 +855,13 @@ fn boundary_probe(payload: usize, thr: usize) -> (u64, u64, usize) {
         done.wait_for(1, SimDuration::from_millis(500))
             .await
             .unwrap();
-        cluster2.set_subscriber(None);
+        cluster2.tracer().clear_sinks();
     });
     (
         receiver.stats().eager_delivered.get(),
         receiver.stats().rndv_delivered.get(),
-        recorder.wire_messages(),
+        // One `wire_tx`/`wire_rx` pair per fabric message: count deliveries.
+        recorder.count(|e| e.layer == Layer::Wire && e.name == "wire_rx"),
     )
 }
 

@@ -1,57 +1,63 @@
 //! Cross-layer latency-attribution invariants.
 //!
-//! The metrics layer decomposes every operation into pipeline stages
-//! (client serialize → request wire → dispatch wait → worker service →
-//! reply wire → client complete). Because the stages are deltas between
-//! consecutive boundary timestamps on one virtual clock, their sum must
-//! equal the end-to-end latency — any calibration change that breaks a
-//! stage boundary (a sleep moved across a mark, a double-counted cost)
-//! shows up here directly, where the shape tests in `experiments.rs`
-//! would only drift indirectly.
+//! The profiler decomposes every operation's critical path into the
+//! `PathStage` pipeline (issue → request wire → worker queue → lock wait
+//! → lock hold → service → response wire → complete) from the tracer
+//! stream. Every stage is a delta between boundary timestamps on one
+//! virtual clock, so for a single client the stages sum to the
+//! end-to-end latency with nothing left over — any calibration change
+//! that breaks a stage boundary (a sleep moved across a marker, a
+//! double-counted cost) shows up here directly, where the shape tests in
+//! `experiments.rs` would only drift indirectly.
 
 use rmc::Transport;
 use rmc_bench::{
     measure_bottlenecks, measure_latency, measure_latency_attributed, ClusterKind, Mix,
 };
-use simnet::metrics::Stage;
-use simnet::Stack;
+use simnet::{PathStage, SimDuration, Stack};
 
 const ITERS: u32 = 60;
 const SIZE: usize = 4096;
 const SEED: u64 = 7;
 
 /// Runs the attributed measurement next to the plain one and checks:
-/// attaching spans perturbs nothing, every op is attributed, and the
-/// per-stage breakdown sums to the end-to-end mean within 1%.
+/// attaching the profiler perturbs nothing, every op is decomposed, the
+/// exactness identity holds for each, and no nanosecond is unclaimed.
 fn check_attribution_invariant(cluster: ClusterKind, transport: Transport) {
     let attr = measure_latency_attributed(cluster, transport, Mix::GetOnly, SIZE, ITERS, SEED);
     let plain = measure_latency(cluster, transport, Mix::GetOnly, SIZE, ITERS, SEED);
 
-    // Spans add no virtual time: the measured mean is bit-identical to a
-    // run without instrumentation.
-    assert!(
-        (attr.mean_us - plain).abs() < 1e-9,
-        "{cluster:?}/{transport:?}: instrumented mean {} != plain mean {}",
+    // Tracing adds no virtual time: the measured mean is bit-identical to
+    // a run without instrumentation.
+    assert_eq!(
+        attr.mean_us.to_bits(),
+        plain.to_bits(),
+        "{cluster:?}/{transport:?}: instrumented mean {} != plain mean {plain}",
         attr.mean_us,
-        plain
     );
     assert_eq!(
-        attr.ops_attributed, ITERS as u64,
+        attr.audit.ops, ITERS as u64,
         "{cluster:?}/{transport:?}: every timed op must be attributed"
     );
-
-    // The invariant: per-stage breakdown sums to end-to-end within 1%.
-    let sum = attr.attributed_mean_us;
-    let rel = (sum - attr.mean_us).abs() / attr.mean_us;
-    assert!(
-        rel <= 0.01,
-        "{cluster:?}/{transport:?}: stage sum {sum:.3}us vs end-to-end {:.3}us ({:.3}% off)",
-        attr.mean_us,
-        rel * 100.0
+    assert_eq!(
+        attr.audit.inexact_ops, 0,
+        "{cluster:?}/{transport:?}: stages + residual must equal end-to-end per op"
+    );
+    // One client, one op in flight: every marker correlates, so the
+    // stages alone account for the whole latency.
+    assert_eq!(
+        attr.audit.residual_abs_total,
+        SimDuration::ZERO,
+        "{cluster:?}/{transport:?}: unclaimed time in {:?}",
+        attr.stage_means_us
     );
 
     // The pipeline stages every transport must traverse are non-trivial.
-    for stage in [Stage::RequestWire, Stage::WorkerService, Stage::ReplyWire] {
+    for stage in [
+        PathStage::RequestWire,
+        PathStage::Service,
+        PathStage::ResponseWire,
+    ] {
         assert!(
             attr.stage_us(stage) > 0.0,
             "{cluster:?}/{transport:?}: stage {} must take time, got breakdown {:?}",
@@ -136,9 +142,9 @@ fn ucr_beats_toe_in_the_wire_stages_not_the_store() {
         SEED,
     );
     let wire = |a: &rmc_bench::AttributedLatency| {
-        a.stage_us(Stage::ClientSerialize)
-            + a.stage_us(Stage::RequestWire)
-            + a.stage_us(Stage::ReplyWire)
+        a.stage_us(PathStage::Issue)
+            + a.stage_us(PathStage::RequestWire)
+            + a.stage_us(PathStage::ResponseWire)
     };
     assert!(
         wire(&toe) > 2.0 * wire(&ucr),
@@ -146,12 +152,9 @@ fn ucr_beats_toe_in_the_wire_stages_not_the_store() {
         wire(&toe),
         wire(&ucr)
     );
-    let svc_rel = (toe.stage_us(Stage::WorkerService) - ucr.stage_us(Stage::WorkerService)).abs()
-        / ucr.stage_us(Stage::WorkerService);
-    assert!(
-        svc_rel < 0.05,
-        "worker service is transport-invariant: UCR {:.3}us vs TOE {:.3}us",
-        ucr.stage_us(Stage::WorkerService),
-        toe.stage_us(Stage::WorkerService)
+    assert_eq!(
+        ucr.stage_us(PathStage::Service),
+        toe.stage_us(PathStage::Service),
+        "service is transport-invariant"
     );
 }
