@@ -170,9 +170,6 @@ pub struct McClientConfig {
     /// Version skew (a concurrent writer) retries with a fresh
     /// descriptor; persistent trouble falls back to the AM get.
     pub bypass_get: bool,
-    /// Bound on the client-side descriptor cache for the bypass path
-    /// (entries; FIFO eviction).
-    pub bypass_cache_cap: usize,
 }
 
 impl McClientConfig {
@@ -189,7 +186,6 @@ impl McClientConfig {
             key_hash: KeyHash::default(),
             pipeline_depth: 1,
             bypass_get: false,
-            bypass_cache_cap: 1024,
         }
     }
 }
@@ -283,6 +279,10 @@ struct CachedDescriptor {
 /// How many times a bypass get chases version skew (descriptor refetch +
 /// re-read) before falling back to the AM path.
 const BYPASS_RETRIES: u32 = 3;
+
+/// Bound on the client-side descriptor cache for the bypass path
+/// (entries; FIFO eviction).
+const BYPASS_CACHE_CAP: usize = 1024;
 
 /// How a single one-sided bypass read ended.
 enum BypassRead {
@@ -1445,7 +1445,7 @@ impl CliInner {
         let mut order = self.bypass_order.borrow_mut();
         if cache.insert(key.clone(), d).is_none() {
             order.push_back(key);
-            while cache.len() > self.cfg.bypass_cache_cap.max(1) {
+            while cache.len() > BYPASS_CACHE_CAP {
                 let Some(old) = order.pop_front() else { break };
                 cache.remove(&old);
             }

@@ -13,14 +13,14 @@ use std::ops::Range;
 use std::rc::Rc;
 
 use mcstore::{NumericError, SegmentedStore, SetOutcome, ShardRouter, Value};
-use simnet::metrics::Metrics;
+use simnet::metrics::{Histogram, Metrics};
 use simnet::trace::{Event, Layer, Phase, Track};
 use simnet::vlock::{VLock, VLockGuard, VLockMeters, VLockStats};
 use simnet::{NodeId, Sim, SimDuration, SimTime, Tracer};
 use ucr::UcrRuntime;
 
 use super::bypass::BypassDir;
-use super::stats::{self, ServiceTimes, StoreGauges};
+use super::stats::{self, StoreGauges};
 use super::{McServerConfig, SrvStats, StoreModel, BASE_UNIX_TIME, SERVER_VERSION};
 use crate::am_wire::{DirReq, DirResp, McOp};
 use crate::observatory::WorkloadObservatory;
@@ -70,7 +70,7 @@ pub(super) struct Executor {
     bypass_on: Cell<bool>,
     /// Per-operation worker service times, keyed by [`McOp::label`];
     /// surfaced through `stats`.
-    pub(super) op_times: RefCell<HashMap<&'static str, ServiceTimes>>,
+    pub(super) op_times: RefCell<HashMap<&'static str, Histogram>>,
     pub(super) node: NodeId,
     pub(super) sim: Sim,
     pub(super) counters: SrvStats,
@@ -101,21 +101,25 @@ impl Executor {
         // One lock per serialization domain. `Idealized` has none: lock
         // setup registers metrics and tracer bindings, and the default
         // model must leave every observable surface untouched.
-        let locks: Vec<Rc<VLock>> = match config.store_model {
-            StoreModel::Idealized => Vec::new(),
-            StoreModel::GlobalLock => vec![VLock::new(&sim)],
-            StoreModel::Sharded(_) => (0..router.count()).map(|_| VLock::new(&sim)).collect(),
+        let lock_count = match config.store_model {
+            StoreModel::Idealized => 0,
+            StoreModel::GlobalLock => 1,
+            StoreModel::Sharded(_) => router.count(),
         };
-        for (s, lock) in locks.iter().enumerate() {
-            let prefix = format!("mc.node{}.shard{}", node.0, s);
-            lock.bind_meters(VLockMeters {
-                ops: metrics.counter(&format!("{prefix}.ops")),
-                lock_wait_ns: metrics.counter(&format!("{prefix}.lock_wait_ns")),
-                lock_hold_ns: metrics.counter(&format!("{prefix}.lock_hold_ns")),
-                contended: metrics.counter(&format!("{prefix}.contended")),
-            });
-            lock.set_tracer(tracer.clone(), node);
-        }
+        let locks: Vec<Rc<VLock>> = (0..lock_count)
+            .map(|s| {
+                let prefix = format!("mc.node{}.shard{}", node.0, s);
+                let meters = VLockMeters {
+                    ops: metrics.counter(&format!("{prefix}.ops")),
+                    lock_wait_ns: metrics.counter(&format!("{prefix}.lock_wait_ns")),
+                    lock_hold_ns: metrics.counter(&format!("{prefix}.lock_hold_ns")),
+                    contended: metrics.counter(&format!("{prefix}.contended")),
+                };
+                let lock = VLock::with_meters(&sim, meters);
+                lock.set_tracer(tracer.clone(), node);
+                lock
+            })
+            .collect();
         let profile = world.profile();
         Executor {
             store: RefCell::new(store),

@@ -91,16 +91,6 @@ pub struct McServerConfig {
     pub workers: usize,
     /// Storage engine settings.
     pub store: StoreConfig,
-    /// Accept UCR (RDMA) clients over native InfiniBand.
-    pub enable_ucr: bool,
-    /// Accept UCR clients over RoCE too, when the cluster's Ethernet
-    /// adapters support it (paper SVII future work).
-    pub enable_roce: bool,
-    /// Byte-stream transports to listen on.
-    pub socket_stacks: Vec<Stack>,
-    /// Also serve the memcached UDP protocol on the same stacks (the
-    /// SIII Facebook baseline: connection-less gets).
-    pub enable_udp: bool,
     /// Attach a workload observatory (hot-key sketch, tail exemplars,
     /// SLO tracking; surfaced via `stats hot`/`stats slo`/
     /// `stats exemplars`). `None` — the default — registers nothing and
@@ -118,10 +108,6 @@ impl Default for McServerConfig {
             port: 11211,
             workers: 4,
             store: StoreConfig::default(),
-            enable_ucr: true,
-            enable_roce: true,
-            socket_stacks: vec![Stack::Sdp, Stack::Ipoib, Stack::TenGigEToe, Stack::OneGigE],
-            enable_udp: true,
             observatory: None,
             store_model: StoreModel::default(),
         }
@@ -214,32 +200,28 @@ impl McServer {
             sim.spawn(worker_loop(weak, rx, widx as u32));
         }
 
-        if config.enable_ucr {
-            start_ucr_listener(&sim, &inner, &world.ib, config.port, FabricSide::Ib);
-        }
-        if config.enable_roce {
-            if let Some(roce) = &world.roce {
-                start_ucr_listener(&sim, &inner, roce, config.port, FabricSide::Roce);
-            }
+        // UCR over native InfiniBand, and over RoCE when the cluster's
+        // Ethernet adapters support it (paper SVII future work).
+        start_ucr_listener(&sim, &inner, &world.ib, config.port, FabricSide::Ib);
+        if let Some(roce) = &world.roce {
+            start_ucr_listener(&sim, &inner, roce, config.port, FabricSide::Roce);
         }
 
-        if config.enable_udp {
-            for stack in &config.socket_stacks {
-                if !world.profile().supports(*stack) || !stack.is_sockets() {
-                    continue;
-                }
-                let Ok(udp) = world.socks.udp_bind(*stack, node, config.port) else {
-                    continue;
-                };
-                let weak = Rc::downgrade(&inner);
-                sim.spawn(frontend::udp_receiver(weak, Rc::new(udp)));
-            }
-        }
-
-        for stack in &config.socket_stacks {
-            if !world.profile().supports(*stack) || !stack.is_sockets() {
+        // Every sockets stack the profile supports serves the memcached UDP
+        // protocol (the SIII Facebook baseline: connection-less gets) and
+        // the TCP byte stream.
+        let stacks = Stack::ALL
+            .iter()
+            .filter(|s| s.is_sockets() && world.profile().supports(**s));
+        for stack in stacks.clone() {
+            let Ok(udp) = world.socks.udp_bind(*stack, node, config.port) else {
                 continue;
-            }
+            };
+            let weak = Rc::downgrade(&inner);
+            sim.spawn(frontend::udp_receiver(weak, Rc::new(udp)));
+        }
+
+        for stack in stacks {
             let Ok(listener) = world.socks.listen(*stack, node, config.port) else {
                 continue;
             };

@@ -7,7 +7,7 @@
 //! sub-report is an empty list, i.e. a bare terminator on every wire.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use mcstore::{ClassId, SegmentedStore};
@@ -85,55 +85,18 @@ fn general(exec: &Executor, store: &mut SegmentedStore) -> Pairs {
     for label in labels {
         let t = &times[*label];
         let us = |d: SimDuration| format!("{:.3}", d.as_micros_f64());
-        out.push(pair(&format!("op.{label}.count"), t.count));
+        out.push(pair(&format!("op.{label}.count"), t.count()));
         out.push(pair(&format!("op.{label}.service_us.mean"), us(t.mean())));
         out.push(pair(
             &format!("op.{label}.service_us.p50"),
-            us(t.quantile(0.50)),
+            us(t.percentile(0.50)),
         ));
         out.push(pair(
             &format!("op.{label}.service_us.p99"),
-            us(t.quantile(0.99)),
+            us(t.percentile(0.99)),
         ));
     }
     out
-}
-
-/// Worker service times of one op, kept as a count per distinct duration.
-/// Virtual-time costs repeat exactly — a handful of distinct values per op
-/// unless locks are contended — so this stays small where a sample list
-/// grows by 8 bytes per request served; summaries are exact either way.
-#[derive(Default)]
-pub(super) struct ServiceTimes {
-    by_nanos: BTreeMap<u64, u64>,
-    count: u64,
-    sum_nanos: u64,
-}
-
-impl ServiceTimes {
-    pub(super) fn record(&mut self, d: SimDuration) {
-        *self.by_nanos.entry(d.as_nanos()).or_default() += 1;
-        self.count += 1;
-        self.sum_nanos += d.as_nanos();
-    }
-
-    fn mean(&self) -> SimDuration {
-        SimDuration::from_nanos(self.sum_nanos.checked_div(self.count).unwrap_or(0))
-    }
-
-    /// The `q`-quantile, nearest-rank (the rule of
-    /// `simnet::metrics::Histogram`); zero when empty.
-    fn quantile(&self, q: f64) -> SimDuration {
-        let rank = (self.count.saturating_sub(1) as f64 * q).round() as u64;
-        let mut seen = 0;
-        for (nanos, n) in &self.by_nanos {
-            seen += n;
-            if seen > rank {
-                return SimDuration::from_nanos(*nanos);
-            }
-        }
-        SimDuration::ZERO
-    }
 }
 
 /// Per-layer event counts plus the state of the flight recorder
@@ -212,8 +175,8 @@ fn reset(exec: &Executor, store: &mut SegmentedStore) -> Pairs {
     exec.counters.ucr_requests.set(0);
     exec.counters.sock_requests.set(0);
     store.reset_stats();
-    for t in exec.op_times.borrow_mut().values_mut() {
-        *t = ServiceTimes::default();
+    for t in exec.op_times.borrow().values() {
+        t.reset();
     }
     for rt in &exec.fabrics {
         if let Some(rt) = rt.borrow().as_ref() {

@@ -88,24 +88,21 @@ fn global_lock_flattens_worker_scaling() {
     );
 }
 
-#[test]
-fn global_lock_contention_counters_and_prom() {
-    let world = World::cluster_b(11, 8);
-    let server = McServer::start(&world, SRV, server_config(StoreModel::GlobalLock, 4));
-    let sim = world.sim().clone();
-    // Three clients each keep a deep pipeline in flight, so three worker
-    // threads stay busy back-to-back and collide on the one lock.
+/// Spawns three clients that each keep a deep pipeline of sets in
+/// flight, so three worker threads stay busy back-to-back and collide on
+/// the one lock. `tag` keeps the keys of successive rounds apart.
+fn spawn_contended_sets(world: &World, tag: &'static str) {
     for cli in 0..3u32 {
         let c = McClient::new(
-            &world,
+            world,
             CLI,
             McClientConfig {
                 pipeline_depth: 8,
                 ..McClientConfig::single(Transport::Ucr, SRV)
             },
         );
-        sim.spawn(async move {
-            let keys: Vec<String> = (0..30u32).map(|i| format!("g{cli}-{i}")).collect();
+        world.sim().spawn(async move {
+            let keys: Vec<String> = (0..30u32).map(|i| format!("{tag}{cli}-{i}")).collect();
             let items: Vec<(&[u8], &[u8])> =
                 keys.iter().map(|k| (k.as_bytes(), b"x" as &[u8])).collect();
             for r in c.set_many(&items, 0, 0).await.unwrap() {
@@ -113,6 +110,14 @@ fn global_lock_contention_counters_and_prom() {
             }
         });
     }
+}
+
+#[test]
+fn global_lock_contention_counters_and_prom() {
+    let world = World::cluster_b(11, 8);
+    let server = McServer::start(&world, SRV, server_config(StoreModel::GlobalLock, 4));
+    let sim = world.sim().clone();
+    spawn_contended_sets(&world, "g");
     sim.run();
     let stats = server.lock_stats();
     assert_eq!(stats.len(), 1, "GlobalLock has exactly one lock");
@@ -133,6 +138,37 @@ fn global_lock_contention_counters_and_prom() {
     assert_eq!(
         m.counter_value("mc.node0.shard0.lock_wait_ns"),
         stats[0].wait_total.as_nanos()
+    );
+}
+
+#[test]
+fn stats_reset_resets_the_lock_with_its_shard_counters() {
+    // `stats reset` zeroes the registry; the lock counts in those very
+    // counters, so its own totals restart with them instead of drifting
+    // apart from the `mc.node0.shard0.*` series for good.
+    let world = World::cluster_b(11, 8);
+    let server = McServer::start(&world, SRV, server_config(StoreModel::GlobalLock, 4));
+    let sim = world.sim().clone();
+    spawn_contended_sets(&world, "a");
+    sim.run();
+    assert!(server.lock_stats()[0].contended > 0);
+    let c = McClient::new(&world, CLI, McClientConfig::single(Transport::Ucr, SRV));
+    let reply = sim.block_on(async move { c.stats_report("reset").await.unwrap() });
+    assert_eq!(reply, vec![("reset".to_string(), "ok".to_string())]);
+    spawn_contended_sets(&world, "b");
+    sim.run();
+    let st = server.lock_stats()[0];
+    let m = world.cluster.metrics();
+    assert!(st.acquires >= 90 && st.contended > 0, "{st:?}");
+    assert_eq!(st.acquires, m.counter_value("mc.node0.shard0.ops"));
+    assert_eq!(st.contended, m.counter_value("mc.node0.shard0.contended"));
+    assert_eq!(
+        st.wait_total.as_nanos(),
+        m.counter_value("mc.node0.shard0.lock_wait_ns")
+    );
+    assert_eq!(
+        st.hold_total.as_nanos(),
+        m.counter_value("mc.node0.shard0.lock_hold_ns")
     );
 }
 

@@ -1,8 +1,8 @@
-//! Phase 1 of the workspace analyzer: a symbol table and a conservative
-//! name-resolution call graph over the lexed sources.
+//! A symbol table and a conservative name-resolution call graph over the
+//! lexed sources.
 //!
-//! Built on the same hand-rolled token stream as the per-file rules (no
-//! external dependencies, no rustc): pass A recognizes items — `fn`
+//! Built on the hand-rolled token stream (no external dependencies, no
+//! rustc): pass A recognizes items — `fn`
 //! definitions with their impl/trait owner and body extent, `struct`
 //! fields with their type text — pass B collects `let` type annotations
 //! and `for` bindings, and pass C walks every non-test function body
@@ -25,12 +25,13 @@
 //!   positive.
 //!
 //! The soundness caveats of lexical name resolution are documented in
-//! DESIGN.md §13; every interprocedural rule (R1v2/R3v2/R6/R7) states
+//! DESIGN.md §10; every rule that walks the graph (R1/R3/R6/R7) states
 //! which direction it errs in.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::lexer::{Lexed, TokKind, Token};
+use crate::lexer::TokKind;
+use crate::workspace::{is_test_path, SourceFile};
 
 /// One function (or method) definition.
 #[derive(Clone, Debug)]
@@ -131,23 +132,15 @@ pub struct CallGraph {
     /// Count of call sites with ≥ 2 in-workspace candidates (a subset
     /// of the unresolved total).
     pub ambiguous: usize,
+    /// Per file, per token: the innermost fn whose body covers it.
+    owners: Vec<Vec<Option<usize>>>,
 }
 
 impl CallGraph {
     /// The innermost fn whose body covers token `tok` of file
     /// `file_idx`, if any.
     pub fn fn_at(&self, file_idx: usize, tok: usize) -> Option<usize> {
-        self.fns
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| {
-                f.file_idx == file_idx && f.body.is_some_and(|(a, b)| tok >= a && tok <= b)
-            })
-            .min_by_key(|(_, f)| {
-                let (a, b) = f.body.unwrap_or((0, usize::MAX));
-                b - a
-            })
-            .map(|(id, _)| id)
+        *self.owners.get(file_idx)?.get(tok)?
     }
 }
 
@@ -190,86 +183,10 @@ pub const TRANSPARENT_METHODS: [&str; 10] = [
     "unwrap",
 ];
 
-pub(crate) struct FileView<'a> {
-    pub toks: &'a [Token],
-}
-
-impl<'a> FileView<'a> {
-    pub fn punct(&self, i: usize, c: char) -> bool {
-        self.toks
-            .get(i)
-            .is_some_and(|t| t.kind == TokKind::Punct && t.text.len() == 1 && t.text.starts_with(c))
-    }
-
-    pub fn ident(&self, i: usize, s: &str) -> bool {
-        self.toks
-            .get(i)
-            .is_some_and(|t| t.kind == TokKind::Ident && t.text == s)
-    }
-
-    pub fn any_ident(&self, i: usize) -> Option<&'a str> {
-        self.toks
-            .get(i)
-            .and_then(|t| (t.kind == TokKind::Ident).then_some(t.text.as_str()))
-    }
-
-    pub fn line(&self, i: usize) -> u32 {
-        self.toks.get(i).map(|t| t.line).unwrap_or(0)
-    }
-
-    /// Index of the brace matching the `{` at `open`.
-    pub fn match_brace(&self, open: usize) -> usize {
-        let mut depth = 0usize;
-        let mut j = open;
-        while j < self.toks.len() {
-            if self.punct(j, '{') {
-                depth += 1;
-            } else if self.punct(j, '}') {
-                depth -= 1;
-                if depth == 0 {
-                    return j;
-                }
-            }
-            j += 1;
-        }
-        self.toks.len().saturating_sub(1)
-    }
-
-    /// Index of the opener matching the closer at `close`, walking
-    /// backwards.
-    pub fn match_back(&self, close: usize, open_c: char, close_c: char) -> Option<usize> {
-        let mut depth = 0usize;
-        let mut j = close;
-        loop {
-            if self.punct(j, close_c) {
-                depth += 1;
-            } else if self.punct(j, open_c) {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(j);
-                }
-            }
-            if j == 0 {
-                return None;
-            }
-            j -= 1;
-        }
-    }
-
-    /// Concatenated token texts over `[a, b)` — type-text rendering.
-    pub fn text(&self, a: usize, b: usize) -> String {
-        let mut out = String::new();
-        for t in &self.toks[a.min(self.toks.len())..b.min(self.toks.len())] {
-            out.push_str(&t.text);
-        }
-        out
-    }
-}
-
 /// Last path-segment identifier of a type expression starting at `a`
 /// (bounded by `b`): skips `&`/`dyn`/`mut`/lifetimes, follows `::`
 /// segments, stops at `<`.
-fn leading_type_name(v: &FileView, mut a: usize, b: usize) -> Option<String> {
+fn leading_type_name(v: &SourceFile, mut a: usize, b: usize) -> Option<String> {
     let mut last: Option<String> = None;
     while a < b {
         if v.punct(a, '&') {
@@ -305,7 +222,7 @@ fn leading_type_name(v: &FileView, mut a: usize, b: usize) -> Option<String> {
 /// Skips a balanced `<…>` generic group whose `<` sits at `i`; returns
 /// the index just past the matching `>`. `->` arrows never unbalance
 /// (the lexer splits them into `-` `>`).
-fn skip_angles(v: &FileView, mut i: usize) -> usize {
+fn skip_angles(v: &SourceFile, mut i: usize) -> usize {
     let mut depth = 0usize;
     while i < v.toks.len() {
         if v.punct(i, '<') {
@@ -321,24 +238,19 @@ fn skip_angles(v: &FileView, mut i: usize) -> usize {
     i
 }
 
-/// Builds the call graph over `(path, lexed)` pairs. Files whose path is
-/// a test path are skipped entirely; `#[cfg(test)]` regions inside
+/// Builds the call graph over the lexed files. Files whose path is a
+/// test path are skipped entirely; `#[cfg(test)]` regions inside
 /// source files yield fns flagged `is_test` that neither call out nor
 /// serve as resolution candidates.
-pub fn build(files: &[(String, Lexed)]) -> CallGraph {
+pub fn build(files: &[SourceFile]) -> CallGraph {
     let mut g = CallGraph::default();
 
     // ---- pass A: items ------------------------------------------------
-    for (file_idx, (path, lexed)) in files.iter().enumerate() {
-        if crate::rules::is_test_path(path) {
+    for (file_idx, v) in files.iter().enumerate() {
+        if is_test_path(&v.path) {
             continue;
         }
-        let regions = crate::lexer::test_regions(&lexed.tokens);
-        let v = FileView {
-            toks: &lexed.tokens,
-        };
-        let module = module_path(path);
-        let in_test = |i: usize| regions.iter().any(|&(a, b)| i >= a && i <= b);
+        let module = module_path(&v.path);
 
         // Scope stack of (close_brace_idx, impl/trait type entered).
         let mut scopes: Vec<(usize, Option<String>)> = Vec::new();
@@ -356,7 +268,7 @@ pub fn build(files: &[(String, Lexed)]) -> CallGraph {
                 let is_trait = v.ident(i, "trait");
                 let mut j = i + 1;
                 if v.punct(j, '<') {
-                    j = skip_angles(&v, j);
+                    j = skip_angles(v, j);
                 }
                 // Header tokens up to the body `{` (or `;`).
                 let mut hdr_end = j;
@@ -388,7 +300,7 @@ pub fn build(files: &[(String, Lexed)]) -> CallGraph {
                         }
                     }
                     let ty_start = for_at.map(|k| k + 1).unwrap_or(j);
-                    leading_type_name(&v, ty_start, hdr_end)
+                    leading_type_name(v, ty_start, hdr_end)
                 };
                 if v.punct(hdr_end, '{') {
                     scopes.push((v.match_brace(hdr_end), ty));
@@ -401,7 +313,7 @@ pub fn build(files: &[(String, Lexed)]) -> CallGraph {
                 if let Some(name) = v.any_ident(i + 1) {
                     let mut j = i + 2;
                     if v.punct(j, '<') {
-                        j = skip_angles(&v, j);
+                        j = skip_angles(v, j);
                     }
                     while j < v.toks.len()
                         && !v.punct(j, '{')
@@ -412,7 +324,7 @@ pub fn build(files: &[(String, Lexed)]) -> CallGraph {
                     }
                     if v.punct(j, '{') {
                         let close = v.match_brace(j);
-                        scan_struct_fields(&v, name, j + 1, close, &mut g.fields);
+                        scan_struct_fields(v, name, j + 1, close, &mut g.fields);
                         i = close + 1;
                         continue;
                     }
@@ -423,20 +335,20 @@ pub fn build(files: &[(String, Lexed)]) -> CallGraph {
             // fn definitions.
             if v.ident(i, "fn") {
                 if let Some(name) = v.any_ident(i + 1) {
-                    let (sig_end, ret) = scan_fn_signature(&v, i + 2);
+                    let (sig_end, ret) = scan_fn_signature(v, i + 2);
                     let body = v
                         .punct(sig_end, '{')
                         .then(|| (sig_end, v.match_brace(sig_end)));
                     g.fns.push(FnInfo {
                         file_idx,
-                        file: path.clone(),
+                        file: v.path.clone(),
                         module: module.clone(),
                         impl_type: scopes.last().and_then(|(_, t)| t.clone()),
                         name: name.to_string(),
                         line: v.line(i),
                         body,
                         ret,
-                        is_test: in_test(i),
+                        is_test: v.in_test(i),
                     });
                     // Continue *inside* the body so nested fns are found.
                     i = sig_end + 1;
@@ -454,10 +366,8 @@ pub fn build(files: &[(String, Lexed)]) -> CallGraph {
     // Per-file token → innermost-owning-fn table (outer fns filled
     // first, nested fns overwrite): O(1) ownership lookups in the body
     // passes instead of an O(fns) scan per token.
-    let mut owners: Vec<Vec<Option<usize>>> = files
-        .iter()
-        .map(|(_, lx)| vec![None; lx.tokens.len()])
-        .collect();
+    let mut owners: Vec<Vec<Option<usize>>> =
+        files.iter().map(|f| vec![None; f.toks.len()]).collect();
     let mut by_span: Vec<usize> = (0..g.fns.len()).collect();
     by_span.sort_by_key(|&id| std::cmp::Reverse(g.fns[id].body.map(|(a, b)| b - a).unwrap_or(0)));
     for id in by_span {
@@ -471,13 +381,10 @@ pub fn build(files: &[(String, Lexed)]) -> CallGraph {
     }
 
     // ---- pass B: locals and for-bindings ------------------------------
-    for (file_idx, (path, lexed)) in files.iter().enumerate() {
-        if crate::rules::is_test_path(path) {
+    for (file_idx, v) in files.iter().enumerate() {
+        if is_test_path(&v.path) {
             continue;
         }
-        let v = FileView {
-            toks: &lexed.tokens,
-        };
         let n = v.toks.len();
         for (i, slot) in owners[file_idx].iter().enumerate() {
             let Some(owner) = *slot else {
@@ -493,7 +400,7 @@ pub fn build(files: &[(String, Lexed)]) -> CallGraph {
                 }
                 if let Some(name) = v.any_ident(j) {
                     if v.punct(j + 1, ':') && !v.punct(j + 2, ':') {
-                        let end = scan_type_until(&v, j + 2, &['=', ';']);
+                        let end = scan_type_until(v, j + 2, &['=', ';']);
                         g.locals[owner].insert(name.to_string(), v.text(j + 2, end));
                     }
                 }
@@ -566,13 +473,10 @@ pub fn build(files: &[(String, Lexed)]) -> CallGraph {
     }
     let mut pending: Vec<PendingCall> = Vec::new();
 
-    for (file_idx, (path, lexed)) in files.iter().enumerate() {
-        if crate::rules::is_test_path(path) {
+    for (file_idx, v) in files.iter().enumerate() {
+        if is_test_path(&v.path) {
             continue;
         }
-        let v = FileView {
-            toks: &lexed.tokens,
-        };
         for (i, slot) in owners[file_idx].iter().enumerate() {
             let Some(name) = v.any_ident(i) else { continue };
             let Some(caller) = *slot else {
@@ -585,7 +489,7 @@ pub fn build(files: &[(String, Lexed)]) -> CallGraph {
             let callish = if v.punct(i + 1, '(') {
                 true
             } else if v.punct(i + 1, ':') && v.punct(i + 2, ':') && v.punct(i + 3, '<') {
-                v.punct(skip_angles(&v, i + 3), '(')
+                v.punct(skip_angles(v, i + 3), '(')
             } else {
                 false
             };
@@ -599,7 +503,7 @@ pub fn build(files: &[(String, Lexed)]) -> CallGraph {
             let kind = if i > 0 && v.punct(i - 1, '.') {
                 let hint = i
                     .checked_sub(2)
-                    .and_then(|r| receiver_type_text(&v, r, &g, caller, &method_index, &free_index))
+                    .and_then(|r| receiver_type_text(v, r, &g, caller, &method_index, &free_index))
                     .and_then(|text| single_impl_type_in(&text, &impl_types));
                 Some(CallKind::Method { recv_hint: hint })
             } else if i >= 2 && v.punct(i - 1, ':') && v.punct(i - 2, ':') {
@@ -699,13 +603,14 @@ pub fn build(files: &[(String, Lexed)]) -> CallGraph {
         g.calls_by_fn[caller].push(g.calls.len() - 1);
     }
 
+    g.owners = owners;
     g
 }
 
 /// Scans struct fields in `[from, close)`: `name: Type,` rows, with
 /// attributes and visibility skipped.
 fn scan_struct_fields(
-    v: &FileView,
+    v: &SourceFile,
     struct_name: &str,
     from: usize,
     close: usize,
@@ -755,7 +660,7 @@ fn scan_struct_fields(
 
 /// Scans a type expression starting at `from`; returns the index of the
 /// first stop character at nesting depth 0.
-fn scan_type_until(v: &FileView, from: usize, stops: &[char]) -> usize {
+fn scan_type_until(v: &SourceFile, from: usize, stops: &[char]) -> usize {
     let mut t = from;
     let mut depth = 0i32;
     while t < v.toks.len() {
@@ -778,7 +683,7 @@ fn scan_type_until(v: &FileView, from: usize, stops: &[char]) -> usize {
 
 /// Scans an fn signature starting just past the name; returns the index
 /// of the body `{` (or terminating `;`) and the written return type.
-fn scan_fn_signature(v: &FileView, from: usize) -> (usize, String) {
+fn scan_fn_signature(v: &SourceFile, from: usize) -> (usize, String) {
     let mut j = from;
     let mut paren = 0i32;
     let mut angle = 0i32;
@@ -823,7 +728,7 @@ fn scan_fn_signature(v: &FileView, from: usize) -> (usize, String) {
 /// call results through one level of return-type lookup (with
 /// [`TRANSPARENT_METHODS`] looked through).
 fn receiver_type_text(
-    v: &FileView,
+    v: &SourceFile,
     end: usize,
     g: &CallGraph,
     caller: usize,
@@ -863,7 +768,7 @@ fn receiver_type_text(
 /// Types a *simple* expression ending at token `end` (inclusive):
 /// `self` → the impl type, `self.field`/`recv.field` → the field's
 /// declared type, a bare ident → its `let` annotation.
-fn type_of_simple(v: &FileView, end: usize, g: &CallGraph, caller: usize) -> Option<String> {
+fn type_of_simple(v: &SourceFile, end: usize, g: &CallGraph, caller: usize) -> Option<String> {
     let f = &g.fns[caller];
     let id = v.any_ident(end)?;
     if id == "self" {
@@ -933,12 +838,10 @@ pub fn components(g: &CallGraph) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
 
     fn graph_of(files: &[(&str, &str)]) -> CallGraph {
-        let lexed: Vec<(String, Lexed)> =
-            files.iter().map(|(p, t)| (p.to_string(), lex(t))).collect();
-        build(&lexed)
+        let files: Vec<SourceFile> = files.iter().map(|(p, t)| SourceFile::new(p, t)).collect();
+        build(&files)
     }
 
     #[test]

@@ -59,6 +59,13 @@ pub struct Waiver {
     pub reason: String,
 }
 
+impl Waiver {
+    /// True when a hit on `line` is this waiver's to suppress.
+    pub fn covers(&self, line: u32) -> bool {
+        line == self.line || (self.standalone && line == self.line + 1)
+    }
+}
+
 /// Lexer output: the significant tokens plus the waiver side table.
 #[derive(Debug, Default)]
 pub struct Lexed {
@@ -324,99 +331,6 @@ fn parse_waiver(comment: &str, line: u32, standalone: bool) -> Option<Waiver> {
     })
 }
 
-// ---------------------------------------------------------------------
-// Test-region detection
-// ---------------------------------------------------------------------
-
-/// Spans of token indices (inclusive) that are test code: items under a
-/// `#[cfg(test)]`/`#[test]` attribute, and `mod tests { ... }` bodies.
-pub fn test_regions(tokens: &[Token]) -> Vec<(usize, usize)> {
-    let is_punct = |i: usize, c: char| {
-        tokens
-            .get(i)
-            .is_some_and(|t| t.kind == TokKind::Punct && t.text.len() == 1 && t.text.starts_with(c))
-    };
-    let is_ident = |i: usize, s: &str| {
-        tokens
-            .get(i)
-            .is_some_and(|t| t.kind == TokKind::Ident && t.text == s)
-    };
-    // Scans an attribute body starting just past `#[`; returns the index
-    // past the closing `]` and whether the attr mentions `test`.
-    let scan_attr = |mut j: usize| -> (usize, bool) {
-        let mut depth = 1usize;
-        let mut has_test = false;
-        while j < tokens.len() && depth > 0 {
-            if is_punct(j, '[') {
-                depth += 1;
-            } else if is_punct(j, ']') {
-                depth -= 1;
-            } else if is_ident(j, "test") {
-                has_test = true;
-            }
-            j += 1;
-        }
-        (j, has_test)
-    };
-    let match_brace = |open: usize| -> usize {
-        let mut depth = 0usize;
-        let mut j = open;
-        while j < tokens.len() {
-            if is_punct(j, '{') {
-                depth += 1;
-            } else if is_punct(j, '}') {
-                depth -= 1;
-                if depth == 0 {
-                    return j;
-                }
-            }
-            j += 1;
-        }
-        tokens.len().saturating_sub(1)
-    };
-
-    let mut regions = Vec::new();
-    let mut i = 0usize;
-    while i < tokens.len() {
-        if is_punct(i, '#') && is_punct(i + 1, '[') {
-            let (mut j, mut has_test) = scan_attr(i + 2);
-            // Fold in any directly following attributes.
-            while is_punct(j, '#') && is_punct(j + 1, '[') {
-                let (next, t) = scan_attr(j + 2);
-                has_test = has_test || t;
-                j = next;
-            }
-            if has_test {
-                // The attributed item: everything up to its body's close
-                // (or its `;` for a body-less item).
-                let mut k = j;
-                while k < tokens.len() && !is_punct(k, '{') && !is_punct(k, ';') {
-                    k += 1;
-                }
-                if is_punct(k, '{') {
-                    let close = match_brace(k);
-                    regions.push((i, close));
-                    i = close + 1;
-                    continue;
-                }
-                regions.push((i, k.min(tokens.len().saturating_sub(1))));
-                i = k + 1;
-                continue;
-            }
-            i = j;
-            continue;
-        }
-        if is_ident(i, "mod") && is_ident(i + 1, "tests") && is_punct(i + 2, '{') {
-            let close = match_brace(i + 2);
-            regions.push((i, close));
-            i = close + 1;
-            continue;
-        }
-        i += 1;
-    }
-    regions
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -573,58 +487,6 @@ mod tests {
     fn waiver_without_rules_is_ignored() {
         assert!(lex("// lint:allow() nothing").waivers.is_empty());
         assert!(lex("// lint:allow unclosed").waivers.is_empty());
-    }
-
-    #[test]
-    fn cfg_test_region_covers_the_item_body() {
-        let src = "fn live() { x.unwrap(); }\n\
-                   #[cfg(test)]\n\
-                   mod tests {\n\
-                       fn t() { y.unwrap(); }\n\
-                   }\n\
-                   fn live2() {}";
-        let lexed = lex(src);
-        let regions = test_regions(&lexed.tokens);
-        assert_eq!(regions.len(), 1);
-        let (a, b) = regions[0];
-        let in_test = |name: &str| {
-            let idx = lexed
-                .tokens
-                .iter()
-                .position(|t| t.text == name)
-                .expect("token present");
-            idx >= a && idx <= b
-        };
-        assert!(!in_test("live"));
-        assert!(in_test("y"));
-        assert!(!in_test("live2"));
-    }
-
-    #[test]
-    fn test_attr_on_fn_and_mod_tests_without_cfg() {
-        let src = "#[test]\nfn check() { a.unwrap(); }\n\
-                   mod tests { fn u() { b.unwrap(); } }\n\
-                   fn live() {}";
-        let lexed = lex(src);
-        let regions = test_regions(&lexed.tokens);
-        assert_eq!(regions.len(), 2);
-        let live = lexed
-            .tokens
-            .iter()
-            .position(|t| t.text == "live")
-            .expect("live");
-        assert!(regions.iter().all(|&(a, b)| live < a || live > b));
-    }
-
-    #[test]
-    fn cfg_test_with_nested_brackets_and_stacked_attrs() {
-        let src = "#[cfg(all(test, feature = \"x\"))]\n#[allow(dead_code)]\n\
-                   fn helper() { c.unwrap(); }\nfn live() {}";
-        let lexed = lex(src);
-        let regions = test_regions(&lexed.tokens);
-        assert_eq!(regions.len(), 1);
-        let c = lexed.tokens.iter().position(|t| t.text == "c").expect("c");
-        assert!(regions.iter().any(|&(a, b)| c >= a && c <= b));
     }
 
     #[test]

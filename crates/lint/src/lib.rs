@@ -2,29 +2,28 @@
 //!
 //! The reproduction's headline property is bit-identical virtual-time
 //! results; that property rests on source-level conventions no compiler
-//! checks. This crate checks them statically: a hand-rolled Rust
-//! tokenizer ([`lexer`]), five rules ([`rules`], R1–R5), a waiver
-//! comment syntax, a committed ratcheting baseline for grandfathered
-//! violations, and JSON / `file:line` reports ([`report`]). No external
-//! dependencies — the build container is offline.
+//! checks. This crate checks them statically in one pass: a hand-rolled
+//! Rust tokenizer ([`lexer`]) feeds one [`workspace::Workspace`] (token
+//! views, test regions, waivers, and the [`graph`] call graph), and one
+//! table of rules ([`rules::RULES`], R1–R7 plus the stale-waiver check
+//! W0) runs over it. Findings come out as `file:line` lines or JSON
+//! ([`report`]). No external dependencies — the build container is
+//! offline.
 //!
 //! Library entry points: [`analyze_workspace`] walks the real tree;
 //! [`analyze_sources`] runs the same pipeline over in-memory
 //! `(path, text)` pairs (how the fixture tests seed violations).
 
-pub mod explain;
 pub mod graph;
 pub mod lexer;
 pub mod report;
 pub mod rules;
-pub mod rules2;
+pub mod workspace;
 
-use std::collections::BTreeSet;
 use std::io;
 use std::path::{Path, PathBuf};
 
-pub use report::Baseline;
-pub use rules::Violation;
+pub use rules::{InterStats, Violation};
 
 /// Path prefixes never scanned: build output, the dependency shims
 /// (host-side by design: the criterion shim legitimately reads host
@@ -51,9 +50,9 @@ pub struct Analysis {
     /// The metric manifest derived from every R2 registration site —
     /// the committed `results/metric_manifest.json` must byte-match it.
     pub manifest: String,
-    /// Interprocedural pass statistics (call-graph size, typed lock
-    /// acquisitions, MR obligations) — pinned by the self-check.
-    pub stats: rules2::InterStats,
+    /// Call-graph size, typed lock acquisitions, MR obligations — pinned
+    /// by the self-check.
+    pub stats: InterStats,
 }
 
 /// The workspace root when running via `cargo run -p rmc-lint`
@@ -104,86 +103,16 @@ pub fn collect_files(root: &Path) -> io::Result<Vec<String>> {
 }
 
 /// Runs the full pipeline over in-memory `(relative path, source)`
-/// pairs: lex once, phase-1 per-file rules plus global metric-read
-/// validation, phase-2 call-graph construction and interprocedural
-/// rules, waiver application (with usage tracking feeding the W0
-/// stale-waiver check), manifest derivation.
+/// pairs: lex once, build the workspace, run the rule table, derive the
+/// manifest.
 pub fn analyze_sources(files: &[(String, String)]) -> Analysis {
-    let lexed: Vec<(String, lexer::Lexed)> = files
-        .iter()
-        .map(|(p, t)| (p.clone(), lexer::lex(t)))
-        .collect();
-    let mut all_violations: Vec<Violation> = Vec::new();
-    let mut sites = Vec::new();
-    let mut reads = Vec::new();
-    // Waiver coverage: (file, line) pairs per rule (names uppercased by
-    // the lexer), for the violating line itself and (from standalone
-    // comment lines) the line below. `entries` keeps one row per
-    // written waiver for the stale-waiver check.
-    let mut waiver_at: BTreeSet<(String, u32, String)> = BTreeSet::new();
-    let mut entries: Vec<(String, u32, String)> = Vec::new();
-    for (path, lx) in &lexed {
-        for w in &lx.waivers {
-            for r in &w.rules {
-                entries.push((path.clone(), w.line, r.clone()));
-                waiver_at.insert((path.clone(), w.line, r.clone()));
-                if w.standalone {
-                    waiver_at.insert((path.clone(), w.line + 1, r.clone()));
-                }
-            }
-        }
-        let scan = rules::scan_file(path, lx);
-        all_violations.extend(scan.violations);
-        sites.extend(scan.sites);
-        reads.extend(scan.reads);
-    }
-    all_violations.extend(rules::check_reads(&sites, &reads));
-    let call_graph = graph::build(&lexed);
-    let (v2, stats) = rules2::run(&lexed, &call_graph, &waiver_at);
-    all_violations.extend(v2);
-    // Waiver application is case-insensitive on the rule id (the lexer
-    // uppercases waived rule names to `R1V2`; the rule reports as
-    // `R1v2`).
-    let before = all_violations.len();
-    let mut used: BTreeSet<(String, u32, String)> = BTreeSet::new();
-    all_violations.retain(|v| {
-        let key = (v.file.clone(), v.line, v.rule.to_ascii_uppercase());
-        if waiver_at.contains(&key) {
-            used.insert(key);
-            false
-        } else {
-            true
-        }
-    });
-    let waived = before - all_violations.len();
-    for key in &stats.used_waivers {
-        used.insert(key.clone());
-    }
-    // W0 — stale waivers: an allow whose rule fired on neither the
-    // comment line nor the line below suppresses nothing and hides a
-    // future regression. W0 itself is not waivable.
-    for (file, line, rule) in &entries {
-        let used_here = used.contains(&(file.clone(), *line, rule.clone()))
-            || used.contains(&(file.clone(), line + 1, rule.clone()));
-        if !used_here {
-            all_violations.push(Violation {
-                rule: "W0",
-                file: file.clone(),
-                line: *line,
-                message: format!(
-                    "stale waiver: lint:allow({rule}) suppresses nothing here — \
-                     the rule no longer fires on this line; delete the waiver"
-                ),
-            });
-        }
-    }
-    all_violations.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
+    let found = rules::run(&workspace::Workspace::new(files));
     Analysis {
         files_scanned: files.len(),
-        violations: all_violations,
-        waived,
-        manifest: report::write_manifest(&sites),
-        stats,
+        violations: found.violations,
+        waived: found.waived,
+        manifest: report::write_manifest(&found.sites),
+        stats: found.stats,
     }
 }
 
@@ -195,27 +124,4 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Analysis> {
         files.push((rel, text));
     }
     Ok(analyze_sources(&files))
-}
-
-/// (rule, file, found, grandfathered) for every group exceeding its
-/// baseline allowance — the check fails iff this is non-empty.
-pub fn failing_groups(
-    violations: &[Violation],
-    baseline: &Baseline,
-) -> Vec<(String, String, u64, u64)> {
-    let counts = report::count_by_rule_file(violations);
-    let mut out = Vec::new();
-    for (rule, files) in &counts {
-        for (file, &found) in files {
-            let allowed = baseline
-                .get(rule)
-                .and_then(|f| f.get(file))
-                .copied()
-                .unwrap_or(0);
-            if found > allowed {
-                out.push((rule.clone(), file.clone(), found, allowed));
-            }
-        }
-    }
-    out
 }

@@ -1,27 +1,22 @@
 //! `rmc-lint` CLI.
 //!
 //! ```text
-//! cargo run -p rmc-lint -- --check                 # gate: exit 1 on non-baselined violations
+//! cargo run -p rmc-lint -- --check                 # gate: exit 1 on any violation or a stale manifest
 //! cargo run -p rmc-lint -- --check --json out.json # also write the machine-readable report
-//! cargo run -p rmc-lint -- --list                  # every violation, baseline ignored
-//! cargo run -p rmc-lint -- --update-baseline       # rewrite crates/lint/baseline.json
 //! cargo run -p rmc-lint -- --write-manifest        # rewrite results/metric_manifest.json
 //! cargo run -p rmc-lint -- --explain R6            # rule rationale + minimal failing example
 //! ```
 //!
-//! Options: `--root PATH` (workspace root), `--baseline PATH`,
-//! `--no-baseline` (treat every violation as new).
+//! Option: `--root PATH` (workspace root).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use rmc_lint::{analyze_workspace, default_root, explain, failing_groups, report, Baseline};
+use rmc_lint::{analyze_workspace, default_root, report, rules};
 
 enum Mode {
     Check,
-    List,
-    UpdateBaseline,
     WriteManifest,
     Explain(String),
 }
@@ -34,59 +29,52 @@ fn fail(msg: &str) -> ExitCode {
 fn main() -> ExitCode {
     let mut mode = None;
     let mut root: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
     let mut json_path: Option<PathBuf> = None;
-    let mut no_baseline = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--check" => mode = Some(Mode::Check),
-            "--list" => mode = Some(Mode::List),
-            "--update-baseline" => mode = Some(Mode::UpdateBaseline),
             "--write-manifest" => mode = Some(Mode::WriteManifest),
-            "--no-baseline" => no_baseline = true,
             "--explain" => {
                 let Some(v) = args.next() else {
-                    eprintln!("rmc-lint: --explain needs a rule id\n{}", explain::index());
-                    return ExitCode::from(2);
+                    return fail(&format!("--explain needs a rule id\n{}", rules::index()));
                 };
                 mode = Some(Mode::Explain(v));
             }
-            "--root" | "--baseline" | "--json" => {
+            "--root" | "--json" => {
                 let Some(v) = args.next() else {
                     return fail(&format!("{a} needs a value"));
                 };
-                match a.as_str() {
-                    "--root" => root = Some(PathBuf::from(v)),
-                    "--baseline" => baseline_path = Some(PathBuf::from(v)),
-                    _ => json_path = Some(PathBuf::from(v)),
-                }
+                let slot = if a == "--root" {
+                    &mut root
+                } else {
+                    &mut json_path
+                };
+                *slot = Some(PathBuf::from(v));
             }
-            other => return fail(&format!("unknown argument {other:?} (see --check/--list/--update-baseline/--write-manifest)")),
+            other => {
+                return fail(&format!(
+                    "unknown argument {other:?} (see --check/--write-manifest/--explain)"
+                ))
+            }
         }
     }
     let Some(mode) = mode else {
-        return fail(
-            "pick a mode: --check | --list | --update-baseline | --write-manifest | --explain RULE",
-        );
+        return fail("pick a mode: --check | --write-manifest | --explain RULE");
     };
 
     if let Mode::Explain(id) = &mode {
-        return match explain::lookup(id) {
+        return match rules::lookup(id) {
             Some(doc) => {
-                print!("{}", explain::render(doc));
+                print!("{}", rules::render(doc));
                 ExitCode::SUCCESS
             }
-            None => {
-                eprintln!("rmc-lint: no rule {id:?}\n{}", explain::index());
-                ExitCode::from(2)
-            }
+            None => fail(&format!("no rule {id:?}\n{}", rules::index())),
         };
     }
 
     let root = root.unwrap_or_else(default_root);
-    let baseline_path = baseline_path.unwrap_or_else(|| root.join("crates/lint/baseline.json"));
     let manifest_path = root.join("results/metric_manifest.json");
 
     let started = Instant::now();
@@ -96,126 +84,64 @@ fn main() -> ExitCode {
     };
     let elapsed_ms = started.elapsed().as_millis() as u64;
 
-    match mode {
-        Mode::Explain(_) => unreachable!("handled before analysis"),
-        Mode::List => {
-            for v in &analysis.violations {
-                println!("{}:{}: [{}] {}", v.file, v.line, v.rule, v.message);
-            }
-            println!(
-                "{} violations in {} files scanned ({} waived) in {} ms",
-                analysis.violations.len(),
-                analysis.files_scanned,
-                analysis.waived,
-                elapsed_ms
+    if matches!(mode, Mode::WriteManifest) {
+        if let Err(e) = std::fs::write(&manifest_path, &analysis.manifest) {
+            return fail(&format!("writing {}: {e}", manifest_path.display()));
+        }
+        println!("manifest written to {}", manifest_path.display());
+        return ExitCode::SUCCESS;
+    }
+
+    if let Some(path) = &json_path {
+        let text = report::write_report(
+            analysis.files_scanned,
+            &analysis.violations,
+            analysis.waived,
+            elapsed_ms,
+        );
+        if let Err(e) = std::fs::write(path, &text) {
+            return fail(&format!("writing {}: {e}", path.display()));
+        }
+    }
+
+    for v in &analysis.violations {
+        eprintln!("{}:{}: [{}] {}", v.file, v.line, v.rule, v.message);
+    }
+    let mut failed = !analysis.violations.is_empty();
+
+    // Manifest sync: the committed metric inventory must match what the
+    // sources register, byte for byte.
+    match std::fs::read_to_string(&manifest_path) {
+        Ok(on_disk) if on_disk == analysis.manifest => {}
+        Ok(_) => {
+            failed = true;
+            eprintln!(
+                "[R2] {}: stale — metric registrations changed; \
+                 run `cargo run -p rmc-lint -- --write-manifest` and commit",
+                manifest_path.display()
             );
-            ExitCode::SUCCESS
         }
-        Mode::UpdateBaseline => {
-            let counts = report::count_by_rule_file(&analysis.violations);
-            let text = report::write_baseline(&counts);
-            if let Err(e) = std::fs::write(&baseline_path, &text) {
-                return fail(&format!("writing {}: {e}", baseline_path.display()));
-            }
-            println!(
-                "baseline written to {} ({} rule groups)",
-                baseline_path.display(),
-                counts.len()
+        Err(e) => {
+            failed = true;
+            eprintln!(
+                "[R2] {}: unreadable ({e}) — run `cargo run -p rmc-lint -- --write-manifest`",
+                manifest_path.display()
             );
-            ExitCode::SUCCESS
         }
-        Mode::WriteManifest => {
-            if let Err(e) = std::fs::write(&manifest_path, &analysis.manifest) {
-                return fail(&format!("writing {}: {e}", manifest_path.display()));
-            }
-            println!("manifest written to {}", manifest_path.display());
-            ExitCode::SUCCESS
-        }
-        Mode::Check => {
-            let baseline: Baseline = if no_baseline {
-                Baseline::new()
-            } else {
-                match std::fs::read_to_string(&baseline_path) {
-                    Ok(text) => match report::parse_baseline(&text) {
-                        Ok(b) => b,
-                        Err(e) => {
-                            return fail(&format!("parsing {}: {e}", baseline_path.display()))
-                        }
-                    },
-                    Err(_) => Baseline::new(), // no baseline committed yet: everything is new
-                }
-            };
+    }
 
-            if let Some(path) = &json_path {
-                let text = report::write_report(
-                    analysis.files_scanned,
-                    &analysis.violations,
-                    analysis.waived,
-                    &baseline,
-                    elapsed_ms,
-                );
-                if let Err(e) = std::fs::write(path, &text) {
-                    return fail(&format!("writing {}: {e}", path.display()));
-                }
-            }
-
-            let mut failed = false;
-
-            let failing = failing_groups(&analysis.violations, &baseline);
-            if !failing.is_empty() {
-                failed = true;
-                for (rule, file, found, allowed) in &failing {
-                    eprintln!("[{rule}] {file}: {found} violation(s), {allowed} baselined:");
-                    for v in analysis
-                        .violations
-                        .iter()
-                        .filter(|v| v.rule == rule && v.file == *file)
-                    {
-                        eprintln!("  {}:{}: {}", v.file, v.line, v.message);
-                    }
-                }
-            }
-
-            // Manifest sync: the committed metric inventory must match
-            // what the sources register, byte for byte.
-            match std::fs::read_to_string(&manifest_path) {
-                Ok(on_disk) if on_disk == analysis.manifest => {}
-                Ok(_) => {
-                    failed = true;
-                    eprintln!(
-                        "[R2] {}: stale — metric registrations changed; \
-                         run `cargo run -p rmc-lint -- --write-manifest` and commit",
-                        manifest_path.display()
-                    );
-                }
-                Err(e) => {
-                    failed = true;
-                    eprintln!(
-                        "[R2] {}: unreadable ({e}) — run `cargo run -p rmc-lint -- --write-manifest`",
-                        manifest_path.display()
-                    );
-                }
-            }
-
-            if failed {
-                eprintln!(
-                    "rmc-lint: FAILED ({} files scanned, {} violations, {} waived) in {} ms",
-                    analysis.files_scanned,
-                    analysis.violations.len(),
-                    analysis.waived,
-                    elapsed_ms
-                );
-                ExitCode::FAILURE
-            } else {
-                println!(
-                    "rmc-lint: clean ({} files scanned, {} baselined violations, {} waived) in {} ms",
-                    analysis.files_scanned,
-                    analysis.violations.len(),
-                    analysis.waived,
-                    elapsed_ms
-                );
-                ExitCode::SUCCESS
-            }
-        }
+    let summary = format!(
+        "({} files scanned, {} violations, {} waived) in {} ms",
+        analysis.files_scanned,
+        analysis.violations.len(),
+        analysis.waived,
+        elapsed_ms
+    );
+    if failed {
+        eprintln!("rmc-lint: FAILED {summary}");
+        ExitCode::FAILURE
+    } else {
+        println!("rmc-lint: clean {summary}");
+        ExitCode::SUCCESS
     }
 }

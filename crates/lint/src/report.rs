@@ -1,18 +1,10 @@
-//! Report, baseline, and manifest serialization.
-//!
-//! Everything here is hand-rolled (the container is offline; the lint
-//! crate follows the `shims/` precedent of zero external deps): a JSON
-//! string escaper, deterministic writers for the violation report /
-//! baseline / metric manifest, and a restricted JSON parser that reads
-//! exactly the shape the baseline writer emits
-//! (`{ "R4": { "path": 6, … }, … }`).
+//! Report and manifest serialization, hand-rolled like everything in
+//! this crate: a JSON string escaper and deterministic writers for the
+//! violation report and the metric manifest.
 
 use std::collections::BTreeMap;
 
 use crate::rules::{MetricSite, Violation};
-
-/// Baseline: rule id → file → grandfathered violation count.
-pub type Baseline = BTreeMap<String, BTreeMap<String, u64>>;
 
 /// JSON string escape (control chars, quote, backslash).
 pub fn esc(s: &str) -> String {
@@ -29,185 +21,6 @@ pub fn esc(s: &str) -> String {
         }
     }
     out
-}
-
-/// Groups violations into baseline shape: rule → file → count.
-pub fn count_by_rule_file(violations: &[Violation]) -> Baseline {
-    let mut out: Baseline = BTreeMap::new();
-    for v in violations {
-        *out.entry(v.rule.to_string())
-            .or_default()
-            .entry(v.file.clone())
-            .or_insert(0) += 1;
-    }
-    out
-}
-
-/// Serializes a baseline, sorted, one file per line — diff-friendly so
-/// the CI "baseline only shrinks" assertion reads cleanly.
-pub fn write_baseline(b: &Baseline) -> String {
-    let mut out = String::from("{\n");
-    let rules: Vec<_> = b.iter().filter(|(_, files)| !files.is_empty()).collect();
-    for (ri, (rule, files)) in rules.iter().enumerate() {
-        out.push_str(&format!("  \"{}\": {{\n", esc(rule)));
-        for (fi, (file, n)) in files.iter().enumerate() {
-            let comma = if fi + 1 < files.len() { "," } else { "" };
-            out.push_str(&format!("    \"{}\": {}{}\n", esc(file), n, comma));
-        }
-        let comma = if ri + 1 < rules.len() { "," } else { "" };
-        out.push_str(&format!("  }}{}\n", comma));
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// Parses the baseline shape (object of objects of non-negative
-/// integers). Restricted on purpose: anything else in the file is a
-/// hand-edit error worth failing loudly on.
-pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.ws();
-    let out = p.outer()?;
-    p.ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
-    }
-    Ok(out)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b" \t\r\n".contains(b))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        self.ws();
-        if self.bytes.get(self.pos) == Some(&c) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {}, found {:?}",
-                c as char,
-                self.pos,
-                self.bytes.get(self.pos).map(|&b| b as char)
-            ))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        other => {
-                            return Err(format!(
-                                "unsupported escape {:?}",
-                                other.map(|&b| b as char)
-                            ))
-                        }
-                    }
-                    self.pos += 1;
-                }
-                Some(&b) => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<u64, String> {
-        self.ws();
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(format!("expected a count at byte {start}"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("bad count at byte {start}"))
-    }
-
-    fn inner(&mut self) -> Result<BTreeMap<String, u64>, String> {
-        self.eat(b'{')?;
-        let mut out = BTreeMap::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(out);
-        }
-        loop {
-            self.ws();
-            let key = self.string()?;
-            self.eat(b':')?;
-            out.insert(key, self.number()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                other => return Err(format!("expected ',' or '}}', found {other:?}")),
-            }
-        }
-    }
-
-    fn outer(&mut self) -> Result<Baseline, String> {
-        self.eat(b'{')?;
-        let mut out = Baseline::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(out);
-        }
-        loop {
-            self.ws();
-            let key = self.string()?;
-            self.eat(b':')?;
-            out.insert(key, self.inner()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                other => return Err(format!("expected ',' or '}}', found {other:?}")),
-            }
-        }
-    }
 }
 
 /// Serializes the metric manifest: every registration pattern with its
@@ -246,50 +59,23 @@ pub fn write_report(
     files_scanned: usize,
     violations: &[Violation],
     waived: usize,
-    baseline: &Baseline,
     elapsed_ms: u64,
 ) -> String {
-    let counts = count_by_rule_file(violations);
-    let mut unbaselined = 0u64;
-    for (rule, files) in &counts {
-        for (file, n) in files {
-            let grandfathered = baseline
-                .get(rule)
-                .and_then(|f| f.get(file))
-                .copied()
-                .unwrap_or(0);
-            unbaselined += n.saturating_sub(grandfathered);
-        }
-    }
-    let mut out = String::from("{\n");
-    out.push_str(&format!(
-        "  \"summary\": {{ \"files\": {}, \"violations\": {}, \"waived\": {}, \"unbaselined\": {}, \"elapsed_ms\": {} }},\n",
+    let mut out = format!(
+        "{{\n  \"summary\": {{ \"files\": {}, \"violations\": {}, \"waived\": {}, \"elapsed_ms\": {} }},\n",
         files_scanned,
         violations.len(),
         waived,
-        unbaselined,
         elapsed_ms
-    ));
+    );
     out.push_str("  \"violations\": [\n");
     for (i, v) in violations.iter().enumerate() {
-        let grandfathered = baseline
-            .get(v.rule)
-            .and_then(|f| f.get(&v.file))
-            .copied()
-            .unwrap_or(0);
-        let found = counts
-            .get(v.rule)
-            .and_then(|f| f.get(&v.file))
-            .copied()
-            .unwrap_or(0);
-        let baselined = found <= grandfathered;
         let comma = if i + 1 < violations.len() { "," } else { "" };
         out.push_str(&format!(
-            "    {{ \"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"baselined\": {}, \"message\": \"{}\" }}{}\n",
+            "    {{ \"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\" }}{}\n",
             v.rule,
             esc(&v.file),
             v.line,
-            baselined,
             esc(&v.message),
             comma
         ));
@@ -301,39 +87,6 @@ pub fn write_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn baseline_round_trips() {
-        let mut b = Baseline::new();
-        b.entry("R4".to_string())
-            .or_default()
-            .insert("crates/core/src/client.rs".to_string(), 6);
-        b.entry("R4".to_string())
-            .or_default()
-            .insert("crates/verbs/src/qp.rs".to_string(), 2);
-        b.entry("R1".to_string())
-            .or_default()
-            .insert("src/x.rs".to_string(), 1);
-        let text = write_baseline(&b);
-        assert_eq!(parse_baseline(&text).unwrap(), b);
-    }
-
-    #[test]
-    fn baseline_parser_rejects_junk() {
-        assert!(parse_baseline("[]").is_err());
-        assert!(parse_baseline("{\"R4\": {\"f\": -1}}").is_err());
-        assert!(parse_baseline("{\"R4\": {\"f\": 1}} extra").is_err());
-        assert!(parse_baseline("{\"R4\": 3}").is_err());
-        assert!(parse_baseline("{}").unwrap().is_empty());
-        assert!(parse_baseline("{\"R1\": {}}").unwrap()["R1"].is_empty());
-    }
-
-    #[test]
-    fn empty_rule_groups_are_not_written() {
-        let mut b = Baseline::new();
-        b.entry("R5".to_string()).or_default();
-        assert_eq!(write_baseline(&b), "{\n}\n");
-    }
 
     #[test]
     fn manifest_dedups_and_sorts() {

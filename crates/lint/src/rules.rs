@@ -1,26 +1,35 @@
-//! The rule engine: five project invariants checked lexically.
+//! The rule table: one row per invariant.
 //!
-//! | rule | invariant |
-//! |------|-----------|
-//! | R1   | virtual-time purity: no wall clock / OS randomness in the simulated layers |
-//! | R2   | metric-name discipline: registry names parse against the dotted grammar `prometheus_text()` maps to `rmc_*` families, and reads reference registered names |
-//! | R3   | trace-span balance: tracer `begin`/`end` names pair up per file; span keys are never the literal `0` |
-//! | R4   | panic-path audit: no `unwrap()`/`expect()`/`panic!` in non-test code of the protocol crates |
-//! | R5   | counter monotonicity: UCR counter cells are only written inside `counter.rs` |
+//! A [`Rule`] row is everything the analyzer knows about an invariant —
+//! the id findings carry, the text `--explain` prints, the predicate
+//! saying which files a finding may be anchored in, and the function
+//! that checks it. [`run`] walks the table once over one [`Workspace`];
+//! nothing reports a finding except through the row being run, so an id
+//! that is not a row cannot be emitted.
 //!
-//! Rules see a token stream (comments and test regions already
-//! classified by [`crate::lexer`]); violations are reported as
-//! `file:line` plus a message. `// lint:allow(<rule>) reason` on the
-//! offending line (or alone on the line above) waives a hit.
+//! `// lint:allow(<id>) reason` on the offending line (or alone on the
+//! line above) waives a hit; the last row, W0, flags every waiver that
+//! suppressed nothing. Every rule errs toward *missing* a violation
+//! rather than inventing one: unresolved calls contribute no edges,
+//! untypable receivers no acquisitions, unretained registrations no
+//! obligations.
+
+mod locks;
+mod metrics;
+mod purity;
+mod regions;
+mod spans;
 
 use std::collections::BTreeSet;
 
-use crate::lexer::{Lexed, TokKind, Token};
+use crate::workspace::{is_test_path, SourceFile, Workspace};
+
+pub use metrics::{pattern_matches, MetricSite};
 
 /// One rule hit.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Violation {
-    /// Rule id (`"R1"`..`"R5"`).
+    /// Rule id (a [`RULES`] row).
     pub rule: &'static str,
     /// Workspace-relative path.
     pub file: String,
@@ -30,51 +39,31 @@ pub struct Violation {
     pub message: String,
 }
 
-/// A metric registration site found by R2 (the manifest rows).
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct MetricSite {
-    /// Dotted name with `format!` placeholders normalized to `*` (a `*`
-    /// matches any run of `[a-z0-9_.]`, so one placeholder may stand for
-    /// several segments).
-    pub pattern: String,
-    /// `counter` / `gauge` / `histogram`.
-    pub kind: &'static str,
-    /// Owning layer: the first literal segment when it is a known layer
-    /// prefix, `dynamic` when the pattern starts with a placeholder,
-    /// `other` otherwise.
-    pub layer: String,
-    /// File the registration lives in.
-    pub file: String,
-    /// Registration line.
-    pub line: u32,
+/// One invariant: what `--explain` prints, where it applies, how it is
+/// checked.
+pub struct Rule {
+    /// The id findings carry and waivers name.
+    pub id: &'static str,
+    /// One-line summary (matches the README rules table).
+    pub title: &'static str,
+    /// Why the rule exists — what breaks when it is violated.
+    pub rationale: &'static str,
+    /// Which paths the rule scans and what it skips, in prose.
+    pub scope: &'static str,
+    /// The same scope as a predicate: may a finding be anchored in this
+    /// file?
+    pub covers: fn(&str) -> bool,
+    /// Checks the invariant over the whole workspace.
+    pub run: fn(&Workspace, &mut Findings),
+    /// A minimal failing source, verbatim from `tests/fixtures/` — the
+    /// files the end-to-end tests pin by `file:line`, so this
+    /// documentation cannot drift from what the analyzer flags.
+    pub example: &'static str,
+    /// Which lines of the example fire and why.
+    pub example_note: &'static str,
 }
 
-/// A literal-name metric *read* (`counter_value("…")`) found by R2,
-/// checked against the registered patterns after all files are scanned.
-#[derive(Clone, Debug)]
-pub struct MetricRead {
-    /// The read name, placeholders normalized to `x`.
-    pub name: String,
-    /// `counter` / `gauge` — the instrument kind the read expects.
-    pub kind: &'static str,
-    /// File / line of the read.
-    pub file: String,
-    /// Read line.
-    pub line: u32,
-}
-
-/// Per-file scan result.
-#[derive(Debug, Default)]
-pub struct FileScan {
-    /// Rule hits (waivers not yet applied).
-    pub violations: Vec<Violation>,
-    /// Metric registrations (for the manifest and the read check).
-    pub sites: Vec<MetricSite>,
-    /// Metric reads (validated globally).
-    pub reads: Vec<MetricRead>,
-}
-
-pub(crate) const R1_SCOPE: [&str; 10] = [
+const SIMULATED_LAYERS: [&str; 10] = [
     "crates/simnet/",
     "crates/verbs/",
     "crates/ucr/",
@@ -87,7 +76,7 @@ pub(crate) const R1_SCOPE: [&str; 10] = [
     "examples/",
 ];
 
-const R4_SCOPE: [&str; 5] = [
+const PROTOCOL_CRATES: [&str; 5] = [
     "crates/ucr/src/",
     "crates/verbs/src/",
     "crates/core/src/",
@@ -95,807 +84,482 @@ const R4_SCOPE: [&str; 5] = [
     "crates/proto/src/",
 ];
 
-/// Layer prefixes `prometheus_text()` turns into a `layer` label — kept
-/// in sync with `simnet::timeseries::LAYER_PREFIXES`.
-const KNOWN_LAYERS: [&str; 10] = [
-    "wire", "verbs", "ucr", "core", "mc", "client", "bench", "latency", "trace", "profile",
+fn production(path: &str) -> bool {
+    !is_test_path(path)
+}
+
+fn under(path: &str, prefixes: &[&str]) -> bool {
+    production(path) && prefixes.iter().any(|p| path.starts_with(p))
+}
+
+/// All rules, in the order they run. W0 is last: it reads which waivers
+/// the rows before it consumed.
+pub const RULES: &[Rule] = &[
+    Rule {
+        id: "R1",
+        title: "no wall clock / OS entropy reachable from a simulated layer",
+        rationale: "The reproduction's headline property is bit-identical \
+                    virtual-time results across runs and machines. One \
+                    Instant::now / SystemTime / thread_rng in a simulated \
+                    layer silently couples results to the host, and the \
+                    regression only shows up as an unreproducible diff weeks \
+                    later. A helper in a host-tool crate can launder the same \
+                    call into a simulated layer through one call hop, so the \
+                    rule follows the call graph: a scoped function may not \
+                    reach an unwaived use, directly or through out-of-scope \
+                    callees.",
+        scope: "crates/{simnet,verbs,ucr,sockets,core,store,proto,bench}, \
+                src/, examples/ — production code only (test modules and \
+                tests/ trees are exempt; crates/lint and shims/ are host \
+                tools by design). A direct use is flagged at the use; a use \
+                reached through out-of-scope callees (which may live \
+                anywhere, including crates/lint) is flagged at the call that \
+                leaves the scope, with the chain printed. A waiver on the \
+                use stops the taint at the source.",
+        covers: |p| under(p, &SIMULATED_LAYERS),
+        run: purity::run,
+        example: concat!(
+            include_str!("../tests/fixtures/r1.rs"),
+            "\n// --- crates/core/src/fixture_taint.rs (simulated layer) ---\n",
+            include_str!("../tests/fixtures/r1v2_core.rs"),
+            "\n// --- crates/lint/src/fixture_util.rs (host tool) ---\n",
+            include_str!("../tests/fixtures/r1v2_util.rs"),
+        ),
+        example_note: "Every direct use in the first file fires: Instant, \
+                       thread::sleep, process::id, rand::random, thread_rng. In \
+                       the pair, the call to stamp() in the core crate fires: \
+                       the chain is now_ticks -> stamp -> ticks, where ticks \
+                       calls Instant::now. seeded_ok() is clean because the \
+                       helper waives its use at the source.",
+    },
+    Rule {
+        id: "R2",
+        title: "metric names follow the grammar and reads match a registration",
+        rationale: "Metrics are the observability contract: results/ plots \
+                    and the SLO tracker key on exact metric names. A typo'd \
+                    registration or a read of a never-registered name returns \
+                    silent zeros instead of failing. The committed \
+                    results/metric_manifest.json must byte-match what the \
+                    sources register.",
+        scope: "All scanned production code; registration sites feed the \
+                manifest, read sites are checked against the union of \
+                registrations across the whole workspace.",
+        covers: production,
+        run: metrics::run,
+        example: include_str!("../tests/fixtures/r2.rs"),
+        example_note: "Grammar violations (bad layer, bad segment, uppercase, \
+                       reserved .high suffix) fire at the registration; the \
+                       read of an unregistered name fires at the read.",
+    },
+    Rule {
+        id: "R3",
+        title: "tracer spans pair up and carry a real key",
+        rationale: "A begin whose end lives in a function the begin side can \
+                    never reach (no call-graph connection) is either dead \
+                    instrumentation or a span that never closes — both poison \
+                    the folded profile. Spans with key 0 collide with the \
+                    sentinel the profiler uses for 'no span', corrupting \
+                    critical-path attribution.",
+        scope: "All scanned production code with `.begin(Layer::…` / \
+                `.end(Layer::…` call shapes (`_detail` variants included). A \
+                literal name pairs with a counterpart in the same file, in \
+                a call-graph-connected function, or in top-level code \
+                outside any function; a name built at runtime can only be \
+                paired within the file that builds it.",
+        covers: production,
+        run: spans::run,
+        example: concat!(
+            include_str!("../tests/fixtures/r3.rs"),
+            "\n// --- crates/ucr/src/fixture_sa.rs (begin side) ---\n",
+            include_str!("../tests/fixtures/r3v2_a.rs"),
+            "\n// --- crates/core/src/fixture_sb.rs (end side) ---\n",
+            include_str!("../tests/fixtures/r3v2_b.rs"),
+        ),
+        example_note: "In the first file the unpaired begin and end and the \
+                       literal-0 span key fire. In the pair, \"xfile_ok\" is \
+                       clean: both sides call helper(), so they share a \
+                       component. \"xfile_orphan\"'s begin and end are \
+                       disconnected — both sides fire.",
+    },
+    Rule {
+        id: "R4",
+        title: "no unwrap/expect/panic in RDMA transport paths",
+        rationale: "Transport code runs inside the event loop; a panic there \
+                    takes down the whole simulated cluster instead of \
+                    surfacing a per-request error the retry machinery can \
+                    absorb.",
+        scope: "crates/{verbs,ucr,sockets,core,proto}/src — production code \
+                only.",
+        covers: |p| under(p, &PROTOCOL_CRATES),
+        run: run_r4,
+        example: include_str!("../tests/fixtures/r4.rs"),
+        example_note: "unwrap(), expect(), and panic! fire; unwrap_or / \
+                       unwrap_or_else are fine (they cannot panic).",
+    },
+    Rule {
+        id: "R5",
+        title: "UCR counter cells only mutate via CtrInner::bump",
+        rationale: "The unreliable-connection retry accounting must stay \
+                    consistent with the metrics layer; direct `.set`/`.0 +=` \
+                    writes bypass the bump path that keeps both in sync.",
+        scope: "crates/ucr/src production code, except counter.rs itself.",
+        covers: |p| under(p, &["crates/ucr/src/"]) && !p.ends_with("/counter.rs"),
+        run: run_r5,
+        example: include_str!("../tests/fixtures/r5.rs"),
+        example_note: "Direct field writes to counter cells fire; calls \
+                       through CtrInner::bump are the sanctioned path.",
+    },
+    Rule {
+        id: "R6",
+        title: "VLock multi-acquisitions are provably ascending and \
+                class-order forms a DAG",
+        rationale: "PR 8's sharded store holds several VLocks at once \
+                    (FlushAll, Stats). The no-deadlock argument is a global \
+                    lock order: same-class acquisitions ascend by index, and \
+                    the class-level acquired-before relation is acyclic. A \
+                    violating path deadlocks only under a specific \
+                    interleaving — exactly what a static check catches and a \
+                    test suite misses.",
+        scope: "All scanned production code except the VLock implementation \
+                itself (crates/simnet/src/vlock.rs). Receivers are typed via \
+                struct fields, let-bindings, unique call results, and \
+                for-loop elements; untypeable receivers are skipped, not \
+                guessed.",
+        covers: |p| production(p) && p != "crates/simnet/src/vlock.rs",
+        run: locks::run,
+        example: include_str!("../tests/fixtures/r6.rs"),
+        example_note: "Descending literal indices fire; a loop over an \
+                       unordered Vec fires (no provable order); the a->b / \
+                       b->a cross-function cycle fires once at the edge that \
+                       closes it. Ranges and BTreeSet/BTreeMap iteration are \
+                       provably ascending and stay clean.",
+    },
+    Rule {
+        id: "R7",
+        title: "retained MR registrations have a release path",
+        rationale: "Memory regions pin physical pages. A registration stored \
+                    into a long-lived container with no remove/retain/clear \
+                    or dereg*/invalidate* call reachable in the same \
+                    call-graph component grows pinned memory without bound — \
+                    the leak PR 6's mirror-page retire path exists to \
+                    prevent.",
+        scope: "All scanned production code except crates/verbs (the \
+                registrar itself). Only *retained* registrations (stored \
+                into a container or bound then stored) carry the obligation; \
+                transient registrations are out of scope by design.",
+        covers: |p| production(p) && !p.starts_with("crates/verbs/"),
+        run: regions::run,
+        example: include_str!("../tests/fixtures/r7.rs"),
+        example_note: "The let-bound registration inserted into `bufs` and \
+                       the direct push into `pool` fire (no release on those \
+                       containers); the `live` insert is balanced by a later \
+                       `live.remove` and stays clean.",
+    },
+    Rule {
+        id: "W0",
+        title: "waivers must still suppress something",
+        rationale: "An allow-comment whose rule no longer fires on its line \
+                    is a silent hole: the next regression on that line is \
+                    auto-suppressed by a comment written for code that no \
+                    longer exists. Stale waivers are flagged at the waiver \
+                    line and are not themselves waivable.",
+        scope: "Every written waiver in scanned files, test trees included. \
+                A waiver is 'used' if it suppressed a finding on its line \
+                (or the line below, for standalone comment lines) — or \
+                stopped an R1 taint at its source.",
+        covers: |_| true,
+        run: run_w0,
+        example: include_str!("../tests/fixtures/w0.rs"),
+        example_note: "unwrap_or never fires R4, so the waiver suppresses \
+                       nothing and is itself flagged.",
+    },
 ];
 
-/// Final segments reserved for series the sampler / reporter derives
-/// (`<name>.rate`, watermarks, histogram summaries): a registered name
-/// ending in one would collide with the derived series.
-const RESERVED_SUFFIXES: [&str; 10] = [
-    "rate", "high", "low", "count", "sum", "mean_us", "p50_us", "p95_us", "p99_us", "max_us",
-];
-
-/// True when `path` lives in a test tree (integration tests are test
-/// code wholesale; every rule is a non-test rule).
-pub fn is_test_path(path: &str) -> bool {
-    path.starts_with("tests/") || path.contains("/tests/")
+/// Statistics gathered alongside the findings. The self-check pins these
+/// so "zero findings" stays distinguishable from "the pass silently
+/// stopped seeing the tree" — an analyzer that types no lock receivers
+/// reports no R6 violations for the wrong reason.
+#[derive(Debug, Default)]
+pub struct InterStats {
+    /// Non-test functions indexed by the call graph.
+    pub fns: usize,
+    /// Call sites with at least one resolved callee.
+    pub resolved_calls: usize,
+    /// Call sites left without edges (conservative: never guessed).
+    pub unresolved_calls: usize,
+    /// Out-of-scope functions directly touching wall clock / OS entropy
+    /// (where R1's taint starts).
+    pub taint_sources: usize,
+    /// Every VLock acquisition R6 typed: (file, line, provably ordered).
+    pub r6_acquisitions: Vec<(String, u32, bool)>,
+    /// Every MR-retention obligation R7 tracked:
+    /// (file, container, release path found).
+    pub r7_obligations: Vec<(String, String, bool)>,
 }
 
-struct View<'a> {
-    path: &'a str,
-    toks: &'a [Token],
-    test_regions: Vec<(usize, usize)>,
+/// What one pass over the table produces.
+pub struct Findings {
+    /// The row being run: its id labels, and its scope admits, whatever
+    /// is reported now.
+    rule: &'static Rule,
+    /// Hits no waiver covers.
+    pub violations: Vec<Violation>,
+    /// Hits suppressed by a waiver.
+    pub waived: usize,
+    /// `(file index, line, rule id)` of every hit a waiver consumed.
+    used: BTreeSet<(usize, u32, &'static str)>,
+    /// Metric registrations R2 found (the manifest rows).
+    pub sites: Vec<MetricSite>,
+    /// See [`InterStats`].
+    pub stats: InterStats,
 }
 
-impl<'a> View<'a> {
-    fn in_test(&self, idx: usize) -> bool {
-        self.test_regions.iter().any(|&(a, b)| idx >= a && idx <= b)
+impl Findings {
+    /// True when the running rule may anchor a finding in `path`.
+    fn covers(&self, path: &str) -> bool {
+        (self.rule.covers)(path)
     }
 
-    fn ident(&self, i: usize, s: &str) -> bool {
-        self.toks
-            .get(i)
-            .is_some_and(|t| t.kind == TokKind::Ident && t.text == s)
+    /// The files the running rule scans, with their index into
+    /// `ws.files`.
+    fn files<'w>(&self, ws: &'w Workspace) -> Vec<(usize, &'w SourceFile)> {
+        let covered = ws.files.iter().enumerate();
+        covered.filter(|(_, f)| self.covers(&f.path)).collect()
     }
 
-    fn any_ident(&self, i: usize) -> Option<&'a str> {
-        self.toks
-            .get(i)
-            .and_then(|t| (t.kind == TokKind::Ident).then_some(t.text.as_str()))
-    }
-
-    fn punct(&self, i: usize, c: char) -> bool {
-        self.toks
-            .get(i)
-            .is_some_and(|t| t.kind == TokKind::Punct && t.text.len() == 1 && t.text.starts_with(c))
-    }
-
-    fn line(&self, i: usize) -> u32 {
-        self.toks.get(i).map(|t| t.line).unwrap_or(0)
-    }
-}
-
-/// Scans one lexed file with every rule whose scope covers `path`.
-/// `lexed` must come from [`crate::lexer::lex`] on that file's text.
-pub fn scan_file(path: &str, lexed: &Lexed) -> FileScan {
-    let mut out = FileScan::default();
-    if is_test_path(path) {
-        return out;
-    }
-    let view = View {
-        path,
-        toks: &lexed.tokens,
-        test_regions: crate::lexer::test_regions(&lexed.tokens),
-    };
-    if R1_SCOPE.iter().any(|p| path.starts_with(p)) {
-        rule_r1(&view, &mut out);
-    }
-    rule_r2(&view, &mut out);
-    rule_r3(&view, &mut out);
-    if R4_SCOPE.iter().any(|p| path.starts_with(p)) {
-        rule_r4(&view, &mut out);
-    }
-    if path.starts_with("crates/ucr/src/") && !path.ends_with("/counter.rs") {
-        rule_r5(&view, &mut out);
-    }
-    out
-}
-
-// ---------------------------------------------------------------------
-// R1 — virtual-time purity
-// ---------------------------------------------------------------------
-
-enum Pat {
-    I(&'static str),
-    ColonColon,
-}
-
-fn match_pat_toks(toks: &[Token], start: usize, pat: &[Pat]) -> Option<usize> {
-    let ident = |i: usize, s: &str| {
-        toks.get(i)
-            .is_some_and(|t: &Token| t.kind == TokKind::Ident && t.text == s)
-    };
-    let punct = |i: usize, c: char| {
-        toks.get(i)
-            .is_some_and(|t: &Token| t.kind == TokKind::Punct && t.text.starts_with(c))
-    };
-    let mut i = start;
-    for p in pat {
-        match p {
-            Pat::I(s) => {
-                if !ident(i, s) {
-                    return None;
-                }
-                i += 1;
-            }
-            Pat::ColonColon => {
-                if !(punct(i, ':') && punct(i + 1, ':')) {
-                    return None;
-                }
-                i += 2;
-            }
+    /// True when a waiver for the running rule covers `line` of file
+    /// `file`; the waiver then counts as used.
+    fn waive(&mut self, ws: &Workspace, file: usize, line: u32) -> bool {
+        let waived = ws.files[file].waived(line, self.rule.id);
+        if waived {
+            self.used.insert((file, line, self.rule.id));
         }
+        waived
     }
-    Some(i)
-}
 
-/// One wall-clock / OS-entropy construct found in a token range.
-pub(crate) struct ImpurityHit {
-    /// Token index of the match start.
-    pub tok: usize,
-    /// 1-based source line.
-    pub line: u32,
-    /// What was called (`std::time::Instant`, `thread_rng`, …).
-    pub what: &'static str,
-    /// True for the single-identifier randomness constructs (their
-    /// message differs from the path-pattern one).
-    pub is_entropy_single: bool,
-}
-
-/// Scans `toks[from..to)` for the R1 impurity constructs — shared by the
-/// file-local R1 rule and the interprocedural R1v2 taint analysis.
-pub(crate) fn impurity_scan(toks: &[Token], from: usize, to: usize) -> Vec<ImpurityHit> {
-    use Pat::{ColonColon as CC, I};
-    let paths: [(&[Pat], &'static str); 7] = [
-        (&[I("time"), CC, I("Instant")], "std::time::Instant"),
-        (&[I("time"), CC, I("SystemTime")], "std::time::SystemTime"),
-        (&[I("Instant"), CC, I("now")], "Instant::now"),
-        (&[I("SystemTime"), CC, I("now")], "SystemTime::now"),
-        (&[I("thread"), CC, I("sleep")], "std::thread::sleep"),
-        (&[I("process"), CC, I("id")], "std::process::id"),
-        (&[I("rand"), CC, I("random")], "rand::random (OS-seeded)"),
-    ];
-    let singles: [&'static str; 4] = ["thread_rng", "from_entropy", "OsRng", "getrandom"];
-    let mut out = Vec::new();
-    let mut i = from;
-    let to = to.min(toks.len());
-    while i < to {
-        let mut advanced = false;
-        for (pat, what) in &paths {
-            if let Some(end) = match_pat_toks(toks, i, pat) {
-                out.push(ImpurityHit {
-                    tok: i,
-                    line: toks[i].line,
-                    what,
-                    is_entropy_single: false,
-                });
-                i = end;
-                advanced = true;
-                break;
-            }
-        }
-        if advanced {
-            continue;
-        }
-        if let Some(t) = toks.get(i) {
-            if t.kind == TokKind::Ident {
-                if let Some(what) = singles.iter().find(|s| **s == t.text) {
-                    out.push(ImpurityHit {
-                        tok: i,
-                        line: t.line,
-                        what,
-                        is_entropy_single: true,
-                    });
-                }
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
-/// The R1 violation message for an impurity hit.
-pub(crate) fn impurity_message(hit: &ImpurityHit) -> String {
-    if hit.is_entropy_single {
-        format!(
-            "{} in a simulated layer: all randomness must flow from the \
-             cluster seed (simnet::rng)",
-            hit.what
-        )
-    } else {
-        format!(
-            "{} in a simulated layer: virtual-time code must not read \
-             the wall clock, host scheduler, or OS entropy",
-            hit.what
-        )
-    }
-}
-
-fn rule_r1(v: &View, out: &mut FileScan) {
-    for hit in impurity_scan(v.toks, 0, v.toks.len()) {
-        if v.in_test(hit.tok) {
-            continue;
-        }
-        out.violations.push(Violation {
-            rule: "R1",
-            file: v.path.to_string(),
-            line: hit.line,
-            message: impurity_message(&hit),
-        });
-    }
-}
-
-// ---------------------------------------------------------------------
-// R2 — metric-name discipline
-// ---------------------------------------------------------------------
-
-/// Splits `format!`-style text into literal chunks and placeholders,
-/// producing the text with each placeholder replaced by `sub`.
-/// `{{`/`}}` escapes become literal braces (which then fail the
-/// grammar — intentionally: a brace has no place in a metric name).
-fn substitute_placeholders(s: &str, sub: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars().peekable();
-    while let Some(c) = chars.next() {
-        if c == '{' {
-            if chars.peek() == Some(&'{') {
-                chars.next();
-                out.push('{');
-                continue;
-            }
-            for inner in chars.by_ref() {
-                if inner == '}' {
-                    break;
-                }
-            }
-            out.push_str(sub);
-        } else if c == '}' {
-            if chars.peek() == Some(&'}') {
-                chars.next();
-            }
-            out.push('}');
+    /// Files a hit of the running rule against `line` of file `file`,
+    /// unless a waiver covers it.
+    fn report(&mut self, ws: &Workspace, file: usize, line: u32, message: String) {
+        if self.waive(ws, file, line) {
+            self.waived += 1;
         } else {
-            out.push(c);
+            self.flag(ws, file, line, message);
         }
     }
-    out
-}
 
-/// Checks a (placeholder-substituted) name against the dotted grammar:
-/// non-empty `[a-z0-9_]` segments joined by single dots, starting with
-/// a letter. Returns a description of the first problem.
-fn name_grammar_error(name: &str) -> Option<String> {
-    if name.is_empty() {
-        return Some("empty name".to_string());
-    }
-    if !name.starts_with(|c: char| c.is_ascii_lowercase()) {
-        return Some("must start with a lowercase letter".to_string());
-    }
-    for seg in name.split('.') {
-        if seg.is_empty() {
-            return Some("empty segment (leading/trailing/double dot)".to_string());
-        }
-        if let Some(bad) = seg
-            .chars()
-            .find(|c| !(c.is_ascii_lowercase() || c.is_ascii_digit() || *c == '_'))
-        {
-            return Some(format!("illegal character {bad:?} in segment {seg:?}"));
-        }
-    }
-    None
-}
-
-/// The first string-ish argument of a call: either a plain string
-/// literal or `[&]format!("…", …)`. Returns (raw format text, had
-/// placeholders allowed).
-fn first_string_arg<'a>(v: &View<'a>, mut j: usize) -> Option<(&'a str, bool)> {
-    while v.punct(j, '&') {
-        j += 1;
-    }
-    if let Some(t) = v.toks.get(j) {
-        if t.kind == TokKind::Str {
-            return Some((t.text.as_str(), false));
-        }
-    }
-    if v.ident(j, "format") && v.punct(j + 1, '!') && v.punct(j + 2, '(') {
-        if let Some(t) = v.toks.get(j + 3) {
-            if t.kind == TokKind::Str {
-                return Some((t.text.as_str(), true));
-            }
-        }
-    }
-    None
-}
-
-fn rule_r2(v: &View, out: &mut FileScan) {
-    for i in 0..v.toks.len() {
-        if v.in_test(i) {
-            continue;
-        }
-        let Some(name) = v.any_ident(i) else { continue };
-        let (kind, is_read) = match name {
-            "counter" => ("counter", false),
-            "gauge" => ("gauge", false),
-            "histogram" => ("histogram", false),
-            "counter_value" => ("counter", true),
-            "gauge_value" => ("gauge", true),
-            _ => continue,
-        };
-        if !v.punct(i + 1, '(') {
-            continue;
-        }
-        // Only method calls on a registry (`metrics.gauge(…)`) register:
-        // this skips `fn counter(…)` definitions and local helper
-        // closures whose inner registration is matched at its own site.
-        if i == 0 || !v.punct(i - 1, '.') {
-            continue;
-        }
-        let Some((text, is_format)) = first_string_arg(v, i + 2) else {
-            continue; // dynamic name: not statically checkable
-        };
-        let line = v.line(i);
-        let checked = if is_format {
-            substitute_placeholders(text, "x")
-        } else {
-            text.to_string()
-        };
-        if let Some(err) = name_grammar_error(&checked) {
-            out.violations.push(Violation {
-                rule: "R2",
-                file: v.path.to_string(),
-                line,
-                message: format!(
-                    "metric name {text:?} violates the dotted-name grammar ({err}); \
-                     prometheus_text() cannot map it to a clean rmc_* family"
-                ),
-            });
-            continue;
-        }
-        if is_read {
-            out.reads.push(MetricRead {
-                name: checked,
-                kind,
-                file: v.path.to_string(),
-                line,
-            });
-            continue;
-        }
-        let pattern = if is_format {
-            substitute_placeholders(text, "*")
-        } else {
-            text.to_string()
-        };
-        if let Some(last) = pattern.rsplit('.').next() {
-            if RESERVED_SUFFIXES.contains(&last) {
-                out.violations.push(Violation {
-                    rule: "R2",
-                    file: v.path.to_string(),
-                    line,
-                    message: format!(
-                        "metric name {text:?} ends in reserved segment {last:?}, which \
-                         collides with a sampler/report-derived series of the base name"
-                    ),
-                });
-                continue;
-            }
-        }
-        let first = pattern.split('.').next().unwrap_or("");
-        let layer = if first == "*" || first.contains('*') {
-            "dynamic".to_string()
-        } else if KNOWN_LAYERS.contains(&first) {
-            first.to_string()
-        } else {
-            "other".to_string()
-        };
-        out.sites.push(MetricSite {
-            pattern,
-            kind,
-            layer,
-            file: v.path.to_string(),
+    fn flag(&mut self, ws: &Workspace, file: usize, line: u32, message: String) {
+        self.violations.push(Violation {
+            rule: self.rule.id,
+            file: ws.files[file].path.clone(),
             line,
+            message,
         });
     }
 }
 
-/// Glob match for manifest patterns: `*` matches any (possibly empty)
-/// run of `[a-z0-9_.]` — a placeholder may expand across segments
-/// (`{prefix}` routinely carries dots).
-pub fn pattern_matches(pattern: &str, name: &str) -> bool {
-    fn rec(p: &[u8], s: &[u8]) -> bool {
-        match p.first() {
-            None => s.is_empty(),
-            Some(b'*') => {
-                for k in 0..=s.len() {
-                    if rec(&p[1..], &s[k..]) {
-                        return true;
-                    }
-                    if k < s.len() {
-                        let c = s[k];
-                        let ok =
-                            c.is_ascii_lowercase() || c.is_ascii_digit() || c == b'_' || c == b'.';
-                        if !ok {
-                            return false;
-                        }
-                    }
-                }
-                false
-            }
-            Some(&c) => !s.is_empty() && s[0] == c && rec(&p[1..], &s[1..]),
-        }
+/// Runs every row of [`RULES`] over `ws`; violations come back sorted by
+/// (file, line, rule).
+pub fn run(ws: &Workspace) -> Findings {
+    let g = &ws.graph;
+    let resolved_calls = g.calls.iter().filter(|c| !c.resolved.is_empty()).count();
+    let mut out = Findings {
+        rule: &RULES[0],
+        violations: Vec::new(),
+        waived: 0,
+        used: BTreeSet::new(),
+        sites: Vec::new(),
+        stats: InterStats {
+            fns: g.fns.iter().filter(|f| !f.is_test).count(),
+            resolved_calls,
+            unresolved_calls: g.calls.len() - resolved_calls,
+            ..InterStats::default()
+        },
+    };
+    for rule in RULES {
+        out.rule = rule;
+        (rule.run)(ws, &mut out);
     }
-    rec(pattern.as_bytes(), name.as_bytes())
-}
-
-/// Validates every literal metric *read* against the registration
-/// patterns collected across the whole workspace: a read of a name no
-/// site registers silently returns zero forever — the typo'd-series
-/// failure mode R2 exists to catch.
-pub fn check_reads(sites: &[MetricSite], reads: &[MetricRead]) -> Vec<Violation> {
-    let mut out = Vec::new();
-    for r in reads {
-        let known = sites
-            .iter()
-            .any(|s| s.kind == r.kind && pattern_matches(&s.pattern, &r.name));
-        if !known {
-            out.push(Violation {
-                rule: "R2",
-                file: r.file.clone(),
-                line: r.line,
-                message: format!(
-                    "read of {} {:?} matches no registered metric: a typo here reads \
-                     zero forever instead of failing",
-                    r.kind, r.name
-                ),
-            });
-        }
-    }
+    out.violations
+        .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     out
 }
 
-// ---------------------------------------------------------------------
-// R3 — trace-span balance
-// ---------------------------------------------------------------------
-
-/// Splits the arguments of a call whose `(` sits at `open`; returns
-/// token ranges for each top-level argument.
-pub(crate) fn split_args_toks(toks: &[Token], open: usize) -> Vec<(usize, usize)> {
-    let mut args = Vec::new();
-    let mut depth = 1usize;
-    let mut start = open + 1;
-    let mut j = open + 1;
-    while j < toks.len() && depth > 0 {
-        let t = &toks[j];
-        if t.kind == TokKind::Punct {
-            match t.text.as_str() {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        if j > start {
-                            args.push((start, j));
-                        }
-                        break;
-                    }
-                }
-                "," if depth == 1 => {
-                    args.push((start, j));
-                    start = j + 1;
-                }
-                _ => {}
+fn run_r4(ws: &Workspace, out: &mut Findings) {
+    for (fi, f) in out.files(ws) {
+        for i in 0..f.toks.len() {
+            if f.in_test(i) {
+                continue;
             }
-        }
-        j += 1;
-    }
-    args
-}
-
-/// A tracer-span emission site (`.begin(Layer::…)` / `.end(Layer::…)`,
-/// `_detail` variants included) — shared with the cross-file R3v2 pass.
-pub(crate) struct SpanSite {
-    /// Token index of the method-name token.
-    pub tok: usize,
-    /// 1-based line of the method name.
-    pub line: u32,
-    /// True for `begin`/`begin_detail`.
-    pub is_begin: bool,
-    /// Literal span name; `None` when the name argument is dynamic.
-    pub name: Option<String>,
-    /// True when the span-key argument is the literal `0`.
-    pub zero_key: bool,
-}
-
-/// Finds every tracer-span emission in a token stream. Recognition is
-/// by shape: a `begin`/`end`(`_detail`) method call whose first argument
-/// is a `Layer::…` placement (the tracer's emission helpers are the only
-/// `begin`/`end` methods that start with `Layer`).
-pub(crate) fn span_sites(toks: &[Token]) -> Vec<SpanSite> {
-    let punct = |i: usize, c: char| {
-        toks.get(i)
-            .is_some_and(|t: &Token| t.kind == TokKind::Punct && t.text.starts_with(c))
-    };
-    let ident = |i: usize, s: &str| {
-        toks.get(i)
-            .is_some_and(|t: &Token| t.kind == TokKind::Ident && t.text == s)
-    };
-    let mut out = Vec::new();
-    for i in 0..toks.len() {
-        if !punct(i, '.') {
-            continue;
-        }
-        let Some(t) = toks.get(i + 1) else { continue };
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let method = t.text.strip_suffix("_detail").unwrap_or(&t.text);
-        if method != "begin" && method != "end" {
-            continue;
-        }
-        if !(punct(i + 2, '(') && ident(i + 3, "Layer") && punct(i + 4, ':')) {
-            continue;
-        }
-        let args = split_args_toks(toks, i + 2);
-        // args: layer, name, node, track, op, bytes, at
-        let name = args.get(1).and_then(|&(a, b)| {
-            (b == a + 1 && toks[a].kind == TokKind::Str).then(|| toks[a].text.clone())
-        });
-        let zero_key = args.get(4).is_some_and(|&(a, b)| {
-            b == a + 1 && toks[a].kind == TokKind::Num && toks[a].text == "0"
-        });
-        out.push(SpanSite {
-            tok: i + 1,
-            line: toks[i + 1].line,
-            is_begin: method == "begin",
-            name,
-            zero_key,
-        });
-    }
-    out
-}
-
-fn rule_r3(v: &View, out: &mut FileScan) {
-    // Literal-name begin/end pairing is interprocedural since the v2
-    // analyzer (rule R3v2 in `crate::rules2`, matched through the call
-    // graph). The file-local rule keeps what a workspace pass cannot
-    // improve on: span-key hygiene, and pairing for *dynamic* names —
-    // a dynamic name cannot be matched across files by value, so the
-    // emitting file must balance it.
-    let mut dyn_begins: Vec<u32> = Vec::new();
-    let mut dyn_ends: Vec<u32> = Vec::new();
-    for s in span_sites(v.toks) {
-        if v.in_test(s.tok) {
-            continue;
-        }
-        if s.zero_key {
-            out.violations.push(Violation {
-                rule: "R3",
-                file: v.path.to_string(),
-                line: s.line,
-                message: format!(
-                    "span {} {} uses the literal span key 0: begin/end cannot \
-                     be correlated without a real wr_id/req_id",
-                    if s.is_begin { "begin" } else { "end" },
-                    s.name.as_deref().unwrap_or("<dynamic>")
-                ),
-            });
-        }
-        if s.name.is_none() {
-            if s.is_begin {
-                dyn_begins.push(s.line);
+            let method =
+                |name: &str| f.punct(i, '.') && f.ident(i + 1, name) && f.punct(i + 2, '(');
+            let (at, what) = if method("unwrap") {
+                (i + 1, ".unwrap()")
+            } else if method("expect") {
+                (i + 1, ".expect()")
+            } else if f.ident(i, "panic") && f.punct(i + 1, '!') {
+                (i, "panic!")
             } else {
-                dyn_ends.push(s.line);
-            }
-        }
-    }
-    if !dyn_begins.is_empty() && dyn_ends.is_empty() {
-        for line in dyn_begins {
-            out.violations.push(Violation {
-                rule: "R3",
-                file: v.path.to_string(),
-                line,
-                message: "dynamic-name span begin has no end emission in this file: \
-                          the span never closes on any timeline"
-                    .to_string(),
-            });
-        }
-    } else if dyn_begins.is_empty() && !dyn_ends.is_empty() {
-        for line in dyn_ends {
-            out.violations.push(Violation {
-                rule: "R3",
-                file: v.path.to_string(),
-                line,
-                message: "dynamic-name span end has no begin emission in this file: \
-                          the span can never open"
-                    .to_string(),
-            });
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// R4 — panic-path audit
-// ---------------------------------------------------------------------
-
-fn rule_r4(v: &View, out: &mut FileScan) {
-    for i in 0..v.toks.len() {
-        if v.in_test(i) {
-            continue;
-        }
-        let hit = if v.punct(i, '.') && v.ident(i + 1, "unwrap") && v.punct(i + 2, '(') {
-            Some((v.line(i + 1), ".unwrap()"))
-        } else if v.punct(i, '.') && v.ident(i + 1, "expect") && v.punct(i + 2, '(') {
-            Some((v.line(i + 1), ".expect()"))
-        } else if v.ident(i, "panic") && v.punct(i + 1, '!') {
-            Some((v.line(i), "panic!"))
-        } else {
-            None
-        };
-        if let Some((line, what)) = hit {
-            out.violations.push(Violation {
-                rule: "R4",
-                file: v.path.to_string(),
-                line,
-                message: format!(
+                continue;
+            };
+            out.report(
+                ws,
+                fi,
+                f.line(at),
+                format!(
                     "{what} in protocol-crate non-test code: convert to a fault()-\
                      reporting error path (endpoint-failure model) or waive with a reason"
                 ),
-            });
+            );
         }
     }
 }
 
-// ---------------------------------------------------------------------
-// R5 — counter monotonicity
-// ---------------------------------------------------------------------
-
-fn rule_r5(v: &View, out: &mut FileScan) {
-    for i in 0..v.toks.len() {
-        if v.in_test(i) {
-            continue;
-        }
-        let seq_value_set = v.punct(i, '.')
-            && v.ident(i + 1, "value")
-            && v.punct(i + 2, '.')
-            && v.ident(i + 3, "set")
-            && v.punct(i + 4, '(');
-        let seq_notify = v.punct(i, '.')
-            && v.ident(i + 1, "notify")
-            && v.punct(i + 2, '.')
-            && v.ident(i + 3, "notify_all")
-            && v.punct(i + 4, '(');
-        if seq_value_set || seq_notify {
-            out.violations.push(Violation {
-                rule: "R5",
-                file: v.path.to_string(),
-                line: v.line(i + 1),
-                message: format!(
-                    "direct counter-cell {} outside counter.rs: the §4.1 bump ordering \
-                     (value, trace, notify) is only guaranteed by CtrInner::bump",
-                    if seq_value_set {
-                        "write (.value.set)"
-                    } else {
-                        "wakeup (.notify.notify_all)"
-                    }
+fn run_r5(ws: &Workspace, out: &mut Findings) {
+    for (fi, f) in out.files(ws) {
+        for i in 0..f.toks.len() {
+            if f.in_test(i) {
+                continue;
+            }
+            let chain = |a: &str, b: &str| {
+                f.punct(i, '.')
+                    && f.ident(i + 1, a)
+                    && f.punct(i + 2, '.')
+                    && f.ident(i + 3, b)
+                    && f.punct(i + 4, '(')
+            };
+            let what = if chain("value", "set") {
+                "write (.value.set)"
+            } else if chain("notify", "notify_all") {
+                "wakeup (.notify.notify_all)"
+            } else {
+                continue;
+            };
+            out.report(
+                ws,
+                fi,
+                f.line(i + 1),
+                format!(
+                    "direct counter-cell {what} outside counter.rs: the §4.1 bump \
+                     ordering (value, trace, notify) is only guaranteed by CtrInner::bump"
                 ),
-            });
+            );
         }
     }
 }
 
-// ---------------------------------------------------------------------
-// Waiver application
-// ---------------------------------------------------------------------
-
-/// Drops violations covered by a waiver on the same line (or a
-/// standalone waiver on the line directly above). Returns the surviving
-/// violations and the number waived.
-pub fn apply_waivers(violations: Vec<Violation>, lexed: &Lexed) -> (Vec<Violation>, usize) {
-    let mut same_line: BTreeSet<(u32, &str)> = BTreeSet::new();
-    let mut next_line: BTreeSet<(u32, &str)> = BTreeSet::new();
-    for w in &lexed.waivers {
-        for r in &w.rules {
-            same_line.insert((w.line, r.as_str()));
-            if w.standalone {
-                next_line.insert((w.line + 1, r.as_str()));
+fn run_w0(ws: &Workspace, out: &mut Findings) {
+    for (fi, f) in ws.files.iter().enumerate() {
+        for w in &f.waivers {
+            for rule in &w.rules {
+                let used = out
+                    .used
+                    .iter()
+                    .any(|&(file, line, id)| file == fi && w.covers(line) && id == rule);
+                if !used {
+                    // Not `report`: W0 is not waivable.
+                    out.flag(
+                        ws,
+                        fi,
+                        w.line,
+                        format!(
+                            "stale waiver: lint:allow({rule}) suppresses nothing here — \
+                             the rule no longer fires on this line; delete the waiver"
+                        ),
+                    );
+                }
             }
         }
     }
-    let before = violations.len();
-    let kept: Vec<Violation> = violations
-        .into_iter()
-        .filter(|v| {
-            !(same_line.contains(&(v.line, v.rule)) || next_line.contains(&(v.line, v.rule)))
-        })
-        .collect();
-    let waived = before - kept.len();
-    (kept, waived)
+}
+
+/// Case-insensitive lookup of a rule by id.
+pub fn lookup(id: &str) -> Option<&'static Rule> {
+    RULES.iter().find(|d| d.id.eq_ignore_ascii_case(id.trim()))
+}
+
+/// Renders one rule's documentation for the terminal.
+pub fn render(doc: &Rule) -> String {
+    let mut out = String::new();
+    out.push_str(&format!("{} — {}\n\n", doc.id, doc.title));
+    out.push_str(&format!("Why:\n{}\n\n", reflow(doc.rationale)));
+    out.push_str(&format!("Scope:\n{}\n\n", reflow(doc.scope)));
+    out.push_str("Minimal failing example (from tests/fixtures/):\n");
+    for line in doc.example.lines() {
+        out.push_str(&format!("    {line}\n"));
+    }
+    out.push_str(&format!("\n{}\n", reflow(doc.example_note)));
+    out
+}
+
+/// One-line id+title per rule, for `--explain` with no/unknown rule.
+pub fn index() -> String {
+    let mut out = String::from("rules:\n");
+    for d in RULES {
+        out.push_str(&format!("  {:<5} {}\n", d.id, d.title));
+    }
+    out
+}
+
+/// Collapses the multi-line string-literal continuations (runs of
+/// whitespace) into single spaces, then wraps at ~76 columns.
+fn reflow(s: &str) -> String {
+    let mut out = String::new();
+    let mut col = 0usize;
+    for w in s.split_whitespace() {
+        if col == 0 {
+            out.push_str("  ");
+            col = 2;
+        } else if col + 1 + w.len() > 76 {
+            out.push_str("\n  ");
+            col = 2;
+        } else {
+            out.push(' ');
+            col += 1;
+        }
+        out.push_str(w);
+        col += w.len();
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
 
-    fn scan(path: &str, src: &str) -> FileScan {
-        scan_file(path, &lex(src))
+    fn hits(path: &str, src: &str) -> Vec<(u32, &'static str)> {
+        let ws = Workspace::new(&[(path.to_string(), src.to_string())]);
+        let found = run(&ws).violations;
+        found.iter().map(|v| (v.line, v.rule)).collect()
     }
 
     #[test]
-    fn grammar_accepts_and_rejects() {
-        assert!(name_grammar_error("mc.node0.worker1.queue_depth").is_none());
-        assert!(name_grammar_error("bench.tps").is_none());
-        assert!(name_grammar_error("x").is_none());
-        assert!(name_grammar_error("Bad.name").is_some());
-        assert!(name_grammar_error("a..b").is_some());
-        assert!(name_grammar_error(".lead").is_some());
-        assert!(name_grammar_error("tail.").is_some());
-        assert!(name_grammar_error("has-dash").is_some());
-        assert!(name_grammar_error("has space").is_some());
-        assert!(name_grammar_error("0digit.first").is_some());
+    fn lookup_ignores_case_and_rejects_unknown_ids() {
+        for rule in RULES {
+            assert_eq!(lookup(&rule.id.to_lowercase()).unwrap().id, rule.id);
+            assert!(!rule.example.is_empty());
+        }
+        assert!(lookup("R99").is_none());
     }
 
     #[test]
-    fn placeholder_substitution() {
-        assert_eq!(
-            substitute_placeholders("client.node{}.inflight", "*"),
-            "client.node*.inflight"
-        );
-        assert_eq!(
-            substitute_placeholders("ucr.{net}.{node}.{name}", "x"),
-            "ucr.x.x.x"
-        );
-        assert_eq!(substitute_placeholders("{prefix}.wakes", "*"), "*.wakes");
-        assert_eq!(substitute_placeholders("{v:>8}.q", "x"), "x.q");
-        // Escaped braces survive substitution — and then fail the grammar.
-        assert_eq!(substitute_placeholders("a{{b}}", "x"), "a{b}");
+    fn examples_come_from_the_fixture_files() {
+        // Spot-check that the include_str! wiring points at the same
+        // sources the end-to-end tests pin by file:line.
+        assert!(lookup("R6").unwrap().example.contains("segs[2].lock"));
+        assert!(lookup("R7").unwrap().example.contains("register(64)"));
+        assert!(lookup("R1").unwrap().example.contains("fn stamp()"));
+        assert!(lookup("R3").unwrap().example.contains("xfile_orphan"));
     }
 
     #[test]
-    fn pattern_glob_semantics() {
-        assert!(pattern_matches(
-            "client.node*.inflight",
-            "client.node1.inflight"
-        ));
-        assert!(pattern_matches("*.wakes", "mc.node0.worker3.wakes"));
-        assert!(pattern_matches(
-            "ucr.*.*.*",
-            "ucr.ib.node0.mr_cache_hit_rate"
-        ));
-        assert!(!pattern_matches("*.wakes", "mc.node0.worker3.batch_items"));
-        assert!(!pattern_matches("client.node*.inflight", "client.inflight"));
-        assert!(pattern_matches("bench.tps", "bench.tps"));
-    }
-
-    #[test]
-    fn r2_flags_bad_literal_and_reserved_suffix() {
-        let src = r#"
-fn f(m: &Metrics) {
-    m.counter("Bad Name").inc();
-    m.gauge("queue.depth.high").set(1.0);
-    m.histogram("mc.node0.op_get").record(d);
-}
-"#;
-        let s = scan("crates/core/src/x.rs", src);
-        let rules: Vec<(u32, &str)> = s.violations.iter().map(|v| (v.line, v.rule)).collect();
-        assert_eq!(rules, vec![(3, "R2"), (4, "R2")]);
-        assert_eq!(s.sites.len(), 1);
-        assert_eq!(s.sites[0].pattern, "mc.node0.op_get");
-        assert_eq!(s.sites[0].layer, "mc");
-    }
-
-    #[test]
-    fn r2_skips_dynamic_and_zero_arg_calls() {
-        let src = r#"
-fn f(m: &Metrics, n: &str) {
-    m.counter(n).inc();
-    let c = client.counter();
-    m.gauge(&format!("mc.node{}.depth", i)).set(0.0);
-}
-"#;
-        let s = scan("crates/core/src/x.rs", src);
-        assert!(s.violations.is_empty());
-        assert_eq!(s.sites.len(), 1);
-        assert_eq!(s.sites[0].pattern, "mc.node*.depth");
-    }
-
-    #[test]
-    fn r2_read_check_catches_typos() {
-        let src = r#"
-fn f(m: &Metrics) {
-    m.counter("mc.node0.wakes").inc();
-    let a = m.counter_value("mc.node0.wakes");
-    let b = m.counter_value("mc.node0.wkaes");
-    let c = m.gauge_value("mc.node0.wakes");
-}
-"#;
-        let s = scan("crates/core/src/x.rs", src);
-        let extra = check_reads(&s.sites, &s.reads);
-        let lines: Vec<u32> = extra.iter().map(|v| v.line).collect();
-        // The typo'd read AND the kind-mismatched read (gauge read of a
-        // counter name) both fail.
-        assert_eq!(lines, vec![5, 6]);
+    fn render_and_index_are_presentable() {
+        let text = render(lookup("R6").unwrap());
+        assert!(text.starts_with("R6 — "));
+        assert!(text.contains("Minimal failing example"));
+        let idx = index();
+        for d in RULES {
+            assert!(idx.contains(d.id));
+        }
     }
 
     #[test]
@@ -907,18 +571,19 @@ mod tests {
     fn t() { a.unwrap(); }
 }
 "#;
-        let s = scan("crates/verbs/src/x.rs", src);
-        let lines: Vec<u32> = s.violations.iter().map(|v| v.line).collect();
-        assert_eq!(lines, vec![2, 2, 2]);
-        assert!(scan("crates/simnet/src/x.rs", src).violations.is_empty());
+        assert_eq!(
+            hits("crates/verbs/src/x.rs", src),
+            vec![(2, "R4"), (2, "R4"), (2, "R4")]
+        );
+        assert!(hits("crates/simnet/src/x.rs", src).is_empty());
     }
 
     #[test]
     fn r5_scopes_to_ucr_outside_counter_rs() {
         let src = "fn f(c: &CtrInner) { c.value.set(c.value.get() + 1); c.notify.notify_all(); }";
-        assert_eq!(scan("crates/ucr/src/runtime.rs", src).violations.len(), 2);
-        assert!(scan("crates/ucr/src/counter.rs", src).violations.is_empty());
-        assert!(scan("crates/core/src/server.rs", src).violations.is_empty());
+        assert_eq!(hits("crates/ucr/src/runtime.rs", src).len(), 2);
+        assert!(hits("crates/ucr/src/counter.rs", src).is_empty());
+        assert!(hits("crates/core/src/server.rs", src).is_empty());
     }
 
     #[test]
@@ -927,12 +592,10 @@ mod tests {
                    // lint:allow(R1) wrapped below\n\
                    let u = Instant::now();\n\
                    let v = Instant::now();\n}";
-        let lexed = lex(src);
-        let s = scan_file("crates/bench/src/lib.rs", &lexed);
-        assert_eq!(s.violations.len(), 3);
-        let (kept, waived) = apply_waivers(s.violations, &lexed);
-        assert_eq!(waived, 2);
-        assert_eq!(kept.len(), 1);
-        assert_eq!(kept[0].line, 4);
+        let ws = Workspace::new(&[("crates/bench/src/lib.rs".to_string(), src.to_string())]);
+        let out = run(&ws);
+        assert_eq!(out.waived, 2);
+        let left: Vec<(u32, &str)> = out.violations.iter().map(|v| (v.line, v.rule)).collect();
+        assert_eq!(left, vec![(4, "R1")]);
     }
 }

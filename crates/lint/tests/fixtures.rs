@@ -60,14 +60,12 @@ fn r3_fixture_exact_lines() {
         "crates/ucr/src/fixture_r3.rs",
         include_str!("fixtures/r3.rs"),
     )]);
-    // 5: begin whose end exists nowhere in the workspace (R3v2 since
-    // literal-name pairing went interprocedural); 8: the symmetric end;
-    // 9: literal-0 span key (still the file-local R3).
-    let expect: Vec<(String, u32, &str)> = vec![
-        ("crates/ucr/src/fixture_r3.rs".to_string(), 5, "R3v2"),
-        ("crates/ucr/src/fixture_r3.rs".to_string(), 8, "R3v2"),
-        ("crates/ucr/src/fixture_r3.rs".to_string(), 9, "R3"),
-    ];
+    // 5: begin whose end exists nowhere in the workspace; 8: the
+    // symmetric end; 9: literal-0 span key.
+    let expect: Vec<(String, u32, &str)> = [5, 8, 9]
+        .iter()
+        .map(|&l| ("crates/ucr/src/fixture_r3.rs".to_string(), l, "R3"))
+        .collect();
     assert_eq!(v, expect);
 }
 
@@ -104,7 +102,7 @@ fn r7_fixture_exact_lines() {
 }
 
 #[test]
-fn r1v2_fixture_two_hop_taint() {
+fn r1_fixture_two_hop_taint() {
     let (v, waived, _) = hits(&[
         (
             "crates/core/src/fixture_taint.rs",
@@ -120,13 +118,13 @@ fn r1v2_fixture_two_hop_taint() {
     // helper is not a source — and its waiver is *used* (no W0).
     assert_eq!(
         v,
-        vec![("crates/core/src/fixture_taint.rs".to_string(), 5, "R1v2")]
+        vec![("crates/core/src/fixture_taint.rs".to_string(), 5, "R1")]
     );
     assert_eq!(waived, 0);
 }
 
 #[test]
-fn r3v2_fixture_cross_file_pairing() {
+fn r3_fixture_cross_file_pairing() {
     let (v, _, _) = hits(&[
         (
             "crates/ucr/src/fixture_sa.rs",
@@ -143,8 +141,8 @@ fn r3v2_fixture_cross_file_pairing() {
     assert_eq!(
         v,
         vec![
-            ("crates/core/src/fixture_sb.rs".to_string(), 12, "R3v2"),
-            ("crates/ucr/src/fixture_sa.rs".to_string(), 10, "R3v2"),
+            ("crates/core/src/fixture_sb.rs".to_string(), 12, "R3"),
+            ("crates/ucr/src/fixture_sa.rs".to_string(), 10, "R3"),
         ]
     );
 }
@@ -155,7 +153,7 @@ fn w0_fixture_stale_waiver_flagged() {
     // violation: silently dead suppressions hide future regressions.
     let (v, waived, _) = hits(&[(
         "crates/verbs/src/fixture_stale.rs",
-        "pub fn fine(x: Option<u8>) -> u8 {\n    x.unwrap_or(0) // lint:allow(R4) nothing to suppress: unwrap_or never panics\n}\n",
+        include_str!("fixtures/w0.rs"),
     )]);
     assert_eq!(waived, 0);
     assert_eq!(
@@ -205,64 +203,147 @@ fn waiver_fixture_suppresses_covered_lines_only() {
     );
 }
 
-#[test]
-fn all_fixtures_together_stay_disjoint() {
-    let (v, waived, _) = hits(&[
-        (
-            "crates/simnet/src/fixture_r1.rs",
-            include_str!("fixtures/r1.rs"),
-        ),
-        (
+/// Each row of the rule table with the fixtures that are its own, under
+/// the paths the tests above mount them at.
+const OWN_FIXTURES: [(&str, &[(&str, &str)]); 8] = [
+    (
+        "R1",
+        &[
+            (
+                "crates/simnet/src/fixture_r1.rs",
+                include_str!("fixtures/r1.rs"),
+            ),
+            (
+                "crates/core/src/fixture_taint.rs",
+                include_str!("fixtures/r1v2_core.rs"),
+            ),
+            (
+                "crates/lint/src/fixture_util.rs",
+                include_str!("fixtures/r1v2_util.rs"),
+            ),
+        ],
+    ),
+    (
+        "R2",
+        &[(
             "crates/core/src/fixture_r2.rs",
             include_str!("fixtures/r2.rs"),
-        ),
-        (
-            "crates/ucr/src/fixture_r3.rs",
-            include_str!("fixtures/r3.rs"),
-        ),
-        (
+        )],
+    ),
+    (
+        "R3",
+        &[
+            (
+                "crates/ucr/src/fixture_r3.rs",
+                include_str!("fixtures/r3.rs"),
+            ),
+            (
+                "crates/ucr/src/fixture_sa.rs",
+                include_str!("fixtures/r3v2_a.rs"),
+            ),
+            (
+                "crates/core/src/fixture_sb.rs",
+                include_str!("fixtures/r3v2_b.rs"),
+            ),
+        ],
+    ),
+    (
+        "R4",
+        &[(
             "crates/verbs/src/fixture_r4.rs",
             include_str!("fixtures/r4.rs"),
-        ),
-        (
+        )],
+    ),
+    (
+        "R5",
+        &[(
             "crates/ucr/src/fixture_r5.rs",
             include_str!("fixtures/r5.rs"),
-        ),
-        (
-            "crates/verbs/src/fixture_waiver.rs",
-            include_str!("fixtures/waiver.rs"),
-        ),
-        (
+        )],
+    ),
+    (
+        "R6",
+        &[(
             "crates/core/src/fixture_r6.rs",
             include_str!("fixtures/r6.rs"),
-        ),
-        (
+        )],
+    ),
+    (
+        "R7",
+        &[(
             "crates/ucr/src/fixture_r7.rs",
             include_str!("fixtures/r7.rs"),
-        ),
-        (
-            "crates/core/src/fixture_taint.rs",
-            include_str!("fixtures/r1v2_core.rs"),
-        ),
-        (
-            "crates/lint/src/fixture_util.rs",
-            include_str!("fixtures/r1v2_util.rs"),
-        ),
-        (
-            "crates/ucr/src/fixture_sa.rs",
-            include_str!("fixtures/r3v2_a.rs"),
-        ),
-        (
-            "crates/core/src/fixture_sb.rs",
-            include_str!("fixtures/r3v2_b.rs"),
-        ),
-    ]);
+        )],
+    ),
+    (
+        "W0",
+        &[(
+            "crates/verbs/src/fixture_stale.rs",
+            include_str!("fixtures/w0.rs"),
+        )],
+    ),
+];
+
+#[test]
+fn all_fixtures_together_stay_disjoint() {
+    // Every rule's fixtures plus the waiver fixture in one workspace (the
+    // stale-waiver fixture stays out: its finding is about a waiver, not
+    // about the code the others share a call graph with).
+    let mut all: Vec<(&str, &str)> = OWN_FIXTURES
+        .iter()
+        .filter(|(id, _)| *id != "W0")
+        .flat_map(|(_, fixtures)| fixtures.iter().copied())
+        .collect();
+    all.push((
+        "crates/verbs/src/fixture_waiver.rs",
+        include_str!("fixtures/waiver.rs"),
+    ));
+    let (v, waived, _) = hits(&all);
     // Per-file counts: r1=6, r2=6, r3=3, r4=3, r5=2, waiver=1, r6=3,
-    // r7=2, r1v2 pair=1, r3v2 pair=2.
+    // r7=2, taint pair=1, span pair=2.
     assert_eq!(v.len(), 6 + 6 + 3 + 3 + 2 + 1 + 3 + 2 + 1 + 2);
     assert_eq!(waived, 2);
-    for rule in ["R1", "R2", "R3", "R4", "R5", "R1v2", "R3v2", "R6", "R7"] {
+    for rule in ["R1", "R2", "R3", "R4", "R5", "R6", "R7"] {
         assert!(v.iter().any(|(_, _, r)| *r == rule), "missing {rule} hits");
+    }
+}
+
+#[test]
+fn every_row_fires_on_its_own_fixtures_and_on_no_other_rows() {
+    // The table is the id space: what `--explain` resolves is what can
+    // be emitted, row for row.
+    let ids: Vec<&str> = rmc_lint::rules::RULES.iter().map(|r| r.id).collect();
+    let expected: Vec<&str> = OWN_FIXTURES.iter().map(|(id, _)| *id).collect();
+    assert_eq!(ids, expected);
+    for (id, fixtures) in OWN_FIXTURES {
+        let (v, _, _) = hits(fixtures);
+        assert!(!v.is_empty(), "{id} is silent on its own fixtures");
+        for (file, line, rule) in v {
+            assert_eq!(rule, id, "{file}:{line} fired on {id}'s fixtures");
+        }
+    }
+}
+
+#[test]
+fn explain_resolves_exactly_the_table() {
+    let explain = |id: &str| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_rmc-lint"))
+            .args(["--explain", id])
+            .output()
+            .expect("rmc-lint runs")
+    };
+    for rule in rmc_lint::rules::RULES {
+        let out = explain(rule.id);
+        assert!(out.status.success(), "--explain {} failed", rule.id);
+        let text = String::from_utf8(out.stdout).expect("utf-8");
+        assert!(text.starts_with(&format!("{} — {}", rule.id, rule.title)));
+    }
+    for unknown in ["R0", "R8", "W1", "R1x"] {
+        let out = explain(unknown);
+        assert_eq!(out.status.code(), Some(2), "--explain {unknown}");
+        // The error lists the table: eight rows under the header.
+        let listing = String::from_utf8(out.stderr).expect("utf-8");
+        assert_eq!(listing.lines().filter(|l| l.starts_with("  ")).count(), 8);
     }
 }
 

@@ -1,4 +1,4 @@
-//! Fixture: R1v2 scoped caller reaching an impure helper two hops away.
+//! Fixture: R1 scoped caller reaching an impure helper two hops away.
 //! Mounted as `crates/core/src/fixture_taint.rs`.
 
 pub fn now_ticks() -> u64 {

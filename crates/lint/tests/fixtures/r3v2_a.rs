@@ -1,4 +1,4 @@
-//! Fixture: R3v2 cross-file span pairing, `begin` side. Mounted as
+//! Fixture: R3 cross-file span pairing, `begin` side. Mounted as
 //! `crates/ucr/src/fixture_sa.rs`.
 
 pub fn open_window(t: &Tracer, at: SimTime) {

@@ -1,4 +1,4 @@
-//! Fixture: R3v2 cross-file span pairing, `end` side. Mounted as
+//! Fixture: R3 cross-file span pairing, `end` side. Mounted as
 //! `crates/core/src/fixture_sb.rs`. `close_window` shares a call-graph
 //! component with the `begin` side through `helper`; `lonely_end` does
 //! not.

@@ -3,17 +3,13 @@
 //! dedicated CI step.
 
 #[test]
-fn workspace_is_clean_with_committed_baseline() {
+fn workspace_is_clean() {
     let root = rmc_lint::default_root();
     let analysis = rmc_lint::analyze_workspace(&root).expect("workspace walk");
-    let text = std::fs::read_to_string(root.join("crates/lint/baseline.json"))
-        .expect("crates/lint/baseline.json must be committed");
-    let baseline = rmc_lint::report::parse_baseline(&text).expect("baseline parses");
-    let failing = rmc_lint::failing_groups(&analysis.violations, &baseline);
     assert!(
-        failing.is_empty(),
-        "non-baselined lint violations (rule, file, found, baselined): {failing:?}\n\
-         run `cargo run -p rmc-lint -- --list` for details"
+        analysis.violations.is_empty(),
+        "lint violations — fix, or waive with a reason: {:#?}",
+        analysis.violations
     );
 }
 
@@ -32,7 +28,7 @@ fn committed_metric_manifest_is_current() {
 
 #[test]
 fn interprocedural_pass_sees_the_real_tree() {
-    // Ground truth for the phase-2 analyses on the actual workspace.
+    // Ground truth for the call-graph rules on the actual workspace.
     // If a refactor silently stops the call graph from resolving these
     // shapes, the rules would pass vacuously — this pins them.
     let root = rmc_lint::default_root();
@@ -81,44 +77,4 @@ fn interprocedural_pass_sees_the_real_tree() {
             s.r7_obligations
         );
     }
-
-    // The committed baseline stays empty: v2 rules hold on the real
-    // tree outright, with only reasoned inline waivers.
-    let text =
-        std::fs::read_to_string(root.join("crates/lint/baseline.json")).expect("baseline readable");
-    let baseline = rmc_lint::report::parse_baseline(&text).expect("baseline parses");
-    assert!(
-        baseline.is_empty(),
-        "the baseline must stay empty — fix or waive with a reason instead: {baseline:?}"
-    );
-}
-
-#[test]
-fn committed_baseline_is_not_stale() {
-    // The ratchet: every baselined count must still be *reached* —
-    // fixing violations without shrinking the baseline leaves slack a
-    // future regression could hide in.
-    let root = rmc_lint::default_root();
-    let analysis = rmc_lint::analyze_workspace(&root).expect("workspace walk");
-    let text =
-        std::fs::read_to_string(root.join("crates/lint/baseline.json")).expect("baseline readable");
-    let baseline = rmc_lint::report::parse_baseline(&text).expect("baseline parses");
-    let counts = rmc_lint::report::count_by_rule_file(&analysis.violations);
-    let mut slack = Vec::new();
-    for (rule, files) in &baseline {
-        for (file, &allowed) in files {
-            let found = counts
-                .get(rule)
-                .and_then(|f| f.get(file))
-                .copied()
-                .unwrap_or(0);
-            if found < allowed {
-                slack.push((rule.clone(), file.clone(), found, allowed));
-            }
-        }
-    }
-    assert!(
-        slack.is_empty(),
-        "stale baseline entries (rule, file, found, baselined) — shrink them: {slack:?}"
-    );
 }

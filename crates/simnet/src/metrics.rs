@@ -15,6 +15,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
+use std::ops::Bound;
 use std::rc::Rc;
 
 use crate::time::SimDuration;
@@ -149,12 +150,41 @@ impl std::fmt::Debug for Gauge {
 
 /// A histogram of virtual-time durations, summarized by percentiles.
 ///
-/// Samples are kept exactly (nanosecond durations in a vector): benchmark
-/// runs record at most a few thousand operations, so exact quantiles are
-/// cheaper than maintaining bucket boundaries — and deterministic.
+/// Kept as a count per distinct nanosecond duration. Virtual-time costs
+/// repeat exactly — a handful of distinct values per instrument unless
+/// queues or locks are contended — so this stays small where a sample
+/// list grows by 8 bytes per observation, and summaries are exact and
+/// deterministic either way.
 #[derive(Default)]
 pub struct Histogram {
-    samples: RefCell<Vec<u64>>,
+    inner: RefCell<Samples>,
+}
+
+#[derive(Default)]
+struct Samples {
+    by_nanos: BTreeMap<u64, u64>,
+    count: u64,
+    sum_nanos: u64,
+}
+
+impl Samples {
+    /// The `q`-quantile, nearest-rank: the sample at index
+    /// `round((n − 1)·q)` of the sorted list; zero when empty.
+    fn quantile(&self, q: f64) -> SimDuration {
+        let rank = (self.count.saturating_sub(1) as f64 * q.clamp(0.0, 1.0)).round() as u64;
+        let mut seen = 0;
+        for (&nanos, &n) in &self.by_nanos {
+            seen += n;
+            if seen > rank {
+                return SimDuration::from_nanos(nanos);
+            }
+        }
+        SimDuration::ZERO
+    }
+
+    fn mean(&self) -> SimDuration {
+        SimDuration::from_nanos(self.sum_nanos.checked_div(self.count).unwrap_or(0))
+    }
 }
 
 /// Point summary of a [`Histogram`].
@@ -184,76 +214,58 @@ impl Histogram {
 
     /// Records one duration sample.
     pub fn record(&self, d: SimDuration) {
-        self.samples.borrow_mut().push(d.as_nanos());
+        let mut s = self.inner.borrow_mut();
+        *s.by_nanos.entry(d.as_nanos()).or_default() += 1;
+        s.count += 1;
+        s.sum_nanos += d.as_nanos();
     }
 
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
-        self.samples.borrow().len() as u64
+        self.inner.borrow().count
     }
 
     /// Sum of all samples.
     pub fn sum(&self) -> SimDuration {
-        SimDuration::from_nanos(self.samples.borrow().iter().sum())
+        SimDuration::from_nanos(self.inner.borrow().sum_nanos)
     }
 
     /// Arithmetic mean; zero when empty.
     pub fn mean(&self) -> SimDuration {
-        let n = self.count();
-        if n == 0 {
-            return SimDuration::ZERO;
-        }
-        SimDuration::from_nanos(self.sum().as_nanos() / n)
+        self.inner.borrow().mean()
     }
 
     /// Samples strictly above `threshold` (the SLO-violation count of
     /// an objective with that latency target).
     pub fn count_over(&self, threshold: SimDuration) -> u64 {
-        let t = threshold.as_nanos();
-        self.samples.borrow().iter().filter(|&&s| s > t).count() as u64
+        let above = (Bound::Excluded(threshold.as_nanos()), Bound::Unbounded);
+        let s = self.inner.borrow();
+        s.by_nanos.range(above).map(|(_, n)| n).sum()
     }
 
     /// The `q`-quantile (`q` in `[0, 1]`, nearest-rank); zero when empty.
     pub fn percentile(&self, q: f64) -> SimDuration {
-        let mut s = self.samples.borrow().clone();
-        if s.is_empty() {
-            return SimDuration::ZERO;
-        }
-        s.sort_unstable();
-        let idx = ((s.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-        SimDuration::from_nanos(s[idx])
+        self.inner.borrow().quantile(q)
     }
 
     /// Full percentile summary; all-zero when empty.
     pub fn summary(&self) -> HistogramSummary {
-        let mut s = self.samples.borrow().clone();
-        if s.is_empty() {
-            return HistogramSummary {
-                count: 0,
-                min: SimDuration::ZERO,
-                mean: SimDuration::ZERO,
-                p50: SimDuration::ZERO,
-                p95: SimDuration::ZERO,
-                p99: SimDuration::ZERO,
-                max: SimDuration::ZERO,
-            };
-        }
-        s.sort_unstable();
-        let pick = |q: f64| SimDuration::from_nanos(s[((s.len() - 1) as f64 * q).round() as usize]);
+        let s = self.inner.borrow();
+        let edge = |nanos: Option<&u64>| SimDuration::from_nanos(nanos.copied().unwrap_or(0));
         HistogramSummary {
-            count: s.len() as u64,
-            min: SimDuration::from_nanos(s[0]),
-            mean: SimDuration::from_nanos(s.iter().sum::<u64>() / s.len() as u64),
-            p50: pick(0.50),
-            p95: pick(0.95),
-            p99: pick(0.99),
-            max: SimDuration::from_nanos(*s.last().expect("nonempty")),
+            count: s.count,
+            min: edge(s.by_nanos.keys().next()),
+            mean: s.mean(),
+            p50: s.quantile(0.50),
+            p95: s.quantile(0.95),
+            p99: s.quantile(0.99),
+            max: edge(s.by_nanos.keys().next_back()),
         }
     }
 
     /// Discards all samples.
     pub fn reset(&self) {
-        self.samples.borrow_mut().clear();
+        *self.inner.borrow_mut() = Samples::default();
     }
 }
 
@@ -518,38 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_histogram_is_all_zero() {
-        let h = Histogram::new();
-        assert_eq!(h.summary().count, 0);
-        assert_eq!(h.mean(), SimDuration::ZERO);
-        assert_eq!(h.percentile(0.99), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn empty_histogram_summary_is_all_zero() {
-        let s = Histogram::new().summary();
-        assert_eq!(s.min, SimDuration::ZERO);
-        assert_eq!(s.mean, SimDuration::ZERO);
-        assert_eq!(s.p50, SimDuration::ZERO);
-        assert_eq!(s.p95, SimDuration::ZERO);
-        assert_eq!(s.p99, SimDuration::ZERO);
-        assert_eq!(s.max, SimDuration::ZERO);
-    }
-
-    #[test]
-    fn single_sample_histogram_every_percentile_is_the_sample() {
-        let h = Histogram::new();
-        h.record(SimDuration::from_micros(12));
-        for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
-            assert_eq!(h.percentile(q).as_micros_f64(), 12.0, "q={q}");
-        }
-        let s = h.summary();
-        assert_eq!(s.count, 1);
-        assert_eq!(s.min, s.max);
-        assert_eq!(s.mean.as_micros_f64(), 12.0);
-    }
-
-    #[test]
     fn reset_clears_summary() {
         let h = Histogram::new();
         h.record(SimDuration::from_micros(5));
@@ -564,6 +544,104 @@ mod tests {
         // The instrument keeps working after the reset.
         h.record(SimDuration::from_micros(1));
         assert_eq!(h.summary().count, 1);
+    }
+
+    /// The sample-list histogram this module used to keep, as the
+    /// reference: every sample in a vector, sorted on each query.
+    struct SampleList(Vec<u64>);
+
+    impl SampleList {
+        fn sorted(&self) -> Vec<u64> {
+            let mut s = self.0.clone();
+            s.sort_unstable();
+            s
+        }
+
+        fn percentile(&self, q: f64) -> u64 {
+            let s = self.sorted();
+            if s.is_empty() {
+                return 0;
+            }
+            s[((s.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize]
+        }
+
+        fn mean(&self) -> u64 {
+            match self.0.len() as u64 {
+                0 => 0,
+                n => self.0.iter().sum::<u64>() / n,
+            }
+        }
+
+        fn count_over(&self, threshold: u64) -> u64 {
+            self.0.iter().filter(|&&s| s > threshold).count() as u64
+        }
+
+        fn summary(&self) -> HistogramSummary {
+            let s = self.sorted();
+            let ns = SimDuration::from_nanos;
+            HistogramSummary {
+                count: s.len() as u64,
+                min: ns(s.first().copied().unwrap_or(0)),
+                mean: ns(self.mean()),
+                p50: ns(self.percentile(0.50)),
+                p95: ns(self.percentile(0.95)),
+                p99: ns(self.percentile(0.99)),
+                max: ns(s.last().copied().unwrap_or(0)),
+            }
+        }
+    }
+
+    /// Asserts that a histogram fed `samples` answers every query exactly
+    /// as the sorted sample list does.
+    fn assert_matches_sample_list(samples: &[u64]) {
+        let h = Histogram::new();
+        for &s in samples {
+            h.record(SimDuration::from_nanos(s));
+        }
+        let reference = SampleList(samples.to_vec());
+        assert_eq!(h.count(), samples.len() as u64);
+        assert_eq!(h.sum().as_nanos(), samples.iter().sum::<u64>());
+        assert_eq!(h.mean().as_nanos(), reference.mean());
+        assert_eq!(h.summary(), reference.summary());
+        for permille in (0..=1000).step_by(7).chain([500, 950, 990, 999, 1000]) {
+            let q = permille as f64 / 1000.0;
+            assert_eq!(
+                h.percentile(q).as_nanos(),
+                reference.percentile(q),
+                "q={q} over {samples:?}"
+            );
+        }
+        for threshold in samples
+            .iter()
+            .flat_map(|&s| [s.saturating_sub(1), s, s + 1])
+        {
+            assert_eq!(
+                h.count_over(SimDuration::from_nanos(threshold)),
+                reference.count_over(threshold),
+                "threshold={threshold} over {samples:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn degenerate_multisets_match_the_sample_list() {
+        assert_matches_sample_list(&[]);
+        assert_matches_sample_list(&[12_000]);
+        assert_matches_sample_list(&[5; 17]);
+        assert_matches_sample_list(&[0, 0, u32::MAX as u64]);
+    }
+
+    proptest::proptest! {
+        /// Few distinct values with many repeats (the shape virtual-time
+        /// costs have) and all-distinct spreads alike.
+        #[test]
+        fn random_multisets_match_the_sample_list(
+            picks in proptest::collection::vec(0u64..1_000_000, 0..120),
+            distinct in 1u64..1_000_000,
+        ) {
+            let samples: Vec<u64> = picks.iter().map(|p| p % distinct * 37).collect();
+            assert_matches_sample_list(&samples);
+        }
     }
 
     #[test]

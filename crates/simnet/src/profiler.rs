@@ -46,7 +46,7 @@ use std::rc::Rc;
 
 use crate::exemplar::ExemplarRing;
 use crate::fabric::NodeId;
-use crate::metrics::{Counter, Gauge, Metrics};
+use crate::metrics::{Counter, Gauge, Histogram, Metrics};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Event, EventSink, Layer, Phase, Tracer, Track};
 
@@ -276,7 +276,7 @@ struct Frame {
 struct WindowAgg {
     index: u64,
     count: u64,
-    stage_samples: [Vec<u64>; PATH_STAGE_COUNT],
+    stage_times: [Histogram; PATH_STAGE_COUNT],
     signatures: HashMap<String, u64>,
 }
 
@@ -285,7 +285,7 @@ impl WindowAgg {
         WindowAgg {
             index,
             count: 0,
-            stage_samples: Default::default(),
+            stage_times: Default::default(),
             signatures: HashMap::new(),
         }
     }
@@ -340,9 +340,9 @@ pub struct Profiler {
     /// Completed paths (kept only when `cfg.keep_paths`).
     paths: RefCell<Vec<CriticalPath>>,
     completed: Cell<u64>,
-    /// Cumulative per-stage totals and samples.
+    /// Cumulative per-stage totals and distributions.
     stage_total_ns: RefCell<[u64; PATH_STAGE_COUNT]>,
-    stage_samples: RefCell<[Vec<u64>; PATH_STAGE_COUNT]>,
+    stage_times: [Histogram; PATH_STAGE_COUNT],
     e2e_total_ns: Cell<u64>,
     residual_abs_total_ns: Cell<u64>,
     max_abs_residual_ns: Cell<u64>,
@@ -369,7 +369,7 @@ impl Profiler {
             paths: RefCell::new(Vec::new()),
             completed: Cell::new(0),
             stage_total_ns: RefCell::new([0; PATH_STAGE_COUNT]),
-            stage_samples: RefCell::new(Default::default()),
+            stage_times: Default::default(),
             e2e_total_ns: Cell::new(0),
             residual_abs_total_ns: Cell::new(0),
             max_abs_residual_ns: Cell::new(0),
@@ -465,7 +465,7 @@ impl Profiler {
 
     /// Cumulative `(p50, p99)` for `stage` across all completed paths.
     pub fn stage_quantiles(&self, stage: PathStage) -> (SimDuration, SimDuration) {
-        quantiles(&self.stage_samples.borrow()[stage.index()])
+        p50_p99(&self.stage_times[stage.index()])
     }
 
     /// The stage with the largest cumulative attribution.
@@ -704,11 +704,9 @@ impl Profiler {
         }
         {
             let mut totals = self.stage_total_ns.borrow_mut();
-            let mut samples = self.stage_samples.borrow_mut();
             for s in PathStage::ALL {
-                let ns = path.stages[s.index()].as_nanos();
-                totals[s.index()] += ns;
-                samples[s.index()].push(ns);
+                totals[s.index()] += path.stages[s.index()].as_nanos();
+                self.stage_times[s.index()].record(path.stages[s.index()]);
             }
         }
         self.e2e_total_ns
@@ -737,7 +735,7 @@ impl Profiler {
             let w = cur.as_mut().expect("window just ensured");
             w.count += 1;
             for s in PathStage::ALL {
-                w.stage_samples[s.index()].push(path.stages[s.index()].as_nanos());
+                w.stage_times[s.index()].record(path.stages[s.index()]);
             }
             *w.signatures.entry(sig).or_insert(0) += 1;
         }
@@ -860,14 +858,8 @@ fn span(from: Option<SimTime>, to: Option<SimTime>) -> SimDuration {
     }
 }
 
-fn quantiles(samples: &[u64]) -> (SimDuration, SimDuration) {
-    if samples.is_empty() {
-        return (SimDuration::ZERO, SimDuration::ZERO);
-    }
-    let mut s = samples.to_vec();
-    s.sort_unstable();
-    let pick = |q: f64| SimDuration::from_nanos(s[((s.len() - 1) as f64 * q).round() as usize]);
-    (pick(0.50), pick(0.99))
+fn p50_p99(times: &Histogram) -> (SimDuration, SimDuration) {
+    (times.percentile(0.50), times.percentile(0.99))
 }
 
 fn top_k(sigs: &HashMap<String, u64>, k: usize) -> Vec<(String, u64)> {
@@ -878,14 +870,10 @@ fn top_k(sigs: &HashMap<String, u64>, k: usize) -> Vec<(String, u64)> {
 }
 
 fn finalize(w: &WindowAgg, k: usize) -> WindowReport {
-    let mut q = [(SimDuration::ZERO, SimDuration::ZERO); PATH_STAGE_COUNT];
-    for (i, samples) in w.stage_samples.iter().enumerate() {
-        q[i] = quantiles(samples);
-    }
     WindowReport {
         index: w.index,
         count: w.count,
-        stage_quantiles: q,
+        stage_quantiles: std::array::from_fn(|i| p50_p99(&w.stage_times[i])),
         top_signatures: top_k(&w.signatures, k),
     }
 }

@@ -9,13 +9,14 @@
 //! serialization a kernel futex or pthread mutex imposes, minus the
 //! (irrelevant for our model) atomic-instruction cost.
 //!
-//! Every lock keeps wait/hold [`Histogram`]s and acquire/contention
-//! counters, optionally mirrors them into registry [`Counter`]s (the
-//! per-shard `mc.nodeN.shardS.*` families), and can emit `lock_wait` /
-//! `lock_hold` tracer spans on [`Layer::Core`] so contention shows up on
-//! the Perfetto timeline next to worker service spans.
+//! Every lock books acquisitions, contention and cumulative wait/hold
+//! time in four [`Counter`]s — its own, or registry counters handed in at
+//! construction (the per-shard `mc.nodeN.shardS.*` families), which are
+//! then the lock's only books — and can emit `lock_wait` / `lock_hold`
+//! tracer spans on [`Layer::Core`] so contention shows up on the Perfetto
+//! timeline next to worker service spans.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
@@ -24,14 +25,14 @@ use std::task::{Context, Poll, Waker};
 
 use crate::engine::Sim;
 use crate::fabric::NodeId;
-use crate::metrics::{Counter, Histogram, HistogramSummary};
+use crate::metrics::Counter;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Layer, Tracer, Track};
 
-/// Registry counters a [`VLock`] mirrors its accounting into (all optional;
-/// see [`VLock::bind_meters`]). Names follow the per-shard metric family
+/// The four counters a [`VLock`] keeps its accounting in (see
+/// [`VLock::with_meters`]). Names follow the per-shard metric family
 /// `mc.nodeN.shardS.{ops,lock_wait_ns,lock_hold_ns,contended}`.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct VLockMeters {
     /// Successful acquisitions (`.ops`).
     pub ops: Rc<Counter>,
@@ -85,19 +86,19 @@ struct TraceBinding {
 pub struct VLock {
     sim: Sim,
     state: RefCell<LockState>,
-    wait_hist: Histogram,
-    hold_hist: Histogram,
-    acquires: Cell<u64>,
-    contended: Cell<u64>,
-    wait_total: Cell<u64>,
-    hold_total: Cell<u64>,
-    meters: RefCell<Option<VLockMeters>>,
+    meters: VLockMeters,
     trace: RefCell<Option<TraceBinding>>,
 }
 
 impl VLock {
-    /// Creates an unlocked lock on `sim`'s clock.
+    /// Creates an unlocked lock on `sim`'s clock, counting privately.
     pub fn new(sim: &Sim) -> Rc<VLock> {
+        VLock::with_meters(sim, VLockMeters::default())
+    }
+
+    /// Creates an unlocked lock on `sim`'s clock that counts in `meters`:
+    /// [`VLock::stats`] reads them, so whoever resets them resets the lock.
+    pub fn with_meters(sim: &Sim, meters: VLockMeters) -> Rc<VLock> {
         Rc::new(VLock {
             sim: sim.clone(),
             state: RefCell::new(LockState {
@@ -105,20 +106,9 @@ impl VLock {
                 queue: VecDeque::new(),
                 next_ticket: 0,
             }),
-            wait_hist: Histogram::new(),
-            hold_hist: Histogram::new(),
-            acquires: Cell::new(0),
-            contended: Cell::new(0),
-            wait_total: Cell::new(0),
-            hold_total: Cell::new(0),
-            meters: RefCell::new(None),
+            meters,
             trace: RefCell::new(None),
         })
-    }
-
-    /// Mirrors accounting into registry counters from now on.
-    pub fn bind_meters(&self, meters: VLockMeters) {
-        *self.meters.borrow_mut() = Some(meters);
     }
 
     /// Emits `lock_wait`/`lock_hold` spans on `tracer` from now on. Wait
@@ -153,44 +143,19 @@ impl VLock {
 
     /// Totals so far.
     pub fn stats(&self) -> VLockStats {
+        let m = &self.meters;
         VLockStats {
-            acquires: self.acquires.get(),
-            contended: self.contended.get(),
-            wait_total: SimDuration::from_nanos(self.wait_total.get()),
-            hold_total: SimDuration::from_nanos(self.hold_total.get()),
-        }
-    }
-
-    /// Percentile summary of per-acquire wait times (zero for uncontended
-    /// acquires).
-    pub fn wait_summary(&self) -> HistogramSummary {
-        self.wait_hist.summary()
-    }
-
-    /// Percentile summary of per-acquire hold times.
-    pub fn hold_summary(&self) -> HistogramSummary {
-        self.hold_hist.summary()
-    }
-
-    /// Books one successful acquisition that waited `wait`.
-    fn account_acquire(&self, wait: SimDuration) {
-        self.acquires.set(self.acquires.get() + 1);
-        self.wait_total.set(self.wait_total.get() + wait.as_nanos());
-        self.wait_hist.record(wait);
-        if let Some(m) = self.meters.borrow().as_ref() {
-            m.ops.inc();
-            m.lock_wait_ns.add(wait.as_nanos());
+            acquires: m.ops.get(),
+            contended: m.contended.get(),
+            wait_total: SimDuration::from_nanos(m.lock_wait_ns.get()),
+            hold_total: SimDuration::from_nanos(m.lock_hold_ns.get()),
         }
     }
 
     /// Releases the lock: direct handoff to the oldest waiter, else unlock.
     fn release(&self, acquired_at: SimTime, op: u64, track: Track) {
         let hold = self.sim.now().saturating_since(acquired_at);
-        self.hold_total.set(self.hold_total.get() + hold.as_nanos());
-        self.hold_hist.record(hold);
-        if let Some(m) = self.meters.borrow().as_ref() {
-            m.lock_hold_ns.add(hold.as_nanos());
-        }
+        self.meters.lock_hold_ns.add(hold.as_nanos());
         if let Some(t) = self.trace.borrow().as_ref() {
             t.tracer.end(
                 Layer::Core,
@@ -226,7 +191,7 @@ impl std::fmt::Debug for VLock {
             "VLock(locked={}, waiters={}, acquires={})",
             st.locked,
             st.queue.len(),
-            self.acquires.get()
+            self.meters.ops.get()
         )
     }
 }
@@ -244,7 +209,8 @@ impl LockFuture {
     /// Builds the guard once the lock is ours, booking stats and spans.
     fn granted(&mut self, wait: SimDuration) -> VLockGuard {
         self.done = true;
-        self.lock.account_acquire(wait);
+        self.lock.meters.ops.inc();
+        self.lock.meters.lock_wait_ns.add(wait.as_nanos());
         let now = self.lock.sim.now();
         if let Some(t) = self.lock.trace.borrow().as_ref() {
             t.tracer.begin(
@@ -322,10 +288,7 @@ impl Future for LockFuture {
         match parked {
             None => Poll::Ready(this.granted(SimDuration::ZERO)),
             Some(w) => {
-                this.lock.contended.set(this.lock.contended.get() + 1);
-                if let Some(m) = this.lock.meters.borrow().as_ref() {
-                    m.contended.inc();
-                }
+                this.lock.meters.contended.inc();
                 if let Some(t) = this.lock.trace.borrow().as_ref() {
                     t.tracer.begin(
                         Layer::Core,
@@ -468,21 +431,19 @@ mod tests {
         // Waits: task i acquires at i*100, arrived at i*10.
         let expect: u64 = (1..5).map(|i| i * 100 - i * 10).sum();
         assert_eq!(st.wait_total, SimDuration::from_nanos(expect));
-        assert_eq!(lock.wait_summary().count, 5);
-        assert_eq!(lock.hold_summary().max, SimDuration::from_nanos(100));
     }
 
     #[test]
-    fn meters_mirror_accounting() {
+    fn supplied_meters_are_the_only_books() {
         let sim = sim();
-        let lock = VLock::new(&sim);
         let reg = Metrics::new();
-        lock.bind_meters(VLockMeters {
+        let meters = VLockMeters {
             ops: reg.counter("mc.node0.shard0.ops"),
             lock_wait_ns: reg.counter("mc.node0.shard0.lock_wait_ns"),
             lock_hold_ns: reg.counter("mc.node0.shard0.lock_hold_ns"),
             contended: reg.counter("mc.node0.shard0.contended"),
-        });
+        };
+        let lock = VLock::with_meters(&sim, meters);
         for _ in 0..2 {
             let s = sim.clone();
             let l = lock.clone();
@@ -497,6 +458,10 @@ mod tests {
         assert_eq!(reg.counter_value("mc.node0.shard0.contended"), 1);
         assert_eq!(reg.counter_value("mc.node0.shard0.lock_hold_ns"), 100);
         assert_eq!(reg.counter_value("mc.node0.shard0.lock_wait_ns"), 50);
+        assert_eq!(lock.stats().acquires, 2);
+        // Resetting the registry resets the lock: there is no second copy.
+        reg.reset_counters_and_histograms();
+        assert_eq!(lock.stats(), VLockStats::default());
     }
 
     #[test]
