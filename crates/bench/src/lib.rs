@@ -311,18 +311,33 @@ pub fn measure_throughput(
     seed: u64,
 ) -> f64 {
     let world = cluster.world(seed, clients + 1);
-    let _server = McServer::start(&world, NodeId(0), McServerConfig::default());
+    run_throughput(&world, transport, clients, value_size, ops_per_client).0
+}
+
+/// The [`measure_throughput`] workload on a world the caller built, which
+/// also hands back the server and clients so their counters can be read
+/// once the run is over.
+pub fn run_throughput(
+    world: &World,
+    transport: Transport,
+    clients: u32,
+    value_size: usize,
+    ops_per_client: u32,
+) -> (f64, McServer, Vec<McClient>) {
+    let server = McServer::start(world, NodeId(0), McServerConfig::default());
     let sim = world.sim().clone();
 
     // Populate one key per client, then run the closed loops together.
     let mut handles = Vec::new();
     let mut ready = Vec::new();
+    let mut testbed = Vec::new();
     for c in 0..clients {
         let client = McClient::new(
-            &world,
+            world,
             NodeId(1 + c),
             McClientConfig::single(transport, NodeId(0)),
         );
+        testbed.push(client.clone());
         let (ready_tx, ready_rx) = simnet::sync::oneshot::<()>();
         ready.push(ready_rx);
         let (go_tx, go_rx) = simnet::sync::oneshot::<()>();
@@ -343,7 +358,7 @@ pub fn measure_throughput(
             }),
         ));
     }
-    sim.clone().block_on(async move {
+    let tps = sim.clone().block_on(async move {
         for r in ready {
             let _ = r.await;
         }
@@ -358,7 +373,8 @@ pub fn measure_throughput(
         }
         let elapsed = (sim.now() - t0).as_secs_f64();
         (clients as u64 * ops_per_client as u64) as f64 / elapsed
-    })
+    });
+    (tps, server, testbed)
 }
 
 /// Convenience: run a full Fig.6-style sweep.

@@ -295,7 +295,7 @@ enum BypassRead {
     Failed,
 }
 
-/// One UCR request issued (AM 1 handed to the HCA) but not yet completed.
+/// One UCR request issued (AM 1 accepted by UCR) but not yet completed.
 /// Dropping the handle without completing it (a batch aborting on an
 /// earlier op's error, a caller discarding an issued get) scrubs the
 /// request from the in-flight table so abandoned ops cannot grow it
@@ -666,7 +666,7 @@ impl McClient {
     }
 
     /// Issues a get without waiting for the response (UCR transports
-    /// only): the request is handed to the HCA and the returned handle
+    /// only): the request is handed to UCR and the returned handle
     /// claims the response later. Responses are correlated by request id
     /// in the in-flight table, so several issued gets may complete in any
     /// order. Returns [`McError::Protocol`] on socket transports, which
@@ -1124,9 +1124,10 @@ impl CliInner {
     }
 
     /// Issue half: allocates a request id + completion counter, sends
-    /// AM 1, and returns the in-flight handle. Resolves when the staged
-    /// request is handed to the HCA — everything up to that point is
-    /// client-side serialization.
+    /// AM 1, and returns the in-flight handle. Resolves when UCR has
+    /// accepted the staged request (posted it, or queued it behind a
+    /// backed-up send queue) — everything up to that point is client-side
+    /// serialization; time spent queued counts as request wire.
     async fn ucr_issue(
         self: &Rc<Self>,
         ep: &Endpoint,
@@ -1533,8 +1534,8 @@ impl CliInner {
         span_id
     }
 
-    /// The request has left the node (handed to the HCA, or cleared the
-    /// socket send path): client-side serialization — the issue stage of
+    /// The request has left the client's hands (accepted by UCR, or cleared
+    /// the socket send path): client-side serialization — the issue stage of
     /// the critical path — ends here (the profiler marker is detail only).
     fn op_sent(&self, span_id: u64) {
         self.tracer.instant_detail(

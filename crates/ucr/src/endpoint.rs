@@ -6,17 +6,28 @@
 //! counters waiting on its traffic time out, and every other endpoint of
 //! the runtime keeps working.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::{Rc, Weak};
 
+use simnet::profiles::UCR_EAGER_THRESHOLD;
 use simnet::trace::{Layer, Track};
-use simnet::NodeId;
+use simnet::{NodeId, SimDuration};
 use verbs::{QueuePair, SendOp, SendWr};
 
 use crate::counter::Counter;
 use crate::runtime::{Pending, RtInner};
-use crate::wire::{PacketHeader, PacketKind, PACKET_HEADER_BYTES};
+use crate::wire::{packet_at, PacketHeader, PacketKind, PACKET_HEADER_BYTES};
 use crate::UcrError;
+
+/// An endpoint's send queue counts as backed up while its last eager
+/// completion took more than this multiple of the fastest one it has ever
+/// shown: a message sent now would only wait in the HCA FIFO or behind the
+/// progress engine that reaps the completion. Swept in EXPERIMENTS.md: the
+/// smallest multiple that leaves a single pipelined client untouched.
+const BACKLOG_MULTIPLE: u64 = 3;
+
+/// Held packets never outgrow the receiver's network buffer.
+const HELD_CAP: usize = PACKET_HEADER_BYTES + UCR_EAGER_THRESHOLD;
 
 /// Delivery/progress options for one [`Endpoint::send_message`] call. The
 /// three counters mirror the paper's `ucr_send_message` signature; each is
@@ -44,11 +55,15 @@ enum SendBuf<'a> {
 }
 
 impl SendBuf<'_> {
-    fn len(&self) -> usize {
+    fn as_slice(&self) -> &[u8] {
         match self {
-            SendBuf::Borrowed(s) => s.len(),
-            SendBuf::Owned(v) => v.len(),
+            SendBuf::Borrowed(s) => s,
+            SendBuf::Owned(v) => v,
         }
+    }
+
+    fn len(&self) -> usize {
+        self.as_slice().len()
     }
 
     /// Source-buffer identity `(address, length)` — the registration-cache
@@ -85,6 +100,44 @@ pub(crate) fn stage_head(pkt: &PacketHeader, hdr: &[u8], extra: usize) -> Vec<u8
     head
 }
 
+/// Send-side eager coalescing state of one RC endpoint. While either end
+/// of the connection is backed up — this end by its own completions (see
+/// [`BACKLOG_MULTIPLE`]), the peer by its own word, carried in every eager
+/// packet it sends — eager messages are staged here instead of posted,
+/// and the next eager send completion posts them all as one work request.
+/// So the HCA's own drain rate clocks the coalescing, and at depth 1
+/// nothing is ever held.
+///
+/// The peer's word is what keeps the regime steady. A sender sees only
+/// the path up to the peer's HCA; once coalescing has relieved that, its
+/// completions are fast again although the peer's progress engine is now
+/// the queue every message waits in. Left to its own completions the
+/// sender would stop holding, refill the HCA, start again — and settle in
+/// whichever of several limit cycles the request order led it to.
+///
+/// Invariant: `held` is non-empty only while `in_flight > 0`, so a future
+/// completion (or the endpoint's failure) always disposes of it.
+#[derive(Default)]
+pub(crate) struct EagerQueue {
+    /// Eager work requests posted and not yet reaped.
+    in_flight: Cell<u32>,
+    /// Fastest post → completion-reaped time any eager work request of
+    /// this endpoint has shown (`None` until the first one is reaped).
+    fastest: Cell<Option<SimDuration>>,
+    /// The same time for the most recently reaped one.
+    last: Cell<SimDuration>,
+    /// What the most recent eager packet from the peer said of the peer's
+    /// own send queue ([`PacketHeader::backed_up`]).
+    pub(crate) peer_backed_up: Cell<bool>,
+    /// Wire image of the held packets, back to back. Cleared, not
+    /// dropped, on flush: after the first hold it never reallocates.
+    held: RefCell<Vec<u8>>,
+    held_msgs: Cell<u64>,
+    /// Origin counters named by held messages; bumped when the work
+    /// request that carries them completes.
+    origins: RefCell<Vec<Counter>>,
+}
+
 pub(crate) struct EpInner {
     pub id: u64,
     pub qp: QueuePair,
@@ -95,6 +148,137 @@ pub(crate) struct EpInner {
     /// runtime's shared UD QP; many endpoints multiplex over it — the
     /// scaling property SVII is after.
     pub ud_dest: Option<(NodeId, u32)>,
+    pub eager: EagerQueue,
+}
+
+impl EpInner {
+    /// True while this end's own send queue is measurably backed up. UD
+    /// endpoints never are: their sends complete at the local HCA and say
+    /// nothing about the path.
+    fn backed_up(&self) -> bool {
+        let q = &self.eager;
+        self.ud_dest.is_none()
+            && q.fastest
+                .get()
+                .is_some_and(|fastest| q.last.get() > fastest * BACKLOG_MULTIPLE)
+    }
+
+    /// True when an eager message should be staged behind the in-flight
+    /// sends instead of posted.
+    fn should_hold(&self) -> bool {
+        let q = &self.eager;
+        if q.held_msgs.get() > 0 {
+            return true; // keep per-endpoint send order
+        }
+        self.ud_dest.is_none()
+            && q.in_flight.get() > 0
+            && (self.backed_up() || q.peer_backed_up.get())
+    }
+
+    /// Stages one eager packet behind the held ones, first posting them
+    /// if this one would overflow the receiver's network buffer.
+    fn hold(
+        self: &Rc<Self>,
+        rt: &RtInner,
+        pkt: &PacketHeader,
+        hdr: &[u8],
+        data: &[u8],
+        origin: Option<Counter>,
+    ) {
+        let q = &self.eager;
+        let total = PACKET_HEADER_BYTES + hdr.len() + data.len();
+        if q.held.borrow().len() + total > HELD_CAP {
+            self.flush_held(rt);
+        }
+        let mut held = q.held.borrow_mut();
+        if held.capacity() == 0 {
+            held.reserve_exact(HELD_CAP);
+        }
+        held.extend_from_slice(&pkt.encode());
+        held.extend_from_slice(hdr);
+        held.extend_from_slice(data);
+        q.held_msgs.set(q.held_msgs.get() + 1);
+        q.origins.borrow_mut().extend(origin);
+    }
+
+    /// Posts whatever is held as one work request. Called by every eager
+    /// send completion, and ahead of anything that must not overtake the
+    /// held messages (a rendezvous request, a Fin, `close`, runtime drop).
+    pub(crate) fn flush_held(self: &Rc<Self>, rt: &RtInner) {
+        let q = &self.eager;
+        let msgs = q.held_msgs.replace(0);
+        if msgs == 0 {
+            return;
+        }
+        // One allocation of the exact size; the staging buffer stays.
+        let buf = {
+            let mut held = q.held.borrow_mut();
+            let buf = held.to_vec();
+            held.clear();
+            buf
+        };
+        let wr_id = rt.alloc_wr(Pending::EagerBatch {
+            origins: std::mem::take(&mut *q.origins.borrow_mut()),
+            ep: Rc::downgrade(self),
+            posted: rt.sim.now(),
+        });
+        // One `am_send_eager` per logical message, keyed by the work
+        // request that carries it.
+        let mut at = 0;
+        while let Some(p) = packet_at(&buf, at) {
+            rt.tracer.instant(
+                Layer::Ucr,
+                "am_send_eager",
+                rt.node,
+                Track::Endpoint(self.id),
+                wr_id,
+                (p.hdr(&buf).len() + p.data(&buf).len()) as u64,
+                rt.sim.now(),
+            );
+            at = p.end;
+        }
+        let wr = SendWr::new(
+            wr_id,
+            SendOp::SendInline {
+                data: buf,
+                imm: None,
+            },
+        );
+        if self.qp.post_send(wr).is_ok() {
+            self.eager_posted(rt);
+            rt.stats.eager_coalesced.add(msgs - 1);
+        } else {
+            rt.forget_wr(wr_id);
+            rt.stats.send_failures.add(msgs);
+            self.failed.set(true);
+        }
+    }
+
+    /// Drops whatever is held (endpoint failure, runtime shutdown): each
+    /// message counts as a send failure and its origin counter never
+    /// bumps.
+    pub(crate) fn discard_held(&self, rt: &RtInner) {
+        let q = &self.eager;
+        rt.stats.send_failures.add(q.held_msgs.replace(0));
+        q.held.borrow_mut().clear();
+        q.origins.borrow_mut().clear();
+    }
+
+    fn eager_posted(&self, rt: &RtInner) {
+        self.eager.in_flight.set(self.eager.in_flight.get() + 1);
+        rt.stats.eager_wrs_posted.inc();
+    }
+
+    /// An eager work request of this endpoint was reaped `took` after it
+    /// was posted: refresh the backlog measure.
+    pub(crate) fn eager_reaped(&self, took: SimDuration) {
+        let q = &self.eager;
+        q.in_flight.set(q.in_flight.get().saturating_sub(1));
+        q.last.set(took);
+        if q.fastest.get().is_none_or(|f| took < f) {
+            q.fastest.set(Some(took));
+        }
+    }
 }
 
 /// One end of an established UCR channel.
@@ -131,7 +315,21 @@ impl Endpoint {
     /// target's header handler) plus `data`. Messages that fit the 8 KB
     /// network buffer go eagerly (header + data in one transaction, memcpy
     /// at the target); larger data is advertised for RDMA read (§IV-B,
-    /// Figure 2). Resolves once the message is handed to the HCA.
+    /// Figure 2).
+    ///
+    /// Resolves once the message is *accepted in order*: posted to the
+    /// HCA, or — on a reliable endpoint whose send queue, or whose peer's,
+    /// is backed up — queued behind the in-flight eager sends, to share one
+    /// work request with whatever else is queued by the time the next of
+    /// them completes. Either way it leaves in per-endpoint send order:
+    /// nothing sent later on this endpoint (eager, rendezvous request or
+    /// Fin) overtakes it, and [`close`](Self::close) or dropping the
+    /// runtime posts it first. Only an endpoint failure or
+    /// [`UcrRuntime::shutdown`](crate::UcrRuntime::shutdown) discards a
+    /// queued message; it then counts in `send_failures` exactly like a
+    /// posted one whose completion reports an error, and its origin
+    /// counter never bumps. The origin counter of a message that shared a
+    /// work request bumps when that work request completes.
     pub async fn send_message(
         &self,
         msg_id: u16,
@@ -149,7 +347,9 @@ impl Endpoint {
     /// it in place (always a fresh registration — only borrowed buffers,
     /// whose addresses are stable, participate in the registration
     /// cache). Saved bytes are counted in the runtime's
-    /// [`RtStats`](crate::RtStats).
+    /// [`RtStats`](crate::RtStats). Resolves, like `send_message`, when the
+    /// message is accepted in order — posted, or queued behind a backed-up
+    /// send queue (where it is staged after all, so nothing is saved).
     pub async fn send_message_owned(
         &self,
         msg_id: u16,
@@ -190,6 +390,9 @@ impl Endpoint {
         pkt.completion_ctr = opts.completion.as_ref().map(Counter::id).unwrap_or(0);
 
         let eager = payload <= rt.eager_threshold.get();
+        // Tell the peer whether this end is backed up, so that it keeps
+        // coalescing towards a bottleneck only this end can see.
+        pkt.backed_up = eager && inner.backed_up();
         if inner.ud_dest.is_some() && !(eager && total <= rt.ud_payload_limit()) {
             // Unreliable endpoint: single-datagram eager only. The eager
             // threshold bounds the payload; the MTU bounds the full
@@ -202,6 +405,17 @@ impl Endpoint {
             // Owned payloads skip the staging copy: the buffer rides the
             // HCA's gather list as-is.
             sim.sleep(rt.stage_cost(data.len())).await;
+            if inner.should_hold() {
+                // The send queue is backed up: this message would only
+                // wait in the HCA FIFO, so it waits here instead and
+                // shares the next work request (see `EagerQueue`).
+                if inner.failed.get() {
+                    return Err(UcrError::EndpointFailed);
+                }
+                inner.hold(&rt, &pkt, hdr, data.as_slice(), opts.origin);
+                rt.stats.messages_sent.inc();
+                return Ok(());
+            }
             let head = stage_head(&pkt, hdr, data.len());
             if data.is_owned() {
                 rt.stats.eager_copy_saved_bytes.add(data.len() as u64);
@@ -209,6 +423,7 @@ impl Endpoint {
             let wr_id = rt.alloc_wr(Pending::EagerSend {
                 origin: opts.origin,
                 ep: Rc::downgrade(inner),
+                posted: sim.now(),
             });
             let mut wr = SendWr::new(
                 wr_id,
@@ -223,6 +438,7 @@ impl Endpoint {
                 .qp
                 .post_send(wr)
                 .map_err(|_| UcrError::EndpointFailed)?;
+            inner.eager_posted(&rt);
             let sent = if inner.ud_dest.is_some() {
                 "am_send_ud"
             } else {
@@ -245,6 +461,7 @@ impl Endpoint {
             // sends from the same buffer reuse the cached registration
             // when it is idle; owned buffers register afresh every time.
             pkt.kind = PacketKind::RndvReq;
+            inner.flush_held(&rt);
             let ident = data.ident();
             let owned = data.is_owned();
             let mr = rt.rndv_mr_for(inner.id, ident, data.into_vec(), owned);
@@ -309,6 +526,7 @@ impl Endpoint {
     /// path; this runtime drops the QP immediately.
     pub fn close(&self) {
         if let Some(rt) = self.inner.rt.upgrade() {
+            self.inner.flush_held(&rt);
             rt.drop_endpoint(self.inner.qp.qpn());
         }
         self.inner.qp.close();

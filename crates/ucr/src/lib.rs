@@ -15,7 +15,10 @@
 //!   counters with timeout-bounded waiting;
 //! * **eager/rendezvous switch** — header+data in one 8 KB network buffer
 //!   for small messages (memcpy at the target), RDMA-read rendezvous
-//!   (zero-copy) beyond it.
+//!   (zero-copy) beyond it;
+//! * **eager coalescing** — small messages queued behind a backed-up send
+//!   queue share one network buffer, posted when the next send completes
+//!   (the MVAPICH eager channel; DESIGN.md §15).
 //!
 //! Memcached (`rmc` crate) is built purely on this API: `set`/`get` are
 //! two active messages and a counter wait (paper §V).

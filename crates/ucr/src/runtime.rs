@@ -13,7 +13,7 @@ use std::rc::{Rc, Weak};
 
 use simnet::profiles::{ClusterProfile, UCR_EAGER_THRESHOLD};
 use simnet::trace::{Layer, Track};
-use simnet::{NodeId, Sim, SimDuration, Tracer};
+use simnet::{NodeId, Sim, SimDuration, SimTime, Tracer};
 use verbs::{
     Access, Cq, Hca, IbFabric, Mr, MrSlice, Pd, QpType, QueuePair, SendOp, SendWr, Srq, Wc,
     WcOpcode,
@@ -22,7 +22,7 @@ use verbs::{
 use crate::counter::{Counter, CtrInner};
 use crate::endpoint::{stage_head, Endpoint, EpInner};
 use crate::handler::{AmData, AmDest, AmHandler};
-use crate::wire::{PacketHeader, PacketKind, PACKET_HEADER_BYTES};
+use crate::wire::{packet_at, Located, PacketHeader, PacketKind, PACKET_HEADER_BYTES};
 use crate::UcrError;
 
 /// Number of 8 KB network buffers kept posted on the SRQ.
@@ -80,64 +80,57 @@ pub struct RtStats {
     /// [`UcrRuntime::invalidate_registration`] (the pin-down-cache
     /// munmap/free hook).
     pub mr_cache_invalidations: simnet::metrics::Counter,
+    /// Eager messages that rode behind another one in a shared network
+    /// buffer (each saved a work request at both HCAs).
+    pub eager_coalesced: simnet::metrics::Counter,
+    /// Eager work requests posted, each carrying one or more messages.
+    pub eager_wrs_posted: simnet::metrics::Counter,
 }
 
 impl RtStats {
+    /// Every counter with its `stats` name — the one list [`report`] and
+    /// [`reset`] both walk.
+    ///
+    /// [`report`]: RtStats::report
+    /// [`reset`]: RtStats::reset
+    fn table(&self) -> [(&'static str, &simnet::metrics::Counter); 19] {
+        [
+            ("ucr_messages_sent", &self.messages_sent),
+            ("ucr_eager_delivered", &self.eager_delivered),
+            ("ucr_rndv_delivered", &self.rndv_delivered),
+            ("ucr_fins_sent", &self.fins_sent),
+            ("ucr_unknown_msg_dropped", &self.unknown_msg_dropped),
+            ("ucr_send_failures", &self.send_failures),
+            ("ucr_mr_cache_hits", &self.mr_cache_hits),
+            ("ucr_mr_cache_misses", &self.mr_cache_misses),
+            ("ucr_eager_copy_saved_bytes", &self.eager_copy_saved_bytes),
+            ("ucr_rndv_copy_saved_bytes", &self.rndv_copy_saved_bytes),
+            ("ucr_recv_bufs_recycled", &self.recv_bufs_recycled),
+            ("ucr_progress_wakes", &self.progress_wakes),
+            ("ucr_progress_completions", &self.progress_completions),
+            ("ucr_bypass_reads", &self.bypass_reads),
+            ("ucr_bypass_retries", &self.bypass_retries),
+            ("ucr_bypass_fallbacks", &self.bypass_fallbacks),
+            ("ucr_mr_cache_invalidations", &self.mr_cache_invalidations),
+            ("ucr_eager_coalesced", &self.eager_coalesced),
+            ("ucr_eager_wrs_posted", &self.eager_wrs_posted),
+        ]
+    }
+
     /// Renders the counters as `stats`-style `(name, value)` pairs.
     pub fn report(&self) -> Vec<(String, String)> {
-        [
-            ("ucr_messages_sent", self.messages_sent.get()),
-            ("ucr_eager_delivered", self.eager_delivered.get()),
-            ("ucr_rndv_delivered", self.rndv_delivered.get()),
-            ("ucr_fins_sent", self.fins_sent.get()),
-            ("ucr_unknown_msg_dropped", self.unknown_msg_dropped.get()),
-            ("ucr_send_failures", self.send_failures.get()),
-            ("ucr_mr_cache_hits", self.mr_cache_hits.get()),
-            ("ucr_mr_cache_misses", self.mr_cache_misses.get()),
-            (
-                "ucr_eager_copy_saved_bytes",
-                self.eager_copy_saved_bytes.get(),
-            ),
-            (
-                "ucr_rndv_copy_saved_bytes",
-                self.rndv_copy_saved_bytes.get(),
-            ),
-            ("ucr_recv_bufs_recycled", self.recv_bufs_recycled.get()),
-            ("ucr_progress_wakes", self.progress_wakes.get()),
-            ("ucr_progress_completions", self.progress_completions.get()),
-            ("ucr_bypass_reads", self.bypass_reads.get()),
-            ("ucr_bypass_retries", self.bypass_retries.get()),
-            ("ucr_bypass_fallbacks", self.bypass_fallbacks.get()),
-            (
-                "ucr_mr_cache_invalidations",
-                self.mr_cache_invalidations.get(),
-            ),
-        ]
-        .into_iter()
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect()
+        self.table()
+            .iter()
+            .map(|(k, c)| (k.to_string(), c.get().to_string()))
+            .collect()
     }
 
     /// Zeroes every counter (the server's `stats reset` path). Purely an
     /// accounting restart: runtime behaviour does not read these.
     pub fn reset(&self) {
-        self.messages_sent.reset();
-        self.eager_delivered.reset();
-        self.rndv_delivered.reset();
-        self.fins_sent.reset();
-        self.unknown_msg_dropped.reset();
-        self.send_failures.reset();
-        self.mr_cache_hits.reset();
-        self.mr_cache_misses.reset();
-        self.eager_copy_saved_bytes.reset();
-        self.rndv_copy_saved_bytes.reset();
-        self.recv_bufs_recycled.reset();
-        self.progress_wakes.reset();
-        self.progress_completions.reset();
-        self.bypass_reads.reset();
-        self.bypass_retries.reset();
-        self.bypass_fallbacks.reset();
-        self.mr_cache_invalidations.reset();
+        for (_, c) in self.table() {
+            c.reset();
+        }
     }
 }
 
@@ -145,6 +138,14 @@ pub(crate) enum Pending {
     EagerSend {
         origin: Option<Counter>,
         ep: Weak<EpInner>,
+        posted: SimTime,
+    },
+    /// One work request carrying the messages an endpoint had held, with
+    /// the origin counters of those that named one.
+    EagerBatch {
+        origins: Vec<Counter>,
+        ep: Weak<EpInner>,
+        posted: SimTime,
     },
     OneSided {
         done: Option<Counter>,
@@ -183,6 +184,8 @@ struct RtGauges {
     recv_bufs_recycled: Rc<simnet::metrics::Gauge>,
     progress_wakes: Rc<simnet::metrics::Gauge>,
     progress_completions: Rc<simnet::metrics::Gauge>,
+    eager_coalesced: Rc<simnet::metrics::Gauge>,
+    eager_wrs_posted: Rc<simnet::metrics::Gauge>,
     /// Registry handle + name parts for gauges created on first use.
     metrics: Rc<simnet::Metrics>,
     net: String,
@@ -201,6 +204,8 @@ impl RtGauges {
             recv_bufs_recycled: gauge("recv_bufs_recycled"),
             progress_wakes: gauge("progress_wakes"),
             progress_completions: gauge("progress_completions"),
+            eager_coalesced: gauge("eager_coalesced"),
+            eager_wrs_posted: gauge("eager_wrs_posted"),
             metrics: metrics.clone(),
             net: net.to_string(),
             node,
@@ -262,6 +267,18 @@ pub(crate) struct RtInner {
     pub stats: RtStats,
     pub(crate) tracer: Rc<Tracer>,
     gauges: RtGauges,
+}
+
+impl Drop for RtInner {
+    /// The last handle is gone and with it the progress engine: nothing
+    /// will reap the completion that would have posted the held messages,
+    /// so they go out now (they were accepted; only `shutdown` and an
+    /// endpoint failure discard).
+    fn drop(&mut self) {
+        for ep in self.eps.borrow().values() {
+            ep.flush_held(self);
+        }
+    }
 }
 
 /// The Unified Communication Runtime for one node.
@@ -447,6 +464,7 @@ impl UcrRuntime {
         self.inner.shutdown.set(true);
         for ep in self.inner.eps.borrow().values() {
             ep.failed.set(true);
+            ep.discard_held(&self.inner);
             ep.qp.close();
         }
         self.inner.eps.borrow_mut().clear();
@@ -625,6 +643,12 @@ impl RtInner {
         self.gauges
             .progress_completions
             .set(self.stats.progress_completions.get() as f64);
+        self.gauges
+            .eager_coalesced
+            .set(self.stats.eager_coalesced.get() as f64);
+        self.gauges
+            .eager_wrs_posted
+            .set(self.stats.eager_wrs_posted.get() as f64);
         // Bypass gauges materialize only once the path is exercised, so
         // non-bypass runs keep a byte-identical registry export.
         let reads = self.stats.bypass_reads.get();
@@ -643,6 +667,11 @@ impl RtInner {
         self.next_wr.set(id + 1);
         self.pending.borrow_mut().insert(id, p);
         id
+    }
+
+    /// Withdraws a work request whose post failed.
+    pub(crate) fn forget_wr(&self, wr_id: u64) {
+        self.pending.borrow_mut().remove(&wr_id);
     }
 
     pub(crate) fn stash_rndv_src(&self, mr: Rc<Mr>) -> u64 {
@@ -770,6 +799,7 @@ impl RtInner {
             rt: Rc::downgrade(self),
             failed: Cell::new(false),
             ud_dest: Some((node, qpn)),
+            eager: Default::default(),
         });
         self.ud_eps
             .borrow_mut()
@@ -794,6 +824,7 @@ impl RtInner {
             rt: Rc::downgrade(self),
             failed: Cell::new(false),
             ud_dest: None,
+            eager: Default::default(),
         });
         self.eps.borrow_mut().insert(inner.qp.qpn(), inner.clone());
         Endpoint { inner }
@@ -864,9 +895,11 @@ impl RtInner {
             self.retire_recv_buffer(buf);
             return;
         }
-        let len = wc.byte_len as usize;
-        let pkt = PacketHeader::decode(&buf.bytes()[..PACKET_HEADER_BYTES.min(len)]);
-        let Some(pkt) = pkt else {
+        // Every length below comes off the wire: `packet_at` is the one
+        // place they are checked, and nothing past `len` is ever read.
+        let len = (wc.byte_len as usize).min(buf.len());
+        let Some(first) = packet_at(&buf.bytes()[..len], 0) else {
+            self.stats.unknown_msg_dropped.inc();
             self.retire_recv_buffer(buf);
             return;
         };
@@ -888,86 +921,26 @@ impl RtInner {
             Endpoint { inner: ep }
         };
 
+        let pkt = first.pkt;
         match pkt.kind {
             PacketKind::Eager => {
-                let hdr_end = PACKET_HEADER_BYTES + pkt.hdr_len as usize;
-                let data_end = hdr_end + pkt.data_len as usize;
-                if len < data_end {
-                    self.retire_recv_buffer(buf);
-                    return;
-                }
-                // Dispatch + copy off the network buffer.
-                self.sim
-                    .sleep(self.profile.host.am_dispatch + self.stage_cost(pkt.data_len as usize))
-                    .await;
-                let handler = self.handlers.borrow().get(&pkt.msg_id).cloned();
-                let Some(handler) = handler else {
-                    self.stats.unknown_msg_dropped.inc();
-                    self.retire_recv_buffer(buf);
-                    return;
-                };
-                let track = Track::Endpoint(ep.id());
-                // The handlers read the application header in place, in the
-                // network buffer; the buffer is retired once both have run.
-                let bytes = buf.bytes();
-                let hdr = &bytes[PACKET_HEADER_BYTES..hdr_end];
-                self.tracer.begin(
-                    Layer::Ucr,
-                    "header_handler",
-                    self.node,
-                    track,
-                    wc.wr_id,
-                    pkt.data_len,
-                    self.sim.now(),
-                );
-                let dest = handler.on_header(&ep, hdr, pkt.data_len as usize);
-                self.tracer.end(
-                    Layer::Ucr,
-                    "header_handler",
-                    self.node,
-                    track,
-                    wc.wr_id,
-                    pkt.data_len,
-                    self.sim.now(),
-                );
-                let am_data = match dest {
-                    // Single copy: the payload moves straight off the
-                    // network buffer into its owned destination.
-                    AmDest::Pool => AmData::Pool(bytes[hdr_end..data_end].to_vec()),
-                    AmDest::Buffer(slice) => {
-                        let n = (pkt.data_len as usize).min(slice.len());
-                        // Copy into the caller's registered destination.
-                        let _ = slice.write_prefix(&bytes[hdr_end..hdr_end + n]);
-                        AmData::Placed(n)
+                // One network buffer carries one or more eager packets
+                // back to back; each runs the whole per-message path. A
+                // remainder that is not a well-formed eager packet ends
+                // the buffer.
+                let mut next = Some(first);
+                while let Some(p) = next {
+                    self.deliver_eager(&ep, &buf, &p, wc.wr_id).await;
+                    if p.end == len {
+                        break;
                     }
-                    AmDest::Discard => AmData::Discarded,
-                };
-                self.tracer.begin(
-                    Layer::Ucr,
-                    "completion_handler",
-                    self.node,
-                    track,
-                    wc.wr_id,
-                    pkt.data_len,
-                    self.sim.now(),
-                );
-                handler.on_complete(&ep, hdr, am_data);
-                self.tracer.end(
-                    Layer::Ucr,
-                    "completion_handler",
-                    self.node,
-                    track,
-                    wc.wr_id,
-                    pkt.data_len,
-                    self.sim.now(),
-                );
-                drop(bytes);
-                self.retire_recv_buffer(buf);
-                self.stats.eager_delivered.inc();
-                self.bump_counter(pkt.target_ctr);
-                if pkt.completion_ctr != 0 {
-                    self.send_fin(&ep, 0, pkt.completion_ctr, 0);
+                    next = packet_at(&buf.bytes()[..len], p.end)
+                        .filter(|n| n.pkt.kind == PacketKind::Eager);
+                    if next.is_none() {
+                        self.stats.unknown_msg_dropped.inc();
+                    }
                 }
+                self.retire_recv_buffer(buf);
             }
             PacketKind::RndvReq => {
                 if ep.is_unreliable() {
@@ -978,12 +951,7 @@ impl RtInner {
                     return;
                 }
                 self.sim.sleep(self.profile.host.am_dispatch).await;
-                let hdr_end = PACKET_HEADER_BYTES + pkt.hdr_len as usize;
-                if len < hdr_end {
-                    self.retire_recv_buffer(buf);
-                    return;
-                }
-                let hdr = buf.bytes()[PACKET_HEADER_BYTES..hdr_end].to_vec();
+                let hdr = first.hdr(&buf.bytes()).to_vec();
                 self.retire_recv_buffer(buf);
                 let handler = self.handlers.borrow().get(&pkt.msg_id).cloned();
                 let Some(handler) = handler else {
@@ -1078,6 +1046,87 @@ impl RtInner {
         }
     }
 
+    /// The per-message eager path: dispatch + copy off the network buffer,
+    /// header and completion handlers, target counter, Fin. Charged once
+    /// per message however many share `buf`.
+    async fn deliver_eager(self: &Rc<Self>, ep: &Endpoint, buf: &Mr, p: &Located, wr_id: u64) {
+        let pkt = &p.pkt;
+        // The peer's latest word on its own send queue (see `EagerQueue`).
+        ep.inner.eager.peer_backed_up.set(pkt.backed_up);
+        // Checked against the buffer by `packet_at`, so it fits a usize.
+        let data_len = pkt.data_len as usize;
+        self.sim
+            .sleep(self.profile.host.am_dispatch + self.stage_cost(data_len))
+            .await;
+        let handler = self.handlers.borrow().get(&pkt.msg_id).cloned();
+        let Some(handler) = handler else {
+            self.stats.unknown_msg_dropped.inc();
+            return;
+        };
+        let track = Track::Endpoint(ep.id());
+        // The handlers read the application header in place, in the
+        // network buffer; the caller retires it once every packet in it
+        // has been delivered.
+        let bytes = buf.bytes();
+        let (hdr, data) = (p.hdr(&bytes), p.data(&bytes));
+        self.tracer.begin(
+            Layer::Ucr,
+            "header_handler",
+            self.node,
+            track,
+            wr_id,
+            pkt.data_len,
+            self.sim.now(),
+        );
+        let dest = handler.on_header(ep, hdr, data_len);
+        self.tracer.end(
+            Layer::Ucr,
+            "header_handler",
+            self.node,
+            track,
+            wr_id,
+            pkt.data_len,
+            self.sim.now(),
+        );
+        let am_data = match dest {
+            // Single copy: the payload moves straight off the
+            // network buffer into its owned destination.
+            AmDest::Pool => AmData::Pool(data.to_vec()),
+            AmDest::Buffer(slice) => {
+                let n = data_len.min(slice.len());
+                // Copy into the caller's registered destination.
+                let _ = slice.write_prefix(&data[..n]);
+                AmData::Placed(n)
+            }
+            AmDest::Discard => AmData::Discarded,
+        };
+        self.tracer.begin(
+            Layer::Ucr,
+            "completion_handler",
+            self.node,
+            track,
+            wr_id,
+            pkt.data_len,
+            self.sim.now(),
+        );
+        handler.on_complete(ep, hdr, am_data);
+        self.tracer.end(
+            Layer::Ucr,
+            "completion_handler",
+            self.node,
+            track,
+            wr_id,
+            pkt.data_len,
+            self.sim.now(),
+        );
+        drop(bytes);
+        self.stats.eager_delivered.inc();
+        self.bump_counter(pkt.target_ctr);
+        if pkt.completion_ctr != 0 {
+            self.send_fin(ep, 0, pkt.completion_ctr, 0);
+        }
+    }
+
     async fn handle_send_completion(self: &Rc<Self>, wc: Wc) {
         let pending = self.pending.borrow_mut().remove(&wc.wr_id);
         let Some(pending) = pending else { return };
@@ -1088,17 +1137,14 @@ impl RtInner {
                     self.stats.send_failures.inc();
                 }
             }
-            Pending::EagerSend { origin, ep } => {
-                if wc.status.is_ok() {
-                    if let Some(c) = origin {
-                        // Local completion: the application buffer is
-                        // reusable (no extra message needed for eager).
-                        c.bump();
-                    }
-                } else {
-                    self.fail_ep(&ep);
-                }
+            Pending::EagerSend { origin, ep, posted } => {
+                self.eager_send_done(&ep, posted, wc.status.is_ok(), origin)
             }
+            Pending::EagerBatch {
+                origins,
+                ep,
+                posted,
+            } => self.eager_send_done(&ep, posted, wc.status.is_ok(), origins),
             Pending::CtrlSend { ep } => {
                 if !wc.status.is_ok() {
                     self.fail_ep(&ep);
@@ -1172,10 +1218,38 @@ impl RtInner {
         }
     }
 
+    /// An eager work request completed. Local completion means the
+    /// application buffers of every message it carried are reusable (no
+    /// extra message needed for eager), so their origin counters bump
+    /// here; and the send queue just drained by one, so whatever the
+    /// endpoint held meanwhile goes out now, as one work request.
+    fn eager_send_done(
+        &self,
+        ep: &Weak<EpInner>,
+        posted: SimTime,
+        ok: bool,
+        origins: impl IntoIterator<Item = Counter>,
+    ) {
+        if !ok {
+            self.fail_ep(ep);
+            return;
+        }
+        for c in origins {
+            c.bump();
+        }
+        if let Some(ep) = ep.upgrade() {
+            ep.eager_reaped(self.sim.now().saturating_since(posted));
+            if !ep.failed.get() {
+                ep.flush_held(self);
+            }
+        }
+    }
+
     fn fail_ep(&self, ep: &Weak<EpInner>) {
         self.stats.send_failures.inc();
         if let Some(ep) = ep.upgrade() {
             ep.failed.set(true);
+            ep.discard_held(self);
             self.eps.borrow_mut().remove(&ep.qp.qpn());
             self.tracer.instant(
                 Layer::Ucr,
@@ -1198,6 +1272,7 @@ impl RtInner {
         pkt.origin_ctr = origin_ctr;
         pkt.completion_ctr = completion_ctr;
         pkt.token = token;
+        ep.inner.flush_held(self);
         let wr_id = self.alloc_wr(Pending::CtrlSend {
             ep: Rc::downgrade(&ep.inner),
         });

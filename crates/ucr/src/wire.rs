@@ -41,6 +41,10 @@ impl PacketKind {
 pub struct PacketHeader {
     /// What follows this header.
     pub kind: PacketKind,
+    /// Eager only: the sender's own send queue was backed up when it sent
+    /// this, so the receiver should coalesce what it sends back (byte 1,
+    /// zero on every other kind and from every sender that is not).
+    pub backed_up: bool,
     /// Active-message id selecting the target-side handler.
     pub msg_id: u16,
     /// Length of the application header that follows.
@@ -70,6 +74,7 @@ impl PacketHeader {
     pub fn new(kind: PacketKind, msg_id: u16) -> PacketHeader {
         PacketHeader {
             kind,
+            backed_up: false,
             msg_id,
             hdr_len: 0,
             data_len: 0,
@@ -86,6 +91,7 @@ impl PacketHeader {
     pub fn encode(&self) -> [u8; PACKET_HEADER_BYTES] {
         let mut b = [0u8; PACKET_HEADER_BYTES];
         b[0] = self.kind.to_u8();
+        b[1] = self.backed_up as u8;
         b[2..4].copy_from_slice(&self.msg_id.to_le_bytes());
         b[4..8].copy_from_slice(&self.hdr_len.to_le_bytes());
         b[8..16].copy_from_slice(&self.data_len.to_le_bytes());
@@ -119,6 +125,7 @@ impl PacketHeader {
         };
         Some(PacketHeader {
             kind,
+            backed_up: b[1] & 1 != 0,
             msg_id: le16(2),
             hdr_len: le32(4),
             data_len: le64(8),
@@ -132,14 +139,113 @@ impl PacketHeader {
     }
 }
 
+/// One packet located in a received network buffer by [`packet_at`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Located {
+    /// The decoded packet header.
+    pub pkt: PacketHeader,
+    /// Where the packet starts.
+    at: usize,
+    /// Where it ends — and the next one, if any, starts.
+    pub end: usize,
+}
+
+impl Located {
+    fn hdr_end(&self) -> usize {
+        self.at + PACKET_HEADER_BYTES + self.pkt.hdr_len as usize
+    }
+
+    /// The application header, in the buffer the packet was located in.
+    pub fn hdr<'a>(&self, buf: &'a [u8]) -> &'a [u8] {
+        &buf[self.at + PACKET_HEADER_BYTES..self.hdr_end()]
+    }
+
+    /// The inline data of an `Eager` packet (empty for the other kinds,
+    /// which carry none), in the buffer the packet was located in.
+    pub fn data<'a>(&self, buf: &'a [u8]) -> &'a [u8] {
+        &buf[self.hdr_end()..self.end]
+    }
+}
+
+/// Locates the packet starting at `at` in `buf` — a received network
+/// buffer already cut to the completion's `byte_len`. A buffer holds one
+/// packet, or several `Eager` packets back to back (`[64 B header | app
+/// header | data]*`); the caller walks them by passing each packet's
+/// `end` as the next `at`.
+///
+/// Every length comes from the peer, so nothing is trusted: `None` when
+/// fewer than `PACKET_HEADER_BYTES` remain, the kind is unknown, or the
+/// lengths overflow or reach past the end of `buf`. A `Some` result lies
+/// wholly inside `buf`: `at + PACKET_HEADER_BYTES <= hdr_end <= end <=
+/// buf.len()`.
+pub fn packet_at(buf: &[u8], at: usize) -> Option<Located> {
+    let pkt = PacketHeader::decode(buf.get(at..)?)?;
+    let hdr_end = at
+        .checked_add(PACKET_HEADER_BYTES)?
+        .checked_add(usize::try_from(pkt.hdr_len).ok()?)?;
+    let end = match pkt.kind {
+        PacketKind::Eager => hdr_end.checked_add(usize::try_from(pkt.data_len).ok()?)?,
+        PacketKind::RndvReq | PacketKind::Fin => hdr_end,
+    };
+    (end <= buf.len()).then_some(Located { pkt, at, end })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
+    fn packet_at_walks_back_to_back_eager_packets() {
+        let mut buf = Vec::new();
+        for (hdr, data) in [(&b"ab"[..], &b"xyz"[..]), (b"", b""), (b"h", b"0123456789")] {
+            let mut p = PacketHeader::new(PacketKind::Eager, 9);
+            p.hdr_len = hdr.len() as u32;
+            p.data_len = data.len() as u64;
+            buf.extend_from_slice(&p.encode());
+            buf.extend_from_slice(hdr);
+            buf.extend_from_slice(data);
+        }
+        let a = packet_at(&buf, 0).unwrap();
+        assert_eq!(
+            (a.hdr(&buf), a.data(&buf), a.end),
+            (&b"ab"[..], &b"xyz"[..], 69)
+        );
+        let b = packet_at(&buf, a.end).unwrap();
+        assert_eq!(
+            (b.hdr(&buf), b.data(&buf), b.end),
+            (&b""[..], &b""[..], 133)
+        );
+        let c = packet_at(&buf, b.end).unwrap();
+        assert_eq!((c.hdr(&buf), c.data(&buf)), (&b"h"[..], &b"0123456789"[..]));
+        assert_eq!(c.end, buf.len());
+        assert_eq!(packet_at(&buf, c.end), None);
+    }
+
+    #[test]
+    fn packet_at_rejects_hostile_lengths() {
+        let mut p = PacketHeader::new(PacketKind::Eager, 1);
+        p.data_len = u64::MAX;
+        assert_eq!(packet_at(&p.encode(), 0), None, "data_len wraps");
+        p.data_len = 1;
+        assert_eq!(packet_at(&p.encode(), 0), None, "data past the buffer");
+        p.data_len = 0;
+        p.hdr_len = u32::MAX;
+        assert_eq!(packet_at(&p.encode(), 0), None, "hdr past the buffer");
+        p.hdr_len = 0;
+        assert!(packet_at(&p.encode(), 0).is_some());
+        assert_eq!(packet_at(&p.encode(), 1), None, "short sub-header");
+        assert_eq!(packet_at(&p.encode(), usize::MAX), None);
+        // A rendezvous request advertises its data; none rides inline.
+        p.kind = PacketKind::RndvReq;
+        p.data_len = 1 << 40;
+        assert_eq!(packet_at(&p.encode(), 0).map(|l| l.end), Some(64));
+    }
+
+    #[test]
     fn round_trip_all_fields() {
         let h = PacketHeader {
             kind: PacketKind::RndvReq,
+            backed_up: true,
             msg_id: 0xbeef,
             hdr_len: 123,
             data_len: 1 << 40,

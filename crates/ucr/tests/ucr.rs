@@ -1012,3 +1012,707 @@ fn counter_timeout_then_late_bump_does_not_stale_notify() {
         assert_eq!(ctr.value(), 1, "no phantom bump from a stale notify");
     });
 }
+
+// ---------------------------------------------------------------------
+// Eager coalescing: messages queued behind a backed-up send queue share
+// one network buffer, in send order, and are never silently lost
+// ---------------------------------------------------------------------
+
+/// A sender on node 0 connected to a receiver on node 1 whose SINK
+/// handler records the leading `u32` of every message in arrival order.
+struct Stream {
+    cluster: Rc<Cluster>,
+    sender: UcrRuntime,
+    receiver: UcrRuntime,
+    got: Rc<RefCell<Vec<u32>>>,
+}
+
+fn stream() -> Stream {
+    let (cluster, fabric) = world(false, 2);
+    let receiver = UcrRuntime::new(&fabric, NodeId(1));
+    let got: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(Vec::new()));
+    let got2 = got.clone();
+    receiver.register_handler(
+        SINK,
+        FnHandler(move |_: &Endpoint, _: &[u8], data: AmData| {
+            let data = data.into_vec().unwrap_or_default();
+            got2.borrow_mut()
+                .push(u32::from_le_bytes(data[..4].try_into().unwrap()));
+        }),
+    );
+    let listener = receiver.listen(PORT).unwrap();
+    cluster.sim().spawn(async move {
+        let mut eps = Vec::new();
+        while let Ok(ep) = listener.accept().await {
+            eps.push(ep);
+        }
+    });
+    let sender = UcrRuntime::new(&fabric, NodeId(0));
+    Stream {
+        cluster,
+        sender,
+        receiver,
+        got,
+    }
+}
+
+async fn send_seq(ep: &Endpoint, seq: u32, opts: SendOptions) {
+    ep.send_message(SINK, &[], &seq.to_le_bytes(), opts)
+        .await
+        .unwrap();
+}
+
+/// Messages [`back_up`] sends: sequence numbers `0..BACKED_UP`.
+const BACKED_UP: u32 = 201;
+
+/// Backs `ep`'s send queue up. One lone message shows how fast a send can
+/// complete; then a burst of 200 queues in the HCA (0.4 µs each), so its
+/// later completions take many times as long. Returns 30 µs into the
+/// 80 µs drain — slow completions reaped, more in flight: exactly the
+/// state in which the next eager sends are held. None of these is held
+/// itself (the burst is posted before its first completion is reaped).
+async fn back_up(rt: &UcrRuntime, ep: &Endpoint) {
+    let lone = rt.counter();
+    send_seq(
+        ep,
+        0,
+        SendOptions {
+            origin: Some(lone.clone()),
+            ..Default::default()
+        },
+    )
+    .await;
+    lone.wait_for(1, SimDuration::from_millis(1)).await.unwrap();
+    for seq in 1..BACKED_UP {
+        send_seq(ep, seq, SendOptions::default()).await;
+    }
+    assert_eq!(rt.stats().eager_coalesced.get(), 0);
+    assert_eq!(rt.stats().eager_wrs_posted.get(), BACKED_UP as u64);
+    rt.sim().sleep(SimDuration::from_micros(30)).await;
+}
+
+async fn connect(rt: &UcrRuntime) -> Endpoint {
+    rt.connect(NodeId(1), PORT, SimDuration::from_millis(100))
+        .await
+        .unwrap()
+}
+
+#[test]
+fn held_messages_share_a_work_request_in_send_order() {
+    let s = stream();
+    let recorder = EventRecorder::new();
+    s.cluster.tracer().add_sink(recorder.clone());
+    let sender = s.sender.clone();
+    let origins = s.cluster.sim().block_on(async move {
+        let ep = connect(&sender).await;
+        back_up(&sender, &ep).await;
+        let origins: Vec<_> = (0..5).map(|_| sender.counter()).collect();
+        for (i, origin) in origins.iter().enumerate() {
+            send_seq(
+                &ep,
+                BACKED_UP + i as u32,
+                SendOptions {
+                    origin: Some(origin.clone()),
+                    ..Default::default()
+                },
+            )
+            .await;
+        }
+        // Accepted, not posted: no work request carries them yet, so no
+        // local completion can have bumped their origin counters.
+        let st = sender.stats();
+        assert_eq!(st.eager_wrs_posted.get(), BACKED_UP as u64);
+        assert_eq!(st.messages_sent.get(), BACKED_UP as u64 + 5);
+        assert!(origins.iter().all(|o| o.value() == 0));
+        origins
+    });
+    s.cluster.sim().run();
+    let total = BACKED_UP as u64 + 5;
+    assert_eq!(*s.got.borrow(), (0..total as u32).collect::<Vec<_>>());
+    assert_eq!(s.receiver.stats().eager_delivered.get(), total);
+    let st = s.sender.stats();
+    assert!(st.eager_coalesced.get() >= 3, "the five shared buffers");
+    // Every logical message either opened a work request or rode behind
+    // one that did.
+    assert_eq!(st.eager_wrs_posted.get() + st.eager_coalesced.get(), total);
+    assert_eq!(st.messages_sent.get(), total);
+    assert_eq!(st.send_failures.get(), 0);
+    // Origin counters bumped exactly once, at the carrying completion.
+    assert!(origins.iter().all(|o| o.value() == 1));
+
+    // One `am_send_eager` per logical message, keyed by a work request
+    // verbs really posted; handler spans balanced per sub-message.
+    let events = recorder.events();
+    let sends: Vec<_> = events
+        .iter()
+        .filter(|e| e.layer == Layer::Ucr && e.name == "am_send_eager")
+        .collect();
+    assert_eq!(sends.len() as u64, total);
+    for am in &sends {
+        assert!(
+            events.iter().any(|e| e.layer == Layer::Verbs
+                && e.name == "send"
+                && e.phase == simnet::trace::Phase::Begin
+                && e.node == am.node
+                && e.op == am.op),
+            "am_send_eager names wr {} that verbs never posted",
+            am.op
+        );
+    }
+    for name in ["header_handler", "completion_handler"] {
+        let count = |phase| {
+            events
+                .iter()
+                .filter(|e| e.name == name && e.phase == phase)
+                .count() as u64
+        };
+        assert_eq!(count(simnet::trace::Phase::Begin), total);
+        assert_eq!(count(simnet::trace::Phase::End), total);
+    }
+}
+
+/// Records the data length each header handler invocation announced.
+struct HeaderOrder(Rc<RefCell<Vec<usize>>>);
+
+impl AmHandler for HeaderOrder {
+    fn on_header(&self, _: &Endpoint, _: &[u8], data_len: usize) -> AmDest {
+        self.0.borrow_mut().push(data_len);
+        AmDest::Discard
+    }
+    fn on_complete(&self, _: &Endpoint, _: &[u8], _: AmData) {}
+}
+
+#[test]
+fn rendezvous_request_does_not_overtake_held_messages() {
+    const ORDERED: u16 = 40;
+    let s = stream();
+    let headers = Rc::new(RefCell::new(Vec::new()));
+    s.receiver
+        .register_handler(ORDERED, HeaderOrder(headers.clone()));
+    let sender = s.sender.clone();
+    s.cluster.sim().block_on(async move {
+        let ep = connect(&sender).await;
+        back_up(&sender, &ep).await;
+        let posted = sender.stats().eager_wrs_posted.get();
+        ep.send_message(ORDERED, &[], b"small", SendOptions::default())
+            .await
+            .unwrap();
+        assert_eq!(sender.stats().eager_wrs_posted.get(), posted, "held");
+        let big = vec![7u8; 64 * 1024];
+        ep.send_message(ORDERED, &[], &big, SendOptions::default())
+            .await
+            .unwrap();
+        // The rendezvous request pushed the held message out first.
+        assert_eq!(sender.stats().eager_wrs_posted.get(), posted + 1);
+    });
+    s.cluster.sim().run();
+    assert_eq!(*headers.borrow(), vec![5, 64 * 1024]);
+}
+
+/// While node 0 streams to node 1 faster than its HCA drains, node 1
+/// sends node 0 messages that ask for a completion counter — so node 0's
+/// progress engine sends Fins on the same endpoint its stream is being
+/// held on. Everything node 0 had accepted when it delivered such a
+/// message (and so before it sent the Fin) must have arrived by the time
+/// the Fin's counter bumps.
+///
+/// The stream is paced (3.3 M msgs/s against the HCA's 2.5 M work
+/// requests/s) and short: UCR has no credit flow control, and a receiver
+/// more than its 128 pooled buffers behind is outside the model.
+#[test]
+fn fin_does_not_overtake_held_messages() {
+    const PING: u16 = 41;
+    const FLOOD: u32 = 400;
+    let s = stream();
+    let accepted = Rc::new(std::cell::Cell::new(0u32));
+    let accepted_at_ping: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(Vec::new()));
+    let (acc, at_ping) = (accepted.clone(), accepted_at_ping.clone());
+    s.sender.register_handler(
+        PING,
+        FnHandler(move |_: &Endpoint, _: &[u8], _: AmData| {
+            at_ping.borrow_mut().push(acc.get());
+        }),
+    );
+    // Node 1's side of the connection, to send the pings on.
+    let fabric_ep: Rc<RefCell<Option<Endpoint>>> = Rc::new(RefCell::new(None));
+    let slot = fabric_ep.clone();
+    s.receiver.register_handler(
+        SINK + 1,
+        FnHandler(move |ep: &Endpoint, _: &[u8], _: AmData| {
+            *slot.borrow_mut() = Some(ep.clone());
+        }),
+    );
+    let sim = s.cluster.sim().clone();
+    let sender = s.sender.clone();
+    let flood = sim.spawn(async move {
+        let ep = connect(&sender).await;
+        ep.send_message(SINK + 1, &[], b"", SendOptions::default())
+            .await
+            .unwrap();
+        for seq in 0..FLOOD {
+            send_seq(&ep, seq, SendOptions::default()).await;
+            accepted.set(seq + 1);
+            sender.sim().sleep(SimDuration::from_nanos(300)).await;
+        }
+        ep
+    });
+    let (receiver, got) = (s.receiver.clone(), s.got.clone());
+    let arrived_at_fin = sim.block_on(async move {
+        let sim = receiver.sim();
+        let back = loop {
+            if let Some(ep) = fabric_ep.borrow_mut().take() {
+                break ep;
+            }
+            sim.sleep(SimDuration::from_micros(1)).await;
+        };
+        let mut arrived_at_fin = Vec::new();
+        for _ in 0..12 {
+            let done = receiver.counter();
+            back.send_message(
+                PING,
+                &[],
+                b"",
+                SendOptions {
+                    completion: Some(done.clone()),
+                    ..Default::default()
+                },
+            )
+            .await
+            .unwrap();
+            done.wait_for(1, SimDuration::from_millis(10))
+                .await
+                .unwrap();
+            arrived_at_fin.push(got.borrow().len() as u32);
+        }
+        let _ep = flood.await;
+        arrived_at_fin
+    });
+    s.cluster.sim().run();
+    assert!(s.sender.stats().eager_coalesced.get() > 0, "the flood held");
+    assert_eq!(s.got.borrow().len(), FLOOD as usize);
+    assert!(s.got.borrow().iter().copied().eq(0..FLOOD), "send order");
+    let accepted_at_ping = accepted_at_ping.borrow();
+    assert_eq!(accepted_at_ping.len(), arrived_at_fin.len());
+    for (accepted, arrived) in accepted_at_ping.iter().zip(&arrived_at_fin) {
+        assert!(
+            arrived >= accepted,
+            "Fin overtook held messages: {accepted} accepted before it, {arrived} arrived"
+        );
+    }
+}
+
+/// Three 4000-byte messages become ready to send in the same instant,
+/// behind a backed-up queue. Two fit one 8 KB network buffer; the third
+/// would overflow it, so the two are posted and it starts a new buffer.
+#[test]
+fn a_message_that_would_overflow_the_buffer_starts_a_new_one() {
+    let s = stream();
+    let sender = s.sender.clone();
+    s.cluster.sim().block_on(async move {
+        let ep = connect(&sender).await;
+        back_up(&sender, &ep).await;
+        for i in 0..3u32 {
+            let mut data = vec![i as u8; 4000];
+            data[..4].copy_from_slice(&(BACKED_UP + i).to_le_bytes());
+            ep.post_message(SINK, Vec::new(), data, SendOptions::default());
+        }
+    });
+    s.cluster.sim().run();
+    let st = s.sender.stats();
+    assert_eq!(st.eager_coalesced.get(), 1, "two shared, the third alone");
+    assert_eq!(st.eager_wrs_posted.get(), BACKED_UP as u64 + 2);
+    assert_eq!(
+        s.receiver.stats().eager_delivered.get(),
+        BACKED_UP as u64 + 3
+    );
+    assert_eq!(*s.got.borrow(), (0..BACKED_UP + 3).collect::<Vec<_>>());
+}
+
+#[test]
+fn close_posts_what_is_held() {
+    let s = stream();
+    let sender = s.sender.clone();
+    s.cluster.sim().block_on(async move {
+        let ep = connect(&sender).await;
+        back_up(&sender, &ep).await;
+        for i in 0..3 {
+            send_seq(&ep, BACKED_UP + i, SendOptions::default()).await;
+        }
+        assert_eq!(sender.stats().eager_wrs_posted.get(), BACKED_UP as u64);
+        ep.close();
+        assert_eq!(sender.stats().eager_wrs_posted.get(), BACKED_UP as u64 + 1);
+    });
+    s.cluster.sim().run();
+    assert_eq!(*s.got.borrow(), (0..BACKED_UP + 3).collect::<Vec<_>>());
+}
+
+/// The held variant of `counter_wait_past_tracks_concurrent_bumps`: the
+/// sender drops its runtime right after five sends that were all held,
+/// and the receiver still sees five.
+#[test]
+fn dropping_the_runtime_posts_what_is_held() {
+    let Stream {
+        cluster,
+        sender,
+        receiver,
+        got,
+    } = stream();
+    let ctr = receiver.counter();
+    let ctr_id = ctr.id();
+    cluster.sim().spawn(async move {
+        let ep = connect(&sender).await;
+        back_up(&sender, &ep).await;
+        for i in 0..5 {
+            send_seq(
+                &ep,
+                BACKED_UP + i,
+                SendOptions {
+                    target_ctr: ctr_id,
+                    ..Default::default()
+                },
+            )
+            .await;
+        }
+        assert_eq!(sender.stats().eager_wrs_posted.get(), BACKED_UP as u64);
+        // `ep` and `sender`, the last handle, drop here.
+    });
+    cluster.sim().block_on(async move {
+        ctr.wait_for(5, SimDuration::from_millis(500))
+            .await
+            .unwrap();
+    });
+    assert_eq!(*got.borrow(), (0..BACKED_UP + 5).collect::<Vec<_>>());
+}
+
+#[test]
+fn shutdown_discards_what_is_held_and_counts_it() {
+    let s = stream();
+    let sender = s.sender.clone();
+    let origins = s.cluster.sim().block_on(async move {
+        let ep = connect(&sender).await;
+        back_up(&sender, &ep).await;
+        let origins: Vec<_> = (0..3).map(|_| sender.counter()).collect();
+        for (i, origin) in origins.iter().enumerate() {
+            send_seq(
+                &ep,
+                BACKED_UP + i as u32,
+                SendOptions {
+                    origin: Some(origin.clone()),
+                    ..Default::default()
+                },
+            )
+            .await;
+        }
+        assert_eq!(sender.stats().eager_wrs_posted.get(), BACKED_UP as u64);
+        assert_eq!(sender.stats().send_failures.get(), 0);
+        sender.shutdown();
+        assert_eq!(sender.stats().send_failures.get(), 3);
+        origins
+    });
+    s.cluster.sim().run();
+    // What was on the wire still lands; what was held is gone.
+    assert_eq!(*s.got.borrow(), (0..BACKED_UP).collect::<Vec<_>>());
+    assert!(origins.iter().all(|o| o.value() == 0));
+}
+
+#[test]
+fn endpoint_failure_discards_what_is_held_and_counts_it() {
+    let s = stream();
+    let (sender, receiver) = (s.sender.clone(), s.receiver.clone());
+    let (ep, origins) = s.cluster.sim().block_on(async move {
+        let ep = connect(&sender).await;
+        back_up(&sender, &ep).await;
+        // The peer dies mid-drain. Sends accepted from now on go out
+        // behind the still-succeeding completions and are doomed; once
+        // those are all reaped the queue is quiet but not empty.
+        receiver.shutdown();
+        for i in 0..10 {
+            send_seq(&ep, BACKED_UP + i, SendOptions::default()).await;
+        }
+        sender.sim().sleep(SimDuration::from_micros(100)).await;
+        assert!(!ep.is_failed());
+        // Held behind the doomed sends; their error completion finds
+        // them.
+        let posted = sender.stats().eager_wrs_posted.get();
+        let origins: Vec<_> = (0..3).map(|_| sender.counter()).collect();
+        for origin in &origins {
+            send_seq(
+                &ep,
+                999,
+                SendOptions {
+                    origin: Some(origin.clone()),
+                    ..Default::default()
+                },
+            )
+            .await;
+        }
+        assert_eq!(sender.stats().eager_wrs_posted.get(), posted, "held");
+        (ep, origins)
+    });
+    s.cluster.sim().run();
+    assert!(ep.is_failed());
+    assert!(
+        s.sender.stats().send_failures.get() >= 4,
+        "the failed work request and the three it stranded"
+    );
+    assert!(origins.iter().all(|o| o.value() == 0));
+    assert!(matches!(
+        s.cluster.sim().block_on(async move {
+            ep.send_message(SINK, &[], b"late", SendOptions::default())
+                .await
+        }),
+        Err(UcrError::EndpointFailed)
+    ));
+}
+
+/// UD sends complete at the local HCA, so a burst "backs up" by the same
+/// measure — but that says nothing about the path, and UD endpoints
+/// never hold.
+#[test]
+fn ud_endpoints_never_hold() {
+    let (cluster, fabric) = world(true, 2);
+    let server = UcrRuntime::new(&fabric, NodeId(0));
+    server.register_handler(SINK, FnHandler(|_: &Endpoint, _: &[u8], _: AmData| {}));
+    let qpn = server.ud_bind();
+    let client = UcrRuntime::new(&fabric, NodeId(1));
+    let client2 = client.clone();
+    cluster.sim().block_on(async move {
+        let ep = client2.ud_endpoint(NodeId(0), qpn);
+        for round in 0..3 {
+            for _ in 0..40 {
+                ep.send_message(SINK, &[], b"dgram", SendOptions::default())
+                    .await
+                    .unwrap();
+            }
+            // Let some of the burst's (ever slower) completions be reaped
+            // with the rest still in flight, then burst again.
+            let pause = if round == 0 { 5 } else { 3 };
+            client2.sim().sleep(SimDuration::from_micros(pause)).await;
+        }
+    });
+    cluster.sim().run();
+    assert_eq!(client.stats().eager_coalesced.get(), 0);
+    assert_eq!(client.stats().eager_wrs_posted.get(), 120);
+    assert_eq!(server.stats().eager_delivered.get(), 120);
+}
+
+/// Five back-to-back messages from the stream's *receiver* to its sender,
+/// on the endpoint the sender's traffic arrived on, after everything else
+/// has drained; returns how many of them rode behind another. The
+/// receiver's own completions are never slow, so only the peer's word —
+/// the backed-up bit of the last eager packet it got — can make it hold.
+fn answers_coalesced(s: &Stream, sender_recovers: bool) -> u64 {
+    const HELLO: u16 = 3;
+    let back: Rc<RefCell<Option<Endpoint>>> = Rc::default();
+    let back2 = back.clone();
+    s.receiver.register_handler(
+        HELLO,
+        FnHandler(move |ep: &Endpoint, _: &[u8], _: AmData| {
+            *back2.borrow_mut() = Some(ep.clone());
+        }),
+    );
+    s.sender
+        .register_handler(SINK, FnHandler(|_: &Endpoint, _: &[u8], _: AmData| {}));
+    let (sender, receiver) = (s.sender.clone(), s.receiver.clone());
+    s.cluster.sim().block_on(async move {
+        let ep = connect(&sender).await;
+        back_up(&sender, &ep).await;
+        sender.sim().sleep(SimDuration::from_millis(1)).await;
+        // All drained, but the last completion reaped was one of the
+        // burst's slow ones: the next message still says "backed up".
+        ep.send_message(HELLO, &[], &[], SendOptions::default())
+            .await
+            .unwrap();
+        sender.sim().sleep(SimDuration::from_millis(1)).await;
+        if sender_recovers {
+            // That message completed fast, so this one takes the word back.
+            send_seq(&ep, BACKED_UP, SendOptions::default()).await;
+            sender.sim().sleep(SimDuration::from_millis(1)).await;
+        }
+        let answer = back.borrow().clone().expect("HELLO delivered");
+        for seq in 0..5 {
+            send_seq(&answer, seq, SendOptions::default()).await;
+        }
+        assert_eq!(receiver.stats().messages_sent.get(), 5);
+    });
+    s.cluster.sim().run();
+    assert_eq!(s.sender.stats().eager_delivered.get(), 5);
+    s.receiver.stats().eager_coalesced.get()
+}
+
+/// An end whose own sends complete fast still holds behind its in-flight
+/// send while the peer says it is backed up — the bottleneck may be one
+/// only the peer can see — and stops as soon as the peer says otherwise.
+#[test]
+fn a_backed_up_peer_makes_this_end_hold_too() {
+    // First answer posted, the other four share the next work request.
+    assert_eq!(answers_coalesced(&stream(), false), 3);
+    assert_eq!(answers_coalesced(&stream(), true), 0);
+}
+
+mod hostile_bytes {
+    use super::*;
+    use proptest::prelude::*;
+    use ucr::{PacketHeader, PacketKind, PACKET_HEADER_BYTES};
+
+    /// Everything the receiver's handlers were given for one wire buffer.
+    #[derive(Default)]
+    struct Delivered {
+        msgs: usize,
+        bytes: usize,
+    }
+
+    /// Posts `wire` to a UCR runtime as one raw verbs SEND — no UCR on the
+    /// sending side, so nothing vouches for the lengths inside — and
+    /// returns what its handlers saw plus its drop counter.
+    fn receive_raw(wire: Vec<u8>) -> (Delivered, u64) {
+        let (cluster, fabric) = world(true, 2);
+        let receiver = UcrRuntime::new(&fabric, NodeId(1));
+        let seen: Rc<RefCell<Delivered>> = Rc::default();
+        // Any msg_id below 4 has a handler; the rest drop as unknown.
+        for msg_id in 0..4 {
+            let seen = seen.clone();
+            receiver.register_handler(
+                msg_id,
+                FnHandler(move |_: &Endpoint, hdr: &[u8], data: AmData| {
+                    let mut seen = seen.borrow_mut();
+                    seen.msgs += 1;
+                    seen.bytes += hdr.len() + data.len();
+                }),
+            );
+        }
+        let listener = receiver.listen(PORT).unwrap();
+        cluster.sim().spawn(async move {
+            let _ep = listener.accept().await;
+            std::future::pending::<()>().await;
+        });
+        let hca = fabric.open(NodeId(0));
+        let (pd, cq) = (hca.alloc_pd(), hca.create_cq());
+        cluster.sim().block_on(async move {
+            let qp = verbs::connect(
+                &hca,
+                &pd,
+                &cq,
+                &cq,
+                None,
+                NodeId(1),
+                PORT,
+                SimDuration::from_millis(100),
+            )
+            .await
+            .unwrap();
+            let op = verbs::SendOp::SendInline {
+                data: wire,
+                imm: None,
+            };
+            qp.post_send(verbs::SendWr::new(1, op)).unwrap();
+            cq.next().await;
+        });
+        cluster.sim().run();
+        // The runtime survived and still restocks its receive pool.
+        let dropped = receiver.stats().unknown_msg_dropped.get();
+        let seen = std::mem::take(&mut *seen.borrow_mut());
+        (seen, dropped)
+    }
+
+    fn eager_packet(msg_id: u16, hdr: &[u8], data: &[u8]) -> Vec<u8> {
+        let mut pkt = PacketHeader::new(PacketKind::Eager, msg_id);
+        pkt.hdr_len = hdr.len() as u32;
+        pkt.data_len = data.len() as u64;
+        let mut wire = pkt.encode().to_vec();
+        wire.extend_from_slice(hdr);
+        wire.extend_from_slice(data);
+        wire
+    }
+
+    /// Handlers are only ever given bytes that were in the buffer, each
+    /// at most once: what they saw, plus a packet header per message,
+    /// fits inside what arrived.
+    fn assert_within(wire_len: usize, seen: &Delivered) -> Result<(), String> {
+        prop_assert!(
+            seen.bytes + seen.msgs * PACKET_HEADER_BYTES <= wire_len,
+            "{} messages / {} bytes delivered out of a {wire_len}-byte buffer",
+            seen.msgs,
+            seen.bytes
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Arbitrary bytes, biased towards plausible headers (a valid
+        /// kind byte, a registered msg_id): never a panic, never more
+        /// delivered than arrived.
+        #[test]
+        fn arbitrary_bytes_never_over_deliver(
+            wire in proptest::collection::vec(any::<u8>(), 0..600),
+            kind in 0u8..5,
+            msg_id in 0u16..6,
+        ) {
+            let mut wire = wire;
+            if wire.len() >= 4 {
+                wire[0] = kind;
+                wire[2..4].copy_from_slice(&msg_id.to_le_bytes());
+            }
+            let len = wire.len();
+            let (seen, _) = receive_raw(wire);
+            assert_within(len, &seen)?;
+        }
+
+        /// A well-formed multi-packet buffer with one length field
+        /// overwritten or its tail cut: the packets ahead of the damage
+        /// are delivered, nothing past the end is, and a damaged
+        /// remainder is counted.
+        #[test]
+        fn mutated_multi_packet_buffers_never_over_deliver(
+            parts in proptest::collection::vec((0u16..4, 0usize..40, 0usize..300), 1..6),
+            victim in 0usize..6,
+            field in 0usize..3,
+            value in any::<u64>(),
+            cut in 0usize..80,
+        ) {
+            let mut wire = Vec::new();
+            let mut starts = Vec::new();
+            for (msg_id, hdr, data) in &parts {
+                starts.push(wire.len());
+                wire.extend(eager_packet(*msg_id, &vec![0xaa; *hdr], &vec![0xbb; *data]));
+            }
+            let intact = wire.clone();
+            let at = starts[victim % starts.len()];
+            match field {
+                0 => wire[at + 4..at + 8].copy_from_slice(&(value as u32).to_le_bytes()),
+                1 => wire[at + 8..at + 16].copy_from_slice(&value.to_le_bytes()),
+                _ => wire.truncate(wire.len().saturating_sub(cut)),
+            }
+            let len = wire.len();
+            let damaged = wire != intact;
+            let (seen, dropped) = receive_raw(wire);
+            assert_within(len, &seen)?;
+            if damaged {
+                prop_assert!(seen.msgs < parts.len() || dropped > 0);
+            } else {
+                prop_assert_eq!(seen.msgs, parts.len());
+                prop_assert_eq!(dropped, 0);
+            }
+        }
+    }
+
+    /// The overflow the old unchecked `hdr_end + data_len` hit: a
+    /// `data_len` of `u64::MAX` wrapped in release builds and sliced out
+    /// of bounds. Now it is one dropped buffer.
+    #[test]
+    fn wrapping_data_len_is_dropped_not_sliced() {
+        let mut wire = eager_packet(1, b"hdr", b"data");
+        wire[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+        let (seen, dropped) = receive_raw(wire);
+        assert_eq!((seen.msgs, dropped), (0, 1));
+        // And a good packet ahead of the bad one is still delivered.
+        let mut wire = eager_packet(1, b"hdr", b"data");
+        let bad_at = wire.len();
+        wire.extend(eager_packet(1, b"", b"x"));
+        wire[bad_at + 8..bad_at + 16].copy_from_slice(&(u64::MAX - 60).to_le_bytes());
+        let (seen, dropped) = receive_raw(wire);
+        assert_eq!((seen.msgs, seen.bytes, dropped), (1, 7, 1));
+    }
+}

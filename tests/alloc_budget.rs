@@ -16,7 +16,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::rc::Rc;
 
-use rdma_memcached::rmc::{McClient, McClientConfig, McServer, McServerConfig, Transport, World};
+use rdma_memcached::rmc::{
+    McClient, McClientConfig, McServer, McServerConfig, StoreModel, Transport, World,
+};
 use rdma_memcached::simnet::{NodeId, Stack};
 
 thread_local! {
@@ -107,15 +109,55 @@ fn allocs_per_get(world: &World, clients: &[McClient], ops: u64) -> f64 {
     (ALLOCS.with(Cell::get) - before) as f64 / completed.get() as f64
 }
 
-/// Starts a default server, preloads the keys with `value_size`-byte values
-/// and connects `clients` clients over `transport` (one get each).
+/// Sliding windows of gets, `depth` handles in flight per client (claimed
+/// oldest first), until `ops` have completed in total. Returns allocations
+/// per operation.
+fn allocs_per_pipelined_get(world: &World, clients: &[McClient], depth: usize, ops: u64) -> f64 {
+    let sim = world.sim().clone();
+    let keys: Rc<Vec<Vec<u8>>> = Rc::new((0..KEYS).map(key).collect());
+    let completed = Rc::new(Cell::new(0u64));
+    let tasks: Vec<_> = clients
+        .iter()
+        .enumerate()
+        .map(|(c, client)| {
+            let (client, keys, completed) = (client.clone(), keys.clone(), completed.clone());
+            sim.spawn(async move {
+                let mut window = std::collections::VecDeque::with_capacity(depth);
+                let mut k = c;
+                while completed.get() < ops {
+                    while window.len() < depth {
+                        window.push_back(client.issue_get(&keys[k % KEYS]).await.expect("issue"));
+                        k += KEY_STRIDE;
+                    }
+                    let oldest = window.pop_front().expect("window is full");
+                    assert!(matches!(oldest.complete().await, Ok(Some(_))));
+                    completed.set(completed.get() + 1);
+                }
+                for rest in window {
+                    assert!(matches!(rest.complete().await, Ok(Some(_))));
+                }
+            })
+        })
+        .collect();
+    let before = ALLOCS.with(Cell::get);
+    sim.block_on(async move {
+        for t in tasks {
+            t.await;
+        }
+    });
+    (ALLOCS.with(Cell::get) - before) as f64 / completed.get() as f64
+}
+
+/// Starts a server, preloads the keys with `value_size`-byte values and
+/// connects `clients` clients over `transport` (one get each).
 fn testbed(
     world: &World,
+    server: McServerConfig,
     transport: Transport,
     clients: u32,
     value_size: usize,
 ) -> (McServer, Vec<McClient>) {
-    let server = McServer::start(world, SERVER, McServerConfig::default());
+    let server = McServer::start(world, SERVER, server);
     let clients: Vec<McClient> = (0..clients)
         .map(|c| {
             McClient::new(
@@ -143,7 +185,13 @@ fn testbed(
 fn ucr_small_gets_stay_within_the_allocation_budget() {
     const CLIENTS: u32 = 16;
     let world = World::cluster_b(42, CLIENTS + 1);
-    let (_server, clients) = testbed(&world, Transport::Ucr, CLIENTS, 4);
+    let (_server, clients) = testbed(
+        &world,
+        McServerConfig::default(),
+        Transport::Ucr,
+        CLIENTS,
+        4,
+    );
     allocs_per_get(&world, &clients, WARMUP_OPS);
     let per_op = allocs_per_get(&world, &clients, MEASURED_OPS);
     assert!(
@@ -159,13 +207,47 @@ fn ucr_small_gets_stay_within_the_allocation_budget() {
     );
 }
 
+/// The same 16 clients at depth 8 against 8 workers over 16 store shards
+/// (the benchmark's `ucr_pipelined_sharded_16c` shape). Requests and
+/// replies queued behind a backed-up send share network buffers here;
+/// staging them must cost no more than posting each on its own did (24
+/// per op before they shared).
+#[test]
+fn ucr_pipelined_gets_stay_within_the_allocation_budget() {
+    const CLIENTS: u32 = 16;
+    const DEPTH: usize = 8;
+    let world = World::cluster_b(42, CLIENTS + 1);
+    let sharded = McServerConfig {
+        workers: 8,
+        store_model: StoreModel::Sharded(16),
+        ..Default::default()
+    };
+    let (server, clients) = testbed(&world, sharded, Transport::Ucr, CLIENTS, 64);
+    allocs_per_pipelined_get(&world, &clients, DEPTH, WARMUP_OPS);
+    let per_op = allocs_per_pipelined_get(&world, &clients, DEPTH, MEASURED_OPS);
+    assert!(
+        per_op <= 24.0,
+        "{per_op:.2} allocations per pipelined UCR get (budget 24)"
+    );
+    let rt = server.ucr_runtime().expect("UCR server");
+    assert!(
+        rt.stats().eager_coalesced.get() > 0,
+        "replies shared buffers"
+    );
+    let pending = world.sim().pending_events();
+    assert!(
+        pending <= 8 * CLIENTS as usize,
+        "{pending} events pending after the run"
+    );
+}
+
 /// The sockets baseline: 8 ASCII clients over 10GigE-TOE, 1 KB gets.
 #[test]
 fn ascii_socket_gets_stay_within_the_allocation_budget() {
     const CLIENTS: u32 = 8;
     let world = World::cluster_a(42, CLIENTS + 1);
     let transport = Transport::Sockets(Stack::TenGigEToe);
-    let (_server, clients) = testbed(&world, transport, CLIENTS, 1024);
+    let (_server, clients) = testbed(&world, McServerConfig::default(), transport, CLIENTS, 1024);
     allocs_per_get(&world, &clients, WARMUP_OPS);
     let per_op = allocs_per_get(&world, &clients, MEASURED_OPS);
     assert!(

@@ -1,13 +1,22 @@
 //! Acceptance tests for the pipelined request engine: out-of-order
 //! response correlation on one connection, the batch APIs over both
 //! transport families (including rendezvous-size values mid-pipeline),
-//! the UCR rendezvous registration cache's hit/miss accounting, and the
+//! the UCR rendezvous registration cache's hit/miss accounting, the
 //! invariants the engine must preserve — tracing still costs zero
-//! virtual time and equal seeds give equal clocks.
+//! virtual time and equal seeds give equal clocks — and UCR's eager
+//! coalescing as the pipelined workloads see it: absent at depth 1, past
+//! the server-HCA wall at 16 clients × depth 8, never a loss for a single
+//! pipelined client.
 
-use rdma_memcached::rmc::{McClient, McClientConfig, McServer, McServerConfig, Transport, World};
-use rdma_memcached::simnet::{EventRecorder, NodeId, SimDuration, Stack};
+use std::collections::VecDeque;
+use std::rc::Rc;
+
+use rdma_memcached::rmc::{
+    McClient, McClientConfig, McServer, McServerConfig, StoreModel, Transport, World,
+};
+use rdma_memcached::simnet::{EventRecorder, Layer, NodeId, Phase, SimDuration, Stack};
 use rdma_memcached::ucr;
+use rmc_bench::{measure_pipeline_throughput, run_throughput, ClusterKind, DEFAULT_TPUT_OPS};
 
 fn ucr_world(seed: u64, depth: usize) -> (World, McServer, McClient) {
     let world = World::cluster_b(seed, 4);
@@ -472,4 +481,321 @@ fn pipelined_runs_are_deterministic() {
         })
     };
     assert_eq!(run(), run(), "same seed, same virtual end time");
+}
+
+// ---------------------------------------------------------------------
+// Eager coalescing, as the pipelined workloads see it
+// ---------------------------------------------------------------------
+
+/// `(logical messages sent, eager work requests posted, messages that
+/// rode behind another)` summed over the server's and every client's UCR
+/// runtime.
+fn ucr_totals(server: &McServer, clients: &[McClient]) -> (u64, u64, u64) {
+    let mut totals = (0, 0, 0);
+    let runtimes = clients
+        .iter()
+        .filter_map(McClient::ucr_runtime)
+        .chain(server.ucr_runtime());
+    for rt in runtimes {
+        let st = rt.stats();
+        totals.0 += st.messages_sent.get();
+        totals.1 += st.eager_wrs_posted.get();
+        totals.2 += st.eager_coalesced.get();
+    }
+    totals
+}
+
+/// The `tps` of the one record in a committed `results/<bench>.json`
+/// whose line carries every one of `fields` (records are one per line).
+fn committed_tps(bench: &str, fields: &[String]) -> f64 {
+    let path = format!("{}/results/{bench}.json", env!("CARGO_MANIFEST_DIR"));
+    let doc = std::fs::read_to_string(&path).expect("committed results file");
+    let mut hits = doc
+        .lines()
+        .filter(|line| fields.iter().all(|f| line.contains(f.as_str())));
+    let line = hits
+        .next()
+        .unwrap_or_else(|| panic!("no {fields:?} in {path}"));
+    assert!(hits.next().is_none(), "{fields:?} is ambiguous in {path}");
+    let tps = line.rsplit("\"tps\": ").next().expect("tps field");
+    tps.trim_end_matches(['}', ',', ' ']).parse().expect("tps")
+}
+
+/// Depth 1 never holds: with one request in flight per connection every
+/// send finds its endpoint's queue empty, so the wire carries exactly two
+/// messages per operation and Fig. 6(c)'s 16-client cell is the committed
+/// one to the last bit.
+#[test]
+fn depth_one_holds_nothing() {
+    const CLIENTS: u32 = 16;
+    // Seed and operation count of `fig6_throughput`.
+    let world = ClusterKind::B.world(6, CLIENTS + 1);
+    let (tps, server, clients) =
+        run_throughput(&world, Transport::Ucr, CLIENTS, 4, DEFAULT_TPUT_OPS);
+    let (sent, posted, coalesced) = ucr_totals(&server, &clients);
+    assert_eq!(coalesced, 0, "messages held at depth 1");
+    // One set, then the gets, per client; a request and a reply each.
+    let ops = (CLIENTS * (1 + DEFAULT_TPUT_OPS)) as u64;
+    assert_eq!((sent, posted), (2 * ops, 2 * ops));
+    let cell = [
+        "\"transport\": \"UCR\"".to_string(),
+        "\"cluster\": \"Cluster B (QDR)\"".to_string(),
+        "\"size\": 4,".to_string(),
+        "\"clients\": 16,".to_string(),
+    ];
+    assert_eq!(tps, committed_tps("fig6_throughput", &cell));
+}
+
+/// A seed-dependent offset into the key space, so that different seeds
+/// issue different request orders (splitmix64 finaliser).
+fn mix(seed: u64, c: usize, n: usize) -> usize {
+    let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ ((c as u64) << 32 | n as u64);
+    x ^= x >> 31;
+    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x ^= x >> 29;
+    (x >> 16) as usize
+}
+
+/// What one [`run_windowed`] run measured.
+#[derive(Debug, PartialEq)]
+struct WindowedRun {
+    tps: f64,
+    wire_msgs_per_op: f64,
+    end_ns: u64,
+    posted: u64,
+    coalesced: u64,
+}
+
+/// The `ucr_pipelined_sharded_16c` shape: 16 clients each keeping 8
+/// `issue_get` handles in flight (claimed oldest first) against 8 workers
+/// over `Sharded(16)`. Every reply is verified byte for byte; the rate is
+/// taken over the second half of the run.
+fn run_windowed(seed: u64, ops_per_client: usize) -> WindowedRun {
+    const CLIENTS: u32 = 16;
+    const DEPTH: usize = 8;
+    const KEYS: usize = 512;
+    let key = |i: usize| format!("key-{i:05}").into_bytes();
+    let value = |i: usize| -> Vec<u8> { (0..64).map(|b| (i * 31 + b) as u8).collect() };
+
+    let world = World::cluster_b(seed, CLIENTS + 1);
+    let sim = world.sim().clone();
+    let server = McServer::start(
+        &world,
+        NodeId(0),
+        McServerConfig {
+            workers: 8,
+            store_model: StoreModel::Sharded(16),
+            ..Default::default()
+        },
+    );
+    let clients: Vec<McClient> = (0..CLIENTS)
+        .map(|c| {
+            let mut cfg = McClientConfig::single(Transport::Ucr, NodeId(0));
+            cfg.pipeline_depth = DEPTH;
+            McClient::new(&world, NodeId(1 + c), cfg)
+        })
+        .collect();
+    let cl = clients.clone();
+    sim.block_on(async move {
+        for i in 0..KEYS {
+            cl[0].set(&key(i), &value(i), 0, 0).await.expect("preload");
+        }
+        for client in &cl {
+            assert!(matches!(client.get(&key(0)).await, Ok(Some(_))));
+        }
+    });
+    let idle_events = sim.pending_events();
+    let before = ucr_totals(&server, &clients);
+
+    let half_done = Rc::new(std::cell::Cell::new(None));
+    let completed = Rc::new(std::cell::Cell::new(0usize));
+    let total = CLIENTS as usize * ops_per_client;
+    let tasks: Vec<_> = clients
+        .iter()
+        .enumerate()
+        .map(|(c, client)| {
+            let (client, sim) = (client.clone(), sim.clone());
+            let (half_done, completed) = (half_done.clone(), completed.clone());
+            sim.clone().spawn(async move {
+                let mut window = VecDeque::new();
+                for n in 0..ops_per_client + DEPTH {
+                    if n < ops_per_client {
+                        let i = (c * 7919 + n * 13 + mix(seed, c, n)) % KEYS;
+                        window.push_back((i, client.issue_get(&key(i)).await.expect("issue")));
+                    }
+                    if window.len() == DEPTH || n >= ops_per_client {
+                        let Some((i, handle)) = window.pop_front() else {
+                            break;
+                        };
+                        let got = handle.complete().await.expect("reply").expect("hit");
+                        assert_eq!(got.data, value(i), "reply for key {i}");
+                        completed.set(completed.get() + 1);
+                        if completed.get() == total / 2 {
+                            half_done.set(Some(sim.now()));
+                        }
+                    }
+                }
+            })
+        })
+        .collect();
+    let sim2 = sim.clone();
+    sim.block_on(async move {
+        for t in tasks {
+            t.await;
+        }
+    });
+    let end = sim2.now();
+    assert_eq!(completed.get(), total);
+    let half = half_done.get().expect("half-way mark");
+    let tps = (total - total / 2) as f64 / (end - half).as_secs_f64();
+
+    // Quiesce: nothing parked at any client, no event left behind beyond
+    // what the idle testbed already held.
+    sim2.run();
+    for client in &clients {
+        assert_eq!(client.pending_responses(), 0);
+    }
+    assert!(
+        sim2.pending_events() <= idle_events,
+        "{} events pending at quiesce, {idle_events} before the run",
+        sim2.pending_events()
+    );
+    let after = ucr_totals(&server, &clients);
+    assert_eq!(after.0 - before.0, 2 * total as u64, "logical messages");
+    assert_eq!(after.1 + after.2 - before.1 - before.2, 2 * total as u64);
+    WindowedRun {
+        tps,
+        wire_msgs_per_op: (after.1 - before.1) as f64 / total as f64,
+        end_ns: end.as_nanos(),
+        posted: after.1,
+        coalesced: after.2,
+    }
+}
+
+/// Past the wall: at 16 clients × depth 8 the server HCA's 2 × 280 ns per
+/// operation used to pin throughput at 1.79 M ops/s whatever the workers
+/// and shards did. With requests and replies sharing network buffers the
+/// wire carries well under two messages per operation and the same
+/// workload runs at least a quarter faster.
+#[test]
+fn sixteen_pipelined_clients_pass_the_server_hca_wall() {
+    const PARENT_WALL: f64 = 1_785_805.0;
+    let run = run_windowed(42, 1500);
+    assert!(
+        run.wire_msgs_per_op < 1.5,
+        "{:.2} wire messages per op",
+        run.wire_msgs_per_op
+    );
+    assert!(
+        run.tps >= 1.25 * PARENT_WALL,
+        "{:.0} ops/s is not 25 % past the {PARENT_WALL:.0} wall",
+        run.tps
+    );
+}
+
+/// The regime past the wall does not depend on which keys were asked for
+/// in which order: six request orders run within 1 % of each other. (Held
+/// by the sender's completions alone the hold flips on and off around its
+/// own threshold and the same six spread over 4 %, 3.13–3.26 M ops/s —
+/// the peer's backed-up bit in every eager packet is what pins it.)
+#[test]
+fn the_coalesced_rate_is_steady_across_request_orders() {
+    let rates: Vec<f64> = (1..=6).map(|seed| run_windowed(seed, 1500).tps).collect();
+    let lo = rates.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = rates.iter().copied().fold(0.0, f64::max);
+    assert!(
+        hi <= 1.01 * lo,
+        "rates spread over {lo:.0}..{hi:.0}: {rates:?}"
+    );
+}
+
+/// Equal seeds: equal end clock, equal throughput, and the same messages
+/// held and posted — the hold decision reads only virtual time.
+#[test]
+fn coalescing_is_deterministic() {
+    assert_eq!(run_windowed(43, 400), run_windowed(43, 400));
+}
+
+/// A single pipelined client is the regime a naive hold-while-unacked
+/// rule hurts (−29 % at depth 4–8). The backlog test leaves it alone:
+/// every cell is the committed `ext_pipeline_depth` one or better.
+#[test]
+fn a_single_pipelined_client_loses_nothing() {
+    // Seed and operation count of `ext_pipeline_depth`.
+    for cluster in [ClusterKind::A, ClusterKind::B] {
+        for size in [4usize, 4096] {
+            for depth in [2usize, 4, 8] {
+                let tps =
+                    measure_pipeline_throughput(cluster, Transport::Ucr, depth, size, 1000, 77);
+                let cell = [
+                    format!("\"cluster\": \"{}\"", cluster.label()),
+                    "\"transport\": \"UCR\"".to_string(),
+                    format!("\"size\": {size},"),
+                    format!("\"depth\": {depth},"),
+                ];
+                let committed = committed_tps("ext_pipeline_depth", &cell);
+                assert!(
+                    tps >= committed,
+                    "{} {size} B depth {depth}: {tps:.0} ops/s, committed {committed:.0}",
+                    cluster.label()
+                );
+            }
+        }
+    }
+}
+
+/// A `set_many` then a `get_many` whose values straddle the eager
+/// threshold, at depth 8: requests reach the server, and replies the
+/// client, in the order they were sent — an eager message queued behind a
+/// backed-up send is never overtaken by the rendezvous request after it.
+/// (Header handlers run in wire-arrival order; a rendezvous *payload*
+/// still lands later than the eager traffic around it.)
+#[test]
+fn mixed_eager_and_rendezvous_stream_arrives_in_send_order() {
+    let (world, _server, client) = ucr_world(79, 8);
+    let recorder = EventRecorder::new();
+    world.cluster.tracer().add_sink(recorder.clone());
+    let sizes: Vec<usize> = (0..48)
+        .map(|i| match i % 6 {
+            0 => 12 * 1024,
+            3 => 40 * 1024,
+            _ => 8 + i,
+        })
+        .collect();
+    let sizes2 = sizes.clone();
+    let sim = world.sim().clone();
+    sim.block_on(async move {
+        let keys: Vec<String> = (0..sizes2.len()).map(|i| format!("ord-{i}")).collect();
+        let values: Vec<Vec<u8>> = sizes2.iter().map(|&s| vec![s as u8; s]).collect();
+        let items: Vec<(&[u8], &[u8])> = keys
+            .iter()
+            .zip(&values)
+            .map(|(k, v)| (k.as_bytes(), v.as_slice()))
+            .collect();
+        let stored = client.set_many(&items, 0, 0).await.unwrap();
+        assert!(stored.iter().all(Result::is_ok));
+        let lookups: Vec<&[u8]> = keys.iter().map(|k| k.as_bytes()).collect();
+        let got = client.get_many(&lookups).await.unwrap();
+        for (v, g) in values.iter().zip(&got) {
+            assert_eq!(&g.as_ref().expect("hit").data, v);
+        }
+    });
+    // Data lengths announced to the header handlers of `node`, in order,
+    // keeping only this test's distinctive sizes.
+    let announced = |node: u32| -> Vec<usize> {
+        recorder
+            .events()
+            .iter()
+            .filter(|e| {
+                e.layer == Layer::Ucr
+                    && e.name == "header_handler"
+                    && e.phase == Phase::Begin
+                    && e.node == Some(NodeId(node))
+            })
+            .map(|e| e.bytes as usize)
+            .filter(|b| sizes.contains(b))
+            .collect()
+    };
+    assert_eq!(announced(0), sizes, "set requests at the server");
+    assert_eq!(announced(1), sizes, "get replies at the client");
 }
