@@ -16,11 +16,14 @@
 //! over repeated operations. Latency and throughput are **simulated time**
 //! — the quantity the paper measures — not host wall-clock.
 
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 pub mod json_out;
 
-use rmc::{McClient, McClientConfig, McError, McServer, McServerConfig, Transport, World};
+use rmc::{
+    McClient, McClientConfig, McError, McServer, McServerConfig, StoreModel, Transport, World,
+};
 use simnet::metrics::Histogram;
 use simnet::{
     AuditReport, NodeId, PathStage, Profiler, ProfilerConfig, SimDuration, Stack, Tracer,
@@ -737,6 +740,170 @@ fn run_pipeline_gets(
         ops as f64 / elapsed
     });
     (tps, sim.now())
+}
+
+// ---------------------------------------------------------------------
+// Windowed pipelined gets (the `ucr_pipelined_sharded_16c` shape)
+// ---------------------------------------------------------------------
+
+/// `(logical messages sent, eager work requests posted, messages that
+/// rode behind another)` summed over the server's and every client's UCR
+/// runtime.
+pub fn ucr_totals(server: &McServer, clients: &[McClient]) -> (u64, u64, u64) {
+    let mut totals = (0, 0, 0);
+    let runtimes = clients
+        .iter()
+        .filter_map(McClient::ucr_runtime)
+        .chain(server.ucr_runtime());
+    for rt in runtimes {
+        let st = rt.stats();
+        totals.0 += st.messages_sent.get();
+        totals.1 += st.eager_wrs_posted.get();
+        totals.2 += st.eager_coalesced.get();
+    }
+    totals
+}
+
+/// A seed-dependent offset into the key space, so that different seeds
+/// issue different request orders (splitmix64 finaliser).
+fn mix(seed: u64, c: usize, n: usize) -> usize {
+    let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ ((c as u64) << 32 | n as u64);
+    x ^= x >> 31;
+    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x ^= x >> 29;
+    (x >> 16) as usize
+}
+
+/// Clients of [`run_windowed_gets`]; its world needs one node more.
+pub const WINDOWED_CLIENTS: u32 = 16;
+
+/// What one [`run_windowed_gets`] run measured.
+#[derive(Debug, PartialEq)]
+pub struct WindowedRun {
+    /// Gets per second of virtual time over the second half of the run.
+    pub tps: f64,
+    /// Eager work requests posted per get, requests and replies together.
+    pub wire_msgs_per_op: f64,
+    /// Virtual clock when the last reply was claimed.
+    pub end_ns: u64,
+    /// Eager work requests posted since the runtimes started.
+    pub posted: u64,
+    /// Eager messages that rode behind another since then.
+    pub coalesced: u64,
+    /// Progress contexts of the server's UCR runtime.
+    pub contexts: usize,
+}
+
+/// The `ucr_pipelined_sharded_16c` shape: 16 clients each keeping 8
+/// `issue_get` handles in flight (claimed oldest first) against `workers`
+/// workers over `Sharded(16)`, on `world` (17 nodes). `seed` picks the
+/// request order. Every reply is verified byte for byte; the rate is
+/// taken over the second half of the run.
+pub fn run_windowed_gets(
+    world: &World,
+    workers: usize,
+    ops_per_client: usize,
+    seed: u64,
+) -> WindowedRun {
+    const CLIENTS: u32 = WINDOWED_CLIENTS;
+    const DEPTH: usize = 8;
+    const KEYS: usize = 512;
+    let key = |i: usize| format!("key-{i:05}").into_bytes();
+    let value = |i: usize| -> Vec<u8> { (0..64).map(|b| (i * 31 + b) as u8).collect() };
+
+    let sim = world.sim().clone();
+    let server = McServer::start(
+        world,
+        NodeId(0),
+        McServerConfig {
+            workers,
+            store_model: StoreModel::Sharded(16),
+            ..Default::default()
+        },
+    );
+    let clients: Vec<McClient> = (0..CLIENTS)
+        .map(|c| {
+            let mut cfg = McClientConfig::single(Transport::Ucr, NodeId(0));
+            cfg.pipeline_depth = DEPTH;
+            McClient::new(world, NodeId(1 + c), cfg)
+        })
+        .collect();
+    let cl = clients.clone();
+    sim.block_on(async move {
+        for i in 0..KEYS {
+            cl[0].set(&key(i), &value(i), 0, 0).await.expect("preload");
+        }
+        for client in &cl {
+            assert!(matches!(client.get(&key(0)).await, Ok(Some(_))));
+        }
+    });
+    let idle_events = sim.pending_events();
+    let before = ucr_totals(&server, &clients);
+
+    let half_done = Rc::new(std::cell::Cell::new(None));
+    let completed = Rc::new(std::cell::Cell::new(0usize));
+    let total = CLIENTS as usize * ops_per_client;
+    let tasks: Vec<_> = clients
+        .iter()
+        .enumerate()
+        .map(|(c, client)| {
+            let (client, sim) = (client.clone(), sim.clone());
+            let (half_done, completed) = (half_done.clone(), completed.clone());
+            sim.clone().spawn(async move {
+                let mut window = VecDeque::new();
+                for n in 0..ops_per_client + DEPTH {
+                    if n < ops_per_client {
+                        let i = (c * 7919 + n * 13 + mix(seed, c, n)) % KEYS;
+                        window.push_back((i, client.issue_get(&key(i)).await.expect("issue")));
+                    }
+                    if window.len() == DEPTH || n >= ops_per_client {
+                        let Some((i, handle)) = window.pop_front() else {
+                            break;
+                        };
+                        let got = handle.complete().await.expect("reply").expect("hit");
+                        assert_eq!(got.data, value(i), "reply for key {i}");
+                        completed.set(completed.get() + 1);
+                        if completed.get() == total / 2 {
+                            half_done.set(Some(sim.now()));
+                        }
+                    }
+                }
+            })
+        })
+        .collect();
+    let sim2 = sim.clone();
+    sim.block_on(async move {
+        for t in tasks {
+            t.await;
+        }
+    });
+    let end = sim2.now();
+    assert_eq!(completed.get(), total);
+    let half = half_done.get().expect("half-way mark");
+    let tps = (total - total / 2) as f64 / (end - half).as_secs_f64();
+
+    // Quiesce: nothing parked at any client, no event left behind beyond
+    // what the idle testbed already held.
+    sim2.run();
+    for client in &clients {
+        assert_eq!(client.pending_responses(), 0);
+    }
+    assert!(
+        sim2.pending_events() <= idle_events,
+        "{} events pending at quiesce, {idle_events} before the run",
+        sim2.pending_events()
+    );
+    let after = ucr_totals(&server, &clients);
+    assert_eq!(after.0 - before.0, 2 * total as u64, "logical messages");
+    assert_eq!(after.1 + after.2 - before.1 - before.2, 2 * total as u64);
+    WindowedRun {
+        tps,
+        wire_msgs_per_op: (after.1 - before.1) as f64 / total as f64,
+        end_ns: end.as_nanos(),
+        posted: after.1,
+        coalesced: after.2,
+        contexts: server.ucr_runtime().map_or(0, |rt| rt.contexts()),
+    }
 }
 
 /// What one sampled observatory run measured (`ext_observatory`).

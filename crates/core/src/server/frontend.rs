@@ -72,8 +72,9 @@ impl SrvInner {
 // UCR
 // ---------------------------------------------------------------------
 
-/// AM 1 handler: runs in the UCR progress engine and hands the request to
-/// a worker.
+/// AM 1 handler: runs in the progress task of the endpoint's context and
+/// hands the request to a worker — the connection's, unless the store is
+/// sharded and the key's shard belongs to another.
 pub(super) struct ReqDispatch {
     pub(super) srv: Weak<SrvInner>,
 }
@@ -122,7 +123,7 @@ impl AmHandler for ReqDispatch {
         }
         let widx = match req.keys.first().and_then(|k| srv.exec.affine_shard(k)) {
             Some(shard) => srv.worker_for_shard(shard),
-            None => srv.worker_for_ep(ep.id()),
+            None => srv.worker_for_ep(ep),
         };
         let _ = srv.workers[widx].send(WorkItem::Ucr {
             ep: ep.clone(),

@@ -8,10 +8,13 @@
 //!
 //! * **Sockets clients** speak the ASCII protocol over any of the
 //!   byte-stream transports (the unmodified baseline);
-//! * **UCR clients** speak typed active messages: the request's header
-//!   handler runs in the UCR progress engine and enqueues work to the
-//!   connection's worker; the worker executes against the store and
-//!   responds with AM 2 targeting the counter named in AM 1 (§V-B, §V-C).
+//! * **UCR clients** speak typed active messages: the server's UCR
+//!   runtime has one progress context — completion queue plus polling
+//!   task — per four workers, a connection is bound to one of them when
+//!   it is accepted, and the request's handlers run in that context's
+//!   progress task and enqueue the work to the connection's worker; the
+//!   worker executes against the store and responds with AM 2 targeting
+//!   the counter named in AM 1 (§V-B, §V-C).
 //!
 //! Workers are simulated threads: each occupies itself for the service
 //! time of a request, which is what caps server throughput in Figure 6.
@@ -23,8 +26,7 @@
 //! directory; `stats` is the `stats` surface. This module is the process
 //! around them: configuration, listeners, the worker pool.
 
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::cell::Cell;
 use std::rc::{Rc, Weak};
 
 use mcproto::{BinFrame, Command};
@@ -164,8 +166,10 @@ struct SrvInner {
     /// `req_id`); starts at 1 so no span is keyed by a literal zero.
     sock_op: Cell<u64>,
     workers: Vec<Sender<WorkItem>>,
+    /// Round-robin cursor binding socket connections (and UDP requests)
+    /// to workers; a UCR connection's worker follows from its endpoint id
+    /// ([`SrvInner::worker_for_ep`]).
     next_worker: Cell<usize>,
-    ep_workers: RefCell<HashMap<u64, usize>>,
     running: Cell<bool>,
 }
 
@@ -191,7 +195,6 @@ impl McServer {
             sock_op: Cell::new(1),
             workers: worker_txs,
             next_worker: Cell::new(0),
-            ep_workers: RefCell::new(HashMap::new()),
             running: Cell::new(true),
         });
 
@@ -318,9 +321,16 @@ impl McServer {
     }
 }
 
-/// Brings up one UCR runtime on `fabric`, registers the request and
-/// directory handlers, and runs the accept loop (round-robin worker
-/// binding, SV-A).
+/// Workers per UCR progress context. Every committed figure was measured
+/// on memcached's default four workers behind one progress task; a server
+/// configured with more workers gets pollers in the same proportion
+/// (DESIGN.md §16; EXPERIMENTS.md has the sweep: more pollers than that
+/// buy no throughput and make the hand-off to the workers burstier).
+const WORKERS_PER_CONTEXT: usize = 4;
+
+/// Brings up one UCR runtime on `fabric`, with its share of progress
+/// contexts, registers the request and directory handlers, and runs the
+/// accept loop.
 fn start_ucr_listener(
     sim: &Sim,
     inner: &Rc<SrvInner>,
@@ -328,7 +338,8 @@ fn start_ucr_listener(
     port: u16,
     side: FabricSide,
 ) {
-    let rt = UcrRuntime::new(fabric, inner.exec.node);
+    let contexts = inner.workers.len().div_ceil(WORKERS_PER_CONTEXT);
+    let rt = UcrRuntime::with_contexts(fabric, inner.exec.node, contexts);
     rt.register_handler(
         MSG_MC_REQ,
         ReqDispatch {
@@ -352,13 +363,12 @@ fn start_ucr_listener(
     };
     let weak = Rc::downgrade(inner);
     sim.spawn(async move {
-        while let Ok(ep) = listener.accept().await {
+        while listener.accept().await.is_ok() {
             let Some(srv) = weak.upgrade() else { break };
             if !srv.running.get() {
                 break;
             }
             srv.count(&srv.exec.counters.connections);
-            srv.assign_ep(ep.id());
         }
     });
 }
@@ -374,20 +384,14 @@ impl SrvInner {
         w
     }
 
-    fn assign_ep(&self, ep_id: u64) {
-        let w = self.next_worker();
-        self.ep_workers.borrow_mut().insert(ep_id, w);
-    }
-
-    fn worker_for_ep(&self, ep_id: u64) -> usize {
-        if let Some(w) = self.ep_workers.borrow().get(&ep_id) {
-            return *w;
-        }
-        // Endpoint arrived before (or without) the accept bookkeeping:
-        // assign now.
-        let w = self.next_worker();
-        self.ep_workers.borrow_mut().insert(ep_id, w);
-        w
+    /// A UCR connection's worker (§V-A: connections go to workers in
+    /// round-robin order, and that worker serves every request of the
+    /// connection). A runtime numbers its endpoints from 1 in the order
+    /// they are established — unreliable ones by their first datagram —
+    /// so the id is the round-robin position and nothing is kept per
+    /// connection.
+    fn worker_for_ep(&self, ep: &Endpoint) -> usize {
+        (ep.id() - 1) as usize % self.workers.len()
     }
 
     /// Shard-affine worker binding: a shard's requests always land on the

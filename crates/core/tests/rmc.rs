@@ -33,6 +33,58 @@ fn all_transports_a() -> Vec<Transport> {
     ]
 }
 
+/// UCR connections go to workers in round-robin order (§V-A) and every
+/// request of a connection is served by its worker — with one progress
+/// context polling for the four default workers, and with two for eight.
+#[test]
+fn ucr_connections_go_to_workers_round_robin() {
+    const CLIENTS: u32 = 8;
+    const OPS: u64 = 5;
+    for workers in [4usize, 8] {
+        let world = World::cluster_b(77, CLIENTS + 1);
+        let server = McServer::start(
+            &world,
+            SRV,
+            McServerConfig {
+                workers,
+                ..McServerConfig::default()
+            },
+        );
+        let contexts = server.ucr_runtime().unwrap().contexts();
+        assert_eq!(contexts, workers / 4);
+        let clients: Vec<McClient> = (0..CLIENTS)
+            .map(|c| {
+                McClient::new(
+                    &world,
+                    NodeId(1 + c),
+                    McClientConfig::single(Transport::Ucr, SRV),
+                )
+            })
+            .collect();
+        world.sim().block_on(async move {
+            // Connect one after the other, then everybody talks.
+            for (i, c) in clients.iter().enumerate() {
+                c.set(format!("k{i}").as_bytes(), b"v", 0, 0).await.unwrap();
+            }
+            for _ in 0..OPS {
+                for (i, c) in clients.iter().enumerate() {
+                    assert!(c.get(format!("k{i}").as_bytes()).await.unwrap().is_some());
+                }
+            }
+        });
+        let served: Vec<u64> = (0..workers)
+            .map(|w| {
+                world
+                    .cluster
+                    .metrics()
+                    .counter_value(&format!("mc.node0.worker{w}.batch_items"))
+            })
+            .collect();
+        let each = u64::from(CLIENTS) / workers as u64 * (1 + OPS);
+        assert_eq!(served, vec![each; workers], "{workers} workers");
+    }
+}
+
 #[test]
 fn full_command_set_over_every_transport() {
     for transport in all_transports_a() {

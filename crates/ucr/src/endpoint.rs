@@ -142,6 +142,8 @@ pub(crate) struct EpInner {
     pub id: u64,
     pub qp: QueuePair,
     pub peer: NodeId,
+    /// The progress context this endpoint was bound to at creation.
+    pub ctx: usize,
     pub rt: Weak<RtInner>,
     pub failed: Cell<bool>,
     /// For unreliable endpoints: the peer's UD QP number. The QP is the
@@ -296,6 +298,15 @@ impl Endpoint {
     /// Runtime-unique endpoint id.
     pub fn id(&self) -> u64 {
         self.inner.id
+    }
+
+    /// The progress context this endpoint is bound to, in `0..n` of
+    /// [`UcrRuntime::with_contexts`](crate::UcrRuntime::with_contexts):
+    /// the one whose completion queue and progress task serve its queue
+    /// pair, so no other context's handlers ever delay it. Unreliable
+    /// endpoints share one queue pair; all of them are on context 0.
+    pub fn context(&self) -> usize {
+        self.inner.ctx
     }
 
     /// True once the peer is unreachable (RC retries exhausted). Other

@@ -18,7 +18,10 @@
 //!   (zero-copy) beyond it;
 //! * **eager coalescing** — small messages queued behind a backed-up send
 //!   queue share one network buffer, posted when the next send completes
-//!   (the MVAPICH eager channel; DESIGN.md §15).
+//!   (the MVAPICH eager channel; DESIGN.md §15);
+//! * **progress contexts** — one or more completion queues, each polled
+//!   by its own task; an endpoint is bound to one, round-robin, and is
+//!   never delayed by another context's handlers (DESIGN.md §16).
 //!
 //! Memcached (`rmc` crate) is built purely on this API: `set`/`get` are
 //! two active messages and a counter wait (paper §V).

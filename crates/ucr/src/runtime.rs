@@ -1,17 +1,26 @@
 //! The UCR runtime: progress engine, buffer pool, endpoint establishment.
 //!
 //! One [`UcrRuntime`] exists per process (node). It owns a protection
-//! domain, one completion queue for all endpoint traffic, a shared receive
-//! queue stocked with 8 KB network buffers (the MVAPICH-derived buffer
-//! management the paper reuses, §I refs [10][11]), the handler and counter
-//! registries, and a progress task that reaps completions and dispatches
-//! active messages.
+//! domain, a shared receive queue stocked with 8 KB network buffers (the
+//! MVAPICH-derived buffer management the paper reuses, §I refs [10][11]),
+//! the handler and counter registries, and one or more **progress
+//! contexts**: a completion queue plus the task that reaps it and
+//! dispatches active messages. Every endpoint is bound to one context when
+//! its queue pair is created, round-robin, so the thread that owns a
+//! connection is the thread that polls for it (paper §V-A); endpoints on
+//! different contexts never wait for each other's handlers. Everything
+//! else — buffer pool, tables, statistics — is the one runtime's
+//! (DESIGN.md §16).
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::future::{poll_fn, Future};
+use std::pin::{pin, Pin};
 use std::rc::{Rc, Weak};
+use std::task::Poll;
 
 use simnet::profiles::{ClusterProfile, UCR_EAGER_THRESHOLD};
+use simnet::sync::{oneshot, OneSender};
 use simnet::trace::{Layer, Track};
 use simnet::{NodeId, Sim, SimDuration, SimTime, Tracer};
 use verbs::{
@@ -237,7 +246,14 @@ pub(crate) struct RtInner {
     pub sim: Sim,
     pub hca: Hca,
     pub pd: Pd,
-    pub cq: Cq,
+    /// One completion queue per progress context; a queue pair's send and
+    /// receive completions both land on its context's.
+    cqs: Vec<Cq>,
+    /// Round-robin cursor binding new endpoints to contexts.
+    next_ctx: Cell<usize>,
+    /// Dropping a context's sender ends its progress task: `shutdown`
+    /// clears them, the last handle going away drops them.
+    stop: RefCell<Vec<OneSender<()>>>,
     pub srq: Srq,
     pub eager_threshold: std::cell::Cell<usize>,
     profile: ClusterProfile,
@@ -263,7 +279,6 @@ pub(crate) struct RtInner {
     next_ctr: Cell<u64>,
     next_token: Cell<u64>,
     next_ep: Cell<u64>,
-    shutdown: Cell<bool>,
     pub stats: RtStats,
     pub(crate) tracer: Rc<Tracer>,
     gauges: RtGauges,
@@ -278,6 +293,31 @@ impl Drop for RtInner {
         for ep in self.eps.borrow().values() {
             ep.flush_held(self);
         }
+    }
+}
+
+/// The progress loop of one context: reaps its completion queue and runs
+/// each completion's protocol step and handlers to the end before taking
+/// the next. State it shares with the other contexts' loops is borrowed
+/// only between awaits.
+async fn progress(rt: Weak<RtInner>, cq: Cq) {
+    loop {
+        let wc = cq.next().await;
+        let Some(rt) = rt.upgrade() else { break };
+        // One wakeup drains the whole CQ backlog before the engine
+        // re-arms: every already-reaped completion is serviced in this
+        // batch. `Cq::next` on a non-empty queue returns immediately
+        // (still charging the same per-completion poll overhead), so
+        // batching changes accounting, not virtual time.
+        rt.stats.progress_wakes.inc();
+        rt.stats.progress_completions.inc();
+        rt.handle_completion(wc).await;
+        while cq.backlog() > 0 {
+            let wc = cq.next().await;
+            rt.stats.progress_completions.inc();
+            rt.handle_completion(wc).await;
+        }
+        rt.publish_gauges();
     }
 }
 
@@ -300,12 +340,20 @@ pub struct EpListener {
 }
 
 impl UcrRuntime {
-    /// Brings up UCR on `node`: allocates verbs resources, stocks the
-    /// receive pool, and starts the progress engine.
+    /// Brings up UCR on `node` with one progress context: allocates verbs
+    /// resources, stocks the receive pool, and starts the progress engine.
     pub fn new(fabric: &IbFabric, node: NodeId) -> UcrRuntime {
+        UcrRuntime::with_contexts(fabric, node, 1)
+    }
+
+    /// Brings up UCR on `node` with `contexts` progress contexts (at least
+    /// one), each its own completion queue and progress task — what a
+    /// server sizes to its worker pool.
+    pub fn with_contexts(fabric: &IbFabric, node: NodeId, contexts: usize) -> UcrRuntime {
         let hca = fabric.open(node);
         let pd = hca.alloc_pd();
-        let cq = hca.create_cq();
+        let cqs: Vec<Cq> = (0..contexts.max(1)).map(|_| hca.create_cq()).collect();
+        let (stop, stopped): (Vec<_>, Vec<_>) = cqs.iter().map(|_| oneshot::<()>()).unzip();
         let srq = Srq::new();
         let sim = hca.sim();
         let profile = fabric.cluster().profile().clone();
@@ -321,7 +369,9 @@ impl UcrRuntime {
             sim: sim.clone(),
             hca,
             pd,
-            cq,
+            cqs,
+            next_ctx: Cell::new(0),
+            stop: RefCell::new(stop),
             srq,
             eager_threshold: std::cell::Cell::new(UCR_EAGER_THRESHOLD),
             profile,
@@ -342,7 +392,6 @@ impl UcrRuntime {
             next_ctr: Cell::new(1),
             next_token: Cell::new(1),
             next_ep: Cell::new(1),
-            shutdown: Cell::new(false),
             stats: RtStats::default(),
             tracer,
             gauges,
@@ -350,35 +399,26 @@ impl UcrRuntime {
         for _ in 0..RECV_POOL_DEPTH {
             inner.post_recv_buffer();
         }
-        // Progress engine: holds the runtime weakly so dropping the last
-        // UcrRuntime handle lets everything unwind.
-        let weak = Rc::downgrade(&inner);
-        let cq = inner.cq.clone();
-        sim.spawn(async move {
-            loop {
-                let wc = cq.next().await;
-                let Some(rt) = weak.upgrade() else { break };
-                if rt.shutdown.get() {
-                    break;
-                }
-                // One wakeup drains the whole CQ backlog before the
-                // engine re-arms: every already-reaped completion is
-                // serviced in this batch. `Cq::next` on a non-empty queue
-                // returns immediately (still charging the same
-                // per-completion poll overhead), so batching changes
-                // accounting, not virtual time.
-                rt.stats.progress_wakes.inc();
-                rt.stats.progress_completions.inc();
-                rt.handle_completion(wc).await;
-                while !rt.shutdown.get() && rt.cq.backlog() > 0 {
-                    let wc = rt.cq.next().await;
-                    rt.stats.progress_completions.inc();
-                    rt.handle_completion(wc).await;
-                }
-                rt.publish_gauges();
-            }
-        });
+        // One progress task per context. Each holds the runtime weakly and
+        // runs until its stop sender is dropped — by `shutdown`, or with
+        // the last UcrRuntime handle, so everything unwinds.
+        for (cq, mut stopped) in inner.cqs.iter().cloned().zip(stopped) {
+            let weak = Rc::downgrade(&inner);
+            sim.spawn(async move {
+                let mut run = pin!(progress(weak, cq));
+                poll_fn(|cx| match Pin::new(&mut stopped).poll(cx) {
+                    Poll::Ready(_) => Poll::Ready(()),
+                    Poll::Pending => run.as_mut().poll(cx),
+                })
+                .await
+            });
+        }
         UcrRuntime { inner }
+    }
+
+    /// Number of progress contexts.
+    pub fn contexts(&self) -> usize {
+        self.inner.cqs.len()
     }
 
     /// The node this runtime serves.
@@ -440,28 +480,21 @@ impl UcrRuntime {
         timeout: SimDuration,
     ) -> Result<Endpoint, UcrError> {
         let rt = &self.inner;
-        let qp = verbs::connect(
-            &rt.hca,
-            &rt.pd,
-            &rt.cq,
-            &rt.cq,
-            Some(&rt.srq),
-            dst,
-            port,
-            timeout,
-        )
-        .await
-        .map_err(|e| match e {
-            verbs::VerbsError::ConnectionTimeout => UcrError::Timeout,
-            _ => UcrError::ConnectionRefused,
-        })?;
-        Ok(rt.make_endpoint(qp, dst))
+        let ctx = rt.next_context();
+        let cq = &rt.cqs[ctx];
+        let qp = verbs::connect(&rt.hca, &rt.pd, cq, cq, Some(&rt.srq), dst, port, timeout)
+            .await
+            .map_err(|e| match e {
+                verbs::VerbsError::ConnectionTimeout => UcrError::Timeout,
+                _ => UcrError::ConnectionRefused,
+            })?;
+        Ok(rt.make_endpoint(qp, dst, ctx))
     }
 
-    /// Tears the runtime down: the progress engine stops and all endpoints
+    /// Tears the runtime down: every progress task stops and all endpoints
     /// fail. Models a process exit.
     pub fn shutdown(&self) {
-        self.inner.shutdown.set(true);
+        self.inner.stop.borrow_mut().clear();
         for ep in self.inner.eps.borrow().values() {
             ep.failed.set(true);
             ep.discard_held(&self.inner);
@@ -598,9 +631,11 @@ impl UcrRuntime {
 impl EpListener {
     /// Accepts one inbound endpoint.
     pub async fn accept(&self) -> Result<Endpoint, UcrError> {
+        let ctx = self.rt.next_context();
+        let cq = &self.rt.cqs[ctx];
         let qp = self
             .listener
-            .accept(&self.rt.pd, &self.rt.cq, &self.rt.cq, Some(&self.rt.srq))
+            .accept(&self.rt.pd, cq, cq, Some(&self.rt.srq))
             .await
             .map_err(|_| UcrError::ConnectionRefused)?;
         let Some((peer, _)) = qp.remote() else {
@@ -612,7 +647,7 @@ impl EpListener {
                 .fault("accepted QP has no peer address; refusing connection");
             return Err(UcrError::ConnectionRefused);
         };
-        Ok(self.rt.make_endpoint(qp, peer))
+        Ok(self.rt.make_endpoint(qp, peer, ctx))
     }
 
     /// The bound port.
@@ -769,15 +804,21 @@ impl RtInner {
         self.hca.net_mtu() as usize
     }
 
+    /// The next context in round-robin order.
+    fn next_context(&self) -> usize {
+        let ctx = self.next_ctx.get();
+        self.next_ctx.set((ctx + 1) % self.cqs.len());
+        ctx
+    }
+
     /// The shared UD queue pair, binding it on first use. Idempotent:
-    /// repeated calls return the same QP.
+    /// repeated calls return the same QP. Context 0 reaps it.
     fn ud_bound_qp(&self) -> QueuePair {
         if let Some(qp) = self.ud_qp.borrow().as_ref() {
             return qp.clone();
         }
-        let qp = self
-            .pd
-            .create_qp(QpType::Ud, &self.cq, &self.cq, Some(&self.srq));
+        let cq = &self.cqs[0];
+        let qp = self.pd.create_qp(QpType::Ud, cq, cq, Some(&self.srq));
         *self.ud_qp.borrow_mut() = Some(qp.clone());
         qp
     }
@@ -796,6 +837,7 @@ impl RtInner {
             id,
             qp,
             peer: node,
+            ctx: 0,
             rt: Rc::downgrade(self),
             failed: Cell::new(false),
             ud_dest: Some((node, qpn)),
@@ -814,13 +856,14 @@ impl RtInner {
         copy + self.profile.ucr_eager_cost(bytes as u64) / 2
     }
 
-    fn make_endpoint(self: &Rc<Self>, qp: verbs::QueuePair, peer: NodeId) -> Endpoint {
+    fn make_endpoint(self: &Rc<Self>, qp: QueuePair, peer: NodeId, ctx: usize) -> Endpoint {
         let id = self.next_ep.get();
         self.next_ep.set(id + 1);
         let inner = Rc::new(EpInner {
             id,
             qp,
             peer,
+            ctx,
             rt: Rc::downgrade(self),
             failed: Cell::new(false),
             ud_dest: None,

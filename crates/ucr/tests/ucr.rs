@@ -729,84 +729,110 @@ mod properties {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Any sequence of message sizes (spanning eager and rendezvous)
-        /// arrives exactly once with intact bytes. Ordering holds within
-        /// each protocol path (eager stream; rendezvous stream) but not
-        /// across them — a small eager message can legally overtake an
-        /// in-flight rendezvous transfer, exactly as in GASNet-style
-        /// active-message runtimes.
+        /// Any sequence of message sizes (spanning eager and rendezvous),
+        /// sent by three endpoints at once to a runtime with 1, 2 or 4
+        /// progress contexts, arrives exactly once with intact bytes.
+        /// Ordering holds per endpoint within each protocol path (eager
+        /// stream; rendezvous stream) but not across them — a small eager
+        /// message can legally overtake an in-flight rendezvous transfer,
+        /// exactly as in GASNet-style active-message runtimes.
         #[test]
         fn messages_arrive_exactly_once_in_order(
             sizes in proptest::collection::vec(0usize..20_000, 1..12),
             seed in 0u64..1000,
+            contexts_log2 in 0u32..3,
         ) {
-            let cluster = Rc::new(Cluster::cluster_b(seed, 2));
+            const SENDERS: usize = 3;
+            let cluster = Rc::new(Cluster::cluster_b(seed, 1 + SENDERS as u32));
             let fabric = IbFabric::new(cluster.clone());
-            let server = UcrRuntime::new(&fabric, NodeId(1));
-            let received: Rc<RefCell<Vec<Vec<u8>>>> = Rc::new(RefCell::new(Vec::new()));
+            let server = UcrRuntime::with_contexts(&fabric, NodeId(0), 1 << contexts_log2);
+            // What each sender's endpoint delivered, keyed by the sender
+            // index in the application header.
+            let received: Rc<RefCell<Vec<Vec<Vec<u8>>>>> =
+                Rc::new(RefCell::new(vec![Vec::new(); SENDERS]));
             let received2 = received.clone();
             server.register_handler(
                 SINK,
-                FnHandler(move |_: &Endpoint, _: &[u8], data: AmData| {
-                    received2.borrow_mut().push(data.into_vec().unwrap_or_default());
+                FnHandler(move |_: &Endpoint, hdr: &[u8], data: AmData| {
+                    received2.borrow_mut()[hdr[0] as usize]
+                        .push(data.into_vec().unwrap_or_default());
                 }),
             );
             let listener = server.listen(PORT).unwrap();
             server.sim().spawn(async move {
-                let _ = listener.accept().await;
+                for _ in 0..SENDERS {
+                    let _ = listener.accept().await;
+                }
             });
 
-            let client = UcrRuntime::new(&fabric, NodeId(0));
-            let expected: Vec<Vec<u8>> = sizes
+            let expected: Vec<Vec<Vec<u8>>> = (0..SENDERS)
+                .map(|c| {
+                    sizes
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &n)| (0..n).map(|j| ((c * 7 + i * 31 + j) % 251) as u8).collect())
+                        .collect()
+                })
+                .collect();
+            let senders: Vec<_> = expected
                 .iter()
                 .enumerate()
-                .map(|(i, &n)| (0..n).map(|j| ((i * 31 + j) % 251) as u8).collect())
+                .map(|(c, msgs)| {
+                    let client = UcrRuntime::new(&fabric, NodeId(1 + c as u32));
+                    let msgs = msgs.clone();
+                    cluster.sim().spawn(async move {
+                        let ep = client
+                            .connect(NodeId(0), PORT, SimDuration::from_millis(100))
+                            .await
+                            .unwrap();
+                        let origin = client.counter();
+                        for msg in &msgs {
+                            ep.send_message(
+                                SINK,
+                                &[c as u8],
+                                msg,
+                                SendOptions {
+                                    origin: Some(origin.clone()),
+                                    ..Default::default()
+                                },
+                            )
+                            .await
+                            .unwrap();
+                        }
+                        origin
+                            .wait_for(msgs.len() as u64, SimDuration::from_millis(500))
+                            .await
+                            .unwrap();
+                    })
+                })
                 .collect();
-            let exp2 = expected.clone();
             cluster.sim().block_on(async move {
-                let ep = client
-                    .connect(NodeId(1), PORT, SimDuration::from_millis(100))
-                    .await
-                    .unwrap();
-                let origin = client.counter();
-                for msg in &exp2 {
-                    ep.send_message(
-                        SINK,
-                        b"h",
-                        msg,
-                        SendOptions {
-                            origin: Some(origin.clone()),
-                            ..Default::default()
-                        },
-                    )
-                    .await
-                    .unwrap();
+                for sender in senders {
+                    sender.await;
                 }
-                origin
-                    .wait_for(exp2.len() as u64, SimDuration::from_millis(500))
-                    .await
-                    .unwrap();
             });
             cluster.sim().run();
-            let received = received.borrow().clone();
-            // Exactly once: multiset equality.
-            let mut a = received.clone();
-            let mut b = expected.clone();
-            a.sort();
-            b.sort();
-            prop_assert_eq!(a, b);
-            // In order within each protocol path. The eager threshold
-            // applies to the payload (app header, 1 byte here, + data);
-            // the 64-byte packet header rides in the receive buffers'
-            // extra headroom.
-            // payload = 1 + m.len() <= 8192, i.e. m.len() < 8192.
-            let is_eager = |m: &Vec<u8>| m.len() < 8192;
-            let eager_sent: Vec<&Vec<u8>> = expected.iter().filter(|m| is_eager(m)).collect();
-            let eager_recv: Vec<&Vec<u8>> = received.iter().filter(|m| is_eager(m)).collect();
-            prop_assert_eq!(eager_sent, eager_recv);
-            let rndv_sent: Vec<&Vec<u8>> = expected.iter().filter(|m| !is_eager(m)).collect();
-            let rndv_recv: Vec<&Vec<u8>> = received.iter().filter(|m| !is_eager(m)).collect();
-            prop_assert_eq!(rndv_sent, rndv_recv);
+            let received = received.borrow();
+            for (received, expected) in received.iter().zip(&expected) {
+                // Exactly once: multiset equality.
+                let mut a = received.clone();
+                let mut b = expected.clone();
+                a.sort();
+                b.sort();
+                prop_assert_eq!(a, b);
+                // In order within each protocol path. The eager threshold
+                // applies to the payload (app header, 1 byte here, + data);
+                // the 64-byte packet header rides in the receive buffers'
+                // extra headroom.
+                // payload = 1 + m.len() <= 8192, i.e. m.len() < 8192.
+                let is_eager = |m: &Vec<u8>| m.len() < 8192;
+                let eager_sent: Vec<&Vec<u8>> = expected.iter().filter(|m| is_eager(m)).collect();
+                let eager_recv: Vec<&Vec<u8>> = received.iter().filter(|m| is_eager(m)).collect();
+                prop_assert_eq!(eager_sent, eager_recv);
+                let rndv_sent: Vec<&Vec<u8>> = expected.iter().filter(|m| !is_eager(m)).collect();
+                let rndv_recv: Vec<&Vec<u8>> = received.iter().filter(|m| !is_eager(m)).collect();
+                prop_assert_eq!(rndv_sent, rndv_recv);
+            }
         }
     }
 }
@@ -1091,10 +1117,14 @@ async fn back_up(rt: &UcrRuntime, ep: &Endpoint) {
     rt.sim().sleep(SimDuration::from_micros(30)).await;
 }
 
-async fn connect(rt: &UcrRuntime) -> Endpoint {
-    rt.connect(NodeId(1), PORT, SimDuration::from_millis(100))
+async fn connect_to(rt: &UcrRuntime, node: NodeId) -> Endpoint {
+    rt.connect(node, PORT, SimDuration::from_millis(100))
         .await
         .unwrap()
+}
+
+async fn connect(rt: &UcrRuntime) -> Endpoint {
+    connect_to(rt, NodeId(1)).await
 }
 
 #[test]
@@ -1216,13 +1246,14 @@ fn rendezvous_request_does_not_overtake_held_messages() {
 /// message (and so before it sent the Fin) must have arrived by the time
 /// the Fin's counter bumps.
 ///
-/// The stream is paced (3.3 M msgs/s against the HCA's 2.5 M work
-/// requests/s) and short: UCR has no credit flow control, and a receiver
-/// more than its 128 pooled buffers behind is outside the model.
-#[test]
-fn fin_does_not_overtake_held_messages() {
+/// Paced, the stream runs at 3.3 M msgs/s against the HCA's 2.5 M work
+/// requests/s and the receiver keeps up. Un-paced, 4000 messages are
+/// accepted faster than anything drains and the receiver falls more than
+/// its 128 pooled buffers behind: UCR has no credit flow control, so the
+/// overflow waits at the receiver's HCA (parked on the SRQ, in arrival
+/// order) and the guarantee is the same.
+fn fin_never_overtakes_held_messages(msgs: u32, pace: SimDuration) {
     const PING: u16 = 41;
-    const FLOOD: u32 = 400;
     let s = stream();
     let accepted = Rc::new(std::cell::Cell::new(0u32));
     let accepted_at_ping: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(Vec::new()));
@@ -1249,10 +1280,10 @@ fn fin_does_not_overtake_held_messages() {
         ep.send_message(SINK + 1, &[], b"", SendOptions::default())
             .await
             .unwrap();
-        for seq in 0..FLOOD {
+        for seq in 0..msgs {
             send_seq(&ep, seq, SendOptions::default()).await;
             accepted.set(seq + 1);
-            sender.sim().sleep(SimDuration::from_nanos(300)).await;
+            sender.sim().sleep(pace).await;
         }
         ep
     });
@@ -1289,8 +1320,8 @@ fn fin_does_not_overtake_held_messages() {
     });
     s.cluster.sim().run();
     assert!(s.sender.stats().eager_coalesced.get() > 0, "the flood held");
-    assert_eq!(s.got.borrow().len(), FLOOD as usize);
-    assert!(s.got.borrow().iter().copied().eq(0..FLOOD), "send order");
+    assert_eq!(s.got.borrow().len(), msgs as usize);
+    assert!(s.got.borrow().iter().copied().eq(0..msgs), "send order");
     let accepted_at_ping = accepted_at_ping.borrow();
     assert_eq!(accepted_at_ping.len(), arrived_at_fin.len());
     for (accepted, arrived) in accepted_at_ping.iter().zip(&arrived_at_fin) {
@@ -1299,6 +1330,16 @@ fn fin_does_not_overtake_held_messages() {
             "Fin overtook held messages: {accepted} accepted before it, {arrived} arrived"
         );
     }
+}
+
+#[test]
+fn fin_does_not_overtake_held_messages() {
+    fin_never_overtakes_held_messages(400, SimDuration::from_nanos(300));
+}
+
+#[test]
+fn fin_does_not_overtake_held_messages_unpaced() {
+    fin_never_overtakes_held_messages(4000, SimDuration::ZERO);
 }
 
 /// Three 4000-byte messages become ready to send in the same instant,
@@ -1548,6 +1589,354 @@ fn a_backed_up_peer_makes_this_end_hold_too() {
     // First answer posted, the other four share the next work request.
     assert_eq!(answers_coalesced(&stream(), false), 3);
     assert_eq!(answers_coalesced(&stream(), true), 0);
+}
+
+// ---------------------------------------------------------------------
+// A receiver that falls behind its buffer pool
+// ---------------------------------------------------------------------
+
+/// Four senders flood one receiver with 8 KB eager messages, 300 in all.
+/// The link delivers one every 4 µs; the receiver's progress engine
+/// spends 12 µs staging each off its network buffer, so it falls further
+/// behind than the 128 buffers on its SRQ (by 15 messages at the end).
+/// The overflow waits at the HCA and is handed the buffers the engine
+/// re-posts, oldest first: every message is delivered exactly once, in
+/// its endpoint's send order. (The SRQ used to pool those buffers
+/// instead, stranding the 15 and letting later arrivals overtake them.)
+#[test]
+fn a_receiver_far_behind_its_buffer_pool_loses_and_reorders_nothing() {
+    const SENDERS: u32 = 4;
+    const EACH: u32 = 75;
+    let (cluster, fabric) = world(false, 1 + SENDERS);
+    let receiver = UcrRuntime::new(&fabric, NodeId(0));
+    // (sending node, sequence number) in delivery order.
+    let got: Rc<RefCell<Vec<(u32, u32)>>> = Rc::new(RefCell::new(Vec::new()));
+    let got2 = got.clone();
+    receiver.register_handler(
+        SINK,
+        FnHandler(move |ep: &Endpoint, _: &[u8], data: AmData| {
+            let data = data.into_vec().unwrap_or_default();
+            assert_eq!(data.len(), 8192);
+            let seq = u32::from_le_bytes(data[..4].try_into().unwrap());
+            got2.borrow_mut().push((ep.peer().0, seq));
+        }),
+    );
+    let listener = receiver.listen(PORT).unwrap();
+    let sim = cluster.sim().clone();
+    sim.spawn(async move {
+        for _ in 0..SENDERS {
+            let _ = listener.accept().await;
+        }
+    });
+    let senders: Vec<UcrRuntime> = (1..=SENDERS)
+        .map(|n| UcrRuntime::new(&fabric, NodeId(n)))
+        .collect();
+    let senders2 = senders.clone();
+    let eps = sim.block_on(async move {
+        let mut eps = Vec::new();
+        for rt in &senders2 {
+            eps.push(connect_to(rt, NodeId(0)).await);
+        }
+        eps
+    });
+    sim.run();
+    let idle_events = sim.pending_events();
+    for ep in eps {
+        sim.spawn(async move {
+            let mut msg = vec![0u8; 8192];
+            for seq in 0..EACH {
+                msg[..4].copy_from_slice(&seq.to_le_bytes());
+                ep.send_message(SINK, &[], &msg, SendOptions::default())
+                    .await
+                    .unwrap();
+            }
+        });
+    }
+    sim.run();
+    let got = got.borrow();
+    assert_eq!(got.len(), (SENDERS * EACH) as usize, "exactly once");
+    for node in 1..=SENDERS {
+        let seqs = got.iter().filter(|(n, _)| *n == node).map(|(_, s)| *s);
+        assert!(seqs.eq(0..EACH), "node {node}'s messages out of order");
+    }
+    assert_eq!(receiver.stats().eager_delivered.get(), got.len() as u64);
+    assert_eq!(sim.pending_events(), idle_events);
+}
+
+// ---------------------------------------------------------------------
+// Progress contexts: one completion queue and progress task per context
+// ---------------------------------------------------------------------
+
+/// Who sends the probe of [`probe_script`], and how.
+#[derive(Clone, Copy)]
+enum Probe {
+    /// Nobody: the script only times the big message.
+    None,
+    /// Node 2, on a reliable endpoint, this long after the script starts.
+    Rc(SimDuration),
+    /// Node 2, on an unreliable endpoint to the receiver's shared UD QP.
+    Ud(SimDuration),
+}
+
+/// When the receiver's handlers saw the big and the probe message, from
+/// the start of the script.
+#[derive(Default, Clone, Copy)]
+struct Seen {
+    big: Option<SimDuration>,
+    probe: Option<SimDuration>,
+}
+
+/// Handlers are synchronous and cost no time of their own; what occupies
+/// a progress task is the delivery charge around them. A 256 KB
+/// rendezvous message is the slow one here: once its RDMA read completes
+/// the task spends `am_dispatch + ucr_rdma_cost(256 KB)` = 77 µs on it,
+/// with the wire idle again.
+const BIG: usize = 256 * 1024;
+
+/// Node 0 receives with `contexts` progress contexts. Nodes 1 and 2 each
+/// connect one endpoint, node 1 first iff `big_first`, so with two
+/// contexts the first to connect is on context 0 and the other on
+/// context 1. Then node 1 sends the big message (iff `big`) and node 2
+/// its 4-byte probe.
+fn probe_script(contexts: usize, big_first: bool, big: bool, probe: Probe) -> Seen {
+    let (cluster, fabric) = world(false, 3);
+    let receiver = UcrRuntime::with_contexts(&fabric, NodeId(0), contexts);
+    let sim = cluster.sim().clone();
+    let seen = Rc::new(std::cell::Cell::new(Seen::default()));
+    let start = Rc::new(std::cell::Cell::new(sim.now()));
+    let (seen2, start2, sim2) = (seen.clone(), start.clone(), sim.clone());
+    receiver.register_handler(
+        SINK,
+        FnHandler(move |_: &Endpoint, _: &[u8], data: AmData| {
+            let at = Some(sim2.now() - start2.get());
+            let mut seen = seen2.get();
+            if data.len() == BIG {
+                seen.big = at;
+            } else {
+                seen.probe = at;
+            }
+            seen2.set(seen);
+        }),
+    );
+    let listener = receiver.listen(PORT).unwrap();
+    sim.spawn(async move {
+        for _ in 0..2 {
+            let _ = listener.accept().await;
+        }
+    });
+    let ud_qpn = receiver.ud_bind();
+    // Handles kept past `block_on`: the senders outlive the transfer.
+    let senders = (
+        UcrRuntime::new(&fabric, NodeId(1)),
+        UcrRuntime::new(&fabric, NodeId(2)),
+    );
+    let (big_rt, probe_rt) = senders.clone();
+    let sim2 = sim.clone();
+    sim.block_on(async move {
+        let (big_ep, probe_ep) = if big_first {
+            let big_ep = connect_to(&big_rt, NodeId(0)).await;
+            (big_ep, connect_to(&probe_rt, NodeId(0)).await)
+        } else {
+            let probe_ep = connect_to(&probe_rt, NodeId(0)).await;
+            (connect_to(&big_rt, NodeId(0)).await, probe_ep)
+        };
+        start.set(sim2.now());
+        if big {
+            let payload = vec![1u8; BIG];
+            big_ep
+                .send_message(SINK, &[], &payload, SendOptions::default())
+                .await
+                .unwrap();
+        }
+        let (ep, after) = match probe {
+            Probe::None => return,
+            Probe::Rc(after) => (probe_ep, after),
+            Probe::Ud(after) => (probe_rt.ud_endpoint(NodeId(0), ud_qpn), after),
+        };
+        sim2.sleep_until(start.get() + after).await;
+        ep.send_message(SINK, &[], b"ping", SendOptions::default())
+            .await
+            .unwrap();
+    });
+    sim.run();
+    seen.get()
+}
+
+/// Two endpoints on two contexts: while one context's progress task is
+/// busy with the big message, the other endpoint's probe is delivered at
+/// the very nanosecond it is when nothing else is going on. On a single
+/// context the same script makes the probe wait for the big message.
+#[test]
+fn a_busy_context_delays_only_its_own_endpoints() {
+    let big_done = probe_script(2, true, true, Probe::None).big.unwrap();
+    // Sent 50 µs before the big message is done: the probe arrives well
+    // inside the 77 µs the progress task spends on it.
+    let probe = Probe::Rc(big_done - SimDuration::from_micros(50));
+    let alone = probe_script(2, true, false, probe).probe.unwrap();
+    assert!(alone + SimDuration::from_micros(40) < big_done);
+
+    let two = probe_script(2, true, true, probe);
+    assert_eq!(two.big, Some(big_done));
+    assert_eq!(two.probe, Some(alone), "delayed by another context");
+
+    let one = probe_script(1, true, true, probe);
+    assert_eq!(one.big, Some(big_done));
+    assert!(
+        one.probe.unwrap() > big_done,
+        "one progress task serves both endpoints in turn"
+    );
+}
+
+/// The shared UD queue pair completes on context 0: a datagram waits for
+/// a big message on context 0's endpoint and not for one on context 1's.
+#[test]
+fn the_ud_queue_pair_is_reaped_by_context_zero() {
+    let big_done = probe_script(2, true, true, Probe::None).big.unwrap();
+    let probe = Probe::Ud(big_done - SimDuration::from_micros(50));
+    let alone = probe_script(2, true, false, probe).probe.unwrap();
+    // Big message on context 0 (its sender connected first) ...
+    let behind = probe_script(2, true, true, probe).probe.unwrap();
+    assert!(behind > big_done);
+    // ... and on context 1.
+    assert_eq!(probe_script(2, false, true, probe).probe, Some(alone));
+}
+
+/// Endpoints are bound to contexts round-robin, at accept and at connect:
+/// any two contexts' endpoint counts differ by at most one.
+#[test]
+fn endpoints_spread_round_robin_over_contexts() {
+    const CONTEXTS: usize = 3;
+    const ENDPOINTS: usize = 8;
+    let (cluster, fabric) = world(false, 2);
+    let server = UcrRuntime::with_contexts(&fabric, NodeId(1), CONTEXTS);
+    let listener = server.listen(PORT).unwrap();
+    let sim = cluster.sim().clone();
+    let accepted = sim.spawn(async move {
+        let mut contexts = Vec::new();
+        for _ in 0..ENDPOINTS {
+            contexts.push(listener.accept().await.unwrap().context());
+        }
+        contexts
+    });
+    let client = UcrRuntime::with_contexts(&fabric, NodeId(0), 2);
+    let (accepted, connected) = sim.block_on(async move {
+        let mut contexts = Vec::new();
+        for _ in 0..ENDPOINTS {
+            contexts.push(connect(&client).await.context());
+        }
+        (accepted.await, contexts)
+    });
+    let round_robin = |n: usize| (0..ENDPOINTS).map(|i| i % n).collect::<Vec<_>>();
+    assert_eq!(accepted, round_robin(CONTEXTS));
+    assert_eq!(connected, round_robin(2));
+}
+
+/// An endpoint failing on one context (its peer died) leaves the traffic
+/// of an endpoint on another context exactly as it is without the fault
+/// (§IV fault model): same replies, same round-trip times.
+#[test]
+fn a_failure_on_one_context_leaves_the_others_untouched() {
+    // Round-trip times of eight echoes against a two-context server
+    // which, iff `fault`, meanwhile sends to a client that has died.
+    fn echoes(fault: bool) -> Vec<SimDuration> {
+        let (cluster, fabric) = world(false, 3);
+        let server = UcrRuntime::with_contexts(&fabric, NodeId(0), 2);
+        server.register_handler(ECHO, EchoHandler);
+        let listener = server.listen(PORT).unwrap();
+        let sim = cluster.sim().clone();
+        let accepted = sim.spawn(async move {
+            let doomed = listener.accept().await.unwrap();
+            let healthy = listener.accept().await.unwrap();
+            (doomed, healthy)
+        });
+        let dying = UcrRuntime::new(&fabric, NodeId(1));
+        let client = UcrRuntime::new(&fabric, NodeId(2));
+        client.register_handler(
+            ECHO + 100,
+            FnHandler(|_: &Endpoint, _: &[u8], _: AmData| {}),
+        );
+        let server2 = server.clone();
+        let rtts = sim.block_on(async move {
+            let _dying_ep = connect_to(&dying, NodeId(0)).await;
+            let ep = connect_to(&client, NodeId(0)).await;
+            let (doomed, healthy) = accepted.await;
+            assert_eq!((doomed.context(), healthy.context()), (0, 1));
+            if fault {
+                dying.shutdown();
+                doomed
+                    .send_message(SINK, &[], b"anyone?", SendOptions::default())
+                    .await
+                    .unwrap();
+            }
+            let sim = client.sim();
+            let mut rtts = Vec::new();
+            for _ in 0..8 {
+                let ctr = client.counter();
+                let t0 = sim.now();
+                ep.send_message(ECHO, &ctr.id().to_le_bytes(), b"x", SendOptions::default())
+                    .await
+                    .unwrap();
+                ctr.wait_for(1, SimDuration::from_millis(1)).await.unwrap();
+                rtts.push(sim.now() - t0);
+                // Spread the echoes over the 200 µs the dead peer's
+                // retries take to exhaust.
+                sim.sleep(SimDuration::from_micros(40)).await;
+            }
+            assert_eq!(doomed.is_failed(), fault);
+            assert!(!healthy.is_failed() && !ep.is_failed());
+            rtts
+        });
+        assert_eq!(server2.stats().send_failures.get(), u64::from(fault));
+        assert_eq!(server2.endpoints(), if fault { 1 } else { 2 });
+        rtts
+    }
+    assert_eq!(echoes(true), echoes(false));
+}
+
+/// `shutdown` ends every progress task, and so does dropping the last
+/// handle of a runtime that was never shut down; either way nothing of it
+/// stays scheduled.
+#[test]
+fn shutdown_or_the_last_handle_going_ends_every_progress_task() {
+    let (cluster, fabric) = world(false, 3);
+    let sim = cluster.sim().clone();
+    let (idle_tasks, idle_events) = (sim.live_tasks(), sim.pending_events());
+    let a = UcrRuntime::with_contexts(&fabric, NodeId(0), 4);
+    let b = UcrRuntime::with_contexts(&fabric, NodeId(1), 3);
+    assert_eq!(sim.live_tasks(), idle_tasks + 7);
+    // Some traffic first, so the tasks have been through their loops.
+    let listener = a.listen(PORT).unwrap();
+    let got = Rc::new(std::cell::Cell::new(0u32));
+    let got2 = got.clone();
+    a.register_handler(
+        SINK,
+        FnHandler(move |_: &Endpoint, _: &[u8], _: AmData| got2.set(got2.get() + 1)),
+    );
+    sim.spawn(async move {
+        for _ in 0..3 {
+            listener.accept().await.unwrap();
+        }
+    });
+    let b2 = b.clone();
+    sim.block_on(async move {
+        for _ in 0..3 {
+            let ep = connect_to(&b2, NodeId(0)).await;
+            ep.send_message(SINK, &[], b"hello", SendOptions::default())
+                .await
+                .unwrap();
+        }
+    });
+    sim.run();
+    assert_eq!(got.get(), 3);
+    assert_eq!(sim.live_tasks(), idle_tasks + 7);
+
+    a.shutdown();
+    sim.run();
+    assert_eq!(sim.live_tasks(), idle_tasks + 3, "a's four tasks ended");
+    drop(b);
+    sim.run();
+    assert_eq!(sim.live_tasks(), idle_tasks, "b's three tasks ended");
+    assert_eq!(sim.pending_events(), idle_events);
 }
 
 mod hostile_bytes {

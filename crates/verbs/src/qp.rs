@@ -72,31 +72,63 @@ struct Inbound {
 
 /// A shared receive queue: one pool of receives serving many QPs — the
 /// MVAPICH scalability design the paper reuses for buffer management.
+///
+/// A message that finds the pool empty is parked on its QP (RC would
+/// RNR-NAK and retry) and the SRQ remembers the QP, so the next buffer
+/// posted goes to the oldest parked message. Invariant: the pool holds a
+/// buffer only while nothing is parked, so an arrival never overtakes a
+/// parked message — on its own QP or on a sibling.
 #[derive(Clone)]
 pub struct Srq {
-    queue: Rc<RefCell<VecDeque<RecvWr>>>,
+    inner: Rc<SrqInner>,
+}
+
+struct SrqInner {
+    queue: RefCell<VecDeque<RecvWr>>,
+    /// One entry per parked message, in arrival order: the QP whose
+    /// `pending_inbound` holds it.
+    parked: RefCell<VecDeque<Weak<QpInner>>>,
 }
 
 impl Srq {
     /// Creates an empty SRQ.
     pub fn new() -> Srq {
         Srq {
-            queue: Rc::new(RefCell::new(VecDeque::new())),
+            inner: Rc::new(SrqInner {
+                queue: RefCell::new(VecDeque::new()),
+                parked: RefCell::new(VecDeque::new()),
+            }),
         }
     }
 
-    /// Posts a receive buffer to the shared pool.
+    /// Posts a receive buffer to the shared pool, or straight to the
+    /// oldest message parked for want of one.
     pub fn post_recv(&self, wr_id: u64, buf: MrSlice) {
-        self.queue.borrow_mut().push_back(RecvWr { wr_id, buf });
+        let rwr = RecvWr { wr_id, buf };
+        loop {
+            let Some(qp) = self.inner.parked.borrow_mut().pop_front() else {
+                break;
+            };
+            // A QP dropped or closed since took its parked messages along.
+            let Some(qp) = qp.upgrade().filter(|q| q.state.get() != QpState::Closed) else {
+                continue;
+            };
+            let Some(msg) = qp.pending_inbound.borrow_mut().pop_front() else {
+                continue;
+            };
+            qp.complete_recv(rwr, msg);
+            return;
+        }
+        self.inner.queue.borrow_mut().push_back(rwr);
     }
 
     /// Buffers currently available.
     pub fn available(&self) -> usize {
-        self.queue.borrow().len()
+        self.inner.queue.borrow().len()
     }
 
     fn pop(&self) -> Option<RecvWr> {
-        self.queue.borrow_mut().pop_front()
+        self.inner.queue.borrow_mut().pop_front()
     }
 }
 
@@ -722,22 +754,25 @@ impl QpInner {
             Some(rwr) => self.complete_recv(rwr, msg),
             None => {
                 // RC would RNR-NAK and retry; we park the message until a
-                // receive shows up (bounded by test discipline, not modeled
-                // as a resource).
+                // receive shows up (the wait is not modeled as a cost).
                 self.pending_inbound.borrow_mut().push_back(msg);
+                if let Some(srq) = &self.srq {
+                    srq.inner.parked.borrow_mut().push_back(Rc::downgrade(self));
+                }
             }
         }
     }
 
+    /// Matches parked messages against this QP's own receive queue (an
+    /// SRQ hands its buffers out itself, see [`Srq::post_recv`]).
     fn match_pending(self: &Rc<Self>) {
         loop {
             let Some(msg) = self.pending_inbound.borrow_mut().pop_front() else {
                 break;
             };
             let Some(rwr) = self.pop_recv() else {
-                // No receive posted after all (an SRQ sibling may have
-                // drained it between the check and the pop): re-park the
-                // message at the front and wait for the next post.
+                // More parked than posted: re-park the message at the
+                // front and wait for the next post.
                 self.pending_inbound.borrow_mut().push_front(msg);
                 break;
             };

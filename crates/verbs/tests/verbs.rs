@@ -306,6 +306,53 @@ fn srq_fans_in_many_qps() {
     drop(bufs);
 }
 
+/// Five sends against an SRQ stocked with two buffers: three messages are
+/// parked on their QP. Each buffer posted afterwards goes to the oldest
+/// parked message, so all five complete, in send order.
+#[test]
+fn srq_delivers_parked_messages_in_arrival_order() {
+    let (cluster, a, b) = pair(false);
+    let srq = Srq::new();
+    let bufs: Vec<_> = (0..5)
+        .map(|_| b.pd.register(64, Access::LOCAL_WRITE))
+        .collect();
+    for (i, mr) in bufs.iter().take(2).enumerate() {
+        srq.post_recv(i as u64, mr.full());
+    }
+    let qa = a.pd.create_qp(QpType::Rc, &a.cq, &a.cq, None);
+    let qb = b.pd.create_qp(QpType::Rc, &b.cq, &b.cq, Some(&srq));
+    qa.connect_to(b.hca.node(), qb.qpn()).unwrap();
+    qb.connect_to(a.hca.node(), qa.qpn()).unwrap();
+    for i in 0..5u8 {
+        qa.post_send(SendWr::new(
+            i as u64,
+            SendOp::SendInline {
+                data: vec![i; 8],
+                imm: None,
+            },
+        ))
+        .unwrap();
+    }
+    // Everything has arrived: two completed, three parked, pool empty.
+    cluster.sim().run();
+    assert_eq!(b.cq.backlog(), 2);
+    assert_eq!(srq.available(), 0);
+    for (i, mr) in bufs.iter().enumerate().skip(2) {
+        srq.post_recv(i as u64, mr.full());
+        assert_eq!(b.cq.backlog(), i + 1, "buffer {i} went to a parked message");
+    }
+    assert_eq!(srq.available(), 0);
+    for (i, mr) in bufs.iter().enumerate() {
+        let wc = b.cq.poll().expect("five receive completions");
+        assert!(wc.status.is_ok());
+        assert_eq!(wc.wr_id, i as u64);
+        assert_eq!(mr.bytes()[..8], [i as u8; 8], "message {i} out of order");
+    }
+    // Nothing left parked: the next buffer joins the pool.
+    srq.post_recv(9, bufs[0].full());
+    assert_eq!(srq.available(), 1);
+}
+
 #[test]
 fn ud_send_completes_locally_and_can_drop() {
     let (cluster, a, b) = pair(false);

@@ -5,18 +5,17 @@
 //! invariants the engine must preserve — tracing still costs zero
 //! virtual time and equal seeds give equal clocks — and UCR's eager
 //! coalescing as the pipelined workloads see it: absent at depth 1, past
-//! the server-HCA wall at 16 clients × depth 8, never a loss for a single
-//! pipelined client.
+//! the server-HCA wall — and, with a second progress context polling for
+//! the eight workers, past the progress-task wall — at 16 clients ×
+//! depth 8, never a loss for a single pipelined client.
 
-use std::collections::VecDeque;
-use std::rc::Rc;
-
-use rdma_memcached::rmc::{
-    McClient, McClientConfig, McServer, McServerConfig, StoreModel, Transport, World,
-};
+use rdma_memcached::rmc::{McClient, McClientConfig, McServer, McServerConfig, Transport, World};
 use rdma_memcached::simnet::{EventRecorder, Layer, NodeId, Phase, SimDuration, Stack};
 use rdma_memcached::ucr;
-use rmc_bench::{measure_pipeline_throughput, run_throughput, ClusterKind, DEFAULT_TPUT_OPS};
+use rmc_bench::{
+    measure_pipeline_throughput, run_throughput, run_windowed_gets, ucr_totals, ClusterKind,
+    WindowedRun, DEFAULT_TPUT_OPS, WINDOWED_CLIENTS,
+};
 
 fn ucr_world(seed: u64, depth: usize) -> (World, McServer, McClient) {
     let world = World::cluster_b(seed, 4);
@@ -487,24 +486,6 @@ fn pipelined_runs_are_deterministic() {
 // Eager coalescing, as the pipelined workloads see it
 // ---------------------------------------------------------------------
 
-/// `(logical messages sent, eager work requests posted, messages that
-/// rode behind another)` summed over the server's and every client's UCR
-/// runtime.
-fn ucr_totals(server: &McServer, clients: &[McClient]) -> (u64, u64, u64) {
-    let mut totals = (0, 0, 0);
-    let runtimes = clients
-        .iter()
-        .filter_map(McClient::ucr_runtime)
-        .chain(server.ucr_runtime());
-    for rt in runtimes {
-        let st = rt.stats();
-        totals.0 += st.messages_sent.get();
-        totals.1 += st.eager_wrs_posted.get();
-        totals.2 += st.eager_coalesced.get();
-    }
-    totals
-}
-
 /// The `tps` of the one record in a committed `results/<bench>.json`
 /// whose line carries every one of `fields` (records are one per line).
 fn committed_tps(bench: &str, fields: &[String]) -> f64 {
@@ -546,130 +527,11 @@ fn depth_one_holds_nothing() {
     assert_eq!(tps, committed_tps("fig6_throughput", &cell));
 }
 
-/// A seed-dependent offset into the key space, so that different seeds
-/// issue different request orders (splitmix64 finaliser).
-fn mix(seed: u64, c: usize, n: usize) -> usize {
-    let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ ((c as u64) << 32 | n as u64);
-    x ^= x >> 31;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 29;
-    (x >> 16) as usize
-}
-
-/// What one [`run_windowed`] run measured.
-#[derive(Debug, PartialEq)]
-struct WindowedRun {
-    tps: f64,
-    wire_msgs_per_op: f64,
-    end_ns: u64,
-    posted: u64,
-    coalesced: u64,
-}
-
-/// The `ucr_pipelined_sharded_16c` shape: 16 clients each keeping 8
-/// `issue_get` handles in flight (claimed oldest first) against 8 workers
-/// over `Sharded(16)`. Every reply is verified byte for byte; the rate is
-/// taken over the second half of the run.
+/// The `ucr_pipelined_sharded_16c` shape on Cluster B with the
+/// benchmark's eight workers.
 fn run_windowed(seed: u64, ops_per_client: usize) -> WindowedRun {
-    const CLIENTS: u32 = 16;
-    const DEPTH: usize = 8;
-    const KEYS: usize = 512;
-    let key = |i: usize| format!("key-{i:05}").into_bytes();
-    let value = |i: usize| -> Vec<u8> { (0..64).map(|b| (i * 31 + b) as u8).collect() };
-
-    let world = World::cluster_b(seed, CLIENTS + 1);
-    let sim = world.sim().clone();
-    let server = McServer::start(
-        &world,
-        NodeId(0),
-        McServerConfig {
-            workers: 8,
-            store_model: StoreModel::Sharded(16),
-            ..Default::default()
-        },
-    );
-    let clients: Vec<McClient> = (0..CLIENTS)
-        .map(|c| {
-            let mut cfg = McClientConfig::single(Transport::Ucr, NodeId(0));
-            cfg.pipeline_depth = DEPTH;
-            McClient::new(&world, NodeId(1 + c), cfg)
-        })
-        .collect();
-    let cl = clients.clone();
-    sim.block_on(async move {
-        for i in 0..KEYS {
-            cl[0].set(&key(i), &value(i), 0, 0).await.expect("preload");
-        }
-        for client in &cl {
-            assert!(matches!(client.get(&key(0)).await, Ok(Some(_))));
-        }
-    });
-    let idle_events = sim.pending_events();
-    let before = ucr_totals(&server, &clients);
-
-    let half_done = Rc::new(std::cell::Cell::new(None));
-    let completed = Rc::new(std::cell::Cell::new(0usize));
-    let total = CLIENTS as usize * ops_per_client;
-    let tasks: Vec<_> = clients
-        .iter()
-        .enumerate()
-        .map(|(c, client)| {
-            let (client, sim) = (client.clone(), sim.clone());
-            let (half_done, completed) = (half_done.clone(), completed.clone());
-            sim.clone().spawn(async move {
-                let mut window = VecDeque::new();
-                for n in 0..ops_per_client + DEPTH {
-                    if n < ops_per_client {
-                        let i = (c * 7919 + n * 13 + mix(seed, c, n)) % KEYS;
-                        window.push_back((i, client.issue_get(&key(i)).await.expect("issue")));
-                    }
-                    if window.len() == DEPTH || n >= ops_per_client {
-                        let Some((i, handle)) = window.pop_front() else {
-                            break;
-                        };
-                        let got = handle.complete().await.expect("reply").expect("hit");
-                        assert_eq!(got.data, value(i), "reply for key {i}");
-                        completed.set(completed.get() + 1);
-                        if completed.get() == total / 2 {
-                            half_done.set(Some(sim.now()));
-                        }
-                    }
-                }
-            })
-        })
-        .collect();
-    let sim2 = sim.clone();
-    sim.block_on(async move {
-        for t in tasks {
-            t.await;
-        }
-    });
-    let end = sim2.now();
-    assert_eq!(completed.get(), total);
-    let half = half_done.get().expect("half-way mark");
-    let tps = (total - total / 2) as f64 / (end - half).as_secs_f64();
-
-    // Quiesce: nothing parked at any client, no event left behind beyond
-    // what the idle testbed already held.
-    sim2.run();
-    for client in &clients {
-        assert_eq!(client.pending_responses(), 0);
-    }
-    assert!(
-        sim2.pending_events() <= idle_events,
-        "{} events pending at quiesce, {idle_events} before the run",
-        sim2.pending_events()
-    );
-    let after = ucr_totals(&server, &clients);
-    assert_eq!(after.0 - before.0, 2 * total as u64, "logical messages");
-    assert_eq!(after.1 + after.2 - before.1 - before.2, 2 * total as u64);
-    WindowedRun {
-        tps,
-        wire_msgs_per_op: (after.1 - before.1) as f64 / total as f64,
-        end_ns: end.as_nanos(),
-        posted: after.1,
-        coalesced: after.2,
-    }
+    let world = World::cluster_b(seed, WINDOWED_CLIENTS + 1);
+    run_windowed_gets(&world, 8, ops_per_client, seed)
 }
 
 /// Past the wall: at 16 clients × depth 8 the server HCA's 2 × 280 ns per
@@ -689,6 +551,29 @@ fn sixteen_pipelined_clients_pass_the_server_hca_wall() {
     assert!(
         run.tps >= 1.25 * PARENT_WALL,
         "{:.0} ops/s is not 25 % past the {PARENT_WALL:.0} wall",
+        run.tps
+    );
+}
+
+/// Past the next wall: with coalescing the same workload was pinned at
+/// 3.83 M ops/s by the server's single UCR progress task (260 ns per
+/// operation: `am_dispatch` per request plus `poll_overhead` per
+/// completion). Eight workers get two progress contexts (one per four):
+/// the connections' handlers no longer all queue behind each other, the
+/// HCA binds again, and the wire still carries less than one message per
+/// operation.
+#[test]
+fn sixteen_pipelined_clients_pass_the_progress_task_wall() {
+    const PARENT_WALL: f64 = 3_830_000.0;
+    let run = run_windowed(42, 1500);
+    assert!(
+        run.wire_msgs_per_op < 1.0,
+        "{:.2} wire messages per op",
+        run.wire_msgs_per_op
+    );
+    assert!(
+        run.tps >= 1.15 * PARENT_WALL,
+        "{:.0} ops/s is not 15 % past the {PARENT_WALL:.0} wall",
         run.tps
     );
 }
