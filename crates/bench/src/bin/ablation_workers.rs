@@ -17,7 +17,11 @@
 //! under multiget load); Sharded keeps scaling until the fabric takes
 //! over. The hot-shard column reports the busiest segment's share of
 //! sharded lock acquisitions — near 1/16 under uniform load, well above
-//! it under the hot-key skew.
+//! it under the hot-key skew. The run asserts what this block shows on
+//! Cluster B under uniform load: eight workers buy at most 1.3x over one
+//! behind the global lock and at least 2x over the sharded store, the
+//! global lock's meters record contention and waiting, and the busiest of
+//! the sixteen shards takes under 2/16 of the lock acquisitions.
 //!
 //! A second block sweeps the same worker counts under the pipelined
 //! workload — 16 clients × 8 single-key gets in flight, `Sharded(16)`,
@@ -26,11 +30,13 @@
 //! budgets — worker service, progress-task CPU, HCA occupancy — and the
 //! row names the one that binds.
 
-use rmc::{McClient, McClientConfig, McServer, McServerConfig, StoreModel, Transport};
-use rmc_bench::{run_windowed_gets, ClusterKind, WindowedRun, WINDOWED_CLIENTS};
+use rmc::StoreModel;
+use rmc_bench::{
+    model_label, run_mget_storm, run_windowed_gets, xorshift, ClusterKind, MgetStorm, WindowedRun,
+    MGET_STORM_CLIENTS as CLIENTS, WINDOWED_CLIENTS,
+};
 use simnet::{NodeId, PathStage, Profiler, ProfilerConfig};
 
-const CLIENTS: u32 = 8;
 const MGETS_PER_CLIENT: u32 = 200;
 const KEYS_PER_MGET: usize = 16;
 const KEYSPACE: u64 = 2048;
@@ -50,25 +56,6 @@ impl Load {
             Load::HotKey => "hotkey",
         }
     }
-}
-
-fn model_label(model: StoreModel) -> &'static str {
-    match model {
-        StoreModel::Idealized => "idealized",
-        StoreModel::GlobalLock => "global_lock",
-        StoreModel::Sharded(_) => "sharded16",
-    }
-}
-
-/// Deterministic xorshift stream — the simulation is seeded and results
-/// files must regenerate byte-identically, so no OS entropy anywhere.
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
 }
 
 fn key_index(rng: &mut u64, load: Load) -> u64 {
@@ -97,71 +84,21 @@ struct RunResult {
 
 fn measure(cluster: ClusterKind, model: StoreModel, workers: usize, load: Load) -> RunResult {
     let world = cluster.world(41, CLIENTS + 1);
-    let server = McServer::start(
-        &world,
-        NodeId(0),
-        McServerConfig {
-            workers,
-            store_model: model,
-            ..McServerConfig::default()
-        },
-    );
-    let sim = world.sim().clone();
-
-    // Preload the whole keyspace so the measured phase is pure hits.
-    let loader = McClient::new(
-        &world,
-        NodeId(1),
-        McClientConfig {
-            pipeline_depth: 32,
-            ..McClientConfig::single(Transport::Ucr, NodeId(0))
-        },
-    );
-    sim.block_on(async move {
-        let keys: Vec<String> = (0..KEYSPACE).map(|i| format!("k{i:04}")).collect();
-        let items: Vec<(&[u8], &[u8])> = keys
-            .iter()
-            .map(|k| (k.as_bytes(), &b"0123456789abcdef"[..]))
-            .collect();
-        for r in loader.set_many(&items, 0, 0).await.expect("preload") {
-            r.expect("preload set");
-        }
-    });
-
-    let t0 = sim.now();
-    let mut joins = Vec::new();
-    for c in 0..CLIENTS {
-        let client = McClient::new(
-            &world,
-            NodeId(1 + c),
-            McClientConfig::single(Transport::Ucr, NodeId(0)),
-        );
-        joins.push(sim.spawn(async move {
-            let mut rng = 0x9e37_79b9_7f4a_7c15u64 ^ (u64::from(c) + 1);
-            for _ in 0..MGETS_PER_CLIENT {
-                let keys: Vec<String> = (0..KEYS_PER_MGET)
-                    .map(|_| format!("k{:04}", key_index(&mut rng, load)))
-                    .collect();
-                let refs: Vec<&[u8]> = keys.iter().map(String::as_bytes).collect();
-                let got = client.mget(&refs).await.expect("mget");
-                assert_eq!(got.len(), KEYS_PER_MGET, "preloaded keys must all hit");
-            }
-        }));
-    }
-    let sim2 = sim.clone();
-    let elapsed = sim.block_on(async move {
-        for j in joins {
-            j.await;
-        }
-        (sim2.now() - t0).as_secs_f64()
-    });
-
-    let total_keys = u64::from(CLIENTS) * u64::from(MGETS_PER_CLIENT) * KEYS_PER_MGET as u64;
+    let storm = MgetStorm {
+        workers,
+        model,
+        loader: NodeId(1),
+        keyspace: KEYSPACE,
+        value: b"0123456789abcdef",
+        mgets_per_client: MGETS_PER_CLIENT,
+        keys_per_mget: KEYS_PER_MGET,
+    };
+    let (keys_per_sec, server) = run_mget_storm(&world, &storm, move |rng| key_index(rng, load));
     let stats = server.lock_stats();
     let acquires: u64 = stats.iter().map(|s| s.acquires).sum();
     let max_acquires = stats.iter().map(|s| s.acquires).max().unwrap_or(0);
     RunResult {
-        keys_per_sec: total_keys as f64 / elapsed,
+        keys_per_sec,
         lock_acquires: acquires,
         lock_contended: stats.iter().map(|s| s.contended).sum(),
         lock_wait_us: stats.iter().map(|s| s.wait_total.as_micros_f64()).sum(),
@@ -232,6 +169,8 @@ fn main() {
          {KEYS_PER_MGET}-key mgets, 16-byte values, aggregate keys/s"
     );
     let mut records = Vec::new();
+    // Cluster B uniform-load runs, for the claims checked below.
+    let mut b_uniform = Vec::new();
     for cluster in [ClusterKind::A, ClusterKind::B] {
         for load in [Load::Uniform, Load::HotKey] {
             println!();
@@ -266,6 +205,9 @@ fn main() {
                             .num("lock_hold_us", r.lock_hold_us)
                             .num("hot_shard_share", r.hot_shard_share),
                     );
+                    if cluster == ClusterKind::B && load == Load::Uniform {
+                        b_uniform.push((model, workers, r));
+                    }
                 }
                 println!("{sharded_share:>12.3}");
             }
@@ -277,6 +219,31 @@ fn main() {
          workers; sharded16 with shard-affine dispatch keeps scaling until the HCA\n\
          takes over. hot-shard = busiest segment's share of sharded lock acquires\n\
          (1/16 = 0.0625 would be perfectly balanced)."
+    );
+    let run = |model, workers| {
+        let found = b_uniform.iter().find(|r| (r.0, r.1) == (model, workers));
+        &found.expect("swept above").2
+    };
+    let scaling = |model| run(model, 8).keys_per_sec / run(model, 1).keys_per_sec;
+    let (global, sharded) = (StoreModel::GlobalLock, StoreModel::Sharded(16));
+    assert!(
+        scaling(global) <= 1.3,
+        "the global lock must plateau: 8 workers buy {:.2}x over 1",
+        scaling(global)
+    );
+    assert!(
+        scaling(sharded) >= 2.0,
+        "the sharded store must scale: 8 workers buy {:.2}x over 1",
+        scaling(sharded)
+    );
+    // The plateau is waiting on the lock, and the per-lock meters show it.
+    assert!(run(global, 8).lock_contended > 0 && run(global, 8).lock_wait_us > 0.0);
+    // Shard-affine dispatch keeps uniform load balanced: the busiest of 16
+    // shards stays well under a 2/16 share.
+    assert!(
+        run(sharded, 8).hot_shard_share < 0.125,
+        "hot shard takes {:.3} of uniform load",
+        run(sharded, 8).hot_shard_share
     );
 
     println!();

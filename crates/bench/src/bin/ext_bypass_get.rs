@@ -15,7 +15,8 @@
 //! runs twice — AM get vs bypass get — so the delta isolates exactly the
 //! server-CPU-bypass effect. The worker-wake counters prove the "zero
 //! server CPU" claim; the bypass counters attribute every read, retry,
-//! and fallback.
+//! and fallback, and bound them: at most one retry per ten one-sided reads
+//! and one fallback per hundred.
 
 use rmc_bench::{measure_bypass_get, BypassRun, ClusterKind};
 
@@ -92,6 +93,17 @@ fn main() {
                         run.bypass_reads >= OPS as u64,
                         "{} {size} B: only {} one-sided reads for {OPS} timed gets",
                         cluster.label(),
+                        run.bypass_reads
+                    );
+                    // Under the 10%-set mixed phase the seqlock retries
+                    // stay rare and the AM fallback rarer still.
+                    assert!(
+                        run.bypass_retries * 10 <= run.bypass_reads
+                            && run.bypass_fallbacks * 100 <= run.bypass_reads,
+                        "{} {size} B: {} retries, {} fallbacks in {} reads",
+                        cluster.label(),
+                        run.bypass_retries,
+                        run.bypass_fallbacks,
                         run.bypass_reads
                     );
                 } else {

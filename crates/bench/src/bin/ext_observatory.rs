@@ -14,7 +14,8 @@
 //!    step where `ext_pipeline_depth`'s curve stops scaling.
 //!
 //! The final cluster-B exposition is written to
-//! `results/ext_observatory.prom` for the CI format validator.
+//! `results/ext_observatory.prom`, which `rmc-lint`'s self-check holds
+//! against the exposition format and the metric registrations.
 
 use rmc::Transport;
 use rmc_bench::{measure_observatory, measure_pipeline_run, ClusterKind, ObservatoryRun};
@@ -135,8 +136,7 @@ fn main() {
             "monitor knee: depth {} (step {knee_idx} of the sweep)",
             DEPTHS[knee_idx]
         );
-        // The bare curve is bit-identical, so its knee must be too — this
-        // is the same check CI repeats against ext_pipeline_depth.json.
+        // The bare curve is bit-identical, so its knee must be too.
         let bare_knee = HealthMonitor::locate_knee(&rules, &sweep_inputs(&bare_curve));
         assert_eq!(
             knee, bare_knee,

@@ -25,34 +25,16 @@
 
 use std::rc::Rc;
 
-use rmc::{McClient, McClientConfig, McServer, McServerConfig, StoreModel, Transport};
-use rmc_bench::ClusterKind;
+use rmc::StoreModel;
+use rmc_bench::{
+    model_label, run_mget_storm, xorshift, ClusterKind, MgetStorm, MGET_STORM_CLIENTS as CLIENTS,
+};
 use simnet::{Metrics, NodeId, PathStage, Profiler, ProfilerConfig};
 
-const CLIENTS: u32 = 8;
 const WORKERS: usize = 8;
 const MGETS_PER_CLIENT: u32 = 100;
 const KEYS_PER_MGET: usize = 32;
 const KEYSPACE: u64 = 1024;
-
-fn model_label(model: StoreModel) -> &'static str {
-    match model {
-        StoreModel::Idealized => "idealized",
-        StoreModel::GlobalLock => "global_lock",
-        StoreModel::Sharded(_) => "sharded16",
-    }
-}
-
-/// Deterministic xorshift stream — results files must regenerate
-/// byte-identically, so no OS entropy anywhere.
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
 
 struct RunResult {
     profiler: Rc<Profiler>,
@@ -66,16 +48,6 @@ fn measure(cluster: ClusterKind, model: StoreModel) -> RunResult {
     // client request-id spaces are node-prefixed, so distinct nodes keep
     // concurrent ids collision-free.
     let world = cluster.world(47, CLIENTS + 2);
-    let server = McServer::start(
-        &world,
-        NodeId(0),
-        McServerConfig {
-            workers: WORKERS,
-            store_model: model,
-            ..McServerConfig::default()
-        },
-    );
-    let sim = world.sim().clone();
 
     // The profiler attaches before any traffic; the side metrics registry
     // receives the profiler counters and the flight-recorder gauges.
@@ -84,52 +56,16 @@ fn measure(cluster: ClusterKind, model: StoreModel) -> RunResult {
     profiler.bind_metrics(&metrics);
     world.cluster.tracer().bind_flight_gauges(&metrics);
 
-    let loader = McClient::new(
-        &world,
-        NodeId(CLIENTS + 1),
-        McClientConfig {
-            pipeline_depth: 32,
-            ..McClientConfig::single(Transport::Ucr, NodeId(0))
-        },
-    );
-    sim.block_on(async move {
-        let keys: Vec<String> = (0..KEYSPACE).map(|i| format!("k{i:04}")).collect();
-        let items: Vec<(&[u8], &[u8])> = keys
-            .iter()
-            .map(|k| (k.as_bytes(), &b"0123456789abcdef0123456789abcdef"[..]))
-            .collect();
-        for r in loader.set_many(&items, 0, 0).await.expect("preload") {
-            r.expect("preload set");
-        }
-    });
-
-    let t0 = sim.now();
-    let mut joins = Vec::new();
-    for c in 0..CLIENTS {
-        let client = McClient::new(
-            &world,
-            NodeId(1 + c),
-            McClientConfig::single(Transport::Ucr, NodeId(0)),
-        );
-        joins.push(sim.spawn(async move {
-            let mut rng = 0x9e37_79b9_7f4a_7c15u64 ^ (u64::from(c) + 1);
-            for _ in 0..MGETS_PER_CLIENT {
-                let keys: Vec<String> = (0..KEYS_PER_MGET)
-                    .map(|_| format!("k{:04}", xorshift(&mut rng) % KEYSPACE))
-                    .collect();
-                let refs: Vec<&[u8]> = keys.iter().map(String::as_bytes).collect();
-                let got = client.mget(&refs).await.expect("mget");
-                assert_eq!(got.len(), KEYS_PER_MGET, "preloaded keys must all hit");
-            }
-        }));
-    }
-    let sim2 = sim.clone();
-    let elapsed = sim.block_on(async move {
-        for j in joins {
-            j.await;
-        }
-        (sim2.now() - t0).as_secs_f64()
-    });
+    let storm = MgetStorm {
+        workers: WORKERS,
+        model,
+        loader: NodeId(CLIENTS + 1),
+        keyspace: KEYSPACE,
+        value: b"0123456789abcdef0123456789abcdef",
+        mgets_per_client: MGETS_PER_CLIENT,
+        keys_per_mget: KEYS_PER_MGET,
+    };
+    let (keys_per_sec, server) = run_mget_storm(&world, &storm, |rng| xorshift(rng) % KEYSPACE);
 
     // Satellite check: the registered flight gauges mirror the recorder.
     let tracer = world.cluster.tracer();
@@ -147,7 +83,7 @@ fn measure(cluster: ClusterKind, model: StoreModel) -> RunResult {
 
     RunResult {
         profiler,
-        keys_per_sec: f64::from(CLIENTS * MGETS_PER_CLIENT) * KEYS_PER_MGET as f64 / elapsed,
+        keys_per_sec,
         flight_len: tracer.flight_len() as u64,
         flight_dropped: tracer.flight_dropped(),
     }
@@ -203,25 +139,33 @@ fn main() {
                 p.dominant_stage().label(),
             );
 
-            if std::env::var("PROBE").is_err() {
-                match model {
-                    StoreModel::GlobalLock => assert!(
-                        wait >= 0.50,
-                        "GlobalLock at {WORKERS} workers must be majority lock-wait, got {wait:.3}"
-                    ),
-                    _ => assert!(
-                        wait < 0.10,
-                        "Sharded(16) must not wait on locks, got {wait:.3}"
-                    ),
-                }
-                assert!(
-                    audit.residual_share < 0.05,
-                    "unaccounted time must stay under 5%, got {:.4}",
-                    audit.residual_share
-                );
+            match model {
+                StoreModel::GlobalLock => assert!(
+                    wait >= 0.50,
+                    "GlobalLock at {WORKERS} workers must be majority lock-wait, got {wait:.3}"
+                ),
+                _ => assert!(
+                    wait < 0.10,
+                    "Sharded(16) must not wait on locks, got {wait:.3}"
+                ),
             }
+            assert!(
+                audit.residual_share < 0.05,
+                "unaccounted time must stay under 5%, got {:.4}",
+                audit.residual_share
+            );
 
-            for (path, ns) in p.folded_lines() {
+            let stacks = p.folded_lines();
+            // The wait is attributed where it is spent: under the service
+            // frame of the worker that waited.
+            assert!(
+                model != StoreModel::GlobalLock
+                    || stacks.iter().any(|(path, ns)| {
+                        path.ends_with("core:worker_service;core:lock_wait") && *ns > 0
+                    }),
+                "lock waits must fold under worker_service frames"
+            );
+            for (path, ns) in stacks {
                 folded.push_str(&format!(
                     "{}.{};{path} {ns}\n",
                     cluster.label().replace(' ', "_"),

@@ -345,7 +345,7 @@ fn main() {
             .filter(|l| l.contains("op=") && l.contains("at_us="))
             .collect();
         assert!(!dump_lines.is_empty(), "dump carries exemplars");
-        let [p1_end, _p2_end] = run.phase_ends;
+        let [p1_end, p2_end] = run.phase_ends;
         let in_flash = dump_lines
             .iter()
             .filter(|l| {
@@ -479,6 +479,13 @@ fn main() {
             .find(|t| t.from == Health::Degraded && t.to == Health::Healthy)
             .map(|t| t.at.as_nanos())
             .unwrap();
+        // Degrade inside the flash phase, recover after it; the burn peak
+        // crosses the monitor's 8x rule.
+        assert!(
+            p1_end < degraded_at && degraded_at <= p2_end && p2_end < recovered_at,
+            "degraded @{degraded_at} recovered @{recovered_at}, flash phase {p1_end}..{p2_end}"
+        );
+        assert!(burn_peak > 8.0, "burn peaked at {burn_peak:.1}x");
         println!(
             "{:>10} {:>10} {:>10} {:>9} {:>9} {:>9} {:>8}",
             "phase1_us", "phase2_us", "end_us", "degrade", "recover", "burn_pk", "tps"
@@ -486,7 +493,7 @@ fn main() {
         println!(
             "{:>10.1} {:>10.1} {:>10.1} {:>9.1} {:>9.1} {:>9.1} {:>8.0}",
             p1_end as f64 / 1000.0,
-            run.phase_ends[1] as f64 / 1000.0,
+            p2_end as f64 / 1000.0,
             run.end_ns as f64 / 1000.0,
             degraded_at as f64 / 1000.0,
             recovered_at as f64 / 1000.0,
@@ -521,7 +528,7 @@ fn main() {
                 .str("cluster", cluster.label())
                 .str("transport", "UCR")
                 .num("phase1_end_us", p1_end as f64 / 1000.0)
-                .num("phase2_end_us", run.phase_ends[1] as f64 / 1000.0)
+                .num("phase2_end_us", p2_end as f64 / 1000.0)
                 .num("end_us", run.end_ns as f64 / 1000.0)
                 .num("degraded_at_us", degraded_at as f64 / 1000.0)
                 .num("recovered_at_us", recovered_at as f64 / 1000.0)

@@ -406,103 +406,6 @@ pub fn throughput_sweep(
 }
 
 // ---------------------------------------------------------------------
-// memslap-style workload generator (the paper's benchmarks are "inspired
-// by the popular memslap benchmark", §VI)
-// ---------------------------------------------------------------------
-
-/// Parameters of a memslap-like workload.
-#[derive(Clone, Debug)]
-pub struct Workload {
-    /// Number of distinct keys.
-    pub key_space: usize,
-    /// Value size in bytes.
-    pub value_size: usize,
-    /// Fraction of sets in `[0, 1]` (rest are gets).
-    pub set_fraction: f64,
-    /// Zipf skew of key popularity (0 = uniform).
-    pub zipf_skew: f64,
-}
-
-impl Default for Workload {
-    fn default() -> Self {
-        Workload {
-            key_space: 10_000,
-            value_size: 1024,
-            set_fraction: 0.1,
-            zipf_skew: 0.99,
-        }
-    }
-}
-
-/// Result of a workload run.
-#[derive(Clone, Copy, Debug)]
-pub struct WorkloadResult {
-    /// Operations completed.
-    pub ops: u64,
-    /// Mean latency, microseconds.
-    pub mean_us: f64,
-    /// Hit rate of gets in `[0, 1]`.
-    pub hit_rate: f64,
-}
-
-/// Runs a memslap-like mixed workload from one client and reports
-/// latency + hit rate.
-pub fn run_workload(
-    cluster: ClusterKind,
-    transport: Transport,
-    wl: &Workload,
-    ops: u32,
-    seed: u64,
-) -> WorkloadResult {
-    let world = cluster.world(seed, 4);
-    let _server = McServer::start(&world, NodeId(0), McServerConfig::default());
-    let client = McClient::new(
-        &world,
-        NodeId(1),
-        McClientConfig::single(transport, NodeId(0)),
-    );
-    let sim = world.sim().clone();
-    let sim2 = sim.clone();
-    let wl = wl.clone();
-    sim.block_on(async move {
-        let value = vec![7u8; wl.value_size];
-        let mut hits = 0u64;
-        let mut gets = 0u64;
-        let t0 = sim2.now();
-        for _ in 0..ops {
-            let (do_set, key_idx) = sim2.with_rng(|r| {
-                (
-                    r.gen_bool(wl.set_fraction),
-                    r.gen_zipf(wl.key_space, wl.zipf_skew),
-                )
-            });
-            let key = format!("wl-{key_idx}");
-            if do_set {
-                match client.set(key.as_bytes(), &value, 0, 0).await {
-                    Ok(()) | Err(McError::OutOfMemory) => {}
-                    Err(e) => panic!("set failed: {e}"),
-                }
-            } else {
-                gets += 1;
-                if client.get(key.as_bytes()).await.expect("get").is_some() {
-                    hits += 1;
-                }
-            }
-        }
-        let elapsed = sim2.now() - t0;
-        WorkloadResult {
-            ops: ops as u64,
-            mean_us: elapsed.as_micros_f64() / ops as f64,
-            hit_rate: if gets == 0 {
-                0.0
-            } else {
-                hits as f64 / gets as f64
-            },
-        }
-    })
-}
-
-// ---------------------------------------------------------------------
 // Table rendering
 // ---------------------------------------------------------------------
 
@@ -571,9 +474,6 @@ pub const DEFAULT_ITERS: u32 = 200;
 /// Default per-client ops for throughput points.
 pub const DEFAULT_TPUT_OPS: u32 = 1_500;
 
-/// Default op timeout used by bench clients.
-pub const BENCH_TIMEOUT: SimDuration = SimDuration::from_millis(500);
-
 // ---------------------------------------------------------------------
 // Latency distributions (percentiles)
 // ---------------------------------------------------------------------
@@ -596,23 +496,8 @@ pub struct LatencyDistribution {
 }
 
 impl LatencyDistribution {
-    /// Summarizes a sample of per-operation latencies (µs).
-    pub fn from_samples(mut samples: Vec<f64>) -> LatencyDistribution {
-        assert!(!samples.is_empty(), "empty latency sample");
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-        let pick = |q: f64| samples[((samples.len() - 1) as f64 * q).round() as usize];
-        LatencyDistribution {
-            min_us: samples[0],
-            p50_us: pick(0.50),
-            p95_us: pick(0.95),
-            p99_us: pick(0.99),
-            max_us: *samples.last().expect("nonempty"),
-            mean_us: samples.iter().sum::<f64>() / samples.len() as f64,
-        }
-    }
-
     /// Summarizes a [`simnet::metrics::Histogram`] of per-operation
-    /// latencies (same nearest-rank quantiles, converted to µs).
+    /// latencies (nearest-rank quantiles, converted to µs).
     pub fn from_histogram(h: &Histogram) -> LatencyDistribution {
         let s = h.summary();
         assert!(s.count > 0, "empty latency histogram");
@@ -904,6 +789,122 @@ pub fn run_windowed_gets(
         coalesced: after.2,
         contexts: server.ucr_runtime().map_or(0, |rt| rt.contexts()),
     }
+}
+
+// ---------------------------------------------------------------------
+// Multiget storm (ablation_workers, ext_profile)
+// ---------------------------------------------------------------------
+
+/// Clients of [`run_mget_storm`], on nodes 1 to 8 (the server is node 0).
+pub const MGET_STORM_CLIENTS: u32 = 8;
+
+/// The data of one [`run_mget_storm`] run.
+pub struct MgetStorm {
+    /// Server worker threads.
+    pub workers: usize,
+    /// Server store lock model.
+    pub model: StoreModel,
+    /// Node the preloading client runs on.
+    pub loader: NodeId,
+    /// Keys `k0000`, `k0001`, ... preloaded before the storm.
+    pub keyspace: u64,
+    /// The value every key is preloaded with.
+    pub value: &'static [u8],
+    /// Multigets each client issues.
+    pub mgets_per_client: u32,
+    /// Keys per multiget.
+    pub keys_per_mget: usize,
+}
+
+/// Deterministic xorshift stream — the simulation is seeded and results
+/// files must regenerate byte-identically, so no OS entropy anywhere.
+pub fn xorshift(state: &mut u64) -> u64 {
+    let mut x = *state;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    *state = x;
+    x
+}
+
+/// A store model's name in the results files.
+pub fn model_label(model: StoreModel) -> &'static str {
+    match model {
+        StoreModel::Idealized => "idealized",
+        StoreModel::GlobalLock => "global_lock",
+        StoreModel::Sharded(_) => "sharded16",
+    }
+}
+
+/// Preloads `storm.keyspace` keys, then has [`MGET_STORM_CLIENTS`] UCR
+/// clients issue their multigets together, each drawing key indices with
+/// `next_key` from its own [`xorshift`] state. Every key must hit. Returns
+/// aggregate keys per second of virtual time and the server, whose lock
+/// meters describe the run.
+pub fn run_mget_storm(
+    world: &World,
+    storm: &MgetStorm,
+    next_key: impl Fn(&mut u64) -> u64 + Copy + 'static,
+) -> (f64, McServer) {
+    let server = McServer::start(
+        world,
+        NodeId(0),
+        McServerConfig {
+            workers: storm.workers,
+            store_model: storm.model,
+            ..McServerConfig::default()
+        },
+    );
+    let sim = world.sim().clone();
+
+    // Preload the whole keyspace so the measured phase is pure hits.
+    let loader = McClient::new(
+        world,
+        storm.loader,
+        McClientConfig {
+            pipeline_depth: 32,
+            ..McClientConfig::single(Transport::Ucr, NodeId(0))
+        },
+    );
+    let (keyspace, value) = (storm.keyspace, storm.value);
+    sim.block_on(async move {
+        let keys: Vec<String> = (0..keyspace).map(|i| format!("k{i:04}")).collect();
+        let items: Vec<(&[u8], &[u8])> = keys.iter().map(|k| (k.as_bytes(), value)).collect();
+        for r in loader.set_many(&items, 0, 0).await.expect("preload") {
+            r.expect("preload set");
+        }
+    });
+
+    let t0 = sim.now();
+    let (mgets, keys_per_mget) = (storm.mgets_per_client, storm.keys_per_mget);
+    let mut joins = Vec::new();
+    for c in 0..MGET_STORM_CLIENTS {
+        let client = McClient::new(
+            world,
+            NodeId(1 + c),
+            McClientConfig::single(Transport::Ucr, NodeId(0)),
+        );
+        joins.push(sim.spawn(async move {
+            let mut rng = 0x9e37_79b9_7f4a_7c15u64 ^ (u64::from(c) + 1);
+            for _ in 0..mgets {
+                let keys: Vec<String> = (0..keys_per_mget)
+                    .map(|_| format!("k{:04}", next_key(&mut rng)))
+                    .collect();
+                let refs: Vec<&[u8]> = keys.iter().map(String::as_bytes).collect();
+                let got = client.mget(&refs).await.expect("mget");
+                assert_eq!(got.len(), keys_per_mget, "preloaded keys must all hit");
+            }
+        }));
+    }
+    let sim2 = sim.clone();
+    let elapsed = sim.block_on(async move {
+        for j in joins {
+            j.await;
+        }
+        (sim2.now() - t0).as_secs_f64()
+    });
+    let total_keys = u64::from(MGET_STORM_CLIENTS) * u64::from(mgets) * keys_per_mget as u64;
+    (total_keys as f64 / elapsed, server)
 }
 
 /// What one sampled observatory run measured (`ext_observatory`).

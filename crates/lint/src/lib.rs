@@ -6,9 +6,9 @@
 //! Rust tokenizer ([`lexer`]) feeds one [`workspace::Workspace`] (token
 //! views, test regions, waivers, and the [`graph`] call graph), and one
 //! table of rules ([`rules::RULES`], R1–R7 plus the stale-waiver check
-//! W0) runs over it. Findings come out as `file:line` lines or JSON
-//! ([`report`]). No external dependencies — the build container is
-//! offline.
+//! W0) runs over it. Findings come out as `file:line` lines; the metric
+//! registrations R2 finds become the committed manifest ([`report`]). No
+//! external dependencies — the build container is offline.
 //!
 //! Library entry points: [`analyze_workspace`] walks the real tree;
 //! [`analyze_sources`] runs the same pipeline over in-memory
@@ -23,11 +23,11 @@ pub mod workspace;
 use std::io;
 use std::path::{Path, PathBuf};
 
-pub use rules::{InterStats, Violation};
+pub use rules::{InterStats, MetricSite, Violation};
 
 /// Path prefixes never scanned: build output, the dependency shims
-/// (host-side by design: the criterion shim legitimately reads host
-/// time), and the lint's own deliberately-violating fixtures.
+/// (host-side by design), and the lint's own deliberately-violating
+/// fixtures.
 pub const IGNORE_PREFIXES: [&str; 4] = [
     "target/",
     "shims/",
@@ -47,8 +47,10 @@ pub struct Analysis {
     pub violations: Vec<Violation>,
     /// Violations suppressed by `// lint:allow(...)` waivers.
     pub waived: usize,
-    /// The metric manifest derived from every R2 registration site —
-    /// the committed `results/metric_manifest.json` must byte-match it.
+    /// Every metric registration R2 found.
+    pub sites: Vec<MetricSite>,
+    /// The metric manifest derived from `sites` — the committed
+    /// `results/metric_manifest.json` must byte-match it.
     pub manifest: String,
     /// Call-graph size, typed lock acquisitions, MR obligations — pinned
     /// by the self-check.
@@ -112,6 +114,7 @@ pub fn analyze_sources(files: &[(String, String)]) -> Analysis {
         violations: found.violations,
         waived: found.waived,
         manifest: report::write_manifest(&found.sites),
+        sites: found.sites,
         stats: found.stats,
     }
 }

@@ -1,10 +1,9 @@
 //! `rmc-lint` CLI.
 //!
 //! ```text
-//! cargo run -p rmc-lint -- --check                 # gate: exit 1 on any violation or a stale manifest
-//! cargo run -p rmc-lint -- --check --json out.json # also write the machine-readable report
-//! cargo run -p rmc-lint -- --write-manifest        # rewrite results/metric_manifest.json
-//! cargo run -p rmc-lint -- --explain R6            # rule rationale + minimal failing example
+//! cargo run -p rmc-lint -- --check           # gate: exit 1 on any violation, a stale manifest or a blown time budget
+//! cargo run -p rmc-lint -- --write-manifest  # rewrite results/metric_manifest.json
+//! cargo run -p rmc-lint -- --explain R6      # rule rationale + minimal failing example
 //! ```
 //!
 //! Option: `--root PATH` (workspace root).
@@ -13,7 +12,10 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use rmc_lint::{analyze_workspace, default_root, report, rules};
+use rmc_lint::{analyze_workspace, default_root, rules};
+
+/// Wall-clock budget of one `--check` pass.
+const BUDGET_MS: u64 = 5000;
 
 enum Mode {
     Check,
@@ -29,7 +31,6 @@ fn fail(msg: &str) -> ExitCode {
 fn main() -> ExitCode {
     let mut mode = None;
     let mut root: Option<PathBuf> = None;
-    let mut json_path: Option<PathBuf> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -42,16 +43,11 @@ fn main() -> ExitCode {
                 };
                 mode = Some(Mode::Explain(v));
             }
-            "--root" | "--json" => {
+            "--root" => {
                 let Some(v) = args.next() else {
-                    return fail(&format!("{a} needs a value"));
+                    return fail("--root needs a value");
                 };
-                let slot = if a == "--root" {
-                    &mut root
-                } else {
-                    &mut json_path
-                };
-                *slot = Some(PathBuf::from(v));
+                root = Some(PathBuf::from(v));
             }
             other => {
                 return fail(&format!(
@@ -92,18 +88,6 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    if let Some(path) = &json_path {
-        let text = report::write_report(
-            analysis.files_scanned,
-            &analysis.violations,
-            analysis.waived,
-            elapsed_ms,
-        );
-        if let Err(e) = std::fs::write(path, &text) {
-            return fail(&format!("writing {}: {e}", path.display()));
-        }
-    }
-
     for v in &analysis.violations {
         eprintln!("{}:{}: [{}] {}", v.file, v.line, v.rule, v.message);
     }
@@ -128,6 +112,13 @@ fn main() -> ExitCode {
                 manifest_path.display()
             );
         }
+    }
+
+    // The whole-workspace analysis has a latency budget: it runs in every
+    // `cargo test` and CI pass.
+    if elapsed_ms >= BUDGET_MS {
+        failed = true;
+        eprintln!("analysis took {elapsed_ms} ms (budget {BUDGET_MS} ms)");
     }
 
     let summary = format!(

@@ -1,10 +1,10 @@
-//! Report and manifest serialization, hand-rolled like everything in
-//! this crate: a JSON string escaper and deterministic writers for the
-//! violation report and the metric manifest.
+//! Manifest serialization, hand-rolled like everything in this crate: a
+//! JSON string escaper and a deterministic writer for the metric
+//! manifest.
 
 use std::collections::BTreeMap;
 
-use crate::rules::{MetricSite, Violation};
+use crate::rules::MetricSite;
 
 /// JSON string escape (control chars, quote, backslash).
 pub fn esc(s: &str) -> String {
@@ -47,36 +47,6 @@ pub fn write_manifest(sites: &[MetricSite]) -> String {
             kind,
             esc(layer),
             esc(file),
-            comma
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Serializes the machine-readable violation report (`--json`).
-pub fn write_report(
-    files_scanned: usize,
-    violations: &[Violation],
-    waived: usize,
-    elapsed_ms: u64,
-) -> String {
-    let mut out = format!(
-        "{{\n  \"summary\": {{ \"files\": {}, \"violations\": {}, \"waived\": {}, \"elapsed_ms\": {} }},\n",
-        files_scanned,
-        violations.len(),
-        waived,
-        elapsed_ms
-    );
-    out.push_str("  \"violations\": [\n");
-    for (i, v) in violations.iter().enumerate() {
-        let comma = if i + 1 < violations.len() { "," } else { "" };
-        out.push_str(&format!(
-            "    {{ \"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\" }}{}\n",
-            v.rule,
-            esc(&v.file),
-            v.line,
-            esc(&v.message),
             comma
         ));
     }

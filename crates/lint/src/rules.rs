@@ -24,7 +24,7 @@ use std::collections::BTreeSet;
 
 use crate::workspace::{is_test_path, SourceFile, Workspace};
 
-pub use metrics::{pattern_matches, MetricSite};
+pub use metrics::MetricSite;
 
 /// One rule hit.
 #[derive(Clone, Debug, PartialEq)]

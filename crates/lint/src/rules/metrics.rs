@@ -25,6 +25,13 @@ pub struct MetricSite {
     pub line: u32,
 }
 
+impl MetricSite {
+    /// True when this site registers a `kind` instrument under `name`.
+    pub fn registers(&self, kind: &str, name: &str) -> bool {
+        self.kind == kind && pattern_matches(&self.pattern, name)
+    }
+}
+
 /// A literal-name metric *read* (`counter_value("…")`), checked against
 /// the registered patterns after all files are scanned.
 struct MetricRead {
@@ -123,7 +130,7 @@ fn first_string_arg(f: &SourceFile, mut j: usize) -> Option<(&str, bool)> {
 /// Glob match for manifest patterns: `*` matches any (possibly empty)
 /// run of `[a-z0-9_.]` — a placeholder may expand across segments
 /// (`{prefix}` routinely carries dots).
-pub fn pattern_matches(pattern: &str, name: &str) -> bool {
+fn pattern_matches(pattern: &str, name: &str) -> bool {
     fn rec(p: &[u8], s: &[u8]) -> bool {
         match p.first() {
             None => s.is_empty(),
@@ -235,11 +242,7 @@ pub(super) fn run(ws: &Workspace, out: &mut Findings) {
     // A read of a name no site registers silently returns zero forever —
     // the typo'd-series failure mode this rule exists to catch.
     for r in reads {
-        let known = out
-            .sites
-            .iter()
-            .any(|s| s.kind == r.kind && pattern_matches(&s.pattern, &r.name));
-        if !known {
+        if !out.sites.iter().any(|s| s.registers(r.kind, &r.name)) {
             out.report(
                 ws,
                 r.file,

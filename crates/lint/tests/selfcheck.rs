@@ -2,6 +2,10 @@
 //! walk in-process makes `cargo test` a lint gate too, not just the
 //! dedicated CI step.
 
+use std::collections::{BTreeMap, BTreeSet};
+
+use rmc_lint::MetricSite;
+
 #[test]
 fn workspace_is_clean() {
     let root = rmc_lint::default_root();
@@ -24,6 +28,109 @@ fn committed_metric_manifest_is_current() {
         "results/metric_manifest.json is stale; \
          run `cargo run -p rmc-lint -- --write-manifest` and commit"
     );
+}
+
+/// Checks a Prometheus exposition against the registration sites, in one
+/// pass: every family has a `# HELP` and exactly one `# TYPE`, the registry
+/// name its HELP quotes is registered as that kind of instrument, every
+/// sample belongs to a typed family, has well-formed labels and a numeric
+/// value, and no series appears twice. Returns the families checked, or one
+/// line per problem.
+fn check_exposition(sites: &[MetricSite], prom: &str) -> Result<usize, Vec<String>> {
+    let ident = |s: &str| {
+        s.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')
+            && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+    };
+    // `key="value"`, the value free of quotes, backslashes and commas.
+    let label = |l: &str| {
+        l.split_once("=\"").is_some_and(|(key, rest)| {
+            let value = rest.strip_suffix('"');
+            ident(key) && value.is_some_and(|v| !v.contains(['"', '\\']))
+        })
+    };
+    let mut problems = Vec::new();
+    let mut helped = BTreeMap::new(); // family -> the registry name its HELP quotes
+    let mut typed = BTreeSet::new();
+    let mut series = BTreeSet::new();
+    for line in prom.lines().filter(|l| !l.is_empty()) {
+        match line.splitn(4, ' ').collect::<Vec<_>>()[..] {
+            ["#", "HELP", family, text] => {
+                helped.insert(family, text.split('`').nth(1).unwrap_or(""));
+            }
+            ["#", "TYPE", family, kind] => {
+                let kind = if kind == "summary" { "histogram" } else { kind };
+                let name = helped.get(family).copied().unwrap_or("");
+                if !typed.insert(family) {
+                    problems.push(format!("{family}: duplicate TYPE"));
+                }
+                if !sites.iter().any(|s| s.registers(kind, name)) {
+                    problems.push(format!("{family}: no {kind} is registered as `{name}`"));
+                }
+            }
+            _ if line.starts_with('#') => {} // exemplar annotations
+            _ => {
+                let (id, value) = line.rsplit_once(' ').unwrap_or((line, ""));
+                let (name, labels) = id
+                    .strip_suffix('}')
+                    .map_or(Some((id, "")), |l| l.split_once('{'))
+                    .unwrap_or(("", ""));
+                let family = ["_sum", "_count"]
+                    .iter()
+                    .find_map(|suffix| name.strip_suffix(suffix));
+                if !typed.contains(name) && !family.is_some_and(|f| typed.contains(f)) {
+                    problems.push(format!("{id}: sample of a family without TYPE"));
+                }
+                if !ident(name) || !labels.split(',').all(|l| labels.is_empty() || label(l)) {
+                    problems.push(format!("{id}: malformed series"));
+                }
+                if value.parse::<f64>().is_err() {
+                    problems.push(format!("{id}: value {value:?} is not a number"));
+                }
+                if !series.insert(id) {
+                    problems.push(format!("{id}: duplicate series"));
+                }
+            }
+        }
+    }
+    problems.extend(
+        helped
+            .keys()
+            .filter(|f| !typed.contains(*f))
+            .map(|f| format!("{f}: HELP without TYPE")),
+    );
+    if problems.is_empty() {
+        Ok(typed.len())
+    } else {
+        Err(problems)
+    }
+}
+
+#[test]
+fn observatory_exposition_matches_the_registrations() {
+    let root = rmc_lint::default_root();
+    let sites = rmc_lint::analyze_workspace(&root)
+        .expect("workspace walk")
+        .sites;
+    let prom = std::fs::read_to_string(root.join("results/ext_observatory.prom"))
+        .expect("results/ext_observatory.prom must be committed");
+    let families = check_exposition(&sites, &prom).expect("committed exposition is sound");
+    assert!(families > 0, "the observatory exposes no families");
+
+    // The check must bite: a renamed series, a duplicate series and a
+    // family without TYPE each fail it.
+    const SERIES: &str = "rmc_wakes{layer=\"mc\",node=\"node0\",worker=\"0\"} 3\n";
+    let good = format!(
+        "# HELP rmc_wakes Event count from registry metric `mc.node0.worker0.wakes`.\n\
+         # TYPE rmc_wakes counter\n{SERIES}"
+    );
+    assert_eq!(check_exposition(&sites, &good), Ok(1));
+    let problems = |prom: String| check_exposition(&sites, &prom).expect_err("must fail");
+    let renamed = problems(good.replace("worker0.wakes", "worker0.wkaes"));
+    assert!(renamed.len() == 1 && renamed[0].contains("no counter is registered"));
+    let duplicate = problems(format!("{good}{SERIES}"));
+    assert!(duplicate.len() == 1 && duplicate[0].ends_with("duplicate series"));
+    let untyped = problems(good.replace("# TYPE rmc_wakes counter\n", ""));
+    assert!(untyped.iter().any(|p| p.ends_with("family without TYPE")));
 }
 
 #[test]

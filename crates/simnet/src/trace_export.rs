@@ -16,8 +16,8 @@
 //!
 //! Timestamps are virtual microseconds with nanosecond precision. The
 //! serializer is hand-rolled (the workspace has no serde); [`parse_json`]
-//! is the matching minimal reader used by tests and the CI validation
-//! step to prove the export is well-formed.
+//! is the matching minimal reader tests and `ext_trace_timeline` use to
+//! prove the export is well-formed.
 
 use std::fmt::Write as _;
 
@@ -57,8 +57,8 @@ pub fn folded_text(lines: &[(String, u64)]) -> String {
 }
 
 /// Parses collapsed-stack text back into `(path, count)` lines — the
-/// inverse of [`folded_text`], used by tests and CI to prove the
-/// artifact round-trips. The count is everything after the *last* space
+/// inverse of [`folded_text`], used by tests to prove the artifact
+/// round-trips. The count is everything after the *last* space
 /// (frame names never contain spaces here, but the split direction
 /// matches the flamegraph convention).
 pub fn parse_folded(text: &str) -> Result<Vec<(String, u64)>, String> {

@@ -246,11 +246,10 @@ impl EpInner {
                 imm: None,
             },
         );
-        if self.qp.post_send(wr).is_ok() {
+        if rt.post(&self.qp, wr).is_ok() {
             self.eager_posted(rt);
             rt.stats.eager_coalesced.add(msgs - 1);
         } else {
-            rt.forget_wr(wr_id);
             rt.stats.send_failures.add(msgs);
             self.failed.set(true);
         }
@@ -445,10 +444,7 @@ impl Endpoint {
                 },
             );
             wr.ud_dest = inner.ud_dest;
-            inner
-                .qp
-                .post_send(wr)
-                .map_err(|_| UcrError::EndpointFailed)?;
+            rt.post(&inner.qp, wr)?;
             inner.eager_posted(&rt);
             let sent = if inner.ud_dest.is_some() {
                 "am_send_ud"
@@ -482,16 +478,15 @@ impl Endpoint {
             let wr_id = rt.alloc_wr(Pending::CtrlSend {
                 ep: Rc::downgrade(inner),
             });
-            inner
-                .qp
-                .post_send(SendWr::new(
-                    wr_id,
-                    SendOp::SendInline {
-                        data: stage_head(&pkt, hdr, 0),
-                        imm: None,
-                    },
-                ))
-                .map_err(|_| UcrError::EndpointFailed)?;
+            let req = SendWr::new(
+                wr_id,
+                SendOp::SendInline {
+                    data: stage_head(&pkt, hdr, 0),
+                    imm: None,
+                },
+            );
+            rt.post(&inner.qp, req)
+                .inspect_err(|_| rt.release_rndv_src(pkt.token))?;
             rt.tracer.instant(
                 Layer::Ucr,
                 "am_send_rndv",

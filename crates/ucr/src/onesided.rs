@@ -80,18 +80,14 @@ impl Endpoint {
         let wr_id = rt.alloc_pending(Pending::OneSided {
             done,
             ep: self.downgrade(),
+            _src: Some(src),
         });
-        rt.stash_onesided_src(wr_id, src);
-        self.qp_ref()
-            .post_send(SendWr::new(
-                wr_id,
-                SendOp::RdmaWrite {
-                    local,
-                    remote,
-                    imm: None,
-                },
-            ))
-            .map_err(|_| UcrError::EndpointFailed)
+        let write = SendOp::RdmaWrite {
+            local,
+            remote,
+            imm: None,
+        };
+        rt.post(self.qp_ref(), SendWr::new(wr_id, write))
     }
 
     /// One-sided get: reads the peer's advertised window into `local`
@@ -113,16 +109,13 @@ impl Endpoint {
         let wr_id = rt.alloc_pending(Pending::OneSided {
             done,
             ep: self.downgrade(),
+            _src: None,
         });
-        self.qp_ref()
-            .post_send(SendWr::new(
-                wr_id,
-                SendOp::RdmaRead {
-                    local: slice,
-                    remote,
-                },
-            ))
-            .map_err(|_| UcrError::EndpointFailed)
+        let read = SendOp::RdmaRead {
+            local: slice,
+            remote,
+        };
+        rt.post(self.qp_ref(), SendWr::new(wr_id, read))
     }
 }
 

@@ -159,6 +159,8 @@ pub(crate) enum Pending {
     OneSided {
         done: Option<Counter>,
         ep: Weak<EpInner>,
+        /// A put's registered source, pinned until the write completes.
+        _src: Option<Mr>,
     },
     CtrlSend {
         ep: Weak<EpInner>,
@@ -262,7 +264,6 @@ pub(crate) struct RtInner {
     eps: RefCell<HashMap<u32, Rc<EpInner>>>,
     pending: RefCell<HashMap<u64, Pending>>,
     rndv_src: RefCell<HashMap<u64, Rc<Mr>>>,
-    onesided_src: RefCell<HashMap<u64, Mr>>,
     recv_bufs: RefCell<HashMap<u64, Mr>>,
     /// Rendezvous registration cache: MRs keyed by `(endpoint, source
     /// buffer address, length)`, bounded LRU (the MPICH2-lineage pin-down
@@ -380,7 +381,6 @@ impl UcrRuntime {
             eps: RefCell::new(HashMap::new()),
             pending: RefCell::new(HashMap::new()),
             rndv_src: RefCell::new(HashMap::new()),
-            onesided_src: RefCell::new(HashMap::new()),
             recv_bufs: RefCell::new(HashMap::new()),
             mr_cache: RefCell::new(HashMap::new()),
             mr_cache_cap: Cell::new(MR_CACHE_CAPACITY),
@@ -623,8 +623,8 @@ impl UcrRuntime {
         self.inner.alloc_wr(p)
     }
 
-    pub(crate) fn stash_onesided_src(&self, wr_id: u64, mr: Mr) {
-        self.inner.onesided_src.borrow_mut().insert(wr_id, mr);
+    pub(crate) fn post(&self, qp: &QueuePair, wr: SendWr) -> Result<(), UcrError> {
+        self.inner.post(qp, wr)
     }
 }
 
@@ -704,9 +704,16 @@ impl RtInner {
         id
     }
 
-    /// Withdraws a work request whose post failed.
-    pub(crate) fn forget_wr(&self, wr_id: u64) {
-        self.pending.borrow_mut().remove(&wr_id);
+    /// Posts a work request allocated with [`alloc_wr`](Self::alloc_wr).
+    /// A refused post (the queue pair has left ready-to-send, or the local
+    /// HCA is down) withdraws it, and whatever it pinned, so `pending` holds
+    /// only what a completion will come back for.
+    pub(crate) fn post(&self, qp: &QueuePair, wr: SendWr) -> Result<(), UcrError> {
+        let wr_id = wr.wr_id;
+        qp.post_send(wr).map_err(|_| {
+            self.pending.borrow_mut().remove(&wr_id);
+            UcrError::EndpointFailed
+        })
     }
 
     pub(crate) fn stash_rndv_src(&self, mr: Rc<Mr>) -> u64 {
@@ -714,6 +721,12 @@ impl RtInner {
         self.next_token.set(token + 1);
         self.rndv_src.borrow_mut().insert(token, mr);
         token
+    }
+
+    /// Releases an advertised rendezvous source: its Fin arrived, or the
+    /// request advertising it was never posted.
+    pub(crate) fn release_rndv_src(&self, token: u64) {
+        self.rndv_src.borrow_mut().remove(&token);
     }
 
     /// Looks up (or registers) the rendezvous source MR for a buffer
@@ -1059,13 +1072,8 @@ impl RtInner {
                     data_len,
                     self.sim.now(),
                 );
-                if ep
-                    .inner
-                    .qp
-                    .post_send(SendWr::new(wr_id, SendOp::RdmaRead { local, remote }))
-                    .is_err()
-                {
-                    self.pending.borrow_mut().remove(&wr_id);
+                let read = SendWr::new(wr_id, SendOp::RdmaRead { local, remote });
+                if self.post(&ep.inner.qp, read).is_err() {
                     self.tracer.end(
                         Layer::Ucr,
                         "rndv_window",
@@ -1083,7 +1091,7 @@ impl RtInner {
                 self.bump_counter(pkt.origin_ctr);
                 self.bump_counter(pkt.completion_ctr);
                 if pkt.token != 0 {
-                    self.rndv_src.borrow_mut().remove(&pkt.token);
+                    self.release_rndv_src(pkt.token);
                 }
             }
         }
@@ -1174,8 +1182,7 @@ impl RtInner {
         let pending = self.pending.borrow_mut().remove(&wc.wr_id);
         let Some(pending) = pending else { return };
         match pending {
-            Pending::OneSided { done, ep } => {
-                self.onesided_src.borrow_mut().remove(&wc.wr_id);
+            Pending::OneSided { done, ep, .. } => {
                 if !crate::onesided::complete_onesided(done, &ep, wc.status) {
                     self.stats.send_failures.inc();
                 }
@@ -1319,13 +1326,87 @@ impl RtInner {
         let wr_id = self.alloc_wr(Pending::CtrlSend {
             ep: Rc::downgrade(&ep.inner),
         });
-        let _ = ep.inner.qp.post_send(SendWr::new(
+        let fin = SendWr::new(
             wr_id,
             SendOp::SendInline {
                 data: stage_head(&pkt, &[], 0),
                 imm: None,
             },
-        ));
+        );
+        let _ = self.post(&ep.inner.qp, fin);
         self.stats.fins_sent.inc();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use simnet::Cluster;
+    use verbs::IbFabric;
+
+    use super::*;
+    use crate::endpoint::SendOptions;
+    use crate::handler::FnHandler;
+
+    /// A send whose post the queue pair refuses is withdrawn whole: no
+    /// pending entry, advertised source or registration outlives it.
+    #[test]
+    fn refused_posts_leave_nothing_behind() {
+        const PORT: u16 = 11211;
+        const MSG: u16 = 1;
+        const N: usize = 8;
+        let cluster = Rc::new(Cluster::cluster_b(21, 2));
+        let fabric = IbFabric::new(cluster.clone());
+        let server = UcrRuntime::new(&fabric, NodeId(1));
+        server.register_handler(MSG, FnHandler(|_: &Endpoint, _: &[u8], _: AmData| {}));
+        let listener = server.listen(PORT).expect("port free");
+        let client = UcrRuntime::new(&fabric, NodeId(0));
+        let rt = client.inner.clone();
+        let tables = move || {
+            (
+                rt.pending.borrow().len(),
+                rt.rndv_src.borrow().len(),
+                rt.hca.registered_regions(),
+            )
+        };
+        cluster.sim().block_on(async move {
+            let accepted = server.sim().spawn(async move { listener.accept().await });
+            let timeout = SimDuration::from_millis(100);
+            let ep = client.connect(NodeId(1), PORT, timeout).await.expect("up");
+            let _peer = accepted.await.expect("accepted");
+            // One round trip each way first, so the baseline is a settled
+            // runtime and not an empty one.
+            let done = client.counter();
+            let opts = || SendOptions {
+                completion: Some(done.clone()),
+                ..Default::default()
+            };
+            let large = vec![7u8; 2 * client.eager_threshold()];
+            ep.send_message(MSG, b"h", b"small", opts())
+                .await
+                .expect("eager");
+            ep.send_message_owned(MSG, b"h", large.clone(), opts())
+                .await
+                .expect("rendezvous");
+            done.wait_for(2, timeout).await.expect("both Fins");
+            let baseline = tables();
+
+            // The queue pair leaves ready-to-send under a live endpoint: the
+            // window between an error completion and `fail_ep`.
+            ep.inner.qp.close();
+            let window = client.register_memory(64);
+            let remote = window.descriptor(0, 64);
+            let refused = Err(UcrError::EndpointFailed);
+            for _ in 0..N {
+                let eager = ep.send_message(MSG, b"h", b"small", opts());
+                assert_eq!(eager.await, refused);
+                let rndv = ep.send_message_owned(MSG, b"h", large.clone(), opts());
+                assert_eq!(rndv.await, refused);
+                client.inner.send_fin(&ep, 0, done.id(), 0);
+                assert_eq!(ep.put(remote, &[1; 64], None), refused);
+                assert_eq!(ep.get(&window, 0, remote, None), refused);
+            }
+            drop(window);
+            assert_eq!(tables(), baseline);
+        });
     }
 }

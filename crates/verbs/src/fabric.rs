@@ -234,4 +234,9 @@ impl Hca {
     pub fn is_alive(&self) -> bool {
         self.inner.alive.get()
     }
+
+    /// Memory regions currently registered with this adapter.
+    pub fn registered_regions(&self) -> usize {
+        self.inner.mrs.borrow().len()
+    }
 }

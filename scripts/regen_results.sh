@@ -6,24 +6,29 @@
 #
 #     scripts/regen_results.sh && git diff --exit-code results/
 #
+# It is also the only gate on the numbers: a claim about a number is an
+# `assert!` in the bin that produces it, so a broken claim stops this script
+# (`set -e`) before there is anything to diff.
+#
 # A bin's stdout is its results/<bin>.txt; the JSON, .prom, .folded and
 # .trace.json companions are written by the bins themselves. `mcslap` runs
-# with the flags its committed JSON was made with and `bench_summary` runs
-# last, because it digests what the others wrote. Prints seconds per bin.
-# (results/metric_manifest.json belongs to `rmc-lint --write-manifest`, and
-# results/bench_baseline.json is the hand-ratcheted trajectory baseline.)
+# with the flags its committed JSON was made with. Prints seconds per bin.
+# (results/metric_manifest.json belongs to `rmc-lint --write-manifest`.)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --quiet -p rmc-bench --bins
 bin_dir="${CARGO_TARGET_DIR:-target}/release"
 
-# run <bin> <stdout file> [args...]
+# run <bin> <stdout file> [args...]; a bin's stderr is shown only if it fails
 run() {
-    local name=$1 out=$2 start ms
+    local name=$1 out=$2 start ms err
     shift 2
     start=$(date +%s%N)
-    "$bin_dir/$name" "$@" >"$out" 2>/dev/null
+    err=$("$bin_dir/$name" "$@" 2>&1 >"$out") || {
+        printf '%s\n%s failed\n' "$err" "$name" >&2
+        exit 1
+    }
     ms=$((($(date +%s%N) - start) / 1000000))
     printf '%-28s %3d.%03d s\n' "$name" $((ms / 1000)) $((ms % 1000))
 }
@@ -39,4 +44,3 @@ done
 # These two write their own files; their stdout is not a results file.
 run ext_workload_observatory /dev/null
 run mcslap /dev/null --transport sdp --depth 4
-run bench_summary /dev/null
