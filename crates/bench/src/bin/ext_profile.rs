@@ -29,7 +29,7 @@ use rmc::StoreModel;
 use rmc_bench::{
     model_label, run_mget_storm, xorshift, ClusterKind, MgetStorm, MGET_STORM_CLIENTS as CLIENTS,
 };
-use simnet::{Metrics, NodeId, PathStage, Profiler, ProfilerConfig};
+use simnet::{NodeId, PathStage, Profiler, ProfilerConfig};
 
 const WORKERS: usize = 8;
 const MGETS_PER_CLIENT: u32 = 100;
@@ -44,17 +44,14 @@ struct RunResult {
 }
 
 fn measure(cluster: ClusterKind, model: StoreModel) -> RunResult {
-    // One node per client plus a dedicated loader node: in detail mode
-    // client request-id spaces are node-prefixed, so distinct nodes keep
-    // concurrent ids collision-free.
+    // One node per client plus a dedicated loader node: client request-id
+    // spaces are node-prefixed, so distinct nodes keep concurrent ids
+    // collision-free.
     let world = cluster.world(47, CLIENTS + 2);
 
-    // The profiler attaches before any traffic; the side metrics registry
-    // receives the profiler counters and the flight-recorder gauges.
+    // The profiler attaches before any traffic, so the preload decomposes
+    // too.
     let profiler = Profiler::attach(world.cluster.tracer(), ProfilerConfig::default());
-    let metrics = Metrics::new();
-    profiler.bind_metrics(&metrics);
-    world.cluster.tracer().bind_flight_gauges(&metrics);
 
     let storm = MgetStorm {
         workers: WORKERS,
@@ -66,19 +63,7 @@ fn measure(cluster: ClusterKind, model: StoreModel) -> RunResult {
         keys_per_mget: KEYS_PER_MGET,
     };
     let (keys_per_sec, server) = run_mget_storm(&world, &storm, |rng| xorshift(rng) % KEYSPACE);
-
-    // Satellite check: the registered flight gauges mirror the recorder.
     let tracer = world.cluster.tracer();
-    assert_eq!(
-        metrics.gauge_value("trace.flight.len"),
-        Some(tracer.flight_len() as f64),
-        "flight-length gauge tracks the ring"
-    );
-    assert_eq!(
-        metrics.gauge_value("trace.flight.dropped"),
-        Some(tracer.flight_dropped() as f64),
-        "flight-dropped gauge tracks the ring"
-    );
     drop(server);
 
     RunResult {

@@ -141,9 +141,8 @@ pub fn measure_latency(
 /// The shared latency loop behind [`measure_latency`] and
 /// [`measure_latency_attributed`]. `instrument` runs on the cluster tracer
 /// *after* the warm-up pass, so a profiler attached there decomposes
-/// exactly the timed operations (one client, so its request ids need no
-/// node prefix); tracing adds no virtual time, so the measured mean is
-/// identical either way.
+/// exactly the timed operations; tracing adds no virtual time, so the
+/// measured mean is identical either way.
 fn run_latency<T: 'static>(
     cluster: ClusterKind,
     transport: Transport,

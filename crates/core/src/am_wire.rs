@@ -60,6 +60,30 @@ pub enum McOp {
 }
 
 impl McOp {
+    /// Every verb, in wire-code order (`ALL[op.index()] == op`).
+    pub(crate) const ALL: [McOp; 15] = [
+        McOp::Get,
+        McOp::Mget,
+        McOp::Set,
+        McOp::Add,
+        McOp::Replace,
+        McOp::Append,
+        McOp::Prepend,
+        McOp::Cas,
+        McOp::Delete,
+        McOp::Incr,
+        McOp::Decr,
+        McOp::Touch,
+        McOp::FlushAll,
+        McOp::Version,
+        McOp::Stats,
+    ];
+
+    /// Position in [`McOp::ALL`].
+    pub(crate) fn index(self) -> usize {
+        self as usize - 1
+    }
+
     /// Stable lowercase name, used for per-operation statistics keys
     /// (`op.get.service_us` …) and trace labels.
     pub fn label(self) -> &'static str {
@@ -90,24 +114,7 @@ impl McOp {
     }
 
     fn from_u8(v: u8) -> Option<McOp> {
-        Some(match v {
-            1 => McOp::Get,
-            2 => McOp::Mget,
-            3 => McOp::Set,
-            4 => McOp::Add,
-            5 => McOp::Replace,
-            6 => McOp::Append,
-            7 => McOp::Prepend,
-            8 => McOp::Cas,
-            9 => McOp::Delete,
-            10 => McOp::Incr,
-            11 => McOp::Decr,
-            12 => McOp::Touch,
-            13 => McOp::FlushAll,
-            14 => McOp::Version,
-            15 => McOp::Stats,
-            _ => return None,
-        })
+        McOp::ALL.get(usize::from(v).checked_sub(1)?).copied()
     }
 }
 
@@ -228,7 +235,9 @@ impl ReqHeader {
         let exptime = u32::from_le_bytes(b[24..28].try_into().ok()?);
         let cas = u64::from_le_bytes(b[28..36].try_into().ok()?);
         let delta = u64::from_le_bytes(b[36..44].try_into().ok()?);
-        let mut keys = Vec::with_capacity(nkeys);
+        // The count is the peer's word; a key takes at least its two
+        // length bytes, so that is what the header can hold.
+        let mut keys = Vec::with_capacity(nkeys.min((b.len() - 44) / 2));
         let mut pos = 44usize;
         for _ in 0..nkeys {
             if b.len() < pos + 2 {

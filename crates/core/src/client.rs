@@ -354,8 +354,8 @@ struct CliInner {
     cancelled: CancelledIds,
     next_req: Cell<u64>,
     ring: Vec<(u32, usize)>,
-    /// Operations issued (diagnostics).
-    ops: Cell<u64>,
+    /// Operations issued (`client.nodeN.ops_issued`).
+    ops: Rc<simnet::metrics::Counter>,
     /// Cross-layer event tracer (cluster-wide; adds no virtual time).
     tracer: Rc<Tracer>,
     /// Live pipelined-window occupancy (`client.nodeN.inflight`); the
@@ -364,13 +364,11 @@ struct CliInner {
     /// Completed operations (`client.nodeN.ops_completed`): the counter a
     /// time-series sampler turns into client-observed throughput.
     ops_completed: Rc<simnet::metrics::Counter>,
-    /// Cluster metrics registry (lazy counter creation).
-    metrics: Rc<simnet::metrics::Metrics>,
     /// Batch ops that silently degraded to sequential round trips
-    /// (`client.nodeN.batch_fallback_ops`), created on first degrade:
-    /// binary-protocol and UDP connections have no pipelined batch path,
-    /// so `get_many`/`set_many` fall back to one-at-a-time there.
-    batch_fallback: RefCell<Option<Rc<simnet::metrics::Counter>>>,
+    /// (`client.nodeN.batch_fallback_ops`): binary-protocol and UDP
+    /// connections have no pipelined batch path, so
+    /// `get_many`/`set_many` fall back to one-at-a-time there.
+    batch_fallback: Rc<simnet::metrics::Counter>,
     /// Directory answers awaiting their bypass-get waiter.
     dir_pending: PendingDirResponses,
     /// Cached item descriptors, keyed by (server index, key).
@@ -417,6 +415,7 @@ impl McClient {
             Transport::Sockets(_) | Transport::Udp(_) => None,
         };
         let tracer = world.cluster.tracer().clone();
+        let metrics = world.cluster.metrics();
         let ucr = match (cfg.transport, fabric) {
             (Transport::Ucr | Transport::UcrRoce, Some(fabric)) => {
                 let rt = UcrRuntime::new(fabric, node);
@@ -435,8 +434,8 @@ impl McClient {
                                 return;
                             }
                             // Response landed: the response-wire stage of
-                            // the critical path ends here (detail only).
-                            tracer2.instant_detail(
+                            // the critical path ends here.
+                            tracer2.instant(
                                 Layer::Core,
                                 "client_reply",
                                 node,
@@ -488,31 +487,20 @@ impl McClient {
                 conns: RefCell::new(HashMap::new()),
                 pending,
                 cancelled,
-                // In profiler (detail) mode each client claims a
-                // node-prefixed request-id space: concurrent clients'
-                // ops then never collide on the shared trace stream,
-                // which critical-path correlation relies on (one client
-                // per node, the topology every bench uses). The id is a
-                // fixed-width wire field, so the seeding changes no
-                // message size and no virtual-time outcome.
-                next_req: Cell::new(if tracer.detail() {
-                    (u64::from(node.0) << 32) | 1
-                } else {
-                    1
-                }),
+                // Request ids are `(node << 32) | n`: concurrent clients'
+                // ops never collide on the shared trace stream, which
+                // critical-path correlation relies on (one client per
+                // node, the topology every bench uses). The id is a
+                // fixed-width wire field, so the prefix changes no message
+                // size and no virtual-time outcome.
+                next_req: Cell::new((u64::from(node.0) << 32) | 1),
                 ring,
-                ops: Cell::new(0),
+                ops: metrics.counter(&format!("client.node{}.ops_issued", node.0)),
                 tracer,
-                inflight_gauge: world
-                    .cluster
-                    .metrics()
-                    .gauge(&format!("client.node{}.inflight", node.0)),
-                ops_completed: world
-                    .cluster
-                    .metrics()
-                    .counter(&format!("client.node{}.ops_completed", node.0)),
-                metrics: world.cluster.metrics().clone(),
-                batch_fallback: RefCell::new(None),
+                inflight_gauge: metrics.gauge(&format!("client.node{}.inflight", node.0)),
+                ops_completed: metrics.counter(&format!("client.node{}.ops_completed", node.0)),
+                batch_fallback: metrics
+                    .counter(&format!("client.node{}.batch_fallback_ops", node.0)),
                 dir_pending,
                 bypass_cache: RefCell::new(HashMap::new()),
                 bypass_order: RefCell::new(VecDeque::new()),
@@ -629,7 +617,7 @@ impl McClient {
     /// Fetches a value (CAS token always populated).
     pub async fn get(&self, key: &[u8]) -> Result<Option<Value>, McError> {
         let inner = &self.inner;
-        inner.ops.set(inner.ops.get() + 1);
+        inner.ops.inc();
         let sidx = inner.route(key);
         if inner.cfg.bypass_get {
             if let Conn::Ucr(ep) = &*inner.conn(sidx).await? {
@@ -652,7 +640,7 @@ impl McClient {
     /// server. Returns `(key, value)` pairs for hits.
     pub async fn mget(&self, keys: &[&[u8]]) -> Result<Vec<(Vec<u8>, Value)>, McError> {
         let inner = &self.inner;
-        inner.ops.set(inner.ops.get() + 1);
+        inner.ops.inc();
         let mut out = Vec::new();
         for (sidx, idxs) in group_by_server(inner, keys.iter().copied()) {
             let group: Vec<&[u8]> = idxs.iter().map(|&i| keys[i]).collect();
@@ -819,7 +807,7 @@ impl McClient {
     /// One round trip of a single-key request to the key's server.
     async fn keyed(&self, req: &Request<'_, &[u8]>) -> Result<Reply, McError> {
         let inner = &self.inner;
-        inner.ops.set(inner.ops.get() + 1);
+        inner.ops.inc();
         inner.exchange(inner.route(req.key()), req).await
     }
 
@@ -1054,7 +1042,7 @@ impl CliInner {
         req: &Request<'_, &[u8]>,
         finish: fn(Reply) -> Result<T, McError>,
     ) -> Result<InFlight<T>, McError> {
-        self.ops.set(self.ops.get() + 1);
+        self.ops.inc();
         let conn = self.conn(self.route(req.key())).await?;
         let Conn::Ucr(ep) = &*conn else {
             return Err(McError::Protocol);
@@ -1074,7 +1062,7 @@ impl CliInner {
         make: impl Fn(usize) -> Request<'k, &'k [u8]>,
         mut sink: impl FnMut(usize, Reply) -> Result<(), McError>,
     ) -> Result<(), McError> {
-        self.ops.set(self.ops.get() + n as u64);
+        self.ops.add(n as u64);
         let depth = self.cfg.pipeline_depth.max(1);
         for (sidx, idxs) in group_by_server(self, (0..n).map(|i| make(i).key())) {
             let conn = self.conn(sidx).await?;
@@ -1112,7 +1100,7 @@ impl CliInner {
                     // Binary-protocol and UDP connections have no
                     // pipelined batch path: each op is a full sequential
                     // round trip, accounted in `batch_fallback_ops`.
-                    self.count_batch_fallback(idxs.len() as u64);
+                    self.batch_fallback.add(idxs.len() as u64);
                     for i in idxs {
                         sink(i, self.exchange(sidx, &make(i)).await?)?;
                         self.op_done();
@@ -1458,19 +1446,6 @@ impl CliInner {
         self.bypass_cache.borrow_mut().remove(key);
     }
 
-    /// Accounts `n` batch ops that silently degraded to sequential round
-    /// trips (binary-protocol and UDP connections have no pipelined batch
-    /// path). The `client.nodeN.batch_fallback_ops` counter is created on
-    /// first degrade so non-degraded runs keep the registry unchanged.
-    fn count_batch_fallback(&self, n: u64) {
-        let mut slot = self.batch_fallback.borrow_mut();
-        let ctr = slot.get_or_insert_with(|| {
-            self.metrics
-                .counter(&format!("client.node{}.batch_fallback_ops", self.node.0))
-        });
-        ctr.add(n);
-    }
-
     /// Closes the `client_op` trace span for a request.
     fn end_op(&self, req_id: u64, bytes: u64) {
         self.tracer.end(
@@ -1514,15 +1489,14 @@ impl CliInner {
     }
 
     /// Opens the `client_op` trace span of a socket round trip. The ASCII
-    /// wire has no request id, so the span id is purely client-local, and
-    /// the span is emitted in profiler (detail) mode only: sockets ops then
-    /// appear on the critical-path stream like UCR ops do — server-side
-    /// sockets events correlate via the profiler's single-open-op rule
-    /// (the server's op-id domain is its own).
+    /// wire has no request id, so the span id is purely client-local:
+    /// sockets ops appear on the critical-path stream like UCR ops do, and
+    /// server-side sockets events correlate via the profiler's
+    /// single-open-op rule (the server's op-id domain is its own).
     fn begin_sock_span(&self) -> u64 {
         let span_id = self.next_req.get();
         self.next_req.set(span_id + 1);
-        self.tracer.begin_detail(
+        self.tracer.begin(
             Layer::Core,
             "client_op",
             self.node,
@@ -1536,9 +1510,9 @@ impl CliInner {
 
     /// The request has left the client's hands (accepted by UCR, or cleared
     /// the socket send path): client-side serialization — the issue stage of
-    /// the critical path — ends here (the profiler marker is detail only).
+    /// the critical path — ends here.
     fn op_sent(&self, span_id: u64) {
-        self.tracer.instant_detail(
+        self.tracer.instant(
             Layer::Core,
             "client_sent",
             self.node,
@@ -1554,7 +1528,7 @@ impl CliInner {
     /// the residue is the client completion stage.
     fn close_sock_span(&self, span_id: u64, ok: bool) {
         if ok {
-            self.tracer.instant_detail(
+            self.tracer.instant(
                 Layer::Core,
                 "client_reply",
                 self.node,
@@ -1564,15 +1538,7 @@ impl CliInner {
                 self.sim.now(),
             );
         }
-        self.tracer.end_detail(
-            Layer::Core,
-            "client_op",
-            self.node,
-            Track::Main,
-            span_id,
-            0,
-            self.sim.now(),
-        );
+        self.end_op(span_id, 0);
     }
 
     /// Evicts a stream connection from the cache and closes it. A

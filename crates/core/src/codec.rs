@@ -49,7 +49,9 @@ fn lookup_rev<A: Copy, B: PartialEq + Copy>(table: &[(A, B)], from: B) -> Option
 /// the AM data carries the value.
 pub(crate) mod ucr {
     use super::*;
-    use crate::am_wire::{encode_mget_entry, next_mget_entry, ReqHeader, RespHeader, RespStatus};
+    use crate::am_wire::{
+        encode_mget_entry, mget_entry_len, next_mget_entry, ReqHeader, RespHeader, RespStatus,
+    };
 
     const STORE_STATUS: [(SetOutcome, RespStatus); 6] = [
         (SetOutcome::Stored, RespStatus::Stored),
@@ -150,7 +152,10 @@ pub(crate) mod ucr {
             (McOp::Mget, _) => {
                 let mut cursor = KeyCursor { keys, next: 0 };
                 let mut rest = payload.as_slice();
-                let mut hits = Vec::with_capacity(hdr.nvalues as usize);
+                // The count is the peer's word: reserve what the payload
+                // can hold of it.
+                let fit = payload.len() / mget_entry_len(0, 0);
+                let mut hits = Vec::with_capacity(fit.min(hdr.nvalues.into()));
                 for _ in 0..hdr.nvalues {
                     let (key, flags, cas, value) =
                         next_mget_entry(&mut rest).ok_or(McError::Protocol)?;

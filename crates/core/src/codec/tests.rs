@@ -205,3 +205,140 @@ fn replies_survive_every_wire() {
         assert_eq!(got, reply, "binary {op:?}");
     }
 }
+
+/// What a peer can send instead of a message: arbitrary bytes, and every
+/// valid message of every wire with bytes overwritten, cut short or
+/// followed by junk. Every decoder of the wire layer, and the codecs
+/// behind it, must return — refusing or accepting — without panicking,
+/// without claiming more than it was given, and without reserving more
+/// entries than the bytes it was given could hold.
+mod hostile_bytes {
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::am_wire::{next_mget_entry, DirReq, DirResp};
+
+    /// One valid message of every kind on every wire, as bytes.
+    fn valid_wires() -> Vec<Vec<u8>> {
+        let server_keys: Vec<Vec<u8>> = KEYS.iter().map(|k| k.to_vec()).collect();
+        let mut all = vec![
+            DirReq {
+                req_id: 3,
+                ctr_id: 4,
+                key: b"alpha".to_vec(),
+            }
+            .encode(),
+            DirResp::miss(5).encode(),
+        ];
+        for req in requests() {
+            let (hdr, data) = ucr::encode_request(&req, 1, 2);
+            all.extend([hdr.encode(), data]);
+            all.push(encode_command(&ascii::encode_request(&req)));
+            all.extend(binary::encode_request(&req).iter().map(BinFrame::encode));
+        }
+        for (op, reply) in replies() {
+            let (hdr, payload) = ucr::encode_reply(9, copy(&reply), &server_keys);
+            all.extend([hdr.encode(), payload]);
+            let req = Request::new(op, &KEYS[..]);
+            let cmd = ascii::encode_request(&req);
+            all.push(encode_response(&ascii::encode_reply(cmd, copy(&reply))));
+            let frame = binary::encode_request(&Request::new(op, &KEYS[..1])).remove(0);
+            let frames = binary::encode_reply(frame, reply);
+            all.extend(frames.iter().map(BinFrame::encode));
+        }
+        all
+    }
+
+    fn mangled() -> impl Strategy<Value = Vec<u8>> {
+        let edits = proptest::collection::vec((any::<usize>(), any::<u8>()), 0..4);
+        let junk = proptest::collection::vec(any::<u8>(), 0..8);
+        (any::<usize>(), edits, any::<usize>(), junk).prop_map(|(pick, edits, cut, junk)| {
+            let wires = valid_wires();
+            let mut wire = wires[pick % wires.len()].clone();
+            for (at, byte) in edits {
+                if let Some(last) = wire.len().checked_sub(1) {
+                    wire[at % (last + 1)] = byte;
+                }
+            }
+            if cut % 3 == 0 {
+                wire.truncate(cut / 3 % (wire.len() + 1));
+            }
+            wire.extend(junk);
+            wire
+        })
+    }
+
+    /// Feeds `wire` to every decoder and its decoded objects on through
+    /// the codecs, as a request and as the reply to every verb.
+    fn survive(wire: &[u8]) -> Result<(), String> {
+        let keys = &KEYS[..];
+        if let Some(hdr) = ReqHeader::decode(wire) {
+            let held = hdr.keys.iter().map(Vec::len).sum::<usize>();
+            prop_assert!(hdr.keys.capacity() + held <= wire.len());
+            ucr::decode_request(&hdr, wire);
+        }
+        // A reply header is 32 bytes; what follows is its payload.
+        let (head, payload) = wire.split_at(wire.len().min(32));
+        if let Some(hdr) = RespHeader::decode(head) {
+            for op in McOp::ALL {
+                if let Ok(Reply::Values(hits)) = ucr::decode_reply(op, keys, hdr, payload.to_vec())
+                {
+                    prop_assert!(hits.capacity() <= payload.len());
+                }
+            }
+        }
+        if let Some(req) = DirReq::decode(wire) {
+            prop_assert!(req.key.len() <= wire.len());
+        }
+        DirResp::decode(wire);
+        let mut rest = wire;
+        while let Some((key, _, _, value)) = next_mget_entry(&mut rest) {
+            prop_assert!(key.len() + value.len() + rest.len() < wire.len());
+        }
+        if let Ok(Some((cmd, used))) = parse_command(wire) {
+            prop_assert!(used <= wire.len());
+            ascii::decode_request(&cmd);
+        }
+        if let Ok(Some((resp, used))) = parse_response(wire) {
+            prop_assert!(used <= wire.len());
+            for op in McOp::ALL {
+                let _ = ascii::decode_reply(op, keys, resp.clone());
+            }
+        }
+        if let Ok(Some((frame, used))) = BinFrame::parse(wire) {
+            prop_assert!(used <= wire.len());
+            binary::decode_request(&frame);
+            for op in McOp::ALL {
+                let _ = binary::decode_reply(op, keys, vec![frame.clone(), frame.clone()]);
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn decoders_survive_arbitrary_bytes(wire in proptest::collection::vec(any::<u8>(), 0..200)) {
+            survive(&wire)?;
+        }
+
+        #[test]
+        fn decoders_survive_mangled_messages(wire in mangled()) {
+            survive(&wire)?;
+        }
+
+        /// The count field holding whatever the peer likes: a request
+        /// header decodes with exactly that many keys or not at all.
+        #[test]
+        fn a_claimed_count_is_met_or_refused(claimed in any::<u16>(), pick in any::<usize>()) {
+            let wires = valid_wires();
+            let mut wire = wires[pick % wires.len()].clone();
+            if wire.len() >= 4 {
+                wire[2..4].copy_from_slice(&claimed.to_le_bytes());
+            }
+            survive(&wire)?;
+            prop_assert!(ReqHeader::decode(&wire).is_none_or(|h| h.keys.len() == claimed.into()));
+        }
+    }
+}

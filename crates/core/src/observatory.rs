@@ -10,9 +10,10 @@
 //!   ([`simnet::sketch`]), giving per-node hot-key tables with estimated
 //!   counts and hard error bounds, hash-slot (future-shard) load
 //!   imbalance, and read/write mix per slab class.
-//! * **Which requests** — worker service times land in per-op registry
-//!   histograms; a completion above the configured quantile of its own
-//!   histogram is captured as an [`Exemplar`](simnet::Exemplar) whose
+//! * **Which requests** — the executor records worker service times in
+//!   per-verb registry histograms; a completion above the configured
+//!   quantile of its verb's histogram is captured as an
+//!   [`Exemplar`](simnet::Exemplar) whose
 //!   `span_id` is the request id, so the tail sample links directly to
 //!   its cross-layer trace spans.
 //! * **Which objectives** — per-op [`SloTracker`]s judge every service
@@ -24,7 +25,7 @@
 //! execution path: feeding the observatory costs **zero virtual time**,
 //! so an instrumented run is clock-identical to a bare one. The
 //! observatory is opt-in ([`McServerConfig::observatory`]
-//! (crate::McServerConfig)); a server without one registers no new
+//! (crate::McServerConfig)); a server without one registers no `wl.*`
 //! metrics and renders byte-identical stats.
 //!
 //! Socket-family requests contribute key telemetry; service-time
@@ -40,6 +41,8 @@ use mcstore::ClassId;
 use simnet::metrics::{Histogram, Metrics};
 use simnet::sketch::{hash_key, SketchConfig, WorkloadSketch};
 use simnet::{ExemplarConfig, ExemplarRing, SimDuration, SimTime, SloSpec, SloTracker};
+
+use crate::am_wire::McOp;
 
 /// One declared per-op objective (becomes a [`SloTracker`] named
 /// `slo.node<N>.<op>`).
@@ -81,11 +84,21 @@ pub struct WorkloadObservatory {
     sketch: RefCell<WorkloadSketch>,
     ring: Rc<ExemplarRing>,
     slos: Vec<(&'static str, Rc<SloTracker>)>,
-    svc_hists: RefCell<HashMap<&'static str, (String, Rc<Histogram>)>>,
     class_mix: RefCell<HashMap<u8, ClassMix>>,
     imbalance_gauge: Rc<simnet::metrics::Gauge>,
     coverage_gauge: Rc<simnet::metrics::Gauge>,
     active_gauge: Rc<simnet::metrics::Gauge>,
+}
+
+/// The per-verb worker service-time histograms (`mc.nodeN.svc.<verb>`) of
+/// the server on node ordinal `node_ord`, in [`McOp::ALL`] order. Every
+/// server has them — the executor records into them and `stats` reports
+/// them; an observatory's exemplars name them.
+pub(crate) fn service_histograms(
+    metrics: &Metrics,
+    node_ord: u32,
+) -> [Rc<Histogram>; McOp::ALL.len()] {
+    McOp::ALL.map(|op| metrics.histogram(&format!("mc.node{node_ord}.svc.{}", op.label())))
 }
 
 impl WorkloadObservatory {
@@ -117,7 +130,6 @@ impl WorkloadObservatory {
             sketch: RefCell::new(WorkloadSketch::new(cfg.sketch)),
             ring: ExemplarRing::new(cfg.exemplars),
             slos,
-            svc_hists: RefCell::new(HashMap::new()),
             class_mix: RefCell::new(HashMap::new()),
             imbalance_gauge: metrics.gauge(&format!("mc.node{node_ord}.wl.slot_imbalance")),
             coverage_gauge: metrics.gauge(&format!("mc.node{node_ord}.wl.hot_coverage")),
@@ -171,32 +183,27 @@ impl WorkloadObservatory {
         }
     }
 
-    /// Feeds one completed UCR service: records the service time into
-    /// the op's registry histogram, judges the declared SLO, and offers
-    /// the completion to the exemplar gate (span id = request id).
+    /// Feeds one completed service whose time the executor has just
+    /// recorded into `hist`, its verb's histogram of
+    /// [`service_histograms`]: judges the declared SLO and offers the
+    /// completion to the exemplar gate (span id = request id). `moved` is
+    /// the key and the bytes moved for it.
     pub fn observe_service(
         &self,
         op: &'static str,
-        key: &[u8],
-        bytes: u64,
+        hist: &Histogram,
+        moved: (&[u8], u64),
         service: SimDuration,
         req_id: u64,
         at: SimTime,
     ) {
-        let (name, hist) = {
-            let mut hists = self.svc_hists.borrow_mut();
-            let entry = hists.entry(op).or_insert_with(|| {
-                let name = format!("mc.node{}.svc.{op}", self.node_ord);
-                (name.clone(), self.metrics.histogram(&name))
-            });
-            entry.clone()
-        };
-        hist.record(service);
         if let Some(slo) = self.slo(op) {
             slo.record(service, at);
         }
+        let (key, bytes) = moved;
+        let name = format_args!("mc.node{}.svc.{op}", self.node_ord);
         self.ring
-            .offer(&hist, &name, op, hash_key(key), bytes, service, req_id, at);
+            .offer(hist, name, op, hash_key(key), bytes, service, req_id, at);
     }
 
     /// Publishes the sketch-derived gauges (called before a metrics

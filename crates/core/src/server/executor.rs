@@ -8,7 +8,7 @@
 //! is charged here, per [`StoreModel`].
 
 use std::cell::{Cell, Ref, RefCell};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use std::rc::Rc;
 
@@ -23,7 +23,7 @@ use super::bypass::BypassDir;
 use super::stats::{self, StoreGauges};
 use super::{McServerConfig, SrvStats, StoreModel, BASE_UNIX_TIME, SERVER_VERSION};
 use crate::am_wire::{DirReq, DirResp, McOp};
-use crate::observatory::WorkloadObservatory;
+use crate::observatory::{service_histograms, WorkloadObservatory};
 use crate::request::{Reply, Request};
 use crate::world::World;
 
@@ -35,11 +35,10 @@ const SERVICE_SPAN: &str = "worker_service";
 #[derive(Clone, Copy)]
 pub(super) enum OpId {
     /// UCR: the request id on the wire, the same id the client's
-    /// `client_op` span carries. Always traced.
+    /// `client_op` span carries.
     Wire(u64),
     /// Sockets: the wire carries no id, so this is a server-local span
-    /// key (the profiler attributes it to the single open client op),
-    /// traced in detail (profiler) mode only.
+    /// key (the profiler attributes it to the single open client op).
     Local(u64),
 }
 
@@ -68,9 +67,10 @@ pub(super) struct Executor {
     /// Set once any directory request has been served; gates the store's
     /// slab-event tracking and the post-op mirror sync.
     bypass_on: Cell<bool>,
-    /// Per-operation worker service times, keyed by [`McOp::label`];
-    /// surfaced through `stats`.
-    pub(super) op_times: RefCell<HashMap<&'static str, Histogram>>,
+    /// Worker service times per verb — the registry's
+    /// `mc.nodeN.svc.<verb>` histograms, by [`McOp::index`]. `stats`
+    /// reports them and the observatory gates its exemplars on them.
+    pub(super) svc_times: [Rc<Histogram>; McOp::ALL.len()],
     pub(super) node: NodeId,
     pub(super) sim: Sim,
     pub(super) counters: SrvStats,
@@ -130,10 +130,10 @@ impl Executor {
             hash_lookup: profile.host.hash_lookup,
             mirrors: Default::default(),
             bypass_on: Cell::new(false),
-            op_times: RefCell::new(HashMap::new()),
+            svc_times: service_histograms(&metrics, node.0),
             node,
             sim,
-            counters: SrvStats::default(),
+            counters: SrvStats::new(&metrics, node),
             fabrics: Default::default(),
             gauges: StoreGauges::new(&metrics, node),
             observatory: config
@@ -335,8 +335,7 @@ impl Executor {
         BASE_UNIX_TIME + self.sim.now().as_secs_f64() as u32
     }
 
-    /// Emits a stage boundary of request `id` on the trace stream: a wire
-    /// id always, a local id in detail (profiler) mode only.
+    /// Emits a stage boundary of request `id` on the trace stream.
     pub(super) fn mark(
         &self,
         id: OpId,
@@ -345,18 +344,16 @@ impl Executor {
         track: Track,
         bytes: u64,
     ) {
-        if matches!(id, OpId::Wire(_)) || self.tracer.detail() {
-            self.tracer.emit(Event {
-                layer: Layer::Core,
-                name,
-                phase,
-                node: Some(self.node),
-                track,
-                op: id.key(),
-                bytes,
-                at: self.sim.now(),
-            });
-        }
+        self.tracer.emit(Event {
+            layer: Layer::Core,
+            name,
+            phase,
+            node: Some(self.node),
+            track,
+            op: id.key(),
+            bytes,
+            at: self.sim.now(),
+        });
     }
 
     /// Opens a worker's service window for one request (or one part of a
@@ -380,14 +377,10 @@ impl Executor {
     ) {
         let now = self.sim.now();
         let service = now.saturating_since(started);
-        let label = op.label();
-        self.op_times
-            .borrow_mut()
-            .entry(label)
-            .or_default()
-            .record(service);
-        if let (Some(obs), Some((key, moved))) = (self.observatory.as_ref(), observe) {
-            obs.observe_service(label, key, moved, service, id.key(), now);
+        let hist = &self.svc_times[op.index()];
+        hist.record(service);
+        if let (Some(obs), Some(moved)) = (self.observatory.as_ref(), observe) {
+            obs.observe_service(op.label(), hist, moved, service, id.key(), now);
         }
         self.mark(id, Phase::End, SERVICE_SPAN, track, bytes);
     }

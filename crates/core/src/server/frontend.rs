@@ -61,10 +61,10 @@ impl SrvInner {
     fn mark_dispatch(&self, id: OpId, bytes: u64) {
         self.exec
             .mark(id, Phase::Instant, "dispatch", Track::Main, bytes);
-        self.count(match id {
-            OpId::Wire(_) => &self.exec.counters.ucr_requests,
-            OpId::Local(_) => &self.exec.counters.sock_requests,
-        });
+        match id {
+            OpId::Wire(_) => self.exec.counters.ucr_requests.inc(),
+            OpId::Local(_) => self.exec.counters.sock_requests.inc(),
+        }
     }
 }
 
@@ -289,9 +289,9 @@ pub(super) async fn conn_reader(srv: Weak<SrvInner>, sock: Rc<Socket>, widx: usi
 /// reply.
 async fn serve_ascii(srv: &Rc<SrvInner>, cmd: Command, widx: u32) -> Option<Response> {
     let (request, noreply) = codec::ascii::decode_request(&cmd)?;
-    // One op id for the whole service: the detail-mode `worker_service`
-    // span and the lock spans taken under it share the id, so the folded
-    // profile nests lock_wait/lock_hold inside the service frame.
+    // One op id for the whole service: the `worker_service` span and the
+    // lock spans taken under it share the id, so the folded profile nests
+    // lock_wait/lock_hold inside the service frame.
     let id = OpId::Local(srv.next_sock_op());
     let (reply, guards) = srv.exec.serve(&request, id, Track::Worker(widx)).await;
     drop(guards);

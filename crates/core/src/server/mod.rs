@@ -31,6 +31,7 @@ use std::rc::{Rc, Weak};
 
 use mcproto::{BinFrame, Command};
 use mcstore::StoreConfig;
+use simnet::metrics::{Counter, Gauge, Metrics};
 use simnet::sync::{self, Receiver, Sender};
 use simnet::{NodeId, Sim, Stack};
 use socksim::{DgramSocket, Socket};
@@ -116,15 +117,31 @@ impl Default for McServerConfig {
     }
 }
 
-/// Server-level counters.
-#[derive(Default)]
+/// Server-level counts: instruments of the cluster registry
+/// (`mc.nodeN.<field>`), taken when the server starts.
 pub struct SrvStats {
-    /// Connections accepted (all transports).
-    pub connections: Cell<u64>,
+    /// Connections accepted (all transports), reported as
+    /// `curr_connections`: a level, so it outlives a `stats reset`.
+    pub curr_connections: Rc<Gauge>,
     /// Requests served over UCR.
-    pub ucr_requests: Cell<u64>,
+    pub ucr_requests: Rc<Counter>,
     /// Requests served over sockets.
-    pub sock_requests: Cell<u64>,
+    pub sock_requests: Rc<Counter>,
+}
+
+impl SrvStats {
+    fn new(metrics: &Metrics, node: NodeId) -> SrvStats {
+        let n = node.0;
+        SrvStats {
+            curr_connections: metrics.gauge(&format!("mc.node{n}.curr_connections")),
+            ucr_requests: metrics.counter(&format!("mc.node{n}.ucr_requests")),
+            sock_requests: metrics.counter(&format!("mc.node{n}.sock_requests")),
+        }
+    }
+
+    fn connection_accepted(&self) {
+        self.curr_connections.set(self.curr_connections.get() + 1.0);
+    }
 }
 
 enum WorkItem {
@@ -237,7 +254,7 @@ impl McServer {
                         break;
                     }
                     sock.set_nodelay(true);
-                    srv.count(&srv.exec.counters.connections);
+                    srv.exec.counters.connection_accepted();
                     let widx = srv.next_worker();
                     let weak2 = Rc::downgrade(&srv);
                     drop(srv);
@@ -368,16 +385,12 @@ fn start_ucr_listener(
             if !srv.running.get() {
                 break;
             }
-            srv.count(&srv.exec.counters.connections);
+            srv.exec.counters.connection_accepted();
         }
     });
 }
 
 impl SrvInner {
-    fn count(&self, counter: &Cell<u64>) {
-        counter.set(counter.get() + 1);
-    }
-
     fn next_worker(&self) -> usize {
         let w = self.next_worker.get();
         self.next_worker.set((w + 1) % self.workers.len());

@@ -17,6 +17,7 @@ use simnet::{NodeId, SimDuration};
 
 use super::executor::Executor;
 use super::SERVER_VERSION;
+use crate::am_wire::McOp;
 use crate::observatory::WorkloadObservatory;
 
 type Pairs = Vec<(String, String)>;
@@ -72,18 +73,28 @@ fn general(exec: &Executor, store: &mut SegmentedStore) -> Pairs {
         pair("total_items", st.total_items),
         pair("ucr_requests", c.ucr_requests.get()),
         pair("sock_requests", c.sock_requests.get()),
-        pair("curr_connections", c.connections.get()),
+        pair("curr_connections", c.curr_connections.get()),
     ];
-    // UCR runtime counters (eager/rendezvous traffic, drops, faults).
-    if let Some(rt) = exec.fabrics[0].borrow().as_ref() {
-        out.extend(rt.stats().report());
+    // UCR runtime counters (eager/rendezvous traffic, drops, faults),
+    // summed over the server's runtimes: a client asks over one fabric
+    // and is answered for the process.
+    let mut ucr: Vec<(&str, u64)> = Vec::new();
+    for rt in exec.fabrics.iter().filter_map(|rt| rt.borrow().clone()) {
+        let table = rt.stats().table();
+        if ucr.is_empty() {
+            ucr = table;
+        } else {
+            ucr.iter_mut()
+                .zip(table)
+                .for_each(|(row, (_, n))| row.1 += n);
+        }
     }
-    // Per-operation worker service-time summaries.
-    let times = exec.op_times.borrow();
-    let mut labels: Vec<&&str> = times.keys().collect();
-    labels.sort_unstable();
-    for label in labels {
-        let t = &times[*label];
+    out.extend(ucr.iter().map(|(name, n)| pair(name, n)));
+    // Per-verb worker service-time summaries, by label.
+    let mut verbs = McOp::ALL;
+    verbs.sort_unstable_by_key(|op| op.label());
+    for op in verbs {
+        let (label, t) = (op.label(), &exec.svc_times[op.index()]);
         let us = |d: SimDuration| format!("{:.3}", d.as_micros_f64());
         out.push(pair(&format!("op.{label}.count"), t.count()));
         out.push(pair(&format!("op.{label}.service_us.mean"), us(t.mean())));
@@ -120,14 +131,9 @@ fn trace(exec: &Executor, _: &mut SegmentedStore) -> Pairs {
 /// series name otherwise), so clients reconstruct the text losslessly by
 /// rejoining `"{k} {v}"`.
 fn prom(exec: &Executor, store: &mut SegmentedStore) -> Pairs {
-    // Bring every live gauge up to date first: store occupancy plus the
-    // UCR runtime gauges otherwise refreshed on progress-engine wakes.
+    // Two levels live outside the registry and are published into it
+    // first: store occupancy here, the sketch's gauges below.
     exec.gauges.publish(store);
-    for rt in &exec.fabrics {
-        if let Some(rt) = rt.borrow().as_ref() {
-            rt.publish_gauges();
-        }
-    }
     let text = match exec.observatory.as_ref() {
         Some(obs) => {
             obs.refresh_gauges();
@@ -165,28 +171,18 @@ fn profile(exec: &Executor, _: &mut SegmentedStore) -> Pairs {
     }
 }
 
-/// `stats reset` (memcached parity): zeroes every counter and histogram —
-/// server request counters, storage-engine statistics, per-op service
-/// histograms, UCR runtime counters on both fabrics, and the cluster
-/// registry's counters/histograms — while preserving gauges and their
-/// watermarks (levels describe *current* state; a reset must not forge
-/// them).
+/// `stats reset` (memcached parity): zeroes every counter and histogram
+/// of the three books — the cluster registry (server and client request
+/// counters, per-verb service times, every node's UCR runtime, tracer and
+/// profiler counts), the storage engine's statistics, the observatory's
+/// sketch and SLO windows — while preserving gauges and their watermarks
+/// (levels describe *current* state; a reset must not forge them).
 fn reset(exec: &Executor, store: &mut SegmentedStore) -> Pairs {
-    exec.counters.ucr_requests.set(0);
-    exec.counters.sock_requests.set(0);
+    exec.metrics.reset_counters_and_histograms();
     store.reset_stats();
-    for t in exec.op_times.borrow().values() {
-        t.reset();
-    }
-    for rt in &exec.fabrics {
-        if let Some(rt) = rt.borrow().as_ref() {
-            rt.stats().reset();
-        }
-    }
     if let Some(obs) = exec.observatory.as_ref() {
         obs.reset();
     }
-    exec.metrics.reset_counters_and_histograms();
     vec![pair("reset", "ok")]
 }
 

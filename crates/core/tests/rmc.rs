@@ -544,6 +544,27 @@ fn stats_reflect_server_activity() {
     });
 }
 
+/// `stats` answers for the process, not for the InfiniBand runtime: a
+/// client served over RoCE sees its own traffic in the `ucr_*` lines.
+#[test]
+fn roce_client_stats_report_the_runtime_that_served_it() {
+    const N: u64 = 10;
+    let world = world_a();
+    let _server = McServer::start(&world, SRV, McServerConfig::default());
+    let c = client(&world, Transport::UcrRoce);
+    world.sim().block_on(async move {
+        for i in 0..N {
+            let key = format!("roce-{i}");
+            c.set(key.as_bytes(), b"v", 0, 0).await.unwrap();
+            c.get(key.as_bytes()).await.unwrap().unwrap();
+        }
+        let stats = c.stats().await.unwrap();
+        let sent = stats.iter().find(|(k, _)| k == "ucr_messages_sent");
+        let sent: u64 = sent.expect("ucr_messages_sent").1.parse().unwrap();
+        assert!(sent >= 2 * N, "one reply per request, got {sent}");
+    });
+}
+
 #[test]
 fn server_evicts_under_memory_pressure_end_to_end() {
     use mcstore::{SlabConfig, StoreConfig};

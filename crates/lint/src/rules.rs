@@ -161,11 +161,11 @@ pub const RULES: &[Rule] = &[
                     sentinel the profiler uses for 'no span', corrupting \
                     critical-path attribution.",
         scope: "All scanned production code with `.begin(Layer::…` / \
-                `.end(Layer::…` call shapes (`_detail` variants included). A \
-                literal name pairs with a counterpart in the same file, in \
-                a call-graph-connected function, or in top-level code \
-                outside any function; a name built at runtime can only be \
-                paired within the file that builds it.",
+                `.end(Layer::…` call shapes. A literal name pairs with a \
+                counterpart in the same file, in a call-graph-connected \
+                function, or in top-level code outside any function; a name \
+                built at runtime can only be paired within the file that \
+                builds it.",
         covers: production,
         run: spans::run,
         example: concat!(

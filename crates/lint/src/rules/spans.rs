@@ -16,8 +16,7 @@ use super::Findings;
 use crate::lexer::TokKind;
 use crate::workspace::{SourceFile, Workspace};
 
-/// A tracer-span emission site (`.begin(Layer::…)` / `.end(Layer::…)`,
-/// `_detail` variants included).
+/// A tracer-span emission site (`.begin(Layer::…)` / `.end(Layer::…)`).
 struct SpanSite {
     /// Token index of the method-name token.
     tok: usize,
@@ -30,7 +29,7 @@ struct SpanSite {
 }
 
 /// Finds every tracer-span emission in a file. Recognition is by shape:
-/// a `begin`/`end`(`_detail`) method call whose first argument is a
+/// a `begin`/`end` method call whose first argument is a
 /// `Layer::…` placement (the tracer's emission helpers are the only
 /// `begin`/`end` methods that start with `Layer`).
 fn span_sites(f: &SourceFile) -> Vec<SpanSite> {
@@ -39,7 +38,6 @@ fn span_sites(f: &SourceFile) -> Vec<SpanSite> {
         let Some(method) = f.any_ident(i + 1).filter(|_| f.punct(i, '.')) else {
             continue;
         };
-        let method = method.strip_suffix("_detail").unwrap_or(method);
         if method != "begin" && method != "end" {
             continue;
         }

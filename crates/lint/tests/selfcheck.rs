@@ -34,8 +34,10 @@ fn committed_metric_manifest_is_current() {
 /// pass: every family has a `# HELP` and exactly one `# TYPE`, the registry
 /// name its HELP quotes is registered as that kind of instrument, every
 /// sample belongs to a typed family, has well-formed labels and a numeric
-/// value, and no series appears twice. Returns the families checked, or one
-/// line per problem.
+/// value, and no series appears twice. A count is exported as a counter:
+/// no `ucr.*` family is a gauge, and no counter family has the
+/// `_high`/`_low` watermark siblings only a gauge gets. Returns the
+/// families checked, or one line per problem.
 fn check_exposition(sites: &[MetricSite], prom: &str) -> Result<usize, Vec<String>> {
     let ident = |s: &str| {
         s.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')
@@ -50,7 +52,7 @@ fn check_exposition(sites: &[MetricSite], prom: &str) -> Result<usize, Vec<Strin
     };
     let mut problems = Vec::new();
     let mut helped = BTreeMap::new(); // family -> the registry name its HELP quotes
-    let mut typed = BTreeSet::new();
+    let mut typed = BTreeMap::new(); // family -> its TYPE
     let mut series = BTreeSet::new();
     for line in prom.lines().filter(|l| !l.is_empty()) {
         match line.splitn(4, ' ').collect::<Vec<_>>()[..] {
@@ -60,8 +62,11 @@ fn check_exposition(sites: &[MetricSite], prom: &str) -> Result<usize, Vec<Strin
             ["#", "TYPE", family, kind] => {
                 let kind = if kind == "summary" { "histogram" } else { kind };
                 let name = helped.get(family).copied().unwrap_or("");
-                if !typed.insert(family) {
+                if typed.insert(family, kind).is_some() {
                     problems.push(format!("{family}: duplicate TYPE"));
+                }
+                if kind == "gauge" && name.starts_with("ucr.") {
+                    problems.push(format!("{family}: `{name}` is a count exported as a gauge"));
                 }
                 if !sites.iter().any(|s| s.registers(kind, name)) {
                     problems.push(format!("{family}: no {kind} is registered as `{name}`"));
@@ -77,7 +82,7 @@ fn check_exposition(sites: &[MetricSite], prom: &str) -> Result<usize, Vec<Strin
                 let family = ["_sum", "_count"]
                     .iter()
                     .find_map(|suffix| name.strip_suffix(suffix));
-                if !typed.contains(name) && !family.is_some_and(|f| typed.contains(f)) {
+                if !typed.contains_key(name) && !family.is_some_and(|f| typed.contains_key(f)) {
                     problems.push(format!("{id}: sample of a family without TYPE"));
                 }
                 if !ident(name) || !labels.split(',').all(|l| labels.is_empty() || label(l)) {
@@ -95,9 +100,18 @@ fn check_exposition(sites: &[MetricSite], prom: &str) -> Result<usize, Vec<Strin
     problems.extend(
         helped
             .keys()
-            .filter(|f| !typed.contains(*f))
+            .filter(|f| !typed.contains_key(*f))
             .map(|f| format!("{f}: HELP without TYPE")),
     );
+    for (family, _) in typed.iter().filter(|(_, kind)| **kind == "counter") {
+        for mark in ["_high", "_low"] {
+            if typed.contains_key(format!("{family}{mark}").as_str()) {
+                problems.push(format!(
+                    "{family}: a counter with a {mark} watermark family"
+                ));
+            }
+        }
+    }
     if problems.is_empty() {
         Ok(typed.len())
     } else {
@@ -131,6 +145,19 @@ fn observatory_exposition_matches_the_registrations() {
     assert!(duplicate.len() == 1 && duplicate[0].ends_with("duplicate series"));
     let untyped = problems(good.replace("# TYPE rmc_wakes counter\n", ""));
     assert!(untyped.iter().any(|p| p.ends_with("family without TYPE")));
+    // So do the two shapes a count mirrored into a gauge used to have.
+    let mirror = |family: &str| {
+        format!(
+            "# HELP {family} Level from registry metric `ucr.ib.node0.progress_wakes`.\n\
+             # TYPE {family} gauge\n{family}{{layer=\"ucr\",net=\"ib\",node=\"node0\"}} 3\n"
+        )
+    };
+    let as_gauge = problems(mirror("rmc_progress_wakes"));
+    assert!(as_gauge.iter().any(|p| p.ends_with("exported as a gauge")));
+    let watermarked = problems(format!("{good}{}", mirror("rmc_wakes_high")));
+    assert!(watermarked
+        .iter()
+        .any(|p| p.ends_with("a counter with a _high watermark family")));
 }
 
 #[test]

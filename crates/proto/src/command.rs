@@ -1,6 +1,6 @@
 //! Request-side framing: parse (server) and encode (client).
 
-use crate::{take_line, ProtoError, CRLF};
+use crate::{take_block, take_line, ProtoError, CRLF};
 
 /// The five storage verbs sharing the `<verb> <key> <flags> <exptime>
 /// <bytes> [noreply]\r\n<data>\r\n` shape, plus `cas` with its token.
@@ -178,21 +178,16 @@ pub fn parse_command(buf: &[u8]) -> Result<Option<(Command, usize)>, ProtoError>
         let exptime: u32 = num(toks[3])?;
         let bytes: usize = num(toks[4])?;
         let noreply = toks.get(5) == Some(&&b"noreply"[..]);
-        let total = line_len + bytes + CRLF.len();
-        if buf.len() < total {
+        let Some((data, total)) = take_block(buf, line_len, bytes)? else {
             return Ok(None); // waiting for the data block
-        }
-        let data = buf[line_len..line_len + bytes].to_vec();
-        if &buf[line_len + bytes..total] != CRLF {
-            return Err(ProtoError::Malformed("data block not CRLF-terminated"));
-        }
+        };
         return Ok(Some((
             Command::Store {
                 verb: sv,
                 key,
                 flags,
                 exptime,
-                data,
+                data: data.to_vec(),
                 noreply,
             },
             total,
@@ -211,21 +206,16 @@ pub fn parse_command(buf: &[u8]) -> Result<Option<(Command, usize)>, ProtoError>
             let bytes: usize = num(toks[4])?;
             let cas: u64 = num(toks[5])?;
             let noreply = toks.get(6) == Some(&&b"noreply"[..]);
-            let total = line_len + bytes + CRLF.len();
-            if buf.len() < total {
+            let Some((data, total)) = take_block(buf, line_len, bytes)? else {
                 return Ok(None);
-            }
-            let data = buf[line_len..line_len + bytes].to_vec();
-            if &buf[line_len + bytes..total] != CRLF {
-                return Err(ProtoError::Malformed("data block not CRLF-terminated"));
-            }
+            };
             Ok(Some((
                 Command::Cas {
                     key,
                     flags,
                     exptime,
                     cas,
-                    data,
+                    data: data.to_vec(),
                     noreply,
                 },
                 total,

@@ -64,3 +64,22 @@ pub(crate) fn take_line(buf: &[u8]) -> Result<Option<(&[u8], usize)>, ProtoError
         None => Ok(None),
     }
 }
+
+/// The `bytes`-long data block at `start` and the offset just past its
+/// closing CRLF; `Ok(None)` until all of it is buffered. `bytes` is the
+/// peer's word: it is added to an offset only with the overflow checked.
+pub(crate) fn take_block(
+    buf: &[u8],
+    start: usize,
+    bytes: usize,
+) -> Result<Option<(&[u8], usize)>, ProtoError> {
+    let end = start.checked_add(bytes).ok_or(ProtoError::BadNumber)?;
+    let next = end.checked_add(CRLF.len()).ok_or(ProtoError::BadNumber)?;
+    if buf.len() < next {
+        return Ok(None);
+    }
+    if &buf[end..next] != CRLF {
+        return Err(ProtoError::Malformed("data block not CRLF-terminated"));
+    }
+    Ok(Some((&buf[start..end], next)))
+}

@@ -1,6 +1,6 @@
 //! Response-side framing: encode (server) and parse (client).
 
-use crate::{take_line, ProtoError, CRLF};
+use crate::{take_block, take_line, ProtoError, CRLF};
 
 /// One `VALUE` stanza of a get/gets response.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -172,21 +172,16 @@ fn parse_values(buf: &[u8]) -> Result<Option<(Response, usize)>, ProtoError> {
             Some(t) => Some(parse_num::<u64>(t)?),
             None => None,
         };
-        let data_start = pos + line_len;
-        let data_end = data_start + bytes;
-        if buf.len() < data_end + CRLF.len() {
+        let Some((data, next)) = take_block(buf, pos + line_len, bytes)? else {
             return Ok(None);
-        }
-        if &buf[data_end..data_end + 2] != CRLF {
-            return Err(ProtoError::Malformed("value data not CRLF-terminated"));
-        }
+        };
         values.push(GetValue {
             key,
             flags,
-            data: buf[data_start..data_end].to_vec(),
+            data: data.to_vec(),
             cas,
         });
-        pos = data_end + 2;
+        pos = next;
     }
 }
 

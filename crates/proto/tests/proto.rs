@@ -2,8 +2,8 @@
 //! encode∘parse round-trip properties.
 
 use mcproto::{
-    encode_command, encode_response, parse_command, parse_response, Command, GetValue, ProtoError,
-    Response, StoreVerb,
+    encode_command, encode_response, parse_command, parse_response, udp_fragment, BinFrame,
+    BinOpcode, Command, GetValue, ProtoError, Response, StoreVerb, UdpFrame, UDP_FRAME_BYTES,
 };
 
 #[test]
@@ -336,6 +336,169 @@ mod properties {
                     let _ = parsed;
                 }
             }
+        }
+    }
+
+    // -----------------------------------------------------------------
+    // Hostile bytes: what a peer can send instead of a message
+    // -----------------------------------------------------------------
+
+    /// `wire` with a few bytes overwritten, sometimes cut short, sometimes
+    /// followed by junk: still shaped like a message, no longer a valid one.
+    fn mangled(wire: impl Strategy<Value = Vec<u8>>) -> impl Strategy<Value = Vec<u8>> {
+        let edits = proptest::collection::vec((any::<usize>(), any::<u8>()), 0..4);
+        let junk = proptest::collection::vec(any::<u8>(), 0..8);
+        (wire, edits, any::<usize>(), junk).prop_map(|(mut wire, edits, cut, junk)| {
+            for (at, byte) in edits {
+                if let Some(slot) = wire.len().checked_sub(1).map(|last| at % (last + 1)) {
+                    wire[slot] = byte;
+                }
+            }
+            if cut % 3 == 0 {
+                wire.truncate(cut / 3 % (wire.len() + 1));
+            }
+            wire.extend(junk);
+            wire
+        })
+    }
+
+    /// A length field at its extremes, where offset arithmetic overflows.
+    fn hostile_length() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            Just(u64::MAX),
+            Just(u64::MAX - 1),
+            Just(u64::MAX - 16),
+            Just(u64::from(u32::MAX)),
+            any::<u64>(),
+            0u64..64,
+        ]
+    }
+
+    fn bin_frame_strategy() -> impl Strategy<Value = Vec<u8>> {
+        let parts = (
+            0u8..0x20,
+            any::<u32>(),
+            any::<u64>(),
+            key_strategy(),
+            data_strategy(),
+            0usize..21,
+        );
+        parts.prop_map(|(opcode, opaque, cas, key, value, extras)| {
+            let opcode = BinOpcode::from_u8(opcode).unwrap_or(BinOpcode::Noop);
+            let mut f = BinFrame::request(opcode, opaque);
+            (f.cas, f.key, f.extras) = (cas, key, value[..extras.min(value.len())].to_vec());
+            f.value = value;
+            f.encode()
+        })
+    }
+
+    /// What a parser may do with hostile bytes: ask for more, refuse, or
+    /// accept a message that was part of them — consuming no more than it
+    /// was given and owning (`owned`: bytes held plus entries reserved) no
+    /// more than it consumed.
+    fn check<T>(
+        wire: &[u8],
+        parsed: Result<Option<(T, usize)>, ProtoError>,
+        owned: impl Fn(&T) -> usize,
+    ) -> Result<(), String> {
+        if let Ok(Some((msg, used))) = parsed {
+            prop_assert!(used <= wire.len(), "consumed {used} of {}", wire.len());
+            prop_assert!(owned(&msg) <= used, "owns {} of {used}", owned(&msg));
+        }
+        Ok(())
+    }
+
+    fn command_owns(cmd: &Command) -> usize {
+        use Command::*;
+        match cmd {
+            Store { key, data, .. } | Cas { key, data, .. } => key.len() + data.len(),
+            Get { keys } | Gets { keys } => {
+                keys.capacity() + keys.iter().map(Vec::len).sum::<usize>()
+            }
+            Delete { key, .. } | Incr { key, .. } | Decr { key, .. } | Touch { key, .. } => {
+                key.len()
+            }
+            Stats { arg } => arg.as_ref().map_or(0, Vec::len),
+            FlushAll { .. } | Version | Quit => 0,
+        }
+    }
+
+    fn response_owns(resp: &Response) -> usize {
+        match resp {
+            Response::Values(vs) => {
+                vs.capacity() + vs.iter().map(|v| v.key.len() + v.data.len()).sum::<usize>()
+            }
+            Response::Stats(pairs) => {
+                pairs.capacity() + pairs.iter().map(|(k, v)| k.len() + v.len()).sum::<usize>()
+            }
+            Response::Version(s) | Response::ClientError(s) | Response::ServerError(s) => s.len(),
+            _ => 0,
+        }
+    }
+
+    fn check_all(wire: &[u8]) -> Result<(), String> {
+        check(wire, parse_command(wire), command_owns)?;
+        check(wire, parse_response(wire), response_owns)?;
+        check(wire, BinFrame::parse(wire), |f| {
+            f.extras.len() + f.key.len() + f.value.len()
+        })?;
+        if let Ok((frame, payload)) = UdpFrame::decode(wire) {
+            prop_assert!(payload.len() + UDP_FRAME_BYTES == wire.len());
+            prop_assert!(frame.seq < frame.total);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every parser survives arbitrary bytes.
+        #[test]
+        fn parsers_survive_arbitrary_bytes(wire in proptest::collection::vec(any::<u8>(), 0..300)) {
+            check_all(&wire)?;
+        }
+
+        /// Every parser survives every valid message, mangled.
+        #[test]
+        fn parsers_survive_mangled_messages(
+            cmd in mangled(command_strategy().prop_map(|c| encode_command(&c))),
+            resp in mangled(response_strategy().prop_map(|r| encode_response(&r))),
+            bin in mangled(bin_frame_strategy()),
+            udp in mangled((any::<u16>(), data_strategy()).prop_map(|(id, d)| udp_fragment(id, &d).remove(0))),
+        ) {
+            for wire in [cmd, resp, bin, udp] {
+                check_all(&wire)?;
+            }
+        }
+
+        /// A data-block length the peer made up: the text parsers add it
+        /// to an offset before they have the bytes.
+        #[test]
+        fn text_parsers_survive_hostile_lengths(n in hostile_length(), cas in any::<u64>()) {
+            for line in [
+                format!("set k 0 0 {n}\r\nvalue\r\n"),
+                format!("cas k 0 0 {n} {cas}\r\nvalue\r\n"),
+                format!("VALUE k 0 {n}\r\nvalue\r\nEND\r\n"),
+                format!("VALUE k 0 {n} {cas}\r\nvalue\r\nEND\r\n"),
+            ] {
+                check_all(line.as_bytes())?;
+            }
+        }
+
+        /// A binary header whose three length fields the peer made up.
+        #[test]
+        fn binary_parser_survives_hostile_lengths(
+            key_len in any::<u16>(),
+            extras_len in any::<u8>(),
+            body in hostile_length(),
+            tail in data_strategy(),
+        ) {
+            let mut wire = BinFrame::request(BinOpcode::Set, 7).encode();
+            wire[2..4].copy_from_slice(&key_len.to_be_bytes());
+            wire[4] = extras_len;
+            wire[8..12].copy_from_slice(&(body as u32).to_be_bytes());
+            wire.extend(tail);
+            check_all(&wire)?;
         }
     }
 }

@@ -107,12 +107,12 @@ impl ExemplarRing {
     /// Applies the quantile gate for an op that just recorded `latency`
     /// into `hist` (record first, then gate — the sample is part of its
     /// own distribution). Captures and returns `true` when the gate
-    /// passes.
+    /// passes; `hist_name` is rendered only then.
     #[allow(clippy::too_many_arguments)]
     pub fn offer(
         &self,
         hist: &Histogram,
-        hist_name: &str,
+        hist_name: impl std::fmt::Display,
         op: &'static str,
         key_hash: u64,
         bytes: u64,

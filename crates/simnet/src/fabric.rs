@@ -200,7 +200,9 @@ impl Cluster {
                 })
             })
             .collect();
-        let tracer = Tracer::new();
+        // One registry; the tracer counts in it from the start.
+        let metrics = Rc::new(Metrics::new());
+        let tracer = Tracer::new(&metrics);
         let mut networks = HashMap::new();
         networks.insert(
             NetKind::Ib,
@@ -223,7 +225,7 @@ impl Cluster {
             profile,
             nodes: node_list,
             networks,
-            metrics: Rc::new(Metrics::new()),
+            metrics,
             tracer,
         }
     }

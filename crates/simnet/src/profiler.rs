@@ -22,25 +22,24 @@
 //!    registry metrics (the `Sampler` picks them up), the
 //!    `HealthMonitor` degradation dump, and the `stats profile` verb.
 //!
-//! Attaching the profiler flips the tracer into *detail mode*, which
-//! enables the extra correlation markers (`client_sent`, `client_reply`,
-//! sockets-path `client_op`/`dispatch`/`worker_service`) that the
-//! default trace stream omits — so committed trace exports stay
-//! byte-identical when no profiler is attached. Like every other
-//! observability surface in this repo, the profiler is pure host-side
-//! bookkeeping: a profiled run ends at exactly the same virtual clock as
-//! a bare one (pinned by `tests/profiling.rs`).
+//! The profiler consumes the stream every run emits: there is no
+//! profiler-only marker, so it may attach at any point of a run and a
+//! flight-recorder dump of a bare run carries the same correlation
+//! markers. Like every other observability surface in this repo, the
+//! profiler is pure host-side bookkeeping: a profiled run ends at exactly
+//! the same virtual clock as a bare one (pinned by `tests/profiling.rs`).
+//! Its counts are the registry's `profile.*` family — the only names
+//! attaching it adds.
 //!
-//! **Correlation id domains.** UCR request ids are client-generated and
-//! travel in the request header, so server-side events correlate to the
-//! issuing `client_op` by id. Sockets servers stamp their own op ids;
-//! those events correlate through the single-open-op fallback (exact
-//! when one client op is in flight, unattributed — absorbed by the
-//! residual — otherwise). In detail mode each client seeds its id space
-//! with its node id so concurrent clients never collide (one client per
-//! node, the topology every bench here uses).
+//! **Correlation id domains.** UCR request ids are client-generated —
+//! always `(client node << 32) | n`, so concurrent clients never collide
+//! (one client per node, the topology every bench here uses) — and travel
+//! in the request header, so server-side events correlate to the issuing
+//! `client_op` by id. Sockets servers stamp their own op ids; those events
+//! correlate through the single-open-op fallback (exact when one client op
+//! is in flight, unattributed — absorbed by the residual — otherwise).
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
@@ -304,15 +303,6 @@ pub struct WindowReport {
     pub top_signatures: Vec<(String, u64)>,
 }
 
-struct ProfileMetrics {
-    paths: Rc<Counter>,
-    stage_ns: [Rc<Counter>; PATH_STAGE_COUNT],
-    residual_abs_ns: Rc<Counter>,
-    unmatched: Rc<Counter>,
-    open_paths: Rc<Gauge>,
-    dominant_share: Rc<Gauge>,
-}
-
 // ---------------------------------------------------------------------
 // Profiler
 // ---------------------------------------------------------------------
@@ -339,27 +329,38 @@ pub struct Profiler {
     folded: RefCell<BTreeMap<String, u64>>,
     /// Completed paths (kept only when `cfg.keep_paths`).
     paths: RefCell<Vec<CriticalPath>>,
-    completed: Cell<u64>,
-    /// Cumulative per-stage totals and distributions.
-    stage_total_ns: RefCell<[u64; PATH_STAGE_COUNT]>,
+    /// `profile.paths`: completed critical paths.
+    completed: Rc<Counter>,
+    /// `profile.stage.<stage>_ns`: cumulative per-stage attribution.
+    stage_total_ns: [Rc<Counter>; PATH_STAGE_COUNT],
+    /// Per-stage distributions (quantiles are not a registry count).
     stage_times: [Histogram; PATH_STAGE_COUNT],
-    e2e_total_ns: Cell<u64>,
-    residual_abs_total_ns: Cell<u64>,
-    max_abs_residual_ns: Cell<u64>,
-    inexact: Cell<u64>,
-    unmatched_events: Cell<u64>,
+    /// `profile.e2e_ns`: cumulative end-to-end time, the shares' base.
+    e2e_total_ns: Rc<Counter>,
+    /// `profile.residual_abs_ns`.
+    residual_abs_total_ns: Rc<Counter>,
+    /// `profile.max_abs_residual_ns`: the largest single-op residual.
+    max_abs_residual_ns: Rc<Gauge>,
+    /// `profile.inexact_paths`.
+    inexact: Rc<Counter>,
+    /// `profile.unmatched_events`.
+    unmatched_events: Rc<Counter>,
+    /// `profile.open_paths`: client ops in flight.
+    open_paths: Rc<Gauge>,
+    /// `profile.dominant_share`: the dominant stage's share of
+    /// end-to-end time.
+    dominant_share: Rc<Gauge>,
     /// Cumulative signature counts.
     signatures: RefCell<HashMap<String, u64>>,
     current_window: RefCell<Option<WindowAgg>>,
     last_window: RefCell<Option<WindowReport>>,
-    metrics: RefCell<Option<ProfileMetrics>>,
     exemplar_rings: RefCell<Vec<Rc<ExemplarRing>>>,
 }
 
 impl Profiler {
-    /// A detached profiler (mostly for tests; prefer
+    /// A detached profiler counting in `metrics` (mostly for tests; prefer
     /// [`Profiler::attach`]).
-    pub fn new(cfg: ProfilerConfig) -> Rc<Profiler> {
+    pub fn new(cfg: ProfilerConfig, metrics: &Metrics) -> Rc<Profiler> {
         Rc::new(Profiler {
             cfg,
             open: RefCell::new(HashMap::new()),
@@ -367,52 +368,33 @@ impl Profiler {
             stacks: RefCell::new(HashMap::new()),
             folded: RefCell::new(BTreeMap::new()),
             paths: RefCell::new(Vec::new()),
-            completed: Cell::new(0),
-            stage_total_ns: RefCell::new([0; PATH_STAGE_COUNT]),
+            completed: metrics.counter("profile.paths"),
+            stage_total_ns: PathStage::ALL
+                .map(|s| metrics.counter(&format!("profile.stage.{}_ns", s.label()))),
             stage_times: Default::default(),
-            e2e_total_ns: Cell::new(0),
-            residual_abs_total_ns: Cell::new(0),
-            max_abs_residual_ns: Cell::new(0),
-            inexact: Cell::new(0),
-            unmatched_events: Cell::new(0),
+            e2e_total_ns: metrics.counter("profile.e2e_ns"),
+            residual_abs_total_ns: metrics.counter("profile.residual_abs_ns"),
+            max_abs_residual_ns: metrics.gauge("profile.max_abs_residual_ns"),
+            inexact: metrics.counter("profile.inexact_paths"),
+            unmatched_events: metrics.counter("profile.unmatched_events"),
+            open_paths: metrics.gauge("profile.open_paths"),
+            dominant_share: metrics.gauge("profile.dominant_share"),
             signatures: RefCell::new(HashMap::new()),
             current_window: RefCell::new(None),
             last_window: RefCell::new(None),
-            metrics: RefCell::new(None),
             exemplar_rings: RefCell::new(Vec::new()),
         })
     }
 
-    /// Builds a profiler, subscribes it to `tracer`, flips the tracer
-    /// into detail mode, and registers it as the tracer's profiler (so
-    /// `stats profile` can find it). Must run before the clients whose
-    /// ops it should decompose are constructed (clients seed their id
-    /// space from the detail flag).
+    /// Builds a profiler counting in `tracer`'s registry, subscribes it to
+    /// `tracer` and registers it as the tracer's profiler (so
+    /// `stats profile` can find it). May run at any point: ops that begin
+    /// after it decompose fully.
     pub fn attach(tracer: &Rc<Tracer>, cfg: ProfilerConfig) -> Rc<Profiler> {
-        let p = Profiler::new(cfg);
+        let p = Profiler::new(cfg, tracer.metrics());
         tracer.add_sink(p.clone());
         tracer.set_profiler(p.clone());
-        tracer.set_detail(true);
         p
-    }
-
-    /// Registers the `profile.*` registry feeds (path/stage counters,
-    /// open-path and dominant-share gauges) so the `Sampler` and the
-    /// Prometheus exposition see the profiler. Idempotent.
-    pub fn bind_metrics(&self, metrics: &Metrics) {
-        let mut slot = self.metrics.borrow_mut();
-        if slot.is_some() {
-            return;
-        }
-        *slot = Some(ProfileMetrics {
-            paths: metrics.counter("profile.paths"),
-            stage_ns: PathStage::ALL
-                .map(|s| metrics.counter(&format!("profile.stage.{}_ns", s.label()))),
-            residual_abs_ns: metrics.counter("profile.residual_abs_ns"),
-            unmatched: metrics.counter("profile.unmatched_events"),
-            open_paths: metrics.gauge("profile.open_paths"),
-            dominant_share: metrics.gauge("profile.dominant_share"),
-        });
     }
 
     /// Adds an exemplar ring whose records should gain critical-path
@@ -446,7 +428,7 @@ impl Profiler {
 
     /// Cumulative attribution to `stage` across all completed paths.
     pub fn stage_total(&self, stage: PathStage) -> SimDuration {
-        SimDuration::from_nanos(self.stage_total_ns.borrow()[stage.index()])
+        SimDuration::from_nanos(self.stage_total_ns[stage.index()].get())
     }
 
     /// Cumulative end-to-end time across all completed paths.
@@ -460,7 +442,7 @@ impl Profiler {
         if e2e == 0 {
             return 0.0;
         }
-        self.stage_total_ns.borrow()[stage.index()] as f64 / e2e as f64
+        self.stage_total_ns[stage.index()].get() as f64 / e2e as f64
     }
 
     /// Cumulative `(p50, p99)` for `stage` across all completed paths.
@@ -470,10 +452,10 @@ impl Profiler {
 
     /// The stage with the largest cumulative attribution.
     pub fn dominant_stage(&self) -> PathStage {
-        let totals = self.stage_total_ns.borrow();
+        let total = |s: PathStage| self.stage_total_ns[s.index()].get();
         let mut best = PathStage::Issue;
         for s in PathStage::ALL {
-            if totals[s.index()] > totals[best.index()] {
+            if total(s) > total(best) {
                 best = s;
             }
         }
@@ -509,7 +491,7 @@ impl Profiler {
             ops: self.completed.get(),
             inexact_ops: self.inexact.get(),
             residual_abs_total: SimDuration::from_nanos(self.residual_abs_total_ns.get()),
-            max_abs_residual: SimDuration::from_nanos(self.max_abs_residual_ns.get()),
+            max_abs_residual: SimDuration::from_nanos(self.max_abs_residual_ns.get() as u64),
             residual_share: if e2e == 0 {
                 0.0
             } else {
@@ -662,15 +644,12 @@ impl Profiler {
             f(open.values_mut().next().expect("len checked"));
             return;
         }
-        self.unmatched_events.set(self.unmatched_events.get() + 1);
-        if let Some(m) = self.metrics.borrow().as_ref() {
-            m.unmatched.add(1);
-        }
+        self.unmatched_events.inc();
     }
 
     fn finish(&self, op: u64, at: SimTime) {
         let Some(p) = self.open.borrow_mut().remove(&op) else {
-            self.unmatched_events.set(self.unmatched_events.get() + 1);
+            self.unmatched_events.inc();
             return;
         };
         self.publish_open_gauge();
@@ -698,25 +677,22 @@ impl Profiler {
     }
 
     fn record(&self, path: CriticalPath) {
-        self.completed.set(self.completed.get() + 1);
+        self.completed.inc();
         if !path.is_exact() {
-            self.inexact.set(self.inexact.get() + 1);
+            self.inexact.inc();
         }
-        {
-            let mut totals = self.stage_total_ns.borrow_mut();
-            for s in PathStage::ALL {
-                totals[s.index()] += path.stages[s.index()].as_nanos();
-                self.stage_times[s.index()].record(path.stages[s.index()]);
-            }
+        for s in PathStage::ALL {
+            self.stage_total_ns[s.index()].add(path.stages[s.index()].as_nanos());
+            self.stage_times[s.index()].record(path.stages[s.index()]);
         }
-        self.e2e_total_ns
-            .set(self.e2e_total_ns.get() + path.end_to_end.as_nanos());
+        self.e2e_total_ns.add(path.end_to_end.as_nanos());
         let abs_res = path.residual_ns.unsigned_abs();
-        self.residual_abs_total_ns
-            .set(self.residual_abs_total_ns.get() + abs_res);
-        if abs_res > self.max_abs_residual_ns.get() {
-            self.max_abs_residual_ns.set(abs_res);
+        self.residual_abs_total_ns.add(abs_res);
+        if abs_res as f64 > self.max_abs_residual_ns.get() {
+            self.max_abs_residual_ns.set(abs_res as f64);
         }
+        self.dominant_share
+            .set(self.stage_share(self.dominant_stage()));
         let sig = path.signature(self.cfg.signature_min_share);
         *self.signatures.borrow_mut().entry(sig.clone()).or_insert(0) += 1;
 
@@ -740,19 +716,6 @@ impl Profiler {
             *w.signatures.entry(sig).or_insert(0) += 1;
         }
 
-        if let Some(m) = self.metrics.borrow().as_ref() {
-            m.paths.add(1);
-            for s in PathStage::ALL {
-                m.stage_ns[s.index()].add(path.stages[s.index()].as_nanos());
-            }
-            m.residual_abs_ns.add(abs_res);
-            let e2e = self.e2e_total_ns.get();
-            if e2e > 0 {
-                let dom = self.dominant_stage();
-                m.dominant_share
-                    .set(self.stage_total_ns.borrow()[dom.index()] as f64 / e2e as f64);
-            }
-        }
         for ring in self.exemplar_rings.borrow().iter() {
             ring.annotate_path(path.op, &path);
         }
@@ -762,9 +725,7 @@ impl Profiler {
     }
 
     fn publish_open_gauge(&self) {
-        if let Some(m) = self.metrics.borrow().as_ref() {
-            m.open_paths.set(self.open.borrow().len() as f64);
-        }
+        self.open_paths.set(self.open.borrow().len() as f64);
     }
 
     // -- folding ------------------------------------------------------
@@ -895,14 +856,20 @@ mod tests {
         }
     }
 
+    /// A detached profiler that keeps every completed path.
+    fn keeping_paths() -> Rc<Profiler> {
+        let cfg = ProfilerConfig {
+            keep_paths: true,
+            ..ProfilerConfig::default()
+        };
+        Profiler::new(cfg, &Metrics::new())
+    }
+
     /// Drives one fully-marked op through the profiler and checks every
     /// stage plus the exactness identity.
     #[test]
     fn full_critical_path_decomposes_exactly() {
-        let p = Profiler::new(ProfilerConfig {
-            keep_paths: true,
-            ..ProfilerConfig::default()
-        });
+        let p = keeping_paths();
         let w = Track::Worker(0);
         p.handle(&ev("client_op", Phase::Begin, 1, Track::Main, 7, 100));
         p.handle(&ev("client_sent", Phase::Instant, 1, Track::Main, 7, 130));
@@ -940,10 +907,7 @@ mod tests {
     /// when exactly one op is open (the sockets correlation rule).
     #[test]
     fn single_open_op_fallback_correlates_foreign_ids() {
-        let p = Profiler::new(ProfilerConfig {
-            keep_paths: true,
-            ..ProfilerConfig::default()
-        });
+        let p = keeping_paths();
         p.handle(&ev("client_op", Phase::Begin, 1, Track::Main, 77, 0));
         p.handle(&ev("dispatch", Phase::Instant, 0, Track::Main, 3, 40));
         p.handle(&ev(
@@ -974,10 +938,7 @@ mod tests {
     /// time lands in the residual — never misattributed.
     #[test]
     fn ambiguous_foreign_ids_count_as_unmatched() {
-        let p = Profiler::new(ProfilerConfig {
-            keep_paths: true,
-            ..ProfilerConfig::default()
-        });
+        let p = keeping_paths();
         p.handle(&ev("client_op", Phase::Begin, 1, Track::Main, 10, 0));
         p.handle(&ev("client_op", Phase::Begin, 2, Track::Main, 20, 5));
         p.handle(&ev("dispatch", Phase::Instant, 0, Track::Main, 3, 40));
@@ -990,11 +951,28 @@ mod tests {
         }
     }
 
+    /// Both ways an event can fail to correlate — a `client_op` end with
+    /// no open path, a server event whose id matches neither of two open
+    /// paths — land in the one `profile.unmatched_events` counter that
+    /// `stats profile`, the sampler and the exposition all read.
+    #[test]
+    fn unmatched_events_have_one_book() {
+        let metrics = Metrics::new();
+        let p = Profiler::new(ProfilerConfig::default(), &metrics);
+        p.handle(&ev("client_op", Phase::End, 1, Track::Main, 5, 10));
+        p.handle(&ev("client_op", Phase::Begin, 1, Track::Main, 10, 20));
+        p.handle(&ev("client_op", Phase::Begin, 2, Track::Main, 20, 25));
+        let w = Track::Worker(0);
+        p.handle(&ev("worker_service", Phase::Begin, 0, w, 3, 40));
+        assert_eq!(p.unmatched_events(), 2);
+        assert_eq!(metrics.counter_value("profile.unmatched_events"), 2);
+    }
+
     /// Folding: nested spans accumulate exclusive time; a child whose
     /// end outlives its parent is implicitly closed at the parent's end.
     #[test]
     fn folded_profile_accumulates_exclusive_time() {
-        let p = Profiler::new(ProfilerConfig::default());
+        let p = Profiler::new(ProfilerConfig::default(), &Metrics::new());
         let w = Track::Worker(2);
         p.handle(&ev("worker_service", Phase::Begin, 0, w, 5, 100));
         p.handle(&ev("lock_hold", Phase::Begin, 0, w, 5, 120));
@@ -1034,7 +1012,7 @@ mod tests {
             window: SimDuration::from_nanos(1000),
             ..ProfilerConfig::default()
         };
-        let p = Profiler::new(cfg);
+        let p = Profiler::new(cfg, &Metrics::new());
         for i in 0..10u64 {
             let base = i * 50;
             p.handle(&ev("client_op", Phase::Begin, 1, Track::Main, i, base));

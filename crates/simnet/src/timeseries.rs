@@ -1211,7 +1211,7 @@ mod tests {
 
     #[test]
     fn error_rate_degrades_and_dumps_flight_recorder() {
-        let tracer = Tracer::new();
+        let tracer = Tracer::new(&Rc::new(Metrics::new()));
         let rec = EventRecorder::new();
         tracer.add_sink(rec.clone());
         let m = HealthMonitor::new(
@@ -1284,7 +1284,7 @@ mod tests {
 
     #[test]
     fn budget_burn_degrades_then_recovers_with_exemplar_dump_per_episode() {
-        let tracer = Tracer::new();
+        let tracer = Tracer::new(&Rc::new(Metrics::new()));
         let m = HealthMonitor::new(
             HealthRules {
                 window: 2,
@@ -1339,7 +1339,7 @@ mod tests {
     fn degraded_transition_stores_a_profile_dump() {
         use crate::profiler::{Profiler, ProfilerConfig};
         use crate::trace::{Event, EventSink, Layer, Phase, Track};
-        let profiler = Profiler::new(ProfilerConfig::default());
+        let profiler = Profiler::new(ProfilerConfig::default(), &Metrics::new());
         // One retired op is enough for a meaningful report.
         for (phase, at) in [(Phase::Begin, 0u64), (Phase::End, 400)] {
             profiler.on_event(&Event {

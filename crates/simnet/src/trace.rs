@@ -25,6 +25,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use crate::fabric::NodeId;
+use crate::metrics::{Counter, Gauge, Metrics};
 use crate::time::SimTime;
 
 /// Which layer of the stack emitted an event.
@@ -167,34 +168,28 @@ pub trait EventSink {
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 4096;
 
 /// Per-cluster tracing hub: fans events out to subscribed sinks and keeps
-/// the always-on flight-recorder ring. See the module docs.
+/// the always-on flight-recorder ring. See the module docs. Its counts are
+/// instruments of the cluster registry it was built with, so `stats trace`,
+/// a sampler and the exposition all read the same books.
 pub struct Tracer {
     sinks: RefCell<Vec<Rc<dyn EventSink>>>,
     flight: RefCell<VecDeque<Event>>,
     flight_cap: Cell<usize>,
-    flight_seen: Cell<u64>,
-    layer_counts: [Cell<u64>; 4],
+    /// `trace.events.<layer>`, by [`Layer::index`].
+    layer_counts: [Rc<Counter>; 4],
+    /// `trace.flight.len`: written only while the ring's length changes.
+    flight_len: Rc<Gauge>,
+    /// `trace.flight.dropped`: one per evicted event.
+    flight_dropped: Rc<Counter>,
     last_fault: RefCell<Option<String>>,
+    /// Faults raised this run. Not a registry counter: the print limit
+    /// below reads it, and a `stats reset` must not re-open the flood.
     faults: Cell<u64>,
-    /// Detail mode: gates the `*_detail` emission helpers. Off by default
-    /// so the committed trace exports (and the event counts pinned by
-    /// `tests/tracing.rs`) are unchanged; flipped on when a profiler
-    /// attaches, adding the extra correlation markers critical-path
-    /// analysis needs. Emission stays zero-virtual-time either way.
-    detail: Cell<bool>,
     /// The attached continuous profiler, when one exists. Stored here so
     /// the server's `stats profile` verb can reach it through the tracer
     /// it already holds.
     profiler: RefCell<Option<Rc<crate::profiler::Profiler>>>,
-    /// Flight-recorder pressure gauges (`trace.flight.len` /
-    /// `trace.flight.dropped`), bound lazily so a run without an
-    /// observability consumer registers nothing.
-    flight_gauges: RefCell<Option<FlightGauges>>,
-}
-
-struct FlightGauges {
-    len: Rc<crate::metrics::Gauge>,
-    dropped: Rc<crate::metrics::Gauge>,
+    metrics: Rc<Metrics>,
 }
 
 /// How many fault dumps are printed to stderr in full before later ones
@@ -207,20 +202,28 @@ const FAULT_PRINT_LIMIT: u64 = 2;
 const FAULT_PRINT_TAIL: usize = 64;
 
 impl Tracer {
-    /// A fresh tracer with the default flight capacity.
-    pub fn new() -> Rc<Tracer> {
+    /// A fresh tracer with the default flight capacity, counting in
+    /// `metrics` (the `trace.*` family).
+    pub fn new(metrics: &Rc<Metrics>) -> Rc<Tracer> {
         Rc::new(Tracer {
             sinks: RefCell::new(Vec::new()),
             flight: RefCell::new(VecDeque::with_capacity(64)),
             flight_cap: Cell::new(DEFAULT_FLIGHT_CAPACITY),
-            flight_seen: Cell::new(0),
-            layer_counts: [Cell::new(0), Cell::new(0), Cell::new(0), Cell::new(0)],
+            layer_counts: Layer::ALL
+                .map(|l| metrics.counter(&format!("trace.events.{}", l.label()))),
+            flight_len: metrics.gauge("trace.flight.len"),
+            flight_dropped: metrics.counter("trace.flight.dropped"),
             last_fault: RefCell::new(None),
             faults: Cell::new(0),
-            detail: Cell::new(false),
             profiler: RefCell::new(None),
-            flight_gauges: RefCell::new(None),
+            metrics: metrics.clone(),
         })
+    }
+
+    /// The registry this tracer counts in (an attaching profiler registers
+    /// its `profile.*` family there).
+    pub fn metrics(&self) -> &Rc<Metrics> {
+        &self.metrics
     }
 
     /// Attaches a live sink. Sinks see every subsequent event.
@@ -232,19 +235,6 @@ impl Tracer {
     pub fn clear_sinks(&self) {
         self.sinks.borrow_mut().clear();
         *self.profiler.borrow_mut() = None;
-        self.detail.set(false);
-    }
-
-    /// Whether detail mode is on (see [`Tracer::set_detail`]).
-    pub fn detail(&self) -> bool {
-        self.detail.get()
-    }
-
-    /// Turns detail mode on or off. Detail mode makes the `*_detail`
-    /// emission helpers live; it is enabled automatically when a
-    /// profiler attaches.
-    pub fn set_detail(&self, on: bool) {
-        self.detail.set(on);
     }
 
     /// Stores the attached profiler so stats plumbing can reach it.
@@ -259,31 +249,20 @@ impl Tracer {
         self.profiler.borrow().clone()
     }
 
-    /// Registers the flight-recorder pressure gauges (`trace.flight.len`
-    /// and `trace.flight.dropped`) in `metrics` and keeps them current
-    /// from [`Tracer::emit`] on. Idempotent; lazy so runs without an
-    /// observability consumer register nothing.
-    pub fn bind_flight_gauges(&self, metrics: &crate::metrics::Metrics) {
-        let mut slot = self.flight_gauges.borrow_mut();
-        if slot.is_some() {
-            return;
-        }
-        let g = FlightGauges {
-            len: metrics.gauge("trace.flight.len"),
-            dropped: metrics.gauge("trace.flight.dropped"),
-        };
-        g.len.set(self.flight.borrow().len() as f64);
-        g.dropped.set(self.flight_dropped() as f64);
-        *slot = Some(g);
-    }
-
     /// Resizes the flight-recorder ring; existing overflow is evicted
     /// oldest-first.
     pub fn set_flight_capacity(&self, cap: usize) {
         self.flight_cap.set(cap.max(1));
         let mut ring = self.flight.borrow_mut();
-        while ring.len() > self.flight_cap.get() {
+        self.evict_to(&mut ring, self.flight_cap.get());
+        self.flight_len.set(ring.len() as f64);
+    }
+
+    /// Evicts oldest-first until `ring` holds at most `len` events.
+    fn evict_to(&self, ring: &mut VecDeque<Event>, len: usize) {
+        while ring.len() > len {
             ring.pop_front();
+            self.flight_dropped.inc();
         }
     }
 
@@ -291,19 +270,14 @@ impl Tracer {
     /// flight ring (evicting the oldest event when full), and fans out to
     /// every live sink. Pure host-side work — never advances virtual time.
     pub fn emit(&self, ev: Event) {
-        let c = &self.layer_counts[ev.layer.index()];
-        c.set(c.get() + 1);
-        self.flight_seen.set(self.flight_seen.get() + 1);
+        self.layer_counts[ev.layer.index()].inc();
         {
             let mut ring = self.flight.borrow_mut();
-            while ring.len() >= self.flight_cap.get() {
-                ring.pop_front();
-            }
+            let before = ring.len();
+            self.evict_to(&mut ring, self.flight_cap.get() - 1);
             ring.push_back(ev);
-            if let Some(g) = self.flight_gauges.borrow().as_ref() {
-                g.len.set(ring.len() as f64);
-                g.dropped
-                    .set((self.flight_seen.get() - ring.len() as u64) as f64);
+            if ring.len() != before {
+                self.flight_len.set(ring.len() as f64);
             }
         }
         for sink in self.sinks.borrow().iter() {
@@ -383,58 +357,6 @@ impl Tracer {
         });
     }
 
-    /// Like [`Tracer::begin`] but emitted only in detail mode — the extra
-    /// markers the profiler needs, invisible (and cost-free) otherwise.
-    #[allow(clippy::too_many_arguments)]
-    pub fn begin_detail(
-        &self,
-        layer: Layer,
-        name: &'static str,
-        node: NodeId,
-        track: Track,
-        op: u64,
-        bytes: u64,
-        at: SimTime,
-    ) {
-        if self.detail.get() {
-            self.begin(layer, name, node, track, op, bytes, at);
-        }
-    }
-
-    /// Like [`Tracer::end`] but emitted only in detail mode.
-    #[allow(clippy::too_many_arguments)]
-    pub fn end_detail(
-        &self,
-        layer: Layer,
-        name: &'static str,
-        node: NodeId,
-        track: Track,
-        op: u64,
-        bytes: u64,
-        at: SimTime,
-    ) {
-        if self.detail.get() {
-            self.end(layer, name, node, track, op, bytes, at);
-        }
-    }
-
-    /// Like [`Tracer::instant`] but emitted only in detail mode.
-    #[allow(clippy::too_many_arguments)]
-    pub fn instant_detail(
-        &self,
-        layer: Layer,
-        name: &'static str,
-        node: NodeId,
-        track: Track,
-        op: u64,
-        bytes: u64,
-        at: SimTime,
-    ) {
-        if self.detail.get() {
-            self.instant(layer, name, node, track, op, bytes, at);
-        }
-    }
-
     /// Events emitted so far for `layer`.
     pub fn layer_count(&self, layer: Layer) -> u64 {
         self.layer_counts[layer.index()].get()
@@ -455,10 +377,10 @@ impl Tracer {
         self.flight.borrow().len()
     }
 
-    /// Events evicted from the ring since the start of the run (the
-    /// recorder saw them but no longer holds them).
+    /// Events evicted from the ring (the recorder saw them but no longer
+    /// holds them).
     pub fn flight_dropped(&self) -> u64 {
-        self.flight_seen.get() - self.flight.borrow().len() as u64
+        self.flight_dropped.get()
     }
 
     /// Formats the flight-recorder tail as a readable dump: one line per
@@ -469,7 +391,7 @@ impl Tracer {
         out.push_str(&format!(
             "=== flight recorder dump: {reason} ({} events, {} evicted earlier) ===\n",
             ring.len(),
-            self.flight_seen.get() - ring.len() as u64
+            self.flight_dropped.get()
         ));
         for ev in ring.iter() {
             out.push_str(&format!("{ev}\n"));
@@ -617,7 +539,8 @@ mod tests {
 
     #[test]
     fn layer_counts_and_sink_fanout() {
-        let t = Tracer::new();
+        let metrics = Rc::new(Metrics::new());
+        let t = Tracer::new(&metrics);
         let rec = EventRecorder::new();
         t.add_sink(rec.clone());
         t.emit(ev(Layer::Wire, "tx", 10));
@@ -627,13 +550,16 @@ mod tests {
         assert_eq!(t.layer_count(Layer::Ucr), 2);
         assert_eq!(t.layer_count(Layer::Verbs), 0);
         assert_eq!(t.total_events(), 3);
+        // The counts are the registry's: one book.
+        assert_eq!(metrics.counter_value("trace.events.ucr"), 2);
         assert_eq!(rec.len(), 3);
         assert_eq!(rec.count(|e| e.layer == Layer::Ucr), 2);
     }
 
     #[test]
     fn flight_ring_evicts_oldest_and_counts_drops() {
-        let t = Tracer::new();
+        let metrics = Rc::new(Metrics::new());
+        let t = Tracer::new(&metrics);
         t.set_flight_capacity(3);
         for i in 0..5 {
             t.emit(ev(Layer::Verbs, "post_send", i * 100));
@@ -641,6 +567,8 @@ mod tests {
         let tail = t.flight_snapshot();
         assert_eq!(tail.len(), 3);
         assert_eq!(t.flight_dropped(), 2);
+        assert_eq!(metrics.counter_value("trace.flight.dropped"), 2);
+        assert_eq!(metrics.gauge_value("trace.flight.len"), Some(3.0));
         // Oldest-first, and only the newest three survive.
         assert_eq!(tail[0].at.as_nanos(), 200);
         assert_eq!(tail[2].at.as_nanos(), 400);
@@ -648,7 +576,7 @@ mod tests {
 
     #[test]
     fn fault_dump_is_stored_and_readable() {
-        let t = Tracer::new();
+        let t = Tracer::new(&Rc::new(Metrics::new()));
         t.emit(ev(Layer::Ucr, "ep_failed", 42));
         assert!(t.last_fault().is_none());
         let dump = t.fault("test timeout");
@@ -659,7 +587,7 @@ mod tests {
 
     #[test]
     fn clear_sinks_keeps_flight_recorder_running() {
-        let t = Tracer::new();
+        let t = Tracer::new(&Rc::new(Metrics::new()));
         let rec = EventRecorder::new();
         t.add_sink(rec.clone());
         t.emit(ev(Layer::Core, "dispatch", 1));

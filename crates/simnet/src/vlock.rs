@@ -503,7 +503,7 @@ mod tests {
     fn tracer_spans_balance() {
         use crate::trace::{EventRecorder, Phase, Tracer};
         let sim = sim();
-        let tracer = Tracer::new();
+        let tracer = Tracer::new(&Rc::new(Metrics::new()));
         let rec = EventRecorder::new();
         tracer.add_sink(rec.clone());
         let lock = VLock::new(&sim);

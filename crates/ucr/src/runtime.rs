@@ -41,106 +41,82 @@ const RECV_POOL_DEPTH: usize = 128;
 /// runtime, across all endpoints).
 const MR_CACHE_CAPACITY: usize = 64;
 
-/// Runtime statistics (diagnostics and tests), built on the
-/// [`simnet::metrics`] counter primitive so they surface verbatim in
-/// `stats`-style reports.
-#[derive(Default)]
-pub struct RtStats {
+/// Declares [`RtStats`] from the one list of its counters: each field is
+/// the registry counter `ucr.<net>.nodeN.<field>` and the `stats` line
+/// `ucr_<field>`.
+macro_rules! rt_stats {
+    ($($(#[$doc:meta])* $field:ident,)*) => {
+        /// Runtime statistics: the cluster registry's `ucr.<net>.nodeN.*`
+        /// counters, taken when the runtime is brought up.
+        pub struct RtStats {
+            $($(#[$doc])* pub $field: Rc<simnet::metrics::Counter>,)*
+        }
+
+        impl RtStats {
+            fn new(metrics: &simnet::Metrics, net: &str, node: NodeId) -> RtStats {
+                RtStats {
+                    $($field: metrics
+                        .counter(&format!("ucr.{net}.{node}.{}", stringify!($field))),)*
+                }
+            }
+
+            /// Every counter's `stats` name and value, in report order.
+            pub fn table(&self) -> Vec<(&'static str, u64)> {
+                vec![$((concat!("ucr_", stringify!($field)), self.$field.get()),)*]
+            }
+        }
+    };
+}
+
+rt_stats! {
     /// Active messages sent (eager + rendezvous).
-    pub messages_sent: simnet::metrics::Counter,
+    messages_sent,
     /// Eager messages delivered.
-    pub eager_delivered: simnet::metrics::Counter,
+    eager_delivered,
     /// Rendezvous transfers completed (RDMA reads).
-    pub rndv_delivered: simnet::metrics::Counter,
+    rndv_delivered,
     /// Internal (Fin) messages sent.
-    pub fins_sent: simnet::metrics::Counter,
+    fins_sent,
     /// Messages dropped for an unregistered msg_id.
-    pub unknown_msg_dropped: simnet::metrics::Counter,
+    unknown_msg_dropped,
     /// Send-side failures observed (endpoint faults).
-    pub send_failures: simnet::metrics::Counter,
+    send_failures,
     /// Rendezvous registration-cache hits: the source buffer's MR was
     /// reused instead of registered afresh.
-    pub mr_cache_hits: simnet::metrics::Counter,
+    mr_cache_hits,
     /// Rendezvous registration-cache misses (fresh registration).
-    pub mr_cache_misses: simnet::metrics::Counter,
+    mr_cache_misses,
     /// Payload bytes moved into the HCA's gather list on the owned eager
     /// send path instead of being staged through an extra copy.
-    pub eager_copy_saved_bytes: simnet::metrics::Counter,
+    eager_copy_saved_bytes,
     /// Payload bytes registered in place (buffer moved into the MR) on
     /// the owned rendezvous send path instead of being copied.
-    pub rndv_copy_saved_bytes: simnet::metrics::Counter,
+    rndv_copy_saved_bytes,
     /// Eager receive buffers recycled from the free list instead of
     /// freshly registered.
-    pub recv_bufs_recycled: simnet::metrics::Counter,
+    recv_bufs_recycled,
     /// Progress-engine wakeups; each services a whole CQ backlog batch.
-    pub progress_wakes: simnet::metrics::Counter,
+    progress_wakes,
     /// Completions serviced by the progress engine across all wakeups.
-    pub progress_completions: simnet::metrics::Counter,
+    progress_completions,
     /// Bypass gets served by a client-direct RDMA read of server slab
     /// memory (zero remote CPU involvement).
-    pub bypass_reads: simnet::metrics::Counter,
+    bypass_reads,
     /// Bypass reads that observed a seqlock version skew (a concurrent
     /// writer) and were retried with a fresh descriptor.
-    pub bypass_retries: simnet::metrics::Counter,
+    bypass_retries,
     /// Bypass gets that gave up on the one-sided path and fell back to
     /// the AM get (descriptor miss, retry budget exhausted, read error).
-    pub bypass_fallbacks: simnet::metrics::Counter,
+    bypass_fallbacks,
     /// Rendezvous registrations evicted through
     /// [`UcrRuntime::invalidate_registration`] (the pin-down-cache
     /// munmap/free hook).
-    pub mr_cache_invalidations: simnet::metrics::Counter,
+    mr_cache_invalidations,
     /// Eager messages that rode behind another one in a shared network
     /// buffer (each saved a work request at both HCAs).
-    pub eager_coalesced: simnet::metrics::Counter,
+    eager_coalesced,
     /// Eager work requests posted, each carrying one or more messages.
-    pub eager_wrs_posted: simnet::metrics::Counter,
-}
-
-impl RtStats {
-    /// Every counter with its `stats` name — the one list [`report`] and
-    /// [`reset`] both walk.
-    ///
-    /// [`report`]: RtStats::report
-    /// [`reset`]: RtStats::reset
-    fn table(&self) -> [(&'static str, &simnet::metrics::Counter); 19] {
-        [
-            ("ucr_messages_sent", &self.messages_sent),
-            ("ucr_eager_delivered", &self.eager_delivered),
-            ("ucr_rndv_delivered", &self.rndv_delivered),
-            ("ucr_fins_sent", &self.fins_sent),
-            ("ucr_unknown_msg_dropped", &self.unknown_msg_dropped),
-            ("ucr_send_failures", &self.send_failures),
-            ("ucr_mr_cache_hits", &self.mr_cache_hits),
-            ("ucr_mr_cache_misses", &self.mr_cache_misses),
-            ("ucr_eager_copy_saved_bytes", &self.eager_copy_saved_bytes),
-            ("ucr_rndv_copy_saved_bytes", &self.rndv_copy_saved_bytes),
-            ("ucr_recv_bufs_recycled", &self.recv_bufs_recycled),
-            ("ucr_progress_wakes", &self.progress_wakes),
-            ("ucr_progress_completions", &self.progress_completions),
-            ("ucr_bypass_reads", &self.bypass_reads),
-            ("ucr_bypass_retries", &self.bypass_retries),
-            ("ucr_bypass_fallbacks", &self.bypass_fallbacks),
-            ("ucr_mr_cache_invalidations", &self.mr_cache_invalidations),
-            ("ucr_eager_coalesced", &self.eager_coalesced),
-            ("ucr_eager_wrs_posted", &self.eager_wrs_posted),
-        ]
-    }
-
-    /// Renders the counters as `stats`-style `(name, value)` pairs.
-    pub fn report(&self) -> Vec<(String, String)> {
-        self.table()
-            .iter()
-            .map(|(k, c)| (k.to_string(), c.get().to_string()))
-            .collect()
-    }
-
-    /// Zeroes every counter (the server's `stats reset` path). Purely an
-    /// accounting restart: runtime behaviour does not read these.
-    pub fn reset(&self) {
-        for (_, c) in self.table() {
-            c.reset();
-        }
-    }
+    eager_wrs_posted,
 }
 
 pub(crate) enum Pending {
@@ -185,64 +161,6 @@ struct MrCacheEntry {
     last_use: u64,
 }
 
-/// Live gauge handles in the cluster registry mirroring the hottest
-/// [`RtStats`] signals (`ucr.<net>.nodeN.*`). Pre-created so the progress
-/// engine can publish after every wake batch without name formatting;
-/// samplers and `stats prom` then see runtime health *during* a run, not
-/// just at its end.
-struct RtGauges {
-    mr_cache_hit_rate: Rc<simnet::metrics::Gauge>,
-    recv_bufs_recycled: Rc<simnet::metrics::Gauge>,
-    progress_wakes: Rc<simnet::metrics::Gauge>,
-    progress_completions: Rc<simnet::metrics::Gauge>,
-    eager_coalesced: Rc<simnet::metrics::Gauge>,
-    eager_wrs_posted: Rc<simnet::metrics::Gauge>,
-    /// Registry handle + name parts for gauges created on first use.
-    metrics: Rc<simnet::Metrics>,
-    net: String,
-    node: NodeId,
-    /// `ucr.<net>.nodeN.bypass_{reads,retries,fallbacks}` — created only
-    /// once bypass activity exists, so runs that never use the bypass
-    /// path export exactly the same registry as before it was added.
-    bypass: RefCell<Option<[Rc<simnet::metrics::Gauge>; 3]>>,
-}
-
-impl RtGauges {
-    fn new(metrics: &Rc<simnet::Metrics>, net: &str, node: NodeId) -> RtGauges {
-        let gauge = |name: &str| metrics.gauge(&format!("ucr.{net}.{node}.{name}"));
-        RtGauges {
-            mr_cache_hit_rate: gauge("mr_cache_hit_rate"),
-            recv_bufs_recycled: gauge("recv_bufs_recycled"),
-            progress_wakes: gauge("progress_wakes"),
-            progress_completions: gauge("progress_completions"),
-            eager_coalesced: gauge("eager_coalesced"),
-            eager_wrs_posted: gauge("eager_wrs_posted"),
-            metrics: metrics.clone(),
-            net: net.to_string(),
-            node,
-            bypass: RefCell::new(None),
-        }
-    }
-
-    /// The bypass gauge trio, created on first call.
-    fn bypass(&self) -> [Rc<simnet::metrics::Gauge>; 3] {
-        self.bypass
-            .borrow_mut()
-            .get_or_insert_with(|| {
-                let g = |name: &str| {
-                    self.metrics
-                        .gauge(&format!("ucr.{}.{}.{name}", self.net, self.node))
-                };
-                [
-                    g("bypass_reads"),
-                    g("bypass_retries"),
-                    g("bypass_fallbacks"),
-                ]
-            })
-            .clone()
-    }
-}
-
 pub(crate) struct RtInner {
     pub node: NodeId,
     pub sim: Sim,
@@ -282,7 +200,6 @@ pub(crate) struct RtInner {
     next_ep: Cell<u64>,
     pub stats: RtStats,
     pub(crate) tracer: Rc<Tracer>,
-    gauges: RtGauges,
 }
 
 impl Drop for RtInner {
@@ -318,7 +235,6 @@ async fn progress(rt: Weak<RtInner>, cq: Cq) {
             rt.stats.progress_completions.inc();
             rt.handle_completion(wc).await;
         }
-        rt.publish_gauges();
     }
 }
 
@@ -364,7 +280,7 @@ impl UcrRuntime {
             simnet::NetKind::TenGigE => "roce",
             simnet::NetKind::OneGigE => "gige",
         };
-        let gauges = RtGauges::new(fabric.cluster().metrics(), net, node);
+        let stats = RtStats::new(fabric.cluster().metrics(), net, node);
         let inner = Rc::new(RtInner {
             node,
             sim: sim.clone(),
@@ -392,9 +308,8 @@ impl UcrRuntime {
             next_ctr: Cell::new(1),
             next_token: Cell::new(1),
             next_ep: Cell::new(1),
-            stats: RtStats::default(),
+            stats,
             tracer,
-            gauges,
         });
         for _ in 0..RECV_POOL_DEPTH {
             inner.post_recv_buffer();
@@ -554,13 +469,6 @@ impl UcrRuntime {
         &self.inner.stats
     }
 
-    /// Refreshes the live `ucr.<net>.nodeN.*` gauges from the current
-    /// [`RtStats`] right now, rather than waiting for the next progress
-    /// wake (used by `stats prom` so an export reflects the latest state).
-    pub fn publish_gauges(&self) {
-        self.inner.publish_gauges();
-    }
-
     /// Adjusts the rendezvous registration-cache capacity (entries per
     /// runtime; 0 disables caching — the ablation baseline). Shrinking
     /// evicts least-recently-used entries immediately.
@@ -657,46 +565,6 @@ impl EpListener {
 }
 
 impl RtInner {
-    /// Refreshes the live `ucr.<net>.nodeN.*` gauges from [`RtStats`].
-    /// Called by the progress engine after each wake batch; pure host-side
-    /// work (no virtual time).
-    pub(crate) fn publish_gauges(&self) {
-        let hits = self.stats.mr_cache_hits.get();
-        let misses = self.stats.mr_cache_misses.get();
-        let lookups = hits + misses;
-        self.gauges.mr_cache_hit_rate.set(if lookups == 0 {
-            0.0
-        } else {
-            hits as f64 / lookups as f64
-        });
-        self.gauges
-            .recv_bufs_recycled
-            .set(self.stats.recv_bufs_recycled.get() as f64);
-        self.gauges
-            .progress_wakes
-            .set(self.stats.progress_wakes.get() as f64);
-        self.gauges
-            .progress_completions
-            .set(self.stats.progress_completions.get() as f64);
-        self.gauges
-            .eager_coalesced
-            .set(self.stats.eager_coalesced.get() as f64);
-        self.gauges
-            .eager_wrs_posted
-            .set(self.stats.eager_wrs_posted.get() as f64);
-        // Bypass gauges materialize only once the path is exercised, so
-        // non-bypass runs keep a byte-identical registry export.
-        let reads = self.stats.bypass_reads.get();
-        let retries = self.stats.bypass_retries.get();
-        let fallbacks = self.stats.bypass_fallbacks.get();
-        if reads + retries + fallbacks > 0 {
-            let [g_reads, g_retries, g_fallbacks] = self.gauges.bypass();
-            g_reads.set(reads as f64);
-            g_retries.set(retries as f64);
-            g_fallbacks.set(fallbacks as f64);
-        }
-    }
-
     pub(crate) fn alloc_wr(&self, p: Pending) -> u64 {
         let id = self.next_wr.get();
         self.next_wr.set(id + 1);

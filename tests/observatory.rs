@@ -151,6 +151,7 @@ fn stats_prom_round_trips_on_both_client_families() {
 fn stats_reset_zeroes_counters_and_histograms_but_preserves_watermarks() {
     let (world, _server, client) = ucr_world(93);
     let metrics = world.cluster.metrics().clone();
+    let rt = client.ucr_runtime().expect("UCR client");
     let sim = world.sim().clone();
     sim.block_on(async move {
         for i in 0..20 {
@@ -172,6 +173,11 @@ fn stats_reset_zeroes_counters_and_histograms_but_preserves_watermarks() {
         assert!(lookup(&before, "cmd_set") >= 20);
         assert!(lookup(&before, "ucr_messages_sent") > 0);
         assert!(lookup(&before, "op.get.count") >= 20);
+        assert_eq!(lookup(&before, "curr_connections"), 1);
+        // The client's runtime counts in the same registry.
+        let client_sent = || metrics.counter_value("ucr.ib.node1.messages_sent");
+        assert!(client_sent() >= 40);
+        assert_eq!(client_sent(), rt.stats().messages_sent.get());
 
         let ack = client.stats_report("reset").await.unwrap();
         assert_eq!(ack, vec![("reset".to_string(), "ok".to_string())]);
@@ -186,8 +192,14 @@ fn stats_reset_zeroes_counters_and_histograms_but_preserves_watermarks() {
             lookup(&after, "ucr_messages_sent") <= 2,
             "only the stats exchange itself"
         );
-        // Levels survive: the store still holds every item.
+        // The reset reaches every node's runtime: the client's counters
+        // restarted too, and count only the exchanges since.
+        assert!(client_sent() <= 2, "client runtime restarted");
+        assert_eq!(client_sent(), rt.stats().messages_sent.get());
+        // Levels survive: the store still holds every item, the
+        // connection is still there.
         assert_eq!(lookup(&after, "curr_items"), 4);
+        assert_eq!(lookup(&after, "curr_connections"), 1);
         // Gauge watermarks survive too: the worker queue-depth high-water
         // from before the reset is still visible.
         let depth_high = metrics.gauge("mc.node0.worker0.queue_depth").high();

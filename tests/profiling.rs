@@ -40,9 +40,9 @@ fn run_gets(world: &World, client: McClient, gets: usize) -> u64 {
 
 #[test]
 fn profiling_adds_no_virtual_time() {
-    // Bare, traced (recorder sink), and profiled (detail markers ON) runs
-    // of the same workload must end at the same virtual nanosecond: every
-    // profiler hook is host-side bookkeeping.
+    // Bare, traced (recorder sink), and profiled runs of the same workload
+    // must end at the same virtual nanosecond: every profiler hook is
+    // host-side bookkeeping.
     let run = |mode: u8| {
         let (world, _server, client) = world_pair(71, Transport::Ucr, McServerConfig::default());
         match mode {
@@ -60,10 +60,7 @@ fn profiling_adds_no_virtual_time() {
     let traced = run(1);
     let profiled = run(2);
     assert_eq!(bare, traced, "tracing must not move the virtual clock");
-    assert_eq!(
-        bare, profiled,
-        "profiling (detail markers on) must not move the virtual clock"
-    );
+    assert_eq!(bare, profiled, "profiling must not move the virtual clock");
 }
 
 #[test]
