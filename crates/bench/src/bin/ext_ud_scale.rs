@@ -24,7 +24,7 @@ impl ucr::AmHandler for EchoHandler {
         let ctr = u64::from_le_bytes(hdr[..8].try_into().unwrap());
         ep.post_message(
             REPLY,
-            hdr.to_vec(),
+            hdr,
             data.into_vec().unwrap_or_default(),
             SendOptions {
                 target_ctr: ctr,

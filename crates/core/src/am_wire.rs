@@ -165,6 +165,57 @@ impl RespStatus {
     }
 }
 
+/// Bytes of a request header ahead of its key list.
+const REQ_FIXED_BYTES: usize = 44;
+
+/// Longest single-key request header: what a client encodes on its stack.
+pub(crate) const REQ_HEADER_INLINE: usize = REQ_FIXED_BYTES + 2 + mcstore::MAX_KEY_LEN;
+
+/// The keys of a request: one for most ops, many for mget. A single key is
+/// held in line, so decoding such a header allocates the key and nothing
+/// else. Reads as a slice of keys.
+#[derive(Clone, Debug)]
+pub enum Keys {
+    /// One key (empty for keyless ops).
+    One([Vec<u8>; 1]),
+    /// Any other number of keys.
+    Many(Vec<Vec<u8>>),
+}
+
+impl Keys {
+    /// Key slots reserved, filled or not.
+    pub fn capacity(&self) -> usize {
+        match self {
+            Keys::One(_) => 1,
+            Keys::Many(keys) => keys.capacity(),
+        }
+    }
+}
+
+impl std::ops::Deref for Keys {
+    type Target = [Vec<u8>];
+    fn deref(&self) -> &[Vec<u8>] {
+        match self {
+            Keys::One(key) => key,
+            Keys::Many(keys) => keys,
+        }
+    }
+}
+
+impl From<Vec<Vec<u8>>> for Keys {
+    fn from(keys: Vec<Vec<u8>>) -> Keys {
+        Keys::Many(keys)
+    }
+}
+
+impl PartialEq for Keys {
+    fn eq(&self, other: &Keys) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Keys {}
+
 /// A request header (AM 1). Keys ride in the header; the value (for
 /// storage ops) is the active-message data, so a large `set` goes through
 /// UCR's RDMA-read rendezvous without touching the header path.
@@ -185,7 +236,56 @@ pub struct ReqHeader {
     /// Delta (incr/decr).
     pub delta: u64,
     /// Keys (one for most ops; many for mget).
-    pub keys: Vec<Vec<u8>>,
+    pub keys: Keys,
+}
+
+/// A request header over keys its sender still holds: what a client
+/// encodes, owning nothing. Its bytes are what [`ReqHeader::decode`] reads.
+pub(crate) struct ReqHeaderRef<'a, K> {
+    pub op: McOp,
+    pub req_id: u64,
+    pub ctr_id: u64,
+    pub flags: u32,
+    pub exptime: u32,
+    pub cas: u64,
+    pub delta: u64,
+    pub keys: &'a [K],
+}
+
+impl<K: AsRef<[u8]>> ReqHeaderRef<'_, K> {
+    /// Length of the encoded header.
+    pub fn encoded_len(&self) -> usize {
+        let keys = self.keys.iter().map(|k| 2 + k.as_ref().len());
+        REQ_FIXED_BYTES + keys.sum::<usize>()
+    }
+
+    /// Serializes to the AM header layout, into a buffer of exactly
+    /// [`encoded_len`](Self::encoded_len) bytes.
+    pub fn encode_into(&self, out: &mut [u8]) {
+        out[0] = self.op as u8;
+        out[1] = 0;
+        out[2..4].copy_from_slice(&(self.keys.len() as u16).to_le_bytes());
+        out[4..12].copy_from_slice(&self.req_id.to_le_bytes());
+        out[12..20].copy_from_slice(&self.ctr_id.to_le_bytes());
+        out[20..24].copy_from_slice(&self.flags.to_le_bytes());
+        out[24..28].copy_from_slice(&self.exptime.to_le_bytes());
+        out[28..36].copy_from_slice(&self.cas.to_le_bytes());
+        out[36..44].copy_from_slice(&self.delta.to_le_bytes());
+        let mut pos = REQ_FIXED_BYTES;
+        for k in self.keys {
+            let k = k.as_ref();
+            out[pos..pos + 2].copy_from_slice(&(k.len() as u16).to_le_bytes());
+            out[pos + 2..pos + 2 + k.len()].copy_from_slice(k);
+            pos += 2 + k.len();
+        }
+    }
+
+    /// Serializes to the AM header layout.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = vec![0; self.encoded_len()];
+        self.encode_into(&mut out);
+        out
+    }
 }
 
 impl ReqHeader {
@@ -199,32 +299,38 @@ impl ReqHeader {
             exptime: 0,
             cas: 0,
             delta: 0,
-            keys: vec![key],
+            keys: Keys::One([key]),
         }
     }
 
     /// Serializes to the AM header layout.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(44 + self.keys.iter().map(|k| 2 + k.len()).sum::<usize>());
-        out.push(self.op as u8);
-        out.push(0);
-        out.extend_from_slice(&(self.keys.len() as u16).to_le_bytes());
-        out.extend_from_slice(&self.req_id.to_le_bytes());
-        out.extend_from_slice(&self.ctr_id.to_le_bytes());
-        out.extend_from_slice(&self.flags.to_le_bytes());
-        out.extend_from_slice(&self.exptime.to_le_bytes());
-        out.extend_from_slice(&self.cas.to_le_bytes());
-        out.extend_from_slice(&self.delta.to_le_bytes());
-        for k in &self.keys {
-            out.extend_from_slice(&(k.len() as u16).to_le_bytes());
-            out.extend_from_slice(k);
+        let ReqHeader {
+            op,
+            req_id,
+            ctr_id,
+            flags,
+            exptime,
+            cas,
+            delta,
+            ref keys,
+        } = *self;
+        ReqHeaderRef {
+            op,
+            req_id,
+            ctr_id,
+            flags,
+            exptime,
+            cas,
+            delta,
+            keys,
         }
-        out
+        .encode()
     }
 
     /// Deserializes; `None` on malformed input.
     pub fn decode(b: &[u8]) -> Option<ReqHeader> {
-        if b.len() < 44 {
+        if b.len() < REQ_FIXED_BYTES {
             return None;
         }
         let op = McOp::from_u8(b[0])?;
@@ -235,22 +341,25 @@ impl ReqHeader {
         let exptime = u32::from_le_bytes(b[24..28].try_into().ok()?);
         let cas = u64::from_le_bytes(b[28..36].try_into().ok()?);
         let delta = u64::from_le_bytes(b[36..44].try_into().ok()?);
+        let mut rest = &b[REQ_FIXED_BYTES..];
         // The count is the peer's word; a key takes at least its two
         // length bytes, so that is what the header can hold.
-        let mut keys = Vec::with_capacity(nkeys.min((b.len() - 44) / 2));
-        let mut pos = 44usize;
-        for _ in 0..nkeys {
-            if b.len() < pos + 2 {
-                return None;
+        let room = rest.len() / 2;
+        let mut next_key = || {
+            let klen = u16::from_le_bytes(rest.get(..2)?.try_into().ok()?) as usize;
+            let key = rest.get(2..2 + klen)?.to_vec();
+            rest = &rest[2 + klen..];
+            Some(key)
+        };
+        let keys = if nkeys == 1 {
+            Keys::One([next_key()?])
+        } else {
+            let mut keys = Vec::with_capacity(nkeys.min(room));
+            for _ in 0..nkeys {
+                keys.push(next_key()?);
             }
-            let klen = u16::from_le_bytes(b[pos..pos + 2].try_into().ok()?) as usize;
-            pos += 2;
-            if b.len() < pos + klen {
-                return None;
-            }
-            keys.push(b[pos..pos + klen].to_vec());
-            pos += klen;
-        }
+            Keys::Many(keys)
+        };
         Some(ReqHeader {
             op,
             req_id,
@@ -283,23 +392,25 @@ pub struct RespHeader {
     pub nvalues: u16,
 }
 
+/// Bytes of a response header.
+pub const RESP_HEADER_BYTES: usize = 32;
+
 impl RespHeader {
     /// Serializes to the AM header layout.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32);
-        out.push(self.status as u8);
-        out.push(0);
-        out.extend_from_slice(&self.nvalues.to_le_bytes());
-        out.extend_from_slice(&self.req_id.to_le_bytes());
-        out.extend_from_slice(&self.flags.to_le_bytes());
-        out.extend_from_slice(&self.cas.to_le_bytes());
-        out.extend_from_slice(&self.number.to_le_bytes());
+    pub fn encode(&self) -> [u8; RESP_HEADER_BYTES] {
+        let mut out = [0; RESP_HEADER_BYTES];
+        out[0] = self.status as u8;
+        out[2..4].copy_from_slice(&self.nvalues.to_le_bytes());
+        out[4..12].copy_from_slice(&self.req_id.to_le_bytes());
+        out[12..16].copy_from_slice(&self.flags.to_le_bytes());
+        out[16..24].copy_from_slice(&self.cas.to_le_bytes());
+        out[24..32].copy_from_slice(&self.number.to_le_bytes());
         out
     }
 
     /// Deserializes; `None` on malformed input.
     pub fn decode(b: &[u8]) -> Option<RespHeader> {
-        if b.len() < 32 {
+        if b.len() < RESP_HEADER_BYTES {
             return None;
         }
         Some(RespHeader {
@@ -496,7 +607,7 @@ mod tests {
             exptime: 3600,
             cas: u64::MAX,
             delta: 5,
-            keys: vec![b"alpha".to_vec(), b"beta".to_vec()],
+            keys: vec![b"alpha".to_vec(), b"beta".to_vec()].into(),
         };
         assert_eq!(ReqHeader::decode(&h.encode()), Some(h));
     }

@@ -30,7 +30,7 @@ use ucr::{
 
 use crate::am_wire::{
     DirReq, DirResp, McOp, RespHeader, BYPASS_VERSION_BYTES, MSG_MC_DIR_REQ, MSG_MC_DIR_RESP,
-    MSG_MC_REQ, MSG_MC_RESP,
+    MSG_MC_REQ, MSG_MC_RESP, REQ_HEADER_INLINE,
 };
 use crate::codec;
 use crate::request::{Reply, Request};
@@ -1126,6 +1126,19 @@ impl CliInner {
         self.next_req.set(req_id + 1);
         let ctr = rt.counter();
         let (hdr, data) = codec::ucr::encode_request(req, req_id, ctr.id());
+        // Any single-key header fits the stack; a multiget's may spill.
+        let mut inline = [0u8; REQ_HEADER_INLINE];
+        let spilled;
+        let wire: &[u8] = match inline.get_mut(..hdr.encoded_len()) {
+            Some(wire) => {
+                hdr.encode_into(wire);
+                wire
+            }
+            None => {
+                spilled = hdr.encode();
+                &spilled
+            }
+        };
         self.tracer.begin(
             Layer::Core,
             "client_op",
@@ -1136,7 +1149,7 @@ impl CliInner {
             self.sim.now(),
         );
         let sent = ep
-            .send_message_owned(MSG_MC_REQ, &hdr.encode(), data, SendOptions::default())
+            .send_message_owned(MSG_MC_REQ, wire, data, SendOptions::default())
             .await;
         if sent.is_err() {
             self.end_op(req_id, 0);

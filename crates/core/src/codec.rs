@@ -50,7 +50,8 @@ fn lookup_rev<A: Copy, B: PartialEq + Copy>(table: &[(A, B)], from: B) -> Option
 pub(crate) mod ucr {
     use super::*;
     use crate::am_wire::{
-        encode_mget_entry, mget_entry_len, next_mget_entry, ReqHeader, RespHeader, RespStatus,
+        encode_mget_entry, mget_entry_len, next_mget_entry, ReqHeader, ReqHeaderRef, RespHeader,
+        RespStatus,
     };
 
     const STORE_STATUS: [(SetOutcome, RespStatus); 6] = [
@@ -62,18 +63,16 @@ pub(crate) mod ucr {
         (SetOutcome::OutOfMemory, RespStatus::OutOfMemory),
     ];
 
-    /// Client: the AM 1 header and data for `req`. The header always
-    /// carries at least one key slot (empty for keyless ops).
-    pub fn encode_request<K: AsRef<[u8]>>(
-        req: &Request<'_, K>,
+    /// Client: the AM 1 header, over the request's own keys, and data for
+    /// `req`. The header always carries at least one key slot (empty for
+    /// keyless ops).
+    pub fn encode_request<'a>(
+        req: &Request<'a, &'a [u8]>,
         req_id: u64,
         ctr_id: u64,
-    ) -> (ReqHeader, Vec<u8>) {
-        let mut keys = owned_keys(req.keys);
-        if keys.is_empty() {
-            keys.push(Vec::new());
-        }
-        let hdr = ReqHeader {
+    ) -> (ReqHeaderRef<'a, &'a [u8]>, Vec<u8>) {
+        const KEYLESS: &[&[u8]] = &[&[]];
+        let hdr = ReqHeaderRef {
             op: req.op,
             req_id,
             ctr_id,
@@ -81,7 +80,11 @@ pub(crate) mod ucr {
             exptime: req.exptime,
             cas: req.cas,
             delta: req.delta,
-            keys,
+            keys: if req.keys.is_empty() {
+                KEYLESS
+            } else {
+                req.keys
+            },
         };
         (hdr, req.value.to_vec())
     }

@@ -238,7 +238,7 @@ mod hostile_bytes {
         }
         for (op, reply) in replies() {
             let (hdr, payload) = ucr::encode_reply(9, copy(&reply), &server_keys);
-            all.extend([hdr.encode(), payload]);
+            all.extend([hdr.encode().to_vec(), payload]);
             let req = Request::new(op, &KEYS[..]);
             let cmd = ascii::encode_request(&req);
             all.push(encode_response(&ascii::encode_reply(cmd, copy(&reply))));

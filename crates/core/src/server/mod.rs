@@ -439,6 +439,7 @@ async fn worker_loop(srv: Weak<SrvInner>, rx: Receiver<WorkItem>, widx: u32) {
         }
         None => return,
     };
+    let mut batch = Vec::new();
     loop {
         let Ok(first) = rx.recv().await else { break };
         // Drain everything already queued so one wake services all ready
@@ -446,14 +447,14 @@ async fn worker_loop(srv: Weak<SrvInner>, rx: Receiver<WorkItem>, widx: u32) {
         // non-empty queue completes on its first poll, so the service
         // order and virtual-time schedule are identical to the classic
         // item-at-a-time loop — the batch is pure accounting.
-        let mut batch = vec![first];
+        batch.push(first);
         while let Some(item) = rx.try_recv() {
             batch.push(item);
         }
         depth_gauge.set(batch.len() as f64);
         wakes.inc();
         batched.add(batch.len() as u64);
-        for item in batch {
+        for item in batch.drain(..) {
             let Some(inner) = srv.upgrade() else { return };
             if !inner.running.get() {
                 return;

@@ -6,7 +6,7 @@
 //! binary frame per pair, `name value\n` text over UCR); an unknown
 //! sub-report is an empty list, i.e. a bare terminator on every wire.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -198,7 +198,9 @@ struct ClassGauges {
 /// item/byte counts (`mc.nodeN.store.*`) plus per-slab-class used/free
 /// chunks, occupancy ratio, and eviction totals. Gauge watermarks give the
 /// high-water occupancy for free. Pure host-side accounting — costs no
-/// virtual time.
+/// virtual time. The workers publish after every batch: item and byte
+/// counts each time (`incr` resizes a value in place), the classes only
+/// when a chunk was allocated or freed since they were last walked.
 pub(super) struct StoreGauges {
     metrics: Rc<Metrics>,
     node: NodeId,
@@ -207,6 +209,11 @@ pub(super) struct StoreGauges {
     /// Created lazily for populated classes only (a default store has
     /// dozens of classes, most never touched).
     classes: RefCell<HashMap<usize, ClassGauges>>,
+    /// [`SegmentedStore::class_changes`] as of the last walk over the
+    /// classes (a fresh store reads 0 and has nothing to publish).
+    walked_at: Cell<u64>,
+    /// Walks over the classes so far.
+    pub(super) class_walks: Cell<u64>,
 }
 
 impl StoreGauges {
@@ -217,12 +224,19 @@ impl StoreGauges {
             items: metrics.gauge(&format!("mc.node{}.store.curr_items", node.0)),
             bytes: metrics.gauge(&format!("mc.node{}.store.bytes", node.0)),
             classes: RefCell::new(HashMap::new()),
+            walked_at: Cell::new(0),
+            class_walks: Cell::new(0),
         }
     }
 
     pub(super) fn publish(&self, store: &SegmentedStore) {
         self.items.set(store.curr_items() as f64);
         self.bytes.set(store.bytes_stored() as f64);
+        let changes = store.class_changes();
+        if self.walked_at.replace(changes) == changes {
+            return;
+        }
+        self.class_walks.set(self.class_walks.get() + 1);
         let evictions = store.class_evictions();
         let mut classes = self.classes.borrow_mut();
         for c in 0..store.class_count() {

@@ -233,3 +233,121 @@ fn storing_never_reads_the_item_back() {
     assert_eq!(tail_after_sets(true), Some(b"lru-0".to_vec()));
     assert_eq!(tail_after_sets(true), tail_after_sets(false));
 }
+
+/// The workers publish the slab-class gauges only when a chunk was
+/// allocated or freed since they last did: every gauge reads what a fresh
+/// walk over the classes would, at every point a client can look, and a
+/// window of gets walks nothing.
+#[test]
+fn class_gauges_follow_the_slabs_and_are_walked_only_on_change() {
+    use mcstore::{ClassId, SlabConfig};
+    use simnet::SimRng;
+
+    let world = World::cluster_b(5, 2);
+    let slab = SlabConfig {
+        mem_limit: 6 << 20,
+        ..SlabConfig::default()
+    };
+    let config = McServerConfig {
+        store: StoreConfig {
+            slab,
+            ..StoreConfig::default()
+        },
+        store_model: super::StoreModel::Sharded(2),
+        ..McServerConfig::default()
+    };
+    let server = McServer::start(&world, NodeId(0), config);
+    let cfg = McClientConfig::single(Transport::Ucr, NodeId(0));
+    let client = McClient::new(&world, NodeId(1), cfg);
+
+    // Every class gauge against the store's own books.
+    let check = |when: &str| {
+        let store = server.inner.exec.store();
+        let evictions = store.class_evictions();
+        let gauge = |c: usize, field: &str| {
+            let name = format!("mc.node0.slab.class{c}.{field}");
+            world.cluster.metrics().gauge_value(&name)
+        };
+        let mut published = 0;
+        assert_eq!(evictions.len(), store.class_count());
+        for (c, &evicted) in evictions.iter().enumerate() {
+            let st = store.class_stats(ClassId(c as u8));
+            if st.pages == 0 && evicted == 0 {
+                assert_eq!(gauge(c, "used_chunks"), None, "class {c} {when}");
+                continue;
+            }
+            published += 1;
+            let want = [
+                ("used_chunks", st.used as f64),
+                ("free_chunks", st.free as f64),
+                ("occupancy", st.used as f64 / (st.used + st.free) as f64),
+                ("evictions", evicted as f64),
+            ];
+            for (field, value) in want {
+                assert_eq!(gauge(c, field), Some(value), "class {c} {field} {when}");
+            }
+        }
+        let total = world
+            .cluster
+            .metrics()
+            .gauge_value("mc.node0.store.curr_items");
+        assert_eq!(total, Some(store.curr_items() as f64), "{when}");
+        published
+    };
+
+    // Sets over four size classes (the two largest evict within a few
+    // stores), deletes, and in-place and growing increments.
+    let mut rng = SimRng::new(7);
+    let sizes = [10usize, 1_000, 200_000, 700_000];
+    for round in 0..6 {
+        let ops: Vec<(u64, u64, usize)> = (0..60)
+            .map(|_| {
+                (
+                    rng.gen_range_u64(0, 10),
+                    rng.gen_range_u64(0, 24),
+                    sizes[rng.gen_range_u64(0, 4) as usize],
+                )
+            })
+            .collect();
+        let c = client.clone();
+        world.sim().block_on(async move {
+            for (kind, k, size) in ops {
+                let key = format!("key-{k}-{size}");
+                match kind {
+                    0..=5 => {
+                        let _ = c.set(key.as_bytes(), &vec![b'9'; size], 0, 0).await;
+                    }
+                    6..=7 => {
+                        let _ = c.delete(key.as_bytes()).await;
+                    }
+                    _ => {
+                        let _ = c.incr(format!("key-{k}-10").as_bytes(), 1).await;
+                    }
+                }
+            }
+        });
+        assert!(check(&format!("after round {round}")) >= 2);
+    }
+    let st = server.store_stats();
+    assert!(st.evictions > 0 && st.delete_hits > 0 && st.incr_hits > 0);
+
+    let walks = server.inner.exec.gauges.class_walks.get();
+    assert!(walks > 0);
+    let c = client.clone();
+    world.sim().block_on(async move {
+        for k in 0..200u32 {
+            let _ = c.get(format!("key-{}-10", k % 30).as_bytes()).await;
+        }
+    });
+    check("after the gets");
+    assert_eq!(server.inner.exec.gauges.class_walks.get(), walks);
+
+    // A statistics reset zeroes the eviction counts without freeing a
+    // chunk; the gauges follow at the next publish.
+    let c = client.clone();
+    world.sim().block_on(async move {
+        c.stats_report("reset").await.expect("stats reset");
+    });
+    assert_eq!(server.store_stats().evictions, 0);
+    check("after stats reset");
+}

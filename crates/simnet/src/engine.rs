@@ -1,20 +1,25 @@
 //! The discrete-event engine and the cooperative task executor.
 //!
 //! A [`Sim`] owns a virtual clock, a time-ordered event queue, and a
-//! single-threaded executor for `async` tasks. Events are either closures
-//! scheduled for a future instant or timers ([`sleep`](Sim::sleep)); tasks
-//! are futures that suspend on simulation primitives (timers, channels,
-//! [`crate::sync`] waiters) and are woken by events. Ties in the event queue
-//! are broken by insertion order, which makes every run fully deterministic:
-//! the same program and seed produce the identical event trace, nanosecond
-//! for nanosecond.
+//! single-threaded executor for `async` tasks. Events come in three kinds:
+//! timers ([`sleep`](Sim::sleep)), targeted events — a token handed to an
+//! [`EventTarget`] ([`schedule_target_at`](Sim::schedule_target_at)) — and
+//! closures ([`schedule_at`](Sim::schedule_at)); tasks are futures that
+//! suspend on simulation primitives (timers, channels, [`crate::sync`]
+//! waiters) and are woken by events. Ties in the event queue are broken by
+//! insertion order, whatever the kind, which makes every run fully
+//! deterministic: the same program and seed produce the identical event
+//! trace, nanosecond for nanosecond.
 //!
 //! The executor is deliberately tiny — no work stealing, no threads — because
 //! simulated time, not wall time, is the quantity under measurement. Its
 //! steady state allocates nothing: timers and tasks live in generation-checked
-//! slabs, a task's waker is built once when it is spawned, and a timer that is
-//! dropped before it fires leaves the queue (see `DESIGN.md`, "simnet
-//! engine").
+//! slabs ([`Slab`]), a task's waker is built once when it is spawned, a timer
+//! that is dropped before it fires leaves the queue, and a targeted event is
+//! an `Rc` clone and a word. A closure is boxed, which is why the data path —
+//! every work request, socket segment and staged reply — schedules targeted
+//! events and closures are left to what happens once per connection (see
+//! `DESIGN.md`, "simnet engine").
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
@@ -30,90 +35,38 @@ use std::task::{Context, Poll, Wake, Waker};
 use parking_lot::Mutex;
 
 use crate::rng::SimRng;
+use crate::slab::{Slab, SlabKey};
 use crate::time::{SimDuration, SimTime};
-
-/// Address of a slab entry: the slot, and the slot's generation when the
-/// entry was inserted. A key outlives its entry harmlessly — once the entry is
-/// removed the generation moves on and the key resolves to nothing, even after
-/// the slot is reused.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-struct Key {
-    slot: u32,
-    generation: u32,
-}
-
-/// A `Vec` of reusable slots addressed by [`Key`].
-struct Slab<T> {
-    slots: Vec<(u32, Option<T>)>,
-    free: Vec<u32>,
-}
-
-impl<T> Slab<T> {
-    fn new() -> Slab<T> {
-        Slab {
-            slots: Vec::new(),
-            free: Vec::new(),
-        }
-    }
-
-    /// Stores the value `make` builds from the key it will live under.
-    fn insert_with(&mut self, make: impl FnOnce(Key) -> T) -> Key {
-        let slot = self.free.pop().unwrap_or_else(|| {
-            self.slots.push((0, None));
-            (self.slots.len() - 1) as u32
-        });
-        let entry = &mut self.slots[slot as usize];
-        let key = Key {
-            slot,
-            generation: entry.0,
-        };
-        entry.1 = Some(make(key));
-        key
-    }
-
-    fn get_mut(&mut self, key: Key) -> Option<&mut T> {
-        match self.slots.get_mut(key.slot as usize) {
-            Some((generation, value)) if *generation == key.generation => value.as_mut(),
-            _ => None,
-        }
-    }
-
-    fn contains(&self, key: Key) -> bool {
-        self.slots
-            .get(key.slot as usize)
-            .is_some_and(|(generation, value)| *generation == key.generation && value.is_some())
-    }
-
-    /// Takes the entry out and retires its key.
-    fn remove(&mut self, key: Key) -> Option<T> {
-        let (generation, value) = self.slots.get_mut(key.slot as usize)?;
-        if *generation != key.generation {
-            return None;
-        }
-        let value = value.take()?;
-        *generation = generation.wrapping_add(1);
-        self.free.push(key.slot);
-        Some(value)
-    }
-}
 
 /// Identifier of a spawned task.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct TaskId(Key);
+pub struct TaskId(SlabKey);
 
 /// Handle of a pending or fired timer, held by [`crate::sync::Sleep`].
 #[derive(Clone, Copy)]
-pub(crate) struct TimerKey(Key);
+pub(crate) struct TimerKey(SlabKey);
 
 /// A task's future, its output type erased so the task table holds tasks of
 /// every type. Unit outputs — every fire-and-forget task — box for free.
 type TaskFuture = Pin<Box<dyn Future<Output = Box<dyn Any>>>>;
+
+/// Receives the events scheduled for it with
+/// [`Sim::schedule_target_at`]: the allocation-free form of an event, for
+/// what happens once per message and not once per connection. The target
+/// keeps what the event needs in a record of its own (typically in a
+/// [`Slab`]) and finds it again by the token.
+pub trait EventTarget {
+    /// The event scheduled with `token` has come due.
+    fn fire(self: Rc<Self>, token: u64);
+}
 
 enum Action {
     /// Mark the timer fired and wake whoever polled its `Sleep`.
     Timer(TimerKey),
     /// Run the closure.
     Call(Box<dyn FnOnce()>),
+    /// Hand the token to the target.
+    Target(Rc<dyn EventTarget>, u64),
 }
 
 /// An event queue entry: perform `action` at `time`. `seq` breaks ties so
@@ -129,7 +82,7 @@ impl EventEntry {
     fn is_live(&self, timers: &Slab<Timer>) -> bool {
         match self.action {
             Action::Timer(key) => timers.contains(key.0),
-            Action::Call(_) => true,
+            Action::Call(_) | Action::Target(..) => true,
         }
     }
 }
@@ -310,6 +263,14 @@ impl Sim {
         self.enqueue(at, Action::Call(Box::new(action)));
     }
 
+    /// Schedules `target` to be handed `token` at absolute time `at`. Queued
+    /// exactly as [`schedule_at`](Sim::schedule_at) queues a closure — the
+    /// same clock check, the same place among same-instant events — and
+    /// nothing is allocated for it.
+    pub fn schedule_target_at(&self, at: SimTime, target: Rc<dyn EventTarget>, token: u64) {
+        self.enqueue(at, Action::Target(target, token));
+    }
+
     fn enqueue(&self, at: SimTime, action: Action) {
         assert!(
             at >= self.now(),
@@ -329,7 +290,7 @@ impl Sim {
     /// place among same-instant events by when it was armed, not by when its
     /// `Sleep` is first polled.
     pub(crate) fn start_timer(&self, at: SimTime) -> TimerKey {
-        let key = TimerKey(self.core.timers.borrow_mut().insert_with(|_| Timer {
+        let key = TimerKey(self.core.timers.borrow_mut().insert(Timer {
             fired: false,
             waker: None,
         }));
@@ -495,6 +456,7 @@ impl Sim {
             .set(self.core.events_executed.get() + 1);
         match ev.action {
             Action::Call(action) => action(),
+            Action::Target(target, token) => target.fire(token),
             Action::Timer(key) => {
                 let waker = self.core.timers.borrow_mut().get_mut(key.0).and_then(|t| {
                     t.fired = true;
@@ -573,8 +535,8 @@ impl Sim {
         self.core.live_tasks.get()
     }
 
-    /// Number of events waiting to execute: scheduled closures and armed
-    /// timers, not counting timers that were cancelled.
+    /// Number of events waiting to execute: scheduled closures, targeted
+    /// events and armed timers, not counting timers that were cancelled.
     pub fn pending_events(&self) -> usize {
         let events = self.core.events.borrow();
         events.heap.len() - events.tombstones
@@ -610,6 +572,41 @@ mod tests {
         }
         sim.run();
         assert_eq!(*log.borrow(), (0..16).collect::<Vec<_>>());
+    }
+
+    /// The three kinds of event share one queue and one sequence: what is
+    /// scheduled for one instant fires in scheduling order whatever its kind,
+    /// so a closure turned into a targeted event keeps its place.
+    #[test]
+    fn closures_timers_and_targeted_events_share_one_order() {
+        struct Log(RefCell<Vec<u64>>);
+        impl EventTarget for Log {
+            fn fire(self: Rc<Self>, token: u64) {
+                self.0.borrow_mut().push(token);
+            }
+        }
+        let sim = Sim::new(1);
+        let log = Rc::new(Log(RefCell::new(Vec::new())));
+        let at = SimTime::from_nanos(5);
+        for i in 0..30u64 {
+            let log = log.clone();
+            match i % 3 {
+                0 => sim.schedule_at(at, move || log.0.borrow_mut().push(i)),
+                1 => sim.schedule_target_at(at, log, i),
+                _ => {
+                    // Armed now, first polled only when the task runs.
+                    let sleep = sim.sleep_until(at);
+                    sim.spawn(async move {
+                        sleep.await;
+                        log.0.borrow_mut().push(i);
+                    });
+                }
+            }
+        }
+        assert_eq!(sim.pending_events(), 30);
+        sim.run();
+        assert_eq!(*log.0.borrow(), (0..30).collect::<Vec<_>>());
+        assert_eq!(sim.events_executed(), 30);
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //! A [`Cluster`] instantiates one of the paper's testbeds: a set of compute
 //! nodes, each with a kernel network-processing resource and an InfiniBand
 //! HCA pipeline, joined by up to three physical networks (IB, 10GigE,
-//! 1GigE). [`Network::transmit`] is the only way bytes move between nodes;
-//! it models egress serialization, propagation, and ingress occupancy, and
-//! fires a delivery closure at the computed arrival instant. Everything
-//! above (verbs, sockets, UCR, Memcached) is protocol logic layered on this
-//! one primitive.
+//! 1GigE). [`Network::carry`] is the only way bytes move between nodes: it
+//! models egress serialization, propagation, and ingress occupancy, and
+//! returns the arrival instant, for which the caller schedules what happens
+//! then ([`Network::transmit`] does both, with a closure). Everything above
+//! (verbs, sockets, UCR, Memcached) is protocol logic layered on this one
+//! primitive.
 
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -110,7 +111,9 @@ impl Network {
     }
 
     /// Moves `bytes` from `src` to `dst`, beginning no earlier than `start`,
-    /// and returns the delivery instant. `deliver` fires at that instant.
+    /// and returns the delivery instant. Scheduling what happens then is the
+    /// caller's: the data path schedules a targeted event, which costs no
+    /// allocation per message.
     ///
     /// Model: the message occupies the sender's egress port for its
     /// serialization time (FIFO with earlier traffic); the first bit reaches
@@ -122,15 +125,7 @@ impl Network {
     /// Each message reaches the cluster [`Tracer`] as one `wire_tx`/`wire_rx`
     /// instant pair stamped with its computed times — what the
     /// protocol-efficiency tests count (a UCR eager get is exactly two).
-    pub fn transmit(
-        &self,
-        sim: &Sim,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u64,
-        start: SimTime,
-        deliver: impl FnOnce() + 'static,
-    ) -> SimTime {
+    pub fn carry(&self, src: NodeId, dst: NodeId, bytes: u64, start: SimTime) -> SimTime {
         assert_ne!(src, dst, "loopback does not traverse the network");
         let ser = self.ser_time(bytes);
         let egress_done = self.ports[src.0 as usize].egress.occupy_from(start, ser);
@@ -159,6 +154,22 @@ impl Network {
             bytes,
             delivered,
         );
+        delivered
+    }
+
+    /// [`carry`](Network::carry), with `deliver` fired at the delivery
+    /// instant: for what happens once per connection (handshakes, rejects),
+    /// where a boxed closure is no cost that counts.
+    pub fn transmit(
+        &self,
+        sim: &Sim,
+        src: NodeId,
+        dst: NodeId,
+        bytes: u64,
+        start: SimTime,
+        deliver: impl FnOnce() + 'static,
+    ) -> SimTime {
+        let delivered = self.carry(src, dst, bytes, start);
         sim.schedule_at(delivered, deliver);
         delivered
     }

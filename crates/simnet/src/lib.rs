@@ -18,7 +18,7 @@
 //!   five transports of the paper's evaluation.
 //!
 //! Higher layers (`verbs`, `socksim`, `ucr`, `rmc`) implement real protocol
-//! logic — real bytes move end to end — on top of [`Network::transmit`],
+//! logic — real bytes move end to end — on top of [`Network::carry`],
 //! the single primitive through which all inter-node traffic flows.
 //!
 //! ```
@@ -45,6 +45,7 @@ pub mod profiles;
 mod resource;
 mod rng;
 pub mod sketch;
+mod slab;
 pub mod sync;
 mod time;
 pub mod timeseries;
@@ -52,7 +53,7 @@ pub mod trace;
 pub mod trace_export;
 pub mod vlock;
 
-pub use engine::{JoinHandle, Sim, TaskId};
+pub use engine::{EventTarget, JoinHandle, Sim, TaskId};
 pub use exemplar::{Exemplar, ExemplarConfig, ExemplarRing};
 pub use fabric::{Cluster, Network, Node, NodeId};
 pub use metrics::Metrics;
@@ -63,6 +64,7 @@ pub use profiles::{ClusterProfile, NetKind, Stack};
 pub use resource::FifoResource;
 pub use rng::SimRng;
 pub use sketch::{CountMin, HotKey, SketchConfig, TopK, WorkloadSketch};
+pub use slab::{Slab, SlabKey};
 pub use time::{SimDuration, SimTime};
 pub use timeseries::{
     Health, HealthInput, HealthMonitor, HealthRules, MonitorBinding, SamplePoint, Sampler,

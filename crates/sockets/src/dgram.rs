@@ -15,7 +15,7 @@ use std::rc::Rc;
 
 use simnet::profiles::SocketStackProfile;
 use simnet::sync::Notify;
-use simnet::{Network, Sim, Stack};
+use simnet::{EventTarget, Network, Sim, SimTime, SlabKey, Stack};
 
 use crate::fabric::SockFabricInner;
 use crate::stream::{SockError, SocketAddr};
@@ -30,6 +30,66 @@ pub(crate) struct DgramInbox {
     pub queue: RefCell<VecDeque<(SocketAddr, Vec<u8>)>>,
     pub notify: Notify,
     pub dropped: std::cell::Cell<u64>,
+}
+
+/// One datagram on its way, as the stage it waits for. The table is the
+/// fabric's: a datagram is addressed to a port, and which socket is bound
+/// there is looked up when it is delivered.
+pub(crate) struct Datagram {
+    stack: Stack,
+    profile: SocketStackProfile,
+    src: SocketAddr,
+    dst: SocketAddr,
+    payload: Vec<u8>,
+    /// False on the wire; true once the receiving kernel has it.
+    in_kernel: bool,
+}
+
+impl SockFabricInner {
+    /// Puts `dgram` in the table and schedules its stage for `at`.
+    fn launch(self: &Rc<Self>, at: SimTime, dgram: Datagram) {
+        let key = self.datagrams.borrow_mut().insert(dgram);
+        self.cluster
+            .sim()
+            .schedule_target_at(at, self.clone(), key.token());
+    }
+}
+
+impl EventTarget for SockFabricInner {
+    /// Advances the datagram `token` names by the stage it was waiting for.
+    fn fire(self: Rc<Self>, token: u64) {
+        let taken = self
+            .datagrams
+            .borrow_mut()
+            .remove(SlabKey::from_token(token));
+        let Some(mut dgram) = taken else { return };
+        let dst = dgram.dst;
+        if !dgram.in_kernel {
+            if self.is_dead(dst.node) {
+                return; // dropped on the floor
+            }
+            let kernel = &self.cluster.node(dst.node).kernel;
+            let p = &dgram.profile;
+            let service = p.kernel_recv + p.data_path_cost(dgram.payload.len() as u64);
+            let ready = kernel.occupy_from(self.cluster.sim().now(), service);
+            dgram.in_kernel = true;
+            self.launch(ready, dgram);
+            return;
+        }
+        let Some(inbox) = self.dgram_inbox(dgram.stack, dst) else {
+            return; // no socket bound: ICMP port unreachable, i.e. silence
+        };
+        let mut q = inbox.queue.borrow_mut();
+        if q.len() >= DGRAM_RCVBUF_DATAGRAMS {
+            // Receive buffer overflow: the datagram is lost. This
+            // is UDP's defining hazard under load.
+            inbox.dropped.set(inbox.dropped.get() + 1);
+            return;
+        }
+        q.push_back((dgram.src, dgram.payload));
+        drop(q);
+        inbox.notify.notify_all();
+    }
 }
 
 /// An unconnected datagram socket bound to `(stack, node, port)`.
@@ -70,39 +130,16 @@ impl DgramSocket {
         let kernel = &self.fabric.cluster.node(self.local.node).kernel;
         let launch = kernel.occupy_from(sim.now(), self.profile.kernel_send);
         let wire = payload.len() as u64 + 46; // UDP/IP/Ethernet headers
-        let fabric = self.fabric.clone();
-        let profile = self.profile;
-        let stack = self.stack;
-        let src = self.local;
-        let payload = payload.to_vec();
-        let sim2 = sim.clone();
-        self.net
-            .transmit(&sim, src.node, dst.node, wire, launch, move || {
-                if fabric.is_dead(dst.node) {
-                    return; // dropped on the floor
-                }
-                let kernel = &fabric.cluster.node(dst.node).kernel;
-                let ready = kernel.occupy_from(
-                    sim2.now(),
-                    profile.kernel_recv + profile.data_path_cost(payload.len() as u64),
-                );
-                let fabric2 = fabric.clone();
-                sim2.clone().schedule_at(ready, move || {
-                    let Some(inbox) = fabric2.dgram_inbox(stack, dst) else {
-                        return; // no socket bound: ICMP port unreachable, i.e. silence
-                    };
-                    let mut q = inbox.queue.borrow_mut();
-                    if q.len() >= DGRAM_RCVBUF_DATAGRAMS {
-                        // Receive buffer overflow: the datagram is lost. This
-                        // is UDP's defining hazard under load.
-                        inbox.dropped.set(inbox.dropped.get() + 1);
-                        return;
-                    }
-                    q.push_back((src, payload));
-                    drop(q);
-                    inbox.notify.notify_all();
-                });
-            });
+        let arrives = self.net.carry(self.local.node, dst.node, wire, launch);
+        let on_wire = Datagram {
+            stack: self.stack,
+            profile: self.profile,
+            src: self.local,
+            dst,
+            payload: payload.to_vec(),
+            in_kernel: false,
+        };
+        self.fabric.launch(arrives, on_wire);
         Ok(())
     }
 

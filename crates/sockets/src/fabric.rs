@@ -13,9 +13,9 @@ use std::rc::Rc;
 
 use simnet::profiles::SocketStackProfile;
 use simnet::sync::{self, timeout};
-use simnet::{Cluster, Network, NodeId, SimDuration, Stack};
+use simnet::{Cluster, Network, NodeId, SimDuration, Slab, Stack};
 
-use crate::dgram::{DgramInbox, DgramSocket};
+use crate::dgram::{Datagram, DgramInbox, DgramSocket};
 use crate::stream::{RecvBuf, SockError, Socket, SocketAddr};
 
 /// Default connect handshake timeout.
@@ -42,6 +42,8 @@ pub(crate) struct SockFabricInner {
     pub cluster: Rc<Cluster>,
     listeners: RefCell<HashMap<(Stack, NodeId, u16), sync::Sender<ConnRequest>>>,
     dgram_socks: RefCell<HashMap<(Stack, NodeId, u16), Rc<DgramInbox>>>,
+    /// The datagrams on their way between sockets.
+    pub(crate) datagrams: RefCell<Slab<Datagram>>,
     socks: RefCell<HashMap<u64, SockRec>>,
     dead: RefCell<HashSet<NodeId>>,
     next_sock: Cell<u64>,
@@ -62,6 +64,7 @@ impl SockFabric {
                 cluster,
                 listeners: RefCell::new(HashMap::new()),
                 dgram_socks: RefCell::new(HashMap::new()),
+                datagrams: RefCell::new(Slab::new()),
                 socks: RefCell::new(HashMap::new()),
                 dead: RefCell::new(HashSet::new()),
                 next_sock: Cell::new(1),
@@ -114,7 +117,7 @@ impl SockFabric {
         }
         let (profile, net) = inner.stack_env(stack)?;
 
-        let client_rx = RecvBuf::new();
+        let client_rx = RecvBuf::new(src, profile);
         let (reply_tx, reply_rx) = sync::oneshot();
         let local_port = inner.next_port.get();
         inner.next_port.set(local_port.wrapping_add(1).max(40000));
@@ -326,7 +329,7 @@ impl Listener {
 
         // Server-side accept cost + SYN-ACK back to the client.
         sim.sleep(profile.app_recv).await;
-        let server_rx = RecvBuf::new();
+        let server_rx = RecvBuf::new(self.addr.node, profile);
         let launch = inner
             .cluster
             .node(self.addr.node)
@@ -368,5 +371,62 @@ impl Drop for Listener {
             .listeners
             .borrow_mut()
             .remove(&(self.stack, self.addr.node, self.addr.port));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Delivered, lost into a dead node, or sent to a port nobody is bound
+    /// to: once the event queue is empty no segment or datagram record is
+    /// left in any table.
+    #[test]
+    fn nothing_in_flight_outlives_the_event_queue() {
+        const PORT: u16 = 11211;
+        let cluster = Rc::new(Cluster::cluster_a(5, 4));
+        let fabric = SockFabric::new(cluster.clone());
+        let sim = cluster.sim().clone();
+        let stack = Stack::TenGigEToe;
+        let server = SocketAddr {
+            node: NodeId(1),
+            port: PORT,
+        };
+        let listener = fabric.listen(stack, server.node, PORT).expect("port free");
+        let f = fabric.clone();
+        let (sock, peer, _udp, _udp_peer) = sim.block_on(async move {
+            let accepted = f
+                .cluster()
+                .sim()
+                .spawn(async move { listener.accept().await });
+            let sock = f
+                .connect(stack, NodeId(0), server, DEFAULT_CONNECT_TIMEOUT)
+                .await
+                .expect("connected");
+            let peer = accepted.await.expect("accepted");
+            let udp = f.udp_bind(stack, NodeId(0), PORT).expect("port free");
+            let udp_peer = f.udp_bind(stack, server.node, PORT).expect("port free");
+            let unbound = SocketAddr {
+                node: NodeId(2),
+                port: PORT,
+            };
+            for _ in 0..4 {
+                sock.write_all(&[1; 100]).await.expect("open");
+                peer.write_all(&[2; 3000]).await.expect("open");
+                udp.send_to(server, &[3; 64]).await.expect("up");
+                udp.send_to(unbound, &[4; 64]).await.expect("up");
+            }
+            (sock, peer, udp, udp_peer)
+        });
+        // Still on their way: the last writes of each kind.
+        let in_flight = |sock: &Socket| sock.peer_rx.segments.borrow().len();
+        assert!(in_flight(&sock) > 0 && in_flight(&peer) > 0);
+        assert!(!fabric.inner.datagrams.borrow().is_empty());
+        // The server's node dies with bytes heading for it.
+        fabric.kill_node(server.node);
+        sim.run();
+        assert_eq!(sim.pending_events(), 0);
+        assert_eq!((in_flight(&sock), in_flight(&peer)), (0, 0));
+        assert!(fabric.inner.datagrams.borrow().is_empty());
     }
 }

@@ -18,7 +18,7 @@ use std::rc::Rc;
 
 use simnet::profiles::SocketStackProfile;
 use simnet::sync::Notify;
-use simnet::{Network, NodeId, Sim, SimDuration, Stack};
+use simnet::{EventTarget, Network, NodeId, Sim, SimDuration, SimTime, Slab, SlabKey, Stack};
 
 use crate::fabric::SockFabricInner;
 
@@ -59,24 +59,51 @@ pub struct SocketAddr {
     pub port: u16,
 }
 
+/// One write on its way into a [`RecvBuf`], as the stage it waits for.
+pub(crate) enum Segment {
+    /// On the wire to the receiving node.
+    Arrive {
+        fabric: Rc<SockFabricInner>,
+        payload: Vec<u8>,
+    },
+    /// In the receiving kernel, due in the socket buffer.
+    Deliver { payload: Vec<u8> },
+    /// The peer closed: its FIN is one propagation delay out.
+    Fin,
+}
+
 /// Per-direction receive buffer (lives at the receiving endpoint).
 pub(crate) struct RecvBuf {
+    /// The receiving node, and its stack's costs.
+    node: NodeId,
+    profile: SocketStackProfile,
     pub data: RefCell<VecDeque<u8>>,
     pub notify: Notify,
     pub closed: Cell<bool>,
     /// Latest scheduled delivery instant: keeps the byte stream in order
     /// even when a jitter spike delays one message.
-    pub last_delivery: Cell<simnet::SimTime>,
+    pub last_delivery: Cell<SimTime>,
+    /// The writes still on their way in.
+    pub(crate) segments: RefCell<Slab<Segment>>,
 }
 
 impl RecvBuf {
-    pub(crate) fn new() -> Rc<RecvBuf> {
+    pub(crate) fn new(node: NodeId, profile: SocketStackProfile) -> Rc<RecvBuf> {
         Rc::new(RecvBuf {
+            node,
+            profile,
             data: RefCell::new(VecDeque::new()),
             notify: Notify::new(),
             closed: Cell::new(false),
-            last_delivery: Cell::new(simnet::SimTime::ZERO),
+            last_delivery: Cell::new(SimTime::ZERO),
+            segments: RefCell::new(Slab::new()),
         })
+    }
+
+    /// Puts `segment` in the table and schedules its stage for `at`.
+    fn launch(self: &Rc<Self>, sim: &Sim, at: SimTime, segment: Segment) {
+        let key = self.segments.borrow_mut().insert(segment);
+        sim.schedule_target_at(at, self.clone(), key.token());
     }
 
     pub(crate) fn push(&self, bytes: &[u8]) {
@@ -87,6 +114,54 @@ impl RecvBuf {
     pub(crate) fn close(&self) {
         self.closed.set(true);
         self.notify.notify_all();
+    }
+}
+
+impl EventTarget for RecvBuf {
+    /// Advances the segment `token` names by the stage it was waiting for.
+    fn fire(self: Rc<Self>, token: u64) {
+        let segment = self
+            .segments
+            .borrow_mut()
+            .remove(SlabKey::from_token(token));
+        let Some(segment) = segment else { return };
+        match segment {
+            Segment::Arrive { fabric, payload } => {
+                let (dst, profile) = (self.node, &self.profile);
+                if fabric.is_dead(dst) {
+                    return; // bytes vanish into the dead node
+                }
+                let sim = fabric.cluster.sim();
+                // Kernel receive-side occupancy: per-message cost plus the
+                // per-byte data path (copies, re-framing).
+                let service = profile.kernel_recv + profile.data_path_cost(payload.len() as u64);
+                let dst_kernel = &fabric.cluster.node(dst).kernel;
+                let mut ready = dst_kernel.occupy_from(sim.now(), service);
+                // Jitter spikes (the SDP-on-QDR artifact, §VI-B) delay this
+                // message's delivery but do not burn shared kernel time —
+                // the paper observes noisy latency, not collapsed
+                // throughput.
+                if let Some(j) = profile.jitter {
+                    let spike = sim.with_rng(|r| {
+                        if r.gen_bool(j.prob) {
+                            r.gen_exp(j.mean)
+                        } else {
+                            SimDuration::ZERO
+                        }
+                    });
+                    ready += spike;
+                }
+                // TCP ordering: never deliver before earlier bytes of this
+                // direction.
+                ready = ready.max(self.last_delivery.get());
+                self.last_delivery.set(ready);
+                self.launch(sim, ready, Segment::Deliver { payload });
+            }
+            // A reset got here first: the bytes have nowhere to go.
+            Segment::Deliver { .. } if self.closed.get() => {}
+            Segment::Deliver { payload } => self.push(&payload),
+            Segment::Fin => self.close(),
+        }
     }
 }
 
@@ -167,52 +242,13 @@ impl Socket {
         }
 
         // Receive-side work happens at delivery.
-        let fabric = self.fabric.clone();
-        let dst_node = self.peer.node;
-        let profile = self.profile;
-        let peer_rx = self.peer_rx.clone();
-        let payload = buf.to_vec();
-        let sim2 = sim.clone();
-        self.net.transmit(
-            &sim,
-            self.local.node,
-            dst_node,
-            wire_bytes,
-            launch,
-            move || {
-                if fabric.is_dead(dst_node) {
-                    return; // bytes vanish into the dead node
-                }
-                // Kernel receive-side occupancy: per-message cost plus the
-                // per-byte data path (copies, re-framing).
-                let service = profile.kernel_recv + profile.data_path_cost(payload.len() as u64);
-                let dst_kernel = &fabric.cluster.node(dst_node).kernel;
-                let mut ready = dst_kernel.occupy_from(sim2.now(), service);
-                // Jitter spikes (the SDP-on-QDR artifact, §VI-B) delay this
-                // message's delivery but do not burn shared kernel time —
-                // the paper observes noisy latency, not collapsed
-                // throughput.
-                if let Some(j) = profile.jitter {
-                    let spike = fabric.cluster.sim().with_rng(|r| {
-                        if r.gen_bool(j.prob) {
-                            r.gen_exp(j.mean)
-                        } else {
-                            SimDuration::ZERO
-                        }
-                    });
-                    ready += spike;
-                }
-                // TCP ordering: never deliver before earlier bytes of this
-                // direction.
-                ready = ready.max(peer_rx.last_delivery.get());
-                peer_rx.last_delivery.set(ready);
-                sim2.clone().schedule_at(ready, move || {
-                    if !peer_rx.closed.get() {
-                        peer_rx.push(&payload);
-                    }
-                });
-            },
-        );
+        let dst = self.peer.node;
+        let arrives = self.net.carry(self.local.node, dst, wire_bytes, launch);
+        let on_wire = Segment::Arrive {
+            fabric: self.fabric.clone(),
+            payload: buf.to_vec(),
+        };
+        self.peer_rx.launch(&sim, arrives, on_wire);
         Ok(())
     }
 
@@ -270,8 +306,8 @@ impl Socket {
         let sim = self.sim();
         self.local_closed.set(true);
         self.rx.close();
-        let peer_rx = self.peer_rx.clone();
-        sim.schedule(self.net.propagation(), move || peer_rx.close());
+        let fin_at = sim.now() + self.net.propagation();
+        self.peer_rx.launch(&sim, fin_at, Segment::Fin);
         self.fabric.forget(self.sock_id);
     }
 

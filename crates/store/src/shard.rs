@@ -252,6 +252,13 @@ impl SegmentedStore {
         out
     }
 
+    /// See [`Store::class_changes`], summed across segments: it moves
+    /// whenever [`class_stats`](Self::class_stats) or
+    /// [`class_evictions`](Self::class_evictions) may answer differently.
+    pub fn class_changes(&self) -> u64 {
+        self.segments.iter().map(Store::class_changes).sum()
+    }
+
     /// Zeroes the operation counters on every segment.
     pub fn reset_stats(&mut self) {
         for s in &mut self.segments {

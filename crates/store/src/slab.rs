@@ -116,6 +116,10 @@ pub struct SlabAllocator {
     classes: Vec<SlabClass>,
     config: SlabConfig,
     mem_allocated: usize,
+    /// Calls of [`alloc`](SlabAllocator::alloc) and
+    /// [`free`](SlabAllocator::free) so far: the only places a class's
+    /// pages or its used and free chunks move.
+    changes: u64,
 }
 
 impl SlabAllocator {
@@ -153,6 +157,7 @@ impl SlabAllocator {
             classes,
             config,
             mem_allocated: 0,
+            changes: 0,
         }
     }
 
@@ -183,6 +188,7 @@ impl SlabAllocator {
     pub fn alloc(&mut self, class: ClassId) -> Option<SlabLoc> {
         let limit = self.config.mem_limit;
         let page_size = self.config.page_size;
+        self.changes += 1;
         let c = &mut self.classes[class.0 as usize];
         c.alloc_count += 1;
         if let Some(loc) = c.free.pop() {
@@ -214,6 +220,7 @@ impl SlabAllocator {
 
     /// Returns a chunk to its class's free list.
     pub fn free(&mut self, loc: SlabLoc) {
+        self.changes += 1;
         let c = &mut self.classes[loc.class.0 as usize];
         debug_assert!(!c.free.contains(&loc), "double free of slab chunk {loc:?}");
         c.used -= 1;
@@ -280,6 +287,14 @@ impl SlabAllocator {
     pub fn version_at(&self, class: ClassId, page: u32, chunk: u32) -> u64 {
         let c = &self.classes[class.0 as usize];
         c.versions[(page * c.per_page + chunk) as usize]
+    }
+
+    /// A count that moves whenever [`class_stats`](Self::class_stats) may
+    /// answer differently for some class, and never goes back: an observer
+    /// that has walked the classes need not walk them again while it reads
+    /// the same.
+    pub fn changes(&self) -> u64 {
+        self.changes
     }
 
     /// Total bytes of pages grabbed from the OS.

@@ -241,6 +241,9 @@ pub struct Store {
     config: StoreConfig,
     stats: StoreStats,
     evictions_by_class: Vec<u64>,
+    /// Times [`reset_stats`](Store::reset_stats) zeroed the eviction
+    /// counts: the one way they move without a chunk being freed.
+    stat_resets: u64,
     /// Chunk-change events for the bypass mirror; only filled while
     /// `track_events` is on (i.e. a bypass client exists).
     events: Vec<SlabEvent>,
@@ -269,6 +272,7 @@ impl Store {
             config,
             stats: StoreStats::default(),
             evictions_by_class: vec![0; classes],
+            stat_resets: 0,
             events: Vec::new(),
             track_events: false,
         }
@@ -452,6 +456,16 @@ impl Store {
     pub fn reset_stats(&mut self) {
         self.stats = StoreStats::default();
         self.evictions_by_class.iter_mut().for_each(|e| *e = 0);
+        self.stat_resets += 1;
+    }
+
+    /// A count that moves whenever a per-class figure — pages, used and
+    /// free chunks ([`SlabAllocator::class_stats`]), evictions
+    /// ([`class_evictions`](Store::class_evictions)) — may have moved, and
+    /// never goes back. An eviction frees a chunk, so the allocator's own
+    /// count covers everything but a statistics reset.
+    pub fn class_changes(&self) -> u64 {
+        self.slabs.changes() + self.stat_resets
     }
 
     /// Live item count (may include not-yet-reclaimed expired items).

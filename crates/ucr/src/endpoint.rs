@@ -11,7 +11,7 @@ use std::rc::{Rc, Weak};
 
 use simnet::profiles::UCR_EAGER_THRESHOLD;
 use simnet::trace::{Layer, Track};
-use simnet::{NodeId, SimDuration};
+use simnet::{EventTarget, NodeId, SimDuration, Slab, SlabKey};
 use verbs::{QueuePair, SendOp, SendWr};
 
 use crate::counter::Counter;
@@ -100,6 +100,55 @@ pub(crate) fn stage_head(pkt: &PacketHeader, hdr: &[u8], extra: usize) -> Vec<u8
     head
 }
 
+/// The wire prefix of an eager message — packet header, then application
+/// header — as its parts (a send whose caller still holds the header) or
+/// staged already (a posted reply, copied at the post to outlive its
+/// caller).
+enum Prefix<'a> {
+    Parts(&'a PacketHeader, &'a [u8]),
+    Staged(Vec<u8>),
+}
+
+impl Prefix<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Prefix::Parts(_, hdr) => PACKET_HEADER_BYTES + hdr.len(),
+            Prefix::Staged(head) => head.len(),
+        }
+    }
+
+    fn append_to(&self, out: &mut Vec<u8>) {
+        match self {
+            Prefix::Parts(pkt, hdr) => {
+                out.extend_from_slice(&pkt.encode());
+                out.extend_from_slice(hdr);
+            }
+            Prefix::Staged(head) => out.extend_from_slice(head),
+        }
+    }
+
+    /// The prefix in a buffer with room for `extra` more bytes (see
+    /// [`stage_head`]).
+    fn into_head(self, extra: usize) -> Vec<u8> {
+        match self {
+            Prefix::Parts(pkt, hdr) => stage_head(pkt, hdr, extra),
+            Prefix::Staged(head) => head,
+        }
+    }
+}
+
+/// A reply [`Endpoint::post_message`] has staged and not yet handed to
+/// [`EpInner::send_eager`]: it sits out the staging delay here, as a record
+/// a targeted event comes back for, where it used to be a task asleep.
+pub(crate) struct Staged {
+    /// Held as the task held it: the runtime outlives what it has staged.
+    rt: Rc<RtInner>,
+    /// Packet header and application header, with room for `data`.
+    head: Vec<u8>,
+    data: Vec<u8>,
+    origin: Option<Counter>,
+}
+
 /// Send-side eager coalescing state of one RC endpoint. While either end
 /// of the connection is backed up — this end by its own completions (see
 /// [`BACKLOG_MULTIPLE`]), the peer by its own word, carried in every eager
@@ -151,9 +200,136 @@ pub(crate) struct EpInner {
     /// scaling property SVII is after.
     pub ud_dest: Option<(NodeId, u32)>,
     pub eager: EagerQueue,
+    /// Replies staged by [`Endpoint::post_message`], until their staging
+    /// delay has passed.
+    pub(crate) staged: RefCell<Slab<Staged>>,
 }
 
 impl EpInner {
+    pub(crate) fn new(
+        id: u64,
+        qp: QueuePair,
+        peer: NodeId,
+        ctx: usize,
+        rt: Weak<RtInner>,
+        ud_dest: Option<(NodeId, u32)>,
+    ) -> Rc<EpInner> {
+        Rc::new(EpInner {
+            id,
+            qp,
+            peer,
+            ctx,
+            rt,
+            failed: Cell::new(false),
+            ud_dest,
+            eager: EagerQueue::default(),
+            staged: RefCell::new(Slab::new()),
+        })
+    }
+
+    /// The first half of a send, before any time passes: the packet header
+    /// of the message and whether it goes eagerly. Refuses what the
+    /// endpoint cannot carry.
+    fn plan(
+        &self,
+        rt: &RtInner,
+        msg_id: u16,
+        hdr_len: usize,
+        data_len: usize,
+        opts: &SendOptions,
+    ) -> Result<(PacketHeader, bool), UcrError> {
+        // The eager threshold governs *payload* bytes (application header
+        // + data): receive buffers are sized `PACKET_HEADER_BYTES +
+        // threshold` (see `post_recv_buffer`), so the 64-byte packet
+        // header must not count against it — a payload of exactly
+        // `eager_threshold` bytes (the paper's 8 KB, §IV-C) rides eager.
+        let payload = hdr_len + data_len;
+        let total = PACKET_HEADER_BYTES + payload;
+
+        let mut pkt = PacketHeader::new(PacketKind::Eager, msg_id);
+        pkt.hdr_len = hdr_len as u32;
+        pkt.data_len = data_len as u64;
+        pkt.target_ctr = opts.target_ctr;
+        pkt.origin_ctr = opts.origin.as_ref().map(Counter::id).unwrap_or(0);
+        pkt.completion_ctr = opts.completion.as_ref().map(Counter::id).unwrap_or(0);
+
+        let eager = payload <= rt.eager_threshold.get();
+        // Tell the peer whether this end is backed up, so that it keeps
+        // coalescing towards a bottleneck only this end can see.
+        pkt.backed_up = eager && self.backed_up();
+        if self.ud_dest.is_some() && !(eager && total <= rt.ud_payload_limit()) {
+            // Unreliable endpoint: single-datagram eager only. The eager
+            // threshold bounds the payload; the MTU bounds the full
+            // datagram (packet header included) — both must hold.
+            return Err(UcrError::MessageTooLarge);
+        }
+        Ok((pkt, eager))
+    }
+
+    /// The second half of an eager send, once the staging delay has passed:
+    /// holds the message behind a backed-up send queue, or posts it.
+    fn send_eager(
+        self: &Rc<Self>,
+        rt: &RtInner,
+        prefix: Prefix<'_>,
+        data: SendBuf<'_>,
+        origin: Option<Counter>,
+    ) -> Result<(), UcrError> {
+        if self.should_hold() {
+            // The send queue is backed up: this message would only
+            // wait in the HCA FIFO, so it waits here instead and
+            // shares the next work request (see `EagerQueue`).
+            if self.failed.get() {
+                return Err(UcrError::EndpointFailed);
+            }
+            self.hold(rt, &prefix, data.as_slice(), origin);
+            rt.stats.messages_sent.inc();
+            return Ok(());
+        }
+        // Stage header+data into a communication buffer (one copy at this
+        // end, one at the target), single transaction. Owned payloads skip
+        // the staging copy: the buffer rides the HCA's gather list as-is.
+        let payload = prefix.len() - PACKET_HEADER_BYTES + data.len();
+        let head = prefix.into_head(data.len());
+        if data.is_owned() {
+            rt.stats.eager_copy_saved_bytes.add(data.len() as u64);
+        }
+        let wr_id = rt.alloc_wr(Pending::EagerSend {
+            origin,
+            ep: Rc::downgrade(self),
+            posted: rt.sim.now(),
+        });
+        let mut wr = SendWr::new(
+            wr_id,
+            SendOp::SendGather {
+                head,
+                data: data.into_vec(),
+                imm: None,
+            },
+        );
+        wr.ud_dest = self.ud_dest;
+        rt.post(&self.qp, wr)?;
+        self.eager_posted(rt);
+        let sent = if self.ud_dest.is_some() {
+            "am_send_ud"
+        } else {
+            "am_send_eager"
+        };
+        rt.tracer.instant(
+            Layer::Ucr,
+            sent,
+            rt.node,
+            Track::Endpoint(self.id),
+            wr_id,
+            payload as u64,
+            rt.sim.now(),
+        );
+        // The completion counter (if any) is bumped when the target's
+        // Fin arrives; its id already travels in the packet header.
+        rt.stats.messages_sent.inc();
+        Ok(())
+    }
+
     /// True while this end's own send queue is measurably backed up. UD
     /// endpoints never are: their sends complete at the local HCA and say
     /// nothing about the path.
@@ -182,13 +358,12 @@ impl EpInner {
     fn hold(
         self: &Rc<Self>,
         rt: &RtInner,
-        pkt: &PacketHeader,
-        hdr: &[u8],
+        prefix: &Prefix<'_>,
         data: &[u8],
         origin: Option<Counter>,
     ) {
         let q = &self.eager;
-        let total = PACKET_HEADER_BYTES + hdr.len() + data.len();
+        let total = prefix.len() + data.len();
         if q.held.borrow().len() + total > HELD_CAP {
             self.flush_held(rt);
         }
@@ -196,8 +371,7 @@ impl EpInner {
         if held.capacity() == 0 {
             held.reserve_exact(HELD_CAP);
         }
-        held.extend_from_slice(&pkt.encode());
-        held.extend_from_slice(hdr);
+        prefix.append_to(&mut held);
         held.extend_from_slice(data);
         q.held_msgs.set(q.held_msgs.get() + 1);
         q.origins.borrow_mut().extend(origin);
@@ -278,6 +452,26 @@ impl EpInner {
         q.last.set(took);
         if q.fastest.get().is_none_or(|f| took < f) {
             q.fastest.set(Some(took));
+        }
+    }
+}
+
+impl EventTarget for EpInner {
+    /// The staging delay of the reply `token` names has passed.
+    fn fire(self: Rc<Self>, token: u64) {
+        let staged = self.staged.borrow_mut().remove(SlabKey::from_token(token));
+        let Some(Staged {
+            rt,
+            head,
+            data,
+            origin,
+        }) = staged
+        else {
+            return;
+        };
+        let sent = self.send_eager(&rt, Prefix::Staged(head), SendBuf::Owned(data), origin);
+        if sent.is_err() {
+            rt.stats.send_failures.inc();
         }
     }
 }
@@ -384,84 +578,10 @@ impl Endpoint {
         }
         let rt = inner.rt.upgrade().ok_or(UcrError::RuntimeGone)?;
         let sim = rt.sim.clone();
-        // The eager threshold governs *payload* bytes (application header
-        // + data): receive buffers are sized `PACKET_HEADER_BYTES +
-        // threshold` (see `post_recv_buffer`), so the 64-byte packet
-        // header must not count against it — a payload of exactly
-        // `eager_threshold` bytes (the paper's 8 KB, §IV-C) rides eager.
-        let payload = hdr.len() + data.len();
-        let total = PACKET_HEADER_BYTES + payload;
-
-        let mut pkt = PacketHeader::new(PacketKind::Eager, msg_id);
-        pkt.hdr_len = hdr.len() as u32;
-        pkt.data_len = data.len() as u64;
-        pkt.target_ctr = opts.target_ctr;
-        pkt.origin_ctr = opts.origin.as_ref().map(Counter::id).unwrap_or(0);
-        pkt.completion_ctr = opts.completion.as_ref().map(Counter::id).unwrap_or(0);
-
-        let eager = payload <= rt.eager_threshold.get();
-        // Tell the peer whether this end is backed up, so that it keeps
-        // coalescing towards a bottleneck only this end can see.
-        pkt.backed_up = eager && inner.backed_up();
-        if inner.ud_dest.is_some() && !(eager && total <= rt.ud_payload_limit()) {
-            // Unreliable endpoint: single-datagram eager only. The eager
-            // threshold bounds the payload; the MTU bounds the full
-            // datagram (packet header included) — both must hold.
-            return Err(UcrError::MessageTooLarge);
-        }
+        let (mut pkt, eager) = inner.plan(&rt, msg_id, hdr.len(), data.len(), &opts)?;
         if eager {
-            // Eager: stage header+data into a communication buffer (one
-            // copy at this end, one at the target), single transaction.
-            // Owned payloads skip the staging copy: the buffer rides the
-            // HCA's gather list as-is.
             sim.sleep(rt.stage_cost(data.len())).await;
-            if inner.should_hold() {
-                // The send queue is backed up: this message would only
-                // wait in the HCA FIFO, so it waits here instead and
-                // shares the next work request (see `EagerQueue`).
-                if inner.failed.get() {
-                    return Err(UcrError::EndpointFailed);
-                }
-                inner.hold(&rt, &pkt, hdr, data.as_slice(), opts.origin);
-                rt.stats.messages_sent.inc();
-                return Ok(());
-            }
-            let head = stage_head(&pkt, hdr, data.len());
-            if data.is_owned() {
-                rt.stats.eager_copy_saved_bytes.add(data.len() as u64);
-            }
-            let wr_id = rt.alloc_wr(Pending::EagerSend {
-                origin: opts.origin,
-                ep: Rc::downgrade(inner),
-                posted: sim.now(),
-            });
-            let mut wr = SendWr::new(
-                wr_id,
-                SendOp::SendGather {
-                    head,
-                    data: data.into_vec(),
-                    imm: None,
-                },
-            );
-            wr.ud_dest = inner.ud_dest;
-            rt.post(&inner.qp, wr)?;
-            inner.eager_posted(&rt);
-            let sent = if inner.ud_dest.is_some() {
-                "am_send_ud"
-            } else {
-                "am_send_eager"
-            };
-            rt.tracer.instant(
-                Layer::Ucr,
-                sent,
-                rt.node,
-                Track::Endpoint(inner.id),
-                wr_id,
-                payload as u64,
-                sim.now(),
-            );
-            // The completion counter (if any) is bumped when the target's
-            // Fin arrives; its id already travels in the packet header.
+            return inner.send_eager(&rt, Prefix::Parts(&pkt, hdr), data, opts.origin);
         } else {
             // Rendezvous: register the source buffer and advertise it; the
             // target pulls with RDMA read — zero copy. Repeat borrowed
@@ -502,13 +622,51 @@ impl Endpoint {
     }
 
     /// Fire-and-forget variant usable from inside (synchronous) completion
-    /// handlers: spawns the send on the runtime's executor.
-    pub fn post_message(&self, msg_id: u16, hdr: Vec<u8>, data: Vec<u8>, opts: SendOptions) {
-        let ep = self.clone();
-        if let Some(rt) = self.inner.rt.upgrade() {
-            rt.sim.clone().spawn(async move {
-                let _ = ep.send_message_owned(msg_id, &hdr, data, opts).await;
-            });
+    /// handlers. An eager message on a reliable endpoint — a server's reply
+    /// — is staged in a record of the endpoint and handed on by a targeted
+    /// event once the staging delay has passed (hold or post, exactly as
+    /// [`send_message_owned`](Self::send_message_owned) would after the
+    /// same delay); a rendezvous or unreliable one is sent by a spawned
+    /// task. Either way a message that could not be posted — the endpoint
+    /// failed, its queue pair left ready-to-send — counts one
+    /// `send_failures`.
+    pub fn post_message(
+        &self,
+        msg_id: u16,
+        hdr: impl AsRef<[u8]>,
+        data: Vec<u8>,
+        opts: SendOptions,
+    ) {
+        let inner = &self.inner;
+        let Some(rt) = inner.rt.upgrade() else { return };
+        let hdr = hdr.as_ref();
+        let planned = if inner.failed.get() {
+            Err(UcrError::EndpointFailed)
+        } else {
+            inner.plan(&rt, msg_id, hdr.len(), data.len(), &opts)
+        };
+        match planned {
+            Ok((pkt, true)) if inner.ud_dest.is_none() => {
+                let at = rt.sim.now() + rt.stage_cost(data.len());
+                let key = inner.staged.borrow_mut().insert(Staged {
+                    head: stage_head(&pkt, hdr, data.len()),
+                    data,
+                    origin: opts.origin,
+                    rt: rt.clone(),
+                });
+                rt.sim.schedule_target_at(at, inner.clone(), key.token());
+            }
+            Ok(_) => {
+                let (ep, hdr) = (self.clone(), hdr.to_vec());
+                let failures = rt.stats.send_failures.clone();
+                rt.sim.spawn(async move {
+                    let sent = ep.send_message_owned(msg_id, &hdr, data, opts).await;
+                    if sent.is_err() {
+                        failures.inc();
+                    }
+                });
+            }
+            Err(_) => rt.stats.send_failures.inc(),
         }
     }
 

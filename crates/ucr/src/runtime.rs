@@ -714,16 +714,7 @@ impl RtInner {
         let qp = self.ud_bound_qp();
         let id = self.next_ep.get();
         self.next_ep.set(id + 1);
-        let inner = Rc::new(EpInner {
-            id,
-            qp,
-            peer: node,
-            ctx: 0,
-            rt: Rc::downgrade(self),
-            failed: Cell::new(false),
-            ud_dest: Some((node, qpn)),
-            eager: Default::default(),
-        });
+        let inner = EpInner::new(id, qp, node, 0, Rc::downgrade(self), Some((node, qpn)));
         self.ud_eps
             .borrow_mut()
             .insert((node.0, qpn), inner.clone());
@@ -740,16 +731,7 @@ impl RtInner {
     fn make_endpoint(self: &Rc<Self>, qp: QueuePair, peer: NodeId, ctx: usize) -> Endpoint {
         let id = self.next_ep.get();
         self.next_ep.set(id + 1);
-        let inner = Rc::new(EpInner {
-            id,
-            qp,
-            peer,
-            ctx,
-            rt: Rc::downgrade(self),
-            failed: Cell::new(false),
-            ud_dest: None,
-            eager: Default::default(),
-        });
+        let inner = EpInner::new(id, qp, peer, ctx, Rc::downgrade(self), None);
         self.eps.borrow_mut().insert(inner.qp.qpn(), inner.clone());
         Endpoint { inner }
     }
@@ -1276,5 +1258,84 @@ mod tests {
             drop(window);
             assert_eq!(tables(), baseline);
         });
+    }
+
+    /// What `post_message` staged or spawned and then could not post counts
+    /// one `send_failures` per message — on the record path (eager) and
+    /// the task path (rendezvous) alike — and leaves no record, pending
+    /// entry, advertised source or registration behind.
+    #[test]
+    fn a_reply_that_cannot_be_posted_counts_once_and_leaves_nothing_behind() {
+        const PORT: u16 = 11211;
+        const MSG: u16 = 1;
+        const N: u64 = 8;
+        /// Posts `N` replies of `len` bytes from the accepting side, breaks
+        /// the connection with `fault` before any of them is past its
+        /// staging delay, runs the world dry, and returns the accepting
+        /// runtime's `send_failures`.
+        fn failures_after(len: usize, fault: impl FnOnce(&UcrRuntime, &Endpoint) + 'static) -> u64 {
+            let cluster = Rc::new(Cluster::cluster_b(33, 2));
+            let fabric = IbFabric::new(cluster.clone());
+            let server = UcrRuntime::new(&fabric, NodeId(1));
+            let client = UcrRuntime::new(&fabric, NodeId(0));
+            for rt in [&server, &client] {
+                rt.register_handler(MSG, FnHandler(|_: &Endpoint, _: &[u8], _: AmData| {}));
+            }
+            let listener = server.listen(PORT).expect("port free");
+            let srv = server.clone();
+            cluster.sim().block_on(async move {
+                let accepted = srv.sim().spawn(async move { listener.accept().await });
+                let timeout = SimDuration::from_millis(100);
+                let ep = client.connect(NodeId(1), PORT, timeout).await.expect("up");
+                let peer = accepted.await.expect("accepted");
+                // One message in first, so the baseline is a settled
+                // receive pool and not a fresh one.
+                let done = client.counter();
+                let opts = SendOptions {
+                    completion: Some(done.clone()),
+                    ..Default::default()
+                };
+                ep.send_message(MSG, b"h", b"warm", opts)
+                    .await
+                    .expect("eager");
+                done.wait_for(1, timeout).await.expect("its Fin");
+                let settle = SimDuration::from_millis(5);
+                srv.sim().sleep(settle).await;
+                let rt = srv.inner.clone();
+                let tables = || {
+                    (
+                        peer.inner.staged.borrow().len(),
+                        rt.pending.borrow().len(),
+                        rt.rndv_src.borrow().len(),
+                        rt.hca.registered_regions(),
+                    )
+                };
+                let baseline = tables();
+                assert_eq!(baseline.0, 0);
+                for _ in 0..N {
+                    peer.post_message(MSG, [7u8; 32], vec![9u8; len], SendOptions::default());
+                }
+                let eager = len <= srv.eager_threshold();
+                assert_eq!(tables().0, if eager { N as usize } else { 0 });
+                fault(&client, &peer);
+                // Well past the staging delay and the RC retry budget.
+                srv.sim().sleep(settle).await;
+                assert_eq!(tables(), baseline);
+            });
+            server.stats().send_failures.get()
+        }
+
+        const SMALL: usize = 4;
+        const LARGE: usize = 2 * UCR_EAGER_THRESHOLD;
+        // Nothing breaks: nothing counts.
+        assert_eq!(failures_after(SMALL, |_, _| {}), 0);
+        assert_eq!(failures_after(LARGE, |_, _| {}), 0);
+        // The peer's process exits: the replies are posted, and each comes
+        // back as an error completion.
+        assert_eq!(failures_after(SMALL, |client, _| client.shutdown()), N);
+        // The queue pair leaves ready-to-send between the worker's send and
+        // the post: each reply is refused.
+        assert_eq!(failures_after(SMALL, |_, peer| peer.inner.qp.close()), N);
+        assert_eq!(failures_after(LARGE, |_, peer| peer.inner.qp.close()), N);
     }
 }

@@ -36,7 +36,7 @@ impl AmHandler for EchoHandler {
         };
         ep.post_message(
             ECHO + 100,
-            hdr.to_vec(),
+            hdr,
             payload,
             SendOptions {
                 target_ctr: ctr_id,

@@ -20,16 +20,22 @@
 //! operations targeting a dead or closed endpoint complete locally with
 //! `RetryExceeded` after a retry delay; UD sends complete immediately and
 //! drop silently on the floor, as real UD does.
+//!
+//! A work request in transit is one [`Flight`] record in a table of the
+//! queue pair that posted it, advanced stage by stage by targeted events
+//! (`impl EventTarget for QpInner`; DESIGN.md §5 has the stage table per
+//! opcode). The payload moves from stage to stage and nothing is allocated
+//! for a stage.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
 
 use simnet::trace::{Layer, Track};
-use simnet::{NodeId, SimDuration, SimTime};
+use simnet::{EventTarget, NodeId, Sim, SimDuration, SimTime, Slab, SlabKey};
 
 use crate::cq::Cq;
-use crate::fabric::HcaInner;
+use crate::fabric::{HcaInner, IbFabricInner};
 use crate::mr::{resolve_remote, MrSlice, Pd};
 use crate::types::{
     Access, RemoteMemory, VerbsError, Wc, WcOpcode, WcStatus, UD_GRH_BYTES, WIRE_HEADER_BYTES,
@@ -68,6 +74,73 @@ struct Inbound {
     imm: Option<u32>,
     opcode: WcOpcode,
     src: Option<(NodeId, u32)>,
+}
+
+/// A work request in transit, as the stage it is waiting for. Posting makes
+/// the first stage; each event takes the record out of the posting queue
+/// pair's table, does what the stage does and, unless that was the last,
+/// puts the next stage in. [`Flight::Complete`] is the last stage of every
+/// reliable work request.
+enum Flight {
+    /// A SEND (registered, inline or gathered) is on the wire to `to`, the
+    /// connected peer's node and queue pair.
+    SendArrive {
+        wr_id: u64,
+        msg: Inbound,
+        to: (NodeId, u32),
+    },
+    /// The target HCA's pipeline has the SEND: match it to a receive of
+    /// `rqp` and acknowledge.
+    SendDeliver {
+        wr_id: u64,
+        msg: Inbound,
+        rqp: Rc<QpInner>,
+    },
+    /// A UD datagram is on the wire.
+    DgramArrive { msg: Inbound, to: (NodeId, u32) },
+    /// The target HCA's pipeline has the datagram: deliver it if `rqp` has
+    /// a receive posted, else drop it.
+    DgramDeliver { msg: Inbound, rqp: Rc<QpInner> },
+    /// An RDMA WRITE (with or without immediate) is on the wire.
+    WriteArrive(Write),
+    /// The target HCA has the WRITE: check the window, land the bytes,
+    /// consume a receive for the immediate, acknowledge.
+    WriteLand(Write, Rc<HcaInner>),
+    /// An RDMA READ request is on the wire to the target.
+    ReadRequest(Read, RemoteMemory),
+    /// The target HCA has the READ request: check the window and put the
+    /// data on the wire, or NAK.
+    ReadServe(Read, RemoteMemory, Rc<HcaInner>),
+    /// The READ's data is on the wire back to the requester.
+    ReadData(Read, Vec<u8>),
+    /// The requester's HCA has the data: land it and complete.
+    ReadLand(Read, Vec<u8>),
+    /// The completion reaches the send CQ.
+    Complete {
+        wr_id: u64,
+        opcode: WcOpcode,
+        status: WcStatus,
+        byte_len: u32,
+    },
+}
+
+/// An RDMA WRITE on its way: the bytes, where they go (`remote.node` is the
+/// connected peer, checked at the post) and the target queue pair whose
+/// receive an immediate consumes.
+struct Write {
+    wr_id: u64,
+    payload: Vec<u8>,
+    imm: Option<u32>,
+    remote: RemoteMemory,
+    dqpn: u32,
+}
+
+/// An RDMA READ on its way: where the data lands, and the requester's HCA,
+/// held as the request holds it from post to completion.
+struct Read {
+    wr_id: u64,
+    local: MrSlice,
+    hca: Rc<HcaInner>,
 }
 
 /// A shared receive queue: one pool of receives serving many QPs — the
@@ -216,6 +289,10 @@ pub(crate) struct QpInner {
     pub node: NodeId,
     /// Weak by necessity: the HCA's QP table holds `Rc<QpInner>`.
     pub hca: Weak<HcaInner>,
+    /// For routing to the target; gone once the fabric is torn down (what
+    /// is in flight then vanishes).
+    fabric: Weak<IbFabricInner>,
+    sim: Sim,
     pub send_cq: Cq,
     pub recv_cq: Cq,
     srq: Option<Srq>,
@@ -223,6 +300,12 @@ pub(crate) struct QpInner {
     pending_inbound: RefCell<VecDeque<Inbound>>,
     remote: Cell<Option<(NodeId, u32)>>,
     state: Cell<QpState>,
+    /// What an ack or a NAK takes to come back: one propagation delay (they
+    /// are tiny and coalesced; their serialization is negligible).
+    ack_delay: SimDuration,
+    /// The work requests this queue pair has posted that are still in
+    /// transit, each as the stage it waits for.
+    flights: RefCell<Slab<Flight>>,
 }
 
 /// A queue pair.
@@ -250,6 +333,8 @@ impl Pd {
             pd_id: self.pd_id,
             node: hca.node,
             hca: Rc::downgrade(hca),
+            fabric: hca.fabric.clone(),
+            sim: hca.sim.clone(),
             send_cq: send_cq.clone(),
             recv_cq: recv_cq.clone(),
             srq: srq.cloned(),
@@ -261,6 +346,8 @@ impl Pd {
             } else {
                 QpState::Init
             }),
+            ack_delay: hca.net.ser_time(0) + hca.net.propagation(),
+            flights: RefCell::new(Slab::new()),
         });
         hca.qps.borrow_mut().insert(qpn, inner.clone());
         QueuePair { inner }
@@ -390,8 +477,8 @@ impl QueuePair {
     }
 
     fn post_send_rc(&self, hca: &Rc<HcaInner>, wr: SendWr) -> Result<(), VerbsError> {
-        let (dst, dqpn) = self
-            .inner
+        let this = &self.inner;
+        let (dst, dqpn) = this
             .remote
             .get()
             .ok_or(VerbsError::InvalidState("RC QP has no peer"))?;
@@ -403,28 +490,26 @@ impl QueuePair {
             SendOp::SendInline { .. } | SendOp::SendGather { .. } => None,
         };
         if let Some(pd) = local_pd {
-            if pd != self.inner.pd_id {
+            if pd != this.pd_id {
                 return Err(VerbsError::AccessViolation(
                     "MR and QP belong to different protection domains",
                 ));
             }
         }
-        let sim = hca.sim.clone();
-        let start = sim.now() + hca.profile.post_overhead;
+        let start = hca.sim.now() + hca.profile.post_overhead;
         let t_hca = hca.hw.hca.occupy_from(start, hca.profile.hca_msg);
-        let src = hca.node;
-        let this = self.inner.clone();
-        let fabric = hca.fabric.clone();
-        let prop = hca.net_propagation();
+        let wr_id = wr.wr_id;
+        let two_sided = |payload: Vec<u8>, imm| {
+            let wire = payload.len() as u64 + WIRE_HEADER_BYTES;
+            let msg = this.outbound(payload, imm);
+            let to = (dst, dqpn);
+            (wire, Flight::SendArrive { wr_id, msg, to })
+        };
 
-        match wr.op {
-            SendOp::Send { local, imm } => {
-                let payload = local.dma_read();
-                self.launch_two_sided(hca, wr.wr_id, payload, imm, t_hca, src, dst, dqpn)
-            }
-            SendOp::SendInline { data, imm } => {
-                self.launch_two_sided(hca, wr.wr_id, data, imm, t_hca, src, dst, dqpn)
-            }
+        // What goes on the wire, and the stage that waits for it there.
+        let (wire, flight) = match wr.op {
+            SendOp::Send { local, imm } => two_sided(local.dma_read(), imm),
+            SendOp::SendInline { data, imm } => two_sided(data, imm),
             SendOp::SendGather {
                 mut head,
                 data,
@@ -433,7 +518,7 @@ impl QueuePair {
                 // The gather happens at the DMA engine; on the wire the
                 // two entries are one contiguous message.
                 head.extend_from_slice(&data);
-                self.launch_two_sided(hca, wr.wr_id, head, imm, t_hca, src, dst, dqpn)
+                two_sided(head, imm)
             }
             SendOp::RdmaWrite { local, remote, imm } => {
                 if remote.node != dst {
@@ -446,69 +531,14 @@ impl QueuePair {
                     return Err(VerbsError::AccessViolation("write exceeds remote window"));
                 }
                 let wire = payload.len() as u64 + WIRE_HEADER_BYTES;
-                let wr_id = wr.wr_id;
-                let net = hca.net.clone();
-                net.transmit(&sim, src, dst, wire, t_hca, move || {
-                    let sim2 = match fabric.upgrade() {
-                        Some(f) => f.cluster.sim().clone(),
-                        None => return,
-                    };
-                    let target = fabric.upgrade().and_then(|f| f.live_hca(dst));
-                    match target {
-                        Some(thca) => {
-                            let t = thca
-                                .hw
-                                .hca
-                                .occupy_from(sim2.now(), thca.profile.rdma_target);
-                            let this2 = this.clone();
-                            sim2.clone().schedule_at(t, move || {
-                                let status = match resolve_remote(
-                                    &thca,
-                                    &remote,
-                                    Access::REMOTE_WRITE,
-                                    payload.len() as u64,
-                                ) {
-                                    Ok((mr, off)) => {
-                                        mr.buf.borrow_mut()[off..off + payload.len()]
-                                            .copy_from_slice(&payload);
-                                        if let Some(word) = imm {
-                                            // WRITE_WITH_IMM consumes a receive.
-                                            if let Some(rqp) = thca.qps.borrow().get(&dqpn).cloned()
-                                            {
-                                                let sqpn = this2.qpn;
-                                                rqp.rx_inbound(Inbound {
-                                                    payload: Vec::new(),
-                                                    imm: Some(word),
-                                                    opcode: WcOpcode::RecvRdmaImm,
-                                                    src: Some((src, sqpn)),
-                                                });
-                                            }
-                                        }
-                                        WcStatus::Success
-                                    }
-                                    Err(_) => WcStatus::RemoteAccessError,
-                                };
-                                // Ack back to the requester.
-                                let bytes = payload.len() as u32;
-                                this2.complete_send_after(
-                                    prop,
-                                    wr_id,
-                                    WcOpcode::RdmaWrite,
-                                    status,
-                                    bytes,
-                                );
-                            });
-                        }
-                        None => this.complete_send_after(
-                            RETRY_EXCEEDED_DELAY,
-                            wr_id,
-                            WcOpcode::RdmaWrite,
-                            WcStatus::RetryExceeded,
-                            0,
-                        ),
-                    }
-                });
-                Ok(())
+                let write = Write {
+                    wr_id,
+                    payload,
+                    imm,
+                    remote,
+                    dqpn,
+                };
+                (wire, Flight::WriteArrive(write))
             }
             SendOp::RdmaRead { local, remote } => {
                 if remote.node != dst {
@@ -516,163 +546,29 @@ impl QueuePair {
                         "RDMA target is not the connected peer",
                     ));
                 }
-                let want = local.len() as u64;
-                if want > remote.len {
+                if local.len() as u64 > remote.len {
                     return Err(VerbsError::AccessViolation("read exceeds remote window"));
                 }
-                let wr_id = wr.wr_id;
-                let net = hca.net.clone();
-                let hca_rc = hca.clone();
-                // Request packet to the target.
-                net.transmit(&sim, src, dst, WIRE_HEADER_BYTES, t_hca, move || {
-                    let fabric2 = fabric.clone();
-                    let sim2 = match fabric.upgrade() {
-                        Some(f) => f.cluster.sim().clone(),
-                        None => return,
-                    };
-                    let target = fabric2.upgrade().and_then(|f| f.live_hca(dst));
-                    match target {
-                        Some(thca) => {
-                            let t = thca
-                                .hw
-                                .hca
-                                .occupy_from(sim2.now(), thca.profile.rdma_target);
-                            let this2 = this.clone();
-                            let net2 = thca.net.clone();
-                            let sim3 = sim2.clone();
-                            sim2.schedule_at(t, move || {
-                                match resolve_remote(&thca, &remote, Access::REMOTE_READ, want) {
-                                    Ok((mr, off)) => {
-                                        let data =
-                                            mr.buf.borrow()[off..off + want as usize].to_vec();
-                                        // Data response back to the requester.
-                                        let wire = want + WIRE_HEADER_BYTES;
-                                        let this3 = this2.clone();
-                                        let hca3 = hca_rc.clone();
-                                        net2.transmit(
-                                            &sim3,
-                                            dst,
-                                            src,
-                                            wire,
-                                            sim3.now(),
-                                            move || {
-                                                let simr = hca3.sim.clone();
-                                                let t = hca3
-                                                    .hw
-                                                    .hca
-                                                    .occupy_from(simr.now(), hca3.profile.hca_msg);
-                                                let this4 = this3.clone();
-                                                simr.schedule_at(t, move || {
-                                                    let status = match local.dma_write(&data) {
-                                                        Ok(()) => WcStatus::Success,
-                                                        Err(_) => WcStatus::LocalLengthError,
-                                                    };
-                                                    this4.complete_send_now(
-                                                        wr_id,
-                                                        WcOpcode::RdmaRead,
-                                                        status,
-                                                        data.len() as u32,
-                                                    );
-                                                });
-                                            },
-                                        );
-                                    }
-                                    Err(_) => {
-                                        // NAK travels back; requester errors out.
-                                        this2.complete_send_after(
-                                            thca.net_propagation(),
-                                            wr_id,
-                                            WcOpcode::RdmaRead,
-                                            WcStatus::RemoteAccessError,
-                                            0,
-                                        );
-                                    }
-                                }
-                            });
-                        }
-                        None => this.complete_send_after(
-                            RETRY_EXCEEDED_DELAY,
-                            wr_id,
-                            WcOpcode::RdmaRead,
-                            WcStatus::RetryExceeded,
-                            0,
-                        ),
-                    }
-                });
-                Ok(())
-            }
-        }
-    }
-
-    /// Common two-sided launch for Send / SendInline.
-    #[allow(clippy::too_many_arguments)]
-    fn launch_two_sided(
-        &self,
-        hca: &Rc<HcaInner>,
-        wr_id: u64,
-        payload: Vec<u8>,
-        imm: Option<u32>,
-        t_hca: SimTime,
-        src: NodeId,
-        dst: NodeId,
-        dqpn: u32,
-    ) -> Result<(), VerbsError> {
-        let sim = hca.sim.clone();
-        let fabric = hca.fabric.clone();
-        let this = self.inner.clone();
-        let prop = hca.net_propagation();
-        let wire = payload.len() as u64 + WIRE_HEADER_BYTES;
-        hca.net
-            .clone()
-            .transmit(&sim, src, dst, wire, t_hca, move || {
-                let sim2 = match fabric.upgrade() {
-                    Some(f) => f.cluster.sim().clone(),
-                    None => return,
+                // Only the request packet travels out.
+                let read = Read {
+                    wr_id,
+                    local,
+                    hca: hca.clone(),
                 };
-                let target = fabric.upgrade().and_then(|f| f.live_hca(dst));
-                let rqp = target
-                    .as_ref()
-                    .and_then(|t| t.qps.borrow().get(&dqpn).cloned());
-                match (target, rqp) {
-                    (Some(thca), Some(rqp)) if rqp.state.get() != QpState::Closed => {
-                        let t = thca.hw.hca.occupy_from(sim2.now(), thca.profile.hca_msg);
-                        let bytes = payload.len() as u32;
-                        let this2 = this.clone();
-                        sim2.schedule_at(t, move || {
-                            let sqpn = this2.qpn;
-                            rqp.rx_inbound(Inbound {
-                                payload,
-                                imm,
-                                opcode: WcOpcode::Recv,
-                                src: Some((src, sqpn)),
-                            });
-                            // RC ack: local send completion one propagation later.
-                            this2.complete_send_after(
-                                prop,
-                                wr_id,
-                                WcOpcode::Send,
-                                WcStatus::Success,
-                                bytes,
-                            );
-                        });
-                    }
-                    _ => this.complete_send_after(
-                        RETRY_EXCEEDED_DELAY,
-                        wr_id,
-                        WcOpcode::Send,
-                        WcStatus::RetryExceeded,
-                        0,
-                    ),
-                }
-            });
+                (WIRE_HEADER_BYTES, Flight::ReadRequest(read, remote))
+            }
+        };
+        let arrives = hca.net.carry(hca.node, dst, wire, t_hca);
+        this.launch(arrives, flight);
         Ok(())
     }
 
     fn post_send_ud(&self, hca: &Rc<HcaInner>, wr: SendWr) -> Result<(), VerbsError> {
+        let this = &self.inner;
         let (dst, dqpn) = wr
             .ud_dest
             .ok_or(VerbsError::InvalidState("UD send needs ud_dest"))?;
-        let data = match wr.op {
+        let (payload, imm) = match wr.op {
             SendOp::Send { local, imm } => (local.dma_read(), imm),
             SendOp::SendInline { data, imm } => (data, imm),
             SendOp::SendGather {
@@ -685,55 +581,45 @@ impl QueuePair {
             }
             _ => return Err(VerbsError::InvalidState("UD supports only SEND")),
         };
-        let (payload, imm) = data;
         if payload.len() as u64 > hca.net.mtu() as u64 {
             return Err(VerbsError::AccessViolation("UD payload exceeds path MTU"));
         }
-        let sim = hca.sim.clone();
-        let start = sim.now() + hca.profile.post_overhead;
+        let start = hca.sim.now() + hca.profile.post_overhead;
         let t_hca = hca.hw.hca.occupy_from(start, hca.profile.hca_msg);
         let src = hca.node;
-        let sender_qpn = self.inner.qpn;
-        let fabric = hca.fabric.clone();
         let wire = payload.len() as u64 + WIRE_HEADER_BYTES + UD_GRH_BYTES;
         let bytes = payload.len() as u32;
         if dst == src {
             return Err(VerbsError::InvalidState("UD loopback not modeled"));
         }
-        hca.net
-            .clone()
-            .transmit(&sim, src, dst, wire, t_hca, move || {
-                // Unreliable: deliver if possible, else drop on the floor.
-                if let Some(f) = fabric.upgrade() {
-                    if let Some(thca) = f.live_hca(dst) {
-                        let sim2 = f.cluster.sim().clone();
-                        let t = thca.hw.hca.occupy_from(sim2.now(), thca.profile.hca_msg);
-                        if let Some(rqp) = thca.qps.borrow().get(&dqpn).cloned() {
-                            if rqp.qp_type == QpType::Ud {
-                                sim2.schedule_at(t, move || {
-                                    // UD with no posted receive drops the datagram.
-                                    if rqp.has_recv_available() {
-                                        rqp.rx_inbound(Inbound {
-                                            payload,
-                                            imm,
-                                            opcode: WcOpcode::Recv,
-                                            src: Some((src, sender_qpn)),
-                                        });
-                                    }
-                                });
-                            }
-                        }
-                    }
-                }
-            });
+        let msg = this.outbound(payload, imm);
+        let arrives = hca.net.carry(src, dst, wire, t_hca);
+        let to = (dst, dqpn);
+        this.launch(arrives, Flight::DgramArrive { msg, to });
         // UD send completes locally as soon as the HCA has it.
-        self.inner
-            .complete_send_at(t_hca, wr.wr_id, WcOpcode::Send, WcStatus::Success, bytes);
+        this.complete_send_at(t_hca, wr.wr_id, WcOpcode::Send, WcStatus::Success, bytes);
         Ok(())
     }
 }
 
 impl QpInner {
+    /// A two-sided message as its target will see it arrive from this
+    /// queue pair.
+    fn outbound(&self, payload: Vec<u8>, imm: Option<u32>) -> Inbound {
+        Inbound {
+            payload,
+            imm,
+            opcode: WcOpcode::Recv,
+            src: Some((self.node, self.qpn)),
+        }
+    }
+
+    /// Puts `flight` in the table and schedules its stage for `at`.
+    fn launch(self: &Rc<Self>, at: SimTime, flight: Flight) {
+        let key = self.flights.borrow_mut().insert(flight);
+        self.sim.schedule_target_at(at, self.clone(), key.token());
+    }
+
     fn has_recv_available(&self) -> bool {
         match &self.srq {
             Some(s) => s.available() > 0,
@@ -858,11 +744,7 @@ impl QpInner {
         status: WcStatus,
         byte_len: u32,
     ) {
-        let hca = match self.hca.upgrade() {
-            Some(h) => h,
-            None => return,
-        };
-        let at = hca.sim.now() + delay;
+        let at = self.sim.now() + delay;
         self.complete_send_at(at, wr_id, opcode, status, byte_len);
     }
 
@@ -874,37 +756,177 @@ impl QpInner {
         status: WcStatus,
         byte_len: u32,
     ) {
-        let hca = match self.hca.upgrade() {
-            Some(h) => h,
-            None => return,
+        // An adapter torn down takes its completions with it.
+        if self.hca.strong_count() == 0 {
+            return;
+        }
+        let done = Flight::Complete {
+            wr_id,
+            opcode,
+            status,
+            byte_len,
         };
-        let this = self.clone();
-        hca.sim.clone().schedule_at(at, move || {
-            this.complete_send_now(wr_id, opcode, status, byte_len);
-        });
+        self.launch(at, done);
     }
 }
 
 impl HcaInner {
-    fn net_propagation(&self) -> SimDuration {
-        // Ack/NAK return path: one propagation delay (acks are tiny and
-        // coalesced; their serialization is negligible).
-        self.net.ser_time(0) + self.prop()
+    /// Occupies this adapter's pipeline for `service` from now on; returns
+    /// when it is done.
+    fn pipeline(&self, service: SimDuration) -> SimTime {
+        self.hw.hca.occupy_from(self.sim.now(), service)
     }
+}
 
-    fn prop(&self) -> SimDuration {
-        // LinkProfile propagation is not directly reachable from Network;
-        // approximate with the known profile value via a zero-byte transit.
-        // Network exposes ser_time; propagation is a field of the cluster
-        // profile, so fetch it from there.
-        match self.fabric.upgrade() {
-            Some(f) => f
-                .cluster
-                .profile()
-                .link(f.net_kind)
-                .map(|l| l.propagation)
-                .unwrap_or(SimDuration::ZERO),
-            None => SimDuration::ZERO,
+impl EventTarget for QpInner {
+    /// Advances the flight `token` names by the stage it was waiting for.
+    fn fire(self: Rc<Self>, token: u64) {
+        let flight = self.flights.borrow_mut().remove(SlabKey::from_token(token));
+        let Some(flight) = flight else { return };
+        // The target is gone: the requester's HCA retries, then gives up.
+        let retried_out = |wr_id, opcode| {
+            self.complete_send_after(
+                RETRY_EXCEEDED_DELAY,
+                wr_id,
+                opcode,
+                WcStatus::RetryExceeded,
+                0,
+            )
+        };
+        match flight {
+            Flight::SendArrive { wr_id, msg, to } => {
+                let Some(fabric) = self.fabric.upgrade() else {
+                    return;
+                };
+                let target = fabric.live_hca(to.0);
+                let rqp = target
+                    .as_ref()
+                    .and_then(|t| t.qps.borrow().get(&to.1).cloned());
+                match (target, rqp) {
+                    (Some(thca), Some(rqp)) if rqp.state.get() != QpState::Closed => {
+                        let t = thca.pipeline(thca.profile.hca_msg);
+                        self.launch(t, Flight::SendDeliver { wr_id, msg, rqp });
+                    }
+                    _ => retried_out(wr_id, WcOpcode::Send),
+                }
+            }
+            Flight::SendDeliver { wr_id, msg, rqp } => {
+                let bytes = msg.payload.len() as u32;
+                rqp.rx_inbound(msg);
+                // RC ack: local send completion one propagation later.
+                let ok = WcStatus::Success;
+                self.complete_send_after(self.ack_delay, wr_id, WcOpcode::Send, ok, bytes);
+            }
+            Flight::DgramArrive { msg, to } => {
+                // Unreliable: deliver if possible, else drop on the floor.
+                let Some(thca) = self.fabric.upgrade().and_then(|f| f.live_hca(to.0)) else {
+                    return;
+                };
+                let t = thca.pipeline(thca.profile.hca_msg);
+                let rqp = thca.qps.borrow().get(&to.1).cloned();
+                if let Some(rqp) = rqp.filter(|q| q.qp_type == QpType::Ud) {
+                    self.launch(t, Flight::DgramDeliver { msg, rqp });
+                }
+            }
+            Flight::DgramDeliver { msg, rqp } => {
+                // UD with no posted receive drops the datagram.
+                if rqp.has_recv_available() {
+                    rqp.rx_inbound(msg);
+                }
+            }
+            Flight::WriteArrive(write) => {
+                let Some(fabric) = self.fabric.upgrade() else {
+                    return;
+                };
+                match fabric.live_hca(write.remote.node) {
+                    Some(thca) => {
+                        let t = thca.pipeline(thca.profile.rdma_target);
+                        self.launch(t, Flight::WriteLand(write, thca));
+                    }
+                    None => retried_out(write.wr_id, WcOpcode::RdmaWrite),
+                }
+            }
+            Flight::WriteLand(write, thca) => {
+                let Write {
+                    wr_id,
+                    payload,
+                    imm,
+                    remote,
+                    dqpn,
+                } = write;
+                let len = payload.len();
+                let status = match resolve_remote(&thca, &remote, Access::REMOTE_WRITE, len as u64)
+                {
+                    Ok((mr, off)) => {
+                        mr.buf.borrow_mut()[off..off + len].copy_from_slice(&payload);
+                        // WRITE_WITH_IMM consumes a receive.
+                        let rqp = imm.and_then(|_| thca.qps.borrow().get(&dqpn).cloned());
+                        if let Some(rqp) = rqp {
+                            rqp.rx_inbound(Inbound {
+                                payload: Vec::new(),
+                                imm,
+                                opcode: WcOpcode::RecvRdmaImm,
+                                src: Some((self.node, self.qpn)),
+                            });
+                        }
+                        WcStatus::Success
+                    }
+                    Err(_) => WcStatus::RemoteAccessError,
+                };
+                // Ack back to the requester.
+                let opcode = WcOpcode::RdmaWrite;
+                self.complete_send_after(self.ack_delay, wr_id, opcode, status, len as u32);
+            }
+            Flight::ReadRequest(read, remote) => {
+                let Some(fabric) = read.hca.fabric.upgrade() else {
+                    return;
+                };
+                match fabric.live_hca(remote.node) {
+                    Some(thca) => {
+                        let t = thca.pipeline(thca.profile.rdma_target);
+                        self.launch(t, Flight::ReadServe(read, remote, thca));
+                    }
+                    None => retried_out(read.wr_id, WcOpcode::RdmaRead),
+                }
+            }
+            Flight::ReadServe(read, remote, thca) => {
+                let want = read.local.len();
+                match resolve_remote(&thca, &remote, Access::REMOTE_READ, want as u64) {
+                    Ok((mr, off)) => {
+                        let data = mr.buf.borrow()[off..off + want].to_vec();
+                        // Data response back to the requester.
+                        let wire = want as u64 + WIRE_HEADER_BYTES;
+                        let now = thca.sim.now();
+                        let back = thca.net.carry(remote.node, read.hca.node, wire, now);
+                        self.launch(back, Flight::ReadData(read, data));
+                    }
+                    // NAK travels back; requester errors out.
+                    Err(_) => self.complete_send_after(
+                        self.ack_delay,
+                        read.wr_id,
+                        WcOpcode::RdmaRead,
+                        WcStatus::RemoteAccessError,
+                        0,
+                    ),
+                }
+            }
+            Flight::ReadData(read, data) => {
+                let t = read.hca.pipeline(read.hca.profile.hca_msg);
+                self.launch(t, Flight::ReadLand(read, data));
+            }
+            Flight::ReadLand(read, data) => {
+                let status = match read.local.dma_write(&data) {
+                    Ok(()) => WcStatus::Success,
+                    Err(_) => WcStatus::LocalLengthError,
+                };
+                self.complete_send_now(read.wr_id, WcOpcode::RdmaRead, status, data.len() as u32);
+            }
+            Flight::Complete {
+                wr_id,
+                opcode,
+                status,
+                byte_len,
+            } => self.complete_send_now(wr_id, opcode, status, byte_len),
         }
     }
 }
@@ -916,5 +938,99 @@ impl std::fmt::Debug for QueuePair {
             .field("type", &self.inner.qp_type)
             .field("remote", &self.inner.remote.get())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use simnet::Cluster;
+
+    use super::*;
+    use crate::IbFabric;
+
+    /// Whatever becomes of a work request — delivered, refused, retried
+    /// out, dropped on the floor — its flight record is gone once the event
+    /// queue is empty, and the table it lived in has not grown past what
+    /// was in transit at once.
+    #[test]
+    fn no_flight_outlives_the_event_queue() {
+        for peer_dies in [false, true] {
+            let cluster = Rc::new(Cluster::cluster_b(3, 2));
+            let fabric = IbFabric::new(cluster.clone());
+            let (a, b) = (fabric.open(NodeId(0)), fabric.open(NodeId(1)));
+            let (pda, pdb) = (a.alloc_pd(), b.alloc_pd());
+            let (cqa, cqb) = (a.create_cq(), b.create_cq());
+            let qa = pda.create_qp(QpType::Rc, &cqa, &cqa, None);
+            let qb = pdb.create_qp(QpType::Rc, &cqb, &cqb, None);
+            qa.connect_to(b.node(), qb.qpn()).expect("fresh QP");
+            qb.connect_to(a.node(), qa.qpn()).expect("fresh QP");
+            let ua = pda.create_qp(QpType::Ud, &cqa, &cqa, None);
+            let ub = pdb.create_qp(QpType::Ud, &cqb, &cqb, None);
+
+            let all = Access::LOCAL_WRITE | Access::REMOTE_READ | Access::REMOTE_WRITE;
+            let (local, remote) = (pda.register(64, all), pdb.register(64, all));
+            let mut stale = remote.remote(0, 64);
+            stale.rkey += 1000;
+            for wr_id in 0..4 {
+                qb.post_recv(wr_id, remote.full());
+                ub.post_recv(wr_id, remote.full());
+            }
+            let inline = || SendOp::SendInline {
+                data: vec![1; 16],
+                imm: None,
+            };
+            let ops = [
+                SendOp::Send {
+                    local: local.full(),
+                    imm: Some(1),
+                },
+                inline(),
+                SendOp::SendGather {
+                    head: vec![2; 8],
+                    data: vec![3; 8],
+                    imm: None,
+                },
+                SendOp::RdmaWrite {
+                    local: local.full(),
+                    remote: remote.remote(0, 64),
+                    imm: Some(4),
+                },
+                SendOp::RdmaWrite {
+                    local: local.full(),
+                    remote: stale,
+                    imm: None,
+                },
+                SendOp::RdmaRead {
+                    local: local.full(),
+                    remote: remote.remote(0, 64),
+                },
+                SendOp::RdmaRead {
+                    local: local.full(),
+                    remote: stale,
+                },
+            ];
+            let posted = ops.len();
+            for (wr_id, op) in ops.into_iter().enumerate() {
+                qa.post_send(SendWr::new(wr_id as u64, op)).expect("RTS");
+            }
+            let mut dgram = SendWr::new(9, inline());
+            dgram.ud_dest = Some((b.node(), ub.qpn()));
+            ua.post_send(dgram).expect("UD is always ready");
+            assert_eq!(qa.inner.flights.borrow().len(), posted);
+            assert_eq!(
+                ua.inner.flights.borrow().len(),
+                2,
+                "datagram and completion"
+            );
+            if peer_dies {
+                b.kill();
+            }
+            cluster.sim().run();
+            assert_eq!(cluster.sim().pending_events(), 0);
+            for qp in [&qa, &qb, &ua, &ub] {
+                assert!(qp.inner.flights.borrow().is_empty(), "{qp:?}");
+            }
+            assert_eq!(cqa.backlog(), posted + 1, "one completion per request");
+        }
     }
 }

@@ -4,7 +4,7 @@
 
 use std::rc::Rc;
 
-use simnet::{Cluster, NodeId, SimDuration};
+use simnet::{Cluster, NodeId, SimDuration, SimTime};
 use verbs::{
     connect, Access, Cq, Hca, IbFabric, Pd, QpType, QueuePair, SendOp, SendWr, Srq, VerbsError,
     WcOpcode, WcStatus, DEFAULT_CONNECT_TIMEOUT,
@@ -727,4 +727,341 @@ fn mr_slice_bounds_checked() {
     let (_cluster, a, _b) = pair(false);
     let mr = a.pd.register(8, Access::default());
     let _ = mr.slice(4, 8);
+}
+
+// ---------------------------------------------------------------------
+// Characterization: every opcode under every fault
+// ---------------------------------------------------------------------
+
+/// What one posted work request leaves behind: the sender's completion,
+/// the target's, and whether the payload reached the target's memory —
+/// each completion with the instant it landed on its queue.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    send: Option<(WcOpcode, WcStatus, u32, SimTime)>,
+    recv: Option<(WcOpcode, WcStatus, u32, SimTime)>,
+    landed: bool,
+}
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Op {
+    Send,
+    Inline,
+    Gather,
+    Write,
+    WriteImm,
+    Read,
+    UdSend,
+}
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Fault {
+    /// The peer stays up.
+    None,
+    /// The target queue pair closes while the message is on the wire.
+    QpClosed,
+    /// The target adapter dies while the message is on the wire.
+    HcaKilled,
+    /// The target adapter dies after the message reached it and before
+    /// its pipeline is done with it.
+    HcaKilledAtTarget,
+    /// The remote key names no registered region (one-sided opcodes).
+    BadRkey,
+}
+
+/// Payload bytes of every characterized work request.
+const LEN: usize = 256;
+
+/// The stage instants of one uncontended work request posted at time zero
+/// on Cluster B, from the profile — the timing model the table states its
+/// expectations in.
+struct Stages {
+    /// The local HCA has the work request: doorbell, then one pipeline slot.
+    t_hca: SimTime,
+    hca_msg: SimDuration,
+    rdma_target: SimDuration,
+    /// One-way propagation: also what an ack or a NAK takes to come back.
+    prop: SimDuration,
+    net: Rc<simnet::Network>,
+}
+
+impl Stages {
+    fn of(cluster: &Cluster) -> Stages {
+        let v = cluster.profile().verbs;
+        Stages {
+            t_hca: SimTime::ZERO + v.post_overhead + v.hca_msg,
+            hca_msg: v.hca_msg,
+            rdma_target: v.rdma_target,
+            prop: cluster.ib().propagation(),
+            net: cluster.ib().clone(),
+        }
+    }
+
+    /// When a message of `wire` bytes leaving at `from` has arrived.
+    fn arrives(&self, from: SimTime, wire: u64) -> SimTime {
+        from + self.net.ser_time(wire) + self.prop
+    }
+}
+
+/// Posts one `op` from node 0 to node 1 at time zero, injects `fault`,
+/// runs the world dry and reports what landed where and when.
+fn characterize(op: Op, fault: Fault) -> Outcome {
+    let (cluster, a, b) = pair(true);
+    let sim = cluster.sim().clone();
+    let recorder = simnet::EventRecorder::new();
+    cluster.tracer().add_sink(recorder.clone());
+    let st = Stages::of(&cluster);
+
+    let ty = if op == Op::UdSend {
+        QpType::Ud
+    } else {
+        QpType::Rc
+    };
+    let qa = a.pd.create_qp(ty, &a.cq, &a.cq, None);
+    let qb = b.pd.create_qp(ty, &b.cq, &b.cq, None);
+    if ty == QpType::Rc {
+        qa.connect_to(b.hca.node(), qb.qpn()).unwrap();
+        qb.connect_to(a.hca.node(), qa.qpn()).unwrap();
+    }
+    let payload: Vec<u8> = (0..LEN).map(|i| i as u8 ^ 0x3c).collect();
+    let all = Access::LOCAL_WRITE | Access::REMOTE_READ | Access::REMOTE_WRITE;
+    // The target's memory: where a SEND's receive or a WRITE lands, and
+    // what a READ pulls from.
+    let remote_mr = match op {
+        Op::Read => b.pd.register_with(payload.clone(), all),
+        _ => b.pd.register(LEN, all),
+    };
+    let local_mr = match op {
+        Op::Read => a.pd.register(LEN, Access::LOCAL_WRITE),
+        _ => a.pd.register_with(payload.clone(), Access::default()),
+    };
+    let notice = b.pd.register(0, Access::LOCAL_WRITE);
+    match op {
+        Op::Send | Op::Inline | Op::Gather | Op::UdSend => qb.post_recv(9, remote_mr.full()),
+        Op::WriteImm => qb.post_recv(9, notice.full()),
+        Op::Write | Op::Read => {}
+    }
+    let mut remote = remote_mr.remote(0, LEN);
+    if fault == Fault::BadRkey {
+        remote.rkey = 0xdead_beef;
+    }
+    let (send_op, wire) = match op {
+        Op::Send => (
+            SendOp::Send {
+                local: local_mr.full(),
+                imm: None,
+            },
+            LEN as u64 + verbs::WIRE_HEADER_BYTES,
+        ),
+        Op::Inline | Op::UdSend => (
+            SendOp::SendInline {
+                data: payload.clone(),
+                imm: None,
+            },
+            LEN as u64 + verbs::WIRE_HEADER_BYTES,
+        ),
+        Op::Gather => (
+            SendOp::SendGather {
+                head: payload[..64].to_vec(),
+                data: payload[64..].to_vec(),
+                imm: None,
+            },
+            LEN as u64 + verbs::WIRE_HEADER_BYTES,
+        ),
+        Op::Write | Op::WriteImm => (
+            SendOp::RdmaWrite {
+                local: local_mr.full(),
+                remote,
+                imm: (op == Op::WriteImm).then_some(77),
+            },
+            LEN as u64 + verbs::WIRE_HEADER_BYTES,
+        ),
+        Op::Read => (
+            SendOp::RdmaRead {
+                local: local_mr.full(),
+                remote,
+            },
+            verbs::WIRE_HEADER_BYTES,
+        ),
+    };
+    let wire = wire
+        + if op == Op::UdSend {
+            verbs::UD_GRH_BYTES
+        } else {
+            0
+        };
+    let mut wr = SendWr::new(1, send_op);
+    if op == Op::UdSend {
+        wr.ud_dest = Some((b.hca.node(), qb.qpn()));
+    }
+    qa.post_send(wr).unwrap();
+    match fault {
+        Fault::None | Fault::BadRkey => {}
+        Fault::QpClosed => qb.close(),
+        Fault::HcaKilled => b.hca.kill(),
+        Fault::HcaKilledAtTarget => {
+            let hca = b.hca.clone();
+            let at = st.arrives(st.t_hca, wire) + SimDuration::from_nanos(1);
+            sim.schedule_at(at, move || hca.kill());
+        }
+    }
+    sim.run();
+    assert_eq!(sim.pending_events(), 0);
+
+    // A completion is stamped by the trace event emitted as it is pushed.
+    let stamp = |node: NodeId, name: &str, wr_id: u64| {
+        let events = recorder.events();
+        let mut hits = events.iter().filter(|e| {
+            e.node == Some(node)
+                && e.name == name
+                && e.op == wr_id
+                && e.phase != simnet::trace::Phase::Begin
+        });
+        let at = hits.next().expect("a completion leaves a trace event").at;
+        assert!(hits.next().is_none(), "one completion per work request");
+        at
+    };
+    let span = match op {
+        Op::Write | Op::WriteImm => "rdma_write",
+        Op::Read => "rdma_read",
+        _ => "send",
+    };
+    let send = a.cq.poll().map(|wc| {
+        assert_eq!(wc.wr_id, 1);
+        (
+            wc.opcode,
+            wc.status,
+            wc.byte_len,
+            stamp(a.hca.node(), span, 1),
+        )
+    });
+    let recv = b.cq.poll().map(|wc| {
+        assert_eq!(wc.wr_id, 9);
+        (
+            wc.opcode,
+            wc.status,
+            wc.byte_len,
+            stamp(b.hca.node(), "recv_complete", 9),
+        )
+    });
+    assert_eq!((a.cq.backlog(), b.cq.backlog()), (0, 0));
+    let landed = match op {
+        Op::Read => local_mr.read_at(0, LEN) == payload,
+        _ => remote_mr.read_at(0, LEN) == payload,
+    };
+    Outcome { send, recv, landed }
+}
+
+/// The closure-era behaviour of the verbs data path, cell by cell: for each
+/// opcode and each fault, exactly which completions appear, with which
+/// status and byte count, and at which instant. The instants are stated in
+/// the stage model of [`Stages`].
+#[test]
+fn every_opcode_under_every_fault_completes_as_characterized() {
+    use Fault::*;
+    use WcStatus::{RemoteAccessError, RetryExceeded, Success};
+    let (cluster, _, _) = pair(true);
+    let st = Stages::of(&cluster);
+    let len = LEN as u32;
+    let hdr = verbs::WIRE_HEADER_BYTES;
+    let retry = verbs::RETRY_EXCEEDED_DELAY;
+
+    for op in [
+        Op::Send,
+        Op::Inline,
+        Op::Gather,
+        Op::Write,
+        Op::WriteImm,
+        Op::Read,
+        Op::UdSend,
+    ] {
+        for fault in [None, QpClosed, HcaKilled, HcaKilledAtTarget, BadRkey] {
+            let two_sided = matches!(op, Op::Send | Op::Inline | Op::Gather | Op::UdSend);
+            if two_sided && fault == BadRkey {
+                continue; // a SEND names no remote key
+            }
+            let want = match op {
+                Op::Send | Op::Inline | Op::Gather => {
+                    let arrive = st.arrives(st.t_hca, LEN as u64 + hdr);
+                    let deliver = arrive + st.hca_msg;
+                    match fault {
+                        // Once the target's pipeline has the message it is
+                        // delivered, and acknowledged one propagation later.
+                        None | HcaKilledAtTarget => Outcome {
+                            send: Some((WcOpcode::Send, Success, len, deliver + st.prop)),
+                            recv: Some((WcOpcode::Recv, Success, len, deliver)),
+                            landed: true,
+                        },
+                        _ => Outcome {
+                            send: Some((WcOpcode::Send, RetryExceeded, 0, arrive + retry)),
+                            recv: Option::None,
+                            landed: false,
+                        },
+                    }
+                }
+                Op::Write | Op::WriteImm => {
+                    let arrive = st.arrives(st.t_hca, LEN as u64 + hdr);
+                    let land = arrive + st.rdma_target;
+                    let opcode = WcOpcode::RdmaWrite;
+                    // The immediate's receive is the target queue pair's: a
+                    // closed one drops the notice and the write still lands.
+                    let notice = (op == Op::WriteImm && fault != QpClosed).then_some((
+                        WcOpcode::RecvRdmaImm,
+                        Success,
+                        0,
+                        land,
+                    ));
+                    match fault {
+                        None | QpClosed | HcaKilledAtTarget => Outcome {
+                            send: Some((opcode, Success, len, land + st.prop)),
+                            recv: notice,
+                            landed: true,
+                        },
+                        HcaKilled => Outcome {
+                            send: Some((opcode, RetryExceeded, 0, arrive + retry)),
+                            recv: Option::None,
+                            landed: false,
+                        },
+                        // The NAK reports the length the request carried.
+                        BadRkey => Outcome {
+                            send: Some((opcode, RemoteAccessError, len, land + st.prop)),
+                            recv: Option::None,
+                            landed: false,
+                        },
+                    }
+                }
+                Op::Read => {
+                    let arrive = st.arrives(st.t_hca, hdr);
+                    let serve = arrive + st.rdma_target;
+                    let back = st.arrives(serve, LEN as u64 + hdr);
+                    let opcode = WcOpcode::RdmaRead;
+                    let send = match fault {
+                        None | QpClosed | HcaKilledAtTarget => {
+                            (opcode, Success, len, back + st.hca_msg)
+                        }
+                        HcaKilled => (opcode, RetryExceeded, 0, arrive + retry),
+                        BadRkey => (opcode, RemoteAccessError, 0, serve + st.prop),
+                    };
+                    Outcome {
+                        send: Some(send),
+                        recv: Option::None,
+                        landed: send.1 == Success,
+                    }
+                }
+                Op::UdSend => {
+                    let grh = verbs::UD_GRH_BYTES;
+                    let deliver = st.arrives(st.t_hca, LEN as u64 + hdr + grh) + st.hca_msg;
+                    let delivered = matches!(fault, None | HcaKilledAtTarget);
+                    // Unreliable: complete at the local HCA whatever happens
+                    // to the datagram.
+                    Outcome {
+                        send: Some((WcOpcode::Send, Success, len, st.t_hca)),
+                        recv: delivered.then_some((WcOpcode::Recv, Success, len, deliver)),
+                        landed: delivered,
+                    }
+                }
+            };
+            assert_eq!(characterize(op, fault), want, "{op:?} under {fault:?}");
+        }
+    }
 }

@@ -1,58 +1,100 @@
 //! Allocation ratchet for the simulator's hot paths.
 //!
 //! The event engine's steady state allocates nothing — timers and tasks live
-//! in slabs, a task's waker is built once — and the UCR eager path copies a
-//! payload once. These tests pin what one memcached operation still costs the
-//! host allocator on the two transport families, so the next per-event or
-//! per-poll allocation fails `cargo test` instead of showing up in a
-//! benchmark run. They also pin that a run leaves no dead timers behind: the
-//! event queue holds live events only.
+//! in slabs, a task's waker is built once, a message in flight is a record
+//! and a targeted event — and the UCR eager path copies a payload once. These
+//! tests pin what one memcached operation still costs the host allocator on
+//! the two transport families, so the next per-event or per-poll allocation
+//! fails `cargo test` instead of showing up in a benchmark run. They also pin
+//! that a run leaves no dead timers behind: the event queue holds live events
+//! only.
 //!
 //! The budgets are counts, not timings: for a given build they repeat but
 //! for a hash table that happens to grow inside the measured loop, which is
-//! what the headroom above the measured figures is for.
+//! what the headroom of two above the measured figures is for. Where the
+//! count of a shape comes from, call site by call site, is what
+//! `cargo test --test alloc_budget -- --ignored --nocapture` prints.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::backtrace::Backtrace;
+use std::cell::{Cell, RefCell};
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use rdma_memcached::rmc::{
     McClient, McClientConfig, McServer, McServerConfig, StoreModel, Transport, World,
 };
-use rdma_memcached::simnet::{NodeId, Stack};
+use rdma_memcached::simnet::{EventTarget, JoinHandle, NodeId, Sim, SimDuration, Stack};
+
+/// Allocations and bytes per call site.
+type SiteTable = RefCell<HashMap<String, (u64, u64)>>;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Where allocations are attributed while a site table is being made
+    /// (leaked, so the thread-local has no destructor to register).
+    static SITES: Cell<Option<&'static SiteTable>> = const { Cell::new(None) };
 }
 
-/// Counts the calling thread's allocations; per-thread, so the two tests of
+/// Counts the calling thread's allocations; per-thread, so the tests of
 /// this binary do not count each other.
 struct Counting;
 
-fn bump() {
+fn bump(bytes: usize) {
     // `try_with`: an allocation made while the thread's locals are torn down
     // goes uncounted rather than aborting the process.
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    if let Ok(Some(sites)) = SITES.try_with(Cell::get) {
+        // Capturing a backtrace allocates: the borrow is the re-entrancy
+        // guard, and what is allocated under it goes unattributed.
+        if let Ok(mut sites) = sites.try_borrow_mut() {
+            let site = sites.entry(call_site()).or_default();
+            *site = (site.0 + 1, site.1 + bytes as u64);
+        }
+    }
+}
+
+/// The innermost frame of the current backtrace that lies in `crates/`, as
+/// `function at file:line` (line tables are kept in release builds too).
+fn call_site() -> String {
+    let trace = Backtrace::force_capture().to_string();
+    let mut function = "";
+    for line in trace.lines().map(str::trim) {
+        match line.strip_prefix("at ") {
+            Some(at) if at.contains("crates/") => {
+                let at = at
+                    .rsplit_once(':')
+                    .map_or(at, |(file_line, _column)| file_line);
+                return format!("{function} at {}", at.trim_start_matches("./"));
+            }
+            Some(_) => {}
+            None => function = line.split_once(": ").map_or(line, |(_, name)| name),
+        }
+    }
+    "(outside crates/: the harness)".to_string()
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a plain thread-local
-// cell without a destructor, so touching it never allocates or unwinds.
+// upholds the `GlobalAlloc` contract; the counters are plain thread-local
+// cells without destructors, so touching them never allocates or unwinds.
+// While a site table is being made (the `#[ignore]`d test only) counting
+// allocates — a backtrace, a map entry — with the table borrowed, so the
+// nested calls see the borrow, skip the attribution and terminate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         // SAFETY: the caller's obligations are passed through as they are.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         // SAFETY: as in `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size);
         // SAFETY: as in `alloc`; `ptr` and `layout` come from this allocator,
         // which only ever hands out `System` blocks.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -78,41 +120,72 @@ fn key(i: usize) -> Vec<u8> {
     format!("key-{i:016x}").into_bytes()
 }
 
-/// Closed loop of gets, `clients` of them, one operation in flight each,
-/// until `ops` have completed in total. Returns allocations per operation.
-fn allocs_per_get(world: &World, clients: &[McClient], ops: u64) -> f64 {
+/// What a measured loop cost the allocator, and how many operations it ran.
+struct Load {
+    allocs: u64,
+    ops: u64,
+}
+
+impl Load {
+    /// Runs `tasks` to the end: what that cost, and the operations they
+    /// counted into `completed`.
+    fn of(sim: &Sim, tasks: Vec<JoinHandle<()>>, completed: &Cell<u64>) -> Load {
+        let before = ALLOCS.with(Cell::get);
+        sim.block_on(async move {
+            for t in tasks {
+                t.await;
+            }
+        });
+        Load {
+            allocs: ALLOCS.with(Cell::get) - before,
+            ops: completed.get(),
+        }
+    }
+
+    fn allocs_per_op(&self) -> f64 {
+        self.allocs as f64 / self.ops as f64
+    }
+}
+
+/// Closed loop, `clients` of them, one operation in flight each, until
+/// `ops` have completed in total: gets, or — given a value to store — sets
+/// and gets by turns.
+fn closed_loop(world: &World, clients: &[McClient], ops: u64, store: Option<&[u8]>) -> Load {
     let sim = world.sim().clone();
     let keys: Rc<Vec<Vec<u8>>> = Rc::new((0..KEYS).map(key).collect());
+    let value: Option<Rc<[u8]>> = store.map(Rc::from);
     let completed = Rc::new(Cell::new(0u64));
     let tasks: Vec<_> = clients
         .iter()
         .enumerate()
         .map(|(c, client)| {
             let (client, keys, completed) = (client.clone(), keys.clone(), completed.clone());
+            let value = value.clone();
             sim.spawn(async move {
                 let mut k = c;
                 while completed.get() < ops {
-                    let got = client.get(&keys[k % KEYS]).await;
-                    assert!(matches!(got, Ok(Some(_))), "every key was preloaded");
+                    let key = &keys[k % KEYS];
+                    match &value {
+                        Some(value) if k % 2 == 0 => {
+                            client.set(key, value, 0, 0).await.expect("set");
+                        }
+                        _ => {
+                            let got = client.get(key).await;
+                            assert!(matches!(got, Ok(Some(_))), "every key was preloaded");
+                        }
+                    }
                     completed.set(completed.get() + 1);
                     k += KEY_STRIDE;
                 }
             })
         })
         .collect();
-    let before = ALLOCS.with(Cell::get);
-    sim.block_on(async move {
-        for t in tasks {
-            t.await;
-        }
-    });
-    (ALLOCS.with(Cell::get) - before) as f64 / completed.get() as f64
+    Load::of(&sim, tasks, &completed)
 }
 
 /// Sliding windows of gets, `depth` handles in flight per client (claimed
-/// oldest first), until `ops` have completed in total. Returns allocations
-/// per operation.
-fn allocs_per_pipelined_get(world: &World, clients: &[McClient], depth: usize, ops: u64) -> f64 {
+/// oldest first), until `ops` have completed in total.
+fn pipelined_gets(world: &World, clients: &[McClient], depth: usize, ops: u64) -> Load {
     let sim = world.sim().clone();
     let keys: Rc<Vec<Vec<u8>>> = Rc::new((0..KEYS).map(key).collect());
     let completed = Rc::new(Cell::new(0u64));
@@ -139,124 +212,260 @@ fn allocs_per_pipelined_get(world: &World, clients: &[McClient], depth: usize, o
             })
         })
         .collect();
-    let before = ALLOCS.with(Cell::get);
-    sim.block_on(async move {
-        for t in tasks {
-            t.await;
-        }
-    });
-    (ALLOCS.with(Cell::get) - before) as f64 / completed.get() as f64
+    Load::of(&sim, tasks, &completed)
 }
 
-/// Starts a server, preloads the keys with `value_size`-byte values and
-/// connects `clients` clients over `transport` (one get each).
-fn testbed(
-    world: &World,
-    server: McServerConfig,
-    transport: Transport,
-    clients: u32,
-    value_size: usize,
-) -> (McServer, Vec<McClient>) {
-    let server = McServer::start(world, SERVER, server);
-    let clients: Vec<McClient> = (0..clients)
-        .map(|c| {
-            McClient::new(
-                world,
-                NodeId(1 + c),
-                McClientConfig::single(transport, SERVER),
-            )
-        })
-        .collect();
-    let cl = clients.clone();
-    world.sim().block_on(async move {
-        let value = vec![7u8; value_size];
-        for i in 0..KEYS {
-            cl[0].set(&key(i), &value, 0, 0).await.expect("preload");
+/// A testbed, and the closed loop that loads it.
+struct Shape {
+    name: &'static str,
+    world: World,
+    server: McServer,
+    clients: Vec<McClient>,
+    /// Runs this many more operations.
+    drive: fn(&Shape, u64) -> Load,
+}
+
+impl Shape {
+    /// Starts a server, preloads the keys with `value_size`-byte values and
+    /// connects `clients` clients over `transport` (one get each).
+    fn new(
+        name: &'static str,
+        world: World,
+        server: McServerConfig,
+        transport: Transport,
+        clients: u32,
+        value_size: usize,
+        drive: fn(&Shape, u64) -> Load,
+    ) -> Shape {
+        let server = McServer::start(&world, SERVER, server);
+        let clients: Vec<McClient> = (0..clients)
+            .map(|c| {
+                McClient::new(
+                    &world,
+                    NodeId(1 + c),
+                    McClientConfig::single(transport, SERVER),
+                )
+            })
+            .collect();
+        let cl = clients.clone();
+        world.sim().block_on(async move {
+            let value = vec![7u8; value_size];
+            for i in 0..KEYS {
+                cl[0].set(&key(i), &value, 0, 0).await.expect("preload");
+            }
+            for client in &cl {
+                assert!(matches!(client.get(&key(0)).await, Ok(Some(_))));
+            }
+        });
+        Shape {
+            name,
+            world,
+            server,
+            clients,
+            drive,
         }
-        for client in &cl {
-            assert!(matches!(client.get(&key(0)).await, Ok(Some(_))));
-        }
-    });
-    (server, clients)
+    }
+
+    fn run(&self, ops: u64) -> Load {
+        (self.drive)(self, ops)
+    }
+
+    /// Warms the testbed up, then holds a measured run to `budget`
+    /// allocations per operation and to an event queue of live events.
+    fn stays_within(&self, budget: f64) {
+        self.run(WARMUP_OPS);
+        let per_op = self.run(MEASURED_OPS).allocs_per_op();
+        assert!(
+            per_op <= budget,
+            "{}: {per_op:.2} allocations per operation (budget {budget})",
+            self.name
+        );
+        // Every get arms a 250 ms timeout and wins it within microseconds:
+        // the cancelled timers must be gone, not waiting out their deadline.
+        let pending = self.world.sim().pending_events();
+        assert!(
+            pending <= 8 * self.clients.len(),
+            "{}: {pending} events pending after the run",
+            self.name
+        );
+    }
 }
 
 /// The paper's Fig. 6(c) point: 16 UCR clients, 4 B gets, Cluster B.
-#[test]
-fn ucr_small_gets_stay_within_the_allocation_budget() {
+fn ucr_small_gets() -> Shape {
     const CLIENTS: u32 = 16;
-    let world = World::cluster_b(42, CLIENTS + 1);
-    let (_server, clients) = testbed(
-        &world,
+    Shape::new(
+        "ucr_small_gets",
+        World::cluster_b(42, CLIENTS + 1),
         McServerConfig::default(),
         Transport::Ucr,
         CLIENTS,
         4,
-    );
-    allocs_per_get(&world, &clients, WARMUP_OPS);
-    let per_op = allocs_per_get(&world, &clients, MEASURED_OPS);
-    assert!(
-        per_op <= 32.0,
-        "{per_op:.2} allocations per UCR get (budget 32)"
-    );
-    // Every get arms a 250 ms timeout and wins it within microseconds: the
-    // cancelled timers must be gone, not waiting out their deadline.
-    let pending = world.sim().pending_events();
-    assert!(
-        pending <= 8 * CLIENTS as usize,
-        "{pending} events pending after the run"
-    );
+        |s, ops| closed_loop(&s.world, &s.clients, ops, None),
+    )
 }
 
 /// The same 16 clients at depth 8 against 8 workers over 16 store shards
 /// (the benchmark's `ucr_pipelined_sharded_16c` shape). Requests and
-/// replies queued behind a backed-up send share network buffers here;
-/// staging them must cost no more than posting each on its own did (24
-/// per op before they shared).
-#[test]
-fn ucr_pipelined_gets_stay_within_the_allocation_budget() {
+/// replies queued behind a backed-up send share network buffers here.
+fn ucr_pipelined_gets() -> Shape {
     const CLIENTS: u32 = 16;
-    const DEPTH: usize = 8;
-    let world = World::cluster_b(42, CLIENTS + 1);
     let sharded = McServerConfig {
         workers: 8,
         store_model: StoreModel::Sharded(16),
         ..Default::default()
     };
-    let (server, clients) = testbed(&world, sharded, Transport::Ucr, CLIENTS, 64);
-    allocs_per_pipelined_get(&world, &clients, DEPTH, WARMUP_OPS);
-    let per_op = allocs_per_pipelined_get(&world, &clients, DEPTH, MEASURED_OPS);
-    assert!(
-        per_op <= 24.0,
-        "{per_op:.2} allocations per pipelined UCR get (budget 24)"
-    );
-    let rt = server.ucr_runtime().expect("UCR server");
+    Shape::new(
+        "ucr_pipelined_gets",
+        World::cluster_b(42, CLIENTS + 1),
+        sharded,
+        Transport::Ucr,
+        CLIENTS,
+        64,
+        |s, ops| pipelined_gets(&s.world, &s.clients, 8, ops),
+    )
+}
+
+/// The sockets baseline: 8 ASCII clients over 10GigE-TOE, 1 KB gets.
+fn ascii_socket_gets() -> Shape {
+    const CLIENTS: u32 = 8;
+    Shape::new(
+        "ascii_socket_gets",
+        World::cluster_a(42, CLIENTS + 1),
+        McServerConfig::default(),
+        Transport::Sockets(Stack::TenGigEToe),
+        CLIENTS,
+        1024,
+        |s, ops| closed_loop(&s.world, &s.clients, ops, None),
+    )
+}
+
+#[test]
+fn ucr_small_gets_stay_within_the_allocation_budget() {
+    ucr_small_gets().stays_within(8.0); // measured 6.00
+}
+
+#[test]
+fn ucr_pipelined_gets_stay_within_the_allocation_budget() {
+    let shape = ucr_pipelined_gets();
+    shape.stays_within(10.8); // measured 8.80
+    let rt = shape.server.ucr_runtime().expect("UCR server");
     assert!(
         rt.stats().eager_coalesced.get() > 0,
         "replies shared buffers"
     );
-    let pending = world.sim().pending_events();
-    assert!(
-        pending <= 8 * CLIENTS as usize,
-        "{pending} events pending after the run"
-    );
 }
 
-/// The sockets baseline: 8 ASCII clients over 10GigE-TOE, 1 KB gets.
 #[test]
 fn ascii_socket_gets_stay_within_the_allocation_budget() {
-    const CLIENTS: u32 = 8;
-    let world = World::cluster_a(42, CLIENTS + 1);
-    let transport = Transport::Sockets(Stack::TenGigEToe);
-    let (_server, clients) = testbed(&world, McServerConfig::default(), transport, CLIENTS, 1024);
-    allocs_per_get(&world, &clients, WARMUP_OPS);
-    let per_op = allocs_per_get(&world, &clients, MEASURED_OPS);
-    assert!(
-        per_op <= 40.0,
-        "{per_op:.2} allocations per ASCII get (budget 40)"
-    );
-    let pending = world.sim().pending_events();
-    assert!(
-        pending <= 8 * CLIENTS as usize,
-        "{pending} events pending after the run"
-    );
+    ascii_socket_gets().stays_within(31.0); // measured 29.00
+}
+
+/// The paper's Fig. 4(c) point: one UCR client, 4 KB gets — the largest
+/// power of two that still rides eager with its headers.
+#[test]
+fn ucr_4k_gets_stay_within_the_allocation_budget() {
+    Shape::new(
+        "ucr_4k_gets",
+        World::cluster_b(42, 2),
+        McServerConfig::default(),
+        Transport::Ucr,
+        1,
+        4096,
+        |s, ops| closed_loop(&s.world, &s.clients, ops, None),
+    )
+    .stays_within(8.0); // measured 6.00
+}
+
+/// 64 KB values, sets and gets by turns: every value travels by rendezvous,
+/// a read request out and the data back, the four-stage flight.
+#[test]
+fn ucr_64k_sets_and_gets_stay_within_the_allocation_budget() {
+    Shape::new(
+        "ucr_64k_sets_and_gets",
+        World::cluster_b(42, 5),
+        McServerConfig::default(),
+        Transport::Ucr,
+        4,
+        64 << 10,
+        |s, ops| closed_loop(&s.world, &s.clients, ops, Some(&[7u8; 64 << 10])),
+    )
+    .stays_within(16.0); // measured 14.00
+}
+
+/// The engine's third kind of event costs the allocator nothing: a hundred
+/// thousand targeted events, sixty-four in the queue at any time.
+#[test]
+fn targeted_events_allocate_nothing_in_steady_state() {
+    struct Relay {
+        sim: Sim,
+        left: Cell<u64>,
+    }
+    impl EventTarget for Relay {
+        fn fire(self: Rc<Self>, token: u64) {
+            if let Some(left) = self.left.get().checked_sub(1) {
+                self.left.set(left);
+                let sim = self.sim.clone();
+                let at = sim.now() + SimDuration::from_nanos(1 + token % 7);
+                sim.schedule_target_at(at, self, token);
+            }
+        }
+    }
+    let sim = Sim::new(1);
+    let relay = Rc::new(Relay {
+        sim: sim.clone(),
+        left: Cell::new(1_000),
+    });
+    for token in 0..64 {
+        sim.schedule_target_at(sim.now(), relay.clone(), token);
+    }
+    sim.run();
+    assert_eq!(sim.events_executed(), 1_064);
+
+    relay.left.set(100_000);
+    for token in 0..64 {
+        sim.schedule_target_at(sim.now(), relay.clone(), token);
+    }
+    let before = ALLOCS.with(Cell::get);
+    sim.run();
+    assert_eq!(ALLOCS.with(Cell::get) - before, 0);
+    assert_eq!(sim.events_executed(), 1_064 + 100_064);
+}
+
+/// Where the allocations of the three benchmark-like shapes come from: per
+/// call site (the innermost frame in `crates/`), allocations and bytes per
+/// operation over a thousand operations on a warmed-up testbed. Slow — every
+/// allocation takes a backtrace — and a report, not a check:
+/// `cargo test --test alloc_budget -- --ignored --nocapture`.
+#[test]
+#[ignore = "prints the allocation site table; slow"]
+fn print_allocation_sites() {
+    const OPS: u64 = 1_000;
+    for shape in [ucr_small_gets(), ucr_pipelined_gets(), ascii_socket_gets()] {
+        shape.run(WARMUP_OPS);
+        let table: &'static SiteTable = Box::leak(Box::default());
+        SITES.set(Some(table));
+        let ops = shape.run(OPS).ops as f64;
+        SITES.set(None);
+        let mut sites: Vec<_> = table.borrow_mut().drain().collect();
+        sites.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        // Summed over the table: the run's own count includes what taking
+        // the backtraces allocated.
+        let (allocs, bytes) = sites
+            .iter()
+            .fold((0, 0), |sum, (_, site)| (sum.0 + site.0, sum.1 + site.1));
+        println!(
+            "\n{}: {:.2} allocs/op, {:.0} bytes/op over {ops} operations",
+            shape.name,
+            allocs as f64 / ops,
+            bytes as f64 / ops
+        );
+        println!("{:>10} {:>10}  site", "allocs/op", "bytes/op");
+        for (site, (count, bytes)) in sites {
+            let (count, bytes) = (count as f64 / ops, bytes as f64 / ops);
+            if count >= 0.005 {
+                println!("{count:>10.2} {bytes:>10.0}  {site}");
+            }
+        }
+    }
 }
