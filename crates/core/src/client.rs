@@ -538,23 +538,6 @@ impl McClient {
         self.inner.ucr.clone()
     }
 
-    /// Drops cached connections (e.g. after a server was declared dead via
-    /// a timeout) so the next operation reconnects from scratch.
-    pub fn reset_connections(&self) {
-        for (_, conn) in self.inner.conns.borrow_mut().drain() {
-            conn.close();
-        }
-        for (_, ep) in self.inner.bypass_eps.borrow_mut().drain() {
-            ep.close();
-        }
-        // Descriptors name the dead server's memory: forget them.
-        self.inner.bypass_cache.borrow_mut().clear();
-        self.inner.bypass_order.borrow_mut().clear();
-        // Closed endpoints can no longer deliver, so cancellation flags
-        // for their outstanding responses will never be consulted again.
-        self.inner.cancelled.borrow_mut().clear();
-    }
-
     /// Stores `value` under `key` unconditionally.
     pub async fn set(
         &self,

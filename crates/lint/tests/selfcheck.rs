@@ -3,7 +3,9 @@
 //! dedicated CI step.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::path::Path;
 
+use rmc_lint::workspace::SourceFile;
 use rmc_lint::MetricSite;
 
 #[test]
@@ -211,4 +213,67 @@ fn interprocedural_pass_sees_the_real_tree() {
             s.r7_obligations
         );
     }
+}
+
+/// Lexes every `*.rs` under `dir` (a missing directory holds none).
+fn lex_tree(dir: &Path, out: &mut Vec<SourceFile>) {
+    for entry in std::fs::read_dir(dir).into_iter().flatten() {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            lex_tree(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let text = std::fs::read_to_string(&path).expect("readable source");
+            out.push(SourceFile::new(&path.to_string_lossy(), &text));
+        }
+    }
+}
+
+/// A dependency a member declares is one its code names: as a path root
+/// (`name::…`, `use name`) in a token — a comment does not count — of its
+/// `src/`, or for a dev-dependency of its `src/`, `tests/` or `examples/`.
+#[test]
+fn every_dependency_edge_is_used() {
+    let root = rmc_lint::default_root();
+    let crates = std::fs::read_dir(root.join("crates")).expect("crates/");
+    let mut members: Vec<_> = crates.map(|e| e.expect("crates/ entry").path()).collect();
+    members.push(root);
+    let mut dead = Vec::new();
+    for member in members {
+        let manifest = std::fs::read_to_string(member.join("Cargo.toml")).expect("a manifest");
+        let mut files = Vec::new();
+        lex_tree(&member.join("src"), &mut files);
+        let src = files.len();
+        lex_tree(&member.join("tests"), &mut files);
+        lex_tree(&member.join("examples"), &mut files);
+        let mut section = "";
+        for line in manifest.lines().map(str::trim) {
+            if line.starts_with('[') {
+                section = line;
+                continue;
+            }
+            let files = match section {
+                "[dependencies]" => &files[..src],
+                "[dev-dependencies]" => &files[..],
+                _ => continue,
+            };
+            let name = line.split(['.', ' ', '=']).next().unwrap_or("");
+            if name.is_empty() || name.starts_with('#') {
+                continue;
+            }
+            let krate = name.replace('-', "_");
+            let named = |f: &SourceFile, i: usize| {
+                // `use {a, b}` names each entry: step back over the list.
+                let mut head = i;
+                while head >= 2 && f.punct(head - 1, ',') && f.any_ident(head - 2).is_some() {
+                    head -= 2;
+                }
+                head -= usize::from(head > 0 && f.punct(head - 1, '{'));
+                f.ident(i, &krate) && (f.path_sep(i + 1) || (head > 0 && f.ident(head - 1, "use")))
+            };
+            if !files.iter().any(|f| (0..f.toks.len()).any(|i| named(f, i))) {
+                dead.push(format!("{}: {name}", member.display()));
+            }
+        }
+    }
+    assert!(dead.is_empty(), "declared but never named: {dead:#?}");
 }

@@ -29,10 +29,8 @@ use std::future::Future;
 use std::marker::PhantomData;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::task::{Context, Poll, Wake, Waker};
-
-use parking_lot::Mutex;
 
 use crate::rng::SimRng;
 use crate::slab::{Slab, SlabKey};
@@ -130,9 +128,21 @@ struct Task {
     detached: bool,
 }
 
+/// Tasks ready to be polled. Shared with wakers, hence the (uncontended)
+/// mutex: `std::task::Wake` requires `Send + Sync` even though this executor
+/// never leaves one thread (see `DESIGN.md`, "simnet engine", for why not a
+/// `RawWaker` over `Rc`).
+type ReadyQueue = Arc<Mutex<VecDeque<TaskId>>>;
+
+/// The guard is only ever held for one `push_back` or `pop_front`, neither of
+/// which can leave the queue half-updated, so a poisoned lock is still valid.
+fn lock_ready(ready: &ReadyQueue) -> MutexGuard<'_, VecDeque<TaskId>> {
+    ready.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 struct SimWaker {
     id: TaskId,
-    ready: Arc<Mutex<VecDeque<TaskId>>>,
+    ready: ReadyQueue,
 }
 
 impl Wake for SimWaker {
@@ -141,7 +151,7 @@ impl Wake for SimWaker {
     }
 
     fn wake_by_ref(self: &Arc<Self>) {
-        self.ready.lock().push_back(self.id);
+        lock_ready(&self.ready).push_back(self.id);
     }
 }
 
@@ -150,10 +160,7 @@ struct EngineCore {
     seq: Cell<u64>,
     events: RefCell<EventQueue>,
     timers: RefCell<Slab<Timer>>,
-    /// Tasks ready to be polled. Shared with wakers, hence the (uncontended)
-    /// mutex: `std::task::Wake` requires `Send + Sync` even though this
-    /// executor never leaves one thread.
-    ready: Arc<Mutex<VecDeque<TaskId>>>,
+    ready: ReadyQueue,
     tasks: RefCell<Slab<Task>>,
     live_tasks: Cell<usize>,
     events_executed: Cell<u64>,
@@ -232,7 +239,7 @@ impl Sim {
                     tombstones: 0,
                 }),
                 timers: RefCell::new(Slab::new()),
-                ready: Arc::new(Mutex::new(VecDeque::new())),
+                ready: ReadyQueue::default(),
                 tasks: RefCell::new(Slab::new()),
                 live_tasks: Cell::new(0),
                 events_executed: Cell::new(0),
@@ -344,7 +351,7 @@ impl Sim {
             }
         }));
         self.core.live_tasks.set(self.core.live_tasks.get() + 1);
-        self.core.ready.lock().push_back(id);
+        lock_ready(&self.core.ready).push_back(id);
         JoinHandle {
             sim: self.clone(),
             id,
@@ -474,7 +481,7 @@ impl Sim {
     fn drain_ready(&self) -> bool {
         let mut any = false;
         loop {
-            let id = match self.core.ready.lock().pop_front() {
+            let id = match lock_ready(&self.core.ready).pop_front() {
                 Some(id) => id,
                 None => break,
             };

@@ -174,11 +174,6 @@ impl Network {
         delivered
     }
 
-    /// Number of messages delivered into `dst` so far (diagnostics).
-    pub fn ingress_jobs(&self, dst: NodeId) -> u64 {
-        self.ports[dst.0 as usize].ingress.jobs()
-    }
-
     /// Utilization of a node's egress port (diagnostics).
     pub fn egress_utilization(&self, src: NodeId, now: SimTime) -> f64 {
         self.ports[src.0 as usize].egress.utilization(now)

@@ -51,13 +51,6 @@ impl Counter {
         self.value.get()
     }
 
-    /// Back-compat shim for call sites that treated the counter as a bare
-    /// cell; `v` must not move the counter backwards.
-    pub fn set(&self, v: u64) {
-        debug_assert!(v >= self.value.get(), "counters are monotonic");
-        self.value.set(v);
-    }
-
     /// Resets to zero (between measurement phases).
     pub fn reset(&self) {
         self.value.set(0);

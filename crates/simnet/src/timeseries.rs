@@ -176,11 +176,6 @@ impl Sampler {
         self.inner.dropped.get()
     }
 
-    /// All series names with at least one point, sorted.
-    pub fn series_names(&self) -> Vec<String> {
-        self.inner.series.borrow().keys().cloned().collect()
-    }
-
     /// The points of one series, oldest first; `None` if never written.
     pub fn series(&self, name: &str) -> Option<Vec<SamplePoint>> {
         self.inner

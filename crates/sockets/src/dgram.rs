@@ -103,11 +103,6 @@ pub struct DgramSocket {
 }
 
 impl DgramSocket {
-    /// The bound address.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local
-    }
-
     /// Datagrams dropped at this socket due to buffer overflow.
     pub fn dropped(&self) -> u64 {
         self.inbox.dropped.get()

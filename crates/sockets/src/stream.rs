@@ -192,16 +192,6 @@ pub struct Socket {
 }
 
 impl Socket {
-    /// Local address.
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local
-    }
-
-    /// Peer address.
-    pub fn peer_addr(&self) -> SocketAddr {
-        self.peer
-    }
-
     /// Transport this socket runs on.
     pub fn stack(&self) -> Stack {
         self.stack

@@ -6,10 +6,9 @@
 //! `flush_all` barriers, CAS, and the full storage/arithmetic command set
 //! (`items.c`/`memcached.c` semantics). [`Store`] is the pure, clock-free
 //! engine; [`SegmentedStore`] splits it into hash-routed segments for the
-//! simulated server (one segment = the classic unsharded layout); and
-//! [`ShardedStore`] is a thread-safe wrapper exercised by real threads in
-//! stress tests and benches. All sharding routes through one
-//! [`ShardRouter`] policy.
+//! simulated server (one segment = the classic unsharded layout), routed by
+//! the one [`ShardRouter`] policy. Serialization is the caller's model
+//! (`simnet::vlock` in virtual time): nothing here is shared between threads.
 //!
 //! ```
 //! use mcstore::{SetOutcome, Store};
@@ -26,12 +25,10 @@
 #![warn(missing_docs)]
 
 mod shard;
-mod sharded;
 mod slab;
 mod store;
 
 pub use shard::{SegmentedStore, ShardRouter};
-pub use sharded::ShardedStore;
 pub use slab::{ClassId, ClassStats, SlabAllocator, SlabConfig, SlabLoc};
 pub use store::{
     hash_key, normalize_exptime, ItemLocation, NumericError, SetOutcome, SlabEvent, Store,

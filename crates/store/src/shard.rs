@@ -3,13 +3,11 @@
 //! This module is the single home of the shard-routing policy: which hash
 //! bits pick a segment, how many segments a requested count rounds to, and
 //! how a global memory cap splits across segments without silently losing
-//! the remainder. Both consumers build on it:
-//!
-//! * [`SegmentedStore`](crate::SegmentedStore) — plain `Vec<Store>` for the
-//!   single-threaded simulation, where virtual-time locks (`simnet::vlock`)
-//!   provide the serialization model;
-//! * [`ShardedStore`](crate::ShardedStore) — `Mutex<Store>` per shard for
-//!   wall-clock parallel use in stress tests and Criterion benches.
+//! the remainder. [`SegmentedStore`](crate::SegmentedStore) — a plain
+//! `Vec<Store>` for the single-threaded simulation, where virtual-time locks
+//! (`simnet::vlock`) provide the serialization model — is the one sharded
+//! store; the server's executor routes its shard locks by the same
+//! [`ShardRouter`](crate::ShardRouter).
 
 use crate::slab::{ClassId, ClassStats};
 use crate::store::{
@@ -39,14 +37,9 @@ impl ShardRouter {
         self.mask + 1
     }
 
-    /// Shard index for a precomputed [`hash_key`] value.
-    pub fn index_of_hash(&self, h: u64) -> usize {
-        ((h >> 48) as usize) & self.mask
-    }
-
     /// Shard index for `key`.
     pub fn index(&self, key: &[u8]) -> usize {
-        self.index_of_hash(hash_key(key))
+        ((hash_key(key) >> 48) as usize) & self.mask
     }
 
     /// Splits a global memory cap across shards. The remainder is spread
@@ -114,7 +107,7 @@ impl SegmentedStore {
         self.segments.len()
     }
 
-    /// The routing policy (shared with the wall-clock [`crate::ShardedStore`]).
+    /// The routing policy (the server's executor locks shards by it).
     pub fn router(&self) -> &ShardRouter {
         &self.router
     }
@@ -127,11 +120,6 @@ impl SegmentedStore {
     /// Read access to one segment.
     pub fn segment(&self, i: usize) -> &Store {
         &self.segments[i]
-    }
-
-    /// Write access to one segment.
-    pub fn segment_mut(&mut self, i: usize) -> &mut Store {
-        &mut self.segments[i]
     }
 
     fn seg_for(&mut self, key: &[u8]) -> &mut Store {

@@ -269,11 +269,6 @@ impl SlabAllocator {
         self.classes[class.0 as usize].per_page
     }
 
-    /// Pages currently assigned to a class.
-    pub fn page_count(&self, class: ClassId) -> u32 {
-        self.classes[class.0 as usize].pages.len() as u32
-    }
-
     /// Raw bytes of one whole chunk addressed by indices (no `SlabLoc`
     /// needed): used by the server's bypass mirror to snapshot a page.
     pub fn chunk_raw(&self, class: ClassId, page: u32, chunk: u32) -> &[u8] {

@@ -494,90 +494,6 @@ mod properties {
 }
 
 // ---------------------------------------------------------------------
-// Sharded store: real threads
-// ---------------------------------------------------------------------
-
-mod sharded {
-    use mcstore::{SetOutcome, ShardedStore, StoreConfig};
-
-    #[test]
-    fn basic_ops_route_correctly() {
-        let s = ShardedStore::new(StoreConfig::default(), 8);
-        assert_eq!(s.shard_count(), 8);
-        for i in 0..1000u32 {
-            let key = format!("key-{i}");
-            assert_eq!(
-                s.set(key.as_bytes(), format!("v{i}").as_bytes(), 0, 0, 1),
-                SetOutcome::Stored
-            );
-        }
-        for i in 0..1000u32 {
-            let key = format!("key-{i}");
-            assert_eq!(
-                s.get(key.as_bytes(), 1).unwrap().data,
-                format!("v{i}").as_bytes()
-            );
-        }
-        assert_eq!(s.curr_items(), 1000);
-    }
-
-    #[test]
-    fn concurrent_mixed_workload_is_consistent() {
-        let s = ShardedStore::new(StoreConfig::default(), 8);
-        let threads = 8;
-        let per_thread = 2_000u32;
-        crossbeam::scope(|scope| {
-            for t in 0..threads {
-                let s = &s;
-                scope.spawn(move |_| {
-                    // Each thread owns a key range: no cross-thread races
-                    // on individual keys, full contention on shards.
-                    for i in 0..per_thread {
-                        let key = format!("t{t}-k{i}");
-                        assert_eq!(
-                            s.set(key.as_bytes(), key.as_bytes(), 0, 0, 1),
-                            SetOutcome::Stored
-                        );
-                        let v = s.get(key.as_bytes(), 1).unwrap();
-                        assert_eq!(v.data, key.as_bytes());
-                        if i % 3 == 0 {
-                            assert!(s.delete(key.as_bytes(), 1));
-                        }
-                    }
-                });
-            }
-        })
-        .unwrap();
-        let expected: u64 = (0..threads)
-            .map(|_| (0..per_thread).filter(|i| i % 3 != 0).count() as u64)
-            .sum();
-        assert_eq!(s.curr_items(), expected);
-    }
-
-    #[test]
-    fn concurrent_counters_do_not_lose_updates() {
-        let s = ShardedStore::new(StoreConfig::default(), 4);
-        s.set(b"ctr", b"0", 0, 0, 1);
-        let threads = 8;
-        let bumps = 1_000u64;
-        crossbeam::scope(|scope| {
-            for _ in 0..threads {
-                let s = &s;
-                scope.spawn(move |_| {
-                    for _ in 0..bumps {
-                        s.incr(b"ctr", 1, 1).unwrap();
-                    }
-                });
-            }
-        })
-        .unwrap();
-        let v = s.get(b"ctr", 1).unwrap();
-        let total: u64 = String::from_utf8(v.data).unwrap().parse().unwrap();
-        assert_eq!(total, threads as u64 * bumps);
-    }
-}
-
-// ---------------------------------------------------------------------
 // Additional coverage: interplay of expiry/flush/concat, class moves
 // ---------------------------------------------------------------------
 

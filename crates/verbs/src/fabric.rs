@@ -230,11 +230,6 @@ impl Hca {
         }
     }
 
-    /// True while the adapter is operational.
-    pub fn is_alive(&self) -> bool {
-        self.inner.alive.get()
-    }
-
     /// Memory regions currently registered with this adapter.
     pub fn registered_regions(&self) -> usize {
         self.inner.mrs.borrow().len()
