@@ -827,11 +827,11 @@ pub fn xorshift(state: &mut u64) -> u64 {
 }
 
 /// A store model's name in the results files.
-pub fn model_label(model: StoreModel) -> &'static str {
+pub fn model_label(model: StoreModel) -> String {
     match model {
-        StoreModel::Idealized => "idealized",
-        StoreModel::GlobalLock => "global_lock",
-        StoreModel::Sharded(_) => "sharded16",
+        StoreModel::Idealized => "idealized".to_string(),
+        StoreModel::GlobalLock => "global_lock".to_string(),
+        StoreModel::Sharded(n) => format!("sharded{n}"),
     }
 }
 

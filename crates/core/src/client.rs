@@ -34,7 +34,7 @@ use crate::am_wire::{
 };
 use crate::codec;
 use crate::request::{Reply, Request};
-use crate::server::BASE_UNIX_TIME;
+use crate::server::unix_now;
 use crate::world::World;
 
 /// Which transport family the client uses.
@@ -1181,14 +1181,6 @@ impl CliInner {
     // Bypass-GET path: client-direct RDMA read of server slab memory
     // -----------------------------------------------------------------
 
-    /// The store's unix clock as this client sees it (same epoch and
-    /// virtual time as the server), for local expiry checks on cached
-    /// descriptors — lazy expiration never bumps an item's version word,
-    /// so the clock is the only staleness signal for expired items.
-    fn now_secs(&self) -> u32 {
-        BASE_UNIX_TIME + self.sim.now().as_secs_f64() as u32
-    }
-
     /// Attempts a bypass get. `Some(result)` means the one-sided path
     /// settled the operation (hit or authoritative miss); `None` means
     /// the caller should fall back to the AM round trip.
@@ -1249,9 +1241,11 @@ impl CliInner {
                     Err(_) => return None,             // directory unreachable
                 },
             };
-            if desc.exp != 0 && desc.exp <= self.now_secs() {
-                // Expired under us: drop the descriptor and re-resolve —
-                // the directory answers miss once the item is dead.
+            if desc.exp != 0 && desc.exp <= unix_now(&self.sim) {
+                // Expired under us (lazy expiration never bumps an item's
+                // version word, so the clock is the only sign): drop the
+                // descriptor and re-resolve — the directory answers miss
+                // once the item is dead.
                 self.uncache_descriptor(&ckey);
                 continue;
             }

@@ -5,10 +5,12 @@
 //! front-end can reach a store verb except through [`Executor::serve`]
 //! (or, for one shard's slice of a scattered multiget,
 //! [`Executor::fetch_shard`]). Everything a request costs in virtual time
-//! is charged here, per [`StoreModel`].
+//! is charged here. The [`StoreModel`] is read once, into a shape — how
+//! many shards, locked or not (DESIGN.md §12) — and nothing below
+//! [`Executor::new`] asks which model it came from.
 
 use std::cell::{Cell, Ref, RefCell};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::ops::Range;
 use std::rc::Rc;
 
@@ -21,7 +23,7 @@ use ucr::UcrRuntime;
 
 use super::bypass::BypassDir;
 use super::stats::{self, StoreGauges};
-use super::{McServerConfig, SrvStats, StoreModel, BASE_UNIX_TIME, SERVER_VERSION};
+use super::{unix_now, McServerConfig, SrvStats, StoreModel, SERVER_VERSION};
 use crate::am_wire::{DirReq, DirResp, McOp};
 use crate::observatory::{service_histograms, WorkloadObservatory};
 use crate::request::{Reply, Request};
@@ -50,13 +52,23 @@ impl OpId {
     }
 }
 
+/// The store locks a request holds, in acquisition order. A keyed request
+/// holds one, kept inline: only a request touching every shard
+/// (`flush_all`, `stats`) allocates. Fields drop in declaration order, so
+/// the guards are released in the order they were taken — release order
+/// decides which waiter is handed a lock first, and with it the schedule.
+#[derive(Default)]
+pub(super) struct Held {
+    first: Option<VLockGuard>,
+    rest: Vec<VLockGuard>,
+}
+
 /// Store, locks, cost model and telemetry of one server.
 pub(super) struct Executor {
     store: RefCell<SegmentedStore>,
-    model: StoreModel,
     router: ShardRouter,
-    /// Virtual-time locks guarding store access: empty under `Idealized`,
-    /// one under `GlobalLock`, one per segment under `Sharded`.
+    /// Virtual-time locks guarding store access: none when the store is
+    /// unlocked, else one per shard.
     locks: Vec<Rc<VLock>>,
     worker_fixed: SimDuration,
     hash_lookup: SimDuration,
@@ -90,22 +102,20 @@ impl Executor {
         let sim = world.sim().clone();
         let metrics = world.cluster.metrics().clone();
         let tracer = world.cluster.tracer().clone();
-        // `Idealized` and `GlobalLock` keep the classic unsharded layout;
-        // `Sharded(n)` splits the arena (memory cap divided losslessly).
-        let shards = match config.store_model {
-            StoreModel::Idealized | StoreModel::GlobalLock => 1,
-            StoreModel::Sharded(n) => n,
+        // The model is a shape: shards × locked. `GlobalLock` is one shard
+        // with one lock; `Sharded(n)` splits the arena (memory cap divided
+        // losslessly) and locks each part.
+        let (shards, locked) = match config.store_model {
+            StoreModel::Idealized => (1, false),
+            StoreModel::GlobalLock => (1, true),
+            StoreModel::Sharded(n) => (n, true),
         };
         let store = SegmentedStore::new(config.store, shards);
         let router = *store.router();
-        // One lock per serialization domain. `Idealized` has none: lock
-        // setup registers metrics and tracer bindings, and the default
-        // model must leave every observable surface untouched.
-        let lock_count = match config.store_model {
-            StoreModel::Idealized => 0,
-            StoreModel::GlobalLock => 1,
-            StoreModel::Sharded(_) => router.count(),
-        };
+        // Unlocked means no lock at all: lock setup registers metrics and
+        // tracer bindings, and the default model must leave every
+        // observable surface untouched.
+        let lock_count = if locked { router.count() } else { 0 };
         let locks: Vec<Rc<VLock>> = (0..lock_count)
             .map(|s| {
                 let prefix = format!("mc.node{}.shard{}", node.0, s);
@@ -123,7 +133,6 @@ impl Executor {
         let profile = world.profile();
         Executor {
             store: RefCell::new(store),
-            model: config.store_model,
             router,
             locks,
             worker_fixed: profile.host.worker_fixed,
@@ -145,29 +154,24 @@ impl Executor {
         }
     }
 
-    /// Serves one request on the calling worker: charges its service time
-    /// and takes its locks as the [`StoreModel`] dictates, executes it,
-    /// feeds the telemetry, and syncs the bypass mirrors.
+    /// Serves one request on the calling worker: charges its service time,
+    /// takes the locks of the shards it touches, executes it, feeds the
+    /// telemetry, and syncs the bypass mirrors.
     ///
     /// The returned guards still hold the request's store locks. UCR
     /// posts its reply synchronously and so sends inside the critical
     /// section (the historical schedule); a sockets front-end drops the
     /// guards before its awaited write.
-    pub(super) async fn serve(
-        &self,
-        req: &Request<'_>,
-        id: OpId,
-        track: Track,
-    ) -> (Reply, Vec<VLockGuard>) {
+    pub(super) async fn serve(&self, req: &Request<'_>, id: OpId, track: Track) -> (Reply, Held) {
         let started = self.begin(id, track, req.value.len() as u64);
-        let mut guards = Vec::new();
-        let reply = if self.model == StoreModel::Idealized {
+        let mut guards = Held::default();
+        let reply = if self.locks.is_empty() {
             // The whole service time is one uncontended charge — the exact
             // schedule every pre-`StoreModel` experiment ran under.
             self.sim.sleep(self.service_cost(req.keys.len())).await;
             self.run(req)
         } else {
-            // Locked models split it: the fixed dispatch/parse portion runs
+            // A locked store splits it: the fixed dispatch/parse portion runs
             // lock-free, then `lock_shards` serializes the hash/item portion.
             self.charge_fixed().await;
             if let Some(groups) = self.shard_groups(req.op, req.keys) {
@@ -198,14 +202,15 @@ impl Executor {
         };
         let out = reply.payload_len(req.keys) as u64;
         let moved = out.max(req.value.len() as u64);
-        self.finish(req.op, id, track, started, out, Some((req.key(), moved)));
+        self.record(req.op, id, started, req.key(), moved);
+        self.end(id, track, out);
         (reply, guards)
     }
 
     /// Executes `req` against the store at the current instant (no await
     /// between the mutation and the mirror sync).
     fn run(&self, req: &Request<'_>) -> Reply {
-        let now = self.now_secs();
+        let now = unix_now(&self.sim);
         let mut store = self.store.borrow_mut();
         let reply = execute(&mut store, req, now, |store, name| {
             stats::report(self, store, name)
@@ -249,11 +254,11 @@ impl Executor {
         hits: &mut Vec<(usize, Value)>,
         id: OpId,
         track: Track,
-    ) -> Vec<VLockGuard> {
+    ) -> Held {
         let guards = self
             .lock_shards(shard..shard + 1, idxs.len(), id.key(), track)
             .await;
-        let now = self.now_secs();
+        let now = unix_now(&self.sim);
         let mut store = self.store.borrow_mut();
         let first = hits.len();
         fetch(&mut store, keys, idxs.iter().copied(), now, hits);
@@ -266,14 +271,14 @@ impl Executor {
     }
 
     /// Groups a multi-key read's key indices by owning shard when it has
-    /// to be served shard by shard: `Mget` under [`StoreModel::Sharded`]
-    /// with keys on more than one shard. `None` otherwise.
+    /// to be served shard by shard: an `Mget` with keys on more than one
+    /// shard. `None` otherwise.
     pub(super) fn shard_groups(
         &self,
         op: McOp,
         keys: &[Vec<u8>],
     ) -> Option<BTreeMap<usize, Vec<usize>>> {
-        if op != McOp::Mget || !matches!(self.model, StoreModel::Sharded(_)) {
+        if op != McOp::Mget || self.router.count() == 1 {
             return None;
         }
         let mut shards = keys.iter().map(|k| self.router.index(k));
@@ -288,36 +293,27 @@ impl Executor {
         Some(groups)
     }
 
-    /// The shard owning `key` when requests route by shard affinity
-    /// ([`StoreModel::Sharded`]).
+    /// The shard owning `key` when requests route by shard affinity: the
+    /// store has more than one.
     pub(super) fn affine_shard(&self, key: &[u8]) -> Option<usize> {
-        matches!(self.model, StoreModel::Sharded(_)).then(|| self.router.index(key))
+        (self.router.count() > 1).then(|| self.router.index(key))
     }
 
-    /// Acquires the store locks a request touching `shards` needs, in
-    /// ascending order (the deadlock-free total order), then charges the
-    /// per-key hash/item cost *inside* the critical section — that is
-    /// the serialized portion of upstream memcached's `cache_lock`.
-    async fn lock_shards(
-        &self,
-        shards: Range<usize>,
-        keys: usize,
-        op: u64,
-        track: Track,
-    ) -> Vec<VLockGuard> {
-        let mut guards = Vec::new();
-        match self.model {
-            StoreModel::Idealized => return guards,
-            StoreModel::GlobalLock => guards.push(self.locks[0].lock(op, track).await),
-            StoreModel::Sharded(_) => {
-                let set: BTreeSet<usize> = shards.collect();
-                for s in set {
-                    guards.push(self.locks[s].lock(op, track).await);
-                }
+    /// Acquires the locks of `shards` in ascending order (a range walks
+    /// that way: the deadlock-free total order), then charges the per-key
+    /// hash/item cost *inside* the critical section — that is the
+    /// serialized portion of upstream memcached's `cache_lock`.
+    async fn lock_shards(&self, shards: Range<usize>, keys: usize, op: u64, track: Track) -> Held {
+        let mut held = Held::default();
+        for lock in &self.locks[shards] {
+            let guard = lock.lock(op, track).await;
+            match held.first {
+                None => held.first = Some(guard),
+                Some(_) => held.rest.push(guard),
             }
         }
         self.sim.sleep(self.hash_lookup * keys.max(1) as u64).await;
-        guards
+        held
     }
 
     /// The lock-free fixed portion (dispatch, parse) of a request's
@@ -329,10 +325,6 @@ impl Executor {
     /// Worker-thread service charge for one request.
     fn service_cost(&self, keys: usize) -> SimDuration {
         self.worker_fixed + self.hash_lookup * keys.max(1) as u64
-    }
-
-    fn now_secs(&self) -> u32 {
-        BASE_UNIX_TIME + self.sim.now().as_secs_f64() as u32
     }
 
     /// Emits a stage boundary of request `id` on the trace stream.
@@ -363,26 +355,23 @@ impl Executor {
         self.sim.now()
     }
 
-    /// Closes the service window opened at `started`: the per-op service
-    /// times, the span end, and — given the `(key, bytes moved)` to
-    /// attribute it to — the observatory's SLO and exemplar feed.
-    pub(super) fn finish(
-        &self,
-        op: McOp,
-        id: OpId,
-        track: Track,
-        started: SimTime,
-        bytes: u64,
-        observe: Option<(&[u8], u64)>,
-    ) {
+    /// Closes a service window opened by [`Executor::begin`].
+    pub(super) fn end(&self, id: OpId, track: Track, bytes: u64) {
+        self.mark(id, Phase::End, SERVICE_SPAN, track, bytes);
+    }
+
+    /// Books one served request — one sample, however many workers had a
+    /// part in it: its service time since `started` into the per-op
+    /// histogram and, attributed to `key` and the bytes it moved, into the
+    /// observatory's SLO and exemplar feed.
+    pub(super) fn record(&self, op: McOp, id: OpId, started: SimTime, key: &[u8], moved: u64) {
         let now = self.sim.now();
         let service = now.saturating_since(started);
         let hist = &self.svc_times[op.index()];
         hist.record(service);
-        if let (Some(obs), Some(moved)) = (self.observatory.as_ref(), observe) {
-            obs.observe_service(op.label(), hist, moved, service, id.key(), now);
+        if let Some(obs) = self.observatory.as_ref() {
+            obs.observe_service(op.label(), hist, (key, moved), service, id.key(), now);
         }
-        self.mark(id, Phase::End, SERVICE_SPAN, track, bytes);
     }
 
     /// Propagates store mutations to the bypass mirrors: drains the slab
@@ -415,16 +404,12 @@ impl Executor {
         if !self.bypass_on.replace(true) {
             self.store.borrow_mut().set_event_tracking(true);
         }
-        self.mirrors[side].serve(&self.store.borrow(), self.now_secs(), rt, req)
+        self.mirrors[side].serve(&self.store.borrow(), unix_now(&self.sim), rt, req)
     }
 
     /// Read-only view of the store (occupancy, statistics).
     pub(super) fn store(&self) -> Ref<'_, SegmentedStore> {
         self.store.borrow()
-    }
-
-    pub(super) fn model(&self) -> StoreModel {
-        self.model
     }
 
     pub(super) fn lock_stats(&self) -> Vec<VLockStats> {
@@ -459,32 +444,37 @@ fn fetch(
     now: u32,
     hits: &mut Vec<(usize, Value)>,
 ) {
-    hits.extend(idxs.filter_map(|i| Some((i, store.get(&keys[i], now)?))));
+    hits.extend(idxs.filter_map(|i| {
+        let key = &keys[i];
+        Some((i, store.segment_for(key).get(key, now)?))
+    }));
 }
 
 /// One storage verb. A stored item's fresh CAS token comes from a
 /// read-only `locate`: no hit counted, no LRU bump, no value copy.
 fn store_item(store: &mut SegmentedStore, req: &Request<'_>, now: u32) -> Reply {
     let (key, value, flags, exptime) = (req.key(), req.value, req.flags, req.exptime);
+    let shard = store.segment_for(key);
     let outcome = match req.op {
-        McOp::Set => store.set(key, value, flags, exptime, now),
-        McOp::Add => store.add(key, value, flags, exptime, now),
-        McOp::Replace => store.replace(key, value, flags, exptime, now),
-        McOp::Append => store.append(key, value, now),
-        McOp::Prepend => store.prepend(key, value, now),
-        McOp::Cas => store.cas(key, value, flags, exptime, req.cas, now),
+        McOp::Set => shard.set(key, value, flags, exptime, now),
+        McOp::Add => shard.add(key, value, flags, exptime, now),
+        McOp::Replace => shard.replace(key, value, flags, exptime, now),
+        McOp::Append => shard.append(key, value, now),
+        McOp::Prepend => shard.prepend(key, value, now),
+        McOp::Cas => shard.cas(key, value, flags, exptime, req.cas, now),
         op => unreachable!("{op:?} is not a storage verb"),
     };
     let cas = match outcome {
-        SetOutcome::Stored => store.locate(key, now).map_or(0, |(_, item)| item.cas),
+        SetOutcome::Stored => shard.locate(key, now).map_or(0, |item| item.cas),
         _ => 0,
     };
     Reply::Stored { outcome, cas }
 }
 
 /// Executes one request against the store: the one place every store
-/// verb is called from. `stats` renders a statistics sub-report (it needs
-/// server state the store does not hold).
+/// verb is called from — a keyed verb on the [`mcstore::Store`] owning the
+/// key, an aggregating one on the whole. `stats` renders a statistics
+/// sub-report (it needs server state the store does not hold).
 pub(super) fn execute(
     store: &mut SegmentedStore,
     req: &Request<'_>,
@@ -493,7 +483,7 @@ pub(super) fn execute(
 ) -> Reply {
     let key = req.key();
     match req.op {
-        McOp::Get => Reply::Value(store.get(key, now)),
+        McOp::Get => Reply::Value(store.segment_for(key).get(key, now)),
         McOp::Mget => {
             let mut hits = Vec::new();
             fetch(store, req.keys, 0..req.keys.len(), now, &mut hits);
@@ -502,12 +492,13 @@ pub(super) fn execute(
         McOp::Set | McOp::Add | McOp::Replace | McOp::Append | McOp::Prepend | McOp::Cas => {
             store_item(store, req, now)
         }
-        McOp::Delete => Reply::Found(store.delete(key, now)),
+        McOp::Delete => Reply::Found(store.segment_for(key).delete(key, now)),
         McOp::Incr | McOp::Decr => {
+            let shard = store.segment_for(key);
             let result = if req.op == McOp::Incr {
-                store.incr(key, req.delta, now)
+                shard.incr(key, req.delta, now)
             } else {
-                store.decr(key, req.delta, now)
+                shard.decr(key, req.delta, now)
             };
             match (result, req.initial) {
                 (Err(NumericError::NotFound), Some(initial)) => {
@@ -520,7 +511,7 @@ pub(super) fn execute(
                 (result, _) => Reply::Number(result),
             }
         }
-        McOp::Touch => Reply::Found(store.touch(key, req.exptime, now)),
+        McOp::Touch => Reply::Found(store.segment_for(key).touch(key, req.exptime, now)),
         McOp::FlushAll => {
             store.flush_all(now.saturating_add(req.exptime));
             Reply::Done

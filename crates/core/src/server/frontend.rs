@@ -6,7 +6,7 @@
 //! worker (connection binding, shard-affine routing, the multiget
 //! scatter), `noreply`, quiet opcodes, datagram fragmentation.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::{Rc, Weak};
 
 use mcproto::{
@@ -15,6 +15,7 @@ use mcproto::{
 };
 use mcstore::Value;
 use simnet::trace::{Phase, Track};
+use simnet::SimTime;
 use socksim::{DgramSocket, Socket};
 use ucr::{AmData, AmHandler, Endpoint, SendOptions};
 
@@ -84,6 +85,9 @@ pub(super) struct ReqDispatch {
 /// last to finish posts the one merged response.
 pub(super) struct MgetMerge {
     req: ReqHeader,
+    /// When the first part began: the request's service time runs from
+    /// here to the end of the last part.
+    started: Cell<Option<SimTime>>,
     /// Hits gathered so far and the number of parts still running.
     state: RefCell<(Vec<(usize, Value)>, usize)>,
 }
@@ -101,14 +105,15 @@ impl AmHandler for ReqDispatch {
         };
         let data = data.into_vec().unwrap_or_default();
         srv.mark_dispatch(OpId::Wire(req.req_id), data.len() as u64);
-        // Under `Sharded`, keyed requests go to the owning shard's affine
-        // worker and multi-shard Mgets are split into per-shard parts.
+        // Over a sharded store, keyed requests go to the owning shard's
+        // affine worker and multi-shard Mgets are split into per-shard parts.
         // Everything else keeps the upstream policy: every request of a
         // connection is served by the worker the connection was assigned
         // to (paper §V-A).
         if let Some(groups) = srv.exec.shard_groups(req.op, &req.keys) {
             let merge = Rc::new(MgetMerge {
                 req,
+                started: Cell::new(None),
                 state: RefCell::new((Vec::new(), groups.len())),
             });
             for (shard, idxs) in groups {
@@ -162,8 +167,8 @@ async fn serve_ucr(srv: &Rc<SrvInner>, ep: Endpoint, req: ReqHeader, data: Vec<u
 /// Serves one shard's slice of a split `Mget` (the
 /// [`StoreModel::Sharded`](super::StoreModel) scatter/gather path). Each
 /// part charges its own fixed cost and locks only its shard. The last
-/// part to finish encodes the merged response in original key order and
-/// posts the single `MSG_MC_RESP`.
+/// part to finish books the request, encodes the merged response in
+/// original key order and posts the single `MSG_MC_RESP`.
 async fn serve_ucr_mget_part(
     srv: &Rc<SrvInner>,
     ep: Endpoint,
@@ -174,9 +179,12 @@ async fn serve_ucr_mget_part(
 ) {
     let (exec, req) = (&srv.exec, &merge.req);
     let (id, track) = (OpId::Wire(req.req_id), Track::Worker(widx));
-    // One `worker_service` span per part under the shared request id: the
-    // profiler takes the earliest begin and the latest end.
-    let started = exec.begin(id, track, idxs.len() as u64);
+    // One `worker_service` span per part under the shared request id, one
+    // service-time sample per request: both run from the earliest begin
+    // to the latest end.
+    let began = exec.begin(id, track, idxs.len() as u64);
+    let started = merge.started.get().unwrap_or(began);
+    merge.started.set(Some(started));
     exec.charge_fixed().await;
     let mut hits = Vec::with_capacity(idxs.len());
     let _guards = exec
@@ -192,10 +200,10 @@ async fn serve_ucr_mget_part(
             codec::ucr::encode_reply(req.req_id, Reply::Values(all), &req.keys)
         })
     };
-    let observe = merged
-        .as_ref()
-        .map(|(_, payload)| (req.keys[0].as_slice(), payload.len() as u64));
-    exec.finish(McOp::Mget, id, track, started, idxs.len() as u64, observe);
+    if let Some((_, payload)) = &merged {
+        exec.record(McOp::Mget, id, started, &req.keys[0], payload.len() as u64);
+    }
+    exec.end(id, track, idxs.len() as u64);
     if let Some(reply) = merged {
         post_reply(&ep, req, reply);
     }

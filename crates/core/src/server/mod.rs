@@ -55,6 +55,11 @@ use frontend::{MgetMerge, ReqDispatch};
 /// Simulated epoch: the store's unix clock starts here (spring 2011).
 pub const BASE_UNIX_TIME: u32 = 1_300_000_000;
 
+/// The store's unix clock: whole seconds of virtual time past the epoch.
+pub(crate) fn unix_now(sim: &Sim) -> u32 {
+    BASE_UNIX_TIME + sim.now().as_secs_f64() as u32
+}
+
 /// Version string the server reports.
 pub const SERVER_VERSION: &str = "1.4.5-rmc";
 
@@ -284,11 +289,6 @@ impl McServer {
     /// Live item count.
     pub fn curr_items(&self) -> u64 {
         self.inner.exec.store().curr_items()
-    }
-
-    /// The lock-contention model this server runs under.
-    pub fn store_model(&self) -> StoreModel {
-        self.inner.exec.model()
     }
 
     /// Number of store segments (1 unless [`StoreModel::Sharded`]).

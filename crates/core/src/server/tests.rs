@@ -57,9 +57,9 @@ fn stored(outcome: SetOutcome) -> Reply {
 
 /// A store holding `text`=`"abc"` (flags 7) and `num`=`"10"`.
 fn seeded() -> SegmentedStore {
-    let mut store = SegmentedStore::single(StoreConfig::default());
-    store.set(b"text", b"abc", 7, 0, NOW);
-    store.set(b"num", b"10", 0, 0, NOW);
+    let mut store = SegmentedStore::new(StoreConfig::default(), 1);
+    store.segment_for(b"text").set(b"text", b"abc", 7, 0, NOW);
+    store.segment_for(b"num").set(b"num", b"10", 0, 0, NOW);
     store
 }
 

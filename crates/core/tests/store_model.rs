@@ -5,10 +5,13 @@
 //! `stats prom` surface, socket-path ordering under sharding, and bypass
 //! GET invalidation against a segmented store on both clusters.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use rmc::{
     McClient, McClientConfig, McServer, McServerConfig, StoreModel, Transport, Value, World,
 };
-use simnet::{NodeId, SimDuration, SimTime, Stack};
+use simnet::{Event, EventSink, Metrics, NodeId, Phase, SimDuration, SimTime, Stack};
 
 const SRV: NodeId = NodeId(0);
 const CLI: NodeId = NodeId(1);
@@ -350,4 +353,86 @@ fn bypass_get_invalidates_per_segment() {
             }
         });
     }
+}
+
+/// Which shard's lock each `lock_hold` span opened or closed. The span
+/// names no shard, so the sink reads it off the shard's registry counters
+/// as the event fires: a grant counts into `shardS.ops` just before its
+/// span begins, a release into `shardS.lock_hold_ns` just before it ends.
+struct LockLog {
+    metrics: Rc<Metrics>,
+    seen: RefCell<[(u64, u64); 4]>,
+    log: RefCell<Vec<(Phase, usize)>>,
+}
+
+impl EventSink for LockLog {
+    fn on_event(&self, ev: &Event) {
+        if ev.name != "lock_hold" {
+            return;
+        }
+        for (s, seen) in self.seen.borrow_mut().iter_mut().enumerate() {
+            let read = |field: &str| {
+                let name = format!("mc.node{}.shard{s}.{field}", SRV.0);
+                self.metrics.counter_value(&name)
+            };
+            let now = (read("ops"), read("lock_hold_ns"));
+            if std::mem::replace(seen, now) != now {
+                self.log.borrow_mut().push((ev.phase, s));
+            }
+        }
+    }
+}
+
+#[test]
+fn all_shard_requests_lock_ascending_and_a_socket_mget_holds_one_lock_at_a_time() {
+    let world = World::cluster_a(29, 8);
+    let _server = McServer::start(&world, SRV, server_config(StoreModel::Sharded(4), 2));
+    let log = Rc::new(LockLog {
+        metrics: world.cluster.metrics().clone(),
+        seen: RefCell::default(),
+        log: RefCell::default(),
+    });
+    world.cluster.tracer().add_sink(log.clone());
+    let socket = Transport::Sockets(Stack::Sdp);
+    let ascii = McClient::new(&world, CLI, McClientConfig::single(socket, SRV));
+    let ucr = McClient::new(&world, CLI, McClientConfig::single(Transport::Ucr, SRV));
+    let taken = log.clone();
+    let sim = world.sim().clone();
+    sim.block_on(async move {
+        let keys: Vec<Vec<u8>> = (0..16u32).map(|i| format!("lk-{i}").into_bytes()).collect();
+        for key in &keys {
+            ascii.set(key, b"v", 0, 0).await.unwrap();
+        }
+
+        // A socket multiget stays on its connection's worker and visits
+        // the shards one after the other: each lock is released before
+        // the next is taken, and the visits ascend.
+        taken.log.borrow_mut().clear();
+        let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+        assert_eq!(ascii.mget(&refs).await.unwrap().len(), 16);
+        let visits = taken.log.take();
+        let shards: Vec<usize> = visits.chunks(2).map(|visit| visit[0].1).collect();
+        assert!(shards.len() >= 2, "the keys span shards: {visits:?}");
+        assert!(shards.windows(2).all(|w| w[0] < w[1]), "{visits:?}");
+        for (visit, s) in visits.chunks(2).zip(&shards) {
+            assert_eq!(visit, [(Phase::Begin, *s), (Phase::End, *s)], "{visits:?}");
+        }
+
+        // A request touching every shard takes all four locks in ascending
+        // order and gives them back in the order it took them (release
+        // order decides who is woken first), whichever front-end holds
+        // the guards.
+        let all: Vec<(Phase, usize)> = [Phase::Begin, Phase::End]
+            .into_iter()
+            .flat_map(|phase| (0..4).map(move |s| (phase, s)))
+            .collect();
+        ascii.stats().await.unwrap();
+        assert_eq!(taken.log.take(), all, "stats over a socket");
+        ascii.flush_all().await.unwrap();
+        assert_eq!(taken.log.take(), all, "flush_all over a socket");
+        ucr.stats().await.unwrap();
+        assert_eq!(taken.log.take(), all, "stats over UCR");
+        ucr.flush_all().await.unwrap();
+        assert_eq!(taken.log.take(), all, "flush_all over UCR");
+    });
 }

@@ -179,23 +179,24 @@ fn interprocedural_pass_sees_the_real_tree() {
         s.resolved_calls
     );
 
-    // R6: the PR 8 sharded store is the one multi-acquisition site —
-    // the executor's lock_shards takes locks[0] then ascending shard
-    // indices, and both acquisitions must be *provably* ascending (not
-    // merely skipped).
+    // R6: the sharded store is the one multi-acquisition site — the
+    // executor's lock_shards walks `locks[range]`, one acquisition inside
+    // one loop, which must be typed as a VLock and *provably* ascending
+    // (not merely skipped).
     let srv: Vec<_> = s
         .r6_acquisitions
         .iter()
         .filter(|(f, _, _)| f == "crates/core/src/server/executor.rs")
         .collect();
-    assert!(
-        srv.len() >= 2,
-        "expected the lock_shards acquisitions to be typed, got {:?}",
+    assert_eq!(
+        srv.len(),
+        1,
+        "expected the one lock_shards acquisition to be typed, got {:?}",
         s.r6_acquisitions
     );
     assert!(
         srv.iter().all(|(_, _, provable)| *provable),
-        "lock_shards acquisitions no longer provably ascending: {srv:?}"
+        "the lock_shards walk is no longer provably ascending: {srv:?}"
     );
 
     // R7: the three retained-registration sites, each with a live

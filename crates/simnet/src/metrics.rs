@@ -276,8 +276,7 @@ impl std::fmt::Debug for Histogram {
 ///
 /// Names are free-form dotted paths (`"node0.hca.utilization"`). Lookups
 /// create on first use, so instrumentation sites never need registration
-/// boilerplate. [`Metrics::report`] renders the whole registry as
-/// memcached-`stats`-style `(name, value)` pairs.
+/// boilerplate.
 #[derive(Default)]
 pub struct Metrics {
     counters: RefCell<BTreeMap<String, Rc<Counter>>>,
@@ -330,47 +329,6 @@ impl Metrics {
     /// Value of a gauge, if it exists.
     pub fn gauge_value(&self, name: &str) -> Option<f64> {
         self.gauges.borrow().get(name).map(|g| g.get())
-    }
-
-    /// Renders every metric as `(name, value)` lines: counters as
-    /// integers, gauges as decimals, histograms flattened into
-    /// `name.{count,mean_us,p50_us,p95_us,p99_us,max_us}`. Lines come out
-    /// sorted by name across all three instrument kinds, so `stats`
-    /// output and test snapshots are stable run to run.
-    pub fn report(&self) -> Vec<(String, String)> {
-        let mut out = Vec::new();
-        for (name, c) in self.counters.borrow().iter() {
-            out.push((name.clone(), c.get().to_string()));
-        }
-        for (name, g) in self.gauges.borrow().iter() {
-            out.push((name.clone(), format!("{:.6}", g.get())));
-        }
-        for (name, h) in self.histograms.borrow().iter() {
-            let s = h.summary();
-            out.push((format!("{name}.count"), s.count.to_string()));
-            out.push((
-                format!("{name}.mean_us"),
-                format!("{:.3}", s.mean.as_micros_f64()),
-            ));
-            out.push((
-                format!("{name}.p50_us"),
-                format!("{:.3}", s.p50.as_micros_f64()),
-            ));
-            out.push((
-                format!("{name}.p95_us"),
-                format!("{:.3}", s.p95.as_micros_f64()),
-            ));
-            out.push((
-                format!("{name}.p99_us"),
-                format!("{:.3}", s.p99.as_micros_f64()),
-            ));
-            out.push((
-                format!("{name}.max_us"),
-                format!("{:.3}", s.max.as_micros_f64()),
-            ));
-        }
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
     }
 
     /// Clears every registered metric (between measurement phases). The
@@ -638,24 +596,6 @@ mod tests {
     }
 
     #[test]
-    fn report_is_globally_sorted_by_name() {
-        let m = Metrics::new();
-        // Interleave names across instrument kinds so per-kind grouping
-        // would misorder them.
-        m.counter("zz.reqs").inc();
-        m.gauge("aa.util").set(0.25);
-        m.histogram("mm.lat").record(SimDuration::from_micros(2));
-        m.counter("bb.reqs").inc();
-        let report = m.report();
-        let names: Vec<&String> = report.iter().map(|(k, _)| k).collect();
-        let mut sorted = names.clone();
-        sorted.sort();
-        assert_eq!(names, sorted, "report must be sorted by name");
-        assert_eq!(names.first().map(|s| s.as_str()), Some("aa.util"));
-        assert_eq!(names.last().map(|s| s.as_str()), Some("zz.reqs"));
-    }
-
-    #[test]
     fn registry_creates_on_first_use_and_reports() {
         let m = Metrics::new();
         m.counter("reqs").add(7);
@@ -664,11 +604,8 @@ mod tests {
         assert_eq!(m.counter_value("reqs"), 7);
         assert_eq!(m.counter_value("never"), 0);
         assert_eq!(m.gauge_value("util"), Some(0.5));
-        let report = m.report();
-        assert!(report.contains(&("reqs".to_string(), "7".to_string())));
-        assert!(report
-            .iter()
-            .any(|(k, v)| k == "lat.p99_us" && v == "3.000"));
+        let p99 = m.histogram("lat").percentile(0.99);
+        assert_eq!(p99, SimDuration::from_micros(3));
         m.reset();
         assert_eq!(m.counter_value("reqs"), 0);
         assert_eq!(m.histogram("lat").count(), 0);

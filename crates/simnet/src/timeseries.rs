@@ -781,8 +781,6 @@ pub struct HealthMonitor {
     tracer: RefCell<Option<Rc<Tracer>>>,
     exemplars: RefCell<Option<Rc<ExemplarRing>>>,
     exemplar_dumps: RefCell<Vec<String>>,
-    profiler: RefCell<Option<Rc<crate::profiler::Profiler>>>,
-    profile_dumps: RefCell<Vec<String>>,
     state: Cell<Health>,
     window: RefCell<VecDeque<HealthInput>>,
     baseline_sum: Cell<f64>,
@@ -799,8 +797,6 @@ impl HealthMonitor {
             tracer: RefCell::new(None),
             exemplars: RefCell::new(None),
             exemplar_dumps: RefCell::new(Vec::new()),
-            profiler: RefCell::new(None),
-            profile_dumps: RefCell::new(Vec::new()),
             state: Cell::new(Health::Healthy),
             window: RefCell::new(VecDeque::new()),
             baseline_sum: Cell::new(0.0),
@@ -827,20 +823,6 @@ impl HealthMonitor {
     /// episode, oldest first.
     pub fn exemplar_dumps(&self) -> Vec<String> {
         self.exemplar_dumps.borrow().clone()
-    }
-
-    /// Attaches a profiler whose `stats profile` report is captured on
-    /// every transition *to* [`Health::Degraded`] — the critical-path
-    /// attribution at the moment things went wrong, frozen next to the
-    /// flight-recorder and exemplar dumps.
-    pub fn set_profiler(&self, profiler: Option<Rc<crate::profiler::Profiler>>) {
-        *self.profiler.borrow_mut() = profiler;
-    }
-
-    /// Profile dumps captured so far, one rendered block per Degraded
-    /// episode, oldest first.
-    pub fn profile_dumps(&self) -> Vec<String> {
-        self.profile_dumps.borrow().clone()
     }
 
     /// Current state.
@@ -895,14 +877,6 @@ impl HealthMonitor {
             if next == Health::Degraded {
                 if let Some(ring) = self.exemplars.borrow().as_ref() {
                     self.exemplar_dumps.borrow_mut().push(ring.render());
-                }
-                if let Some(p) = self.profiler.borrow().as_ref() {
-                    let block: String = p
-                        .stat_lines()
-                        .iter()
-                        .map(|(k, v)| format!("{k} {v}\n"))
-                        .collect();
-                    self.profile_dumps.borrow_mut().push(block);
                 }
             }
         }
@@ -1328,49 +1302,6 @@ mod tests {
         assert_eq!(tracer.fault_count(), 2);
         assert_eq!(m.exemplar_dumps().len(), 2);
         assert_eq!(m.transitions().len(), 3);
-    }
-
-    #[test]
-    fn degraded_transition_stores_a_profile_dump() {
-        use crate::profiler::{Profiler, ProfilerConfig};
-        use crate::trace::{Event, EventSink, Layer, Phase, Track};
-        let profiler = Profiler::new(ProfilerConfig::default(), &Metrics::new());
-        // One retired op is enough for a meaningful report.
-        for (phase, at) in [(Phase::Begin, 0u64), (Phase::End, 400)] {
-            profiler.on_event(&Event {
-                layer: Layer::Core,
-                name: "client_op",
-                phase,
-                node: Some(NodeId(1)),
-                track: Track::Main,
-                op: 9,
-                bytes: 0,
-                at: SimTime::from_nanos(at),
-            });
-        }
-        let m = HealthMonitor::new(
-            HealthRules {
-                window: 2,
-                max_budget_burn: 4.0,
-                ..HealthRules::default()
-            },
-            NodeId(1),
-        );
-        m.set_profiler(Some(profiler));
-        let burn = |at_us: u64, b: f64| HealthInput {
-            at: t(at_us),
-            throughput: 100.0,
-            queue_depth: 1.0,
-            p99_us: 0.0,
-            errors_per_sec: 0.0,
-            budget_burn: b,
-        };
-        assert_eq!(m.observe(burn(0, 0.0)), Health::Healthy);
-        assert_eq!(m.observe(burn(10, 20.0)), Health::Degraded);
-        let dumps = m.profile_dumps();
-        assert_eq!(dumps.len(), 1, "one dump per Degraded transition");
-        assert!(dumps[0].contains("profile.ops 1"), "dump: {}", dumps[0]);
-        assert!(dumps[0].contains("profile.stage.complete"));
     }
 
     #[test]

@@ -10,10 +10,7 @@
 //! [`ShardRouter`](crate::ShardRouter).
 
 use crate::slab::{ClassId, ClassStats};
-use crate::store::{
-    hash_key, ItemLocation, NumericError, SetOutcome, SlabEvent, Store, StoreConfig, StoreStats,
-    Value,
-};
+use crate::store::{hash_key, ItemLocation, SlabEvent, Store, StoreConfig, StoreStats};
 
 /// The hash→shard routing policy: a power-of-two shard count indexed by
 /// the *upper* 16 hash bits, so the lower bits remain well distributed
@@ -72,8 +69,9 @@ impl ShardRouter {
 
 /// [`Store`] split into hash-routed segments, single-threaded.
 ///
-/// Every keyed operation routes through the shared [`ShardRouter`]; stats
-/// and slab accounting aggregate across segments. With one segment this is
+/// A keyed operation is a [`Store`] verb on the segment the shared
+/// [`ShardRouter`] picks ([`segment_for`](Self::segment_for)); stats and
+/// slab accounting aggregate across segments. With one segment this is
 /// exactly a [`Store`] (same routing — everything lands in segment 0 —
 /// and the full memory cap), which is what keeps the simulator's default
 /// `Idealized` model bit-identical to the pre-sharding code.
@@ -97,11 +95,6 @@ impl SegmentedStore {
         }
     }
 
-    /// A single-segment store (the unsharded layout).
-    pub fn single(config: StoreConfig) -> SegmentedStore {
-        SegmentedStore::new(config, 1)
-    }
-
     /// Number of segments.
     pub fn shard_count(&self) -> usize {
         self.segments.len()
@@ -112,103 +105,16 @@ impl SegmentedStore {
         &self.router
     }
 
-    /// Segment index owning `key`.
-    pub fn shard_of(&self, key: &[u8]) -> usize {
-        self.router.index(key)
-    }
-
     /// Read access to one segment.
     pub fn segment(&self, i: usize) -> &Store {
         &self.segments[i]
     }
 
-    fn seg_for(&mut self, key: &[u8]) -> &mut Store {
+    /// The segment owning `key`: every keyed verb is [`Store`]'s own,
+    /// called on it.
+    pub fn segment_for(&mut self, key: &[u8]) -> &mut Store {
         let i = self.router.index(key);
         &mut self.segments[i]
-    }
-
-    /// See [`Store::set`].
-    pub fn set(
-        &mut self,
-        key: &[u8],
-        value: &[u8],
-        flags: u32,
-        exptime: u32,
-        now: u32,
-    ) -> SetOutcome {
-        self.seg_for(key).set(key, value, flags, exptime, now)
-    }
-
-    /// See [`Store::add`].
-    pub fn add(
-        &mut self,
-        key: &[u8],
-        value: &[u8],
-        flags: u32,
-        exptime: u32,
-        now: u32,
-    ) -> SetOutcome {
-        self.seg_for(key).add(key, value, flags, exptime, now)
-    }
-
-    /// See [`Store::replace`].
-    pub fn replace(
-        &mut self,
-        key: &[u8],
-        value: &[u8],
-        flags: u32,
-        exptime: u32,
-        now: u32,
-    ) -> SetOutcome {
-        self.seg_for(key).replace(key, value, flags, exptime, now)
-    }
-
-    /// See [`Store::cas`].
-    pub fn cas(
-        &mut self,
-        key: &[u8],
-        value: &[u8],
-        flags: u32,
-        exptime: u32,
-        cas: u64,
-        now: u32,
-    ) -> SetOutcome {
-        self.seg_for(key).cas(key, value, flags, exptime, cas, now)
-    }
-
-    /// See [`Store::append`].
-    pub fn append(&mut self, key: &[u8], data: &[u8], now: u32) -> SetOutcome {
-        self.seg_for(key).append(key, data, now)
-    }
-
-    /// See [`Store::prepend`].
-    pub fn prepend(&mut self, key: &[u8], data: &[u8], now: u32) -> SetOutcome {
-        self.seg_for(key).prepend(key, data, now)
-    }
-
-    /// See [`Store::get`].
-    pub fn get(&mut self, key: &[u8], now: u32) -> Option<Value> {
-        self.seg_for(key).get(key, now)
-    }
-
-    /// See [`Store::delete`].
-    pub fn delete(&mut self, key: &[u8], now: u32) -> bool {
-        self.seg_for(key).delete(key, now)
-    }
-
-    /// See [`Store::incr`].
-    pub fn incr(&mut self, key: &[u8], delta: u64, now: u32) -> Result<u64, NumericError> {
-        self.seg_for(key).incr(key, delta, now)
-    }
-
-    /// See [`Store::decr`].
-    pub fn decr(&mut self, key: &[u8], delta: u64, now: u32) -> Result<u64, NumericError> {
-        self.seg_for(key).decr(key, delta, now)
-    }
-
-    /// See [`Store::touch`].
-    pub fn touch(&mut self, key: &[u8], exptime: u32, now: u32) -> bool {
-        self.seg_for(key).touch(key, exptime, now)
     }
 
     /// Flushes every segment (see [`Store::flush_all`]).
@@ -407,19 +313,21 @@ mod tests {
     #[test]
     fn single_segment_matches_plain_store() {
         let cfg = StoreConfig::default();
-        let mut seg = SegmentedStore::single(cfg);
+        let mut seg = SegmentedStore::new(cfg, 1);
         let mut plain = Store::new(cfg);
         for i in 0..200 {
             let k = format!("k{i}");
             let v = format!("value-{i}");
+            let (k, v) = (k.as_bytes(), v.as_bytes());
             assert_eq!(
-                seg.set(k.as_bytes(), v.as_bytes(), 0, 0, 100),
-                plain.set(k.as_bytes(), v.as_bytes(), 0, 0, 100)
+                seg.segment_for(k).set(k, v, 0, 0, 100),
+                plain.set(k, v, 0, 0, 100)
             );
         }
         for i in 0..200 {
             let k = format!("k{i}");
-            assert_eq!(seg.get(k.as_bytes(), 101), plain.get(k.as_bytes(), 101));
+            let k = k.as_bytes();
+            assert_eq!(seg.segment_for(k).get(k, 101), plain.get(k, 101));
         }
         assert_eq!(seg.stats(), plain.stats());
         assert_eq!(seg.slab_stat_lines(), plain.slab_stat_lines());
@@ -433,8 +341,9 @@ mod tests {
         let mut seg = SegmentedStore::new(StoreConfig::default(), 4);
         for i in 0..64 {
             let k = format!("route-{i}");
-            seg.set(k.as_bytes(), b"v", 0, 0, 100);
-            let owner = seg.shard_of(k.as_bytes());
+            seg.segment_for(k.as_bytes())
+                .set(k.as_bytes(), b"v", 0, 0, 100);
+            let owner = seg.router().index(k.as_bytes());
             // Only the owning segment can see the key.
             for s in 0..seg.shard_count() {
                 let hit = seg.segment(s).locate(k.as_bytes(), 100).is_some();
@@ -449,12 +358,12 @@ mod tests {
     fn tagged_event_drain_per_segment() {
         let mut seg = SegmentedStore::new(StoreConfig::default(), 4);
         seg.set_event_tracking(true);
-        seg.set(b"alpha", b"1", 0, 0, 100);
-        seg.set(b"beta", b"2", 0, 0, 100);
+        seg.segment_for(b"alpha").set(b"alpha", b"1", 0, 0, 100);
+        seg.segment_for(b"beta").set(b"beta", b"2", 0, 0, 100);
         let drained = seg.take_slab_events();
         let touched: Vec<usize> = drained.iter().map(|(i, _)| *i).collect();
-        assert!(touched.contains(&seg.shard_of(b"alpha")));
-        assert!(touched.contains(&seg.shard_of(b"beta")));
+        assert!(touched.contains(&seg.router().index(b"alpha")));
+        assert!(touched.contains(&seg.router().index(b"beta")));
         for (_, evs) in &drained {
             assert!(!evs.is_empty());
         }

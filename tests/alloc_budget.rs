@@ -348,7 +348,7 @@ fn ucr_small_gets_stay_within_the_allocation_budget() {
 #[test]
 fn ucr_pipelined_gets_stay_within_the_allocation_budget() {
     let shape = ucr_pipelined_gets();
-    shape.stays_within(10.8); // measured 8.80
+    shape.stays_within(7.8); // measured 5.78
     let rt = shape.server.ucr_runtime().expect("UCR server");
     assert!(
         rt.stats().eager_coalesced.get() > 0,

@@ -39,7 +39,7 @@ fn said(e: &Event) -> Said {
 struct Run {
     end_ns: u64,
     events: Vec<Said>,
-    /// Every registered instrument's report lines' names, sorted.
+    /// Every registered instrument's name: counters, gauges, histograms.
     names: Vec<String>,
     profiler: Option<std::rc::Rc<Profiler>>,
 }
@@ -84,8 +84,11 @@ fn run(transport: Transport, watch: Watch) -> Run {
         );
     }
 
-    // `report()` lists every instrument of every kind, sorted by name.
-    let names = metrics.report().into_iter().map(|(n, _)| n).collect();
+    // Every instrument of every kind (each listing is sorted by name).
+    let names = (metrics.counters().into_iter().map(|(n, _)| n))
+        .chain(metrics.gauges().into_iter().map(|(n, _)| n))
+        .chain(metrics.histograms().into_iter().map(|(n, _)| n))
+        .collect();
     Run {
         end_ns,
         events,

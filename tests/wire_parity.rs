@@ -217,6 +217,9 @@ struct Footprint {
     keys: Vec<(String, String)>,
     /// Per-op service counts (`op.<verb>.count`) of the mutating verbs.
     op_counts: Vec<(String, String)>,
+    /// `op.mget.count` on the wires that carry a multiget as one request
+    /// (binary sends a quiet get per key).
+    mgets: Option<String>,
 }
 
 fn pick(pairs: &[(String, String)], wanted: &[&str]) -> Vec<(String, String)> {
@@ -380,6 +383,7 @@ async fn run_script(world: &World, srv: &McServer, wire: Wire) -> Footprint {
                 "op.flush_all.count",
             ],
         ),
+        mgets: (wire != Wire::Binary).then(|| pick(&stats, &["op.mget.count"]).remove(0).1),
     }
 }
 
@@ -392,7 +396,7 @@ fn every_wire_gives_the_same_replies_and_leaves_the_same_server() {
             let srv = server(&world, model);
             let srv2 = srv.clone();
             let sim = world.sim().clone();
-            let got = sim.block_on(async move { run_script(&world, &srv2, wire).await });
+            let mut got = sim.block_on(async move { run_script(&world, &srv2, wire).await });
             assert!(
                 got.replies.iter().any(|l| l == "cas stale: Err(Exists)"),
                 "{model:?}/{wire:?}: script ran: {:#?}",
@@ -402,6 +406,11 @@ fn every_wire_gives_the_same_replies_and_leaves_the_same_server() {
             // multiget misses. Nothing but a fetch may count as one.
             let fetches = (got.store.get_hits, got.store.get_misses);
             assert_eq!(fetches, (9, 6), "{model:?}/{wire:?}: {:?}", got.store);
+            // One multiget is one served request, however many shards'
+            // workers had a part in it.
+            if let Some(mgets) = got.mgets.take() {
+                assert_eq!(mgets, "1", "{model:?}/{wire:?}: op.mget.count");
+            }
             match &reference {
                 None => reference = Some(got),
                 Some(want) => assert_eq!(&got, want, "{model:?}: {wire:?} vs {:?}", WIRES[0]),
