@@ -7,18 +7,21 @@
 //! * **UCR**: requests are active messages carrying a typed header and the
 //!   client's counter id; the client blocks (with timeout) on the counter
 //!   the server's response targets — the paper's §V flows;
-//! * **Sockets**: requests are ASCII protocol frames over any byte-stream
-//!   stack, exactly like the unmodified libmemcached baseline, with
-//!   `TCP_NODELAY` set as the paper's benchmarks do.
+//! * **Sockets**: requests are ASCII or binary protocol frames over any
+//!   byte-stream stack (or ASCII over UDP), exactly like the unmodified
+//!   libmemcached baseline, with `TCP_NODELAY` set as the paper's
+//!   benchmarks do.
+//!
+//! Whichever it is, an operation runs one way: `Conn::start` sends the
+//! request and returns a `Ticket`, `Ticket::finish` awaits that ticket's
+//! reply. A single call is the two back to back; a batch keeps a
+//! window of tickets open per connection.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::rc::Rc;
 
-use mcproto::{
-    encode_command, parse_response, udp_fragment, BinFrame, Command, Response, UdpFrame,
-    UDP_CHUNK_BYTES,
-};
+use mcproto::{encode_command, parse_response, udp_fragment, BinFrame, UdpFrame, UDP_CHUNK_BYTES};
 use mcstore::{NumericError, SetOutcome, Value};
 use simnet::sync::timeout;
 use simnet::trace::{Layer, Track};
@@ -295,51 +298,260 @@ enum BypassRead {
     Failed,
 }
 
-/// One UCR request issued (AM 1 accepted by UCR) but not yet completed.
-/// Dropping the handle without completing it (a batch aborting on an
-/// earlier op's error, a caller discarding an issued get) scrubs the
-/// request from the in-flight table so abandoned ops cannot grow it
-/// without bound.
-struct UcrInFlight {
-    req_id: u64,
-    ctr: Counter,
-    cli: Rc<CliInner>,
-    /// Set once `ucr_complete` has taken over the op's lifecycle; the
-    /// `Drop` cleanup then has nothing left to do.
-    completed: bool,
-}
-
-impl Drop for UcrInFlight {
-    fn drop(&mut self) {
-        if self.completed {
-            return;
-        }
-        // Abandoned mid-flight: claim the parked response if it already
-        // landed, otherwise flag the id so the handler drops the response
-        // on arrival, and close the op's trace span.
-        if self.cli.pending.borrow_mut().remove(&self.req_id).is_none() {
-            self.cli.cancelled.borrow_mut().insert(self.req_id);
-        }
-        self.cli.end_op(self.req_id, 0);
-    }
-}
-
+/// One connection to a server. Whatever the wire, an operation on it is
+/// [`start`](Conn::start), then [`finish`](Ticket::finish) on the ticket
+/// that returned; everything that differs per wire lives in those two.
 enum Conn {
+    /// UCR active messages: replies name their request id and may land in
+    /// any order.
     Ucr(Endpoint),
-    Sock(Rc<Socket>),
+    /// A TCP byte stream, ASCII or binary. Replies come back in request
+    /// order, so tickets finish in the order they started, and a ticket
+    /// that fails or is abandoned evicts the connection: the next reply on
+    /// the stream would be taken for somebody else's.
+    Stream {
+        sock: Socket,
+        binary: bool,
+        /// Bytes read and not yet framed (one read may deliver the tail of
+        /// reply N glued to the head of reply N+1).
+        rbuf: RefCell<Vec<u8>>,
+    },
+    /// ASCII over UDP datagrams framed with the low 16 bits of the ticket
+    /// id. Loss surfaces as a timeout, so one operation at a time: a
+    /// window of lossy datagrams needs per-op retry bookkeeping.
     Udp {
-        sock: Rc<DgramSocket>,
+        sock: DgramSocket,
         server: SocketAddr,
     },
 }
 
+/// One operation started on a connection and not yet finished. Dropping it
+/// unfinished (a batch aborting on an earlier op's error, a timed-out
+/// wait, a caller discarding an issued get) abandons the operation the way
+/// its wire needs and closes its `client_op` span.
+struct Ticket {
+    /// Request id: the span id on every wire, the AM request id on UCR,
+    /// the datagram id (low 16 bits) on UDP.
+    id: u64,
+    op: McOp,
+    cli: Rc<CliInner>,
+    conn: Rc<Conn>,
+    /// UCR: the counter the server's AM 2 targets.
+    ctr: Option<Counter>,
+    /// The request went out and its reply has not been claimed.
+    owed: bool,
+    /// What the span's end reports (UCR: the reply's payload bytes).
+    reply_bytes: u64,
+}
+
+impl Drop for Ticket {
+    fn drop(&mut self) {
+        if self.owed {
+            match &*self.conn {
+                // Claim the parked response if it already landed, otherwise
+                // flag the id so the handler drops it on arrival.
+                Conn::Ucr(_) => {
+                    if self.cli.pending.borrow_mut().remove(&self.id).is_none() {
+                        self.cli.cancelled.borrow_mut().insert(self.id);
+                    }
+                }
+                Conn::Stream { .. } => self.cli.evict(&self.conn),
+                // A late datagram is dropped by its id.
+                Conn::Udp { .. } => {}
+            }
+        }
+        self.cli.tracer.end(
+            Layer::Core,
+            "client_op",
+            self.cli.node,
+            Track::Main,
+            self.id,
+            self.reply_bytes,
+            self.cli.sim.now(),
+        );
+    }
+}
+
 impl Conn {
+    /// How many tickets may be open at once when the caller asks for
+    /// `depth`.
+    fn window(&self, depth: usize) -> usize {
+        match self {
+            Conn::Udp { .. } => 1,
+            Conn::Ucr(_) | Conn::Stream { .. } => depth.max(1),
+        }
+    }
+
+    /// Starts `req`: encodes it, hands it to the wire, opens the op's
+    /// `client_op` span and marks `client_sent`. Over UCR this resolves
+    /// when UCR has accepted the staged AM 1 (posted it, or queued it
+    /// behind a backed-up send queue) — everything up to that point is
+    /// client-side serialization; time spent queued counts as request wire.
+    async fn start(
+        self: &Rc<Self>,
+        cli: &Rc<CliInner>,
+        req: &Request<'_, &[u8]>,
+    ) -> Result<Ticket, McError> {
+        let mut ticket = Ticket {
+            id: cli.next_id(),
+            op: req.op,
+            cli: cli.clone(),
+            conn: self.clone(),
+            ctr: None,
+            owed: false,
+            reply_bytes: 0,
+        };
+        let id = ticket.id;
+        cli.tracer.begin(
+            Layer::Core,
+            "client_op",
+            cli.node,
+            Track::Main,
+            id,
+            req.value.len() as u64,
+            cli.sim.now(),
+        );
+        match &**self {
+            Conn::Ucr(ep) => {
+                let ctr = cli.ucr.as_ref().ok_or(McError::Disconnected)?.counter();
+                let (hdr, data) = codec::ucr::encode_request(req, id, ctr.id());
+                // Any single-key header fits the stack; a multiget's may spill.
+                let mut inline = [0u8; REQ_HEADER_INLINE];
+                let spilled;
+                let wire: &[u8] = match inline.get_mut(..hdr.encoded_len()) {
+                    Some(wire) => {
+                        hdr.encode_into(wire);
+                        wire
+                    }
+                    None => {
+                        spilled = hdr.encode();
+                        &spilled
+                    }
+                };
+                ep.send_message_owned(MSG_MC_REQ, wire, data, SendOptions::default())
+                    .await
+                    .map_err(|_| McError::Disconnected)?;
+                ticket.ctr = Some(ctr);
+            }
+            Conn::Stream { sock, binary, .. } => {
+                let wire = if *binary {
+                    let frames = codec::binary::encode_request(req);
+                    frames
+                        .iter()
+                        .map(BinFrame::encode)
+                        .collect::<Vec<_>>()
+                        .concat()
+                } else {
+                    encode_command(&codec::ascii::encode_request(req))
+                };
+                // A failed write may have sent part of the request.
+                ticket.owed = true;
+                sock.write_all(&wire)
+                    .await
+                    .map_err(|_| McError::Disconnected)?;
+            }
+            Conn::Udp { sock, server } => {
+                let wire = encode_command(&codec::ascii::encode_request(req));
+                if wire.len() > UDP_CHUNK_BYTES {
+                    return Err(McError::TooLarge); // requests must fit one datagram
+                }
+                for d in udp_fragment(id as u16, &wire) {
+                    sock.send_to(*server, &d)
+                        .await
+                        .map_err(|_| McError::Disconnected)?;
+                }
+            }
+        }
+        ticket.owed = true;
+        // The request has left the client's hands: the issue stage of the
+        // critical path ends here.
+        cli.mark("client_sent", id);
+        Ok(ticket)
+    }
+
     fn close(&self) {
         match self {
             Conn::Ucr(ep) => ep.close(),
-            Conn::Sock(sock) => sock.close(),
+            Conn::Stream { sock, .. } => sock.close(),
             Conn::Udp { .. } => {} // the socket unbinds on drop
         }
+    }
+}
+
+impl Ticket {
+    /// Awaits this ticket's reply under the per-operation timeout, marks
+    /// `client_reply` and decodes it as the reply to a request over
+    /// `keys`. Over UCR, responses for *other* tickets may land first —
+    /// the handler parks them in the table by request id, and it is the
+    /// handler that marks `client_reply`, when the response lands.
+    async fn finish(mut self, keys: &[&[u8]]) -> Result<Reply, McError> {
+        let (cli, op) = (&self.cli, self.op);
+        let reply = match &*self.conn {
+            Conn::Ucr(_) => {
+                let ctr = self.ctr.as_ref().ok_or(McError::Protocol)?;
+                // Server presumed dead on a timeout: the corrective action
+                // of §IV-A.
+                ctr.wait_for(1, cli.cfg.op_timeout)
+                    .await
+                    .map_err(|_| McError::Timeout)?;
+                self.owed = false;
+                let parked = cli.pending.borrow_mut().remove(&self.id);
+                let (hdr, payload) = parked.ok_or(McError::Protocol)?;
+                self.reply_bytes = payload.len() as u64;
+                return codec::ucr::decode_reply(op, keys, hdr, payload);
+            }
+            Conn::Stream { sock, binary, rbuf } => {
+                cli.timed(async {
+                    if !*binary {
+                        let resp = read_frame(sock, rbuf, parse_response).await?;
+                        return codec::ascii::decode_reply(op, keys, resp);
+                    }
+                    let mut frames = Vec::new();
+                    loop {
+                        let frame = read_frame(sock, rbuf, BinFrame::parse).await?;
+                        let last = codec::binary::ends_reply(op, &frame);
+                        frames.push(frame);
+                        if last {
+                            return codec::binary::decode_reply(op, keys, frames);
+                        }
+                    }
+                })
+                .await?
+            }
+            // Response datagrams are reassembled by request id. Loss
+            // (including receiver-buffer overflow at a hot server) surfaces
+            // as a timeout — exactly the operational hazard Facebook's UDP
+            // deployment managed (§III).
+            Conn::Udp { sock, .. } => {
+                let want = self.id as u16;
+                cli.timed(async {
+                    let mut frames: Vec<(UdpFrame, Vec<u8>)> = Vec::new();
+                    loop {
+                        let (_, datagram) =
+                            sock.recv_from().await.map_err(|_| McError::Disconnected)?;
+                        let Ok((frame, payload)) = UdpFrame::decode(&datagram) else {
+                            continue;
+                        };
+                        if frame.request_id != want {
+                            continue; // stale response from a timed-out request
+                        }
+                        frames.push((frame, payload.to_vec()));
+                        if let Some(whole) = mcproto::udp_reassemble(want, &frames) {
+                            return match parse_response(&whole) {
+                                Ok(Some((resp, _))) => codec::ascii::decode_reply(op, keys, resp),
+                                _ => Err(McError::Protocol),
+                            };
+                        }
+                    }
+                })
+                .await?
+            }
+        };
+        self.owed = false;
+        // The response is fully parsed: the response-wire stage ends here
+        // and the residue is the client completion stage.
+        cli.mark("client_reply", self.id);
+        Ok(reply)
     }
 }
 
@@ -364,11 +576,6 @@ struct CliInner {
     /// Completed operations (`client.nodeN.ops_completed`): the counter a
     /// time-series sampler turns into client-observed throughput.
     ops_completed: Rc<simnet::metrics::Counter>,
-    /// Batch ops that silently degraded to sequential round trips
-    /// (`client.nodeN.batch_fallback_ops`): binary-protocol and UDP
-    /// connections have no pipelined batch path, so
-    /// `get_many`/`set_many` fall back to one-at-a-time there.
-    batch_fallback: Rc<simnet::metrics::Counter>,
     /// Directory answers awaiting their bypass-get waiter.
     dir_pending: PendingDirResponses,
     /// Cached item descriptors, keyed by (server index, key).
@@ -499,8 +706,6 @@ impl McClient {
                 tracer,
                 inflight_gauge: metrics.gauge(&format!("client.node{}.inflight", node.0)),
                 ops_completed: metrics.counter(&format!("client.node{}.ops_completed", node.0)),
-                batch_fallback: metrics
-                    .counter(&format!("client.node{}.batch_fallback_ops", node.0)),
                 dir_pending,
                 bypass_cache: RefCell::new(HashMap::new()),
                 bypass_order: RefCell::new(VecDeque::new()),
@@ -668,10 +873,9 @@ impl McClient {
     /// is in key order (`None` = miss); keys spanning servers are grouped
     /// per server like [`mget`](McClient::mget). On UCR transports the
     /// responses may arrive out of issue order (request-id correlation);
-    /// on ASCII socket transports up to `depth` commands are written
-    /// ahead of the FIFO reads; binary-protocol and UDP transports fall
-    /// back to one-at-a-time sequential round trips — a silent degrade
-    /// accounted in the `client.nodeN.batch_fallback_ops` counter.
+    /// on stream sockets, ASCII or binary, up to `depth` requests are
+    /// written ahead of the FIFO reads; UDP keeps one datagram exchange in
+    /// flight whatever the depth.
     pub async fn get_many(&self, keys: &[&[u8]]) -> Result<Vec<Option<Value>>, McError> {
         let mut out: Vec<Option<Value>> = Vec::new();
         out.resize_with(keys.len(), || None);
@@ -875,8 +1079,7 @@ fn group_by_server<'a>(
 /// and scrubs its response from the in-flight table (on arrival if need
 /// be).
 pub struct InFlight<T> {
-    op: UcrInFlight,
-    kind: McOp,
+    ticket: Ticket,
     finish: fn(Reply) -> Result<T, McError>,
 }
 
@@ -890,18 +1093,18 @@ impl<T> InFlight<T> {
     /// True once the response has landed in the in-flight table, i.e.
     /// [`complete`](InFlight::complete) will not block.
     pub fn is_ready(&self) -> bool {
-        self.op.cli.pending.borrow().contains_key(&self.op.req_id)
+        let ticket = &self.ticket;
+        ticket.cli.pending.borrow().contains_key(&ticket.id)
     }
 
     /// The request id this op travels under (diagnostics/tests).
     pub fn req_id(&self) -> u64 {
-        self.op.req_id
+        self.ticket.id
     }
 
     /// Waits for the response and decodes it.
     pub async fn complete(self) -> Result<T, McError> {
-        let cli = self.op.cli.clone();
-        (self.finish)(cli.ucr_complete(self.kind, &[], self.op).await?)
+        (self.finish)(self.ticket.finish(&[]).await?)
     }
 }
 
@@ -958,7 +1161,11 @@ impl CliInner {
                     })?;
                 // The behavior the paper sets explicitly (§VI).
                 sock.set_nodelay(true);
-                Conn::Sock(Rc::new(sock))
+                Conn::Stream {
+                    sock,
+                    binary: self.cfg.binary_protocol,
+                    rbuf: RefCell::new(Vec::new()),
+                }
             }
             Transport::Udp(stack) => {
                 // Bind an ephemeral local datagram socket.
@@ -971,7 +1178,7 @@ impl CliInner {
                     }
                 };
                 Conn::Udp {
-                    sock: Rc::new(sock),
+                    sock,
                     server: SocketAddr {
                         node: server,
                         port: self.cfg.port,
@@ -984,38 +1191,16 @@ impl CliInner {
         Ok(conn)
     }
 
-    /// One request/response with server `sidx`: picks the connection and
-    /// does its transport's encode, round trip and decode. Over UCR this
-    /// sends AM 1 and blocks on the counter until AM 2 lands (§V-B) — the
-    /// issue and completion halves back-to-back, which is the exact
-    /// classic sequence.
+    /// One request/response with server `sidx`: start, then finish,
+    /// back-to-back — over UCR AM 1 out and a block on the counter until
+    /// AM 2 lands (§V-B), over sockets the classic round trip.
     async fn exchange(
         self: &Rc<Self>,
         sidx: usize,
         req: &Request<'_, &[u8]>,
     ) -> Result<Reply, McError> {
         let conn = self.conn(sidx).await?;
-        match &*conn {
-            Conn::Ucr(ep) => {
-                let op = self.ucr_issue(ep, req).await?;
-                self.ucr_complete(req.op, req.keys, op).await
-            }
-            Conn::Sock(sock) if self.cfg.binary_protocol => {
-                let frames = codec::binary::encode_request(req);
-                let frames = self.bin_round_trip(sock, frames, req.op).await?;
-                codec::binary::decode_reply(req.op, req.keys, frames)
-            }
-            Conn::Sock(sock) => {
-                let cmd = codec::ascii::encode_request(req);
-                let resp = self.ascii_round_trip(sock, &cmd).await?;
-                codec::ascii::decode_reply(req.op, req.keys, resp)
-            }
-            Conn::Udp { sock, server } => {
-                let cmd = codec::ascii::encode_request(req);
-                let resp = self.udp_round_trip(sock, *server, &cmd).await?;
-                codec::ascii::decode_reply(req.op, req.keys, resp)
-            }
-        }
+        conn.start(self, req).await?.finish(req.keys).await
     }
 
     /// Issues a single-key request to its server without waiting (UCR
@@ -1027,18 +1212,17 @@ impl CliInner {
     ) -> Result<InFlight<T>, McError> {
         self.ops.inc();
         let conn = self.conn(self.route(req.key())).await?;
-        let Conn::Ucr(ep) = &*conn else {
+        let Conn::Ucr(_) = &*conn else {
             return Err(McError::Protocol);
         };
-        let op = self.ucr_issue(ep, req).await?;
-        let kind = req.op;
-        Ok(InFlight { op, kind, finish })
+        let ticket = conn.start(self, req).await?;
+        Ok(InFlight { ticket, finish })
     }
 
     /// Runs requests `make(0..n)` as a pipelined batch, up to
-    /// `pipeline_depth` outstanding per connection, handing each reply to
+    /// `pipeline_depth` tickets open per connection, handing each reply to
     /// `sink` with its index. Requests are grouped per server by their
-    /// key; within a group they complete in issue order.
+    /// key; within a group they finish in the order they started.
     async fn batch<'k>(
         self: &Rc<Self>,
         n: usize,
@@ -1046,135 +1230,27 @@ impl CliInner {
         mut sink: impl FnMut(usize, Reply) -> Result<(), McError>,
     ) -> Result<(), McError> {
         self.ops.add(n as u64);
-        let depth = self.cfg.pipeline_depth.max(1);
         for (sidx, idxs) in group_by_server(self, (0..n).map(|i| make(i).key())) {
             let conn = self.conn(sidx).await?;
-            match &*conn {
-                Conn::Ucr(ep) => {
-                    let mut window: VecDeque<(usize, UcrInFlight)> = VecDeque::new();
-                    let mut issue = idxs.into_iter();
-                    loop {
-                        // Top the window up, then complete its oldest op.
-                        while window.len() < depth {
-                            let Some(i) = issue.next() else { break };
-                            window.push_back((i, self.ucr_issue(ep, &make(i)).await?));
-                            self.inflight_gauge.set(window.len() as f64);
-                        }
-                        let Some((j, op)) = window.pop_front() else {
-                            break;
-                        };
-                        self.inflight_gauge.set(window.len() as f64);
-                        sink(j, self.ucr_complete(make(j).op, &[], op).await?)?;
-                        self.op_done();
-                    }
+            let depth = conn.window(self.cfg.pipeline_depth);
+            let mut window: VecDeque<(usize, Ticket)> = VecDeque::new();
+            let mut issue = idxs.into_iter();
+            loop {
+                // Top the window up, then finish its oldest ticket.
+                while window.len() < depth {
+                    let Some(i) = issue.next() else { break };
+                    window.push_back((i, conn.start(self, &make(i)).await?));
+                    self.inflight_gauge.set(window.len() as f64);
                 }
-                Conn::Sock(sock) if !self.cfg.binary_protocol => {
-                    let cmds: Vec<Command> = idxs
-                        .iter()
-                        .map(|&i| codec::ascii::encode_request(&make(i)))
-                        .collect();
-                    let resps = self.sock_pipeline(sock, &cmds, depth).await?;
-                    for (&j, resp) in idxs.iter().zip(resps) {
-                        sink(j, codec::ascii::decode_reply(make(j).op, &[], resp)?)?;
-                        self.op_done();
-                    }
-                }
-                Conn::Sock(_) | Conn::Udp { .. } => {
-                    // Binary-protocol and UDP connections have no
-                    // pipelined batch path: each op is a full sequential
-                    // round trip, accounted in `batch_fallback_ops`.
-                    self.batch_fallback.add(idxs.len() as u64);
-                    for i in idxs {
-                        sink(i, self.exchange(sidx, &make(i)).await?)?;
-                        self.op_done();
-                    }
-                }
+                let Some((j, ticket)) = window.pop_front() else {
+                    break;
+                };
+                self.inflight_gauge.set(window.len() as f64);
+                sink(j, ticket.finish(make(j).keys).await?)?;
+                self.op_done();
             }
         }
         Ok(())
-    }
-
-    /// Issue half: allocates a request id + completion counter, sends
-    /// AM 1, and returns the in-flight handle. Resolves when UCR has
-    /// accepted the staged request (posted it, or queued it behind a
-    /// backed-up send queue) — everything up to that point is client-side
-    /// serialization; time spent queued counts as request wire.
-    async fn ucr_issue(
-        self: &Rc<Self>,
-        ep: &Endpoint,
-        req: &Request<'_, &[u8]>,
-    ) -> Result<UcrInFlight, McError> {
-        let rt = self.ucr.as_ref().ok_or(McError::Disconnected)?;
-        let req_id = self.next_req.get();
-        self.next_req.set(req_id + 1);
-        let ctr = rt.counter();
-        let (hdr, data) = codec::ucr::encode_request(req, req_id, ctr.id());
-        // Any single-key header fits the stack; a multiget's may spill.
-        let mut inline = [0u8; REQ_HEADER_INLINE];
-        let spilled;
-        let wire: &[u8] = match inline.get_mut(..hdr.encoded_len()) {
-            Some(wire) => {
-                hdr.encode_into(wire);
-                wire
-            }
-            None => {
-                spilled = hdr.encode();
-                &spilled
-            }
-        };
-        self.tracer.begin(
-            Layer::Core,
-            "client_op",
-            self.node,
-            Track::Main,
-            req_id,
-            data.len() as u64,
-            self.sim.now(),
-        );
-        let sent = ep
-            .send_message_owned(MSG_MC_REQ, wire, data, SendOptions::default())
-            .await;
-        if sent.is_err() {
-            self.end_op(req_id, 0);
-            return Err(McError::Disconnected);
-        }
-        self.op_sent(req_id);
-        Ok(UcrInFlight {
-            req_id,
-            ctr,
-            cli: self.clone(),
-            completed: false,
-        })
-    }
-
-    /// Completion half: waits on the request's counter (responses for
-    /// *other* in-flight requests may land first — the handler parks them
-    /// in the table by request id), claims the parked response, and
-    /// decodes it as the reply to an `op` request over `keys`.
-    async fn ucr_complete(
-        &self,
-        op: McOp,
-        keys: &[&[u8]],
-        mut handle: UcrInFlight,
-    ) -> Result<Reply, McError> {
-        if handle.ctr.wait_for(1, self.cfg.op_timeout).await.is_err() {
-            // Server presumed dead: the corrective action of §IV-A. The
-            // op's `Drop` closes its trace span and flags the request id so
-            // a late-arriving response is dropped, not parked forever.
-            return Err(McError::Timeout);
-        }
-        handle.completed = true;
-        let resp = self.pending.borrow_mut().remove(&handle.req_id);
-        match resp {
-            Some((hdr, payload)) => {
-                self.end_op(handle.req_id, payload.len() as u64);
-                codec::ucr::decode_reply(op, keys, hdr, payload)
-            }
-            None => {
-                self.end_op(handle.req_id, 0);
-                Err(McError::Protocol)
-            }
-        }
     }
 
     // -----------------------------------------------------------------
@@ -1191,8 +1267,7 @@ impl CliInner {
         key: &[u8],
     ) -> Option<Result<Option<Value>, McError>> {
         let rt = self.ucr.as_ref()?.clone();
-        let span_id = self.next_req.get();
-        self.next_req.set(span_id + 1);
+        let span_id = self.next_id();
         self.tracer.begin(
             Layer::Core,
             "bypass_get",
@@ -1284,8 +1359,7 @@ impl CliInner {
         ep: &Endpoint,
         key: &[u8],
     ) -> Result<Option<CachedDescriptor>, McError> {
-        let req_id = self.next_req.get();
-        self.next_req.set(req_id + 1);
+        let req_id = self.next_id();
         let ctr = rt.counter();
         let req = DirReq {
             req_id,
@@ -1436,17 +1510,18 @@ impl CliInner {
         self.bypass_cache.borrow_mut().remove(key);
     }
 
-    /// Closes the `client_op` trace span for a request.
-    fn end_op(&self, req_id: u64, bytes: u64) {
-        self.tracer.end(
-            Layer::Core,
-            "client_op",
-            self.node,
-            Track::Main,
-            req_id,
-            bytes,
-            self.sim.now(),
-        );
+    /// The next request id.
+    fn next_id(&self) -> u64 {
+        let id = self.next_req.get();
+        self.next_req.set(id + 1);
+        id
+    }
+
+    /// Marks an instant of operation `id` on the critical-path stream.
+    fn mark(&self, name: &'static str, id: u64) {
+        let now = self.sim.now();
+        self.tracer
+            .instant(Layer::Core, name, self.node, Track::Main, id, 0, now);
     }
 
     /// Awaits `fut` under the per-operation timeout.
@@ -1460,233 +1535,30 @@ impl CliInner {
         }
     }
 
-    /// One ASCII request/response over a stream socket.
-    async fn ascii_round_trip(
-        &self,
-        sock: &Rc<Socket>,
-        cmd: &Command,
-    ) -> Result<Response, McError> {
-        let span_id = self.begin_sock_span();
-        if sock.write_all(&encode_command(cmd)).await.is_err() {
-            self.close_sock_span(span_id, false);
-            return Err(McError::Disconnected);
-        }
-        self.op_sent(span_id);
-        let mut buf = Vec::new();
-        let out = self.timed(read_frame(sock, &mut buf, parse_response)).await;
-        self.close_sock_span(span_id, out.is_ok());
-        out
-    }
-
-    /// Opens the `client_op` trace span of a socket round trip. The ASCII
-    /// wire has no request id, so the span id is purely client-local:
-    /// sockets ops appear on the critical-path stream like UCR ops do, and
-    /// server-side sockets events correlate via the profiler's
-    /// single-open-op rule (the server's op-id domain is its own).
-    fn begin_sock_span(&self) -> u64 {
-        let span_id = self.next_req.get();
-        self.next_req.set(span_id + 1);
-        self.tracer.begin(
-            Layer::Core,
-            "client_op",
-            self.node,
-            Track::Main,
-            span_id,
-            0,
-            self.sim.now(),
-        );
-        span_id
-    }
-
-    /// The request has left the client's hands (accepted by UCR, or cleared
-    /// the socket send path): client-side serialization — the issue stage of
-    /// the critical path — ends here.
-    fn op_sent(&self, span_id: u64) {
-        self.tracer.instant(
-            Layer::Core,
-            "client_sent",
-            self.node,
-            Track::Main,
-            span_id,
-            0,
-            self.sim.now(),
-        );
-    }
-
-    /// Closes (or abandons) a socket round-trip span: on success the
-    /// response is fully parsed, so the response-wire stage ends here and
-    /// the residue is the client completion stage.
-    fn close_sock_span(&self, span_id: u64, ok: bool) {
-        if ok {
-            self.tracer.instant(
-                Layer::Core,
-                "client_reply",
-                self.node,
-                Track::Main,
-                span_id,
-                0,
-                self.sim.now(),
-            );
-        }
-        self.end_op(span_id, 0);
-    }
-
-    /// Evicts a stream connection from the cache and closes it. A
-    /// pipelined batch that fails partway leaves up to `depth - 1`
-    /// responses unread on the socket; a later op reusing the connection
-    /// would parse those stale responses as its own, so the socket must
-    /// be forced through a reconnect instead.
-    fn evict_sock(&self, sock: &Rc<Socket>) {
-        sock.close();
-        self.conns
-            .borrow_mut()
-            .retain(|_, c| !matches!(&**c, Conn::Sock(s) if Rc::ptr_eq(s, sock)));
-    }
-
-    /// Pipelined ASCII round trips: writes up to `depth` commands ahead
-    /// of the reads and parses the FIFO responses with a persistent
-    /// buffer (one read may deliver the tail of response N glued to the
-    /// head of response N+1). Per-op `client_op` spans are not emitted —
-    /// overlapping requests have no single wire residence to attribute.
-    /// Every failure evicts the connection: the response stream is out of
-    /// sync with the writes, so it cannot be reused.
-    async fn sock_pipeline(
-        &self,
-        sock: &Rc<Socket>,
-        cmds: &[Command],
-        depth: usize,
-    ) -> Result<Vec<Response>, McError> {
-        let mut out = Vec::with_capacity(cmds.len());
-        let mut buf: Vec<u8> = Vec::new();
-        let mut sent = 0usize;
-        while out.len() < cmds.len() {
-            while sent < cmds.len() && sent - out.len() < depth {
-                let wire = encode_command(&cmds[sent]);
-                if sock.write_all(&wire).await.is_err() {
-                    self.evict_sock(sock);
-                    return Err(McError::Disconnected);
-                }
-                sent += 1;
-            }
-            match self.timed(read_frame(sock, &mut buf, parse_response)).await {
-                Ok(resp) => out.push(resp),
-                Err(e) => {
-                    self.evict_sock(sock);
-                    return Err(e);
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Binary-protocol round trip: sends `frames` (a multiget is a GetKQ
-    /// pipeline closed by Noop) and collects the response frames up to the
-    /// terminal one.
-    async fn bin_round_trip(
-        &self,
-        sock: &Rc<Socket>,
-        frames: Vec<BinFrame>,
-        op: McOp,
-    ) -> Result<Vec<BinFrame>, McError> {
-        let Some(terminal) = frames.last() else {
-            return Err(McError::Protocol);
-        };
-        let terminal_opaque = terminal.opaque;
-        let mut wire = Vec::new();
-        for f in &frames {
-            wire.extend_from_slice(&f.encode());
-        }
-        let span_id = self.begin_sock_span();
-        if sock.write_all(&wire).await.is_err() {
-            self.close_sock_span(span_id, false);
-            return Err(McError::Disconnected);
-        }
-        self.op_sent(span_id);
-        // A statistics report ends with an empty frame; everything else
-        // with the frame echoing the last request's opaque.
-        let is_stat = op == McOp::Stats;
-        let out = self
-            .timed(async {
-                let (mut buf, mut got) = (Vec::new(), Vec::new());
-                loop {
-                    let frame = read_frame(sock, &mut buf, BinFrame::parse).await?;
-                    let done = if is_stat {
-                        frame.key.is_empty() && frame.value.is_empty()
-                    } else {
-                        frame.opaque == terminal_opaque
-                    };
-                    got.push(frame);
-                    if done {
-                        return Ok(got);
-                    }
-                }
-            })
-            .await;
-        self.close_sock_span(span_id, out.is_ok());
-        out
-    }
-
-    /// The memcached UDP protocol (SIII): one framed request datagram,
-    /// response datagrams reassembled by request id. Loss (including
-    /// receiver-buffer overflow at a hot server) surfaces as a timeout —
-    /// exactly the operational hazard Facebook's UDP deployment managed.
-    async fn udp_round_trip(
-        &self,
-        sock: &Rc<DgramSocket>,
-        server: SocketAddr,
-        cmd: &Command,
-    ) -> Result<Response, McError> {
-        let wire = encode_command(cmd);
-        if wire.len() > UDP_CHUNK_BYTES {
-            return Err(McError::TooLarge); // requests must fit one datagram
-        }
-        let req_id = (self.next_req.get() & 0xffff) as u16;
-        self.next_req.set(self.next_req.get() + 1);
-        let datagrams = udp_fragment(req_id, &wire);
-        for d in &datagrams {
-            sock.send_to(server, d)
-                .await
-                .map_err(|_| McError::Disconnected)?;
-        }
-        self.timed(async {
-            let mut frames: Vec<(UdpFrame, Vec<u8>)> = Vec::new();
-            loop {
-                let (_, datagram) = sock.recv_from().await.map_err(|_| McError::Disconnected)?;
-                let Ok((frame, payload)) = UdpFrame::decode(&datagram) else {
-                    continue;
-                };
-                if frame.request_id != req_id {
-                    continue; // stale response from a timed-out request
-                }
-                frames.push((frame, payload.to_vec()));
-                if let Some(whole) = mcproto::udp_reassemble(req_id, &frames) {
-                    return match parse_response(&whole) {
-                        Ok(Some((resp, _))) => Ok(resp),
-                        _ => Err(McError::Protocol),
-                    };
-                }
-            }
-        })
-        .await
+    /// Closes a connection and forgets it, forcing the next operation
+    /// through a reconnect.
+    fn evict(&self, conn: &Rc<Conn>) {
+        conn.close();
+        self.conns.borrow_mut().retain(|_, c| !Rc::ptr_eq(c, conn));
     }
 }
 
-/// Reads from `sock` into `buf` until `parse` frames one message off its
-/// front (one read may deliver the tail of message N glued to the head of
-/// message N+1, which stays in `buf`).
+/// Reads from `sock` into `rbuf` until `parse` frames one message off its
+/// front.
 async fn read_frame<T>(
     sock: &Socket,
-    buf: &mut Vec<u8>,
+    rbuf: &RefCell<Vec<u8>>,
     parse: impl Fn(&[u8]) -> Result<Option<(T, usize)>, mcproto::ProtoError>,
 ) -> Result<T, McError> {
     loop {
-        match parse(buf) {
+        let framed = parse(&rbuf.borrow()); // the borrow ends with the statement
+        match framed {
             Ok(Some((msg, used))) => {
-                buf.drain(..used);
+                rbuf.borrow_mut().drain(..used);
                 return Ok(msg);
             }
             Ok(None) => match sock.read(64 * 1024).await {
-                Ok(bytes) => buf.extend_from_slice(&bytes),
+                Ok(bytes) => rbuf.borrow_mut().extend_from_slice(&bytes),
                 Err(_) => return Err(McError::Disconnected),
             },
             Err(_) => return Err(McError::Protocol),

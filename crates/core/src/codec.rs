@@ -369,7 +369,13 @@ pub(crate) mod ascii {
             cas: v.cas.unwrap_or(0),
         };
         Ok(match (op, resp) {
-            (McOp::Get, Response::Values(mut vs)) => Reply::Value(vs.pop().map(value)),
+            (McOp::Get, Response::Values(mut vs)) => match vs.pop() {
+                // `VALUE <key>` echoes the key: a hit for another is not ours.
+                Some(v) if keys.first() != Some(&v.key.as_slice()) => {
+                    return Err(McError::Protocol)
+                }
+                hit => Reply::Value(hit.map(value)),
+            },
             (McOp::Mget, Response::Values(vs)) => {
                 let mut cursor = KeyCursor { keys, next: 0 };
                 let hits = vs
@@ -560,6 +566,18 @@ pub(crate) mod binary {
         frames
     }
 
+    /// Client: whether `frame` closes the reply to an `op` request. A
+    /// statistics report ends with an empty frame, a multiget (a GetKQ
+    /// train closed by Noop, or one GetK) with the first frame that is not
+    /// a quiet hit; every other reply is one frame.
+    pub fn ends_reply(op: McOp, frame: &BinFrame) -> bool {
+        match op {
+            McOp::Stats => frame.key.is_empty() && frame.value.is_empty(),
+            McOp::Mget => frame.opcode != BinOpcode::GetKQ,
+            _ => true,
+        }
+    }
+
     /// Client: the reply `frames` carry for an `op` request over `keys`.
     pub fn decode_reply(
         op: McOp,
@@ -594,6 +612,10 @@ pub(crate) mod binary {
         }
         let f = frames.pop().ok_or(McError::Protocol)?;
         Ok(match (op, f.status().ok_or(McError::Protocol)?) {
+            // GetK echoes the key: a hit for another one is not ours.
+            (McOp::Get, BinStatus::Ok) if keys.first() != Some(&f.key.as_slice()) => {
+                return Err(McError::Protocol)
+            }
             (McOp::Get, BinStatus::Ok) => Reply::Value(Some(value(f))),
             (McOp::Get, BinStatus::KeyNotFound) => Reply::Value(None),
             (op, status) if op.is_store() => {

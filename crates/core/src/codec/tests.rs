@@ -315,6 +315,27 @@ mod hostile_bytes {
         Ok(())
     }
 
+    /// A hit that echoes another key is not the answer to this `Get`: a
+    /// well-formed reply, off by one on its stream.
+    #[test]
+    fn a_get_reply_naming_another_key_is_refused() {
+        let (asked, other) = (&KEYS[1..2], &KEYS[..1]);
+        let hit = Reply::Value(Some(value(b"v", 1, 2)));
+        let refused = Err(crate::client::McError::Protocol);
+
+        let cmd = ascii::encode_request(&Request::new(McOp::Get, asked));
+        let resp = ascii::encode_reply(cmd, copy(&hit));
+        let ours = ascii::decode_reply(McOp::Get, asked, resp.clone());
+        assert_eq!(ours, Ok(copy(&hit)));
+        assert_eq!(ascii::decode_reply(McOp::Get, other, resp), refused);
+
+        let frame = binary::encode_request(&Request::new(McOp::Get, asked)).remove(0);
+        let frames = binary::encode_reply(frame, copy(&hit));
+        let ours = binary::decode_reply(McOp::Get, asked, frames.clone());
+        assert_eq!(ours, Ok(hit));
+        assert_eq!(binary::decode_reply(McOp::Get, other, frames), refused);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 

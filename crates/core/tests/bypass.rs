@@ -275,57 +275,6 @@ fn bypass_disabled_client_is_unaffected() {
 }
 
 #[test]
-fn batch_degrade_is_accounted_per_client() {
-    // get_many / set_many on a binary-protocol (or UDP) connection
-    // silently degrade to sequential round trips; that degrade must be
-    // visible in the `client.nodeN.batch_fallback_ops` counter.
-    let world = World::cluster_a(77, 8);
-    let _server = McServer::start(&world, SRV, McServerConfig::default());
-    let sock = McClient::new(
-        &world,
-        CLI,
-        McClientConfig {
-            binary_protocol: true,
-            ..McClientConfig::single(Transport::Sockets(Stack::Sdp), SRV)
-        },
-    );
-    let ucr = McClient::new(
-        &world,
-        NodeId(2),
-        McClientConfig::single(Transport::Ucr, SRV),
-    );
-    let sim = world.sim().clone();
-    sim.block_on(async move {
-        sock.set_many(&[(b"b1".as_ref(), b"v1".as_ref()), (b"b2", b"v2")], 0, 0)
-            .await
-            .unwrap();
-        let got = sock.get_many(&[b"b1", b"b2", b"nope"]).await.unwrap();
-        assert_eq!(got.iter().flatten().count(), 2);
-        assert_eq!(
-            world
-                .cluster
-                .metrics()
-                .counter_value(&format!("client.node{}.batch_fallback_ops", CLI.0)),
-            5,
-            "2 sets + 3 gets degraded sequentially"
-        );
-
-        // The UCR client batches natively: no fallback counter at all.
-        ucr.set_many(&[(b"u1".as_ref(), b"v1".as_ref())], 0, 0)
-            .await
-            .unwrap();
-        ucr.get_many(&[b"u1"]).await.unwrap();
-        assert_eq!(
-            world
-                .cluster
-                .metrics()
-                .counter_value("client.node2.batch_fallback_ops"),
-            0
-        );
-    });
-}
-
-#[test]
 fn fallback_after_server_crash_reports_error_not_stale_value() {
     // Hard-fault path: the server dies between the directory lookup and
     // the next read. The bypass path must not fabricate a hit.

@@ -340,6 +340,51 @@ fn sockets_client_sees_server_death_too() {
     });
 }
 
+/// A stream reply that outlives its operation's timeout must not be
+/// handed to the next caller: the late 256 KB of `big` are still on their
+/// way when the connection is given up, so whoever asks next gets their
+/// own answer over a fresh connection.
+#[test]
+fn timed_out_stream_op_does_not_poison_the_next_one() {
+    for binary in [false, true] {
+        let world = world_a();
+        let _server = McServer::start(&world, SRV, McServerConfig::default());
+        let slow = Transport::Sockets(Stack::OneGigE);
+        let loader = McClient::new(&world, NodeId(2), McClientConfig::single(slow, SRV));
+        let impatient = McClient::new(
+            &world,
+            CLI,
+            McClientConfig {
+                binary_protocol: binary,
+                op_timeout: SimDuration::from_micros(400),
+                pipeline_depth: 4,
+                ..McClientConfig::single(slow, SRV)
+            },
+        );
+        let sim = world.sim().clone();
+        sim.clone().block_on(async move {
+            loader.set(b"big", &[7u8; 256 << 10], 0, 0).await.unwrap();
+            loader.set(b"small", b"tiny", 0, 0).await.unwrap();
+            let c = impatient;
+            assert_eq!(c.get(b"small").await.unwrap().unwrap().data, b"tiny");
+
+            assert_eq!(c.get(b"big").await, Err(McError::Timeout), "{binary}");
+            sim.sleep(SimDuration::from_millis(50)).await;
+            let next = c.get(b"small").await.unwrap().unwrap();
+            assert_eq!(next.data.len(), 4, "binary={binary}: somebody else's value");
+            assert_eq!(next.data, b"tiny");
+
+            // The same in a window: the third op's timeout surfaces, and the
+            // replies left unread behind it are nobody's.
+            let keys: [&[u8]; 4] = [b"small", b"small", b"big", b"small"];
+            assert_eq!(c.get_many(&keys).await, Err(McError::Timeout), "{binary}");
+            sim.sleep(SimDuration::from_millis(50)).await;
+            let again = c.get_many(&keys[..2]).await.unwrap();
+            assert!(again.iter().all(|v| v.as_ref().unwrap().data == b"tiny"));
+        });
+    }
+}
+
 #[test]
 fn get_latency_shape_matches_the_paper() {
     // 4 KB get: ~12 us QDR, ~20 us DDR (§VI headline), UCR ≥ 4x faster

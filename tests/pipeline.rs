@@ -97,38 +97,49 @@ fn pipelined_batches_mix_eager_and_rendezvous() {
     });
 }
 
-/// The same batch APIs over the ASCII sockets transport: commands are
-/// written ahead and responses read back in FIFO order from a shared
-/// parse buffer.
+/// The same batch APIs over both stream protocols: requests are written
+/// ahead and replies read back in FIFO order off the connection's buffer.
+/// A window of 8 returns what one-at-a-time returns, sooner.
 #[test]
 fn pipelined_batches_work_over_sockets() {
-    let world = World::cluster_b(73, 4);
-    let _server = McServer::start(&world, NodeId(0), McServerConfig::default());
-    let mut cfg = McClientConfig::single(Transport::Sockets(Stack::Sdp), NodeId(0));
-    cfg.pipeline_depth = 8;
-    let client = McClient::new(&world, NodeId(1), cfg);
-    let sim = world.sim().clone();
-    sim.block_on(async move {
-        let items: Vec<(Vec<u8>, Vec<u8>)> = (0..32)
-            .map(|i| {
-                (
-                    format!("sock-{i}").into_bytes(),
-                    vec![i as u8; 16 + 17 * i as usize],
-                )
-            })
-            .collect();
-        let borrowed: Vec<(&[u8], &[u8])> = items
-            .iter()
-            .map(|(k, v)| (k.as_slice(), v.as_slice()))
-            .collect();
-        let stored = client.set_many(&borrowed, 0, 0).await.unwrap();
-        assert!(stored.iter().all(Result::is_ok));
-        let keys: Vec<&[u8]> = items.iter().map(|(k, _)| k.as_slice()).collect();
-        let got = client.get_many(&keys).await.unwrap();
+    let items: Vec<(Vec<u8>, Vec<u8>)> = (0..32usize)
+        .map(|i| (format!("sock-{i}").into_bytes(), vec![i as u8; 16 + 17 * i]))
+        .collect();
+    let items = std::rc::Rc::new(items);
+    let run = |binary_protocol: bool, pipeline_depth: usize| {
+        let world = World::cluster_b(73, 4);
+        let _server = McServer::start(&world, NodeId(0), McServerConfig::default());
+        let cfg = McClientConfig {
+            binary_protocol,
+            pipeline_depth,
+            ..McClientConfig::single(Transport::Sockets(Stack::Sdp), NodeId(0))
+        };
+        let client = McClient::new(&world, NodeId(1), cfg);
+        let (sim, items) = (world.sim().clone(), items.clone());
+        sim.clone().block_on(async move {
+            let borrowed: Vec<(&[u8], &[u8])> = items
+                .iter()
+                .map(|(k, v)| (k.as_slice(), v.as_slice()))
+                .collect();
+            let stored = client.set_many(&borrowed, 0, 0).await.unwrap();
+            assert!(stored.iter().all(Result::is_ok));
+            let mut keys: Vec<&[u8]> = items.iter().map(|(k, _)| k.as_slice()).collect();
+            keys.push(b"sock-miss");
+            let began = sim.now();
+            let got = client.get_many(&keys).await.unwrap();
+            (got, sim.now() - began)
+        })
+    };
+    for binary in [false, true] {
+        let (one_by_one, slow) = run(binary, 1);
+        let (windowed, fast) = run(binary, 8);
         for (i, (_, v)) in items.iter().enumerate() {
-            assert_eq!(&got[i].as_ref().expect("hit").data, v);
+            assert_eq!(&windowed[i].as_ref().expect("hit").data, v);
         }
-    });
+        assert_eq!(windowed[items.len()], None);
+        assert_eq!(windowed, one_by_one, "binary={binary}");
+        assert!(fast < slow, "binary={binary}: {fast:?} !< {slow:?}");
+    }
 }
 
 /// Rendezvous registration-cache accounting, driven at the UCR layer:

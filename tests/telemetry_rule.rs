@@ -1,7 +1,11 @@
 //! The telemetry rule: the events a run emits, the request ids it carries
 //! and the metric names it registers do not depend on who is watching.
 //! Attaching a `Profiler` adds the `profile.*` family and nothing else,
-//! and it may attach after the client exists.
+//! and it may attach after the client exists. Nor do they depend on the
+//! wire: an operation is one `client_op` span holding one `client_sent`
+//! and one `client_reply`, on all four and at any window.
+
+use std::collections::BTreeMap;
 
 use rdma_memcached::rmc::{McClient, McClientConfig, McServer, McServerConfig, Transport, World};
 use rdma_memcached::simnet::trace::{Event, Layer, Phase, Track};
@@ -18,6 +22,27 @@ enum Watch {
 
 const CLIENT: NodeId = NodeId(2);
 const GETS: u64 = 24;
+
+/// A wire: the transport, and whether its sockets speak the binary
+/// protocol.
+#[derive(Clone, Copy, Debug)]
+struct Wire(Transport, bool);
+
+const UCR: Wire = Wire(Transport::Ucr, false);
+const ASCII_TCP: Wire = Wire(Transport::Sockets(Stack::TenGigEToe), false);
+const BINARY_TCP: Wire = Wire(Transport::Sockets(Stack::TenGigEToe), true);
+const ASCII_UDP: Wire = Wire(Transport::Udp(Stack::TenGigEToe), false);
+
+impl Wire {
+    fn client(self, world: &World, pipeline_depth: usize) -> McClient {
+        let cfg = McClientConfig {
+            binary_protocol: self.1,
+            pipeline_depth,
+            ..McClientConfig::single(self.0, NodeId(0))
+        };
+        McClient::new(world, CLIENT, cfg)
+    }
+}
 
 /// Everything an event says.
 type Said = (
@@ -44,10 +69,10 @@ struct Run {
     profiler: Option<std::rc::Rc<Profiler>>,
 }
 
-fn run(transport: Transport, watch: Watch) -> Run {
+fn run(wire: Wire, watch: Watch) -> Run {
     let world = World::cluster_a(97, 4);
     let _server = McServer::start(&world, NodeId(0), McServerConfig::default());
-    let client = McClient::new(&world, CLIENT, McClientConfig::single(transport, NodeId(0)));
+    let client = wire.client(&world, 1);
     let tracer = world.cluster.tracer().clone();
     let metrics = world.cluster.metrics().clone();
 
@@ -101,18 +126,18 @@ fn is_profile(name: &str) -> bool {
     name.starts_with("profile.")
 }
 
-/// Runs `transport` all three ways, checks the rule, and hands back the
+/// Runs `wire` all three ways, checks the rule, and hands back the
 /// profiled run.
-fn three_ways(transport: Transport) -> Run {
-    let bare = run(transport, Watch::Nobody);
-    let watched = run(transport, Watch::RecorderAndSampler);
-    let profiled = run(transport, Watch::ProfilerToo);
+fn three_ways(wire: Wire) -> Run {
+    let bare = run(wire, Watch::Nobody);
+    let watched = run(wire, Watch::RecorderAndSampler);
+    let profiled = run(wire, Watch::ProfilerToo);
 
     for other in [&watched, &profiled] {
-        assert_eq!(bare.end_ns, other.end_ns, "{transport:?}: same end clock");
-        assert_eq!(bare.events.len(), other.events.len(), "{transport:?}");
+        assert_eq!(bare.end_ns, other.end_ns, "{wire:?}: same end clock");
+        assert_eq!(bare.events.len(), other.events.len(), "{wire:?}");
         for (i, (a, b)) in bare.events.iter().zip(&other.events).enumerate() {
-            assert_eq!(a, b, "{transport:?}: event {i} differs");
+            assert_eq!(a, b, "{wire:?}: event {i} differs");
         }
     }
 
@@ -122,33 +147,24 @@ fn three_ways(transport: Transport) -> Run {
         .iter()
         .filter(|e| e.1 == "client_op" && e.2 == Phase::Begin)
         .collect();
-    assert_eq!(
-        ops.len() as u64,
-        1 + GETS,
-        "{transport:?}: every op is a span"
-    );
+    assert_eq!(ops.len() as u64, 1 + GETS, "{wire:?}: every op is a span");
     for op in ops {
-        assert_eq!(
-            op.5 >> 32,
-            u64::from(CLIENT.0),
-            "{transport:?}: id {:#x}",
-            op.5
-        );
+        assert_eq!(op.5 >> 32, u64::from(CLIENT.0), "{wire:?}: id {:#x}", op.5);
     }
 
     // Same registered names; the profiler adds its family and only that.
-    assert_eq!(bare.names, watched.names, "{transport:?}");
+    assert_eq!(bare.names, watched.names, "{wire:?}");
     assert!(!bare.names.iter().any(|n| is_profile(n)));
     let (family, rest): (Vec<_>, Vec<_>) =
         profiled.names.iter().cloned().partition(|n| is_profile(n));
-    assert_eq!(rest, bare.names, "{transport:?}");
+    assert_eq!(rest, bare.names, "{wire:?}");
     assert!(family.contains(&"profile.paths".to_string()));
     profiled
 }
 
 #[test]
 fn ucr_telemetry_does_not_depend_on_who_watches() {
-    let profiled = three_ways(Transport::Ucr);
+    let profiled = three_ways(UCR);
     let p = profiled.profiler.expect("profiled run");
     let audit = p.audit();
     assert_eq!(audit.ops, 1 + GETS, "every op decomposed");
@@ -163,10 +179,78 @@ fn ucr_telemetry_does_not_depend_on_who_watches() {
     }
 }
 
+/// The three socket wires decompose like the ASCII/TCP one always did.
+fn socket_wire_decomposes(wire: Wire) {
+    let profiled = three_ways(wire);
+    let p = profiled.profiler.expect("profiled run");
+    assert_eq!(p.audit().ops, 1 + GETS, "{wire:?}");
+    assert_eq!(p.audit().inexact_ops, 0, "{wire:?}");
+}
+
 #[test]
 fn ascii_toe_telemetry_does_not_depend_on_who_watches() {
-    let profiled = three_ways(Transport::Sockets(Stack::TenGigEToe));
-    let p = profiled.profiler.expect("profiled run");
-    assert_eq!(p.audit().ops, 1 + GETS);
-    assert_eq!(p.audit().inexact_ops, 0);
+    socket_wire_decomposes(ASCII_TCP);
+}
+
+#[test]
+fn binary_toe_telemetry_does_not_depend_on_who_watches() {
+    socket_wire_decomposes(BINARY_TCP);
+}
+
+#[test]
+fn ascii_udp_telemetry_does_not_depend_on_who_watches() {
+    socket_wire_decomposes(ASCII_UDP);
+}
+
+/// One op lifecycle on every wire, whatever the window: each operation is
+/// exactly one `client_op` begin/end pair, one `client_sent` and — it
+/// succeeded — one `client_reply`, and nothing is left open or parked when
+/// the run goes quiet.
+#[test]
+fn every_wire_runs_an_op_through_one_lifecycle() {
+    const KEYS: usize = 20;
+    for wire in [UCR, ASCII_TCP, BINARY_TCP, ASCII_UDP] {
+        for depth in [1, 8] {
+            let world = World::cluster_a(97, 4);
+            let _server = McServer::start(&world, NodeId(0), McServerConfig::default());
+            let client = wire.client(&world, depth);
+            let c = client.clone();
+            world.sim().clone().block_on(async move {
+                let keys: Vec<Vec<u8>> = (0..KEYS).map(|i| format!("k{i}").into_bytes()).collect();
+                let items: Vec<(&[u8], &[u8])> =
+                    keys.iter().map(|k| (k.as_slice(), &b"value"[..])).collect();
+                let stored = c.set_many(&items, 0, 0).await.unwrap();
+                assert!(stored.iter().all(Result::is_ok));
+                let mut asked: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+                asked.push(b"absent");
+                let got = c.get_many(&asked).await.unwrap();
+                assert_eq!(got.iter().flatten().count(), KEYS);
+                assert!(c.get(b"k0").await.unwrap().is_some());
+                assert!(c.delete(b"k0").await.unwrap());
+            });
+
+            // [begins, ends, sents, replies] per op id.
+            let mut ops: BTreeMap<u64, [u32; 4]> = BTreeMap::new();
+            let tracer = world.cluster.tracer();
+            assert_eq!(tracer.flight_dropped(), 0);
+            for e in tracer.flight_snapshot() {
+                let slot = match (e.name, e.phase) {
+                    ("client_op", Phase::Begin) => 0,
+                    ("client_op", Phase::End) => 1,
+                    ("client_sent", _) => 2,
+                    ("client_reply", _) => 3,
+                    _ => continue,
+                };
+                assert_eq!(e.node, Some(CLIENT));
+                ops.entry(e.op).or_default()[slot] += 1;
+            }
+            let at = format!("{wire:?} at depth {depth}");
+            assert_eq!(ops.len() as u64, client.ops_issued(), "{at}");
+            assert_eq!(ops.len(), 2 * KEYS + 3, "{at}");
+            for (id, counts) in ops {
+                assert_eq!(counts, [1, 1, 1, 1], "{at}: op {id:#x}");
+            }
+            assert_eq!(client.pending_responses(), 0, "{at}");
+        }
+    }
 }
