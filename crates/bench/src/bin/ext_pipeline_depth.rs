@@ -8,14 +8,9 @@
 //! real deployments (libmemcached `mget`, UCR multi-send) use. Depth 1 is
 //! the classic closed loop; deeper pipelines overlap wire + stack latency
 //! with server service time until one resource saturates.
-//!
-//! Also reports the UCR rendezvous registration cache on a repeated-buffer
-//! workload: a pin-down cache means only the first large send from a buffer
-//! pays `ibv_reg_mr`, the signature memcached-over-RDMA optimisation for
-//! value buffers that are reused across sets.
 
 use rmc::Transport;
-use rmc_bench::{measure_mr_cache, measure_pipeline_throughput, ClusterKind};
+use rmc_bench::{measure_pipeline_throughput, ClusterKind};
 use simnet::Stack;
 
 const DEPTHS: [usize; 5] = [1, 2, 4, 8, 16];
@@ -69,28 +64,6 @@ fn main() {
         "pipelining win too small: depth-8 {d8:.0} tps vs depth-1 {d1:.0} tps"
     );
 
-    let sends = 32u32;
-    let (hits, misses) = measure_mr_cache(ClusterKind::B, sends, 64 * 1024, SEED);
-    let rate = hits as f64 / (hits + misses) as f64;
-    println!(
-        "\nUCR registration cache, {sends} x 64 KB rendezvous sends from one buffer: \
-         {hits} hits / {misses} misses ({:.1}% hit rate)",
-        rate * 100.0
-    );
-    assert!(
-        rate > 0.90,
-        "registration cache ineffective: {hits} hits / {misses} misses"
-    );
-    records.push(
-        rmc_bench::json_out::Record::new()
-            .str("op", "rndv_mr_cache")
-            .str("cluster", ClusterKind::B.label())
-            .str("transport", "UCR IB")
-            .int("sends", sends as u64)
-            .int("hits", hits)
-            .int("misses", misses)
-            .num("hit_rate", rate),
-    );
     rmc_bench::json_out::write("ext_pipeline_depth", &records);
     println!("\n(Depth overlaps wire+stack latency with service time on one connection;");
     println!("the curve saturates where per-op server cost, not latency, binds.)");

@@ -174,24 +174,27 @@ fn run_scenario(
         NodeId(1),
         McClientConfig::single(Transport::Ucr, NodeId(0)),
     );
+    let obs = observed.then(|| server.observatory().expect("observatory configured"));
+    let monitor = HealthMonitor::new(
+        HealthRules::default(),
+        NodeId(0),
+        Some(world.cluster.tracer().clone()),
+        obs.as_ref().map(|obs| obs.ring()),
+    );
     let sampler = Sampler::new(
         world.sim(),
         world.cluster.metrics(),
         SamplerConfig::default(),
-    );
-    let monitor = HealthMonitor::new(HealthRules::default(), NodeId(0));
-    if observed {
-        let obs = server.observatory().expect("observatory configured");
-        monitor.set_tracer(Some(world.cluster.tracer().clone()));
-        monitor.set_exemplars(Some(obs.ring()));
-        sampler.bind_monitor(MonitorBinding {
+        obs.map(|obs| MonitorBinding {
             monitor: Rc::clone(&monitor),
             throughput_counter: "client.node1.ops_completed".into(),
             queue_gauge: "client.node1.inflight".into(),
             latency_hist: None,
             error_counter: None,
             slos: obs.slo_trackers(),
-        });
+        }),
+    );
+    if observed {
         sampler.start();
     }
 

@@ -946,21 +946,25 @@ pub fn measure_observatory(
 ) -> ObservatoryRun {
     use simnet::{HealthMonitor, HealthRules, MonitorBinding, Sampler, SamplerConfig};
     let world = cluster.world(seed, 4);
+    let monitor = HealthMonitor::new(
+        HealthRules::default(),
+        NodeId(1),
+        Some(world.cluster.tracer().clone()),
+        None,
+    );
     let sampler = Sampler::new(
         world.sim(),
         world.cluster.metrics(),
         SamplerConfig::default(),
+        Some(MonitorBinding {
+            monitor: monitor.clone(),
+            throughput_counter: "client.node1.ops_completed".into(),
+            queue_gauge: "client.node1.inflight".into(),
+            latency_hist: None,
+            error_counter: None,
+            slos: Vec::new(),
+        }),
     );
-    let monitor = HealthMonitor::new(HealthRules::default(), NodeId(1));
-    monitor.set_tracer(Some(world.cluster.tracer().clone()));
-    sampler.bind_monitor(MonitorBinding {
-        monitor: monitor.clone(),
-        throughput_counter: "client.node1.ops_completed".into(),
-        queue_gauge: "client.node1.inflight".into(),
-        latency_hist: None,
-        error_counter: None,
-        slos: Vec::new(),
-    });
     sampler.start();
     let (tps, end_clock) = run_pipeline_gets(&world, transport, depth, value_size, ops);
     sampler.stop();
@@ -984,70 +988,6 @@ pub fn measure_observatory(
         transitions: monitor.transitions().len(),
         prom: world.cluster.export_prometheus(),
     }
-}
-
-/// Registration-cache statistics for a repeated-buffer rendezvous
-/// workload: one UCR endpoint sends `sends` rendezvous messages (payload
-/// `value_size` > eager threshold) from the *same* source buffer, each
-/// followed by a completion-counter wait so the full
-/// advertise → RDMA-read → Fin flow finishes. With the per-destination
-/// MR cache only the first send registers; every repeat hits. Returns
-/// `(hits, misses)` as counted in [`ucr::RtStats`].
-pub fn measure_mr_cache(
-    cluster: ClusterKind,
-    sends: u32,
-    value_size: usize,
-    seed: u64,
-) -> (u64, u64) {
-    let world = cluster.world(seed, 2);
-    let sim = world.sim().clone();
-    const MSG: u16 = 7;
-    const PORT: u16 = 9099;
-    let srv_rt = ucr::UcrRuntime::new(&world.ib, NodeId(0));
-    srv_rt.register_handler(
-        MSG,
-        ucr::FnHandler(|_: &ucr::Endpoint, _: &[u8], _: ucr::AmData| {}),
-    );
-    let listener = srv_rt.listen(PORT).expect("UCR port free");
-    sim.spawn(async move {
-        let mut eps = Vec::new();
-        while let Ok(ep) = listener.accept().await {
-            eps.push(ep); // keep server-side endpoints alive
-        }
-    });
-    let cli_rt = ucr::UcrRuntime::new(&world.ib, NodeId(1));
-    let cli2 = cli_rt.clone();
-    sim.block_on(async move {
-        let timeout = SimDuration::from_millis(250);
-        let ep = cli2
-            .connect(NodeId(0), PORT, timeout)
-            .await
-            .expect("connect");
-        assert!(
-            value_size > cli2.eager_threshold(),
-            "workload must ride the rendezvous path"
-        );
-        let buf = vec![9u8; value_size];
-        for _ in 0..sends {
-            let ctr = cli2.counter();
-            ep.send_message(
-                MSG,
-                b"",
-                &buf,
-                ucr::SendOptions {
-                    completion: Some(ctr.clone()),
-                    ..Default::default()
-                },
-            )
-            .await
-            .expect("send");
-            ctr.wait_for(1, timeout)
-                .await
-                .expect("rendezvous completes");
-        }
-        let st = cli2.stats();
-        (st.mr_cache_hits.get(), st.mr_cache_misses.get())
-    })
 }
 
 // ---------------------------------------------------------------------

@@ -125,9 +125,7 @@ impl Executor {
                     lock_hold_ns: metrics.counter(&format!("{prefix}.lock_hold_ns")),
                     contended: metrics.counter(&format!("{prefix}.contended")),
                 };
-                let lock = VLock::with_meters(&sim, meters);
-                lock.set_tracer(tracer.clone(), node);
-                lock
+                VLock::new(&sim, meters, Some((tracer.clone(), node)))
             })
             .collect();
         let profile = world.profile();

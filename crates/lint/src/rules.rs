@@ -197,19 +197,6 @@ pub const RULES: &[Rule] = &[
                        unwrap_or_else are fine (they cannot panic).",
     },
     Rule {
-        id: "R5",
-        title: "UCR counter cells only mutate via CtrInner::bump",
-        rationale: "The unreliable-connection retry accounting must stay \
-                    consistent with the metrics layer; direct `.set`/`.0 +=` \
-                    writes bypass the bump path that keeps both in sync.",
-        scope: "crates/ucr/src production code, except counter.rs itself.",
-        covers: |p| under(p, &["crates/ucr/src/"]) && !p.ends_with("/counter.rs"),
-        run: run_r5,
-        example: include_str!("../tests/fixtures/r5.rs"),
-        example_note: "Direct field writes to counter cells fire; calls \
-                       through CtrInner::bump are the sanctioned path.",
-    },
-    Rule {
         id: "R6",
         title: "VLock multi-acquisitions are provably ascending and \
                 class-order forms a DAG",
@@ -414,39 +401,6 @@ fn run_r4(ws: &Workspace, out: &mut Findings) {
     }
 }
 
-fn run_r5(ws: &Workspace, out: &mut Findings) {
-    for (fi, f) in out.files(ws) {
-        for i in 0..f.toks.len() {
-            if f.in_test(i) {
-                continue;
-            }
-            let chain = |a: &str, b: &str| {
-                f.punct(i, '.')
-                    && f.ident(i + 1, a)
-                    && f.punct(i + 2, '.')
-                    && f.ident(i + 3, b)
-                    && f.punct(i + 4, '(')
-            };
-            let what = if chain("value", "set") {
-                "write (.value.set)"
-            } else if chain("notify", "notify_all") {
-                "wakeup (.notify.notify_all)"
-            } else {
-                continue;
-            };
-            out.report(
-                ws,
-                fi,
-                f.line(i + 1),
-                format!(
-                    "direct counter-cell {what} outside counter.rs: the §4.1 bump \
-                     ordering (value, trace, notify) is only guaranteed by CtrInner::bump"
-                ),
-            );
-        }
-    }
-}
-
 fn run_w0(ws: &Workspace, out: &mut Findings) {
     for (fi, f) in ws.files.iter().enumerate() {
         for w in &f.waivers {
@@ -576,14 +530,6 @@ mod tests {
             vec![(2, "R4"), (2, "R4"), (2, "R4")]
         );
         assert!(hits("crates/simnet/src/x.rs", src).is_empty());
-    }
-
-    #[test]
-    fn r5_scopes_to_ucr_outside_counter_rs() {
-        let src = "fn f(c: &CtrInner) { c.value.set(c.value.get() + 1); c.notify.notify_all(); }";
-        assert_eq!(hits("crates/ucr/src/runtime.rs", src).len(), 2);
-        assert!(hits("crates/ucr/src/counter.rs", src).is_empty());
-        assert!(hits("crates/core/src/server.rs", src).is_empty());
     }
 
     #[test]

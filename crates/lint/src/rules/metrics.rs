@@ -310,10 +310,7 @@ mod tests {
             "client.node1.inflight"
         ));
         assert!(pattern_matches("*.wakes", "mc.node0.worker3.wakes"));
-        assert!(pattern_matches(
-            "ucr.*.*.*",
-            "ucr.ib.node0.mr_cache_hit_rate"
-        ));
+        assert!(pattern_matches("ucr.*.*.*", "ucr.ib.node0.fins_sent"));
         assert!(!pattern_matches("*.wakes", "mc.node0.worker3.batch_items"));
         assert!(!pattern_matches("client.node*.inflight", "client.inflight"));
         assert!(pattern_matches("bench.tps", "bench.tps"));

@@ -176,19 +176,6 @@ fn r4_fixture_exact_lines() {
 }
 
 #[test]
-fn r5_fixture_exact_lines() {
-    let (v, _, _) = hits(&[(
-        "crates/ucr/src/fixture_r5.rs",
-        include_str!("fixtures/r5.rs"),
-    )]);
-    let expect: Vec<(String, u32, &str)> = [5, 6]
-        .iter()
-        .map(|&l| ("crates/ucr/src/fixture_r5.rs".to_string(), l, "R5"))
-        .collect();
-    assert_eq!(v, expect);
-}
-
-#[test]
 fn waiver_fixture_suppresses_covered_lines_only() {
     let (v, waived, _) = hits(&[(
         "crates/verbs/src/fixture_waiver.rs",
@@ -205,7 +192,7 @@ fn waiver_fixture_suppresses_covered_lines_only() {
 
 /// Each row of the rule table with the fixtures that are its own, under
 /// the paths the tests above mount them at.
-const OWN_FIXTURES: [(&str, &[(&str, &str)]); 8] = [
+const OWN_FIXTURES: [(&str, &[(&str, &str)]); 7] = [
     (
         "R1",
         &[
@@ -255,13 +242,6 @@ const OWN_FIXTURES: [(&str, &[(&str, &str)]); 8] = [
         )],
     ),
     (
-        "R5",
-        &[(
-            "crates/ucr/src/fixture_r5.rs",
-            include_str!("fixtures/r5.rs"),
-        )],
-    ),
-    (
         "R6",
         &[(
             "crates/core/src/fixture_r6.rs",
@@ -299,11 +279,11 @@ fn all_fixtures_together_stay_disjoint() {
         include_str!("fixtures/waiver.rs"),
     ));
     let (v, waived, _) = hits(&all);
-    // Per-file counts: r1=6, r2=6, r3=3, r4=3, r5=2, waiver=1, r6=3,
-    // r7=2, taint pair=1, span pair=2.
-    assert_eq!(v.len(), 6 + 6 + 3 + 3 + 2 + 1 + 3 + 2 + 1 + 2);
+    // Per-file counts: r1=6, r2=6, r3=3, r4=3, waiver=1, r6=3, r7=2,
+    // taint pair=1, span pair=2.
+    assert_eq!(v.len(), 6 + 6 + 3 + 3 + 1 + 3 + 2 + 1 + 2);
     assert_eq!(waived, 2);
-    for rule in ["R1", "R2", "R3", "R4", "R5", "R6", "R7"] {
+    for rule in ["R1", "R2", "R3", "R4", "R6", "R7"] {
         assert!(v.iter().any(|(_, _, r)| *r == rule), "missing {rule} hits");
     }
 }
@@ -338,28 +318,24 @@ fn explain_resolves_exactly_the_table() {
         let text = String::from_utf8(out.stdout).expect("utf-8");
         assert!(text.starts_with(&format!("{} — {}", rule.id, rule.title)));
     }
-    for unknown in ["R0", "R8", "W1", "R1x"] {
+    for unknown in ["R0", "R5", "R8", "W1", "R1x"] {
         let out = explain(unknown);
         assert_eq!(out.status.code(), Some(2), "--explain {unknown}");
-        // The error lists the table: eight rows under the header.
+        // The error lists the table: seven rows under the header.
         let listing = String::from_utf8(out.stderr).expect("utf-8");
-        assert_eq!(listing.lines().filter(|l| l.starts_with("  ")).count(), 8);
+        assert_eq!(listing.lines().filter(|l| l.starts_with("  ")).count(), 7);
     }
 }
 
 #[test]
 fn out_of_scope_placement_is_ignored() {
-    // The same violating sources outside their rules' scopes: R4/R5
-    // don't apply to simnet, R1 doesn't apply to the lint crate itself,
+    // The same violating sources outside their rules' scopes: R4
+    // doesn't apply to simnet, R1 doesn't apply to the lint crate itself,
     // and files under tests/ are test code wholesale.
     let (v, _, _) = hits(&[
         (
             "crates/simnet/src/fixture_r4.rs",
             include_str!("fixtures/r4.rs"),
-        ),
-        (
-            "crates/simnet/src/fixture_r5.rs",
-            include_str!("fixtures/r5.rs"),
         ),
         (
             "crates/lint/src/fixture_r1.rs",

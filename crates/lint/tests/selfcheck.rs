@@ -147,7 +147,7 @@ fn observatory_exposition_matches_the_registrations() {
     assert!(duplicate.len() == 1 && duplicate[0].ends_with("duplicate series"));
     let untyped = problems(good.replace("# TYPE rmc_wakes counter\n", ""));
     assert!(untyped.iter().any(|p| p.ends_with("family without TYPE")));
-    // So do the two shapes a count mirrored into a gauge used to have.
+    // So do the two shapes of a count mirrored into a gauge.
     let mirror = |family: &str| {
         format!(
             "# HELP {family} Level from registry metric `ucr.ib.node0.progress_wakes`.\n\
@@ -200,9 +200,10 @@ fn interprocedural_pass_sees_the_real_tree() {
     );
 
     // R7: the three retained-registration sites, each with a live
-    // release path (PR 6's mirror-page retire among them).
+    // release path (an endpoint's advertised sources with their `remove`
+    // on Fin, PR 6's mirror-page retire).
     for want in [
-        ("crates/ucr/src/runtime.rs", "cache"),
+        ("crates/ucr/src/endpoint.rs", "sources"),
         ("crates/ucr/src/runtime.rs", "recv_bufs"),
         ("crates/core/src/server/bypass.rs", "pages"),
     ] {
@@ -277,4 +278,45 @@ fn every_dependency_edge_is_used() {
         }
     }
     assert!(dead.is_empty(), "declared but never named: {dead:#?}");
+}
+
+/// A `pub fn set_*` is a knob, and a knob exists for someone who turns it:
+/// every one under `crates/*/src` is called (`.set_x(` or `::set_x(`) from
+/// code that is not a test — a member's `src/` outside `#[cfg(test)]`, or
+/// `benchmark/src`. Callers under `tests/` and `examples/` do not count.
+#[test]
+fn every_setter_is_called_outside_tests() {
+    let root = rmc_lint::default_root();
+    let mut files = Vec::new();
+    for member in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        lex_tree(
+            &member.expect("crates/ entry").path().join("src"),
+            &mut files,
+        );
+    }
+    let members = files.len();
+    lex_tree(&root.join("src"), &mut files);
+    lex_tree(&root.join("benchmark/src"), &mut files);
+    let called = |name: &str| {
+        files.iter().any(|f| {
+            (1..f.toks.len()).any(|i| {
+                f.ident(i, name)
+                    && f.punct(i + 1, '(')
+                    && (f.punct(i - 1, '.') || f.punct(i - 1, ':'))
+                    && !f.in_test(i)
+            })
+        })
+    };
+    let mut idle = Vec::new();
+    for f in &files[..members] {
+        for i in 2..f.toks.len() {
+            let setter = f.any_ident(i).filter(|name| name.starts_with("set_"));
+            let Some(name) = setter else { continue };
+            let defined = f.ident(i - 1, "fn") && f.ident(i - 2, "pub") && !f.in_test(i);
+            if defined && !called(name) {
+                idle.push(format!("{}:{}: {name}", f.path, f.line(i)));
+            }
+        }
+    }
+    assert!(idle.is_empty(), "setters nothing turns: {idle:#?}");
 }

@@ -58,7 +58,7 @@ pub use exemplar::{Exemplar, ExemplarConfig, ExemplarRing};
 pub use fabric::{Cluster, Network, Node, NodeId};
 pub use metrics::Metrics;
 pub use profiler::{
-    AuditReport, CriticalPath, PathStage, Profiler, ProfilerConfig, WindowReport, PATH_STAGE_COUNT,
+    AuditReport, CriticalPath, PathStage, Profiler, ProfilerConfig, PATH_STAGE_COUNT,
 };
 pub use profiles::{ClusterProfile, NetKind, Stack};
 pub use resource::FifoResource;

@@ -15,12 +15,10 @@
 //!    an explicit signed *unaccounted* residual so that
 //!    `Σ stages + residual == end-to-end` holds **exactly** for every
 //!    op (pinned by `tests/attribution.rs` and `tests/profiling.rs`).
-//! 3. **Windowed top-K signatures** — completed paths are bucketed into
-//!    fixed virtual-time windows; each window aggregates per-stage
-//!    p50/p99 and the top-K *critical-path signatures* (the ordered
-//!    dominant stages of an op, e.g. `lock_wait>service`), surfaced via
-//!    registry metrics (the `Sampler` picks them up), the
-//!    `HealthMonitor` degradation dump, and the `stats profile` verb.
+//! 3. **Top signatures** — each completed path's *critical-path
+//!    signature* (the ordered dominant stages of an op, e.g.
+//!    `lock_wait>service`) is counted; the most frequent are part of the
+//!    `stats profile` verb's report.
 //!
 //! The profiler consumes the stream every run emits: there is no
 //! profiler-only marker, so it may attach at any point of a run and a
@@ -144,8 +142,6 @@ pub struct CriticalPath {
     /// executor hand-off); a negative residual flags double-attribution
     /// (possible only when parallel mget parts overlap lock waits).
     pub residual_ns: i64,
-    /// Virtual time the op retired (window assignment key).
-    pub finished_at: SimTime,
 }
 
 impl CriticalPath {
@@ -204,30 +200,18 @@ impl CriticalPath {
 // Configuration
 // ---------------------------------------------------------------------
 
+/// Minimum share of end-to-end a stage needs to enter an op's signature.
+const SIGNATURE_MIN_SHARE: f64 = 0.10;
+
+/// How many signatures `stats profile` lists.
+const TOP_SIGNATURES: usize = 4;
+
 /// Profiler tunables.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ProfilerConfig {
-    /// Virtual-time width of an aggregation window.
-    pub window: SimDuration,
-    /// How many signatures the windowed top-K keeps.
-    pub top_k: usize,
-    /// Minimum share of end-to-end a stage needs to enter an op's
-    /// signature.
-    pub signature_min_share: f64,
     /// Keep every completed [`CriticalPath`] (tests and the audit bench
     /// read them back; large runs may prefer aggregates only).
     pub keep_paths: bool,
-}
-
-impl Default for ProfilerConfig {
-    fn default() -> ProfilerConfig {
-        ProfilerConfig {
-            window: SimDuration::from_micros(200),
-            top_k: 4,
-            signature_min_share: 0.10,
-            keep_paths: false,
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -271,38 +255,6 @@ struct Frame {
     child_ns: u64,
 }
 
-/// Per-window aggregation of completed paths.
-struct WindowAgg {
-    index: u64,
-    count: u64,
-    stage_times: [Histogram; PATH_STAGE_COUNT],
-    signatures: HashMap<String, u64>,
-}
-
-impl WindowAgg {
-    fn new(index: u64) -> WindowAgg {
-        WindowAgg {
-            index,
-            count: 0,
-            stage_times: Default::default(),
-            signatures: HashMap::new(),
-        }
-    }
-}
-
-/// Snapshot of one closed window's aggregate, for reports.
-#[derive(Clone, Debug)]
-pub struct WindowReport {
-    /// Window ordinal (virtual time divided by the window width).
-    pub index: u64,
-    /// Completed paths in the window.
-    pub count: u64,
-    /// Per-stage `(p50, p99)` over the window's paths, by stage index.
-    pub stage_quantiles: [(SimDuration, SimDuration); PATH_STAGE_COUNT],
-    /// Top-K `(signature, count)` pairs, most frequent first.
-    pub top_signatures: Vec<(String, u64)>,
-}
-
 // ---------------------------------------------------------------------
 // Profiler
 // ---------------------------------------------------------------------
@@ -312,8 +264,7 @@ type LaneKey = (Option<NodeId>, Track, u64);
 
 /// The continuous profiler. Construct with [`Profiler::attach`]; read
 /// back with [`Profiler::folded_lines`], [`Profiler::paths`],
-/// [`Profiler::audit`], [`Profiler::window_report`], and
-/// [`Profiler::stat_lines`].
+/// [`Profiler::audit`] and [`Profiler::stat_lines`].
 pub struct Profiler {
     cfg: ProfilerConfig,
     /// In-flight client ops by correlation id.
@@ -352,8 +303,6 @@ pub struct Profiler {
     dominant_share: Rc<Gauge>,
     /// Cumulative signature counts.
     signatures: RefCell<HashMap<String, u64>>,
-    current_window: RefCell<Option<WindowAgg>>,
-    last_window: RefCell<Option<WindowReport>>,
     exemplar_rings: RefCell<Vec<Rc<ExemplarRing>>>,
 }
 
@@ -380,8 +329,6 @@ impl Profiler {
             open_paths: metrics.gauge("profile.open_paths"),
             dominant_share: metrics.gauge("profile.dominant_share"),
             signatures: RefCell::new(HashMap::new()),
-            current_window: RefCell::new(None),
-            last_window: RefCell::new(None),
             exemplar_rings: RefCell::new(Vec::new()),
         })
     }
@@ -447,7 +394,8 @@ impl Profiler {
 
     /// Cumulative `(p50, p99)` for `stage` across all completed paths.
     pub fn stage_quantiles(&self, stage: PathStage) -> (SimDuration, SimDuration) {
-        p50_p99(&self.stage_times[stage.index()])
+        let times = &self.stage_times[stage.index()];
+        (times.percentile(0.50), times.percentile(0.99))
     }
 
     /// The stage with the largest cumulative attribution.
@@ -465,19 +413,11 @@ impl Profiler {
     /// Cumulative top-`k` `(signature, count)` pairs, most frequent
     /// first (signature order breaks ties, so output is deterministic).
     pub fn top_signatures(&self, k: usize) -> Vec<(String, u64)> {
-        top_k(&self.signatures.borrow(), k)
-    }
-
-    /// The most recently *closed* window's aggregate, falling back to
-    /// the still-open window when none has closed yet.
-    pub fn window_report(&self) -> Option<WindowReport> {
-        if let Some(r) = self.last_window.borrow().as_ref() {
-            return Some(r.clone());
-        }
-        self.current_window
-            .borrow()
-            .as_ref()
-            .map(|w| finalize(w, self.cfg.top_k))
+        let sigs = self.signatures.borrow();
+        let mut v: Vec<(String, u64)> = sigs.iter().map(|(s, n)| (s.clone(), *n)).collect();
+        v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        v.truncate(k);
+        v
     }
 
     /// The unaccounted-time audit over every completed path: op count,
@@ -511,7 +451,7 @@ impl Profiler {
     }
 
     /// The `stats profile` report: audit totals, per-stage cumulative
-    /// share/p50/p99, the current top signatures, and the last window.
+    /// share/p50/p99 and the current top signatures.
     pub fn stat_lines(&self) -> Vec<(String, String)> {
         let mut out: Vec<(String, String)> = Vec::new();
         let a = self.audit();
@@ -547,18 +487,8 @@ impl Profiler {
                 ),
             ));
         }
-        for (i, (sig, n)) in self.top_signatures(self.cfg.top_k).into_iter().enumerate() {
+        for (i, (sig, n)) in self.top_signatures(TOP_SIGNATURES).into_iter().enumerate() {
             out.push((format!("profile.signature.{i}"), format!("{n}x {sig}")));
-        }
-        if let Some(w) = self.window_report() {
-            out.push(("profile.window.index".into(), w.index.to_string()));
-            out.push(("profile.window.ops".into(), w.count.to_string()));
-            for (i, (sig, n)) in w.top_signatures.iter().enumerate() {
-                out.push((
-                    format!("profile.window.signature.{i}"),
-                    format!("{n}x {sig}"),
-                ));
-            }
         }
         out.push((
             "profile.folded_paths".into(),
@@ -671,7 +601,6 @@ impl Profiler {
             end_to_end: e2e,
             stages,
             residual_ns,
-            finished_at: at,
         };
         self.record(path);
     }
@@ -693,28 +622,8 @@ impl Profiler {
         }
         self.dominant_share
             .set(self.stage_share(self.dominant_stage()));
-        let sig = path.signature(self.cfg.signature_min_share);
-        *self.signatures.borrow_mut().entry(sig.clone()).or_insert(0) += 1;
-
-        // Windowing: close the current window when a completion lands
-        // past its edge. Completions arrive in virtual-time order.
-        let widx = path.finished_at.as_nanos() / self.cfg.window.as_nanos().max(1);
-        {
-            let mut cur = self.current_window.borrow_mut();
-            let rotate = cur.as_ref().is_none_or(|w| w.index != widx);
-            if rotate {
-                if let Some(w) = cur.take() {
-                    *self.last_window.borrow_mut() = Some(finalize(&w, self.cfg.top_k));
-                }
-                *cur = Some(WindowAgg::new(widx));
-            }
-            let w = cur.as_mut().expect("window just ensured");
-            w.count += 1;
-            for s in PathStage::ALL {
-                w.stage_times[s.index()].record(path.stages[s.index()]);
-            }
-            *w.signatures.entry(sig).or_insert(0) += 1;
-        }
+        let sig = path.signature(SIGNATURE_MIN_SHARE);
+        *self.signatures.borrow_mut().entry(sig).or_insert(0) += 1;
 
         for ring in self.exemplar_rings.borrow().iter() {
             ring.annotate_path(path.op, &path);
@@ -819,26 +728,6 @@ fn span(from: Option<SimTime>, to: Option<SimTime>) -> SimDuration {
     }
 }
 
-fn p50_p99(times: &Histogram) -> (SimDuration, SimDuration) {
-    (times.percentile(0.50), times.percentile(0.99))
-}
-
-fn top_k(sigs: &HashMap<String, u64>, k: usize) -> Vec<(String, u64)> {
-    let mut v: Vec<(String, u64)> = sigs.iter().map(|(s, n)| (s.clone(), *n)).collect();
-    v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    v.truncate(k);
-    v
-}
-
-fn finalize(w: &WindowAgg, k: usize) -> WindowReport {
-    WindowReport {
-        index: w.index,
-        count: w.count,
-        stage_quantiles: std::array::from_fn(|i| p50_p99(&w.stage_times[i])),
-        top_signatures: top_k(&w.signatures, k),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -858,10 +747,7 @@ mod tests {
 
     /// A detached profiler that keeps every completed path.
     fn keeping_paths() -> Rc<Profiler> {
-        let cfg = ProfilerConfig {
-            keep_paths: true,
-            ..ProfilerConfig::default()
-        };
+        let cfg = ProfilerConfig { keep_paths: true };
         Profiler::new(cfg, &Metrics::new())
     }
 
@@ -1000,29 +886,8 @@ mod tests {
                 s
             },
             residual_ns: 50,
-            finished_at: SimTime::from_nanos(0),
         };
         assert_eq!(cp.signature(0.10), "lock_wait>service");
         assert!(cp.is_exact());
-    }
-
-    #[test]
-    fn windows_rotate_and_report_quantiles() {
-        let cfg = ProfilerConfig {
-            window: SimDuration::from_nanos(1000),
-            ..ProfilerConfig::default()
-        };
-        let p = Profiler::new(cfg, &Metrics::new());
-        for i in 0..10u64 {
-            let base = i * 50;
-            p.handle(&ev("client_op", Phase::Begin, 1, Track::Main, i, base));
-            p.handle(&ev("client_op", Phase::End, 1, Track::Main, i, base + 40));
-        }
-        // All land in window 0; force rotation with a later op.
-        p.handle(&ev("client_op", Phase::Begin, 1, Track::Main, 99, 1500));
-        p.handle(&ev("client_op", Phase::End, 1, Track::Main, 99, 1600));
-        let w = p.window_report().expect("window");
-        assert_eq!(w.index, 0);
-        assert_eq!(w.count, 10);
     }
 }

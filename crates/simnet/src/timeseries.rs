@@ -106,7 +106,7 @@ struct SamplerInner {
     running: Cell<bool>,
     ticks: Cell<u64>,
     dropped: Cell<u64>,
-    binding: RefCell<Option<MonitorBinding>>,
+    binding: Option<MonitorBinding>,
 }
 
 /// Periodic zero-virtual-time snapshots of a [`Metrics`] registry.
@@ -121,9 +121,15 @@ pub struct Sampler {
 }
 
 impl Sampler {
-    /// A sampler over `metrics`, not yet started. Manual snapshots via
+    /// A sampler over `metrics`, not yet started, feeding `binding`'s
+    /// health monitor (if any) on every snapshot. Manual snapshots via
     /// [`sample_now`](Sampler::sample_now) work without starting it.
-    pub fn new(sim: &Sim, metrics: &Rc<Metrics>, cfg: SamplerConfig) -> Sampler {
+    pub fn new(
+        sim: &Sim,
+        metrics: &Rc<Metrics>,
+        cfg: SamplerConfig,
+        binding: Option<MonitorBinding>,
+    ) -> Sampler {
         Sampler {
             inner: Rc::new(SamplerInner {
                 sim: sim.clone(),
@@ -135,14 +141,9 @@ impl Sampler {
                 running: Cell::new(false),
                 ticks: Cell::new(0),
                 dropped: Cell::new(0),
-                binding: RefCell::new(None),
+                binding,
             }),
         }
-    }
-
-    /// Attaches a health monitor fed on every snapshot.
-    pub fn bind_monitor(&self, binding: MonitorBinding) {
-        *self.inner.binding.borrow_mut() = Some(binding);
     }
 
     /// Starts periodic snapshots, the first one `interval` from now.
@@ -258,7 +259,7 @@ impl SamplerInner {
         inner.last_at.set(Some(now));
         inner.ticks.set(inner.ticks.get() + 1);
 
-        if let Some(b) = inner.binding.borrow().as_ref() {
+        if let Some(b) = &inner.binding {
             let rate_of = |name: &Option<String>| {
                 name.as_ref()
                     .and_then(|n| rates.get(n).copied())
@@ -778,8 +779,8 @@ pub struct HealthTransition {
 pub struct HealthMonitor {
     rules: HealthRules,
     node: NodeId,
-    tracer: RefCell<Option<Rc<Tracer>>>,
-    exemplars: RefCell<Option<Rc<ExemplarRing>>>,
+    tracer: Option<Rc<Tracer>>,
+    exemplars: Option<Rc<ExemplarRing>>,
     exemplar_dumps: RefCell<Vec<String>>,
     state: Cell<Health>,
     window: RefCell<VecDeque<HealthInput>>,
@@ -789,13 +790,24 @@ pub struct HealthMonitor {
 }
 
 impl HealthMonitor {
-    /// A monitor in [`Health::Healthy`], reporting events as `node`.
-    pub fn new(rules: HealthRules, node: NodeId) -> Rc<HealthMonitor> {
+    /// A monitor in [`Health::Healthy`], reporting as `node`: transition
+    /// events and fault dumps go to `tracer`, and on every transition *to*
+    /// [`Health::Degraded`] the contents of `exemplars` are dumped
+    /// (rendered and stored, see
+    /// [`exemplar_dumps`](HealthMonitor::exemplar_dumps)) — the tail
+    /// records that explain the failure, frozen next to the
+    /// flight-recorder dump.
+    pub fn new(
+        rules: HealthRules,
+        node: NodeId,
+        tracer: Option<Rc<Tracer>>,
+        exemplars: Option<Rc<ExemplarRing>>,
+    ) -> Rc<HealthMonitor> {
         Rc::new(HealthMonitor {
             rules,
             node,
-            tracer: RefCell::new(None),
-            exemplars: RefCell::new(None),
+            tracer,
+            exemplars,
             exemplar_dumps: RefCell::new(Vec::new()),
             state: Cell::new(Health::Healthy),
             window: RefCell::new(VecDeque::new()),
@@ -803,20 +815,6 @@ impl HealthMonitor {
             baseline_n: Cell::new(0),
             transitions: RefCell::new(Vec::new()),
         })
-    }
-
-    /// Attaches the tracer that receives transition events and fault
-    /// dumps.
-    pub fn set_tracer(&self, tracer: Option<Rc<Tracer>>) {
-        *self.tracer.borrow_mut() = tracer;
-    }
-
-    /// Attaches an exemplar ring whose contents are dumped (rendered and
-    /// stored, see [`exemplar_dumps`](HealthMonitor::exemplar_dumps)) on
-    /// every transition *to* [`Health::Degraded`] — the tail records that
-    /// explain the failure, frozen next to the flight-recorder dump.
-    pub fn set_exemplars(&self, ring: Option<Rc<ExemplarRing>>) {
-        *self.exemplars.borrow_mut() = ring;
     }
 
     /// Exemplar dumps captured so far, one rendered block per Degraded
@@ -860,7 +858,7 @@ impl HealthMonitor {
                 to: next,
                 reason: reason.clone(),
             });
-            if let Some(tracer) = self.tracer.borrow().as_ref() {
+            if let Some(tracer) = &self.tracer {
                 tracer.instant(
                     Layer::Core,
                     "health_transition",
@@ -875,7 +873,7 @@ impl HealthMonitor {
                 }
             }
             if next == Health::Degraded {
-                if let Some(ring) = self.exemplars.borrow().as_ref() {
+                if let Some(ring) = &self.exemplars {
                     self.exemplar_dumps.borrow_mut().push(ring.render());
                 }
             }
@@ -954,6 +952,8 @@ impl HealthMonitor {
                 ..rules.clone()
             },
             NodeId(0),
+            None,
+            None,
         );
         for (i, input) in sweep.iter().enumerate() {
             if m.observe(*input) == Health::Saturated {
@@ -979,7 +979,7 @@ mod tests {
         let sim = Sim::new(1);
         let metrics = Rc::new(Metrics::new());
         let c = metrics.counter("reqs");
-        let sampler = Sampler::new(&sim, &metrics, SamplerConfig::default());
+        let sampler = Sampler::new(&sim, &metrics, SamplerConfig::default(), None);
 
         // First sample at t=0 only seeds the baseline: no rate point.
         sampler.sample_now();
@@ -1007,7 +1007,7 @@ mod tests {
         let sim = Sim::new(1);
         let metrics = Rc::new(Metrics::new());
         let c = metrics.counter("reqs");
-        let sampler = Sampler::new(&sim, &metrics, SamplerConfig::default());
+        let sampler = Sampler::new(&sim, &metrics, SamplerConfig::default(), None);
         c.add(50);
         sampler.sample_now();
         c.reset();
@@ -1033,6 +1033,7 @@ mod tests {
                 capacity: 4,
                 ..SamplerConfig::default()
             },
+            None,
         );
         for _ in 0..10 {
             sampler.sample_now();
@@ -1055,6 +1056,7 @@ mod tests {
                 interval: SimDuration::from_micros(10),
                 capacity: 64,
             },
+            None,
         );
         g.set(0.5);
         sampler.start();
@@ -1075,7 +1077,7 @@ mod tests {
         let sim = Sim::new(1);
         let metrics = Rc::new(Metrics::new());
         let g = metrics.gauge("q");
-        let sampler = Sampler::new(&sim, &metrics, SamplerConfig::default());
+        let sampler = Sampler::new(&sim, &metrics, SamplerConfig::default(), None);
         g.set(3.0);
         g.set(9.0);
         g.set(2.0);
@@ -1133,6 +1135,8 @@ mod tests {
                 ..HealthRules::default()
             },
             NodeId(0),
+            None,
+            None,
         );
         // Throughput still doubling: healthy.
         assert_eq!(m.observe(input(0, 100.0, 1.0)), Health::Healthy);
@@ -1161,6 +1165,8 @@ mod tests {
                 ..HealthRules::default()
             },
             NodeId(0),
+            None,
+            None,
         );
         let lat = |at_us: u64, p99: f64| HealthInput {
             at: t(at_us),
@@ -1190,8 +1196,9 @@ mod tests {
                 ..HealthRules::default()
             },
             NodeId(3),
+            Some(tracer.clone()),
+            None,
         );
-        m.set_tracer(Some(tracer.clone()));
         let err = |at_us: u64, eps: f64| HealthInput {
             at: t(at_us),
             throughput: 100.0,
@@ -1254,6 +1261,10 @@ mod tests {
     #[test]
     fn budget_burn_degrades_then_recovers_with_exemplar_dump_per_episode() {
         let tracer = Tracer::new(&Rc::new(Metrics::new()));
+        let ring = ExemplarRing::new(ExemplarConfig {
+            min_samples: 0,
+            ..ExemplarConfig::default()
+        });
         let m = HealthMonitor::new(
             HealthRules {
                 window: 2,
@@ -1261,13 +1272,9 @@ mod tests {
                 ..HealthRules::default()
             },
             NodeId(1),
+            Some(tracer.clone()),
+            Some(ring.clone()),
         );
-        m.set_tracer(Some(tracer.clone()));
-        let ring = ExemplarRing::new(ExemplarConfig {
-            min_samples: 0,
-            ..ExemplarConfig::default()
-        });
-        m.set_exemplars(Some(ring.clone()));
         ring.push(Exemplar {
             op: "get",
             key_hash: 0xabc,
@@ -1323,16 +1330,18 @@ mod tests {
                 ..HealthRules::default()
             },
             NodeId(0),
+            None,
+            None,
         );
-        let sampler = Sampler::new(&sim, &metrics, SamplerConfig::default());
-        sampler.bind_monitor(MonitorBinding {
+        let binding = MonitorBinding {
             monitor: monitor.clone(),
             throughput_counter: "ops".to_string(),
             queue_gauge: "depth".to_string(),
             latency_hist: None,
             error_counter: None,
             slos: vec![slo.clone()],
-        });
+        };
+        let sampler = Sampler::new(&sim, &metrics, SamplerConfig::default(), Some(binding));
         // All ops violate the target: compliance 0, burn 1/0.5 = 2x.
         slo.record(SimDuration::from_micros(100), SimTime::ZERO);
         slo.record(SimDuration::from_micros(100), SimTime::ZERO);

@@ -174,7 +174,7 @@ pub const DEFAULT_FLIGHT_CAPACITY: usize = 4096;
 pub struct Tracer {
     sinks: RefCell<Vec<Rc<dyn EventSink>>>,
     flight: RefCell<VecDeque<Event>>,
-    flight_cap: Cell<usize>,
+    flight_cap: usize,
     /// `trace.events.<layer>`, by [`Layer::index`].
     layer_counts: [Rc<Counter>; 4],
     /// `trace.flight.len`: written only while the ring's length changes.
@@ -205,10 +205,16 @@ impl Tracer {
     /// A fresh tracer with the default flight capacity, counting in
     /// `metrics` (the `trace.*` family).
     pub fn new(metrics: &Rc<Metrics>) -> Rc<Tracer> {
+        Tracer::with_flight_capacity(metrics, DEFAULT_FLIGHT_CAPACITY)
+    }
+
+    /// A fresh tracer whose flight-recorder ring holds `flight_cap` (> 0)
+    /// events.
+    fn with_flight_capacity(metrics: &Rc<Metrics>, flight_cap: usize) -> Rc<Tracer> {
         Rc::new(Tracer {
             sinks: RefCell::new(Vec::new()),
             flight: RefCell::new(VecDeque::with_capacity(64)),
-            flight_cap: Cell::new(DEFAULT_FLIGHT_CAPACITY),
+            flight_cap,
             layer_counts: Layer::ALL
                 .map(|l| metrics.counter(&format!("trace.events.{}", l.label()))),
             flight_len: metrics.gauge("trace.flight.len"),
@@ -249,23 +255,6 @@ impl Tracer {
         self.profiler.borrow().clone()
     }
 
-    /// Resizes the flight-recorder ring; existing overflow is evicted
-    /// oldest-first.
-    pub fn set_flight_capacity(&self, cap: usize) {
-        self.flight_cap.set(cap.max(1));
-        let mut ring = self.flight.borrow_mut();
-        self.evict_to(&mut ring, self.flight_cap.get());
-        self.flight_len.set(ring.len() as f64);
-    }
-
-    /// Evicts oldest-first until `ring` holds at most `len` events.
-    fn evict_to(&self, ring: &mut VecDeque<Event>, len: usize) {
-        while ring.len() > len {
-            ring.pop_front();
-            self.flight_dropped.inc();
-        }
-    }
-
     /// Records one event: bumps the per-layer counter, appends to the
     /// flight ring (evicting the oldest event when full), and fans out to
     /// every live sink. Pure host-side work — never advances virtual time.
@@ -273,10 +262,12 @@ impl Tracer {
         self.layer_counts[ev.layer.index()].inc();
         {
             let mut ring = self.flight.borrow_mut();
-            let before = ring.len();
-            self.evict_to(&mut ring, self.flight_cap.get() - 1);
-            ring.push_back(ev);
-            if ring.len() != before {
+            if ring.len() == self.flight_cap {
+                ring.pop_front();
+                self.flight_dropped.inc();
+                ring.push_back(ev);
+            } else {
+                ring.push_back(ev);
                 self.flight_len.set(ring.len() as f64);
             }
         }
@@ -559,8 +550,7 @@ mod tests {
     #[test]
     fn flight_ring_evicts_oldest_and_counts_drops() {
         let metrics = Rc::new(Metrics::new());
-        let t = Tracer::new(&metrics);
-        t.set_flight_capacity(3);
+        let t = Tracer::with_flight_capacity(&metrics, 3);
         for i in 0..5 {
             t.emit(ev(Layer::Verbs, "post_send", i * 100));
         }

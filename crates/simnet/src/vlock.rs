@@ -30,7 +30,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::trace::{Layer, Tracer, Track};
 
 /// The four counters a [`VLock`] keeps its accounting in (see
-/// [`VLock::with_meters`]). Names follow the per-shard metric family
+/// [`VLock::new`]). Names follow the per-shard metric family
 /// `mc.nodeN.shardS.{ops,lock_wait_ns,lock_hold_ns,contended}`.
 #[derive(Clone, Default)]
 pub struct VLockMeters {
@@ -74,7 +74,7 @@ struct LockState {
 }
 
 /// Tracer binding for `lock_wait`/`lock_hold` spans (see
-/// [`VLock::set_tracer`]).
+/// [`VLock::new`]).
 struct TraceBinding {
     tracer: Rc<Tracer>,
     node: NodeId,
@@ -87,18 +87,16 @@ pub struct VLock {
     sim: Sim,
     state: RefCell<LockState>,
     meters: VLockMeters,
-    trace: RefCell<Option<TraceBinding>>,
+    trace: Option<TraceBinding>,
 }
 
 impl VLock {
-    /// Creates an unlocked lock on `sim`'s clock, counting privately.
-    pub fn new(sim: &Sim) -> Rc<VLock> {
-        VLock::with_meters(sim, VLockMeters::default())
-    }
-
-    /// Creates an unlocked lock on `sim`'s clock that counts in `meters`:
-    /// [`VLock::stats`] reads them, so whoever resets them resets the lock.
-    pub fn with_meters(sim: &Sim, meters: VLockMeters) -> Rc<VLock> {
+    /// Creates an unlocked lock on `sim`'s clock that counts in `meters`
+    /// ([`VLock::stats`] reads them, so whoever resets them resets the
+    /// lock) and, given `trace`, emits `lock_wait`/`lock_hold` spans on
+    /// that tracer as that node. Wait spans are only emitted for contended
+    /// acquires (an uncontended acquire has no wait interval to show).
+    pub fn new(sim: &Sim, meters: VLockMeters, trace: Option<(Rc<Tracer>, NodeId)>) -> Rc<VLock> {
         Rc::new(VLock {
             sim: sim.clone(),
             state: RefCell::new(LockState {
@@ -107,15 +105,8 @@ impl VLock {
                 next_ticket: 0,
             }),
             meters,
-            trace: RefCell::new(None),
+            trace: trace.map(|(tracer, node)| TraceBinding { tracer, node }),
         })
-    }
-
-    /// Emits `lock_wait`/`lock_hold` spans on `tracer` from now on. Wait
-    /// spans are only emitted for contended acquires (an uncontended
-    /// acquire has no wait interval to show).
-    pub fn set_tracer(&self, tracer: Rc<Tracer>, node: NodeId) {
-        *self.trace.borrow_mut() = Some(TraceBinding { tracer, node });
     }
 
     /// Acquires the lock, waiting in FIFO order if it is held. `op` and
@@ -156,7 +147,7 @@ impl VLock {
     fn release(&self, acquired_at: SimTime, op: u64, track: Track) {
         let hold = self.sim.now().saturating_since(acquired_at);
         self.meters.lock_hold_ns.add(hold.as_nanos());
-        if let Some(t) = self.trace.borrow().as_ref() {
+        if let Some(t) = &self.trace {
             t.tracer.end(
                 Layer::Core,
                 "lock_hold",
@@ -212,7 +203,7 @@ impl LockFuture {
         self.lock.meters.ops.inc();
         self.lock.meters.lock_wait_ns.add(wait.as_nanos());
         let now = self.lock.sim.now();
-        if let Some(t) = self.lock.trace.borrow().as_ref() {
+        if let Some(t) = &self.lock.trace {
             t.tracer.begin(
                 Layer::Core,
                 "lock_hold",
@@ -247,7 +238,7 @@ impl Future for LockFuture {
             return if granted {
                 let enq = w.borrow().enqueued_at;
                 let wait = this.lock.sim.now().saturating_since(enq);
-                if let Some(t) = this.lock.trace.borrow().as_ref() {
+                if let Some(t) = &this.lock.trace {
                     t.tracer.end(
                         Layer::Core,
                         "lock_wait",
@@ -289,7 +280,7 @@ impl Future for LockFuture {
             None => Poll::Ready(this.granted(SimDuration::ZERO)),
             Some(w) => {
                 this.lock.meters.contended.inc();
-                if let Some(t) = this.lock.trace.borrow().as_ref() {
+                if let Some(t) = &this.lock.trace {
                     t.tracer.begin(
                         Layer::Core,
                         "lock_wait",
@@ -319,7 +310,7 @@ impl Drop for LockFuture {
             // Granted but never observed: pass ownership on so the lock
             // does not leak held. The wait/hold never happened from the
             // caller's perspective, so only release bookkeeping runs.
-            if let Some(t) = self.lock.trace.borrow().as_ref() {
+            if let Some(t) = &self.lock.trace {
                 t.tracer.end(
                     Layer::Core,
                     "lock_wait",
@@ -344,7 +335,7 @@ impl Drop for LockFuture {
             let ticket = w.borrow().ticket;
             let mut st = self.lock.state.borrow_mut();
             st.queue.retain(|q| q.borrow().ticket != ticket);
-            if let Some(t) = self.lock.trace.borrow().as_ref() {
+            if let Some(t) = &self.lock.trace {
                 t.tracer.end(
                     Layer::Core,
                     "lock_wait",
@@ -385,7 +376,7 @@ mod tests {
     #[test]
     fn uncontended_acquire_is_free() {
         let sim = sim();
-        let lock = VLock::new(&sim);
+        let lock = VLock::new(&sim, VLockMeters::default(), None);
         let s = sim.clone();
         let l = lock.clone();
         sim.block_on(async move {
@@ -406,7 +397,7 @@ mod tests {
     #[test]
     fn contended_waiters_served_fifo() {
         let sim = sim();
-        let lock = VLock::new(&sim);
+        let lock = VLock::new(&sim, VLockMeters::default(), None);
         let order = Rc::new(RefCell::new(Vec::new()));
         // Task i arrives at t = i*10ns and holds for 100ns: all five
         // serialize, and the completion order must match arrival order.
@@ -443,7 +434,7 @@ mod tests {
             lock_hold_ns: reg.counter("mc.node0.shard0.lock_hold_ns"),
             contended: reg.counter("mc.node0.shard0.contended"),
         };
-        let lock = VLock::with_meters(&sim, meters);
+        let lock = VLock::new(&sim, meters, None);
         for _ in 0..2 {
             let s = sim.clone();
             let l = lock.clone();
@@ -467,7 +458,7 @@ mod tests {
     #[test]
     fn dropped_waiter_leaves_queue() {
         let sim = sim();
-        let lock = VLock::new(&sim);
+        let lock = VLock::new(&sim, VLockMeters::default(), None);
         let l = lock.clone();
         let s = sim.clone();
         sim.spawn(async move {
@@ -506,8 +497,8 @@ mod tests {
         let tracer = Tracer::new(&Rc::new(Metrics::new()));
         let rec = EventRecorder::new();
         tracer.add_sink(rec.clone());
-        let lock = VLock::new(&sim);
-        lock.set_tracer(tracer.clone(), NodeId(0));
+        let trace = Some((tracer.clone(), NodeId(0)));
+        let lock = VLock::new(&sim, VLockMeters::default(), trace);
         for i in 1..=3u64 {
             let s = sim.clone();
             let l = lock.clone();

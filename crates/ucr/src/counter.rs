@@ -28,14 +28,16 @@ use crate::UcrError;
 
 pub(crate) struct CtrInner {
     pub id: u64,
-    pub value: Cell<u64>,
-    pub notify: Notify,
+    /// Private with `notify`: outside this file the value can be read
+    /// ([`Counter::value`]) and bumped, nothing else.
+    value: Cell<u64>,
+    notify: Notify,
 }
 
 impl CtrInner {
-    /// The one sanctioned mutation: increment, then wake waiters. All
-    /// bump paths (local and remote, see `Runtime::bump_counter`) must
-    /// go through here so the monotonic value/notify ordering holds.
+    /// The one mutation: increment, then wake waiters. All bump paths
+    /// (local and remote, see `RtInner::bump_counter`) go through here, so
+    /// the value is monotonic and no waiter misses an increment.
     pub(crate) fn bump(&self) {
         self.value.set(self.value.get() + 1);
         self.notify.notify_all();

@@ -12,7 +12,7 @@ use std::rc::{Rc, Weak};
 use simnet::profiles::UCR_EAGER_THRESHOLD;
 use simnet::trace::{Layer, Track};
 use simnet::{EventTarget, NodeId, SimDuration, Slab, SlabKey};
-use verbs::{QueuePair, SendOp, SendWr};
+use verbs::{Access, Mr, QueuePair, SendOp, SendWr};
 
 use crate::counter::Counter;
 use crate::runtime::{Pending, RtInner};
@@ -43,51 +43,6 @@ pub struct SendOptions {
     pub target_ctr: u64,
     /// Bumped locally when the target's completion handler has finished.
     pub completion: Option<Counter>,
-}
-
-/// Borrowed-or-owned payload for one send. Owned payloads are moved all
-/// the way down — into the HCA's gather list (eager) or into the MR
-/// (rendezvous) — with no staging copy; borrowed payloads are staged
-/// exactly as before.
-enum SendBuf<'a> {
-    Borrowed(&'a [u8]),
-    Owned(Vec<u8>),
-}
-
-impl SendBuf<'_> {
-    fn as_slice(&self) -> &[u8] {
-        match self {
-            SendBuf::Borrowed(s) => s,
-            SendBuf::Owned(v) => v,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.as_slice().len()
-    }
-
-    /// Source-buffer identity `(address, length)` — the registration-cache
-    /// key. For borrowed sends this is the caller's buffer, so reusing the
-    /// same buffer across sends hits the cache. Owned sends never cache
-    /// (their address dies with the MR), so their identity is only used
-    /// for tracing.
-    fn ident(&self) -> (usize, usize) {
-        match self {
-            SendBuf::Borrowed(s) => (s.as_ptr() as usize, s.len()),
-            SendBuf::Owned(v) => (v.as_ptr() as usize, v.len()),
-        }
-    }
-
-    fn is_owned(&self) -> bool {
-        matches!(self, SendBuf::Owned(_))
-    }
-
-    fn into_vec(self) -> Vec<u8> {
-        match self {
-            SendBuf::Borrowed(s) => s.to_vec(),
-            SendBuf::Owned(v) => v,
-        }
-    }
 }
 
 /// Stages the wire prefix of a message — packet header, then application
@@ -139,9 +94,9 @@ impl Prefix<'_> {
 
 /// A reply [`Endpoint::post_message`] has staged and not yet handed to
 /// [`EpInner::send_eager`]: it sits out the staging delay here, as a record
-/// a targeted event comes back for, where it used to be a task asleep.
+/// a targeted event comes back for.
 pub(crate) struct Staged {
-    /// Held as the task held it: the runtime outlives what it has staged.
+    /// The runtime outlives what it has staged.
     rt: Rc<RtInner>,
     /// Packet header and application header, with room for `data`.
     head: Vec<u8>,
@@ -203,6 +158,13 @@ pub(crate) struct EpInner {
     /// Replies staged by [`Endpoint::post_message`], until their staging
     /// delay has passed.
     pub(crate) staged: RefCell<Slab<Staged>>,
+    /// Rendezvous sources this endpoint has advertised and its peer has
+    /// not yet acknowledged with a Fin: each stays registered here until
+    /// the Fin names it or the endpoint goes ([`release_sources`]
+    /// (Self::release_sources)), so nothing advertised outlives its
+    /// connection. The `RndvReq` and the Fin carry the slab key plus one
+    /// as [`PacketHeader::token`]: 0 on the wire means "no source".
+    pub(crate) sources: RefCell<Slab<Mr>>,
 }
 
 impl EpInner {
@@ -224,7 +186,23 @@ impl EpInner {
             ud_dest,
             eager: EagerQueue::default(),
             staged: RefCell::new(Slab::new()),
+            sources: RefCell::new(Slab::new()),
         })
+    }
+
+    /// The Fin for the source advertised under wire `token` arrived: the
+    /// target has read it, so it deregisters. A token naming nothing (0,
+    /// or a source already released) is ignored.
+    pub(crate) fn fin_source(&self, token: u64) {
+        if let Some(key) = token.checked_sub(1) {
+            self.sources.borrow_mut().remove(SlabKey::from_token(key));
+        }
+    }
+
+    /// Deregisters everything this endpoint has advertised and not seen a
+    /// Fin for.
+    pub(crate) fn release_sources(&self) {
+        *self.sources.borrow_mut() = Slab::new();
     }
 
     /// The first half of a send, before any time passes: the packet header
@@ -272,7 +250,7 @@ impl EpInner {
         self: &Rc<Self>,
         rt: &RtInner,
         prefix: Prefix<'_>,
-        data: SendBuf<'_>,
+        data: Vec<u8>,
         origin: Option<Counter>,
     ) -> Result<(), UcrError> {
         if self.should_hold() {
@@ -282,18 +260,14 @@ impl EpInner {
             if self.failed.get() {
                 return Err(UcrError::EndpointFailed);
             }
-            self.hold(rt, &prefix, data.as_slice(), origin);
+            self.hold(rt, &prefix, &data, origin);
             rt.stats.messages_sent.inc();
             return Ok(());
         }
-        // Stage header+data into a communication buffer (one copy at this
-        // end, one at the target), single transaction. Owned payloads skip
-        // the staging copy: the buffer rides the HCA's gather list as-is.
+        // Header and data go out as one transaction; the payload rides the
+        // HCA's gather list as it is, and is copied once, at the target.
         let payload = prefix.len() - PACKET_HEADER_BYTES + data.len();
         let head = prefix.into_head(data.len());
-        if data.is_owned() {
-            rt.stats.eager_copy_saved_bytes.add(data.len() as u64);
-        }
         let wr_id = rt.alloc_wr(Pending::EagerSend {
             origin,
             ep: Rc::downgrade(self),
@@ -303,7 +277,7 @@ impl EpInner {
             wr_id,
             SendOp::SendGather {
                 head,
-                data: data.into_vec(),
+                data,
                 imm: None,
             },
         );
@@ -326,6 +300,52 @@ impl EpInner {
         );
         // The completion counter (if any) is bumped when the target's
         // Fin arrives; its id already travels in the packet header.
+        rt.stats.messages_sent.inc();
+        Ok(())
+    }
+
+    /// The second half of a rendezvous send: registers `data` where it is
+    /// and advertises it; the target pulls it with an RDMA read — zero
+    /// copy — and its Fin releases the source (see [`sources`]
+    /// (Self::sources)).
+    fn send_rndv(
+        self: &Rc<Self>,
+        rt: &RtInner,
+        mut pkt: PacketHeader,
+        hdr: &[u8],
+        data: Vec<u8>,
+    ) -> Result<(), UcrError> {
+        pkt.kind = PacketKind::RndvReq;
+        self.flush_held(rt);
+        let len = data.len();
+        rt.stats.mr_cache_misses.inc();
+        let mr = rt.pd.register_with(data, Access::REMOTE_READ);
+        pkt.rkey = mr.rkey();
+        pkt.offset = 0;
+        let source = self.sources.borrow_mut().insert(mr);
+        pkt.token = source.token() + 1;
+        let wr_id = rt.alloc_wr(Pending::CtrlSend {
+            ep: Rc::downgrade(self),
+        });
+        let req = SendWr::new(
+            wr_id,
+            SendOp::SendInline {
+                data: stage_head(&pkt, hdr, 0),
+                imm: None,
+            },
+        );
+        rt.post(&self.qp, req).inspect_err(|_| {
+            self.sources.borrow_mut().remove(source);
+        })?;
+        rt.tracer.instant(
+            Layer::Ucr,
+            "am_send_rndv",
+            rt.node,
+            Track::Endpoint(self.id),
+            wr_id,
+            len as u64,
+            rt.sim.now(),
+        );
         rt.stats.messages_sent.inc();
         Ok(())
     }
@@ -429,14 +449,17 @@ impl EpInner {
         }
     }
 
-    /// Drops whatever is held (endpoint failure, runtime shutdown): each
-    /// message counts as a send failure and its origin counter never
-    /// bumps.
-    pub(crate) fn discard_held(&self, rt: &RtInner) {
+    /// The endpoint is over (a send on it failed, or the runtime shut
+    /// down). Whatever is held is dropped: each message counts as a send
+    /// failure and its origin counter never bumps. Whatever is advertised
+    /// deregisters: no Fin will come for it.
+    pub(crate) fn fail(&self, rt: &RtInner) {
+        self.failed.set(true);
         let q = &self.eager;
         rt.stats.send_failures.add(q.held_msgs.replace(0));
         q.held.borrow_mut().clear();
         q.origins.borrow_mut().clear();
+        self.release_sources();
     }
 
     fn eager_posted(&self, rt: &RtInner) {
@@ -469,7 +492,7 @@ impl EventTarget for EpInner {
         else {
             return;
         };
-        let sent = self.send_eager(&rt, Prefix::Staged(head), SendBuf::Owned(data), origin);
+        let sent = self.send_eager(&rt, Prefix::Staged(head), data, origin);
         if sent.is_err() {
             rt.stats.send_failures.inc();
         }
@@ -534,6 +557,9 @@ impl Endpoint {
     /// posted one whose completion reports an error, and its origin
     /// counter never bumps. The origin counter of a message that shared a
     /// work request bumps when that work request completes.
+    ///
+    /// `data` is copied here, once, and sent as
+    /// [`send_message_owned`](Self::send_message_owned) sends it.
     pub async fn send_message(
         &self,
         msg_id: u16,
@@ -541,19 +567,16 @@ impl Endpoint {
         data: &[u8],
         opts: SendOptions,
     ) -> Result<(), UcrError> {
-        self.send_impl(msg_id, hdr, SendBuf::Borrowed(data), opts)
+        self.send_message_owned(msg_id, hdr, data.to_vec(), opts)
             .await
     }
 
-    /// Like [`send_message`](Self::send_message), but takes ownership of
-    /// `data`, eliminating the per-send payload copy: eager sends hand the
-    /// buffer to the HCA as a gather entry, and rendezvous sends register
-    /// it in place (always a fresh registration — only borrowed buffers,
-    /// whose addresses are stable, participate in the registration
-    /// cache). Saved bytes are counted in the runtime's
-    /// [`RtStats`](crate::RtStats). Resolves, like `send_message`, when the
-    /// message is accepted in order — posted, or queued behind a backed-up
-    /// send queue (where it is staged after all, so nothing is saved).
+    /// [`send_message`](Self::send_message) for a caller that can give
+    /// `data` away: the buffer goes all the way down without a copy — into
+    /// the HCA's gather list (eager), or registered where it is as the
+    /// rendezvous source its `RndvReq` advertises, which this endpoint
+    /// then holds until the target's Fin, or the endpoint's own end,
+    /// releases it.
     pub async fn send_message_owned(
         &self,
         msg_id: u16,
@@ -561,71 +584,25 @@ impl Endpoint {
         data: Vec<u8>,
         opts: SendOptions,
     ) -> Result<(), UcrError> {
-        self.send_impl(msg_id, hdr, SendBuf::Owned(data), opts)
-            .await
-    }
-
-    async fn send_impl(
-        &self,
-        msg_id: u16,
-        hdr: &[u8],
-        data: SendBuf<'_>,
-        opts: SendOptions,
-    ) -> Result<(), UcrError> {
         let inner = &self.inner;
         if inner.failed.get() {
             return Err(UcrError::EndpointFailed);
         }
         let rt = inner.rt.upgrade().ok_or(UcrError::RuntimeGone)?;
-        let sim = rt.sim.clone();
-        let (mut pkt, eager) = inner.plan(&rt, msg_id, hdr.len(), data.len(), &opts)?;
+        let (pkt, eager) = inner.plan(&rt, msg_id, hdr.len(), data.len(), &opts)?;
         if eager {
-            sim.sleep(rt.stage_cost(data.len())).await;
-            return inner.send_eager(&rt, Prefix::Parts(&pkt, hdr), data, opts.origin);
+            rt.sim.sleep(rt.stage_cost(data.len())).await;
+            inner.send_eager(&rt, Prefix::Parts(&pkt, hdr), data, opts.origin)
         } else {
-            // Rendezvous: register the source buffer and advertise it; the
-            // target pulls with RDMA read — zero copy. Repeat borrowed
-            // sends from the same buffer reuse the cached registration
-            // when it is idle; owned buffers register afresh every time.
-            pkt.kind = PacketKind::RndvReq;
-            inner.flush_held(&rt);
-            let ident = data.ident();
-            let owned = data.is_owned();
-            let mr = rt.rndv_mr_for(inner.id, ident, data.into_vec(), owned);
-            pkt.rkey = mr.rkey();
-            pkt.offset = 0;
-            pkt.token = rt.stash_rndv_src(mr);
-            let wr_id = rt.alloc_wr(Pending::CtrlSend {
-                ep: Rc::downgrade(inner),
-            });
-            let req = SendWr::new(
-                wr_id,
-                SendOp::SendInline {
-                    data: stage_head(&pkt, hdr, 0),
-                    imm: None,
-                },
-            );
-            rt.post(&inner.qp, req)
-                .inspect_err(|_| rt.release_rndv_src(pkt.token))?;
-            rt.tracer.instant(
-                Layer::Ucr,
-                "am_send_rndv",
-                rt.node,
-                Track::Endpoint(inner.id),
-                wr_id,
-                ident.1 as u64,
-                sim.now(),
-            );
+            inner.send_rndv(&rt, pkt, hdr, data)
         }
-        rt.stats.messages_sent.inc();
-        Ok(())
     }
 
     /// Fire-and-forget variant usable from inside (synchronous) completion
     /// handlers. An eager message on a reliable endpoint — a server's reply
     /// — is staged in a record of the endpoint and handed on by a targeted
-    /// event once the staging delay has passed (hold or post, exactly as
-    /// [`send_message_owned`](Self::send_message_owned) would after the
+    /// event once the staging delay has passed (hold or post, as
+    /// [`send_message_owned`](Self::send_message_owned) does after the
     /// same delay); a rendezvous or unreliable one is sent by a spawned
     /// task. Either way a message that could not be posted — the endpoint
     /// failed, its queue pair left ready-to-send — counts one
@@ -695,6 +672,7 @@ impl Endpoint {
         }
         self.inner.qp.close();
         self.inner.failed.set(true);
+        self.inner.release_sources();
     }
 }
 

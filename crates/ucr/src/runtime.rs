@@ -37,10 +37,6 @@ use crate::UcrError;
 /// Number of 8 KB network buffers kept posted on the SRQ.
 const RECV_POOL_DEPTH: usize = 128;
 
-/// Default capacity of the rendezvous registration cache (entries per
-/// runtime, across all endpoints).
-const MR_CACHE_CAPACITY: usize = 64;
-
 /// Declares [`RtStats`] from the one list of its counters: each field is
 /// the registry counter `ucr.<net>.nodeN.<field>` and the `stats` line
 /// `ucr_<field>`.
@@ -81,17 +77,14 @@ rt_stats! {
     unknown_msg_dropped,
     /// Send-side failures observed (endpoint faults).
     send_failures,
-    /// Rendezvous registration-cache hits: the source buffer's MR was
-    /// reused instead of registered afresh.
+    /// Always 0: a rendezvous source is registered for its one send and
+    /// never reused, so there is nothing to hit. A field only because
+    /// `benchmark/src/layers.rs` reads it by this name and `benchmark/`
+    /// is not this tree's to edit; ROADMAP direction 4 drops it.
     mr_cache_hits,
-    /// Rendezvous registration-cache misses (fresh registration).
+    /// Rendezvous sources registered: one per rendezvous send. Misnamed
+    /// for the same reason; ROADMAP direction 4 renames it.
     mr_cache_misses,
-    /// Payload bytes moved into the HCA's gather list on the owned eager
-    /// send path instead of being staged through an extra copy.
-    eager_copy_saved_bytes,
-    /// Payload bytes registered in place (buffer moved into the MR) on
-    /// the owned rendezvous send path instead of being copied.
-    rndv_copy_saved_bytes,
     /// Eager receive buffers recycled from the free list instead of
     /// freshly registered.
     recv_bufs_recycled,
@@ -108,10 +101,6 @@ rt_stats! {
     /// Bypass gets that gave up on the one-sided path and fell back to
     /// the AM get (descriptor miss, retry budget exhausted, read error).
     bypass_fallbacks,
-    /// Rendezvous registrations evicted through
-    /// [`UcrRuntime::invalidate_registration`] (the pin-down-cache
-    /// munmap/free hook).
-    mr_cache_invalidations,
     /// Eager messages that rode behind another one in a shared network
     /// buffer (each saved a work request at both HCAs).
     eager_coalesced,
@@ -155,12 +144,6 @@ pub(crate) enum RndvDest {
     Discard(Mr),
 }
 
-/// One rendezvous registration-cache entry: the region plus an LRU tick.
-struct MrCacheEntry {
-    mr: Rc<Mr>,
-    last_use: u64,
-}
-
 pub(crate) struct RtInner {
     pub node: NodeId,
     pub sim: Sim,
@@ -181,14 +164,7 @@ pub(crate) struct RtInner {
     counters: RefCell<HashMap<u64, Weak<CtrInner>>>,
     eps: RefCell<HashMap<u32, Rc<EpInner>>>,
     pending: RefCell<HashMap<u64, Pending>>,
-    rndv_src: RefCell<HashMap<u64, Rc<Mr>>>,
     recv_bufs: RefCell<HashMap<u64, Mr>>,
-    /// Rendezvous registration cache: MRs keyed by `(endpoint, source
-    /// buffer address, length)`, bounded LRU (the MPICH2-lineage pin-down
-    /// cache; see [`RtInner::rndv_mr_for`]).
-    mr_cache: RefCell<HashMap<(u64, usize, usize), MrCacheEntry>>,
-    mr_cache_cap: Cell<usize>,
-    mr_cache_tick: Cell<u64>,
     /// Retired eager receive buffers awaiting re-posting (registration
     /// reuse instead of a fresh MR per message).
     recv_free: RefCell<Vec<Mr>>,
@@ -196,7 +172,6 @@ pub(crate) struct RtInner {
     ud_eps: RefCell<HashMap<(u32, u32), Rc<EpInner>>>,
     next_wr: Cell<u64>,
     next_ctr: Cell<u64>,
-    next_token: Cell<u64>,
     next_ep: Cell<u64>,
     pub stats: RtStats,
     pub(crate) tracer: Rc<Tracer>,
@@ -296,17 +271,12 @@ impl UcrRuntime {
             counters: RefCell::new(HashMap::new()),
             eps: RefCell::new(HashMap::new()),
             pending: RefCell::new(HashMap::new()),
-            rndv_src: RefCell::new(HashMap::new()),
             recv_bufs: RefCell::new(HashMap::new()),
-            mr_cache: RefCell::new(HashMap::new()),
-            mr_cache_cap: Cell::new(MR_CACHE_CAPACITY),
-            mr_cache_tick: Cell::new(0),
             recv_free: RefCell::new(Vec::new()),
             ud_qp: RefCell::new(None),
             ud_eps: RefCell::new(HashMap::new()),
             next_wr: Cell::new(1),
             next_ctr: Cell::new(1),
-            next_token: Cell::new(1),
             next_ep: Cell::new(1),
             stats,
             tracer,
@@ -411,8 +381,7 @@ impl UcrRuntime {
     pub fn shutdown(&self) {
         self.inner.stop.borrow_mut().clear();
         for ep in self.inner.eps.borrow().values() {
-            ep.failed.set(true);
-            ep.discard_held(&self.inner);
+            ep.fail(&self.inner);
             ep.qp.close();
         }
         self.inner.eps.borrow_mut().clear();
@@ -467,55 +436,6 @@ impl UcrRuntime {
     /// Runtime statistics.
     pub fn stats(&self) -> &RtStats {
         &self.inner.stats
-    }
-
-    /// Adjusts the rendezvous registration-cache capacity (entries per
-    /// runtime; 0 disables caching — the ablation baseline). Shrinking
-    /// evicts least-recently-used entries immediately.
-    pub fn set_mr_cache_capacity(&self, cap: usize) {
-        self.inner.mr_cache_cap.set(cap);
-        let mut cache = self.inner.mr_cache.borrow_mut();
-        while cache.len() > cap {
-            let oldest = cache
-                .iter()
-                .min_by_key(|(_, e)| e.last_use)
-                .map(|(k, _)| *k);
-            let Some(k) = oldest else { break };
-            cache.remove(&k);
-        }
-    }
-
-    /// Current number of cached rendezvous registrations.
-    pub fn mr_cache_len(&self) -> usize {
-        self.inner.mr_cache.borrow().len()
-    }
-
-    /// Buffer-free / `munmap` hook for the rendezvous registration cache
-    /// (the classic pin-down-cache invalidation problem): evicts — and
-    /// thereby deregisters — every cached MR covering the buffer identity
-    /// `(addr, len)`, across all endpoints. An application that frees or
-    /// unmaps a buffer it previously sent from MUST call this before the
-    /// address can be reused, otherwise a peer holding the stale rkey
-    /// would keep reading the old pinned pages. Returns the number of
-    /// registrations dropped.
-    pub fn invalidate_registration(&self, addr: usize, len: usize) -> usize {
-        let mut cache = self.inner.mr_cache.borrow_mut();
-        let before = cache.len();
-        cache.retain(|(_, a, l), _| !(*a == addr && *l == len));
-        let dropped = before - cache.len();
-        if dropped > 0 {
-            self.inner.stats.mr_cache_invalidations.add(dropped as u64);
-            self.inner.tracer.instant(
-                simnet::trace::Layer::Ucr,
-                "mr_cache_invalidate",
-                self.inner.node,
-                simnet::trace::Track::Main,
-                addr as u64,
-                dropped as u64,
-                self.inner.sim.now(),
-            );
-        }
-        dropped
     }
 
     /// Number of live endpoints.
@@ -584,98 +504,8 @@ impl RtInner {
         })
     }
 
-    pub(crate) fn stash_rndv_src(&self, mr: Rc<Mr>) -> u64 {
-        let token = self.next_token.get();
-        self.next_token.set(token + 1);
-        self.rndv_src.borrow_mut().insert(token, mr);
-        token
-    }
-
-    /// Releases an advertised rendezvous source: its Fin arrived, or the
-    /// request advertising it was never posted.
-    pub(crate) fn release_rndv_src(&self, token: u64) {
-        self.rndv_src.borrow_mut().remove(&token);
-    }
-
-    /// Looks up (or registers) the rendezvous source MR for a buffer
-    /// advertised to endpoint `ep_id`. The cache key is the source
-    /// buffer's identity (`ident` = address + length) per destination —
-    /// the MPICH2-lineage registration cache the paper's UCR derives
-    /// from. Only *borrowed* sends participate: the caller keeps the
-    /// buffer alive, so its address is a stable identity. Owned payloads
-    /// free their heap allocation when the MR drops, so keying on their
-    /// address would track host-allocator reuse (nondeterministic across
-    /// machines and runs), not the simulation — they always register
-    /// afresh, with the buffer moved in (zero copy).
-    ///
-    /// On a hit the region's contents are refreshed from `data` — but
-    /// only when the registration is idle. A strong count above the
-    /// cache's own reference means a previous send from this buffer
-    /// still holds its advertise token (the target's RDMA read may be
-    /// in flight), and rewriting the region would corrupt that
-    /// transfer's payload; such busy entries are replaced by a fresh
-    /// registration (counted as a miss), while the displaced MR lives on
-    /// via its token until the Fin drops it. On a miss the least
-    /// recently used entry beyond capacity is evicted. Cached MRs stay
-    /// registered across the Fin that releases the per-send token; only
-    /// eviction (or endpoint teardown) deregisters them.
-    pub(crate) fn rndv_mr_for(
-        &self,
-        ep_id: u64,
-        ident: (usize, usize),
-        data: Vec<u8>,
-        owned: bool,
-    ) -> Rc<Mr> {
-        let cap = self.mr_cache_cap.get();
-        let tick = self.mr_cache_tick.get() + 1;
-        self.mr_cache_tick.set(tick);
-        let cacheable = cap > 0 && !owned;
-        let key = (ep_id, ident.0, ident.1);
-        if cacheable {
-            if let Some(entry) = self.mr_cache.borrow_mut().get_mut(&key) {
-                if Rc::strong_count(&entry.mr) == 1 {
-                    entry.mr.write_at(0, &data);
-                    entry.last_use = tick;
-                    self.stats.mr_cache_hits.inc();
-                    return entry.mr.clone();
-                }
-            }
-        }
-        self.stats.mr_cache_misses.inc();
-        if owned {
-            self.stats.rndv_copy_saved_bytes.add(data.len() as u64);
-        }
-        let mr = Rc::new(self.pd.register_with(data, Access::REMOTE_READ));
-        if cacheable {
-            let mut cache = self.mr_cache.borrow_mut();
-            cache.insert(
-                key,
-                MrCacheEntry {
-                    mr: mr.clone(),
-                    last_use: tick,
-                },
-            );
-            while cache.len() > cap {
-                let oldest = cache
-                    .iter()
-                    .min_by_key(|(_, e)| e.last_use)
-                    .map(|(k, _)| *k);
-                let Some(k) = oldest else { break };
-                cache.remove(&k);
-            }
-        }
-        mr
-    }
-
     pub(crate) fn drop_endpoint(&self, qpn: u32) {
-        let ep = self.eps.borrow_mut().remove(&qpn);
-        if let Some(ep) = ep {
-            // Pinned registrations advertised to this endpoint are no
-            // longer reachable; release them.
-            self.mr_cache
-                .borrow_mut()
-                .retain(|(id, _, _), _| *id != ep.id);
-        }
+        self.eps.borrow_mut().remove(&qpn);
     }
 
     /// Largest UD payload (UCR packet header + app header + data) that
@@ -940,9 +770,7 @@ impl RtInner {
                 self.retire_recv_buffer(buf);
                 self.bump_counter(pkt.origin_ctr);
                 self.bump_counter(pkt.completion_ctr);
-                if pkt.token != 0 {
-                    self.release_rndv_src(pkt.token);
-                }
+                ep.inner.fin_source(pkt.token);
             }
         }
     }
@@ -1148,9 +976,8 @@ impl RtInner {
     fn fail_ep(&self, ep: &Weak<EpInner>) {
         self.stats.send_failures.inc();
         if let Some(ep) = ep.upgrade() {
-            ep.failed.set(true);
-            ep.discard_held(self);
-            self.eps.borrow_mut().remove(&ep.qp.qpn());
+            ep.fail(self);
+            self.drop_endpoint(ep.qp.qpn());
             self.tracer.instant(
                 Layer::Ucr,
                 "ep_failed",
@@ -1197,32 +1024,52 @@ mod tests {
     use crate::endpoint::SendOptions;
     use crate::handler::FnHandler;
 
+    const PORT: u16 = 11211;
+    const MSG: u16 = 1;
+    const TIMEOUT: SimDuration = SimDuration::from_millis(100);
+
+    /// Two runtimes on cluster B with a handler for `MSG` that does nothing,
+    /// and a connection between them: the world, the accepting runtime
+    /// (node 1), the connecting one (node 0), its endpoint and the accepted
+    /// endpoint.
+    fn connected(seed: u64) -> (Rc<Cluster>, UcrRuntime, UcrRuntime, Endpoint, Endpoint) {
+        let cluster = Rc::new(Cluster::cluster_b(seed, 2));
+        let fabric = IbFabric::new(cluster.clone());
+        let server = UcrRuntime::new(&fabric, NodeId(1));
+        let client = UcrRuntime::new(&fabric, NodeId(0));
+        for rt in [&server, &client] {
+            rt.register_handler(MSG, FnHandler(|_: &Endpoint, _: &[u8], _: AmData| {}));
+        }
+        let listener = server.listen(PORT).expect("port free");
+        let connecting = client.clone();
+        let (ep, peer) = cluster.sim().block_on(async move {
+            let accepted = connecting
+                .sim()
+                .spawn(async move { listener.accept().await });
+            let ep = connecting.connect(NodeId(1), PORT, TIMEOUT).await;
+            (ep.expect("up"), accepted.await.expect("accepted"))
+        });
+        (cluster, server, client, ep, peer)
+    }
+
+    /// What a send can leave behind at its sender: work requests awaiting a
+    /// completion, sources `ep` has advertised, regions registered.
+    fn send_tables(rt: &UcrRuntime, ep: &Endpoint) -> (usize, usize, usize) {
+        (
+            rt.inner.pending.borrow().len(),
+            ep.inner.sources.borrow().len(),
+            rt.inner.hca.registered_regions(),
+        )
+    }
+
     /// A send whose post the queue pair refuses is withdrawn whole: no
     /// pending entry, advertised source or registration outlives it.
     #[test]
     fn refused_posts_leave_nothing_behind() {
-        const PORT: u16 = 11211;
-        const MSG: u16 = 1;
         const N: usize = 8;
-        let cluster = Rc::new(Cluster::cluster_b(21, 2));
-        let fabric = IbFabric::new(cluster.clone());
-        let server = UcrRuntime::new(&fabric, NodeId(1));
-        server.register_handler(MSG, FnHandler(|_: &Endpoint, _: &[u8], _: AmData| {}));
-        let listener = server.listen(PORT).expect("port free");
-        let client = UcrRuntime::new(&fabric, NodeId(0));
-        let rt = client.inner.clone();
-        let tables = move || {
-            (
-                rt.pending.borrow().len(),
-                rt.rndv_src.borrow().len(),
-                rt.hca.registered_regions(),
-            )
-        };
+        let (cluster, _server, client, ep, _peer) = connected(21);
         cluster.sim().block_on(async move {
-            let accepted = server.sim().spawn(async move { listener.accept().await });
-            let timeout = SimDuration::from_millis(100);
-            let ep = client.connect(NodeId(1), PORT, timeout).await.expect("up");
-            let _peer = accepted.await.expect("accepted");
+            let tables = || send_tables(&client, &ep);
             // One round trip each way first, so the baseline is a settled
             // runtime and not an empty one.
             let done = client.counter();
@@ -1237,7 +1084,7 @@ mod tests {
             ep.send_message_owned(MSG, b"h", large.clone(), opts())
                 .await
                 .expect("rendezvous");
-            done.wait_for(2, timeout).await.expect("both Fins");
+            done.wait_for(2, TIMEOUT).await.expect("both Fins");
             let baseline = tables();
 
             // The queue pair leaves ready-to-send under a live endpoint: the
@@ -1260,34 +1107,72 @@ mod tests {
         });
     }
 
+    /// A source whose Fin will never come goes with the endpoint that
+    /// advertised it: when the endpoint fails, or — where the request was
+    /// delivered, so that nothing ever reports a failure — when it is closed.
+    #[test]
+    fn an_advertised_source_goes_with_its_endpoint() {
+        /// The peer's process exits when the first rendezvous request
+        /// reaches its header handler: delivered, never read.
+        struct ExitOnHeader(Weak<RtInner>);
+        impl AmHandler for ExitOnHeader {
+            fn on_header(&self, _: &Endpoint, _: &[u8], _: usize) -> AmDest {
+                if let Some(rt) = self.0.upgrade() {
+                    UcrRuntime::from_inner(rt).shutdown();
+                }
+                AmDest::Discard
+            }
+            fn on_complete(&self, _: &Endpoint, _: &[u8], _: AmData) {}
+        }
+        /// Advertises `sends` sources to a peer that exits on the first
+        /// header (`delivered`) or before any request arrives, runs the
+        /// world dry, and checks what the sender still pins.
+        fn run(sends: usize, delivered: bool) {
+            let (cluster, server, client, ep, _peer) = connected(34);
+            server.register_handler(MSG, ExitOnHeader(Rc::downgrade(&server.inner)));
+            cluster.sim().block_on(async move {
+                let tables = || send_tables(&client, &ep);
+                let baseline = tables();
+                let large = vec![7u8; 2 * client.eager_threshold()];
+                for _ in 0..sends {
+                    ep.send_message_owned(MSG, b"h", large.clone(), SendOptions::default())
+                        .await
+                        .expect("advertised");
+                }
+                assert_eq!(tables().1, baseline.1 + sends);
+                if !delivered {
+                    server.shutdown();
+                }
+                // Well past the RC retry budget.
+                client.sim().sleep(SimDuration::from_millis(5)).await;
+                assert_eq!(ep.is_failed(), !delivered);
+                if delivered {
+                    // The sender cannot know the read will never come.
+                    assert_eq!(tables().1, baseline.1 + sends);
+                    ep.close();
+                }
+                assert_eq!(tables(), baseline);
+            });
+        }
+        run(1, true);
+        run(8, false);
+    }
+
     /// What `post_message` staged or spawned and then could not post counts
     /// one `send_failures` per message — on the record path (eager) and
     /// the task path (rendezvous) alike — and leaves no record, pending
     /// entry, advertised source or registration behind.
     #[test]
     fn a_reply_that_cannot_be_posted_counts_once_and_leaves_nothing_behind() {
-        const PORT: u16 = 11211;
-        const MSG: u16 = 1;
         const N: u64 = 8;
         /// Posts `N` replies of `len` bytes from the accepting side, breaks
         /// the connection with `fault` before any of them is past its
         /// staging delay, runs the world dry, and returns the accepting
         /// runtime's `send_failures`.
         fn failures_after(len: usize, fault: impl FnOnce(&UcrRuntime, &Endpoint) + 'static) -> u64 {
-            let cluster = Rc::new(Cluster::cluster_b(33, 2));
-            let fabric = IbFabric::new(cluster.clone());
-            let server = UcrRuntime::new(&fabric, NodeId(1));
-            let client = UcrRuntime::new(&fabric, NodeId(0));
-            for rt in [&server, &client] {
-                rt.register_handler(MSG, FnHandler(|_: &Endpoint, _: &[u8], _: AmData| {}));
-            }
-            let listener = server.listen(PORT).expect("port free");
+            let (cluster, server, client, ep, peer) = connected(33);
             let srv = server.clone();
             cluster.sim().block_on(async move {
-                let accepted = srv.sim().spawn(async move { listener.accept().await });
-                let timeout = SimDuration::from_millis(100);
-                let ep = client.connect(NodeId(1), PORT, timeout).await.expect("up");
-                let peer = accepted.await.expect("accepted");
                 // One message in first, so the baseline is a settled
                 // receive pool and not a fresh one.
                 let done = client.counter();
@@ -1298,18 +1183,10 @@ mod tests {
                 ep.send_message(MSG, b"h", b"warm", opts)
                     .await
                     .expect("eager");
-                done.wait_for(1, timeout).await.expect("its Fin");
+                done.wait_for(1, TIMEOUT).await.expect("its Fin");
                 let settle = SimDuration::from_millis(5);
                 srv.sim().sleep(settle).await;
-                let rt = srv.inner.clone();
-                let tables = || {
-                    (
-                        peer.inner.staged.borrow().len(),
-                        rt.pending.borrow().len(),
-                        rt.rndv_src.borrow().len(),
-                        rt.hca.registered_regions(),
-                    )
-                };
+                let tables = || (peer.inner.staged.borrow().len(), send_tables(&srv, &peer));
                 let baseline = tables();
                 assert_eq!(baseline.0, 0);
                 for _ in 0..N {
@@ -1333,6 +1210,7 @@ mod tests {
         // The peer's process exits: the replies are posted, and each comes
         // back as an error completion.
         assert_eq!(failures_after(SMALL, |client, _| client.shutdown()), N);
+        assert_eq!(failures_after(LARGE, |client, _| client.shutdown()), N);
         // The queue pair leaves ready-to-send between the worker's send and
         // the post: each reply is refused.
         assert_eq!(failures_after(SMALL, |_, peer| peer.inner.qp.close()), N);

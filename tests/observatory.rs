@@ -5,8 +5,6 @@
 //! watermarks, and the plain `stats` report pins the UCR runtime
 //! counters the paper's optimisations are judged by.
 
-use std::rc::Rc;
-
 use rdma_memcached::rmc::{
     McClient, McClientConfig, McServer, McServerConfig, ObservatoryConfig, SloObjective, Transport,
     World,
@@ -61,22 +59,26 @@ fn run_workload(world: &World, client: McClient) -> u64 {
 fn sampling_adds_no_virtual_time_and_captures_series() {
     let run = |sampled: bool| {
         let (world, _server, client) = ucr_world(91);
+        let binding = sampled.then(|| MonitorBinding {
+            monitor: HealthMonitor::new(
+                HealthRules::default(),
+                NodeId(1),
+                Some(world.cluster.tracer().clone()),
+                None,
+            ),
+            throughput_counter: "client.node1.ops_completed".into(),
+            queue_gauge: "client.node1.inflight".into(),
+            latency_hist: None,
+            error_counter: None,
+            slos: Vec::new(),
+        });
         let sampler = Sampler::new(
             world.sim(),
             world.cluster.metrics(),
             SamplerConfig::default(),
+            binding,
         );
         if sampled {
-            let monitor = HealthMonitor::new(HealthRules::default(), NodeId(1));
-            monitor.set_tracer(Some(world.cluster.tracer().clone()));
-            sampler.bind_monitor(MonitorBinding {
-                monitor: Rc::clone(&monitor),
-                throughput_counter: "client.node1.ops_completed".into(),
-                queue_gauge: "client.node1.inflight".into(),
-                latency_hist: None,
-                error_counter: None,
-                slos: Vec::new(),
-            });
             sampler.start();
         }
         let end = run_workload(&world, client);
@@ -336,8 +338,8 @@ fn plain_stats_pins_ucr_runtime_counters() {
     let (world, _server, client) = ucr_world(94);
     let sim = world.sim().clone();
     sim.block_on(async move {
-        // A large set rides the rendezvous path (registration cache);
-        // small ops ride eager (recv-pool recycling).
+        // A large set rides the rendezvous path (one source registration
+        // each); small ops ride eager (recv-pool recycling).
         client.set(b"big", &[9u8; 64 * 1024], 0, 0).await.unwrap();
         client.set(b"big", &[9u8; 64 * 1024], 0, 0).await.unwrap();
         for _ in 0..8 {
@@ -358,8 +360,6 @@ fn plain_stats_pins_ucr_runtime_counters() {
         assert!(lookup("ucr_messages_sent") > 0);
         assert!(lookup("ucr_mr_cache_hits") + lookup("ucr_mr_cache_misses") > 0);
         assert!(lookup("ucr_recv_bufs_recycled") > 0);
-        let _ = lookup("ucr_eager_copy_saved_bytes");
-        let _ = lookup("ucr_rndv_copy_saved_bytes");
         assert!(lookup("ucr_progress_wakes") > 0);
         assert!(lookup("ucr_progress_completions") > 0);
     });

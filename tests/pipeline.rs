@@ -1,7 +1,7 @@
 //! Acceptance tests for the pipelined request engine: out-of-order
 //! response correlation on one connection, the batch APIs over both
 //! transport families (including rendezvous-size values mid-pipeline),
-//! the UCR rendezvous registration cache's hit/miss accounting, the
+//! a rendezvous source belonging to the send that advertised it, the
 //! invariants the engine must preserve — tracing still costs zero
 //! virtual time and equal seeds give equal clocks — and UCR's eager
 //! coalescing as the pipelined workloads see it: absent at depth 1, past
@@ -142,146 +142,10 @@ fn pipelined_batches_work_over_sockets() {
     }
 }
 
-/// Rendezvous registration-cache accounting, driven at the UCR layer:
-/// repeated large sends from one source buffer register once and hit
-/// thereafter; with the cache disabled every send is a fresh miss.
-#[test]
-fn registration_cache_counts_hits_and_misses() {
-    let run = |cache_capacity: usize, sends: u32| {
-        const MSG: u16 = 7;
-        const PORT: u16 = 9099;
-        let world = World::cluster_b(74, 2);
-        let sim = world.sim().clone();
-        let srv = ucr::UcrRuntime::new(&world.ib, NodeId(0));
-        srv.register_handler(
-            MSG,
-            ucr::FnHandler(|_: &ucr::Endpoint, _: &[u8], _: ucr::AmData| {}),
-        );
-        let listener = srv.listen(PORT).unwrap();
-        sim.spawn(async move {
-            let mut eps = Vec::new();
-            while let Ok(ep) = listener.accept().await {
-                eps.push(ep);
-            }
-        });
-        let cli = ucr::UcrRuntime::new(&world.ib, NodeId(1));
-        cli.set_mr_cache_capacity(cache_capacity);
-        let cli2 = cli.clone();
-        sim.block_on(async move {
-            let timeout = SimDuration::from_millis(250);
-            let ep = cli2.connect(NodeId(0), PORT, timeout).await.unwrap();
-            let buf = vec![5u8; 64 * 1024];
-            assert!(buf.len() > cli2.eager_threshold());
-            for _ in 0..sends {
-                let ctr = cli2.counter();
-                ep.send_message(
-                    MSG,
-                    b"",
-                    &buf,
-                    ucr::SendOptions {
-                        completion: Some(ctr.clone()),
-                        ..Default::default()
-                    },
-                )
-                .await
-                .unwrap();
-                ctr.wait_for(1, timeout).await.unwrap();
-            }
-            let st = cli2.stats();
-            (st.mr_cache_hits.get(), st.mr_cache_misses.get())
-        })
-    };
-
-    // One registration, then pure hits, from the same buffer.
-    assert_eq!(run(64, 16), (15, 1));
-    // Capacity 0 disables the cache: every send registers afresh.
-    assert_eq!(run(0, 16), (0, 16));
-}
-
-/// Pin-down regression: once a buffer is "freed" (its registration
-/// invalidated through the buffer-free hook), the cached MR must be
-/// deregistered and evicted — a later send from reused memory at the
-/// same address must register afresh instead of reading through the
-/// stale cached MR.
-#[test]
-fn invalidated_registration_is_never_reused() {
-    const MSG: u16 = 7;
-    const PORT: u16 = 9099;
-    let world = World::cluster_b(75, 2);
-    let sim = world.sim().clone();
-    let srv = ucr::UcrRuntime::new(&world.ib, NodeId(0));
-    srv.register_handler(
-        MSG,
-        ucr::FnHandler(|_: &ucr::Endpoint, _: &[u8], _: ucr::AmData| {}),
-    );
-    let listener = srv.listen(PORT).unwrap();
-    sim.spawn(async move {
-        let mut eps = Vec::new();
-        while let Ok(ep) = listener.accept().await {
-            eps.push(ep);
-        }
-    });
-    let cli = ucr::UcrRuntime::new(&world.ib, NodeId(1));
-    cli.set_mr_cache_capacity(64);
-    let cli2 = cli.clone();
-    sim.block_on(async move {
-        let timeout = SimDuration::from_millis(250);
-        let ep = cli2.connect(NodeId(0), PORT, timeout).await.unwrap();
-        let buf = vec![5u8; 64 * 1024];
-        assert!(buf.len() > cli2.eager_threshold());
-        // One send from `buf`, completion-awaited, so the registration is
-        // idle (reusable) when the next send looks it up.
-        macro_rules! send_buf {
-            () => {{
-                let ctr = cli2.counter();
-                ep.send_message(
-                    MSG,
-                    b"",
-                    &buf,
-                    ucr::SendOptions {
-                        completion: Some(ctr.clone()),
-                        ..Default::default()
-                    },
-                )
-                .await
-                .unwrap();
-                ctr.wait_for(1, timeout).await.unwrap();
-            }};
-        }
-
-        // Populate the cache, then hit it.
-        send_buf!();
-        send_buf!();
-        let st = cli2.stats();
-        assert_eq!((st.mr_cache_hits.get(), st.mr_cache_misses.get()), (1, 1));
-        assert_eq!(cli2.mr_cache_len(), 1);
-
-        // The application frees the buffer: the hook must deregister and
-        // evict the cached MR immediately.
-        let evicted = cli2.invalidate_registration(buf.as_ptr() as usize, buf.len());
-        assert_eq!(evicted, 1, "exactly the freed buffer's MR evicted");
-        assert_eq!(cli2.mr_cache_len(), 0);
-        assert_eq!(st.mr_cache_invalidations.get(), 1);
-
-        // Memory reused at the same address must not resolve to the
-        // stale registration: the next send is a fresh miss.
-        send_buf!();
-        assert_eq!((st.mr_cache_hits.get(), st.mr_cache_misses.get()), (1, 2));
-        assert_eq!(cli2.mr_cache_len(), 1);
-
-        // Invalidating an address the cache has never seen is a no-op.
-        assert_eq!(cli2.invalidate_registration(0xdead_0000, 4096), 0);
-        assert_eq!(st.mr_cache_invalidations.get(), 1);
-    });
-}
-
-/// Overlapping rendezvous sends from one borrowed buffer must not share
-/// one registration: the first transfer's advertise token is still
-/// outstanding when the second send rewrites the source buffer, so the
-/// cache must fall back to a fresh registration instead of rewriting the
-/// region the target is about to RDMA-read. Each message arrives with
-/// the payload it was sent with, and only an idle registration counts as
-/// a hit.
+/// Overlapping rendezvous sends from one buffer each own their source:
+/// the first transfer is only advertised when the caller rewrites the
+/// buffer and sends again, and the target must still read what the first
+/// send was given. Each message arrives with the payload it was sent with.
 #[test]
 fn busy_cached_registration_is_not_rewritten() {
     use std::cell::RefCell;
@@ -330,8 +194,7 @@ fn busy_cached_registration_is_not_rewritten() {
         .await
         .unwrap();
         // The first transfer is only advertised so far; rewrite the
-        // source buffer and send again from the same address while its
-        // token is still outstanding.
+        // buffer and send again from the same address before its Fin.
         buf.iter_mut().for_each(|b| *b = 2);
         let c2 = cli2.counter();
         ep.send_message(
@@ -348,34 +211,13 @@ fn busy_cached_registration_is_not_rewritten() {
         c1.wait_for(1, timeout).await.unwrap();
         c2.wait_for(1, timeout).await.unwrap();
 
-        {
-            let got = received.borrow();
-            assert_eq!(got.len(), 2);
-            assert!(
-                got[0].iter().all(|&b| b == 1),
-                "first transfer must deliver the payload it advertised"
-            );
-            assert!(got[1].iter().all(|&b| b == 2));
-        }
-
-        // Both sends registered afresh: the second found the cached
-        // registration busy. A third send from the now-idle buffer hits.
-        let st = cli2.stats();
-        assert_eq!((st.mr_cache_hits.get(), st.mr_cache_misses.get()), (0, 2));
-        let c3 = cli2.counter();
-        ep.send_message(
-            MSG,
-            b"",
-            &buf,
-            ucr::SendOptions {
-                completion: Some(c3.clone()),
-                ..Default::default()
-            },
-        )
-        .await
-        .unwrap();
-        c3.wait_for(1, timeout).await.unwrap();
-        assert_eq!((st.mr_cache_hits.get(), st.mr_cache_misses.get()), (1, 2));
+        let got = received.borrow();
+        assert_eq!(got.len(), 2);
+        assert!(
+            got[0].iter().all(|&b| b == 1),
+            "first transfer must deliver the payload it advertised"
+        );
+        assert!(got[1].iter().all(|&b| b == 2));
     });
 }
 

@@ -74,13 +74,7 @@ fn ucr_paths_decompose_exactly_under_global_lock() {
             ..McServerConfig::default()
         },
     );
-    let profiler = Profiler::attach(
-        world.cluster.tracer(),
-        ProfilerConfig {
-            keep_paths: true,
-            ..ProfilerConfig::default()
-        },
-    );
+    let profiler = Profiler::attach(world.cluster.tracer(), ProfilerConfig { keep_paths: true });
     let sim = world.sim().clone();
     sim.block_on(async move {
         client.set(b"k", &[7u8; 256], 0, 0).await.unwrap();
@@ -146,13 +140,7 @@ fn sockets_paths_decompose_exactly_via_single_op_fallback() {
     };
     assert_eq!(off, vec![("profiler".to_string(), "off".to_string())]);
 
-    let profiler = Profiler::attach(
-        world.cluster.tracer(),
-        ProfilerConfig {
-            keep_paths: true,
-            ..ProfilerConfig::default()
-        },
-    );
+    let profiler = Profiler::attach(world.cluster.tracer(), ProfilerConfig { keep_paths: true });
     sim.block_on(async move {
         client.set(b"k", &[9u8; 128], 0, 0).await.unwrap();
         for _ in 0..20 {

@@ -77,7 +77,7 @@ fn run(wire: Wire, watch: Watch) -> Run {
     let metrics = world.cluster.metrics().clone();
 
     let recorder = EventRecorder::new();
-    let sampler = Sampler::new(world.sim(), &metrics, SamplerConfig::default());
+    let sampler = Sampler::new(world.sim(), &metrics, SamplerConfig::default(), None);
     if watch != Watch::Nobody {
         tracer.add_sink(recorder.clone());
         sampler.start();

@@ -114,7 +114,6 @@ fn tracing_adds_no_virtual_time() {
         let recorder = EventRecorder::new();
         if traced {
             world.cluster.tracer().add_sink(recorder.clone());
-            world.cluster.tracer().set_flight_capacity(8);
         }
         let sim = world.sim().clone();
         let sim2 = sim.clone();
@@ -155,7 +154,6 @@ fn bypass_tracing_adds_no_virtual_time() {
         let recorder = EventRecorder::new();
         if traced {
             world.cluster.tracer().add_sink(recorder.clone());
-            world.cluster.tracer().set_flight_capacity(8);
         }
         let sim = world.sim().clone();
         let sim2 = sim.clone();
