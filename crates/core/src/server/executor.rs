@@ -14,10 +14,10 @@ use std::collections::BTreeMap;
 use std::ops::Range;
 use std::rc::Rc;
 
-use mcstore::{NumericError, SegmentedStore, SetOutcome, ShardRouter, Value};
+use mcstore::{NumericError, SegmentedStore, SetOutcome, ShardRouter, Store, Value};
 use simnet::metrics::{Histogram, Metrics};
 use simnet::trace::{Event, Layer, Phase, Track};
-use simnet::vlock::{VLock, VLockGuard, VLockMeters, VLockStats};
+use simnet::vlock::{Held, VLockMeters, VLockStats, VLockTable};
 use simnet::{NodeId, Sim, SimDuration, SimTime, Tracer};
 use ucr::UcrRuntime;
 
@@ -52,24 +52,13 @@ impl OpId {
     }
 }
 
-/// The store locks a request holds, in acquisition order. A keyed request
-/// holds one, kept inline: only a request touching every shard
-/// (`flush_all`, `stats`) allocates. Fields drop in declaration order, so
-/// the guards are released in the order they were taken — release order
-/// decides which waiter is handed a lock first, and with it the schedule.
-#[derive(Default)]
-pub(super) struct Held {
-    first: Option<VLockGuard>,
-    rest: Vec<VLockGuard>,
-}
-
 /// Store, locks, cost model and telemetry of one server.
 pub(super) struct Executor {
     store: RefCell<SegmentedStore>,
     router: ShardRouter,
     /// Virtual-time locks guarding store access: none when the store is
     /// unlocked, else one per shard.
-    locks: Vec<Rc<VLock>>,
+    locks: VLockTable,
     worker_fixed: SimDuration,
     hash_lookup: SimDuration,
     /// Item-directory mirrors for the bypass-GET path, one per RDMA
@@ -116,18 +105,16 @@ impl Executor {
         // tracer bindings, and the default model must leave every
         // observable surface untouched.
         let lock_count = if locked { router.count() } else { 0 };
-        let locks: Vec<Rc<VLock>> = (0..lock_count)
-            .map(|s| {
-                let prefix = format!("mc.node{}.shard{}", node.0, s);
-                let meters = VLockMeters {
-                    ops: metrics.counter(&format!("{prefix}.ops")),
-                    lock_wait_ns: metrics.counter(&format!("{prefix}.lock_wait_ns")),
-                    lock_hold_ns: metrics.counter(&format!("{prefix}.lock_hold_ns")),
-                    contended: metrics.counter(&format!("{prefix}.contended")),
-                };
-                VLock::new(&sim, meters, Some((tracer.clone(), node)))
-            })
-            .collect();
+        let meters = (0..lock_count).map(|s| {
+            let prefix = format!("mc.node{}.shard{}", node.0, s);
+            VLockMeters {
+                ops: metrics.counter(&format!("{prefix}.ops")),
+                lock_wait_ns: metrics.counter(&format!("{prefix}.lock_wait_ns")),
+                lock_hold_ns: metrics.counter(&format!("{prefix}.lock_hold_ns")),
+                contended: metrics.counter(&format!("{prefix}.contended")),
+            }
+        });
+        let locks = VLockTable::new(&sim, meters, Some((tracer.clone(), node)));
         let profile = world.profile();
         Executor {
             store: RefCell::new(store),
@@ -297,19 +284,11 @@ impl Executor {
         (self.router.count() > 1).then(|| self.router.index(key))
     }
 
-    /// Acquires the locks of `shards` in ascending order (a range walks
-    /// that way: the deadlock-free total order), then charges the per-key
-    /// hash/item cost *inside* the critical section — that is the
-    /// serialized portion of upstream memcached's `cache_lock`.
+    /// Acquires the locks of `shards` ([`VLockTable::lock`]), then charges
+    /// the per-key hash/item cost *inside* the critical section — that is
+    /// the serialized portion of upstream memcached's `cache_lock`.
     async fn lock_shards(&self, shards: Range<usize>, keys: usize, op: u64, track: Track) -> Held {
-        let mut held = Held::default();
-        for lock in &self.locks[shards] {
-            let guard = lock.lock(op, track).await;
-            match held.first {
-                None => held.first = Some(guard),
-                Some(_) => held.rest.push(guard),
-            }
-        }
+        let held = self.locks.lock(shards, op, track).await;
         self.sim.sleep(self.hash_lookup * keys.max(1) as u64).await;
         held
     }
@@ -411,7 +390,7 @@ impl Executor {
     }
 
     pub(super) fn lock_stats(&self) -> Vec<VLockStats> {
-        self.locks.iter().map(|l| l.stats()).collect()
+        self.locks.stats()
     }
 }
 
@@ -448,20 +427,17 @@ fn fetch(
     }));
 }
 
-/// One storage verb. A stored item's fresh CAS token comes from a
-/// read-only `locate`: no hit counted, no LRU bump, no value copy.
-fn store_item(store: &mut SegmentedStore, req: &Request<'_>, now: u32) -> Reply {
-    let (key, value, flags, exptime) = (req.key(), req.value, req.flags, req.exptime);
+/// One storage verb, `verb`, run on the store owning `key`. A stored
+/// item's fresh CAS token comes from a read-only `locate`: no hit counted,
+/// no LRU bump, no value copy.
+fn store_item(
+    store: &mut SegmentedStore,
+    key: &[u8],
+    now: u32,
+    verb: impl FnOnce(&mut Store) -> SetOutcome,
+) -> Reply {
     let shard = store.segment_for(key);
-    let outcome = match req.op {
-        McOp::Set => shard.set(key, value, flags, exptime, now),
-        McOp::Add => shard.add(key, value, flags, exptime, now),
-        McOp::Replace => shard.replace(key, value, flags, exptime, now),
-        McOp::Append => shard.append(key, value, now),
-        McOp::Prepend => shard.prepend(key, value, now),
-        McOp::Cas => shard.cas(key, value, flags, exptime, req.cas, now),
-        op => unreachable!("{op:?} is not a storage verb"),
-    };
+    let outcome = verb(shard);
     let cas = match outcome {
         SetOutcome::Stored => shard.locate(key, now).map_or(0, |item| item.cas),
         _ => 0,
@@ -479,7 +455,7 @@ pub(super) fn execute(
     now: u32,
     stats: impl FnOnce(&mut SegmentedStore, &[u8]) -> Vec<(String, String)>,
 ) -> Reply {
-    let key = req.key();
+    let (key, value, flags, exptime) = (req.key(), req.value, req.flags, req.exptime);
     match req.op {
         McOp::Get => Reply::Value(store.segment_for(key).get(key, now)),
         McOp::Mget => {
@@ -487,9 +463,16 @@ pub(super) fn execute(
             fetch(store, req.keys, 0..req.keys.len(), now, &mut hits);
             Reply::Values(hits)
         }
-        McOp::Set | McOp::Add | McOp::Replace | McOp::Append | McOp::Prepend | McOp::Cas => {
-            store_item(store, req, now)
-        }
+        McOp::Set => store_item(store, key, now, |s| s.set(key, value, flags, exptime, now)),
+        McOp::Add => store_item(store, key, now, |s| s.add(key, value, flags, exptime, now)),
+        McOp::Replace => store_item(store, key, now, |s| {
+            s.replace(key, value, flags, exptime, now)
+        }),
+        McOp::Append => store_item(store, key, now, |s| s.append(key, value, now)),
+        McOp::Prepend => store_item(store, key, now, |s| s.prepend(key, value, now)),
+        McOp::Cas => store_item(store, key, now, |s| {
+            s.cas(key, value, flags, exptime, req.cas, now)
+        }),
         McOp::Delete => Reply::Found(store.segment_for(key).delete(key, now)),
         McOp::Incr | McOp::Decr => {
             let shard = store.segment_for(key);
@@ -501,17 +484,17 @@ pub(super) fn execute(
             match (result, req.initial) {
                 (Err(NumericError::NotFound), Some(initial)) => {
                     let digits = initial.to_string();
-                    let create =
-                        Request::store(McOp::Set, req.keys, digits.as_bytes(), 0, req.exptime, 0);
-                    store_item(store, &create, now);
+                    store_item(store, key, now, |s| {
+                        s.set(key, digits.as_bytes(), 0, exptime, now)
+                    });
                     Reply::Number(Ok(initial))
                 }
                 (result, _) => Reply::Number(result),
             }
         }
-        McOp::Touch => Reply::Found(store.segment_for(key).touch(key, req.exptime, now)),
+        McOp::Touch => Reply::Found(store.segment_for(key).touch(key, exptime, now)),
         McOp::FlushAll => {
-            store.flush_all(now.saturating_add(req.exptime));
+            store.flush_all(now.saturating_add(exptime));
             Reply::Done
         }
         McOp::Version => Reply::Version(SERVER_VERSION.to_string()),

@@ -4,17 +4,17 @@
 //! results; that property rests on source-level conventions no compiler
 //! checks. This crate checks them statically in one pass: a hand-rolled
 //! Rust tokenizer ([`lexer`]) feeds one [`workspace::Workspace`] (token
-//! views, test regions, waivers, and the [`graph`] call graph), and one
-//! table of rules ([`rules::RULES`], R1–R7 plus the stale-waiver check
-//! W0) runs over it. Findings come out as `file:line` lines; the metric
-//! registrations R2 finds become the committed manifest ([`report`]). No
-//! external dependencies — the build container is offline.
+//! views, test regions, waivers), and one table of rules
+//! ([`rules::RULES`]: R1–R4, R7 and the stale-waiver check W0) runs over
+//! it, each rule deciding inside one file. Findings come out as
+//! `file:line` lines; the metric registrations R2 finds become the
+//! committed manifest ([`report`]). No external dependencies — the build
+//! container is offline.
 //!
 //! Library entry points: [`analyze_workspace`] walks the real tree;
 //! [`analyze_sources`] runs the same pipeline over in-memory
 //! `(path, text)` pairs (how the fixture tests seed violations).
 
-pub mod graph;
 pub mod lexer;
 pub mod report;
 pub mod rules;
@@ -23,7 +23,7 @@ pub mod workspace;
 use std::io;
 use std::path::{Path, PathBuf};
 
-pub use rules::{InterStats, MetricSite, Violation};
+pub use rules::{MetricSite, Violation};
 
 /// Path prefixes never scanned: build output, the dependency shims
 /// (host-side by design), and the lint's own deliberately-violating
@@ -52,9 +52,9 @@ pub struct Analysis {
     /// The metric manifest derived from `sites` — the committed
     /// `results/metric_manifest.json` must byte-match it.
     pub manifest: String,
-    /// Call-graph size, typed lock acquisitions, MR obligations — pinned
-    /// by the self-check.
-    pub stats: InterStats,
+    /// Every MR-retention obligation R7 tracked: (file, container,
+    /// release found) — pinned by the self-check.
+    pub r7_obligations: Vec<(String, String, bool)>,
 }
 
 /// The workspace root when running via `cargo run -p rmc-lint`
@@ -115,7 +115,7 @@ pub fn analyze_sources(files: &[(String, String)]) -> Analysis {
         waived: found.waived,
         manifest: report::write_manifest(&found.sites),
         sites: found.sites,
-        stats: found.stats,
+        r7_obligations: found.r7_obligations,
     }
 }
 

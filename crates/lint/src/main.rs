@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run -p rmc-lint -- --check           # gate: exit 1 on any violation, a stale manifest or a blown time budget
 //! cargo run -p rmc-lint -- --write-manifest  # rewrite results/metric_manifest.json
-//! cargo run -p rmc-lint -- --explain R6      # rule rationale + minimal failing example
+//! cargo run -p rmc-lint -- --explain R3      # rule rationale + minimal failing example
 //! ```
 //!
 //! Option: `--root PATH` (workspace root).

@@ -9,12 +9,10 @@
 //!
 //! `// lint:allow(<id>) reason` on the offending line (or alone on the
 //! line above) waives a hit; the last row, W0, flags every waiver that
-//! suppressed nothing. Every rule errs toward *missing* a violation
-//! rather than inventing one: unresolved calls contribute no edges,
-//! untypable receivers no acquisitions, unretained registrations no
-//! obligations.
+//! suppressed nothing. Every rule but R2's read check decides inside one
+//! file, and errs toward *missing* a violation rather than inventing one:
+//! a registration that is not retained carries no obligation.
 
-mod locks;
 mod metrics;
 mod purity;
 mod regions;
@@ -97,40 +95,27 @@ fn under(path: &str, prefixes: &[&str]) -> bool {
 pub const RULES: &[Rule] = &[
     Rule {
         id: "R1",
-        title: "no wall clock / OS entropy reachable from a simulated layer",
+        title: "no wall clock / OS entropy in a simulated layer",
         rationale: "The reproduction's headline property is bit-identical \
                     virtual-time results across runs and machines. One \
                     Instant::now / SystemTime / thread_rng in a simulated \
                     layer silently couples results to the host, and the \
                     regression only shows up as an unreproducible diff weeks \
-                    later. A helper in a host-tool crate can launder the same \
-                    call into a simulated layer through one call hop, so the \
-                    rule follows the call graph: a scoped function may not \
-                    reach an unwaived use, directly or through out-of-scope \
-                    callees.",
+                    later. The host tools (crates/lint, shims/) are the only \
+                    code outside the scope that may use them, and no scoped \
+                    member depends on one outside its tests (the self-check \
+                    pins the manifests): Cargo forbids the call that would \
+                    launder a use in, so the use is the whole check.",
         scope: "crates/{simnet,verbs,ucr,sockets,core,store,proto,bench}, \
                 src/, examples/ — production code only (test modules and \
                 tests/ trees are exempt; crates/lint and shims/ are host \
-                tools by design). A direct use is flagged at the use; a use \
-                reached through out-of-scope callees (which may live \
-                anywhere, including crates/lint) is flagged at the call that \
-                leaves the scope, with the chain printed. A waiver on the \
-                use stops the taint at the source.",
+                tools by design). A use is flagged where it stands.",
         covers: |p| under(p, &SIMULATED_LAYERS),
         run: purity::run,
-        example: concat!(
-            include_str!("../tests/fixtures/r1.rs"),
-            "\n// --- crates/core/src/fixture_taint.rs (simulated layer) ---\n",
-            include_str!("../tests/fixtures/r1v2_core.rs"),
-            "\n// --- crates/lint/src/fixture_util.rs (host tool) ---\n",
-            include_str!("../tests/fixtures/r1v2_util.rs"),
-        ),
-        example_note: "Every direct use in the first file fires: Instant, \
-                       thread::sleep, process::id, rand::random, thread_rng. In \
-                       the pair, the call to stamp() in the core crate fires: \
-                       the chain is now_ticks -> stamp -> ticks, where ticks \
-                       calls Instant::now. seeded_ok() is clean because the \
-                       helper waives its use at the source.",
+        example: include_str!("../tests/fixtures/r1.rs"),
+        example_note: "Every use in naughty() fires: Instant, thread::sleep, \
+                       process::id, rand::random, thread_rng. The wall clock \
+                       in the test module is fine.",
     },
     Rule {
         id: "R2",
@@ -153,19 +138,19 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: "R3",
-        title: "tracer spans pair up and carry a real key",
-        rationale: "A begin whose end lives in a function the begin side can \
-                    never reach (no call-graph connection) is either dead \
-                    instrumentation or a span that never closes — both poison \
-                    the folded profile. Spans with key 0 collide with the \
-                    sentinel the profiler uses for 'no span', corrupting \
-                    critical-path attribution.",
+        title: "tracer spans pair up in their file and carry a real key",
+        rationale: "A begin with no end is a span that never closes, an end \
+                    with no begin one that never opens — both poison the \
+                    folded profile. A pair split across files is held \
+                    together only by a name both must spell alike, and a \
+                    rename on one side breaks it silently; every span in the \
+                    tree opens and closes in the file that names it. Spans \
+                    with key 0 collide with the sentinel the profiler uses \
+                    for 'no span', corrupting critical-path attribution.",
         scope: "All scanned production code with `.begin(Layer::…` / \
-                `.end(Layer::…` call shapes. A literal name pairs with a \
-                counterpart in the same file, in a call-graph-connected \
-                function, or in top-level code outside any function; a name \
-                built at runtime can only be paired within the file that \
-                builds it.",
+                `.end(Layer::…` call shapes. A begin pairs with an end of \
+                the same name in the same file; a name built at runtime \
+                pairs with any runtime-built name there.",
         covers: production,
         run: spans::run,
         example: concat!(
@@ -176,10 +161,10 @@ pub const RULES: &[Rule] = &[
             include_str!("../tests/fixtures/r3v2_b.rs"),
         ),
         example_note: "In the first file the unpaired begin and end and the \
-                       literal-0 span key fire. In the pair, \"xfile_ok\" is \
-                       clean: both sides call helper(), so they share a \
-                       component. \"xfile_orphan\"'s begin and end are \
-                       disconnected — both sides fire.",
+                       literal-0 span key fire. In the pair all four fire: \
+                       \"xfile_ok\" and \"xfile_orphan\" each begin in one \
+                       file and end in the other, and a callee both sides \
+                       share (helper) does not pair them.",
     },
     Rule {
         id: "R4",
@@ -193,43 +178,19 @@ pub const RULES: &[Rule] = &[
         covers: |p| under(p, &PROTOCOL_CRATES),
         run: run_r4,
         example: include_str!("../tests/fixtures/r4.rs"),
-        example_note: "unwrap(), expect(), and panic! fire; unwrap_or / \
-                       unwrap_or_else are fine (they cannot panic).",
-    },
-    Rule {
-        id: "R6",
-        title: "VLock multi-acquisitions are provably ascending and \
-                class-order forms a DAG",
-        rationale: "PR 8's sharded store holds several VLocks at once \
-                    (FlushAll, Stats). The no-deadlock argument is a global \
-                    lock order: same-class acquisitions ascend by index, and \
-                    the class-level acquired-before relation is acyclic. A \
-                    violating path deadlocks only under a specific \
-                    interleaving — exactly what a static check catches and a \
-                    test suite misses.",
-        scope: "All scanned production code except the VLock implementation \
-                itself (crates/simnet/src/vlock.rs). Receivers are typed via \
-                struct fields, let-bindings, unique call results, and \
-                for-loop elements; untypeable receivers are skipped, not \
-                guessed.",
-        covers: |p| production(p) && p != "crates/simnet/src/vlock.rs",
-        run: locks::run,
-        example: include_str!("../tests/fixtures/r6.rs"),
-        example_note: "Descending literal indices fire; a loop over an \
-                       unordered Vec fires (no provable order); the a->b / \
-                       b->a cross-function cycle fires once at the edge that \
-                       closes it. Ranges and BTreeSet/BTreeMap iteration are \
-                       provably ascending and stay clean.",
+        example_note: "unwrap(), expect(), panic!, unreachable!, todo! and \
+                       unimplemented! fire; unwrap_or / unwrap_or_default are \
+                       fine (they cannot panic).",
     },
     Rule {
         id: "R7",
         title: "retained MR registrations have a release path",
         rationale: "Memory regions pin physical pages. A registration stored \
-                    into a long-lived container with no remove/retain/clear \
-                    or dereg*/invalidate* call reachable in the same \
-                    call-graph component grows pinned memory without bound — \
+                    into a long-lived container with no remove/retain/clear/… \
+                    on that container grows pinned memory without bound — \
                     the leak PR 6's mirror-page retire path exists to \
-                    prevent.",
+                    prevent. The release is looked for in the file that \
+                    registers, where a reader can check it.",
         scope: "All scanned production code except crates/verbs (the \
                 registrar itself). Only *retained* registrations (stored \
                 into a container or bound then stored) carry the obligation; \
@@ -252,8 +213,7 @@ pub const RULES: &[Rule] = &[
                     line and are not themselves waivable.",
         scope: "Every written waiver in scanned files, test trees included. \
                 A waiver is 'used' if it suppressed a finding on its line \
-                (or the line below, for standalone comment lines) — or \
-                stopped an R1 taint at its source.",
+                (or the line below, for standalone comment lines).",
         covers: |_| true,
         run: run_w0,
         example: include_str!("../tests/fixtures/w0.rs"),
@@ -261,28 +221,6 @@ pub const RULES: &[Rule] = &[
                        nothing and is itself flagged.",
     },
 ];
-
-/// Statistics gathered alongside the findings. The self-check pins these
-/// so "zero findings" stays distinguishable from "the pass silently
-/// stopped seeing the tree" — an analyzer that types no lock receivers
-/// reports no R6 violations for the wrong reason.
-#[derive(Debug, Default)]
-pub struct InterStats {
-    /// Non-test functions indexed by the call graph.
-    pub fns: usize,
-    /// Call sites with at least one resolved callee.
-    pub resolved_calls: usize,
-    /// Call sites left without edges (conservative: never guessed).
-    pub unresolved_calls: usize,
-    /// Out-of-scope functions directly touching wall clock / OS entropy
-    /// (where R1's taint starts).
-    pub taint_sources: usize,
-    /// Every VLock acquisition R6 typed: (file, line, provably ordered).
-    pub r6_acquisitions: Vec<(String, u32, bool)>,
-    /// Every MR-retention obligation R7 tracked:
-    /// (file, container, release path found).
-    pub r7_obligations: Vec<(String, String, bool)>,
-}
 
 /// What one pass over the table produces.
 pub struct Findings {
@@ -297,37 +235,27 @@ pub struct Findings {
     used: BTreeSet<(usize, u32, &'static str)>,
     /// Metric registrations R2 found (the manifest rows).
     pub sites: Vec<MetricSite>,
-    /// See [`InterStats`].
-    pub stats: InterStats,
+    /// Every MR-retention obligation R7 tracked: (file, container,
+    /// release found). The self-check pins these so "zero findings" stays
+    /// distinguishable from "the pass silently stopped seeing the tree".
+    pub r7_obligations: Vec<(String, String, bool)>,
 }
 
 impl Findings {
-    /// True when the running rule may anchor a finding in `path`.
-    fn covers(&self, path: &str) -> bool {
-        (self.rule.covers)(path)
-    }
-
     /// The files the running rule scans, with their index into
     /// `ws.files`.
     fn files<'w>(&self, ws: &'w Workspace) -> Vec<(usize, &'w SourceFile)> {
         let covered = ws.files.iter().enumerate();
-        covered.filter(|(_, f)| self.covers(&f.path)).collect()
-    }
-
-    /// True when a waiver for the running rule covers `line` of file
-    /// `file`; the waiver then counts as used.
-    fn waive(&mut self, ws: &Workspace, file: usize, line: u32) -> bool {
-        let waived = ws.files[file].waived(line, self.rule.id);
-        if waived {
-            self.used.insert((file, line, self.rule.id));
-        }
-        waived
+        covered
+            .filter(|(_, f)| (self.rule.covers)(&f.path))
+            .collect()
     }
 
     /// Files a hit of the running rule against `line` of file `file`,
-    /// unless a waiver covers it.
+    /// unless a waiver covers it (which then counts as used).
     fn report(&mut self, ws: &Workspace, file: usize, line: u32, message: String) {
-        if self.waive(ws, file, line) {
+        if ws.files[file].waived(line, self.rule.id) {
+            self.used.insert((file, line, self.rule.id));
             self.waived += 1;
         } else {
             self.flag(ws, file, line, message);
@@ -347,20 +275,13 @@ impl Findings {
 /// Runs every row of [`RULES`] over `ws`; violations come back sorted by
 /// (file, line, rule).
 pub fn run(ws: &Workspace) -> Findings {
-    let g = &ws.graph;
-    let resolved_calls = g.calls.iter().filter(|c| !c.resolved.is_empty()).count();
     let mut out = Findings {
         rule: &RULES[0],
         violations: Vec::new(),
         waived: 0,
         used: BTreeSet::new(),
         sites: Vec::new(),
-        stats: InterStats {
-            fns: g.fns.iter().filter(|f| !f.is_test).count(),
-            resolved_calls,
-            unresolved_calls: g.calls.len() - resolved_calls,
-            ..InterStats::default()
-        },
+        r7_obligations: Vec::new(),
     };
     for rule in RULES {
         out.rule = rule;
@@ -371,6 +292,9 @@ pub fn run(ws: &Workspace) -> Findings {
     out
 }
 
+/// The macros R4 flags: each panics when reached.
+const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
+
 fn run_r4(ws: &Workspace, out: &mut Findings) {
     for (fi, f) in out.files(ws) {
         for i in 0..f.toks.len() {
@@ -379,12 +303,15 @@ fn run_r4(ws: &Workspace, out: &mut Findings) {
             }
             let method =
                 |name: &str| f.punct(i, '.') && f.ident(i + 1, name) && f.punct(i + 2, '(');
+            let macro_at = PANIC_MACROS
+                .iter()
+                .find(|m| f.ident(i, m) && f.punct(i + 1, '!'));
             let (at, what) = if method("unwrap") {
-                (i + 1, ".unwrap()")
+                (i + 1, ".unwrap()".to_string())
             } else if method("expect") {
-                (i + 1, ".expect()")
-            } else if f.ident(i, "panic") && f.punct(i + 1, '!') {
-                (i, "panic!")
+                (i + 1, ".expect()".to_string())
+            } else if let Some(m) = macro_at {
+                (i, format!("{m}!"))
             } else {
                 continue;
             };
@@ -499,16 +426,16 @@ mod tests {
     fn examples_come_from_the_fixture_files() {
         // Spot-check that the include_str! wiring points at the same
         // sources the end-to-end tests pin by file:line.
-        assert!(lookup("R6").unwrap().example.contains("segs[2].lock"));
         assert!(lookup("R7").unwrap().example.contains("register(64)"));
-        assert!(lookup("R1").unwrap().example.contains("fn stamp()"));
+        assert!(lookup("R1").unwrap().example.contains("thread_rng"));
         assert!(lookup("R3").unwrap().example.contains("xfile_orphan"));
+        assert!(lookup("R4").unwrap().example.contains("unimplemented!"));
     }
 
     #[test]
     fn render_and_index_are_presentable() {
-        let text = render(lookup("R6").unwrap());
-        assert!(text.starts_with("R6 — "));
+        let text = render(lookup("R7").unwrap());
+        assert!(text.starts_with("R7 — "));
         assert!(text.contains("Minimal failing example"));
         let idx = index();
         for d in RULES {
@@ -522,7 +449,7 @@ mod tests {
 fn live() { x.unwrap(); y.expect("msg"); panic!("boom"); z.unwrap_or(0); }
 #[cfg(test)]
 mod tests {
-    fn t() { a.unwrap(); }
+    fn t() { a.unwrap(); unreachable!(); }
 }
 "#;
         assert_eq!(

@@ -1,14 +1,13 @@
-//! R7 — MR retention lifecycle, decided over the call graph.
+//! R7 — MR retention lifecycle.
 //!
 //! The static half of the PR 6 pin-down fix: a `register` /
 //! `register_with` / `register_memory` result that is *retained*
-//! (stored into a container) must have a release path — a
-//! `remove`/`retain`/`clear`/… on the same container, or a
-//! `dereg*`/`invalidate*` call — in the same file or a
-//! call-graph-connected one. Registrations that stay local (struct
-//! fields, scratch buffers, RAII wrappers) carry no obligation: their
-//! MR drops with the owner. That is a deliberate false-negative
-//! direction; the rule exists to catch *unbounded growth* of MR tables.
+//! (stored into a container) must have a release — a
+//! `remove`/`retain`/`clear`/… on the same container — in the same file.
+//! Registrations that stay local (struct fields, scratch buffers, RAII
+//! wrappers) carry no obligation: their MR drops with the owner. That is
+//! a deliberate false-negative direction; the rule exists to catch
+//! *unbounded growth* of MR tables.
 
 use super::Findings;
 use crate::workspace::{SourceFile, Workspace};
@@ -139,73 +138,56 @@ fn let_bound_name(v: &SourceFile, body_open: usize, tok: usize) -> Option<String
     None
 }
 
+/// True when token `k` is a non-test release call on `container`.
+fn releases(v: &SourceFile, k: usize, container: &str) -> bool {
+    v.any_ident(k).is_some_and(|m| RELEASE_METHODS.contains(&m))
+        && v.punct(k + 1, '(')
+        && !v.in_test(k)
+        && chain_base(v, k).as_deref() == Some(container)
+}
+
 pub(super) fn run(ws: &Workspace, out: &mut Findings) {
-    let g = &ws.graph;
-    let comp = &ws.component;
-    // Release sites: (file_idx, component, container); wildcard dereg /
-    // invalidate calls: (file_idx, component).
-    let mut releases: Vec<(usize, usize, String)> = Vec::new();
-    let mut wildcards: Vec<(usize, usize)> = Vec::new();
-    for c in &g.calls {
-        let f = &g.fns[c.caller];
-        if f.is_test {
-            continue;
-        }
-        if RELEASE_METHODS.contains(&c.name.as_str()) {
-            if let Some(base) = chain_base(&ws.files[f.file_idx], c.tok) {
-                releases.push((f.file_idx, comp[c.caller], base));
+    for (fi, v) in out.files(ws) {
+        for tok in 1..v.toks.len() {
+            let call = v
+                .any_ident(tok)
+                .is_some_and(|m| REGISTER_PRIMS.contains(&m))
+                && v.punct(tok + 1, '(')
+                && !v.ident(tok - 1, "fn");
+            if !call || v.in_test(tok) {
+                continue;
             }
-        } else if c.name.starts_with("invalidate") || c.name.starts_with("dereg") {
-            wildcards.push((f.file_idx, comp[c.caller]));
-        }
-    }
-    for c in &g.calls {
-        if !REGISTER_PRIMS.contains(&c.name.as_str()) {
-            continue;
-        }
-        let f = &g.fns[c.caller];
-        if f.is_test || !out.covers(&f.file) {
-            continue;
-        }
-        let Some((body_open, body_close)) = f.body else {
-            continue;
-        };
-        let v = &ws.files[f.file_idx];
-        // Retention: directly as a retention-call argument, or
-        // let-bound and later fed to one.
-        let container = if let Some(mt) = enclosing_retention(v, body_open, c.tok) {
-            chain_base(v, mt)
-        } else if let Some(name) = let_bound_name(v, body_open, c.tok) {
-            ((c.tok + 1)..body_close.min(v.toks.len()))
-                .filter(|&k| v.ident(k, &name))
-                .filter_map(|k| enclosing_retention(v, body_open, k))
-                .find_map(|mt| chain_base(v, mt))
-        } else {
-            None
-        };
-        let Some(container) = container else { continue };
-        let oc = comp[c.caller];
-        let released = releases
-            .iter()
-            .any(|(fi, rc, base)| *base == container && (*fi == f.file_idx || *rc == oc))
-            || wildcards
-                .iter()
-                .any(|&(fi, rc)| fi == f.file_idx || rc == oc);
-        out.stats
-            .r7_obligations
-            .push((f.file.clone(), container.clone(), released));
-        if !released {
-            out.report(
-                ws,
-                f.file_idx,
-                c.line,
-                format!(
-                    "MR registered and retained in `{container}` with no release \
-                     path (remove/retain/clear/… on `{container}`, or a \
-                     dereg*/invalidate* call) in this file or any call-graph-\
-                     connected file: pinned memory grows without bound"
-                ),
-            );
+            let Some((body_open, body_close)) = v.fn_body(tok) else {
+                continue;
+            };
+            // Retention: directly as a retention-call argument, or
+            // let-bound and later fed to one.
+            let container = if let Some(mt) = enclosing_retention(v, body_open, tok) {
+                chain_base(v, mt)
+            } else if let Some(name) = let_bound_name(v, body_open, tok) {
+                ((tok + 1)..body_close)
+                    .filter(|&k| v.ident(k, &name))
+                    .filter_map(|k| enclosing_retention(v, body_open, k))
+                    .find_map(|mt| chain_base(v, mt))
+            } else {
+                None
+            };
+            let Some(container) = container else { continue };
+            let released = (0..v.toks.len()).any(|k| releases(v, k, &container));
+            out.r7_obligations
+                .push((v.path.clone(), container.clone(), released));
+            if !released {
+                out.report(
+                    ws,
+                    fi,
+                    v.line(tok),
+                    format!(
+                        "MR registered and retained in `{container}` with no release \
+                         (remove/retain/clear/… on `{container}`) in this file: \
+                         pinned memory grows without bound"
+                    ),
+                );
+            }
         }
     }
 }

@@ -1,8 +1,6 @@
 //! The one view every rule reads: each source file lexed once into a
-//! [`SourceFile`] (tokens, waivers, test regions), plus the call graph
-//! over all of them.
+//! [`SourceFile`] (tokens, waivers, test regions).
 
-use crate::graph::{self, CallGraph};
 use crate::lexer::{self, TokKind, Token, Waiver};
 
 /// True when `path` lives in a test tree (integration tests are test
@@ -119,13 +117,20 @@ impl SourceFile {
         }
     }
 
-    /// Concatenated token texts over `[a, b)` — type-text rendering.
-    pub fn text(&self, a: usize, b: usize) -> String {
-        let n = self.toks.len();
-        self.toks[a.min(n)..b.min(n)]
-            .iter()
-            .map(|t| t.text.as_str())
-            .collect()
+    /// Token span `[open, close]` of the body of the innermost `fn` whose
+    /// body holds token `i`.
+    pub fn fn_body(&self, i: usize) -> Option<(usize, usize)> {
+        // Walking back, the first `fn` whose body holds `i` is innermost.
+        let mut named_fns = (0..i)
+            .rev()
+            .filter(|&k| self.ident(k, "fn") && self.any_ident(k + 1).is_some());
+        named_fns.find_map(|k| {
+            // A signature holds no brace: the first `{` opens the body,
+            // unless a `;` ends a body-less declaration first.
+            let open = (k..i).find(|&j| self.punct(j, '{') || self.punct(j, ';'))?;
+            let close = self.match_brace(open);
+            (self.punct(open, '{') && close > i).then_some((open, close))
+        })
     }
 
     /// Token ranges of the top-level arguments of the call whose `(`
@@ -221,26 +226,16 @@ pub struct Workspace {
     /// Every analyzed file, test trees included (their waivers are still
     /// subject to the stale-waiver check).
     pub files: Vec<SourceFile>,
-    /// Symbol table and call graph over the non-test files.
-    pub graph: CallGraph,
-    /// Undirected call-graph component of each fn in `graph.fns`.
-    pub component: Vec<usize>,
 }
 
 impl Workspace {
-    /// Lexes `(relative path, source)` pairs and builds the call graph.
+    /// Lexes `(relative path, source)` pairs.
     pub fn new(sources: &[(String, String)]) -> Workspace {
-        let files: Vec<SourceFile> = sources
+        let files = sources
             .iter()
             .map(|(path, text)| SourceFile::new(path, text))
             .collect();
-        let graph = graph::build(&files);
-        let component = graph::components(&graph);
-        Workspace {
-            files,
-            graph,
-            component,
-        }
+        Workspace { files }
     }
 }
 
@@ -292,6 +287,29 @@ mod tests {
         assert_eq!(file.test_regions.len(), 1);
         assert!(in_test(&file, "c"));
         assert!(!in_test(&file, "live"));
+    }
+
+    #[test]
+    fn fn_body_is_the_innermost_enclosing_body() {
+        let src = "trait T { fn decl(&self); }\n\
+                   fn outer(f: fn(u8) -> u8) { a(); fn inner() { b(); } c(); }";
+        let file = SourceFile::new("a.rs", src);
+        let at = |name: &str| {
+            let at = file.toks.iter().position(|t| t.text == name);
+            at.expect("token present")
+        };
+        let outer = file.fn_body(at("a")).expect("a() is in outer");
+        assert_eq!(
+            outer.0,
+            at("a") - 1,
+            "neither `decl;` nor `fn(u8)` opens a body"
+        );
+        assert_eq!(file.fn_body(at("b")).map(|b| b.0), Some(at("b") - 1));
+        assert_eq!(
+            file.fn_body(at("c")),
+            Some(outer),
+            "inner's body ends before c()"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Fixture: R3 cross-file span pairing, `end` side. Mounted as
-//! `crates/core/src/fixture_sb.rs`. `close_window` shares a call-graph
-//! component with the `begin` side through `helper`; `lonely_end` does
-//! not.
+//! `crates/core/src/fixture_sb.rs`. Both ends fire: a span opens and
+//! closes in one file, and `close_window` sharing `helper` with the
+//! `begin` side does not pair "xfile_ok" across files.
 
 pub fn close_window(t: &Tracer, at: SimTime) {
     helper();

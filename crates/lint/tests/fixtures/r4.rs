@@ -4,8 +4,12 @@
 pub fn panics(x: Option<u8>, r: Result<u8, ()>) -> u8 {
     let a = x.unwrap();
     let b = r.expect("fixture");
-    if a == 0 {
-        panic!("fixture boom");
+    match a {
+        0 => panic!("fixture boom"),
+        1 => unreachable!("fixture"),
+        2 => todo!(),
+        3 => unimplemented!(),
+        _ => {}
     }
     // Non-panicking variants are fine:
     a + b + x.unwrap_or(0) + x.unwrap_or_default()

@@ -164,55 +164,25 @@ fn observatory_exposition_matches_the_registrations() {
 
 #[test]
 fn interprocedural_pass_sees_the_real_tree() {
-    // Ground truth for the call-graph rules on the actual workspace.
-    // If a refactor silently stops the call graph from resolving these
-    // shapes, the rules would pass vacuously — this pins them.
+    // Ground truth for R7 on the actual workspace: the three retained
+    // registrations, each released in the file that registers it (an
+    // endpoint's advertised sources with their `remove` on Fin, UCR's
+    // receive buffers, PR 6's mirror-page retire). If a refactor stops
+    // the rule from recognizing these shapes it would pass vacuously —
+    // this pins them.
     let root = rmc_lint::default_root();
     let analysis = rmc_lint::analyze_workspace(&root).expect("workspace walk");
-    let s = &analysis.stats;
-
-    // The call graph is substantial and mostly resolved.
-    assert!(s.fns > 400, "only {} non-test fns found", s.fns);
-    assert!(
-        s.resolved_calls > 500,
-        "only {} resolved call edges",
-        s.resolved_calls
-    );
-
-    // R6: the sharded store is the one multi-acquisition site — the
-    // executor's lock_shards walks `locks[range]`, one acquisition inside
-    // one loop, which must be typed as a VLock and *provably* ascending
-    // (not merely skipped).
-    let srv: Vec<_> = s
-        .r6_acquisitions
-        .iter()
-        .filter(|(f, _, _)| f == "crates/core/src/server/executor.rs")
-        .collect();
-    assert_eq!(
-        srv.len(),
-        1,
-        "expected the one lock_shards acquisition to be typed, got {:?}",
-        s.r6_acquisitions
-    );
-    assert!(
-        srv.iter().all(|(_, _, provable)| *provable),
-        "the lock_shards walk is no longer provably ascending: {srv:?}"
-    );
-
-    // R7: the three retained-registration sites, each with a live
-    // release path (an endpoint's advertised sources with their `remove`
-    // on Fin, PR 6's mirror-page retire).
+    let obligations = &analysis.r7_obligations;
     for want in [
         ("crates/ucr/src/endpoint.rs", "sources"),
         ("crates/ucr/src/runtime.rs", "recv_bufs"),
         ("crates/core/src/server/bypass.rs", "pages"),
     ] {
         assert!(
-            s.r7_obligations
+            obligations
                 .iter()
                 .any(|(f, c, released)| f == want.0 && c == want.1 && *released),
-            "missing released MR obligation {want:?} in {:?}",
-            s.r7_obligations
+            "missing released MR obligation {want:?} in {obligations:?}"
         );
     }
 }
@@ -278,6 +248,61 @@ fn every_dependency_edge_is_used() {
         }
     }
     assert!(dead.is_empty(), "declared but never named: {dead:#?}");
+}
+
+/// R1 checks a use where it stands, which holds only while nothing outside
+/// its scope can hand one in: no member R1 covers declares a dependency
+/// edge on `rmc-lint` or on a `shims/` crate — a `[dependencies]` edge,
+/// or for a member whose `examples/` R1 also covers, a `[dev-dependencies]`
+/// one (an example links its package's dev-dependencies).
+#[test]
+fn no_simulated_layer_depends_on_a_host_tool() {
+    let root = rmc_lint::default_root();
+    let r1 = rmc_lint::rules::lookup("R1").expect("R1 is a row");
+    let mut host_tools = vec!["rmc-lint".to_string()];
+    for shim in std::fs::read_dir(root.join("shims")).expect("shims/") {
+        let manifest =
+            std::fs::read_to_string(shim.expect("shims/ entry").path().join("Cargo.toml"))
+                .expect("a shim manifest");
+        let name = manifest
+            .lines()
+            .find_map(|l| l.trim().strip_prefix("name = "));
+        host_tools.push(name.expect("a package name").trim_matches('"').to_string());
+    }
+    // A directory R1 scans: the member has it and R1 covers a file in it.
+    let scanned = |dir: &Path| {
+        let file = dir.join("x.rs");
+        let rel = file.strip_prefix(&root).expect("under the root");
+        dir.is_dir() && (r1.covers)(&rel.to_string_lossy())
+    };
+    let crates = std::fs::read_dir(root.join("crates")).expect("crates/");
+    let mut members: Vec<_> = crates.map(|e| e.expect("crates/ entry").path()).collect();
+    members.push(root.clone());
+    let mut edges = Vec::new();
+    for member in members {
+        if !scanned(&member.join("src")) {
+            continue;
+        }
+        let examples = scanned(&member.join("examples"));
+        let manifest = std::fs::read_to_string(member.join("Cargo.toml")).expect("a manifest");
+        let mut section = "";
+        for line in manifest.lines().map(str::trim) {
+            if line.starts_with('[') {
+                section = line;
+                continue;
+            }
+            let checked =
+                section == "[dependencies]" || (examples && section == "[dev-dependencies]");
+            let name = line.split(['.', ' ', '=']).next().unwrap_or("");
+            if checked && host_tools.iter().any(|t| t == name) {
+                edges.push(format!("{}: {section} {name}", member.display()));
+            }
+        }
+    }
+    assert!(
+        edges.is_empty(),
+        "a simulated layer can reach a host tool: {edges:#?}"
+    );
 }
 
 /// A `pub fn set_*` is a knob, and a knob exists for someone who turns it:

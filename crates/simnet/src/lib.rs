@@ -71,4 +71,4 @@ pub use timeseries::{
     SamplerConfig, SloSpec, SloTracker,
 };
 pub use trace::{Event, EventRecorder, EventSink, Layer, Phase, Tracer, Track};
-pub use vlock::{VLock, VLockGuard, VLockMeters, VLockStats};
+pub use vlock::{VLockMeters, VLockStats, VLockTable};

@@ -3,11 +3,17 @@
 //! Real memcached's worker scaling is bounded by its coarse locks (the
 //! global `slabs_lock` / item-lock discipline), not by the network. To let
 //! the simulation *exhibit* that ceiling instead of idealizing it away,
-//! [`VLock`] models a mutex over simulated time: acquiring an uncontended
+//! a `VLock` models a mutex over simulated time: acquiring an uncontended
 //! lock costs **zero virtual nanoseconds**, while a contended acquire parks
 //! the task on a FIFO waiter queue until the holder releases — exactly the
 //! serialization a kernel futex or pthread mutex imposes, minus the
 //! (irrelevant for our model) atomic-instruction cost.
+//!
+//! `VLock` is private to this module: the one way to take one is
+//! [`VLockTable::lock`], which takes a *range* of a table's locks in
+//! ascending index order — the total order that makes holding several at
+//! once deadlock-free (DESIGN.md §12). An acquisition in any other order
+//! cannot be written outside this file.
 //!
 //! Every lock books acquisitions, contention and cumulative wait/hold
 //! time in four [`Counter`]s — its own, or registry counters handed in at
@@ -19,6 +25,7 @@
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::future::Future;
+use std::ops::Range;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
@@ -29,8 +36,8 @@ use crate::metrics::Counter;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Layer, Tracer, Track};
 
-/// The four counters a [`VLock`] keeps its accounting in (see
-/// [`VLock::new`]). Names follow the per-shard metric family
+/// The four counters one lock of a [`VLockTable`] keeps its accounting
+/// in. Names follow the per-shard metric family
 /// `mc.nodeN.shardS.{ops,lock_wait_ns,lock_hold_ns,contended}`.
 #[derive(Clone, Default)]
 pub struct VLockMeters {
@@ -45,7 +52,7 @@ pub struct VLockMeters {
     pub contended: Rc<Counter>,
 }
 
-/// Point-in-time totals for one lock (see [`VLock::stats`]).
+/// Point-in-time totals for one lock (see [`VLockTable::stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct VLockStats {
     /// Successful acquisitions.
@@ -73,17 +80,75 @@ struct LockState {
     next_ticket: u64,
 }
 
-/// Tracer binding for `lock_wait`/`lock_hold` spans (see
-/// [`VLock::new`]).
+/// Tracer binding for `lock_wait`/`lock_hold` spans (see `VLock::new`).
 struct TraceBinding {
     tracer: Rc<Tracer>,
     node: NodeId,
 }
 
+/// The locks guarding a sharded store, one per shard, and the only way to
+/// take them.
+pub struct VLockTable {
+    locks: Vec<Rc<VLock>>,
+}
+
+impl VLockTable {
+    /// One lock per entry of `meters`, on `sim`'s clock (see `VLock::new`
+    /// for what the meters and `trace` receive).
+    pub fn new(
+        sim: &Sim,
+        meters: impl IntoIterator<Item = VLockMeters>,
+        trace: Option<(Rc<Tracer>, NodeId)>,
+    ) -> VLockTable {
+        let locks = meters
+            .into_iter()
+            .map(|m| VLock::new(sim, m, trace.clone()))
+            .collect();
+        VLockTable { locks }
+    }
+
+    /// True when the table has no lock (an unlocked store).
+    pub fn is_empty(&self) -> bool {
+        self.locks.is_empty()
+    }
+
+    /// Acquires the locks of `shards` in ascending order (a range walks
+    /// that way: the deadlock-free total order). `op` and `track` label
+    /// the tracer spans (the request id and worker lane of the acquiring
+    /// task).
+    pub async fn lock(&self, shards: Range<usize>, op: u64, track: Track) -> Held {
+        let mut held = Held::default();
+        for lock in &self.locks[shards] {
+            let guard = lock.lock(op, track).await;
+            match held.first {
+                None => held.first = Some(guard),
+                Some(_) => held.rest.push(guard),
+            }
+        }
+        held
+    }
+
+    /// Totals so far, per lock in index order.
+    pub fn stats(&self) -> Vec<VLockStats> {
+        self.locks.iter().map(|l| l.stats()).collect()
+    }
+}
+
+/// The locks one [`VLockTable::lock`] took, in acquisition order. A
+/// one-lock range is held inline: only a range of several allocates.
+/// Fields drop in declaration order, so the guards are released in the
+/// order they were taken — release order decides which waiter is handed a
+/// lock first, and with it the schedule.
+#[derive(Default)]
+pub struct Held {
+    first: Option<VLockGuard>,
+    rest: Vec<VLockGuard>,
+}
+
 /// A virtual-time FIFO mutex. Cheap to share (`Rc`); all waiting happens
 /// over the sim scheduler, so an uncontended `lock().await` completes on
 /// the first poll without advancing the clock.
-pub struct VLock {
+struct VLock {
     sim: Sim,
     state: RefCell<LockState>,
     meters: VLockMeters,
@@ -92,11 +157,11 @@ pub struct VLock {
 
 impl VLock {
     /// Creates an unlocked lock on `sim`'s clock that counts in `meters`
-    /// ([`VLock::stats`] reads them, so whoever resets them resets the
+    /// (`VLock::stats` reads them, so whoever resets them resets the
     /// lock) and, given `trace`, emits `lock_wait`/`lock_hold` spans on
     /// that tracer as that node. Wait spans are only emitted for contended
     /// acquires (an uncontended acquire has no wait interval to show).
-    pub fn new(sim: &Sim, meters: VLockMeters, trace: Option<(Rc<Tracer>, NodeId)>) -> Rc<VLock> {
+    fn new(sim: &Sim, meters: VLockMeters, trace: Option<(Rc<Tracer>, NodeId)>) -> Rc<VLock> {
         Rc::new(VLock {
             sim: sim.clone(),
             state: RefCell::new(LockState {
@@ -112,7 +177,7 @@ impl VLock {
     /// Acquires the lock, waiting in FIFO order if it is held. `op` and
     /// `track` label the tracer spans (the request id and worker lane of
     /// the acquiring task).
-    pub fn lock(self: &Rc<Self>, op: u64, track: Track) -> LockFuture {
+    fn lock(self: &Rc<Self>, op: u64, track: Track) -> LockFuture {
         LockFuture {
             lock: self.clone(),
             op,
@@ -122,18 +187,8 @@ impl VLock {
         }
     }
 
-    /// True while some task holds the lock.
-    pub fn is_locked(&self) -> bool {
-        self.state.borrow().locked
-    }
-
-    /// Number of currently parked waiters.
-    pub fn waiters(&self) -> usize {
-        self.state.borrow().queue.len()
-    }
-
     /// Totals so far.
-    pub fn stats(&self) -> VLockStats {
+    fn stats(&self) -> VLockStats {
         let m = &self.meters;
         VLockStats {
             acquires: m.ops.get(),
@@ -174,21 +229,8 @@ impl VLock {
     }
 }
 
-impl std::fmt::Debug for VLock {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.state.borrow();
-        write!(
-            f,
-            "VLock(locked={}, waiters={}, acquires={})",
-            st.locked,
-            st.queue.len(),
-            self.meters.ops.get()
-        )
-    }
-}
-
-/// Future returned by [`VLock::lock`]; resolves to a [`VLockGuard`].
-pub struct LockFuture {
+/// Future returned by `VLock::lock`; resolves to a `VLockGuard`.
+struct LockFuture {
     lock: Rc<VLock>,
     op: u64,
     track: Track,
@@ -351,7 +393,7 @@ impl Drop for LockFuture {
 }
 
 /// Exclusive access token; releases (with FIFO handoff) on drop.
-pub struct VLockGuard {
+struct VLockGuard {
     lock: Rc<VLock>,
     acquired_at: SimTime,
     op: u64,
@@ -486,8 +528,8 @@ mod tests {
         sim.run();
         let at = sim.block_on(done);
         assert_eq!(at.as_nanos(), 100, "lock hands off to the live waiter");
-        assert_eq!(lock.waiters(), 0);
-        assert!(!lock.is_locked());
+        let st = lock.state.borrow();
+        assert!(st.queue.is_empty() && !st.locked);
     }
 
     #[test]

@@ -3,11 +3,14 @@
 //! Attaching a `Profiler` adds the `profile.*` family and nothing else,
 //! and it may attach after the client exists. Nor do they depend on the
 //! wire: an operation is one `client_op` span holding one `client_sent`
-//! and one `client_reply`, on all four and at any window.
+//! and one `client_reply`, on all four and at any window, and every span
+//! a run opens it closes.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use rdma_memcached::rmc::{McClient, McClientConfig, McServer, McServerConfig, Transport, World};
+use rdma_memcached::rmc::{
+    McClient, McClientConfig, McServer, McServerConfig, StoreModel, Transport, World,
+};
 use rdma_memcached::simnet::trace::{Event, Layer, Phase, Track};
 use rdma_memcached::simnet::{
     EventRecorder, NodeId, PathStage, Profiler, ProfilerConfig, Sampler, SamplerConfig, Stack,
@@ -202,38 +205,91 @@ fn ascii_udp_telemetry_does_not_depend_on_who_watches() {
     socket_wire_decomposes(ASCII_UDP);
 }
 
+/// The spans of `events` left open: every `Begin` must meet exactly one
+/// `End` with the same `(layer, name, node, track, op)` after it, and every
+/// `End` close one such `Begin`. Returns the keys unbalanced either way.
+fn unbalanced_spans(events: &[Event]) -> Vec<String> {
+    let mut open: HashMap<(Layer, &str, Option<NodeId>, Track, u64), i64> = HashMap::new();
+    let mut stray = Vec::new();
+    for e in events {
+        let key = (e.layer, e.name, e.node, e.track, e.op);
+        match e.phase {
+            Phase::Begin => *open.entry(key).or_default() += 1,
+            Phase::End => match open.get_mut(&key) {
+                Some(n) if *n > 0 => *n -= 1,
+                _ => stray.push(format!("end without a begin: {key:?}")),
+            },
+            Phase::Instant => {}
+        }
+    }
+    let left = open.iter().filter(|(_, n)| **n > 0);
+    stray.extend(left.map(|(key, n)| format!("{n} left open: {key:?}")));
+    stray.sort();
+    stray
+}
+
 /// One op lifecycle on every wire, whatever the window: each operation is
 /// exactly one `client_op` begin/end pair, one `client_sent` and — it
 /// succeeded — one `client_reply`, and nothing is left open or parked when
-/// the run goes quiet.
+/// the run goes quiet — no span of any layer either. A 16 KB value on UCR
+/// and a two-shard store put the rendezvous and lock spans in the stream.
 #[test]
 fn every_wire_runs_an_op_through_one_lifecycle() {
     const KEYS: usize = 20;
+    let mut seen = BTreeSet::new();
+    let models = [StoreModel::Idealized, StoreModel::Sharded(2)];
     for wire in [UCR, ASCII_TCP, BINARY_TCP, ASCII_UDP] {
-        for depth in [1, 8] {
+        for (model, depth) in models.into_iter().flat_map(|m| [(m, 1), (m, 8)]) {
             let world = World::cluster_a(97, 4);
-            let _server = McServer::start(&world, NodeId(0), McServerConfig::default());
+            let config = McServerConfig {
+                store_model: model,
+                ..McServerConfig::default()
+            };
+            let _server = McServer::start(&world, NodeId(0), config);
             let client = wire.client(&world, depth);
             let c = client.clone();
-            world.sim().clone().block_on(async move {
-                let keys: Vec<Vec<u8>> = (0..KEYS).map(|i| format!("k{i}").into_bytes()).collect();
+            let ucr = matches!(wire.0, Transport::Ucr);
+            let sim = world.sim().clone();
+            sim.clone().block_on(async move {
+                let keys: Vec<Vec<u8>> =
+                    (0..KEYS).map(|i| format!("key-{i}").into_bytes()).collect();
                 let items: Vec<(&[u8], &[u8])> =
                     keys.iter().map(|k| (k.as_slice(), &b"value"[..])).collect();
+                // On UCR a `stats` locks every shard on the connection's
+                // worker while the sets hold their shards on the shards'
+                // workers: the two collide.
+                let c2 = c.clone();
+                let stats = ucr.then(|| sim.spawn(async move { c2.stats().await.is_ok() }));
                 let stored = c.set_many(&items, 0, 0).await.unwrap();
                 assert!(stored.iter().all(Result::is_ok));
+                if let Some(stats) = stats {
+                    assert!(stats.await);
+                }
                 let mut asked: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
                 asked.push(b"absent");
                 let got = c.get_many(&asked).await.unwrap();
                 assert_eq!(got.iter().flatten().count(), KEYS);
-                assert!(c.get(b"k0").await.unwrap().is_some());
-                assert!(c.delete(b"k0").await.unwrap());
+                assert!(c.get(b"key-0").await.unwrap().is_some());
+                assert!(c.delete(b"key-0").await.unwrap());
+                if ucr {
+                    let value = vec![0xa5u8; 16 << 10];
+                    c.set(b"large", &value, 0, 0).await.unwrap();
+                    assert_eq!(c.get(b"large").await.unwrap().unwrap().data, value);
+                }
             });
+            // Quiesce: completions still in flight when the last reply
+            // landed (a send's ACK) close their spans.
+            world.sim().run();
 
             // [begins, ends, sents, replies] per op id.
             let mut ops: BTreeMap<u64, [u32; 4]> = BTreeMap::new();
             let tracer = world.cluster.tracer();
             assert_eq!(tracer.flight_dropped(), 0);
-            for e in tracer.flight_snapshot() {
+            let events = tracer.flight_snapshot();
+            let at = format!("{wire:?} on {model:?} at depth {depth}");
+            assert_eq!(unbalanced_spans(&events), Vec::<String>::new(), "{at}");
+            seen.extend(events.iter().map(|e| e.name));
+            for e in events {
                 let slot = match (e.name, e.phase) {
                     ("client_op", Phase::Begin) => 0,
                     ("client_op", Phase::End) => 1,
@@ -244,13 +300,18 @@ fn every_wire_runs_an_op_through_one_lifecycle() {
                 assert_eq!(e.node, Some(CLIENT));
                 ops.entry(e.op).or_default()[slot] += 1;
             }
-            let at = format!("{wire:?} at depth {depth}");
-            assert_eq!(ops.len() as u64, client.ops_issued(), "{at}");
-            assert_eq!(ops.len(), 2 * KEYS + 3, "{at}");
+            // UCR adds the `stats` (not a keyed op: `ops_issued` skips it)
+            // and the 16 KB set and get.
+            let stats = usize::from(ucr);
+            assert_eq!(ops.len() - stats, client.ops_issued() as usize, "{at}");
+            assert_eq!(ops.len(), 2 * KEYS + 3 + 3 * stats, "{at}");
             for (id, counts) in ops {
                 assert_eq!(counts, [1, 1, 1, 1], "{at}: op {id:#x}");
             }
             assert_eq!(client.pending_responses(), 0, "{at}");
         }
+    }
+    for name in ["rndv_window", "rdma_read", "lock_wait", "lock_hold"] {
+        assert!(seen.contains(name), "no {name} span was checked");
     }
 }
