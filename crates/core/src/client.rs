@@ -21,7 +21,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::rc::Rc;
 
-use mcproto::{encode_command, parse_response, udp_fragment, BinFrame, UdpFrame, UDP_CHUNK_BYTES};
+use mcproto::{udp_fragment, BinFrame, ProtoError, UdpFrame, UDP_CHUNK_BYTES};
 use mcstore::{NumericError, SetOutcome, Value};
 use simnet::sync::timeout;
 use simnet::trace::{Layer, Track};
@@ -238,6 +238,13 @@ impl std::fmt::Display for McError {
 
 impl std::error::Error for McError {}
 
+/// A reply that does not parse is the server's protocol error.
+impl From<ProtoError> for McError {
+    fn from(_: ProtoError) -> McError {
+        McError::Protocol
+    }
+}
+
 /// The libmemcached "one-at-a-time" (Jenkins) hash — the default key hash.
 pub fn one_at_a_time(key: &[u8]) -> u32 {
     let mut h: u32 = 0;
@@ -442,7 +449,7 @@ impl Conn {
                         .collect::<Vec<_>>()
                         .concat()
                 } else {
-                    encode_command(&codec::ascii::encode_request(req))
+                    codec::ascii::encode_request(req)
                 };
                 // A failed write may have sent part of the request.
                 ticket.owed = true;
@@ -451,7 +458,7 @@ impl Conn {
                     .map_err(|_| McError::Disconnected)?;
             }
             Conn::Udp { sock, server } => {
-                let wire = encode_command(&codec::ascii::encode_request(req));
+                let wire = codec::ascii::encode_request(req);
                 if wire.len() > UDP_CHUNK_BYTES {
                     return Err(McError::TooLarge); // requests must fit one datagram
                 }
@@ -503,8 +510,8 @@ impl Ticket {
             Conn::Stream { sock, binary, rbuf } => {
                 cli.timed(async {
                     if !*binary {
-                        let resp = read_frame(sock, rbuf, parse_response).await?;
-                        return codec::ascii::decode_reply(op, keys, resp);
+                        let decode = |buf: &[u8]| codec::ascii::decode_reply(op, keys, buf);
+                        return read_frame(sock, rbuf, decode).await;
                     }
                     let mut frames = Vec::new();
                     loop {
@@ -537,10 +544,8 @@ impl Ticket {
                         }
                         frames.push((frame, payload.to_vec()));
                         if let Some(whole) = mcproto::udp_reassemble(want, &frames) {
-                            return match parse_response(&whole) {
-                                Ok(Some((resp, _))) => codec::ascii::decode_reply(op, keys, resp),
-                                _ => Err(McError::Protocol),
-                            };
+                            let decoded = codec::ascii::decode_reply(op, keys, &whole)?;
+                            return decoded.map(|(reply, _)| reply).ok_or(McError::Protocol);
                         }
                     }
                 })
@@ -1543,24 +1548,28 @@ impl CliInner {
     }
 }
 
-/// Reads from `sock` into `rbuf` until `parse` frames one message off its
-/// front.
-async fn read_frame<T>(
+/// Reads from `sock` onto `rbuf` until `parse` frames one message off its
+/// front. The buffer is held for the whole frame, reads included: a second
+/// reader of the stream would take this one's reply, and is refused
+/// instead. This is the only place that borrows `rbuf`.
+#[allow(clippy::await_holding_refcell_ref)]
+async fn read_frame<T, E>(
     sock: &Socket,
     rbuf: &RefCell<Vec<u8>>,
-    parse: impl Fn(&[u8]) -> Result<Option<(T, usize)>, mcproto::ProtoError>,
+    parse: impl Fn(&[u8]) -> Result<Option<(T, usize)>, E>,
 ) -> Result<T, McError> {
+    let mut buf = rbuf.try_borrow_mut().map_err(|_| McError::Protocol)?;
     loop {
-        let framed = parse(&rbuf.borrow()); // the borrow ends with the statement
-        match framed {
+        match parse(&buf) {
             Ok(Some((msg, used))) => {
-                rbuf.borrow_mut().drain(..used);
+                buf.drain(..used);
                 return Ok(msg);
             }
-            Ok(None) => match sock.read(64 * 1024).await {
-                Ok(bytes) => rbuf.borrow_mut().extend_from_slice(&bytes),
-                Err(_) => return Err(McError::Disconnected),
-            },
+            Ok(None) => {
+                sock.read(&mut buf, 64 * 1024)
+                    .await
+                    .map_err(|_| McError::Disconnected)?;
+            }
             Err(_) => return Err(McError::Protocol),
         }
     }

@@ -31,10 +31,6 @@ impl KeyCursor<'_, '_> {
     }
 }
 
-fn owned_keys<K: AsRef<[u8]>>(keys: &[K]) -> Vec<Vec<u8>> {
-    keys.iter().map(|k| k.as_ref().to_vec()).collect()
-}
-
 /// Looks `from` up in a two-column table.
 fn lookup<A: PartialEq + Copy, B: Copy>(table: &[(A, B)], from: A) -> Option<B> {
     table.iter().find(|(a, _)| *a == from).map(|(_, b)| *b)
@@ -188,10 +184,13 @@ pub(crate) mod ucr {
     }
 }
 
-/// The memcached text protocol, over TCP streams and UDP datagrams.
+/// The memcached text protocol, over TCP streams and UDP datagrams. Both
+/// ends write a frame straight from `Request`/`Reply` into one buffer of
+/// exactly its size, and the client reads its reply in place: a hit's
+/// value is the one thing it copies out.
 pub(crate) mod ascii {
     use super::*;
-    use mcproto::{Command, GetValue, Response, StoreVerb};
+    use mcproto::{exact, Command, Response, ResponseLine as Line, ResponseLines, StoreVerb};
 
     const VERBS: [(StoreVerb, McOp); 5] = [
         (StoreVerb::Set, McOp::Set),
@@ -203,67 +202,34 @@ pub(crate) mod ascii {
 
     /// Client: the command line (and data block) for `req`. Fetches always
     /// ask for CAS tokens (`gets`).
-    pub fn encode_request<K: AsRef<[u8]>>(req: &Request<'_, K>) -> Command {
+    pub fn encode_request<K: AsRef<[u8]>>(req: &Request<'_, K>) -> Vec<u8> {
         let &Request {
             flags,
             exptime,
             cas,
             delta,
+            value,
             ..
         } = req;
-        let (key, data) = (|| req.key().to_vec(), || req.value.to_vec());
-        let noreply = false;
-        match req.op {
-            McOp::Get | McOp::Mget => Command::Gets {
-                keys: owned_keys(req.keys),
-            },
-            McOp::Cas => Command::Cas {
-                key: key(),
-                flags,
-                exptime,
-                cas,
-                data: data(),
-                noreply,
-            },
-            McOp::Delete => Command::Delete {
-                key: key(),
-                noreply,
-            },
-            McOp::Incr => Command::Incr {
-                key: key(),
-                delta,
-                noreply,
-            },
-            McOp::Decr => Command::Decr {
-                key: key(),
-                delta,
-                noreply,
-            },
-            McOp::Touch => Command::Touch {
-                key: key(),
-                exptime,
-                noreply,
-            },
-            McOp::FlushAll => Command::FlushAll {
-                delay: exptime,
-                noreply,
-            },
-            McOp::Version => Command::Version,
-            McOp::Stats => Command::Stats {
-                arg: req.keys.first().map(|k| k.as_ref().to_vec()),
-            },
+        let key = Some(req.key());
+        exact(|w| match req.op {
+            McOp::Get | McOp::Mget => w.retrieval(b"gets", req.keys),
+            McOp::Cas => w.storage(b"cas", req.key(), flags, exptime, Some(cas), value, false),
+            McOp::Delete => w.command(b"delete", key, None, false),
+            McOp::Incr => w.command(b"incr", key, Some(delta), false),
+            McOp::Decr => w.command(b"decr", key, Some(delta), false),
+            McOp::Touch => w.command(b"touch", key, Some(exptime.into()), false),
+            McOp::FlushAll => {
+                let delay = (exptime > 0).then_some(exptime.into());
+                w.command(b"flush_all", None, delay, false)
+            }
+            McOp::Version => w.command(b"version", None, None, false),
+            McOp::Stats => w.command(b"stats", req.keys.first().map(K::as_ref), None, false),
             op => {
                 let verb = lookup_rev(&VERBS, op).unwrap_or(StoreVerb::Set);
-                Command::Store {
-                    verb,
-                    key: key(),
-                    flags,
-                    exptime,
-                    data: data(),
-                    noreply,
-                }
+                w.storage(verb.name(), req.key(), flags, exptime, None, value, false)
             }
-        }
+        })
     }
 
     /// Server: the request `cmd` asks for plus its `noreply` flag,
@@ -318,26 +284,20 @@ pub(crate) mod ascii {
         Some((req, noreply))
     }
 
-    /// Server: the response to `cmd` (consumed: hit keys move into their
-    /// `VALUE` stanzas). `get` omits the CAS token, `gets` carries it.
-    pub fn encode_reply(cmd: Command, reply: Reply) -> Response {
-        let touched = matches!(cmd, Command::Touch { .. });
-        let (mut keys, with_cas) = match cmd {
-            Command::Get { keys } => (keys, false),
-            Command::Gets { keys } => (keys, true),
-            _ => (Vec::new(), false),
+    /// Server: the response to `cmd`. Hits are written into their `VALUE`
+    /// stanzas behind the keys `cmd` names; `get` omits the CAS token,
+    /// `gets` carries it.
+    pub fn encode_reply(cmd: &Command, reply: Reply) -> Vec<u8> {
+        let (keys, with_cas) = match cmd {
+            Command::Get { keys } => (keys.as_slice(), false),
+            Command::Gets { keys } => (keys.as_slice(), true),
+            _ => (&[][..], false),
         };
-        let mut stanza = |(i, v): (usize, Value)| GetValue {
-            key: std::mem::take(&mut keys[i]),
-            flags: v.flags,
-            cas: with_cas.then_some(v.cas),
-            data: v.data,
-        };
-        match reply {
-            Reply::Value(hit) => {
-                Response::Values(hit.map(|v| stanza((0, v))).into_iter().collect())
+        let resp = match reply {
+            Reply::Value(hit) => return stanzas(keys, with_cas, hit.iter().map(|v| (0, v))),
+            Reply::Values(hits) => {
+                return stanzas(keys, with_cas, hits.iter().map(|(i, v)| (*i, v)))
             }
-            Reply::Values(hits) => Response::Values(hits.into_iter().map(stanza).collect()),
             Reply::Stored { outcome, .. } => match outcome {
                 SetOutcome::Stored => Response::Stored,
                 SetOutcome::NotStored => Response::NotStored,
@@ -348,7 +308,7 @@ pub(crate) mod ascii {
                     Response::ServerError("out of memory storing object".into())
                 }
             },
-            Reply::Found(true) if touched => Response::Touched,
+            Reply::Found(true) if matches!(cmd, Command::Touch { .. }) => Response::Touched,
             Reply::Found(true) => Response::Deleted,
             Reply::Found(false) | Reply::Number(Err(NotFound)) => Response::NotFound,
             Reply::Number(Ok(n)) => Response::Number(n),
@@ -358,58 +318,124 @@ pub(crate) mod ascii {
             Reply::Done => Response::Ok,
             Reply::Version(s) => Response::Version(s),
             Reply::Stats(pairs) => Response::Stats(pairs),
-        }
+        };
+        mcproto::encode_response(&resp)
     }
 
-    /// Client: the reply `resp` carries for an `op` request over `keys`.
-    pub fn decode_reply(op: McOp, keys: &[&[u8]], resp: Response) -> Result<Reply, McError> {
-        let value = |v: GetValue| Value {
-            data: v.data,
-            flags: v.flags,
-            cas: v.cas.unwrap_or(0),
-        };
-        Ok(match (op, resp) {
-            (McOp::Get, Response::Values(mut vs)) => match vs.pop() {
-                // `VALUE <key>` echoes the key: a hit for another is not ours.
-                Some(v) if keys.first() != Some(&v.key.as_slice()) => {
-                    return Err(McError::Protocol)
-                }
-                hit => Reply::Value(hit.map(value)),
-            },
-            (McOp::Mget, Response::Values(vs)) => {
-                let mut cursor = KeyCursor { keys, next: 0 };
-                let hits = vs
-                    .into_iter()
-                    .map(|v| Ok((cursor.index_of(&v.key)?, value(v))));
-                Reply::Values(hits.collect::<Result<_, McError>>()?)
+    /// The `VALUE` stanzas of `hits`, each behind the key it indexes, and
+    /// the closing `END`.
+    fn stanzas<'v>(
+        keys: &[Vec<u8>],
+        with_cas: bool,
+        hits: impl Iterator<Item = (usize, &'v Value)> + Clone,
+    ) -> Vec<u8> {
+        exact(|w| {
+            for (i, v) in hits.clone() {
+                w.value(&keys[i], v.flags, with_cas.then_some(v.cas), &v.data);
             }
-            (op, resp) if op.is_store() => {
-                let outcome = match resp {
-                    Response::Stored => SetOutcome::Stored,
-                    Response::NotStored => SetOutcome::NotStored,
-                    Response::Exists => SetOutcome::Exists,
-                    Response::NotFound => SetOutcome::NotFound,
-                    Response::ServerError(m) if m.contains("too large") => SetOutcome::TooLarge,
-                    Response::ServerError(_) => SetOutcome::OutOfMemory,
+            w.status(b"END", None);
+        })
+    }
+
+    /// Client: the reply at the front of `buf` to an `op` request over
+    /// `keys`, and the bytes it takes; `Ok(None)` until all of it is
+    /// buffered. Read in place: only a hit's value is copied out.
+    pub fn decode_reply(
+        op: McOp,
+        keys: &[&[u8]],
+        buf: &[u8],
+    ) -> Result<Option<(Reply, usize)>, McError> {
+        let value = |flags, data: &[u8], cas: Option<u64>| Value {
+            data: data.to_vec(),
+            flags,
+            cas: cas.unwrap_or(0),
+        };
+        let mut lines = ResponseLines::new(buf);
+        let Some(first) = lines.next_line()? else {
+            return Ok(None);
+        };
+        let reply = match (op, first) {
+            (McOp::Get, first) => {
+                let mut hit = None;
+                let closed = lines.block(first, |line| match line {
+                    // `VALUE <key>` echoes the key: a hit for another is not ours.
+                    Line::Value {
+                        key,
+                        flags,
+                        data,
+                        cas,
+                    } if hit.is_none() && keys.first() == Some(&key) => {
+                        hit = Some((flags, data, cas));
+                        Ok(())
+                    }
+                    _ => Err(McError::Protocol),
+                })?;
+                if !closed {
+                    return Ok(None);
+                }
+                Reply::Value(hit.map(|(flags, data, cas)| value(flags, data, cas)))
+            }
+            (McOp::Mget, first) => {
+                let mut cursor = KeyCursor { keys, next: 0 };
+                let mut hits = Vec::new();
+                let closed = lines.block(first, |line| match line {
+                    Line::Value {
+                        key,
+                        flags,
+                        data,
+                        cas,
+                    } => {
+                        hits.push((cursor.index_of(key)?, value(flags, data, cas)));
+                        Ok(())
+                    }
+                    _ => Err(McError::Protocol),
+                })?;
+                if !closed {
+                    return Ok(None);
+                }
+                Reply::Values(hits)
+            }
+            // A bare END (empty report) closes an empty block.
+            (McOp::Stats, first) => {
+                let mut pairs = Vec::new();
+                let closed = lines.block(first, |line| match line {
+                    Line::Stat(name, value) => {
+                        pairs.push((name.to_string(), value.to_string()));
+                        Ok(())
+                    }
+                    _ => Err(McError::Protocol),
+                })?;
+                if !closed {
+                    return Ok(None);
+                }
+                Reply::Stats(pairs)
+            }
+            (op, line) if op.is_store() => {
+                let outcome = match line {
+                    Line::Stored => SetOutcome::Stored,
+                    Line::NotStored => SetOutcome::NotStored,
+                    Line::Exists => SetOutcome::Exists,
+                    Line::NotFound => SetOutcome::NotFound,
+                    Line::ServerError(m) if m.windows(9).any(|w| w == b"too large") => {
+                        SetOutcome::TooLarge
+                    }
+                    Line::ServerError(_) => SetOutcome::OutOfMemory,
                     _ => return Err(McError::Protocol),
                 };
                 Reply::Stored { outcome, cas: 0 }
             }
-            (McOp::Delete, Response::Deleted) | (McOp::Touch, Response::Touched) => {
-                Reply::Found(true)
+            (McOp::Delete, Line::Deleted) | (McOp::Touch, Line::Touched) => Reply::Found(true),
+            (McOp::Delete | McOp::Touch, Line::NotFound) => Reply::Found(false),
+            (McOp::Incr | McOp::Decr, Line::Number(n)) => Reply::Number(Ok(n)),
+            (McOp::Incr | McOp::Decr, Line::NotFound) => Reply::Number(Err(NotFound)),
+            (McOp::Incr | McOp::Decr, Line::ClientError(_)) => Reply::Number(Err(NotNumeric)),
+            (McOp::FlushAll, Line::Ok) => Reply::Done,
+            (McOp::Version, Line::Version(v)) => {
+                Reply::Version(String::from_utf8_lossy(v).into_owned())
             }
-            (McOp::Delete | McOp::Touch, Response::NotFound) => Reply::Found(false),
-            (McOp::Incr | McOp::Decr, Response::Number(n)) => Reply::Number(Ok(n)),
-            (McOp::Incr | McOp::Decr, Response::NotFound) => Reply::Number(Err(NotFound)),
-            (McOp::Incr | McOp::Decr, Response::ClientError(_)) => Reply::Number(Err(NotNumeric)),
-            (McOp::FlushAll, Response::Ok) => Reply::Done,
-            (McOp::Version, Response::Version(v)) => Reply::Version(v),
-            (McOp::Stats, Response::Stats(pairs)) => Reply::Stats(pairs),
-            // A bare END (empty report) parses as an empty value list; the
-            // two are indistinguishable on the wire.
-            (McOp::Stats, Response::Values(vs)) if vs.is_empty() => Reply::Stats(Vec::new()),
             _ => return Err(McError::Protocol),
-        })
+        };
+        Ok(Some((reply, lines.used())))
     }
 }
 

@@ -2,7 +2,10 @@
 //! server decodes to the same request, and what the server encodes the
 //! client decodes to the same reply.
 
-use mcproto::{encode_command, encode_response, parse_command, parse_response, BinFrame};
+use mcproto::{
+    encode_command, encode_response, parse_command, parse_response, BinFrame, Command, GetValue,
+    Response, StoreVerb,
+};
 use mcstore::{NumericError, SetOutcome, Value};
 
 use super::{ascii, binary, ucr};
@@ -72,7 +75,7 @@ fn requests_survive_every_wire() {
         let got = ucr::decode_request(&hdr, &data);
         assert_eq!(fields(&got), want, "ucr {:?}", req.op);
 
-        let wire = encode_command(&ascii::encode_request(&req));
+        let wire = ascii::encode_request(&req);
         let (cmd, used) = parse_command(&wire).unwrap().expect("complete command");
         assert_eq!(used, wire.len());
         let (got, noreply) = ascii::decode_request(&cmd).expect("not quit");
@@ -182,12 +185,16 @@ fn replies_survive_every_wire() {
             Reply::Stored { outcome, .. } => Reply::Stored { outcome, cas: 0 },
             other => other,
         };
-        let cmd = ascii::encode_request(&req);
-        let wire = encode_response(&ascii::encode_reply(cmd, copy(&reply)));
-        let (resp, used) = parse_response(&wire).unwrap().expect("complete response");
+        let wire = ascii::encode_reply(&server_command(&req).expect("parses"), copy(&reply));
+        let (got, used) = ascii::decode_reply(op, keys, &wire)
+            .unwrap()
+            .expect("complete reply");
         assert_eq!(used, wire.len());
-        let got = ascii::decode_reply(op, keys, resp).unwrap();
         assert_eq!(got, want, "ascii {op:?}");
+        for short in 0..wire.len() {
+            let partial = ascii::decode_reply(op, keys, &wire[..short]);
+            assert_eq!(partial, Ok(None), "ascii {op:?} cut at {short}");
+        }
 
         if op == McOp::Mget {
             continue; // a binary multiget is a train of single-key gets
@@ -203,6 +210,146 @@ fn replies_survive_every_wire() {
         }
         let got = binary::decode_reply(op, keys, parsed).unwrap();
         assert_eq!(got, reply, "binary {op:?}");
+    }
+}
+
+/// The command a server parses off what the client wrote for `req`.
+fn server_command(req: &Request<'_, &[u8]>) -> Option<Command> {
+    let wire = ascii::encode_request(req);
+    parse_command(&wire).ok().flatten().map(|(cmd, _)| cmd)
+}
+
+/// The ASCII client once built a `Command` from a request and encoded
+/// that; it writes straight from the request now, and the bytes must not
+/// move.
+fn typed_command(req: &Request<'_, &[u8]>) -> Command {
+    let (key, data) = (req.key().to_vec(), req.value.to_vec());
+    let (flags, exptime, noreply) = (req.flags, req.exptime, false);
+    match req.op {
+        McOp::Get | McOp::Mget => Command::Gets {
+            keys: req.keys.iter().map(|k| k.to_vec()).collect(),
+        },
+        McOp::Cas => Command::Cas {
+            key,
+            flags,
+            exptime,
+            cas: req.cas,
+            data,
+            noreply,
+        },
+        McOp::Delete => Command::Delete { key, noreply },
+        McOp::Incr => Command::Incr {
+            key,
+            delta: req.delta,
+            noreply,
+        },
+        McOp::Decr => Command::Decr {
+            key,
+            delta: req.delta,
+            noreply,
+        },
+        McOp::Touch => Command::Touch {
+            key,
+            exptime,
+            noreply,
+        },
+        McOp::FlushAll => Command::FlushAll {
+            delay: exptime,
+            noreply,
+        },
+        McOp::Version => Command::Version,
+        McOp::Stats => Command::Stats {
+            arg: req.keys.first().map(|k| k.to_vec()),
+        },
+        op => Command::Store {
+            verb: match op {
+                McOp::Add => StoreVerb::Add,
+                McOp::Replace => StoreVerb::Replace,
+                McOp::Append => StoreVerb::Append,
+                McOp::Prepend => StoreVerb::Prepend,
+                _ => StoreVerb::Set,
+            },
+            key,
+            flags,
+            exptime,
+            data,
+            noreply,
+        },
+    }
+}
+
+/// Likewise the server's `Response` for a reply to `cmd`.
+fn typed_response(cmd: &Command, reply: Reply) -> Response {
+    let (keys, with_cas) = match cmd {
+        Command::Get { keys } => (keys.as_slice(), false),
+        Command::Gets { keys } => (keys.as_slice(), true),
+        _ => (&[][..], false),
+    };
+    let stanza = |(i, v): (usize, Value)| GetValue {
+        key: keys[i].clone(),
+        flags: v.flags,
+        cas: with_cas.then_some(v.cas),
+        data: v.data,
+    };
+    let text = |s: &str| s.to_string();
+    match reply {
+        Reply::Value(hit) => Response::Values(hit.map(|v| stanza((0, v))).into_iter().collect()),
+        Reply::Values(hits) => Response::Values(hits.into_iter().map(stanza).collect()),
+        Reply::Stored { outcome, .. } => match outcome {
+            SetOutcome::Stored => Response::Stored,
+            SetOutcome::NotStored => Response::NotStored,
+            SetOutcome::Exists => Response::Exists,
+            SetOutcome::NotFound => Response::NotFound,
+            SetOutcome::TooLarge => Response::ServerError(text("object too large for cache")),
+            SetOutcome::OutOfMemory => Response::ServerError(text("out of memory storing object")),
+        },
+        Reply::Found(true) if matches!(cmd, Command::Touch { .. }) => Response::Touched,
+        Reply::Found(true) => Response::Deleted,
+        Reply::Found(false) | Reply::Number(Err(NumericError::NotFound)) => Response::NotFound,
+        Reply::Number(Ok(n)) => Response::Number(n),
+        Reply::Number(Err(NumericError::NotNumeric)) => {
+            Response::ClientError(text("cannot increment or decrement non-numeric value"))
+        }
+        Reply::Done => Response::Ok,
+        Reply::Version(s) => Response::Version(s),
+        Reply::Stats(pairs) => Response::Stats(pairs),
+    }
+}
+
+#[test]
+fn ascii_requests_are_the_bytes_of_their_typed_commands() {
+    let mut all = requests();
+    // Fetches with one key and with several, whichever op asks.
+    all.push(Request::new(McOp::Get, &KEYS));
+    all.push(Request::new(McOp::Mget, &KEYS[..1]));
+    assert!(McOp::ALL.iter().all(|op| all.iter().any(|r| r.op == *op)));
+    for req in &all {
+        let want = encode_command(&typed_command(req));
+        assert_eq!(
+            ascii::encode_request(req),
+            want,
+            "{:?} {:?}",
+            req.op,
+            req.keys
+        );
+    }
+}
+
+#[test]
+fn ascii_replies_are_the_bytes_of_their_typed_responses() {
+    for (op, reply) in replies() {
+        let keys = &KEYS[..if op == McOp::Mget { 3 } else { 1 }];
+        // The client asks with `gets`; a `get` leaves the CAS token out.
+        let mut cmds = vec![server_command(&Request::new(op, keys)).expect("parses")];
+        if matches!(op, McOp::Get | McOp::Mget) {
+            let keys = keys.iter().map(|k| k.to_vec()).collect();
+            cmds.push(Command::Get { keys });
+        }
+        for cmd in cmds {
+            let want = encode_response(&typed_response(&cmd, copy(&reply)));
+            let got = ascii::encode_reply(&cmd, copy(&reply));
+            assert_eq!(got, want, "{op:?} {reply:?} {cmd:?}");
+        }
     }
 }
 
@@ -233,15 +380,16 @@ mod hostile_bytes {
         for req in requests() {
             let (hdr, data) = ucr::encode_request(&req, 1, 2);
             all.extend([hdr.encode(), data]);
-            all.push(encode_command(&ascii::encode_request(&req)));
+            all.push(ascii::encode_request(&req));
             all.extend(binary::encode_request(&req).iter().map(BinFrame::encode));
         }
         for (op, reply) in replies() {
             let (hdr, payload) = ucr::encode_reply(9, copy(&reply), &server_keys);
             all.extend([hdr.encode().to_vec(), payload]);
             let req = Request::new(op, &KEYS[..]);
-            let cmd = ascii::encode_request(&req);
-            all.push(encode_response(&ascii::encode_reply(cmd, copy(&reply))));
+            if let Some(cmd) = server_command(&req) {
+                all.push(ascii::encode_reply(&cmd, copy(&reply)));
+            }
             let frame = binary::encode_request(&Request::new(op, &KEYS[..1])).remove(0);
             let frames = binary::encode_reply(frame, reply);
             all.extend(frames.iter().map(BinFrame::encode));
@@ -299,10 +447,12 @@ mod hostile_bytes {
             prop_assert!(used <= wire.len());
             ascii::decode_request(&cmd);
         }
-        if let Ok(Some((resp, used))) = parse_response(wire) {
+        if let Ok(Some((_, used))) = parse_response(wire) {
             prop_assert!(used <= wire.len());
-            for op in McOp::ALL {
-                let _ = ascii::decode_reply(op, keys, resp.clone());
+        }
+        for op in McOp::ALL {
+            if let Ok(Some((_, used))) = ascii::decode_reply(op, keys, wire) {
+                prop_assert!(used <= wire.len());
             }
         }
         if let Ok(Some((frame, used))) = BinFrame::parse(wire) {
@@ -321,19 +471,24 @@ mod hostile_bytes {
     fn a_get_reply_naming_another_key_is_refused() {
         let (asked, other) = (&KEYS[1..2], &KEYS[..1]);
         let hit = Reply::Value(Some(value(b"v", 1, 2)));
-        let refused = Err(crate::client::McError::Protocol);
+        let refused = crate::client::McError::Protocol;
 
-        let cmd = ascii::encode_request(&Request::new(McOp::Get, asked));
-        let resp = ascii::encode_reply(cmd, copy(&hit));
-        let ours = ascii::decode_reply(McOp::Get, asked, resp.clone());
-        assert_eq!(ours, Ok(copy(&hit)));
-        assert_eq!(ascii::decode_reply(McOp::Get, other, resp), refused);
+        let wire = ascii::encode_reply(
+            &server_command(&Request::new(McOp::Get, asked)).expect("parses"),
+            copy(&hit),
+        );
+        let ours = ascii::decode_reply(McOp::Get, asked, &wire);
+        assert_eq!(ours, Ok(Some((copy(&hit), wire.len()))));
+        assert_eq!(
+            ascii::decode_reply(McOp::Get, other, &wire),
+            Err(refused.clone())
+        );
 
         let frame = binary::encode_request(&Request::new(McOp::Get, asked)).remove(0);
         let frames = binary::encode_reply(frame, copy(&hit));
         let ours = binary::decode_reply(McOp::Get, asked, frames.clone());
         assert_eq!(ours, Ok(hit));
-        assert_eq!(binary::decode_reply(McOp::Get, other, frames), refused);
+        assert_eq!(binary::decode_reply(McOp::Get, other, frames), Err(refused));
     }
 
     proptest! {

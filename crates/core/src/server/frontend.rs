@@ -11,7 +11,7 @@ use std::rc::{Rc, Weak};
 
 use mcproto::{
     encode_response, parse_command, udp_fragment, BinFrame, BinOpcode, BinStatus, Command,
-    Response, UdpFrame, MAGIC_REQUEST,
+    ProtoError, Response, UdpFrame, MAGIC_REQUEST,
 };
 use mcstore::Value;
 use simnet::trace::{Phase, Track};
@@ -36,9 +36,12 @@ pub(super) async fn serve(srv: &Rc<SrvInner>, item: WorkItem, widx: u32) {
             idxs,
         } => serve_ucr_mget_part(srv, ep, merge, shard, idxs, widx).await,
         WorkItem::Sock { sock, cmd } => {
-            if let Some(resp) = serve_ascii(srv, cmd, widx).await {
-                let _ = sock.write_all(&encode_response(&resp)).await;
+            if let Some(wire) = serve_ascii(srv, cmd, widx).await {
+                let _ = sock.write_all(&wire).await;
             }
+        }
+        WorkItem::SockRefused { sock, reply } => {
+            let _ = sock.write_all(&encode_response(&reply)).await;
         }
         WorkItem::SockBin { sock, frame } => serve_sock_bin(srv, sock, frame, widx).await,
         WorkItem::SockUdp {
@@ -47,8 +50,8 @@ pub(super) async fn serve(srv: &Rc<SrvInner>, item: WorkItem, widx: u32) {
             request_id,
             cmd,
         } => {
-            if let Some(resp) = serve_ascii(srv, cmd, widx).await {
-                for datagram in udp_fragment(request_id, &encode_response(&resp)) {
+            if let Some(wire) = serve_ascii(srv, cmd, widx).await {
+                for datagram in udp_fragment(request_id, &wire) {
                     let _ = sock.send_to(src, &datagram).await;
                 }
             }
@@ -233,10 +236,20 @@ fn next_request(binary: bool, buf: &mut Vec<u8>, sock: &Rc<Socket>) -> Framed {
             Err(_) => return Framed::Malformed,
         }
     } else {
+        // memcached answers an unknown command and a non-numeric delta and
+        // reads on; the answer queues behind the replies it must follow.
         match parse_command(buf) {
             Ok(Some((Command::Quit, used))) => (Framed::Quit, used),
             Ok(Some((cmd, used))) => (Framed::Item(WorkItem::Sock { sock, cmd }), used),
             Ok(None) => return Framed::Incomplete,
+            Err(ProtoError::UnknownCommand { len }) => {
+                let reply = Response::Error;
+                (Framed::Item(WorkItem::SockRefused { sock, reply }), len)
+            }
+            Err(ProtoError::BadDelta { len }) => {
+                let reply = Response::ClientError("invalid numeric delta argument".into());
+                (Framed::Item(WorkItem::SockRefused { sock, reply }), len)
+            }
             Err(_) => return Framed::Malformed,
         }
     };
@@ -252,11 +265,8 @@ pub(super) async fn conn_reader(srv: Weak<SrvInner>, sock: Rc<Socket>, widx: usi
     let mut buf: Vec<u8> = Vec::new();
     // Protocol sniffing: the binary request magic cannot start an ASCII
     // command, so the first byte decides the connection's protocol.
-    while buf.is_empty() {
-        match sock.read(64 * 1024).await {
-            Ok(bytes) => buf.extend_from_slice(&bytes),
-            Err(_) => return,
-        }
+    if sock.read(&mut buf, 64 * 1024).await.is_err() {
+        return;
     }
     let binary = buf[0] == MAGIC_REQUEST;
     loop {
@@ -272,17 +282,18 @@ pub(super) async fn conn_reader(srv: Weak<SrvInner>, sock: Rc<Socket>, widx: usi
                 inner.mark_dispatch(OpId::Local(0), 0);
                 let _ = inner.workers[widx].send(item);
             }
-            Framed::Incomplete => match sock.read(64 * 1024).await {
-                Ok(bytes) => buf.extend_from_slice(&bytes),
-                Err(_) => return, // connection closed
-            },
+            Framed::Incomplete => {
+                if sock.read(&mut buf, 64 * 1024).await.is_err() {
+                    return; // connection closed
+                }
+            }
             Framed::Quit => {
                 sock.close();
                 return;
             }
             Framed::Malformed => {
-                // Protocol error: answer (in ASCII) and drop the
-                // connection, as memcached does.
+                // Any other protocol error: answer (in ASCII) and drop the
+                // connection.
                 if !binary {
                     let _ = sock.write_all(&encode_response(&Response::Error)).await;
                 }
@@ -293,9 +304,9 @@ pub(super) async fn conn_reader(srv: Weak<SrvInner>, sock: Rc<Socket>, widx: usi
     }
 }
 
-/// Serves one ASCII command (TCP or UDP); `None` when it asked for no
-/// reply.
-async fn serve_ascii(srv: &Rc<SrvInner>, cmd: Command, widx: u32) -> Option<Response> {
+/// Serves one ASCII command (TCP or UDP): the reply's wire bytes, `None`
+/// when it asked for no reply.
+async fn serve_ascii(srv: &Rc<SrvInner>, cmd: Command, widx: u32) -> Option<Vec<u8>> {
     let (request, noreply) = codec::ascii::decode_request(&cmd)?;
     // One op id for the whole service: the `worker_service` span and the
     // lock spans taken under it share the id, so the folded profile nests
@@ -303,7 +314,7 @@ async fn serve_ascii(srv: &Rc<SrvInner>, cmd: Command, widx: u32) -> Option<Resp
     let id = OpId::Local(srv.next_sock_op());
     let (reply, guards) = srv.exec.serve(&request, id, Track::Worker(widx)).await;
     drop(guards);
-    (!noreply).then(|| codec::ascii::encode_reply(cmd, reply))
+    (!noreply).then(|| codec::ascii::encode_reply(&cmd, reply))
 }
 
 async fn serve_sock_bin(srv: &Rc<SrvInner>, sock: Rc<Socket>, frame: BinFrame, widx: u32) {

@@ -29,7 +29,7 @@
 use std::cell::Cell;
 use std::rc::{Rc, Weak};
 
-use mcproto::{BinFrame, Command};
+use mcproto::{BinFrame, Command, Response};
 use mcstore::StoreConfig;
 use simnet::metrics::{Counter, Gauge, Metrics};
 use simnet::sync::{self, Receiver, Sender};
@@ -168,6 +168,13 @@ enum WorkItem {
     Sock {
         sock: Rc<Socket>,
         cmd: Command,
+    },
+    /// An ASCII/TCP line answered without service (`ERROR`,
+    /// `CLIENT_ERROR`): it queues on the connection's worker so that its
+    /// answer keeps its place among the replies.
+    SockRefused {
+        sock: Rc<Socket>,
+        reply: Response,
     },
     SockBin {
         sock: Rc<Socket>,

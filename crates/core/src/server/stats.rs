@@ -237,11 +237,10 @@ impl StoreGauges {
             return;
         }
         self.class_walks.set(self.class_walks.get() + 1);
-        let evictions = store.class_evictions();
         let mut classes = self.classes.borrow_mut();
         for c in 0..store.class_count() {
             let st = store.class_stats(ClassId(c as u8));
-            let evicted = evictions.get(c).copied().unwrap_or(0);
+            let evicted = store.class_evicted(ClassId(c as u8));
             if st.pages == 0 && evicted == 0 {
                 continue; // class never touched: keep the registry lean
             }

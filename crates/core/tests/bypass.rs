@@ -205,7 +205,9 @@ fn delayed_flush_retires_descriptors_fetched_before_its_deadline() {
             .await
             .unwrap();
         raw.write_all(b"flush_all 2\r\n").await.unwrap();
-        assert_eq!(raw.read(64).await.unwrap(), b"OK\r\n");
+        let mut reply = Vec::new();
+        raw.read(&mut reply, 64).await.unwrap();
+        assert_eq!(reply, b"OK\r\n");
         raw.close();
 
         // The request bumped the version, so this get re-fetches the

@@ -1,6 +1,6 @@
 //! Request-side framing: parse (server) and encode (client).
 
-use crate::{take_block, take_line, ProtoError, CRLF};
+use crate::{exact, num, take_block, take_line, tokens, ProtoError};
 
 /// The five storage verbs sharing the `<verb> <key> <flags> <exptime>
 /// <bytes> [noreply]\r\n<data>\r\n` shape, plus `cas` with its token.
@@ -19,13 +19,22 @@ pub enum StoreVerb {
 }
 
 impl StoreVerb {
-    fn name(self) -> &'static str {
+    const ALL: [StoreVerb; 5] = [
+        StoreVerb::Set,
+        StoreVerb::Add,
+        StoreVerb::Replace,
+        StoreVerb::Append,
+        StoreVerb::Prepend,
+    ];
+
+    /// The verb as the wire spells it.
+    pub fn name(self) -> &'static [u8] {
         match self {
-            StoreVerb::Set => "set",
-            StoreVerb::Add => "add",
-            StoreVerb::Replace => "replace",
-            StoreVerb::Append => "append",
-            StoreVerb::Prepend => "prepend",
+            StoreVerb::Set => b"set",
+            StoreVerb::Add => b"add",
+            StoreVerb::Replace => b"replace",
+            StoreVerb::Append => b"append",
+            StoreVerb::Prepend => b"prepend",
         }
     }
 }
@@ -125,19 +134,6 @@ pub enum Command {
     Quit,
 }
 
-fn split_tokens(line: &[u8]) -> Vec<&[u8]> {
-    line.split(|&b| b == b' ')
-        .filter(|t| !t.is_empty())
-        .collect()
-}
-
-fn num<T: std::str::FromStr>(tok: &[u8]) -> Result<T, ProtoError> {
-    std::str::from_utf8(tok)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .ok_or(ProtoError::BadNumber)
-}
-
 fn check_key(key: &[u8]) -> Result<(), ProtoError> {
     if key.is_empty() || key.len() > 250 {
         return Err(ProtoError::TooLong);
@@ -149,42 +145,32 @@ fn check_key(key: &[u8]) -> Result<(), ProtoError> {
 }
 
 /// Incremental parse: `Ok(None)` means more bytes are needed; on success
-/// returns the command and the number of bytes consumed.
+/// returns the command and the number of bytes consumed. The line is split
+/// in place and nothing is copied before the whole command is buffered
+/// and valid, so `Ok(None)` and `Err` allocate nothing.
 pub fn parse_command(buf: &[u8]) -> Result<Option<(Command, usize)>, ProtoError> {
     let Some((line, line_len)) = take_line(buf)? else {
         return Ok(None);
     };
-    let toks = split_tokens(line);
-    if toks.is_empty() {
-        return Err(ProtoError::Malformed("empty command line"));
-    }
-    let verb = toks[0];
-    let store_verb = match verb {
-        b"set" => Some(StoreVerb::Set),
-        b"add" => Some(StoreVerb::Add),
-        b"replace" => Some(StoreVerb::Replace),
-        b"append" => Some(StoreVerb::Append),
-        b"prepend" => Some(StoreVerb::Prepend),
-        _ => None,
-    };
+    let mut toks = tokens(line);
+    let verb = toks
+        .next()
+        .ok_or(ProtoError::Malformed("empty command line"))?;
 
-    if let Some(sv) = store_verb {
-        if toks.len() < 5 {
-            return Err(ProtoError::Malformed("storage command needs 5 fields"));
-        }
-        let key = toks[1].to_vec();
-        check_key(&key)?;
-        let flags: u32 = num(toks[2])?;
-        let exptime: u32 = num(toks[3])?;
-        let bytes: usize = num(toks[4])?;
-        let noreply = toks.get(5) == Some(&&b"noreply"[..]);
+    if let Some(verb) = StoreVerb::ALL.into_iter().find(|v| v.name() == verb) {
+        let [key, flags, exptime, bytes] = toks
+            .fields()
+            .ok_or(ProtoError::Malformed("storage command needs 5 fields"))?;
+        check_key(key)?;
+        let (flags, exptime, bytes) = (num(flags)?, num(exptime)?, num(bytes)?);
+        let noreply = toks.noreply();
         let Some((data, total)) = take_block(buf, line_len, bytes)? else {
             return Ok(None); // waiting for the data block
         };
         return Ok(Some((
             Command::Store {
-                verb: sv,
-                key,
+                verb,
+                key: key.to_vec(),
                 flags,
                 exptime,
                 data: data.to_vec(),
@@ -194,24 +180,21 @@ pub fn parse_command(buf: &[u8]) -> Result<Option<(Command, usize)>, ProtoError>
         )));
     }
 
-    match verb {
+    let cmd = match verb {
         b"cas" => {
-            if toks.len() < 6 {
-                return Err(ProtoError::Malformed("cas needs 6 fields"));
-            }
-            let key = toks[1].to_vec();
-            check_key(&key)?;
-            let flags: u32 = num(toks[2])?;
-            let exptime: u32 = num(toks[3])?;
-            let bytes: usize = num(toks[4])?;
-            let cas: u64 = num(toks[5])?;
-            let noreply = toks.get(6) == Some(&&b"noreply"[..]);
+            let [key, flags, exptime, bytes, cas] = toks
+                .fields()
+                .ok_or(ProtoError::Malformed("cas needs 6 fields"))?;
+            check_key(key)?;
+            let (flags, exptime, bytes) = (num(flags)?, num(exptime)?, num(bytes)?);
+            let cas = num(cas)?;
+            let noreply = toks.noreply();
             let Some((data, total)) = take_block(buf, line_len, bytes)? else {
                 return Ok(None);
             };
-            Ok(Some((
+            return Ok(Some((
                 Command::Cas {
-                    key,
+                    key: key.to_vec(),
                     flags,
                     exptime,
                     cas,
@@ -219,41 +202,44 @@ pub fn parse_command(buf: &[u8]) -> Result<Option<(Command, usize)>, ProtoError>
                     noreply,
                 },
                 total,
-            )))
+            )));
         }
         b"get" | b"gets" => {
-            if toks.len() < 2 {
+            let mut count = 0;
+            for key in toks.clone() {
+                check_key(key)?;
+                count += 1;
+            }
+            if count == 0 {
                 return Err(ProtoError::Malformed("get needs at least one key"));
             }
-            let keys: Vec<Vec<u8>> = toks[1..].iter().map(|t| t.to_vec()).collect();
-            for k in &keys {
-                check_key(k)?;
-            }
-            let cmd = if verb == b"get" {
+            let mut keys = Vec::with_capacity(count);
+            keys.extend(toks.map(<[u8]>::to_vec));
+            if verb == b"get" {
                 Command::Get { keys }
             } else {
                 Command::Gets { keys }
-            };
-            Ok(Some((cmd, line_len)))
+            }
         }
         b"delete" => {
-            if toks.len() < 2 {
-                return Err(ProtoError::Malformed("delete needs a key"));
+            let [key] = toks
+                .fields()
+                .ok_or(ProtoError::Malformed("delete needs a key"))?;
+            check_key(key)?;
+            let noreply = toks.noreply();
+            Command::Delete {
+                key: key.to_vec(),
+                noreply,
             }
-            let key = toks[1].to_vec();
-            check_key(&key)?;
-            let noreply = toks.get(2) == Some(&&b"noreply"[..]);
-            Ok(Some((Command::Delete { key, noreply }, line_len)))
         }
         b"incr" | b"decr" => {
-            if toks.len() < 3 {
-                return Err(ProtoError::Malformed("incr/decr needs key and delta"));
-            }
-            let key = toks[1].to_vec();
-            check_key(&key)?;
-            let delta: u64 = num(toks[2])?;
-            let noreply = toks.get(3) == Some(&&b"noreply"[..]);
-            let cmd = if verb == b"incr" {
+            let [key, delta] = toks
+                .fields()
+                .ok_or(ProtoError::Malformed("incr/decr needs key and delta"))?;
+            check_key(key)?;
+            let delta = num(delta).map_err(|_| ProtoError::BadDelta { len: line_len })?;
+            let (key, noreply) = (key.to_vec(), toks.noreply());
+            if verb == b"incr" {
                 Command::Incr {
                     key,
                     delta,
@@ -265,52 +251,47 @@ pub fn parse_command(buf: &[u8]) -> Result<Option<(Command, usize)>, ProtoError>
                     delta,
                     noreply,
                 }
-            };
-            Ok(Some((cmd, line_len)))
+            }
         }
         b"touch" => {
-            if toks.len() < 3 {
-                return Err(ProtoError::Malformed("touch needs key and exptime"));
+            let [key, exptime] = toks
+                .fields()
+                .ok_or(ProtoError::Malformed("touch needs key and exptime"))?;
+            check_key(key)?;
+            let exptime = num(exptime)?;
+            let noreply = toks.noreply();
+            Command::Touch {
+                key: key.to_vec(),
+                exptime,
+                noreply,
             }
-            let key = toks[1].to_vec();
-            check_key(&key)?;
-            let exptime: u32 = num(toks[2])?;
-            let noreply = toks.get(3) == Some(&&b"noreply"[..]);
-            Ok(Some((
-                Command::Touch {
-                    key,
-                    exptime,
-                    noreply,
-                },
-                line_len,
-            )))
         }
         b"flush_all" => {
             let mut delay = 0u32;
             let mut noreply = false;
-            for t in &toks[1..] {
-                if *t == b"noreply" {
+            for t in toks {
+                if t == b"noreply" {
                     noreply = true;
                 } else {
                     delay = num(t)?;
                 }
             }
-            Ok(Some((Command::FlushAll { delay, noreply }, line_len)))
+            Command::FlushAll { delay, noreply }
         }
-        b"stats" => {
-            let arg = toks.get(1).map(|t| t.to_vec());
-            Ok(Some((Command::Stats { arg }, line_len)))
-        }
-        b"version" => Ok(Some((Command::Version, line_len))),
-        b"quit" => Ok(Some((Command::Quit, line_len))),
-        _ => Err(ProtoError::Malformed("unknown command")),
-    }
+        b"stats" => Command::Stats {
+            arg: toks.next().map(<[u8]>::to_vec),
+        },
+        b"version" => Command::Version,
+        b"quit" => Command::Quit,
+        _ => return Err(ProtoError::UnknownCommand { len: line_len }),
+    };
+    Ok(Some((cmd, line_len)))
 }
 
-/// Encodes a command to the wire (client side).
+/// Encodes a command to the wire (client side), in one buffer of exactly
+/// its size.
 pub fn encode_command(cmd: &Command) -> Vec<u8> {
-    let mut out = Vec::new();
-    match cmd {
+    exact(|w| match cmd {
         Command::Store {
             verb,
             key,
@@ -318,24 +299,7 @@ pub fn encode_command(cmd: &Command) -> Vec<u8> {
             exptime,
             data,
             noreply,
-        } => {
-            out.extend_from_slice(verb.name().as_bytes());
-            out.push(b' ');
-            out.extend_from_slice(key);
-            out.extend_from_slice(
-                format!(
-                    " {} {} {}{}",
-                    flags,
-                    exptime,
-                    data.len(),
-                    reply_suffix(*noreply)
-                )
-                .as_bytes(),
-            );
-            out.extend_from_slice(CRLF);
-            out.extend_from_slice(data);
-            out.extend_from_slice(CRLF);
-        }
+        } => w.storage(verb.name(), key, *flags, *exptime, None, data, *noreply),
         Command::Cas {
             key,
             flags,
@@ -343,97 +307,31 @@ pub fn encode_command(cmd: &Command) -> Vec<u8> {
             cas,
             data,
             noreply,
-        } => {
-            out.extend_from_slice(b"cas ");
-            out.extend_from_slice(key);
-            out.extend_from_slice(
-                format!(
-                    " {} {} {} {}{}",
-                    flags,
-                    exptime,
-                    data.len(),
-                    cas,
-                    reply_suffix(*noreply)
-                )
-                .as_bytes(),
-            );
-            out.extend_from_slice(CRLF);
-            out.extend_from_slice(data);
-            out.extend_from_slice(CRLF);
-        }
-        Command::Get { keys } | Command::Gets { keys } => {
-            out.extend_from_slice(if matches!(cmd, Command::Get { .. }) {
-                b"get"
-            } else {
-                b"gets" as &[u8]
-            });
-            for k in keys {
-                out.push(b' ');
-                out.extend_from_slice(k);
-            }
-            out.extend_from_slice(CRLF);
-        }
-        Command::Delete { key, noreply } => {
-            out.extend_from_slice(b"delete ");
-            out.extend_from_slice(key);
-            out.extend_from_slice(reply_suffix(*noreply).as_bytes());
-            out.extend_from_slice(CRLF);
-        }
+        } => w.storage(b"cas", key, *flags, *exptime, Some(*cas), data, *noreply),
+        Command::Get { keys } => w.retrieval(b"get", keys),
+        Command::Gets { keys } => w.retrieval(b"gets", keys),
+        Command::Delete { key, noreply } => w.command(b"delete", Some(key), None, *noreply),
         Command::Incr {
             key,
             delta,
             noreply,
-        }
-        | Command::Decr {
+        } => w.command(b"incr", Some(key), Some(*delta), *noreply),
+        Command::Decr {
             key,
             delta,
             noreply,
-        } => {
-            out.extend_from_slice(if matches!(cmd, Command::Incr { .. }) {
-                b"incr "
-            } else {
-                b"decr " as &[u8]
-            });
-            out.extend_from_slice(key);
-            out.extend_from_slice(format!(" {}{}", delta, reply_suffix(*noreply)).as_bytes());
-            out.extend_from_slice(CRLF);
-        }
+        } => w.command(b"decr", Some(key), Some(*delta), *noreply),
         Command::Touch {
             key,
             exptime,
             noreply,
-        } => {
-            out.extend_from_slice(b"touch ");
-            out.extend_from_slice(key);
-            out.extend_from_slice(format!(" {}{}", exptime, reply_suffix(*noreply)).as_bytes());
-            out.extend_from_slice(CRLF);
-        }
+        } => w.command(b"touch", Some(key), Some((*exptime).into()), *noreply),
         Command::FlushAll { delay, noreply } => {
-            out.extend_from_slice(b"flush_all");
-            if *delay > 0 {
-                out.extend_from_slice(format!(" {delay}").as_bytes());
-            }
-            out.extend_from_slice(reply_suffix(*noreply).as_bytes());
-            out.extend_from_slice(CRLF);
+            let delay = (*delay > 0).then_some((*delay).into());
+            w.command(b"flush_all", None, delay, *noreply)
         }
-        Command::Stats { arg } => {
-            out.extend_from_slice(b"stats");
-            if let Some(a) = arg {
-                out.push(b' ');
-                out.extend_from_slice(a);
-            }
-            out.extend_from_slice(CRLF);
-        }
-        Command::Version => out.extend_from_slice(b"version\r\n"),
-        Command::Quit => out.extend_from_slice(b"quit\r\n"),
-    }
-    out
-}
-
-fn reply_suffix(noreply: bool) -> &'static str {
-    if noreply {
-        " noreply"
-    } else {
-        ""
-    }
+        Command::Stats { arg } => w.command(b"stats", arg.as_deref(), None, false),
+        Command::Version => w.command(b"version", None, None, false),
+        Command::Quit => w.command(b"quit", None, None, false),
+    })
 }

@@ -2,7 +2,7 @@
 //! encode∘parse round-trip properties.
 
 use mcproto::{
-    encode_command, encode_response, parse_command, parse_response, udp_fragment, BinFrame,
+    encode_command, encode_response, parse_command, parse_response, tokens, udp_fragment, BinFrame,
     BinOpcode, Command, GetValue, ProtoError, Response, StoreVerb, UdpFrame, UDP_FRAME_BYTES,
 };
 
@@ -92,10 +92,15 @@ fn binary_safe_values() {
 
 #[test]
 fn malformed_commands_error() {
-    assert!(matches!(
+    // The two a server answers and reads past: they say how far.
+    assert_eq!(
         parse_command(b"bogus\r\n"),
-        Err(ProtoError::Malformed(_))
-    ));
+        Err(ProtoError::UnknownCommand { len: 7 })
+    );
+    assert_eq!(
+        parse_command(b"incr k x1\r\nget k\r\n"),
+        Err(ProtoError::BadDelta { len: 11 })
+    );
     assert!(matches!(
         parse_command(b"set k x 0 5\r\nhello\r\n"),
         Err(ProtoError::BadNumber)
@@ -303,7 +308,29 @@ mod properties {
         ]
     }
 
+    /// Words with runs of spaces between them, and before and after.
+    fn spaced_line() -> impl Strategy<Value = Vec<u8>> {
+        let word = proptest::collection::vec(0x21u8..0x7f, 1..6);
+        let words = proptest::collection::vec((word, 0usize..4), 0..6);
+        (0usize..4, words).prop_map(|(lead, words)| {
+            let mut line = vec![b' '; lead];
+            for (word, spaces) in words {
+                line.extend(word);
+                line.extend(std::iter::repeat_n(b' ', spaces));
+            }
+            line
+        })
+    }
+
     proptest! {
+        /// The in-place tokenizer splits a line as splitting at every
+        /// space and dropping the empty pieces does.
+        #[test]
+        fn tokens_split_like_split_and_filter(line in spaced_line()) {
+            let want: Vec<&[u8]> = line.split(|&b| b == b' ').filter(|t| !t.is_empty()).collect();
+            prop_assert_eq!(tokens(&line).collect::<Vec<_>>(), want);
+        }
+
         /// Client-encoded commands parse back identically on the server.
         #[test]
         fn command_encode_parse_round_trip(cmd in command_strategy()) {

@@ -242,9 +242,10 @@ impl Socket {
         Ok(())
     }
 
-    /// Reads up to `max` available bytes, waiting for at least one.
-    /// `Err(Closed)` once the peer has closed and the buffer is drained.
-    pub async fn read(&self, max: usize) -> Result<Vec<u8>, SockError> {
+    /// Reads up to `max` available bytes onto the end of `buf`, waiting for
+    /// at least one; returns how many. `Err(Closed)` once the peer has
+    /// closed and the buffer is drained.
+    pub async fn read(&self, buf: &mut Vec<u8>, max: usize) -> Result<usize, SockError> {
         assert!(max > 0, "read of zero bytes");
         let sim = self.sim();
         loop {
@@ -253,17 +254,18 @@ impl Socket {
             }
             let taken = {
                 let mut data = self.rx.data.borrow_mut();
-                if data.is_empty() {
-                    None
-                } else {
-                    let n = data.len().min(max);
-                    Some(data.drain(..n).collect::<Vec<u8>>())
-                }
+                let n = data.len().min(max);
+                let (front, back) = data.as_slices();
+                let from_front = front.len().min(n);
+                buf.extend_from_slice(&front[..from_front]);
+                buf.extend_from_slice(&back[..n - from_front]);
+                data.drain(..n);
+                n
             };
-            if let Some(out) = taken {
+            if taken > 0 {
                 // Reader wakeup + copy-out.
                 sim.sleep(self.profile.app_recv).await;
-                return Ok(out);
+                return Ok(taken);
             }
             if self.rx.closed.get() {
                 return Err(SockError::Closed);
@@ -279,8 +281,8 @@ impl Socket {
     pub async fn read_exact(&self, n: usize) -> Result<Vec<u8>, SockError> {
         let mut out = Vec::with_capacity(n);
         while out.len() < n {
-            let chunk = self.read(n - out.len()).await?;
-            out.extend_from_slice(&chunk);
+            let max = n - out.len();
+            self.read(&mut out, max).await?;
         }
         Ok(out)
     }

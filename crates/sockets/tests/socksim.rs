@@ -31,9 +31,11 @@ async fn echo_pair(fabric: &SockFabric, stack: Stack, rounds: usize) -> Socket {
     sim.spawn(async move {
         let sock = listener.accept().await.unwrap();
         sock.set_nodelay(true);
+        let mut data = Vec::new();
         for _ in 0..rounds {
-            match sock.read(1 << 20).await {
-                Ok(data) => {
+            data.clear();
+            match sock.read(&mut data, 1 << 20).await {
+                Ok(_) => {
                     if sock.write_all(&data).await.is_err() {
                         break;
                     }
@@ -227,7 +229,7 @@ fn killed_node_resets_peers() {
         f2.kill_node(SERVER.node);
         // Any buffered data may drain, then EOF.
         let err = loop {
-            match sock.read(64).await {
+            match sock.read(&mut Vec::new(), 64).await {
                 Ok(_) => continue,
                 Err(e) => break e,
             }
@@ -264,10 +266,12 @@ fn kernel_contention_limits_aggregate_throughput() {
         });
 
         async fn fabric_server(sock: Socket, rounds: usize) {
+            let mut data = Vec::new();
             for _ in 0..rounds {
-                let Ok(data) = sock.read(1 << 16).await else {
+                data.clear();
+                if sock.read(&mut data, 1 << 16).await.is_err() {
                     return;
-                };
+                }
                 if sock.write_all(&data).await.is_err() {
                     return;
                 }
@@ -332,9 +336,10 @@ fn partial_reads_drain_the_stream() {
         // Read in odd-sized chunks; total must be exact.
         let mut total = Vec::new();
         while total.len() < 100 {
-            let chunk = sock.read(33).await.unwrap();
-            assert!(!chunk.is_empty() && chunk.len() <= 33);
-            total.extend_from_slice(&chunk);
+            let before = total.len();
+            let n = sock.read(&mut total, 33).await.unwrap();
+            assert!(n > 0 && n <= 33);
+            assert_eq!(total.len(), before + n, "appended, not replaced");
         }
         assert_eq!(total, vec![7u8; 100]);
         assert_eq!(sock.available(), 0);
@@ -426,7 +431,7 @@ fn closed_socket_rejects_writes_eventually() {
         sock.close();
         let err = sock.write_all(b"after close").await.unwrap_err();
         assert_eq!(err, SockError::Closed);
-        assert!(sock.read(10).await.is_err());
+        assert!(sock.read(&mut Vec::new(), 10).await.is_err());
     });
 }
 
@@ -437,7 +442,8 @@ fn many_sequential_connections_to_one_listener() {
     let listener = fabric.listen(Stack::TenGigEToe, NodeId(0), 8080).unwrap();
     sim.spawn(async move {
         while let Ok(sock) = listener.accept().await {
-            let data = sock.read(64).await.unwrap();
+            let mut data = Vec::new();
+            sock.read(&mut data, 64).await.unwrap();
             sock.write_all(&data).await.unwrap();
         }
     });

@@ -133,22 +133,16 @@ impl SegmentedStore {
         total
     }
 
-    /// Per-class eviction totals summed across segments.
-    pub fn class_evictions(&self) -> Vec<u64> {
-        let mut out = vec![0u64; self.class_count()];
-        for s in &self.segments {
-            for (c, n) in s.class_evictions().iter().enumerate() {
-                if let Some(slot) = out.get_mut(c) {
-                    *slot += n;
-                }
-            }
-        }
-        out
+    /// Items evicted live from `class`, summed across segments.
+    pub fn class_evicted(&self, class: ClassId) -> u64 {
+        let c = usize::from(class.0);
+        let evicted = |s: &Store| s.class_evictions().get(c).copied().unwrap_or(0);
+        self.segments.iter().map(evicted).sum()
     }
 
     /// See [`Store::class_changes`], summed across segments: it moves
     /// whenever [`class_stats`](Self::class_stats) or
-    /// [`class_evictions`](Self::class_evictions) may answer differently.
+    /// [`class_evicted`](Self::class_evicted) may answer differently.
     pub fn class_changes(&self) -> u64 {
         self.segments.iter().map(Store::class_changes).sum()
     }
@@ -251,11 +245,12 @@ impl SegmentedStore {
     /// to [`Store::item_stat_lines`] for a single segment.
     pub fn item_stat_lines(&self) -> Vec<(String, String)> {
         let mut out = Vec::new();
-        for (c, evicted) in self.class_evictions().iter().enumerate() {
+        for c in 0..self.class_count() {
             let used = self.class_stats(ClassId(c as u8)).used;
             if used == 0 {
                 continue;
             }
+            let evicted = self.class_evicted(ClassId(c as u8));
             out.push((format!("items:{c}:number"), used.to_string()));
             out.push((format!("items:{c}:evicted"), evicted.to_string()));
         }

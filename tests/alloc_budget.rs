@@ -340,6 +340,21 @@ fn ascii_socket_gets() -> Shape {
     )
 }
 
+/// The same 8 clients storing 1 KB values and getting them by turns: the
+/// set path, a data block each way of the text protocol.
+fn ascii_socket_sets_and_gets() -> Shape {
+    const CLIENTS: u32 = 8;
+    Shape::new(
+        "ascii_socket_sets_and_gets",
+        World::cluster_a(42, CLIENTS + 1),
+        McServerConfig::default(),
+        Transport::Sockets(Stack::TenGigEToe),
+        CLIENTS,
+        1024,
+        |s, ops| closed_loop(&s.world, &s.clients, ops, Some(&[7u8; 1024])),
+    )
+}
+
 #[test]
 fn ucr_small_gets_stay_within_the_allocation_budget() {
     ucr_small_gets().stays_within(8.0); // measured 6.00
@@ -358,7 +373,77 @@ fn ucr_pipelined_gets_stay_within_the_allocation_budget() {
 
 #[test]
 fn ascii_socket_gets_stay_within_the_allocation_budget() {
-    ascii_socket_gets().stays_within(30.0); // measured 28.00
+    ascii_socket_gets().stays_within(10.0); // measured 8.00
+}
+
+#[test]
+fn ascii_socket_sets_and_gets_stay_within_the_allocation_budget() {
+    ascii_socket_sets_and_gets().stays_within(9.0); // measured 7.00
+}
+
+/// The text parsers split and frame in place: one that asks for more bytes
+/// or refuses what it was given allocates nothing. A 64 KB `set` arriving
+/// a read at a time costs no copy per read, and neither does a reply that
+/// is not all there yet.
+#[test]
+fn text_parsers_allocate_nothing_until_a_frame_is_whole() {
+    use rdma_memcached::mcproto::{
+        encode_command, encode_response, parse_command, parse_response, Command, GetValue,
+        Response, StoreVerb,
+    };
+    let set = encode_command(&Command::Store {
+        verb: StoreVerb::Set,
+        key: key(1),
+        flags: 0,
+        exptime: 0,
+        data: vec![5; 64 << 10],
+        noreply: false,
+    });
+    let hit = |i| GetValue {
+        key: key(i),
+        flags: 0,
+        data: vec![5; 1024],
+        cas: Some(7),
+    };
+    let values = encode_response(&Response::Values((0..3).map(hit).collect()));
+    let stats = encode_response(&Response::Stats(vec![
+        ("pid".to_string(), "7".to_string()),
+        ("version".to_string(), "1.4.5".to_string()),
+    ]));
+    let refused_commands: [&[u8]; 6] = [
+        b"bogus k\r\n",
+        b"get\r\n",
+        b"get k \x01\r\n",
+        b"set k 0 0 x\r\n",
+        b"incr k one\r\n",
+        b"set k 0 0 3\r\nabcd\r\n",
+    ];
+    let refused_replies: [&[u8]; 4] = [
+        b"VALUE k 0 3\r\nabcEND\r\n",
+        b"VALUE k 0 1\r\na\r\nSTORED\r\n",
+        b"STAT pid 7\r\nVALUE k 0 1\r\na\r\nEND\r\n",
+        b"BOGUS\r\n",
+    ];
+
+    let before = ALLOCS.with(Cell::get);
+    for cut in (0..set.len()).step_by(997) {
+        assert!(matches!(parse_command(&set[..cut]), Ok(None)), "cut {cut}");
+    }
+    for wire in [&values, &stats] {
+        for cut in 0..wire.len() {
+            assert!(
+                matches!(parse_response(&wire[..cut]), Ok(None)),
+                "cut {cut}"
+            );
+        }
+    }
+    for line in refused_commands {
+        assert!(parse_command(line).is_err());
+    }
+    for reply in refused_replies {
+        assert!(parse_response(reply).is_err());
+    }
+    assert_eq!(ALLOCS.with(Cell::get) - before, 0);
 }
 
 /// The paper's Fig. 4(c) point: one UCR client, 4 KB gets — the largest
@@ -432,7 +517,7 @@ fn targeted_events_allocate_nothing_in_steady_state() {
     assert_eq!(sim.events_executed(), 1_064 + 100_064);
 }
 
-/// Where the allocations of the three benchmark-like shapes come from: per
+/// Where the allocations of the benchmark-like shapes come from: per
 /// call site (the innermost frame in `crates/`), allocations and bytes per
 /// operation over a thousand operations on a warmed-up testbed. Slow — every
 /// allocation takes a backtrace — and a report, not a check:
@@ -441,7 +526,13 @@ fn targeted_events_allocate_nothing_in_steady_state() {
 #[ignore = "prints the allocation site table; slow"]
 fn print_allocation_sites() {
     const OPS: u64 = 1_000;
-    for shape in [ucr_small_gets(), ucr_pipelined_gets(), ascii_socket_gets()] {
+    let shapes = [
+        ucr_small_gets(),
+        ucr_pipelined_gets(),
+        ascii_socket_gets(),
+        ascii_socket_sets_and_gets(),
+    ];
+    for shape in shapes {
         shape.run(WARMUP_OPS);
         let table: &'static SiteTable = Box::leak(Box::default());
         SITES.set(Some(table));

@@ -94,7 +94,7 @@ async fn read_response(sock: &Socket) -> Response {
         if let Some((resp, _)) = parse_response(&buf).expect("well-formed response") {
             return resp;
         }
-        buf.extend_from_slice(&sock.read(64 * 1024).await.expect("raw read"));
+        sock.read(&mut buf, 64 * 1024).await.expect("raw read");
     }
 }
 
@@ -104,7 +104,7 @@ async fn read_frame(sock: &Socket) -> BinFrame {
         if let Some((frame, _)) = BinFrame::parse(&buf).expect("well-formed frame") {
             return frame;
         }
-        buf.extend_from_slice(&sock.read(64 * 1024).await.expect("raw read"));
+        sock.read(&mut buf, 64 * 1024).await.expect("raw read");
     }
 }
 
@@ -450,6 +450,49 @@ fn oversize_values_are_refused_without_touching_the_store() {
         assert_eq!(srv.store_stats(), StoreStats::default(), "{wire:?}");
         assert_eq!(srv.curr_items(), 0, "{wire:?}");
     }
+}
+
+/// memcached 1.4 answers an unknown command with `ERROR` and a
+/// non-numeric `incr`/`decr` delta with `CLIENT_ERROR`, and keeps reading
+/// the connection: the next request on it is served.
+#[test]
+fn ascii_refusals_answer_and_keep_the_connection() {
+    let world = World::cluster_a(67, 6);
+    let _srv = server(&world, StoreModel::Idealized);
+    let c = client(&world, Wire::Ascii);
+    let sim = world.sim().clone();
+    sim.block_on(async move {
+        c.set(b"k", b"10", 3, 0).await.unwrap();
+        let sock = raw_socket(&world).await;
+        let hit = &b"VALUE k 3 2\r\n10\r\nEND\r\n"[..];
+        let delta = &b"CLIENT_ERROR invalid numeric delta argument\r\n"[..];
+        let rows: [(&[u8], &[u8]); 4] = [
+            (b"bogus k\r\n", b"ERROR\r\n"),
+            (b"incr k one\r\n", delta),
+            (b"decr k -1\r\n", delta),
+            (b"incr absent 1x\r\n", delta),
+        ];
+        for (line, answer) in rows {
+            let row = String::from_utf8_lossy(line);
+            sock.write_all(line).await.expect("raw write");
+            let got = sock.read_exact(answer.len()).await.expect("raw read");
+            assert_eq!(got, answer, "{row}");
+            sock.write_all(b"get k\r\n").await.expect("raw write");
+            let got = sock.read_exact(hit.len()).await.expect("raw read");
+            assert_eq!(got, hit, "get after {row}");
+        }
+        // Behind a request still in service, the refusal keeps its place.
+        sock.write_all(b"get k\r\nbogus\r\n")
+            .await
+            .expect("raw write");
+        let mut both = hit.to_vec();
+        both.extend_from_slice(b"ERROR\r\n");
+        let got = sock.read_exact(both.len()).await.expect("raw read");
+        assert_eq!(got, both);
+        world.sim().sleep(SimDuration::from_millis(1)).await;
+        assert_eq!(sock.available(), 0, "nothing more was said");
+        sock.close();
+    });
 }
 
 #[test]
