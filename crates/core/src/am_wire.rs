@@ -341,22 +341,20 @@ impl ReqHeader {
         let exptime = u32::from_le_bytes(b[24..28].try_into().ok()?);
         let cas = u64::from_le_bytes(b[28..36].try_into().ok()?);
         let delta = u64::from_le_bytes(b[36..44].try_into().ok()?);
+        // The count is the peer's word: every key is found before any is
+        // copied, so a header that is not whole allocates nothing.
         let mut rest = &b[REQ_FIXED_BYTES..];
-        // The count is the peer's word; a key takes at least its two
-        // length bytes, so that is what the header can hold.
-        let room = rest.len() / 2;
-        let mut next_key = || {
-            let klen = u16::from_le_bytes(rest.get(..2)?.try_into().ok()?) as usize;
-            let key = rest.get(2..2 + klen)?.to_vec();
-            rest = &rest[2 + klen..];
-            Some(key)
-        };
+        for _ in 0..nkeys {
+            next_key(&mut rest)?;
+        }
+        let mut rest = &b[REQ_FIXED_BYTES..];
+        let mut next = || next_key(&mut rest).map(<[u8]>::to_vec);
         let keys = if nkeys == 1 {
-            Keys::One([next_key()?])
+            Keys::One([next()?])
         } else {
-            let mut keys = Vec::with_capacity(nkeys.min(room));
+            let mut keys = Vec::with_capacity(nkeys);
             for _ in 0..nkeys {
-                keys.push(next_key()?);
+                keys.push(next()?);
             }
             Keys::Many(keys)
         };
@@ -371,6 +369,15 @@ impl ReqHeader {
             keys,
         })
     }
+}
+
+/// Splits the next `[klen u16][key]` off the front of `b` without copying;
+/// `None` if it is not all there.
+fn next_key<'a>(b: &mut &'a [u8]) -> Option<&'a [u8]> {
+    let klen = u16::from_le_bytes(b.get(..2)?.try_into().ok()?) as usize;
+    let key = b.get(2..2 + klen)?;
+    *b = &b[2 + klen..];
+    Some(key)
 }
 
 /// A response header (AM 2). The value rides as active-message data; the

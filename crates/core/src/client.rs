@@ -592,8 +592,9 @@ struct CliInner {
     /// own connection and re-dials after a fault instead of poisoning
     /// the AM connection.
     bypass_eps: RefCell<HashMap<usize, Endpoint>>,
-    /// Scratch region one-sided reads land in (grown on demand).
-    bypass_buf: RefCell<Option<Rc<UcrMemory>>>,
+    /// Scratch region one-sided reads land in (grown on demand), while no
+    /// read holds it.
+    bypass_buf: RefCell<Option<UcrMemory>>,
 }
 
 impl CliInner {
@@ -1421,20 +1422,23 @@ impl CliInner {
         if len < BYPASS_VERSION_BYTES || desc.vlen as usize > len - BYPASS_VERSION_BYTES {
             return BypassRead::Failed; // malformed window
         }
-        let buf = self.bypass_scratch(rt, len);
+        let buf = self.take_bypass_buf(rt, len);
         let Some(ep) = self.bypass_ep(sidx).await else {
+            self.return_bypass_buf(buf);
             return BypassRead::Failed;
         };
         let ctr = rt.counter();
         if ep.get(&buf, 0, desc.remote, Some(ctr.clone())).is_err() {
             self.drop_bypass_ep(sidx);
+            self.return_bypass_buf(buf);
             return BypassRead::Failed;
         }
         // A faulted read (deregistered rkey after a mirror-page
         // retirement) never bumps the counter — it poisons the endpoint
         // at completion time. Wait one transfer-scaled slice first so the
         // fault is caught when it lands instead of after the full
-        // operation timeout.
+        // operation timeout. A read given up on keeps its region: its
+        // bytes may land yet.
         let slice = SimDuration::from_micros(200 + len as u64 / 100).min(self.cfg.op_timeout);
         if ctr.wait_for(1, slice).await.is_err() {
             if ep.is_failed() {
@@ -1448,6 +1452,7 @@ impl CliInner {
             }
         }
         let bytes = buf.read(0, len);
+        self.return_bypass_buf(buf);
         let mut word = [0u8; BYPASS_VERSION_BYTES];
         word.copy_from_slice(&bytes[len - BYPASS_VERSION_BYTES..]);
         if u64::from_le_bytes(word) != desc.version {
@@ -1456,18 +1461,25 @@ impl CliInner {
         BypassRead::Ok(bytes[..desc.vlen as usize].to_vec())
     }
 
-    /// Scratch landing region of at least `len` bytes, grown by
-    /// power-of-two doubling (the old region's MR drops with it).
-    fn bypass_scratch(&self, rt: &UcrRuntime, len: usize) -> Rc<UcrMemory> {
-        let mut slot = self.bypass_buf.borrow_mut();
-        if let Some(m) = slot.as_ref() {
-            if m.len() >= len {
-                return m.clone();
-            }
+    /// A landing region of at least `len` bytes, taken out of its slot: a
+    /// landing window belongs to one read until it completes, because the
+    /// target HCA copies into it when it serves the read. A read that finds
+    /// the slot empty (a concurrent read holds the region) or too small
+    /// registers its own, sized by power-of-two doubling.
+    fn take_bypass_buf(&self, rt: &UcrRuntime, len: usize) -> UcrMemory {
+        match self.bypass_buf.take() {
+            Some(m) if m.len() >= len => m,
+            _ => rt.register_memory(len.next_power_of_two().max(4096)),
         }
-        let m = Rc::new(rt.register_memory(len.next_power_of_two().max(4096)));
-        *slot = Some(m.clone());
-        m
+    }
+
+    /// Puts a region no read targets any more back in the slot, unless a
+    /// concurrent read already put back one at least as large.
+    fn return_bypass_buf(&self, m: UcrMemory) {
+        let mut slot = self.bypass_buf.borrow_mut();
+        if slot.as_ref().is_none_or(|held| held.len() < m.len()) {
+            *slot = Some(m);
+        }
     }
 
     /// The dedicated one-sided endpoint for server `sidx`, dialed on

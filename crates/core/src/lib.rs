@@ -40,8 +40,8 @@ mod server;
 mod world;
 
 pub use am_wire::{
-    encode_mget_entry, Keys, McOp, ReqHeader, RespHeader, RespStatus, MSG_MC_REQ, MSG_MC_RESP,
-    RESP_HEADER_BYTES,
+    encode_mget_entry, DirReq, DirResp, Keys, McOp, ReqHeader, RespHeader, RespStatus, MSG_MC_REQ,
+    MSG_MC_RESP, RESP_HEADER_BYTES,
 };
 pub use client::{
     crc32, fnv1a_32, one_at_a_time, Distribution, InFlight, InFlightGet, InFlightSet, KeyHash,

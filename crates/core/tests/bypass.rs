@@ -83,6 +83,53 @@ fn bypass_get_reads_without_waking_workers() {
     }
 }
 
+/// Reads in flight at once on one client each land in a region of their
+/// own. The server's HCA copies a value into the landing window when it
+/// serves the read, well before the reader wakes, so two reads sharing one
+/// window would each risk returning the other's value — with a version
+/// word that matches, since every key here is written once.
+#[test]
+fn concurrent_bypass_reads_land_in_windows_of_their_own() {
+    const KEYS: usize = 8;
+    const TASKS: usize = 8;
+    const GETS: usize = 20;
+    fn value(i: usize) -> Vec<u8> {
+        vec![b'a' + i as u8; 100 + 37 * i]
+    }
+    for (name, world) in worlds() {
+        let _server = McServer::start(&world, SRV, McServerConfig::default());
+        let c = bypass_client(&world);
+        let sim = world.sim().clone();
+        sim.clone().block_on(async move {
+            for i in 0..KEYS {
+                c.set(format!("k{i}").as_bytes(), &value(i), 0, 0)
+                    .await
+                    .unwrap();
+            }
+            let tasks: Vec<_> = (0..TASKS)
+                .map(|t| {
+                    let c = c.clone();
+                    sim.spawn(async move {
+                        for n in 0..GETS {
+                            let i = (t + n) % KEYS;
+                            let got = c.get(format!("k{i}").as_bytes()).await.unwrap();
+                            assert_eq!(got.unwrap().data, value(i), "{name}: task {t}, get {n}");
+                        }
+                    })
+                })
+                .collect();
+            for t in tasks {
+                t.await;
+            }
+            let rt = c.ucr_runtime().unwrap();
+            let st = rt.stats();
+            assert_eq!(st.bypass_reads.get(), (TASKS * GETS) as u64, "{name}");
+            assert_eq!(st.bypass_retries.get(), 0, "{name}");
+            assert_eq!(st.bypass_fallbacks.get(), 0, "{name}");
+        });
+    }
+}
+
 #[test]
 fn concurrent_set_forces_version_skew_retry() {
     for (name, world) in worlds() {

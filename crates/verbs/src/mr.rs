@@ -4,8 +4,8 @@
 //! `rkey` (advertised to peers for one-sided access). The simulation keeps
 //! each region as a byte vector behind `Rc<RefCell<..>>`; inbound RDMA
 //! resolves the rkey through the owning HCA's region table, checks access
-//! and bounds, and then actually moves the bytes — so data integrity is
-//! end-to-end observable in tests.
+//! and bounds, and then actually moves the bytes, from region to region —
+//! so data integrity is end-to-end observable in tests.
 
 use std::cell::{Ref, RefCell};
 use std::rc::{Rc, Weak};
@@ -197,6 +197,22 @@ impl MrSlice {
         Ok(())
     }
 
+    /// Fills the window from `src` at `src_at` (models the HCA landing an
+    /// RDMA READ straight from the source region). Fails if the region
+    /// lacks LOCAL_WRITE, or as [`dma_copy`] does.
+    pub(crate) fn dma_fill(&self, src: &MrInner, src_at: usize) -> Result<(), VerbsError> {
+        if !self.inner.access.allows(Access::LOCAL_WRITE) {
+            return Err(VerbsError::AccessViolation("region lacks LOCAL_WRITE"));
+        }
+        dma_copy(src, src_at, &self.inner, self.offset, self.len)
+    }
+
+    /// Copies the window into `dst` at `dst_at` (models an RDMA WRITE
+    /// landing in the target region). Fails as [`dma_copy`] does.
+    pub(crate) fn dma_copy_to(&self, dst: &MrInner, dst_at: usize) -> Result<(), VerbsError> {
+        dma_copy(&self.inner, self.offset, dst, dst_at, self.len)
+    }
+
     /// Writes `data` into the window's prefix (application-side write into
     /// its own registered memory; requires LOCAL_WRITE, like a recv).
     pub fn write_prefix(&self, data: &[u8]) -> Result<(), VerbsError> {
@@ -208,6 +224,34 @@ impl MrSlice {
         assert!(len <= self.len, "read beyond slice");
         let buf = self.inner.buf.borrow();
         buf[self.offset..self.offset + len].to_vec()
+    }
+}
+
+/// Copies `len` bytes from `src` at `src_at` into `dst` at `dst_at`: the
+/// DMA engine moving bytes from region to region with no buffer in between.
+/// Refused, never a panic, if either window lies outside its region (one
+/// emptied by [`Mr::into_vec`]) or a region cannot be borrowed at that
+/// instant: the application holds it, or both ends are one region.
+fn dma_copy(
+    src: &MrInner,
+    src_at: usize,
+    dst: &MrInner,
+    dst_at: usize,
+    len: usize,
+) -> Result<(), VerbsError> {
+    let busy = VerbsError::AccessViolation("region already borrowed");
+    let from = src.buf.try_borrow().map_err(|_| busy.clone())?;
+    let mut to = dst.buf.try_borrow_mut().map_err(|_| busy)?;
+    let window = |at: usize, region: usize| {
+        let end = at.checked_add(len).filter(|&end| end <= region)?;
+        Some(at..end)
+    };
+    match (window(src_at, from.len()), window(dst_at, to.len())) {
+        (Some(s), Some(d)) => {
+            to[d].copy_from_slice(&from[s]);
+            Ok(())
+        }
+        _ => Err(VerbsError::AccessViolation("window outside its region")),
     }
 }
 

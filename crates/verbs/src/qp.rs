@@ -24,8 +24,10 @@
 //! A work request in transit is one [`Flight`] record in a table of the
 //! queue pair that posted it, advanced stage by stage by targeted events
 //! (`impl EventTarget for QpInner`; DESIGN.md §5 has the stage table per
-//! opcode). The payload moves from stage to stage and nothing is allocated
-//! for a stage.
+//! opcode). Nothing is allocated for a stage. A SEND's payload moves from
+//! stage to stage; a one-sided request carries its local window, and the
+//! target HCA's stage copies region to region: a WRITE lands from the
+//! posted window, a READ from the source window at the instant it is served.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -103,18 +105,19 @@ enum Flight {
     DgramDeliver { msg: Inbound, rqp: Rc<QpInner> },
     /// An RDMA WRITE (with or without immediate) is on the wire.
     WriteArrive(Write),
-    /// The target HCA has the WRITE: check the window, land the bytes,
-    /// consume a receive for the immediate, acknowledge.
+    /// The target HCA has the WRITE: check the window, copy the posted
+    /// window into it, consume a receive for the immediate, acknowledge.
     WriteLand(Write, Rc<HcaInner>),
     /// An RDMA READ request is on the wire to the target.
     ReadRequest(Read, RemoteMemory),
-    /// The target HCA has the READ request: check the window and put the
-    /// data on the wire, or NAK.
+    /// The target HCA has the READ request: check the window, copy it into
+    /// the requester's window and put the data on the wire, or NAK.
     ReadServe(Read, RemoteMemory, Rc<HcaInner>),
-    /// The READ's data is on the wire back to the requester.
-    ReadData(Read, Vec<u8>),
-    /// The requester's HCA has the data: land it and complete.
-    ReadLand(Read, Vec<u8>),
+    /// The READ's data is on the wire back to the requester, with what
+    /// became of the copy.
+    ReadData(Read, WcStatus),
+    /// The requester's HCA has the data: complete.
+    ReadLand(Read, WcStatus),
     /// The completion reaches the send CQ.
     Complete {
         wr_id: u64,
@@ -124,12 +127,13 @@ enum Flight {
     },
 }
 
-/// An RDMA WRITE on its way: the bytes, where they go (`remote.node` is the
-/// connected peer, checked at the post) and the target queue pair whose
-/// receive an immediate consumes.
+/// An RDMA WRITE on its way: the posted window (the work request's until it
+/// completes, so the target HCA reads it when it lands), where it goes
+/// (`remote.node` is the connected peer, checked at the post) and the target
+/// queue pair whose receive an immediate consumes.
 struct Write {
     wr_id: u64,
-    payload: Vec<u8>,
+    local: MrSlice,
     imm: Option<u32>,
     remote: RemoteMemory,
     dqpn: u32,
@@ -482,6 +486,11 @@ impl QueuePair {
             .remote
             .get()
             .ok_or(VerbsError::InvalidState("RC QP has no peer"))?;
+        // The fabric carries nothing to its own node, so a one-sided copy
+        // never has one region at both ends.
+        if dst == hca.node {
+            return Err(VerbsError::InvalidState("RC loopback not modeled"));
+        }
         // Local buffers must come from this QP's protection domain.
         let local_pd = match &wr.op {
             SendOp::Send { local, .. }
@@ -526,14 +535,13 @@ impl QueuePair {
                         "RDMA target is not the connected peer",
                     ));
                 }
-                let payload = local.dma_read();
-                if payload.len() as u64 > remote.len {
+                if local.len() as u64 > remote.len {
                     return Err(VerbsError::AccessViolation("write exceeds remote window"));
                 }
-                let wire = payload.len() as u64 + WIRE_HEADER_BYTES;
+                let wire = local.len() as u64 + WIRE_HEADER_BYTES;
                 let write = Write {
                     wr_id,
-                    payload,
+                    local,
                     imm,
                     remote,
                     dqpn,
@@ -849,16 +857,16 @@ impl EventTarget for QpInner {
             Flight::WriteLand(write, thca) => {
                 let Write {
                     wr_id,
-                    payload,
+                    local,
                     imm,
                     remote,
                     dqpn,
                 } = write;
-                let len = payload.len();
-                let status = match resolve_remote(&thca, &remote, Access::REMOTE_WRITE, len as u64)
-                {
-                    Ok((mr, off)) => {
-                        mr.buf.borrow_mut()[off..off + len].copy_from_slice(&payload);
+                let len = local.len();
+                let landed = resolve_remote(&thca, &remote, Access::REMOTE_WRITE, len as u64)
+                    .and_then(|(mr, off)| local.dma_copy_to(&mr, off));
+                let status = match landed {
+                    Ok(()) => {
                         // WRITE_WITH_IMM consumes a receive.
                         let rqp = imm.and_then(|_| thca.qps.borrow().get(&dqpn).cloned());
                         if let Some(rqp) = rqp {
@@ -893,12 +901,16 @@ impl EventTarget for QpInner {
                 let want = read.local.len();
                 match resolve_remote(&thca, &remote, Access::REMOTE_READ, want as u64) {
                     Ok((mr, off)) => {
-                        let data = mr.buf.borrow()[off..off + want].to_vec();
-                        // Data response back to the requester.
+                        // The source as it reads now lands in the requester's
+                        // window; the data response carries it back.
+                        let status = match read.local.dma_fill(&mr, off) {
+                            Ok(()) => WcStatus::Success,
+                            Err(_) => WcStatus::LocalLengthError,
+                        };
                         let wire = want as u64 + WIRE_HEADER_BYTES;
                         let now = thca.sim.now();
                         let back = thca.net.carry(remote.node, read.hca.node, wire, now);
-                        self.launch(back, Flight::ReadData(read, data));
+                        self.launch(back, Flight::ReadData(read, status));
                     }
                     // NAK travels back; requester errors out.
                     Err(_) => self.complete_send_after(
@@ -910,16 +922,13 @@ impl EventTarget for QpInner {
                     ),
                 }
             }
-            Flight::ReadData(read, data) => {
+            Flight::ReadData(read, status) => {
                 let t = read.hca.pipeline(read.hca.profile.hca_msg);
-                self.launch(t, Flight::ReadLand(read, data));
+                self.launch(t, Flight::ReadLand(read, status));
             }
-            Flight::ReadLand(read, data) => {
-                let status = match read.local.dma_write(&data) {
-                    Ok(()) => WcStatus::Success,
-                    Err(_) => WcStatus::LocalLengthError,
-                };
-                self.complete_send_now(read.wr_id, WcOpcode::RdmaRead, status, data.len() as u32);
+            Flight::ReadLand(read, status) => {
+                let bytes = read.local.len() as u32;
+                self.complete_send_now(read.wr_id, WcOpcode::RdmaRead, status, bytes);
             }
             Flight::Complete {
                 wr_id,

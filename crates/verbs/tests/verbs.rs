@@ -1065,3 +1065,153 @@ fn every_opcode_under_every_fault_completes_as_characterized() {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// One-sided copies: region to region, at the stage that does them
+// ---------------------------------------------------------------------
+
+/// When the READ of a `LEN`-byte window posted at time zero is served and
+/// when it completes, on an idle Cluster B pair.
+fn read_instants(st: &Stages) -> (SimTime, SimTime) {
+    let serve = st.arrives(st.t_hca, verbs::WIRE_HEADER_BYTES) + st.rdma_target;
+    let back = st.arrives(serve, LEN as u64 + verbs::WIRE_HEADER_BYTES);
+    (serve, back + st.hca_msg)
+}
+
+/// The target HCA copies a READ's source when it serves the read: a
+/// rewrite of the source just before that instant is what the requester
+/// gets, one just after it is not — though the data is still on the wire.
+#[test]
+fn a_read_returns_its_source_as_it_was_served() {
+    let one_ns = SimDuration::from_nanos(1);
+    for rewrite_first in [true, false] {
+        let (cluster, a, b) = pair(true);
+        let sim = cluster.sim().clone();
+        let st = Stages::of(&cluster);
+        let (qa, _qb) = connected_qps(&a, &b);
+        let (old, new) = (vec![1u8; LEN], vec![2u8; LEN]);
+        let src = Rc::new(b.pd.register_with(old.clone(), Access::REMOTE_READ));
+        let local = a.pd.register(LEN, Access::LOCAL_WRITE);
+        qa.post_send(SendWr::new(
+            1,
+            SendOp::RdmaRead {
+                local: local.full(),
+                remote: src.remote(0, LEN),
+            },
+        ))
+        .unwrap();
+        let (serve, done) = read_instants(&st);
+        let at = if rewrite_first {
+            serve - one_ns
+        } else {
+            serve + one_ns
+        };
+        let (writer, bytes) = (src.clone(), new.clone());
+        sim.schedule_at(at, move || writer.write_at(0, &bytes));
+        sim.run();
+        assert_eq!(sim.now(), done, "the completion keeps its instant");
+        let wc = a.cq.poll().expect("one completion");
+        assert_eq!((wc.status, wc.byte_len), (WcStatus::Success, LEN as u32));
+        let want = if rewrite_first { new } else { old };
+        assert_eq!(
+            local.read_at(0, LEN),
+            want,
+            "rewrite first: {rewrite_first}"
+        );
+    }
+}
+
+/// A READ into a window its region does not let the HCA write completes
+/// with `LocalLengthError`, at the instant a successful one would, and the
+/// window keeps what it held.
+#[test]
+fn a_read_into_a_window_without_local_write_fails_and_leaves_it_untouched() {
+    let (cluster, a, b) = pair(true);
+    let st = Stages::of(&cluster);
+    let (qa, _qb) = connected_qps(&a, &b);
+    let src = b.pd.register_with(vec![1u8; LEN], Access::REMOTE_READ);
+    let local = a.pd.register_with(vec![9u8; LEN], Access::default());
+    qa.post_send(SendWr::new(
+        1,
+        SendOp::RdmaRead {
+            local: local.full(),
+            remote: src.remote(0, LEN),
+        },
+    ))
+    .unwrap();
+    cluster.sim().run();
+    assert_eq!(cluster.sim().now(), read_instants(&st).1);
+    let wc = a.cq.poll().expect("one completion");
+    assert_eq!(wc.status, WcStatus::LocalLengthError);
+    assert_eq!(wc.byte_len, LEN as u32);
+    assert_eq!(local.read_at(0, LEN), vec![9u8; LEN]);
+}
+
+/// A region the application holds borrowed when the HCA would copy into it
+/// refuses the copy: the work request completes with an error and nothing
+/// panics. READ lands in the borrowed window; WRITE targets it.
+#[test]
+fn a_borrowed_region_refuses_a_one_sided_copy() {
+    let (cluster, a, b) = pair(true);
+    let (qa, _qb) = connected_qps(&a, &b);
+    let all = Access::LOCAL_WRITE | Access::REMOTE_READ | Access::REMOTE_WRITE;
+    let src = b.pd.register_with(vec![1u8; LEN], all);
+    let landing = a.pd.register(LEN, Access::LOCAL_WRITE);
+    qa.post_send(SendWr::new(
+        1,
+        SendOp::RdmaRead {
+            local: landing.full(),
+            remote: src.remote(0, LEN),
+        },
+    ))
+    .unwrap();
+    let payload = a.pd.register_with(vec![3u8; LEN], Access::default());
+    qa.post_send(SendWr::new(
+        2,
+        SendOp::RdmaWrite {
+            local: payload.full(),
+            remote: src.remote(0, LEN),
+            imm: None,
+        },
+    ))
+    .unwrap();
+    {
+        let (_held_landing, _held_target) = (landing.bytes(), src.bytes());
+        cluster.sim().run();
+    }
+    let mut statuses: Vec<_> = std::iter::from_fn(|| a.cq.poll())
+        .map(|wc| (wc.wr_id, wc.status))
+        .collect();
+    statuses.sort_by_key(|s| s.0);
+    assert_eq!(
+        statuses,
+        [
+            (1, WcStatus::LocalLengthError),
+            (2, WcStatus::RemoteAccessError)
+        ]
+    );
+    assert_eq!(landing.read_at(0, LEN), vec![0u8; LEN]);
+    assert_eq!(src.read_at(0, LEN), vec![1u8; LEN]);
+}
+
+/// The fabric carries nothing from a node to itself, so an RC queue pair
+/// connected on its own node is refused at the post — one region is never
+/// both ends of a one-sided copy.
+#[test]
+fn rc_loopback_is_refused_at_the_post() {
+    let (_cluster, a, _b) = pair(true);
+    let qa = a.pd.create_qp(QpType::Rc, &a.cq, &a.cq, None);
+    let qb = a.pd.create_qp(QpType::Rc, &a.cq, &a.cq, None);
+    qa.connect_to(a.hca.node(), qb.qpn()).unwrap();
+    let mr = a.pd.register(2 * LEN, Access::ALL);
+    let err = qa
+        .post_send(SendWr::new(
+            1,
+            SendOp::RdmaRead {
+                local: mr.slice(0, LEN),
+                remote: mr.remote(LEN, LEN),
+            },
+        ))
+        .unwrap_err();
+    assert!(matches!(err, VerbsError::InvalidState(_)), "{err:?}");
+}
