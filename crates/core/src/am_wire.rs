@@ -574,6 +574,29 @@ pub fn encode_mget_entry(out: &mut Vec<u8>, key: &[u8], flags: u32, cas: u64, va
     out.extend_from_slice(value);
 }
 
+/// Splits a multi-get's keys, in order, into runs whose request headers
+/// are at most `max` bytes each. A lone key is a run even if it does not
+/// fit (no memcached key comes near a network buffer).
+pub(crate) fn mget_parts<'a>(
+    keys: &'a [&'a [u8]],
+    max: usize,
+) -> impl Iterator<Item = &'a [&'a [u8]]> {
+    let mut rest = keys;
+    std::iter::from_fn(move || {
+        if rest.is_empty() {
+            return None;
+        }
+        let mut len = REQ_FIXED_BYTES;
+        let fit = rest.iter().take_while(|k| {
+            len += 2 + k.len();
+            len <= max
+        });
+        let (part, tail) = rest.split_at(fit.count().max(1));
+        rest = tail;
+        Some(part)
+    })
+}
+
 /// Encoded size of one multi-get entry.
 pub(crate) fn mget_entry_len(klen: usize, vlen: usize) -> usize {
     2 + klen + 16 + vlen

@@ -32,8 +32,8 @@ use ucr::{
 };
 
 use crate::am_wire::{
-    DirReq, DirResp, McOp, RespHeader, BYPASS_VERSION_BYTES, MSG_MC_DIR_REQ, MSG_MC_DIR_RESP,
-    MSG_MC_REQ, MSG_MC_RESP, REQ_HEADER_INLINE,
+    mget_parts, DirReq, DirResp, McOp, RespHeader, BYPASS_VERSION_BYTES, MSG_MC_DIR_REQ,
+    MSG_MC_DIR_RESP, MSG_MC_REQ, MSG_MC_RESP, REQ_HEADER_INLINE,
 };
 use crate::codec;
 use crate::request::{Reply, Request};
@@ -435,7 +435,7 @@ impl Conn {
                         &spilled
                     }
                 };
-                ep.send_message_owned(MSG_MC_REQ, wire, data, SendOptions::default())
+                ep.send_message(MSG_MC_REQ, wire, data, SendOptions::default())
                     .await
                     .map_err(|_| McError::Disconnected)?;
                 ticket.ctr = Some(ctr);
@@ -831,18 +831,27 @@ impl McClient {
     }
 
     /// Multi-key fetch. Keys may span servers; requests are grouped per
-    /// server. Returns `(key, value)` pairs for hits.
+    /// server. Over UCR a group whose keys would overflow one request
+    /// header ([`ucr::MAX_HEADER_BYTES`]) goes as several requests. Returns
+    /// `(key, value)` pairs for hits, in key order within each server's
+    /// group.
     pub async fn mget(&self, keys: &[&[u8]]) -> Result<Vec<(Vec<u8>, Value)>, McError> {
         let inner = &self.inner;
         inner.ops.inc();
         let mut out = Vec::new();
         for (sidx, idxs) in group_by_server(inner, keys.iter().copied()) {
             let group: Vec<&[u8]> = idxs.iter().map(|&i| keys[i]).collect();
-            let req = Request::new(McOp::Mget, &group);
-            let Reply::Values(hits) = inner.exchange(sidx, &req).await? else {
-                return Err(McError::Protocol);
+            let max = match &*inner.conn(sidx).await? {
+                Conn::Ucr(_) => ucr::MAX_HEADER_BYTES,
+                Conn::Stream { .. } | Conn::Udp { .. } => usize::MAX,
             };
-            out.extend(hits.into_iter().map(|(i, v)| (group[i].to_vec(), v)));
+            for part in mget_parts(&group, max) {
+                let req = Request::new(McOp::Mget, part);
+                let Reply::Values(hits) = inner.exchange(sidx, &req).await? else {
+                    return Err(McError::Protocol);
+                };
+                out.extend(hits.into_iter().map(|(i, v)| (part[i].to_vec(), v)));
+            }
         }
         Ok(out)
     }
@@ -1373,12 +1382,7 @@ impl CliInner {
             key: key.to_vec(),
         };
         if ep
-            .send_message_owned(
-                MSG_MC_DIR_REQ,
-                &req.encode(),
-                Vec::new(),
-                SendOptions::default(),
-            )
+            .send_message(MSG_MC_DIR_REQ, &req.encode(), &[], SendOptions::default())
             .await
             .is_err()
         {

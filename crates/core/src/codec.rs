@@ -60,13 +60,13 @@ pub(crate) mod ucr {
     ];
 
     /// Client: the AM 1 header, over the request's own keys, and data for
-    /// `req`. The header always carries at least one key slot (empty for
-    /// keyless ops).
+    /// `req`, the request's own value. The header always carries at least
+    /// one key slot (empty for keyless ops).
     pub fn encode_request<'a>(
         req: &Request<'a, &'a [u8]>,
         req_id: u64,
         ctr_id: u64,
-    ) -> (ReqHeaderRef<'a, &'a [u8]>, Vec<u8>) {
+    ) -> (ReqHeaderRef<'a, &'a [u8]>, &'a [u8]) {
         const KEYLESS: &[&[u8]] = &[&[]];
         let hdr = ReqHeaderRef {
             op: req.op,
@@ -82,7 +82,7 @@ pub(crate) mod ucr {
                 req.keys
             },
         };
-        (hdr, req.value.to_vec())
+        (hdr, req.value)
     }
 
     /// Server: the request AM 1 carried, borrowing keys from the header

@@ -72,7 +72,7 @@ fn requests_survive_every_wire() {
 
         let (hdr, data) = ucr::encode_request(&req, 1, 2);
         let hdr = ReqHeader::decode(&hdr.encode()).expect("header decodes");
-        let got = ucr::decode_request(&hdr, &data);
+        let got = ucr::decode_request(&hdr, data);
         assert_eq!(fields(&got), want, "ucr {:?}", req.op);
 
         let wire = ascii::encode_request(&req);
@@ -379,7 +379,7 @@ mod hostile_bytes {
         ];
         for req in requests() {
             let (hdr, data) = ucr::encode_request(&req, 1, 2);
-            all.extend([hdr.encode(), data]);
+            all.extend([hdr.encode(), data.to_vec()]);
             all.push(ascii::encode_request(&req));
             all.extend(binary::encode_request(&req).iter().map(BinFrame::encode));
         }

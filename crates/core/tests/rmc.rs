@@ -254,6 +254,37 @@ fn keys_distribute_across_servers() {
     assert!(s1.curr_items() > 0 && s2.curr_items() > 0 && s3.curr_items() > 0);
 }
 
+/// A UCR multiget whose keys overflow one request header goes as several
+/// requests whose headers fit, and every hit comes back, in key order:
+/// 48 keys of 200 bytes make a 9 740-byte header, past the 8 192 bytes a
+/// network buffer has after its packet header. Sent whole, the receiver's
+/// buffer refused it while the sender's completion said `Success`, and the
+/// call timed out.
+#[test]
+fn ucr_mget_past_one_header_of_keys_returns_every_hit() {
+    let world = world_b();
+    let _server = McServer::start(&world, SRV, McServerConfig::default());
+    let c = client(&world, Transport::Ucr);
+    world.sim().block_on(async move {
+        let keys: Vec<Vec<u8>> = (0..48)
+            .map(|i| {
+                let mut key = format!("key-{i:02}-").into_bytes();
+                key.resize(200, b'k');
+                key
+            })
+            .collect();
+        for key in &keys {
+            c.set(key, key, 0, 0).await.unwrap();
+        }
+        let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+        let got = c.mget(&refs).await.expect("every part answered");
+        assert_eq!(got.len(), keys.len());
+        for ((key, value), want) in got.iter().zip(&keys) {
+            assert_eq!((key, &value.data), (want, want));
+        }
+    });
+}
+
 #[test]
 fn ketama_distribution_is_stable_under_server_loss() {
     let world = world_a();

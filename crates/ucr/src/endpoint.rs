@@ -6,16 +6,16 @@
 //! counters waiting on its traffic time out, and every other endpoint of
 //! the runtime keeps working.
 
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::rc::{Rc, Weak};
 
-use simnet::profiles::UCR_EAGER_THRESHOLD;
 use simnet::trace::{Layer, Track};
 use simnet::{EventTarget, NodeId, SimDuration, Slab, SlabKey};
-use verbs::{Access, Mr, QueuePair, SendOp, SendWr};
+use verbs::{Access, Mr, QueuePair};
 
 use crate::counter::Counter;
-use crate::runtime::{Pending, RtInner};
+use crate::runtime::{Pending, RtInner, SendBuf, MAX_HEADER_BYTES};
 use crate::wire::{packet_at, PacketHeader, PacketKind, PACKET_HEADER_BYTES};
 use crate::UcrError;
 
@@ -25,9 +25,6 @@ use crate::UcrError;
 /// progress engine that reaps the completion. Swept in EXPERIMENTS.md: the
 /// smallest multiple that leaves a single pipelined client untouched.
 const BACKLOG_MULTIPLE: u64 = 3;
-
-/// Held packets never outgrow the receiver's network buffer.
-const HELD_CAP: usize = PACKET_HEADER_BYTES + UCR_EAGER_THRESHOLD;
 
 /// Delivery/progress options for one [`Endpoint::send_message`] call. The
 /// three counters mirror the paper's `ucr_send_message` signature; each is
@@ -45,62 +42,14 @@ pub struct SendOptions {
     pub completion: Option<Counter>,
 }
 
-/// Stages the wire prefix of a message — packet header, then application
-/// header — in a buffer with room for `extra` more bytes, so the HCA's
-/// gather of an eager payload appends without reallocating.
-pub(crate) fn stage_head(pkt: &PacketHeader, hdr: &[u8], extra: usize) -> Vec<u8> {
-    let mut head = Vec::with_capacity(PACKET_HEADER_BYTES + hdr.len() + extra);
-    head.extend_from_slice(&pkt.encode());
-    head.extend_from_slice(hdr);
-    head
-}
-
-/// The wire prefix of an eager message — packet header, then application
-/// header — as its parts (a send whose caller still holds the header) or
-/// staged already (a posted reply, copied at the post to outlive its
-/// caller).
-enum Prefix<'a> {
-    Parts(&'a PacketHeader, &'a [u8]),
-    Staged(Vec<u8>),
-}
-
-impl Prefix<'_> {
-    fn len(&self) -> usize {
-        match self {
-            Prefix::Parts(_, hdr) => PACKET_HEADER_BYTES + hdr.len(),
-            Prefix::Staged(head) => head.len(),
-        }
-    }
-
-    fn append_to(&self, out: &mut Vec<u8>) {
-        match self {
-            Prefix::Parts(pkt, hdr) => {
-                out.extend_from_slice(&pkt.encode());
-                out.extend_from_slice(hdr);
-            }
-            Prefix::Staged(head) => out.extend_from_slice(head),
-        }
-    }
-
-    /// The prefix in a buffer with room for `extra` more bytes (see
-    /// [`stage_head`]).
-    fn into_head(self, extra: usize) -> Vec<u8> {
-        match self {
-            Prefix::Parts(pkt, hdr) => stage_head(pkt, hdr, extra),
-            Prefix::Staged(head) => head,
-        }
-    }
-}
-
 /// A reply [`Endpoint::post_message`] has staged and not yet handed to
 /// [`EpInner::send_eager`]: it sits out the staging delay here, as a record
 /// a targeted event comes back for.
 pub(crate) struct Staged {
     /// The runtime outlives what it has staged.
     rt: Rc<RtInner>,
-    /// Packet header and application header, with room for `data`.
-    head: Vec<u8>,
-    data: Vec<u8>,
+    /// The packet, written into a send buffer at the post.
+    buf: SendBuf,
     origin: Option<Counter>,
 }
 
@@ -119,7 +68,7 @@ pub(crate) struct Staged {
 /// sender would stop holding, refill the HCA, start again — and settle in
 /// whichever of several limit cycles the request order led it to.
 ///
-/// Invariant: `held` is non-empty only while `in_flight > 0`, so a future
+/// Invariant: `held` is taken only while `in_flight > 0`, so a future
 /// completion (or the endpoint's failure) always disposes of it.
 #[derive(Default)]
 pub(crate) struct EagerQueue {
@@ -133,9 +82,9 @@ pub(crate) struct EagerQueue {
     /// What the most recent eager packet from the peer said of the peer's
     /// own send queue ([`PacketHeader::backed_up`]).
     pub(crate) peer_backed_up: Cell<bool>,
-    /// Wire image of the held packets, back to back. Cleared, not
-    /// dropped, on flush: after the first hold it never reallocates.
-    held: RefCell<Vec<u8>>,
+    /// The held packets, back to back in one send buffer from the pool:
+    /// the first held message's own, which the flush posts as it is.
+    held: RefCell<Option<SendBuf>>,
     held_msgs: Cell<u64>,
     /// Origin counters named by held messages; bumped when the work
     /// request that carries them completes.
@@ -216,6 +165,12 @@ impl EpInner {
         data_len: usize,
         opts: &SendOptions,
     ) -> Result<(PacketHeader, bool), UcrError> {
+        // A rendezvous request carries its application header inline too:
+        // one that overflows a network buffer could be neither staged here
+        // nor received there.
+        if hdr_len > MAX_HEADER_BYTES {
+            return Err(UcrError::MessageTooLarge);
+        }
         // The eager threshold governs *payload* bytes (application header
         // + data): receive buffers are sized `PACKET_HEADER_BYTES +
         // threshold` (see `post_recv_buffer`), so the 64-byte packet
@@ -249,8 +204,7 @@ impl EpInner {
     fn send_eager(
         self: &Rc<Self>,
         rt: &RtInner,
-        prefix: Prefix<'_>,
-        data: Vec<u8>,
+        buf: SendBuf,
         origin: Option<Counter>,
     ) -> Result<(), UcrError> {
         if self.should_hold() {
@@ -258,31 +212,23 @@ impl EpInner {
             // wait in the HCA FIFO, so it waits here instead and
             // shares the next work request (see `EagerQueue`).
             if self.failed.get() {
+                rt.return_send_buf(buf);
                 return Err(UcrError::EndpointFailed);
             }
-            self.hold(rt, &prefix, &data, origin);
+            self.hold(rt, buf, origin);
             rt.stats.messages_sent.inc();
             return Ok(());
         }
-        // Header and data go out as one transaction; the payload rides the
-        // HCA's gather list as it is, and is copied once, at the target.
-        let payload = prefix.len() - PACKET_HEADER_BYTES + data.len();
-        let head = prefix.into_head(data.len());
-        let wr_id = rt.alloc_wr(Pending::EagerSend {
+        // Header and data go out as one transaction, from the buffer they
+        // were staged in; the target HCA copies them into a receive.
+        let payload = buf.len() - PACKET_HEADER_BYTES;
+        let wr_id = rt.next_wr_id();
+        let eager = Pending::EagerSend {
             origin,
             ep: Rc::downgrade(self),
             posted: rt.sim.now(),
-        });
-        let mut wr = SendWr::new(
-            wr_id,
-            SendOp::SendGather {
-                head,
-                data,
-                imm: None,
-            },
-        );
-        wr.ud_dest = self.ud_dest;
-        rt.post(&self.qp, wr)?;
+        };
+        rt.post_packets(self, wr_id, buf, eager)?;
         self.eager_posted(rt);
         let sent = if self.ud_dest.is_some() {
             "am_send_ud"
@@ -324,17 +270,12 @@ impl EpInner {
         pkt.offset = 0;
         let source = self.sources.borrow_mut().insert(mr);
         pkt.token = source.token() + 1;
-        let wr_id = rt.alloc_wr(Pending::CtrlSend {
+        let wr_id = rt.next_wr_id();
+        let req = rt.stage(&pkt, hdr, &[]);
+        let ctrl = Pending::CtrlSend {
             ep: Rc::downgrade(self),
-        });
-        let req = SendWr::new(
-            wr_id,
-            SendOp::SendInline {
-                data: stage_head(&pkt, hdr, 0),
-                imm: None,
-            },
-        );
-        rt.post(&self.qp, req).inspect_err(|_| {
+        };
+        rt.post_packets(self, wr_id, req, ctrl).inspect_err(|_| {
             self.sources.borrow_mut().remove(source);
         })?;
         rt.tracer.instant(
@@ -373,26 +314,28 @@ impl EpInner {
             && (self.backed_up() || q.peer_backed_up.get())
     }
 
-    /// Stages one eager packet behind the held ones, first posting them
-    /// if this one would overflow the receiver's network buffer.
-    fn hold(
-        self: &Rc<Self>,
-        rt: &RtInner,
-        prefix: &Prefix<'_>,
-        data: &[u8],
-        origin: Option<Counter>,
-    ) {
+    /// Stages one eager packet behind the held ones: appended to their
+    /// buffer, whose own then goes back to the pool, or — when nothing is
+    /// held, or this packet would overflow the receiver's network buffer
+    /// and the held ones are posted first — held in its own buffer.
+    fn hold(self: &Rc<Self>, rt: &RtInner, buf: SendBuf, origin: Option<Counter>) {
         let q = &self.eager;
-        let total = prefix.len() + data.len();
-        if q.held.borrow().len() + total > HELD_CAP {
+        let full = q
+            .held
+            .borrow()
+            .as_ref()
+            .is_some_and(|h| h.room() < buf.len());
+        if full {
             self.flush_held(rt);
         }
         let mut held = q.held.borrow_mut();
-        if held.capacity() == 0 {
-            held.reserve_exact(HELD_CAP);
+        match held.as_mut() {
+            Some(held) => {
+                held.append(&buf);
+                rt.return_send_buf(buf);
+            }
+            None => *held = Some(buf),
         }
-        prefix.append_to(&mut held);
-        held.extend_from_slice(data);
         q.held_msgs.set(q.held_msgs.get() + 1);
         q.origins.borrow_mut().extend(origin);
     }
@@ -402,47 +345,37 @@ impl EpInner {
     /// held messages (a rendezvous request, a Fin, `close`, runtime drop).
     pub(crate) fn flush_held(self: &Rc<Self>, rt: &RtInner) {
         let q = &self.eager;
-        let msgs = q.held_msgs.replace(0);
-        if msgs == 0 {
+        let Some(buf) = q.held.borrow_mut().take() else {
             return;
-        }
-        // One allocation of the exact size; the staging buffer stays.
-        let buf = {
-            let mut held = q.held.borrow_mut();
-            let buf = held.to_vec();
-            held.clear();
-            buf
         };
-        let wr_id = rt.alloc_wr(Pending::EagerBatch {
+        let msgs = q.held_msgs.replace(0);
+        let wr_id = rt.next_wr_id();
+        // One `am_send_eager` per logical message, keyed by the work
+        // request that carries it.
+        {
+            let bytes = buf.bytes();
+            let mut at = 0;
+            while let Some(p) = packet_at(&bytes, at) {
+                rt.tracer.instant(
+                    Layer::Ucr,
+                    "am_send_eager",
+                    rt.node,
+                    Track::Endpoint(self.id),
+                    wr_id,
+                    (p.hdr(&bytes).len() + p.data(&bytes).len()) as u64,
+                    rt.sim.now(),
+                );
+                at = p.end;
+            }
+        }
+        let batch = Pending::EagerBatch {
             origins: std::mem::take(&mut *q.origins.borrow_mut()),
             ep: Rc::downgrade(self),
             posted: rt.sim.now(),
-        });
-        // One `am_send_eager` per logical message, keyed by the work
-        // request that carries it.
-        let mut at = 0;
-        while let Some(p) = packet_at(&buf, at) {
-            rt.tracer.instant(
-                Layer::Ucr,
-                "am_send_eager",
-                rt.node,
-                Track::Endpoint(self.id),
-                wr_id,
-                (p.hdr(&buf).len() + p.data(&buf).len()) as u64,
-                rt.sim.now(),
-            );
-            at = p.end;
-        }
-        let wr = SendWr::new(
-            wr_id,
-            SendOp::SendInline {
-                data: buf,
-                imm: None,
-            },
-        );
-        if rt.post(&self.qp, wr).is_ok() {
+        };
+        if rt.post_packets(self, wr_id, buf, batch).is_ok() {
             self.eager_posted(rt);
-            rt.stats.eager_coalesced.add(msgs - 1);
+            rt.stats.eager_coalesced.add(msgs.saturating_sub(1));
         } else {
             rt.stats.send_failures.add(msgs);
             self.failed.set(true);
@@ -451,13 +384,15 @@ impl EpInner {
 
     /// The endpoint is over (a send on it failed, or the runtime shut
     /// down). Whatever is held is dropped: each message counts as a send
-    /// failure and its origin counter never bumps. Whatever is advertised
-    /// deregisters: no Fin will come for it.
+    /// failure, its origin counter never bumps and its buffer goes back to
+    /// the pool. Whatever is advertised deregisters: no Fin will come for it.
     pub(crate) fn fail(&self, rt: &RtInner) {
         self.failed.set(true);
         let q = &self.eager;
         rt.stats.send_failures.add(q.held_msgs.replace(0));
-        q.held.borrow_mut().clear();
+        if let Some(buf) = q.held.borrow_mut().take() {
+            rt.return_send_buf(buf);
+        }
         q.origins.borrow_mut().clear();
         self.release_sources();
     }
@@ -483,16 +418,10 @@ impl EventTarget for EpInner {
     /// The staging delay of the reply `token` names has passed.
     fn fire(self: Rc<Self>, token: u64) {
         let staged = self.staged.borrow_mut().remove(SlabKey::from_token(token));
-        let Some(Staged {
-            rt,
-            head,
-            data,
-            origin,
-        }) = staged
-        else {
+        let Some(Staged { rt, buf, origin }) = staged else {
             return;
         };
-        let sent = self.send_eager(&rt, Prefix::Staged(head), data, origin);
+        let sent = self.send_eager(&rt, buf, origin);
         if sent.is_err() {
             rt.stats.send_failures.inc();
         }
@@ -558,8 +487,13 @@ impl Endpoint {
     /// counter never bumps. The origin counter of a message that shared a
     /// work request bumps when that work request completes.
     ///
-    /// `data` is copied here, once, and sent as
-    /// [`send_message_owned`](Self::send_message_owned) sends it.
+    /// An eager message is copied once, with its headers, into a registered
+    /// send buffer from the runtime's pool, and the target HCA copies it
+    /// from there into a receive. Past the eager threshold `data` is copied
+    /// once into owned bytes and sent as
+    /// [`send_message_owned`](Self::send_message_owned) sends it. A header
+    /// longer than [`MAX_HEADER_BYTES`](crate::MAX_HEADER_BYTES) is refused
+    /// with [`UcrError::MessageTooLarge`], whatever the data.
     pub async fn send_message(
         &self,
         msg_id: u16,
@@ -567,21 +501,30 @@ impl Endpoint {
         data: &[u8],
         opts: SendOptions,
     ) -> Result<(), UcrError> {
-        self.send_message_owned(msg_id, hdr, data.to_vec(), opts)
-            .await
+        self.send(msg_id, hdr, Cow::Borrowed(data), opts).await
     }
 
     /// [`send_message`](Self::send_message) for a caller that can give
-    /// `data` away: the buffer goes all the way down without a copy — into
-    /// the HCA's gather list (eager), or registered where it is as the
-    /// rendezvous source its `RndvReq` advertises, which this endpoint
-    /// then holds until the target's Fin, or the endpoint's own end,
-    /// releases it.
+    /// `data` away: past the eager threshold the buffer is registered where
+    /// it is, as the rendezvous source its `RndvReq` advertises, which this
+    /// endpoint then holds until the target's Fin, or the endpoint's own
+    /// end, releases it. An eager message is staged as `send_message`
+    /// stages it.
     pub async fn send_message_owned(
         &self,
         msg_id: u16,
         hdr: &[u8],
         data: Vec<u8>,
+        opts: SendOptions,
+    ) -> Result<(), UcrError> {
+        self.send(msg_id, hdr, Cow::Owned(data), opts).await
+    }
+
+    async fn send(
+        &self,
+        msg_id: u16,
+        hdr: &[u8],
+        data: Cow<'_, [u8]>,
         opts: SendOptions,
     ) -> Result<(), UcrError> {
         let inner = &self.inner;
@@ -592,16 +535,18 @@ impl Endpoint {
         let (pkt, eager) = inner.plan(&rt, msg_id, hdr.len(), data.len(), &opts)?;
         if eager {
             rt.sim.sleep(rt.stage_cost(data.len())).await;
-            inner.send_eager(&rt, Prefix::Parts(&pkt, hdr), data, opts.origin)
+            let buf = rt.stage(&pkt, hdr, &data);
+            inner.send_eager(&rt, buf, opts.origin)
         } else {
-            inner.send_rndv(&rt, pkt, hdr, data)
+            inner.send_rndv(&rt, pkt, hdr, data.into_owned())
         }
     }
 
     /// Fire-and-forget variant usable from inside (synchronous) completion
     /// handlers. An eager message on a reliable endpoint — a server's reply
-    /// — is staged in a record of the endpoint and handed on by a targeted
-    /// event once the staging delay has passed (hold or post, as
+    /// — is written into a send buffer at the post, staged in a record of
+    /// the endpoint and handed on by a targeted event once the staging
+    /// delay has passed (hold or post, as
     /// [`send_message_owned`](Self::send_message_owned) does after the
     /// same delay); a rendezvous or unreliable one is sent by a spawned
     /// task. Either way a message that could not be posted — the endpoint
@@ -626,8 +571,7 @@ impl Endpoint {
             Ok((pkt, true)) if inner.ud_dest.is_none() => {
                 let at = rt.sim.now() + rt.stage_cost(data.len());
                 let key = inner.staged.borrow_mut().insert(Staged {
-                    head: stage_head(&pkt, hdr, data.len()),
-                    data,
+                    buf: rt.stage(&pkt, hdr, &data),
                     origin: opts.origin,
                     rt: rt.clone(),
                 });

@@ -39,7 +39,7 @@ pub use counter::Counter;
 pub use endpoint::{Endpoint, SendOptions};
 pub use handler::{AmData, AmDest, AmHandler, FnHandler};
 pub use onesided::{MemoryDescriptor, UcrMemory};
-pub use runtime::{EpListener, RtStats, UcrRuntime};
+pub use runtime::{EpListener, RtStats, UcrRuntime, MAX_HEADER_BYTES};
 pub use wire::{PacketHeader, PacketKind, PACKET_HEADER_BYTES};
 
 /// Errors surfaced by UCR operations.
@@ -56,8 +56,9 @@ pub enum UcrError {
     PortInUse,
     /// The runtime behind this handle has been dropped.
     RuntimeGone,
-    /// Message exceeds what the endpoint's transport can carry (UD
-    /// endpoints are limited to one MTU — no RDMA rendezvous without a
+    /// Message exceeds what the endpoint's transport can carry: an
+    /// application header longer than [`MAX_HEADER_BYTES`] on any endpoint,
+    /// anything past one MTU on a UD endpoint (no RDMA rendezvous without a
     /// connection).
     MessageTooLarge,
 }

@@ -1,9 +1,10 @@
-//! The UCR runtime: progress engine, buffer pool, endpoint establishment.
+//! The UCR runtime: progress engine, buffer pools, endpoint establishment.
 //!
 //! One [`UcrRuntime`] exists per process (node). It owns a protection
-//! domain, a shared receive queue stocked with 8 KB network buffers (the
-//! MVAPICH-derived buffer management the paper reuses, §I refs [10][11]),
-//! the handler and counter registries, and one or more **progress
+//! domain, a shared receive queue stocked with 8 KB network buffers and a
+//! pool of registered send buffers of the same size (the MVAPICH-derived
+//! buffer management the paper reuses, §I refs [10][11]), the handler and
+//! counter registries, and one or more **progress
 //! contexts**: a completion queue plus the task that reaps it and
 //! dispatches active messages. Every endpoint is bound to one context when
 //! its queue pair is created, round-robin, so the thread that owns a
@@ -12,7 +13,7 @@
 //! else — buffer pool, tables, statistics — is the one runtime's
 //! (DESIGN.md §16).
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, Ref, RefCell};
 use std::collections::HashMap;
 use std::future::{poll_fn, Future};
 use std::pin::{pin, Pin};
@@ -29,13 +30,27 @@ use verbs::{
 };
 
 use crate::counter::{Counter, CtrInner};
-use crate::endpoint::{stage_head, Endpoint, EpInner};
+use crate::endpoint::{Endpoint, EpInner};
 use crate::handler::{AmData, AmDest, AmHandler};
 use crate::wire::{packet_at, Located, PacketHeader, PacketKind, PACKET_HEADER_BYTES};
 use crate::UcrError;
 
 /// Number of 8 KB network buffers kept posted on the SRQ.
 const RECV_POOL_DEPTH: usize = 128;
+
+/// Most idle send buffers the runtime keeps registered. The pool grows on
+/// demand, one buffer per packet in flight; a buffer that comes back to a
+/// full pool is deregistered.
+const SEND_POOL_CAP: usize = 128;
+
+/// Bytes of one network buffer, send or receive: a packet header and the
+/// eager threshold's worth of payload (the paper's 8 KB, §IV-C).
+const NET_BUF_BYTES: usize = PACKET_HEADER_BYTES + UCR_EAGER_THRESHOLD;
+
+/// The largest application header a message can carry. Whatever its kind,
+/// a message's packet header and application header travel in one network
+/// buffer; a longer header is refused with [`UcrError::MessageTooLarge`].
+pub const MAX_HEADER_BYTES: usize = NET_BUF_BYTES - PACKET_HEADER_BYTES;
 
 /// Declares [`RtStats`] from the one list of its counters: each field is
 /// the registry counter `ucr.<net>.nodeN.<field>` and the `stats` line
@@ -108,6 +123,46 @@ rt_stats! {
     eager_wrs_posted,
 }
 
+/// A registered send buffer from the runtime's pool, with the packets
+/// written into it so far, back to back: what one SEND carries. It is the
+/// work request's from the post until its completion is reaped.
+pub(crate) struct SendBuf {
+    mr: Mr,
+    len: usize,
+}
+
+impl SendBuf {
+    /// Appends one packet: packet header, application header, data. The
+    /// caller has made sure it fits (`EpInner::plan`, [`room`](Self::room)).
+    fn push(&mut self, pkt: &PacketHeader, hdr: &[u8], data: &[u8]) {
+        for part in [&pkt.encode()[..], hdr, data] {
+            self.mr.write_at(self.len, part);
+            self.len += part.len();
+        }
+    }
+
+    /// Appends the packets of `other`.
+    pub(crate) fn append(&mut self, other: &SendBuf) {
+        self.mr.write_at(self.len, &other.bytes());
+        self.len += other.len;
+    }
+
+    /// Bytes written so far.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Bytes that can still be appended.
+    pub(crate) fn room(&self) -> usize {
+        NET_BUF_BYTES - self.len
+    }
+
+    /// The packets, in place.
+    pub(crate) fn bytes(&self) -> Ref<'_, [u8]> {
+        Ref::map(self.mr.bytes(), |b| &b[..self.len])
+    }
+}
+
 pub(crate) enum Pending {
     EagerSend {
         origin: Option<Counter>,
@@ -127,9 +182,8 @@ pub(crate) enum Pending {
         /// A put's registered source, pinned until the write completes.
         _src: Option<Mr>,
     },
-    CtrlSend {
-        ep: Weak<EpInner>,
-    },
+    /// A rendezvous request or a Fin.
+    CtrlSend { ep: Weak<EpInner> },
     RndvRead {
         ep: Weak<EpInner>,
         pkt: PacketHeader,
@@ -163,11 +217,17 @@ pub(crate) struct RtInner {
     handlers: RefCell<HashMap<u16, Rc<dyn AmHandler>>>,
     counters: RefCell<HashMap<u64, Weak<CtrInner>>>,
     eps: RefCell<HashMap<u32, Rc<EpInner>>>,
-    pending: RefCell<HashMap<u64, Pending>>,
+    /// Work requests awaiting their completion: what it comes back for,
+    /// and the send buffer a SEND of packets holds until then.
+    pending: RefCell<HashMap<u64, (Pending, Option<SendBuf>)>>,
     recv_bufs: RefCell<HashMap<u64, Mr>>,
     /// Retired eager receive buffers awaiting re-posting (registration
     /// reuse instead of a fresh MR per message).
     recv_free: RefCell<Vec<Mr>>,
+    /// Idle send buffers, at most [`SEND_POOL_CAP`]; one in use lives in
+    /// the staged record, the endpoint's held batch or the pending entry of
+    /// the work request that carries it.
+    send_free: RefCell<Vec<Mr>>,
     ud_qp: RefCell<Option<QueuePair>>,
     ud_eps: RefCell<HashMap<(u32, u32), Rc<EpInner>>>,
     next_wr: Cell<u64>,
@@ -273,6 +333,7 @@ impl UcrRuntime {
             pending: RefCell::new(HashMap::new()),
             recv_bufs: RefCell::new(HashMap::new()),
             recv_free: RefCell::new(Vec::new()),
+            send_free: RefCell::new(Vec::new()),
             ud_qp: RefCell::new(None),
             ud_eps: RefCell::new(HashMap::new()),
             next_wr: Cell::new(1),
@@ -485,23 +546,72 @@ impl EpListener {
 }
 
 impl RtInner {
-    pub(crate) fn alloc_wr(&self, p: Pending) -> u64 {
+    /// A fresh work request id.
+    pub(crate) fn next_wr_id(&self) -> u64 {
         let id = self.next_wr.get();
         self.next_wr.set(id + 1);
-        self.pending.borrow_mut().insert(id, p);
+        id
+    }
+
+    pub(crate) fn alloc_wr(&self, p: Pending) -> u64 {
+        let id = self.next_wr_id();
+        self.pending.borrow_mut().insert(id, (p, None));
         id
     }
 
     /// Posts a work request allocated with [`alloc_wr`](Self::alloc_wr).
     /// A refused post (the queue pair has left ready-to-send, or the local
     /// HCA is down) withdraws it, and whatever it pinned, so `pending` holds
-    /// only what a completion will come back for.
+    /// only what a completion will come back for; its send buffer, if it
+    /// has one, goes back to the pool.
     pub(crate) fn post(&self, qp: &QueuePair, wr: SendWr) -> Result<(), UcrError> {
         let wr_id = wr.wr_id;
         qp.post_send(wr).map_err(|_| {
-            self.pending.borrow_mut().remove(&wr_id);
+            let withdrawn = self.pending.borrow_mut().remove(&wr_id);
+            if let Some((_, Some(buf))) = withdrawn {
+                self.return_send_buf(buf);
+            }
             UcrError::EndpointFailed
         })
+    }
+
+    /// Posts the packets in `buf` as one SEND on `ep`, as work request
+    /// `wr_id` (from [`next_wr_id`](Self::next_wr_id)) that `pending` comes
+    /// back for. Its entry holds the buffer until then: the target HCA
+    /// reads it when the message lands.
+    pub(crate) fn post_packets(
+        &self,
+        ep: &EpInner,
+        wr_id: u64,
+        buf: SendBuf,
+        pending: Pending,
+    ) -> Result<(), UcrError> {
+        let local = buf.mr.slice(0, buf.len);
+        self.pending
+            .borrow_mut()
+            .insert(wr_id, (pending, Some(buf)));
+        let mut wr = SendWr::new(wr_id, SendOp::Send { local, imm: None });
+        wr.ud_dest = ep.ud_dest;
+        self.post(&ep.qp, wr)
+    }
+
+    /// One packet written into a send buffer from the pool: the one copy
+    /// its bytes get at this end.
+    pub(crate) fn stage(&self, pkt: &PacketHeader, hdr: &[u8], data: &[u8]) -> SendBuf {
+        let idle = self.send_free.borrow_mut().pop();
+        let mr = idle.unwrap_or_else(|| self.pd.register(NET_BUF_BYTES, Access::LOCAL_READ));
+        let mut buf = SendBuf { mr, len: 0 };
+        buf.push(pkt, hdr, data);
+        buf
+    }
+
+    /// Takes back a send buffer whose packets are gone — completed, refused
+    /// or discarded: into the pool, or deregistered if the pool is full.
+    pub(crate) fn return_send_buf(&self, buf: SendBuf) {
+        let mut free = self.send_free.borrow_mut();
+        if free.len() < SEND_POOL_CAP {
+            free.push(buf.mr);
+        }
     }
 
     pub(crate) fn drop_endpoint(&self, qpn: u32) {
@@ -575,13 +685,9 @@ impl RtInner {
                 self.stats.recv_bufs_recycled.inc();
                 mr
             }
-            None => self.pd.register(
-                PACKET_HEADER_BYTES + UCR_EAGER_THRESHOLD,
-                Access::LOCAL_WRITE,
-            ),
+            None => self.pd.register(NET_BUF_BYTES, Access::LOCAL_WRITE),
         };
-        let wr_id = self.next_wr.get();
-        self.next_wr.set(wr_id + 1);
+        let wr_id = self.next_wr_id();
         self.srq.post_recv(wr_id, mr.full());
         self.recv_bufs.borrow_mut().insert(wr_id, mr);
     }
@@ -858,7 +964,12 @@ impl RtInner {
 
     async fn handle_send_completion(self: &Rc<Self>, wc: Wc) {
         let pending = self.pending.borrow_mut().remove(&wc.wr_id);
-        let Some(pending) = pending else { return };
+        let Some((pending, buf)) = pending else {
+            return;
+        };
+        if let Some(buf) = buf {
+            self.return_send_buf(buf);
+        }
         match pending {
             Pending::OneSided { done, ep, .. } => {
                 if !crate::onesided::complete_onesided(done, &ep, wc.status) {
@@ -1000,17 +1111,12 @@ impl RtInner {
         pkt.completion_ctr = completion_ctr;
         pkt.token = token;
         ep.inner.flush_held(self);
-        let wr_id = self.alloc_wr(Pending::CtrlSend {
+        let wr_id = self.next_wr_id();
+        let fin = self.stage(&pkt, &[], &[]);
+        let ctrl = Pending::CtrlSend {
             ep: Rc::downgrade(&ep.inner),
-        });
-        let fin = SendWr::new(
-            wr_id,
-            SendOp::SendInline {
-                data: stage_head(&pkt, &[], 0),
-                imm: None,
-            },
-        );
-        let _ = self.post(&ep.inner.qp, fin);
+        };
+        let _ = self.post_packets(&ep.inner, wr_id, fin, ctrl);
         self.stats.fins_sent.inc();
     }
 }
@@ -1053,17 +1159,19 @@ mod tests {
     }
 
     /// What a send can leave behind at its sender: work requests awaiting a
-    /// completion, sources `ep` has advertised, regions registered.
-    fn send_tables(rt: &UcrRuntime, ep: &Endpoint) -> (usize, usize, usize) {
-        (
-            rt.inner.pending.borrow().len(),
-            ep.inner.sources.borrow().len(),
-            rt.inner.hca.registered_regions(),
-        )
+    /// completion, sources `ep` has advertised and regions registered, idle
+    /// send buffers aside (a send buffer in flight counts here) — and, in a
+    /// column of its own, the idle send buffers the pool keeps.
+    fn send_tables(rt: &UcrRuntime, ep: &Endpoint) -> ((usize, usize, usize), usize) {
+        let idle = rt.inner.send_free.borrow().len();
+        let regions = rt.inner.hca.registered_regions() - idle;
+        let pending = rt.inner.pending.borrow().len();
+        ((pending, ep.inner.sources.borrow().len(), regions), idle)
     }
 
     /// A send whose post the queue pair refuses is withdrawn whole: no
-    /// pending entry, advertised source or registration outlives it.
+    /// pending entry, advertised source or registration outlives it, and
+    /// its send buffer goes back to the pool, not away.
     #[test]
     fn refused_posts_leave_nothing_behind() {
         const N: usize = 8;
@@ -1139,7 +1247,7 @@ mod tests {
                         .await
                         .expect("advertised");
                 }
-                assert_eq!(tables().1, baseline.1 + sends);
+                assert_eq!(tables().0 .1, baseline.0 .1 + sends);
                 if !delivered {
                     server.shutdown();
                 }
@@ -1148,10 +1256,10 @@ mod tests {
                 assert_eq!(ep.is_failed(), !delivered);
                 if delivered {
                     // The sender cannot know the read will never come.
-                    assert_eq!(tables().1, baseline.1 + sends);
+                    assert_eq!(tables().0 .1, baseline.0 .1 + sends);
                     ep.close();
                 }
-                assert_eq!(tables(), baseline);
+                assert_eq!(tables().0, baseline.0);
             });
         }
         run(1, true);
@@ -1186,7 +1294,7 @@ mod tests {
                 done.wait_for(1, TIMEOUT).await.expect("its Fin");
                 let settle = SimDuration::from_millis(5);
                 srv.sim().sleep(settle).await;
-                let tables = || (peer.inner.staged.borrow().len(), send_tables(&srv, &peer));
+                let tables = || (peer.inner.staged.borrow().len(), send_tables(&srv, &peer).0);
                 let baseline = tables();
                 assert_eq!(baseline.0, 0);
                 for _ in 0..N {
@@ -1215,5 +1323,32 @@ mod tests {
         // the post: each reply is refused.
         assert_eq!(failures_after(SMALL, |_, peer| peer.inner.qp.close()), N);
         assert_eq!(failures_after(LARGE, |_, peer| peer.inner.qp.close()), N);
+    }
+    /// The send pool grows to what is in flight and keeps no more than its
+    /// cap: twice the cap of replies in flight at once takes a buffer each;
+    /// at quiesce exactly the cap is idle, the surplus is deregistered and
+    /// no buffer is in flight.
+    #[test]
+    fn the_send_pool_keeps_its_cap_and_deregisters_the_surplus() {
+        const N: usize = 2 * SEND_POOL_CAP;
+        let (cluster, server, _client, _ep, peer) = connected(35);
+        let srv = server.clone();
+        cluster.sim().block_on(async move {
+            let tables = || send_tables(&srv, &peer);
+            let (baseline, idle) = tables();
+            assert_eq!(idle, 0, "nothing sent yet");
+            let in_flight = (baseline.0 + N, baseline.1, baseline.2 + N);
+            for _ in 0..N {
+                peer.post_message(MSG, [7u8; 32], vec![9u8; 4], SendOptions::default());
+            }
+            let staged = srv.inner.stage_cost(4) + SimDuration::from_nanos(1);
+            srv.sim().sleep(staged).await;
+            assert_eq!(tables(), (in_flight, 0), "every reply posted on its own");
+            srv.sim().sleep(SimDuration::from_millis(5)).await;
+            assert_eq!(tables(), (baseline, SEND_POOL_CAP));
+        });
+        let st = server.stats();
+        assert_eq!(st.send_failures.get(), 0);
+        assert_eq!(st.eager_wrs_posted.get(), N as u64);
     }
 }

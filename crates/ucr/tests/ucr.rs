@@ -127,6 +127,48 @@ fn rendezvous_moves_large_payloads() {
     assert_eq!(server.stats().unknown_msg_dropped.get(), 0);
 }
 
+/// Whatever its kind, a message's headers travel in one network buffer: an
+/// application header of `MAX_HEADER_BYTES` is delivered, eagerly with no
+/// data and in a rendezvous request with 64 KB of it; one byte more is
+/// refused at the send, before anything is posted.
+#[test]
+fn a_header_past_one_network_buffer_is_refused_at_the_send() {
+    let (cluster, fabric) = world(true, 2);
+    let server = UcrRuntime::new(&fabric, NodeId(1));
+    let seen = Rc::new(RefCell::new(Vec::new()));
+    let log = seen.clone();
+    server.register_handler(
+        SINK,
+        FnHandler(move |_: &Endpoint, hdr: &[u8], data: AmData| {
+            log.borrow_mut().push((hdr.len(), data.len()));
+        }),
+    );
+    let listener = server.listen(PORT).unwrap();
+    server.sim().spawn(async move { listener.accept().await });
+    let client = UcrRuntime::new(&fabric, NodeId(0));
+    let sender = client.clone();
+    let big = vec![5u8; 64 << 10];
+    cluster.sim().block_on(async move {
+        let timeout = SimDuration::from_millis(100);
+        let ep = sender.connect(NodeId(1), PORT, timeout).await.unwrap();
+        let (fits, over) = (
+            vec![1u8; ucr::MAX_HEADER_BYTES],
+            vec![1u8; ucr::MAX_HEADER_BYTES + 1],
+        );
+        for data in [&[][..], &big] {
+            let opts = SendOptions::default;
+            ep.send_message(SINK, &fits, data, opts()).await.unwrap();
+            let refused = ep.send_message(SINK, &over, data, opts()).await;
+            assert_eq!(refused, Err(UcrError::MessageTooLarge));
+        }
+        sender.sim().sleep(SimDuration::from_millis(1)).await;
+    });
+    let max = ucr::MAX_HEADER_BYTES;
+    assert_eq!(*seen.borrow(), [(max, 0), (max, 64 << 10)]);
+    assert_eq!(client.stats().messages_sent.get(), 2);
+    assert_eq!(server.stats().unknown_msg_dropped.get(), 0);
+}
+
 #[test]
 fn eager_and_rendezvous_deliver_identical_bytes() {
     // Same content through both paths must be byte-identical.

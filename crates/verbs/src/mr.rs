@@ -176,15 +176,20 @@ impl MrSlice {
         self.len == 0
     }
 
-    /// Copies the window's bytes out (models the HCA DMA-reading them).
-    pub(crate) fn dma_read(&self) -> Vec<u8> {
-        let buf = self.inner.buf.borrow();
-        buf[self.offset..self.offset + self.len].to_vec()
+    /// The window's bytes in place, as the HCA's DMA engine reads them to
+    /// send: no copy. `None` if the region cannot be read at this instant
+    /// (the application holds it mutably borrowed) or the window lies
+    /// outside it (a region emptied by [`Mr::into_vec`]).
+    pub(crate) fn dma_view(&self) -> Option<Ref<'_, [u8]>> {
+        let buf = self.inner.buf.try_borrow().ok()?;
+        Ref::filter_map(buf, |b| b.get(self.offset..self.offset + self.len)).ok()
     }
 
     /// Writes `data` into the window's prefix (models HCA DMA delivery).
-    /// Fails if `data` is longer than the window or the region lacks
-    /// LOCAL_WRITE.
+    /// Fails, never panics, if `data` is longer than the window, the region
+    /// lacks LOCAL_WRITE, or it cannot be written at this instant: the
+    /// application holds it borrowed, or it is the region `data` is read
+    /// from.
     pub(crate) fn dma_write(&self, data: &[u8]) -> Result<(), VerbsError> {
         if !self.inner.access.allows(Access::LOCAL_WRITE) {
             return Err(VerbsError::AccessViolation("region lacks LOCAL_WRITE"));
@@ -192,8 +197,10 @@ impl MrSlice {
         if data.len() > self.len {
             return Err(VerbsError::AccessViolation("inbound data exceeds buffer"));
         }
-        let mut buf = self.inner.buf.borrow_mut();
-        buf[self.offset..self.offset + data.len()].copy_from_slice(data);
+        let mut buf = self.inner.buf.try_borrow_mut().map_err(|_| busy())?;
+        let window = buf.get_mut(self.offset..self.offset + data.len());
+        let window = window.ok_or(VerbsError::AccessViolation("window outside its region"))?;
+        window.copy_from_slice(data);
         Ok(())
     }
 
@@ -239,9 +246,8 @@ fn dma_copy(
     dst_at: usize,
     len: usize,
 ) -> Result<(), VerbsError> {
-    let busy = VerbsError::AccessViolation("region already borrowed");
-    let from = src.buf.try_borrow().map_err(|_| busy.clone())?;
-    let mut to = dst.buf.try_borrow_mut().map_err(|_| busy)?;
+    let from = src.buf.try_borrow().map_err(|_| busy())?;
+    let mut to = dst.buf.try_borrow_mut().map_err(|_| busy())?;
     let window = |at: usize, region: usize| {
         let end = at.checked_add(len).filter(|&end| end <= region)?;
         Some(at..end)
@@ -253,6 +259,11 @@ fn dma_copy(
         }
         _ => Err(VerbsError::AccessViolation("window outside its region")),
     }
+}
+
+/// What a copy into or out of a region the HCA cannot borrow fails with.
+fn busy() -> VerbsError {
+    VerbsError::AccessViolation("region already borrowed")
 }
 
 /// Resolves an inbound one-sided access against an HCA's region table.

@@ -24,10 +24,13 @@
 //! A work request in transit is one [`Flight`] record in a table of the
 //! queue pair that posted it, advanced stage by stage by targeted events
 //! (`impl EventTarget for QpInner`; DESIGN.md §5 has the stage table per
-//! opcode). Nothing is allocated for a stage. A SEND's payload moves from
-//! stage to stage; a one-sided request carries its local window, and the
-//! target HCA's stage copies region to region: a WRITE lands from the
-//! posted window, a READ from the source window at the instant it is served.
+//! opcode). Nothing is allocated for a stage. A registered request carries
+//! its local window, and the target HCA's stage copies region to region: a
+//! SEND lands from the posted window in the receive it matches, a WRITE in
+//! the target window, a READ from the source window at the instant it is
+//! served. Only an inline SEND, a UD datagram (read at the post: UD
+//! completes at the local HCA) and a SEND parked for want of a receive
+//! carry bytes of their own.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -72,10 +75,38 @@ struct RecvWr {
 
 /// An inbound two-sided message waiting for receive matching.
 struct Inbound {
-    payload: Vec<u8>,
+    payload: Payload,
     imm: Option<u32>,
     opcode: WcOpcode,
     src: Option<(NodeId, u32)>,
+}
+
+/// The bytes of a two-sided message.
+enum Payload {
+    /// A registered SEND's posted window: the work request's until it
+    /// completes, so the target HCA reads it when the message lands.
+    Region(MrSlice),
+    /// Bytes the message owns: an inline SEND's, a datagram's, a parked
+    /// SEND's snapshot; none for a WRITE_WITH_IMM notice.
+    Owned(Vec<u8>),
+}
+
+impl Payload {
+    fn len(&self) -> usize {
+        match self {
+            Payload::Region(window) => window.len(),
+            Payload::Owned(bytes) => bytes.len(),
+        }
+    }
+
+    /// Runs `f` over the bytes as the HCA reads them now; `None` if it
+    /// cannot (see [`MrSlice::dma_view`]).
+    fn read<R>(&self, f: impl FnOnce(&[u8]) -> R) -> Option<R> {
+        match self {
+            Payload::Region(window) => window.dma_view().map(|bytes| f(&bytes)),
+            Payload::Owned(bytes) => Some(f(bytes)),
+        }
+    }
 }
 
 /// A work request in transit, as the stage it is waiting for. Posting makes
@@ -84,15 +115,15 @@ struct Inbound {
 /// puts the next stage in. [`Flight::Complete`] is the last stage of every
 /// reliable work request.
 enum Flight {
-    /// A SEND (registered, inline or gathered) is on the wire to `to`, the
-    /// connected peer's node and queue pair.
+    /// A SEND (registered or inline) is on the wire to `to`, the connected
+    /// peer's node and queue pair.
     SendArrive {
         wr_id: u64,
         msg: Inbound,
         to: (NodeId, u32),
     },
-    /// The target HCA's pipeline has the SEND: match it to a receive of
-    /// `rqp` and acknowledge.
+    /// The target HCA's pipeline has the SEND: copy it into a receive of
+    /// `rqp` (or park it) and acknowledge.
     SendDeliver {
         wr_id: u64,
         msg: Inbound,
@@ -217,7 +248,9 @@ impl Default for Srq {
 
 /// The work to perform in a send-side work request.
 pub enum SendOp {
-    /// Two-sided send of a registered window.
+    /// Two-sided send of a registered window. On RC the target HCA reads it
+    /// when the message lands, so it must not be rewritten before the send
+    /// completes; on UD it is read at the post.
     Send {
         /// Local data to transmit.
         local: MrSlice,
@@ -228,18 +261,6 @@ pub enum SendOp {
     /// control messages; real verbs has IBV_SEND_INLINE).
     SendInline {
         /// Bytes to transmit.
-        data: Vec<u8>,
-        /// Optional immediate word.
-        imm: Option<u32>,
-    },
-    /// Two-sided send of a two-entry gather list: `head` then `data` on
-    /// the wire, concatenated by the HCA's DMA engine (a scatter/gather
-    /// post). Lets callers hand over an owned payload without staging it
-    /// into a contiguous buffer first.
-    SendGather {
-        /// Control/header bytes transmitted first.
-        head: Vec<u8>,
-        /// Payload transmitted after `head`, moved from the caller.
         data: Vec<u8>,
         /// Optional immediate word.
         imm: Option<u32>,
@@ -457,7 +478,6 @@ impl QueuePair {
         let (ev_name, ev_bytes) = match &wr.op {
             SendOp::Send { local, .. } => ("send", local.len() as u64),
             SendOp::SendInline { data, .. } => ("send", data.len() as u64),
-            SendOp::SendGather { head, data, .. } => ("send", (head.len() + data.len()) as u64),
             SendOp::RdmaWrite { local, .. } => ("rdma_write", local.len() as u64),
             SendOp::RdmaRead { local, .. } => ("rdma_read", local.len() as u64),
         };
@@ -496,7 +516,7 @@ impl QueuePair {
             SendOp::Send { local, .. }
             | SendOp::RdmaWrite { local, .. }
             | SendOp::RdmaRead { local, .. } => Some(local.inner.pd_id),
-            SendOp::SendInline { .. } | SendOp::SendGather { .. } => None,
+            SendOp::SendInline { .. } => None,
         };
         if let Some(pd) = local_pd {
             if pd != this.pd_id {
@@ -508,7 +528,7 @@ impl QueuePair {
         let start = hca.sim.now() + hca.profile.post_overhead;
         let t_hca = hca.hw.hca.occupy_from(start, hca.profile.hca_msg);
         let wr_id = wr.wr_id;
-        let two_sided = |payload: Vec<u8>, imm| {
+        let two_sided = |payload: Payload, imm| {
             let wire = payload.len() as u64 + WIRE_HEADER_BYTES;
             let msg = this.outbound(payload, imm);
             let to = (dst, dqpn);
@@ -517,18 +537,8 @@ impl QueuePair {
 
         // What goes on the wire, and the stage that waits for it there.
         let (wire, flight) = match wr.op {
-            SendOp::Send { local, imm } => two_sided(local.dma_read(), imm),
-            SendOp::SendInline { data, imm } => two_sided(data, imm),
-            SendOp::SendGather {
-                mut head,
-                data,
-                imm,
-            } => {
-                // The gather happens at the DMA engine; on the wire the
-                // two entries are one contiguous message.
-                head.extend_from_slice(&data);
-                two_sided(head, imm)
-            }
+            SendOp::Send { local, imm } => two_sided(Payload::Region(local), imm),
+            SendOp::SendInline { data, imm } => two_sided(Payload::Owned(data), imm),
             SendOp::RdmaWrite { local, remote, imm } => {
                 if remote.node != dst {
                     return Err(VerbsError::AccessViolation(
@@ -577,16 +587,14 @@ impl QueuePair {
             .ud_dest
             .ok_or(VerbsError::InvalidState("UD send needs ud_dest"))?;
         let (payload, imm) = match wr.op {
-            SendOp::Send { local, imm } => (local.dma_read(), imm),
-            SendOp::SendInline { data, imm } => (data, imm),
-            SendOp::SendGather {
-                mut head,
-                data,
-                imm,
-            } => {
-                head.extend_from_slice(&data);
-                (head, imm)
+            // A datagram's send completes at the local HCA: the window is
+            // the caller's again at once, so the bytes are read now.
+            SendOp::Send { local, imm } => {
+                let bytes = local.dma_view().map(|bytes| bytes.to_vec());
+                let bytes = bytes.ok_or(VerbsError::AccessViolation("send window unreadable"))?;
+                (bytes, imm)
             }
+            SendOp::SendInline { data, imm } => (data, imm),
             _ => return Err(VerbsError::InvalidState("UD supports only SEND")),
         };
         if payload.len() as u64 > hca.net.mtu() as u64 {
@@ -600,7 +608,7 @@ impl QueuePair {
         if dst == src {
             return Err(VerbsError::InvalidState("UD loopback not modeled"));
         }
-        let msg = this.outbound(payload, imm);
+        let msg = this.outbound(Payload::Owned(payload), imm);
         let arrives = hca.net.carry(src, dst, wire, t_hca);
         let to = (dst, dqpn);
         this.launch(arrives, Flight::DgramArrive { msg, to });
@@ -613,7 +621,7 @@ impl QueuePair {
 impl QpInner {
     /// A two-sided message as its target will see it arrive from this
     /// queue pair.
-    fn outbound(&self, payload: Vec<u8>, imm: Option<u32>) -> Inbound {
+    fn outbound(&self, payload: Payload, imm: Option<u32>) -> Inbound {
         Inbound {
             payload,
             imm,
@@ -642,19 +650,34 @@ impl QpInner {
         }
     }
 
-    /// Handles an inbound two-sided message (or WRITE_WITH_IMM notification).
-    fn rx_inbound(self: &Rc<Self>, msg: Inbound) {
+    /// Handles an inbound two-sided message (or WRITE_WITH_IMM notification):
+    /// copies it into the next receive, or parks it until one is posted.
+    /// A registered SEND's window is read here, once — into the receive, or
+    /// into a snapshot the parked message then owns, because the sender's
+    /// completion does not wait for the park and the window is the sender's
+    /// again once it has it. A window the HCA cannot read refuses the
+    /// message: no receive is consumed, and the returned status is what the
+    /// sender's completion reports.
+    fn rx_inbound(self: &Rc<Self>, mut msg: Inbound) -> WcStatus {
+        if msg.payload.read(|_| ()).is_none() {
+            return WcStatus::LocalLengthError;
+        }
         match self.pop_recv() {
             Some(rwr) => self.complete_recv(rwr, msg),
             None => {
                 // RC would RNR-NAK and retry; we park the message until a
                 // receive shows up (the wait is not modeled as a cost).
+                if let Payload::Region(window) = &msg.payload {
+                    let snapshot = window.dma_view().map(|bytes| bytes.to_vec());
+                    msg.payload = Payload::Owned(snapshot.unwrap_or_default());
+                }
                 self.pending_inbound.borrow_mut().push_back(msg);
                 if let Some(srq) = &self.srq {
                     srq.inner.parked.borrow_mut().push_back(Rc::downgrade(self));
                 }
             }
         }
+        WcStatus::Success
     }
 
     /// Matches parked messages against this QP's own receive queue (an
@@ -675,13 +698,10 @@ impl QpInner {
     }
 
     fn complete_recv(&self, rwr: RecvWr, msg: Inbound) {
-        let (status, byte_len) = if msg.payload.len() > rwr.buf.len() {
-            (WcStatus::LocalLengthError, 0)
-        } else {
-            match rwr.buf.dma_write(&msg.payload) {
-                Ok(()) => (WcStatus::Success, msg.payload.len() as u32),
-                Err(_) => (WcStatus::LocalLengthError, 0),
-            }
+        let landed = msg.payload.read(|bytes| rwr.buf.dma_write(bytes));
+        let (status, byte_len) = match landed {
+            Some(Ok(())) => (WcStatus::Success, msg.payload.len() as u32),
+            _ => (WcStatus::LocalLengthError, 0),
         };
         if let Some(hca) = self.hca.upgrade() {
             hca.tracer.instant(
@@ -820,10 +840,9 @@ impl EventTarget for QpInner {
             }
             Flight::SendDeliver { wr_id, msg, rqp } => {
                 let bytes = msg.payload.len() as u32;
-                rqp.rx_inbound(msg);
+                let status = rqp.rx_inbound(msg);
                 // RC ack: local send completion one propagation later.
-                let ok = WcStatus::Success;
-                self.complete_send_after(self.ack_delay, wr_id, WcOpcode::Send, ok, bytes);
+                self.complete_send_after(self.ack_delay, wr_id, WcOpcode::Send, status, bytes);
             }
             Flight::DgramArrive { msg, to } => {
                 // Unreliable: deliver if possible, else drop on the floor.
@@ -871,7 +890,7 @@ impl EventTarget for QpInner {
                         let rqp = imm.and_then(|_| thca.qps.borrow().get(&dqpn).cloned());
                         if let Some(rqp) = rqp {
                             rqp.rx_inbound(Inbound {
-                                payload: Vec::new(),
+                                payload: Payload::Owned(Vec::new()),
                                 imm,
                                 opcode: WcOpcode::RecvRdmaImm,
                                 src: Some((self.node, self.qpn)),
@@ -994,11 +1013,6 @@ mod tests {
                     imm: Some(1),
                 },
                 inline(),
-                SendOp::SendGather {
-                    head: vec![2; 8],
-                    data: vec![3; 8],
-                    imm: None,
-                },
                 SendOp::RdmaWrite {
                     local: local.full(),
                     remote: remote.remote(0, 64),

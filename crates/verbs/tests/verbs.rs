@@ -747,7 +747,6 @@ struct Outcome {
 enum Op {
     Send,
     Inline,
-    Gather,
     Write,
     WriteImm,
     Read,
@@ -837,7 +836,7 @@ fn characterize(op: Op, fault: Fault) -> Outcome {
     };
     let notice = b.pd.register(0, Access::LOCAL_WRITE);
     match op {
-        Op::Send | Op::Inline | Op::Gather | Op::UdSend => qb.post_recv(9, remote_mr.full()),
+        Op::Send | Op::Inline | Op::UdSend => qb.post_recv(9, remote_mr.full()),
         Op::WriteImm => qb.post_recv(9, notice.full()),
         Op::Write | Op::Read => {}
     }
@@ -856,14 +855,6 @@ fn characterize(op: Op, fault: Fault) -> Outcome {
         Op::Inline | Op::UdSend => (
             SendOp::SendInline {
                 data: payload.clone(),
-                imm: None,
-            },
-            LEN as u64 + verbs::WIRE_HEADER_BYTES,
-        ),
-        Op::Gather => (
-            SendOp::SendGather {
-                head: payload[..64].to_vec(),
-                data: payload[64..].to_vec(),
                 imm: None,
             },
             LEN as u64 + verbs::WIRE_HEADER_BYTES,
@@ -969,19 +960,18 @@ fn every_opcode_under_every_fault_completes_as_characterized() {
     for op in [
         Op::Send,
         Op::Inline,
-        Op::Gather,
         Op::Write,
         Op::WriteImm,
         Op::Read,
         Op::UdSend,
     ] {
         for fault in [None, QpClosed, HcaKilled, HcaKilledAtTarget, BadRkey] {
-            let two_sided = matches!(op, Op::Send | Op::Inline | Op::Gather | Op::UdSend);
+            let two_sided = matches!(op, Op::Send | Op::Inline | Op::UdSend);
             if two_sided && fault == BadRkey {
                 continue; // a SEND names no remote key
             }
             let want = match op {
-                Op::Send | Op::Inline | Op::Gather => {
+                Op::Send | Op::Inline => {
                     let arrive = st.arrives(st.t_hca, LEN as u64 + hdr);
                     let deliver = arrive + st.hca_msg;
                     match fault {
@@ -1214,4 +1204,196 @@ fn rc_loopback_is_refused_at_the_post() {
         ))
         .unwrap_err();
     assert!(matches!(err, VerbsError::InvalidState(_)), "{err:?}");
+}
+
+// ---------------------------------------------------------------------
+// Two-sided copies: a registered SEND lands from its window
+// ---------------------------------------------------------------------
+
+/// When a `LEN`-byte SEND posted at time zero on an idle Cluster B pair is
+/// delivered into its receive, and when the sender's completion lands.
+fn send_instants(st: &Stages) -> (SimTime, SimTime) {
+    let deliver = st.arrives(st.t_hca, LEN as u64 + verbs::WIRE_HEADER_BYTES) + st.hca_msg;
+    (deliver, deliver + st.prop)
+}
+
+/// Posts a registered SEND of `src`'s whole window as work request 1.
+fn send_window(qp: &QueuePair, src: &verbs::Mr) {
+    let op = SendOp::Send {
+        local: src.full(),
+        imm: None,
+    };
+    qp.post_send(SendWr::new(1, op)).unwrap();
+}
+
+/// The target HCA copies a registered SEND's window when the message lands
+/// (`SendDeliver`): a rewrite just before that instant is what the receive
+/// gets, one just after is not, though the sender's completion is still on
+/// its way. Both complete at the instants the characterization table
+/// states.
+#[test]
+fn a_registered_send_lands_its_window_as_it_is_at_delivery() {
+    let one_ns = SimDuration::from_nanos(1);
+    for rewrite_first in [true, false] {
+        let (cluster, a, b) = pair(true);
+        let sim = cluster.sim().clone();
+        let st = Stages::of(&cluster);
+        let (qa, qb) = connected_qps(&a, &b);
+        let (old, new) = (vec![1u8; LEN], vec![2u8; LEN]);
+        let src = Rc::new(a.pd.register_with(old.clone(), Access::default()));
+        let dst = b.pd.register(LEN, Access::LOCAL_WRITE);
+        qb.post_recv(9, dst.full());
+        send_window(&qa, &src);
+        let (deliver, done) = send_instants(&st);
+        let at = if rewrite_first {
+            deliver - one_ns
+        } else {
+            deliver + one_ns
+        };
+        let (writer, bytes) = (src.clone(), new.clone());
+        sim.schedule_at(at, move || writer.write_at(0, &bytes));
+        sim.run();
+        assert_eq!(sim.now(), done, "the completion keeps its instant");
+        let sent = a.cq.poll().expect("one send completion");
+        assert_eq!(
+            (sent.status, sent.byte_len),
+            (WcStatus::Success, LEN as u32)
+        );
+        let recv = b.cq.poll().expect("one receive completion");
+        assert_eq!(
+            (recv.status, recv.byte_len),
+            (WcStatus::Success, LEN as u32)
+        );
+        let want = if rewrite_first { new } else { old };
+        assert_eq!(dst.read_at(0, LEN), want, "rewrite first: {rewrite_first}");
+    }
+}
+
+/// A SEND that finds no receive posted parks at the target, and the
+/// sender's completion comes without waiting for it. What parks is a
+/// snapshot of the window, so a rewrite after that completion — when the
+/// window is the sender's again — does not reach the receive posted later.
+#[test]
+fn a_parked_send_delivers_the_bytes_it_had_when_it_parked() {
+    let (cluster, a, b) = pair(true);
+    let (qa, qb) = connected_qps(&a, &b);
+    let (old, new) = (vec![1u8; LEN], vec![2u8; LEN]);
+    let src = a.pd.register_with(old.clone(), Access::default());
+    send_window(&qa, &src);
+    cluster.sim().run();
+    let sent = a.cq.poll().expect("the sender's completion");
+    assert_eq!(
+        (sent.status, sent.byte_len),
+        (WcStatus::Success, LEN as u32)
+    );
+    assert_eq!(b.cq.backlog(), 0, "nothing to receive into yet");
+    src.write_at(0, &new);
+    let dst = b.pd.register(LEN, Access::LOCAL_WRITE);
+    qb.post_recv(9, dst.full());
+    let recv = b.cq.poll().expect("the parked message takes the receive");
+    assert_eq!(
+        (recv.status, recv.byte_len),
+        (WcStatus::Success, LEN as u32)
+    );
+    assert_eq!(dst.read_at(0, LEN), old);
+}
+
+/// A SEND the target HCA cannot copy completes with `LocalLengthError`, at
+/// the instants a delivered one would, and nothing panics:
+/// - into a receive whose region the application holds borrowed: the
+///   receive fails, the send succeeds;
+/// - into a receive without `LOCAL_WRITE`: likewise, and the window keeps
+///   what it held;
+/// - from a window the HCA cannot read (its region emptied by
+///   `Mr::into_vec` after the post): the send fails and no receive is
+///   consumed.
+///
+/// A source region the application holds borrowed is read all the same: a
+/// shared borrow does not stop the HCA reading.
+#[test]
+fn a_send_the_hca_cannot_copy_fails_without_a_panic() {
+    use WcStatus::{LocalLengthError, Success};
+    #[derive(Clone, Copy, Debug)]
+    enum Case {
+        ReceiveBorrowed,
+        NoLocalWrite,
+        SourceEmptied,
+        SourceBorrowed,
+    }
+    for case in [
+        Case::ReceiveBorrowed,
+        Case::NoLocalWrite,
+        Case::SourceEmptied,
+        Case::SourceBorrowed,
+    ] {
+        let (cluster, a, b) = pair(true);
+        let st = Stages::of(&cluster);
+        let (qa, qb) = connected_qps(&a, &b);
+        let src = a.pd.register_with(vec![1u8; LEN], Access::default());
+        let access = match case {
+            Case::NoLocalWrite => Access::default(),
+            _ => Access::LOCAL_WRITE,
+        };
+        let dst = b.pd.register_with(vec![9u8; LEN], access);
+        qb.post_recv(9, dst.full());
+        send_window(&qa, &src);
+        match case {
+            Case::ReceiveBorrowed => {
+                let _held = dst.bytes();
+                cluster.sim().run();
+            }
+            Case::SourceBorrowed => {
+                let _held = src.bytes();
+                cluster.sim().run();
+            }
+            Case::NoLocalWrite => {
+                cluster.sim().run();
+            }
+            Case::SourceEmptied => {
+                drop(src.into_vec());
+                cluster.sim().run();
+            }
+        }
+        assert_eq!(cluster.sim().now(), send_instants(&st).1, "{case:?}");
+        let sent = a.cq.poll().map(|wc| wc.status);
+        let recv = b.cq.poll().map(|wc| (wc.status, wc.byte_len));
+        let want = match case {
+            Case::ReceiveBorrowed | Case::NoLocalWrite => {
+                (Some(Success), Some((LocalLengthError, 0)), vec![9u8; LEN])
+            }
+            Case::SourceEmptied => (Some(LocalLengthError), None, vec![9u8; LEN]),
+            Case::SourceBorrowed => (Some(Success), Some((Success, LEN as u32)), vec![1u8; LEN]),
+        };
+        assert_eq!((sent, recv, dst.read_at(0, LEN)), want, "{case:?}");
+    }
+}
+
+/// A UD send completes at the local HCA, so the window is read at the
+/// post: a rewrite right after it does not reach the receiver.
+#[test]
+fn a_ud_send_reads_its_window_at_the_post() {
+    let (cluster, a, b) = pair(true);
+    let qa = a.pd.create_qp(QpType::Ud, &a.cq, &a.cq, None);
+    let qb = b.pd.create_qp(QpType::Ud, &b.cq, &b.cq, None);
+    let (old, new) = (vec![1u8; LEN], vec![2u8; LEN]);
+    let src = a.pd.register_with(old.clone(), Access::default());
+    let dst = b.pd.register(LEN, Access::LOCAL_WRITE);
+    qb.post_recv(9, dst.full());
+    let mut wr = SendWr::new(
+        1,
+        SendOp::Send {
+            local: src.full(),
+            imm: None,
+        },
+    );
+    wr.ud_dest = Some((b.hca.node(), qb.qpn()));
+    qa.post_send(wr).unwrap();
+    src.write_at(0, &new);
+    cluster.sim().run();
+    let recv = b.cq.poll().expect("delivered");
+    assert_eq!(
+        (recv.status, recv.byte_len),
+        (WcStatus::Success, LEN as u32)
+    );
+    assert_eq!(dst.read_at(0, LEN), old);
 }

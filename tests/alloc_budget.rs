@@ -2,18 +2,18 @@
 //!
 //! The event engine's steady state allocates nothing — timers and tasks live
 //! in slabs, a task's waker is built once, a message in flight is a record
-//! and a targeted event — and UCR copies a payload once on either path: the
-//! eager path into a network buffer, the rendezvous path from the source
-//! region straight into the landing region, with nothing in between. These
-//! tests pin what one memcached operation still costs the host allocator on
-//! the two transport families, so the next per-event or per-poll allocation
-//! fails `cargo test` instead of showing up in a benchmark run. They also pin
-//! that a run leaves no dead timers behind: the event queue holds live events
-//! only.
+//! and a targeted event — and UCR moves a payload between registered
+//! buffers with nothing in between: the eager path from a pooled send buffer
+//! into a pooled receive buffer, the rendezvous path from the source region
+//! straight into the landing region. These tests pin what one memcached
+//! operation still costs the host allocator on the two transport families,
+//! so the next per-event or per-poll allocation fails `cargo test` instead of
+//! showing up in a benchmark run. They also pin that a run leaves no dead
+//! timers behind: the event queue holds live events only.
 //!
 //! The budgets are counts, not timings: for a given build they repeat but
 //! for a hash table that happens to grow inside the measured loop, which is
-//! what the headroom of two above the measured figures is for. Where the
+//! what the headroom of one to two above the measured figures is for. Where the
 //! count of a shape comes from, call site by call site, is what
 //! `cargo test --test alloc_budget -- --ignored --nocapture` prints.
 
@@ -33,6 +33,8 @@ type SiteTable = RefCell<HashMap<String, (u64, u64)>>;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes asked for by those allocations (a `realloc` counts its new size).
+    static BYTES: Cell<u64> = const { Cell::new(0) };
     /// Where allocations are attributed while a site table is being made
     /// (leaked, so the thread-local has no destructor to register).
     static SITES: Cell<Option<&'static SiteTable>> = const { Cell::new(None) };
@@ -46,6 +48,7 @@ fn bump(bytes: usize) {
     // `try_with`: an allocation made while the thread's locals are torn down
     // goes uncounted rather than aborting the process.
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
     if let Ok(Some(sites)) = SITES.try_with(Cell::get) {
         // Capturing a backtrace allocates: the borrow is the re-entrancy
         // guard, and what is allocated under it goes unattributed.
@@ -125,6 +128,7 @@ fn key(i: usize) -> Vec<u8> {
 /// What a measured loop cost the allocator, and how many operations it ran.
 struct Load {
     allocs: u64,
+    bytes: u64,
     ops: u64,
 }
 
@@ -132,20 +136,25 @@ impl Load {
     /// Runs `tasks` to the end: what that cost, and the operations they
     /// counted into `completed`.
     fn of(sim: &Sim, tasks: Vec<JoinHandle<()>>, completed: &Cell<u64>) -> Load {
-        let before = ALLOCS.with(Cell::get);
+        let before = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
         sim.block_on(async move {
             for t in tasks {
                 t.await;
             }
         });
         Load {
-            allocs: ALLOCS.with(Cell::get) - before,
+            allocs: ALLOCS.with(Cell::get) - before.0,
+            bytes: BYTES.with(Cell::get) - before.1,
             ops: completed.get(),
         }
     }
 
     fn allocs_per_op(&self) -> f64 {
         self.allocs as f64 / self.ops as f64
+    }
+
+    fn bytes_per_op(&self) -> f64 {
+        self.bytes as f64 / self.ops as f64
     }
 }
 
@@ -274,9 +283,11 @@ impl Shape {
 
     /// Warms the testbed up, then holds a measured run to `budget`
     /// allocations per operation and to an event queue of live events.
-    fn stays_within(&self, budget: f64) {
+    /// Returns the measured run.
+    fn stays_within(&self, budget: f64) -> Load {
         self.run(WARMUP_OPS);
-        let per_op = self.run(MEASURED_OPS).allocs_per_op();
+        let load = self.run(MEASURED_OPS);
+        let per_op = load.allocs_per_op();
         assert!(
             per_op <= budget,
             "{}: {per_op:.2} allocations per operation (budget {budget})",
@@ -290,6 +301,7 @@ impl Shape {
             "{}: {pending} events pending after the run",
             self.name
         );
+        load
     }
 }
 
@@ -359,13 +371,13 @@ fn ascii_socket_sets_and_gets() -> Shape {
 
 #[test]
 fn ucr_small_gets_stay_within_the_allocation_budget() {
-    ucr_small_gets().stays_within(8.0); // measured 6.00
+    ucr_small_gets().stays_within(5.0); // measured 4.00
 }
 
 #[test]
 fn ucr_pipelined_gets_stay_within_the_allocation_budget() {
     let shape = ucr_pipelined_gets();
-    shape.stays_within(7.8); // measured 5.78
+    shape.stays_within(5.5); // measured 4.03
     let rt = shape.server.ucr_runtime().expect("UCR server");
     assert!(
         rt.stats().eager_coalesced.get() > 0,
@@ -539,8 +551,7 @@ fn binary_decoders_allocate_nothing_on_refused_input() {
 
 /// The paper's Fig. 4(c) point: one UCR client, 4 KB gets — the largest
 /// power of two that still rides eager with its headers.
-#[test]
-fn ucr_4k_gets_stay_within_the_allocation_budget() {
+fn ucr_4k_gets() -> Shape {
     Shape::new(
         "ucr_4k_gets",
         World::cluster_b(42, 2),
@@ -550,7 +561,19 @@ fn ucr_4k_gets_stay_within_the_allocation_budget() {
         4096,
         |s, ops| closed_loop(&s.world, &s.clients, ops, None),
     )
-    .stays_within(8.0); // measured 6.00
+}
+
+/// A 4 KB get copies its value twice, out of the store and into the
+/// client's own `Value`; the packets on either side are written into
+/// registered send buffers from the pools.
+#[test]
+fn ucr_4k_gets_stay_within_the_allocation_budget() {
+    let load = ucr_4k_gets().stays_within(5.0); // measured 4.00
+    let bytes = load.bytes_per_op();
+    assert!(
+        bytes <= (2 * 4096 + 256) as f64,
+        "ucr_4k_gets: {bytes:.0} bytes allocated per operation"
+    );
 }
 
 /// 64 KB values, sets and gets by turns: every value travels by rendezvous,
@@ -569,7 +592,7 @@ fn ucr_64k_sets_and_gets() -> Shape {
 
 #[test]
 fn ucr_64k_sets_and_gets_stay_within_the_allocation_budget() {
-    ucr_64k_sets_and_gets().stays_within(13.5); // measured 11.50
+    ucr_64k_sets_and_gets().stays_within(10.0); // measured 8.50
 }
 
 /// One-sided verbs move bytes from registered region to registered region:
@@ -625,6 +648,50 @@ fn one_sided_verbs_allocate_nothing_in_steady_state() {
     );
 }
 
+/// A registered SEND lands from its window, region to region: a thousand
+/// SENDs into receives posted anew for each cost the allocator nothing once
+/// the tables they pass through have grown.
+#[test]
+fn two_sided_sends_allocate_nothing_in_steady_state() {
+    use rdma_memcached::simnet::Cluster;
+    use rdma_memcached::verbs::{Access, IbFabric, QpType, SendOp, SendWr};
+    const LEN: usize = 4096;
+    const SENDS: u64 = 1_000;
+    let cluster = Rc::new(Cluster::cluster_b(42, 2));
+    let fabric = IbFabric::new(cluster.clone());
+    let (a, b) = (fabric.open(NodeId(0)), fabric.open(NodeId(1)));
+    let (pda, pdb) = (a.alloc_pd(), b.alloc_pd());
+    let (cqa, cqb) = (a.create_cq(), b.create_cq());
+    let qa = pda.create_qp(QpType::Rc, &cqa, &cqa, None);
+    let qb = pdb.create_qp(QpType::Rc, &cqb, &cqb, None);
+    qa.connect_to(b.node(), qb.qpn()).expect("fresh QP");
+    qb.connect_to(a.node(), qa.qpn()).expect("fresh QP");
+    let payload = pda.register_with(vec![7; LEN], Access::default());
+    let landing = pdb.register(LEN, Access::LOCAL_WRITE);
+    let round = || {
+        for i in 0..SENDS {
+            qb.post_recv(i, landing.full());
+            let send = SendOp::Send {
+                local: payload.full(),
+                imm: None,
+            };
+            qa.post_send(SendWr::new(i, send)).expect("RTS");
+        }
+        cluster.sim().run();
+        for cq in [&cqa, &cqb] {
+            let completed = std::iter::from_fn(|| cq.poll())
+                .inspect(|wc| assert!(wc.status.is_ok(), "{wc:?}"))
+                .count();
+            assert_eq!(completed as u64, SENDS);
+        }
+    };
+    round();
+    let before = ALLOCS.with(Cell::get);
+    round();
+    assert_eq!(ALLOCS.with(Cell::get) - before, 0);
+    assert_eq!(landing.read_at(0, LEN), vec![7; LEN]);
+}
+
 /// The engine's third kind of event costs the allocator nothing: a hundred
 /// thousand targeted events, sixty-four in the queue at any time.
 #[test]
@@ -675,6 +742,7 @@ fn print_allocation_sites() {
     const OPS: u64 = 1_000;
     let shapes = [
         ucr_small_gets(),
+        ucr_4k_gets(),
         ucr_pipelined_gets(),
         ascii_socket_gets(),
         ascii_socket_sets_and_gets(),
