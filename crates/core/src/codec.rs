@@ -8,6 +8,8 @@
 //! `noreply`, `gets` vs `get`, quiet opcodes, key echo — is read off the
 //! wire object here and never reaches the executor.
 
+use std::borrow::Cow;
+
 use mcstore::NumericError::{NotFound, NotNumeric};
 use mcstore::{SetOutcome, Value};
 
@@ -93,8 +95,13 @@ pub(crate) mod ucr {
     }
 
     /// Server: the AM 2 header and data answering request `req_id`. A
-    /// single hit's bytes move into the payload uncopied.
-    pub fn encode_reply(req_id: u64, reply: Reply, keys: &[Vec<u8>]) -> (RespHeader, Vec<u8>) {
+    /// single hit's data is its bytes where the reply holds them (lent by
+    /// the store), for the send to copy once into its network buffer.
+    pub fn encode_reply<'r, D: AsRef<[u8]>>(
+        req_id: u64,
+        reply: &'r Reply<D>,
+        keys: &[Vec<u8>],
+    ) -> (RespHeader, Cow<'r, [u8]>) {
         let mut hdr = RespHeader {
             req_id,
             status: RespStatus::Ok,
@@ -103,32 +110,33 @@ pub(crate) mod ucr {
             number: 0,
             nvalues: 0,
         };
-        let mut payload = Vec::new();
+        let mut payload = Cow::Borrowed(&[][..]);
         match reply {
             Reply::Value(Some(v)) => {
                 (hdr.status, hdr.flags, hdr.cas) = (RespStatus::Hit, v.flags, v.cas);
-                payload = v.data;
+                payload = Cow::Borrowed(v.data.as_ref());
             }
             Reply::Value(None) => hdr.status = RespStatus::Miss,
-            Reply::Values(ref hits) => {
+            Reply::Values(hits) => {
                 (hdr.status, hdr.nvalues) = (RespStatus::Hit, hits.len() as u16);
-                payload.reserve_exact(reply.payload_len(keys));
+                let mut entries = Vec::with_capacity(reply.payload_len(keys));
                 for (i, v) in hits {
-                    encode_mget_entry(&mut payload, &keys[*i], v.flags, v.cas, &v.data);
+                    encode_mget_entry(&mut entries, &keys[*i], v.flags, v.cas, &v.data);
                 }
+                payload = Cow::Owned(entries);
             }
             Reply::Stored { outcome, cas } => {
-                hdr.status = lookup(&STORE_STATUS, outcome).unwrap_or(RespStatus::NotStored);
-                hdr.cas = cas;
+                hdr.status = lookup(&STORE_STATUS, *outcome).unwrap_or(RespStatus::NotStored);
+                hdr.cas = *cas;
             }
             Reply::Found(true) | Reply::Done => {}
             Reply::Found(false) | Reply::Number(Err(NotFound)) => hdr.status = RespStatus::NotFound,
             Reply::Number(Err(NotNumeric)) => hdr.status = RespStatus::NotNumeric,
-            Reply::Number(Ok(n)) => (hdr.status, hdr.number) = (RespStatus::Number, n),
-            Reply::Version(s) => payload = s.into_bytes(),
+            Reply::Number(Ok(n)) => (hdr.status, hdr.number) = (RespStatus::Number, *n),
+            Reply::Version(s) => payload = Cow::Borrowed(s.as_bytes()),
             Reply::Stats(pairs) => {
                 let text: String = pairs.iter().map(|(k, v)| format!("{k} {v}\n")).collect();
-                payload = text.into_bytes();
+                payload = Cow::Owned(text.into_bytes());
             }
         }
         (hdr, payload)
@@ -285,9 +293,9 @@ pub(crate) mod ascii {
     }
 
     /// Server: the response to `cmd`. Hits are written into their `VALUE`
-    /// stanzas behind the keys `cmd` names; `get` omits the CAS token,
-    /// `gets` carries it.
-    pub fn encode_reply(cmd: &Command, reply: Reply) -> Vec<u8> {
+    /// stanzas behind the keys `cmd` names — a lent hit straight from the
+    /// store; `get` omits the CAS token, `gets` carries it.
+    pub fn encode_reply<D: AsRef<[u8]>>(cmd: &Command, reply: &Reply<D>) -> Vec<u8> {
         let (keys, with_cas) = match cmd {
             Command::Get { keys } => (keys.as_slice(), false),
             Command::Gets { keys } => (keys.as_slice(), true),
@@ -311,27 +319,32 @@ pub(crate) mod ascii {
             Reply::Found(true) if matches!(cmd, Command::Touch { .. }) => Response::Touched,
             Reply::Found(true) => Response::Deleted,
             Reply::Found(false) | Reply::Number(Err(NotFound)) => Response::NotFound,
-            Reply::Number(Ok(n)) => Response::Number(n),
+            Reply::Number(Ok(n)) => Response::Number(*n),
             Reply::Number(Err(NotNumeric)) => {
                 Response::ClientError("cannot increment or decrement non-numeric value".into())
             }
             Reply::Done => Response::Ok,
-            Reply::Version(s) => Response::Version(s),
-            Reply::Stats(pairs) => Response::Stats(pairs),
+            Reply::Version(s) => Response::Version(s.clone()),
+            Reply::Stats(pairs) => Response::Stats(pairs.clone()),
         };
         mcproto::encode_response(&resp)
     }
 
     /// The `VALUE` stanzas of `hits`, each behind the key it indexes, and
     /// the closing `END`.
-    fn stanzas<'v>(
+    fn stanzas<'v, D: AsRef<[u8]> + 'v>(
         keys: &[Vec<u8>],
         with_cas: bool,
-        hits: impl Iterator<Item = (usize, &'v Value)> + Clone,
+        hits: impl Iterator<Item = (usize, &'v Value<D>)> + Clone,
     ) -> Vec<u8> {
         exact(|w| {
             for (i, v) in hits.clone() {
-                w.value(&keys[i], v.flags, with_cas.then_some(v.cas), &v.data);
+                w.value(
+                    &keys[i],
+                    v.flags,
+                    with_cas.then_some(v.cas),
+                    v.data.as_ref(),
+                );
             }
             w.status(b"END", None);
         })
@@ -443,8 +456,8 @@ pub(crate) mod ascii {
 pub(crate) mod binary {
     use super::*;
     use mcproto::{
-        arith_extras, parse_arith_extras, parse_store_extras, store_extras, BinFrame, BinOpcode,
-        BinStatus,
+        arith_extras, parse_arith_extras, parse_store_extras, store_extras, BinFrame, BinFrameRef,
+        BinOpcode, BinStatus,
     };
 
     const STORE_STATUS: [(SetOutcome, BinStatus); 6] = [
@@ -552,44 +565,60 @@ pub(crate) mod binary {
         })
     }
 
-    /// Server: the frames answering `req` (consumed: GetK/GetKQ echo its
-    /// key). Empty for a quiet miss; a statistics report is one frame per
-    /// pair closed by an empty frame.
-    pub fn encode_reply(req: BinFrame, reply: Reply) -> Vec<BinFrame> {
-        let mut resp = BinFrame::response(&req, BinStatus::Ok);
+    /// Server: the response to `req`, every frame of it written straight
+    /// from the reply into one buffer of exactly its size. Empty for a
+    /// quiet miss; GetK/GetKQ echo the key; a statistics report is one
+    /// frame per pair closed by an empty frame.
+    pub fn encode_reply<D: AsRef<[u8]>>(req: &BinFrame, reply: &Reply<D>) -> Vec<u8> {
+        let mut len = 0;
+        response_frames(req, reply, |f| len += f.wire_len());
+        let mut wire = Vec::with_capacity(len);
+        response_frames(req, reply, |f| f.write_to(&mut wire));
+        wire
+    }
+
+    /// Hands the frames answering `req`, in order, to `emit`.
+    fn response_frames<D: AsRef<[u8]>>(
+        req: &BinFrame,
+        reply: &Reply<D>,
+        mut emit: impl FnMut(BinFrameRef<'_>),
+    ) {
+        let (flags, number);
+        let mut resp = BinFrameRef::response(req, BinStatus::Ok);
         let mut status = BinStatus::Ok;
-        let mut frames = Vec::new();
         match reply {
             Reply::Value(Some(v)) => {
-                resp.extras = v.flags.to_be_bytes().to_vec();
-                resp.cas = v.cas;
-                resp.value = v.data;
+                flags = v.flags.to_be_bytes();
+                (resp.extras, resp.cas, resp.value) = (&flags, v.cas, v.data.as_ref());
                 if matches!(req.opcode, BinOpcode::GetK | BinOpcode::GetKQ) {
-                    resp.key = req.key;
+                    resp.key = &req.key;
                 }
             }
-            Reply::Value(None) if req.opcode.is_quiet() => return frames,
+            Reply::Value(None) if req.opcode.is_quiet() => return,
             Reply::Value(None) | Reply::Found(false) | Reply::Number(Err(NotFound)) => {
                 status = BinStatus::KeyNotFound
             }
             Reply::Stored { outcome, cas } => {
-                status = lookup(&STORE_STATUS, outcome).unwrap_or(BinStatus::NotStored);
-                resp.cas = cas;
+                status = lookup(&STORE_STATUS, *outcome).unwrap_or(BinStatus::NotStored);
+                resp.cas = *cas;
             }
-            Reply::Number(Ok(n)) => resp.value = n.to_be_bytes().to_vec(),
+            Reply::Number(Ok(n)) => {
+                number = n.to_be_bytes();
+                resp.value = &number;
+            }
             Reply::Number(Err(NotNumeric)) => status = BinStatus::NonNumeric,
-            Reply::Version(s) if req.opcode == BinOpcode::Version => resp.value = s.into_bytes(),
-            Reply::Stats(pairs) => frames.extend(pairs.into_iter().map(|(name, value)| {
-                let mut f = BinFrame::response(&req, BinStatus::Ok);
-                (f.key, f.value) = (name.into_bytes(), value.into_bytes());
-                f
-            })),
+            Reply::Version(s) if req.opcode == BinOpcode::Version => resp.value = s.as_bytes(),
+            Reply::Stats(pairs) => {
+                for (name, value) in pairs {
+                    let (key, value) = (name.as_bytes(), value.as_bytes());
+                    emit(BinFrameRef { key, value, ..resp });
+                }
+            }
             // No binary request is multi-key (multiget is a GetKQ train).
             Reply::Found(true) | Reply::Done | Reply::Version(_) | Reply::Values(_) => {}
         }
         resp.vbucket_or_status = status as u16;
-        frames.push(resp);
-        frames
+        emit(resp);
     }
 
     /// Client: whether `frame` closes the reply to an `op` request. A

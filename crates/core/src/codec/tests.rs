@@ -2,9 +2,11 @@
 //! server decodes to the same request, and what the server encodes the
 //! client decodes to the same reply.
 
+use std::borrow::Cow;
+
 use mcproto::{
-    encode_command, encode_response, parse_command, parse_response, BinFrame, Command, GetValue,
-    Response, StoreVerb,
+    encode_command, encode_response, parse_command, parse_response, BinFrame, BinOpcode, Command,
+    GetValue, Response, StoreVerb,
 };
 use mcstore::{NumericError, SetOutcome, Value};
 
@@ -174,10 +176,10 @@ fn replies_survive_every_wire() {
         let keys = &KEYS[..nkeys];
         let req = Request::new(op, keys);
 
-        let (hdr, payload) = ucr::encode_reply(9, copy(&reply), &server_keys);
+        let (hdr, payload) = ucr::encode_reply(9, &reply, &server_keys);
         assert_eq!(payload.len(), reply.payload_len(keys), "{op:?} {reply:?}");
         let hdr = RespHeader::decode(&hdr.encode()).expect("header decodes");
-        let got = ucr::decode_reply(op, keys, hdr, payload).unwrap();
+        let got = ucr::decode_reply(op, keys, hdr, payload.into_owned()).unwrap();
         assert_eq!(got, reply, "ucr {op:?}");
 
         // ASCII carries no CAS token on a store.
@@ -185,7 +187,7 @@ fn replies_survive_every_wire() {
             Reply::Stored { outcome, .. } => Reply::Stored { outcome, cas: 0 },
             other => other,
         };
-        let wire = ascii::encode_reply(&server_command(&req).expect("parses"), copy(&reply));
+        let wire = ascii::encode_reply(&server_command(&req).expect("parses"), &reply);
         let (got, used) = ascii::decode_reply(op, keys, &wire)
             .unwrap()
             .expect("complete reply");
@@ -200,17 +202,164 @@ fn replies_survive_every_wire() {
             continue; // a binary multiget is a train of single-key gets
         }
         let frame = binary::encode_request(&req).remove(0);
-        let frames = binary::encode_reply(frame, copy(&reply));
-        let wire: Vec<u8> = frames.iter().flat_map(BinFrame::encode).collect();
-        let mut rest = wire.as_slice();
-        let mut parsed = Vec::new();
-        while let Some((frame, used)) = BinFrame::parse(rest).unwrap() {
-            parsed.push(frame);
-            rest = &rest[used..];
-        }
-        let got = binary::decode_reply(op, keys, parsed).unwrap();
+        let wire = binary::encode_reply(&frame, &reply);
+        let got = binary::decode_reply(op, keys, frames_of(&wire)).unwrap();
         assert_eq!(got, reply, "binary {op:?}");
     }
+}
+
+/// The frames back to back in `wire`, parsed; every byte belongs to one.
+fn frames_of(wire: &[u8]) -> Vec<BinFrame> {
+    let mut rest = wire;
+    let mut frames = Vec::new();
+    while let Ok(Some((frame, used))) = BinFrame::parse(rest) {
+        frames.push(frame);
+        rest = &rest[used..];
+    }
+    assert!(rest.is_empty(), "bytes outside any frame: {rest:?}");
+    frames
+}
+
+/// A `Get` hit the store lends is written as the same hit owned would be,
+/// on every wire.
+#[test]
+fn a_lent_hit_is_written_as_an_owned_one() {
+    let server_keys: Vec<Vec<u8>> = KEYS.iter().map(|k| k.to_vec()).collect();
+    let owned = Reply::Value(Some(value(b"payload", 3, 41)));
+    let lent = Reply::Value(Some(Value {
+        data: &b"payload"[..],
+        flags: 3,
+        cas: 41,
+    }));
+    let (owned_hdr, owned_data) = ucr::encode_reply(9, &owned, &server_keys);
+    let (lent_hdr, lent_data) = ucr::encode_reply(9, &lent, &server_keys);
+    assert_eq!(lent_hdr.encode(), owned_hdr.encode());
+    assert_eq!(lent_data, owned_data);
+    assert!(
+        matches!(lent_data, Cow::Borrowed(_)),
+        "the hit is not copied"
+    );
+    let cmd = server_command(&Request::new(McOp::Get, &KEYS[..1])).expect("parses");
+    assert_eq!(
+        ascii::encode_reply(&cmd, &lent),
+        ascii::encode_reply(&cmd, &owned)
+    );
+    let frame = binary::encode_request(&Request::new(McOp::Get, &KEYS[..1])).remove(0);
+    assert_eq!(
+        binary::encode_reply(&frame, &lent),
+        binary::encode_reply(&frame, &owned)
+    );
+}
+
+/// The frames the binary encoder once built for a reply to `req`, each
+/// encoded on its own: its bytes, concatenated, must not move.
+fn typed_frames(req: &BinFrame, reply: Reply) -> Vec<BinFrame> {
+    use mcproto::BinStatus;
+    let mut resp = BinFrame::response(req, BinStatus::Ok);
+    let mut status = BinStatus::Ok;
+    let mut frames = Vec::new();
+    match reply {
+        Reply::Value(Some(v)) => {
+            resp.extras = v.flags.to_be_bytes().to_vec();
+            resp.cas = v.cas;
+            resp.value = v.data;
+            if matches!(req.opcode, BinOpcode::GetK | BinOpcode::GetKQ) {
+                resp.key = req.key.clone();
+            }
+        }
+        Reply::Value(None) if req.opcode.is_quiet() => return frames,
+        Reply::Value(None) | Reply::Found(false) | Reply::Number(Err(NumericError::NotFound)) => {
+            status = BinStatus::KeyNotFound
+        }
+        Reply::Stored { outcome, cas } => {
+            status = match outcome {
+                SetOutcome::Stored => BinStatus::Ok,
+                SetOutcome::NotStored => BinStatus::NotStored,
+                SetOutcome::Exists => BinStatus::KeyExists,
+                SetOutcome::NotFound => BinStatus::KeyNotFound,
+                SetOutcome::TooLarge => BinStatus::TooLarge,
+                SetOutcome::OutOfMemory => BinStatus::OutOfMemory,
+            };
+            resp.cas = cas;
+        }
+        Reply::Number(Ok(n)) => resp.value = n.to_be_bytes().to_vec(),
+        Reply::Number(Err(NumericError::NotNumeric)) => status = BinStatus::NonNumeric,
+        Reply::Version(s) if req.opcode == BinOpcode::Version => resp.value = s.into_bytes(),
+        Reply::Stats(pairs) => frames.extend(pairs.into_iter().map(|(name, value)| {
+            let mut f = BinFrame::response(req, BinStatus::Ok);
+            (f.key, f.value) = (name.into_bytes(), value.into_bytes());
+            f
+        })),
+        Reply::Found(true) | Reply::Done | Reply::Version(_) | Reply::Values(_) => {}
+    }
+    resp.vbucket_or_status = status as u16;
+    frames.push(resp);
+    frames
+}
+
+/// Every binary reply is written frame by frame into one buffer, and its
+/// bytes are those of the frames the encoder once built: every reply shape
+/// against the frame the client sends for its op, plus the four fetch
+/// opcodes (a quiet miss is silence, GetK and GetKQ echo the key) and a
+/// Noop answered as a `Version` (no payload).
+#[test]
+fn binary_replies_are_the_bytes_of_their_typed_frames() {
+    let mut shapes = 0;
+    for (op, reply) in replies() {
+        let frame = binary::encode_request(&Request::new(op, &KEYS[..1])).remove(0);
+        let mut frames = vec![frame.clone()];
+        let fetches = [
+            BinOpcode::Get,
+            BinOpcode::GetK,
+            BinOpcode::GetQ,
+            BinOpcode::GetKQ,
+        ];
+        match op {
+            McOp::Get => frames.extend(fetches.map(|opcode| BinFrame {
+                opcode,
+                ..frame.clone()
+            })),
+            McOp::Version => frames.push(BinFrame::request(BinOpcode::Noop, 5)),
+            _ => {}
+        }
+        for req in frames {
+            let want: Vec<u8> = typed_frames(&req, copy(&reply))
+                .iter()
+                .flat_map(BinFrame::encode)
+                .collect();
+            let wire = binary::encode_reply(&req, &reply);
+            assert_eq!(wire, want, "{:?} {reply:?}", req.opcode);
+            assert_eq!(wire.capacity(), wire.len(), "{:?} {reply:?}", req.opcode);
+            shapes += 1;
+        }
+    }
+    assert_eq!(shapes, replies().len() + 2 * 4 + 1);
+    // The shapes named above, as the client reads them.
+    let get = |opcode, reply: &Reply| {
+        let mut req = BinFrame::request(opcode, 3);
+        req.key = KEYS[0].to_vec();
+        frames_of(&binary::encode_reply(&req, reply))
+    };
+    assert!(get(BinOpcode::GetKQ, &Reply::Value(None)).is_empty());
+    assert!(get(BinOpcode::GetQ, &Reply::Value(None)).is_empty());
+    let hit = Reply::Value(Some(value(b"v", 1, 2)));
+    assert_eq!(get(BinOpcode::GetK, &hit)[0].key, KEYS[0]);
+    assert_eq!(get(BinOpcode::GetKQ, &hit)[0].key, KEYS[0]);
+    assert!(get(BinOpcode::Get, &hit)[0].key.is_empty());
+    let stats = Reply::Stats(vec![
+        ("pid".into(), "7".into()),
+        ("uptime".into(), "9".into()),
+    ]);
+    let train = get(BinOpcode::Stat, &stats);
+    assert_eq!(train.len(), 3);
+    assert_eq!(
+        (&train[1].key[..], &train[1].value[..]),
+        (&b"uptime"[..], &b"9"[..])
+    );
+    assert!(
+        train[2].key.is_empty() && train[2].value.is_empty(),
+        "closed by an empty frame"
+    );
 }
 
 /// The command a server parses off what the client wrote for `req`.
@@ -347,7 +496,7 @@ fn ascii_replies_are_the_bytes_of_their_typed_responses() {
         }
         for cmd in cmds {
             let want = encode_response(&typed_response(&cmd, copy(&reply)));
-            let got = ascii::encode_reply(&cmd, copy(&reply));
+            let got = ascii::encode_reply(&cmd, &reply);
             assert_eq!(got, want, "{op:?} {reply:?} {cmd:?}");
         }
     }
@@ -384,15 +533,15 @@ mod hostile_bytes {
             all.extend(binary::encode_request(&req).iter().map(BinFrame::encode));
         }
         for (op, reply) in replies() {
-            let (hdr, payload) = ucr::encode_reply(9, copy(&reply), &server_keys);
-            all.extend([hdr.encode().to_vec(), payload]);
+            let (hdr, payload) = ucr::encode_reply(9, &reply, &server_keys);
+            all.extend([hdr.encode().to_vec(), payload.into_owned()]);
             let req = Request::new(op, &KEYS[..]);
             if let Some(cmd) = server_command(&req) {
-                all.push(ascii::encode_reply(&cmd, copy(&reply)));
+                all.push(ascii::encode_reply(&cmd, &reply));
             }
             let frame = binary::encode_request(&Request::new(op, &KEYS[..1])).remove(0);
-            let frames = binary::encode_reply(frame, reply);
-            all.extend(frames.iter().map(BinFrame::encode));
+            let wire = binary::encode_reply(&frame, &reply);
+            all.extend(frames_of(&wire).iter().map(BinFrame::encode));
         }
         all
     }
@@ -475,7 +624,7 @@ mod hostile_bytes {
 
         let wire = ascii::encode_reply(
             &server_command(&Request::new(McOp::Get, asked)).expect("parses"),
-            copy(&hit),
+            &hit,
         );
         let ours = ascii::decode_reply(McOp::Get, asked, &wire);
         assert_eq!(ours, Ok(Some((copy(&hit), wire.len()))));
@@ -485,7 +634,7 @@ mod hostile_bytes {
         );
 
         let frame = binary::encode_request(&Request::new(McOp::Get, asked)).remove(0);
-        let frames = binary::encode_reply(frame, copy(&hit));
+        let frames = frames_of(&binary::encode_reply(&frame, &hit));
         let ours = binary::decode_reply(McOp::Get, asked, frames.clone());
         assert_eq!(ours, Ok(hit));
         assert_eq!(binary::decode_reply(McOp::Get, other, frames), Err(refused));

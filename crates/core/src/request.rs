@@ -90,10 +90,16 @@ impl<'a, K: AsRef<[u8]>> Request<'a, K> {
 }
 
 /// The outcome of one [`Request`].
+///
+/// `D` holds a `Get` hit's bytes: on the server they are lent by the store
+/// (`D = &[u8]`) and written once, into the reply's wire buffer, before the
+/// loan ends; the client owns what it decoded (`D = Vec<u8>`). Multiget
+/// hits are always owned: a split multiget's parts are fetched on several
+/// workers and merged across awaits, which no loan may span.
 #[derive(Debug, PartialEq)]
-pub(crate) enum Reply {
+pub(crate) enum Reply<D = Vec<u8>> {
     /// `Get`: the hit, or a miss.
-    Value(Option<Value>),
+    Value(Option<Value<D>>),
     /// `Mget`: hits as `(index into the request's keys, value)`, in
     /// request order.
     Values(Vec<(usize, Value)>),
@@ -117,12 +123,12 @@ pub(crate) enum Reply {
     Stats(Vec<(String, String)>),
 }
 
-impl Reply {
+impl<D: AsRef<[u8]>> Reply<D> {
     /// Payload bytes of this reply in active-message framing: the figure
     /// the service span and the tail exemplars report, on every wire.
     pub fn payload_len<K: AsRef<[u8]>>(&self, keys: &[K]) -> usize {
         match self {
-            Reply::Value(Some(v)) => v.data.len(),
+            Reply::Value(Some(v)) => v.data.as_ref().len(),
             Reply::Values(hits) => hits
                 .iter()
                 .map(|(i, v)| mget_entry_len(keys[*i].as_ref().len(), v.data.len()))

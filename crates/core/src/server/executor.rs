@@ -1,5 +1,6 @@
 //! The request executor: the one place a [`Request`] is charged, locked,
-//! run against the store, observed, and turned into a [`Reply`].
+//! run against the store, observed, and turned into a [`Reply`], which the
+//! front-end's encoder writes out while the store still lends a hit.
 //!
 //! The store's `RefCell` is a private field of [`Executor`], so no
 //! front-end can reach a store verb except through [`Executor::serve`]
@@ -140,21 +141,33 @@ impl Executor {
     }
 
     /// Serves one request on the calling worker: charges its service time,
-    /// takes the locks of the shards it touches, executes it, feeds the
-    /// telemetry, and syncs the bypass mirrors.
+    /// takes the locks of the shards it touches, executes it, hands the
+    /// reply to the front-end's `encode`, feeds the telemetry, and syncs
+    /// the bypass mirrors. Returns what `encode` made of the reply.
+    ///
+    /// A `Get` hit is lent by the store, so `encode` runs at the service
+    /// instant, with the store borrowed and the shard guards held, and
+    /// writes the hit once, straight into its wire buffer. Nothing awaits
+    /// in between: the store's `RefCell` would refuse any other access.
     ///
     /// The returned guards still hold the request's store locks. UCR
-    /// posts its reply synchronously and so sends inside the critical
+    /// posts its reply from `encode` and so sends inside the critical
     /// section (the historical schedule); a sockets front-end drops the
     /// guards before its awaited write.
-    pub(super) async fn serve(&self, req: &Request<'_>, id: OpId, track: Track) -> (Reply, Held) {
+    pub(super) async fn serve<T>(
+        &self,
+        req: &Request<'_>,
+        id: OpId,
+        track: Track,
+        encode: impl FnOnce(&Reply<&[u8]>) -> T,
+    ) -> (T, Held) {
         let started = self.begin(id, track, req.value.len() as u64);
         let mut guards = Held::default();
-        let reply = if self.locks.is_empty() {
+        let (wire, out) = if self.locks.is_empty() {
             // The whole service time is one uncontended charge — the exact
             // schedule every pre-`StoreModel` experiment ran under.
             self.sim.sleep(self.service_cost(req.keys.len())).await;
-            self.run(req)
+            self.run(req, encode)
         } else {
             // A locked store splits it: the fixed dispatch/parse portion runs
             // lock-free, then `lock_shards` serializes the hash/item portion.
@@ -169,7 +182,8 @@ impl Executor {
                     drop(fetch.await); // release this shard before the next
                 }
                 hits.sort_unstable_by_key(|(i, _)| *i);
-                Reply::Values(hits)
+                let reply = Reply::Values(hits);
+                (encode(&reply), reply.payload_len(req.keys))
             } else {
                 let shards = match req.op {
                     // Flush and stats touch every segment.
@@ -182,35 +196,38 @@ impl Executor {
                 guards = self
                     .lock_shards(shards, req.keys.len(), id.key(), track)
                     .await;
-                self.run(req)
+                self.run(req, encode)
             }
         };
-        let out = reply.payload_len(req.keys) as u64;
+        let out = out as u64;
         let moved = out.max(req.value.len() as u64);
         self.record(req.op, id, started, req.key(), moved);
         self.end(id, track, out);
-        (reply, guards)
+        (wire, guards)
     }
 
-    /// Executes `req` against the store at the current instant (no await
-    /// between the mutation and the mirror sync).
-    fn run(&self, req: &Request<'_>) -> Reply {
+    /// Executes `req` against the store at the current instant and has
+    /// `encode` write the reply while the store still lends a hit; then
+    /// syncs the mirrors (no await between the mutation and the sync).
+    /// Returns what `encode` made and the reply's payload length.
+    fn run<T>(&self, req: &Request<'_>, encode: impl FnOnce(&Reply<&[u8]>) -> T) -> (T, usize) {
         let now = unix_now(&self.sim);
         let mut store = self.store.borrow_mut();
         let reply = execute(&mut store, req, now, |store, name| {
             stats::report(self, store, name)
         });
+        let (wire, out) = (encode(&reply), reply.payload_len(req.keys));
         if let Some(obs) = self.observatory.as_ref() {
             let key = req.key();
             let klen = key.len();
-            match (req.op, &reply) {
+            match (req.op, reply) {
                 (McOp::Get, Reply::Value(hit)) => {
-                    let hit = hit.as_ref();
-                    let class = hit.and_then(|v| store.class_of(klen, v.data.len()));
-                    obs.observe_key(key, false, class);
+                    // The loan ends here: the observatory wants a length.
+                    let len = hit.map(|v| v.data.len());
+                    obs.observe_key(key, false, len.and_then(|n| store.class_of(klen, n)));
                 }
                 (McOp::Mget, Reply::Values(hits)) => {
-                    observe_reads(obs, &store, req.keys, 0..req.keys.len(), hits)
+                    observe_reads(obs, &store, req.keys, 0..req.keys.len(), &hits)
                 }
                 (op, _) if op.is_store() => {
                     obs.observe_key(key, true, store.class_of(klen, req.value.len()))
@@ -223,7 +240,7 @@ impl Executor {
         }
         drop(store);
         self.sync_mirrors();
-        reply
+        (wire, out)
     }
 
     /// Locks one shard, charges its keys' hash/item time, and fetches
@@ -430,12 +447,12 @@ fn fetch(
 /// One storage verb, `verb`, run on the store owning `key`. A stored
 /// item's fresh CAS token comes from a read-only `locate`: no hit counted,
 /// no LRU bump, no value copy.
-fn store_item(
+fn store_item<'s>(
     store: &mut SegmentedStore,
     key: &[u8],
     now: u32,
     verb: impl FnOnce(&mut Store) -> SetOutcome,
-) -> Reply {
+) -> Reply<&'s [u8]> {
     let shard = store.segment_for(key);
     let outcome = verb(shard);
     let cas = match outcome {
@@ -448,16 +465,17 @@ fn store_item(
 /// Executes one request against the store: the one place every store
 /// verb is called from — a keyed verb on the [`mcstore::Store`] owning the
 /// key, an aggregating one on the whole. `stats` renders a statistics
-/// sub-report (it needs server state the store does not hold).
-pub(super) fn execute(
-    store: &mut SegmentedStore,
+/// sub-report (it needs server state the store does not hold). A `Get`
+/// hit is lent, so the reply holds the store until it is dropped.
+pub(super) fn execute<'s>(
+    store: &'s mut SegmentedStore,
     req: &Request<'_>,
     now: u32,
     stats: impl FnOnce(&mut SegmentedStore, &[u8]) -> Vec<(String, String)>,
-) -> Reply {
+) -> Reply<&'s [u8]> {
     let (key, value, flags, exptime) = (req.key(), req.value, req.flags, req.exptime);
     match req.op {
-        McOp::Get => Reply::Value(store.segment_for(key).get(key, now)),
+        McOp::Get => Reply::Value(store.segment_for(key).get_ref(key, now)),
         McOp::Mget => {
             let mut hits = Vec::new();
             fetch(store, req.keys, 0..req.keys.len(), now, &mut hits);

@@ -21,7 +21,7 @@ use ucr::{AmData, AmHandler, Endpoint, SendOptions};
 
 use super::executor::OpId;
 use super::{SrvInner, WorkItem};
-use crate::am_wire::{McOp, ReqHeader, RespHeader, MSG_MC_RESP};
+use crate::am_wire::{McOp, ReqHeader, MSG_MC_RESP};
 use crate::codec;
 use crate::request::Reply;
 
@@ -141,12 +141,15 @@ impl AmHandler for ReqDispatch {
     }
 }
 
-/// AM 2: the response, targeting the counter named in AM 1 (§V-B).
-fn post_reply(ep: &Endpoint, req: &ReqHeader, reply: (RespHeader, Vec<u8>)) {
+/// AM 2: the response, targeting the counter named in AM 1 (§V-B). Its
+/// data is copied once, into the send: from where the reply holds it — a
+/// `Get` hit, from the store.
+fn post_reply<D: AsRef<[u8]>>(ep: &Endpoint, req: &ReqHeader, reply: &Reply<D>) {
+    let (hdr, data) = codec::ucr::encode_reply(req.req_id, reply, &req.keys);
     ep.post_message(
         MSG_MC_RESP,
-        reply.0.encode(),
-        reply.1,
+        hdr.encode(),
+        data,
         SendOptions {
             target_ctr: req.ctr_id,
             ..Default::default()
@@ -156,15 +159,10 @@ fn post_reply(ep: &Endpoint, req: &ReqHeader, reply: (RespHeader, Vec<u8>)) {
 
 async fn serve_ucr(srv: &Rc<SrvInner>, ep: Endpoint, req: ReqHeader, data: Vec<u8>, widx: u32) {
     let request = codec::ucr::decode_request(&req, &data);
-    let (reply, _guards) = srv
-        .exec
-        .serve(&request, OpId::Wire(req.req_id), Track::Worker(widx))
-        .await;
-    post_reply(
-        &ep,
-        &req,
-        codec::ucr::encode_reply(req.req_id, reply, &req.keys),
-    );
+    let (id, track) = (OpId::Wire(req.req_id), Track::Worker(widx));
+    // Posted at the service instant, the request's locks still held.
+    let post = |reply: &Reply<&[u8]>| post_reply(&ep, &req, reply);
+    srv.exec.serve(&request, id, track, post).await;
 }
 
 /// Serves one shard's slice of a split `Mget` (the
@@ -193,21 +191,22 @@ async fn serve_ucr_mget_part(
     let _guards = exec
         .fetch_shard(shard, &req.keys, &idxs, &mut hits, id, track)
         .await;
-    let merged = {
+    let merged: Option<Reply> = {
         let mut state = merge.state.borrow_mut();
         state.0.append(&mut hits);
         state.1 -= 1;
         (state.1 == 0).then(|| {
             let mut all = std::mem::take(&mut state.0);
             all.sort_unstable_by_key(|(i, _)| *i);
-            codec::ucr::encode_reply(req.req_id, Reply::Values(all), &req.keys)
+            Reply::Values(all)
         })
     };
-    if let Some((_, payload)) = &merged {
-        exec.record(McOp::Mget, id, started, &req.keys[0], payload.len() as u64);
+    if let Some(reply) = &merged {
+        let out = reply.payload_len(&req.keys) as u64;
+        exec.record(McOp::Mget, id, started, &req.keys[0], out);
     }
     exec.end(id, track, idxs.len() as u64);
-    if let Some(reply) = merged {
+    if let Some(reply) = &merged {
         post_reply(&ep, req, reply);
     }
 }
@@ -312,27 +311,31 @@ async fn serve_ascii(srv: &Rc<SrvInner>, cmd: Command, widx: u32) -> Option<Vec<
     // lock spans taken under it share the id, so the folded profile nests
     // lock_wait/lock_hold inside the service frame.
     let id = OpId::Local(srv.next_sock_op());
-    let (reply, guards) = srv.exec.serve(&request, id, Track::Worker(widx)).await;
+    let encode = |reply: &Reply<&[u8]>| (!noreply).then(|| codec::ascii::encode_reply(&cmd, reply));
+    let (wire, guards) = srv
+        .exec
+        .serve(&request, id, Track::Worker(widx), encode)
+        .await;
     drop(guards);
-    (!noreply).then(|| codec::ascii::encode_reply(&cmd, reply))
+    wire
 }
 
 async fn serve_sock_bin(srv: &Rc<SrvInner>, sock: Rc<Socket>, frame: BinFrame, widx: u32) {
     let id = OpId::Local(srv.next_sock_op());
-    let frames = match codec::binary::decode_request(&frame) {
+    let wire = match codec::binary::decode_request(&frame) {
         Some(request) => {
-            let (reply, guards) = srv.exec.serve(&request, id, Track::Worker(widx)).await;
+            let encode = |reply: &Reply<&[u8]>| codec::binary::encode_reply(&frame, reply);
+            let (wire, guards) = srv
+                .exec
+                .serve(&request, id, Track::Worker(widx), encode)
+                .await;
             drop(guards);
-            codec::binary::encode_reply(frame, reply)
+            wire
         }
-        None => vec![BinFrame::response(&frame, BinStatus::InvalidArgs)],
+        None => BinFrame::response(&frame, BinStatus::InvalidArgs).encode(),
     };
     // Empty: a quiet miss (binary multiget) is answered by silence.
-    if !frames.is_empty() {
-        let mut wire = Vec::new();
-        for f in &frames {
-            wire.extend_from_slice(&f.encode());
-        }
+    if !wire.is_empty() {
         let _ = sock.write_all(&wire).await;
     }
 }

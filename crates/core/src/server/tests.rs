@@ -17,7 +17,7 @@ fn keys(ks: &[&str]) -> Vec<Vec<u8>> {
 }
 
 /// Runs `req` with CAS tokens reduced to "present or not" (their values
-/// are the store's business).
+/// are the store's business) and a lent hit copied out.
 fn run(store: &mut SegmentedStore, req: &Request<'_>) -> Reply {
     let stats = |_: &mut SegmentedStore, name: &[u8]| {
         vec![(
@@ -34,11 +34,15 @@ fn run(store: &mut SegmentedStore, req: &Request<'_>) -> Reply {
             outcome,
             cas: cas.min(1),
         },
-        Reply::Value(hit) => Reply::Value(hit.map(tokenless)),
+        Reply::Value(hit) => Reply::Value(hit.map(|v| tokenless(v.into_owned()))),
         Reply::Values(hits) => {
             Reply::Values(hits.into_iter().map(|(i, v)| (i, tokenless(v))).collect())
         }
-        other => other,
+        Reply::Found(found) => Reply::Found(found),
+        Reply::Number(n) => Reply::Number(n),
+        Reply::Done => Reply::Done,
+        Reply::Version(v) => Reply::Version(v),
+        Reply::Stats(pairs) => Reply::Stats(pairs),
     }
 }
 

@@ -192,22 +192,25 @@ impl BinFrame {
             .flatten()
     }
 
+    /// This frame with its body parts borrowed.
+    pub fn borrowed(&self) -> BinFrameRef<'_> {
+        BinFrameRef {
+            magic: self.magic,
+            opcode: self.opcode,
+            vbucket_or_status: self.vbucket_or_status,
+            opaque: self.opaque,
+            cas: self.cas,
+            extras: &self.extras,
+            key: &self.key,
+            value: &self.value,
+        }
+    }
+
     /// Serializes to the wire layout (network byte order, as specified).
     pub fn encode(&self) -> Vec<u8> {
-        let total_body = self.extras.len() + self.key.len() + self.value.len();
-        let mut out = Vec::with_capacity(BIN_HEADER_BYTES + total_body);
-        out.push(self.magic);
-        out.push(self.opcode as u8);
-        out.extend_from_slice(&(self.key.len() as u16).to_be_bytes());
-        out.push(self.extras.len() as u8);
-        out.push(0); // data type: raw bytes
-        out.extend_from_slice(&self.vbucket_or_status.to_be_bytes());
-        out.extend_from_slice(&(total_body as u32).to_be_bytes());
-        out.extend_from_slice(&self.opaque.to_be_bytes());
-        out.extend_from_slice(&self.cas.to_be_bytes());
-        out.extend_from_slice(&self.extras);
-        out.extend_from_slice(&self.key);
-        out.extend_from_slice(&self.value);
+        let frame = self.borrowed();
+        let mut out = Vec::with_capacity(frame.wire_len());
+        frame.write_to(&mut out);
         out
     }
 
@@ -255,6 +258,68 @@ impl BinFrame {
             },
             frame_len,
         )))
+    }
+}
+
+/// A [`BinFrame`] whose body parts are borrowed: what a server writes a
+/// response from — a hit straight out of the store — without owning a byte
+/// of it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct BinFrameRef<'a> {
+    /// `MAGIC_REQUEST` or `MAGIC_RESPONSE`.
+    pub magic: u8,
+    /// Operation.
+    pub opcode: BinOpcode,
+    /// vbucket (requests) / status (responses).
+    pub vbucket_or_status: u16,
+    /// Client-chosen token echoed verbatim in the response.
+    pub opaque: u32,
+    /// CAS token.
+    pub cas: u64,
+    /// Extras block.
+    pub extras: &'a [u8],
+    /// Key bytes.
+    pub key: &'a [u8],
+    /// Value bytes.
+    pub value: &'a [u8],
+}
+
+impl<'a> BinFrameRef<'a> {
+    /// A response frame answering `req` with `status`, its body empty.
+    pub fn response(req: &BinFrame, status: BinStatus) -> BinFrameRef<'a> {
+        BinFrameRef {
+            magic: MAGIC_RESPONSE,
+            opcode: req.opcode,
+            vbucket_or_status: status as u16,
+            opaque: req.opaque,
+            cas: 0,
+            extras: &[],
+            key: &[],
+            value: &[],
+        }
+    }
+
+    /// Bytes the frame takes on the wire: header and body.
+    pub fn wire_len(&self) -> usize {
+        BIN_HEADER_BYTES + self.extras.len() + self.key.len() + self.value.len()
+    }
+
+    /// Appends the frame to `out` in the wire layout (network byte order,
+    /// as specified).
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        let total_body = self.wire_len() - BIN_HEADER_BYTES;
+        out.push(self.magic);
+        out.push(self.opcode as u8);
+        out.extend_from_slice(&(self.key.len() as u16).to_be_bytes());
+        out.push(self.extras.len() as u8);
+        out.push(0); // data type: raw bytes
+        out.extend_from_slice(&self.vbucket_or_status.to_be_bytes());
+        out.extend_from_slice(&(total_body as u32).to_be_bytes());
+        out.extend_from_slice(&self.opaque.to_be_bytes());
+        out.extend_from_slice(&self.cas.to_be_bytes());
+        out.extend_from_slice(self.extras);
+        out.extend_from_slice(self.key);
+        out.extend_from_slice(self.value);
     }
 }
 
@@ -393,5 +458,34 @@ mod tests {
         assert_eq!(resp.opcode, BinOpcode::Delete);
         // Requests have no status.
         assert_eq!(req.status(), None);
+    }
+
+    /// A frame written from borrowed parts is the frame `encode` writes,
+    /// appended where the buffer ends, and takes exactly `wire_len` bytes.
+    #[test]
+    fn a_borrowed_frame_writes_what_encode_writes() {
+        let mut req = BinFrame::request(BinOpcode::GetK, 9);
+        req.key = b"key".to_vec();
+        let mut owned = BinFrame::response(&req, BinStatus::Ok);
+        (owned.extras, owned.key, owned.value, owned.cas) =
+            (vec![0, 0, 0, 7], req.key.clone(), b"value".to_vec(), 41);
+        let lent = BinFrameRef {
+            extras: &[0, 0, 0, 7],
+            key: &req.key,
+            value: b"value",
+            cas: 41,
+            ..BinFrameRef::response(&req, BinStatus::Ok)
+        };
+        assert_eq!(lent, owned.borrowed());
+        let mut out = b"prefix".to_vec();
+        lent.write_to(&mut out);
+        assert_eq!(out[..6], *b"prefix");
+        assert_eq!(out[6..], owned.encode()[..]);
+        assert_eq!(out.len() - 6, lent.wire_len());
+        let empty = BinFrame::response(&req, BinStatus::KeyNotFound);
+        assert_eq!(
+            BinFrameRef::response(&req, BinStatus::KeyNotFound),
+            empty.borrowed()
+        );
     }
 }

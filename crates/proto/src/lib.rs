@@ -26,8 +26,8 @@ mod response;
 mod udp;
 
 pub use binary::{
-    arith_extras, parse_arith_extras, parse_store_extras, store_extras, BinFrame, BinOpcode,
-    BinStatus, BIN_HEADER_BYTES, MAGIC_REQUEST, MAGIC_RESPONSE,
+    arith_extras, parse_arith_extras, parse_store_extras, store_extras, BinFrame, BinFrameRef,
+    BinOpcode, BinStatus, BIN_HEADER_BYTES, MAGIC_REQUEST, MAGIC_RESPONSE,
 };
 pub use command::{encode_command, parse_command, Command, StoreVerb};
 pub use response::{

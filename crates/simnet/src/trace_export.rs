@@ -229,12 +229,18 @@ impl Json {
     }
 }
 
+/// Deepest nesting of arrays and objects [`parse_json`] reads: far past
+/// the exporter's four levels, and shallow enough that no input can run
+/// the recursive reader out of stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document. Strict enough to validate the exporter's
-/// output; errors carry the byte offset of the failure.
+/// output; errors carry the byte offset of the failure. Any input is
+/// refused or accepted, never a panic, in time linear in its length.
 pub fn parse_json(src: &str) -> Result<Json, String> {
     let bytes = src.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -257,11 +263,15 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// The value at `pos`, nested `depth` arrays and objects deep.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nested deeper than {MAX_DEPTH} at byte {pos}"))
+        }
+        Some(b'{') => parse_obj(b, pos, depth + 1),
+        Some(b'[') => parse_arr(b, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
@@ -325,21 +335,29 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
-            c => {
-                // Copy the full UTF-8 sequence starting here.
-                let s = std::str::from_utf8(&b[*pos..])
-                    .map_err(|_| format!("invalid utf-8 at byte {pos}"))?;
-                let ch = s.chars().next().ok_or("unterminated string")?;
-                let _ = c;
+            lead => {
+                // Copy the full UTF-8 sequence starting here; its lead
+                // byte gives its length.
+                let len = match lead {
+                    0xf0.. => 4,
+                    0xe0.. => 3,
+                    0xc0.. => 2,
+                    _ => 1,
+                };
+                let ch = b
+                    .get(*pos..*pos + len)
+                    .and_then(|s| std::str::from_utf8(s).ok())
+                    .and_then(|s| s.chars().next())
+                    .ok_or_else(|| format!("invalid utf-8 at byte {pos}"))?;
                 out.push(ch);
-                *pos += ch.len_utf8();
+                *pos += len;
             }
         }
     }
     Err("unterminated string".to_string())
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -348,7 +366,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -361,7 +379,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(b, pos);
@@ -374,7 +392,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        fields.push((key, parse_value(b, pos)?));
+        fields.push((key, parse_value(b, pos, depth)?));
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -455,5 +473,175 @@ mod tests {
         assert!(parse_json("{\"a\":1,}").is_err());
         assert!(parse_json("[1 2]").is_err());
         assert!(parse_json("{}extra").is_err());
+    }
+
+    /// What a reader can be handed instead of an export: arbitrary bytes,
+    /// and every export mangled. Both readers refuse or accept, and never
+    /// panic; what the profiler and the exporter render reads back as it
+    /// was written.
+    mod hostile_bytes {
+        use proptest::prelude::*;
+
+        use super::*;
+        use crate::metrics::Metrics;
+        use crate::profiler::{Profiler, ProfilerConfig};
+        use crate::trace::EventSink;
+
+        /// Event names: real ones, and ones the JSON writer must escape
+        /// (names are literals in the code: none holds a line break).
+        const NAMES: [&str; 6] = [
+            "client_op",
+            "worker_service",
+            "rdma_read",
+            "with space",
+            "quote\"back\\slash",
+            "tab\tcr\rctl\u{1}é",
+        ];
+        const LAYERS: [Layer; 4] = [Layer::Wire, Layer::Verbs, Layer::Ucr, Layer::Core];
+
+        /// A stream of spans and instants on a few lanes, in time order.
+        fn events() -> impl Strategy<Value = Vec<Event>> {
+            let one = (
+                0..NAMES.len(),
+                0u8..3,
+                0u8..5,
+                0u8..4,
+                any::<u64>(),
+                0u64..1 << 52,
+            );
+            proptest::collection::vec((one, 0u64..5_000), 0..40).prop_map(|evs| {
+                let mut at = 0;
+                evs.into_iter()
+                    .map(|((name, phase, node, track, op, bytes), dt)| {
+                        at += dt;
+                        Event {
+                            layer: LAYERS[op as usize % LAYERS.len()],
+                            name: NAMES[name],
+                            phase: [Phase::Begin, Phase::End, Phase::Instant][phase as usize],
+                            node: (node < 4).then_some(NodeId(node.into())),
+                            track: [
+                                Track::Main,
+                                Track::Worker(1),
+                                Track::Endpoint(7),
+                                Track::Qp(3),
+                            ][track as usize],
+                            // Few ops, so spans meet their ends.
+                            op: op % 3,
+                            bytes,
+                            at: SimTime::from_nanos(at),
+                        }
+                    })
+                    .collect()
+            })
+        }
+
+        /// An export or a folded profile of `events`, with bytes
+        /// overwritten, cut short or followed by junk.
+        fn mangled() -> impl Strategy<Value = Vec<u8>> {
+            let edits = proptest::collection::vec((any::<usize>(), any::<u8>()), 0..4);
+            let junk = proptest::collection::vec(any::<u8>(), 0..8);
+            (events(), any::<bool>(), edits, any::<usize>(), junk).prop_map(
+                |(events, json, edits, cut, junk)| {
+                    let mut text = if json {
+                        chrome_trace_json(&events)
+                    } else {
+                        folded_text(&folded(&events))
+                    }
+                    .into_bytes();
+                    for (at, byte) in edits {
+                        if !text.is_empty() {
+                            let at = at % text.len();
+                            text[at] = byte;
+                        }
+                    }
+                    if cut % 3 == 0 {
+                        text.truncate(cut / 3 % (text.len() + 1));
+                    }
+                    text.extend(junk);
+                    text
+                },
+            )
+        }
+
+        /// What a profiler fed `events` folds them into.
+        fn folded(events: &[Event]) -> Vec<(String, u64)> {
+            let profiler = Profiler::new(ProfilerConfig::default(), &Metrics::new());
+            for ev in events {
+                profiler.on_event(ev);
+            }
+            profiler.folded_lines()
+        }
+
+        fn survive(bytes: &[u8]) {
+            let text = String::from_utf8_lossy(bytes);
+            let _ = parse_folded(&text);
+            let _ = parse_json(&text);
+        }
+
+        /// Nesting past the cap is refused, not followed off the stack.
+        #[test]
+        fn deep_nesting_is_refused() {
+            for open in ["[", "{\"a\":"] {
+                let deep = open.repeat(200_000);
+                assert!(parse_json(&deep).unwrap_err().starts_with("nested deeper"));
+            }
+            let shallow = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+            assert!(parse_json(&shallow).is_ok());
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn readers_survive_arbitrary_bytes(bytes in proptest::collection::vec(any::<u8>(), 0..300)) {
+                survive(&bytes);
+            }
+
+            #[test]
+            fn readers_survive_mangled_exports(bytes in mangled()) {
+                survive(&bytes);
+            }
+
+            #[test]
+            fn a_folded_profile_reads_back_as_written(events in events()) {
+                let lines = folded(&events);
+                prop_assert_eq!(parse_folded(&folded_text(&lines)), Ok(lines));
+            }
+
+            #[test]
+            fn an_export_reads_back_as_written(events in events()) {
+                let doc = parse_json(&chrome_trace_json(&events))?;
+                let items = doc.get("traceEvents").and_then(Json::as_arr).ok_or("no events")?;
+                fn str_of<'a>(item: &'a Json, key: &str) -> Option<&'a str> {
+                    item.get(key).and_then(Json::as_str)
+                }
+                let recorded: Vec<&Json> = items
+                    .iter()
+                    .filter(|item| str_of(item, "ph") != Some("M"))
+                    .collect();
+                prop_assert_eq!(recorded.len(), events.len());
+                for (item, ev) in recorded.iter().zip(&events) {
+                    let ph = match ev.phase {
+                        Phase::Begin => "b",
+                        Phase::End => "e",
+                        Phase::Instant => "i",
+                    };
+                    let id = format!("0x{:x}", ev.op);
+                    prop_assert_eq!(str_of(item, "ph"), Some(ph));
+                    prop_assert_eq!(str_of(item, "name"), Some(ev.name));
+                    prop_assert_eq!(str_of(item, "cat"), Some(ev.layer.label()));
+                    prop_assert_eq!(str_of(item, "id"), Some(id.as_str()));
+                    let num = |key: &str| item.get(key).and_then(Json::as_f64);
+                    let pid = ev.node.map_or(0, |n| n.0 as u64 + 1);
+                    prop_assert_eq!(num("pid"), Some(pid as f64));
+                    prop_assert_eq!(num("tid"), Some(track_tid(ev.track) as f64));
+                    let ns = ev.at.as_nanos();
+                    let ts: f64 = format!("{}.{:03}", ns / 1000, ns % 1000).parse().unwrap();
+                    prop_assert_eq!(num("ts"), Some(ts));
+                    let args = item.get("args").ok_or("no args")?;
+                    prop_assert_eq!(args.get("bytes").and_then(Json::as_f64), Some(ev.bytes as f64));
+                }
+            }
+        }
     }
 }

@@ -71,15 +71,27 @@ pub enum NumericError {
     NotNumeric,
 }
 
-/// A fetched value.
+/// A fetched value: owned (`Value`, what [`Store::get`] returns), or lent
+/// where it sits in its slab chunk (`Value<&[u8]>`, [`Store::get_ref`]).
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Value {
+pub struct Value<D = Vec<u8>> {
     /// The stored bytes.
-    pub data: Vec<u8>,
+    pub data: D,
     /// Client-opaque flags.
     pub flags: u32,
     /// CAS token for optimistic concurrency.
     pub cas: u64,
+}
+
+impl Value<&[u8]> {
+    /// The lent bytes copied out, into a value of their own.
+    pub fn into_owned(self) -> Value {
+        Value {
+            data: self.data.to_vec(),
+            flags: self.flags,
+            cas: self.cas,
+        }
+    }
 }
 
 /// A chunk-level change notification for the bypass-get mirror (only
@@ -350,29 +362,32 @@ impl Store {
         self.concat(key, data, now, false)
     }
 
-    /// Fetches a value (bumps LRU; reclaims if expired).
+    /// Fetches a value (bumps LRU; reclaims if expired), copied out of the
+    /// slab: [`get_ref`](Store::get_ref) and one copy.
     pub fn get(&mut self, key: &[u8], now: u32) -> Option<Value> {
+        self.get_ref(key, now).map(Value::into_owned)
+    }
+
+    /// Fetches a value in place: counts the hit or miss, bumps the LRU and
+    /// reclaims an expired item as [`get`](Store::get) does, then lends the
+    /// value where it sits in its slab chunk. Nothing is copied; the loan
+    /// ends before the store can be touched again. Inlined into `get`, so
+    /// the owned fetch costs what it did before there were two.
+    #[inline]
+    pub fn get_ref(&mut self, key: &[u8], now: u32) -> Option<Value<&[u8]>> {
         self.maintain();
-        match self.lookup_live(key, now) {
-            Some(id) => {
-                self.stats.get_hits += 1;
-                self.lru_bump(id);
-                let it = &self.items[id as usize];
-                let data = self
-                    .slabs
-                    .read(it.loc, it.klen as usize, it.vlen as usize)
-                    .to_vec();
-                Some(Value {
-                    data,
-                    flags: it.flags,
-                    cas: it.cas,
-                })
-            }
-            None => {
-                self.stats.get_misses += 1;
-                None
-            }
-        }
+        let Some(id) = self.lookup_live(key, now) else {
+            self.stats.get_misses += 1;
+            return None;
+        };
+        self.stats.get_hits += 1;
+        self.lru_bump(id);
+        let it = &self.items[id as usize];
+        Some(Value {
+            data: self.slabs.read(it.loc, it.klen as usize, it.vlen as usize),
+            flags: it.flags,
+            cas: it.cas,
+        })
     }
 
     /// Removes a key. True if it existed (and was live).

@@ -46,6 +46,40 @@ fn get_miss_and_stats() {
     assert_eq!(st.sets, 1);
 }
 
+/// A lent hit is what `get` copies out, counted and aged the same way: two
+/// stores fed the same operations, one reading with each, end in the same
+/// state — counters, LRU order, and an expired item reclaimed on lookup.
+#[test]
+fn get_ref_lends_what_get_copies() {
+    let (mut owned, mut lent) = (store(), store());
+    let val = vec![7u8; 1000];
+    for s in [&mut owned, &mut lent] {
+        s.set(b"old", &val, 0, 0, 1);
+        s.set(b"other", &val, 0, 0, 1);
+        s.set(b"new", b"v", 3, 0, 1);
+        s.set(b"brief", b"x", 0, 5, 1);
+    }
+    for (key, now) in [
+        (&b"old"[..], 1),
+        (b"new", 1),
+        (b"absent", 1),
+        (b"brief", 10),
+    ] {
+        let hit = lent.get_ref(key, now).map(|v| v.into_owned());
+        assert_eq!(hit, owned.get(key, now), "{key:?}");
+    }
+    assert_eq!(lent.get_ref(b"new", 1).map(|v| v.data), Some(&b"v"[..]));
+    owned.get(b"new", 1);
+    assert_eq!(lent.stats(), owned.stats());
+    assert_eq!(lent.stats().reclaimed, 1, "the expired item went on lookup");
+    assert_eq!(lent.curr_items(), 3);
+    // Reading `old` moved it to the front of its class: `other` is the
+    // tail on both.
+    let class = lent.class_of(3, 1000).unwrap();
+    assert_eq!(lent.lru_tail_key(class), Some(b"other".to_vec()));
+    assert_eq!(owned.lru_tail_key(class), Some(b"other".to_vec()));
+}
+
 #[test]
 fn set_overwrites_and_bumps_cas() {
     let mut s = store();

@@ -543,25 +543,27 @@ impl Endpoint {
     }
 
     /// Fire-and-forget variant usable from inside (synchronous) completion
-    /// handlers. An eager message on a reliable endpoint — a server's reply
-    /// — is written into a send buffer at the post, staged in a record of
-    /// the endpoint and handed on by a targeted event once the staging
-    /// delay has passed (hold or post, as
+    /// handlers, taking `data` borrowed or owned. An eager message on a
+    /// reliable endpoint — a server's reply — is written into a send buffer
+    /// at the post, straight from `data`, staged in a record of the
+    /// endpoint and handed on by a targeted event once the staging delay
+    /// has passed (hold or post, as
     /// [`send_message_owned`](Self::send_message_owned) does after the
     /// same delay); a rendezvous or unreliable one is sent by a spawned
-    /// task. Either way a message that could not be posted — the endpoint
+    /// task, with `data` as owned bytes (a borrow is copied once, here).
+    /// Either way a message that could not be posted — the endpoint
     /// failed, its queue pair left ready-to-send — counts one
     /// `send_failures`.
-    pub fn post_message(
+    pub fn post_message<'d>(
         &self,
         msg_id: u16,
         hdr: impl AsRef<[u8]>,
-        data: Vec<u8>,
+        data: impl Into<Cow<'d, [u8]>>,
         opts: SendOptions,
     ) {
         let inner = &self.inner;
         let Some(rt) = inner.rt.upgrade() else { return };
-        let hdr = hdr.as_ref();
+        let (hdr, data) = (hdr.as_ref(), data.into());
         let planned = if inner.failed.get() {
             Err(UcrError::EndpointFailed)
         } else {
@@ -578,7 +580,7 @@ impl Endpoint {
                 rt.sim.schedule_target_at(at, inner.clone(), key.token());
             }
             Ok(_) => {
-                let (ep, hdr) = (self.clone(), hdr.to_vec());
+                let (ep, hdr, data) = (self.clone(), hdr.to_vec(), data.into_owned());
                 let failures = rt.stats.send_failures.clone();
                 rt.sim.spawn(async move {
                     let sent = ep.send_message_owned(msg_id, &hdr, data, opts).await;

@@ -504,6 +504,15 @@ impl UcrRuntime {
         self.inner.eps.borrow().len()
     }
 
+    /// Send buffers idle in the pool, registered and waiting for a packet
+    /// (at most the pool's cap, 128). Every other region the runtime holds
+    /// registered — a buffer in flight, a receive buffer, a rendezvous
+    /// source — counts in its HCA's
+    /// [`registered_regions`](verbs::Hca::registered_regions) beside them.
+    pub fn idle_send_buffers(&self) -> usize {
+        self.inner.send_free.borrow().len()
+    }
+
     pub(crate) fn pd_ref(&self) -> &Pd {
         &self.inner.pd
     }
@@ -1163,7 +1172,7 @@ mod tests {
     /// send buffers aside (a send buffer in flight counts here) — and, in a
     /// column of its own, the idle send buffers the pool keeps.
     fn send_tables(rt: &UcrRuntime, ep: &Endpoint) -> ((usize, usize, usize), usize) {
-        let idle = rt.inner.send_free.borrow().len();
+        let idle = rt.idle_send_buffers();
         let regions = rt.inner.hca.registered_regions() - idle;
         let pending = rt.inner.pending.borrow().len();
         ((pending, ep.inner.sources.borrow().len(), regions), idle)

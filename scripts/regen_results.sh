@@ -12,13 +12,15 @@
 #
 # A bin's stdout is its results/<bin>.txt; the JSON, .prom, .folded and
 # .trace.json companions are written by the bins themselves. `mcslap` runs
-# with the flags its committed JSON was made with. Prints seconds per bin.
+# with the flags its committed JSON was made with. Prints seconds per bin and,
+# last, their total.
 # (results/metric_manifest.json belongs to `rmc-lint --write-manifest`.)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --quiet -p rmc-bench --bins
 bin_dir="${CARGO_TARGET_DIR:-target}/release"
+total_ms=0
 
 # run <bin> <stdout file> [args...]; a bin's stderr is shown only if it fails
 run() {
@@ -30,7 +32,13 @@ run() {
         exit 1
     }
     ms=$((($(date +%s%N) - start) / 1000000))
-    printf '%-28s %3d.%03d s\n' "$name" $((ms / 1000)) $((ms % 1000))
+    total_ms=$((total_ms + ms))
+    seconds "$name" "$ms"
+}
+
+# seconds <label> <milliseconds>
+seconds() {
+    printf '%-28s %3d.%03d s\n' "$1" $(($2 / 1000)) $(($2 % 1000))
 }
 
 for name in \
@@ -44,3 +52,4 @@ done
 # These two write their own files; their stdout is not a results file.
 run ext_workload_observatory /dev/null
 run mcslap /dev/null --transport sdp --depth 4
+seconds total "$total_ms"

@@ -31,6 +31,9 @@ use rdma_memcached::simnet::{EventTarget, JoinHandle, NodeId, Sim, SimDuration, 
 /// Allocations and bytes per call site.
 type SiteTable = RefCell<HashMap<String, (u64, u64)>>;
 
+/// A site table drained, most allocations first.
+type Census = Vec<(String, (u64, u64))>;
+
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     /// Bytes asked for by those allocations (a `realloc` counts its new size).
@@ -82,7 +85,7 @@ fn call_site() -> String {
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counters are plain thread-local
 // cells without destructors, so touching them never allocates or unwinds.
-// While a site table is being made (the `#[ignore]`d test only) counting
+// While a site table is being made (`Shape::census` only) counting
 // allocates — a backtrace, a map entry — with the table borrowed, so the
 // nested calls see the borrow, skip the attribution and terminate.
 unsafe impl GlobalAlloc for Counting {
@@ -281,6 +284,20 @@ impl Shape {
         (self.drive)(self, ops)
     }
 
+    /// Where `ops` more operations allocate: per call site (the innermost
+    /// frame in `crates/`), allocations and bytes in total, most allocations
+    /// first, and the operations they took. Slow: every allocation takes a
+    /// backtrace.
+    fn census(&self, ops: u64) -> (Census, u64) {
+        let table: &'static SiteTable = Box::leak(Box::default());
+        SITES.set(Some(table));
+        let ops = self.run(ops).ops;
+        SITES.set(None);
+        let mut sites: Vec<_> = table.borrow_mut().drain().collect();
+        sites.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        (sites, ops)
+    }
+
     /// Warms the testbed up, then holds a measured run to `budget`
     /// allocations per operation and to an event queue of live events.
     /// Returns the measured run.
@@ -371,13 +388,13 @@ fn ascii_socket_sets_and_gets() -> Shape {
 
 #[test]
 fn ucr_small_gets_stay_within_the_allocation_budget() {
-    ucr_small_gets().stays_within(5.0); // measured 4.00
+    ucr_small_gets().stays_within(4.0); // measured 3.00
 }
 
 #[test]
 fn ucr_pipelined_gets_stay_within_the_allocation_budget() {
     let shape = ucr_pipelined_gets();
-    shape.stays_within(5.5); // measured 4.03
+    shape.stays_within(4.5); // measured 3.02
     let rt = shape.server.ucr_runtime().expect("UCR server");
     assert!(
         rt.stats().eager_coalesced.get() > 0,
@@ -387,12 +404,36 @@ fn ucr_pipelined_gets_stay_within_the_allocation_budget() {
 
 #[test]
 fn ascii_socket_gets_stay_within_the_allocation_budget() {
-    ascii_socket_gets().stays_within(10.0); // measured 8.00
+    ascii_socket_gets().stays_within(9.0); // measured 7.00
+}
+
+/// A get hit leaves the slab once: the store lends it and the front-end
+/// writes it straight into the reply's buffer, on UCR and on the text
+/// protocol alike. So nothing the four get-only shapes allocate is
+/// allocated in `crates/store/`.
+#[test]
+fn get_hits_allocate_nothing_in_the_store() {
+    const OPS: u64 = 200;
+    for shape in [
+        ucr_small_gets(),
+        ucr_4k_gets(),
+        ucr_pipelined_gets(),
+        ascii_socket_gets(),
+    ] {
+        shape.run(WARMUP_OPS);
+        let (sites, ops) = shape.census(OPS);
+        assert!(ops >= OPS && !sites.is_empty(), "{}: a census", shape.name);
+        let in_store: Vec<_> = sites
+            .iter()
+            .filter(|(site, _)| site.contains("crates/store/"))
+            .collect();
+        assert!(in_store.is_empty(), "{}: {in_store:?}", shape.name);
+    }
 }
 
 #[test]
 fn ascii_socket_sets_and_gets_stay_within_the_allocation_budget() {
-    ascii_socket_sets_and_gets().stays_within(9.0); // measured 7.00
+    ascii_socket_sets_and_gets().stays_within(9.0); // measured 6.50
 }
 
 /// The text parsers split and frame in place: one that asks for more bytes
@@ -563,15 +604,16 @@ fn ucr_4k_gets() -> Shape {
     )
 }
 
-/// A 4 KB get copies its value twice, out of the store and into the
-/// client's own `Value`; the packets on either side are written into
-/// registered send buffers from the pools.
+/// A 4 KB get copies its value into one allocation, the client's own
+/// `Value`: the server writes the hit from the store straight into a
+/// registered send buffer from the pool, and the target HCA lands it in a
+/// pooled receive buffer.
 #[test]
 fn ucr_4k_gets_stay_within_the_allocation_budget() {
-    let load = ucr_4k_gets().stays_within(5.0); // measured 4.00
+    let load = ucr_4k_gets().stays_within(4.0); // measured 3.00
     let bytes = load.bytes_per_op();
     assert!(
-        bytes <= (2 * 4096 + 256) as f64,
+        bytes <= (4096 + 256) as f64,
         "ucr_4k_gets: {bytes:.0} bytes allocated per operation"
     );
 }
@@ -750,12 +792,8 @@ fn print_allocation_sites() {
     ];
     for shape in shapes {
         shape.run(WARMUP_OPS);
-        let table: &'static SiteTable = Box::leak(Box::default());
-        SITES.set(Some(table));
-        let ops = shape.run(OPS).ops as f64;
-        SITES.set(None);
-        let mut sites: Vec<_> = table.borrow_mut().drain().collect();
-        sites.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        let (sites, ops) = shape.census(OPS);
+        let ops = ops as f64;
         // Summed over the table: the run's own count includes what taking
         // the backtraces allocated.
         let (allocs, bytes) = sites

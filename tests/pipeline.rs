@@ -142,12 +142,14 @@ fn pipelined_batches_work_over_sockets() {
     }
 }
 
-/// Overlapping rendezvous sends from one buffer each own their source:
-/// the first transfer is only advertised when the caller rewrites the
-/// buffer and sends again, and the target must still read what the first
-/// send was given. Each message arrives with the payload it was sent with.
+/// Overlapping rendezvous sends from one buffer each own their source: a
+/// send copies the caller's bytes into a region its endpoint holds until
+/// the target's Fin. The first transfer is only advertised when the caller
+/// rewrites the buffer and sends again, and the target must still read
+/// what the first send was given. Each message arrives with the payload it
+/// was sent with.
 #[test]
-fn busy_cached_registration_is_not_rewritten() {
+fn overlapping_rendezvous_sends_each_own_their_source() {
     use std::cell::RefCell;
     use std::rc::Rc;
 

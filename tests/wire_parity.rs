@@ -51,6 +51,10 @@ const MODELS: [StoreModel; 3] = [
 ];
 
 fn client(world: &World, wire: Wire) -> McClient {
+    client_at(world, wire, CLIENT)
+}
+
+fn client_at(world: &World, wire: Wire, node: NodeId) -> McClient {
     let transport = match wire {
         Wire::Ucr => Transport::Ucr,
         Wire::Ascii | Wire::Binary => Transport::Sockets(STACK),
@@ -60,7 +64,7 @@ fn client(world: &World, wire: Wire) -> McClient {
         binary_protocol: wire == Wire::Binary,
         ..McClientConfig::single(transport, SRV)
     };
-    McClient::new(world, CLIENT, cfg)
+    McClient::new(world, node, cfg)
 }
 
 fn server(world: &World, model: StoreModel) -> McServer {
@@ -532,6 +536,70 @@ fn binary_incr_with_an_initial_value_creates_the_counter() {
         assert_eq!(next, (Some(BinStatus::Ok), Some(42)));
     });
     assert_eq!(srv.store_stats().sets, 1);
+}
+
+/// A get answers with the bytes the store held at its service instant. The
+/// store lends the hit and the front-end writes it into the reply before
+/// the get's lock is released, so a `set` of the same key queued right
+/// behind the get — from another connection, and so on another worker,
+/// except where UCR routes both to the key's shard's worker — does not
+/// reach the reply; the next get sees the new bytes. Then a 64 KB hit goes
+/// by rendezvous: the server holds its source registered until the
+/// client's Fin, and after the Fin its registrations and idle send buffers
+/// are back at their baseline.
+#[test]
+fn a_get_answers_with_the_bytes_of_its_service_instant() {
+    let data = |hit: Result<Option<Value>, McError>| hit.expect("served").map(|v| v.data);
+    for model in [StoreModel::GlobalLock, StoreModel::Sharded(2)] {
+        for wire in [Wire::Ucr, Wire::Ascii] {
+            let world = World::cluster_a(68, 6);
+            let srv = server(&world, model);
+            let (getter, setter) = (client(&world, wire), client_at(&world, wire, RAW));
+            let sim = world.sim().clone();
+            let (s, g, first, stored) = (sim.clone(), getter.clone(), getter.clone(), srv.clone());
+            sim.block_on(async move {
+                g.set(b"k", b"old", 0, 0).await.expect("stored");
+                assert_eq!(data(setter.get(b"k").await), Some(b"old".to_vec()));
+                // Issued at one instant, the get first.
+                let get = s.spawn(async move {
+                    let hit = data(first.get(b"k").await);
+                    (hit, stored.store_stats().sets)
+                });
+                let set = s.spawn(async move { setter.set(b"k", b"new", 0, 0).await });
+                // The set was served before the get's reply reached its
+                // client, and the reply holds the bytes the get was served.
+                let (hit, sets) = get.await;
+                assert_eq!(sets, 2, "{model:?}/{wire:?}: the set overtook the reply");
+                assert_eq!(hit, Some(b"old".to_vec()), "{model:?}/{wire:?}");
+                set.await.expect("stored");
+                assert_eq!(data(g.get(b"k").await), Some(b"new".to_vec()));
+            });
+            if wire != Wire::Ucr {
+                continue;
+            }
+            let rt = srv.ucr_runtime().expect("UCR server");
+            let hca = world.ib.open(SRV);
+            let tables = move || {
+                let idle = rt.idle_send_buffers();
+                (idle, hca.registered_regions() - idle)
+            };
+            let big = vec![5u8; 64 << 10];
+            let settle = SimDuration::from_millis(1);
+            sim.clone().block_on(async move {
+                getter.set(b"big", &big, 0, 0).await.expect("stored");
+                // One rendezvous hit first: the send pool then holds what
+                // a rendezvous reply takes.
+                assert_eq!(data(getter.get(b"big").await).as_ref(), Some(&big));
+                sim.sleep(settle).await;
+                let baseline = tables();
+                assert_eq!(data(getter.get(b"big").await).as_ref(), Some(&big));
+                // The client has read the source; its Fin is on the wire.
+                assert_eq!(tables(), (baseline.0, baseline.1 + 1), "{model:?}");
+                sim.sleep(settle).await;
+                assert_eq!(tables(), baseline, "{model:?}");
+            });
+        }
+    }
 }
 
 #[test]
