@@ -17,7 +17,7 @@ use mcstore::Value;
 use simnet::trace::{Phase, Track};
 use simnet::SimTime;
 use socksim::{DgramSocket, Socket};
-use ucr::{AmData, AmHandler, Endpoint, SendOptions};
+use ucr::{AmBytes, AmData, AmHandler, Endpoint, SendOptions};
 
 use super::executor::OpId;
 use super::{SrvInner, WorkItem};
@@ -106,7 +106,10 @@ impl AmHandler for ReqDispatch {
         let Some(req) = ReqHeader::decode(hdr) else {
             return;
         };
-        let data = data.into_vec().unwrap_or_default();
+        let data = match data {
+            AmData::Pool(bytes) => bytes,
+            AmData::Placed(_) | AmData::Discarded => AmBytes::default(),
+        };
         srv.mark_dispatch(OpId::Wire(req.req_id), data.len() as u64);
         // Over a sharded store, keyed requests go to the owning shard's
         // affine worker and multi-shard Mgets are split into per-shard parts.
@@ -157,7 +160,10 @@ fn post_reply<D: AsRef<[u8]>>(ep: &Endpoint, req: &ReqHeader, reply: &Reply<D>) 
     );
 }
 
-async fn serve_ucr(srv: &Rc<SrvInner>, ep: Endpoint, req: ReqHeader, data: Vec<u8>, widx: u32) {
+/// Serves one UCR request. Its data stays where UCR landed it until the
+/// service has copied it into the store; a rendezvous's bytes then go back
+/// to the runtime's pool.
+async fn serve_ucr(srv: &Rc<SrvInner>, ep: Endpoint, req: ReqHeader, data: AmBytes, widx: u32) {
     let request = codec::ucr::decode_request(&req, &data);
     let (id, track) = (OpId::Wire(req.req_id), Track::Worker(widx));
     // Posted at the service instant, the request's locks still held.

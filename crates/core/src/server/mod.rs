@@ -153,7 +153,9 @@ enum WorkItem {
     Ucr {
         ep: Endpoint,
         req: crate::am_wire::ReqHeader,
-        data: Vec<u8>,
+        /// The request's data where UCR landed it, until the service has
+        /// copied it into the store.
+        data: ucr::AmBytes,
     },
     /// One shard's slice of a multi-shard `Mget`, routed to that shard's
     /// affine worker. Parts share a [`MgetMerge`]; the last part to finish

@@ -101,6 +101,19 @@ impl<T> Slab<T> {
         Some(value)
     }
 
+    /// Takes every live entry out and retires its key, as
+    /// [`remove`](Slab::remove) does one at a time.
+    pub fn drain(&mut self) -> impl Iterator<Item = T> + '_ {
+        let free = &mut self.free;
+        let slots = self.slots.iter_mut().enumerate();
+        slots.filter_map(move |(slot, (generation, value))| {
+            let value = value.take()?;
+            *generation = generation.wrapping_add(1);
+            free.push(slot as u32);
+            Some(value)
+        })
+    }
+
     /// Number of live entries.
     pub fn len(&self) -> usize {
         self.slots.len() - self.free.len()
@@ -140,5 +153,18 @@ mod tests {
             assert_eq!(SlabKey::from_token(key.token()), key);
         }
         assert_eq!((slab.len(), slab.is_empty()), (5, false));
+    }
+
+    #[test]
+    fn drain_retires_every_key() {
+        let mut slab = Slab::new();
+        let keys: Vec<SlabKey> = (0..4).map(|i| slab.insert(i)).collect();
+        slab.remove(keys[1]);
+        let mut drained: Vec<_> = slab.drain().collect();
+        drained.sort_unstable();
+        assert_eq!((drained, slab.len()), (vec![0, 2, 3], 0));
+        let again = slab.insert(9);
+        assert_eq!(slab.slots.len(), 4, "the slots are reused");
+        assert!(keys.iter().all(|&old| !slab.contains(old) && old != again));
     }
 }

@@ -15,7 +15,7 @@ use simnet::{EventTarget, NodeId, SimDuration, Slab, SlabKey};
 use verbs::{Access, Mr, QueuePair};
 
 use crate::counter::Counter;
-use crate::runtime::{Pending, RtInner, SendBuf, MAX_HEADER_BYTES};
+use crate::runtime::{Pending, RtInner, SendBuf, MAX_HEADER_BYTES, MAX_RNDV_BYTES};
 use crate::wire::{packet_at, PacketHeader, PacketKind, PACKET_HEADER_BYTES};
 use crate::UcrError;
 
@@ -111,8 +111,10 @@ pub(crate) struct EpInner {
     /// not yet acknowledged with a Fin: each stays registered here until
     /// the Fin names it or the endpoint goes ([`release_sources`]
     /// (Self::release_sources)), so nothing advertised outlives its
-    /// connection. The `RndvReq` and the Fin carry the slab key plus one
-    /// as [`PacketHeader::token`]: 0 on the wire means "no source".
+    /// connection; then it deregisters and its bytes go back to the
+    /// runtime's rendezvous pool. The `RndvReq` and the Fin carry the slab
+    /// key plus one as [`PacketHeader::token`]: 0 on the wire means "no
+    /// source".
     pub(crate) sources: RefCell<Slab<Mr>>,
 }
 
@@ -139,19 +141,32 @@ impl EpInner {
         })
     }
 
-    /// The Fin for the source advertised under wire `token` arrived: the
-    /// target has read it, so it deregisters. A token naming nothing (0,
-    /// or a source already released) is ignored.
-    pub(crate) fn fin_source(&self, token: u64) {
-        if let Some(key) = token.checked_sub(1) {
-            self.sources.borrow_mut().remove(SlabKey::from_token(key));
+    /// Deregisters the source advertised under wire `token` — the Fin for
+    /// it arrived, so the target has read it, or its `RndvReq` was never
+    /// posted — and gives its bytes back to the pool. A token naming
+    /// nothing (0, or a source already released) is ignored.
+    pub(crate) fn release_source(&self, rt: &RtInner, token: u64) {
+        let Some(key) = token.checked_sub(1) else {
+            return;
+        };
+        let source = self.sources.borrow_mut().remove(SlabKey::from_token(key));
+        if let Some(mr) = source {
+            rt.give_back(mr.into_vec());
         }
     }
 
     /// Deregisters everything this endpoint has advertised and not seen a
-    /// Fin for.
+    /// Fin for, and gives the bytes back to the pool while the runtime is
+    /// there to take them. A peer still reading one of them holds a dead
+    /// rkey: its read fails, whatever the bytes carry next.
     pub(crate) fn release_sources(&self) {
-        *self.sources.borrow_mut() = Slab::new();
+        let rt = self.rt.upgrade();
+        for mr in self.sources.borrow_mut().drain() {
+            let bytes = mr.into_vec();
+            if let Some(rt) = &rt {
+                rt.give_back(bytes);
+            }
+        }
     }
 
     /// The first half of a send, before any time passes: the packet header
@@ -167,8 +182,8 @@ impl EpInner {
     ) -> Result<(PacketHeader, bool), UcrError> {
         // A rendezvous request carries its application header inline too:
         // one that overflows a network buffer could be neither staged here
-        // nor received there.
-        if hdr_len > MAX_HEADER_BYTES {
+        // nor received there. Data past MAX_RNDV_BYTES the target refuses.
+        if hdr_len > MAX_HEADER_BYTES || data_len > MAX_RNDV_BYTES {
             return Err(UcrError::MessageTooLarge);
         }
         // The eager threshold governs *payload* bytes (application header
@@ -250,10 +265,10 @@ impl EpInner {
         Ok(())
     }
 
-    /// The second half of a rendezvous send: registers `data` where it is
-    /// and advertises it; the target pulls it with an RDMA read — zero
-    /// copy — and its Fin releases the source (see [`sources`]
-    /// (Self::sources)).
+    /// The second half of a rendezvous send: registers `data` where it is,
+    /// under a fresh rkey, and advertises it; the target pulls it with an
+    /// RDMA read — zero copy — and its Fin releases the source (see
+    /// [`sources`](Self::sources)).
     fn send_rndv(
         self: &Rc<Self>,
         rt: &RtInner,
@@ -264,7 +279,6 @@ impl EpInner {
         pkt.kind = PacketKind::RndvReq;
         self.flush_held(rt);
         let len = data.len();
-        rt.stats.mr_cache_misses.inc();
         let mr = rt.pd.register_with(data, Access::REMOTE_READ);
         pkt.rkey = mr.rkey();
         pkt.offset = 0;
@@ -275,9 +289,8 @@ impl EpInner {
         let ctrl = Pending::CtrlSend {
             ep: Rc::downgrade(self),
         };
-        rt.post_packets(self, wr_id, req, ctrl).inspect_err(|_| {
-            self.sources.borrow_mut().remove(source);
-        })?;
+        rt.post_packets(self, wr_id, req, ctrl)
+            .inspect_err(|_| self.release_source(rt, pkt.token))?;
         rt.tracer.instant(
             Layer::Ucr,
             "am_send_rndv",
@@ -490,10 +503,13 @@ impl Endpoint {
     /// An eager message is copied once, with its headers, into a registered
     /// send buffer from the runtime's pool, and the target HCA copies it
     /// from there into a receive. Past the eager threshold `data` is copied
-    /// once into owned bytes and sent as
-    /// [`send_message_owned`](Self::send_message_owned) sends it. A header
-    /// longer than [`MAX_HEADER_BYTES`](crate::MAX_HEADER_BYTES) is refused
-    /// with [`UcrError::MessageTooLarge`], whatever the data.
+    /// once into a buffer from the runtime's rendezvous pool, registered
+    /// as the source its `RndvReq` advertises; this endpoint holds it until
+    /// the target's Fin, or the endpoint's own end, releases it to the
+    /// pool. A header longer than
+    /// [`MAX_HEADER_BYTES`](crate::MAX_HEADER_BYTES), or data longer than
+    /// [`MAX_RNDV_BYTES`](crate::MAX_RNDV_BYTES), is refused with
+    /// [`UcrError::MessageTooLarge`].
     pub async fn send_message(
         &self,
         msg_id: u16,
@@ -504,22 +520,8 @@ impl Endpoint {
         self.send(msg_id, hdr, Cow::Borrowed(data), opts).await
     }
 
-    /// [`send_message`](Self::send_message) for a caller that can give
-    /// `data` away: past the eager threshold the buffer is registered where
-    /// it is, as the rendezvous source its `RndvReq` advertises, which this
-    /// endpoint then holds until the target's Fin, or the endpoint's own
-    /// end, releases it. An eager message is staged as `send_message`
-    /// stages it.
-    pub async fn send_message_owned(
-        &self,
-        msg_id: u16,
-        hdr: &[u8],
-        data: Vec<u8>,
-        opts: SendOptions,
-    ) -> Result<(), UcrError> {
-        self.send(msg_id, hdr, Cow::Owned(data), opts).await
-    }
-
+    /// [`send_message`](Self::send_message), with owned data past the eager
+    /// threshold registered where it is instead of copied.
     async fn send(
         &self,
         msg_id: u16,
@@ -538,7 +540,7 @@ impl Endpoint {
             let buf = rt.stage(&pkt, hdr, &data);
             inner.send_eager(&rt, buf, opts.origin)
         } else {
-            inner.send_rndv(&rt, pkt, hdr, data.into_owned())
+            inner.send_rndv(&rt, pkt, hdr, rt.rndv_source(data))
         }
     }
 
@@ -547,13 +549,14 @@ impl Endpoint {
     /// reliable endpoint — a server's reply — is written into a send buffer
     /// at the post, straight from `data`, staged in a record of the
     /// endpoint and handed on by a targeted event once the staging delay
-    /// has passed (hold or post, as
-    /// [`send_message_owned`](Self::send_message_owned) does after the
-    /// same delay); a rendezvous or unreliable one is sent by a spawned
-    /// task, with `data` as owned bytes (a borrow is copied once, here).
-    /// Either way a message that could not be posted — the endpoint
-    /// failed, its queue pair left ready-to-send — counts one
-    /// `send_failures`.
+    /// has passed (hold or post, as [`send_message`](Self::send_message)
+    /// does after the same delay); a rendezvous or unreliable one is sent
+    /// by a spawned task, with `data` as owned bytes. A borrow is copied
+    /// once, here: a rendezvous source into a buffer from the runtime's
+    /// rendezvous pool, a datagram into one of its own; an owned
+    /// rendezvous source is registered where it is. Either way a message
+    /// that could not be posted — the endpoint failed, its queue pair left
+    /// ready-to-send — counts one `send_failures`.
     pub fn post_message<'d>(
         &self,
         msg_id: u16,
@@ -579,11 +582,16 @@ impl Endpoint {
                 });
                 rt.sim.schedule_target_at(at, inner.clone(), key.token());
             }
-            Ok(_) => {
-                let (ep, hdr, data) = (self.clone(), hdr.to_vec(), data.into_owned());
+            Ok((_, eager)) => {
+                let data = if eager {
+                    data.into_owned()
+                } else {
+                    rt.rndv_source(data)
+                };
+                let (ep, hdr) = (self.clone(), hdr.to_vec());
                 let failures = rt.stats.send_failures.clone();
                 rt.sim.spawn(async move {
-                    let sent = ep.send_message_owned(msg_id, &hdr, data, opts).await;
+                    let sent = ep.send(msg_id, &hdr, Cow::Owned(data), opts).await;
                     if sent.is_err() {
                         failures.inc();
                     }

@@ -6,12 +6,16 @@
 //! data (memcpy off the network buffer for eager messages, RDMA read for
 //! rendezvous) and runs the **completion handler**.
 
+use std::ops::Deref;
+use std::rc::Weak;
+
 use crate::endpoint::Endpoint;
+use crate::runtime::RtInner;
 
 /// Where the target wants an active message's data placed.
 pub enum AmDest {
     /// Let the runtime place it in a pool buffer; the completion handler
-    /// receives an owned `Vec<u8>`.
+    /// receives it as [`AmBytes`].
     Pool,
     /// Place it directly into caller-provided registered memory (the
     /// zero-copy path for known destinations, e.g. a Memcached client's
@@ -21,10 +25,48 @@ pub enum AmDest {
     Discard,
 }
 
+/// An active message's data in a buffer the runtime owns. A rendezvous
+/// landed its data in bytes from the runtime's rendezvous pool, and they go
+/// back to it when this is dropped; [`into_vec`](AmBytes::into_vec) keeps
+/// them instead. An eager message's data is a buffer of its own.
+#[derive(Default)]
+pub struct AmBytes {
+    bytes: Vec<u8>,
+    /// The runtime whose pool the bytes return to (none for eager data).
+    pool: Weak<RtInner>,
+}
+
+impl AmBytes {
+    pub(crate) fn new(bytes: Vec<u8>, pool: Weak<RtInner>) -> AmBytes {
+        AmBytes { bytes, pool }
+    }
+
+    /// Takes the bytes out, for a caller that keeps them.
+    pub fn into_vec(mut self) -> Vec<u8> {
+        std::mem::take(&mut self.bytes)
+    }
+}
+
+impl Deref for AmBytes {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes
+    }
+}
+
+impl Drop for AmBytes {
+    fn drop(&mut self) {
+        if let Some(rt) = self.pool.upgrade() {
+            rt.give_back(std::mem::take(&mut self.bytes));
+        }
+    }
+}
+
 /// The data as delivered to the completion handler.
 pub enum AmData {
     /// Data in a runtime pool buffer.
-    Pool(Vec<u8>),
+    Pool(AmBytes),
     /// `n` bytes were placed into the buffer returned by the header
     /// handler.
     Placed(usize),
@@ -47,10 +89,10 @@ impl AmData {
         self.len() == 0
     }
 
-    /// The bytes, if the runtime owns them.
+    /// The bytes, if the runtime owns them, taken out to keep.
     pub fn into_vec(self) -> Option<Vec<u8>> {
         match self {
-            AmData::Pool(v) => Some(v),
+            AmData::Pool(v) => Some(v.into_vec()),
             _ => None,
         }
     }

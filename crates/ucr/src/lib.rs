@@ -15,7 +15,7 @@
 //!   counters with timeout-bounded waiting;
 //! * **eager/rendezvous switch** — header+data in one 8 KB network buffer
 //!   for small messages (memcpy at the target), RDMA-read rendezvous
-//!   (zero-copy) beyond it;
+//!   (zero-copy) beyond it, between buffers from a pool both ends reuse;
 //! * **eager coalescing** — small messages queued behind a backed-up send
 //!   queue share one network buffer, posted when the next send completes
 //!   (the MVAPICH eager channel; DESIGN.md §15);
@@ -37,9 +37,9 @@ mod wire;
 
 pub use counter::Counter;
 pub use endpoint::{Endpoint, SendOptions};
-pub use handler::{AmData, AmDest, AmHandler, FnHandler};
+pub use handler::{AmBytes, AmData, AmDest, AmHandler, FnHandler};
 pub use onesided::{MemoryDescriptor, UcrMemory};
-pub use runtime::{EpListener, RtStats, UcrRuntime, MAX_HEADER_BYTES};
+pub use runtime::{EpListener, RtStats, UcrRuntime, MAX_HEADER_BYTES, MAX_RNDV_BYTES};
 pub use wire::{PacketHeader, PacketKind, PACKET_HEADER_BYTES};
 
 /// Errors surfaced by UCR operations.
@@ -57,9 +57,9 @@ pub enum UcrError {
     /// The runtime behind this handle has been dropped.
     RuntimeGone,
     /// Message exceeds what the endpoint's transport can carry: an
-    /// application header longer than [`MAX_HEADER_BYTES`] on any endpoint,
-    /// anything past one MTU on a UD endpoint (no RDMA rendezvous without a
-    /// connection).
+    /// application header longer than [`MAX_HEADER_BYTES`] or data longer
+    /// than [`MAX_RNDV_BYTES`] on any endpoint, anything past one MTU on a
+    /// UD endpoint (no RDMA rendezvous without a connection).
     MessageTooLarge,
 }
 

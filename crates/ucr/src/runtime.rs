@@ -1,9 +1,10 @@
 //! The UCR runtime: progress engine, buffer pools, endpoint establishment.
 //!
 //! One [`UcrRuntime`] exists per process (node). It owns a protection
-//! domain, a shared receive queue stocked with 8 KB network buffers and a
-//! pool of registered send buffers of the same size (the MVAPICH-derived
-//! buffer management the paper reuses, §I refs [10][11]), the handler and
+//! domain, a shared receive queue stocked with 8 KB network buffers, a
+//! pool of registered send buffers of the same size and a pool of idle
+//! rendezvous bytes (the MVAPICH-derived buffer management the paper
+//! reuses, §I refs [10][11]), the handler and
 //! counter registries, and one or more **progress
 //! contexts**: a completion queue plus the task that reaps it and
 //! dispatches active messages. Every endpoint is bound to one context when
@@ -13,6 +14,7 @@
 //! else — buffer pool, tables, statistics — is the one runtime's
 //! (DESIGN.md §16).
 
+use std::borrow::Cow;
 use std::cell::{Cell, Ref, RefCell};
 use std::collections::HashMap;
 use std::future::{poll_fn, Future};
@@ -31,7 +33,7 @@ use verbs::{
 
 use crate::counter::{Counter, CtrInner};
 use crate::endpoint::{Endpoint, EpInner};
-use crate::handler::{AmData, AmDest, AmHandler};
+use crate::handler::{AmBytes, AmData, AmDest, AmHandler};
 use crate::wire::{packet_at, Located, PacketHeader, PacketKind, PACKET_HEADER_BYTES};
 use crate::UcrError;
 
@@ -51,6 +53,17 @@ const NET_BUF_BYTES: usize = PACKET_HEADER_BYTES + UCR_EAGER_THRESHOLD;
 /// a message's packet header and application header travel in one network
 /// buffer; a longer header is refused with [`UcrError::MessageTooLarge`].
 pub const MAX_HEADER_BYTES: usize = NET_BUF_BYTES - PACKET_HEADER_BYTES;
+
+/// The most data one message can carry: 64 MiB, far past memcached's 1 MB
+/// item. A longer payload is refused at the send with
+/// [`UcrError::MessageTooLarge`]; a `RndvReq` advertising more is a protocol
+/// violation that ends its endpoint at the target, which allocates nothing
+/// for it.
+pub const MAX_RNDV_BYTES: usize = 64 << 20;
+
+/// Most bytes of idle rendezvous buffers the runtime keeps. A buffer that
+/// would take the pool past it when it comes back is freed.
+const RNDV_POOL_BYTES: usize = 1 << 20;
 
 /// Declares [`RtStats`] from the one list of its counters: each field is
 /// the registry counter `ucr.<net>.nodeN.<field>` and the `stats` line
@@ -92,13 +105,12 @@ rt_stats! {
     unknown_msg_dropped,
     /// Send-side failures observed (endpoint faults).
     send_failures,
-    /// Always 0: a rendezvous source is registered for its one send and
-    /// never reused, so there is nothing to hit. A field only because
-    /// `benchmark/src/layers.rs` reads it by this name and `benchmark/`
-    /// is not this tree's to edit; ROADMAP direction 4 drops it.
+    /// Rendezvous buffers taken from the runtime's pool: the bytes of a
+    /// source or a landing region, reused (and registered afresh). Named
+    /// for the registration cache the pool replaced, because
+    /// `benchmark/src/layers.rs` reads it by this name.
     mr_cache_hits,
-    /// Rendezvous sources registered: one per rendezvous send. Misnamed
-    /// for the same reason; ROADMAP direction 4 renames it.
+    /// Rendezvous buffers freshly allocated: the pool held none that fit.
     mr_cache_misses,
     /// Eager receive buffers recycled from the free list instead of
     /// freshly registered.
@@ -228,6 +240,13 @@ pub(crate) struct RtInner {
     /// the staged record, the endpoint's held batch or the pending entry of
     /// the work request that carries it.
     send_free: RefCell<Vec<Mr>>,
+    /// Idle rendezvous buffers, of [`rndv_idle_bytes`]
+    /// (Self::rndv_idle_bytes) capacity in all, at most
+    /// [`RNDV_POOL_BYTES`]. One in use is the bytes of a region registered
+    /// for that one use — a source in its endpoint's `sources`, a landing
+    /// region in its read's `Pending` entry — or a handler's [`AmBytes`].
+    rndv_free: RefCell<Vec<Vec<u8>>>,
+    rndv_idle_bytes: Cell<usize>,
     ud_qp: RefCell<Option<QueuePair>>,
     ud_eps: RefCell<HashMap<(u32, u32), Rc<EpInner>>>,
     next_wr: Cell<u64>,
@@ -334,6 +353,8 @@ impl UcrRuntime {
             recv_bufs: RefCell::new(HashMap::new()),
             recv_free: RefCell::new(Vec::new()),
             send_free: RefCell::new(Vec::new()),
+            rndv_free: RefCell::new(Vec::new()),
+            rndv_idle_bytes: Cell::new(0),
             ud_qp: RefCell::new(None),
             ud_eps: RefCell::new(HashMap::new()),
             next_wr: Cell::new(1),
@@ -623,6 +644,65 @@ impl RtInner {
         }
     }
 
+    /// A buffer for a rendezvous region of `len` bytes: the idle one given
+    /// back last whose capacity is at least `len` and under twice it, so a
+    /// small payload never pins a large buffer, or else a fresh one. A
+    /// reused buffer still holds its last bytes; the caller writes over
+    /// them.
+    fn rndv_buffer(&self, len: usize) -> Vec<u8> {
+        let mut free = self.rndv_free.borrow_mut();
+        let fits = len..len.saturating_mul(2);
+        match free.iter().rposition(|buf| fits.contains(&buf.capacity())) {
+            Some(at) => {
+                let buf = free.swap_remove(at);
+                let idle = self.rndv_idle_bytes.get() - buf.capacity();
+                self.rndv_idle_bytes.set(idle);
+                self.stats.mr_cache_hits.inc();
+                buf
+            }
+            None => {
+                self.stats.mr_cache_misses.inc();
+                Vec::with_capacity(len)
+            }
+        }
+    }
+
+    /// The bytes a rendezvous source is registered over: the caller's own,
+    /// or a borrow copied once into a buffer from the pool.
+    pub(crate) fn rndv_source(&self, data: Cow<'_, [u8]>) -> Vec<u8> {
+        match data {
+            Cow::Owned(bytes) => bytes,
+            Cow::Borrowed(data) => {
+                let mut buf = self.rndv_buffer(data.len());
+                buf.clear();
+                buf.extend_from_slice(data);
+                buf
+            }
+        }
+    }
+
+    /// A landing region for a rendezvous read of `len` bytes, registered
+    /// afresh over a buffer from the pool. Whatever a reused buffer held is
+    /// not cleared: the read writes all `len` bytes before any handler
+    /// sees them, and a read that fails hands nothing to a handler.
+    fn rndv_landing(&self, len: usize) -> Mr {
+        let mut buf = self.rndv_buffer(len);
+        buf.resize(len, 0);
+        self.pd.register_with(buf, Access::LOCAL_WRITE)
+    }
+
+    /// Takes back the bytes of a rendezvous region that is done — read by
+    /// the peer, or never to be; landed and handled, or discarded: into the
+    /// pool, or freed if they would take it past [`RNDV_POOL_BYTES`].
+    pub(crate) fn give_back(&self, buf: Vec<u8>) {
+        let idle = self.rndv_idle_bytes.get() + buf.capacity();
+        if buf.capacity() == 0 || idle > RNDV_POOL_BYTES {
+            return;
+        }
+        self.rndv_idle_bytes.set(idle);
+        self.rndv_free.borrow_mut().push(buf);
+    }
+
     pub(crate) fn drop_endpoint(&self, qpn: u32) {
         self.eps.borrow_mut().remove(&qpn);
     }
@@ -801,6 +881,15 @@ impl RtInner {
                     self.retire_recv_buffer(buf);
                     return;
                 }
+                if pkt.data_len > MAX_RNDV_BYTES as u64 {
+                    // No sender advertises this much: a protocol violation.
+                    // The endpoint goes, and nothing is allocated for it.
+                    self.stats.unknown_msg_dropped.inc();
+                    self.retire_recv_buffer(buf);
+                    self.end_ep(&ep.inner, "rendezvous past MAX_RNDV_BYTES");
+                    ep.inner.qp.close();
+                    return;
+                }
                 self.sim.sleep(self.profile.host.am_dispatch).await;
                 let hdr = first.hdr(&buf.bytes()).to_vec();
                 self.retire_recv_buffer(buf);
@@ -830,13 +919,9 @@ impl RtInner {
                     self.sim.now(),
                 );
                 let dest = match on_header {
-                    AmDest::Pool => {
-                        RndvDest::Pool(self.pd.register(pkt.data_len as usize, Access::LOCAL_WRITE))
-                    }
+                    AmDest::Pool => RndvDest::Pool(self.rndv_landing(pkt.data_len as usize)),
                     AmDest::Buffer(slice) => RndvDest::Buffer(slice),
-                    AmDest::Discard => RndvDest::Discard(
-                        self.pd.register(pkt.data_len as usize, Access::LOCAL_WRITE),
-                    ),
+                    AmDest::Discard => RndvDest::Discard(self.rndv_landing(pkt.data_len as usize)),
                 };
                 let local = match &dest {
                     RndvDest::Pool(mr) | RndvDest::Discard(mr) => mr.full(),
@@ -885,7 +970,7 @@ impl RtInner {
                 self.retire_recv_buffer(buf);
                 self.bump_counter(pkt.origin_ctr);
                 self.bump_counter(pkt.completion_ctr);
-                ep.inner.fin_source(pkt.token);
+                ep.inner.release_source(self, pkt.token);
             }
         }
     }
@@ -935,7 +1020,7 @@ impl RtInner {
         let am_data = match dest {
             // Single copy: the payload moves straight off the
             // network buffer into its owned destination.
-            AmDest::Pool => AmData::Pool(data.to_vec()),
+            AmDest::Pool => AmData::Pool(AmBytes::new(data.to_vec(), Weak::new())),
             AmDest::Buffer(slice) => {
                 let n = data_len.min(slice.len());
                 // Copy into the caller's registered destination.
@@ -999,6 +1084,19 @@ impl RtInner {
                 }
             }
             Pending::RndvRead { ep, pkt, hdr, dest } => {
+                // The landing region deregisters here, whatever became of
+                // the read. Zero copy: its bytes become the handler's
+                // payload, which gives them back to the pool when dropped.
+                let am_data = match dest {
+                    RndvDest::Pool(mr) => {
+                        AmData::Pool(AmBytes::new(mr.into_vec(), Rc::downgrade(self)))
+                    }
+                    RndvDest::Buffer(_) => AmData::Placed(pkt.data_len as usize),
+                    RndvDest::Discard(mr) => {
+                        self.give_back(mr.into_vec());
+                        AmData::Discarded
+                    }
+                };
                 let Some(ep_rc) = ep.upgrade() else { return };
                 let ep = Endpoint { inner: ep_rc };
                 let track = Track::Endpoint(ep.id());
@@ -1021,13 +1119,6 @@ impl RtInner {
                     .await;
                 let handler = self.handlers.borrow().get(&pkt.msg_id).cloned();
                 if let Some(handler) = handler {
-                    let am_data = match dest {
-                        // Zero copy: the landing region's buffer becomes
-                        // the handler's payload.
-                        RndvDest::Pool(mr) => AmData::Pool(mr.into_vec()),
-                        RndvDest::Buffer(_) => AmData::Placed(pkt.data_len as usize),
-                        RndvDest::Discard(_) => AmData::Discarded,
-                    };
                     self.tracer.begin(
                         Layer::Ucr,
                         "completion_handler",
@@ -1096,22 +1187,28 @@ impl RtInner {
     fn fail_ep(&self, ep: &Weak<EpInner>) {
         self.stats.send_failures.inc();
         if let Some(ep) = ep.upgrade() {
-            ep.fail(self);
-            self.drop_endpoint(ep.qp.qpn());
-            self.tracer.instant(
-                Layer::Ucr,
-                "ep_failed",
-                self.node,
-                Track::Endpoint(ep.id),
-                ep.id,
-                0,
-                self.sim.now(),
-            );
-            self.tracer.fault(&format!(
-                "endpoint {} on {} to {} failed (send error)",
-                ep.id, self.node, ep.peer
-            ));
+            self.end_ep(&ep, "send error");
         }
+    }
+
+    /// Fails `ep` and forgets it, for `why`; every other endpoint of the
+    /// runtime is untouched (§IV).
+    fn end_ep(&self, ep: &EpInner, why: &str) {
+        ep.fail(self);
+        self.drop_endpoint(ep.qp.qpn());
+        self.tracer.instant(
+            Layer::Ucr,
+            "ep_failed",
+            self.node,
+            Track::Endpoint(ep.id),
+            ep.id,
+            0,
+            self.sim.now(),
+        );
+        self.tracer.fault(&format!(
+            "endpoint {} on {} to {} failed ({why})",
+            ep.id, self.node, ep.peer
+        ));
     }
 
     fn send_fin(self: &Rc<Self>, ep: &Endpoint, origin_ctr: u64, completion_ctr: u64, token: u64) {
@@ -1143,11 +1240,18 @@ mod tests {
     const MSG: u16 = 1;
     const TIMEOUT: SimDuration = SimDuration::from_millis(100);
 
+    type Linked = (
+        Rc<Cluster>,
+        UcrRuntime,
+        UcrRuntime,
+        Vec<(Endpoint, Endpoint)>,
+    );
+
     /// Two runtimes on cluster B with a handler for `MSG` that does nothing,
-    /// and a connection between them: the world, the accepting runtime
-    /// (node 1), the connecting one (node 0), its endpoint and the accepted
-    /// endpoint.
-    fn connected(seed: u64) -> (Rc<Cluster>, UcrRuntime, UcrRuntime, Endpoint, Endpoint) {
+    /// and `n` connections between them: the world, the accepting runtime
+    /// (node 1), the connecting one (node 0) and, per connection, its
+    /// endpoint and the accepted endpoint.
+    fn linked(seed: u64, n: usize) -> Linked {
         let cluster = Rc::new(Cluster::cluster_b(seed, 2));
         let fabric = IbFabric::new(cluster.clone());
         let server = UcrRuntime::new(&fabric, NodeId(1));
@@ -1155,32 +1259,50 @@ mod tests {
         for rt in [&server, &client] {
             rt.register_handler(MSG, FnHandler(|_: &Endpoint, _: &[u8], _: AmData| {}));
         }
-        let listener = server.listen(PORT).expect("port free");
+        let listener = Rc::new(server.listen(PORT).expect("port free"));
         let connecting = client.clone();
-        let (ep, peer) = cluster.sim().block_on(async move {
-            let accepted = connecting
-                .sim()
-                .spawn(async move { listener.accept().await });
-            let ep = connecting.connect(NodeId(1), PORT, TIMEOUT).await;
-            (ep.expect("up"), accepted.await.expect("accepted"))
+        let pairs = cluster.sim().block_on(async move {
+            let mut pairs = Vec::new();
+            for _ in 0..n {
+                let listener = listener.clone();
+                let accepted = connecting
+                    .sim()
+                    .spawn(async move { listener.accept().await });
+                let ep = connecting.connect(NodeId(1), PORT, TIMEOUT).await;
+                pairs.push((ep.expect("up"), accepted.await.expect("accepted")));
+            }
+            pairs
         });
+        (cluster, server, client, pairs)
+    }
+
+    /// [`linked`] by one connection.
+    fn connected(seed: u64) -> (Rc<Cluster>, UcrRuntime, UcrRuntime, Endpoint, Endpoint) {
+        let (cluster, server, client, mut pairs) = linked(seed, 1);
+        let (ep, peer) = pairs.remove(0);
         (cluster, server, client, ep, peer)
     }
 
     /// What a send can leave behind at its sender: work requests awaiting a
     /// completion, sources `ep` has advertised and regions registered, idle
     /// send buffers aside (a send buffer in flight counts here) — and, in a
-    /// column of its own, the idle send buffers the pool keeps.
-    fn send_tables(rt: &UcrRuntime, ep: &Endpoint) -> ((usize, usize, usize), usize) {
+    /// column of its own, what the pools keep idle: send buffers, and
+    /// rendezvous buffers (registered only while in use).
+    fn send_tables(rt: &UcrRuntime, ep: &Endpoint) -> ((usize, usize, usize), (usize, usize)) {
         let idle = rt.idle_send_buffers();
         let regions = rt.inner.hca.registered_regions() - idle;
         let pending = rt.inner.pending.borrow().len();
-        ((pending, ep.inner.sources.borrow().len(), regions), idle)
+        let idle_rndv = rt.inner.rndv_free.borrow().len();
+        (
+            (pending, ep.inner.sources.borrow().len(), regions),
+            (idle, idle_rndv),
+        )
     }
 
     /// A send whose post the queue pair refuses is withdrawn whole: no
     /// pending entry, advertised source or registration outlives it, and
-    /// its send buffer goes back to the pool, not away.
+    /// its send buffer and rendezvous bytes go back to their pools, not
+    /// away.
     #[test]
     fn refused_posts_leave_nothing_behind() {
         const N: usize = 8;
@@ -1198,7 +1320,7 @@ mod tests {
             ep.send_message(MSG, b"h", b"small", opts())
                 .await
                 .expect("eager");
-            ep.send_message_owned(MSG, b"h", large.clone(), opts())
+            ep.send_message(MSG, b"h", &large, opts())
                 .await
                 .expect("rendezvous");
             done.wait_for(2, TIMEOUT).await.expect("both Fins");
@@ -1213,7 +1335,7 @@ mod tests {
             for _ in 0..N {
                 let eager = ep.send_message(MSG, b"h", b"small", opts());
                 assert_eq!(eager.await, refused);
-                let rndv = ep.send_message_owned(MSG, b"h", large.clone(), opts());
+                let rndv = ep.send_message(MSG, b"h", &large, opts());
                 assert_eq!(rndv.await, refused);
                 client.inner.send_fin(&ep, 0, done.id(), 0);
                 assert_eq!(ep.put(remote, &[1; 64], None), refused);
@@ -1227,6 +1349,7 @@ mod tests {
     /// A source whose Fin will never come goes with the endpoint that
     /// advertised it: when the endpoint fails, or — where the request was
     /// delivered, so that nothing ever reports a failure — when it is closed.
+    /// Its bytes go back to the rendezvous pool.
     #[test]
     fn an_advertised_source_goes_with_its_endpoint() {
         /// The peer's process exits when the first rendezvous request
@@ -1252,7 +1375,7 @@ mod tests {
                 let baseline = tables();
                 let large = vec![7u8; 2 * client.eager_threshold()];
                 for _ in 0..sends {
-                    ep.send_message_owned(MSG, b"h", large.clone(), SendOptions::default())
+                    ep.send_message(MSG, b"h", &large, SendOptions::default())
                         .await
                         .expect("advertised");
                 }
@@ -1269,6 +1392,7 @@ mod tests {
                     ep.close();
                 }
                 assert_eq!(tables().0, baseline.0);
+                assert_eq!(tables().1 .1, baseline.1 .1 + sends);
             });
         }
         run(1, true);
@@ -1345,19 +1469,254 @@ mod tests {
         cluster.sim().block_on(async move {
             let tables = || send_tables(&srv, &peer);
             let (baseline, idle) = tables();
-            assert_eq!(idle, 0, "nothing sent yet");
+            assert_eq!(idle, (0, 0), "nothing sent yet");
             let in_flight = (baseline.0 + N, baseline.1, baseline.2 + N);
             for _ in 0..N {
                 peer.post_message(MSG, [7u8; 32], vec![9u8; 4], SendOptions::default());
             }
             let staged = srv.inner.stage_cost(4) + SimDuration::from_nanos(1);
             srv.sim().sleep(staged).await;
-            assert_eq!(tables(), (in_flight, 0), "every reply posted on its own");
+            assert_eq!(
+                tables(),
+                (in_flight, (0, 0)),
+                "every reply posted on its own"
+            );
             srv.sim().sleep(SimDuration::from_millis(5)).await;
-            assert_eq!(tables(), (baseline, SEND_POOL_CAP));
+            assert_eq!(tables(), (baseline, (SEND_POOL_CAP, 0)));
         });
         let st = server.stats();
         assert_eq!(st.send_failures.get(), 0);
         assert_eq!(st.eager_wrs_posted.get(), N as u64);
+    }
+
+    /// Bytes drawn from the rendezvous pool and freshly allocated, so far.
+    fn drawn(rt: &UcrRuntime) -> (u64, u64) {
+        (
+            rt.stats().mr_cache_hits.get(),
+            rt.stats().mr_cache_misses.get(),
+        )
+    }
+
+    /// The rendezvous pool grows to what is in flight and keeps no more
+    /// than its byte cap: twice the cap's worth of 64 KB sources in flight
+    /// at once takes a fresh buffer each; at quiesce exactly the cap is idle
+    /// at the sender, no more than it at the target, the surplus is freed
+    /// and no rendezvous buffer is in flight. The next round draws the
+    /// cap's worth from the pool.
+    #[test]
+    fn the_rendezvous_pool_keeps_its_byte_cap_and_frees_the_surplus() {
+        const LEN: usize = 64 << 10;
+        const KEPT: usize = RNDV_POOL_BYTES / LEN;
+        const N: usize = 2 * KEPT;
+        let (cluster, server, client, ep, _peer) = connected(37);
+        cluster.sim().block_on(async move {
+            let tables = || send_tables(&client, &ep);
+            // One round trip first, so the receive pool is settled.
+            let done = client.counter();
+            let warm = SendOptions {
+                completion: Some(done.clone()),
+                ..Default::default()
+            };
+            ep.send_message(MSG, b"h", b"warm", warm)
+                .await
+                .expect("eager");
+            done.wait_for(1, TIMEOUT).await.expect("its Fin");
+            let (baseline, _) = tables();
+            let data = vec![7u8; LEN];
+            for round in 1..=2 {
+                for _ in 0..N {
+                    let sent = ep.send_message(MSG, b"h", &data, SendOptions::default());
+                    sent.await.expect("advertised");
+                }
+                assert_eq!(tables().0 .1, N, "every source in flight at once");
+                client.sim().sleep(SimDuration::from_millis(5)).await;
+                assert_eq!(tables().0, baseline, "none in flight at quiesce");
+                assert_eq!(tables().1 .1, KEPT);
+                assert_eq!(client.inner.rndv_idle_bytes.get(), RNDV_POOL_BYTES);
+                let reused = (round - 1) * KEPT;
+                assert_eq!(drawn(&client), (reused as u64, (round * N - reused) as u64));
+                // The target drew a landing region per read; each came back
+                // when its handler dropped it, and the pool kept what fits.
+                let (hits, misses) = drawn(&server);
+                assert_eq!(hits + misses, (round * N) as u64);
+                let idle = server.inner.rndv_free.borrow().len();
+                assert_eq!(idle, KEPT.min(misses as usize));
+            }
+        });
+    }
+
+    /// Only a region's bytes are reused, and only for a message they fit:
+    /// a 16 KB rendezvous after a 64 KB one is too small for its buffer and
+    /// takes a fresh one, a 48 KB one reuses it. Each hands its handler
+    /// exactly its own bytes.
+    #[test]
+    fn a_rendezvous_lands_exactly_its_length_whatever_buffer_it_reuses() {
+        let (cluster, server, client, ep, _peer) = connected(38);
+        // What each handler saw: its length and the byte it is filled with;
+        // the 16 KB payload is kept, the others go back to the pool.
+        type Seen = RefCell<Vec<(usize, Option<u8>)>>;
+        let seen: Rc<Seen> = Rc::default();
+        let kept: Rc<RefCell<Vec<Vec<u8>>>> = Rc::default();
+        let (seen2, kept2) = (seen.clone(), kept.clone());
+        server.register_handler(
+            MSG,
+            FnHandler(move |_: &Endpoint, hdr: &[u8], data: AmData| {
+                if let AmData::Pool(bytes) = &data {
+                    let fill = bytes.iter().all(|&b| b == bytes[0]).then_some(bytes[0]);
+                    seen2.borrow_mut().push((bytes.len(), fill));
+                }
+                if hdr == b"keep" {
+                    kept2.borrow_mut().extend(data.into_vec());
+                }
+            }),
+        );
+        let sending = client.clone();
+        cluster.sim().block_on(async move {
+            for (len, fill, hdr) in [(64, 1, "drop"), (16, 2, "keep"), (48, 3, "drop")] {
+                let done = sending.counter();
+                let opts = SendOptions {
+                    completion: Some(done.clone()),
+                    ..Default::default()
+                };
+                let data = vec![fill; len << 10];
+                ep.send_message(MSG, hdr.as_bytes(), &data, opts)
+                    .await
+                    .expect("advertised");
+                done.wait_for(1, TIMEOUT).await.expect("read and handled");
+            }
+        });
+        let seen = seen.borrow().clone();
+        assert_eq!(
+            seen,
+            [(65_536, Some(1)), (16_384, Some(2)), (49_152, Some(3))]
+        );
+        assert_eq!(kept.borrow()[0].len(), 16_384);
+        // One reuse at each end: the 48 KB source and landing region.
+        assert_eq!(drawn(&client), (1, 2));
+        assert_eq!(drawn(&server), (1, 2));
+    }
+
+    /// A source released by `close` while the peer's READ of it is still
+    /// outstanding gives its bytes to the next rendezvous, registered under
+    /// a fresh rkey: the stale READ completes in error, ending the reader's
+    /// endpoint, and the only payload the peer's handler sees is the next
+    /// message's, read through its own rkey.
+    #[test]
+    fn a_source_released_under_a_read_never_lands_the_next_message() {
+        const LEN: usize = 64 << 10;
+        /// Closes `source` when the first message's header arrives — just
+        /// before the target posts its READ — and advertises the next
+        /// message on `next`, from the same bytes.
+        struct CloseOnHeader {
+            source: Endpoint,
+            next: Endpoint,
+            landed: Rc<RefCell<Vec<Vec<u8>>>>,
+        }
+        impl AmHandler for CloseOnHeader {
+            fn on_header(&self, _: &Endpoint, hdr: &[u8], _: usize) -> AmDest {
+                if hdr == b"first" {
+                    self.source.close();
+                    let next = self.next.clone();
+                    next.inner
+                        .rt
+                        .upgrade()
+                        .expect("live")
+                        .sim
+                        .spawn(async move {
+                            let data = vec![2; LEN];
+                            let sent = next.send_message(MSG, b"next", &data, Default::default());
+                            sent.await.expect("advertised");
+                        });
+                }
+                AmDest::Pool
+            }
+            fn on_complete(&self, _: &Endpoint, _: &[u8], data: AmData) {
+                self.landed.borrow_mut().extend(data.into_vec());
+            }
+        }
+        let (cluster, server, client, mut pairs) = linked(39, 2);
+        let (first, first_peer) = pairs.remove(0);
+        let (second, _) = pairs.remove(0);
+        let landed: Rc<RefCell<Vec<Vec<u8>>>> = Rc::default();
+        server.register_handler(
+            MSG,
+            CloseOnHeader {
+                source: first.clone(),
+                next: second,
+                landed: landed.clone(),
+            },
+        );
+        let sending = client.clone();
+        cluster.sim().block_on(async move {
+            let data = vec![1; LEN];
+            let sent = first.send_message(MSG, b"first", &data, Default::default());
+            sent.await.expect("advertised");
+            sending.sim().sleep(SimDuration::from_millis(5)).await;
+        });
+        assert_eq!(drawn(&client), (1, 1), "the next source reused the bytes");
+        assert!(first_peer.is_failed(), "the stale READ failed");
+        assert_eq!(server.stats().send_failures.get(), 1);
+        let landed = landed.borrow();
+        assert_eq!(landed.len(), 1, "only the next message landed");
+        assert!(landed[0] == vec![2; LEN]);
+        assert_eq!(server.stats().rndv_delivered.get(), 1);
+    }
+
+    /// A `RndvReq` advertising more than [`MAX_RNDV_BYTES`] — `u64::MAX`, or
+    /// one byte more — is a protocol violation: the target drops it, ends
+    /// the endpoint that sent it and allocates nothing for it, and keeps
+    /// serving its other endpoints (§IV).
+    #[test]
+    fn a_rendezvous_past_the_limit_ends_its_endpoint_and_nothing_else() {
+        for data_len in [u64::MAX, MAX_RNDV_BYTES as u64 + 1] {
+            let (cluster, server, client, mut pairs) = linked(36, 2);
+            let (hostile, hostile_peer) = pairs.remove(0);
+            let (other, _) = pairs.remove(0);
+            cluster.sim().block_on(async move {
+                let done = client.counter();
+                let opts = || SendOptions {
+                    completion: Some(done.clone()),
+                    ..Default::default()
+                };
+                // One message first, so the target's receive pool is settled.
+                other
+                    .send_message(MSG, b"h", b"warm", opts())
+                    .await
+                    .expect("eager");
+                done.wait_for(1, TIMEOUT).await.expect("its Fin");
+                let settle = SimDuration::from_millis(1);
+                client.sim().sleep(settle).await;
+                let stats = server.stats();
+                let (regions, dropped) = (
+                    server.inner.hca.registered_regions(),
+                    stats.unknown_msg_dropped.get(),
+                );
+
+                // Written and posted as a sender writes a well-formed one.
+                let mut pkt = PacketHeader::new(PacketKind::RndvReq, MSG);
+                (pkt.hdr_len, pkt.data_len) = (1, data_len);
+                let rt = &client.inner;
+                let ctrl = Pending::CtrlSend {
+                    ep: Rc::downgrade(&hostile.inner),
+                };
+                let req = rt.stage(&pkt, b"h", &[]);
+                rt.post_packets(&hostile.inner, rt.next_wr_id(), req, ctrl)
+                    .expect("posted");
+                client.sim().sleep(settle).await;
+                assert!(hostile_peer.is_failed());
+                assert_eq!(server.endpoints(), 1);
+                assert_eq!(stats.unknown_msg_dropped.get(), dropped + 1);
+                assert_eq!(drawn(&server), (0, 0), "no buffer drawn");
+                assert_eq!(server.inner.hca.registered_regions(), regions);
+
+                // The other endpoint is served: a rendezvous and its Fin.
+                let data = vec![5; 2 * UCR_EAGER_THRESHOLD];
+                other
+                    .send_message(MSG, b"h", &data, opts())
+                    .await
+                    .expect("sent");
+                done.wait_for(2, TIMEOUT).await.expect("read and handled");
+            });
+        }
     }
 }

@@ -30,14 +30,10 @@ struct EchoHandler;
 impl AmHandler for EchoHandler {
     fn on_complete(&self, ep: &Endpoint, hdr: &[u8], data: AmData) {
         let ctr_id = u64::from_le_bytes(hdr[..8].try_into().unwrap());
-        let payload = match data {
-            AmData::Pool(v) => v,
-            _ => Vec::new(),
-        };
         ep.post_message(
             ECHO + 100,
             hdr,
-            payload,
+            data.into_vec().unwrap_or_default(),
             SendOptions {
                 target_ctr: ctr_id,
                 ..Default::default()

@@ -162,14 +162,9 @@ async fn raw_flush(world: &World, wire: Wire, delay: u32) {
             let ctr = rt.counter();
             let mut hdr = ReqHeader::new(McOp::FlushAll, 77, ctr.id(), Vec::new());
             hdr.exptime = delay;
-            ep.send_message_owned(
-                MSG_MC_REQ,
-                &hdr.encode(),
-                Vec::new(),
-                SendOptions::default(),
-            )
-            .await
-            .expect("ucr send");
+            ep.send_message(MSG_MC_REQ, &hdr.encode(), &[], SendOptions::default())
+                .await
+                .expect("ucr send");
             ctr.wait_for(1, TIMEOUT).await.expect("ucr reply");
             let resp = landed.borrow_mut().take().expect("response landed");
             assert_eq!((resp.req_id, resp.status), (77, RespStatus::Ok));
