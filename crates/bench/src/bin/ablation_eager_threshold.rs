@@ -7,19 +7,15 @@
 //! only and the target pulls the data with a zero-copy RDMA read — paying
 //! an extra control round trip. The crossover justifies the 8 KB choice.
 
-use rmc::{McClient, McClientConfig, McServer, McServerConfig, Transport, World};
-use simnet::NodeId;
+use rmc::{Scenario, Transport, World};
 
 fn measure(threshold: usize, size: usize) -> f64 {
-    let world = World::cluster_b(11, 4);
-    let server = McServer::start(&world, NodeId(0), McServerConfig::default());
-    let client = McClient::new(
-        &world,
-        NodeId(1),
-        McClientConfig::single(Transport::Ucr, NodeId(0)),
-    );
-    server.ucr_runtime().unwrap().set_eager_threshold(threshold);
-    let sim = world.sim().clone();
+    let s = Scenario::start(World::cluster_b(11, 4), Transport::Ucr);
+    let (sim, client) = (s.world.sim().clone(), s.clients[0].clone());
+    s.server
+        .ucr_runtime()
+        .unwrap()
+        .set_eager_threshold(threshold);
     let sim2 = sim.clone();
     sim.block_on(async move {
         client.ucr_runtime().unwrap().set_eager_threshold(threshold);

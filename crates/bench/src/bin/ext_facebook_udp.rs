@@ -12,7 +12,7 @@
 //! protocol on a 10GigE-class network versus UCR on InfiniBand, sweeping
 //! client count, with mean latency and aggregate request rate per point.
 
-use rmc::{McClient, McClientConfig, McServer, McServerConfig, Transport, World};
+use rmc::{McClientConfig, McServerConfig, Scenario, Transport, World};
 use simnet::{NodeId, Stack};
 
 fn run(transport: Transport, clients: u32, cluster_b: bool) -> (f64, f64) {
@@ -21,16 +21,16 @@ fn run(transport: Transport, clients: u32, cluster_b: bool) -> (f64, f64) {
     } else {
         World::cluster_a(29, clients + 1)
     };
-    let _server = McServer::start(&world, NodeId(0), McServerConfig::default());
-    let sim = world.sim().clone();
+    let client = McClientConfig::single(transport, NodeId(0));
+    let s = Scenario::new(
+        world,
+        McServerConfig::default(),
+        vec![client; clients as usize],
+    );
+    let sim = s.world.sim().clone();
     let ops = 800u32;
     let mut joins = Vec::new();
-    for c in 0..clients {
-        let client = McClient::new(
-            &world,
-            NodeId(1 + c),
-            McClientConfig::single(transport, NodeId(0)),
-        );
+    for (c, client) in s.clients.into_iter().enumerate() {
         joins.push(sim.spawn(async move {
             let key = format!("fb-{c}");
             client.set(key.as_bytes(), &[1u8; 32], 0, 0).await.unwrap();

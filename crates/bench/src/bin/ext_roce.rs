@@ -7,18 +7,12 @@
 //! converged 10GigE adapters and compares against native IB verbs and
 //! the TOE sockets baseline on identical hardware paths.
 
-use rmc::{McClient, McClientConfig, McServer, McServerConfig, Transport, World};
-use simnet::{NodeId, Stack};
+use rmc::{Scenario, Transport, World};
+use simnet::Stack;
 
 fn latency(transport: Transport, size: usize) -> f64 {
-    let world = World::cluster_a(19, 4);
-    let _server = McServer::start(&world, NodeId(0), McServerConfig::default());
-    let client = McClient::new(
-        &world,
-        NodeId(1),
-        McClientConfig::single(transport, NodeId(0)),
-    );
-    let sim = world.sim().clone();
+    let s = Scenario::start(World::cluster_a(19, 4), transport);
+    let (sim, client) = (s.world.sim().clone(), s.clients[0].clone());
     let sim2 = sim.clone();
     sim.block_on(async move {
         client.set(b"k", &vec![1u8; size], 0, 0).await.unwrap();

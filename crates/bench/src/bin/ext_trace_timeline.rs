@@ -17,22 +17,18 @@
 
 use std::io::Write as _;
 
-use rmc::{McClient, McClientConfig, McServer, McServerConfig, Transport, World};
+use rmc::{Scenario, Transport, World};
 use simnet::trace_export::{chrome_trace_json, parse_json};
-use simnet::{EventRecorder, Layer, NodeId};
+use simnet::{EventRecorder, Layer};
 
 fn main() {
     let world = World::cluster_b(47, 4);
     let recorder = EventRecorder::new();
     world.cluster.tracer().add_sink(recorder.clone());
 
-    let _server = McServer::start(&world, NodeId(0), McServerConfig::default());
-    let client = McClient::new(
-        &world,
-        NodeId(1),
-        McClientConfig::single(Transport::Ucr, NodeId(0)),
-    );
-    let sim = world.sim().clone();
+    let mut s = Scenario::start(world, Transport::Ucr);
+    // The run takes the client along: its runtime's teardown is traced too.
+    let (sim, client) = (s.world.sim().clone(), s.clients.remove(0));
     sim.clone().block_on(async move {
         // 4 KB rides the eager path; 64 KB exceeds the 8 KB threshold and
         // comes back by rendezvous RDMA read.
@@ -66,7 +62,7 @@ fn main() {
 
     println!("Extension: cross-layer Perfetto timeline of UCR set/get (Cluster B)");
     println!("{:>10}{:>10}", "layer", "events");
-    let tracer = world.cluster.tracer();
+    let tracer = s.world.cluster.tracer();
     for layer in Layer::ALL {
         println!("{:>10}{:>10}", layer.label(), tracer.layer_count(layer));
     }

@@ -34,10 +34,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
-use rmc::{
-    McClient, McClientConfig, McServer, McServerConfig, ObservatoryConfig, SloObjective, Transport,
-    World,
-};
+use rmc::{McClientConfig, McServerConfig, ObservatoryConfig, Scenario, SloObjective, Transport};
 use rmc_bench::ClusterKind;
 use simnet::sketch::SketchConfig;
 use simnet::{
@@ -152,14 +149,7 @@ fn run_scenario(
     observed: bool,
 ) -> (
     RunOutcome,
-    Option<(
-        World,
-        McServer,
-        McClient,
-        Sampler,
-        Rc<HealthMonitor>,
-        Rc<EventRecorder>,
-    )>,
+    Option<(Scenario, Sampler, Rc<HealthMonitor>, Rc<EventRecorder>)>,
 ) {
     let world = cluster.world(SEED, 4);
     let recorder = EventRecorder::new();
@@ -168,13 +158,10 @@ fn run_scenario(
         world.cluster.tracer().add_sink(recorder.clone());
         srv_cfg.observatory = Some(observatory_config());
     }
-    let server = McServer::start(&world, NodeId(0), srv_cfg);
-    let client = McClient::new(
-        &world,
-        NodeId(1),
-        McClientConfig::single(Transport::Ucr, NodeId(0)),
-    );
-    let obs = observed.then(|| server.observatory().expect("observatory configured"));
+    let client = McClientConfig::single(Transport::Ucr, NodeId(0));
+    let s = Scenario::new(world, srv_cfg, [client]);
+    let world = &s.world;
+    let obs = observed.then(|| s.server.observatory().expect("observatory configured"));
     let monitor = HealthMonitor::new(
         HealthRules::default(),
         NodeId(0),
@@ -201,7 +188,7 @@ fn run_scenario(
     let sim = world.sim().clone();
     let sim2 = sim.clone();
     let mon = Rc::clone(&monitor);
-    let cl = client.clone();
+    let cl = s.clients[0].clone();
     let outcome = sim.block_on(async move {
         let mut truth = Truth::default();
         let mut rng = SEED;
@@ -280,10 +267,7 @@ fn run_scenario(
         }
     });
     if observed {
-        (
-            outcome,
-            Some((world, server, client, sampler, monitor, recorder)),
-        )
+        (outcome, Some((s, sampler, monitor, recorder)))
     } else {
         (outcome, None)
     }
@@ -316,7 +300,8 @@ fn main() {
     for cluster in [ClusterKind::A, ClusterKind::B] {
         println!("\n{} / UCR IB", cluster.label());
         let (run, ctx) = run_scenario(cluster, true);
-        let (world, _server, client, sampler, monitor, recorder) = ctx.unwrap();
+        let (s, sampler, monitor, recorder) = ctx.unwrap();
+        let (world, client) = (&s.world, &s.clients[0]);
         sampler.stop();
 
         // --- Phase / health trajectory -------------------------------

@@ -8,7 +8,7 @@
 //!     [--key-space N] [--zipf S] [--seed N] [--depth N]
 //! ```
 
-use rmc::{McClient, McClientConfig, McServer, McServerConfig, Transport};
+use rmc::{McClient, McClientConfig, McServerConfig, Scenario, Transport};
 use rmc_bench::ClusterKind;
 use simnet::{NodeId, Stack};
 
@@ -127,14 +127,19 @@ fn main() {
     if !world.profile().supports(a.transport.stack()) {
         die("this cluster lacks that transport's hardware");
     }
-    let _server = McServer::start(&world, NodeId(0), McServerConfig::default());
-    let sim = world.sim().clone();
+    let cfg = McClientConfig {
+        pipeline_depth: a.depth,
+        ..McClientConfig::single(a.transport, NodeId(0))
+    };
+    let s = Scenario::new(
+        world,
+        McServerConfig::default(),
+        vec![cfg; a.clients as usize],
+    );
+    let sim = s.world.sim().clone();
 
     let mut joins = Vec::new();
-    for c in 0..a.clients {
-        let mut cfg = McClientConfig::single(a.transport, NodeId(0));
-        cfg.pipeline_depth = a.depth;
-        let client = McClient::new(&world, NodeId(1 + c), cfg);
+    for client in s.clients {
         let sim2 = sim.clone();
         let (value_size, set_fraction, key_space, zipf, ops, depth) = (
             a.value_size,

@@ -22,7 +22,8 @@ use std::rc::Rc;
 pub mod json_out;
 
 use rmc::{
-    McClient, McClientConfig, McError, McServer, McServerConfig, StoreModel, Transport, World,
+    McClient, McClientConfig, McError, McServer, McServerConfig, Scenario, StoreModel, Transport,
+    World,
 };
 use simnet::metrics::Histogram;
 use simnet::{
@@ -152,16 +153,10 @@ fn run_latency<T: 'static>(
     seed: u64,
     instrument: impl FnOnce(&Rc<Tracer>) -> T + 'static,
 ) -> (f64, T) {
-    let world = cluster.world(seed, 4);
-    let _server = McServer::start(&world, NodeId(0), McServerConfig::default());
-    let client = McClient::new(
-        &world,
-        NodeId(1),
-        McClientConfig::single(transport, NodeId(0)),
-    );
-    let sim = world.sim().clone();
+    let s = Scenario::start(cluster.world(seed, 4), transport);
+    let (sim, client) = (s.world.sim().clone(), s.clients[0].clone());
     let sim2 = sim.clone();
-    let tracer = world.cluster.tracer().clone();
+    let tracer = s.world.cluster.tracer().clone();
     sim.block_on(async move {
         let value = vec![0x5au8; size];
         let key = b"bench-key";
@@ -521,18 +516,12 @@ pub fn measure_latency_distribution(
     iters: u32,
     seed: u64,
 ) -> LatencyDistribution {
-    let world = cluster.world(seed, 4);
-    let _server = McServer::start(&world, NodeId(0), McServerConfig::default());
-    let client = McClient::new(
-        &world,
-        NodeId(1),
-        McClientConfig::single(transport, NodeId(0)),
-    );
-    let sim = world.sim().clone();
+    let s = Scenario::start(cluster.world(seed, 4), transport);
+    let (sim, client) = (s.world.sim().clone(), s.clients[0].clone());
     let sim2 = sim.clone();
     // Per-op latencies land in the cluster metrics registry so the
     // distribution is readable from the same place as every other metric.
-    let hist = world.cluster.metrics().histogram("client.get_latency");
+    let hist = s.world.cluster.metrics().histogram("client.get_latency");
     sim.block_on(async move {
         let value = vec![0x5au8; size];
         client.set(b"bench-key", &value, 0, 0).await.expect("set");
@@ -592,11 +581,12 @@ fn run_pipeline_gets(
     value_size: usize,
     ops: u32,
 ) -> (f64, simnet::SimTime) {
-    let _server = McServer::start(world, NodeId(0), McServerConfig::default());
-    let mut cfg = McClientConfig::single(transport, NodeId(0));
-    cfg.pipeline_depth = depth;
-    let client = McClient::new(world, NodeId(1), cfg);
-    let sim = world.sim().clone();
+    let cfg = McClientConfig {
+        pipeline_depth: depth,
+        ..McClientConfig::single(transport, NodeId(0))
+    };
+    let s = Scenario::new(world.clone(), McServerConfig::default(), [cfg]);
+    let (sim, client) = (world.sim().clone(), s.clients[0].clone());
     let sim2 = sim.clone();
     let tps = sim.block_on(async move {
         const KEYS: usize = 64;
@@ -696,22 +686,19 @@ pub fn run_windowed_gets(
     let value = |i: usize| -> Vec<u8> { (0..64).map(|b| (i * 31 + b) as u8).collect() };
 
     let sim = world.sim().clone();
-    let server = McServer::start(
-        world,
-        NodeId(0),
-        McServerConfig {
-            workers,
-            store_model: StoreModel::Sharded(16),
-            ..Default::default()
-        },
-    );
-    let clients: Vec<McClient> = (0..CLIENTS)
-        .map(|c| {
-            let mut cfg = McClientConfig::single(Transport::Ucr, NodeId(0));
-            cfg.pipeline_depth = DEPTH;
-            McClient::new(world, NodeId(1 + c), cfg)
-        })
-        .collect();
+    let sharded = McServerConfig {
+        workers,
+        store_model: StoreModel::Sharded(16),
+        ..Default::default()
+    };
+    let client = McClientConfig {
+        pipeline_depth: DEPTH,
+        ..McClientConfig::single(Transport::Ucr, NodeId(0))
+    };
+    let clients = vec![client; CLIENTS as usize];
+    let Scenario {
+        server, clients, ..
+    } = Scenario::new(world.clone(), sharded, clients);
     let cl = clients.clone();
     sim.block_on(async move {
         for i in 0..KEYS {
@@ -1125,19 +1112,15 @@ pub fn measure_bypass_get(
     const ZIPF_SKEW: f64 = 0.99;
     let server_cfg = McServerConfig::default();
     let workers = server_cfg.workers;
-    let world = cluster.world(seed, 4);
-    let _server = McServer::start(&world, NodeId(0), server_cfg);
-    let client = McClient::new(
-        &world,
-        NodeId(1),
-        McClientConfig {
-            bypass_get: bypass,
-            ..McClientConfig::single(Transport::Ucr, NodeId(0))
-        },
-    );
-    let sim = world.sim().clone();
+    let client = McClientConfig {
+        bypass_get: bypass,
+        ..McClientConfig::single(Transport::Ucr, NodeId(0))
+    };
+    let s = Scenario::new(cluster.world(seed, 4), server_cfg, [client]);
+    let (sim, client) = (s.world.sim().clone(), s.clients[0].clone());
     let sim2 = sim.clone();
     sim.block_on(async move {
+        let world = &s.world;
         let value = vec![0x5au8; value_size];
         for k in 0..KEY_SPACE {
             let key = format!("bp-{k}");
@@ -1160,7 +1143,7 @@ pub fn measure_bypass_get(
         // The load/warm phases keep workers busy; let them drain fully
         // before the wake snapshot.
         sim2.sleep(SimDuration::from_millis(10)).await;
-        let wakes0 = worker_wakes(&world, NodeId(0), workers);
+        let wakes0 = worker_wakes(world, NodeId(0), workers);
 
         // Timed pure-read zipfian phase.
         let hist = world
@@ -1177,7 +1160,7 @@ pub fn measure_bypass_get(
         }
         let elapsed = sim2.now() - t0;
         sim2.sleep(SimDuration::from_millis(10)).await;
-        let read_phase_worker_wakes = worker_wakes(&world, NodeId(0), workers) - wakes0;
+        let read_phase_worker_wakes = worker_wakes(world, NodeId(0), workers) - wakes0;
 
         // Mixed phase: concurrent writers force version-skew retries.
         for i in 0..ops / 2 {

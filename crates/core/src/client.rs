@@ -50,8 +50,12 @@ pub enum Transport {
     /// adapters (the paper's SVII future work). Requires the cluster to
     /// have RDMA-capable Ethernet NICs.
     UcrRoce,
-    /// Byte-stream sockets over the given stack (the baseline).
+    /// Byte-stream sockets over the given stack (the baseline), speaking
+    /// the ASCII protocol.
     Sockets(Stack),
+    /// Memcached's binary protocol over a byte stream on the given stack
+    /// (libmemcached's `MEMCACHED_BEHAVIOR_BINARY_PROTOCOL`).
+    Binary(Stack),
     /// Memcached's UDP protocol over the given stack — the SIII Facebook
     /// baseline: connectionless requests with the 8-byte frame header,
     /// no delivery guarantee (loss surfaces as a timeout).
@@ -65,6 +69,7 @@ impl Transport {
             Transport::Ucr => Stack::Ucr.label(),
             Transport::UcrRoce => "UCR-RoCE",
             Transport::Sockets(s) => s.label(),
+            Transport::Binary(_) => "Binary",
             Transport::Udp(Stack::TenGigEToe) => "UDP/10GigE",
             Transport::Udp(Stack::OneGigE) => "UDP/1GigE",
             Transport::Udp(Stack::Ipoib) => "UDP/IPoIB",
@@ -76,7 +81,7 @@ impl Transport {
     pub fn stack(self) -> Stack {
         match self {
             Transport::Ucr | Transport::UcrRoce => Stack::Ucr,
-            Transport::Sockets(s) | Transport::Udp(s) => s,
+            Transport::Sockets(s) | Transport::Binary(s) | Transport::Udp(s) => s,
         }
     }
 }
@@ -152,10 +157,6 @@ pub struct McClientConfig {
     pub op_timeout: SimDuration,
     /// Key distribution strategy.
     pub distribution: Distribution,
-    /// Speak the binary protocol on sockets transports (libmemcached's
-    /// `MEMCACHED_BEHAVIOR_BINARY_PROTOCOL`). Ignored for UCR transports,
-    /// which have their own typed framing.
-    pub binary_protocol: bool,
     /// Key hash function (libmemcached's `MEMCACHED_BEHAVIOR_HASH`).
     pub key_hash: KeyHash,
     /// Maximum outstanding requests per connection for the batch APIs
@@ -185,7 +186,6 @@ impl McClientConfig {
             port: 11211,
             op_timeout: SimDuration::from_millis(250),
             distribution: Distribution::Modula,
-            binary_protocol: false,
             key_hash: KeyHash::default(),
             pipeline_depth: 1,
             bypass_get: false,
@@ -625,7 +625,7 @@ impl McClient {
         let fabric = match cfg.transport {
             Transport::Ucr => Some(&world.ib),
             Transport::UcrRoce => world.roce.as_ref(),
-            Transport::Sockets(_) | Transport::Udp(_) => None,
+            Transport::Sockets(_) | Transport::Binary(_) | Transport::Udp(_) => None,
         };
         let tracer = world.cluster.tracer().clone();
         let metrics = world.cluster.metrics();
@@ -1157,7 +1157,7 @@ impl CliInner {
                     })?;
                 Conn::Ucr(ep)
             }
-            Transport::Sockets(stack) => {
+            Transport::Sockets(stack) | Transport::Binary(stack) => {
                 let sock = self
                     .socks
                     .connect(
@@ -1178,7 +1178,7 @@ impl CliInner {
                 sock.set_nodelay(true);
                 Conn::Stream {
                     sock,
-                    binary: self.cfg.binary_protocol,
+                    binary: matches!(self.cfg.transport, Transport::Binary(_)),
                     rbuf: RefCell::new(Vec::new()),
                 }
             }

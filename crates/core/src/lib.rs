@@ -49,6 +49,6 @@ pub use client::{
 };
 pub use observatory::{ObservatoryConfig, SloObjective, WorkloadObservatory};
 pub use server::{McServer, McServerConfig, SrvStats, StoreModel, BASE_UNIX_TIME, SERVER_VERSION};
-pub use world::World;
+pub use world::{Scenario, World};
 
 pub use mcstore::Value;

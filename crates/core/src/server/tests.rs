@@ -5,10 +5,10 @@ use mcstore::{NumericError, SegmentedStore, SetOutcome, StoreConfig, Value};
 use simnet::{NodeId, Stack};
 
 use super::executor::execute;
-use super::{McServer, McServerConfig, SERVER_VERSION};
+use super::{McServerConfig, SERVER_VERSION};
 use crate::am_wire::McOp;
 use crate::request::{Reply, Request};
-use crate::{McClient, McClientConfig, Transport, World};
+use crate::{McClientConfig, Scenario, Transport, World};
 
 const NOW: u32 = 1_000;
 
@@ -214,28 +214,27 @@ fn storing_never_reads_the_item_back() {
     // The fresh CAS token a store returns comes from a read-only locate:
     // N sets leave the fetch counters at zero and the LRU in store order,
     // whatever wire they arrive on (the binary wire returns the token).
-    let tail_after_sets = |binary_protocol: bool| {
-        let world = World::cluster_a(9, 4);
-        let server = McServer::start(&world, NodeId(0), McServerConfig::default());
-        let cfg = McClientConfig {
-            binary_protocol,
-            ..McClientConfig::single(Transport::Sockets(Stack::Ipoib), NodeId(0))
-        };
-        let client = McClient::new(&world, NodeId(1), cfg);
-        world.sim().block_on(async move {
+    let tail_after_sets = |wire: Transport| {
+        let s = Scenario::start(World::cluster_a(9, 4), wire);
+        let client = s.clients[0].clone();
+        s.world.sim().block_on(async move {
             for i in 0..16u32 {
                 let key = format!("lru-{i}");
                 client.set(key.as_bytes(), b"value", 0, 0).await.unwrap();
             }
         });
-        let store = server.inner.exec.store();
+        let store = s.server.inner.exec.store();
         let st = store.stats();
         assert_eq!((st.sets, st.get_hits, st.get_misses), (16, 0, 0));
         let class = store.class_of(5, 5).unwrap();
         store.segment(0).lru_tail_key(class)
     };
-    assert_eq!(tail_after_sets(true), Some(b"lru-0".to_vec()));
-    assert_eq!(tail_after_sets(true), tail_after_sets(false));
+    let (binary, ascii) = (
+        Transport::Binary(Stack::Ipoib),
+        Transport::Sockets(Stack::Ipoib),
+    );
+    assert_eq!(tail_after_sets(binary), Some(b"lru-0".to_vec()));
+    assert_eq!(tail_after_sets(binary), tail_after_sets(ascii));
 }
 
 /// The workers publish the slab-class gauges only when a chunk was
@@ -247,7 +246,6 @@ fn class_gauges_follow_the_slabs_and_are_walked_only_on_change() {
     use mcstore::{ClassId, SlabConfig};
     use simnet::SimRng;
 
-    let world = World::cluster_b(5, 2);
     let slab = SlabConfig {
         mem_limit: 6 << 20,
         ..SlabConfig::default()
@@ -260,9 +258,13 @@ fn class_gauges_follow_the_slabs_and_are_walked_only_on_change() {
         store_model: super::StoreModel::Sharded(2),
         ..McServerConfig::default()
     };
-    let server = McServer::start(&world, NodeId(0), config);
     let cfg = McClientConfig::single(Transport::Ucr, NodeId(0));
-    let client = McClient::new(&world, NodeId(1), cfg);
+    let Scenario {
+        world,
+        server,
+        clients,
+    } = Scenario::new(World::cluster_b(5, 2), config, [cfg]);
+    let client = &clients[0];
 
     // Every class gauge against the store's own books.
     let check = |when: &str| {

@@ -4,11 +4,10 @@
 //! expiry / `flush_all` / slab migration), and the accounting that
 //! proves a bypassed read never woke a server worker.
 
-use rmc::{McClient, McClientConfig, McError, McServer, McServerConfig, Transport, World};
+use rmc::{McClientConfig, McError, McServerConfig, Scenario, Transport, World};
 use simnet::{NodeId, SimDuration, Stack};
 
 const SRV: NodeId = NodeId(0);
-const CLI: NodeId = NodeId(1);
 
 fn worlds() -> Vec<(&'static str, World)> {
     vec![
@@ -17,15 +16,13 @@ fn worlds() -> Vec<(&'static str, World)> {
     ]
 }
 
-fn bypass_client(world: &World) -> McClient {
-    McClient::new(
-        world,
-        CLI,
-        McClientConfig {
-            bypass_get: true,
-            ..McClientConfig::single(Transport::Ucr, SRV)
-        },
-    )
+/// A default server on `world` and one UCR client that reads one-sidedly.
+fn bypass(world: World) -> Scenario {
+    let client = McClientConfig {
+        bypass_get: true,
+        ..McClientConfig::single(Transport::Ucr, SRV)
+    };
+    Scenario::new(world, McServerConfig::default(), [client])
 }
 
 /// Total progress-engine wakes across the server's worker pool.
@@ -43,10 +40,10 @@ fn worker_wakes(world: &World) -> u64 {
 #[test]
 fn bypass_get_reads_without_waking_workers() {
     for (name, world) in worlds() {
-        let _server = McServer::start(&world, SRV, McServerConfig::default());
-        let c = bypass_client(&world);
-        let sim = world.sim().clone();
+        let s = bypass(world);
+        let (sim, c) = (s.world.sim().clone(), s.clients[0].clone());
         sim.block_on(async move {
+            let world = &s.world;
             for i in 0..8u32 {
                 let key = format!("k{i}");
                 let val = format!("value-{i}");
@@ -54,7 +51,7 @@ fn bypass_get_reads_without_waking_workers() {
             }
             // Let the worker pool drain completely before snapshotting.
             world.sim().sleep(SimDuration::from_millis(10)).await;
-            let wakes_before = worker_wakes(&world);
+            let wakes_before = worker_wakes(world);
 
             let rt = c.ucr_runtime().unwrap();
             let reads_before = rt.stats().bypass_reads.get();
@@ -75,7 +72,7 @@ fn bypass_get_reads_without_waking_workers() {
             assert_eq!(rt.stats().bypass_fallbacks.get(), 0, "{name}");
             // …and not a single server worker woke up for them.
             assert_eq!(
-                worker_wakes(&world),
+                worker_wakes(world),
                 wakes_before,
                 "{name}: bypassed reads must not wake workers"
             );
@@ -97,9 +94,8 @@ fn concurrent_bypass_reads_land_in_windows_of_their_own() {
         vec![b'a' + i as u8; 100 + 37 * i]
     }
     for (name, world) in worlds() {
-        let _server = McServer::start(&world, SRV, McServerConfig::default());
-        let c = bypass_client(&world);
-        let sim = world.sim().clone();
+        let s = bypass(world);
+        let (sim, c) = (s.world.sim().clone(), s.clients[0].clone());
         sim.clone().block_on(async move {
             for i in 0..KEYS {
                 c.set(format!("k{i}").as_bytes(), &value(i), 0, 0)
@@ -133,9 +129,9 @@ fn concurrent_bypass_reads_land_in_windows_of_their_own() {
 #[test]
 fn concurrent_set_forces_version_skew_retry() {
     for (name, world) in worlds() {
-        let _server = McServer::start(&world, SRV, McServerConfig::default());
-        let c = bypass_client(&world);
-        world.sim().block_on(async move {
+        let s = bypass(world);
+        let c = s.clients[0].clone();
+        s.world.sim().block_on(async move {
             c.set(b"race", b"old-value", 0, 0).await.unwrap();
             // Prime the descriptor cache with the old chunk + version.
             assert_eq!(c.get(b"race").await.unwrap().unwrap().data, b"old-value");
@@ -164,9 +160,9 @@ fn concurrent_set_forces_version_skew_retry() {
 #[test]
 fn delete_invalidates_descriptor_and_read_misses() {
     for (name, world) in worlds() {
-        let _server = McServer::start(&world, SRV, McServerConfig::default());
-        let c = bypass_client(&world);
-        world.sim().block_on(async move {
+        let s = bypass(world);
+        let c = s.clients[0].clone();
+        s.world.sim().block_on(async move {
             c.set(b"gone", b"short-lived", 0, 0).await.unwrap();
             assert!(c.get(b"gone").await.unwrap().is_some());
 
@@ -191,28 +187,24 @@ fn delete_invalidates_descriptor_and_read_misses() {
 
 #[test]
 fn expiry_is_honored_without_trusting_cached_descriptors() {
-    let world = World::cluster_b(77, 8);
-    let _server = McServer::start(&world, SRV, McServerConfig::default());
-    let c = bypass_client(&world);
-    let sim = world.sim().clone();
-    sim.block_on(async move {
+    let s = bypass(World::cluster_b(77, 8));
+    let (sim, c) = (s.world.sim().clone(), s.clients[0].clone());
+    sim.clone().block_on(async move {
         c.set(b"ttl", b"soon-gone", 0, 1).await.unwrap();
         assert!(c.get(b"ttl").await.unwrap().is_some());
 
         // Lazy expiry never bumps the chunk version, so the client must
         // apply the expiry clock check locally before trusting the cache.
-        world.sim().sleep(SimDuration::from_secs(2)).await;
+        sim.sleep(SimDuration::from_secs(2)).await;
         assert_eq!(c.get(b"ttl").await.unwrap(), None);
     });
 }
 
 #[test]
 fn flush_all_invalidates_every_published_descriptor() {
-    let world = World::cluster_b(77, 8);
-    let _server = McServer::start(&world, SRV, McServerConfig::default());
-    let c = bypass_client(&world);
-    let sim = world.sim().clone();
-    sim.block_on(async move {
+    let s = bypass(World::cluster_b(77, 8));
+    let (sim, c) = (s.world.sim().clone(), s.clients[0].clone());
+    sim.clone().block_on(async move {
         c.set(b"f1", b"alpha", 0, 0).await.unwrap();
         c.set(b"f2", b"beta", 0, 0).await.unwrap();
         assert!(c.get(b"f1").await.unwrap().is_some());
@@ -220,7 +212,7 @@ fn flush_all_invalidates_every_published_descriptor() {
 
         // flush_all only invalidates items stored in strictly earlier
         // seconds; cross the boundary first.
-        world.sim().sleep(SimDuration::from_secs(2)).await;
+        sim.sleep(SimDuration::from_secs(2)).await;
         c.flush_all().await.unwrap();
 
         assert_eq!(c.get(b"f1").await.unwrap(), None, "flushed via bypass path");
@@ -230,11 +222,10 @@ fn flush_all_invalidates_every_published_descriptor() {
 
 #[test]
 fn delayed_flush_retires_descriptors_fetched_before_its_deadline() {
-    let world = World::cluster_a(77, 8);
-    let _server = McServer::start(&world, SRV, McServerConfig::default());
-    let c = bypass_client(&world);
-    let sim = world.sim().clone();
+    let s = bypass(World::cluster_a(77, 8));
+    let (sim, c) = (s.world.sim().clone(), s.clients[0].clone());
     sim.block_on(async move {
+        let world = &s.world;
         c.set(b"doomed", b"still-here", 0, 0).await.unwrap();
         // Items stored within the flush's own second are spared.
         world.sim().sleep(SimDuration::from_secs(1)).await;
@@ -281,9 +272,9 @@ fn delayed_flush_retires_descriptors_fetched_before_its_deadline() {
 #[test]
 fn slab_migration_falls_back_then_republishes() {
     for (name, world) in worlds() {
-        let _server = McServer::start(&world, SRV, McServerConfig::default());
-        let c = bypass_client(&world);
-        world.sim().block_on(async move {
+        let s = bypass(world);
+        let c = s.clients[0].clone();
+        s.world.sim().block_on(async move {
             c.set(b"mover", b"tiny", 0, 0).await.unwrap();
             assert_eq!(c.get(b"mover").await.unwrap().unwrap().data, b"tiny");
 
@@ -310,10 +301,9 @@ fn slab_migration_falls_back_then_republishes() {
 fn bypass_disabled_client_is_unaffected() {
     // Control: the same workload with `bypass_get: false` never touches
     // the one-sided counters and still sees identical values.
-    let world = World::cluster_b(77, 8);
-    let _server = McServer::start(&world, SRV, McServerConfig::default());
-    let c = McClient::new(&world, CLI, McClientConfig::single(Transport::Ucr, SRV));
-    world.sim().block_on(async move {
+    let s = Scenario::start(World::cluster_b(77, 8), Transport::Ucr);
+    let c = s.clients[0].clone();
+    s.world.sim().block_on(async move {
         c.set(b"plain", b"value", 0, 0).await.unwrap();
         assert_eq!(c.get(b"plain").await.unwrap().unwrap().data, b"value");
         let rt = c.ucr_runtime().unwrap();
@@ -327,14 +317,12 @@ fn bypass_disabled_client_is_unaffected() {
 fn fallback_after_server_crash_reports_error_not_stale_value() {
     // Hard-fault path: the server dies between the directory lookup and
     // the next read. The bypass path must not fabricate a hit.
-    let world = World::cluster_b(77, 8);
-    let _server = McServer::start(&world, SRV, McServerConfig::default());
-    let c = bypass_client(&world);
-    let sim = world.sim().clone();
+    let s = bypass(World::cluster_b(77, 8));
+    let (sim, c) = (s.world.sim().clone(), s.clients[0].clone());
     sim.block_on(async move {
         c.set(b"k", b"v", 0, 0).await.unwrap();
         assert!(c.get(b"k").await.unwrap().is_some());
-        world.crash_node(SRV);
+        s.world.crash_node(SRV);
         match c.get(b"k").await {
             Err(McError::Timeout) | Err(McError::Disconnected) => {}
             other => panic!("crashed server must surface an error, got {other:?}"),

@@ -4,7 +4,8 @@
 //! latency relationships the paper reports.
 
 use rmc::{
-    Distribution, McClient, McClientConfig, McError, McServer, McServerConfig, Transport, World,
+    Distribution, McClient, McClientConfig, McError, McServer, McServerConfig, Scenario, Transport,
+    World,
 };
 use simnet::{EventRecorder, Layer, NodeId, SimDuration, Stack, Tracer};
 
@@ -17,10 +18,6 @@ fn world_a() -> World {
 
 fn world_b() -> World {
     World::cluster_b(77, 8)
-}
-
-fn client(world: &World, transport: Transport) -> McClient {
-    McClient::new(world, CLI, McClientConfig::single(transport, SRV))
 }
 
 fn all_transports_a() -> Vec<Transport> {
@@ -41,26 +38,20 @@ fn ucr_connections_go_to_workers_round_robin() {
     const CLIENTS: u32 = 8;
     const OPS: u64 = 5;
     for workers in [4usize, 8] {
-        let world = World::cluster_b(77, CLIENTS + 1);
-        let server = McServer::start(
-            &world,
-            SRV,
+        let Scenario {
+            world,
+            server,
+            clients,
+        } = Scenario::new(
+            World::cluster_b(77, CLIENTS + 1),
             McServerConfig {
                 workers,
                 ..McServerConfig::default()
             },
+            vec![McClientConfig::single(Transport::Ucr, SRV); CLIENTS as usize],
         );
         let contexts = server.ucr_runtime().unwrap().contexts();
         assert_eq!(contexts, workers / 4);
-        let clients: Vec<McClient> = (0..CLIENTS)
-            .map(|c| {
-                McClient::new(
-                    &world,
-                    NodeId(1 + c),
-                    McClientConfig::single(Transport::Ucr, SRV),
-                )
-            })
-            .collect();
         world.sim().block_on(async move {
             // Connect one after the other, then everybody talks.
             for (i, c) in clients.iter().enumerate() {
@@ -88,10 +79,9 @@ fn ucr_connections_go_to_workers_round_robin() {
 #[test]
 fn full_command_set_over_every_transport() {
     for transport in all_transports_a() {
-        let world = world_a();
-        let _server = McServer::start(&world, SRV, McServerConfig::default());
-        let c = client(&world, transport);
-        world.sim().block_on(async move {
+        let s = Scenario::start(world_a(), transport);
+        let c = s.clients[0].clone();
+        s.world.sim().block_on(async move {
             // set / get
             c.set(b"k1", b"v1", 5, 0).await.unwrap();
             let v = c.get(b"k1").await.unwrap().unwrap();
@@ -159,10 +149,9 @@ fn full_command_set_over_every_transport() {
 fn large_values_travel_by_rendezvous() {
     // 64 KB and 300 KB: both directions of the UCR path must use the
     // RDMA-read rendezvous (set: server pulls; get: client pulls).
-    let world = world_b();
-    let _server = McServer::start(&world, SRV, McServerConfig::default());
-    let c = client(&world, Transport::Ucr);
-    world.sim().block_on(async move {
+    let s = Scenario::start(world_b(), Transport::Ucr);
+    let c = s.clients[0].clone();
+    s.world.sim().block_on(async move {
         for size in [64 * 1024usize, 300 * 1024] {
             let value: Vec<u8> = (0..size).map(|i| (i % 251) as u8).collect();
             let key = format!("big-{size}");
@@ -175,10 +164,9 @@ fn large_values_travel_by_rendezvous() {
 
 #[test]
 fn oversized_value_is_rejected() {
-    let world = world_a();
-    let _server = McServer::start(&world, SRV, McServerConfig::default());
-    let c = client(&world, Transport::Ucr);
-    world.sim().block_on(async move {
+    let s = Scenario::start(world_a(), Transport::Ucr);
+    let c = s.clients[0].clone();
+    s.world.sim().block_on(async move {
         let too_big = vec![0u8; 2 << 20];
         assert_eq!(c.set(b"huge", &too_big, 0, 0).await, Err(McError::TooLarge));
     });
@@ -188,15 +176,11 @@ fn oversized_value_is_rejected() {
 fn sockets_and_ucr_clients_share_one_server() {
     // The design goal of §V-A: the same server serves both families, on
     // the same data.
-    let world = world_a();
-    let server = McServer::start(&world, SRV, McServerConfig::default());
-    let ucr_client = client(&world, Transport::Ucr);
-    let sdp_client = McClient::new(
-        &world,
-        NodeId(2),
-        McClientConfig::single(Transport::Sockets(Stack::Sdp), SRV),
-    );
-    world.sim().block_on(async move {
+    let wires = [Transport::Ucr, Transport::Sockets(Stack::Sdp)];
+    let clients = wires.map(|wire| McClientConfig::single(wire, SRV));
+    let s = Scenario::new(world_a(), McServerConfig::default(), clients);
+    let (ucr_client, sdp_client) = (s.clients[0].clone(), s.clients[1].clone());
+    s.world.sim().block_on(async move {
         ucr_client.set(b"shared", b"from-ucr", 0, 0).await.unwrap();
         let v = sdp_client.get(b"shared").await.unwrap().unwrap();
         assert_eq!(v.data, b"from-ucr");
@@ -204,8 +188,8 @@ fn sockets_and_ucr_clients_share_one_server() {
         let v = ucr_client.get(b"shared").await.unwrap().unwrap();
         assert_eq!(v.data, b"from-sdp");
     });
-    assert!(server.stats().ucr_requests.get() >= 2);
-    assert!(server.stats().sock_requests.get() >= 2);
+    assert!(s.server.stats().ucr_requests.get() >= 2);
+    assert!(s.server.stats().sock_requests.get() >= 2);
 }
 
 #[test]
@@ -262,10 +246,9 @@ fn keys_distribute_across_servers() {
 /// call timed out.
 #[test]
 fn ucr_mget_past_one_header_of_keys_returns_every_hit() {
-    let world = world_b();
-    let _server = McServer::start(&world, SRV, McServerConfig::default());
-    let c = client(&world, Transport::Ucr);
-    world.sim().block_on(async move {
+    let s = Scenario::start(world_b(), Transport::Ucr);
+    let c = s.clients[0].clone();
+    s.world.sim().block_on(async move {
         let keys: Vec<Vec<u8>> = (0..48)
             .map(|i| {
                 let mut key = format!("key-{i:02}-").into_bytes();
@@ -356,14 +339,12 @@ fn server_death_times_out_and_isolates() {
 
 #[test]
 fn sockets_client_sees_server_death_too() {
-    let world = world_a();
-    let server = McServer::start(&world, SRV, McServerConfig::default());
-    let c = client(&world, Transport::Sockets(Stack::TenGigEToe));
-    let sim = world.sim().clone();
+    let s = Scenario::start(world_a(), Transport::Sockets(Stack::TenGigEToe));
+    let (sim, c) = (s.world.sim().clone(), s.clients[0].clone());
     sim.block_on(async move {
         c.set(b"k", b"v", 0, 0).await.unwrap();
-        server.shutdown();
-        world.crash_node(SRV);
+        s.server.shutdown();
+        s.world.crash_node(SRV);
         match c.get(b"k").await {
             Err(McError::Timeout) | Err(McError::Disconnected) => {}
             other => panic!("expected failure, got {other:?}"),
@@ -377,38 +358,35 @@ fn sockets_client_sees_server_death_too() {
 /// own answer over a fresh connection.
 #[test]
 fn timed_out_stream_op_does_not_poison_the_next_one() {
-    for binary in [false, true] {
-        let world = world_a();
-        let _server = McServer::start(&world, SRV, McServerConfig::default());
-        let slow = Transport::Sockets(Stack::OneGigE);
-        let loader = McClient::new(&world, NodeId(2), McClientConfig::single(slow, SRV));
-        let impatient = McClient::new(
-            &world,
-            CLI,
-            McClientConfig {
-                binary_protocol: binary,
-                op_timeout: SimDuration::from_micros(400),
-                pipeline_depth: 4,
-                ..McClientConfig::single(slow, SRV)
-            },
-        );
-        let sim = world.sim().clone();
+    for wire in [
+        Transport::Sockets(Stack::OneGigE),
+        Transport::Binary(Stack::OneGigE),
+    ] {
+        let impatient = McClientConfig {
+            op_timeout: SimDuration::from_micros(400),
+            pipeline_depth: 4,
+            ..McClientConfig::single(wire, SRV)
+        };
+        let loader = McClientConfig::single(Transport::Sockets(Stack::OneGigE), SRV);
+        let s = Scenario::new(world_a(), McServerConfig::default(), [impatient, loader]);
+        let (impatient, loader) = (s.clients[0].clone(), s.clients[1].clone());
+        let sim = s.world.sim().clone();
         sim.clone().block_on(async move {
             loader.set(b"big", &[7u8; 256 << 10], 0, 0).await.unwrap();
             loader.set(b"small", b"tiny", 0, 0).await.unwrap();
             let c = impatient;
             assert_eq!(c.get(b"small").await.unwrap().unwrap().data, b"tiny");
 
-            assert_eq!(c.get(b"big").await, Err(McError::Timeout), "{binary}");
+            assert_eq!(c.get(b"big").await, Err(McError::Timeout), "{wire:?}");
             sim.sleep(SimDuration::from_millis(50)).await;
             let next = c.get(b"small").await.unwrap().unwrap();
-            assert_eq!(next.data.len(), 4, "binary={binary}: somebody else's value");
+            assert_eq!(next.data.len(), 4, "{wire:?}: somebody else's value");
             assert_eq!(next.data, b"tiny");
 
             // The same in a window: the third op's timeout surfaces, and the
             // replies left unread behind it are nobody's.
             let keys: [&[u8]; 4] = [b"small", b"small", b"big", b"small"];
-            assert_eq!(c.get_many(&keys).await, Err(McError::Timeout), "{binary}");
+            assert_eq!(c.get_many(&keys).await, Err(McError::Timeout), "{wire:?}");
             sim.sleep(SimDuration::from_millis(50)).await;
             let again = c.get_many(&keys[..2]).await.unwrap();
             assert!(again.iter().all(|v| v.as_ref().unwrap().data == b"tiny"));
@@ -421,10 +399,8 @@ fn get_latency_shape_matches_the_paper() {
     // 4 KB get: ~12 us QDR, ~20 us DDR (§VI headline), UCR ≥ 4x faster
     // than 10GigE-TOE, and 5-10x faster than IPoIB/SDP at small sizes.
     fn measure(cluster_b: bool, transport: Transport, size: usize) -> f64 {
-        let world = if cluster_b { world_b() } else { world_a() };
-        let _server = McServer::start(&world, SRV, McServerConfig::default());
-        let c = client(&world, transport);
-        let sim = world.sim().clone();
+        let s = Scenario::start(if cluster_b { world_b() } else { world_a() }, transport);
+        let (c, sim) = (s.clients[0].clone(), s.world.sim().clone());
         let sim2 = sim.clone();
         sim.block_on(async move {
             let value = vec![9u8; size];
@@ -470,8 +446,7 @@ fn get_latency_shape_matches_the_paper() {
 
 #[test]
 fn many_clients_one_server_all_complete() {
-    let world = world_b();
-    let server = McServer::start(&world, SRV, McServerConfig::default());
+    let Scenario { world, server, .. } = Scenario::new(world_b(), McServerConfig::default(), []);
     let sim = world.sim().clone();
     let mut joins = Vec::new();
     for i in 0..8u32 {
@@ -506,10 +481,9 @@ fn many_clients_one_server_all_complete() {
 #[test]
 fn ucr_roce_serves_the_full_workload() {
     // Same UCR code, converged Ethernet adapters (Cluster A only).
-    let world = world_a();
-    let server = McServer::start(&world, SRV, McServerConfig::default());
-    let c = client(&world, Transport::UcrRoce);
-    world.sim().block_on(async move {
+    let s = Scenario::start(world_a(), Transport::UcrRoce);
+    let c = s.clients[0].clone();
+    s.world.sim().block_on(async move {
         c.set(b"k", b"roce-value", 7, 0).await.unwrap();
         let v = c.get(b"k").await.unwrap().unwrap();
         assert_eq!(v.data, b"roce-value");
@@ -519,14 +493,14 @@ fn ucr_roce_serves_the_full_workload() {
         c.set(b"big", &big, 0, 0).await.unwrap();
         assert_eq!(c.get(b"big").await.unwrap().unwrap().data, big);
     });
-    assert!(server.roce_runtime().is_some());
-    assert!(server.stats().ucr_requests.get() >= 4);
+    assert!(s.server.roce_runtime().is_some());
+    assert!(s.server.stats().ucr_requests.get() >= 4);
 }
 
 #[test]
 fn roce_latency_sits_between_native_ib_and_toe() {
     fn get_lat(world: &World, transport: Transport) -> f64 {
-        let c = client(world, transport);
+        let c = McClient::new(world, CLI, McClientConfig::single(transport, SRV));
         let sim = world.sim().clone();
         let sim2 = sim.clone();
         sim.block_on(async move {
@@ -539,11 +513,10 @@ fn roce_latency_sits_between_native_ib_and_toe() {
             (sim2.now() - t0).as_micros_f64() / 20.0
         })
     }
-    let world = world_a();
-    let _server = McServer::start(&world, SRV, McServerConfig::default());
-    let ib = get_lat(&world, Transport::Ucr);
-    let roce = get_lat(&world, Transport::UcrRoce);
-    let toe = get_lat(&world, Transport::Sockets(Stack::TenGigEToe));
+    let s = Scenario::new(world_a(), McServerConfig::default(), []);
+    let ib = get_lat(&s.world, Transport::Ucr);
+    let roce = get_lat(&s.world, Transport::UcrRoce);
+    let toe = get_lat(&s.world, Transport::Sockets(Stack::TenGigEToe));
     assert!(
         ib < roce && roce < toe,
         "expected IB {ib:.1} < RoCE {roce:.1} < TOE {toe:.1}"
@@ -552,24 +525,19 @@ fn roce_latency_sits_between_native_ib_and_toe() {
 
 #[test]
 fn roce_unavailable_on_cluster_b() {
-    let world = world_b();
-    assert!(world.roce.is_none());
-    let server = McServer::start(&world, SRV, McServerConfig::default());
-    assert!(server.roce_runtime().is_none());
-    assert!(server.ucr_runtime().is_some());
+    let s = Scenario::new(world_b(), McServerConfig::default(), []);
+    assert!(s.world.roce.is_none());
+    assert!(s.server.roce_runtime().is_none());
+    assert!(s.server.ucr_runtime().is_some());
 }
 
 #[test]
 fn mixed_roce_and_ib_clients_share_data() {
-    let world = world_a();
-    let _server = McServer::start(&world, SRV, McServerConfig::default());
-    let ib_client = client(&world, Transport::Ucr);
-    let roce_client = McClient::new(
-        &world,
-        NodeId(2),
-        McClientConfig::single(Transport::UcrRoce, SRV),
-    );
-    world.sim().block_on(async move {
+    let clients =
+        [Transport::Ucr, Transport::UcrRoce].map(|wire| McClientConfig::single(wire, SRV));
+    let s = Scenario::new(world_a(), McServerConfig::default(), clients);
+    let (ib_client, roce_client) = (s.clients[0].clone(), s.clients[1].clone());
+    s.world.sim().block_on(async move {
         ib_client.set(b"x", b"from-ib", 0, 0).await.unwrap();
         assert_eq!(
             roce_client.get(b"x").await.unwrap().unwrap().data,
@@ -597,10 +565,9 @@ fn transport_labels_and_stacks() {
 
 #[test]
 fn stats_reflect_server_activity() {
-    let world = world_b();
-    let _server = McServer::start(&world, SRV, McServerConfig::default());
-    let c = client(&world, Transport::Ucr);
-    world.sim().block_on(async move {
+    let s = Scenario::start(world_b(), Transport::Ucr);
+    let c = s.clients[0].clone();
+    s.world.sim().block_on(async move {
         c.set(b"a", b"1", 0, 0).await.unwrap();
         c.get(b"a").await.unwrap();
         c.get(b"missing").await.unwrap();
@@ -625,10 +592,9 @@ fn stats_reflect_server_activity() {
 #[test]
 fn roce_client_stats_report_the_runtime_that_served_it() {
     const N: u64 = 10;
-    let world = world_a();
-    let _server = McServer::start(&world, SRV, McServerConfig::default());
-    let c = client(&world, Transport::UcrRoce);
-    world.sim().block_on(async move {
+    let s = Scenario::start(world_a(), Transport::UcrRoce);
+    let c = s.clients[0].clone();
+    s.world.sim().block_on(async move {
         for i in 0..N {
             let key = format!("roce-{i}");
             c.set(key.as_bytes(), b"v", 0, 0).await.unwrap();
@@ -644,24 +610,21 @@ fn roce_client_stats_report_the_runtime_that_served_it() {
 #[test]
 fn server_evicts_under_memory_pressure_end_to_end() {
     use mcstore::{SlabConfig, StoreConfig};
-    let world = world_b();
-    let server = McServer::start(
-        &world,
-        SRV,
-        McServerConfig {
-            store: StoreConfig {
-                slab: SlabConfig {
-                    mem_limit: 256 << 10,
-                    page_size: 64 << 10,
-                    ..SlabConfig::default()
-                },
-                ..StoreConfig::default()
+    let server = McServerConfig {
+        store: StoreConfig {
+            slab: SlabConfig {
+                mem_limit: 256 << 10,
+                page_size: 64 << 10,
+                ..SlabConfig::default()
             },
-            ..McServerConfig::default()
+            ..StoreConfig::default()
         },
-    );
-    let c = client(&world, Transport::Ucr);
-    world.sim().block_on(async move {
+        ..McServerConfig::default()
+    };
+    let client = McClientConfig::single(Transport::Ucr, SRV);
+    let s = Scenario::new(world_b(), server, [client]);
+    let c = s.clients[0].clone();
+    s.world.sim().block_on(async move {
         // Push far more than fits: the server must keep accepting (LRU
         // eviction), never erroring out.
         for i in 0..600u32 {
@@ -672,26 +635,22 @@ fn server_evicts_under_memory_pressure_end_to_end() {
         assert!(c.get(b"flood-599").await.unwrap().is_some());
         assert!(c.get(b"flood-0").await.unwrap().is_none());
     });
-    assert!(server.store_stats().evictions > 0);
+    assert!(s.server.store_stats().evictions > 0);
 }
 
 #[test]
 fn workers_one_still_serves_many_clients() {
     // §V-A: "a worker thread can handle several clients at a time."
-    let world = world_b();
-    let _server = McServer::start(
-        &world,
-        SRV,
-        McServerConfig {
-            workers: 1,
-            ..McServerConfig::default()
-        },
-    );
-    let sim = world.sim().clone();
+    let one_worker = McServerConfig {
+        workers: 1,
+        ..McServerConfig::default()
+    };
+    let s = Scenario::new(world_b(), one_worker, []);
+    let (world, sim) = (&s.world, s.world.sim().clone());
     let mut joins = Vec::new();
     for i in 0..6u32 {
         let c = McClient::new(
-            &world,
+            world,
             NodeId(1 + (i % 6)),
             McClientConfig::single(Transport::Ucr, SRV),
         );
@@ -714,18 +673,11 @@ fn workers_one_still_serves_many_clients() {
 // Binary protocol (libmemcached MEMCACHED_BEHAVIOR_BINARY_PROTOCOL)
 // ---------------------------------------------------------------------
 
-fn binary_client(world: &World, stack: Stack) -> McClient {
-    let mut cfg = McClientConfig::single(Transport::Sockets(stack), SRV);
-    cfg.binary_protocol = true;
-    McClient::new(world, CLI, cfg)
-}
-
 #[test]
 fn binary_protocol_full_command_set() {
-    let world = world_a();
-    let _server = McServer::start(&world, SRV, McServerConfig::default());
-    let c = binary_client(&world, Stack::TenGigEToe);
-    world.sim().block_on(async move {
+    let s = Scenario::start(world_a(), Transport::Binary(Stack::TenGigEToe));
+    let c = s.clients[0].clone();
+    s.world.sim().block_on(async move {
         c.set(b"k1", b"v1", 5, 0).await.unwrap();
         let v = c.get(b"k1").await.unwrap().unwrap();
         assert_eq!(v.data, b"v1");
@@ -765,10 +717,9 @@ fn binary_protocol_full_command_set() {
 
 #[test]
 fn binary_multiget_pipelines_quietly() {
-    let world = world_a();
-    let server = McServer::start(&world, SRV, McServerConfig::default());
-    let c = binary_client(&world, Stack::Sdp);
-    world.sim().block_on(async move {
+    let s = Scenario::start(world_a(), Transport::Binary(Stack::Sdp));
+    let c = s.clients[0].clone();
+    s.world.sim().block_on(async move {
         for i in 0..10u32 {
             let key = format!("bm-{i}");
             c.set(key.as_bytes(), key.as_bytes(), i, 0).await.unwrap();
@@ -782,20 +733,19 @@ fn binary_multiget_pipelines_quietly() {
             assert_eq!(key, v.data);
         }
     });
-    assert!(server.stats().sock_requests.get() >= 10);
+    assert!(s.server.stats().sock_requests.get() >= 10);
 }
 
 #[test]
 fn ascii_and_binary_clients_coexist_on_one_server() {
-    let world = world_a();
-    let _server = McServer::start(&world, SRV, McServerConfig::default());
-    let bin = binary_client(&world, Stack::TenGigEToe);
-    let ascii = McClient::new(
-        &world,
-        NodeId(2),
-        McClientConfig::single(Transport::Sockets(Stack::TenGigEToe), SRV),
-    );
-    world.sim().block_on(async move {
+    let wires = [
+        Transport::Binary(Stack::TenGigEToe),
+        Transport::Sockets(Stack::TenGigEToe),
+    ];
+    let clients = wires.map(|wire| McClientConfig::single(wire, SRV));
+    let s = Scenario::new(world_a(), McServerConfig::default(), clients);
+    let (bin, ascii) = (s.clients[0].clone(), s.clients[1].clone());
+    s.world.sim().block_on(async move {
         bin.set(b"shared", b"bin-wrote", 0, 0).await.unwrap();
         assert_eq!(
             ascii.get(b"shared").await.unwrap().unwrap().data,
@@ -815,10 +765,9 @@ fn ascii_and_binary_clients_coexist_on_one_server() {
 
 #[test]
 fn udp_transport_serves_the_command_set() {
-    let world = world_a();
-    let _server = McServer::start(&world, SRV, McServerConfig::default());
-    let c = client(&world, Transport::Udp(Stack::TenGigEToe));
-    world.sim().block_on(async move {
+    let s = Scenario::start(world_a(), Transport::Udp(Stack::TenGigEToe));
+    let c = s.clients[0].clone();
+    s.world.sim().block_on(async move {
         c.set(b"u1", b"udp-value", 9, 0).await.unwrap();
         let v = c.get(b"u1").await.unwrap().unwrap();
         assert_eq!(v.data, b"udp-value");
@@ -837,15 +786,14 @@ fn udp_transport_serves_the_command_set() {
 fn udp_reassembles_multi_datagram_responses() {
     // The Facebook deployment pattern: sets over TCP, gets over UDP.
     // A 10 KB value forces the UDP response to span ~8 datagrams.
-    let world = world_a();
-    let _server = McServer::start(&world, SRV, McServerConfig::default());
-    let tcp = client(&world, Transport::Sockets(Stack::TenGigEToe));
-    let udp = McClient::new(
-        &world,
-        NodeId(2),
-        McClientConfig::single(Transport::Udp(Stack::TenGigEToe), SRV),
-    );
-    world.sim().block_on(async move {
+    let wires = [
+        Transport::Sockets(Stack::TenGigEToe),
+        Transport::Udp(Stack::TenGigEToe),
+    ];
+    let clients = wires.map(|wire| McClientConfig::single(wire, SRV));
+    let s = Scenario::new(world_a(), McServerConfig::default(), clients);
+    let (tcp, udp) = (s.clients[0].clone(), s.clients[1].clone());
+    s.world.sim().block_on(async move {
         let value: Vec<u8> = (0..10_000).map(|i| (i % 251) as u8).collect();
         tcp.set(b"big", &value, 0, 0).await.unwrap();
         let got = udp.get(b"big").await.unwrap().unwrap();
@@ -855,10 +803,9 @@ fn udp_reassembles_multi_datagram_responses() {
 
 #[test]
 fn udp_oversized_requests_are_rejected_client_side() {
-    let world = world_a();
-    let _server = McServer::start(&world, SRV, McServerConfig::default());
-    let c = client(&world, Transport::Udp(Stack::TenGigEToe));
-    world.sim().block_on(async move {
+    let s = Scenario::start(world_a(), Transport::Udp(Stack::TenGigEToe));
+    let c = s.clients[0].clone();
+    s.world.sim().block_on(async move {
         // Requests must fit one datagram (real memcached's rule).
         let big = vec![1u8; 2000];
         assert_eq!(c.set(b"k", &big, 0, 0).await, Err(McError::TooLarge));
@@ -867,14 +814,12 @@ fn udp_oversized_requests_are_rejected_client_side() {
 
 #[test]
 fn udp_loss_to_dead_server_times_out() {
-    let world = world_a();
-    let server = McServer::start(&world, SRV, McServerConfig::default());
-    let c = client(&world, Transport::Udp(Stack::Ipoib));
-    let sim = world.sim().clone();
+    let s = Scenario::start(world_a(), Transport::Udp(Stack::Ipoib));
+    let (sim, c) = (s.world.sim().clone(), s.clients[0].clone());
     sim.block_on(async move {
         c.set(b"k", b"v", 0, 0).await.unwrap();
-        server.shutdown();
-        world.crash_node(SRV);
+        s.server.shutdown();
+        s.world.crash_node(SRV);
         match c.get(b"k").await {
             Err(McError::Timeout) | Err(McError::Disconnected) => {}
             other => panic!("expected UDP loss to time out, got {other:?}"),
@@ -884,15 +829,14 @@ fn udp_loss_to_dead_server_times_out() {
 
 #[test]
 fn udp_and_tcp_share_the_same_store() {
-    let world = world_a();
-    let _server = McServer::start(&world, SRV, McServerConfig::default());
-    let udp = client(&world, Transport::Udp(Stack::TenGigEToe));
-    let tcp = McClient::new(
-        &world,
-        NodeId(2),
-        McClientConfig::single(Transport::Sockets(Stack::TenGigEToe), SRV),
-    );
-    world.sim().block_on(async move {
+    let wires = [
+        Transport::Udp(Stack::TenGigEToe),
+        Transport::Sockets(Stack::TenGigEToe),
+    ];
+    let clients = wires.map(|wire| McClientConfig::single(wire, SRV));
+    let s = Scenario::new(world_a(), McServerConfig::default(), clients);
+    let (udp, tcp) = (s.clients[0].clone(), s.clients[1].clone());
+    s.world.sim().block_on(async move {
         udp.set(b"x", b"via-udp", 0, 0).await.unwrap();
         assert_eq!(tcp.get(b"x").await.unwrap().unwrap().data, b"via-udp");
     });
@@ -960,10 +904,9 @@ fn key_hash_behavior_changes_routing() {
 #[test]
 fn stats_subreports_expose_slabs_and_items() {
     for transport in [Transport::Ucr, Transport::Sockets(Stack::TenGigEToe)] {
-        let world = world_a();
-        let _server = McServer::start(&world, SRV, McServerConfig::default());
-        let c = client(&world, transport);
-        world.sim().block_on(async move {
+        let s = Scenario::start(world_a(), transport);
+        let c = s.clients[0].clone();
+        s.world.sim().block_on(async move {
             c.set(b"a", &[1u8; 100], 0, 0).await.unwrap();
             c.set(b"b", &vec![1u8; 5000], 0, 0).await.unwrap();
             let slabs = c.stats_report("slabs").await.unwrap();
@@ -1033,11 +976,9 @@ fn take_wire(rec: &EventRecorder) -> Vec<WireMsg> {
 fn ucr_get_costs_exactly_two_fabric_messages() {
     // §V-C: get = AM 1 (request) + AM 2 (response). Eager, no counters on
     // the request, no Fin — exactly two messages on the wire.
-    let world = world_b();
-    let _server = McServer::start(&world, SRV, McServerConfig::default());
-    let c = client(&world, Transport::Ucr);
-    let tracer = world.cluster.tracer().clone();
-    world.sim().block_on(async move {
+    let s = Scenario::start(world_b(), Transport::Ucr);
+    let (c, tracer) = (s.clients[0].clone(), s.world.cluster.tracer().clone());
+    s.world.sim().block_on(async move {
         c.set(b"k", &vec![1u8; 512], 0, 0).await.unwrap();
         c.get(b"k").await.unwrap().unwrap(); // warm
         let rec = record_wire(&tracer);
@@ -1060,11 +1001,9 @@ fn ucr_get_costs_exactly_two_fabric_messages() {
 fn ucr_large_set_uses_rendezvous_message_pattern() {
     // §V-B: large set = AM1 header + server RDMA read (request + data
     // response) + Fin + AM2 status = 5 fabric messages.
-    let world = world_b();
-    let _server = McServer::start(&world, SRV, McServerConfig::default());
-    let c = client(&world, Transport::Ucr);
-    let tracer = world.cluster.tracer().clone();
-    world.sim().block_on(async move {
+    let s = Scenario::start(world_b(), Transport::Ucr);
+    let (c, tracer) = (s.clients[0].clone(), s.world.cluster.tracer().clone());
+    s.world.sim().block_on(async move {
         c.set(b"warm", b"x", 0, 0).await.unwrap();
         let rec = record_wire(&tracer);
         c.set(b"big", &vec![7u8; 64 * 1024], 0, 0).await.unwrap();
@@ -1085,7 +1024,7 @@ fn wire_overhead_is_fixed_for_ucr_and_grows_for_sockets() {
     // Byte-stream stacks re-frame through MTU segments, so their overhead
     // grows with the value — one face of the semantic mismatch (SIII).
     fn overhead(world: &World, transport: Transport, size: u64) -> i64 {
-        let c = client(world, transport);
+        let c = McClient::new(world, CLI, McClientConfig::single(transport, SRV));
         let tracer = world.cluster.tracer().clone();
         world.sim().block_on(async move {
             c.set(b"k", &vec![1u8; size as usize], 0, 0).await.unwrap();
@@ -1097,14 +1036,14 @@ fn wire_overhead_is_fixed_for_ucr_and_grows_for_sockets() {
             total as i64 - size as i64
         })
     }
-    let world = world_a();
-    let _server = McServer::start(&world, SRV, McServerConfig::default());
-    let ucr_small = overhead(&world, Transport::Ucr, 64);
-    let ucr_big = overhead(&world, Transport::Ucr, 4096);
+    let s = Scenario::new(world_a(), McServerConfig::default(), []);
+    let world = &s.world;
+    let ucr_small = overhead(world, Transport::Ucr, 64);
+    let ucr_big = overhead(world, Transport::Ucr, 4096);
     assert_eq!(ucr_small, ucr_big, "UCR overhead must not grow with size");
 
-    let sdp_small = overhead(&world, Transport::Sockets(Stack::Sdp), 64);
-    let sdp_big = overhead(&world, Transport::Sockets(Stack::Sdp), 4096);
+    let sdp_small = overhead(world, Transport::Sockets(Stack::Sdp), 64);
+    let sdp_big = overhead(world, Transport::Sockets(Stack::Sdp), 4096);
     assert!(
         sdp_big > sdp_small,
         "segmented byte streams pay per-MTU overhead: {sdp_small} vs {sdp_big}"

@@ -9,31 +9,27 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use rmc::{
-    McClient, McClientConfig, McServer, McServerConfig, StoreModel, Transport, Value, World,
+    McClient, McClientConfig, McServerConfig, Scenario, StoreModel, Transport, Value, World,
 };
 use simnet::{Event, EventSink, Metrics, NodeId, Phase, SimDuration, SimTime, Stack};
 
 const SRV: NodeId = NodeId(0);
 const CLI: NodeId = NodeId(1);
 
-fn server_config(model: StoreModel, workers: usize) -> McServerConfig {
-    McServerConfig {
-        workers,
-        store_model: model,
-        ..McServerConfig::default()
-    }
-}
-
 /// Runs the same concurrent keyed workload under `model` and returns the
 /// end-of-run virtual clock plus every response, in a deterministic
 /// order.
 fn run_workload(model: StoreModel, workers: usize) -> (SimTime, Vec<(String, Option<Value>)>) {
-    let world = World::cluster_b(7, 8);
-    let _server = McServer::start(&world, SRV, server_config(model, workers));
-    let sim = world.sim().clone();
+    let config = McServerConfig {
+        workers,
+        store_model: model,
+        ..McServerConfig::default()
+    };
+    let s = Scenario::new(World::cluster_b(7, 8), config, []);
+    let sim = s.world.sim().clone();
     let results = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
     for cli in 0..3u32 {
-        let c = McClient::new(&world, CLI, McClientConfig::single(Transport::Ucr, SRV));
+        let c = McClient::new(&s.world, CLI, McClientConfig::single(Transport::Ucr, SRV));
         let out = results.clone();
         sim.spawn(async move {
             for i in 0..40u32 {
@@ -117,12 +113,15 @@ fn spawn_contended_sets(world: &World, tag: &'static str) {
 
 #[test]
 fn global_lock_contention_counters_and_prom() {
-    let world = World::cluster_b(11, 8);
-    let server = McServer::start(&world, SRV, server_config(StoreModel::GlobalLock, 4));
-    let sim = world.sim().clone();
-    spawn_contended_sets(&world, "g");
+    let global = McServerConfig {
+        store_model: StoreModel::GlobalLock,
+        ..McServerConfig::default()
+    };
+    let s = Scenario::new(World::cluster_b(11, 8), global, []);
+    let (world, sim) = (&s.world, s.world.sim().clone());
+    spawn_contended_sets(world, "g");
     sim.run();
-    let stats = server.lock_stats();
+    let stats = s.server.lock_stats();
     assert_eq!(stats.len(), 1, "GlobalLock has exactly one lock");
     assert_eq!(stats[0].acquires, 90, "every op acquires the lock once");
     assert!(
@@ -149,16 +148,19 @@ fn stats_reset_resets_the_lock_with_its_shard_counters() {
     // `stats reset` zeroes the registry; the lock counts in those very
     // counters, so its own totals restart with them instead of drifting
     // apart from the `mc.node0.shard0.*` series for good.
-    let world = World::cluster_b(11, 8);
-    let server = McServer::start(&world, SRV, server_config(StoreModel::GlobalLock, 4));
-    let sim = world.sim().clone();
-    spawn_contended_sets(&world, "a");
+    let global = McServerConfig {
+        store_model: StoreModel::GlobalLock,
+        ..McServerConfig::default()
+    };
+    let s = Scenario::new(World::cluster_b(11, 8), global, []);
+    let (world, server, sim) = (&s.world, &s.server, s.world.sim().clone());
+    spawn_contended_sets(world, "a");
     sim.run();
     assert!(server.lock_stats()[0].contended > 0);
-    let c = McClient::new(&world, CLI, McClientConfig::single(Transport::Ucr, SRV));
+    let c = McClient::new(world, CLI, McClientConfig::single(Transport::Ucr, SRV));
     let reply = sim.block_on(async move { c.stats_report("reset").await.unwrap() });
     assert_eq!(reply, vec![("reset".to_string(), "ok".to_string())]);
-    spawn_contended_sets(&world, "b");
+    spawn_contended_sets(world, "b");
     sim.run();
     let st = server.lock_stats()[0];
     let m = world.cluster.metrics();
@@ -177,15 +179,13 @@ fn stats_reset_resets_the_lock_with_its_shard_counters() {
 
 #[test]
 fn idealized_registers_no_shard_metrics() {
-    let world = World::cluster_b(11, 8);
-    let server = McServer::start(&world, SRV, McServerConfig::default());
-    let c = McClient::new(&world, CLI, McClientConfig::single(Transport::Ucr, SRV));
-    let sim = world.sim().clone();
-    let lines = sim.block_on(async move {
+    let s = Scenario::start(World::cluster_b(11, 8), Transport::Ucr);
+    let c = s.clients[0].clone();
+    let lines = s.world.sim().block_on(async move {
         c.set(b"k", b"v", 0, 0).await.unwrap();
         c.stats_report("prom").await.unwrap()
     });
-    assert!(server.lock_stats().is_empty());
+    assert!(s.server.lock_stats().is_empty());
     assert!(
         !lines.iter().any(|(k, v)| {
             k.contains(".shard") || v.contains(".shard") || k.contains("lock_wait")
@@ -196,11 +196,14 @@ fn idealized_registers_no_shard_metrics() {
 
 #[test]
 fn sharded_prom_exposes_per_shard_series() {
-    let world = World::cluster_b(13, 8);
-    let server = McServer::start(&world, SRV, server_config(StoreModel::Sharded(4), 4));
-    let c = McClient::new(&world, CLI, McClientConfig::single(Transport::Ucr, SRV));
-    let sim = world.sim().clone();
-    let lines = sim.block_on(async move {
+    let sharded = McServerConfig {
+        store_model: StoreModel::Sharded(4),
+        ..McServerConfig::default()
+    };
+    let client = McClientConfig::single(Transport::Ucr, SRV);
+    let s = Scenario::new(World::cluster_b(13, 8), sharded, [client]);
+    let (server, c) = (&s.server, s.clients[0].clone());
+    let lines = s.world.sim().block_on(async move {
         for i in 0..64u32 {
             let key = format!("spread-{i}");
             c.set(key.as_bytes(), b"v", 0, 0).await.unwrap();
@@ -240,11 +243,14 @@ fn sharded_mget_preserves_per_key_results() {
     // merged (Sharded with multiple workers).
     let mut reference: Option<Vec<(Vec<u8>, Vec<u8>)>> = None;
     for model in [StoreModel::Idealized, StoreModel::Sharded(8)] {
-        let world = World::cluster_b(17, 8);
-        let _server = McServer::start(&world, SRV, server_config(model, 4));
-        let c = McClient::new(&world, CLI, McClientConfig::single(Transport::Ucr, SRV));
-        let sim = world.sim().clone();
-        let got = sim.block_on(async move {
+        let config = McServerConfig {
+            store_model: model,
+            ..McServerConfig::default()
+        };
+        let client = McClientConfig::single(Transport::Ucr, SRV);
+        let s = Scenario::new(World::cluster_b(17, 8), config, [client]);
+        let c = s.clients[0].clone();
+        let got = s.world.sim().block_on(async move {
             for i in 0..24u32 {
                 let key = format!("mg-{i}");
                 let val = format!("val-{i}");
@@ -271,15 +277,15 @@ fn sharded_mget_preserves_per_key_results() {
 fn sharded_sockets_keep_request_order() {
     // ASCII multi-key get over a byte-stream transport visits shards
     // group by group but must still answer in request order.
-    let world = World::cluster_a(19, 8);
-    let _server = McServer::start(&world, SRV, server_config(StoreModel::Sharded(4), 2));
-    let c = McClient::new(
-        &world,
-        CLI,
-        McClientConfig::single(Transport::Sockets(Stack::Sdp), SRV),
-    );
-    let sim = world.sim().clone();
-    sim.block_on(async move {
+    let sharded = McServerConfig {
+        workers: 2,
+        store_model: StoreModel::Sharded(4),
+        ..McServerConfig::default()
+    };
+    let client = McClientConfig::single(Transport::Sockets(Stack::Sdp), SRV);
+    let s = Scenario::new(World::cluster_a(19, 8), sharded, [client]);
+    let c = s.clients[0].clone();
+    s.world.sim().block_on(async move {
         for i in 0..16u32 {
             let key = format!("sk-{i}");
             let val = format!("sv-{i}");
@@ -312,17 +318,17 @@ fn bypass_get_invalidates_per_segment() {
         ("cluster_a", World::cluster_a(23, 8)),
         ("cluster_b", World::cluster_b(23, 8)),
     ] {
-        let _server = McServer::start(&world, SRV, server_config(StoreModel::Sharded(4), 4));
-        let c = McClient::new(
-            &world,
-            CLI,
-            McClientConfig {
-                bypass_get: true,
-                ..McClientConfig::single(Transport::Ucr, SRV)
-            },
-        );
-        let sim = world.sim().clone();
-        sim.block_on(async move {
+        let sharded = McServerConfig {
+            store_model: StoreModel::Sharded(4),
+            ..McServerConfig::default()
+        };
+        let bypass = McClientConfig {
+            bypass_get: true,
+            ..McClientConfig::single(Transport::Ucr, SRV)
+        };
+        let s = Scenario::new(world, sharded, [bypass]);
+        let c = s.clients[0].clone();
+        s.world.sim().block_on(async move {
             for i in 0..16u32 {
                 let key = format!("bp-{i}");
                 let val = format!("bv-{i}");
@@ -385,8 +391,13 @@ impl EventSink for LockLog {
 
 #[test]
 fn all_shard_requests_lock_ascending_and_a_socket_mget_holds_one_lock_at_a_time() {
-    let world = World::cluster_a(29, 8);
-    let _server = McServer::start(&world, SRV, server_config(StoreModel::Sharded(4), 2));
+    let sharded = McServerConfig {
+        workers: 2,
+        store_model: StoreModel::Sharded(4),
+        ..McServerConfig::default()
+    };
+    let s = Scenario::new(World::cluster_a(29, 8), sharded, []);
+    let world = &s.world;
     let log = Rc::new(LockLog {
         metrics: world.cluster.metrics().clone(),
         seen: RefCell::default(),
@@ -394,8 +405,8 @@ fn all_shard_requests_lock_ascending_and_a_socket_mget_holds_one_lock_at_a_time(
     });
     world.cluster.tracer().add_sink(log.clone());
     let socket = Transport::Sockets(Stack::Sdp);
-    let ascii = McClient::new(&world, CLI, McClientConfig::single(socket, SRV));
-    let ucr = McClient::new(&world, CLI, McClientConfig::single(Transport::Ucr, SRV));
+    let ascii = McClient::new(world, CLI, McClientConfig::single(socket, SRV));
+    let ucr = McClient::new(world, CLI, McClientConfig::single(Transport::Ucr, SRV));
     let taken = log.clone();
     let sim = world.sim().clone();
     sim.block_on(async move {

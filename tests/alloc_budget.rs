@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use rdma_memcached::rmc::{
-    McClient, McClientConfig, McServer, McServerConfig, StoreModel, Transport, World,
+    McClient, McClientConfig, McServer, McServerConfig, Scenario, StoreModel, Transport, World,
 };
 use rdma_memcached::simnet::{EventTarget, JoinHandle, NodeId, Sim, SimDuration, Stack};
 
@@ -247,20 +247,16 @@ impl Shape {
         world: World,
         server: McServerConfig,
         transport: Transport,
-        clients: u32,
+        clients: usize,
         value_size: usize,
         drive: fn(&Shape, u64) -> Load,
     ) -> Shape {
-        let server = McServer::start(&world, SERVER, server);
-        let clients: Vec<McClient> = (0..clients)
-            .map(|c| {
-                McClient::new(
-                    &world,
-                    NodeId(1 + c),
-                    McClientConfig::single(transport, SERVER),
-                )
-            })
-            .collect();
+        let client = McClientConfig::single(transport, SERVER);
+        let Scenario {
+            world,
+            server,
+            clients,
+        } = Scenario::new(world, server, vec![client; clients]);
         let cl = clients.clone();
         world.sim().block_on(async move {
             let value = vec![7u8; value_size];
@@ -330,7 +326,7 @@ fn ucr_small_gets() -> Shape {
         World::cluster_b(42, CLIENTS + 1),
         McServerConfig::default(),
         Transport::Ucr,
-        CLIENTS,
+        CLIENTS as usize,
         4,
         |s, ops| closed_loop(&s.world, &s.clients, ops, None),
     )
@@ -351,24 +347,39 @@ fn ucr_pipelined_gets() -> Shape {
         World::cluster_b(42, CLIENTS + 1),
         sharded,
         Transport::Ucr,
-        CLIENTS,
+        CLIENTS as usize,
         64,
         |s, ops| pipelined_gets(&s.world, &s.clients, 8, ops),
     )
 }
 
-/// The sockets baseline: 8 ASCII clients over 10GigE-TOE, 1 KB gets.
-fn ascii_socket_gets() -> Shape {
-    const CLIENTS: u32 = 8;
+/// 8 clients over 10GigE-TOE on `transport`, 1 KB gets, Cluster A.
+fn socket_gets(name: &'static str, transport: Transport) -> Shape {
     Shape::new(
-        "ascii_socket_gets",
-        World::cluster_a(42, CLIENTS + 1),
+        name,
+        World::cluster_a(42, 9),
         McServerConfig::default(),
-        Transport::Sockets(Stack::TenGigEToe),
-        CLIENTS,
+        transport,
+        8,
         1024,
         |s, ops| closed_loop(&s.world, &s.clients, ops, None),
     )
+}
+
+/// The sockets baseline: ASCII over TCP.
+fn ascii_socket_gets() -> Shape {
+    socket_gets("ascii_socket_gets", Transport::Sockets(Stack::TenGigEToe))
+}
+
+/// The same gets in memcached's binary protocol.
+fn binary_socket_gets() -> Shape {
+    socket_gets("binary_socket_gets", Transport::Binary(Stack::TenGigEToe))
+}
+
+/// The same gets as ASCII over UDP: a request and its reply are a
+/// datagram each.
+fn udp_gets() -> Shape {
+    socket_gets("udp_gets", Transport::Udp(Stack::TenGigEToe))
 }
 
 /// The same 8 clients storing 1 KB values and getting them by turns: the
@@ -380,7 +391,7 @@ fn ascii_socket_sets_and_gets() -> Shape {
         World::cluster_a(42, CLIENTS + 1),
         McServerConfig::default(),
         Transport::Sockets(Stack::TenGigEToe),
-        CLIENTS,
+        CLIENTS as usize,
         1024,
         |s, ops| closed_loop(&s.world, &s.clients, ops, Some(&[7u8; 1024])),
     )
@@ -405,6 +416,16 @@ fn ucr_pipelined_gets_stay_within_the_allocation_budget() {
 #[test]
 fn ascii_socket_gets_stay_within_the_allocation_budget() {
     ascii_socket_gets().stays_within(9.0); // measured 7.00
+}
+
+#[test]
+fn binary_socket_gets_stay_within_the_allocation_budget() {
+    binary_socket_gets().stays_within(15.0); // measured 13.00
+}
+
+#[test]
+fn udp_gets_stay_within_the_allocation_budget() {
+    udp_gets().stays_within(20.0); // measured 18.00
 }
 
 /// A get hit leaves the slab once: the store lends it and the front-end
@@ -797,6 +818,8 @@ fn print_allocation_sites() {
         ascii_socket_gets(),
         ascii_socket_sets_and_gets(),
         ucr_64k_sets_and_gets(),
+        binary_socket_gets(),
+        udp_gets(),
     ];
     for shape in shapes {
         shape.run(WARMUP_OPS);

@@ -3,7 +3,7 @@
 //! way a downstream user would drive it.
 
 use rdma_memcached::rmc::{
-    Distribution, McClient, McClientConfig, McServer, McServerConfig, Transport, World,
+    Distribution, McClient, McClientConfig, McServer, McServerConfig, Scenario, Transport, World,
 };
 use rdma_memcached::simnet::{NodeId, SimDuration, Stack};
 
@@ -22,14 +22,8 @@ fn facade_reexports_work() {
 fn cache_aside_pattern_end_to_end() {
     // The canonical usage from the paper's introduction: cache database
     // results, serve reads from memory.
-    let world = World::cluster_b(123, 4);
-    let _server = McServer::start(&world, NodeId(0), McServerConfig::default());
-    let cache = McClient::new(
-        &world,
-        NodeId(1),
-        McClientConfig::single(Transport::Ucr, NodeId(0)),
-    );
-    let sim = world.sim().clone();
+    let s = Scenario::start(World::cluster_b(123, 4), Transport::Ucr);
+    let (sim, cache) = (s.world.sim().clone(), s.clients[0].clone());
     let sim2 = sim.clone();
     sim.block_on(async move {
         let mut db_lookups = 0u32;
@@ -116,14 +110,8 @@ fn eight_servers_sixteen_clients_mixed_transports() {
 
 #[test]
 fn expiry_is_visible_through_the_client() {
-    let world = World::cluster_b(9, 3);
-    let _server = McServer::start(&world, NodeId(0), McServerConfig::default());
-    let client = McClient::new(
-        &world,
-        NodeId(1),
-        McClientConfig::single(Transport::Ucr, NodeId(0)),
-    );
-    let sim = world.sim().clone();
+    let s = Scenario::start(World::cluster_b(9, 3), Transport::Ucr);
+    let (sim, client) = (s.world.sim().clone(), s.clients[0].clone());
     let sim2 = sim.clone();
     sim.block_on(async move {
         client.set(b"ephemeral", b"v", 0, 2).await.unwrap(); // 2 s TTL
@@ -145,13 +133,12 @@ fn expiry_is_visible_through_the_client() {
 #[test]
 fn counters_session_pattern() {
     // Rate-limiter / counter usage: atomic incr across a shared key.
-    let world = World::cluster_b(8, 5);
-    let _server = McServer::start(&world, NodeId(0), McServerConfig::default());
-    let sim = world.sim().clone();
+    let s = Scenario::new(World::cluster_b(8, 5), McServerConfig::default(), []);
+    let (world, sim) = (&s.world, s.world.sim().clone());
     let mut joins = Vec::new();
     for i in 0..3u32 {
         let client = McClient::new(
-            &world,
+            world,
             NodeId(1 + i),
             McClientConfig::single(Transport::Ucr, NodeId(0)),
         );
@@ -163,7 +150,7 @@ fn counters_session_pattern() {
         }));
     }
     let checker = McClient::new(
-        &world,
+        world,
         NodeId(4),
         McClientConfig::single(Transport::Ucr, NodeId(0)),
     );

@@ -6,7 +6,7 @@
 //! counters the paper's optimisations are judged by.
 
 use rdma_memcached::rmc::{
-    McClient, McClientConfig, McServer, McServerConfig, ObservatoryConfig, SloObjective, Transport,
+    McClient, McClientConfig, McServerConfig, ObservatoryConfig, Scenario, SloObjective, Transport,
     World,
 };
 use rdma_memcached::simnet::{
@@ -30,13 +30,12 @@ fn observed_config() -> McServerConfig {
     }
 }
 
-fn ucr_world(seed: u64) -> (World, McServer, McClient) {
-    let world = World::cluster_b(seed, 4);
-    let server = McServer::start(&world, NodeId(0), McServerConfig::default());
-    let mut cfg = McClientConfig::single(Transport::Ucr, NodeId(0));
-    cfg.pipeline_depth = 8;
-    let client = McClient::new(&world, NodeId(1), cfg);
-    (world, server, client)
+/// A UCR client keeping up to eight requests in flight.
+fn pipelined() -> McClientConfig {
+    McClientConfig {
+        pipeline_depth: 8,
+        ..McClientConfig::single(Transport::Ucr, NodeId(0))
+    }
 }
 
 /// Runs the reference pipelined workload, returns the end-of-run clock.
@@ -58,7 +57,12 @@ fn run_workload(world: &World, client: McClient) -> u64 {
 #[test]
 fn sampling_adds_no_virtual_time_and_captures_series() {
     let run = |sampled: bool| {
-        let (world, _server, client) = ucr_world(91);
+        let s = Scenario::new(
+            World::cluster_b(91, 4),
+            McServerConfig::default(),
+            [pipelined()],
+        );
+        let (world, client) = (&s.world, s.clients[0].clone());
         let binding = sampled.then(|| MonitorBinding {
             monitor: HealthMonitor::new(
                 HealthRules::default(),
@@ -81,7 +85,7 @@ fn sampling_adds_no_virtual_time_and_captures_series() {
         if sampled {
             sampler.start();
         }
-        let end = run_workload(&world, client);
+        let end = run_workload(world, client);
         sampler.stop();
         let rate_points = sampler.values("client.node1.ops_completed.rate").len();
         let inflight_high = world
@@ -109,14 +113,8 @@ fn sampling_adds_no_virtual_time_and_captures_series() {
 #[test]
 fn stats_prom_round_trips_on_both_client_families() {
     for transport in [Transport::Ucr, Transport::Sockets(Stack::Sdp)] {
-        let world = World::cluster_b(92, 4);
-        let _server = McServer::start(&world, NodeId(0), McServerConfig::default());
-        let client = McClient::new(
-            &world,
-            NodeId(1),
-            McClientConfig::single(transport, NodeId(0)),
-        );
-        let sim = world.sim().clone();
+        let s = Scenario::start(World::cluster_b(92, 4), transport);
+        let (sim, client) = (s.world.sim().clone(), s.clients[0].clone());
         sim.block_on(async move {
             client.set(b"k", &[7u8; 256], 0, 0).await.unwrap();
             client.get(b"k").await.unwrap().unwrap();
@@ -151,7 +149,12 @@ fn stats_prom_round_trips_on_both_client_families() {
 
 #[test]
 fn stats_reset_zeroes_counters_and_histograms_but_preserves_watermarks() {
-    let (world, _server, client) = ucr_world(93);
+    let s = Scenario::new(
+        World::cluster_b(93, 4),
+        McServerConfig::default(),
+        [pipelined()],
+    );
+    let (world, client) = (&s.world, s.clients[0].clone());
     let metrics = world.cluster.metrics().clone();
     let rt = client.ucr_runtime().expect("UCR client");
     let sim = world.sim().clone();
@@ -218,14 +221,9 @@ fn stats_reset_zeroes_counters_and_histograms_but_preserves_watermarks() {
 #[test]
 fn observatory_stats_verbs_round_trip_on_both_client_families() {
     for transport in [Transport::Ucr, Transport::Sockets(Stack::Sdp)] {
-        let world = World::cluster_b(95, 4);
-        let _server = McServer::start(&world, NodeId(0), observed_config());
-        let client = McClient::new(
-            &world,
-            NodeId(1),
-            McClientConfig::single(transport, NodeId(0)),
-        );
-        let sim = world.sim().clone();
+        let client = McClientConfig::single(transport, NodeId(0));
+        let s = Scenario::new(World::cluster_b(95, 4), observed_config(), [client]);
+        let (sim, client) = (s.world.sim().clone(), s.clients[0].clone());
         sim.block_on(async move {
             for i in 0..8 {
                 let key = format!("wl-{i}");
@@ -281,11 +279,8 @@ fn observatory_stats_verbs_round_trip_on_both_client_families() {
 
 #[test]
 fn stats_reset_clears_observatory_state_but_preserves_gauges() {
-    let world = World::cluster_b(96, 4);
-    let _server = McServer::start(&world, NodeId(0), observed_config());
-    let mut cfg = McClientConfig::single(Transport::Ucr, NodeId(0));
-    cfg.pipeline_depth = 8;
-    let client = McClient::new(&world, NodeId(1), cfg);
+    let s = Scenario::new(World::cluster_b(96, 4), observed_config(), [pipelined()]);
+    let (world, client) = (&s.world, s.clients[0].clone());
     let metrics = world.cluster.metrics().clone();
     let sim = world.sim().clone();
     sim.block_on(async move {
@@ -335,7 +330,12 @@ fn stats_reset_clears_observatory_state_but_preserves_gauges() {
 
 #[test]
 fn plain_stats_pins_ucr_runtime_counters() {
-    let (world, _server, client) = ucr_world(94);
+    let s = Scenario::new(
+        World::cluster_b(94, 4),
+        McServerConfig::default(),
+        [pipelined()],
+    );
+    let (world, client) = (&s.world, s.clients[0].clone());
     let sim = world.sim().clone();
     sim.block_on(async move {
         // A large set rides the rendezvous path (one source registration

@@ -9,7 +9,7 @@
 //! the eight workers, past the progress-task wall — at 16 clients ×
 //! depth 8, never a loss for a single pipelined client.
 
-use rdma_memcached::rmc::{McClient, McClientConfig, McServer, McServerConfig, Transport, World};
+use rdma_memcached::rmc::{McClientConfig, McServerConfig, Scenario, Transport, World};
 use rdma_memcached::simnet::{EventRecorder, Layer, NodeId, Phase, SimDuration, Stack};
 use rdma_memcached::ucr;
 use rmc_bench::{
@@ -17,13 +17,12 @@ use rmc_bench::{
     WindowedRun, DEFAULT_TPUT_OPS, WINDOWED_CLIENTS,
 };
 
-fn ucr_world(seed: u64, depth: usize) -> (World, McServer, McClient) {
-    let world = World::cluster_b(seed, 4);
-    let server = McServer::start(&world, NodeId(0), McServerConfig::default());
-    let mut cfg = McClientConfig::single(Transport::Ucr, NodeId(0));
-    cfg.pipeline_depth = depth;
-    let client = McClient::new(&world, NodeId(1), cfg);
-    (world, server, client)
+/// A UCR client keeping up to `depth` requests in flight.
+fn ucr(depth: usize) -> McClientConfig {
+    McClientConfig {
+        pipeline_depth: depth,
+        ..McClientConfig::single(Transport::Ucr, NodeId(0))
+    }
 }
 
 /// Two gets issued back-to-back on one UCR connection complete out of
@@ -34,7 +33,8 @@ fn ucr_world(seed: u64, depth: usize) -> (World, McServer, McClient) {
 /// request id hands each completion to the right caller.
 #[test]
 fn responses_correlate_out_of_order() {
-    let (world, _server, client) = ucr_world(71, 2);
+    let s = Scenario::new(World::cluster_b(71, 4), McServerConfig::default(), [ucr(2)]);
+    let (world, client) = (&s.world, s.clients[0].clone());
     let sim = world.sim().clone();
     sim.block_on(async move {
         let big = vec![0xb0u8; 64 * 1024];
@@ -63,7 +63,8 @@ fn responses_correlate_out_of_order() {
 /// one pipeline window all land on the right keys.
 #[test]
 fn pipelined_batches_mix_eager_and_rendezvous() {
-    let (world, _server, client) = ucr_world(72, 4);
+    let s = Scenario::new(World::cluster_b(72, 4), McServerConfig::default(), [ucr(4)]);
+    let (world, client) = (&s.world, s.clients[0].clone());
     let sim = world.sim().clone();
     sim.block_on(async move {
         let sizes = [4usize, 16 * 1024, 64, 32 * 1024, 512, 9000, 8, 20 * 1024];
@@ -106,16 +107,13 @@ fn pipelined_batches_work_over_sockets() {
         .map(|i| (format!("sock-{i}").into_bytes(), vec![i as u8; 16 + 17 * i]))
         .collect();
     let items = std::rc::Rc::new(items);
-    let run = |binary_protocol: bool, pipeline_depth: usize| {
-        let world = World::cluster_b(73, 4);
-        let _server = McServer::start(&world, NodeId(0), McServerConfig::default());
+    let run = |wire: Transport, pipeline_depth: usize| {
         let cfg = McClientConfig {
-            binary_protocol,
             pipeline_depth,
-            ..McClientConfig::single(Transport::Sockets(Stack::Sdp), NodeId(0))
+            ..McClientConfig::single(wire, NodeId(0))
         };
-        let client = McClient::new(&world, NodeId(1), cfg);
-        let (sim, items) = (world.sim().clone(), items.clone());
+        let s = Scenario::new(World::cluster_b(73, 4), McServerConfig::default(), [cfg]);
+        let (sim, items, client) = (s.world.sim().clone(), items.clone(), s.clients[0].clone());
         sim.clone().block_on(async move {
             let borrowed: Vec<(&[u8], &[u8])> = items
                 .iter()
@@ -130,15 +128,18 @@ fn pipelined_batches_work_over_sockets() {
             (got, sim.now() - began)
         })
     };
-    for binary in [false, true] {
-        let (one_by_one, slow) = run(binary, 1);
-        let (windowed, fast) = run(binary, 8);
+    for wire in [
+        Transport::Sockets(Stack::Sdp),
+        Transport::Binary(Stack::Sdp),
+    ] {
+        let (one_by_one, slow) = run(wire, 1);
+        let (windowed, fast) = run(wire, 8);
         for (i, (_, v)) in items.iter().enumerate() {
             assert_eq!(&windowed[i].as_ref().expect("hit").data, v);
         }
         assert_eq!(windowed[items.len()], None);
-        assert_eq!(windowed, one_by_one, "binary={binary}");
-        assert!(fast < slow, "binary={binary}: {fast:?} !< {slow:?}");
+        assert_eq!(windowed, one_by_one, "{wire:?}");
+        assert!(fast < slow, "{wire:?}: {fast:?} !< {slow:?}");
     }
 }
 
@@ -230,7 +231,8 @@ fn overlapping_rendezvous_sends_each_own_their_source() {
 /// table drains to empty and the connection keeps working.
 #[test]
 fn dropped_in_flight_handles_leave_no_parked_responses() {
-    let (world, _server, client) = ucr_world(78, 2);
+    let s = Scenario::new(World::cluster_b(78, 4), McServerConfig::default(), [ucr(2)]);
+    let (world, client) = (&s.world, s.clients[0].clone());
     let sim = world.sim().clone();
     let sim2 = sim.clone();
     sim.block_on(async move {
@@ -271,7 +273,8 @@ fn dropped_in_flight_handles_leave_no_parked_responses() {
 #[test]
 fn tracing_adds_no_virtual_time_to_pipelined_paths() {
     let run = |traced: bool| {
-        let (world, _server, client) = ucr_world(75, 8);
+        let s = Scenario::new(World::cluster_b(75, 4), McServerConfig::default(), [ucr(8)]);
+        let (world, client) = (&s.world, s.clients[0].clone());
         let recorder = EventRecorder::new();
         if traced {
             world.cluster.tracer().add_sink(recorder.clone());
@@ -313,7 +316,8 @@ fn tracing_adds_no_virtual_time_to_pipelined_paths() {
 #[test]
 fn pipelined_runs_are_deterministic() {
     let run = || {
-        let (world, _server, client) = ucr_world(76, 8);
+        let s = Scenario::new(World::cluster_b(76, 4), McServerConfig::default(), [ucr(8)]);
+        let (world, client) = (&s.world, s.clients[0].clone());
         let sim = world.sim().clone();
         let sim2 = sim.clone();
         sim.block_on(async move {
@@ -492,7 +496,8 @@ fn a_single_pipelined_client_loses_nothing() {
 /// still lands later than the eager traffic around it.)
 #[test]
 fn mixed_eager_and_rendezvous_stream_arrives_in_send_order() {
-    let (world, _server, client) = ucr_world(79, 8);
+    let s = Scenario::new(World::cluster_b(79, 4), McServerConfig::default(), [ucr(8)]);
+    let (world, client) = (&s.world, s.clients[0].clone());
     let recorder = EventRecorder::new();
     world.cluster.tracer().add_sink(recorder.clone());
     let sizes: Vec<usize> = (0..48)

@@ -6,7 +6,7 @@
 //! families, and tail exemplars carry their op's critical-path breakdown.
 
 use rdma_memcached::rmc::{
-    McClient, McClientConfig, McServer, McServerConfig, ObservatoryConfig, StoreModel, Transport,
+    McClient, McClientConfig, McServerConfig, ObservatoryConfig, Scenario, StoreModel, Transport,
     World,
 };
 use rdma_memcached::simnet::trace_export::{folded_text, parse_folded};
@@ -14,15 +14,15 @@ use rdma_memcached::simnet::{
     EventRecorder, ExemplarConfig, NodeId, PathStage, Profiler, ProfilerConfig, Stack,
 };
 
-fn world_pair(seed: u64, transport: Transport, cfg: McServerConfig) -> (World, McServer, McClient) {
-    let world = World::cluster_b(seed, 4);
-    let server = McServer::start(&world, NodeId(0), cfg);
-    let client = McClient::new(
-        &world,
-        NodeId(1),
-        McClientConfig::single(transport, NodeId(0)),
-    );
-    (world, server, client)
+/// Two workers behind one store lock, and one client over `transport`.
+fn global_lock(seed: u64, transport: Transport) -> Scenario {
+    let server = McServerConfig {
+        workers: 2,
+        store_model: StoreModel::GlobalLock,
+        ..McServerConfig::default()
+    };
+    let client = McClientConfig::single(transport, NodeId(0));
+    Scenario::new(World::cluster_b(seed, 4), server, [client])
 }
 
 /// Sequential set + `gets` reads; returns the end-of-run virtual clock.
@@ -44,7 +44,8 @@ fn profiling_adds_no_virtual_time() {
     // must end at the same virtual nanosecond: every profiler hook is
     // host-side bookkeeping.
     let run = |mode: u8| {
-        let (world, _server, client) = world_pair(71, Transport::Ucr, McServerConfig::default());
+        let s = Scenario::start(World::cluster_b(71, 4), Transport::Ucr);
+        let (world, client) = (&s.world, s.clients[0].clone());
         match mode {
             1 => {
                 world.cluster.tracer().add_sink(EventRecorder::new());
@@ -54,7 +55,7 @@ fn profiling_adds_no_virtual_time() {
             }
             _ => {}
         }
-        run_gets(&world, client, 20)
+        run_gets(world, client, 20)
     };
     let bare = run(0);
     let traced = run(1);
@@ -65,15 +66,8 @@ fn profiling_adds_no_virtual_time() {
 
 #[test]
 fn ucr_paths_decompose_exactly_under_global_lock() {
-    let (world, _server, client) = world_pair(
-        72,
-        Transport::Ucr,
-        McServerConfig {
-            workers: 2,
-            store_model: StoreModel::GlobalLock,
-            ..McServerConfig::default()
-        },
-    );
+    let s = global_lock(72, Transport::Ucr);
+    let (world, client) = (&s.world, s.clients[0].clone());
     let profiler = Profiler::attach(world.cluster.tracer(), ProfilerConfig { keep_paths: true });
     let sim = world.sim().clone();
     sim.block_on(async move {
@@ -123,15 +117,8 @@ fn sockets_paths_decompose_exactly_via_single_op_fallback() {
     // The ASCII wire carries no request id: the profiler attributes
     // server-side events to the one open client op. Sequential load keeps
     // that attribution sound, and the exactness identity holds regardless.
-    let (world, _server, client) = world_pair(
-        73,
-        Transport::Sockets(Stack::Sdp),
-        McServerConfig {
-            workers: 2,
-            store_model: StoreModel::GlobalLock,
-            ..McServerConfig::default()
-        },
-    );
+    let s = global_lock(73, Transport::Sockets(Stack::Sdp));
+    let (world, client) = (&s.world, s.clients[0].clone());
     let sim = world.sim().clone();
     // Before any profiler attaches, the verb answers "profiler off".
     let off = {
@@ -169,17 +156,9 @@ fn sockets_paths_decompose_exactly_via_single_op_fallback() {
 
 #[test]
 fn folded_profile_round_trips_and_nests_lock_frames() {
-    let (world, _server, client) = world_pair(
-        74,
-        Transport::Ucr,
-        McServerConfig {
-            workers: 2,
-            store_model: StoreModel::GlobalLock,
-            ..McServerConfig::default()
-        },
-    );
-    let profiler = Profiler::attach(world.cluster.tracer(), ProfilerConfig::default());
-    run_gets(&world, client, 10);
+    let s = global_lock(74, Transport::Ucr);
+    let profiler = Profiler::attach(s.world.cluster.tracer(), ProfilerConfig::default());
+    run_gets(&s.world, s.clients[0].clone(), 10);
 
     let lines = profiler.folded_lines();
     assert!(!lines.is_empty());
@@ -208,25 +187,23 @@ fn exemplars_carry_critical_path_breakdown() {
     // observatory are annotated with their op's critical-path
     // decomposition as it retires, and the dominant stage they report
     // agrees with the profiler's aggregate view.
-    let (world, server, client) = world_pair(
-        75,
-        Transport::Ucr,
-        McServerConfig {
-            observatory: Some(ObservatoryConfig {
-                exemplars: ExemplarConfig {
-                    capacity: 32,
-                    quantile: 0.5, // capture half of everything: not a tail test
-                    min_samples: 8,
-                },
-                ..ObservatoryConfig::default()
-            }),
-            ..McServerConfig::default()
-        },
-    );
-    let profiler = Profiler::attach(world.cluster.tracer(), ProfilerConfig::default());
-    let ring = server.observatory().expect("observatory on").ring();
+    let observed = McServerConfig {
+        observatory: Some(ObservatoryConfig {
+            exemplars: ExemplarConfig {
+                capacity: 32,
+                quantile: 0.5, // capture half of everything: not a tail test
+                min_samples: 8,
+            },
+            ..ObservatoryConfig::default()
+        }),
+        ..McServerConfig::default()
+    };
+    let client = McClientConfig::single(Transport::Ucr, NodeId(0));
+    let s = Scenario::new(World::cluster_b(75, 4), observed, [client]);
+    let profiler = Profiler::attach(s.world.cluster.tracer(), ProfilerConfig::default());
+    let ring = s.server.observatory().expect("observatory on").ring();
     profiler.bind_exemplars(&ring);
-    run_gets(&world, client, 40);
+    run_gets(&s.world, s.clients[0].clone(), 40);
 
     let annotated: Vec<_> = ring
         .snapshot()

@@ -8,9 +8,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use rdma_memcached::rmc::{
-    McClient, McClientConfig, McServer, McServerConfig, StoreModel, Transport, World,
-};
+use rdma_memcached::rmc::{McClientConfig, McServerConfig, Scenario, StoreModel, Transport, World};
 use rdma_memcached::simnet::trace::{Event, Layer, Phase, Track};
 use rdma_memcached::simnet::{
     EventRecorder, NodeId, PathStage, Profiler, ProfilerConfig, Sampler, SamplerConfig, Stack,
@@ -23,29 +21,14 @@ enum Watch {
     ProfilerToo,
 }
 
-const CLIENT: NodeId = NodeId(2);
+/// A scenario's one client runs on node 1.
+const CLIENT: NodeId = NodeId(1);
 const GETS: u64 = 24;
 
-/// A wire: the transport, and whether its sockets speak the binary
-/// protocol.
-#[derive(Clone, Copy, Debug)]
-struct Wire(Transport, bool);
-
-const UCR: Wire = Wire(Transport::Ucr, false);
-const ASCII_TCP: Wire = Wire(Transport::Sockets(Stack::TenGigEToe), false);
-const BINARY_TCP: Wire = Wire(Transport::Sockets(Stack::TenGigEToe), true);
-const ASCII_UDP: Wire = Wire(Transport::Udp(Stack::TenGigEToe), false);
-
-impl Wire {
-    fn client(self, world: &World, pipeline_depth: usize) -> McClient {
-        let cfg = McClientConfig {
-            binary_protocol: self.1,
-            pipeline_depth,
-            ..McClientConfig::single(self.0, NodeId(0))
-        };
-        McClient::new(world, CLIENT, cfg)
-    }
-}
+const UCR: Transport = Transport::Ucr;
+const ASCII_TCP: Transport = Transport::Sockets(Stack::TenGigEToe);
+const BINARY_TCP: Transport = Transport::Binary(Stack::TenGigEToe);
+const ASCII_UDP: Transport = Transport::Udp(Stack::TenGigEToe);
 
 /// Everything an event says.
 type Said = (
@@ -72,10 +55,9 @@ struct Run {
     profiler: Option<std::rc::Rc<Profiler>>,
 }
 
-fn run(wire: Wire, watch: Watch) -> Run {
-    let world = World::cluster_a(97, 4);
-    let _server = McServer::start(&world, NodeId(0), McServerConfig::default());
-    let client = wire.client(&world, 1);
+fn run(wire: Transport, watch: Watch) -> Run {
+    let s = Scenario::start(World::cluster_a(97, 4), wire);
+    let (world, client) = (&s.world, s.clients[0].clone());
     let tracer = world.cluster.tracer().clone();
     let metrics = world.cluster.metrics().clone();
 
@@ -131,7 +113,7 @@ fn is_profile(name: &str) -> bool {
 
 /// Runs `wire` all three ways, checks the rule, and hands back the
 /// profiled run.
-fn three_ways(wire: Wire) -> Run {
+fn three_ways(wire: Transport) -> Run {
     let bare = run(wire, Watch::Nobody);
     let watched = run(wire, Watch::RecorderAndSampler);
     let profiled = run(wire, Watch::ProfilerToo);
@@ -183,7 +165,7 @@ fn ucr_telemetry_does_not_depend_on_who_watches() {
 }
 
 /// The three socket wires decompose like the ASCII/TCP one always did.
-fn socket_wire_decomposes(wire: Wire) {
+fn socket_wire_decomposes(wire: Transport) {
     let profiled = three_ways(wire);
     let p = profiled.profiler.expect("profiled run");
     assert_eq!(p.audit().ops, 1 + GETS, "{wire:?}");
@@ -240,15 +222,18 @@ fn every_wire_runs_an_op_through_one_lifecycle() {
     let models = [StoreModel::Idealized, StoreModel::Sharded(2)];
     for wire in [UCR, ASCII_TCP, BINARY_TCP, ASCII_UDP] {
         for (model, depth) in models.into_iter().flat_map(|m| [(m, 1), (m, 8)]) {
-            let world = World::cluster_a(97, 4);
             let config = McServerConfig {
                 store_model: model,
                 ..McServerConfig::default()
             };
-            let _server = McServer::start(&world, NodeId(0), config);
-            let client = wire.client(&world, depth);
+            let client = McClientConfig {
+                pipeline_depth: depth,
+                ..McClientConfig::single(wire, NodeId(0))
+            };
+            let s = Scenario::new(World::cluster_a(97, 4), config, [client]);
+            let (world, client) = (&s.world, s.clients[0].clone());
             let c = client.clone();
-            let ucr = matches!(wire.0, Transport::Ucr);
+            let ucr = wire == UCR;
             let sim = world.sim().clone();
             sim.clone().block_on(async move {
                 let keys: Vec<Vec<u8>> =

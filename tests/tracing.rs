@@ -4,21 +4,10 @@
 //! QP-level tail of a forced endpoint failure, and the `stats trace` /
 //! per-op histogram surfaces report through the memcached protocol.
 
-use rdma_memcached::rmc::{McClient, McClientConfig, McServer, McServerConfig, Transport, World};
+use rdma_memcached::rmc::{McClientConfig, McServerConfig, Scenario, Transport, World};
 use rdma_memcached::simnet::trace::{Layer, Phase};
 use rdma_memcached::simnet::trace_export::{chrome_trace_json, parse_json, Json};
 use rdma_memcached::simnet::{EventRecorder, NodeId};
-
-fn ucr_world(seed: u64) -> (World, McServer, McClient) {
-    let world = World::cluster_b(seed, 4);
-    let server = McServer::start(&world, NodeId(0), McServerConfig::default());
-    let client = McClient::new(
-        &world,
-        NodeId(1),
-        McClientConfig::single(Transport::Ucr, NodeId(0)),
-    );
-    (world, server, client)
-}
 
 /// Items of the exported `traceEvents` array matching a predicate.
 fn items<'a>(trace: &'a Json, pred: impl Fn(&Json) -> bool + 'a) -> Vec<&'a Json> {
@@ -37,7 +26,8 @@ fn field<'a>(item: &'a Json, key: &str) -> &'a str {
 
 #[test]
 fn four_kb_get_trace_correlates_all_three_layers() {
-    let (world, _server, client) = ucr_world(61);
+    let s = Scenario::start(World::cluster_b(61, 4), Transport::Ucr);
+    let (world, client) = (&s.world, s.clients[0].clone());
     let recorder = EventRecorder::new();
     world.cluster.tracer().add_sink(recorder.clone());
     let sim = world.sim().clone();
@@ -110,7 +100,8 @@ fn four_kb_get_trace_correlates_all_three_layers() {
 #[test]
 fn tracing_adds_no_virtual_time() {
     let run = |traced: bool| {
-        let (world, _server, client) = ucr_world(62);
+        let s = Scenario::start(World::cluster_b(62, 4), Transport::Ucr);
+        let (world, client) = (&s.world, s.clients[0].clone());
         let recorder = EventRecorder::new();
         if traced {
             world.cluster.tracer().add_sink(recorder.clone());
@@ -141,16 +132,12 @@ fn bypass_tracing_adds_no_virtual_time() {
     // path: descriptor lookups, one-sided reads, and their spans must
     // cost zero virtual time when a sink is attached.
     let run = |traced: bool| {
-        let world = World::cluster_b(64, 4);
-        let _server = McServer::start(&world, NodeId(0), McServerConfig::default());
-        let client = McClient::new(
-            &world,
-            NodeId(1),
-            McClientConfig {
-                bypass_get: true,
-                ..McClientConfig::single(Transport::Ucr, NodeId(0))
-            },
-        );
+        let bypass = McClientConfig {
+            bypass_get: true,
+            ..McClientConfig::single(Transport::Ucr, NodeId(0))
+        };
+        let s = Scenario::new(World::cluster_b(64, 4), McServerConfig::default(), [bypass]);
+        let (world, client) = (&s.world, s.clients[0].clone());
         let recorder = EventRecorder::new();
         if traced {
             world.cluster.tracer().add_sink(recorder.clone());
@@ -179,16 +166,16 @@ fn bypass_tracing_adds_no_virtual_time() {
 
 #[test]
 fn flight_recorder_captures_failed_send_tail() {
-    let (world, _server, client) = ucr_world(63);
-    let sim = world.sim().clone();
-    let tracer = world.cluster.tracer().clone();
+    let s = Scenario::start(World::cluster_b(63, 4), Transport::Ucr);
+    let (sim, client) = (s.world.sim().clone(), s.clients[0].clone());
+    let tracer = s.world.cluster.tracer().clone();
     sim.block_on(async move {
         client.set(b"k", b"v", 0, 0).await.unwrap();
         client.get(b"k").await.unwrap().unwrap();
 
         // Kill the server's HCA: the next send exhausts RC retries, the
         // completion carries an error, and UCR fails the endpoint.
-        world.crash_node(NodeId(0));
+        s.world.crash_node(NodeId(0));
         assert!(client.get(b"k").await.is_err());
 
         assert!(tracer.fault_count() >= 1, "endpoint failure raised a fault");
@@ -232,8 +219,8 @@ fn flight_recorder_captures_failed_send_tail() {
 
 #[test]
 fn stats_trace_and_per_op_histograms_surface_through_protocol() {
-    let (world, _server, client) = ucr_world(64);
-    let sim = world.sim().clone();
+    let s = Scenario::start(World::cluster_b(64, 4), Transport::Ucr);
+    let (sim, client) = (s.world.sim().clone(), s.clients[0].clone());
     sim.block_on(async move {
         client.set(b"k", &[1u8; 128], 0, 0).await.unwrap();
         for _ in 0..5 {

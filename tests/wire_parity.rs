@@ -19,61 +19,48 @@ use rdma_memcached::mcproto::{
 };
 use rdma_memcached::mcstore::StoreStats;
 use rdma_memcached::rmc::{
-    McClient, McClientConfig, McError, McOp, McServer, McServerConfig, ObservatoryConfig,
-    ReqHeader, RespHeader, RespStatus, StoreModel, Transport, Value, World, MSG_MC_REQ,
-    MSG_MC_RESP,
+    McClient, McClientConfig, McError, McOp, McServerConfig, ObservatoryConfig, ReqHeader,
+    RespHeader, RespStatus, Scenario, StoreModel, Transport, Value, World, BASE_UNIX_TIME,
+    MSG_MC_REQ, MSG_MC_RESP,
 };
 use rdma_memcached::simnet::{NodeId, SimDuration, Stack};
 use rdma_memcached::socksim::{Socket, SocketAddr};
 use rdma_memcached::ucr::{AmData, Endpoint, FnHandler, SendOptions, UcrRuntime};
 
 const SRV: NodeId = NodeId(0);
-const CLIENT: NodeId = NodeId(1);
-const RAW: NodeId = NodeId(2);
-const READER: NodeId = NodeId(3);
+/// Where the raw-wire requests come from: past every scenario's clients.
+const RAW: NodeId = NodeId(3);
 const STACK: Stack = Stack::TenGigEToe;
 const PORT: u16 = 11211;
 const TIMEOUT: SimDuration = SimDuration::from_millis(250);
 
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Wire {
-    Ucr,
-    Ascii,
-    Binary,
-    Udp,
-}
-
-const WIRES: [Wire; 4] = [Wire::Ucr, Wire::Ascii, Wire::Binary, Wire::Udp];
+const WIRES: [Transport; 4] = [
+    Transport::Ucr,
+    Transport::Sockets(STACK),
+    Transport::Binary(STACK),
+    Transport::Udp(STACK),
+];
+const ASCII: Transport = Transport::Sockets(STACK);
 const MODELS: [StoreModel; 3] = [
     StoreModel::Idealized,
     StoreModel::GlobalLock,
     StoreModel::Sharded(4),
 ];
 
-fn client(world: &World, wire: Wire) -> McClient {
-    client_at(world, wire, CLIENT)
-}
-
-fn client_at(world: &World, wire: Wire, node: NodeId) -> McClient {
-    let transport = match wire {
-        Wire::Ucr => Transport::Ucr,
-        Wire::Ascii | Wire::Binary => Transport::Sockets(STACK),
-        Wire::Udp => Transport::Udp(STACK),
-    };
-    let cfg = McClientConfig {
-        binary_protocol: wire == Wire::Binary,
-        ..McClientConfig::single(transport, SRV)
-    };
-    McClient::new(world, node, cfg)
-}
-
-fn server(world: &World, model: StoreModel) -> McServer {
-    let cfg = McServerConfig {
+/// A server under `model` with the workload observatory on.
+fn observed(model: StoreModel) -> McServerConfig {
+    McServerConfig {
         store_model: model,
         observatory: Some(ObservatoryConfig::default()),
         ..McServerConfig::default()
-    };
-    McServer::start(world, SRV, cfg)
+    }
+}
+
+/// An [`observed`] server on Cluster A seeded with `seed`, and one client
+/// per wire.
+fn testbed(seed: u64, model: StoreModel, wires: &[Transport]) -> Scenario {
+    let clients = wires.iter().map(|&wire| McClientConfig::single(wire, SRV));
+    Scenario::new(World::cluster_a(seed, 6), observed(model), clients)
 }
 
 // ---------------------------------------------------------------------
@@ -113,19 +100,19 @@ async fn read_frame(sock: &Socket) -> BinFrame {
 }
 
 /// `flush_all <delay>` over `wire`, spoken directly in its framing.
-async fn raw_flush(world: &World, wire: Wire, delay: u32) {
+async fn raw_flush(world: &World, wire: Transport, delay: u32) {
     let cmd = encode_command(&Command::FlushAll {
         delay,
         noreply: false,
     });
     match wire {
-        Wire::Ascii => {
+        Transport::Sockets(_) => {
             let sock = raw_socket(world).await;
             sock.write_all(&cmd).await.expect("raw write");
             assert_eq!(read_response(&sock).await, Response::Ok);
             sock.close();
         }
-        Wire::Binary => {
+        Transport::Binary(_) => {
             let sock = raw_socket(world).await;
             let mut frame = BinFrame::request(BinOpcode::Flush, 7);
             frame.extras = delay.to_be_bytes().to_vec();
@@ -133,7 +120,7 @@ async fn raw_flush(world: &World, wire: Wire, delay: u32) {
             assert_eq!(read_frame(&sock).await.status(), Some(BinStatus::Ok));
             sock.close();
         }
-        Wire::Udp => {
+        Transport::Udp(_) => {
             let sock = world.socks.udp_bind(STACK, RAW, 40_000).expect("udp bind");
             let to = SocketAddr {
                 node: SRV,
@@ -148,7 +135,7 @@ async fn raw_flush(world: &World, wire: Wire, delay: u32) {
             let resp = parse_response(payload).expect("well-formed response");
             assert_eq!(resp.map(|(r, _)| r), Some(Response::Ok));
         }
-        Wire::Ucr => {
+        Transport::Ucr | Transport::UcrRoce => {
             let rt = UcrRuntime::new(&world.ib, RAW);
             let landed: Rc<RefCell<Option<RespHeader>>> = Rc::default();
             let slot = landed.clone();
@@ -234,8 +221,8 @@ fn pick(pairs: &[(String, String)], wanted: &[&str]) -> Vec<(String, String)> {
         .collect()
 }
 
-async fn run_script(world: &World, srv: &McServer, wire: Wire) -> Footprint {
-    let c = client(world, wire);
+async fn run_script(bed: &Scenario, wire: Transport) -> Footprint {
+    let (world, c) = (&bed.world, &bed.clients[0]);
     let mut replies = Vec::new();
     let mut say = |step: &str, outcome: String| replies.push(format!("{step}: {outcome}"));
     let data = |r: Result<Option<Value>, McError>| {
@@ -290,6 +277,12 @@ async fn run_script(world: &World, srv: &McServer, wire: Wire) -> Footprint {
     say("decr n (clamps)", format!("{:?}", c.decr(b"n", 20).await));
     say("incr non-numeric", format!("{:?}", c.incr(b"k1", 1).await));
     say("incr absent", format!("{:?}", c.incr(b"absent", 1).await));
+    let max = u64::MAX.to_string();
+    say(
+        "set max",
+        format!("{:?}", c.set(b"max", max.as_bytes(), 0, 0).await),
+    );
+    say("incr max (wraps)", format!("{:?}", c.incr(b"max", 1).await));
     // touch / delete
     say("touch k2", format!("{:?}", c.touch(b"k2", 60).await));
     say(
@@ -298,6 +291,20 @@ async fn run_script(world: &World, srv: &McServer, wire: Wire) -> Footprint {
     );
     say("delete k2", format!("{:?}", c.delete(b"k2").await));
     say("delete k2 again", format!("{:?}", c.delete(b"k2").await));
+    // An exptime past 30 days is an absolute unix time; what it expired is
+    // gone for `cas` too.
+    let at = BASE_UNIX_TIME + world.sim().now().as_secs_f64() as u32 + 2;
+    say(
+        "set absolute",
+        format!("{:?}", c.set(b"abs", b"v", 0, at).await),
+    );
+    let token = c.get(b"abs").await.unwrap().unwrap().cas;
+    world.sim().sleep(SimDuration::from_secs(3)).await;
+    say("get expired", format!("{:?}", data(c.get(b"abs").await)));
+    say(
+        "cas expired",
+        format!("{:?}", c.cas(b"abs", b"x", 0, 0, token).await),
+    );
     // 8-key multiget with misses (and keys on several shards)
     for i in 0..5u32 {
         let (key, value) = (format!("m{i}"), format!("mv{i}"));
@@ -351,8 +358,8 @@ async fn run_script(world: &World, srv: &McServer, wire: Wire) -> Footprint {
     let hot = c.stats_report("hot").await.unwrap();
     Footprint {
         replies,
-        store: srv.store_stats(),
-        curr_items: srv.curr_items(),
+        store: bed.server.store_stats(),
+        curr_items: bed.server.curr_items(),
         stats: pick(
             &stats,
             &[
@@ -382,7 +389,8 @@ async fn run_script(world: &World, srv: &McServer, wire: Wire) -> Footprint {
                 "op.flush_all.count",
             ],
         ),
-        mgets: (wire != Wire::Binary).then(|| pick(&stats, &["op.mget.count"]).remove(0).1),
+        mgets: (!matches!(wire, Transport::Binary(_)))
+            .then(|| pick(&stats, &["op.mget.count"]).remove(0).1),
     }
 }
 
@@ -391,20 +399,25 @@ fn every_wire_gives_the_same_replies_and_leaves_the_same_server() {
     for model in MODELS {
         let mut reference: Option<Footprint> = None;
         for wire in WIRES {
-            let world = World::cluster_a(61, 6);
-            let srv = server(&world, model);
-            let srv2 = srv.clone();
-            let sim = world.sim().clone();
-            let mut got = sim.block_on(async move { run_script(&world, &srv2, wire).await });
-            assert!(
-                got.replies.iter().any(|l| l == "cas stale: Err(Exists)"),
-                "{model:?}/{wire:?}: script ran: {:#?}",
-                got.replies
-            );
-            // 4 single-key hits + 5 multiget hits; 3 single-key misses + 3
+            let bed = testbed(61, model, &[wire]);
+            let sim = bed.world.sim().clone();
+            let mut got = sim.block_on(async move { run_script(&bed, wire).await });
+            for row in [
+                "cas stale: Err(Exists)",
+                "incr max (wraps): Ok(0)",
+                "get expired: Ok(None)",
+                "cas expired: Err(NotFound)",
+            ] {
+                assert!(
+                    got.replies.iter().any(|l| l == row),
+                    "{model:?}/{wire:?}: no {row}: {:#?}",
+                    got.replies
+                );
+            }
+            // 5 single-key hits + 5 multiget hits; 4 single-key misses + 3
             // multiget misses. Nothing but a fetch may count as one.
             let fetches = (got.store.get_hits, got.store.get_misses);
-            assert_eq!(fetches, (9, 6), "{model:?}/{wire:?}: {:?}", got.store);
+            assert_eq!(fetches, (10, 7), "{model:?}/{wire:?}: {:?}", got.store);
             // One multiget is one served request, however many shards'
             // workers had a part in it.
             if let Some(mgets) = got.mgets.take() {
@@ -414,7 +427,6 @@ fn every_wire_gives_the_same_replies_and_leaves_the_same_server() {
                 None => reference = Some(got),
                 Some(want) => assert_eq!(&got, want, "{model:?}: {wire:?} vs {:?}", WIRES[0]),
             }
-            drop(srv);
         }
     }
 }
@@ -423,10 +435,9 @@ fn every_wire_gives_the_same_replies_and_leaves_the_same_server() {
 fn replies_do_not_depend_on_the_store_model() {
     let mut reference: Option<Vec<String>> = None;
     for model in MODELS {
-        let world = World::cluster_a(62, 6);
-        let srv = server(&world, model);
-        let sim = world.sim().clone();
-        let got = sim.block_on(async move { run_script(&world, &srv, Wire::Ascii).await });
+        let bed = testbed(62, model, &[ASCII]);
+        let sim = bed.world.sim().clone();
+        let got = sim.block_on(async move { run_script(&bed, ASCII).await });
         match &reference {
             None => reference = Some(got.replies),
             Some(want) => assert_eq!(&got.replies, want, "{model:?} vs {:?}", MODELS[0]),
@@ -437,17 +448,16 @@ fn replies_do_not_depend_on_the_store_model() {
 #[test]
 fn oversize_values_are_refused_without_touching_the_store() {
     for wire in WIRES {
-        let world = World::cluster_a(63, 6);
-        let srv = server(&world, StoreModel::Idealized);
-        let c = client(&world, wire);
-        let big = vec![7u8; 2 << 20];
-        let refused = world
+        let bed = testbed(63, StoreModel::Idealized, &[wire]);
+        let (c, big) = (bed.clients[0].clone(), vec![7u8; 2 << 20]);
+        let refused = bed
+            .world
             .sim()
             .block_on(async move { c.set(b"big", &big, 0, 0).await });
         // UDP refuses client-side (a request must fit one datagram).
         assert_eq!(refused, Err(McError::TooLarge), "{wire:?}");
-        assert_eq!(srv.store_stats(), StoreStats::default(), "{wire:?}");
-        assert_eq!(srv.curr_items(), 0, "{wire:?}");
+        assert_eq!(bed.server.store_stats(), StoreStats::default(), "{wire:?}");
+        assert_eq!(bed.server.curr_items(), 0, "{wire:?}");
     }
 }
 
@@ -456,13 +466,11 @@ fn oversize_values_are_refused_without_touching_the_store() {
 /// the connection: the next request on it is served.
 #[test]
 fn ascii_refusals_answer_and_keep_the_connection() {
-    let world = World::cluster_a(67, 6);
-    let _srv = server(&world, StoreModel::Idealized);
-    let c = client(&world, Wire::Ascii);
-    let sim = world.sim().clone();
+    let bed = testbed(67, StoreModel::Idealized, &[ASCII]);
+    let (sim, c) = (bed.world.sim().clone(), bed.clients[0].clone());
     sim.block_on(async move {
         c.set(b"k", b"10", 3, 0).await.unwrap();
-        let sock = raw_socket(&world).await;
+        let sock = raw_socket(&bed.world).await;
         let hit = &b"VALUE k 3 2\r\n10\r\nEND\r\n"[..];
         let delta = &b"CLIENT_ERROR invalid numeric delta argument\r\n"[..];
         let rows: [(&[u8], &[u8]); 4] = [
@@ -488,7 +496,7 @@ fn ascii_refusals_answer_and_keep_the_connection() {
         both.extend_from_slice(b"ERROR\r\n");
         let got = sock.read_exact(both.len()).await.expect("raw read");
         assert_eq!(got, both);
-        world.sim().sleep(SimDuration::from_millis(1)).await;
+        bed.world.sim().sleep(SimDuration::from_millis(1)).await;
         assert_eq!(sock.available(), 0, "nothing more was said");
         sock.close();
     });
@@ -498,25 +506,23 @@ fn ascii_refusals_answer_and_keep_the_connection() {
 fn binary_sets_return_the_fresh_cas_without_reading_the_item() {
     // The binary wire answers a store with the item's new CAS token; the
     // executor must get it without a `get` (no hit counted).
-    let world = World::cluster_a(64, 6);
-    let srv = server(&world, StoreModel::Idealized);
-    let c = client(&world, Wire::Binary);
-    world.sim().block_on(async move {
+    let bed = testbed(64, StoreModel::Idealized, &[Transport::Binary(STACK)]);
+    let c = bed.clients[0].clone();
+    bed.world.sim().block_on(async move {
         for i in 0..20u32 {
             let key = format!("b{i}");
             c.set(key.as_bytes(), b"value", 0, 0).await.unwrap();
         }
     });
-    let st = srv.store_stats();
+    let st = bed.server.store_stats();
     assert_eq!((st.sets, st.get_hits, st.get_misses), (20, 0, 0));
 }
 
 #[test]
 fn binary_incr_with_an_initial_value_creates_the_counter() {
-    let world = World::cluster_a(65, 6);
-    let srv = server(&world, StoreModel::Idealized);
-    let c = client(&world, Wire::Binary);
-    let sim = world.sim().clone();
+    let bed = testbed(65, StoreModel::Idealized, &[Transport::Binary(STACK)]);
+    let (sim, srv) = (bed.world.sim().clone(), bed.server.clone());
+    let (world, c) = (bed.world, bed.clients[0].clone());
     sim.block_on(async move {
         // All-ones expiry: fail on a missing key, create nothing.
         let miss = raw_binary_incr(&world, b"ctr", 1, 40, u32::MAX).await;
@@ -546,10 +552,13 @@ fn binary_incr_with_an_initial_value_creates_the_counter() {
 fn a_get_answers_with_the_bytes_of_its_service_instant() {
     let data = |hit: Result<Option<Value>, McError>| hit.expect("served").map(|v| v.data);
     for model in [StoreModel::GlobalLock, StoreModel::Sharded(2)] {
-        for wire in [Wire::Ucr, Wire::Ascii] {
-            let world = World::cluster_a(68, 6);
-            let srv = server(&world, model);
-            let (getter, setter) = (client(&world, wire), client_at(&world, wire, RAW));
+        for wire in [Transport::Ucr, ASCII] {
+            let Scenario {
+                world,
+                server: srv,
+                clients,
+            } = testbed(68, model, &[wire, wire]);
+            let (getter, setter) = (clients[0].clone(), clients[1].clone());
             let sim = world.sim().clone();
             let (s, g, first, stored) = (sim.clone(), getter.clone(), getter.clone(), srv.clone());
             sim.block_on(async move {
@@ -569,7 +578,7 @@ fn a_get_answers_with_the_bytes_of_its_service_instant() {
                 set.await.expect("stored");
                 assert_eq!(data(g.get(b"k").await), Some(b"new".to_vec()));
             });
-            if wire != Wire::Ucr {
+            if wire != Transport::Ucr {
                 continue;
             }
             let rt = srv.ucr_runtime().expect("UCR server");
@@ -639,22 +648,19 @@ fn every_mutating_verb_on_every_wire_reaches_a_bypass_reader() {
     ];
     for model in MODELS {
         for wire in WIRES {
-            check_bypass(World::cluster_a(66, 6), model, wire, verbs);
+            check_bypass(model, wire, verbs);
         }
     }
 
-    fn check_bypass(world: World, model: StoreModel, wire: Wire, verbs: [Step; 9]) {
-        let _srv = server(&world, model);
-        let writer = client(&world, wire);
-        let reader = McClient::new(
-            &world,
-            READER,
-            McClientConfig {
-                bypass_get: true,
-                ..McClientConfig::single(Transport::Ucr, SRV)
-            },
-        );
-        let sim = world.sim().clone();
+    fn check_bypass(model: StoreModel, wire: Transport, verbs: [Step; 9]) {
+        let reader = McClientConfig {
+            bypass_get: true,
+            ..McClientConfig::single(Transport::Ucr, SRV)
+        };
+        let clients = [McClientConfig::single(wire, SRV), reader];
+        let bed = Scenario::new(World::cluster_a(66, 6), observed(model), clients);
+        let (writer, reader) = (bed.clients[0].clone(), bed.clients[1].clone());
+        let sim = bed.world.sim().clone();
         sim.block_on(async move {
             let rt = reader.ucr_runtime().unwrap();
             let noticed = || rt.stats().bypass_retries.get() + rt.stats().bypass_fallbacks.get();
@@ -680,8 +686,8 @@ fn every_mutating_verb_on_every_wire_reaches_a_bypass_reader() {
             // flush_all reaches the reader too.
             writer.set(b"k", b"10", 0, 0).await.unwrap();
             assert!(reader.get(b"k").await.unwrap().is_some());
-            world.sim().sleep(SimDuration::from_secs(1)).await;
-            raw_flush(&world, wire, 0).await;
+            bed.world.sim().sleep(SimDuration::from_secs(1)).await;
+            raw_flush(&bed.world, wire, 0).await;
             assert_eq!(
                 reader.get(b"k").await.unwrap(),
                 None,
