@@ -2,16 +2,12 @@
 //!
 //! Reruns the `ext_pipeline_depth` offered-load sweep (same workload,
 //! same seed) with the [`simnet::Sampler`] snapshotting the cluster's
-//! counters, gauges, and watermarks on a 100 µs virtual-time interval and
-//! a [`simnet::HealthMonitor`] watching the client's completion rate and
-//! in-flight occupancy. Two claims are machine-checked here:
-//!
-//! 1. **Sampling is free in virtual time.** Every sampled run must end on
-//!    the same virtual clock — and measure the bit-identical throughput —
-//!    as a bare run of the same parameters.
-//! 2. **The monitor finds the knee.** Replaying the sweep through
-//!    [`simnet::HealthMonitor::locate_knee`] must flag the same depth
-//!    step where `ext_pipeline_depth`'s curve stops scaling.
+//! counters, gauges, and watermarks on a 100 µs virtual-time interval.
+//! Every sampled run must end on the same virtual clock — and measure the
+//! bit-identical throughput — as a bare run of the same parameters:
+//! sampling is free in virtual time. Each cluster's knee is the first
+//! depth step whose throughput gain over the previous step is below
+//! [`KNEE_GAIN`], where `ext_pipeline_depth`'s curve stops scaling.
 //!
 //! The final cluster-B exposition is written to
 //! `results/ext_observatory.prom`, which `rmc-lint`'s self-check holds
@@ -19,12 +15,14 @@
 
 use rmc::Transport;
 use rmc_bench::{measure_observatory, measure_pipeline_run, ClusterKind, ObservatoryRun};
-use simnet::{HealthInput, HealthMonitor, HealthRules, SimTime};
 
 const DEPTHS: [usize; 5] = [1, 2, 4, 8, 16];
 const SIZE: usize = 4;
 const OPS: u32 = 1000;
 const SEED: u64 = 77;
+/// A depth step gaining less throughput than this over the previous one
+/// has stopped scaling.
+const KNEE_GAIN: f64 = 0.15;
 
 /// Renders `vals` as an 8-level sparkline, downsampled to `width` buckets
 /// by bucket mean, scaled to the series maximum.
@@ -54,21 +52,10 @@ fn sparkline(vals: &[f64], width: usize) -> String {
         .collect()
 }
 
-/// The sweep replayed for knee location: one observation per depth step,
-/// throughput from the run, queue signal = the in-flight high watermark
-/// (offered load), no latency/error signals.
-fn sweep_inputs(runs: &[(usize, f64, f64)]) -> Vec<HealthInput> {
-    runs.iter()
-        .enumerate()
-        .map(|(i, &(_, tps, inflight))| HealthInput {
-            at: SimTime::from_nanos(i as u64),
-            throughput: tps,
-            queue_depth: inflight,
-            p99_us: 0.0,
-            errors_per_sec: 0.0,
-            budget_burn: 0.0,
-        })
-        .collect()
+/// The index of the first sweep step whose throughput gain over the
+/// previous step is below [`KNEE_GAIN`].
+fn knee(tps: &[f64]) -> Option<usize> {
+    (1..tps.len()).find(|&i| (tps[i] - tps[i - 1]) / tps[i - 1] < KNEE_GAIN)
 }
 
 fn main() {
@@ -78,16 +65,15 @@ fn main() {
     for cluster in [ClusterKind::A, ClusterKind::B] {
         println!("\n{} / UCR IB", cluster.label());
         println!(
-            "{:>8} {:>11} {:>7} {:>9} {:>7} {:>10}  throughput series",
-            "depth", "Kops/s", "ticks", "inflight", "queue", "health"
+            "{:>8} {:>11} {:>7} {:>9} {:>7}  throughput series",
+            "depth", "Kops/s", "ticks", "inflight", "queue"
         );
-        let mut curve: Vec<(usize, f64, f64)> = Vec::new();
-        let mut bare_curve: Vec<(usize, f64, f64)> = Vec::new();
+        let mut curve: Vec<f64> = Vec::new();
         for depth in DEPTHS {
             let obs: ObservatoryRun =
                 measure_observatory(cluster, Transport::Ucr, depth, SIZE, OPS, SEED);
-            // Claim 1: zero virtual-time sampling. The bare run must land
-            // on the identical clock and measure the identical number.
+            // Zero virtual-time sampling: the bare run must land on the
+            // identical clock and measure the identical number.
             let (bare_tps, bare_clock) =
                 measure_pipeline_run(cluster, Transport::Ucr, depth, SIZE, OPS, SEED);
             assert_eq!(
@@ -101,13 +87,12 @@ fn main() {
                 "sampling changed the measured throughput at depth {depth}"
             );
             println!(
-                "{:>8} {:>11.1} {:>7} {:>9.0} {:>7.0} {:>10}  {}",
+                "{:>8} {:>11.1} {:>7} {:>9.0} {:>7.0}  {}",
                 depth,
                 obs.tps / 1000.0,
                 obs.ticks,
                 obs.inflight_high,
                 obs.queue_high,
-                obs.health.label(),
                 sparkline(&obs.tput_series, 24)
             );
             records.push(
@@ -120,27 +105,16 @@ fn main() {
                     .num("tps", obs.tps)
                     .int("ticks", obs.ticks)
                     .num("inflight_high", obs.inflight_high)
-                    .num("queue_high", obs.queue_high)
-                    .str("health", obs.health.label())
-                    .int("transitions", obs.transitions as u64),
+                    .num("queue_high", obs.queue_high),
             );
-            curve.push((depth, obs.tps, obs.inflight_high));
-            bare_curve.push((depth, bare_tps, obs.inflight_high));
+            curve.push(obs.tps);
             last_prom = obs.prom;
         }
-        // Claim 2: the monitor's knee is where the curve stops scaling.
-        let rules = HealthRules::default();
-        let knee = HealthMonitor::locate_knee(&rules, &sweep_inputs(&curve));
-        let knee_idx = knee.expect("UCR 4 B pipelining saturates within the sweep");
+        let knee_idx = knee(&curve).expect("UCR 4 B pipelining saturates within the sweep");
         println!(
-            "monitor knee: depth {} (step {knee_idx} of the sweep)",
-            DEPTHS[knee_idx]
-        );
-        // The bare curve is bit-identical, so its knee must be too.
-        let bare_knee = HealthMonitor::locate_knee(&rules, &sweep_inputs(&bare_curve));
-        assert_eq!(
-            knee, bare_knee,
-            "sampled and bare sweeps disagree on the knee"
+            "knee: depth {} (step {knee_idx} of the sweep, the first to gain < {:.0} %)",
+            DEPTHS[knee_idx],
+            KNEE_GAIN * 100.0
         );
         records.push(
             rmc_bench::json_out::Record::new()
@@ -159,6 +133,5 @@ fn main() {
         Ok(()) => eprintln!("wrote results/ext_observatory.prom"),
         Err(e) => eprintln!("could not write results/ext_observatory.prom: {e}"),
     }
-    println!("\n(Series are sampled on a 100us virtual-time grid at zero virtual cost;");
-    println!("the health monitor flags the first depth step whose marginal gain stalls.)");
+    println!("\n(Series are sampled on a 100us virtual-time grid at zero virtual cost.)");
 }

@@ -908,21 +908,15 @@ pub struct ObservatoryRun {
     pub inflight_high: f64,
     /// Worker queue-depth high watermark across the server's workers.
     pub queue_high: f64,
-    /// The run monitor's final state.
-    pub health: simnet::Health,
-    /// Health transitions recorded during the run.
-    pub transitions: usize,
     /// The cluster's Prometheus exposition at the end of the run.
     pub prom: String,
 }
 
 /// The pipelined-get workload of [`measure_pipeline_throughput`] run with
-/// a metrics [`Sampler`](simnet::Sampler) and
-/// [`HealthMonitor`](simnet::HealthMonitor) attached: the sampler
-/// snapshots the cluster registry every 100 µs of virtual time and feeds
-/// the monitor the client's completion rate and in-flight occupancy.
-/// Everything observed is pure host-side accounting, so `tps` matches the
-/// bare measurement bit for bit.
+/// a metrics [`Sampler`](simnet::Sampler) attached: it snapshots the
+/// cluster registry every 100 µs of virtual time. Sampling is pure
+/// host-side accounting, so `tps` matches the bare measurement bit for
+/// bit.
 pub fn measure_observatory(
     cluster: ClusterKind,
     transport: Transport,
@@ -931,26 +925,12 @@ pub fn measure_observatory(
     ops: u32,
     seed: u64,
 ) -> ObservatoryRun {
-    use simnet::{HealthMonitor, HealthRules, MonitorBinding, Sampler, SamplerConfig};
+    use simnet::{Sampler, SamplerConfig};
     let world = cluster.world(seed, 4);
-    let monitor = HealthMonitor::new(
-        HealthRules::default(),
-        NodeId(1),
-        Some(world.cluster.tracer().clone()),
-        None,
-    );
     let sampler = Sampler::new(
         world.sim(),
         world.cluster.metrics(),
         SamplerConfig::default(),
-        Some(MonitorBinding {
-            monitor: monitor.clone(),
-            throughput_counter: "client.node1.ops_completed".into(),
-            queue_gauge: "client.node1.inflight".into(),
-            latency_hist: None,
-            error_counter: None,
-            slos: Vec::new(),
-        }),
     );
     sampler.start();
     let (tps, end_clock) = run_pipeline_gets(&world, transport, depth, value_size, ops);
@@ -971,8 +951,6 @@ pub fn measure_observatory(
         tput_series: sampler.values("client.node1.ops_completed.rate"),
         inflight_high,
         queue_high,
-        health: monitor.state(),
-        transitions: monitor.transitions().len(),
         prom: world.cluster.export_prometheus(),
     }
 }

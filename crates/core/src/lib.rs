@@ -34,7 +34,6 @@
 mod am_wire;
 mod client;
 mod codec;
-mod observatory;
 mod request;
 mod server;
 mod world;
@@ -47,7 +46,6 @@ pub use client::{
     crc32, fnv1a_32, one_at_a_time, Distribution, InFlight, InFlightGet, InFlightSet, KeyHash,
     McClient, McClientConfig, McError, Transport,
 };
-pub use observatory::{ObservatoryConfig, SloObjective, WorkloadObservatory};
 pub use server::{McServer, McServerConfig, SrvStats, StoreModel, BASE_UNIX_TIME, SERVER_VERSION};
 pub use world::{Scenario, World};
 

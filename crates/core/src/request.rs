@@ -125,7 +125,7 @@ pub(crate) enum Reply<D = Vec<u8>> {
 
 impl<D: AsRef<[u8]>> Reply<D> {
     /// Payload bytes of this reply in active-message framing: the figure
-    /// the service span and the tail exemplars report, on every wire.
+    /// the service span reports, on every wire.
     pub fn payload_len<K: AsRef<[u8]>>(&self, keys: &[K]) -> usize {
         match self {
             Reply::Value(Some(v)) => v.data.as_ref().len(),

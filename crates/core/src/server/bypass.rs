@@ -173,11 +173,6 @@ impl AmHandler for DirDispatch {
             return;
         };
         let resp = exec.dir_lookup(side, &rt, &req);
-        // A directory request is a client-direct read of this key: the
-        // hot-key sketch must see it even though no worker ever will.
-        if let Some(obs) = exec.observatory.as_ref() {
-            obs.observe_key(&req.key, false, None);
-        }
         exec.tracer.instant(
             Layer::Core,
             "dir_lookup",

@@ -1,5 +1,5 @@
 //! The request executor: the one place a [`Request`] is charged, locked,
-//! run against the store, observed, and turned into a [`Reply`], which the
+//! run against the store, timed, and turned into a [`Reply`], which the
 //! front-end's encoder writes out while the store still lends a hit.
 //!
 //! The store's `RefCell` is a private field of [`Executor`], so no
@@ -26,7 +26,6 @@ use super::bypass::BypassDir;
 use super::stats::{self, StoreGauges};
 use super::{unix_now, McServerConfig, SrvStats, StoreModel, SERVER_VERSION};
 use crate::am_wire::{DirReq, DirResp, McOp};
-use crate::observatory::{service_histograms, WorkloadObservatory};
 use crate::request::{Reply, Request};
 use crate::world::World;
 
@@ -71,7 +70,7 @@ pub(super) struct Executor {
     bypass_on: Cell<bool>,
     /// Worker service times per verb — the registry's
     /// `mc.nodeN.svc.<verb>` histograms, by [`McOp::index`]. `stats`
-    /// reports them and the observatory gates its exemplars on them.
+    /// reports them.
     pub(super) svc_times: [Rc<Histogram>; McOp::ALL.len()],
     pub(super) node: NodeId,
     pub(super) sim: Sim,
@@ -83,8 +82,6 @@ pub(super) struct Executor {
     /// Cluster metrics registry (adds no virtual time).
     pub(super) metrics: Rc<Metrics>,
     pub(super) gauges: StoreGauges,
-    /// Workload observatory (hot keys, exemplars, SLOs), when attached.
-    pub(super) observatory: Option<Rc<WorkloadObservatory>>,
 }
 
 impl Executor {
@@ -131,10 +128,6 @@ impl Executor {
             counters: SrvStats::new(&metrics, node),
             fabrics: Default::default(),
             gauges: StoreGauges::new(&metrics, node),
-            observatory: config
-                .observatory
-                .as_ref()
-                .map(|cfg| WorkloadObservatory::new(cfg, node.0, &metrics)),
             tracer,
             metrics,
         }
@@ -199,10 +192,8 @@ impl Executor {
                 self.run(req, encode)
             }
         };
-        let out = out as u64;
-        let moved = out.max(req.value.len() as u64);
-        self.record(req.op, id, started, req.key(), moved);
-        self.end(id, track, out);
+        self.record(req.op, started);
+        self.end(id, track, out as u64);
         (wire, guards)
     }
 
@@ -217,27 +208,6 @@ impl Executor {
             stats::report(self, store, name)
         });
         let (wire, out) = (encode(&reply), reply.payload_len(req.keys));
-        if let Some(obs) = self.observatory.as_ref() {
-            let key = req.key();
-            let klen = key.len();
-            match (req.op, reply) {
-                (McOp::Get, Reply::Value(hit)) => {
-                    // The loan ends here: the observatory wants a length.
-                    let len = hit.map(|v| v.data.len());
-                    obs.observe_key(key, false, len.and_then(|n| store.class_of(klen, n)));
-                }
-                (McOp::Mget, Reply::Values(hits)) => {
-                    observe_reads(obs, &store, req.keys, 0..req.keys.len(), &hits)
-                }
-                (op, _) if op.is_store() => {
-                    obs.observe_key(key, true, store.class_of(klen, req.value.len()))
-                }
-                (McOp::Delete | McOp::Incr | McOp::Decr | McOp::Touch, _) => {
-                    obs.observe_key(key, true, None)
-                }
-                _ => {}
-            }
-        }
         drop(store);
         self.sync_mirrors();
         (wire, out)
@@ -262,11 +232,7 @@ impl Executor {
             .await;
         let now = unix_now(&self.sim);
         let mut store = self.store.borrow_mut();
-        let first = hits.len();
         fetch(&mut store, keys, idxs.iter().copied(), now, hits);
-        if let Some(obs) = self.observatory.as_ref() {
-            observe_reads(obs, &store, keys, idxs.iter().copied(), &hits[first..]);
-        }
         drop(store);
         self.sync_mirrors();
         guards
@@ -356,16 +322,10 @@ impl Executor {
 
     /// Books one served request — one sample, however many workers had a
     /// part in it: its service time since `started` into the per-op
-    /// histogram and, attributed to `key` and the bytes it moved, into the
-    /// observatory's SLO and exemplar feed.
-    pub(super) fn record(&self, op: McOp, id: OpId, started: SimTime, key: &[u8], moved: u64) {
-        let now = self.sim.now();
-        let service = now.saturating_since(started);
-        let hist = &self.svc_times[op.index()];
-        hist.record(service);
-        if let Some(obs) = self.observatory.as_ref() {
-            obs.observe_service(op.label(), hist, (key, moved), service, id.key(), now);
-        }
+    /// histogram.
+    pub(super) fn record(&self, op: McOp, started: SimTime) {
+        let service = self.sim.now().saturating_since(started);
+        self.svc_times[op.index()].record(service);
     }
 
     /// Propagates store mutations to the bypass mirrors: drains the slab
@@ -411,25 +371,6 @@ impl Executor {
     }
 }
 
-/// Feeds the keys of a multi-key read into the observatory: hits (a
-/// subsequence of `idxs`, in order) carry the slab class their value
-/// occupies, misses carry none.
-fn observe_reads(
-    obs: &WorkloadObservatory,
-    store: &SegmentedStore,
-    keys: &[Vec<u8>],
-    idxs: impl Iterator<Item = usize>,
-    hits: &[(usize, Value)],
-) {
-    let mut hits = hits.iter().peekable();
-    for i in idxs {
-        let class = hits
-            .next_if(|(j, _)| *j == i)
-            .and_then(|(_, v)| store.class_of(keys[i].len(), v.data.len()));
-        obs.observe_key(&keys[i], false, class);
-    }
-}
-
 /// Fetches `keys[i]` for each `i` in `idxs`, appending the hits in order.
 fn fetch(
     store: &mut SegmentedStore,
@@ -442,6 +383,14 @@ fn fetch(
         let key = &keys[i];
         Some((i, store.segment_for(key).get(key, now)?))
     }));
+}
+
+/// The per-verb worker service-time histograms (`mc.nodeN.svc.<verb>`) of
+/// the server on node ordinal `node_ord`, in [`McOp::ALL`] order. Every
+/// server has them — the executor records into them and `stats` reports
+/// them.
+fn service_histograms(metrics: &Metrics, node_ord: u32) -> [Rc<Histogram>; McOp::ALL.len()] {
+    McOp::ALL.map(|op| metrics.histogram(&format!("mc.node{node_ord}.svc.{}", op.label())))
 }
 
 /// One storage verb, `verb`, run on the store owning `key`. A stored

@@ -207,9 +207,8 @@ async fn serve_ucr_mget_part(
             Reply::Values(all)
         })
     };
-    if let Some(reply) = &merged {
-        let out = reply.payload_len(&req.keys) as u64;
-        exec.record(McOp::Mget, id, started, &req.keys[0], out);
+    if merged.is_some() {
+        exec.record(McOp::Mget, started);
     }
     exec.end(id, track, idxs.len() as u64);
     if let Some(reply) = &merged {

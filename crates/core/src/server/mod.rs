@@ -38,7 +38,6 @@ use socksim::{DgramSocket, Socket};
 use ucr::{Endpoint, UcrRuntime};
 
 use crate::am_wire::{MSG_MC_DIR_REQ, MSG_MC_REQ};
-use crate::observatory::{ObservatoryConfig, WorkloadObservatory};
 use crate::world::World;
 
 mod bypass;
@@ -99,11 +98,6 @@ pub struct McServerConfig {
     pub workers: usize,
     /// Storage engine settings.
     pub store: StoreConfig,
-    /// Attach a workload observatory (hot-key sketch, tail exemplars,
-    /// SLO tracking; surfaced via `stats hot`/`stats slo`/
-    /// `stats exemplars`). `None` — the default — registers nothing and
-    /// keeps every stats surface byte-identical to an unobserved server.
-    pub observatory: Option<ObservatoryConfig>,
     /// Lock-contention model for store access. [`StoreModel::Idealized`]
     /// (the default) registers no locks and no shard metrics, keeping
     /// every schedule and stats surface byte-identical to earlier builds.
@@ -116,7 +110,6 @@ impl Default for McServerConfig {
             port: 11211,
             workers: 4,
             store: StoreConfig::default(),
-            observatory: None,
             store_model: StoreModel::default(),
         }
     }
@@ -326,13 +319,6 @@ impl McServer {
         self.inner.exec.fabrics[FabricSide::Roce as usize]
             .borrow()
             .clone()
-    }
-
-    /// The workload observatory, when one was configured (bind its SLO
-    /// trackers into a sampler, share its exemplar ring with a health
-    /// monitor).
-    pub fn observatory(&self) -> Option<Rc<WorkloadObservatory>> {
-        self.inner.exec.observatory.clone()
     }
 
     /// Stops accepting and serving. UCR endpoints fail over to their error

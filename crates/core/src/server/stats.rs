@@ -18,7 +18,6 @@ use simnet::{NodeId, SimDuration};
 use super::executor::Executor;
 use super::SERVER_VERSION;
 use crate::am_wire::McOp;
-use crate::observatory::WorkloadObservatory;
 
 type Pairs = Vec<(String, String)>;
 type Report = fn(&Executor, &mut SegmentedStore) -> Pairs;
@@ -30,15 +29,6 @@ const REPORTS: &[(&str, Report)] = &[
     ("items", |_, store| store.item_stat_lines()),
     ("trace", trace),
     ("prom", prom),
-    ("hot", |exec, _| {
-        observed(exec, |obs| obs.hot_stat_lines(exec.sim.now()))
-    }),
-    ("slo", |exec, _| {
-        observed(exec, |obs| obs.slo_stat_lines(exec.sim.now()))
-    }),
-    ("exemplars", |exec, _| {
-        observed(exec, WorkloadObservatory::exemplar_stat_lines)
-    }),
     ("profile", profile),
     ("reset", reset),
 ];
@@ -131,20 +121,11 @@ fn trace(exec: &Executor, _: &mut SegmentedStore) -> Pairs {
 /// series name otherwise), so clients reconstruct the text losslessly by
 /// rejoining `"{k} {v}"`.
 fn prom(exec: &Executor, store: &mut SegmentedStore) -> Pairs {
-    // Two levels live outside the registry and are published into it
-    // first: store occupancy here, the sketch's gauges below.
+    // Store occupancy lives outside the registry and is published into it
+    // first.
     exec.gauges.publish(store);
-    let text = match exec.observatory.as_ref() {
-        Some(obs) => {
-            obs.refresh_gauges();
-            simnet::timeseries::prometheus_text_with_exemplars(
-                &exec.metrics,
-                &obs.ring().snapshot(),
-            )
-        }
-        None => simnet::timeseries::prometheus_text(&exec.metrics),
-    };
-    text.lines()
+    simnet::timeseries::prometheus_text(&exec.metrics)
+        .lines()
         .map(|l| {
             let (k, v) = l.split_once(' ').unwrap_or((l, ""));
             pair(k, v)
@@ -152,18 +133,9 @@ fn prom(exec: &Executor, store: &mut SegmentedStore) -> Pairs {
         .collect()
 }
 
-/// A workload-observatory report (a disabled observatory answers with a
-/// single `observatory off` line).
-fn observed(exec: &Executor, lines: impl FnOnce(&WorkloadObservatory) -> Pairs) -> Pairs {
-    match exec.observatory.as_ref() {
-        Some(obs) => lines(obs),
-        None => vec![pair("observatory", "off")],
-    }
-}
-
-/// The attached profiler's critical-path aggregates, windowed signatures,
-/// and unaccounted-time audit (a single `profiler off` line when none is
-/// attached — profiling is opt-in, like the observatory).
+/// The attached profiler's critical-path aggregates, signatures, slowest
+/// paths and unaccounted-time audit (a single `profiler off` line when
+/// none is attached — profiling is opt-in).
 fn profile(exec: &Executor, _: &mut SegmentedStore) -> Pairs {
     match exec.tracer.profiler() {
         Some(p) => p.stat_lines(),
@@ -172,17 +144,14 @@ fn profile(exec: &Executor, _: &mut SegmentedStore) -> Pairs {
 }
 
 /// `stats reset` (memcached parity): zeroes every counter and histogram
-/// of the three books — the cluster registry (server and client request
+/// of the two books — the cluster registry (server and client request
 /// counters, per-verb service times, every node's UCR runtime, tracer and
-/// profiler counts), the storage engine's statistics, the observatory's
-/// sketch and SLO windows — while preserving gauges and their watermarks
-/// (levels describe *current* state; a reset must not forge them).
+/// profiler counts) and the storage engine's statistics — while preserving
+/// gauges and their watermarks (levels describe *current* state; a reset
+/// must not forge them).
 fn reset(exec: &Executor, store: &mut SegmentedStore) -> Pairs {
     exec.metrics.reset_counters_and_histograms();
     store.reset_stats();
-    if let Some(obs) = exec.observatory.as_ref() {
-        obs.reset();
-    }
     vec![pair("reset", "ok")]
 }
 

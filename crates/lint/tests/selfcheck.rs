@@ -74,7 +74,7 @@ fn check_exposition(sites: &[MetricSite], prom: &str) -> Result<usize, Vec<Strin
                     problems.push(format!("{family}: no {kind} is registered as `{name}`"));
                 }
             }
-            _ if line.starts_with('#') => {} // exemplar annotations
+            _ if line.starts_with('#') => {} // any other comment line
             _ => {
                 let (id, value) = line.rsplit_once(' ').unwrap_or((line, ""));
                 let (name, labels) = id

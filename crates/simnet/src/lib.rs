@@ -37,14 +37,12 @@
 #![warn(missing_docs)]
 
 mod engine;
-pub mod exemplar;
 mod fabric;
 pub mod metrics;
 pub mod profiler;
 pub mod profiles;
 mod resource;
 mod rng;
-pub mod sketch;
 mod slab;
 pub mod sync;
 mod time;
@@ -54,7 +52,6 @@ pub mod trace_export;
 pub mod vlock;
 
 pub use engine::{EventTarget, JoinHandle, Sim, TaskId};
-pub use exemplar::{Exemplar, ExemplarConfig, ExemplarRing};
 pub use fabric::{Cluster, Network, Node, NodeId};
 pub use metrics::Metrics;
 pub use profiler::{
@@ -63,12 +60,8 @@ pub use profiler::{
 pub use profiles::{ClusterProfile, NetKind, Stack};
 pub use resource::FifoResource;
 pub use rng::SimRng;
-pub use sketch::{CountMin, HotKey, SketchConfig, TopK, WorkloadSketch};
 pub use slab::{Slab, SlabKey};
 pub use time::{SimDuration, SimTime};
-pub use timeseries::{
-    Health, HealthInput, HealthMonitor, HealthRules, MonitorBinding, SamplePoint, Sampler,
-    SamplerConfig, SloSpec, SloTracker,
-};
+pub use timeseries::{SamplePoint, Sampler, SamplerConfig};
 pub use trace::{Event, EventRecorder, EventSink, Layer, Phase, Tracer, Track};
 pub use vlock::{VLockMeters, VLockStats, VLockTable};

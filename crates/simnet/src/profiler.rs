@@ -1,7 +1,7 @@
 //! Continuous zero-virtual-time profiler over the [`Tracer`] event stream.
 //!
 //! The trace layer (PR 2) gives a *timeline you read*; this module turns
-//! it into an *explanation the system computes*, in three parts:
+//! it into an *explanation the system computes*, in four parts:
 //!
 //! 1. **Folded span profiles** — every begin/end span pair is folded into
 //!    a per-`(node, track)` call stack and accumulated as
@@ -19,6 +19,10 @@
 //!    signature* (the ordered dominant stages of an op, e.g.
 //!    `lock_wait>service`) is counted; the most frequent are part of the
 //!    `stats profile` verb's report.
+//! 4. **The slowest paths** — the [`SLOWEST_KEPT`] completed paths with
+//!    the largest end-to-end latency, each naming its request id, so a
+//!    tail op can be found on the trace timeline and read stage by stage
+//!    ([`Profiler::slowest`], `profile.slowest.<i>` in `stats profile`).
 //!
 //! The profiler consumes the stream every run emits: there is no
 //! profiler-only marker, so it may attach at any point of a run and a
@@ -41,7 +45,6 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
-use crate::exemplar::ExemplarRing;
 use crate::fabric::NodeId;
 use crate::metrics::{Counter, Gauge, Histogram, Metrics};
 use crate::time::{SimDuration, SimTime};
@@ -206,6 +209,9 @@ const SIGNATURE_MIN_SHARE: f64 = 0.10;
 /// How many signatures `stats profile` lists.
 const TOP_SIGNATURES: usize = 4;
 
+/// How many of the slowest completed paths the profiler keeps.
+pub const SLOWEST_KEPT: usize = 8;
+
 /// Profiler tunables.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ProfilerConfig {
@@ -280,6 +286,9 @@ pub struct Profiler {
     folded: RefCell<BTreeMap<String, u64>>,
     /// Completed paths (kept only when `cfg.keep_paths`).
     paths: RefCell<Vec<CriticalPath>>,
+    /// The [`SLOWEST_KEPT`] slowest completed paths, by `end_to_end`
+    /// descending; reserved once, so keeping them allocates nothing.
+    slowest: RefCell<Vec<CriticalPath>>,
     /// `profile.paths`: completed critical paths.
     completed: Rc<Counter>,
     /// `profile.stage.<stage>_ns`: cumulative per-stage attribution.
@@ -303,7 +312,6 @@ pub struct Profiler {
     dominant_share: Rc<Gauge>,
     /// Cumulative signature counts.
     signatures: RefCell<HashMap<String, u64>>,
-    exemplar_rings: RefCell<Vec<Rc<ExemplarRing>>>,
 }
 
 impl Profiler {
@@ -317,6 +325,7 @@ impl Profiler {
             stacks: RefCell::new(HashMap::new()),
             folded: RefCell::new(BTreeMap::new()),
             paths: RefCell::new(Vec::new()),
+            slowest: RefCell::new(Vec::with_capacity(SLOWEST_KEPT)),
             completed: metrics.counter("profile.paths"),
             stage_total_ns: PathStage::ALL
                 .map(|s| metrics.counter(&format!("profile.stage.{}_ns", s.label()))),
@@ -329,7 +338,6 @@ impl Profiler {
             open_paths: metrics.gauge("profile.open_paths"),
             dominant_share: metrics.gauge("profile.dominant_share"),
             signatures: RefCell::new(HashMap::new()),
-            exemplar_rings: RefCell::new(Vec::new()),
         })
     }
 
@@ -342,13 +350,6 @@ impl Profiler {
         tracer.add_sink(p.clone());
         tracer.set_profiler(p.clone());
         p
-    }
-
-    /// Adds an exemplar ring whose records should gain critical-path
-    /// breakdowns: when an op completes, any captured exemplar carrying
-    /// its span id is annotated with the decomposition.
-    pub fn bind_exemplars(&self, ring: &Rc<ExemplarRing>) {
-        self.exemplar_rings.borrow_mut().push(ring.clone());
     }
 
     // -- queries ------------------------------------------------------
@@ -371,6 +372,13 @@ impl Profiler {
     /// Every kept [`CriticalPath`] (empty unless `keep_paths` was set).
     pub fn paths(&self) -> Vec<CriticalPath> {
         self.paths.borrow().clone()
+    }
+
+    /// The [`SLOWEST_KEPT`] slowest completed paths so far, sorted by
+    /// `end_to_end` descending; of two equally slow ops the earlier one is
+    /// kept and listed first.
+    pub fn slowest(&self) -> Vec<CriticalPath> {
+        self.slowest.borrow().clone()
     }
 
     /// Cumulative attribution to `stage` across all completed paths.
@@ -451,7 +459,7 @@ impl Profiler {
     }
 
     /// The `stats profile` report: audit totals, per-stage cumulative
-    /// share/p50/p99 and the current top signatures.
+    /// share/p50/p99, the current top signatures and the slowest paths.
     pub fn stat_lines(&self) -> Vec<(String, String)> {
         let mut out: Vec<(String, String)> = Vec::new();
         let a = self.audit();
@@ -489,6 +497,18 @@ impl Profiler {
         }
         for (i, (sig, n)) in self.top_signatures(TOP_SIGNATURES).into_iter().enumerate() {
             out.push((format!("profile.signature.{i}"), format!("{n}x {sig}")));
+        }
+        for (i, cp) in self.slowest.borrow().iter().enumerate() {
+            out.push((
+                format!("profile.slowest.{i}"),
+                format!(
+                    "op={} e2e_us={:.3} dominant={} signature={}",
+                    cp.op,
+                    cp.end_to_end.as_micros_f64(),
+                    cp.dominant_stage().label(),
+                    cp.signature(SIGNATURE_MIN_SHARE)
+                ),
+            ));
         }
         out.push((
             "profile.folded_paths".into(),
@@ -625,12 +645,25 @@ impl Profiler {
         let sig = path.signature(SIGNATURE_MIN_SHARE);
         *self.signatures.borrow_mut().entry(sig).or_insert(0) += 1;
 
-        for ring in self.exemplar_rings.borrow().iter() {
-            ring.annotate_path(path.op, &path);
-        }
+        self.keep_if_slow(&path);
         if self.cfg.keep_paths {
             self.paths.borrow_mut().push(path);
         }
+    }
+
+    /// Files `path` among the slowest if it beats the fastest kept one:
+    /// after every equally slow path already held, so the earlier op wins
+    /// a tie. Never grows the vector past its reserved capacity.
+    fn keep_if_slow(&self, path: &CriticalPath) {
+        let mut slowest = self.slowest.borrow_mut();
+        let at = slowest.partition_point(|kept| kept.end_to_end >= path.end_to_end);
+        if at == SLOWEST_KEPT {
+            return;
+        }
+        if slowest.len() == SLOWEST_KEPT {
+            slowest.pop();
+        }
+        slowest.insert(at, path.clone());
     }
 
     fn publish_open_gauge(&self) {
@@ -889,5 +922,50 @@ mod tests {
         };
         assert_eq!(cp.signature(0.10), "lock_wait>service");
         assert!(cp.is_exact());
+    }
+
+    /// The slowest paths are the `SLOWEST_KEPT` largest end-to-end
+    /// latencies, sorted descending, earlier op first on a tie, held in
+    /// the vector reserved at construction.
+    #[test]
+    fn slowest_keeps_the_largest_in_its_reserved_vector() {
+        let p = Profiler::new(ProfilerConfig::default(), &Metrics::new());
+        let capacity = p.slowest.borrow().capacity();
+        // e2e (ns) of op i: a scrambled order with a tie between ops 2 and 9.
+        let e2e = [40u64, 7, 90, 15, 66, 3, 81, 22, 58, 90, 11];
+        assert_eq!(e2e.len(), SLOWEST_KEPT + 3);
+        for (op, ns) in e2e.iter().enumerate() {
+            let mut stages = [SimDuration::ZERO; PATH_STAGE_COUNT];
+            stages[PathStage::Service.index()] = SimDuration::from_nanos(*ns);
+            p.record(CriticalPath {
+                op: op as u64,
+                end_to_end: SimDuration::from_nanos(*ns),
+                stages,
+                residual_ns: 0,
+            });
+            assert_eq!(p.slowest.borrow().capacity(), capacity, "grew at op {op}");
+        }
+        let kept: Vec<(u64, u64)> = p
+            .slowest()
+            .iter()
+            .map(|cp| (cp.op, cp.end_to_end.as_nanos()))
+            .collect();
+        let want = [
+            (2, 90),
+            (9, 90),
+            (6, 81),
+            (4, 66),
+            (8, 58),
+            (0, 40),
+            (7, 22),
+            (3, 15),
+        ];
+        assert_eq!(kept, want);
+        let lines = p.stat_lines();
+        let top = lines.iter().find(|(k, _)| k == "profile.slowest.0");
+        assert_eq!(
+            top.map(|(_, v)| v.as_str()),
+            Some("op=2 e2e_us=0.090 dominant=service signature=service")
+        );
     }
 }

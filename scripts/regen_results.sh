@@ -13,10 +13,14 @@
 # A bin's stdout is its results/<bin>.txt; the JSON, .prom, .folded and
 # .trace.json companions are written by the bins themselves. `mcslap` runs
 # with the flags its committed JSON was made with. Prints seconds per bin and,
-# last, their total.
+# last, their total. Fails, naming them, when files under results/ were not
+# rewritten by the run: an orphan whose bin is gone or no longer listed here.
 # (results/metric_manifest.json belongs to `rmc-lint --write-manifest`.)
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+stamp=$(mktemp)
+trap 'rm -f "$stamp"' EXIT
 
 cargo build --release --quiet -p rmc-bench --bins
 bin_dir="${CARGO_TARGET_DIR:-target}/release"
@@ -49,7 +53,12 @@ for name in \
     ext_roce ext_trace_timeline ext_ud_scale; do
     run "$name" "results/$name.txt"
 done
-# These two write their own files; their stdout is not a results file.
-run ext_workload_observatory /dev/null
+# mcslap writes its own JSON; its stdout is not a results file.
 run mcslap /dev/null --transport sdp --depth 4
 seconds total "$total_ms"
+
+orphans=$(find results -type f ! -newer "$stamp" ! -name metric_manifest.json | sort)
+if [ -n "$orphans" ]; then
+    printf 'not rewritten by any bin:\n%s\n' "$orphans" >&2
+    exit 1
+fi

@@ -5,30 +5,8 @@
 //! watermarks, and the plain `stats` report pins the UCR runtime
 //! counters the paper's optimisations are judged by.
 
-use rdma_memcached::rmc::{
-    McClient, McClientConfig, McServerConfig, ObservatoryConfig, Scenario, SloObjective, Transport,
-    World,
-};
-use rdma_memcached::simnet::{
-    HealthMonitor, HealthRules, MonitorBinding, NodeId, Sampler, SamplerConfig, SimDuration, Stack,
-};
-
-/// A server config with the workload observatory enabled: default
-/// sketch/exemplar sizing plus a single comfortable `get` objective.
-fn observed_config() -> McServerConfig {
-    McServerConfig {
-        observatory: Some(ObservatoryConfig {
-            slos: vec![SloObjective {
-                op: "get",
-                latency_target: SimDuration::from_micros(50),
-                objective: 0.99,
-                window: SimDuration::from_micros(1000),
-            }],
-            ..ObservatoryConfig::default()
-        }),
-        ..McServerConfig::default()
-    }
-}
+use rdma_memcached::rmc::{McClient, McClientConfig, McServerConfig, Scenario, Transport, World};
+use rdma_memcached::simnet::{NodeId, Sampler, SamplerConfig, Stack};
 
 /// A UCR client keeping up to eight requests in flight.
 fn pipelined() -> McClientConfig {
@@ -63,24 +41,10 @@ fn sampling_adds_no_virtual_time_and_captures_series() {
             [pipelined()],
         );
         let (world, client) = (&s.world, s.clients[0].clone());
-        let binding = sampled.then(|| MonitorBinding {
-            monitor: HealthMonitor::new(
-                HealthRules::default(),
-                NodeId(1),
-                Some(world.cluster.tracer().clone()),
-                None,
-            ),
-            throughput_counter: "client.node1.ops_completed".into(),
-            queue_gauge: "client.node1.inflight".into(),
-            latency_hist: None,
-            error_counter: None,
-            slos: Vec::new(),
-        });
         let sampler = Sampler::new(
             world.sim(),
             world.cluster.metrics(),
             SamplerConfig::default(),
-            binding,
         );
         if sampled {
             sampler.start();
@@ -215,116 +179,6 @@ fn stats_reset_zeroes_counters_and_histograms_but_preserves_watermarks() {
             .map(|w| metrics.counter_value(&format!("mc.node0.worker{w}.wakes")))
             .sum();
         assert!(wakes <= 2, "wake counters restarted, got {wakes}");
-    });
-}
-
-#[test]
-fn observatory_stats_verbs_round_trip_on_both_client_families() {
-    for transport in [Transport::Ucr, Transport::Sockets(Stack::Sdp)] {
-        let client = McClientConfig::single(transport, NodeId(0));
-        let s = Scenario::new(World::cluster_b(95, 4), observed_config(), [client]);
-        let (sim, client) = (s.world.sim().clone(), s.clients[0].clone());
-        sim.block_on(async move {
-            for i in 0..8 {
-                let key = format!("wl-{i}");
-                client.set(key.as_bytes(), &[3u8; 64], 0, 0).await.unwrap();
-                client.get(key.as_bytes()).await.unwrap().unwrap();
-            }
-            // One key far hotter than the rest.
-            for _ in 0..24 {
-                client.get(b"wl-0").await.unwrap().unwrap();
-            }
-            let find = |pairs: &[(String, String)], key: &str| -> String {
-                pairs
-                    .iter()
-                    .find(|(k, _)| k == key)
-                    .unwrap_or_else(|| panic!("{transport:?}: missing {key}"))
-                    .1
-                    .clone()
-            };
-            let hot = client.stats_report("hot").await.unwrap();
-            let total: u64 = find(&hot, "wl.total").parse().unwrap();
-            assert_eq!(total, 40, "{transport:?}: 8 sets + 32 gets all sketched");
-            assert_eq!(find(&hot, "wl.reads"), "32", "{transport:?}");
-            assert_eq!(find(&hot, "wl.writes"), "8", "{transport:?}");
-            assert_eq!(
-                find(&hot, "hot.0.key"),
-                "wl-0",
-                "{transport:?}: the hammered key tops the table"
-            );
-            let est: u64 = find(&hot, "hot.0.est").parse().unwrap();
-            let err: u64 = find(&hot, "hot.0.err").parse().unwrap();
-            // wl-0: 1 set + 25 gets; space-saving brackets the true count.
-            assert!(est.saturating_sub(err) <= 26 && 26 <= est);
-
-            let slo = client.stats_report("slo").await.unwrap();
-            assert_eq!(find(&slo, "slo.get.target_us"), "50.000", "{transport:?}");
-            let good: u64 = find(&slo, "slo.get.good").parse().unwrap();
-            if transport == Transport::Ucr {
-                // Service-time objectives are judged on the UCR path.
-                assert_eq!(good, 32, "{transport:?}: every get judged good");
-                assert_eq!(find(&slo, "slo.get.bad"), "0", "{transport:?}");
-            }
-
-            let ex = client.stats_report("exemplars").await.unwrap();
-            let seen: u64 = find(&ex, "exemplars.seen").parse().unwrap();
-            if transport == Transport::Ucr {
-                assert!(seen > 0, "every UCR completion is offered to the gate");
-            }
-            let _ = find(&ex, "exemplars.captured");
-            let _ = find(&ex, "exemplars.dropped");
-        });
-    }
-}
-
-#[test]
-fn stats_reset_clears_observatory_state_but_preserves_gauges() {
-    let s = Scenario::new(World::cluster_b(96, 4), observed_config(), [pipelined()]);
-    let (world, client) = (&s.world, s.clients[0].clone());
-    let metrics = world.cluster.metrics().clone();
-    let sim = world.sim().clone();
-    sim.block_on(async move {
-        for i in 0..16 {
-            let key = format!("rs-{i}");
-            client.set(key.as_bytes(), &[9u8; 64], 0, 0).await.unwrap();
-            client.get(key.as_bytes()).await.unwrap().unwrap();
-        }
-        let find = |pairs: &[(String, String)], key: &str| -> u64 {
-            pairs
-                .iter()
-                .find(|(k, _)| k == key)
-                .unwrap_or_else(|| panic!("missing {key}"))
-                .1
-                .parse()
-                .unwrap_or_else(|_| panic!("non-integer {key}"))
-        };
-        let before = client.stats_report("hot").await.unwrap();
-        assert_eq!(find(&before, "wl.total"), 32);
-        // A prom export publishes the workload gauges, arming their
-        // watermarks.
-        client.stats_report("prom").await.unwrap();
-        let imbalance_high = metrics.gauge("mc.node0.wl.slot_imbalance").high();
-        assert!(imbalance_high >= 1.0, "sketch gauge published");
-
-        let ack = client.stats_report("reset").await.unwrap();
-        assert_eq!(ack, vec![("reset".to_string(), "ok".to_string())]);
-
-        // Sketch, SLO windows, and the exemplar ring restart from zero;
-        // stats requests themselves feed no keys.
-        let hot = client.stats_report("hot").await.unwrap();
-        assert_eq!(find(&hot, "wl.total"), 0);
-        assert!(!hot.iter().any(|(k, _)| k == "hot.0.key"));
-        let slo = client.stats_report("slo").await.unwrap();
-        assert_eq!(find(&slo, "slo.get.good"), 0);
-        assert_eq!(find(&slo, "slo.get.bad"), 0);
-        let ex = client.stats_report("exemplars").await.unwrap();
-        assert_eq!(find(&ex, "exemplars.len"), 0);
-        assert_eq!(find(&ex, "exemplars.captured"), 0);
-        // Only the post-reset stats exchanges themselves have been
-        // offered to the gate since the reset.
-        assert!(find(&ex, "exemplars.seen") <= 4);
-        // Gauges are levels: the pre-reset watermark survives.
-        assert!(metrics.gauge("mc.node0.wl.slot_imbalance").high() >= imbalance_high);
     });
 }
 

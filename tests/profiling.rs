@@ -3,15 +3,15 @@
 //! every completed request decomposes exactly into critical-path stages
 //! plus an explicit residual, the folded collapsed-stack export round-trips
 //! through its parser, the `stats profile` verb reports on both client
-//! families, and tail exemplars carry their op's critical-path breakdown.
+//! families, and the slowest paths it keeps name ops on the trace.
 
 use rdma_memcached::rmc::{
-    McClient, McClientConfig, McServerConfig, ObservatoryConfig, Scenario, StoreModel, Transport,
-    World,
+    McClient, McClientConfig, McServerConfig, Scenario, StoreModel, Transport, World,
 };
+use rdma_memcached::simnet::profiler::SLOWEST_KEPT;
 use rdma_memcached::simnet::trace_export::{folded_text, parse_folded};
 use rdma_memcached::simnet::{
-    EventRecorder, ExemplarConfig, NodeId, PathStage, Profiler, ProfilerConfig, Stack,
+    EventRecorder, Layer, NodeId, PathStage, Phase, Profiler, ProfilerConfig, Stack,
 };
 
 /// Two workers behind one store lock, and one client over `transport`.
@@ -182,53 +182,57 @@ fn folded_profile_round_trips_and_nests_lock_frames() {
 }
 
 #[test]
-fn exemplars_carry_critical_path_breakdown() {
-    // Satellite of the profiler: tail exemplars captured by the workload
-    // observatory are annotated with their op's critical-path
-    // decomposition as it retires, and the dominant stage they report
-    // agrees with the profiler's aggregate view.
-    let observed = McServerConfig {
-        observatory: Some(ObservatoryConfig {
-            exemplars: ExemplarConfig {
-                capacity: 32,
-                quantile: 0.5, // capture half of everything: not a tail test
-                min_samples: 8,
-            },
-            ..ObservatoryConfig::default()
-        }),
-        ..McServerConfig::default()
-    };
-    let client = McClientConfig::single(Transport::Ucr, NodeId(0));
-    let s = Scenario::new(World::cluster_b(75, 4), observed, [client]);
-    let profiler = Profiler::attach(s.world.cluster.tracer(), ProfilerConfig::default());
-    let ring = s.server.observatory().expect("observatory on").ring();
-    profiler.bind_exemplars(&ring);
-    run_gets(&s.world, s.clients[0].clone(), 40);
+fn slowest_paths_are_exact_sorted_and_resolve_in_the_trace() {
+    // The profiler's tail record: the slowest completed paths, each an
+    // exact decomposition whose op id finds its `client_op` span on the
+    // trace timeline.
+    let s = global_lock(75, Transport::Ucr);
+    let (world, client) = (&s.world, s.clients[0].clone());
+    let recorder = EventRecorder::new();
+    world.cluster.tracer().add_sink(recorder.clone());
+    let profiler = Profiler::attach(world.cluster.tracer(), ProfilerConfig { keep_paths: true });
+    run_gets(world, client.clone(), 40);
 
-    let annotated: Vec<_> = ring
-        .snapshot()
-        .into_iter()
-        .filter(|e| e.path.is_some())
-        .collect();
-    assert!(!annotated.is_empty(), "captured exemplars gained paths");
-    let mut dominants = std::collections::BTreeMap::new();
-    for e in &annotated {
-        let p = e.path.as_ref().unwrap();
-        assert!(p.is_exact(), "annotated path keeps the exactness identity");
-        *dominants.entry(p.dominant_stage().label()).or_insert(0u32) += 1;
-    }
-    let majority = dominants
-        .iter()
-        .max_by_key(|(_, n)| **n)
-        .map(|(s, _)| *s)
-        .unwrap();
+    let slowest = profiler.slowest();
     assert_eq!(
-        majority,
-        profiler.dominant_stage().label(),
-        "exemplar dominant stages agree with the aggregate: {dominants:?}"
+        slowest.len(),
+        SLOWEST_KEPT,
+        "41 ops retired, the slowest kept"
     );
     assert!(
-        ring.render().contains("dominant="),
-        "the dump format names the dominant stage"
+        slowest
+            .windows(2)
+            .all(|w| w[0].end_to_end >= w[1].end_to_end),
+        "sorted by end_to_end, descending"
     );
+    let max = profiler.paths().iter().map(|cp| cp.end_to_end).max();
+    assert_eq!(Some(slowest[0].end_to_end), max);
+    let events = recorder.events();
+    for cp in &slowest {
+        assert!(cp.is_exact(), "path {cp:?} violates the exactness identity");
+        let span = |phase: Phase| {
+            events
+                .iter()
+                .find(|e| {
+                    e.layer == Layer::Core
+                        && e.name == "client_op"
+                        && e.phase == phase
+                        && e.op == cp.op
+                })
+                .unwrap_or_else(|| panic!("op {} has no client_op {phase:?}", cp.op))
+                .at
+        };
+        assert_eq!(span(Phase::End) - span(Phase::Begin), cp.end_to_end);
+    }
+
+    let stats = world
+        .sim()
+        .block_on(async move { client.stats_report("profile").await.unwrap() });
+    let top = stats
+        .iter()
+        .find(|(k, _)| k == "profile.slowest.0")
+        .map(|(_, v)| v.as_str())
+        .expect("stats profile lists the slowest paths");
+    assert!(top.starts_with(&format!("op={} ", slowest[0].op)), "{top}");
+    assert!(top.contains("dominant="), "{top}");
 }

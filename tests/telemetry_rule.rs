@@ -62,7 +62,7 @@ fn run(wire: Transport, watch: Watch) -> Run {
     let metrics = world.cluster.metrics().clone();
 
     let recorder = EventRecorder::new();
-    let sampler = Sampler::new(world.sim(), &metrics, SamplerConfig::default(), None);
+    let sampler = Sampler::new(world.sim(), &metrics, SamplerConfig::default());
     if watch != Watch::Nobody {
         tracer.add_sink(recorder.clone());
         sampler.start();

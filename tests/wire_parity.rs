@@ -3,7 +3,7 @@
 //! messages, ASCII/TCP, binary/TCP, ASCII/UDP) against a fresh server
 //! under each store model. Every wire must give semantically identical
 //! replies and leave the server in an identical state — store counters,
-//! occupancy, workload-observatory key counts, per-op service counts —
+//! occupancy, per-op service counts —
 //! because all four are front-ends to one request executor.
 //!
 //! The script runs through `McClient` (so the client codecs are under test
@@ -19,9 +19,8 @@ use rdma_memcached::mcproto::{
 };
 use rdma_memcached::mcstore::StoreStats;
 use rdma_memcached::rmc::{
-    McClient, McClientConfig, McError, McOp, McServerConfig, ObservatoryConfig, ReqHeader,
-    RespHeader, RespStatus, Scenario, StoreModel, Transport, Value, World, BASE_UNIX_TIME,
-    MSG_MC_REQ, MSG_MC_RESP,
+    McClient, McClientConfig, McError, McOp, McServerConfig, ReqHeader, RespHeader, RespStatus,
+    Scenario, StoreModel, Transport, Value, World, BASE_UNIX_TIME, MSG_MC_REQ, MSG_MC_RESP,
 };
 use rdma_memcached::simnet::{NodeId, SimDuration, Stack};
 use rdma_memcached::socksim::{Socket, SocketAddr};
@@ -47,20 +46,19 @@ const MODELS: [StoreModel; 3] = [
     StoreModel::Sharded(4),
 ];
 
-/// A server under `model` with the workload observatory on.
-fn observed(model: StoreModel) -> McServerConfig {
+/// A server under `model`.
+fn under(model: StoreModel) -> McServerConfig {
     McServerConfig {
         store_model: model,
-        observatory: Some(ObservatoryConfig::default()),
         ..McServerConfig::default()
     }
 }
 
-/// An [`observed`] server on Cluster A seeded with `seed`, and one client
+/// A server [`under`] `model` on Cluster A seeded with `seed`, and one client
 /// per wire.
 fn testbed(seed: u64, model: StoreModel, wires: &[Transport]) -> Scenario {
     let clients = wires.iter().map(|&wire| McClientConfig::single(wire, SRV));
-    Scenario::new(World::cluster_a(seed, 6), observed(model), clients)
+    Scenario::new(World::cluster_a(seed, 6), under(model), clients)
 }
 
 // ---------------------------------------------------------------------
@@ -199,8 +197,6 @@ struct Footprint {
     /// `curr_items`, `bytes` and the storage counters as `stats` reports
     /// them over the wire under test.
     stats: Vec<(String, String)>,
-    /// Observatory key counts (`wl.total`, `wl.reads`, `wl.writes`).
-    keys: Vec<(String, String)>,
     /// Per-op service counts (`op.<verb>.count`) of the mutating verbs.
     op_counts: Vec<(String, String)>,
     /// `op.mget.count` on the wires that carry a multiget as one request
@@ -326,10 +322,16 @@ async fn run_script(bed: &Scenario, wire: Transport) -> Footprint {
         "stats slabs",
         format!("{:?}", slabs.iter().any(|(k, _)| k == "active_slabs")),
     );
-    say(
-        "stats bogus",
-        format!("{:?}", c.stats_report("bogus").await),
-    );
+    let bogus = c.stats_report("bogus").await;
+    say("stats bogus", format!("{bogus:?}"));
+    // Retired sub-reports answer like any unknown one.
+    for retired in ["hot", "slo", "exemplars"] {
+        assert_eq!(
+            c.stats_report(retired).await,
+            bogus,
+            "{wire:?}: stats {retired}"
+        );
+    }
     // delayed flush_all: items outlive the request, not the deadline
     raw_flush(world, wire, 2).await;
     say(
@@ -355,7 +357,6 @@ async fn run_script(bed: &Scenario, wire: Transport) -> Footprint {
     );
 
     let stats = c.stats().await.unwrap();
-    let hot = c.stats_report("hot").await.unwrap();
     Footprint {
         replies,
         store: bed.server.store_stats(),
@@ -372,7 +373,6 @@ async fn run_script(bed: &Scenario, wire: Transport) -> Footprint {
                 "cas_badval",
             ],
         ),
-        keys: pick(&hot, &["wl.total", "wl.reads", "wl.writes"]),
         op_counts: pick(
             &stats,
             &[
@@ -658,7 +658,7 @@ fn every_mutating_verb_on_every_wire_reaches_a_bypass_reader() {
             ..McClientConfig::single(Transport::Ucr, SRV)
         };
         let clients = [McClientConfig::single(wire, SRV), reader];
-        let bed = Scenario::new(World::cluster_a(66, 6), observed(model), clients);
+        let bed = Scenario::new(World::cluster_a(66, 6), under(model), clients);
         let (writer, reader) = (bed.clients[0].clone(), bed.clients[1].clone());
         let sim = bed.world.sim().clone();
         sim.block_on(async move {
