@@ -5,7 +5,8 @@
 //! HCA work-request pipeline utilization and its kernel protocol-
 //! processing utilization alongside the achieved TPS: UCR pegs the HCA
 //! and leaves the kernel idle (OS-bypass); every sockets transport does
-//! the opposite.
+//! the opposite. The window is `run_throughput`'s timed phase: it opens
+//! once every client has connected and populated its key.
 
 use rmc::Transport;
 use rmc_bench::{measure_bottlenecks, ClusterKind};
@@ -28,6 +29,18 @@ fn main() {
     let mut records = Vec::new();
     for (cluster, transport) in cases {
         let r = measure_bottlenecks(cluster, transport, 16, 4, 800, 31);
+        // OS-bypass: UCR pegs the HCA and leaves the kernel idle; a sockets
+        // transport pegs the kernel and barely touches the HCA.
+        let (busy, idle) = match transport {
+            Transport::Ucr => (r.hca_utilization, r.kernel_utilization),
+            _ => (r.kernel_utilization, r.hca_utilization),
+        };
+        assert!(
+            busy >= 0.9 && idle <= 0.1,
+            "{} {}: {r:?}",
+            cluster.label(),
+            transport.label()
+        );
         println!(
             "{:>10}{:>12}{:>11.1}K{:>13.0}%{:>13.0}%",
             match cluster {

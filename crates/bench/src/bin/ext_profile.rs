@@ -29,6 +29,7 @@ use rmc::StoreModel;
 use rmc_bench::{
     model_label, run_mget_storm, xorshift, ClusterKind, MgetStorm, MGET_STORM_CLIENTS as CLIENTS,
 };
+use simnet::trace_export::folded_text;
 use simnet::{NodeId, PathStage, Profiler, ProfilerConfig};
 
 const WORKERS: usize = 8;
@@ -82,7 +83,7 @@ fn main() {
          per-stage share of total end-to-end time"
     );
     let mut records = Vec::new();
-    let mut folded = String::new();
+    let mut folded = Vec::new();
     for cluster in [ClusterKind::A, ClusterKind::B] {
         println!();
         println!("{}", cluster.label());
@@ -150,13 +151,16 @@ fn main() {
                     }),
                 "lock waits must fold under worker_service frames"
             );
-            for (path, ns) in stacks {
-                folded.push_str(&format!(
-                    "{}.{};{path} {ns}\n",
-                    cluster.label().replace(' ', "_"),
-                    model_label(model)
-                ));
-            }
+            let root = format!(
+                "{}.{}",
+                cluster.label().replace(' ', "_"),
+                model_label(model)
+            );
+            folded.extend(
+                stacks
+                    .into_iter()
+                    .map(|(path, ns)| (format!("{root};{path}"), ns)),
+            );
 
             let mut rec = rmc_bench::json_out::Record::new()
                 .str("op", "get")
@@ -192,7 +196,7 @@ fn main() {
     );
     rmc_bench::json_out::write("ext_profile", &records);
     match std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write("results/ext_profile.folded", &folded))
+        .and_then(|()| std::fs::write("results/ext_profile.folded", folded_text(&folded)))
     {
         Ok(()) => eprintln!("wrote results/ext_profile.folded"),
         Err(e) => eprintln!("could not write results/ext_profile.folded: {e}"),

@@ -313,7 +313,9 @@ pub fn measure_throughput(
 
 /// The [`measure_throughput`] workload on a world the caller built, which
 /// also hands back the server and clients so their counters can be read
-/// once the run is over.
+/// once the run is over. Each node's HCA and kernel occupancy over the
+/// timed window is published into the cluster registry
+/// ([`Cluster::export_node_metrics`](simnet::Cluster::export_node_metrics)).
 pub fn run_throughput(
     world: &World,
     transport: Transport,
@@ -355,11 +357,19 @@ pub fn run_throughput(
             }),
         ));
     }
+    let cluster = world.cluster.clone();
     let tps = sim.clone().block_on(async move {
         for r in ready {
             let _ = r.await;
         }
+        // Every client is connected and has populated its key: the timed
+        // window, and each node's HCA and kernel accounting, start here.
         let t0 = sim.now();
+        for n in 0..cluster.len() {
+            let node = cluster.node(NodeId(n));
+            node.hca.reset(t0);
+            node.kernel.reset(t0);
+        }
         let mut joins = Vec::new();
         for (go, h) in handles {
             let _ = go.send(());
@@ -368,6 +378,7 @@ pub fn run_throughput(
         for j in joins {
             j.await;
         }
+        cluster.export_node_metrics(t0);
         let elapsed = (sim.now() - t0).as_secs_f64();
         (clients as u64 * ops_per_client as u64) as f64 / elapsed
     });
@@ -539,48 +550,19 @@ pub fn measure_latency_distribution(
 // Pipelined request engine (ext_pipeline_depth)
 // ---------------------------------------------------------------------
 
-/// Closed-loop pipelined get throughput from a single client: `ops` gets
-/// over a 64-key working set with up to `depth` requests kept in flight
-/// on the connection ([`McClient::get_many`]). Depth 1 reproduces the
-/// classic synchronous client, so the ratio between depths is exactly
-/// the per-connection pipelining win the paper's Fig. 6 obtains by
-/// adding whole clients.
-pub fn measure_pipeline_throughput(
-    cluster: ClusterKind,
-    transport: Transport,
-    depth: usize,
-    value_size: usize,
-    ops: u32,
-    seed: u64,
-) -> f64 {
-    measure_pipeline_run(cluster, transport, depth, value_size, ops, seed).0
-}
-
-/// Like [`measure_pipeline_throughput`], but also returns the virtual
-/// clock at the end of the run. `ext_observatory` compares this clock
-/// against a sampled run's to prove sampling costs zero virtual time.
-pub fn measure_pipeline_run(
-    cluster: ClusterKind,
-    transport: Transport,
-    depth: usize,
-    value_size: usize,
-    ops: u32,
-    seed: u64,
-) -> (f64, simnet::SimTime) {
-    let world = cluster.world(seed, 4);
-    run_pipeline_gets(&world, transport, depth, value_size, ops)
-}
-
-/// The pipelined-get workload itself, shared by the bare measurements
-/// above and the sampled [`measure_observatory`] so both run the
-/// identical code path (and therefore the identical virtual timeline).
-fn run_pipeline_gets(
+/// Closed-loop pipelined get throughput from a single client on `world`
+/// (one server, one client): `ops` gets over a 64-key working set with up
+/// to `depth` requests kept in flight on the connection
+/// ([`McClient::get_many`]). Depth 1 reproduces the classic synchronous
+/// client, so the ratio between depths is exactly the per-connection
+/// pipelining win the paper's Fig. 6 obtains by adding whole clients.
+pub fn run_pipeline_gets(
     world: &World,
     transport: Transport,
     depth: usize,
     value_size: usize,
     ops: u32,
-) -> (f64, simnet::SimTime) {
+) -> f64 {
     let cfg = McClientConfig {
         pipeline_depth: depth,
         ..McClientConfig::single(transport, NodeId(0))
@@ -588,7 +570,7 @@ fn run_pipeline_gets(
     let s = Scenario::new(world.clone(), McServerConfig::default(), [cfg]);
     let (sim, client) = (world.sim().clone(), s.clients[0].clone());
     let sim2 = sim.clone();
-    let tps = sim.block_on(async move {
+    sim.block_on(async move {
         const KEYS: usize = 64;
         let value = vec![0x42u8; value_size];
         let names: Vec<String> = (0..KEYS).map(|i| format!("pipe-{i}")).collect();
@@ -612,8 +594,7 @@ fn run_pipeline_gets(
         assert!(got.iter().all(Option::is_some), "every pipelined get hits");
         let elapsed = (sim2.now() - t0).as_secs_f64();
         ops as f64 / elapsed
-    });
-    (tps, sim.now())
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -893,68 +874,6 @@ pub fn run_mget_storm(
     (total_keys as f64 / elapsed, server)
 }
 
-/// What one sampled observatory run measured (`ext_observatory`).
-pub struct ObservatoryRun {
-    /// Throughput, bit-identical to [`measure_pipeline_throughput`] on
-    /// the same parameters (sampling adds no virtual time).
-    pub tps: f64,
-    /// Virtual clock at the end of the run (zero-cost sampling check).
-    pub end_clock: simnet::SimTime,
-    /// Sampler snapshots taken during the run.
-    pub ticks: u64,
-    /// Client-observed throughput series (ops/sec per sampling interval).
-    pub tput_series: Vec<f64>,
-    /// In-flight window occupancy high watermark (client side).
-    pub inflight_high: f64,
-    /// Worker queue-depth high watermark across the server's workers.
-    pub queue_high: f64,
-    /// The cluster's Prometheus exposition at the end of the run.
-    pub prom: String,
-}
-
-/// The pipelined-get workload of [`measure_pipeline_throughput`] run with
-/// a metrics [`Sampler`](simnet::Sampler) attached: it snapshots the
-/// cluster registry every 100 µs of virtual time. Sampling is pure
-/// host-side accounting, so `tps` matches the bare measurement bit for
-/// bit.
-pub fn measure_observatory(
-    cluster: ClusterKind,
-    transport: Transport,
-    depth: usize,
-    value_size: usize,
-    ops: u32,
-    seed: u64,
-) -> ObservatoryRun {
-    use simnet::{Sampler, SamplerConfig};
-    let world = cluster.world(seed, 4);
-    let sampler = Sampler::new(
-        world.sim(),
-        world.cluster.metrics(),
-        SamplerConfig::default(),
-    );
-    sampler.start();
-    let (tps, end_clock) = run_pipeline_gets(&world, transport, depth, value_size, ops);
-    sampler.stop();
-    let metrics = world.cluster.metrics();
-    let inflight_high = metrics.gauge("client.node1.inflight").high();
-    let queue_high = (0..McServerConfig::default().workers)
-        .map(|w| {
-            metrics
-                .gauge(&format!("mc.node0.worker{w}.queue_depth"))
-                .high()
-        })
-        .fold(0.0, f64::max);
-    ObservatoryRun {
-        tps,
-        end_clock,
-        ticks: sampler.ticks(),
-        tput_series: sampler.values("client.node1.ops_completed.rate"),
-        inflight_high,
-        queue_high,
-        prom: world.cluster.export_prometheus(),
-    }
-}
-
 // ---------------------------------------------------------------------
 // Bottleneck analysis (what saturates in Figure 6)
 // ---------------------------------------------------------------------
@@ -983,56 +902,20 @@ pub fn measure_bottlenecks(
     seed: u64,
 ) -> BottleneckReport {
     let world = cluster.world(seed, clients + 1);
-    let _server = McServer::start(&world, NodeId(0), McServerConfig::default());
-    let sim = world.sim().clone();
-    let mut joins = Vec::new();
-    for c in 0..clients {
-        let client = McClient::new(
-            &world,
-            NodeId(1 + c),
-            McClientConfig::single(transport, NodeId(0)),
-        );
-        joins.push(sim.spawn(async move {
-            let key = format!("client-{c}");
-            let value = vec![1u8; value_size];
-            client
-                .set(key.as_bytes(), &value, 0, 0)
-                .await
-                .expect("populate");
-            for _ in 0..ops_per_client {
-                client.get(key.as_bytes()).await.expect("get").expect("hit");
-            }
-        }));
+    let (tps, _, _) = run_throughput(&world, transport, clients, value_size, ops_per_client);
+    // Read the attribution back from the cluster metrics registry — the
+    // same gauges `stats`-style consumers see.
+    let m = world.cluster.metrics();
+    m.gauge("bench.tps").set(tps);
+    let utilization = |res: &str| {
+        m.gauge_value(&format!("{}.{res}.utilization", NodeId(0)))
+            .expect("exported")
+    };
+    BottleneckReport {
+        tps,
+        hca_utilization: utilization("hca"),
+        kernel_utilization: utilization("kernel"),
     }
-    let sim2 = sim.clone();
-    let server_node = world.cluster.node(NodeId(0)).clone();
-    let cluster_rc = world.cluster.clone();
-    // Reset accounting after connection setup noise.
-    sim.clone().block_on(async move {
-        let t0 = sim2.now();
-        server_node.hca.reset(t0);
-        server_node.kernel.reset(t0);
-        for j in joins {
-            j.await;
-        }
-        let elapsed = sim2.now() - t0;
-        // Publish the window's resource occupancy into the cluster
-        // metrics registry and read the attribution back from there —
-        // the same gauges `stats`-style consumers see.
-        cluster_rc.export_node_metrics(t0);
-        let m = cluster_rc.metrics();
-        let tps = (clients as u64 * ops_per_client as u64) as f64 / elapsed.as_secs_f64();
-        m.gauge("bench.tps").set(tps);
-        BottleneckReport {
-            tps,
-            hca_utilization: m
-                .gauge_value(&format!("{}.hca.utilization", NodeId(0)))
-                .expect("exported"),
-            kernel_utilization: m
-                .gauge_value(&format!("{}.kernel.utilization", NodeId(0)))
-                .expect("exported"),
-        }
-    })
 }
 
 // ---------------------------------------------------------------------

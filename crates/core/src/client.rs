@@ -578,8 +578,7 @@ struct CliInner {
     /// Live pipelined-window occupancy (`client.nodeN.inflight`); the
     /// gauge's high watermark records the deepest window reached.
     inflight_gauge: Rc<simnet::metrics::Gauge>,
-    /// Completed operations (`client.nodeN.ops_completed`): the counter a
-    /// time-series sampler turns into client-observed throughput.
+    /// Completed operations (`client.nodeN.ops_completed`).
     ops_completed: Rc<simnet::metrics::Counter>,
     /// Directory answers awaiting their bypass-get waiter.
     dir_pending: PendingDirResponses,

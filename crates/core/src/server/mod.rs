@@ -457,7 +457,7 @@ async fn worker_loop(srv: Weak<SrvInner>, rx: Receiver<WorkItem>, widx: u32) {
             frontend::serve(&inner, item, widx).await;
         }
         // Batch drained: refresh the storage-occupancy gauges so a
-        // concurrently running time-series sampler sees live slab state.
+        // registry read between requests sees live slab state.
         if let Some(inner) = srv.upgrade() {
             inner.exec.gauges.publish(&inner.exec.store());
         }

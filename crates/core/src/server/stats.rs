@@ -124,7 +124,7 @@ fn prom(exec: &Executor, store: &mut SegmentedStore) -> Pairs {
     // Store occupancy lives outside the registry and is published into it
     // first.
     exec.gauges.publish(store);
-    simnet::timeseries::prometheus_text(&exec.metrics)
+    simnet::metrics::prometheus_text(&exec.metrics)
         .lines()
         .map(|l| {
             let (k, v) = l.split_once(' ').unwrap_or((l, ""));

@@ -44,13 +44,13 @@ struct MetricRead {
 }
 
 /// Layer prefixes `prometheus_text()` turns into a `layer` label — kept
-/// in sync with `simnet::timeseries::LAYER_PREFIXES`.
+/// in sync with `simnet::metrics::LAYER_PREFIXES`.
 const KNOWN_LAYERS: [&str; 10] = [
     "wire", "verbs", "ucr", "core", "mc", "client", "bench", "latency", "trace", "profile",
 ];
 
-/// Final segments reserved for series the sampler / reporter derives
-/// (`<name>.rate`, watermarks, histogram summaries): a registered name
+/// Final segments reserved for derived series (`<name>.rate`, the
+/// exposition's watermarks and histogram summaries): a registered name
 /// ending in one would collide with the derived series.
 const RESERVED_SUFFIXES: [&str; 10] = [
     "rate", "high", "low", "count", "sum", "mean_us", "p50_us", "p95_us", "p99_us", "max_us",
@@ -217,7 +217,7 @@ pub(super) fn run(ws: &Workspace, out: &mut Findings) {
                     line,
                     format!(
                         "metric name {text:?} ends in reserved segment {last:?}, which \
-                         collides with a sampler/report-derived series of the base name"
+                         collides with a derived series of the base name"
                     ),
                 );
                 continue;

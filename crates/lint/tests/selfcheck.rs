@@ -127,10 +127,10 @@ fn observatory_exposition_matches_the_registrations() {
     let sites = rmc_lint::analyze_workspace(&root)
         .expect("workspace walk")
         .sites;
-    let prom = std::fs::read_to_string(root.join("results/ext_observatory.prom"))
-        .expect("results/ext_observatory.prom must be committed");
+    let prom = std::fs::read_to_string(root.join("results/ext_pipeline_depth.prom"))
+        .expect("results/ext_pipeline_depth.prom must be committed");
     let families = check_exposition(&sites, &prom).expect("committed exposition is sound");
-    assert!(families > 0, "the observatory exposes no families");
+    assert!(families > 0, "the exposition has no families");
 
     // The check must bite: a renamed series, a duplicate series and a
     // family without TYPE each fail it.

@@ -297,9 +297,9 @@ impl Cluster {
     /// The whole metrics registry rendered in Prometheus text exposition
     /// format (`# TYPE`/`# HELP` lines, `node`/`worker`/`layer` labels
     /// recovered from the dotted names). See
-    /// [`timeseries::prometheus_text`](crate::timeseries::prometheus_text).
+    /// [`metrics::prometheus_text`](crate::metrics::prometheus_text).
     pub fn export_prometheus(&self) -> String {
-        crate::timeseries::prometheus_text(&self.metrics)
+        crate::metrics::prometheus_text(&self.metrics)
     }
 
     /// Publishes each node's shared-resource occupancy into the metrics

@@ -46,7 +46,6 @@ mod rng;
 mod slab;
 pub mod sync;
 mod time;
-pub mod timeseries;
 pub mod trace;
 pub mod trace_export;
 pub mod vlock;
@@ -62,6 +61,5 @@ pub use resource::FifoResource;
 pub use rng::SimRng;
 pub use slab::{Slab, SlabKey};
 pub use time::{SimDuration, SimTime};
-pub use timeseries::{SamplePoint, Sampler, SamplerConfig};
 pub use trace::{Event, EventRecorder, EventSink, Layer, Phase, Tracer, Track};
 pub use vlock::{VLockMeters, VLockStats, VLockTable};

@@ -8,7 +8,12 @@
 //! * [`Counter`] / [`Gauge`] / [`Histogram`] — `Cell`/`RefCell`-based
 //!   primitives (the simulation is single-threaded) with percentile
 //!   summaries over **virtual** time;
-//! * [`Metrics`] — a named registry producing `stats`-style reports.
+//! * [`Metrics`] — a named registry producing `stats`-style reports;
+//! * [`prometheus_text`] — the registry rendered in Prometheus text
+//!   exposition format with `# TYPE`/`# HELP` lines and `node`/`worker`/
+//!   `layer` labels recovered from the dotted metric names (surfaced as
+//!   `stats prom` in the memcached protocol and
+//!   `Cluster::export_prometheus`).
 //!
 //! Per-request stage attribution is the [`Profiler`](crate::profiler)'s
 //! job, fed by the [`Tracer`](crate::trace) event stream.
@@ -66,9 +71,9 @@ impl std::fmt::Debug for Counter {
 /// A point-in-time measurement (utilization, occupancy, queue depth).
 ///
 /// Every [`set`](Gauge::set) also folds the value into running high/low
-/// watermarks, so a sampler that only observes the gauge between events
-/// still sees the extremes reached *between* its samples (e.g. the peak
-/// worker queue depth inside one sampling interval). Watermarks survive
+/// watermarks, so a reader that only observes the gauge at the end of a
+/// run still sees the extremes reached during it (e.g. the peak worker
+/// queue depth). Watermarks survive
 /// [`Metrics::reset_counters_and_histograms`] (the `stats reset` path)
 /// and are cleared only by [`reset_watermarks`](Gauge::reset_watermarks)
 /// or a full [`Gauge::reset`].
@@ -386,6 +391,183 @@ impl Metrics {
     }
 }
 
+// ---------------------------------------------------------------------
+// Prometheus-text exposition
+// ---------------------------------------------------------------------
+
+const LAYER_PREFIXES: [&str; 10] = [
+    "wire", "verbs", "ucr", "core", "mc", "client", "bench", "latency", "trace", "profile",
+];
+const NET_SEGMENTS: [&str; 3] = ["ib", "roce", "gige"];
+
+fn sanitize(seg: &str) -> String {
+    seg.chars()
+        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
+        .collect()
+}
+
+/// Splits a dotted registry name into a Prometheus family name plus
+/// labels: a leading layer prefix becomes `layer="..."`, `nodeN` /
+/// `workerN` / `classN` / `shardS` segments become
+/// `node`/`worker`/`class`/`shard` labels,
+/// a fabric segment (`ib`/`roce`/`gige`) becomes `net`, and whatever
+/// remains joins into `rmc_<name>`.
+fn family_and_labels(name: &str) -> (String, Vec<(&'static str, String)>) {
+    let mut labels: Vec<(&'static str, String)> = Vec::new();
+    let mut parts: Vec<String> = Vec::new();
+    for (i, seg) in name.split('.').enumerate() {
+        if i == 0 && LAYER_PREFIXES.contains(&seg) {
+            labels.push(("layer", seg.to_string()));
+        } else if NET_SEGMENTS.contains(&seg) {
+            labels.push(("net", seg.to_string()));
+        } else if let Some(n) = seg
+            .strip_prefix("node")
+            .filter(|r| r.parse::<u32>().is_ok())
+        {
+            labels.push(("node", format!("node{n}")));
+        } else if let Some(n) = seg
+            .strip_prefix("worker")
+            .filter(|r| r.parse::<u32>().is_ok())
+        {
+            labels.push(("worker", n.to_string()));
+        } else if let Some(n) = seg
+            .strip_prefix("class")
+            .filter(|r| r.parse::<u32>().is_ok())
+        {
+            labels.push(("class", n.to_string()));
+        } else if let Some(n) = seg
+            .strip_prefix("shard")
+            .filter(|r| r.parse::<u32>().is_ok())
+        {
+            labels.push(("shard", n.to_string()));
+        } else {
+            parts.push(sanitize(seg));
+        }
+    }
+    if parts.is_empty() {
+        parts.push("value".to_string());
+    }
+    (format!("rmc_{}", parts.join("_")), labels)
+}
+
+fn label_str(labels: &[(&'static str, String)]) -> String {
+    if labels.is_empty() {
+        return String::new();
+    }
+    let body: Vec<String> = labels.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
+    format!("{{{}}}", body.join(","))
+}
+
+struct Family {
+    kind: &'static str,
+    help: String,
+    lines: Vec<String>,
+}
+
+fn add_line(
+    families: &mut BTreeMap<String, Family>,
+    family: &str,
+    kind: &'static str,
+    help: &str,
+    line: String,
+) {
+    let f = families
+        .entry(family.to_string())
+        .or_insert_with(|| Family {
+            kind,
+            help: help.to_string(),
+            lines: Vec::new(),
+        });
+    f.lines.push(line);
+}
+
+/// Renders the whole registry in Prometheus text exposition format:
+/// counters and gauges as their native types (gauges additionally as
+/// `<family>_high`/`<family>_low` watermark series), histograms as
+/// summaries in microseconds (`quantile` label plus `_sum`/`_count`).
+/// Output is fully deterministic: families and series sorted by name.
+pub fn prometheus_text(metrics: &Metrics) -> String {
+    let mut families: BTreeMap<String, Family> = BTreeMap::new();
+    for (name, c) in metrics.counters() {
+        let (family, labels) = family_and_labels(&name);
+        add_line(
+            &mut families,
+            &family,
+            "counter",
+            &format!("Event count from registry metric `{name}`."),
+            format!("{family}{} {}", label_str(&labels), c.get()),
+        );
+    }
+    for (name, g) in metrics.gauges() {
+        let (family, labels) = family_and_labels(&name);
+        let ls = label_str(&labels);
+        let help = format!("Level from registry metric `{name}`.");
+        add_line(
+            &mut families,
+            &family,
+            "gauge",
+            &help,
+            format!("{family}{ls} {}", g.get()),
+        );
+        add_line(
+            &mut families,
+            &format!("{family}_high"),
+            "gauge",
+            &format!("High watermark of registry metric `{name}`."),
+            format!("{family}_high{ls} {}", g.high()),
+        );
+        add_line(
+            &mut families,
+            &format!("{family}_low"),
+            "gauge",
+            &format!("Low watermark of registry metric `{name}`."),
+            format!("{family}_low{ls} {}", g.low()),
+        );
+    }
+    for (name, h) in metrics.histograms() {
+        let (family, labels) = family_and_labels(&name);
+        let family = format!("{family}_us");
+        let s = h.summary();
+        let mut lines = Vec::new();
+        for (q, v) in [(0.5, s.p50), (0.95, s.p95), (0.99, s.p99)] {
+            let mut labels = labels.clone();
+            labels.push(("quantile", format!("{q}")));
+            lines.push(format!(
+                "{family}{} {}",
+                label_str(&labels),
+                v.as_micros_f64()
+            ));
+        }
+        let ls = label_str(&labels);
+        lines.push(format!(
+            "{family}_sum{ls} {}",
+            s.mean.as_micros_f64() * s.count as f64
+        ));
+        lines.push(format!("{family}_count{ls} {}", s.count));
+        for line in lines {
+            add_line(
+                &mut families,
+                &family,
+                "summary",
+                &format!("Virtual-time summary (microseconds) of histogram `{name}`."),
+                line,
+            );
+        }
+    }
+
+    let mut out = String::new();
+    for (family, f) in &mut families {
+        out.push_str(&format!("# HELP {family} {}\n", f.help));
+        out.push_str(&format!("# TYPE {family} {}\n", f.kind));
+        f.lines.sort();
+        for line in &f.lines {
+            out.push_str(line);
+            out.push('\n');
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -609,5 +791,34 @@ mod tests {
         m.reset();
         assert_eq!(m.counter_value("reqs"), 0);
         assert_eq!(m.histogram("lat").count(), 0);
+    }
+
+    #[test]
+    fn prometheus_text_has_types_help_and_labels() {
+        let metrics = Metrics::new();
+        metrics.counter("ucr.ib.node0.messages_sent").add(42);
+        metrics.gauge("mc.node0.worker1.queue_depth").set(3.0);
+        metrics
+            .histogram("mc.node0.op_get")
+            .record(SimDuration::from_micros(7));
+        let text = prometheus_text(&metrics);
+        assert!(text.contains("# TYPE rmc_messages_sent counter"));
+        assert!(text.contains("# HELP rmc_messages_sent"));
+        assert!(text.contains("rmc_messages_sent{layer=\"ucr\",net=\"ib\",node=\"node0\"} 42"));
+        assert!(text.contains("# TYPE rmc_queue_depth gauge"));
+        assert!(text.contains("rmc_queue_depth{layer=\"mc\",node=\"node0\",worker=\"1\"} 3"));
+        assert!(
+            text.contains("rmc_queue_depth_high{layer=\"mc\",node=\"node0\",worker=\"1\"} 3"),
+            "watermark series missing:\n{text}"
+        );
+        assert!(text.contains("# TYPE rmc_op_get_us summary"));
+        assert!(text.contains("rmc_op_get_us{layer=\"mc\",node=\"node0\",quantile=\"0.99\"} 7"));
+        assert!(text.contains("rmc_op_get_us_count{layer=\"mc\",node=\"node0\"} 1"));
+        // No duplicate TYPE lines.
+        let types: Vec<&str> = text.lines().filter(|l| l.starts_with("# TYPE ")).collect();
+        let mut dedup = types.clone();
+        dedup.sort();
+        dedup.dedup();
+        assert_eq!(types.len(), dedup.len());
     }
 }

@@ -873,7 +873,7 @@ mod tests {
     /// Both ways an event can fail to correlate — a `client_op` end with
     /// no open path, a server event whose id matches neither of two open
     /// paths — land in the one `profile.unmatched_events` counter that
-    /// `stats profile`, the sampler and the exposition all read.
+    /// `stats profile` and the exposition both read.
     #[test]
     fn unmatched_events_have_one_book() {
         let metrics = Metrics::new();

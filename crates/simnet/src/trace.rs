@@ -169,8 +169,8 @@ pub const DEFAULT_FLIGHT_CAPACITY: usize = 4096;
 
 /// Per-cluster tracing hub: fans events out to subscribed sinks and keeps
 /// the always-on flight-recorder ring. See the module docs. Its counts are
-/// instruments of the cluster registry it was built with, so `stats trace`,
-/// a sampler and the exposition all read the same books.
+/// instruments of the cluster registry it was built with, so `stats trace`
+/// and the exposition read the same books.
 pub struct Tracer {
     sinks: RefCell<Vec<Rc<dyn EventSink>>>,
     flight: RefCell<VecDeque<Event>>,

@@ -10,11 +10,12 @@
 # `assert!` in the bin that produces it, so a broken claim stops this script
 # (`set -e`) before there is anything to diff.
 #
-# A bin's stdout is its results/<bin>.txt; the JSON, .prom, .folded and
-# .trace.json companions are written by the bins themselves. `mcslap` runs
-# with the flags its committed JSON was made with. Prints seconds per bin and,
-# last, their total. Fails, naming them, when files under results/ were not
-# rewritten by the run: an orphan whose bin is gone or no longer listed here.
+# Runs every bin in crates/bench/src/bin/, in name order. A bin's stdout is
+# its results/<bin>.txt; the JSON, .prom, .folded and .trace.json companions
+# are written by the bins themselves. `mcslap` runs with the flags its
+# committed JSON was made with, and its stdout is not a results file. Prints
+# seconds per bin and, last, their total. Fails, naming them, when files
+# under results/ were not rewritten by the run: an orphan whose bin is gone.
 # (results/metric_manifest.json belongs to `rmc-lint --write-manifest`.)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -45,16 +46,14 @@ seconds() {
     printf '%-28s %3d.%03d s\n' "$1" $(($2 / 1000)) $(($2 % 1000))
 }
 
-for name in \
-    fig3_latency_a fig4_latency_b fig5_mixed fig6_throughput \
-    ablation_counters ablation_eager_threshold ablation_workers \
-    ext_bottlenecks ext_bypass_get ext_facebook_udp ext_jitter_percentiles \
-    ext_latency_attribution ext_observatory ext_pipeline_depth ext_profile \
-    ext_roce ext_trace_timeline ext_ud_scale; do
-    run "$name" "results/$name.txt"
+for src in crates/bench/src/bin/*.rs; do
+    name=$(basename "$src" .rs)
+    if [ "$name" = mcslap ]; then
+        run mcslap /dev/null --transport sdp --depth 4
+    else
+        run "$name" "results/$name.txt"
+    fi
 done
-# mcslap writes its own JSON; its stdout is not a results file.
-run mcslap /dev/null --transport sdp --depth 4
 seconds total "$total_ms"
 
 orphans=$(find results -type f ! -newer "$stamp" ! -name metric_manifest.json | sort)

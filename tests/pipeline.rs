@@ -13,8 +13,8 @@ use rdma_memcached::rmc::{McClientConfig, McServerConfig, Scenario, Transport, W
 use rdma_memcached::simnet::{EventRecorder, Layer, NodeId, Phase, SimDuration, Stack};
 use rdma_memcached::ucr;
 use rmc_bench::{
-    measure_pipeline_throughput, run_throughput, run_windowed_gets, ucr_totals, ClusterKind,
-    WindowedRun, DEFAULT_TPUT_OPS, WINDOWED_CLIENTS,
+    run_pipeline_gets, run_throughput, run_windowed_gets, ucr_totals, ClusterKind, WindowedRun,
+    DEFAULT_TPUT_OPS, WINDOWED_CLIENTS,
 };
 
 /// A UCR client keeping up to `depth` requests in flight.
@@ -469,8 +469,8 @@ fn a_single_pipelined_client_loses_nothing() {
     for cluster in [ClusterKind::A, ClusterKind::B] {
         for size in [4usize, 4096] {
             for depth in [2usize, 4, 8] {
-                let tps =
-                    measure_pipeline_throughput(cluster, Transport::Ucr, depth, size, 1000, 77);
+                let world = cluster.world(77, 4);
+                let tps = run_pipeline_gets(&world, Transport::Ucr, depth, size, 1000);
                 let cell = [
                     format!("\"cluster\": \"{}\"", cluster.label()),
                     "\"transport\": \"UCR\"".to_string(),

@@ -10,14 +10,12 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use rdma_memcached::rmc::{McClientConfig, McServerConfig, Scenario, StoreModel, Transport, World};
 use rdma_memcached::simnet::trace::{Event, Layer, Phase, Track};
-use rdma_memcached::simnet::{
-    EventRecorder, NodeId, PathStage, Profiler, ProfilerConfig, Sampler, SamplerConfig, Stack,
-};
+use rdma_memcached::simnet::{EventRecorder, NodeId, PathStage, Profiler, ProfilerConfig, Stack};
 
 #[derive(Clone, Copy, PartialEq, Debug)]
 enum Watch {
     Nobody,
-    RecorderAndSampler,
+    Recorder,
     ProfilerToo,
 }
 
@@ -62,10 +60,8 @@ fn run(wire: Transport, watch: Watch) -> Run {
     let metrics = world.cluster.metrics().clone();
 
     let recorder = EventRecorder::new();
-    let sampler = Sampler::new(world.sim(), &metrics, SamplerConfig::default());
     if watch != Watch::Nobody {
         tracer.add_sink(recorder.clone());
-        sampler.start();
     }
     // After the client exists: its request ids must not care.
     let profiler =
@@ -80,13 +76,11 @@ fn run(wire: Transport, watch: Watch) -> Run {
         }
         sim2.now().as_nanos()
     });
-    sampler.stop();
 
     // The always-on flight ring is how a run nobody watches is read.
     assert_eq!(tracer.flight_dropped(), 0, "the run fits the flight ring");
     let events: Vec<Said> = tracer.flight_snapshot().iter().map(said).collect();
     if watch != Watch::Nobody {
-        assert!(sampler.ticks() > 0, "the sampler ran");
         let recorded: Vec<Said> = recorder.events().iter().map(said).collect();
         assert_eq!(
             recorded, events,
@@ -115,7 +109,7 @@ fn is_profile(name: &str) -> bool {
 /// profiled run.
 fn three_ways(wire: Transport) -> Run {
     let bare = run(wire, Watch::Nobody);
-    let watched = run(wire, Watch::RecorderAndSampler);
+    let watched = run(wire, Watch::Recorder);
     let profiled = run(wire, Watch::ProfilerToo);
 
     for other in [&watched, &profiled] {

@@ -502,6 +502,43 @@ fn ascii_refusals_answer_and_keep_the_connection() {
     });
 }
 
+/// memcached 1.4's `out_string` says nothing to a `noreply` request, a
+/// failed one included: an `add` of a present key, an `incr` of an absent
+/// one and a `cas` with a stale token each leave the connection silent and
+/// the store as it was, so the next `get`'s `VALUE` is the first byte read.
+#[test]
+fn ascii_noreply_failures_say_nothing() {
+    let bed = testbed(68, StoreModel::Idealized, &[ASCII]);
+    let (sim, c) = (bed.world.sim().clone(), bed.clients[0].clone());
+    sim.block_on(async move {
+        c.set(b"k", b"10", 3, 0).await.unwrap();
+        let stale = c.get(b"k").await.unwrap().unwrap().cas;
+        c.set(b"k", b"10", 3, 0).await.unwrap();
+        let item = c.get(b"k").await.unwrap().unwrap();
+        assert_ne!(item.cas, stale);
+        let sock = raw_socket(&bed.world).await;
+        let hit = &b"VALUE k 3 2\r\n10\r\nEND\r\n"[..];
+        let stale_cas = format!("cas k 0 0 2 {stale} noreply\r\n99\r\n");
+        let rows: [&[u8]; 3] = [
+            b"add k 0 0 2 noreply\r\n99\r\n",
+            b"incr absent 1 noreply\r\n",
+            stale_cas.as_bytes(),
+        ];
+        for line in rows {
+            let row = String::from_utf8_lossy(line);
+            sock.write_all(line).await.expect("raw write");
+            sock.write_all(b"get k\r\n").await.expect("raw write");
+            let got = sock.read_exact(hit.len()).await.expect("raw read");
+            assert_eq!(got, hit, "get after {row}");
+        }
+        bed.world.sim().sleep(SimDuration::from_millis(1)).await;
+        assert_eq!(sock.available(), 0, "nothing more was said");
+        sock.close();
+        assert_eq!(c.get(b"k").await.unwrap(), Some(item));
+        assert_eq!(c.get(b"absent").await.unwrap(), None);
+    });
+}
+
 #[test]
 fn binary_sets_return_the_fresh_cas_without_reading_the_item() {
     // The binary wire answers a store with the item's new CAS token; the
