@@ -1,10 +1,11 @@
 //! The UCR runtime: progress engine, buffer pools, endpoint establishment.
 //!
 //! One [`UcrRuntime`] exists per process (node). It owns a protection
-//! domain, a shared receive queue stocked with 8 KB network buffers, a
-//! pool of registered send buffers of the same size and a pool of idle
-//! rendezvous bytes (the MVAPICH-derived buffer management the paper
-//! reuses, §I refs [10][11]), the handler and
+//! domain, a shared receive queue of 8 KB network buffers — none at start,
+//! one more registered each time a message finds it empty, up to
+//! `RECV_POOL_DEPTH` (128) — a pool of registered send buffers of the same
+//! size and a pool of idle rendezvous bytes (the MVAPICH-derived buffer
+//! management the paper reuses, §I refs [10][11]), the handler and
 //! counter registries, and one or more **progress
 //! contexts**: a completion queue plus the task that reaps it and
 //! dispatches active messages. Every endpoint is bound to one context when
@@ -37,7 +38,12 @@ use crate::handler::{AmBytes, AmData, AmDest, AmHandler};
 use crate::wire::{packet_at, Located, PacketHeader, PacketKind, PACKET_HEADER_BYTES};
 use crate::UcrError;
 
-/// Number of 8 KB network buffers kept posted on the SRQ.
+/// Most 8 KB network buffers the receive pool holds between post and reap.
+/// The pool starts empty and grows on the SRQ's limit event, one buffer per
+/// message that finds no receive posted, up to this depth; the reap of a
+/// buffer re-posts one, so the depth reached is kept. At the depth — this
+/// many landed and not yet reaped — a landing parks until the next reap.
+/// The growth posts take receive ids 1 to this, in order.
 const RECV_POOL_DEPTH: usize = 128;
 
 /// Most idle send buffers the runtime keeps registered. The pool grows on
@@ -232,9 +238,12 @@ pub(crate) struct RtInner {
     /// Work requests awaiting their completion: what it comes back for,
     /// and the send buffer a SEND of packets holds until then.
     pending: RefCell<HashMap<u64, (Pending, Option<SendBuf>)>>,
+    /// Receive buffers posted or landed and not yet reaped, by receive id:
+    /// at most [`RECV_POOL_DEPTH`].
     recv_bufs: RefCell<HashMap<u64, Mr>>,
     /// Retired eager receive buffers awaiting re-posting (registration
-    /// reuse instead of a fresh MR per message).
+    /// reuse instead of a fresh MR per message), at most
+    /// [`RECV_POOL_DEPTH`].
     recv_free: RefCell<Vec<Mr>>,
     /// Idle send buffers, at most [`SEND_POOL_CAP`]; one in use lives in
     /// the staged record, the endpoint's held batch or the pending entry of
@@ -312,7 +321,8 @@ pub struct EpListener {
 
 impl UcrRuntime {
     /// Brings up UCR on `node` with one progress context: allocates verbs
-    /// resources, stocks the receive pool, and starts the progress engine.
+    /// resources, arms the receive pool's growth, and starts the progress
+    /// engine.
     pub fn new(fabric: &IbFabric, node: NodeId) -> UcrRuntime {
         UcrRuntime::with_contexts(fabric, node, 1)
     }
@@ -357,15 +367,20 @@ impl UcrRuntime {
             rndv_idle_bytes: Cell::new(0),
             ud_qp: RefCell::new(None),
             ud_eps: RefCell::new(HashMap::new()),
-            next_wr: Cell::new(1),
+            // Past the receive ids the pool's growth takes.
+            next_wr: Cell::new(RECV_POOL_DEPTH as u64 + 1),
             next_ctr: Cell::new(1),
             next_ep: Cell::new(1),
             stats,
             tracer,
         });
-        for _ in 0..RECV_POOL_DEPTH {
-            inner.post_recv_buffer();
-        }
+        // The limit event stocks the receive pool as traffic needs it.
+        let weak = Rc::downgrade(&inner);
+        inner.srq.set_limit_handler(move || {
+            if let Some(rt) = weak.upgrade() {
+                rt.grow_recv_pool();
+            }
+        });
         // One progress task per context. Each holds the runtime weakly and
         // runs until its stop sender is dropped — by `shutdown`, or with
         // the last UcrRuntime handle, so everything unwinds.
@@ -532,6 +547,14 @@ impl UcrRuntime {
     /// [`registered_regions`](verbs::Hca::registered_regions) beside them.
     pub fn idle_send_buffers(&self) -> usize {
         self.inner.send_free.borrow().len()
+    }
+
+    /// Receive buffers the runtime holds registered: posted on the SRQ,
+    /// landed and not yet reaped (together at most the pool depth, 128),
+    /// and retired awaiting re-posting (at most as many again). The pool
+    /// grows to the traffic, so a depth-1 client holds two.
+    pub fn recv_buffers(&self) -> usize {
+        self.inner.recv_bufs.borrow().len() + self.inner.recv_free.borrow().len()
     }
 
     pub(crate) fn pd_ref(&self) -> &Pd {
@@ -765,7 +788,19 @@ impl RtInner {
         Endpoint { inner }
     }
 
-    fn post_recv_buffer(&self) {
+    /// The SRQ's limit event: a message found no receive posted. Posts one
+    /// more buffer unless the pool is at [`RECV_POOL_DEPTH`]. Every reap
+    /// re-posts the buffer it takes, so the pool holds one buffer per growth
+    /// and the next growth takes receive id `held + 1`.
+    fn grow_recv_pool(&self) {
+        let held = self.recv_bufs.borrow().len();
+        if held < RECV_POOL_DEPTH {
+            self.post_recv_buffer(held as u64 + 1);
+        }
+    }
+
+    /// Posts a receive buffer on the SRQ as receive `wr_id`.
+    fn post_recv_buffer(&self, wr_id: u64) {
         // Recycle a retired buffer when one is available: the
         // registration (and rkey) is reused instead of paid per message.
         let recycled = self.recv_free.borrow_mut().pop();
@@ -776,7 +811,6 @@ impl RtInner {
             }
             None => self.pd.register(NET_BUF_BYTES, Access::LOCAL_WRITE),
         };
-        let wr_id = self.next_wr_id();
         self.srq.post_recv(wr_id, mr.full());
         self.recv_bufs.borrow_mut().insert(wr_id, mr);
     }
@@ -817,10 +851,12 @@ impl RtInner {
     }
 
     async fn handle_recv(self: &Rc<Self>, wc: Wc) {
-        // Reclaim the network buffer and immediately restock the SRQ so
-        // the pool depth stays constant (flow control by replenishment).
+        // Reclaim the network buffer and re-post one at once, so the pool
+        // keeps the depth its growth reached (flow control by
+        // replenishment): a landing parks only when that depth is
+        // RECV_POOL_DEPTH and every buffer is landed and unreaped.
         let buf = self.recv_bufs.borrow_mut().remove(&wc.wr_id);
-        self.post_recv_buffer();
+        self.post_recv_buffer(self.next_wr_id());
         let Some(buf) = buf else { return };
         if !wc.status.is_ok() {
             self.retire_recv_buffer(buf);
@@ -1252,7 +1288,12 @@ mod tests {
     /// (node 1), the connecting one (node 0) and, per connection, its
     /// endpoint and the accepted endpoint.
     fn linked(seed: u64, n: usize) -> Linked {
-        let cluster = Rc::new(Cluster::cluster_b(seed, 2));
+        linked_on(Cluster::cluster_b(seed, 2), n)
+    }
+
+    /// [`linked`] in a world of two nodes built by the caller.
+    fn linked_on(cluster: Cluster, n: usize) -> Linked {
+        let cluster = Rc::new(cluster);
         let fabric = IbFabric::new(cluster.clone());
         let server = UcrRuntime::new(&fabric, NodeId(1));
         let client = UcrRuntime::new(&fabric, NodeId(0));
@@ -1487,6 +1528,77 @@ mod tests {
         let st = server.stats();
         assert_eq!(st.send_failures.get(), 0);
         assert_eq!(st.eager_wrs_posted.get(), N as u64);
+    }
+
+    /// The receive pool grows to its traffic and keeps its cap. One round
+    /// trip registers two receive buffers at each end: the one the message
+    /// landed in and the one its reap posted. Then, while the target's
+    /// progress task dispatches one message, twice the cap of eager
+    /// messages land, each in a work request of its own: the cap's worth
+    /// hold a buffer each, landed and unreaped, and the rest park. Every one
+    /// is handled, in send order, and at quiesce the free list is within
+    /// the cap.
+    #[test]
+    fn the_receive_pool_grows_to_its_traffic_and_keeps_its_cap() {
+        const N: usize = 2 * RECV_POOL_DEPTH;
+        // Past half a network buffer, so no two share a work request.
+        const LEN: usize = NET_BUF_BYTES / 2;
+        let mut profile = ClusterProfile::cluster_b();
+        // Long enough for the whole burst to land during one dispatch.
+        let dispatch = SimDuration::from_millis(10);
+        profile.host.am_dispatch = dispatch;
+        let world = Cluster::new(Sim::new(40), profile, 2);
+        let (cluster, server, client, mut pairs) = linked_on(world, 1);
+        let (ep, _peer) = pairs.remove(0);
+        let seen: Rc<RefCell<Vec<u32>>> = Rc::default();
+        let (seen2, watched) = (seen.clone(), seen.clone());
+        server.register_handler(
+            MSG,
+            FnHandler(move |_: &Endpoint, hdr: &[u8], _: AmData| {
+                if let Ok(i) = hdr.try_into() {
+                    seen2.borrow_mut().push(u32::from_le_bytes(i));
+                }
+            }),
+        );
+        let srv = server.clone();
+        cluster.sim().block_on(async move {
+            let done = client.counter();
+            let opts = SendOptions {
+                completion: Some(done.clone()),
+                ..Default::default()
+            };
+            ep.send_message(MSG, b"h", b"warm", opts)
+                .await
+                .expect("eager");
+            done.wait_for(1, TIMEOUT).await.expect("its Fin");
+            assert_eq!((client.recv_buffers(), srv.recv_buffers()), (2, 2));
+
+            let wrs = client.stats().eager_wrs_posted.get();
+            let data = vec![7u8; LEN];
+            // The first message occupies the target's progress task.
+            let first = ep.send_message(MSG, b"h", &data, SendOptions::default());
+            first.await.expect("eager");
+            for i in 0..N as u32 {
+                let hdr = i.to_le_bytes();
+                let sent = ep.send_message(MSG, &hdr, &data, SendOptions::default());
+                sent.await.expect("eager");
+            }
+            client.sim().sleep(dispatch / 2).await;
+            let rt = &srv.inner;
+            assert!(watched.borrow().is_empty(), "still dispatching the first");
+            assert_eq!(rt.recv_bufs.borrow().len(), RECV_POOL_DEPTH);
+            assert_eq!(rt.srq.available(), 0);
+            assert_eq!(rt.cqs[0].backlog(), RECV_POOL_DEPTH, "the rest parked");
+
+            client.sim().sleep(dispatch * (N as u64 + 2)).await;
+            let wrs = client.stats().eager_wrs_posted.get() - wrs;
+            assert_eq!(wrs, N as u64 + 1, "one work request per message");
+            assert!(rt.recv_free.borrow().len() <= RECV_POOL_DEPTH);
+            assert!(srv.recv_buffers() <= 2 * RECV_POOL_DEPTH);
+        });
+        let seen = seen.borrow();
+        assert!(seen.iter().copied().eq(0..N as u32), "in send order");
+        assert_eq!(server.stats().eager_delivered.get(), N as u64 + 2);
     }
 
     /// Bytes drawn from the rendezvous pool and freshly allocated, so far.

@@ -1287,9 +1287,9 @@ fn rendezvous_request_does_not_overtake_held_messages() {
 /// Paced, the stream runs at 3.3 M msgs/s against the HCA's 2.5 M work
 /// requests/s and the receiver keeps up. Un-paced, 4000 messages are
 /// accepted faster than anything drains and the receiver falls more than
-/// its 128 pooled buffers behind: UCR has no credit flow control, so the
-/// overflow waits at the receiver's HCA (parked on the SRQ, in arrival
-/// order) and the guarantee is the same.
+/// the 128 buffers its pool can grow to behind: UCR has no credit flow
+/// control, so the overflow waits at the receiver's HCA (parked on the
+/// SRQ, in arrival order) and the guarantee is the same.
 fn fin_never_overtakes_held_messages(msgs: u32, pace: SimDuration) {
     const PING: u16 = 41;
     let s = stream();

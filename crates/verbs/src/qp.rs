@@ -181,11 +181,15 @@ struct Read {
 /// A shared receive queue: one pool of receives serving many QPs — the
 /// MVAPICH scalability design the paper reuses for buffer management.
 ///
-/// A message that finds the pool empty is parked on its QP (RC would
-/// RNR-NAK and retry) and the SRQ remembers the QP, so the next buffer
-/// posted goes to the oldest parked message. Invariant: the pool holds a
-/// buffer only while nothing is parked, so an arrival never overtakes a
-/// parked message — on its own QP or on a sibling.
+/// A message that finds the pool empty first raises the SRQ's limit event
+/// (`IBV_EVENT_SRQ_LIMIT_REACHED`, armed by `ibv_modify_srq`), at no
+/// virtual time: the owner's handler, if it installed one, may post, and
+/// the message takes what was posted. Otherwise it is parked on its QP (RC
+/// would RNR-NAK and retry) and the SRQ remembers the QP, so the next
+/// buffer posted goes to the oldest parked message; a datagram is dropped.
+/// Invariant: the pool holds a buffer only while nothing is parked, so an
+/// arrival never overtakes a parked message — on its own QP or on a
+/// sibling.
 #[derive(Clone)]
 pub struct Srq {
     inner: Rc<SrqInner>,
@@ -196,6 +200,8 @@ struct SrqInner {
     /// One entry per parked message, in arrival order: the QP whose
     /// `pending_inbound` holds it.
     parked: RefCell<VecDeque<Weak<QpInner>>>,
+    /// Runs when a message finds the pool empty.
+    on_limit: RefCell<Option<Rc<dyn Fn()>>>,
 }
 
 impl Srq {
@@ -205,8 +211,17 @@ impl Srq {
             inner: Rc::new(SrqInner {
                 queue: RefCell::new(VecDeque::new()),
                 parked: RefCell::new(VecDeque::new()),
+                on_limit: RefCell::new(None),
             }),
         }
+    }
+
+    /// Installs the limit event's handler, replacing any previous one: it
+    /// runs whenever a message finds the pool empty, before the message
+    /// parks or drops, and may [`post_recv`](Self::post_recv). It must not
+    /// hold the SRQ strongly, or the two keep each other alive.
+    pub fn set_limit_handler(&self, handler: impl Fn() + 'static) {
+        *self.inner.on_limit.borrow_mut() = Some(Rc::new(handler));
     }
 
     /// Posts a receive buffer to the shared pool, or straight to the
@@ -235,8 +250,15 @@ impl Srq {
         self.inner.queue.borrow().len()
     }
 
+    /// The next buffer for an arrival: the oldest posted, or else whatever
+    /// the limit event's handler posts for it.
     fn pop(&self) -> Option<RecvWr> {
-        self.inner.queue.borrow_mut().pop_front()
+        let posted = self.inner.queue.borrow_mut().pop_front();
+        posted.or_else(|| {
+            let handler = self.inner.on_limit.borrow().clone();
+            handler?();
+            self.inner.queue.borrow_mut().pop_front()
+        })
     }
 }
 
@@ -636,13 +658,6 @@ impl QpInner {
         self.sim.schedule_target_at(at, self.clone(), key.token());
     }
 
-    fn has_recv_available(&self) -> bool {
-        match &self.srq {
-            Some(s) => s.available() > 0,
-            None => !self.recv_queue.borrow().is_empty(),
-        }
-    }
-
     fn pop_recv(&self) -> Option<RecvWr> {
         match &self.srq {
             Some(s) => s.pop(),
@@ -651,7 +666,8 @@ impl QpInner {
     }
 
     /// Handles an inbound two-sided message (or WRITE_WITH_IMM notification):
-    /// copies it into the next receive, or parks it until one is posted.
+    /// copies it into the next receive (on an empty SRQ, one its limit event
+    /// posts), or parks it until one is posted.
     /// A registered SEND's window is read here, once — into the receive, or
     /// into a snapshot the parked message then owns, because the sender's
     /// completion does not wait for the park and the window is the sender's
@@ -856,9 +872,9 @@ impl EventTarget for QpInner {
                 }
             }
             Flight::DgramDeliver { msg, rqp } => {
-                // UD with no posted receive drops the datagram.
-                if rqp.has_recv_available() {
-                    rqp.rx_inbound(msg);
+                // UD with no receive to take drops the datagram.
+                if let Some(rwr) = rqp.pop_recv() {
+                    rqp.complete_recv(rwr, msg);
                 }
             }
             Flight::WriteArrive(write) => {

@@ -2,6 +2,7 @@
 //! access control, SRQ fan-in, UD semantics, the connection manager, and
 //! failure behaviour.
 
+use std::cell::Cell;
 use std::rc::Rc;
 
 use simnet::{Cluster, NodeId, SimDuration, SimTime};
@@ -306,51 +307,79 @@ fn srq_fans_in_many_qps() {
     drop(bufs);
 }
 
-/// Five sends against an SRQ stocked with two buffers: three messages are
-/// parked on their QP. Each buffer posted afterwards goes to the oldest
-/// parked message, so all five complete, in send order.
+/// Five sends to one SRQ complete in send order, whoever posts their
+/// buffers. Stocked with two and no limit handler, three messages are
+/// parked on their QP and each buffer posted afterwards goes to the oldest
+/// parked message. Empty, with a handler that posts one buffer per limit
+/// event, every arrival takes the buffer its event posted and none parks.
 #[test]
 fn srq_delivers_parked_messages_in_arrival_order() {
-    let (cluster, a, b) = pair(false);
-    let srq = Srq::new();
-    let bufs: Vec<_> = (0..5)
-        .map(|_| b.pd.register(64, Access::LOCAL_WRITE))
-        .collect();
-    for (i, mr) in bufs.iter().take(2).enumerate() {
-        srq.post_recv(i as u64, mr.full());
+    for posts_on_limit in [false, true] {
+        let (cluster, a, b) = pair(false);
+        // The handler holds the SRQ weakly, as its owner's would.
+        let srq = Rc::new(Srq::new());
+        let bufs: Rc<Vec<_>> = Rc::new(
+            (0..5)
+                .map(|_| b.pd.register(64, Access::LOCAL_WRITE))
+                .collect(),
+        );
+        let events = Rc::new(Cell::new(0usize));
+        let up_front = if posts_on_limit {
+            let (weak, bufs, events) = (Rc::downgrade(&srq), bufs.clone(), events.clone());
+            srq.set_limit_handler(move || {
+                let i = events.get();
+                events.set(i + 1);
+                if let Some(srq) = weak.upgrade() {
+                    srq.post_recv(i as u64, bufs[i].full());
+                }
+            });
+            0
+        } else {
+            2
+        };
+        for (i, mr) in bufs.iter().take(up_front).enumerate() {
+            srq.post_recv(i as u64, mr.full());
+        }
+        let qa = a.pd.create_qp(QpType::Rc, &a.cq, &a.cq, None);
+        let qb = b.pd.create_qp(QpType::Rc, &b.cq, &b.cq, Some(&srq));
+        qa.connect_to(b.hca.node(), qb.qpn()).unwrap();
+        qb.connect_to(a.hca.node(), qa.qpn()).unwrap();
+        for i in 0..5u8 {
+            qa.post_send(SendWr::new(
+                i as u64,
+                SendOp::SendInline {
+                    data: vec![i; 8],
+                    imm: None,
+                },
+            ))
+            .unwrap();
+        }
+        cluster.sim().run();
+        if posts_on_limit {
+            // Everything has arrived, each on a buffer its event posted.
+            assert_eq!(events.get(), 5, "one limit event per arrival");
+            assert_eq!(b.cq.backlog(), 5, "none parked");
+        } else {
+            // Everything has arrived: two completed, three parked, pool
+            // empty.
+            assert_eq!(b.cq.backlog(), 2);
+            assert_eq!(srq.available(), 0);
+            for (i, mr) in bufs.iter().enumerate().skip(2) {
+                srq.post_recv(i as u64, mr.full());
+                assert_eq!(b.cq.backlog(), i + 1, "buffer {i} went to a parked message");
+            }
+        }
+        assert_eq!(srq.available(), 0);
+        for (i, mr) in bufs.iter().enumerate() {
+            let wc = b.cq.poll().expect("five receive completions");
+            assert!(wc.status.is_ok());
+            assert_eq!(wc.wr_id, i as u64);
+            assert_eq!(mr.bytes()[..8], [i as u8; 8], "message {i} out of order");
+        }
+        // Nothing left parked: the next buffer joins the pool.
+        srq.post_recv(9, bufs[0].full());
+        assert_eq!(srq.available(), 1);
     }
-    let qa = a.pd.create_qp(QpType::Rc, &a.cq, &a.cq, None);
-    let qb = b.pd.create_qp(QpType::Rc, &b.cq, &b.cq, Some(&srq));
-    qa.connect_to(b.hca.node(), qb.qpn()).unwrap();
-    qb.connect_to(a.hca.node(), qa.qpn()).unwrap();
-    for i in 0..5u8 {
-        qa.post_send(SendWr::new(
-            i as u64,
-            SendOp::SendInline {
-                data: vec![i; 8],
-                imm: None,
-            },
-        ))
-        .unwrap();
-    }
-    // Everything has arrived: two completed, three parked, pool empty.
-    cluster.sim().run();
-    assert_eq!(b.cq.backlog(), 2);
-    assert_eq!(srq.available(), 0);
-    for (i, mr) in bufs.iter().enumerate().skip(2) {
-        srq.post_recv(i as u64, mr.full());
-        assert_eq!(b.cq.backlog(), i + 1, "buffer {i} went to a parked message");
-    }
-    assert_eq!(srq.available(), 0);
-    for (i, mr) in bufs.iter().enumerate() {
-        let wc = b.cq.poll().expect("five receive completions");
-        assert!(wc.status.is_ok());
-        assert_eq!(wc.wr_id, i as u64);
-        assert_eq!(mr.bytes()[..8], [i as u8; 8], "message {i} out of order");
-    }
-    // Nothing left parked: the next buffer joins the pool.
-    srq.post_recv(9, bufs[0].full());
-    assert_eq!(srq.available(), 1);
 }
 
 #[test]
@@ -392,6 +421,30 @@ fn ud_send_completes_locally_and_can_drop() {
     let wc = cluster.sim().block_on(async move { bcq.next().await });
     assert_eq!(wc.wr_id, 3);
     assert_eq!(dst.read_at(0, 6), b"dgram2");
+
+    // An empty SRQ whose limit event posts a receive: delivered, not
+    // dropped.
+    let srq = Rc::new(Srq::new());
+    let (weak, landing) = (Rc::downgrade(&srq), dst.full());
+    srq.set_limit_handler(move || {
+        if let Some(srq) = weak.upgrade() {
+            srq.post_recv(4, landing.clone());
+        }
+    });
+    let qs = b.pd.create_qp(QpType::Ud, &b.cq, &b.cq, Some(&srq));
+    let mut wr = SendWr::new(
+        3,
+        SendOp::SendInline {
+            data: b"dgram3".to_vec(),
+            imm: None,
+        },
+    );
+    wr.ud_dest = Some((b.hca.node(), qs.qpn()));
+    qa.post_send(wr).unwrap();
+    let bcq = b.cq.clone();
+    let wc = cluster.sim().block_on(async move { bcq.next().await });
+    assert_eq!((wc.wr_id, wc.qp_num), (4, qs.qpn()));
+    assert_eq!(dst.read_at(0, 6), b"dgram3");
 }
 
 #[test]

@@ -9,7 +9,8 @@
 //! operation still costs the host allocator on the two transport families,
 //! so the next per-event or per-poll allocation fails `cargo test` instead of
 //! showing up in a benchmark run. They also pin that a run leaves no dead
-//! timers behind: the event queue holds live events only.
+//! timers behind: the event queue holds live events only, and that a UCR
+//! runtime holds the receive buffers its traffic needs, not its pool's cap.
 //!
 //! The budgets are counts, not timings: for a given build they repeat but
 //! for a hash table that happens to grow inside the measured loop, which is
@@ -27,6 +28,7 @@ use rdma_memcached::rmc::{
     McClient, McClientConfig, McServer, McServerConfig, Scenario, StoreModel, Transport, World,
 };
 use rdma_memcached::simnet::{EventTarget, JoinHandle, NodeId, Sim, SimDuration, Stack};
+use rdma_memcached::ucr::UcrRuntime;
 
 /// Allocations and bytes per call site.
 type SiteTable = RefCell<HashMap<String, (u64, u64)>>;
@@ -316,6 +318,31 @@ impl Shape {
         );
         load
     }
+
+    /// The receive buffers each UCR runtime of the testbed holds
+    /// registered: the server's, then each client's in order.
+    fn recv_buffers(&self) -> (usize, Vec<usize>) {
+        let held = |rt: Option<UcrRuntime>| rt.expect("a UCR testbed").recv_buffers();
+        let clients = self.clients.iter().map(|c| held(c.ucr_runtime()));
+        (held(self.server.ucr_runtime()), clients.collect())
+    }
+
+    /// Holds the receive pool of the server to `server` buffers and of
+    /// every client to `client`: it grows to the traffic, not to its cap.
+    fn holds_recv_buffers(&self, server: usize, client: usize) {
+        let (held, clients) = self.recv_buffers();
+        assert!(
+            held <= server,
+            "{}: the server holds {held} receive buffers (budget {server})",
+            self.name
+        );
+        let most = clients.into_iter().max().unwrap_or(0);
+        assert!(
+            most <= client,
+            "{}: a client holds {most} receive buffers (budget {client})",
+            self.name
+        );
+    }
 }
 
 /// The paper's Fig. 6(c) point: 16 UCR clients, 4 B gets, Cluster B.
@@ -399,13 +426,16 @@ fn ascii_socket_sets_and_gets() -> Shape {
 
 #[test]
 fn ucr_small_gets_stay_within_the_allocation_budget() {
-    ucr_small_gets().stays_within(4.0); // measured 3.00
+    let shape = ucr_small_gets();
+    shape.stays_within(4.0); // measured 3.00
+    shape.holds_recv_buffers(7, 4); // measured 5 and 2
 }
 
 #[test]
 fn ucr_pipelined_gets_stay_within_the_allocation_budget() {
     let shape = ucr_pipelined_gets();
     shape.stays_within(4.5); // measured 3.02
+    shape.holds_recv_buffers(9, 4); // measured 7 and 2
     let rt = shape.server.ucr_runtime().expect("UCR server");
     assert!(
         rt.stats().eager_coalesced.get() > 0,
@@ -631,7 +661,9 @@ fn ucr_4k_gets() -> Shape {
 /// pooled receive buffer.
 #[test]
 fn ucr_4k_gets_stay_within_the_allocation_budget() {
-    let load = ucr_4k_gets().stays_within(4.0); // measured 3.00
+    let shape = ucr_4k_gets();
+    let load = shape.stays_within(4.0); // measured 3.00
+    shape.holds_recv_buffers(4, 4); // measured 2 and 2
     let bytes = load.bytes_per_op();
     assert!(
         bytes <= (4096 + 256) as f64,
@@ -658,7 +690,9 @@ fn ucr_64k_sets_and_gets() -> Shape {
 
 #[test]
 fn ucr_64k_sets_and_gets_stay_within_the_allocation_budget() {
-    let load = ucr_64k_sets_and_gets().stays_within(7.5); // measured 7.00
+    let shape = ucr_64k_sets_and_gets();
+    let load = shape.stays_within(7.5); // measured 7.00
+    shape.holds_recv_buffers(6, 4); // measured 4 and 2
     let bytes = load.bytes_per_op();
     assert!(
         bytes <= (65_536 / 2 + 2_048) as f64,
@@ -806,7 +840,8 @@ fn targeted_events_allocate_nothing_in_steady_state() {
 /// call site (the innermost frame in `crates/`), allocations and bytes per
 /// operation over a thousand operations on a warmed-up testbed. Slow — every
 /// allocation takes a backtrace — and a report, not a check:
-/// `cargo test --test alloc_budget -- --ignored --nocapture`.
+/// `cargo test --test alloc_budget -- --ignored --nocapture`. A UCR shape
+/// also prints the receive buffers each runtime holds.
 #[test]
 #[ignore = "prints the allocation site table; slow"]
 fn print_allocation_sites() {
@@ -842,6 +877,10 @@ fn print_allocation_sites() {
             if count >= 0.005 {
                 println!("{count:>10.2} {bytes:>10.0}  {site}");
             }
+        }
+        if shape.clients[0].ucr_runtime().is_some() {
+            let (server, clients) = shape.recv_buffers();
+            println!("receive buffers held: server {server}, clients {clients:?}");
         }
     }
 }

@@ -14,8 +14,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use rdma_memcached::mcproto::{
-    arith_extras, encode_command, parse_response, udp_fragment, BinFrame, BinOpcode, BinStatus,
-    Command, Response, UdpFrame,
+    arith_extras, encode_command, parse_response, store_extras, udp_fragment, BinFrame, BinOpcode,
+    BinStatus, Command, Response, UdpFrame,
 };
 use rdma_memcached::mcstore::StoreStats;
 use rdma_memcached::rmc::{
@@ -574,6 +574,68 @@ fn binary_incr_with_an_initial_value_creates_the_counter() {
         assert_eq!(next, (Some(BinStatus::Ok), Some(42)));
     });
     assert_eq!(srv.store_stats().sets, 1);
+}
+
+/// A train of quiet gets closed by a Noop, byte for byte on binary/TCP
+/// under every store model: a GetKQ hit, a GetKQ miss, a GetQ hit and the
+/// Noop. Only the two hits answer, in request order, each echoing its
+/// opaque (the GetKQ also its key); the miss is silence; the Noop's empty
+/// reply comes last.
+#[test]
+fn binary_quiet_gets_answer_only_their_hits_in_order_then_the_noop() {
+    for model in MODELS {
+        let bed = testbed(66, model, &[Transport::Binary(STACK)]);
+        let world = bed.world;
+        world.sim().clone().block_on(async move {
+            let sock = raw_socket(&world).await;
+            let mut set = BinFrame::request(BinOpcode::Set, 1);
+            (set.key, set.value) = (b"hit".to_vec(), b"value".to_vec());
+            set.extras = store_extras(5, 0);
+            sock.write_all(&set.encode()).await.expect("raw write");
+            let stored = read_frame(&sock).await;
+            assert_eq!(stored.status(), Some(BinStatus::Ok), "{model:?}");
+
+            let get = |opcode, opaque, key: &[u8]| {
+                let mut frame = BinFrame::request(opcode, opaque);
+                frame.key = key.to_vec();
+                frame
+            };
+            let train = [
+                get(BinOpcode::GetKQ, 2, b"hit"),
+                get(BinOpcode::GetKQ, 3, b"miss"),
+                get(BinOpcode::GetQ, 4, b"hit"),
+                get(BinOpcode::Noop, 5, b""),
+            ];
+            let hit = |req: &BinFrame, key: &[u8]| {
+                let mut frame = BinFrame::response(req, BinStatus::Ok);
+                frame.extras = 5u32.to_be_bytes().to_vec();
+                (frame.cas, frame.key, frame.value) = (stored.cas, key.to_vec(), b"value".to_vec());
+                frame.encode()
+            };
+            let expected = [
+                hit(&train[0], b"hit"),
+                hit(&train[2], b""),
+                BinFrame::response(&train[3], BinStatus::Ok).encode(),
+            ]
+            .concat();
+            let wire: Vec<u8> = train.iter().flat_map(BinFrame::encode).collect();
+            sock.write_all(&wire).await.expect("raw write");
+
+            // Read until the Noop's reply is whole.
+            let (mut got, mut at) = (Vec::new(), 0);
+            'noop: loop {
+                sock.read(&mut got, 64 * 1024).await.expect("raw read");
+                while let Some((frame, used)) = BinFrame::parse(&got[at..]).expect("a frame") {
+                    at += used;
+                    if frame.opcode == BinOpcode::Noop {
+                        break 'noop;
+                    }
+                }
+            }
+            assert_eq!(got, expected, "{model:?}");
+            sock.close();
+        });
+    }
 }
 
 /// A get answers with the bytes the store held at its service instant. The
