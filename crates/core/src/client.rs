@@ -1525,9 +1525,15 @@ impl CliInner {
         }
     }
 
-    /// Drops a cached descriptor (miss, version skew, read fault).
+    /// Drops a cached descriptor (miss, version skew, read fault), and
+    /// its place in the FIFO: the queue holds no more than the cache.
     fn uncache_descriptor(&self, key: &(usize, Vec<u8>)) {
-        self.bypass_cache.borrow_mut().remove(key);
+        if self.bypass_cache.borrow_mut().remove(key).is_some() {
+            let mut order = self.bypass_order.borrow_mut();
+            if let Some(at) = order.iter().position(|k| k == key) {
+                order.remove(at);
+            }
+        }
     }
 
     /// The next request id.
@@ -1595,5 +1601,48 @@ impl Drop for CliInner {
         for (_, conn) in self.conns.borrow_mut().drain() {
             conn.close();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Scenario, World};
+
+    /// The bypass descriptor cache and its FIFO queue stay within
+    /// `BYPASS_CACHE_CAP`: a key cached and uncached over and over leaves
+    /// the queue within the cap, and one key past the cap evicts the oldest.
+    #[test]
+    fn the_bypass_queue_never_outgrows_its_cache() {
+        let s = Scenario::start(World::cluster_b(1, 2), Transport::Ucr);
+        let cli = &s.clients[0].inner;
+        let key = |i: usize| (0, format!("key-{i}").into_bytes());
+        let d = CachedDescriptor {
+            remote: MemoryDescriptor {
+                node: NodeId(0),
+                rkey: 1,
+                offset: 0,
+                len: 64,
+            },
+            vlen: 8,
+            flags: 0,
+            cas: 0,
+            exp: 0,
+            version: 2,
+        };
+        for _ in 0..10_000 {
+            cli.cache_descriptor(key(0), d);
+            cli.uncache_descriptor(&key(0));
+        }
+        assert!(cli.bypass_order.borrow().len() <= BYPASS_CACHE_CAP);
+
+        for i in 0..=BYPASS_CACHE_CAP {
+            cli.cache_descriptor(key(i), d);
+        }
+        let cache = cli.bypass_cache.borrow();
+        assert_eq!(cache.len(), BYPASS_CACHE_CAP);
+        assert!(!cache.contains_key(&key(0)), "the oldest key went");
+        assert!(cache.contains_key(&key(1)) && cache.contains_key(&key(BYPASS_CACHE_CAP)));
+        assert_eq!(cli.bypass_order.borrow().len(), BYPASS_CACHE_CAP);
     }
 }

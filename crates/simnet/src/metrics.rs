@@ -20,7 +20,6 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::ops::Bound;
 use std::rc::Rc;
 
 use crate::time::SimDuration;
@@ -231,14 +230,6 @@ impl Histogram {
     /// Arithmetic mean; zero when empty.
     pub fn mean(&self) -> SimDuration {
         self.inner.borrow().mean()
-    }
-
-    /// Samples strictly above `threshold` (the SLO-violation count of
-    /// an objective with that latency target).
-    pub fn count_over(&self, threshold: SimDuration) -> u64 {
-        let above = (Bound::Excluded(threshold.as_nanos()), Bound::Unbounded);
-        let s = self.inner.borrow();
-        s.by_nanos.range(above).map(|(_, n)| n).sum()
     }
 
     /// The `q`-quantile (`q` in `[0, 1]`, nearest-rank); zero when empty.
@@ -705,10 +696,6 @@ mod tests {
             }
         }
 
-        fn count_over(&self, threshold: u64) -> u64 {
-            self.0.iter().filter(|&&s| s > threshold).count() as u64
-        }
-
         fn summary(&self) -> HistogramSummary {
             let s = self.sorted();
             let ns = SimDuration::from_nanos;
@@ -742,16 +729,6 @@ mod tests {
                 h.percentile(q).as_nanos(),
                 reference.percentile(q),
                 "q={q} over {samples:?}"
-            );
-        }
-        for threshold in samples
-            .iter()
-            .flat_map(|&s| [s.saturating_sub(1), s, s + 1])
-        {
-            assert_eq!(
-                h.count_over(SimDuration::from_nanos(threshold)),
-                reference.count_over(threshold),
-                "threshold={threshold} over {samples:?}"
             );
         }
     }

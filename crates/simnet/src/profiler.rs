@@ -43,10 +43,11 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
 use std::rc::Rc;
 
 use crate::fabric::NodeId;
-use crate::metrics::{Counter, Gauge, Histogram, Metrics};
+use crate::metrics::{Counter, Histogram, Metrics};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Event, EventSink, Layer, Phase, Tracer, Track};
 
@@ -110,18 +111,9 @@ impl PathStage {
         }
     }
 
-    /// Array index of this stage.
+    /// Array index of this stage: its place in path order.
     pub fn index(self) -> usize {
-        match self {
-            PathStage::Issue => 0,
-            PathStage::RequestWire => 1,
-            PathStage::WorkerQueue => 2,
-            PathStage::LockWait => 3,
-            PathStage::LockHold => 4,
-            PathStage::Service => 5,
-            PathStage::ResponseWire => 6,
-            PathStage::Complete => 7,
-        }
+        self as usize
     }
 }
 
@@ -148,29 +140,16 @@ pub struct CriticalPath {
 }
 
 impl CriticalPath {
-    /// Sum of all stage attributions.
-    pub fn stage_sum(&self) -> SimDuration {
-        SimDuration::from_nanos(self.stages.iter().map(|d| d.as_nanos()).sum())
-    }
-
     /// The exactness identity: stage sum plus residual equals end-to-end.
     pub fn is_exact(&self) -> bool {
-        self.stage_sum().as_nanos() as i64 + self.residual_ns == self.end_to_end.as_nanos() as i64
+        let sum: u64 = self.stages.iter().map(|d| d.as_nanos()).sum();
+        sum as i64 + self.residual_ns == self.end_to_end.as_nanos() as i64
     }
 
     /// The stage with the largest attribution (first in path order wins
     /// ties).
     pub fn dominant_stage(&self) -> PathStage {
-        let mut best = PathStage::Issue;
-        let mut best_ns = 0u64;
-        for s in PathStage::ALL {
-            let ns = self.stages[s.index()].as_nanos();
-            if ns > best_ns {
-                best = s;
-                best_ns = ns;
-            }
-        }
-        best
+        largest(|s| self.stages[s.index()].as_nanos())
     }
 
     /// The op's critical-path signature: stages contributing at least
@@ -178,24 +157,35 @@ impl CriticalPath {
     /// path order on ties), joined with `>` — e.g. `lock_wait>service`.
     /// Empty end-to-end yields `"-"`.
     pub fn signature(&self, min_share: f64) -> String {
+        let mut out = String::new();
+        self.write_signature(min_share, &mut out);
+        out
+    }
+
+    /// Appends [`CriticalPath::signature`] to `out`, allocating nothing
+    /// when `out` has room.
+    fn write_signature(&self, min_share: f64, out: &mut String) {
         let e2e = self.end_to_end.as_nanos();
-        if e2e == 0 {
-            return "-".to_string();
+        let mut parts = [(0u64, 0usize); PATH_STAGE_COUNT];
+        let mut n = 0;
+        for s in PathStage::ALL {
+            let ns = self.stages[s.index()].as_nanos();
+            if e2e > 0 && ns as f64 / e2e as f64 >= min_share {
+                parts[n] = (ns, s.index());
+                n += 1;
+            }
         }
-        let mut parts: Vec<(u64, usize)> = PathStage::ALL
-            .iter()
-            .map(|s| (self.stages[s.index()].as_nanos(), s.index()))
-            .filter(|(ns, _)| *ns as f64 / e2e as f64 >= min_share)
-            .collect();
-        parts.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        let parts = &mut parts[..n];
+        parts.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
         if parts.is_empty() {
-            return "-".to_string();
+            out.push('-');
         }
-        parts
-            .iter()
-            .map(|(_, i)| PathStage::ALL[*i].label())
-            .collect::<Vec<_>>()
-            .join(">")
+        for (i, (_, stage)) in parts.iter().enumerate() {
+            if i > 0 {
+                out.push('>');
+            }
+            out.push_str(PathStage::ALL[*stage].label());
+        }
     }
 }
 
@@ -212,19 +202,17 @@ const TOP_SIGNATURES: usize = 4;
 /// How many of the slowest completed paths the profiler keeps.
 pub const SLOWEST_KEPT: usize = 8;
 
-/// Profiler tunables.
+/// Profiler tunables: none are left. [`Profiler::attach`] still takes
+/// one, so callers that name it keep building.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct ProfilerConfig {
-    /// Keep every completed [`CriticalPath`] (tests and the audit bench
-    /// read them back; large runs may prefer aggregates only).
-    pub keep_paths: bool,
-}
+pub struct ProfilerConfig {}
 
 // ---------------------------------------------------------------------
 // Internal state
 // ---------------------------------------------------------------------
 
 /// An in-flight `client_op` accumulating correlation markers.
+#[derive(Default)]
 struct OpenPath {
     started_at: SimTime,
     sent_at: Option<SimTime>,
@@ -234,21 +222,6 @@ struct OpenPath {
     lock_wait: SimDuration,
     lock_hold: SimDuration,
     reply_at: Option<SimTime>,
-}
-
-impl OpenPath {
-    fn new(at: SimTime) -> OpenPath {
-        OpenPath {
-            started_at: at,
-            sent_at: None,
-            dispatched_at: None,
-            service_first: None,
-            service_last: None,
-            lock_wait: SimDuration::ZERO,
-            lock_hold: SimDuration::ZERO,
-            reply_at: None,
-        }
-    }
 }
 
 /// An open span frame on a fold stack.
@@ -269,75 +242,65 @@ struct Frame {
 type LaneKey = (Option<NodeId>, Track, u64);
 
 /// The continuous profiler. Construct with [`Profiler::attach`]; read
-/// back with [`Profiler::folded_lines`], [`Profiler::paths`],
+/// back with [`Profiler::folded_lines`], [`Profiler::slowest`],
 /// [`Profiler::audit`] and [`Profiler::stat_lines`].
+///
+/// Each fact has one book. The registry's `profile.*` instruments hold
+/// what `stats reset` restarts: completed ops, per-stage times (a
+/// histogram per stage: its sum is the stage's total, its quantiles the
+/// stage's p50/p99), end-to-end and residual totals. Folded stacks,
+/// signatures and the slowest paths count from attach on. A folded path
+/// or a signature is written into one reused buffer and looked up by
+/// `&str`; a `String` key is made only the first time one is seen.
 pub struct Profiler {
-    cfg: ProfilerConfig,
     /// In-flight client ops by correlation id.
     open: RefCell<HashMap<u64, OpenPath>>,
-    /// Open lock spans: `(op, name, track) → begin`, so concurrently
-    /// parked waiters on different workers never cross-match.
-    open_locks: RefCell<HashMap<(u64, &'static str, Track), SimTime>>,
     /// Fold stacks per `(node, track, op)` lane. Spans of one op nest
     /// strictly; pipelined sibling ops on the same track get their own
-    /// stack and aggregate into the same folded path.
+    /// stack and aggregate into the same folded path. A lock span's
+    /// inclusive time is charged to its op when its frame pops.
     stacks: RefCell<HashMap<LaneKey, Vec<Frame>>>,
     /// Folded exclusive totals: stack path → nanoseconds.
     folded: RefCell<BTreeMap<String, u64>>,
-    /// Completed paths (kept only when `cfg.keep_paths`).
-    paths: RefCell<Vec<CriticalPath>>,
     /// The [`SLOWEST_KEPT`] slowest completed paths, by `end_to_end`
     /// descending; reserved once, so keeping them allocates nothing.
     slowest: RefCell<Vec<CriticalPath>>,
     /// `profile.paths`: completed critical paths.
     completed: Rc<Counter>,
-    /// `profile.stage.<stage>_ns`: cumulative per-stage attribution.
-    stage_total_ns: [Rc<Counter>; PATH_STAGE_COUNT],
-    /// Per-stage distributions (quantiles are not a registry count).
-    stage_times: [Histogram; PATH_STAGE_COUNT],
+    /// `profile.stage.<stage>`: per-stage attribution of every path.
+    stage_times: [Rc<Histogram>; PATH_STAGE_COUNT],
     /// `profile.e2e_ns`: cumulative end-to-end time, the shares' base.
     e2e_total_ns: Rc<Counter>,
     /// `profile.residual_abs_ns`.
     residual_abs_total_ns: Rc<Counter>,
-    /// `profile.max_abs_residual_ns`: the largest single-op residual.
-    max_abs_residual_ns: Rc<Gauge>,
     /// `profile.inexact_paths`.
     inexact: Rc<Counter>,
     /// `profile.unmatched_events`.
     unmatched_events: Rc<Counter>,
-    /// `profile.open_paths`: client ops in flight.
-    open_paths: Rc<Gauge>,
-    /// `profile.dominant_share`: the dominant stage's share of
-    /// end-to-end time.
-    dominant_share: Rc<Gauge>,
     /// Cumulative signature counts.
-    signatures: RefCell<HashMap<String, u64>>,
+    signatures: RefCell<BTreeMap<String, u64>>,
+    /// The one buffer a folded path or a signature is written into.
+    scratch: RefCell<String>,
 }
 
 impl Profiler {
     /// A detached profiler counting in `metrics` (mostly for tests; prefer
     /// [`Profiler::attach`]).
-    pub fn new(cfg: ProfilerConfig, metrics: &Metrics) -> Rc<Profiler> {
+    pub fn new(metrics: &Metrics) -> Rc<Profiler> {
         Rc::new(Profiler {
-            cfg,
             open: RefCell::new(HashMap::new()),
-            open_locks: RefCell::new(HashMap::new()),
             stacks: RefCell::new(HashMap::new()),
             folded: RefCell::new(BTreeMap::new()),
-            paths: RefCell::new(Vec::new()),
             slowest: RefCell::new(Vec::with_capacity(SLOWEST_KEPT)),
             completed: metrics.counter("profile.paths"),
-            stage_total_ns: PathStage::ALL
-                .map(|s| metrics.counter(&format!("profile.stage.{}_ns", s.label()))),
-            stage_times: Default::default(),
+            stage_times: PathStage::ALL
+                .map(|s| metrics.histogram(&format!("profile.stage.{}", s.label()))),
             e2e_total_ns: metrics.counter("profile.e2e_ns"),
             residual_abs_total_ns: metrics.counter("profile.residual_abs_ns"),
-            max_abs_residual_ns: metrics.gauge("profile.max_abs_residual_ns"),
             inexact: metrics.counter("profile.inexact_paths"),
             unmatched_events: metrics.counter("profile.unmatched_events"),
-            open_paths: metrics.gauge("profile.open_paths"),
-            dominant_share: metrics.gauge("profile.dominant_share"),
-            signatures: RefCell::new(HashMap::new()),
+            signatures: RefCell::new(BTreeMap::new()),
+            scratch: RefCell::new(String::new()),
         })
     }
 
@@ -345,19 +308,14 @@ impl Profiler {
     /// `tracer` and registers it as the tracer's profiler (so
     /// `stats profile` can find it). May run at any point: ops that begin
     /// after it decompose fully.
-    pub fn attach(tracer: &Rc<Tracer>, cfg: ProfilerConfig) -> Rc<Profiler> {
-        let p = Profiler::new(cfg, tracer.metrics());
+    pub fn attach(tracer: &Rc<Tracer>, _: ProfilerConfig) -> Rc<Profiler> {
+        let p = Profiler::new(tracer.metrics());
         tracer.add_sink(p.clone());
         tracer.set_profiler(p.clone());
         p
     }
 
     // -- queries ------------------------------------------------------
-
-    /// Completed critical paths so far.
-    pub fn completed(&self) -> u64 {
-        self.completed.get()
-    }
 
     /// Client ops currently in flight.
     pub fn open_len(&self) -> usize {
@@ -369,11 +327,6 @@ impl Profiler {
         self.unmatched_events.get()
     }
 
-    /// Every kept [`CriticalPath`] (empty unless `keep_paths` was set).
-    pub fn paths(&self) -> Vec<CriticalPath> {
-        self.paths.borrow().clone()
-    }
-
     /// The [`SLOWEST_KEPT`] slowest completed paths so far, sorted by
     /// `end_to_end` descending; of two equally slow ops the earlier one is
     /// kept and listed first.
@@ -383,7 +336,7 @@ impl Profiler {
 
     /// Cumulative attribution to `stage` across all completed paths.
     pub fn stage_total(&self, stage: PathStage) -> SimDuration {
-        SimDuration::from_nanos(self.stage_total_ns[stage.index()].get())
+        self.stage_times[stage.index()].sum()
     }
 
     /// Cumulative end-to-end time across all completed paths.
@@ -397,25 +350,12 @@ impl Profiler {
         if e2e == 0 {
             return 0.0;
         }
-        self.stage_total_ns[stage.index()].get() as f64 / e2e as f64
-    }
-
-    /// Cumulative `(p50, p99)` for `stage` across all completed paths.
-    pub fn stage_quantiles(&self, stage: PathStage) -> (SimDuration, SimDuration) {
-        let times = &self.stage_times[stage.index()];
-        (times.percentile(0.50), times.percentile(0.99))
+        self.stage_total(stage).as_nanos() as f64 / e2e as f64
     }
 
     /// The stage with the largest cumulative attribution.
     pub fn dominant_stage(&self) -> PathStage {
-        let total = |s: PathStage| self.stage_total_ns[s.index()].get();
-        let mut best = PathStage::Issue;
-        for s in PathStage::ALL {
-            if total(s) > total(best) {
-                best = s;
-            }
-        }
-        best
+        largest(|s| self.stage_total(s).as_nanos())
     }
 
     /// Cumulative top-`k` `(signature, count)` pairs, most frequent
@@ -430,16 +370,14 @@ impl Profiler {
 
     /// The unaccounted-time audit over every completed path: op count,
     /// ops violating the exactness identity (always 0 by construction —
-    /// the audit proves the bookkeeping, not the arithmetic), total and
-    /// maximum absolute residual, and the residual's share of total
-    /// end-to-end time.
+    /// the audit proves the bookkeeping, not the arithmetic), the total
+    /// absolute residual, and its share of total end-to-end time.
     pub fn audit(&self) -> AuditReport {
         let e2e = self.e2e_total_ns.get();
         AuditReport {
             ops: self.completed.get(),
             inexact_ops: self.inexact.get(),
             residual_abs_total: SimDuration::from_nanos(self.residual_abs_total_ns.get()),
-            max_abs_residual: SimDuration::from_nanos(self.max_abs_residual_ns.get() as u64),
             residual_share: if e2e == 0 {
                 0.0
             } else {
@@ -483,15 +421,15 @@ impl Profiler {
             format!("{:.3}", self.e2e_total().as_micros_f64()),
         ));
         for s in PathStage::ALL {
-            let (p50, p99) = self.stage_quantiles(s);
+            let times = &self.stage_times[s.index()];
             out.push((
                 format!("profile.stage.{}", s.label()),
                 format!(
                     "share={:.4} total_us={:.3} p50_us={:.3} p99_us={:.3}",
                     self.stage_share(s),
                     self.stage_total(s).as_micros_f64(),
-                    p50.as_micros_f64(),
-                    p99.as_micros_f64()
+                    times.percentile(0.50).as_micros_f64(),
+                    times.percentile(0.99).as_micros_f64()
                 ),
             ));
         }
@@ -530,8 +468,11 @@ impl Profiler {
         }
         match (ev.name, ev.phase) {
             ("client_op", Phase::Begin) => {
-                self.open.borrow_mut().insert(ev.op, OpenPath::new(ev.at));
-                self.publish_open_gauge();
+                let path = OpenPath {
+                    started_at: ev.at,
+                    ..OpenPath::default()
+                };
+                self.open.borrow_mut().insert(ev.op, path);
             }
             ("client_op", Phase::End) => self.finish(ev.op, ev.at),
             ("client_sent", Phase::Instant) => self.with_path(ev.op, |p| {
@@ -553,28 +494,6 @@ impl Profiler {
                     p.service_last = Some(ev.at);
                 }
             }),
-            ("lock_wait", Phase::Begin) | ("lock_hold", Phase::Begin) => {
-                self.open_locks
-                    .borrow_mut()
-                    .insert((ev.op, ev.name, ev.track), ev.at);
-            }
-            ("lock_wait", Phase::End) | ("lock_hold", Phase::End) => {
-                let begun = self
-                    .open_locks
-                    .borrow_mut()
-                    .remove(&(ev.op, ev.name, ev.track));
-                if let Some(t0) = begun {
-                    let d = ev.at.saturating_since(t0);
-                    let wait = ev.name == "lock_wait";
-                    self.with_path(ev.op, |p| {
-                        if wait {
-                            p.lock_wait += d;
-                        } else {
-                            p.lock_hold += d;
-                        }
-                    });
-                }
-            }
             _ => {}
         }
     }
@@ -602,7 +521,6 @@ impl Profiler {
             self.unmatched_events.inc();
             return;
         };
-        self.publish_open_gauge();
         let e2e = at.saturating_since(p.started_at);
         let mut stages = [SimDuration::ZERO; PATH_STAGE_COUNT];
         stages[PathStage::Issue.index()] = span(Some(p.started_at), p.sent_at);
@@ -622,33 +540,25 @@ impl Profiler {
             stages,
             residual_ns,
         };
-        self.record(path);
+        self.record(&path);
     }
 
-    fn record(&self, path: CriticalPath) {
+    fn record(&self, path: &CriticalPath) {
         self.completed.inc();
         if !path.is_exact() {
             self.inexact.inc();
         }
         for s in PathStage::ALL {
-            self.stage_total_ns[s.index()].add(path.stages[s.index()].as_nanos());
             self.stage_times[s.index()].record(path.stages[s.index()]);
         }
         self.e2e_total_ns.add(path.end_to_end.as_nanos());
-        let abs_res = path.residual_ns.unsigned_abs();
-        self.residual_abs_total_ns.add(abs_res);
-        if abs_res as f64 > self.max_abs_residual_ns.get() {
-            self.max_abs_residual_ns.set(abs_res as f64);
-        }
-        self.dominant_share
-            .set(self.stage_share(self.dominant_stage()));
-        let sig = path.signature(SIGNATURE_MIN_SHARE);
-        *self.signatures.borrow_mut().entry(sig).or_insert(0) += 1;
-
-        self.keep_if_slow(&path);
-        if self.cfg.keep_paths {
-            self.paths.borrow_mut().push(path);
-        }
+        self.residual_abs_total_ns
+            .add(path.residual_ns.unsigned_abs());
+        let mut sig = self.scratch.borrow_mut();
+        sig.clear();
+        path.write_signature(SIGNATURE_MIN_SHARE, &mut sig);
+        tally(&mut self.signatures.borrow_mut(), &sig, 1);
+        self.keep_if_slow(path);
     }
 
     /// Files `path` among the slowest if it beats the fastest kept one:
@@ -664,10 +574,6 @@ impl Profiler {
             slowest.pop();
         }
         slowest.insert(at, path.clone());
-    }
-
-    fn publish_open_gauge(&self) {
-        self.open_paths.set(self.open.borrow().len() as f64);
     }
 
     // -- folding ------------------------------------------------------
@@ -706,23 +612,25 @@ impl Profiler {
             let f = stack.pop().expect("pos < len");
             let inclusive = ev.at.saturating_since(f.begin).as_nanos();
             let exclusive = inclusive.saturating_sub(f.child_ns);
-            let mut path = match key.0 {
-                Some(n) => format!("node{}", n.0),
-                None => "global".to_string(),
-            };
-            path.push(';');
-            path.push_str(&key.1.lane_label());
-            for anc in stack.iter() {
-                path.push(';');
-                path.push_str(anc.layer.label());
-                path.push(':');
-                path.push_str(anc.name);
+            // Every lock guard drops at the instant its `worker_service`
+            // span ends, so a lock frame's inclusive time is its span's.
+            if f.layer == Layer::Core && matches!(f.name, "lock_wait" | "lock_hold") {
+                let d = SimDuration::from_nanos(inclusive);
+                self.with_path(key.2, |p| match f.name {
+                    "lock_wait" => p.lock_wait += d,
+                    _ => p.lock_hold += d,
+                });
             }
-            path.push(';');
-            path.push_str(f.layer.label());
-            path.push(':');
-            path.push_str(f.name);
-            *self.folded.borrow_mut().entry(path).or_insert(0) += exclusive;
+            let mut path = self.scratch.borrow_mut();
+            path.clear();
+            let _ = match key.0 {
+                Some(n) => write!(path, "node{};{}", n.0, key.1),
+                None => write!(path, "global;{}", key.1),
+            };
+            for fr in stack.iter().chain([&f]) {
+                let _ = write!(path, ";{}:{}", fr.layer.label(), fr.name);
+            }
+            tally(&mut self.folded.borrow_mut(), &path, exclusive);
             if let Some(parent) = stack.last_mut() {
                 parent.child_ns += inclusive;
             }
@@ -748,10 +656,25 @@ pub struct AuditReport {
     pub inexact_ops: u64,
     /// Sum of absolute residuals.
     pub residual_abs_total: SimDuration,
-    /// Largest single-op absolute residual.
-    pub max_abs_residual: SimDuration,
     /// `residual_abs_total / Σ end-to-end`.
     pub residual_share: f64,
+}
+
+/// The stage `ns` gives the most; the first in path order wins a tie.
+fn largest(ns: impl Fn(PathStage) -> u64) -> PathStage {
+    let pick = |best: PathStage, s: PathStage| if ns(s) > ns(best) { s } else { best };
+    PathStage::ALL.into_iter().fold(PathStage::Issue, pick)
+}
+
+/// Adds `n` to `key`'s count, making a `String` key only for a key not
+/// seen before.
+fn tally(counts: &mut BTreeMap<String, u64>, key: &str, n: u64) {
+    match counts.get_mut(key) {
+        Some(count) => *count += n,
+        None => {
+            counts.insert(key.to_string(), n);
+        }
+    }
 }
 
 fn span(from: Option<SimTime>, to: Option<SimTime>) -> SimDuration {
@@ -778,17 +701,15 @@ mod tests {
         }
     }
 
-    /// A detached profiler that keeps every completed path.
-    fn keeping_paths() -> Rc<Profiler> {
-        let cfg = ProfilerConfig { keep_paths: true };
-        Profiler::new(cfg, &Metrics::new())
+    fn detached() -> Rc<Profiler> {
+        Profiler::new(&Metrics::new())
     }
 
     /// Drives one fully-marked op through the profiler and checks every
     /// stage plus the exactness identity.
     #[test]
     fn full_critical_path_decomposes_exactly() {
-        let p = keeping_paths();
+        let p = detached();
         let w = Track::Worker(0);
         p.handle(&ev("client_op", Phase::Begin, 1, Track::Main, 7, 100));
         p.handle(&ev("client_sent", Phase::Instant, 1, Track::Main, 7, 130));
@@ -801,7 +722,7 @@ mod tests {
         p.handle(&ev("worker_service", Phase::End, 0, w, 7, 400));
         p.handle(&ev("client_reply", Phase::Instant, 1, Track::Main, 7, 470));
         p.handle(&ev("client_op", Phase::End, 1, Track::Main, 7, 500));
-        let paths = p.paths();
+        let paths = p.slowest();
         assert_eq!(paths.len(), 1);
         let cp = &paths[0];
         let ns = |s: PathStage| cp.stages[s.index()].as_nanos();
@@ -826,7 +747,7 @@ mod tests {
     /// when exactly one op is open (the sockets correlation rule).
     #[test]
     fn single_open_op_fallback_correlates_foreign_ids() {
-        let p = keeping_paths();
+        let p = detached();
         p.handle(&ev("client_op", Phase::Begin, 1, Track::Main, 77, 0));
         p.handle(&ev("dispatch", Phase::Instant, 0, Track::Main, 3, 40));
         p.handle(&ev(
@@ -846,7 +767,7 @@ mod tests {
             90,
         ));
         p.handle(&ev("client_op", Phase::End, 1, Track::Main, 77, 120));
-        let cp = &p.paths()[0];
+        let cp = &p.slowest()[0];
         assert_eq!(cp.stages[PathStage::WorkerQueue.index()].as_nanos(), 20);
         assert_eq!(cp.stages[PathStage::Service.index()].as_nanos(), 30);
         assert!(cp.is_exact());
@@ -857,14 +778,15 @@ mod tests {
     /// time lands in the residual — never misattributed.
     #[test]
     fn ambiguous_foreign_ids_count_as_unmatched() {
-        let p = keeping_paths();
+        let p = detached();
         p.handle(&ev("client_op", Phase::Begin, 1, Track::Main, 10, 0));
         p.handle(&ev("client_op", Phase::Begin, 2, Track::Main, 20, 5));
         p.handle(&ev("dispatch", Phase::Instant, 0, Track::Main, 3, 40));
         p.handle(&ev("client_op", Phase::End, 1, Track::Main, 10, 100));
         p.handle(&ev("client_op", Phase::End, 2, Track::Main, 20, 110));
         assert_eq!(p.unmatched_events(), 1);
-        for cp in p.paths() {
+        assert_eq!(p.slowest().len(), 2);
+        for cp in p.slowest() {
             assert!(cp.is_exact());
             assert_eq!(cp.residual_ns, cp.end_to_end.as_nanos() as i64);
         }
@@ -877,7 +799,7 @@ mod tests {
     #[test]
     fn unmatched_events_have_one_book() {
         let metrics = Metrics::new();
-        let p = Profiler::new(ProfilerConfig::default(), &metrics);
+        let p = Profiler::new(&metrics);
         p.handle(&ev("client_op", Phase::End, 1, Track::Main, 5, 10));
         p.handle(&ev("client_op", Phase::Begin, 1, Track::Main, 10, 20));
         p.handle(&ev("client_op", Phase::Begin, 2, Track::Main, 20, 25));
@@ -891,7 +813,7 @@ mod tests {
     /// end outlives its parent is implicitly closed at the parent's end.
     #[test]
     fn folded_profile_accumulates_exclusive_time() {
-        let p = Profiler::new(ProfilerConfig::default(), &Metrics::new());
+        let p = detached();
         let w = Track::Worker(2);
         p.handle(&ev("worker_service", Phase::Begin, 0, w, 5, 100));
         p.handle(&ev("lock_hold", Phase::Begin, 0, w, 5, 120));
@@ -929,7 +851,7 @@ mod tests {
     /// the vector reserved at construction.
     #[test]
     fn slowest_keeps_the_largest_in_its_reserved_vector() {
-        let p = Profiler::new(ProfilerConfig::default(), &Metrics::new());
+        let p = detached();
         let capacity = p.slowest.borrow().capacity();
         // e2e (ns) of op i: a scrambled order with a tie between ops 2 and 9.
         let e2e = [40u64, 7, 90, 15, 66, 3, 81, 22, 58, 90, 11];
@@ -937,7 +859,7 @@ mod tests {
         for (op, ns) in e2e.iter().enumerate() {
             let mut stages = [SimDuration::ZERO; PATH_STAGE_COUNT];
             stages[PathStage::Service.index()] = SimDuration::from_nanos(*ns);
-            p.record(CriticalPath {
+            p.record(&CriticalPath {
                 op: op as u64,
                 end_to_end: SimDuration::from_nanos(*ns),
                 stages,

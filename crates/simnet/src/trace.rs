@@ -56,12 +56,7 @@ impl Layer {
     }
 
     fn index(self) -> usize {
-        match self {
-            Layer::Wire => 0,
-            Layer::Verbs => 1,
-            Layer::Ucr => 2,
-            Layer::Core => 3,
-        }
+        self as usize
     }
 }
 
@@ -90,14 +85,15 @@ pub enum Track {
     Qp(u32),
 }
 
-impl Track {
-    /// Stable lower-case lane name (used in folded-profile stack paths).
-    pub fn lane_label(self) -> String {
+/// The stable lower-case lane name: a folded-profile stack path's lane
+/// and a Perfetto thread's name.
+impl fmt::Display for Track {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Track::Main => "main".to_string(),
-            Track::Worker(w) => format!("worker{w}"),
-            Track::Endpoint(e) => format!("ep{e}"),
-            Track::Qp(q) => format!("qp{q}"),
+            Track::Main => f.write_str("main"),
+            Track::Worker(w) => write!(f, "worker{w}"),
+            Track::Endpoint(e) => write!(f, "ep{e}"),
+            Track::Qp(q) => write!(f, "qp{q}"),
         }
     }
 }
@@ -143,11 +139,8 @@ impl fmt::Display for Event {
             Some(n) => write!(f, " {n}")?,
             None => write!(f, " -")?,
         }
-        match self.track {
-            Track::Main => {}
-            Track::Worker(w) => write!(f, "/worker{w}")?,
-            Track::Endpoint(e) => write!(f, "/ep{e}")?,
-            Track::Qp(q) => write!(f, "/qp{q}")?,
+        if self.track != Track::Main {
+            write!(f, "/{}", self.track)?;
         }
         write!(f, " op={}", self.op)?;
         if self.bytes > 0 {

@@ -33,15 +33,6 @@ pub fn track_tid(track: Track) -> u64 {
     }
 }
 
-fn track_name(track: Track) -> String {
-    match track {
-        Track::Main => "main".to_string(),
-        Track::Worker(w) => format!("worker{w}"),
-        Track::Endpoint(e) => format!("ep{e}"),
-        Track::Qp(q) => format!("qp{q}"),
-    }
-}
-
 /// Renders folded collapsed-stack lines (as produced by
 /// [`Profiler::folded_lines`](crate::profiler::Profiler::folded_lines))
 /// in the standard flamegraph input format: one `path count` line per
@@ -133,7 +124,7 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
             let _ = write!(
                 out,
                 "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":\"{}\"}}}}",
-                esc(&track_name(ev.track))
+                esc(&ev.track.to_string())
             );
         }
     }
@@ -143,36 +134,24 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
         let tid = track_tid(ev.track);
         let ts_ns = ev.at.as_nanos();
         let ts = format!("{}.{:03}", ts_ns / 1000, ts_ns % 1000);
+        // An instant is thread-scoped (`"s":"t"`).
+        let ph = match ev.phase {
+            Phase::Begin => "\"b\"",
+            Phase::End => "\"e\"",
+            Phase::Instant => "\"i\",\"s\":\"t\"",
+        };
         sep(&mut out);
-        match ev.phase {
-            Phase::Begin | Phase::End => {
-                let ph = if ev.phase == Phase::Begin { "b" } else { "e" };
-                let _ = write!(
-                    out,
-                    "{{\"ph\":\"{ph}\",\"cat\":\"{}\",\"id\":\"0x{:x}\",\"name\":\"{}\",\
-                     \"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\
-                     \"args\":{{\"op\":{},\"bytes\":{}}}}}",
-                    ev.layer.label(),
-                    ev.op,
-                    esc(ev.name),
-                    ev.op,
-                    ev.bytes
-                );
-            }
-            Phase::Instant => {
-                let _ = write!(
-                    out,
-                    "{{\"ph\":\"i\",\"s\":\"t\",\"cat\":\"{}\",\"id\":\"0x{:x}\",\"name\":\"{}\",\
-                     \"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\
-                     \"args\":{{\"op\":{},\"bytes\":{}}}}}",
-                    ev.layer.label(),
-                    ev.op,
-                    esc(ev.name),
-                    ev.op,
-                    ev.bytes
-                );
-            }
-        }
+        let _ = write!(
+            out,
+            "{{\"ph\":{ph},\"cat\":\"{}\",\"id\":\"0x{:x}\",\"name\":\"{}\",\
+             \"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\
+             \"args\":{{\"op\":{},\"bytes\":{}}}}}",
+            ev.layer.label(),
+            ev.op,
+            esc(ev.name),
+            ev.op,
+            ev.bytes
+        );
     }
     out.push_str("]}");
     out
@@ -484,7 +463,7 @@ mod tests {
 
         use super::*;
         use crate::metrics::Metrics;
-        use crate::profiler::{Profiler, ProfilerConfig};
+        use crate::profiler::Profiler;
         use crate::trace::EventSink;
 
         /// Event names: real ones, and ones the JSON writer must escape
@@ -565,7 +544,7 @@ mod tests {
 
         /// What a profiler fed `events` folds them into.
         fn folded(events: &[Event]) -> Vec<(String, u64)> {
-            let profiler = Profiler::new(ProfilerConfig::default(), &Metrics::new());
+            let profiler = Profiler::new(&Metrics::new());
             for ev in events {
                 profiler.on_event(ev);
             }

@@ -71,6 +71,10 @@ pub const MAX_RNDV_BYTES: usize = 64 << 20;
 /// would take the pool past it when it comes back is freed.
 const RNDV_POOL_BYTES: usize = 1 << 20;
 
+/// Every this many counters made, the counter table drops the entries of
+/// counters already dropped: it holds the live ones plus at most this many.
+const COUNTER_SWEEP: u64 = 1024;
+
 /// Declares [`RtStats`] from the one list of its counters: each field is
 /// the registry counter `ucr.<net>.nodeN.<field>` and the `stats` line
 /// `ucr_<field>`.
@@ -426,7 +430,7 @@ impl UcrRuntime {
         let mut counters = self.inner.counters.borrow_mut();
         // Periodically drop entries whose counters have been released so
         // long-running clients (one counter per request) stay bounded.
-        if id.is_multiple_of(1024) {
+        if id.is_multiple_of(COUNTER_SWEEP) {
             counters.retain(|_, w| w.strong_count() > 0);
         }
         counters.insert(id, Rc::downgrade(&c.inner));
@@ -1528,6 +1532,23 @@ mod tests {
         let st = server.stats();
         assert_eq!(st.send_failures.get(), 0);
         assert_eq!(st.eager_wrs_posted.get(), N as u64);
+    }
+
+    /// The counter table holds the live counters and at most one sweep
+    /// interval of dropped ones: a runtime making and dropping a counter
+    /// per request stays bounded, and the sweep keeps what is held.
+    #[test]
+    fn the_counter_table_sweeps_out_dropped_counters() {
+        let (_cluster, _server, client, _) = linked(36, 0);
+        let held: Vec<Counter> = (0..3).map(|_| client.counter()).collect();
+        let bound = held.len() + COUNTER_SWEEP as usize;
+        for _ in 0..5 * COUNTER_SWEEP {
+            drop(client.counter());
+            let entries = client.inner.counters.borrow().len();
+            assert!(entries <= bound, "{entries} entries, bound {bound}");
+        }
+        let table = client.inner.counters.borrow();
+        assert!(held.iter().all(|c| table.contains_key(&c.id())));
     }
 
     /// The receive pool grows to its traffic and keeps its cap. One round

@@ -27,7 +27,9 @@ use std::rc::Rc;
 use rdma_memcached::rmc::{
     McClient, McClientConfig, McServer, McServerConfig, Scenario, StoreModel, Transport, World,
 };
-use rdma_memcached::simnet::{EventTarget, JoinHandle, NodeId, Sim, SimDuration, Stack};
+use rdma_memcached::simnet::{
+    EventTarget, JoinHandle, NodeId, Profiler, ProfilerConfig, Sim, SimDuration, Stack,
+};
 use rdma_memcached::ucr::UcrRuntime;
 
 /// Allocations and bytes per call site.
@@ -429,6 +431,25 @@ fn ucr_small_gets_stay_within_the_allocation_budget() {
     let shape = ucr_small_gets();
     shape.stays_within(4.0); // measured 3.00
     shape.holds_recv_buffers(7, 4); // measured 5 and 2
+}
+
+/// What watching costs the host: the allocations a profiler adds to a UCR
+/// get. Folded paths and signatures are strings only at first sight, so
+/// what is left is one stack per fold lane (an op's spans on one track).
+#[test]
+fn a_profiler_adds_few_allocations_to_a_ucr_get() {
+    let shape = ucr_small_gets();
+    let allocs_per_op = || {
+        shape.run(WARMUP_OPS);
+        shape.run(MEASURED_OPS).allocs_per_op()
+    };
+    let bare = allocs_per_op();
+    let _profiler = Profiler::attach(shape.world.cluster.tracer(), ProfilerConfig::default());
+    let added = allocs_per_op() - bare;
+    assert!(
+        added <= 9.0, // measured 8.00
+        "a profiler adds {added:.2} allocations per operation (budget 9)"
+    );
 }
 
 #[test]

@@ -11,7 +11,7 @@ use rdma_memcached::rmc::{
 use rdma_memcached::simnet::profiler::SLOWEST_KEPT;
 use rdma_memcached::simnet::trace_export::{folded_text, parse_folded};
 use rdma_memcached::simnet::{
-    EventRecorder, Layer, NodeId, PathStage, Phase, Profiler, ProfilerConfig, Stack,
+    Event, EventRecorder, Layer, NodeId, PathStage, Phase, Profiler, ProfilerConfig, Stack,
 };
 
 /// Two workers behind one store lock, and one client over `transport`.
@@ -68,7 +68,7 @@ fn profiling_adds_no_virtual_time() {
 fn ucr_paths_decompose_exactly_under_global_lock() {
     let s = global_lock(72, Transport::Ucr);
     let (world, client) = (&s.world, s.clients[0].clone());
-    let profiler = Profiler::attach(world.cluster.tracer(), ProfilerConfig { keep_paths: true });
+    let profiler = Profiler::attach(world.cluster.tracer(), ProfilerConfig::default());
     let sim = world.sim().clone();
     sim.block_on(async move {
         client.set(b"k", &[7u8; 256], 0, 0).await.unwrap();
@@ -76,12 +76,9 @@ fn ucr_paths_decompose_exactly_under_global_lock() {
             client.get(b"k").await.unwrap().unwrap();
         }
 
-        assert_eq!(profiler.completed(), 31, "set + 30 gets all retired");
         let audit = profiler.audit();
+        assert_eq!(audit.ops, 31, "set + 30 gets all retired");
         assert_eq!(audit.inexact_ops, 0, "stage sum + residual == e2e, always");
-        for cp in profiler.paths() {
-            assert!(cp.is_exact(), "path {cp:?} violates the exactness identity");
-        }
         // Request ids are on the UCR wire, so every stage correlates
         // directly: wire, service, and lock-hold time are all attributed.
         assert!(profiler.stage_total(PathStage::RequestWire).as_nanos() > 0);
@@ -127,18 +124,15 @@ fn sockets_paths_decompose_exactly_via_single_op_fallback() {
     };
     assert_eq!(off, vec![("profiler".to_string(), "off".to_string())]);
 
-    let profiler = Profiler::attach(world.cluster.tracer(), ProfilerConfig { keep_paths: true });
+    let profiler = Profiler::attach(world.cluster.tracer(), ProfilerConfig::default());
     sim.block_on(async move {
         client.set(b"k", &[9u8; 128], 0, 0).await.unwrap();
         for _ in 0..20 {
             client.get(b"k").await.unwrap().unwrap();
         }
-        assert_eq!(profiler.completed(), 21);
         let audit = profiler.audit();
+        assert_eq!(audit.ops, 21);
         assert_eq!(audit.inexact_ops, 0);
-        for cp in profiler.paths() {
-            assert!(cp.is_exact());
-        }
         assert!(
             profiler.stage_total(PathStage::Service).as_nanos() > 0,
             "sockets worker_service span attributed via the fallback"
@@ -190,7 +184,7 @@ fn slowest_paths_are_exact_sorted_and_resolve_in_the_trace() {
     let (world, client) = (&s.world, s.clients[0].clone());
     let recorder = EventRecorder::new();
     world.cluster.tracer().add_sink(recorder.clone());
-    let profiler = Profiler::attach(world.cluster.tracer(), ProfilerConfig { keep_paths: true });
+    let profiler = Profiler::attach(world.cluster.tracer(), ProfilerConfig::default());
     run_gets(world, client.clone(), 40);
 
     let slowest = profiler.slowest();
@@ -205,24 +199,30 @@ fn slowest_paths_are_exact_sorted_and_resolve_in_the_trace() {
             .all(|w| w[0].end_to_end >= w[1].end_to_end),
         "sorted by end_to_end, descending"
     );
-    let max = profiler.paths().iter().map(|cp| cp.end_to_end).max();
-    assert_eq!(Some(slowest[0].end_to_end), max);
     let events = recorder.events();
-    for cp in &slowest {
-        assert!(cp.is_exact(), "path {cp:?} violates the exactness identity");
-        let span = |phase: Phase| {
-            events
-                .iter()
-                .find(|e| {
-                    e.layer == Layer::Core
-                        && e.name == "client_op"
-                        && e.phase == phase
-                        && e.op == cp.op
-                })
-                .unwrap_or_else(|| panic!("op {} has no client_op {phase:?}", cp.op))
+    let is_client_op = |e: &Event, phase: Phase| {
+        e.layer == Layer::Core && e.name == "client_op" && e.phase == phase
+    };
+    // An op's `client_op` span on the trace timeline, begin to end.
+    let span = |op: u64| {
+        let at = |phase: Phase| {
+            let found = events.iter().find(|e| is_client_op(e, phase) && e.op == op);
+            found
+                .unwrap_or_else(|| panic!("op {op} has no client_op {phase:?}"))
                 .at
         };
-        assert_eq!(span(Phase::End) - span(Phase::Begin), cp.end_to_end);
+        at(Phase::End) - at(Phase::Begin)
+    };
+    let ends = events.iter().filter(|e| is_client_op(e, Phase::End));
+    let max = ends.map(|e| span(e.op)).max();
+    assert_eq!(
+        Some(slowest[0].end_to_end),
+        max,
+        "the largest end-to-end on the trace"
+    );
+    for cp in &slowest {
+        assert!(cp.is_exact(), "path {cp:?} violates the exactness identity");
+        assert_eq!(span(cp.op), cp.end_to_end);
     }
 
     let stats = world
@@ -235,4 +235,39 @@ fn slowest_paths_are_exact_sorted_and_resolve_in_the_trace() {
         .expect("stats profile lists the slowest paths");
     assert!(top.starts_with(&format!("op={} ", slowest[0].op)), "{top}");
     assert!(top.contains("dominant="), "{top}");
+}
+
+#[test]
+fn stats_reset_restarts_every_stage_figure_together() {
+    // A stage's share, total, p50 and p99 come from one histogram, so
+    // `stats reset` restarts all four: after 4 KB gets, a reset and 4 B
+    // gets, `profile.stage.response_wire` reads as if the 4 KB gets had
+    // never run.
+    let response_wire_after = |big_gets: usize| {
+        let s = Scenario::start(World::cluster_b(76, 4), Transport::Ucr);
+        let client = s.clients[0].clone();
+        let _profiler = Profiler::attach(s.world.cluster.tracer(), ProfilerConfig::default());
+        s.world.sim().block_on(async move {
+            client.set(b"big", &[1u8; 4096], 0, 0).await.unwrap();
+            client.set(b"small", &[2u8; 4], 0, 0).await.unwrap();
+            for _ in 0..big_gets {
+                client.get(b"big").await.unwrap().unwrap();
+            }
+            client.stats_report("reset").await.unwrap();
+            for _ in 0..20 {
+                client.get(b"small").await.unwrap().unwrap();
+            }
+            let stats = client.stats_report("profile").await.unwrap();
+            let line = stats
+                .into_iter()
+                .find(|(k, _)| k == "profile.stage.response_wire");
+            line.expect("stats profile lists every stage").1
+        })
+    };
+    let small_only = response_wire_after(0);
+    let after_big = response_wire_after(30);
+    assert_eq!(
+        after_big, small_only,
+        "share, total, p50 and p99 all restart"
+    );
 }
