@@ -114,6 +114,7 @@ impl Executor {
         });
         let locks = VLockTable::new(&sim, meters, Some((tracer.clone(), node)));
         let profile = world.profile();
+        let gauges = StoreGauges::new(&metrics, node, store.class_count());
         Executor {
             store: RefCell::new(store),
             router,
@@ -127,7 +128,7 @@ impl Executor {
             sim,
             counters: SrvStats::new(&metrics, node),
             fabrics: Default::default(),
-            gauges: StoreGauges::new(&metrics, node),
+            gauges,
             tracer,
             metrics,
         }
@@ -364,6 +365,11 @@ impl Executor {
     /// Read-only view of the store (occupancy, statistics).
     pub(super) fn store(&self) -> Ref<'_, SegmentedStore> {
         self.store.borrow()
+    }
+
+    /// Refreshes the storage-occupancy gauges from the store.
+    pub(super) fn publish_gauges(&self) {
+        self.gauges.publish(&mut self.store.borrow_mut());
     }
 
     pub(super) fn lock_stats(&self) -> Vec<VLockStats> {

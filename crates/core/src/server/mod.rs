@@ -459,7 +459,7 @@ async fn worker_loop(srv: Weak<SrvInner>, rx: Receiver<WorkItem>, widx: u32) {
         // Batch drained: refresh the storage-occupancy gauges so a
         // registry read between requests sees live slab state.
         if let Some(inner) = srv.upgrade() {
-            inner.exec.gauges.publish(&inner.exec.store());
+            inner.exec.publish_gauges();
         }
     }
 }

@@ -7,7 +7,6 @@
 //! sub-report is an empty list, i.e. a bare terminator on every wire.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use mcstore::{ClassId, SegmentedStore};
@@ -168,52 +167,47 @@ struct ClassGauges {
 /// chunks, occupancy ratio, and eviction totals. Gauge watermarks give the
 /// high-water occupancy for free. Pure host-side accounting — costs no
 /// virtual time. The workers publish after every batch: item and byte
-/// counts each time (`incr` resizes a value in place), the classes only
-/// when a chunk was allocated or freed since they were last walked.
+/// counts each time (`incr` resizes a value in place), and the classes
+/// whose chunks were allocated or freed since the last publish.
 pub(super) struct StoreGauges {
     metrics: Rc<Metrics>,
     node: NodeId,
     items: Rc<Gauge>,
     bytes: Rc<Gauge>,
-    /// Created lazily for populated classes only (a default store has
-    /// dozens of classes, most never touched).
-    classes: RefCell<HashMap<usize, ClassGauges>>,
-    /// [`SegmentedStore::class_changes`] as of the last walk over the
-    /// classes (a fresh store reads 0 and has nothing to publish).
-    walked_at: Cell<u64>,
-    /// Walks over the classes so far.
-    pub(super) class_walks: Cell<u64>,
+    /// Indexed by class id, created lazily for populated classes only (a
+    /// default store has dozens of classes, most never touched).
+    classes: RefCell<Vec<Option<ClassGauges>>>,
+    /// Classes published so far.
+    pub(super) classes_published: Cell<u64>,
 }
 
 impl StoreGauges {
-    pub(super) fn new(metrics: &Rc<Metrics>, node: NodeId) -> StoreGauges {
+    pub(super) fn new(metrics: &Rc<Metrics>, node: NodeId, class_count: usize) -> StoreGauges {
         StoreGauges {
             metrics: metrics.clone(),
             node,
             items: metrics.gauge(&format!("mc.node{}.store.curr_items", node.0)),
             bytes: metrics.gauge(&format!("mc.node{}.store.bytes", node.0)),
-            classes: RefCell::new(HashMap::new()),
-            walked_at: Cell::new(0),
-            class_walks: Cell::new(0),
+            classes: RefCell::new((0..class_count).map(|_| None).collect()),
+            classes_published: Cell::new(0),
         }
     }
 
-    pub(super) fn publish(&self, store: &SegmentedStore) {
+    pub(super) fn publish(&self, store: &mut SegmentedStore) {
         self.items.set(store.curr_items() as f64);
         self.bytes.set(store.bytes_stored() as f64);
-        let changes = store.class_changes();
-        if self.walked_at.replace(changes) == changes {
-            return;
-        }
-        self.class_walks.set(self.class_walks.get() + 1);
         let mut classes = self.classes.borrow_mut();
-        for c in 0..store.class_count() {
+        let mut moved = store.take_moved_classes();
+        while moved != 0 {
+            let c = moved.trailing_zeros() as usize;
+            moved &= moved - 1;
             let st = store.class_stats(ClassId(c as u8));
             let evicted = store.class_evicted(ClassId(c as u8));
             if st.pages == 0 && evicted == 0 {
                 continue; // class never touched: keep the registry lean
             }
-            let g = classes.entry(c).or_insert_with(|| {
+            self.classes_published.set(self.classes_published.get() + 1);
+            let g = classes[c].get_or_insert_with(|| {
                 let prefix = format!("mc.node{}.slab.class{}", self.node.0, c);
                 ClassGauges {
                     used: self.metrics.gauge(&format!("{prefix}.used_chunks")),

@@ -237,10 +237,10 @@ fn storing_never_reads_the_item_back() {
     assert_eq!(tail_after_sets(binary), tail_after_sets(ascii));
 }
 
-/// The workers publish the slab-class gauges only when a chunk was
-/// allocated or freed since they last did: every gauge reads what a fresh
-/// walk over the classes would, at every point a client can look, and a
-/// window of gets walks nothing.
+/// The workers publish a slab class's gauges only when one of its chunks
+/// was allocated or freed since they last did: every gauge reads what a
+/// fresh walk over the classes would, at every point a client can look,
+/// and a window of gets publishes no class.
 #[test]
 fn class_gauges_follow_the_slabs_and_are_walked_only_on_change() {
     use mcstore::{ClassId, SlabConfig};
@@ -336,8 +336,8 @@ fn class_gauges_follow_the_slabs_and_are_walked_only_on_change() {
     let st = server.store_stats();
     assert!(st.evictions > 0 && st.delete_hits > 0 && st.incr_hits > 0);
 
-    let walks = server.inner.exec.gauges.class_walks.get();
-    assert!(walks > 0);
+    let published = server.inner.exec.gauges.classes_published.get();
+    assert!(published > 0);
     let c = client.clone();
     world.sim().block_on(async move {
         for k in 0..200u32 {
@@ -345,7 +345,7 @@ fn class_gauges_follow_the_slabs_and_are_walked_only_on_change() {
         }
     });
     check("after the gets");
-    assert_eq!(server.inner.exec.gauges.class_walks.get(), walks);
+    assert_eq!(server.inner.exec.gauges.classes_published.get(), published);
 
     // A statistics reset zeroes the eviction counts without freeing a
     // chunk; the gauges follow at the next publish.
@@ -355,4 +355,44 @@ fn class_gauges_follow_the_slabs_and_are_walked_only_on_change() {
     });
     assert_eq!(server.store_stats().evictions, 0);
     check("after stats reset");
+}
+
+/// A set of a new key publishes the one class its chunk came from, not
+/// every class of every segment.
+#[test]
+fn a_set_publishes_only_the_class_it_moved() {
+    use mcstore::ClassId;
+
+    let config = McServerConfig {
+        store_model: super::StoreModel::Sharded(16),
+        ..McServerConfig::default()
+    };
+    let cfg = McClientConfig::single(Transport::Ucr, NodeId(0));
+    let Scenario {
+        world,
+        server,
+        clients,
+    } = Scenario::new(World::cluster_b(5, 2), config, [cfg]);
+    let set = |key: &'static str, size: usize| {
+        let c = clients[0].clone();
+        world.sim().block_on(async move {
+            c.set(key.as_bytes(), &vec![b'x'; size], 0, 0)
+                .await
+                .unwrap();
+        });
+    };
+    set("small", 10);
+    set("medium", 1_000);
+    set("large", 10_000);
+    let populated = {
+        let store = server.inner.exec.store();
+        (0..store.class_count())
+            .filter(|&c| store.class_stats(ClassId(c as u8)).pages > 0)
+            .count()
+    };
+    assert_eq!(populated, 3);
+    let published = || server.inner.exec.gauges.classes_published.get();
+    let before = published();
+    set("another-medium", 1_000);
+    assert_eq!(published() - before, 1);
 }

@@ -140,11 +140,13 @@ impl SegmentedStore {
         self.segments.iter().map(evicted).sum()
     }
 
-    /// See [`Store::class_changes`], summed across segments: it moves
-    /// whenever [`class_stats`](Self::class_stats) or
+    /// See [`Store::take_moved_classes`], united across segments: the
+    /// classes whose [`class_stats`](Self::class_stats) or
     /// [`class_evicted`](Self::class_evicted) may answer differently.
-    pub fn class_changes(&self) -> u64 {
-        self.segments.iter().map(Store::class_changes).sum()
+    pub fn take_moved_classes(&mut self) -> u64 {
+        self.segments
+            .iter_mut()
+            .fold(0, |moved, s| moved | s.take_moved_classes())
     }
 
     /// Zeroes the operation counters on every segment.
@@ -363,5 +365,26 @@ mod tests {
             assert!(!evs.is_empty());
         }
         assert!(seg.take_slab_events().is_empty(), "drain must consume");
+    }
+
+    #[test]
+    fn moved_classes_unite_over_segments() {
+        let mut seg = SegmentedStore::new(StoreConfig::default(), 4);
+        let small = b"small".as_slice();
+        let large = (0..)
+            .map(|i| format!("large-{i}"))
+            .find(|k| seg.router().index(k.as_bytes()) != seg.router().index(small))
+            .unwrap();
+        let large = large.as_bytes();
+        seg.segment_for(small).set(small, b"v", 0, 0, 100);
+        seg.segment_for(large)
+            .set(large, &[b'v'; 10_000], 0, 0, 100);
+        let (a, b) = (
+            seg.class_of(5, 1).unwrap(),
+            seg.class_of(7, 10_000).unwrap(),
+        );
+        assert_ne!(a, b);
+        assert_eq!(seg.take_moved_classes(), 1 << a.0 | 1 << b.0);
+        assert_eq!(seg.take_moved_classes(), 0);
     }
 }

@@ -59,8 +59,11 @@ struct SlabClass {
     per_page: u32,
     /// Page storage (each page is one Vec).
     pages: Vec<Box<[u8]>>,
-    /// Free chunk list.
+    /// Freed chunks, reused last-freed first.
     free: Vec<SlabLoc>,
+    /// Chunks of the newest page never handed out (memcached 1.4's
+    /// `end_page_free`): carved one at a time once `free` is empty.
+    uncarved: u32,
     /// Number of chunks handed out.
     used: u32,
     /// Total allocation requests.
@@ -97,7 +100,7 @@ impl Default for SlabConfig {
 }
 
 /// Per-class statistics snapshot.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ClassStats {
     /// Chunk size of the class.
     pub chunk_size: u32,
@@ -116,10 +119,10 @@ pub struct SlabAllocator {
     classes: Vec<SlabClass>,
     config: SlabConfig,
     mem_allocated: usize,
-    /// Calls of [`alloc`](SlabAllocator::alloc) and
-    /// [`free`](SlabAllocator::free) so far: the only places a class's
-    /// pages or its used and free chunks move.
-    changes: u64,
+    /// Bit `c`: class `c` went through [`alloc`](Self::alloc) or
+    /// [`free`](Self::free), the only places its pages and chunks move,
+    /// since the last [`take_moved`](Self::take_moved).
+    moved: u64,
 }
 
 impl SlabAllocator {
@@ -137,6 +140,7 @@ impl SlabAllocator {
                 per_page: (config.page_size / aligned) as u32,
                 pages: Vec::new(),
                 free: Vec::new(),
+                uncarved: 0,
                 used: 0,
                 alloc_count: 0,
                 versions: Vec::new(),
@@ -149,15 +153,17 @@ impl SlabAllocator {
             per_page: 1,
             pages: Vec::new(),
             free: Vec::new(),
+            uncarved: 0,
             used: 0,
             alloc_count: 0,
             versions: Vec::new(),
         });
+        assert!(classes.len() <= 63, "a class is one bit of the moved mask");
         SlabAllocator {
             classes,
             config,
             mem_allocated: 0,
-            changes: 0,
+            moved: 0,
         }
     }
 
@@ -182,45 +188,41 @@ impl SlabAllocator {
         (idx < self.classes.len()).then_some(ClassId(idx as u8))
     }
 
-    /// Allocates a chunk in `class`. `None` when the class has no free
-    /// chunk and the memory limit forbids another page — the caller (the
-    /// store) must then evict.
+    /// Allocates a chunk in `class`: the last one freed, else the newest
+    /// page's next uncarved one, else a new page's first. `None` when the
+    /// memory limit forbids that page — the caller (the store) must evict.
     pub fn alloc(&mut self, class: ClassId) -> Option<SlabLoc> {
         let limit = self.config.mem_limit;
         let page_size = self.config.page_size;
-        self.changes += 1;
+        self.moved |= 1 << class.0;
         let c = &mut self.classes[class.0 as usize];
         c.alloc_count += 1;
         if let Some(loc) = c.free.pop() {
             c.used += 1;
             return Some(loc);
         }
-        if self.mem_allocated + page_size > limit {
-            return None;
+        if c.uncarved == 0 {
+            if self.mem_allocated + page_size > limit {
+                return None;
+            }
+            // Grab a fresh page; its chunks are carved as they are needed.
+            c.pages.push(vec![0u8; page_size].into_boxed_slice());
+            c.versions.resize(c.versions.len() + c.per_page as usize, 0);
+            self.mem_allocated += page_size;
+            c.uncarved = c.per_page;
         }
-        // Grab a fresh page and carve it.
-        let page_idx = c.pages.len() as u32;
-        c.pages.push(vec![0u8; page_size].into_boxed_slice());
-        c.versions.resize(c.versions.len() + c.per_page as usize, 0);
-        self.mem_allocated += page_size;
-        for chunk in (1..c.per_page).rev() {
-            c.free.push(SlabLoc {
-                class,
-                page: page_idx,
-                chunk,
-            });
-        }
+        c.uncarved -= 1;
         c.used += 1;
         Some(SlabLoc {
             class,
-            page: page_idx,
-            chunk: 0,
+            page: c.pages.len() as u32 - 1,
+            chunk: c.per_page - 1 - c.uncarved,
         })
     }
 
     /// Returns a chunk to its class's free list.
     pub fn free(&mut self, loc: SlabLoc) {
-        self.changes += 1;
+        self.moved |= 1 << loc.class.0;
         let c = &mut self.classes[loc.class.0 as usize];
         debug_assert!(!c.free.contains(&loc), "double free of slab chunk {loc:?}");
         c.used -= 1;
@@ -284,12 +286,15 @@ impl SlabAllocator {
         c.versions[(page * c.per_page + chunk) as usize]
     }
 
-    /// A count that moves whenever [`class_stats`](Self::class_stats) may
-    /// answer differently for some class, and never goes back: an observer
-    /// that has walked the classes need not walk them again while it reads
-    /// the same.
-    pub fn changes(&self) -> u64 {
-        self.changes
+    /// The classes whose [`class_stats`](Self::class_stats) may answer
+    /// differently since the last call, one bit per class id; clears them.
+    pub fn take_moved(&mut self) -> u64 {
+        std::mem::take(&mut self.moved)
+    }
+
+    /// Marks every class as moved.
+    pub(crate) fn mark_all_moved(&mut self) {
+        self.moved = (1 << self.classes.len()) - 1;
     }
 
     /// Total bytes of pages grabbed from the OS.
@@ -309,7 +314,7 @@ impl SlabAllocator {
             chunk_size: c.chunk_size,
             pages: c.pages.len() as u32,
             used: c.used,
-            free: c.free.len() as u32,
+            free: c.free.len() as u32 + c.uncarved,
             alloc_count: c.alloc_count,
         }
     }
@@ -451,5 +456,91 @@ mod tests {
             s.free(loc);
         }
         assert_eq!(s.class_stats(class).alloc_count, 10);
+    }
+
+    #[test]
+    fn alloc_and_free_mark_their_classes_until_taken() {
+        let mut s = small();
+        let (a, b) = (s.class_for(100).unwrap(), s.class_for(10_000).unwrap());
+        let in_b = s.alloc(b).unwrap();
+        s.take_moved();
+        s.alloc(a).unwrap();
+        s.free(in_b);
+        assert_eq!(s.take_moved(), 1 << a.0 | 1 << b.0);
+        assert_eq!(s.take_moved(), 0, "taking the mask clears it");
+    }
+
+    /// A carve that pushes a fresh page's other chunks on the free list
+    /// last-first, as this allocator once did: the model lazy carving
+    /// must match chunk for chunk.
+    #[derive(Default)]
+    struct EagerClass {
+        pages: u32,
+        free: Vec<SlabLoc>,
+        used: u32,
+        alloc_count: u64,
+    }
+
+    #[test]
+    fn lazy_carving_hands_out_chunks_in_the_eager_order() {
+        let config = SlabConfig {
+            mem_limit: 8 << 20,
+            ..SlabConfig::default()
+        };
+        let mut s = SlabAllocator::new(config);
+        let classes = [s.class_for(150_000).unwrap(), s.class_for(300_000).unwrap()];
+        let mut eager: Vec<EagerClass> = classes.iter().map(|_| EagerClass::default()).collect();
+        let mut live: Vec<Vec<SlabLoc>> = vec![Vec::new(); classes.len()];
+        let mut mem = 0;
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |n: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as usize % n
+        };
+        for step in 0..3_000 {
+            let i = next(classes.len());
+            let (class, m) = (classes[i], &mut eager[i]);
+            if live[i].is_empty() || next(10) < 6 {
+                m.alloc_count += 1;
+                let want = if let Some(loc) = m.free.pop() {
+                    Some(loc)
+                } else if mem + config.page_size > config.mem_limit {
+                    None
+                } else {
+                    mem += config.page_size;
+                    let page = m.pages;
+                    m.pages += 1;
+                    for chunk in (1..s.chunks_per_page(class)).rev() {
+                        m.free.push(SlabLoc { class, page, chunk });
+                    }
+                    Some(SlabLoc {
+                        class,
+                        page,
+                        chunk: 0,
+                    })
+                };
+                m.used += u32::from(want.is_some());
+                assert_eq!(s.alloc(class), want, "step {step}");
+                live[i].extend(want);
+            } else {
+                let at = next(live[i].len());
+                let loc = live[i].swap_remove(at);
+                m.used -= 1;
+                m.free.push(loc);
+                s.free(loc);
+            }
+            let want = ClassStats {
+                chunk_size: s.chunk_size(class) as u32,
+                pages: m.pages,
+                used: m.used,
+                free: m.free.len() as u32,
+                alloc_count: m.alloc_count,
+            };
+            assert_eq!(s.class_stats(class), want, "step {step}");
+        }
+        assert!(eager.iter().all(|m| m.pages >= 3));
+        assert_eq!(s.mem_allocated(), config.mem_limit);
     }
 }

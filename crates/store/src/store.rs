@@ -253,9 +253,6 @@ pub struct Store {
     config: StoreConfig,
     stats: StoreStats,
     evictions_by_class: Vec<u64>,
-    /// Times [`reset_stats`](Store::reset_stats) zeroed the eviction
-    /// counts: the one way they move without a chunk being freed.
-    stat_resets: u64,
     /// Chunk-change events for the bypass mirror; only filled while
     /// `track_events` is on (i.e. a bypass client exists).
     events: Vec<SlabEvent>,
@@ -284,7 +281,6 @@ impl Store {
             config,
             stats: StoreStats::default(),
             evictions_by_class: vec![0; classes],
-            stat_resets: 0,
             events: Vec::new(),
             track_events: false,
         }
@@ -467,20 +463,21 @@ impl Store {
 
     /// Zeroes the operation counters (`stats reset` semantics). Level
     /// state — stored items, slab pages, LRU order — is untouched: only
-    /// the accounting restarts.
+    /// the accounting restarts. Every class counts as moved.
     pub fn reset_stats(&mut self) {
         self.stats = StoreStats::default();
         self.evictions_by_class.iter_mut().for_each(|e| *e = 0);
-        self.stat_resets += 1;
+        self.slabs.mark_all_moved();
     }
 
-    /// A count that moves whenever a per-class figure — pages, used and
-    /// free chunks ([`SlabAllocator::class_stats`]), evictions
-    /// ([`class_evictions`](Store::class_evictions)) — may have moved, and
-    /// never goes back. An eviction frees a chunk, so the allocator's own
-    /// count covers everything but a statistics reset.
-    pub fn class_changes(&self) -> u64 {
-        self.slabs.changes() + self.stat_resets
+    /// The classes whose per-class figures — pages, used and free chunks
+    /// ([`SlabAllocator::class_stats`]), evictions
+    /// ([`class_evictions`](Store::class_evictions)) — may have moved since
+    /// the last call, one bit per class id; clears them. An eviction frees
+    /// a chunk, so the allocator's own mask covers everything but a
+    /// statistics reset, which marks every class.
+    pub fn take_moved_classes(&mut self) -> u64 {
+        self.slabs.take_moved()
     }
 
     /// Live item count (may include not-yet-reclaimed expired items).

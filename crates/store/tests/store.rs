@@ -722,3 +722,24 @@ fn slab_and_item_stat_lines_reflect_contents() {
         .sum();
     assert_eq!(total_after, 1);
 }
+
+/// The moved-class mask a gauge publisher reads: an eviction marks its
+/// class, and a statistics reset marks every class.
+#[test]
+fn evictions_and_resets_mark_classes_moved() {
+    let mut s = tiny();
+    let class = usize::from(s.class_of(8, 1000).unwrap().0);
+    let mut i = 0;
+    while s.class_evictions()[class] == 0 {
+        s.set(format!("key-{i:04}").as_bytes(), &[b'v'; 1000], 0, 0, 1);
+        i += 1;
+    }
+    s.take_moved_classes();
+    s.set(format!("key-{i:04}").as_bytes(), &[b'v'; 1000], 0, 0, 1);
+    assert_eq!(s.class_evictions()[class], 2);
+    assert_eq!(s.take_moved_classes(), 1 << class);
+    s.reset_stats();
+    let every = (1 << s.slabs().class_count()) - 1;
+    assert_eq!(s.take_moved_classes(), every);
+    assert_eq!(s.take_moved_classes(), 0);
+}
