@@ -16,6 +16,8 @@
 //! over repeated operations. Latency and throughput are **simulated time**
 //! — the quantity the paper measures — not host wall-clock.
 
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
+
 use std::collections::VecDeque;
 use std::rc::Rc;
 

@@ -18,7 +18,7 @@
 //! window of tickets open per connection.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::rc::Rc;
 
 use mcproto::{udp_fragment, BinFrame, ProtoError, UdpFrame, UDP_CHUNK_BYTES};
@@ -566,7 +566,8 @@ struct CliInner {
     cfg: McClientConfig,
     socks: socksim::SockFabric,
     ucr: Option<UcrRuntime>,
-    conns: RefCell<HashMap<usize, Rc<Conn>>>,
+    /// By server index; ordered, so a drop closes them in index order.
+    conns: RefCell<BTreeMap<usize, Rc<Conn>>>,
     pending: PendingResponses,
     cancelled: CancelledIds,
     next_req: Cell<u64>,
@@ -696,7 +697,7 @@ impl McClient {
                 cfg,
                 socks: world.socks.clone(),
                 ucr,
-                conns: RefCell::new(HashMap::new()),
+                conns: RefCell::new(BTreeMap::new()),
                 pending,
                 cancelled,
                 // Request ids are `(node << 32) | n`: concurrent clients'
@@ -1598,7 +1599,7 @@ async fn read_frame<T, E>(
 
 impl Drop for CliInner {
     fn drop(&mut self) {
-        for (_, conn) in self.conns.borrow_mut().drain() {
+        for conn in std::mem::take(self.conns.get_mut()).into_values() {
             conn.close();
         }
     }

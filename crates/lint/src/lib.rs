@@ -5,8 +5,11 @@
 //! checks. This crate checks them statically in one pass: a hand-rolled
 //! Rust tokenizer ([`lexer`]) feeds one [`workspace::Workspace`] (token
 //! views, test regions, waivers), and one table of rules
-//! ([`rules::RULES`]: R1–R4, R7 and the stale-waiver check W0) runs over
-//! it, each rule deciding inside one file. Findings come out as
+//! ([`rules::RULES`]: R2, R3, R7 and the stale-waiver check W0) runs over
+//! it, each rule deciding inside one file. What the compiler can check is
+//! clippy's: R1 (host time and entropy) is the root `clippy.toml`, R4
+//! (panics in protocol crates) a deny set in each protocol crate's
+//! `lib.rs`. Findings come out as
 //! `file:line` lines; the metric registrations R2 finds become the
 //! committed manifest ([`report`]). No external dependencies — the build
 //! container is offline.

@@ -12,9 +12,11 @@
 //! suppressed nothing. Every rule but R2's read check decides inside one
 //! file, and errs toward *missing* a violation rather than inventing one:
 //! a registration that is not retained carries no obligation.
+//!
+//! Ids are never reused: R1 and R4 moved to clippy (the root `clippy.toml`
+//! and each covered `lib.rs`), R5 and R6 to the compiler.
 
 mod metrics;
-mod purity;
 mod regions;
 mod spans;
 
@@ -61,62 +63,13 @@ pub struct Rule {
     pub example_note: &'static str,
 }
 
-const SIMULATED_LAYERS: [&str; 10] = [
-    "crates/simnet/",
-    "crates/verbs/",
-    "crates/ucr/",
-    "crates/sockets/",
-    "crates/core/",
-    "crates/store/",
-    "crates/proto/",
-    "crates/bench/",
-    "src/",
-    "examples/",
-];
-
-const PROTOCOL_CRATES: [&str; 5] = [
-    "crates/ucr/src/",
-    "crates/verbs/src/",
-    "crates/core/src/",
-    "crates/sockets/src/",
-    "crates/proto/src/",
-];
-
 fn production(path: &str) -> bool {
     !is_test_path(path)
-}
-
-fn under(path: &str, prefixes: &[&str]) -> bool {
-    production(path) && prefixes.iter().any(|p| path.starts_with(p))
 }
 
 /// All rules, in the order they run. W0 is last: it reads which waivers
 /// the rows before it consumed.
 pub const RULES: &[Rule] = &[
-    Rule {
-        id: "R1",
-        title: "no wall clock / OS entropy in a simulated layer",
-        rationale: "The reproduction's headline property is bit-identical \
-                    virtual-time results across runs and machines. One \
-                    Instant::now / SystemTime / thread_rng in a simulated \
-                    layer silently couples results to the host, and the \
-                    regression only shows up as an unreproducible diff weeks \
-                    later. The host tools (crates/lint, shims/) are the only \
-                    code outside the scope that may use them, and no scoped \
-                    member depends on one outside its tests (the self-check \
-                    pins the manifests): Cargo forbids the call that would \
-                    launder a use in, so the use is the whole check.",
-        scope: "crates/{simnet,verbs,ucr,sockets,core,store,proto,bench}, \
-                src/, examples/ — production code only (test modules and \
-                tests/ trees are exempt; crates/lint and shims/ are host \
-                tools by design). A use is flagged where it stands.",
-        covers: |p| under(p, &SIMULATED_LAYERS),
-        run: purity::run,
-        example: include_str!("../tests/fixtures/r1.rs"),
-        example_note: "Every use in naughty() fires: Instant, thread::sleep, \
-                       process::id, rand::random, thread_rng. The wall clock \
-                       in the test module is fine.",
-    },
     Rule {
         id: "R2",
         title: "metric names follow the grammar and reads match a registration",
@@ -167,22 +120,6 @@ pub const RULES: &[Rule] = &[
                        share (helper) does not pair them.",
     },
     Rule {
-        id: "R4",
-        title: "no unwrap/expect/panic in RDMA transport paths",
-        rationale: "Transport code runs inside the event loop; a panic there \
-                    takes down the whole simulated cluster instead of \
-                    surfacing a per-request error the retry machinery can \
-                    absorb.",
-        scope: "crates/{verbs,ucr,sockets,core,proto}/src — production code \
-                only.",
-        covers: |p| under(p, &PROTOCOL_CRATES),
-        run: run_r4,
-        example: include_str!("../tests/fixtures/r4.rs"),
-        example_note: "unwrap(), expect(), panic!, unreachable!, todo! and \
-                       unimplemented! fire; unwrap_or / unwrap_or_default are \
-                       fine (they cannot panic).",
-    },
-    Rule {
         id: "R7",
         title: "retained MR registrations have a release path",
         rationale: "Memory regions pin physical pages. A registration stored \
@@ -217,8 +154,8 @@ pub const RULES: &[Rule] = &[
         covers: |_| true,
         run: run_w0,
         example: include_str!("../tests/fixtures/w0.rs"),
-        example_note: "unwrap_or never fires R4, so the waiver suppresses \
-                       nothing and is itself flagged.",
+        example_note: "clear() releases and retains nothing, so R7 never fires \
+                       there: the waiver suppresses nothing and is itself flagged.",
     },
 ];
 
@@ -290,42 +227,6 @@ pub fn run(ws: &Workspace) -> Findings {
     out.violations
         .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     out
-}
-
-/// The macros R4 flags: each panics when reached.
-const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
-
-fn run_r4(ws: &Workspace, out: &mut Findings) {
-    for (fi, f) in out.files(ws) {
-        for i in 0..f.toks.len() {
-            if f.in_test(i) {
-                continue;
-            }
-            let method =
-                |name: &str| f.punct(i, '.') && f.ident(i + 1, name) && f.punct(i + 2, '(');
-            let macro_at = PANIC_MACROS
-                .iter()
-                .find(|m| f.ident(i, m) && f.punct(i + 1, '!'));
-            let (at, what) = if method("unwrap") {
-                (i + 1, ".unwrap()".to_string())
-            } else if method("expect") {
-                (i + 1, ".expect()".to_string())
-            } else if let Some(m) = macro_at {
-                (i, format!("{m}!"))
-            } else {
-                continue;
-            };
-            out.report(
-                ws,
-                fi,
-                f.line(at),
-                format!(
-                    "{what} in protocol-crate non-test code: convert to a fault()-\
-                     reporting error path (endpoint-failure model) or waive with a reason"
-                ),
-            );
-        }
-    }
 }
 
 fn run_w0(ws: &Workspace, out: &mut Findings) {
@@ -407,12 +308,6 @@ fn reflow(s: &str) -> String {
 mod tests {
     use super::*;
 
-    fn hits(path: &str, src: &str) -> Vec<(u32, &'static str)> {
-        let ws = Workspace::new(&[(path.to_string(), src.to_string())]);
-        let found = run(&ws).violations;
-        found.iter().map(|v| (v.line, v.rule)).collect()
-    }
-
     #[test]
     fn lookup_ignores_case_and_rejects_unknown_ids() {
         for rule in RULES {
@@ -427,9 +322,7 @@ mod tests {
         // Spot-check that the include_str! wiring points at the same
         // sources the end-to-end tests pin by file:line.
         assert!(lookup("R7").unwrap().example.contains("register(64)"));
-        assert!(lookup("R1").unwrap().example.contains("thread_rng"));
         assert!(lookup("R3").unwrap().example.contains("xfile_orphan"));
-        assert!(lookup("R4").unwrap().example.contains("unimplemented!"));
     }
 
     #[test]
@@ -444,31 +337,16 @@ mod tests {
     }
 
     #[test]
-    fn r4_only_fires_in_scope_and_outside_tests() {
-        let src = r#"
-fn live() { x.unwrap(); y.expect("msg"); panic!("boom"); z.unwrap_or(0); }
-#[cfg(test)]
-mod tests {
-    fn t() { a.unwrap(); unreachable!(); }
-}
-"#;
-        assert_eq!(
-            hits("crates/verbs/src/x.rs", src),
-            vec![(2, "R4"), (2, "R4"), (2, "R4")]
-        );
-        assert!(hits("crates/simnet/src/x.rs", src).is_empty());
-    }
-
-    #[test]
     fn waivers_suppress_same_line_and_next_line() {
-        let src = "fn f() { let t = Instant::now(); // lint:allow(R1) host-side harness\n\
-                   // lint:allow(R1) wrapped below\n\
-                   let u = Instant::now();\n\
-                   let v = Instant::now();\n}";
-        let ws = Workspace::new(&[("crates/bench/src/lib.rs".to_string(), src.to_string())]);
+        let src = "fn f(pd: &Pd, pool: &mut Vec<Mr>) {\n\
+                   pool.push(pd.register(64)); // lint:allow(R7) program-lifetime pool\n\
+                   // lint:allow(R7) wrapped below\n\
+                   pool.push(pd.register(64));\n\
+                   pool.push(pd.register(64));\n}";
+        let ws = Workspace::new(&[("crates/ucr/src/lib.rs".to_string(), src.to_string())]);
         let out = run(&ws);
         assert_eq!(out.waived, 2);
         let left: Vec<(u32, &str)> = out.violations.iter().map(|v| (v.line, v.rule)).collect();
-        assert_eq!(left, vec![(4, "R1")]);
+        assert_eq!(left, vec![(5, "R7")]);
     }
 }

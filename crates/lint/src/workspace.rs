@@ -68,11 +68,6 @@ impl SourceFile {
             .and_then(|t| (t.kind == TokKind::Ident).then_some(t.text.as_str()))
     }
 
-    /// True when tokens `i`, `i + 1` spell `::`.
-    pub fn path_sep(&self, i: usize) -> bool {
-        self.punct(i, ':') && self.punct(i + 1, ':')
-    }
-
     /// 1-based line of token `i` (0 past the end).
     pub fn line(&self, i: usize) -> u32 {
         self.toks.get(i).map(|t| t.line).unwrap_or(0)

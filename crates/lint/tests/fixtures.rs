@@ -24,19 +24,6 @@ fn hits(files: &[(&str, &str)]) -> (Vec<(String, u32, &'static str)>, usize, Str
 }
 
 #[test]
-fn r1_fixture_exact_lines() {
-    let (v, _, _) = hits(&[(
-        "crates/simnet/src/fixture_r1.rs",
-        include_str!("fixtures/r1.rs"),
-    )]);
-    let expect: Vec<(String, u32, &str)> = [4, 7, 8, 9, 10, 11]
-        .iter()
-        .map(|&l| ("crates/simnet/src/fixture_r1.rs".to_string(), l, "R1"))
-        .collect();
-    assert_eq!(v, expect);
-}
-
-#[test]
 fn r2_fixture_exact_lines() {
     let (v, _, manifest) = hits(&[(
         "crates/core/src/fixture_r2.rs",
@@ -116,34 +103,20 @@ fn w0_fixture_stale_waiver_flagged() {
     // A waiver over a line where its rule no longer fires is itself a
     // violation: silently dead suppressions hide future regressions.
     let (v, waived, _) = hits(&[(
-        "crates/verbs/src/fixture_stale.rs",
+        "crates/ucr/src/fixture_stale.rs",
         include_str!("fixtures/w0.rs"),
     )]);
     assert_eq!(waived, 0);
     assert_eq!(
         v,
-        vec![("crates/verbs/src/fixture_stale.rs".to_string(), 2, "W0")]
+        vec![("crates/ucr/src/fixture_stale.rs".to_string(), 2, "W0")]
     );
-}
-
-#[test]
-fn r4_fixture_exact_lines() {
-    let (v, _, _) = hits(&[(
-        "crates/verbs/src/fixture_r4.rs",
-        include_str!("fixtures/r4.rs"),
-    )]);
-    // unwrap, expect, then one line per panicking macro.
-    let expect: Vec<(String, u32, &str)> = [5, 6, 8, 9, 10, 11]
-        .iter()
-        .map(|&l| ("crates/verbs/src/fixture_r4.rs".to_string(), l, "R4"))
-        .collect();
-    assert_eq!(v, expect);
 }
 
 #[test]
 fn waiver_fixture_suppresses_covered_lines_only() {
     let (v, waived, _) = hits(&[(
-        "crates/verbs/src/fixture_waiver.rs",
+        "crates/ucr/src/fixture_waiver.rs",
         include_str!("fixtures/waiver.rs"),
     )]);
     // Line 5 is waived inline, line 7 by the standalone comment on 6;
@@ -151,20 +124,13 @@ fn waiver_fixture_suppresses_covered_lines_only() {
     assert_eq!(waived, 2);
     assert_eq!(
         v,
-        vec![("crates/verbs/src/fixture_waiver.rs".to_string(), 8, "R4")]
+        vec![("crates/ucr/src/fixture_waiver.rs".to_string(), 8, "R7")]
     );
 }
 
 /// Each row of the rule table with the fixtures that are its own, under
 /// the paths the tests above mount them at.
-const OWN_FIXTURES: [(&str, &[(&str, &str)]); 6] = [
-    (
-        "R1",
-        &[(
-            "crates/simnet/src/fixture_r1.rs",
-            include_str!("fixtures/r1.rs"),
-        )],
-    ),
+const OWN_FIXTURES: [(&str, &[(&str, &str)]); 4] = [
     (
         "R2",
         &[(
@@ -190,13 +156,6 @@ const OWN_FIXTURES: [(&str, &[(&str, &str)]); 6] = [
         ],
     ),
     (
-        "R4",
-        &[(
-            "crates/verbs/src/fixture_r4.rs",
-            include_str!("fixtures/r4.rs"),
-        )],
-    ),
-    (
         "R7",
         &[(
             "crates/ucr/src/fixture_r7.rs",
@@ -206,7 +165,7 @@ const OWN_FIXTURES: [(&str, &[(&str, &str)]); 6] = [
     (
         "W0",
         &[(
-            "crates/verbs/src/fixture_stale.rs",
+            "crates/ucr/src/fixture_stale.rs",
             include_str!("fixtures/w0.rs"),
         )],
     ),
@@ -223,15 +182,14 @@ fn all_fixtures_together_stay_disjoint() {
         .flat_map(|(_, fixtures)| fixtures.iter().copied())
         .collect();
     all.push((
-        "crates/verbs/src/fixture_waiver.rs",
+        "crates/ucr/src/fixture_waiver.rs",
         include_str!("fixtures/waiver.rs"),
     ));
     let (v, waived, _) = hits(&all);
-    // Per-file counts: r1=6, r2=6, r3=3, r4=6, waiver=1, r7=2, span
-    // pair=4.
-    assert_eq!(v.len(), 6 + 6 + 3 + 6 + 1 + 2 + 4);
+    // Per-file counts: r2=6, r3=3, waiver=1, r7=2, span pair=4.
+    assert_eq!(v.len(), 6 + 3 + 1 + 2 + 4);
     assert_eq!(waived, 2);
-    for rule in ["R1", "R2", "R3", "R4", "R7"] {
+    for rule in ["R2", "R3", "R7"] {
         assert!(v.iter().any(|(_, _, r)| *r == rule), "missing {rule} hits");
     }
 }
@@ -266,32 +224,32 @@ fn explain_resolves_exactly_the_table() {
         let text = String::from_utf8(out.stdout).expect("utf-8");
         assert!(text.starts_with(&format!("{} — {}", rule.id, rule.title)));
     }
-    for unknown in ["R0", "R5", "R6", "R8", "W1", "R1x"] {
+    for unknown in ["R0", "R1", "R4", "R5", "R6", "R8", "W1", "R1x"] {
         let out = explain(unknown);
         assert_eq!(out.status.code(), Some(2), "--explain {unknown}");
-        // The error lists the table: six rows under the header.
+        // The error lists the table: four rows under the header.
         let listing = String::from_utf8(out.stderr).expect("utf-8");
-        assert_eq!(listing.lines().filter(|l| l.starts_with("  ")).count(), 6);
+        assert_eq!(listing.lines().filter(|l| l.starts_with("  ")).count(), 4);
     }
 }
 
 #[test]
 fn out_of_scope_placement_is_ignored() {
-    // The same violating sources outside their rules' scopes: R4
-    // doesn't apply to simnet, R1 doesn't apply to the lint crate itself,
-    // and files under tests/ are test code wholesale.
+    // The same violating sources outside their rules' scopes: R7 does
+    // not apply to crates/verbs (the registrar itself), and files under
+    // tests/ are test code wholesale.
     let (v, _, _) = hits(&[
         (
-            "crates/simnet/src/fixture_r4.rs",
-            include_str!("fixtures/r4.rs"),
+            "crates/verbs/src/fixture_r7.rs",
+            include_str!("fixtures/r7.rs"),
         ),
         (
-            "crates/lint/src/fixture_r1.rs",
-            include_str!("fixtures/r1.rs"),
+            "crates/ucr/tests/fixture_r7.rs",
+            include_str!("fixtures/r7.rs"),
         ),
         (
-            "crates/ucr/tests/fixture_r4.rs",
-            include_str!("fixtures/r4.rs"),
+            "crates/ucr/tests/fixture_r3.rs",
+            include_str!("fixtures/r3.rs"),
         ),
     ]);
     assert_eq!(v, vec![]);

@@ -1,3 +1,3 @@
-pub fn fine(x: Option<u8>) -> u8 {
-    x.unwrap_or(0) // lint:allow(R4) nothing to suppress: unwrap_or never panics
+pub fn fine(pool: &mut Vec<Mr>) {
+    pool.clear(); // lint:allow(R7) nothing to suppress: a release retains nothing
 }

@@ -1,10 +1,9 @@
 //! Fixture: waiver semantics. Scanned by the integration test as
-//! `crates/verbs/src/fixture_waiver.rs`.
+//! `crates/ucr/src/fixture_waiver.rs`.
 
-pub fn waived(x: Option<u8>) -> u8 {
-    let a = x.unwrap(); // lint:allow(R4) fixture: invariant documented here
-    // lint:allow(R4) standalone waiver covers the next line
-    let b = x.unwrap();
-    let c = x.unwrap();
-    a + b + c
+pub fn waived(pd: &Pd, pool: &mut Vec<Mr>) {
+    pool.push(pd.register(64)); // lint:allow(R7) fixture: a program-lifetime pool
+    // lint:allow(R7) standalone waiver covers the next line
+    pool.push(pd.register(64));
+    pool.push(pd.register(64));
 }

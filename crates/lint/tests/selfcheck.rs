@@ -247,7 +247,8 @@ fn every_dependency_edge_is_used() {
                     head -= 2;
                 }
                 head -= usize::from(head > 0 && f.punct(head - 1, '{'));
-                f.ident(i, &krate) && (f.path_sep(i + 1) || (head > 0 && f.ident(head - 1, "use")))
+                let path = f.punct(i + 1, ':') && f.punct(i + 2, ':');
+                f.ident(i, &krate) && (path || (head > 0 && f.ident(head - 1, "use")))
             };
             if !files.iter().any(|f| (0..f.toks.len()).any(|i| named(f, i))) {
                 dead.push(format!("{}: {name}", member.display()));
@@ -257,15 +258,15 @@ fn every_dependency_edge_is_used() {
     assert!(dead.is_empty(), "declared but never named: {dead:#?}");
 }
 
-/// R1 checks a use where it stands, which holds only while nothing outside
-/// its scope can hand one in: no member R1 covers declares a dependency
-/// edge on `rmc-lint` or on a `shims/` crate — a `[dependencies]` edge,
-/// or for a member whose `examples/` R1 also covers, a `[dev-dependencies]`
-/// one (an example links its package's dev-dependencies).
+/// clippy's `disallowed-methods` (R1) checks a use where it stands, which
+/// holds only while nothing can hand one in: no member but the host tools
+/// (`crates/lint` and `shims/`) declares a dependency edge on `rmc-lint` or
+/// on a `shims/` crate — a `[dependencies]` edge, or for a member with
+/// `examples/`, a `[dev-dependencies]` one (an example links its package's
+/// dev-dependencies).
 #[test]
 fn no_simulated_layer_depends_on_a_host_tool() {
     let root = rmc_lint::default_root();
-    let r1 = rmc_lint::rules::lookup("R1").expect("R1 is a row");
     let mut host_tools = vec!["rmc-lint".to_string()];
     for shim in std::fs::read_dir(root.join("shims")).expect("shims/") {
         let manifest =
@@ -276,21 +277,13 @@ fn no_simulated_layer_depends_on_a_host_tool() {
             .find_map(|l| l.trim().strip_prefix("name = "));
         host_tools.push(name.expect("a package name").trim_matches('"').to_string());
     }
-    // A directory R1 scans: the member has it and R1 covers a file in it.
-    let scanned = |dir: &Path| {
-        let file = dir.join("x.rs");
-        let rel = file.strip_prefix(&root).expect("under the root");
-        dir.is_dir() && (r1.covers)(&rel.to_string_lossy())
-    };
     let crates = std::fs::read_dir(root.join("crates")).expect("crates/");
     let mut members: Vec<_> = crates.map(|e| e.expect("crates/ entry").path()).collect();
+    members.retain(|m| !m.ends_with("lint"));
     members.push(root.clone());
     let mut edges = Vec::new();
     for member in members {
-        if !scanned(&member.join("src")) {
-            continue;
-        }
-        let examples = scanned(&member.join("examples"));
+        let examples = member.join("examples").is_dir();
         let manifest = std::fs::read_to_string(member.join("Cargo.toml")).expect("a manifest");
         let mut section = "";
         for line in manifest.lines().map(str::trim) {
@@ -310,6 +303,75 @@ fn no_simulated_layer_depends_on_a_host_tool() {
         edges.is_empty(),
         "a simulated layer can reach a host tool: {edges:#?}"
     );
+}
+
+/// R1 and R4 are clippy's (DESIGN.md §10), and this pins their homes as the
+/// rule table pinned them: the root `clippy.toml` disallows every host-time
+/// and entropy path R1 named, and outside its tests every library but the
+/// lint's denies iterating a hash table, the five protocol crates (R4's
+/// scope) also every way to panic.
+#[test]
+fn clippy_holds_r1_and_r4() {
+    let root = rmc_lint::default_root();
+    let config = std::fs::read_to_string(root.join("clippy.toml")).expect("clippy.toml");
+    let (methods, types) = config
+        .split_once("disallowed-types")
+        .expect("clippy.toml disallows types");
+    let listed = |list: &str, path: &str| list.contains(&format!("path = \"{path}\""));
+    for path in [
+        "std::time::Instant::now",
+        "std::time::SystemTime::now",
+        "std::thread::sleep",
+        "std::process::id",
+        "rand::random",
+        "rand::thread_rng",
+        "rand::SeedableRng::from_entropy",
+        "getrandom::getrandom",
+    ] {
+        assert!(listed(methods, path), "clippy.toml lost method {path}");
+    }
+    for path in [
+        "std::time::Instant",
+        "std::time::SystemTime",
+        "rand::rngs::OsRng",
+    ] {
+        assert!(listed(types, path), "clippy.toml lost type {path}");
+    }
+
+    const PROTOCOL: [&str; 5] = ["verbs", "ucr", "sockets", "core", "proto"];
+    const R4: [&str; 6] = [
+        "unwrap_used",
+        "expect_used",
+        "panic",
+        "unreachable",
+        "todo",
+        "unimplemented",
+    ];
+    let crates = std::fs::read_dir(root.join("crates")).expect("crates/");
+    let mut members: Vec<_> = crates.map(|e| e.expect("crates/ entry").path()).collect();
+    members.retain(|m| !m.ends_with("lint"));
+    members.push(root.clone());
+    for member in members {
+        let lib = std::fs::read_to_string(member.join("src/lib.rs")).expect("a lib.rs");
+        let lib: String = lib.split_whitespace().collect();
+        let denied = lib
+            .split_once("#![cfg_attr(not(test),deny(")
+            .and_then(|(_, rest)| rest.split_once("))]"))
+            .map_or("", |(lints, _)| lints);
+        let denied: Vec<&str> = denied
+            .split(',')
+            .filter_map(|l| l.strip_prefix("clippy::"))
+            .collect();
+        let protocol = PROTOCOL.iter().any(|p| member.ends_with(p));
+        let want = R4.iter().filter(|_| protocol);
+        for lint in want.chain(&["iter_over_hash_type"]) {
+            assert!(
+                denied.contains(lint),
+                "{}: lib.rs no longer denies clippy::{lint} outside its tests",
+                member.display()
+            );
+        }
+    }
 }
 
 /// A `pub fn set_*` is a knob, and a knob exists for someone who turns it:

@@ -19,6 +19,18 @@
 //! reads and writing each frame into one exactly sized buffer.
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::iter_over_hash_type
+    )
+)]
 
 mod binary;
 mod command;

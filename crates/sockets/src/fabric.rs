@@ -8,7 +8,7 @@
 //! benchmark in the paper measures it; Memcached connects once.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
 
 use simnet::profiles::SocketStackProfile;
@@ -44,7 +44,8 @@ pub(crate) struct SockFabricInner {
     dgram_socks: RefCell<HashMap<(Stack, NodeId, u16), Rc<DgramInbox>>>,
     /// The datagrams on their way between sockets.
     pub(crate) datagrams: RefCell<Slab<Datagram>>,
-    socks: RefCell<HashMap<u64, SockRec>>,
+    /// By socket id; ordered, so `kill_node` resets them in id order.
+    socks: RefCell<BTreeMap<u64, SockRec>>,
     dead: RefCell<HashSet<NodeId>>,
     next_sock: Cell<u64>,
     next_port: Cell<u16>,
@@ -65,7 +66,7 @@ impl SockFabric {
                 listeners: RefCell::new(HashMap::new()),
                 dgram_socks: RefCell::new(HashMap::new()),
                 datagrams: RefCell::new(Slab::new()),
-                socks: RefCell::new(HashMap::new()),
+                socks: RefCell::new(BTreeMap::new()),
                 dead: RefCell::new(HashSet::new()),
                 next_sock: Cell::new(1),
                 next_port: Cell::new(40000),

@@ -27,6 +27,18 @@
 //! two active messages and a counter wait (paper §V).
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::iter_over_hash_type
+    )
+)]
 
 mod counter;
 mod endpoint;

@@ -17,7 +17,7 @@
 
 use std::borrow::Cow;
 use std::cell::{Cell, Ref, RefCell};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::future::{poll_fn, Future};
 use std::pin::{pin, Pin};
 use std::rc::{Rc, Weak};
@@ -238,7 +238,8 @@ pub(crate) struct RtInner {
     profile: ClusterProfile,
     handlers: RefCell<HashMap<u16, Rc<dyn AmHandler>>>,
     counters: RefCell<HashMap<u64, Weak<CtrInner>>>,
-    eps: RefCell<HashMap<u32, Rc<EpInner>>>,
+    /// By QP number; ordered, so `shutdown` fails them in QP order.
+    eps: RefCell<BTreeMap<u32, Rc<EpInner>>>,
     /// Work requests awaiting their completion: what it comes back for,
     /// and the send buffer a SEND of packets holds until then.
     pending: RefCell<HashMap<u64, (Pending, Option<SendBuf>)>>,
@@ -362,7 +363,7 @@ impl UcrRuntime {
             profile,
             handlers: RefCell::new(HashMap::new()),
             counters: RefCell::new(HashMap::new()),
-            eps: RefCell::new(HashMap::new()),
+            eps: RefCell::new(BTreeMap::new()),
             pending: RefCell::new(HashMap::new()),
             recv_bufs: RefCell::new(HashMap::new()),
             recv_free: RefCell::new(Vec::new()),

@@ -8,7 +8,7 @@
 //! rather than a whole-runtime failure.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::rc::{Rc, Weak};
 
 use simnet::profiles::VerbsProfile;
@@ -48,7 +48,8 @@ pub(crate) struct HcaInner {
     pub mrs: RefCell<HashMap<u32, Weak<MrInner>>>,
     pub qps: RefCell<HashMap<u32, Rc<QpInner>>>,
     pub listeners: RefCell<HashMap<u16, sync::Sender<CmMessage>>>,
-    pub pending_connects: RefCell<HashMap<u64, sync::OneSender<Result<u32, VerbsError>>>>,
+    /// By connection id; ordered, so `kill` refuses them in id order.
+    pub pending_connects: RefCell<BTreeMap<u64, sync::OneSender<Result<u32, VerbsError>>>>,
     pub tracer: Rc<Tracer>,
     pub alive: Cell<bool>,
     next_key: Cell<u32>,
@@ -125,7 +126,7 @@ impl IbFabric {
             mrs: RefCell::new(HashMap::new()),
             qps: RefCell::new(HashMap::new()),
             listeners: RefCell::new(HashMap::new()),
-            pending_connects: RefCell::new(HashMap::new()),
+            pending_connects: RefCell::new(BTreeMap::new()),
             tracer: cluster.tracer().clone(),
             alive: Cell::new(true),
             next_key: Cell::new(1),
@@ -225,7 +226,8 @@ impl Hca {
     pub fn kill(&self) {
         self.inner.alive.set(false);
         // Fail anyone mid-handshake immediately.
-        for (_, tx) in self.inner.pending_connects.borrow_mut().drain() {
+        let pending = std::mem::take(&mut *self.inner.pending_connects.borrow_mut());
+        for tx in pending.into_values() {
             let _ = tx.send(Err(VerbsError::ConnectionRefused));
         }
     }

@@ -16,4 +16,6 @@
 //! Start with [`rmc::World`], [`rmc::McServer`], and [`rmc::McClient`];
 //! see `examples/quickstart.rs`.
 
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type))]
+
 pub use {mcproto, mcstore, rmc, simnet, socksim, ucr, verbs};

@@ -7,7 +7,7 @@
 use rdma_memcached::rmc::{McClientConfig, McServerConfig, Scenario, Transport, World};
 use rdma_memcached::simnet::trace::{Layer, Phase};
 use rdma_memcached::simnet::trace_export::{chrome_trace_json, parse_json, Json};
-use rdma_memcached::simnet::{EventRecorder, NodeId};
+use rdma_memcached::simnet::{EventRecorder, NodeId, Stack};
 
 /// Items of the exported `traceEvents` array matching a predicate.
 fn items<'a>(trace: &'a Json, pred: impl Fn(&Json) -> bool + 'a) -> Vec<&'a Json> {
@@ -215,6 +215,47 @@ fn flight_recorder_captures_failed_send_tail() {
             "the endpoint failure marker follows the error completion"
         );
     });
+}
+
+/// A crash replays from its seed event for event: the same seeded
+/// shutdown and crash, built twice in one process, emits the same stream.
+/// Teardown walks only ordered tables, so neither the server's endpoint
+/// closes nor the dead node's socket resets depend on a hasher's seed.
+#[test]
+fn a_crash_replays_event_for_event() {
+    let run = || {
+        let world = World::cluster_a(5, 10);
+        let recorder = EventRecorder::new();
+        world.cluster.tracer().add_sink(recorder.clone());
+        // Eight server endpoints: two runs closing them in hash order
+        // agree by chance once in 8! = 40 320.
+        let mut wires = vec![Transport::Ucr; 8];
+        wires.push(Transport::Sockets(Stack::TenGigEToe));
+        let clients = wires
+            .into_iter()
+            .map(|t| McClientConfig::single(t, NodeId(0)));
+        let s = Scenario::new(world, McServerConfig::default(), clients);
+        let sim = s.world.sim().clone();
+        sim.block_on(async move {
+            for c in &s.clients {
+                c.set(b"k", b"v", 0, 0).await.unwrap();
+            }
+            s.server.shutdown();
+            s.world.crash_node(NodeId(0));
+            for c in &s.clients {
+                assert!(c.get(b"k").await.is_err(), "the server is gone");
+            }
+        });
+        let events: Vec<String> = recorder.events().iter().map(|e| format!("{e:?}")).collect();
+        assert_eq!(recorder.dropped(), 0, "the recorder kept the whole run");
+        events
+    };
+    let (first, second) = (run(), run());
+    assert!(first.iter().any(|e| e.contains("qp_close")));
+    for (i, (a, b)) in first.iter().zip(&second).enumerate() {
+        assert_eq!(a, b, "event {i} differs between two runs of one seed");
+    }
+    assert_eq!(first.len(), second.len());
 }
 
 #[test]
