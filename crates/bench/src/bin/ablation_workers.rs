@@ -93,7 +93,8 @@ fn measure(cluster: ClusterKind, model: StoreModel, workers: usize, load: Load) 
         mgets_per_client: MGETS_PER_CLIENT,
         keys_per_mget: KEYS_PER_MGET,
     };
-    let (keys_per_sec, server) = run_mget_storm(&world, &storm, move |rng| key_index(rng, load));
+    let (keys_per_sec, _, server) =
+        run_mget_storm(&world, &storm, move |rng| key_index(rng, load), false);
     let stats = server.lock_stats();
     let acquires: u64 = stats.iter().map(|s| s.acquires).sum();
     let max_acquires = stats.iter().map(|s| s.acquires).max().unwrap_or(0);

@@ -109,12 +109,7 @@ fn main() {
     );
 
     rmc_bench::json_out::write("ext_pipeline_depth", &records);
-    match std::fs::create_dir_all("results")
-        .and_then(|()| std::fs::write("results/ext_pipeline_depth.prom", &prom))
-    {
-        Ok(()) => eprintln!("wrote results/ext_pipeline_depth.prom"),
-        Err(e) => eprintln!("could not write results/ext_pipeline_depth.prom: {e}"),
-    }
+    rmc_bench::json_out::write_file("ext_pipeline_depth.prom", &prom);
     println!("\n(Depth overlaps wire+stack latency with service time on one connection;");
     println!("the curve saturates where per-op server cost, not latency, binds.)");
 }

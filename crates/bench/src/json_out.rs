@@ -23,7 +23,6 @@
 //! describe its sweep (op, transport, cluster, message size, mean/p50/p99
 //! latency, throughput, ...).
 
-use std::io::Write as _;
 use std::path::PathBuf;
 
 /// One field value: a string or a finite number.
@@ -114,17 +113,18 @@ pub fn render(bench: &str, records: &[Record]) -> String {
     out
 }
 
-/// Writes `results/<bench>.json` (relative to the working directory,
-/// creating `results/` if needed) and reports where it landed on stderr,
-/// keeping stdout clean for the human-readable tables. IO failures are
-/// reported, not fatal — a read-only checkout still runs the bench.
+/// Writes `results/<bench>.json`; see [`write_file`].
 pub fn write(bench: &str, records: &[Record]) {
-    let dir = PathBuf::from("results");
-    let path = dir.join(format!("{bench}.json"));
-    let doc = render(bench, records);
-    let res = std::fs::create_dir_all(&dir)
-        .and_then(|()| std::fs::File::create(&path))
-        .and_then(|mut f| f.write_all(doc.as_bytes()));
+    write_file(&format!("{bench}.json"), &render(bench, records));
+}
+
+/// Writes `results/<name>` (relative to the working directory, creating
+/// `results/` if needed) and reports where it landed on stderr, keeping
+/// stdout clean for the human-readable tables. IO failures are reported,
+/// not fatal — a read-only checkout still runs the bench.
+pub fn write_file(name: &str, contents: &str) {
+    let path = PathBuf::from("results").join(name);
+    let res = std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, contents));
     match res {
         Ok(()) => eprintln!("wrote {}", path.display()),
         Err(e) => eprintln!("could not write {}: {e}", path.display()),

@@ -29,8 +29,7 @@ use rmc::{
 };
 use simnet::metrics::Histogram;
 use simnet::{
-    AuditReport, NodeId, PathStage, Profiler, ProfilerConfig, SimDuration, Stack, Tracer,
-    PATH_STAGE_COUNT,
+    AuditReport, Cluster, NodeId, PathStage, Profiler, ProfilerConfig, SimDuration, SimTime, Stack,
 };
 
 /// Which testbed to instantiate.
@@ -138,34 +137,33 @@ pub fn measure_latency(
     iters: u32,
     seed: u64,
 ) -> f64 {
-    run_latency(cluster, transport, mix, size, iters, seed, |_| ()).0
+    run_latency(cluster, transport, mix, size, iters, seed, false).0
 }
 
-/// The shared latency loop behind [`measure_latency`] and
-/// [`measure_latency_attributed`]. `instrument` runs on the cluster tracer
-/// *after* the warm-up pass, so a profiler attached there decomposes
-/// exactly the timed operations; tracing adds no virtual time, so the
-/// measured mean is identical either way.
-fn run_latency<T: 'static>(
+/// The latency loop behind [`measure_latency`]: returns the mean and, with
+/// `window`, the [`Attribution`] of the timed operations. The window opens
+/// after the warm-up pass, so it decomposes exactly the timed operations;
+/// attribution adds no virtual time, so the mean is identical either way.
+pub fn run_latency(
     cluster: ClusterKind,
     transport: Transport,
     mix: Mix,
     size: usize,
     iters: u32,
     seed: u64,
-    instrument: impl FnOnce(&Rc<Tracer>) -> T + 'static,
-) -> (f64, T) {
+    window: bool,
+) -> (f64, Option<Attribution>) {
     let s = Scenario::start(cluster.world(seed, 4), transport);
     let (sim, client) = (s.world.sim().clone(), s.clients[0].clone());
     let sim2 = sim.clone();
-    let tracer = s.world.cluster.tracer().clone();
+    let nodes = s.world.cluster.clone();
     sim.block_on(async move {
         let value = vec![0x5au8; size];
         let key = b"bench-key";
         // Warm up: establish the connection and populate the item.
         client.set(key, &value, 0, 0).await.expect("warm-up set");
         client.get(key).await.expect("warm-up get");
-        let instrumented = instrument(&tracer);
+        let window = window.then(|| Window::open(&nodes));
 
         let t0 = sim2.now();
         let mut ops = 0u32;
@@ -177,7 +175,7 @@ fn run_latency<T: 'static>(
                 }
                 Mix::GetOnly => {
                     let v = client.get(key).await.expect("get").expect("hit");
-                    debug_assert_eq!(v.data.len(), size);
+                    assert_eq!(v.data, value, "get reply");
                     ops += 1;
                 }
                 Mix::NonInterleaved => {
@@ -200,54 +198,101 @@ fn run_latency<T: 'static>(
             }
         }
         let elapsed = sim2.now() - t0;
-        (elapsed.as_micros_f64() / ops as f64, instrumented)
+        let attribution = window.map(|w| w.read(1, u64::from(ops), elapsed));
+        (elapsed.as_micros_f64() / ops as f64, attribution)
     })
 }
 
-/// Per-stage latency attribution of one measurement run (the paper's
-/// §VI-D decomposition, produced by [`measure_latency_attributed`]).
-#[derive(Clone, Debug)]
-pub struct AttributedLatency {
-    /// End-to-end mean latency, microseconds — computed exactly as
-    /// [`measure_latency`] computes it (elapsed / ops).
-    pub mean_us: f64,
-    /// Mean time in each critical-path stage, microseconds, in
-    /// [`PathStage::ALL`] order.
-    pub stage_means_us: [f64; PATH_STAGE_COUNT],
-    /// The profiler's audit of the timed ops: how many were decomposed,
-    /// how many broke `Σ stages + residual == end-to-end` (always 0), and
-    /// the time no stage claimed.
-    pub audit: AuditReport,
+/// An attribution window: a [`Profiler`] on the cluster tracer and every
+/// node's HCA and kernel accounting, opened together at one instant. Each
+/// run loop opens it at its own point (after [`run_latency`]'s warm-up, once
+/// every [`run_throughput`] client has populated, before any
+/// [`run_mget_storm`] traffic) and reads it when its run is over.
+struct Window {
+    cluster: Rc<Cluster>,
+    profiler: Rc<Profiler>,
+    opened: SimTime,
 }
 
-impl AttributedLatency {
-    /// Mean time in `stage`, microseconds.
-    pub fn stage_us(&self, stage: PathStage) -> f64 {
-        self.stage_means_us[stage.index()]
+impl Window {
+    fn open(cluster: &Rc<Cluster>) -> Window {
+        let opened = cluster.sim().now();
+        for n in 0..cluster.len() {
+            let node = cluster.node(NodeId(n));
+            node.hca.reset(opened);
+            node.kernel.reset(opened);
+        }
+        let profiler = Profiler::attach(cluster.tracer(), ProfilerConfig::default());
+        let cluster = cluster.clone();
+        Window {
+            cluster,
+            profiler,
+            opened,
+        }
     }
 
-    /// Mean absolute unaccounted time per op, microseconds.
+    /// The reading at the end of a run in which `clients` closed loops
+    /// timed `ops` operations over `elapsed`. Utilization is read back from
+    /// the cluster registry, where `stats` readers see it.
+    fn read(self, clients: u32, ops: u64, elapsed: SimDuration) -> Attribution {
+        self.cluster.export_node_metrics(self.opened);
+        let utilization = |res: &str| {
+            let name = format!("{}.{res}.utilization", NodeId(0));
+            self.cluster.metrics().gauge_value(&name).expect("exported")
+        };
+        let tracer = self.cluster.tracer();
+        Attribution {
+            rate: per_second(ops, elapsed),
+            mean_us: elapsed.as_micros_f64() * f64::from(clients) / ops as f64,
+            audit: self.profiler.audit(),
+            hca_utilization: utilization("hca"),
+            kernel_utilization: utilization("kernel"),
+            flight: (tracer.flight_len() as u64, tracer.flight_dropped()),
+            profiler: self.profiler,
+        }
+    }
+}
+
+/// One attributed run, read through its window: the paper's §VI-D
+/// argument in one row — where each operation's time went (the eight
+/// [`PathStage`]s plus an explicit residual, summing to end-to-end) and
+/// which server resource the run saturated.
+pub struct Attribution {
+    /// Timed operations (keys, for a multiget storm) per second of
+    /// virtual time.
+    pub rate: f64,
+    /// Elapsed × clients / operations, microseconds: each client runs a
+    /// closed loop, so with one client it is [`measure_latency`]'s mean.
+    pub mean_us: f64,
+    /// The profiler's audit of the ops it decomposed: how many, how many
+    /// broke `Σ stages + residual == end-to-end` (always 0), and the time
+    /// no stage claimed.
+    pub audit: AuditReport,
+    /// Server HCA work-request pipeline utilization in `[0, 1]`.
+    pub hca_utilization: f64,
+    /// Server kernel protocol-processing utilization in `[0, 1]`.
+    pub kernel_utilization: f64,
+    /// The tracer's flight recorder: events held, events overwritten.
+    pub flight: (u64, u64),
+    /// The window's profiler: stage totals and shares, signatures and
+    /// folded stacks.
+    pub profiler: Rc<Profiler>,
+}
+
+impl Attribution {
+    /// Mean time in `stage` per decomposed op, microseconds.
+    pub fn stage_us(&self, stage: PathStage) -> f64 {
+        mean_us(self.profiler.stage_total(stage), self.audit.ops)
+    }
+
+    /// Mean absolute unaccounted time per decomposed op, microseconds.
     pub fn residual_us(&self) -> f64 {
         mean_us(self.audit.residual_abs_total, self.audit.ops)
     }
 
-    /// Renders the breakdown as an aligned table.
-    pub fn render(&self, title: &str) -> String {
-        let mut out = format!("{title}\n");
-        for stage in PathStage::ALL {
-            out.push_str(&format!(
-                "{:>18} {:>9.3} us\n",
-                stage.label(),
-                self.stage_us(stage)
-            ));
-        }
-        out.push_str(&format!(
-            "{:>18} {:>9.3} us\n",
-            "residual",
-            self.residual_us()
-        ));
-        out.push_str(&format!("{:>18} {:>9.3} us\n", "end_to_end", self.mean_us));
-        out
+    /// Mean end-to-end time per decomposed op, microseconds.
+    pub fn e2e_us(&self) -> f64 {
+        mean_us(self.profiler.e2e_total(), self.audit.ops)
     }
 }
 
@@ -256,28 +301,9 @@ fn mean_us(total: SimDuration, ops: u64) -> f64 {
     (total / ops.max(1)).as_micros_f64()
 }
 
-/// Like [`measure_latency`], but also records where each operation's time
-/// went: the profiler decomposes every timed operation's critical path
-/// into the eight [`PathStage`]s plus an explicit residual, so the stage
-/// means and the residual sum to the measured end-to-end mean — the
-/// cross-layer invariant `tests/attribution.rs` checks.
-pub fn measure_latency_attributed(
-    cluster: ClusterKind,
-    transport: Transport,
-    mix: Mix,
-    size: usize,
-    iters: u32,
-    seed: u64,
-) -> AttributedLatency {
-    let (mean, profiler) = run_latency(cluster, transport, mix, size, iters, seed, |tracer| {
-        Profiler::attach(tracer, ProfilerConfig::default())
-    });
-    let audit = profiler.audit();
-    AttributedLatency {
-        mean_us: mean,
-        stage_means_us: PathStage::ALL.map(|s| mean_us(profiler.stage_total(s), audit.ops)),
-        audit,
-    }
+/// `ops` per second of `elapsed`.
+fn per_second(ops: u64, elapsed: SimDuration) -> f64 {
+    ops as f64 / elapsed.as_secs_f64()
 }
 
 /// Latency sweep over a size list.
@@ -309,22 +335,22 @@ pub fn measure_throughput(
     ops_per_client: u32,
     seed: u64,
 ) -> f64 {
-    let world = cluster.world(seed, clients + 1);
-    run_throughput(&world, transport, clients, value_size, ops_per_client).0
+    let (world, ops) = (cluster.world(seed, clients + 1), ops_per_client);
+    run_throughput(&world, transport, clients, value_size, ops, false).0
 }
 
-/// The [`measure_throughput`] workload on a world the caller built, which
-/// also hands back the server and clients so their counters can be read
-/// once the run is over. Each node's HCA and kernel occupancy over the
-/// timed window is published into the cluster registry
-/// ([`Cluster::export_node_metrics`](simnet::Cluster::export_node_metrics)).
+/// The [`measure_throughput`] workload on a world the caller built: the
+/// rate, with `window` the run's [`Attribution`], and the server and
+/// clients, so their counters can be read once the run is over. The timed
+/// window opens once every client has connected and populated its key.
 pub fn run_throughput(
     world: &World,
     transport: Transport,
     clients: u32,
     value_size: usize,
     ops_per_client: u32,
-) -> (f64, McServer, Vec<McClient>) {
+    window: bool,
+) -> (f64, Option<Attribution>, McServer, Vec<McClient>) {
     let server = McServer::start(world, NodeId(0), McServerConfig::default());
     let sim = world.sim().clone();
 
@@ -359,19 +385,13 @@ pub fn run_throughput(
             }),
         ));
     }
-    let cluster = world.cluster.clone();
-    let tps = sim.clone().block_on(async move {
+    let nodes = world.cluster.clone();
+    let (tps, attribution) = sim.clone().block_on(async move {
         for r in ready {
             let _ = r.await;
         }
-        // Every client is connected and has populated its key: the timed
-        // window, and each node's HCA and kernel accounting, start here.
+        let window = window.then(|| Window::open(&nodes));
         let t0 = sim.now();
-        for n in 0..cluster.len() {
-            let node = cluster.node(NodeId(n));
-            node.hca.reset(t0);
-            node.kernel.reset(t0);
-        }
         let mut joins = Vec::new();
         for (go, h) in handles {
             let _ = go.send(());
@@ -380,11 +400,12 @@ pub fn run_throughput(
         for j in joins {
             j.await;
         }
-        cluster.export_node_metrics(t0);
-        let elapsed = (sim.now() - t0).as_secs_f64();
-        (clients as u64 * ops_per_client as u64) as f64 / elapsed
+        let ops = u64::from(clients) * u64::from(ops_per_client);
+        let elapsed = sim.now() - t0;
+        let attribution = window.map(|w| w.read(clients, ops, elapsed));
+        (per_second(ops, elapsed), attribution)
     });
-    (tps, server, testbed)
+    (tps, attribution, server, testbed)
 }
 
 /// Convenience: run a full Fig.6-style sweep.
@@ -761,7 +782,7 @@ pub fn run_windowed_gets(
 }
 
 // ---------------------------------------------------------------------
-// Multiget storm (ablation_workers, ext_profile)
+// Multiget storm (ablation_workers, ext_attribution)
 // ---------------------------------------------------------------------
 
 /// Clients of [`run_mget_storm`], on nodes 1 to 8 (the server is node 0).
@@ -808,13 +829,16 @@ pub fn model_label(model: StoreModel) -> String {
 /// Preloads `storm.keyspace` keys, then has [`MGET_STORM_CLIENTS`] UCR
 /// clients issue their multigets together, each drawing key indices with
 /// `next_key` from its own [`xorshift`] state. Every key must hit. Returns
-/// aggregate keys per second of virtual time and the server, whose lock
-/// meters describe the run.
+/// aggregate keys per second of virtual time, with `window` the run's
+/// [`Attribution`], and the server, whose lock meters describe the run.
+/// The window opens before any traffic, so the preload decomposes too.
 pub fn run_mget_storm(
     world: &World,
     storm: &MgetStorm,
     next_key: impl Fn(&mut u64) -> u64 + Copy + 'static,
-) -> (f64, McServer) {
+    window: bool,
+) -> (f64, Option<Attribution>, McServer) {
+    let window = window.then(|| Window::open(&world.cluster));
     let server = McServer::start(
         world,
         NodeId(0),
@@ -866,58 +890,16 @@ pub fn run_mget_storm(
         }));
     }
     let sim2 = sim.clone();
-    let elapsed = sim.block_on(async move {
+    let keys = u64::from(MGET_STORM_CLIENTS) * u64::from(mgets) * keys_per_mget as u64;
+    let (rate, attribution) = sim.block_on(async move {
         for j in joins {
             j.await;
         }
-        (sim2.now() - t0).as_secs_f64()
+        let elapsed = sim2.now() - t0;
+        let attribution = window.map(|w| w.read(MGET_STORM_CLIENTS, keys, elapsed));
+        (per_second(keys, elapsed), attribution)
     });
-    let total_keys = u64::from(MGET_STORM_CLIENTS) * u64::from(mgets) * keys_per_mget as u64;
-    (total_keys as f64 / elapsed, server)
-}
-
-// ---------------------------------------------------------------------
-// Bottleneck analysis (what saturates in Figure 6)
-// ---------------------------------------------------------------------
-
-/// Throughput plus the server-side resource utilizations that explain it.
-#[derive(Clone, Copy, Debug)]
-pub struct BottleneckReport {
-    /// Aggregate transactions per second.
-    pub tps: f64,
-    /// Server HCA work-request pipeline utilization in `[0, 1]`.
-    pub hca_utilization: f64,
-    /// Server kernel protocol-processing utilization in `[0, 1]`.
-    pub kernel_utilization: f64,
-}
-
-/// Like [`measure_throughput`], but also reports which server resource the
-/// run saturated — the §VI-D mechanism (UCR pegs the HCA and bypasses the
-/// kernel; every sockets transport pegs the kernel and barely touches the
-/// HCA).
-pub fn measure_bottlenecks(
-    cluster: ClusterKind,
-    transport: Transport,
-    clients: u32,
-    value_size: usize,
-    ops_per_client: u32,
-    seed: u64,
-) -> BottleneckReport {
-    let world = cluster.world(seed, clients + 1);
-    let (tps, _, _) = run_throughput(&world, transport, clients, value_size, ops_per_client);
-    // Read the attribution back from the cluster metrics registry — the
-    // same gauges `stats`-style consumers see.
-    let m = world.cluster.metrics();
-    m.gauge("bench.tps").set(tps);
-    let utilization = |res: &str| {
-        m.gauge_value(&format!("{}.{res}.utilization", NodeId(0)))
-            .expect("exported")
-    };
-    BottleneckReport {
-        tps,
-        hca_utilization: utilization("hca"),
-        kernel_utilization: utilization("kernel"),
-    }
+    (rate, attribution, server)
 }
 
 // ---------------------------------------------------------------------

@@ -73,8 +73,9 @@ pub const RULES: &[Rule] = &[
     Rule {
         id: "R2",
         title: "metric names follow the grammar and reads match a registration",
-        rationale: "Metrics are the observability contract: results/ plots \
-                    and the SLO tracker key on exact metric names. A typo'd \
+        rationale: "Metrics are the observability contract: results/ files, \
+                    `stats` output and every test that reads an instrument \
+                    back key on exact metric names. A typo'd \
                     registration or a read of a never-registered name returns \
                     silent zeros instead of failing. The committed \
                     results/metric_manifest.json must byte-match what the \

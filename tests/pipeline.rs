@@ -370,8 +370,8 @@ fn depth_one_holds_nothing() {
     const CLIENTS: u32 = 16;
     // Seed and operation count of `fig6_throughput`.
     let world = ClusterKind::B.world(6, CLIENTS + 1);
-    let (tps, server, clients) =
-        run_throughput(&world, Transport::Ucr, CLIENTS, 4, DEFAULT_TPUT_OPS);
+    let (tps, _, server, clients) =
+        run_throughput(&world, Transport::Ucr, CLIENTS, 4, DEFAULT_TPUT_OPS, false);
     let (sent, posted, coalesced) = ucr_totals(&server, &clients);
     assert_eq!(coalesced, 0, "messages held at depth 1");
     // One set, then the gets, per client; a request and a reply each.
