@@ -122,7 +122,7 @@ fn check_exposition(sites: &[MetricSite], prom: &str) -> Result<usize, Vec<Strin
 }
 
 #[test]
-fn observatory_exposition_matches_the_registrations() {
+fn the_committed_exposition_matches_the_registrations() {
     let root = rmc_lint::default_root();
     let sites = rmc_lint::analyze_workspace(&root)
         .expect("workspace walk")

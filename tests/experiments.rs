@@ -6,6 +6,8 @@
 use rmc::Transport;
 use rmc_bench::{measure_latency, measure_throughput, ClusterKind, Mix};
 use simnet::Stack;
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
 
 const ITERS: u32 = 60;
 
@@ -206,4 +208,86 @@ fn experiments_are_reproducible() {
     let t1 = measure_throughput(ClusterKind::B, SDP, 8, 4, 200, 5);
     let t2 = measure_throughput(ClusterKind::B, SDP, 8, 4, 200, 5);
     assert_eq!(t1, t2);
+}
+
+/// The documents name only what exists. Every literal `results/<file>`,
+/// every figure, ablation and extension bin, and every `crates/…/*.rs`,
+/// `tests/*.rs` or `scripts/*.sh` path named in README.md, DESIGN.md,
+/// EXPERIMENTS.md or the verify skill must be in the tree; a `tests/`
+/// path may be the root package's or a crate's. A brace form
+/// (`results/x.{txt,json}`) stands for each of its expansions; a glob or
+/// a placeholder (`results/*`, `results/<bin>.json`) names nothing.
+#[test]
+fn the_documents_name_only_what_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut missing = Vec::new();
+    for doc in [
+        "README.md",
+        "DESIGN.md",
+        "EXPERIMENTS.md",
+        ".claude/skills/verify/SKILL.md",
+    ] {
+        let text = std::fs::read_to_string(root.join(doc)).expect(doc);
+        missing.extend(missing_names(root, &text).map(|n| format!("{doc}: {n}")));
+    }
+    assert!(
+        missing.is_empty(),
+        "named but not in the tree:\n{}",
+        missing.join("\n")
+    );
+}
+
+/// The names `text` gives that do not resolve under `root`, each once.
+fn missing_names(root: &Path, text: &str) -> impl Iterator<Item = String> {
+    let crates: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
+        .expect("crates/")
+        .map(|e| e.expect("crates/ entry").path())
+        .collect();
+    let exists = |path: &str| {
+        root.join(path).is_file()
+            || (path.starts_with("tests/") && crates.iter().any(|c| c.join(path).is_file()))
+    };
+    let mut missing = BTreeSet::new();
+    let is_path = |c: char| c.is_ascii_alphanumeric() || "_./-{},*<>…".contains(c);
+    for run in text.split(|c: char| !is_path(c)) {
+        let run = run.trim_end_matches(['.', ',']);
+        let checked = (run.starts_with("results/") && !run.ends_with('/'))
+            || (run.starts_with("crates/") && run.ends_with(".rs"))
+            || (run.starts_with("tests/") && run.ends_with(".rs"))
+            || (run.starts_with("scripts/") && run.ends_with(".sh"));
+        if !checked || run.contains(['*', '<', '>', '…']) {
+            continue;
+        }
+        for path in expand_braces(run) {
+            if !exists(&path) {
+                missing.insert(path);
+            }
+        }
+    }
+    let bins = root.join("crates/bench/src/bin");
+    for word in text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')) {
+        let fig = word
+            .strip_prefix("fig")
+            .is_some_and(|rest| rest.starts_with(|c: char| c.is_ascii_digit()));
+        let named = fig || word.starts_with("ablation_") || word.starts_with("ext_");
+        let bin = bins.join(format!("{word}.rs"));
+        if named && word.contains('_') && !word.ends_with('_') && !bin.is_file() {
+            missing.insert(format!("bin {word}"));
+        }
+    }
+    missing.into_iter()
+}
+
+/// `a{b,c}d{e,f}` → `abde`, `abdf`, `acde`, `acdf`; no braces → itself.
+fn expand_braces(s: &str) -> Vec<String> {
+    let Some(open) = s.find('{') else {
+        return vec![s.to_owned()];
+    };
+    let Some(close) = s[open..].find('}').map(|i| open + i) else {
+        return vec![s.to_owned()];
+    };
+    s[open + 1..close]
+        .split(',')
+        .flat_map(|alt| expand_braces(&format!("{}{alt}{}", &s[..open], &s[close + 1..])))
+        .collect()
 }
