@@ -1141,8 +1141,15 @@ impl CliInner {
     }
 
     async fn conn(&self, sidx: usize) -> Result<Rc<Conn>, McError> {
-        if let Some(c) = self.conns.borrow().get(&sidx) {
-            return Ok(c.clone());
+        let cached = self.conns.borrow().get(&sidx).cloned();
+        if let Some(c) = cached {
+            // A failed UCR endpoint stays failed (its server went away, a
+            // fault poisoned it): forget it, so this operation dials afresh.
+            // A stream connection is evicted by the ticket that saw it fail.
+            if !matches!(&*c, Conn::Ucr(ep) if ep.is_failed()) {
+                return Ok(c);
+            }
+            self.evict(&c);
         }
         let server = *self.cfg.servers.get(sidx).ok_or(McError::NoServers)?;
         let conn = match self.cfg.transport {

@@ -337,6 +337,34 @@ fn server_death_times_out_and_isolates() {
     });
 }
 
+/// A UCR client outlives its server's restart. Its first operation goes
+/// out on the endpoint to the old server and fails: the send's error
+/// completion is how the client learns the server is gone. Every later
+/// operation dials the new server and reads what that server holds.
+#[test]
+fn a_ucr_client_redials_a_restarted_server() {
+    let s = Scenario::start(world_a(), Transport::Ucr);
+    let (sim, c) = (s.world.sim().clone(), s.clients[0].clone());
+    sim.block_on(async move {
+        c.set(b"k", b"old", 0, 0).await.unwrap();
+        s.server.shutdown();
+        let _restarted = McServer::start(&s.world, SRV, McServerConfig::default());
+        let loader = McClient::new(
+            &s.world,
+            NodeId(2),
+            McClientConfig::single(Transport::Ucr, SRV),
+        );
+        loader.set(b"k", b"new", 0, 0).await.unwrap();
+        match c.get(b"k").await {
+            Err(McError::Timeout) | Err(McError::Disconnected) => {}
+            other => panic!("the old endpoint answered: {other:?}"),
+        }
+        assert_eq!(c.get(b"k").await.unwrap().unwrap().data, b"new");
+        c.set(b"k", b"newer", 0, 0).await.unwrap();
+        assert_eq!(loader.get(b"k").await.unwrap().unwrap().data, b"newer");
+    });
+}
+
 #[test]
 fn sockets_client_sees_server_death_too() {
     let s = Scenario::start(world_a(), Transport::Sockets(Stack::TenGigEToe));

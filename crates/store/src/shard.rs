@@ -53,14 +53,19 @@ impl ShardRouter {
     }
 
     /// Per-shard [`StoreConfig`]s: the slab memory cap split by
-    /// [`split_mem_limit`](ShardRouter::split_mem_limit), everything else
-    /// copied. A single-shard router returns the config untouched.
+    /// [`split_mem_limit`](ShardRouter::split_mem_limit) and the hash
+    /// table likewise — each of n shards starts at 1/n of the buckets
+    /// (`hashpower` less log2 n), so the shards begin as one table between
+    /// them and each expands on its own items — everything else copied.
+    /// A single-shard router returns the config untouched.
     pub fn split_config(&self, config: StoreConfig) -> Vec<StoreConfig> {
+        let hashpower = config.hashpower.saturating_sub(self.count().ilog2());
         self.split_mem_limit(config.slab.mem_limit, config.slab.page_size)
             .into_iter()
             .map(|limit| {
                 let mut c = config;
                 c.slab.mem_limit = limit;
+                c.hashpower = hashpower;
                 c
             })
             .collect()
@@ -288,6 +293,49 @@ mod tests {
         // Tiny cap: the page floor dominates so every shard stays usable.
         let floored = r.split_mem_limit(4, 1024);
         assert!(floored.iter().all(|&s| s == 1024));
+    }
+
+    #[test]
+    fn split_config_divides_the_hash_table() {
+        let cfg = StoreConfig::default();
+        let hashpowers = |n| -> Vec<u32> {
+            let split = ShardRouter::new(n).split_config(cfg);
+            split.iter().map(|c| c.hashpower).collect()
+        };
+        assert_eq!(hashpowers(16), vec![12; 16]);
+        assert_eq!(hashpowers(1), vec![16]);
+    }
+
+    /// 100 000 keys (the pipelined workload's key count) over 16 segments
+    /// of 2^12 buckets each: a segment past 1.5 × 2^12 items expands, and
+    /// every key is found as each expansion begins and after all of them
+    /// have finished.
+    #[test]
+    fn split_segments_find_every_key_through_their_expansions() {
+        const KEYS: usize = 100_000;
+        let mut seg = SegmentedStore::new(StoreConfig::default(), 16);
+        let key = |i: usize| format!("key-{i:016x}").into_bytes();
+        let all_found =
+            |seg: &SegmentedStore, n: usize| (0..n).all(|i| seg.locate(&key(i), 100).is_some());
+        let mut expanded = vec![false; seg.shard_count()];
+        for i in 0..KEYS {
+            let k = key(i);
+            seg.segment_for(&k).set(&k, b"v", 0, 0, 100);
+            let s = seg.router().index(&k);
+            if seg.segment(s).is_expanding() && !expanded[s] {
+                expanded[s] = true;
+                assert!(all_found(&seg, i + 1), "a key lost as segment {s} expands");
+            }
+        }
+        let expansions = expanded.iter().filter(|&&e| e).count();
+        assert!(expansions > 0, "no segment expanded");
+        for i in 0..KEYS {
+            let k = key(i);
+            assert!(seg.segment_for(&k).get(&k, 100).is_some(), "key {i} lost");
+        }
+        assert!((0..16).all(|s| !seg.segment(s).is_expanding()));
+        assert_eq!(seg.stats().hash_expansions, expansions as u64);
+        assert_eq!(seg.curr_items(), KEYS as u64);
     }
 
     #[test]

@@ -71,10 +71,6 @@ pub const MAX_RNDV_BYTES: usize = 64 << 20;
 /// would take the pool past it when it comes back is freed.
 const RNDV_POOL_BYTES: usize = 1 << 20;
 
-/// Every this many counters made, the counter table drops the entries of
-/// counters already dropped: it holds the live ones plus at most this many.
-const COUNTER_SWEEP: u64 = 1024;
-
 /// Declares [`RtStats`] from the one list of its counters: each field is
 /// the registry counter `ucr.<net>.nodeN.<field>` and the `stats` line
 /// `ucr_<field>`.
@@ -237,7 +233,9 @@ pub(crate) struct RtInner {
     pub eager_threshold: std::cell::Cell<usize>,
     profile: ClusterProfile,
     handlers: RefCell<HashMap<u16, Rc<dyn AmHandler>>>,
-    counters: RefCell<HashMap<u64, Weak<CtrInner>>>,
+    /// A weak entry per counter made and not yet swept, by id. Ids only
+    /// grow, so a push keeps the table sorted.
+    counters: RefCell<Vec<(u64, Weak<CtrInner>)>>,
     /// By QP number; ordered, so `shutdown` fails them in QP order.
     eps: RefCell<BTreeMap<u32, Rc<EpInner>>>,
     /// Work requests awaiting their completion: what it comes back for,
@@ -334,9 +332,12 @@ impl UcrRuntime {
 
     /// Brings up UCR on `node` with `contexts` progress contexts (at least
     /// one), each its own completion queue and progress task — what a
-    /// server sizes to its worker pool.
+    /// server sizes to its worker pool. A node whose adapter a
+    /// [`shutdown`](Self::shutdown) or a crash took down gets it back: this
+    /// is a process started there again.
     pub fn with_contexts(fabric: &IbFabric, node: NodeId, contexts: usize) -> UcrRuntime {
         let hca = fabric.open(node);
+        hca.revive();
         let pd = hca.alloc_pd();
         let cqs: Vec<Cq> = (0..contexts.max(1)).map(|_| hca.create_cq()).collect();
         let (stop, stopped): (Vec<_>, Vec<_>) = cqs.iter().map(|_| oneshot::<()>()).unzip();
@@ -362,7 +363,7 @@ impl UcrRuntime {
             eager_threshold: std::cell::Cell::new(UCR_EAGER_THRESHOLD),
             profile,
             handlers: RefCell::new(HashMap::new()),
-            counters: RefCell::new(HashMap::new()),
+            counters: RefCell::new(Vec::new()),
             eps: RefCell::new(BTreeMap::new()),
             pending: RefCell::new(HashMap::new()),
             recv_bufs: RefCell::new(HashMap::new()),
@@ -429,12 +430,19 @@ impl UcrRuntime {
             self.inner.node,
         );
         let mut counters = self.inner.counters.borrow_mut();
-        // Periodically drop entries whose counters have been released so
-        // long-running clients (one counter per request) stay bounded.
-        if id.is_multiple_of(COUNTER_SWEEP) {
-            counters.retain(|_, w| w.strong_count() > 0);
+        // A full table drops the entries of released counters (a weak
+        // entry keeps its counter's box allocated) and grows, to twice the
+        // live ones, only if they still fill more than half of it: it holds
+        // at most twice the counters live at once, and a sweep comes at
+        // most once per half a table of counters made.
+        if counters.len() == counters.capacity() {
+            counters.retain(|(_, w)| w.strong_count() > 0);
+            let live = counters.len();
+            if 2 * live > counters.capacity() {
+                counters.reserve_exact(live);
+            }
         }
-        counters.insert(id, Rc::downgrade(&c.inner));
+        counters.push((id, Rc::downgrade(&c.inner)));
         c
     }
 
@@ -478,8 +486,9 @@ impl UcrRuntime {
         Ok(rt.make_endpoint(qp, dst, ctx))
     }
 
-    /// Tears the runtime down: every progress task stops and all endpoints
-    /// fail. Models a process exit.
+    /// Tears the runtime down: every progress task stops, all endpoints
+    /// fail and the adapter dies with its listeners, so the port is free
+    /// for a runtime started on the node again. Models a process exit.
     pub fn shutdown(&self) {
         self.inner.stop.borrow_mut().clear();
         for ep in self.inner.eps.borrow().values() {
@@ -833,7 +842,11 @@ impl RtInner {
         if id == 0 {
             return;
         }
-        let ctr = self.counters.borrow().get(&id).and_then(Weak::upgrade);
+        let ctr = {
+            let counters = self.counters.borrow();
+            let at = counters.binary_search_by_key(&id, |&(id, _)| id);
+            at.ok().and_then(|at| counters[at].1.upgrade())
+        };
         if let Some(c) = ctr {
             c.bump();
             self.tracer.instant(
@@ -1535,21 +1548,49 @@ mod tests {
         assert_eq!(st.eager_wrs_posted.get(), N as u64);
     }
 
-    /// The counter table holds the live counters and at most one sweep
-    /// interval of dropped ones: a runtime making and dropping a counter
-    /// per request stays bounded, and the sweep keeps what is held.
+    /// The counter table follows the live counters. Behind 3 held ones,
+    /// or 8 in flight at a time, 5 000 counters made and dropped never
+    /// take it past room for twice the most counters live at once (a
+    /// first table has room for four); and a held counter is still bumped
+    /// by a remote active message after the sweeps.
     #[test]
-    fn the_counter_table_sweeps_out_dropped_counters() {
-        let (_cluster, _server, client, _) = linked(36, 0);
-        let held: Vec<Counter> = (0..3).map(|_| client.counter()).collect();
-        let bound = held.len() + COUNTER_SWEEP as usize;
-        for _ in 0..5 * COUNTER_SWEEP {
-            drop(client.counter());
-            let entries = client.inner.counters.borrow().len();
-            assert!(entries <= bound, "{entries} entries, bound {bound}");
+    fn the_counter_table_holds_at_most_twice_the_live_counters() {
+        for (held, in_flight) in [(3, 1), (0, 8)] {
+            let (cluster, _server, client, mut pairs) = linked(36, 1);
+            let (_ep, peer) = pairs.remove(0);
+            let held: Vec<Counter> = (0..held).map(|_| client.counter()).collect();
+            let most_live = held.len() + in_flight;
+            let bound = (2 * most_live).max(4);
+            let mut window = std::collections::VecDeque::new();
+            for _ in 0..5_000 {
+                if window.len() == in_flight {
+                    window.pop_front();
+                }
+                window.push_back(client.counter());
+                let table = client.inner.counters.borrow();
+                assert!(
+                    table.capacity() <= bound,
+                    "{} held, {in_flight} in flight: capacity {} past {bound}",
+                    held.len(),
+                    table.capacity()
+                );
+            }
+            let watched = held.first().or(window.back()).cloned();
+            let watched = watched.expect("a counter is live");
+            let opts = SendOptions {
+                target_ctr: watched.id(),
+                ..Default::default()
+            };
+            cluster.sim().block_on(async move {
+                peer.send_message(MSG, b"h", b"bump", opts)
+                    .await
+                    .expect("eager");
+                watched.wait_for(1, TIMEOUT).await.expect("bumped");
+            });
+            let table = client.inner.counters.borrow();
+            let kept = |c: &Counter| table.binary_search_by_key(&c.id(), |&(id, _)| id).is_ok();
+            assert!(held.iter().all(kept));
         }
-        let table = client.inner.counters.borrow();
-        assert!(held.iter().all(|c| table.contains_key(&c.id())));
     }
 
     /// The receive pool grows to its traffic and keeps its cap. One round

@@ -44,6 +44,8 @@ pub struct CmMessage {
 pub struct Listener {
     hca: Hca,
     port: u16,
+    /// The adapter's incarnation when the port was bound.
+    incarnation: u64,
     rx: sync::Receiver<CmMessage>,
 }
 
@@ -59,6 +61,7 @@ impl Hca {
         Ok(Listener {
             hca: self.clone(),
             port,
+            incarnation: self.inner.incarnation.get(),
             rx,
         })
     }
@@ -129,7 +132,11 @@ impl Listener {
 
 impl Drop for Listener {
     fn drop(&mut self) {
-        self.hca.inner.listeners.borrow_mut().remove(&self.port);
+        // Past a kill the port is no longer this listener's: another may
+        // hold it now.
+        if self.hca.inner.incarnation.get() == self.incarnation {
+            self.hca.inner.listeners.borrow_mut().remove(&self.port);
+        }
     }
 }
 

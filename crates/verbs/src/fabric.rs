@@ -47,11 +47,15 @@ pub(crate) struct HcaInner {
     pub fabric: Weak<IbFabricInner>,
     pub mrs: RefCell<HashMap<u32, Weak<MrInner>>>,
     pub qps: RefCell<HashMap<u32, Rc<QpInner>>>,
-    pub listeners: RefCell<HashMap<u16, sync::Sender<CmMessage>>>,
+    /// By port; ordered, so `kill` closes them in port order.
+    pub listeners: RefCell<BTreeMap<u16, sync::Sender<CmMessage>>>,
     /// By connection id; ordered, so `kill` refuses them in id order.
     pub pending_connects: RefCell<BTreeMap<u64, sync::OneSender<Result<u32, VerbsError>>>>,
     pub tracer: Rc<Tracer>,
     pub alive: Cell<bool>,
+    /// Kills so far: a listener bound before the latest one no longer owns
+    /// its port.
+    pub incarnation: Cell<u64>,
     next_key: Cell<u32>,
     next_qpn: Cell<u32>,
     next_pd: Cell<u32>,
@@ -125,10 +129,11 @@ impl IbFabric {
             fabric: Rc::downgrade(&self.inner),
             mrs: RefCell::new(HashMap::new()),
             qps: RefCell::new(HashMap::new()),
-            listeners: RefCell::new(HashMap::new()),
+            listeners: RefCell::new(BTreeMap::new()),
             pending_connects: RefCell::new(BTreeMap::new()),
             tracer: cluster.tracer().clone(),
             alive: Cell::new(true),
+            incarnation: Cell::new(0),
             next_key: Cell::new(1),
             next_qpn: Cell::new(1),
             next_pd: Cell::new(1),
@@ -222,14 +227,27 @@ impl Hca {
     }
 
     /// Simulates the node's IB stack dying (process crash, cable pull).
-    /// Subsequent traffic to or from this HCA fails with `RetryExceeded`.
+    /// Subsequent traffic to or from this HCA fails with `RetryExceeded`,
+    /// and every listener is closed: its port is free for whoever
+    /// [`revive`](Hca::revive)s the adapter.
     pub fn kill(&self) {
         self.inner.alive.set(false);
+        self.inner.incarnation.set(self.inner.incarnation.get() + 1);
         // Fail anyone mid-handshake immediately.
         let pending = std::mem::take(&mut *self.inner.pending_connects.borrow_mut());
         for tx in pending.into_values() {
             let _ = tx.send(Err(VerbsError::ConnectionRefused));
         }
+        // Close every listener, in port order: a parked accept returns.
+        drop(std::mem::take(&mut *self.inner.listeners.borrow_mut()));
+    }
+
+    /// Brings a killed adapter back (a process started on the node again):
+    /// traffic flows and ports can be bound. What the kill closed stays
+    /// closed, and queue pair numbers and keys keep counting, so nothing
+    /// addressed to the old process reaches the new one.
+    pub fn revive(&self) {
+        self.inner.alive.set(true);
     }
 
     /// Memory regions currently registered with this adapter.

@@ -726,6 +726,29 @@ fn listener_port_collision_and_release() {
     assert!(a.hca.listen(7000).is_ok());
 }
 
+/// A kill closes the adapter's listeners: a parked accept returns, and
+/// once revived the port binds again. The listener from before the kill,
+/// dropped after its successor bound the port, leaves the successor alone.
+#[test]
+fn a_killed_adapter_frees_its_ports_for_its_revival() {
+    let (cluster, a, _b) = pair(false);
+    let old = a.hca.listen(7000).unwrap();
+    a.hca.kill();
+    a.hca.revive();
+    let new = a.hca.listen(7000).unwrap();
+    let (pd, cq) = (a.pd, a.cq.clone());
+    let accepted = cluster
+        .sim()
+        .block_on(async move { old.accept(&pd, &cq, &cq, None).await.is_ok() });
+    assert!(!accepted, "the kill closed the listener");
+    assert!(
+        a.hca.listen(7000).is_err(),
+        "the new listener kept its port"
+    );
+    drop(new);
+    assert!(a.hca.listen(7000).is_ok());
+}
+
 #[test]
 fn messages_on_one_qp_arrive_in_order() {
     let (cluster, a, b) = pair(true);

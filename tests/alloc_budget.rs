@@ -429,8 +429,14 @@ fn ascii_socket_sets_and_gets() -> Shape {
 #[test]
 fn ucr_small_gets_stay_within_the_allocation_budget() {
     let shape = ucr_small_gets();
-    shape.stays_within(4.0); // measured 3.00
+    let load = shape.stays_within(4.0); // measured 3.00
     shape.holds_recv_buffers(7, 4); // measured 5 and 2
+                                    // One word more on a per-op allocation (a counter's box) fails this.
+    let bytes = load.bytes_per_op();
+    assert!(
+        bytes <= 111.0, // measured 104.0
+        "ucr_small_gets: {bytes:.1} bytes allocated per operation"
+    );
 }
 
 /// What watching costs the host: the allocations a profiler adds to a UCR
@@ -455,8 +461,13 @@ fn a_profiler_adds_few_allocations_to_a_ucr_get() {
 #[test]
 fn ucr_pipelined_gets_stay_within_the_allocation_budget() {
     let shape = ucr_pipelined_gets();
-    shape.stays_within(4.5); // measured 3.02
+    let load = shape.stays_within(4.5); // measured 3.02
     shape.holds_recv_buffers(9, 4); // measured 7 and 2
+    let bytes = load.bytes_per_op();
+    assert!(
+        bytes <= 173.0, // measured 166.2
+        "ucr_pipelined_gets: {bytes:.1} bytes allocated per operation"
+    );
     let rt = shape.server.ucr_runtime().expect("UCR server");
     assert!(
         rt.stats().eager_coalesced.get() > 0,

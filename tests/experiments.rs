@@ -6,7 +6,7 @@
 use rmc::Transport;
 use rmc_bench::{measure_latency, measure_throughput, ClusterKind, Mix};
 use simnet::Stack;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 const ITERS: u32 = 60;
@@ -235,6 +235,131 @@ fn the_documents_name_only_what_exists() {
         "named but not in the tree:\n{}",
         missing.join("\n")
     );
+}
+
+/// Every "`NAME` = <integer>" in the documents names a `const` or `static`
+/// under `crates/` whose literal initializer is that integer. A figure with
+/// a unit or an operator after it ("1 MiB", "64 + 8 192") or written as a
+/// power ("2²⁰") is not an integer and is skipped.
+#[test]
+fn the_documents_state_constants_as_the_code_does() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut code = BTreeMap::new();
+    literal_constants(&root.join("crates"), &mut code);
+    let (mut stated, mut wrong) = (0, Vec::new());
+    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
+        let text = std::fs::read_to_string(root.join(doc)).expect(doc);
+        for (name, value) in stated_constants(&text) {
+            stated += 1;
+            let values: &[Option<u128>] = code.get(name).map_or(&[], Vec::as_slice);
+            if !values.contains(&Some(value)) {
+                wrong.push(format!(
+                    "{doc}: `{name}` = {value}, the code has {values:?}"
+                ));
+            }
+        }
+    }
+    assert!(stated > 0, "the scan found no stated constant");
+    assert!(
+        wrong.is_empty(),
+        "stated otherwise than the code (None: not a literal):\n{}",
+        wrong.join("\n")
+    );
+}
+
+/// Every `const` and `static` declared on one line in the `.rs` files under
+/// `dir`: its literal integer initializer, or `None` for any other.
+fn literal_constants(dir: &Path, out: &mut BTreeMap<String, Vec<Option<u128>>>) {
+    for entry in std::fs::read_dir(dir).expect("readable directory") {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            literal_constants(&path, out);
+            continue;
+        }
+        if path.extension().is_none_or(|e| e != "rs") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("readable source");
+        for line in text.lines() {
+            let decl = line.trim_start().trim_start_matches("pub ");
+            let decl = decl.strip_prefix("pub(crate) ").unwrap_or(decl);
+            let Some(decl) = decl
+                .strip_prefix("const ")
+                .or_else(|| decl.strip_prefix("static "))
+            else {
+                continue;
+            };
+            let (Some((name, _)), Some((_, init))) = (decl.split_once(':'), decl.split_once('='))
+            else {
+                continue;
+            };
+            let name = name.trim();
+            if !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
+                continue;
+            }
+            let init = init.split(';').next().unwrap_or_default().trim();
+            let end = init
+                .find(|c: char| !(c.is_ascii_digit() || c == '_'))
+                .unwrap_or(init.len());
+            let (digits, suffix) = init.split_at(end);
+            let typed = suffix
+                .strip_prefix(['u', 'i'])
+                .is_some_and(|bits| ["8", "16", "32", "64", "128", "size"].contains(&bits));
+            let literal = !digits.is_empty() && (suffix.is_empty() || typed);
+            let value = literal
+                .then(|| digits.replace('_', "").parse().ok())
+                .flatten();
+            out.entry(name.to_owned()).or_default().push(value);
+        }
+    }
+}
+
+/// The `(NAME, integer)` of every "`NAME` = <integer>" in `text`. Digits
+/// group in threes after a space ("4 096"); a figure followed by a unit,
+/// an operator or a superscript is skipped.
+fn stated_constants(text: &str) -> Vec<(&str, u128)> {
+    let spans: Vec<&str> = text.split('`').collect();
+    let mut stated = Vec::new();
+    for (i, name) in spans.iter().enumerate().skip(1).step_by(2) {
+        let is_const = name.starts_with(|c: char| c.is_ascii_uppercase())
+            && name
+                .chars()
+                .all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_');
+        let Some(after) = spans.get(i + 1) else { break };
+        let Some(rest) = after.trim_start().strip_prefix('=') else {
+            continue;
+        };
+        if !is_const || rest.starts_with('=') {
+            continue;
+        }
+        let rest = rest.trim_start();
+        let lead = rest.len() - rest.trim_start_matches(|c: char| c.is_ascii_digit()).len();
+        if lead == 0 {
+            continue;
+        }
+        let mut number = rest[..lead].to_owned();
+        let mut tail = &rest[lead..];
+        while let Some(group) = tail
+            .strip_prefix([' ', '\u{a0}', '\u{202f}'])
+            .filter(|g| g.len() >= 3 && g.as_bytes()[..3].iter().all(u8::is_ascii_digit))
+            .filter(|g| !g[3..].starts_with(|c: char| c.is_ascii_digit()))
+        {
+            number.push_str(&group[..3]);
+            tail = &group[3..];
+        }
+        let power = tail.starts_with([
+            '⁰', '¹', '²', '³', '⁴', '⁵', '⁶', '⁷', '⁸', '⁹', '.', ',', '–',
+        ]);
+        let next = tail.trim_start();
+        let operator = next.starts_with(['+', '-', '×', '*', '/', '^', '<']);
+        let word: String = next.chars().take_while(char::is_ascii_alphabetic).collect();
+        let unit = ["KiB", "MiB", "GiB", "KB", "MB", "GB", "K", "M", "G"].contains(&word.as_str());
+        if power || operator || unit {
+            continue;
+        }
+        stated.push((*name, number.parse().expect("digits")));
+    }
+    stated
 }
 
 /// The names `text` gives that do not resolve under `root`, each once.
