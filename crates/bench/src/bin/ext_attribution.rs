@@ -138,9 +138,12 @@ fn latency() -> Vec<Row> {
     let rows = transports.into_iter().map(|t| {
         let (_, at) = run_latency(ClusterKind::A, t, Mix::GetOnly, 4096, 60, 7, true);
         let at = at.expect("window");
-        // One op in flight: every op decomposes and every marker correlates.
+        // One op in flight: every op decomposes and every marker correlates,
+        // and the quiesced window holds nothing open or unmatched.
         assert_eq!(at.audit.ops, 60);
         assert_eq!(at.audit.residual_abs_total, SimDuration::ZERO);
+        let closed = (at.profiler.open_len(), at.profiler.unmatched_events());
+        assert_eq!(closed, (0, 0), "{}", t.label());
         Row {
             view: "latency",
             cluster: ClusterKind::A,
@@ -175,9 +178,15 @@ fn saturation() -> Vec<Row> {
         let (hca, kernel) = (at.hca_utilization, at.kernel_utilization);
         let (busy, idle) = if ucr { (hca, kernel) } else { (kernel, hca) };
         assert!(busy >= 0.9 && idle <= 0.1, "{case}: {busy}, {idle}");
-        // UCR's stages account for every nanosecond of every get.
+        // UCR's stages account for every nanosecond of every get, and its
+        // request ids leave nothing open or unmatched.
         let exact = at.audit.ops == 12_800 && at.audit.residual_abs_total == SimDuration::ZERO;
         assert!(!ucr || exact, "{case}: {:?}", at.audit);
+        let closed = (at.profiler.open_len(), at.profiler.unmatched_events());
+        assert!(
+            !ucr || closed == (0, 0),
+            "{case}: (open, unmatched) {closed:?}"
+        );
         Row {
             view: "saturation",
             cluster,

@@ -13,8 +13,8 @@
 //! gain over the previous step is below [`KNEE_GAIN`]: where the curve
 //! stops scaling. The cluster registry's exposition after the Cluster B
 //! UCR 4 B depth-16 cell is written to `results/ext_pipeline_depth.prom`,
-//! which `rmc-lint`'s self-check holds against the exposition format and
-//! the metric registrations.
+//! which `tests/stats_registry.rs` renders again from that cell and holds
+//! against the exposition format and the cell's live registry.
 
 use rmc::Transport;
 use rmc_bench::{run_pipeline_gets, ClusterKind};

@@ -26,7 +26,7 @@
 //! directory; `stats` is the `stats` surface. This module is the process
 //! around them: configuration, listeners, the worker pool.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::{Rc, Weak};
 
 use mcproto::{BinFrame, Command, Response};
@@ -34,7 +34,7 @@ use mcstore::StoreConfig;
 use simnet::metrics::{Counter, Gauge, Metrics};
 use simnet::sync::{self, Receiver, Sender};
 use simnet::{NodeId, Sim, Stack};
-use socksim::{DgramSocket, Socket};
+use socksim::{DgramSocket, Listener, Socket};
 use ucr::{Endpoint, UcrRuntime};
 
 use crate::am_wire::{MSG_MC_DIR_REQ, MSG_MC_REQ};
@@ -195,6 +195,10 @@ struct SrvInner {
     /// ([`SrvInner::worker_for_ep`]).
     next_worker: Cell<usize>,
     running: Cell<bool>,
+    /// The sockets ports this server bound. `shutdown` closes them, so a
+    /// server started on the node again can bind them.
+    listeners: RefCell<Vec<Rc<Listener>>>,
+    dgram_socks: RefCell<Vec<Rc<DgramSocket>>>,
 }
 
 /// A running Memcached server.
@@ -220,6 +224,8 @@ impl McServer {
             workers: worker_txs,
             next_worker: Cell::new(0),
             running: Cell::new(true),
+            listeners: RefCell::new(Vec::new()),
+            dgram_socks: RefCell::new(Vec::new()),
         });
 
         for (widx, rx) in worker_rxs.into_iter().enumerate() {
@@ -244,14 +250,18 @@ impl McServer {
             let Ok(udp) = world.socks.udp_bind(*stack, node, config.port) else {
                 continue;
             };
+            let udp = Rc::new(udp);
+            inner.dgram_socks.borrow_mut().push(udp.clone());
             let weak = Rc::downgrade(&inner);
-            sim.spawn(frontend::udp_receiver(weak, Rc::new(udp)));
+            sim.spawn(frontend::udp_receiver(weak, udp));
         }
 
         for stack in stacks {
             let Ok(listener) = world.socks.listen(*stack, node, config.port) else {
                 continue;
             };
+            let listener = Rc::new(listener);
+            inner.listeners.borrow_mut().push(listener.clone());
             let weak = Rc::downgrade(&inner);
             let sim2 = sim.clone();
             sim.spawn(async move {
@@ -321,14 +331,21 @@ impl McServer {
             .clone()
     }
 
-    /// Stops accepting and serving. UCR endpoints fail over to their error
-    /// path; socket clients see EOF on their next read.
+    /// Stops accepting and serving, and frees every port it bound. UCR
+    /// endpoints fail over to their error path; socket clients see EOF on
+    /// their next read.
     pub fn shutdown(&self) {
         self.inner.running.set(false);
         for rt in &self.inner.exec.fabrics {
             if let Some(rt) = rt.borrow_mut().take() {
                 rt.shutdown();
             }
+        }
+        for listener in self.inner.listeners.take() {
+            listener.close();
+        }
+        for udp in self.inner.dgram_socks.take() {
+            udp.close();
         }
     }
 }

@@ -337,31 +337,101 @@ fn server_death_times_out_and_isolates() {
     });
 }
 
-/// A UCR client outlives its server's restart. Its first operation goes
-/// out on the endpoint to the old server and fails: the send's error
-/// completion is how the client learns the server is gone. Every later
-/// operation dials the new server and reads what that server holds.
+/// A client outlives its server's restart, on every wire: the server it
+/// shut down freed its ports, so the one started on the node binds them.
+/// A UCR client's first operation goes out on the endpoint to the old
+/// server and fails: the send's error completion is how the client learns
+/// the server is gone. A stream client's first operation meets the old
+/// connection's EOF. Every later operation dials the new server and reads
+/// what that server holds; a UDP client has nothing to dial, and its first
+/// request already reaches the new server.
 #[test]
 fn a_ucr_client_redials_a_restarted_server() {
-    let s = Scenario::start(world_a(), Transport::Ucr);
-    let (sim, c) = (s.world.sim().clone(), s.clients[0].clone());
+    let toe = Stack::TenGigEToe;
+    let wires = [
+        Transport::Ucr,
+        Transport::Sockets(toe),
+        Transport::Binary(toe),
+        Transport::Udp(toe),
+    ];
+    for wire in wires {
+        let s = Scenario::start(world_a(), wire);
+        let (sim, c) = (s.world.sim().clone(), s.clients[0].clone());
+        sim.block_on(async move {
+            c.set(b"k", b"old", 0, 0).await.unwrap();
+            s.server.shutdown();
+            let _restarted = McServer::start(&s.world, SRV, McServerConfig::default());
+            let loader = McClient::new(&s.world, NodeId(2), McClientConfig::single(wire, SRV));
+            let stored = loader.set(b"k", b"new", 0, 0).await;
+            stored.unwrap_or_else(|e| panic!("{wire:?}: the new server: {e:?}"));
+            match (wire, c.get(b"k").await) {
+                (Transport::Udp(_), Ok(Some(v))) if v.data == b"new" => {}
+                (Transport::Udp(_), other) => panic!("{wire:?}: {other:?}"),
+                (_, Err(McError::Timeout) | Err(McError::Disconnected)) => {}
+                (_, other) => panic!("{wire:?}: the old connection answered: {other:?}"),
+            }
+            assert_eq!(c.get(b"k").await.unwrap().unwrap().data, b"new", "{wire:?}");
+            c.set(b"k", b"newer", 0, 0).await.unwrap();
+            let got = loader.get(b"k").await.unwrap().unwrap();
+            assert_eq!(got.data, b"newer", "{wire:?}");
+        });
+    }
+}
+
+/// Registered memory follows live state. The server's adapter holds its
+/// UCR runtime's receive pool, its idle send buffers (at most the send
+/// pool's cap, 128) and one region per published bypass mirror page, and a
+/// client's adapter its runtime's two pools; each table is back at that
+/// baseline once traffic quiesces. The traffic takes every registration a
+/// runtime keeps past one call: an endpoint's advertised rendezvous
+/// sources (a 64 KB set from the client, a 64 KB get reply from the
+/// server), the receive buffers, and a mirror page, which the bypass
+/// reader's get publishes and the key's delete retires.
+#[test]
+fn registered_memory_returns_to_its_baseline_at_quiesce() {
+    const SEND_POOL_CAP: usize = 128;
+    let reader = McClientConfig {
+        bypass_get: true,
+        ..McClientConfig::single(Transport::Ucr, SRV)
+    };
+    let plain = McClientConfig::single(Transport::Ucr, SRV);
+    let s = Scenario::new(world_a(), McServerConfig::default(), [reader, plain]);
+    let (sim, world) = (s.world.sim().clone(), s.world.clone());
+    let (reader, plain) = (s.clients[0].clone(), s.clients[1].clone());
+    let (srv_rt, plain_rt) = (
+        s.server.ucr_runtime().unwrap(),
+        plain.ucr_runtime().unwrap(),
+    );
+    // (live regions, the baseline) of one adapter, given its published
+    // mirror pages.
+    let table = move |node: NodeId, rt: &ucr::UcrRuntime, pages: usize| {
+        assert!(rt.idle_send_buffers() <= SEND_POOL_CAP);
+        let baseline = rt.recv_buffers() + rt.idle_send_buffers() + pages;
+        (world.ib.open(node).registered_regions(), baseline)
+    };
+    let settle = sim.clone();
     sim.block_on(async move {
-        c.set(b"k", b"old", 0, 0).await.unwrap();
-        s.server.shutdown();
-        let _restarted = McServer::start(&s.world, SRV, McServerConfig::default());
-        let loader = McClient::new(
-            &s.world,
-            NodeId(2),
-            McClientConfig::single(Transport::Ucr, SRV),
-        );
-        loader.set(b"k", b"new", 0, 0).await.unwrap();
-        match c.get(b"k").await {
-            Err(McError::Timeout) | Err(McError::Disconnected) => {}
-            other => panic!("the old endpoint answered: {other:?}"),
+        let quiesce = || settle.sleep(SimDuration::from_millis(1));
+        let big = vec![9u8; 64 << 10];
+        plain.set(b"big", &big, 0, 0).await.unwrap();
+        reader.set(b"k", b"small", 0, 0).await.unwrap();
+        assert_eq!(reader.get(b"k").await.unwrap().unwrap().data, b"small");
+        quiesce().await;
+        let (live, baseline) = table(SRV, &srv_rt, 1);
+        assert_eq!(live, baseline, "the reader's page is published");
+        for _ in 0..3 {
+            assert_eq!(plain.get(b"big").await.unwrap().unwrap().data, big);
+            plain.set(b"big", &big, 0, 0).await.unwrap();
         }
-        assert_eq!(c.get(b"k").await.unwrap().unwrap().data, b"new");
-        c.set(b"k", b"newer", 0, 0).await.unwrap();
-        assert_eq!(loader.get(b"k").await.unwrap().unwrap().data, b"newer");
+        quiesce().await;
+        let (live, baseline) = table(SRV, &srv_rt, 1);
+        assert_eq!(live, baseline, "the server's sources were released");
+        let (live, baseline) = table(NodeId(2), &plain_rt, 0);
+        assert_eq!(live, baseline, "the client's sources were released");
+        assert!(reader.delete(b"k").await.unwrap());
+        quiesce().await;
+        let (live, baseline) = table(SRV, &srv_rt, 0);
+        assert_eq!(live, baseline, "the retired page was deregistered");
     });
 }
 

@@ -270,9 +270,14 @@ impl std::fmt::Debug for Histogram {
 
 /// A named registry of counters, gauges, and histograms.
 ///
-/// Names are free-form dotted paths (`"node0.hca.utilization"`). Lookups
-/// create on first use, so instrumentation sites never need registration
-/// boilerplate.
+/// Names are dotted paths (`"mc.node0.worker1.wakes"`): non-empty
+/// `[a-z0-9_]` segments joined by single dots, starting with a letter, the
+/// shape [`prometheus_text`] maps to a clean `rmc_*` family. The last
+/// segment is never one reserved for a series derived from a base name
+/// (`rate`, `high`, `low`, `count`, `sum`, the summary's `*_us`). A lookup
+/// creates on first use and checks the name then, so a bad name panics
+/// where it is registered. A read of a counter that was never registered
+/// panics too: it would otherwise read zero forever.
 #[derive(Default)]
 pub struct Metrics {
     counters: RefCell<BTreeMap<String, Rc<Counter>>>,
@@ -286,40 +291,43 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// The counter named `name`, created if absent.
+    /// The counter named `name`, created (and its name checked) if absent.
     pub fn counter(&self, name: &str) -> Rc<Counter> {
         self.counters
             .borrow_mut()
             .entry(name.to_string())
-            .or_default()
+            .or_insert_with(|| registered(name))
             .clone()
     }
 
-    /// The gauge named `name`, created if absent.
+    /// The gauge named `name`, created (and its name checked) if absent.
     pub fn gauge(&self, name: &str) -> Rc<Gauge> {
         self.gauges
             .borrow_mut()
             .entry(name.to_string())
-            .or_default()
+            .or_insert_with(|| registered(name))
             .clone()
     }
 
-    /// The histogram named `name`, created if absent.
+    /// The histogram named `name`, created (and its name checked) if absent.
     pub fn histogram(&self, name: &str) -> Rc<Histogram> {
         self.histograms
             .borrow_mut()
             .entry(name.to_string())
-            .or_default()
+            .or_insert_with(|| registered(name))
             .clone()
     }
 
-    /// Value of a counter, zero if it was never touched.
+    /// Value of a counter.
+    ///
+    /// # Panics
+    /// When no counter `name` was registered: a misspelt read would
+    /// otherwise read zero forever.
     pub fn counter_value(&self, name: &str) -> u64 {
-        self.counters
-            .borrow()
-            .get(name)
-            .map(|c| c.get())
-            .unwrap_or(0)
+        match self.counters.borrow().get(name) {
+            Some(c) => c.get(),
+            None => panic!("read of counter {name:?}, which was never registered"),
+        }
     }
 
     /// Value of a gauge, if it exists.
@@ -380,6 +388,35 @@ impl Metrics {
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect()
     }
+}
+
+/// Final segments reserved for derived series: `<name>.rate`, a gauge's
+/// watermarks and a histogram's summary. A registered name ending in one
+/// would collide with the series derived from its base name.
+const RESERVED_SUFFIXES: [&str; 10] = [
+    "rate", "high", "low", "count", "sum", "mean_us", "p50_us", "p95_us", "p99_us", "max_us",
+];
+
+/// A fresh instrument for `name`, after checking the name against the
+/// dotted grammar and the [`RESERVED_SUFFIXES`].
+fn registered<T: Default>(name: &str) -> Rc<T> {
+    let segment_ok = |seg: &str| {
+        !seg.is_empty()
+            && seg
+                .bytes()
+                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == b'_')
+    };
+    assert!(
+        name.starts_with(|c: char| c.is_ascii_lowercase()) && name.split('.').all(segment_ok),
+        "metric name {name:?}: want lowercase `[a-z0-9_]` segments joined by single dots, \
+         starting with a letter"
+    );
+    let last = name.rsplit('.').next().unwrap_or(name);
+    assert!(
+        !RESERVED_SUFFIXES.contains(&last),
+        "metric name {name:?} ends in {last:?}, reserved for a series derived from its base name"
+    );
+    Rc::default()
 }
 
 // ---------------------------------------------------------------------
@@ -761,13 +798,59 @@ mod tests {
         m.gauge("util").set(0.5);
         m.histogram("lat").record(SimDuration::from_micros(3));
         assert_eq!(m.counter_value("reqs"), 7);
-        assert_eq!(m.counter_value("never"), 0);
         assert_eq!(m.gauge_value("util"), Some(0.5));
         let p99 = m.histogram("lat").percentile(0.99);
         assert_eq!(p99, SimDuration::from_micros(3));
         m.reset();
         assert_eq!(m.counter_value("reqs"), 0);
         assert_eq!(m.histogram("lat").count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "\"never\", which was never registered")]
+    fn a_read_of_a_never_registered_counter_panics() {
+        let m = Metrics::new();
+        m.counter("reqs").add(7);
+        m.counter_value("never");
+    }
+
+    #[test]
+    fn registration_checks_the_dotted_grammar() {
+        for good in [
+            "mc.node0.worker1.queue_depth",
+            "bench.tps",
+            "x",
+            "profile.slowest.0",
+        ] {
+            Metrics::new().counter(good);
+        }
+        let bad = [
+            "",
+            "Bad.name",
+            "a..b",
+            ".lead",
+            "tail.",
+            "has-dash",
+            "has space",
+            "0digit.first",
+            "mc.node{}.ops",
+        ];
+        for name in bad {
+            let refused = std::panic::catch_unwind(|| Metrics::new().gauge(name)).is_err();
+            assert!(refused, "{name:?} was registered");
+        }
+    }
+
+    #[test]
+    fn registration_refuses_a_reserved_suffix() {
+        for suffix in RESERVED_SUFFIXES {
+            let name = format!("mc.node0.queue_depth.{suffix}");
+            let refused = std::panic::catch_unwind(|| Metrics::new().histogram(&name)).is_err();
+            assert!(refused, "{name:?} was registered");
+        }
+        // A reserved word inside a segment, or not last, is a plain name.
+        Metrics::new().counter("ucr.ib.node0.rate_limited");
+        Metrics::new().counter("mc.node0.high.water");
     }
 
     #[test]

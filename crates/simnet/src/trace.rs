@@ -269,7 +269,9 @@ impl Tracer {
         }
     }
 
-    /// Convenience: emit a [`Phase::Begin`] event.
+    /// Convenience: emit a [`Phase::Begin`] event. The span key `op` must
+    /// be a real id (debug builds assert it): 0 means "no id" on the trace
+    /// stream, so nothing could tell this span's end from another's.
     #[allow(clippy::too_many_arguments)]
     pub fn begin(
         &self,
@@ -281,6 +283,7 @@ impl Tracer {
         bytes: u64,
         at: SimTime,
     ) {
+        debug_assert!(op != 0, "span {name:?} begins with key 0");
         self.emit(Event {
             layer,
             name,
@@ -538,6 +541,19 @@ mod tests {
         assert_eq!(metrics.counter_value("trace.events.ucr"), 2);
         assert_eq!(rec.len(), 3);
         assert_eq!(rec.count(|e| e.layer == Layer::Ucr), 2);
+    }
+
+    /// Key 0 is refused on a begin only: an end or an instant may carry
+    /// it (a sockets dispatch mark has no wire id).
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "span \"orphan\" begins with key 0")]
+    fn a_span_begun_with_key_zero_is_refused() {
+        let t = Tracer::new(&Rc::new(Metrics::new()));
+        let (node, at) = (NodeId(0), SimTime::ZERO);
+        t.instant(Layer::Core, "dispatch", node, Track::Main, 0, 0, at);
+        t.end(Layer::Core, "orphan", node, Track::Main, 0, 0, at);
+        t.begin(Layer::Core, "orphan", node, Track::Main, 0, 0, at);
     }
 
     #[test]

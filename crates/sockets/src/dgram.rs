@@ -30,6 +30,8 @@ pub(crate) struct DgramInbox {
     pub queue: RefCell<VecDeque<(SocketAddr, Vec<u8>)>>,
     pub notify: Notify,
     pub dropped: std::cell::Cell<u64>,
+    /// Set by [`DgramSocket::close`]: the port is unbound.
+    pub closed: std::cell::Cell<bool>,
 }
 
 /// One datagram on its way, as the stage it waits for. The table is the
@@ -147,14 +149,24 @@ impl DgramSocket {
                 sim.sleep(self.profile.app_recv).await;
                 return Ok(dgram);
             }
-            if self.fabric.is_dead(self.local.node) {
+            let inbox = &self.inbox;
+            if inbox.closed.get() || self.fabric.is_dead(self.local.node) {
                 return Err(SockError::Closed);
             }
-            let inbox = &self.inbox;
             inbox
                 .notify
-                .wait_until(|| !inbox.queue.borrow().is_empty())
+                .wait_until(|| !inbox.queue.borrow().is_empty() || inbox.closed.get())
                 .await;
+        }
+    }
+
+    /// Unbinds the port now (a process closing its socket): a parked
+    /// [`recv_from`](DgramSocket::recv_from) fails with `Closed`, and the
+    /// port may be bound again at once. Dropping the socket closes it.
+    pub fn close(&self) {
+        if !self.inbox.closed.replace(true) {
+            self.fabric.dgram_unbind(self.stack, self.local);
+            self.inbox.notify.notify_all();
         }
     }
 
@@ -165,6 +177,6 @@ impl DgramSocket {
 
 impl Drop for DgramSocket {
     fn drop(&mut self) {
-        self.fabric.dgram_unbind(self.stack, self.local);
+        self.close();
     }
 }

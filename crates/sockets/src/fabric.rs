@@ -94,6 +94,7 @@ impl SockFabric {
             stack,
             addr: SocketAddr { node, port },
             rx,
+            closed: Cell::new(false),
         })
     }
 
@@ -208,6 +209,7 @@ impl SockFabric {
             queue: RefCell::new(std::collections::VecDeque::new()),
             notify: simnet::sync::Notify::new(),
             dropped: Cell::new(0),
+            closed: Cell::new(false),
         });
         let (profile, net) = self.inner.stack_env(stack)?;
         socks.insert(key, inbox.clone());
@@ -312,12 +314,27 @@ pub struct Listener {
     stack: Stack,
     addr: SocketAddr,
     rx: sync::Receiver<ConnRequest>,
+    /// Set by [`Listener::close`]: the port may be bound again.
+    closed: Cell<bool>,
 }
 
 impl Listener {
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// Unbinds the port now (a process closing its listening socket):
+    /// a parked [`accept`](Listener::accept) fails with `Closed`, and the
+    /// port may be bound again at once. Dropping the listener closes it.
+    pub fn close(&self) {
+        if !self.closed.replace(true) {
+            self.fabric.listeners.borrow_mut().remove(&(
+                self.stack,
+                self.addr.node,
+                self.addr.port,
+            ));
+        }
     }
 
     /// Accepts one connection: completes the handshake and returns the
@@ -368,10 +385,7 @@ impl Listener {
 
 impl Drop for Listener {
     fn drop(&mut self) {
-        self.fabric
-            .listeners
-            .borrow_mut()
-            .remove(&(self.stack, self.addr.node, self.addr.port));
+        self.close();
     }
 }
 

@@ -36,7 +36,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::{Rc, Weak};
 
-use simnet::trace::{Layer, Track};
+use simnet::trace::{Event, Layer, Phase, Track};
 use simnet::{EventTarget, NodeId, Sim, SimDuration, SimTime, Slab, SlabKey};
 
 use crate::cq::Cq;
@@ -496,7 +496,9 @@ impl QueuePair {
             return Err(VerbsError::InvalidState("QP not ready to send"));
         }
         // Span begin for the work request; the matching end fires when its
-        // completion lands on the send CQ (`complete_send_now`).
+        // completion lands on the send CQ (`complete_send_now`). Keyed by
+        // the caller's wr_id, which verbs lets be 0, so it is emitted as an
+        // event rather than through `Tracer::begin`, which refuses key 0.
         let (ev_name, ev_bytes) = match &wr.op {
             SendOp::Send { local, .. } => ("send", local.len() as u64),
             SendOp::SendInline { data, .. } => ("send", data.len() as u64),
@@ -509,15 +511,16 @@ impl QueuePair {
             QpType::Ud => self.post_send_ud(&hca, wr),
         };
         if res.is_ok() {
-            hca.tracer.begin(
-                Layer::Verbs,
-                ev_name,
-                hca.node,
-                Track::Qp(inner.qpn),
-                wr_id,
-                ev_bytes,
-                hca.sim.now(),
-            );
+            hca.tracer.emit(Event {
+                layer: Layer::Verbs,
+                name: ev_name,
+                phase: Phase::Begin,
+                node: Some(hca.node),
+                track: Track::Qp(inner.qpn),
+                op: wr_id,
+                bytes: ev_bytes,
+                at: hca.sim.now(),
+            });
         }
         res
     }

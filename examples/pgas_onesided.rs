@@ -31,7 +31,7 @@ fn main() {
     let mut worker_runtimes = Vec::new();
     for w in 1..=workers {
         let rt = UcrRuntime::new(&fabric, NodeId(w));
-        // lint:allow(R7) PGAS shards are program-lifetime: pinned until the example exits
+        // PGAS shards are program-lifetime: pinned until the example exits.
         let shard = Rc::new(rt.register_memory(SHARD_ELEMS * 8));
         // Initialize shard: element i = w * 1_000_000 + i.
         for i in 0..SHARD_ELEMS {

@@ -16,7 +16,6 @@
 # committed JSON was made with, and its stdout is not a results file. Prints
 # seconds per bin and, last, their total. Fails, naming them, when files
 # under results/ were not rewritten by the run: an orphan whose bin is gone.
-# (results/metric_manifest.json belongs to `rmc-lint --write-manifest`.)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,7 +55,7 @@ for src in crates/bench/src/bin/*.rs; do
 done
 seconds total "$total_ms"
 
-orphans=$(find results -type f ! -newer "$stamp" ! -name metric_manifest.json | sort)
+orphans=$(find results -type f ! -newer "$stamp" | sort)
 if [ -n "$orphans" ]; then
     printf 'not rewritten by any bin:\n%s\n' "$orphans" >&2
     exit 1

@@ -213,7 +213,8 @@ fn experiments_are_reproducible() {
 /// The documents name only what exists. Every literal `results/<file>`,
 /// every figure, ablation and extension bin, and every `crates/…/*.rs`,
 /// `tests/*.rs` or `scripts/*.sh` path named in README.md, DESIGN.md,
-/// EXPERIMENTS.md or the verify skill must be in the tree; a `tests/`
+/// EXPERIMENTS.md, the verify skill, the CI workflow or the results
+/// script must be in the tree; a `tests/`
 /// path may be the root package's or a crate's. A brace form
 /// (`results/x.{txt,json}`) stands for each of its expansions; a glob or
 /// a placeholder (`results/*`, `results/<bin>.json`) names nothing.
@@ -226,6 +227,8 @@ fn the_documents_name_only_what_exists() {
         "DESIGN.md",
         "EXPERIMENTS.md",
         ".claude/skills/verify/SKILL.md",
+        ".github/workflows/ci.yml",
+        "scripts/regen_results.sh",
     ] {
         let text = std::fs::read_to_string(root.join(doc)).expect(doc);
         missing.extend(missing_names(root, &text).map(|n| format!("{doc}: {n}")));

@@ -2,12 +2,13 @@
 //! export of one traced get carries correlated events from every layer,
 //! tracing costs zero virtual time, the flight recorder captures the
 //! QP-level tail of a forced endpoint failure, and the `stats trace` /
-//! per-op histogram surfaces report through the memcached protocol.
+//! per-op histogram surfaces report through the memcached protocol, and a
+//! traced run on every wire quiesces with nothing open or unmatched.
 
 use rdma_memcached::rmc::{McClientConfig, McServerConfig, Scenario, Transport, World};
 use rdma_memcached::simnet::trace::{Layer, Phase};
 use rdma_memcached::simnet::trace_export::{chrome_trace_json, parse_json, Json};
-use rdma_memcached::simnet::{EventRecorder, NodeId, Stack};
+use rdma_memcached::simnet::{EventRecorder, NodeId, Profiler, ProfilerConfig, Stack};
 
 /// Items of the exported `traceEvents` array matching a predicate.
 fn items<'a>(trace: &'a Json, pred: impl Fn(&Json) -> bool + 'a) -> Vec<&'a Json> {
@@ -303,4 +304,36 @@ fn stats_trace_and_per_op_histograms_surface_through_protocol() {
             .unwrap();
         assert!(get_count >= 5);
     });
+}
+
+/// A traced run on every wire, quiesced, holds nothing open and nothing
+/// unmatched: the profiler closed every client op it saw begin and
+/// correlated every event it was handed. (That every span of every layer
+/// closes is `tests/telemetry_rule.rs`'s lifecycle check.)
+#[test]
+fn a_traced_run_on_every_wire_quiesces_with_nothing_open() {
+    let toe = Stack::TenGigEToe;
+    let wires = [
+        Transport::Ucr,
+        Transport::Sockets(toe),
+        Transport::Binary(toe),
+        Transport::Udp(toe),
+    ];
+    for wire in wires {
+        let s = Scenario::start(World::cluster_a(65, 4), wire);
+        let profiler = Profiler::attach(s.world.cluster.tracer(), ProfilerConfig::default());
+        let (sim, client) = (s.world.sim().clone(), s.clients[0].clone());
+        sim.block_on(async move {
+            client.set(b"k", &[3u8; 512], 0, 0).await.unwrap();
+            client.get(b"k").await.unwrap().unwrap();
+            assert_eq!(client.get(b"absent").await.unwrap(), None);
+            let keys: [&[u8]; 2] = [b"k", b"absent"];
+            client.get_many(&keys).await.unwrap();
+            assert!(client.delete(b"k").await.unwrap());
+        });
+        s.world.sim().run();
+        assert!(profiler.audit().ops >= 5, "{wire:?}: every op was profiled");
+        let closed = (profiler.open_len(), profiler.unmatched_events());
+        assert_eq!(closed, (0, 0), "{wire:?}: (open ops, unmatched events)");
+    }
 }
