@@ -72,7 +72,9 @@ pub fn parse_folded(text: &str) -> Result<Vec<(String, u64)>, String> {
     Ok(out)
 }
 
-fn esc(s: &str) -> String {
+/// `s` as the inside of a JSON string literal: quote, backslash and every
+/// control character escaped, everything else as it is.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -114,7 +116,7 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
             let _ = write!(
                 out,
                 "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{pid},\"args\":{{\"name\":\"{}\"}}}}",
-                esc(&pname)
+                json_escape(&pname)
             );
         }
         let tid = track_tid(ev.track);
@@ -124,7 +126,7 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
             let _ = write!(
                 out,
                 "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{pid},\"tid\":{tid},\"args\":{{\"name\":\"{}\"}}}}",
-                esc(&ev.track.to_string())
+                json_escape(&ev.track.to_string())
             );
         }
     }
@@ -148,7 +150,7 @@ pub fn chrome_trace_json(events: &[Event]) -> String {
              \"args\":{{\"op\":{},\"bytes\":{}}}}}",
             ev.layer.label(),
             ev.op,
-            esc(ev.name),
+            json_escape(ev.name),
             ev.op,
             ev.bytes
         );

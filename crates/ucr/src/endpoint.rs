@@ -238,8 +238,8 @@ impl EpInner {
         // were staged in; the target HCA copies them into a receive.
         let payload = buf.len() - PACKET_HEADER_BYTES;
         let wr_id = rt.next_wr_id();
-        let eager = Pending::EagerSend {
-            origin,
+        let eager = Pending::Eager {
+            origins: origin.into_iter().collect(),
             ep: Rc::downgrade(self),
             posted: rt.sim.now(),
         };
@@ -381,7 +381,7 @@ impl EpInner {
                 at = p.end;
             }
         }
-        let batch = Pending::EagerBatch {
+        let batch = Pending::Eager {
             origins: std::mem::take(&mut *q.origins.borrow_mut()),
             ep: Rc::downgrade(self),
             posted: rt.sim.now(),

@@ -182,14 +182,9 @@ impl SendBuf {
 }
 
 pub(crate) enum Pending {
-    EagerSend {
-        origin: Option<Counter>,
-        ep: Weak<EpInner>,
-        posted: SimTime,
-    },
-    /// One work request carrying the messages an endpoint had held, with
-    /// the origin counters of those that named one.
-    EagerBatch {
+    /// One eager work request: a lone message or the messages an endpoint
+    /// had held, with the origin counters of those that named one.
+    Eager {
         origins: Vec<Counter>,
         ep: Weak<EpInner>,
         posted: SimTime,
@@ -1124,10 +1119,7 @@ impl RtInner {
                     self.stats.send_failures.inc();
                 }
             }
-            Pending::EagerSend { origin, ep, posted } => {
-                self.eager_send_done(&ep, posted, wc.status.is_ok(), origin)
-            }
-            Pending::EagerBatch {
+            Pending::Eager {
                 origins,
                 ep,
                 posted,
@@ -1221,7 +1213,7 @@ impl RtInner {
         ep: &Weak<EpInner>,
         posted: SimTime,
         ok: bool,
-        origins: impl IntoIterator<Item = Counter>,
+        origins: Vec<Counter>,
     ) {
         if !ok {
             self.fail_ep(ep);

@@ -42,58 +42,6 @@ fn connected_qps(a: &Side, b: &Side) -> (QueuePair, QueuePair) {
 }
 
 #[test]
-fn send_recv_moves_real_bytes() {
-    let (cluster, a, b) = pair(false);
-    let (qa, _qb_keepalive) = {
-        let (qa, qb) = connected_qps(&a, &b);
-        (qa, qb)
-    };
-    let dst = b.pd.register(1024, Access::LOCAL_WRITE);
-    _qb_keepalive.post_recv(7, dst.full());
-
-    let payload: Vec<u8> = (0..=255u8).collect();
-    let src = a.pd.register_with(payload.clone(), Access::default());
-    qa.post_send(SendWr::new(
-        1,
-        SendOp::Send {
-            local: src.full(),
-            imm: Some(0xfeed),
-        },
-    ))
-    .unwrap();
-
-    let bcq = b.cq.clone();
-    let wc = cluster.sim().block_on(async move { bcq.next().await });
-    assert_eq!(wc.wr_id, 7);
-    assert_eq!(wc.opcode, WcOpcode::Recv);
-    assert!(wc.status.is_ok());
-    assert_eq!(wc.byte_len, 256);
-    assert_eq!(wc.imm, Some(0xfeed));
-    assert_eq!(dst.read_at(0, 256), payload);
-}
-
-#[test]
-fn sender_gets_a_send_completion() {
-    let (cluster, a, b) = pair(false);
-    let (qa, qb) = connected_qps(&a, &b);
-    let dst = b.pd.register(64, Access::LOCAL_WRITE);
-    qb.post_recv(1, dst.full());
-    qa.post_send(SendWr::new(
-        42,
-        SendOp::SendInline {
-            data: b"x".to_vec(),
-            imm: None,
-        },
-    ))
-    .unwrap();
-    let acq = a.cq.clone();
-    let wc = cluster.sim().block_on(async move { acq.next().await });
-    assert_eq!(wc.wr_id, 42);
-    assert_eq!(wc.opcode, WcOpcode::Send);
-    assert!(wc.status.is_ok());
-}
-
-#[test]
 fn message_larger_than_recv_buffer_errors() {
     let (cluster, a, b) = pair(false);
     let (qa, qb) = connected_qps(&a, &b);
@@ -110,131 +58,6 @@ fn message_larger_than_recv_buffer_errors() {
     let bcq = b.cq.clone();
     let wc = cluster.sim().block_on(async move { bcq.next().await });
     assert_eq!(wc.status, WcStatus::LocalLengthError);
-}
-
-#[test]
-fn rdma_write_lands_without_target_cpu() {
-    let (cluster, a, b) = pair(false);
-    let (qa, _qb) = connected_qps(&a, &b);
-    let target =
-        b.pd.register(4096, Access::LOCAL_WRITE | Access::REMOTE_WRITE);
-    let data = vec![0xabu8; 512];
-    let src = a.pd.register_with(data.clone(), Access::default());
-
-    qa.post_send(SendWr::new(
-        1,
-        SendOp::RdmaWrite {
-            local: src.full(),
-            remote: target.remote(128, 512),
-            imm: None,
-        },
-    ))
-    .unwrap();
-
-    let acq = a.cq.clone();
-    let wc = cluster.sim().block_on(async move { acq.next().await });
-    assert_eq!(wc.opcode, WcOpcode::RdmaWrite);
-    assert!(wc.status.is_ok());
-    assert_eq!(target.read_at(128, 512), data);
-    // No receive was consumed, no target completion: one-sided.
-    assert_eq!(b.cq.backlog(), 0);
-}
-
-#[test]
-fn rdma_write_with_imm_consumes_receive() {
-    let (cluster, a, b) = pair(false);
-    let (qa, qb) = connected_qps(&a, &b);
-    let target =
-        b.pd.register(256, Access::LOCAL_WRITE | Access::REMOTE_WRITE);
-    let notice = b.pd.register(0, Access::LOCAL_WRITE);
-    qb.post_recv(9, notice.full());
-
-    let src = a.pd.register_with(vec![1, 2, 3], Access::default());
-    qa.post_send(SendWr::new(
-        1,
-        SendOp::RdmaWrite {
-            local: src.full(),
-            remote: target.remote(0, 3),
-            imm: Some(77),
-        },
-    ))
-    .unwrap();
-
-    let bcq = b.cq.clone();
-    let wc = cluster.sim().block_on(async move { bcq.next().await });
-    assert_eq!(wc.wr_id, 9);
-    assert_eq!(wc.opcode, WcOpcode::RecvRdmaImm);
-    assert_eq!(wc.imm, Some(77));
-    assert_eq!(target.read_at(0, 3), vec![1, 2, 3]);
-}
-
-#[test]
-fn rdma_read_pulls_remote_bytes() {
-    let (cluster, a, b) = pair(true);
-    let (qa, _qb) = connected_qps(&a, &b);
-    let secret: Vec<u8> = (0..64).map(|i| i as u8 ^ 0x5a).collect();
-    let remote_mr =
-        b.pd.register_with(secret.clone(), Access::REMOTE_READ | Access::LOCAL_WRITE);
-    let local = a.pd.register(64, Access::LOCAL_WRITE);
-
-    qa.post_send(SendWr::new(
-        5,
-        SendOp::RdmaRead {
-            local: local.full(),
-            remote: remote_mr.remote(0, 64),
-        },
-    ))
-    .unwrap();
-
-    let acq = a.cq.clone();
-    let wc = cluster.sim().block_on(async move { acq.next().await });
-    assert_eq!(wc.opcode, WcOpcode::RdmaRead);
-    assert!(wc.status.is_ok());
-    assert_eq!(wc.byte_len, 64);
-    assert_eq!(local.read_at(0, 64), secret);
-}
-
-#[test]
-fn rdma_read_without_permission_is_refused() {
-    let (cluster, a, b) = pair(false);
-    let (qa, _qb) = connected_qps(&a, &b);
-    // Region lacks REMOTE_READ.
-    let remote_mr = b.pd.register(64, Access::LOCAL_WRITE);
-    let local = a.pd.register(64, Access::LOCAL_WRITE);
-    qa.post_send(SendWr::new(
-        5,
-        SendOp::RdmaRead {
-            local: local.full(),
-            remote: remote_mr.remote(0, 64),
-        },
-    ))
-    .unwrap();
-    let acq = a.cq.clone();
-    let wc = cluster.sim().block_on(async move { acq.next().await });
-    assert_eq!(wc.status, WcStatus::RemoteAccessError);
-}
-
-#[test]
-fn deregistered_rkey_is_refused() {
-    let (cluster, a, b) = pair(false);
-    let (qa, _qb) = connected_qps(&a, &b);
-    let remote_desc = {
-        let mr = b.pd.register(64, Access::REMOTE_READ | Access::LOCAL_WRITE);
-        mr.remote(0, 64)
-        // mr drops here: deregistered.
-    };
-    let local = a.pd.register(64, Access::LOCAL_WRITE);
-    qa.post_send(SendWr::new(
-        1,
-        SendOp::RdmaRead {
-            local: local.full(),
-            remote: remote_desc,
-        },
-    ))
-    .unwrap();
-    let acq = a.cq.clone();
-    let wc = cluster.sim().block_on(async move { acq.next().await });
-    assert_eq!(wc.status, WcStatus::RemoteAccessError);
 }
 
 #[test]
@@ -548,25 +371,6 @@ fn connect_to_missing_listener_is_refused() {
 }
 
 #[test]
-fn send_to_killed_hca_reports_retry_exceeded() {
-    let (cluster, a, b) = pair(false);
-    let (qa, qb) = connected_qps(&a, &b);
-    let _ = qb;
-    b.hca.kill();
-    qa.post_send(SendWr::new(
-        1,
-        SendOp::SendInline {
-            data: b"lost".to_vec(),
-            imm: None,
-        },
-    ))
-    .unwrap();
-    let acq = a.cq.clone();
-    let wc = cluster.sim().block_on(async move { acq.next().await });
-    assert_eq!(wc.status, WcStatus::RetryExceeded);
-}
-
-#[test]
 fn timing_qdr_send_is_faster_than_ddr() {
     fn one_way(cluster_b: bool, bytes: usize) -> SimDuration {
         let (cluster, a, b) = pair(cluster_b);
@@ -696,27 +500,6 @@ fn rdma_write_exceeding_window_fails_synchronously() {
 }
 
 #[test]
-fn rdma_read_against_killed_peer_retries_out() {
-    let (cluster, a, b) = pair(false);
-    let (qa, _qb) = connected_qps(&a, &b);
-    let remote_mr = b.pd.register(64, Access::REMOTE_READ | Access::LOCAL_WRITE);
-    let desc = remote_mr.remote(0, 64);
-    let local = a.pd.register(64, Access::LOCAL_WRITE);
-    b.hca.kill();
-    qa.post_send(SendWr::new(
-        1,
-        SendOp::RdmaRead {
-            local: local.full(),
-            remote: desc,
-        },
-    ))
-    .unwrap();
-    let acq = a.cq.clone();
-    let wc = cluster.sim().block_on(async move { acq.next().await });
-    assert_eq!(wc.status, WcStatus::RetryExceeded);
-}
-
-#[test]
 fn listener_port_collision_and_release() {
     let (_cluster, a, _b) = pair(false);
     let l1 = a.hca.listen(7000).unwrap();
@@ -810,20 +593,24 @@ fn mr_slice_bounds_checked() {
 // ---------------------------------------------------------------------
 
 /// What one posted work request leaves behind: the sender's completion,
-/// the target's, and whether the payload reached the target's memory —
-/// each completion with the instant it landed on its queue.
+/// the target's (with the immediate it carries), and whether the payload
+/// reached the target's memory — each completion with the instant it
+/// landed on its queue.
 #[derive(Debug, PartialEq)]
 struct Outcome {
     send: Option<(WcOpcode, WcStatus, u32, SimTime)>,
-    recv: Option<(WcOpcode, WcStatus, u32, SimTime)>,
+    recv: Option<(WcOpcode, WcStatus, u32, Option<u32>, SimTime)>,
     landed: bool,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Op {
     Send,
+    /// A registered SEND carrying [`SEND_IMM`].
+    SendImm,
     Inline,
     Write,
+    /// An RDMA WRITE carrying [`WRITE_IMM`].
     WriteImm,
     Read,
     UdSend,
@@ -842,10 +629,18 @@ enum Fault {
     HcaKilledAtTarget,
     /// The remote key names no registered region (one-sided opcodes).
     BadRkey,
+    /// The remote key names a region deregistered before the post.
+    Deregistered,
+    /// The target region grants no remote access (no `REMOTE_READ`, no
+    /// `REMOTE_WRITE`).
+    NoRemoteRight,
 }
 
 /// Payload bytes of every characterized work request.
 const LEN: usize = 256;
+/// The immediates the characterized SEND and WRITE carry.
+const SEND_IMM: u32 = 0xfeed;
+const WRITE_IMM: u32 = 77;
 
 /// The stage instants of one uncontended work request posted at time zero
 /// on Cluster B, from the profile — the timing model the table states its
@@ -879,8 +674,9 @@ impl Stages {
 }
 
 /// Posts one `op` from node 0 to node 1 at time zero, injects `fault`,
-/// runs the world dry and reports what landed where and when.
-fn characterize(op: Op, fault: Fault) -> Outcome {
+/// runs the world dry and reports what landed where and when. The target's
+/// window starts `at` bytes into its region.
+fn characterize(op: Op, fault: Fault, at: usize) -> Outcome {
     let (cluster, a, b) = pair(true);
     let sim = cluster.sim().clone();
     let recorder = simnet::EventRecorder::new();
@@ -902,36 +698,53 @@ fn characterize(op: Op, fault: Fault) -> Outcome {
     let all = Access::LOCAL_WRITE | Access::REMOTE_READ | Access::REMOTE_WRITE;
     // The target's memory: where a SEND's receive or a WRITE lands, and
     // what a READ pulls from.
-    let remote_mr = match op {
-        Op::Read => b.pd.register_with(payload.clone(), all),
-        _ => b.pd.register(LEN, all),
+    let mut image = vec![0u8; at + LEN];
+    if op == Op::Read {
+        image[at..].copy_from_slice(&payload);
+    }
+    let rights = match fault {
+        Fault::NoRemoteRight => Access::LOCAL_WRITE,
+        _ => all,
     };
+    let remote_mr = b.pd.register_with(image, rights);
     let local_mr = match op {
         Op::Read => a.pd.register(LEN, Access::LOCAL_WRITE),
         _ => a.pd.register_with(payload.clone(), Access::default()),
     };
     let notice = b.pd.register(0, Access::LOCAL_WRITE);
     match op {
-        Op::Send | Op::Inline | Op::UdSend => qb.post_recv(9, remote_mr.full()),
+        Op::Send | Op::SendImm | Op::Inline | Op::UdSend => {
+            qb.post_recv(9, remote_mr.slice(at, LEN))
+        }
         Op::WriteImm => qb.post_recv(9, notice.full()),
         Op::Write | Op::Read => {}
     }
-    let mut remote = remote_mr.remote(0, LEN);
-    if fault == Fault::BadRkey {
-        remote.rkey = 0xdead_beef;
-    }
+    let remote = match fault {
+        Fault::BadRkey => verbs::RemoteMemory {
+            rkey: 0xdead_beef,
+            ..remote_mr.remote(at, LEN)
+        },
+        // The region drops at the end of the statement: deregistered.
+        Fault::Deregistered => b.pd.register(at + LEN, all).remote(at, LEN),
+        _ => remote_mr.remote(at, LEN),
+    };
+    let imm = match op {
+        Op::SendImm => Some(SEND_IMM),
+        Op::WriteImm => Some(WRITE_IMM),
+        _ => None,
+    };
     let (send_op, wire) = match op {
-        Op::Send => (
+        Op::Send | Op::SendImm => (
             SendOp::Send {
                 local: local_mr.full(),
-                imm: None,
+                imm,
             },
             LEN as u64 + verbs::WIRE_HEADER_BYTES,
         ),
         Op::Inline | Op::UdSend => (
             SendOp::SendInline {
                 data: payload.clone(),
-                imm: None,
+                imm,
             },
             LEN as u64 + verbs::WIRE_HEADER_BYTES,
         ),
@@ -939,7 +752,7 @@ fn characterize(op: Op, fault: Fault) -> Outcome {
             SendOp::RdmaWrite {
                 local: local_mr.full(),
                 remote,
-                imm: (op == Op::WriteImm).then_some(77),
+                imm,
             },
             LEN as u64 + verbs::WIRE_HEADER_BYTES,
         ),
@@ -963,13 +776,13 @@ fn characterize(op: Op, fault: Fault) -> Outcome {
     }
     qa.post_send(wr).unwrap();
     match fault {
-        Fault::None | Fault::BadRkey => {}
+        Fault::None | Fault::BadRkey | Fault::Deregistered | Fault::NoRemoteRight => {}
         Fault::QpClosed => qb.close(),
         Fault::HcaKilled => b.hca.kill(),
         Fault::HcaKilledAtTarget => {
             let hca = b.hca.clone();
-            let at = st.arrives(st.t_hca, wire) + SimDuration::from_nanos(1);
-            sim.schedule_at(at, move || hca.kill());
+            let when = st.arrives(st.t_hca, wire) + SimDuration::from_nanos(1);
+            sim.schedule_at(when, move || hca.kill());
         }
     }
     sim.run();
@@ -984,9 +797,9 @@ fn characterize(op: Op, fault: Fault) -> Outcome {
                 && e.op == wr_id
                 && e.phase != simnet::trace::Phase::Begin
         });
-        let at = hits.next().expect("a completion leaves a trace event").at;
+        let when = hits.next().expect("a completion leaves a trace event").at;
         assert!(hits.next().is_none(), "one completion per work request");
-        at
+        when
     };
     let span = match op {
         Op::Write | Op::WriteImm => "rdma_write",
@@ -1008,21 +821,23 @@ fn characterize(op: Op, fault: Fault) -> Outcome {
             wc.opcode,
             wc.status,
             wc.byte_len,
+            wc.imm,
             stamp(b.hca.node(), "recv_complete", 9),
         )
     });
     assert_eq!((a.cq.backlog(), b.cq.backlog()), (0, 0));
     let landed = match op {
         Op::Read => local_mr.read_at(0, LEN) == payload,
-        _ => remote_mr.read_at(0, LEN) == payload,
+        _ => remote_mr.read_at(at, LEN) == payload,
     };
     Outcome { send, recv, landed }
 }
 
 /// The closure-era behaviour of the verbs data path, cell by cell: for each
 /// opcode and each fault, exactly which completions appear, with which
-/// status and byte count, and at which instant. The instants are stated in
-/// the stage model of [`Stages`].
+/// status, byte count and immediate, and at which instant — with the
+/// target's window at the start of its region and 128 bytes into it. The
+/// instants are stated in the stage model of [`Stages`].
 #[test]
 fn every_opcode_under_every_fault_completes_as_characterized() {
     use Fault::*;
@@ -1033,102 +848,122 @@ fn every_opcode_under_every_fault_completes_as_characterized() {
     let hdr = verbs::WIRE_HEADER_BYTES;
     let retry = verbs::RETRY_EXCEEDED_DELAY;
 
-    for op in [
+    let ops = [
         Op::Send,
+        Op::SendImm,
         Op::Inline,
         Op::Write,
         Op::WriteImm,
         Op::Read,
         Op::UdSend,
-    ] {
-        for fault in [None, QpClosed, HcaKilled, HcaKilledAtTarget, BadRkey] {
-            let two_sided = matches!(op, Op::Send | Op::Inline | Op::UdSend);
-            if two_sided && fault == BadRkey {
-                continue; // a SEND names no remote key
-            }
-            let want = match op {
-                Op::Send | Op::Inline => {
-                    let arrive = st.arrives(st.t_hca, LEN as u64 + hdr);
-                    let deliver = arrive + st.hca_msg;
-                    match fault {
-                        // Once the target's pipeline has the message it is
-                        // delivered, and acknowledged one propagation later.
-                        None | HcaKilledAtTarget => Outcome {
-                            send: Some((WcOpcode::Send, Success, len, deliver + st.prop)),
-                            recv: Some((WcOpcode::Recv, Success, len, deliver)),
-                            landed: true,
-                        },
-                        _ => Outcome {
-                            send: Some((WcOpcode::Send, RetryExceeded, 0, arrive + retry)),
-                            recv: Option::None,
-                            landed: false,
-                        },
-                    }
-                }
-                Op::Write | Op::WriteImm => {
-                    let arrive = st.arrives(st.t_hca, LEN as u64 + hdr);
-                    let land = arrive + st.rdma_target;
-                    let opcode = WcOpcode::RdmaWrite;
-                    // The immediate's receive is the target queue pair's: a
-                    // closed one drops the notice and the write still lands.
-                    let notice = (op == Op::WriteImm && fault != QpClosed).then_some((
-                        WcOpcode::RecvRdmaImm,
-                        Success,
-                        0,
-                        land,
-                    ));
-                    match fault {
-                        None | QpClosed | HcaKilledAtTarget => Outcome {
-                            send: Some((opcode, Success, len, land + st.prop)),
-                            recv: notice,
-                            landed: true,
-                        },
-                        HcaKilled => Outcome {
-                            send: Some((opcode, RetryExceeded, 0, arrive + retry)),
-                            recv: Option::None,
-                            landed: false,
-                        },
-                        // The NAK reports the length the request carried.
-                        BadRkey => Outcome {
-                            send: Some((opcode, RemoteAccessError, len, land + st.prop)),
-                            recv: Option::None,
-                            landed: false,
-                        },
-                    }
-                }
-                Op::Read => {
-                    let arrive = st.arrives(st.t_hca, hdr);
-                    let serve = arrive + st.rdma_target;
-                    let back = st.arrives(serve, LEN as u64 + hdr);
-                    let opcode = WcOpcode::RdmaRead;
-                    let send = match fault {
-                        None | QpClosed | HcaKilledAtTarget => {
-                            (opcode, Success, len, back + st.hca_msg)
-                        }
-                        HcaKilled => (opcode, RetryExceeded, 0, arrive + retry),
-                        BadRkey => (opcode, RemoteAccessError, 0, serve + st.prop),
-                    };
-                    Outcome {
-                        send: Some(send),
-                        recv: Option::None,
-                        landed: send.1 == Success,
-                    }
-                }
-                Op::UdSend => {
-                    let grh = verbs::UD_GRH_BYTES;
-                    let deliver = st.arrives(st.t_hca, LEN as u64 + hdr + grh) + st.hca_msg;
-                    let delivered = matches!(fault, None | HcaKilledAtTarget);
-                    // Unreliable: complete at the local HCA whatever happens
-                    // to the datagram.
-                    Outcome {
-                        send: Some((WcOpcode::Send, Success, len, st.t_hca)),
-                        recv: delivered.then_some((WcOpcode::Recv, Success, len, deliver)),
-                        landed: delivered,
-                    }
-                }
-            };
-            assert_eq!(characterize(op, fault), want, "{op:?} under {fault:?}");
+    ];
+    let faults = [
+        None,
+        QpClosed,
+        HcaKilled,
+        HcaKilledAtTarget,
+        BadRkey,
+        Deregistered,
+        NoRemoteRight,
+    ];
+    for (at, op, fault) in [0, 128]
+        .into_iter()
+        .flat_map(|at| ops.map(|op| (at, op)))
+        .flat_map(|(at, op)| faults.map(|fault| (at, op, fault)))
+    {
+        let two_sided = matches!(op, Op::Send | Op::SendImm | Op::Inline | Op::UdSend);
+        let refused_key = matches!(fault, BadRkey | Deregistered | NoRemoteRight);
+        if two_sided && refused_key {
+            continue; // a SEND names no remote key
         }
+        let want = match op {
+            Op::Send | Op::SendImm | Op::Inline => {
+                let arrive = st.arrives(st.t_hca, LEN as u64 + hdr);
+                let deliver = arrive + st.hca_msg;
+                let imm = (op == Op::SendImm).then_some(SEND_IMM);
+                match fault {
+                    // Once the target's pipeline has the message it is
+                    // delivered, and acknowledged one propagation later.
+                    None | HcaKilledAtTarget => Outcome {
+                        send: Some((WcOpcode::Send, Success, len, deliver + st.prop)),
+                        recv: Some((WcOpcode::Recv, Success, len, imm, deliver)),
+                        landed: true,
+                    },
+                    _ => Outcome {
+                        send: Some((WcOpcode::Send, RetryExceeded, 0, arrive + retry)),
+                        recv: Option::None,
+                        landed: false,
+                    },
+                }
+            }
+            Op::Write | Op::WriteImm => {
+                let arrive = st.arrives(st.t_hca, LEN as u64 + hdr);
+                let land = arrive + st.rdma_target;
+                let opcode = WcOpcode::RdmaWrite;
+                // The immediate's receive is the target queue pair's: a
+                // closed one drops the notice and the write still lands.
+                let notice = (op == Op::WriteImm && fault != QpClosed).then_some((
+                    WcOpcode::RecvRdmaImm,
+                    Success,
+                    0,
+                    Some(WRITE_IMM),
+                    land,
+                ));
+                match fault {
+                    None | QpClosed | HcaKilledAtTarget => Outcome {
+                        send: Some((opcode, Success, len, land + st.prop)),
+                        recv: notice,
+                        landed: true,
+                    },
+                    HcaKilled => Outcome {
+                        send: Some((opcode, RetryExceeded, 0, arrive + retry)),
+                        recv: Option::None,
+                        landed: false,
+                    },
+                    // The NAK reports the length the request carried.
+                    BadRkey | Deregistered | NoRemoteRight => Outcome {
+                        send: Some((opcode, RemoteAccessError, len, land + st.prop)),
+                        recv: Option::None,
+                        landed: false,
+                    },
+                }
+            }
+            Op::Read => {
+                let arrive = st.arrives(st.t_hca, hdr);
+                let serve = arrive + st.rdma_target;
+                let back = st.arrives(serve, LEN as u64 + hdr);
+                let opcode = WcOpcode::RdmaRead;
+                let send = match fault {
+                    None | QpClosed | HcaKilledAtTarget => {
+                        (opcode, Success, len, back + st.hca_msg)
+                    }
+                    HcaKilled => (opcode, RetryExceeded, 0, arrive + retry),
+                    BadRkey | Deregistered | NoRemoteRight => {
+                        (opcode, RemoteAccessError, 0, serve + st.prop)
+                    }
+                };
+                Outcome {
+                    send: Some(send),
+                    recv: Option::None,
+                    landed: send.1 == Success,
+                }
+            }
+            Op::UdSend => {
+                let grh = verbs::UD_GRH_BYTES;
+                let deliver = st.arrives(st.t_hca, LEN as u64 + hdr + grh) + st.hca_msg;
+                let delivered = matches!(fault, None | HcaKilledAtTarget);
+                let recv = (WcOpcode::Recv, Success, len, Option::None, deliver);
+                // Unreliable: complete at the local HCA whatever happens
+                // to the datagram.
+                Outcome {
+                    send: Some((WcOpcode::Send, Success, len, st.t_hca)),
+                    recv: delivered.then_some(recv),
+                    landed: delivered,
+                }
+            }
+        };
+        let got = characterize(op, fault, at);
+        assert_eq!(got, want, "{op:?} under {fault:?}, window at {at}");
     }
 }
 
