@@ -1,8 +1,9 @@
-//! End-to-end tests for the RDMA-capable Memcached: large-value
-//! rendezvous, mixed client families, multi-server routing, fault
-//! tolerance, the RoCE extension and fabric message counts. The command
-//! set on every wire is `tests/wire_parity.rs`; the paper's latency
-//! figures are `tests/experiments.rs`.
+//! End-to-end tests for the RDMA-capable Memcached: every transport on
+//! Cluster A through the command set, large-value rendezvous, mixed
+//! client families, multi-server routing, fault tolerance, the RoCE
+//! extension and fabric message counts. What each reply says, on every
+//! wire, is `tests/wire_parity.rs`; the paper's latency figures are
+//! `tests/experiments.rs`.
 
 use rmc::{
     Distribution, McClient, McClientConfig, McError, McServer, McServerConfig, Scenario, Transport,
@@ -67,6 +68,79 @@ fn ucr_connections_go_to_workers_round_robin() {
     }
 }
 
+/// The whole command set through `c`, a client on `wire`: every verb's
+/// success and its refusals.
+async fn command_set(c: McClient, wire: Transport) {
+    // set / get
+    c.set(b"k1", b"v1", 5, 0).await.unwrap();
+    let v = c.get(b"k1").await.unwrap().unwrap();
+    assert_eq!((&v.data[..], v.flags), (&b"v1"[..], 5), "{wire:?}");
+    assert!(v.cas > 0, "{wire:?}");
+
+    // add / replace / append / prepend
+    assert_eq!(c.add(b"k1", b"x", 0, 0).await, Err(McError::NotStored));
+    c.add(b"k2", b"fresh", 0, 0).await.unwrap();
+    c.replace(b"k2", b"newer", 0, 0).await.unwrap();
+    let refused = c.replace(b"missing", b"x", 0, 0).await;
+    assert_eq!(refused, Err(McError::NotStored), "{wire:?}");
+    c.append(b"k2", b"-tail").await.unwrap();
+    c.prepend(b"k2", b"head-").await.unwrap();
+    let joined = c.get(b"k2").await.unwrap().unwrap().data;
+    assert_eq!(joined, b"head-newer-tail", "{wire:?}");
+
+    // cas
+    let v = c.get(b"k1").await.unwrap().unwrap();
+    c.cas(b"k1", b"v2", 0, 0, v.cas).await.unwrap();
+    assert_eq!(c.cas(b"k1", b"v3", 0, 0, v.cas).await, Err(McError::Exists));
+
+    // incr / decr
+    c.set(b"n", b"41", 0, 0).await.unwrap();
+    assert_eq!(c.incr(b"n", 1).await.unwrap(), 42);
+    assert_eq!(c.decr(b"n", 100).await.unwrap(), 0);
+    assert_eq!(c.incr(b"missing", 1).await, Err(McError::NotFound));
+    assert_eq!(c.incr(b"k1", 1).await, Err(McError::NotNumeric));
+
+    // delete / touch
+    assert!(c.delete(b"k2").await.unwrap());
+    assert!(!c.delete(b"k2").await.unwrap());
+    assert!(c.get(b"k2").await.unwrap().is_none());
+    assert!(c.touch(b"k1", 60).await.unwrap());
+    assert!(!c.touch(b"k2", 60).await.unwrap());
+
+    // mget
+    c.set(b"m1", b"a", 0, 0).await.unwrap();
+    c.set(b"m2", b"b", 0, 0).await.unwrap();
+    let got = c.mget(&[b"m1", b"m2", b"nope"]).await.unwrap();
+    assert_eq!(got.len(), 2, "{wire:?}");
+
+    // version / stats / flush_all: that they round-trip is the wire's
+    // part (what `flush_all` invalidates is `tests/wire_parity.rs`).
+    let ver = c.version().await.unwrap();
+    assert!(ver.contains("rmc"), "version {ver}");
+    let stats = c.stats().await.unwrap();
+    assert!(stats.iter().any(|(k, _)| k == "get_hits"));
+    c.flush_all().await.unwrap();
+}
+
+fn serves_the_command_set(wire: Transport) {
+    let s = Scenario::start(world_a(), wire);
+    let c = s.clients[0].clone();
+    s.world.sim().block_on(command_set(c, wire));
+}
+
+#[test]
+fn full_command_set_over_every_transport() {
+    for wire in [
+        Transport::Ucr,
+        Transport::Sockets(Stack::Sdp),
+        Transport::Sockets(Stack::Ipoib),
+        Transport::Sockets(Stack::TenGigEToe),
+        Transport::Sockets(Stack::OneGigE),
+    ] {
+        serves_the_command_set(wire);
+    }
+}
+
 #[test]
 fn large_values_travel_by_rendezvous() {
     // 64 KB and 300 KB: both directions of the UCR path must use the
@@ -95,29 +169,27 @@ fn oversized_value_is_rejected() {
 }
 
 /// The design goal of §V-A: one server serves every client family, on the
-/// same data. Each pair of wires writes and reads the other's value.
+/// same data. A client on `a` and one on `b` each read the other's value.
+fn two_wires_share_one_store(a: Transport, b: Transport) -> Scenario {
+    let clients = [a, b].map(|wire| McClientConfig::single(wire, SRV));
+    let s = Scenario::new(world_a(), McServerConfig::default(), clients);
+    let (ca, cb) = (s.clients[0].clone(), s.clients[1].clone());
+    s.world.sim().block_on(async move {
+        ca.set(b"shared", b"from-a", 0, 0).await.unwrap();
+        let v = cb.get(b"shared").await.unwrap().unwrap();
+        assert_eq!(v.data, b"from-a", "{a:?} to {b:?}");
+        cb.set(b"shared", b"from-b", 0, 0).await.unwrap();
+        let v = ca.get(b"shared").await.unwrap().unwrap();
+        assert_eq!(v.data, b"from-b", "{b:?} to {a:?}");
+    });
+    s
+}
+
 #[test]
-fn every_wire_pair_shares_one_store() {
-    let toe = Stack::TenGigEToe;
-    let pairs = [
-        (Transport::Ucr, Transport::Sockets(Stack::Sdp)),
-        (Transport::Ucr, Transport::UcrRoce),
-        (Transport::Binary(toe), Transport::Sockets(toe)),
-        (Transport::Udp(toe), Transport::Sockets(toe)),
-    ];
-    for (a, b) in pairs {
-        let clients = [a, b].map(|wire| McClientConfig::single(wire, SRV));
-        let s = Scenario::new(world_a(), McServerConfig::default(), clients);
-        let (ca, cb) = (s.clients[0].clone(), s.clients[1].clone());
-        s.world.sim().block_on(async move {
-            ca.set(b"shared", b"from-a", 0, 0).await.unwrap();
-            let v = cb.get(b"shared").await.unwrap().unwrap();
-            assert_eq!(v.data, b"from-a", "{a:?} to {b:?}");
-            cb.set(b"shared", b"from-b", 0, 0).await.unwrap();
-            let v = ca.get(b"shared").await.unwrap().unwrap();
-            assert_eq!(v.data, b"from-b", "{b:?} to {a:?}");
-        });
-    }
+fn sockets_and_ucr_clients_share_one_server() {
+    let s = two_wires_share_one_store(Transport::Ucr, Transport::Sockets(Stack::Sdp));
+    assert!(s.server.stats().ucr_requests.get() >= 2);
+    assert!(s.server.stats().sock_requests.get() >= 2);
 }
 
 #[test]
@@ -508,6 +580,11 @@ fn roce_unavailable_on_cluster_b() {
 }
 
 #[test]
+fn mixed_roce_and_ib_clients_share_data() {
+    two_wires_share_one_store(Transport::Ucr, Transport::UcrRoce);
+}
+
+#[test]
 fn transport_labels_and_stacks() {
     assert_eq!(Transport::Ucr.label(), "UCR");
     assert_eq!(Transport::UcrRoce.label(), "UCR-RoCE");
@@ -630,6 +707,17 @@ fn workers_one_still_serves_many_clients() {
 // ---------------------------------------------------------------------
 
 #[test]
+fn binary_protocol_full_command_set() {
+    serves_the_command_set(Transport::Binary(Stack::TenGigEToe));
+}
+
+#[test]
+fn ascii_and_binary_clients_coexist_on_one_server() {
+    let toe = Stack::TenGigEToe;
+    two_wires_share_one_store(Transport::Binary(toe), Transport::Sockets(toe));
+}
+
+#[test]
 fn binary_multiget_pipelines_quietly() {
     let s = Scenario::start(world_a(), Transport::Binary(Stack::Sdp));
     let c = s.clients[0].clone();
@@ -653,6 +741,17 @@ fn binary_multiget_pipelines_quietly() {
 // ---------------------------------------------------------------------
 // UDP protocol (the SIII Facebook baseline)
 // ---------------------------------------------------------------------
+
+#[test]
+fn udp_transport_serves_the_command_set() {
+    serves_the_command_set(Transport::Udp(Stack::TenGigEToe));
+}
+
+#[test]
+fn udp_and_tcp_share_the_same_store() {
+    let toe = Stack::TenGigEToe;
+    two_wires_share_one_store(Transport::Udp(toe), Transport::Sockets(toe));
+}
 
 #[test]
 fn udp_reassembles_multi_datagram_responses() {

@@ -833,13 +833,11 @@ fn characterize(op: Op, fault: Fault, at: usize) -> Outcome {
     Outcome { send, recv, landed }
 }
 
-/// The closure-era behaviour of the verbs data path, cell by cell: for each
-/// opcode and each fault, exactly which completions appear, with which
-/// status, byte count and immediate, and at which instant — with the
-/// target's window at the start of its region and 128 bytes into it. The
-/// instants are stated in the stage model of [`Stages`].
-#[test]
-fn every_opcode_under_every_fault_completes_as_characterized() {
+/// One cell of the closure-era behaviour of the verbs data path: which
+/// completions `op` under `fault` leaves, with which status, byte count and
+/// immediate, and at which instant, stated in the stage model of
+/// [`Stages`].
+fn expected(op: Op, fault: Fault) -> Outcome {
     use Fault::*;
     use WcStatus::{RemoteAccessError, RetryExceeded, Success};
     let (cluster, _, _) = pair(true);
@@ -848,6 +846,104 @@ fn every_opcode_under_every_fault_completes_as_characterized() {
     let hdr = verbs::WIRE_HEADER_BYTES;
     let retry = verbs::RETRY_EXCEEDED_DELAY;
 
+    match op {
+        Op::Send | Op::SendImm | Op::Inline => {
+            let arrive = st.arrives(st.t_hca, LEN as u64 + hdr);
+            let deliver = arrive + st.hca_msg;
+            let imm = (op == Op::SendImm).then_some(SEND_IMM);
+            match fault {
+                // Once the target's pipeline has the message it is
+                // delivered, and acknowledged one propagation later.
+                None | HcaKilledAtTarget => Outcome {
+                    send: Some((WcOpcode::Send, Success, len, deliver + st.prop)),
+                    recv: Some((WcOpcode::Recv, Success, len, imm, deliver)),
+                    landed: true,
+                },
+                _ => Outcome {
+                    send: Some((WcOpcode::Send, RetryExceeded, 0, arrive + retry)),
+                    recv: Option::None,
+                    landed: false,
+                },
+            }
+        }
+        Op::Write | Op::WriteImm => {
+            let arrive = st.arrives(st.t_hca, LEN as u64 + hdr);
+            let land = arrive + st.rdma_target;
+            let opcode = WcOpcode::RdmaWrite;
+            // The immediate's receive is the target queue pair's: a
+            // closed one drops the notice and the write still lands.
+            let notice = (op == Op::WriteImm && fault != QpClosed).then_some((
+                WcOpcode::RecvRdmaImm,
+                Success,
+                0,
+                Some(WRITE_IMM),
+                land,
+            ));
+            match fault {
+                None | QpClosed | HcaKilledAtTarget => Outcome {
+                    send: Some((opcode, Success, len, land + st.prop)),
+                    recv: notice,
+                    landed: true,
+                },
+                HcaKilled => Outcome {
+                    send: Some((opcode, RetryExceeded, 0, arrive + retry)),
+                    recv: Option::None,
+                    landed: false,
+                },
+                // The NAK reports the length the request carried.
+                BadRkey | Deregistered | NoRemoteRight => Outcome {
+                    send: Some((opcode, RemoteAccessError, len, land + st.prop)),
+                    recv: Option::None,
+                    landed: false,
+                },
+            }
+        }
+        Op::Read => {
+            let arrive = st.arrives(st.t_hca, hdr);
+            let serve = arrive + st.rdma_target;
+            let back = st.arrives(serve, LEN as u64 + hdr);
+            let opcode = WcOpcode::RdmaRead;
+            let send = match fault {
+                None | QpClosed | HcaKilledAtTarget => (opcode, Success, len, back + st.hca_msg),
+                HcaKilled => (opcode, RetryExceeded, 0, arrive + retry),
+                BadRkey | Deregistered | NoRemoteRight => {
+                    (opcode, RemoteAccessError, 0, serve + st.prop)
+                }
+            };
+            Outcome {
+                send: Some(send),
+                recv: Option::None,
+                landed: send.1 == Success,
+            }
+        }
+        Op::UdSend => {
+            let grh = verbs::UD_GRH_BYTES;
+            let deliver = st.arrives(st.t_hca, LEN as u64 + hdr + grh) + st.hca_msg;
+            let delivered = matches!(fault, None | HcaKilledAtTarget);
+            let recv = (WcOpcode::Recv, Success, len, Option::None, deliver);
+            // Unreliable: complete at the local HCA whatever happens
+            // to the datagram.
+            Outcome {
+                send: Some((WcOpcode::Send, Success, len, st.t_hca)),
+                recv: delivered.then_some(recv),
+                landed: delivered,
+            }
+        }
+    }
+}
+
+/// Runs one cell with the target's window `at` bytes into its region.
+fn check_cell(op: Op, fault: Fault, at: usize) {
+    let want = expected(op, fault);
+    let got = characterize(op, fault, at);
+    assert_eq!(got, want, "{op:?} under {fault:?}, window at {at}");
+}
+
+/// Every cell of the table, with the target's window at the start of its
+/// region and 128 bytes into it.
+#[test]
+fn every_opcode_under_every_fault_completes_as_characterized() {
+    use Fault::*;
     let ops = [
         Op::Send,
         Op::SendImm,
@@ -876,95 +972,55 @@ fn every_opcode_under_every_fault_completes_as_characterized() {
         if two_sided && refused_key {
             continue; // a SEND names no remote key
         }
-        let want = match op {
-            Op::Send | Op::SendImm | Op::Inline => {
-                let arrive = st.arrives(st.t_hca, LEN as u64 + hdr);
-                let deliver = arrive + st.hca_msg;
-                let imm = (op == Op::SendImm).then_some(SEND_IMM);
-                match fault {
-                    // Once the target's pipeline has the message it is
-                    // delivered, and acknowledged one propagation later.
-                    None | HcaKilledAtTarget => Outcome {
-                        send: Some((WcOpcode::Send, Success, len, deliver + st.prop)),
-                        recv: Some((WcOpcode::Recv, Success, len, imm, deliver)),
-                        landed: true,
-                    },
-                    _ => Outcome {
-                        send: Some((WcOpcode::Send, RetryExceeded, 0, arrive + retry)),
-                        recv: Option::None,
-                        landed: false,
-                    },
-                }
-            }
-            Op::Write | Op::WriteImm => {
-                let arrive = st.arrives(st.t_hca, LEN as u64 + hdr);
-                let land = arrive + st.rdma_target;
-                let opcode = WcOpcode::RdmaWrite;
-                // The immediate's receive is the target queue pair's: a
-                // closed one drops the notice and the write still lands.
-                let notice = (op == Op::WriteImm && fault != QpClosed).then_some((
-                    WcOpcode::RecvRdmaImm,
-                    Success,
-                    0,
-                    Some(WRITE_IMM),
-                    land,
-                ));
-                match fault {
-                    None | QpClosed | HcaKilledAtTarget => Outcome {
-                        send: Some((opcode, Success, len, land + st.prop)),
-                        recv: notice,
-                        landed: true,
-                    },
-                    HcaKilled => Outcome {
-                        send: Some((opcode, RetryExceeded, 0, arrive + retry)),
-                        recv: Option::None,
-                        landed: false,
-                    },
-                    // The NAK reports the length the request carried.
-                    BadRkey | Deregistered | NoRemoteRight => Outcome {
-                        send: Some((opcode, RemoteAccessError, len, land + st.prop)),
-                        recv: Option::None,
-                        landed: false,
-                    },
-                }
-            }
-            Op::Read => {
-                let arrive = st.arrives(st.t_hca, hdr);
-                let serve = arrive + st.rdma_target;
-                let back = st.arrives(serve, LEN as u64 + hdr);
-                let opcode = WcOpcode::RdmaRead;
-                let send = match fault {
-                    None | QpClosed | HcaKilledAtTarget => {
-                        (opcode, Success, len, back + st.hca_msg)
-                    }
-                    HcaKilled => (opcode, RetryExceeded, 0, arrive + retry),
-                    BadRkey | Deregistered | NoRemoteRight => {
-                        (opcode, RemoteAccessError, 0, serve + st.prop)
-                    }
-                };
-                Outcome {
-                    send: Some(send),
-                    recv: Option::None,
-                    landed: send.1 == Success,
-                }
-            }
-            Op::UdSend => {
-                let grh = verbs::UD_GRH_BYTES;
-                let deliver = st.arrives(st.t_hca, LEN as u64 + hdr + grh) + st.hca_msg;
-                let delivered = matches!(fault, None | HcaKilledAtTarget);
-                let recv = (WcOpcode::Recv, Success, len, Option::None, deliver);
-                // Unreliable: complete at the local HCA whatever happens
-                // to the datagram.
-                Outcome {
-                    send: Some((WcOpcode::Send, Success, len, st.t_hca)),
-                    recv: delivered.then_some(recv),
-                    landed: delivered,
-                }
-            }
-        };
-        let got = characterize(op, fault, at);
-        assert_eq!(got, want, "{op:?} under {fault:?}, window at {at}");
+        check_cell(op, fault, at);
     }
+}
+
+// Cells of the table under the names of the behaviours they pin.
+
+#[test]
+fn send_recv_moves_real_bytes() {
+    check_cell(Op::SendImm, Fault::None, 0);
+}
+
+#[test]
+fn sender_gets_a_send_completion() {
+    check_cell(Op::Inline, Fault::None, 0);
+}
+
+#[test]
+fn rdma_write_lands_without_target_cpu() {
+    check_cell(Op::Write, Fault::None, 128);
+}
+
+#[test]
+fn rdma_write_with_imm_consumes_receive() {
+    check_cell(Op::WriteImm, Fault::None, 0);
+}
+
+#[test]
+fn rdma_read_pulls_remote_bytes() {
+    check_cell(Op::Read, Fault::None, 0);
+}
+
+#[test]
+fn rdma_read_without_permission_is_refused() {
+    check_cell(Op::Read, Fault::NoRemoteRight, 0);
+}
+
+#[test]
+fn deregistered_rkey_is_refused() {
+    check_cell(Op::Read, Fault::Deregistered, 0);
+}
+
+#[test]
+fn rdma_read_against_killed_peer_retries_out() {
+    check_cell(Op::Read, Fault::HcaKilled, 0);
+}
+
+#[test]
+fn send_to_killed_hca_reports_retry_exceeded() {
+    check_cell(Op::Inline, Fault::HcaKilled, 0);
 }
 
 // ---------------------------------------------------------------------

@@ -1,6 +1,6 @@
-//! Acceptance tests for the virtual-time profiler (that it costs no
-//! virtual time is `tests/telemetry_rule.rs`): every completed request
-//! decomposes exactly into critical-path stages
+//! Acceptance tests for the virtual-time profiler: profiling costs zero
+//! virtual time (bare vs traced vs profiled end clocks are bit-identical),
+//! every completed request decomposes exactly into critical-path stages
 //! plus an explicit residual, the folded collapsed-stack export round-trips
 //! through its parser, the `stats profile` verb reports on both client
 //! families, and the slowest paths it keeps name ops on the trace.
@@ -36,6 +36,32 @@ fn run_gets(world: &World, client: McClient, gets: usize) -> u64 {
         }
         sim2.now().as_nanos()
     })
+}
+
+#[test]
+fn profiling_adds_no_virtual_time() {
+    // Bare, traced (recorder sink), and profiled runs of the same workload
+    // must end at the same virtual nanosecond: every profiler hook is
+    // host-side bookkeeping.
+    let run = |mode: u8| {
+        let s = Scenario::start(World::cluster_b(71, 4), Transport::Ucr);
+        let (world, client) = (&s.world, s.clients[0].clone());
+        match mode {
+            1 => {
+                world.cluster.tracer().add_sink(EventRecorder::new());
+            }
+            2 => {
+                let _ = Profiler::attach(world.cluster.tracer(), ProfilerConfig::default());
+            }
+            _ => {}
+        }
+        run_gets(world, client, 20)
+    };
+    let bare = run(0);
+    let traced = run(1);
+    let profiled = run(2);
+    assert_eq!(bare, traced, "tracing must not move the virtual clock");
+    assert_eq!(bare, profiled, "profiling must not move the virtual clock");
 }
 
 #[test]

@@ -53,26 +53,8 @@ struct Run {
     profiler: Option<std::rc::Rc<Profiler>>,
 }
 
-/// Where a run happens and how large the value it sets and gets is.
-#[derive(Clone, Copy, Debug)]
-struct Bed {
-    cluster_b: bool,
-    value: usize,
-}
-
-/// Cluster A, 512-byte values: the shape every wire is checked in.
-const A_512: Bed = Bed {
-    cluster_b: false,
-    value: 512,
-};
-
-fn run(wire: Transport, bed: Bed, watch: Watch) -> Run {
-    let world = if bed.cluster_b {
-        World::cluster_b(97, 4)
-    } else {
-        World::cluster_a(97, 4)
-    };
-    let s = Scenario::start(world, wire);
+fn run(wire: Transport, watch: Watch) -> Run {
+    let s = Scenario::start(World::cluster_a(97, 4), wire);
     let (world, client) = (&s.world, s.clients[0].clone());
     let tracer = world.cluster.tracer().clone();
     let metrics = world.cluster.metrics().clone();
@@ -87,9 +69,8 @@ fn run(wire: Transport, bed: Bed, watch: Watch) -> Run {
 
     let sim = world.sim().clone();
     let sim2 = sim.clone();
-    let value = vec![0x5au8; bed.value];
     let end_ns = sim.block_on(async move {
-        client.set(b"k", &value, 0, 0).await.unwrap();
+        client.set(b"k", &[0x5au8; 512], 0, 0).await.unwrap();
         for _ in 0..GETS {
             client.get(b"k").await.unwrap().unwrap();
         }
@@ -124,19 +105,18 @@ fn is_profile(name: &str) -> bool {
     name.starts_with("profile.")
 }
 
-/// Runs `wire` on `bed` all three ways, checks the rule, and hands back
-/// the profiled run.
-fn three_ways(wire: Transport, bed: Bed) -> Run {
-    let bare = run(wire, bed, Watch::Nobody);
-    let watched = run(wire, bed, Watch::Recorder);
-    let profiled = run(wire, bed, Watch::ProfilerToo);
+/// Runs `wire` all three ways, checks the rule, and hands back the
+/// profiled run.
+fn three_ways(wire: Transport) -> Run {
+    let bare = run(wire, Watch::Nobody);
+    let watched = run(wire, Watch::Recorder);
+    let profiled = run(wire, Watch::ProfilerToo);
 
-    let at = format!("{wire:?} on {bed:?}");
     for other in [&watched, &profiled] {
-        assert_eq!(bare.end_ns, other.end_ns, "{at}: same end clock");
-        assert_eq!(bare.events.len(), other.events.len(), "{at}");
+        assert_eq!(bare.end_ns, other.end_ns, "{wire:?}: same end clock");
+        assert_eq!(bare.events.len(), other.events.len(), "{wire:?}");
         for (i, (a, b)) in bare.events.iter().zip(&other.events).enumerate() {
-            assert_eq!(a, b, "{at}: event {i} differs");
+            assert_eq!(a, b, "{wire:?}: event {i} differs");
         }
     }
 
@@ -161,35 +141,26 @@ fn three_ways(wire: Transport, bed: Bed) -> Run {
     profiled
 }
 
-/// UCR in the shape every wire is checked in, and on Cluster B with 4 KB
-/// values: the paper's headline get.
 #[test]
 fn ucr_telemetry_does_not_depend_on_who_watches() {
-    let b_4k = Bed {
-        cluster_b: true,
-        value: 4096,
-    };
-    for bed in [A_512, b_4k] {
-        let profiled = three_ways(UCR, bed);
-        let p = profiled.profiler.expect("profiled run");
-        let audit = p.audit();
-        assert_eq!(audit.ops, 1 + GETS, "{bed:?}: every op decomposed");
-        assert_eq!(audit.inexact_ops, 0, "{bed:?}");
-        assert_eq!(p.unmatched_events(), 0, "{bed:?}: ids correlate end to end");
-        for stage in [
-            PathStage::RequestWire,
-            PathStage::Service,
-            PathStage::ResponseWire,
-        ] {
-            let total = p.stage_total(stage).as_nanos();
-            assert!(total > 0, "{bed:?}: {stage:?} attributed");
-        }
+    let profiled = three_ways(UCR);
+    let p = profiled.profiler.expect("profiled run");
+    let audit = p.audit();
+    assert_eq!(audit.ops, 1 + GETS, "every op decomposed");
+    assert_eq!(audit.inexact_ops, 0);
+    assert_eq!(p.unmatched_events(), 0, "ids correlate end to end");
+    for stage in [
+        PathStage::RequestWire,
+        PathStage::Service,
+        PathStage::ResponseWire,
+    ] {
+        assert!(p.stage_total(stage).as_nanos() > 0, "{stage:?} attributed");
     }
 }
 
 /// The three socket wires decompose like the ASCII/TCP one always did.
 fn socket_wire_decomposes(wire: Transport) {
-    let profiled = three_ways(wire, A_512);
+    let profiled = three_ways(wire);
     let p = profiled.profiler.expect("profiled run");
     assert_eq!(p.audit().ops, 1 + GETS, "{wire:?}");
     assert_eq!(p.audit().inexact_ops, 0, "{wire:?}");

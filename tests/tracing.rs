@@ -1,7 +1,6 @@
 //! Acceptance tests for the cross-layer tracing subsystem: the Perfetto
 //! export of one traced get carries correlated events from every layer,
-//! tracing a bypass get costs zero virtual time (every other path is
-//! `tests/telemetry_rule.rs`), the flight recorder captures the
+//! tracing costs zero virtual time, the flight recorder captures the
 //! QP-level tail of a forced endpoint failure, and the `stats trace` /
 //! per-op histogram surfaces report through the memcached protocol, and a
 //! traced run on every wire quiesces with nothing open or unmatched.
@@ -97,6 +96,35 @@ fn four_kb_get_trace_correlates_all_three_layers() {
             "AM send {am_id} has a matching verbs send span"
         );
     });
+}
+
+#[test]
+fn tracing_adds_no_virtual_time() {
+    let run = |traced: bool| {
+        let s = Scenario::start(World::cluster_b(62, 4), Transport::Ucr);
+        let (world, client) = (&s.world, s.clients[0].clone());
+        let recorder = EventRecorder::new();
+        if traced {
+            world.cluster.tracer().add_sink(recorder.clone());
+        }
+        let sim = world.sim().clone();
+        let sim2 = sim.clone();
+        let end = sim.block_on(async move {
+            client.set(b"k", &vec![7u8; 4096], 0, 0).await.unwrap();
+            for _ in 0..20 {
+                client.get(b"k").await.unwrap().unwrap();
+            }
+            sim2.now().as_nanos()
+        });
+        (end, recorder.len())
+    };
+    let (untraced_end, _) = run(false);
+    let (traced_end, recorded) = run(true);
+    assert!(recorded > 0, "the traced run actually recorded events");
+    assert_eq!(
+        untraced_end, traced_end,
+        "tracing must not move the virtual clock"
+    );
 }
 
 #[test]

@@ -467,6 +467,18 @@ fn every_wire_gives_the_same_replies_and_leaves_the_same_server() {
     }
 }
 
+/// The committed replies under another seed's schedule, on one wire, for
+/// every store model.
+#[test]
+fn replies_do_not_depend_on_the_store_model() {
+    for model in MODELS {
+        let bed = testbed(62, model, &[ASCII]);
+        let sim = bed.world.sim().clone();
+        let got = sim.block_on(async move { run_script(&bed, ASCII).await });
+        assert_eq!(got.replies, REPLIES, "{model:?}");
+    }
+}
+
 #[test]
 fn oversize_values_are_refused_without_touching_the_store() {
     for wire in WIRES {
