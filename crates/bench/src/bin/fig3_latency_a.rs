@@ -2,60 +2,6 @@
 //! small (a, c) and large (b, d) messages, across UCR / SDP / IPoIB /
 //! 10GigE-TOE / 1GigE.
 
-use rmc_bench::json_out::{self, Record};
-use rmc_bench::{
-    latency_sweep, render_latency_table, ClusterKind, Mix, DEFAULT_ITERS, LARGE_SIZES, SMALL_SIZES,
-};
-
 fn main() {
-    let cluster = ClusterKind::A;
-    let mut records = Vec::new();
-    let panels = [
-        (
-            "Figure 3(a): Latency of Set - Small Message, Cluster A (us)",
-            Mix::SetOnly,
-            SMALL_SIZES,
-        ),
-        (
-            "Figure 3(b): Latency of Set - Large Message, Cluster A (us)",
-            Mix::SetOnly,
-            LARGE_SIZES,
-        ),
-        (
-            "Figure 3(c): Latency of Get - Small Message, Cluster A (us)",
-            Mix::GetOnly,
-            SMALL_SIZES,
-        ),
-        (
-            "Figure 3(d): Latency of Get - Large Message, Cluster A (us)",
-            Mix::GetOnly,
-            LARGE_SIZES,
-        ),
-    ];
-    for (title, mix, sizes) in panels {
-        let columns: Vec<_> = cluster
-            .transports()
-            .into_iter()
-            .map(|t| {
-                (
-                    t.label().to_string(),
-                    latency_sweep(cluster, t, mix, sizes, DEFAULT_ITERS, 3),
-                )
-            })
-            .collect();
-        for (label, points) in &columns {
-            for p in points {
-                records.push(
-                    Record::new()
-                        .str("op", if mix == Mix::SetOnly { "set" } else { "get" })
-                        .str("transport", label.as_str())
-                        .str("cluster", cluster.label())
-                        .int("size", p.size as u64)
-                        .num("mean_us", p.mean_us),
-                );
-            }
-        }
-        println!("{}", render_latency_table(title, sizes, &columns));
-    }
-    json_out::write("fig3_latency_a", &records);
+    rmc_bench::latency_figure(rmc_bench::ClusterKind::A, 3, "fig3_latency_a");
 }

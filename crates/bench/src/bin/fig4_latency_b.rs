@@ -3,60 +3,6 @@
 //! (No 10GigE cards on this cluster, §VI-B; the SDP column shows the
 //! jitter artifact the paper reports on QDR adapters.)
 
-use rmc_bench::json_out::{self, Record};
-use rmc_bench::{
-    latency_sweep, render_latency_table, ClusterKind, Mix, DEFAULT_ITERS, LARGE_SIZES, SMALL_SIZES,
-};
-
 fn main() {
-    let cluster = ClusterKind::B;
-    let mut records = Vec::new();
-    let panels = [
-        (
-            "Figure 4(a): Latency of Set - Small Message, Cluster B (us)",
-            Mix::SetOnly,
-            SMALL_SIZES,
-        ),
-        (
-            "Figure 4(b): Latency of Set - Large Message, Cluster B (us)",
-            Mix::SetOnly,
-            LARGE_SIZES,
-        ),
-        (
-            "Figure 4(c): Latency of Get - Small Message, Cluster B (us)",
-            Mix::GetOnly,
-            SMALL_SIZES,
-        ),
-        (
-            "Figure 4(d): Latency of Get - Large Message, Cluster B (us)",
-            Mix::GetOnly,
-            LARGE_SIZES,
-        ),
-    ];
-    for (title, mix, sizes) in panels {
-        let columns: Vec<_> = cluster
-            .transports()
-            .into_iter()
-            .map(|t| {
-                (
-                    t.label().to_string(),
-                    latency_sweep(cluster, t, mix, sizes, DEFAULT_ITERS, 4),
-                )
-            })
-            .collect();
-        for (label, points) in &columns {
-            for p in points {
-                records.push(
-                    Record::new()
-                        .str("op", if mix == Mix::SetOnly { "set" } else { "get" })
-                        .str("transport", label.as_str())
-                        .str("cluster", cluster.label())
-                        .int("size", p.size as u64)
-                        .num("mean_us", p.mean_us),
-                );
-            }
-        }
-        println!("{}", render_latency_table(title, sizes, &columns));
-    }
-    json_out::write("fig4_latency_b", &records);
+    rmc_bench::latency_figure(rmc_bench::ClusterKind::B, 4, "fig4_latency_b");
 }

@@ -71,7 +71,7 @@ fn escape(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Renders the result document (also used by tests; [`write`] puts this
+/// Renders the result document (also used by tests; [`write()`] puts this
 /// on disk).
 pub fn render(bench: &str, records: &[Record]) -> String {
     let mut out = String::new();

@@ -23,6 +23,7 @@ use std::rc::Rc;
 
 pub mod json_out;
 
+use json_out::Record;
 use rmc::{
     McClient, McClientConfig, McError, McServer, McServerConfig, Scenario, StoreModel, Transport,
     World,
@@ -322,6 +323,50 @@ pub fn latency_sweep(
             mean_us: measure_latency(cluster, transport, mix, size, iters, seed),
         })
         .collect()
+}
+
+/// Figures 3 and 4: set and get latency of small (a, c) and large (b, d)
+/// messages over every transport the paper runs on `cluster`, printed as
+/// the four panels of Figure `figure` and written as `results/<name>.json`.
+/// The figure number seeds every run.
+pub fn latency_figure(cluster: ClusterKind, figure: u64, name: &str) {
+    let testbed = match cluster {
+        ClusterKind::A => "Cluster A",
+        ClusterKind::B => "Cluster B",
+    };
+    let panels = [
+        ('a', "Set", Mix::SetOnly, "Small", SMALL_SIZES),
+        ('b', "Set", Mix::SetOnly, "Large", LARGE_SIZES),
+        ('c', "Get", Mix::GetOnly, "Small", SMALL_SIZES),
+        ('d', "Get", Mix::GetOnly, "Large", LARGE_SIZES),
+    ];
+    let mut records = Vec::new();
+    for (panel, op, mix, scale, sizes) in panels {
+        let columns: Vec<_> = cluster
+            .transports()
+            .into_iter()
+            .map(|t| {
+                let points = latency_sweep(cluster, t, mix, sizes, DEFAULT_ITERS, figure);
+                (t.label().to_string(), points)
+            })
+            .collect();
+        for (label, points) in &columns {
+            for p in points {
+                records.push(
+                    Record::new()
+                        .str("op", if mix == Mix::SetOnly { "set" } else { "get" })
+                        .str("transport", label.as_str())
+                        .str("cluster", cluster.label())
+                        .int("size", p.size as u64)
+                        .num("mean_us", p.mean_us),
+                );
+            }
+        }
+        let title =
+            format!("Figure {figure}({panel}): Latency of {op} - {scale} Message, {testbed} (us)");
+        println!("{}", render_latency_table(&title, sizes, &columns));
+    }
+    json_out::write(name, &records);
 }
 
 /// Aggregate get throughput with `clients` concurrent clients on distinct

@@ -6,7 +6,7 @@
 //!
 //! * each simulated **node becomes a process** (`pid` = node id + 1, named
 //!   `nodeN`; fabric-global events land in process 0, `fabric`);
-//! * each [`Track`](crate::trace::Track) becomes a **thread** within the
+//! * each [`Track`] becomes a **thread** within the
 //!   node's process: `main` (tid 0), `workerN` (tid 1+N), `epN`
 //!   (tid 100+N), `qpN` (tid 10000+N);
 //! * span events ([`Phase::Begin`]/[`Phase::End`]) are emitted as async

@@ -506,7 +506,7 @@ impl Store {
     }
 
     /// The slab class an item of this shape lands in, using the same
-    /// sizing formula as [`store_item`](Store::store_item). Only tests
+    /// sizing formula as `Store::store_item`. Only tests
     /// call it: they check where the allocator placed an item.
     pub fn class_of(&self, key_len: usize, value_len: usize) -> Option<ClassId> {
         self.slabs.class_for(ITEM_HEADER_SIZE + key_len + value_len)

@@ -211,6 +211,12 @@ pub(crate) enum RndvDest {
     Discard(Mr),
 }
 
+/// The two calls of an active message's handler, each traced as a span.
+enum HandlerPhase {
+    Header,
+    Completion,
+}
+
 pub(crate) struct RtInner {
     pub node: NodeId,
     pub sim: Sim,
@@ -948,25 +954,10 @@ impl RtInner {
                     return;
                 };
                 let track = Track::Endpoint(ep.id());
-                self.tracer.begin(
-                    Layer::Ucr,
-                    "header_handler",
-                    self.node,
-                    track,
-                    wc.wr_id,
-                    pkt.data_len,
-                    self.sim.now(),
-                );
-                let on_header = handler.on_header(&ep, &hdr, pkt.data_len as usize);
-                self.tracer.end(
-                    Layer::Ucr,
-                    "header_handler",
-                    self.node,
-                    track,
-                    wc.wr_id,
-                    pkt.data_len,
-                    self.sim.now(),
-                );
+                let on_header =
+                    self.handler_phase(HandlerPhase::Header, &ep, wc.wr_id, pkt.data_len, || {
+                        handler.on_header(&ep, &hdr, pkt.data_len as usize)
+                    });
                 let dest = match on_header {
                     AmDest::Pool => RndvDest::Pool(self.rndv_landing(pkt.data_len as usize)),
                     AmDest::Buffer(slice) => RndvDest::Buffer(slice),
@@ -1041,31 +1032,14 @@ impl RtInner {
             self.stats.unknown_msg_dropped.inc();
             return;
         };
-        let track = Track::Endpoint(ep.id());
         // The handlers read the application header in place, in the
         // network buffer; the caller retires it once every packet in it
         // has been delivered.
         let bytes = buf.bytes();
         let (hdr, data) = (p.hdr(&bytes), p.data(&bytes));
-        self.tracer.begin(
-            Layer::Ucr,
-            "header_handler",
-            self.node,
-            track,
-            wr_id,
-            pkt.data_len,
-            self.sim.now(),
-        );
-        let dest = handler.on_header(ep, hdr, data_len);
-        self.tracer.end(
-            Layer::Ucr,
-            "header_handler",
-            self.node,
-            track,
-            wr_id,
-            pkt.data_len,
-            self.sim.now(),
-        );
+        let dest = self.handler_phase(HandlerPhase::Header, ep, wr_id, pkt.data_len, || {
+            handler.on_header(ep, hdr, data_len)
+        });
         let am_data = match dest {
             // Single copy: the payload moves straight off the
             // network buffer into its owned destination.
@@ -1078,31 +1052,39 @@ impl RtInner {
             }
             AmDest::Discard => AmData::Discarded,
         };
-        self.tracer.begin(
-            Layer::Ucr,
-            "completion_handler",
-            self.node,
-            track,
-            wr_id,
-            pkt.data_len,
-            self.sim.now(),
-        );
-        handler.on_complete(ep, hdr, am_data);
-        self.tracer.end(
-            Layer::Ucr,
-            "completion_handler",
-            self.node,
-            track,
-            wr_id,
-            pkt.data_len,
-            self.sim.now(),
-        );
+        self.handler_phase(HandlerPhase::Completion, ep, wr_id, pkt.data_len, || {
+            handler.on_complete(ep, hdr, am_data)
+        });
         drop(bytes);
         self.stats.eager_delivered.inc();
         self.bump_counter(pkt.target_ctr);
         if pkt.completion_ctr != 0 {
             self.send_fin(ep, 0, pkt.completion_ctr, 0);
         }
+    }
+
+    /// Runs `call`, one phase of a message's handler, inside that phase's
+    /// span on `ep`'s track, keyed by the work request `wr_id` that brought
+    /// the message's `bytes`.
+    fn handler_phase<R>(
+        &self,
+        phase: HandlerPhase,
+        ep: &Endpoint,
+        wr_id: u64,
+        bytes: u64,
+        call: impl FnOnce() -> R,
+    ) -> R {
+        let name = match phase {
+            HandlerPhase::Header => "header_handler",
+            HandlerPhase::Completion => "completion_handler",
+        };
+        let (node, track) = (self.node, Track::Endpoint(ep.id()));
+        self.tracer
+            .begin(Layer::Ucr, name, node, track, wr_id, bytes, self.sim.now());
+        let out = call();
+        self.tracer
+            .end(Layer::Ucr, name, node, track, wr_id, bytes, self.sim.now());
+        out
     }
 
     async fn handle_send_completion(self: &Rc<Self>, wc: Wc) {
@@ -1165,24 +1147,12 @@ impl RtInner {
                     .await;
                 let handler = self.handlers.borrow().get(&pkt.msg_id).cloned();
                 if let Some(handler) = handler {
-                    self.tracer.begin(
-                        Layer::Ucr,
-                        "completion_handler",
-                        self.node,
-                        track,
+                    self.handler_phase(
+                        HandlerPhase::Completion,
+                        &ep,
                         wc.wr_id,
                         pkt.data_len,
-                        self.sim.now(),
-                    );
-                    handler.on_complete(&ep, &hdr, am_data);
-                    self.tracer.end(
-                        Layer::Ucr,
-                        "completion_handler",
-                        self.node,
-                        track,
-                        wc.wr_id,
-                        pkt.data_len,
-                        self.sim.now(),
+                        || handler.on_complete(&ep, &hdr, am_data),
                     );
                 }
                 self.tracer.end(

@@ -3,8 +3,9 @@
 //! Implements the verbs data path over the simulated fabric:
 //!
 //! * **SEND/RECV** (two-sided): payload travels with the message; the
-//!   receiver must have a receive posted (on the QP or its SRQ). Receive
-//!   completions carry immediate data and the arrival QP number.
+//!   receiver must have a receive posted in the QP's SRQ (a QP created
+//!   without one has a private SRQ). Receive completions carry immediate
+//!   data and the arrival QP number.
 //! * **RDMA WRITE / WRITE-with-imm** (one-sided): data lands directly in
 //!   the target region; no target CPU cost is charged — OS-bypass is the
 //!   paper's core mechanism. WRITE-with-imm additionally consumes a
@@ -184,12 +185,12 @@ struct Read {
 /// A message that finds the pool empty first raises the SRQ's limit event
 /// (`IBV_EVENT_SRQ_LIMIT_REACHED`, armed by `ibv_modify_srq`), at no
 /// virtual time: the owner's handler, if it installed one, may post, and
-/// the message takes what was posted. Otherwise it is parked on its QP (RC
-/// would RNR-NAK and retry) and the SRQ remembers the QP, so the next
-/// buffer posted goes to the oldest parked message; a datagram is dropped.
-/// Invariant: the pool holds a buffer only while nothing is parked, so an
-/// arrival never overtakes a parked message — on its own QP or on a
-/// sibling.
+/// the message takes what was posted. Otherwise it is parked in the SRQ
+/// with its QP (RC would RNR-NAK and retry), so the next buffer posted goes
+/// to the oldest parked message; a datagram is dropped. Invariant: the pool
+/// holds a buffer only while nothing is parked, so an arrival never
+/// overtakes a parked message — on its own QP or on a sibling. A QP
+/// created without an SRQ receives through a private one of its own.
 #[derive(Clone)]
 pub struct Srq {
     inner: Rc<SrqInner>,
@@ -197,9 +198,9 @@ pub struct Srq {
 
 struct SrqInner {
     queue: RefCell<VecDeque<RecvWr>>,
-    /// One entry per parked message, in arrival order: the QP whose
-    /// `pending_inbound` holds it.
-    parked: RefCell<VecDeque<Weak<QpInner>>>,
+    /// Messages that found the pool empty, oldest first, each with the QP
+    /// it arrived on.
+    parked: RefCell<VecDeque<(Weak<QpInner>, Inbound)>>,
     /// Runs when a message finds the pool empty.
     on_limit: RefCell<Option<Rc<dyn Fn()>>>,
 }
@@ -229,18 +230,14 @@ impl Srq {
     pub fn post_recv(&self, wr_id: u64, buf: MrSlice) {
         let rwr = RecvWr { wr_id, buf };
         loop {
-            let Some(qp) = self.inner.parked.borrow_mut().pop_front() else {
+            let Some((qp, msg)) = self.inner.parked.borrow_mut().pop_front() else {
                 break;
             };
-            // A QP dropped or closed since took its parked messages along.
-            let Some(qp) = qp.upgrade().filter(|q| q.state.get() != QpState::Closed) else {
-                continue;
-            };
-            let Some(msg) = qp.pending_inbound.borrow_mut().pop_front() else {
-                continue;
-            };
-            qp.complete_recv(rwr, msg);
-            return;
+            // A message whose QP was dropped or closed since is skipped.
+            if let Some(qp) = qp.upgrade().filter(|q| q.state.get() != QpState::Closed) {
+                qp.complete_recv(rwr, msg);
+                return;
+            }
         }
         self.inner.queue.borrow_mut().push_back(rwr);
     }
@@ -342,9 +339,10 @@ pub(crate) struct QpInner {
     sim: Sim,
     pub send_cq: Cq,
     pub recv_cq: Cq,
-    srq: Option<Srq>,
-    recv_queue: RefCell<VecDeque<RecvWr>>,
-    pending_inbound: RefCell<VecDeque<Inbound>>,
+    /// Where the receives come from: the SRQ the QP was created with, or
+    /// a private one.
+    srq: Srq,
+    shared_srq: bool,
     remote: Cell<Option<(NodeId, u32)>>,
     state: Cell<QpState>,
     /// What an ack or a NAK takes to come back: one propagation delay (they
@@ -362,9 +360,11 @@ pub struct QueuePair {
 }
 
 impl Pd {
-    /// Creates a queue pair in this protection domain. RC QPs must be
-    /// connected (via [`QueuePair::connect_to`] or the connection manager)
-    /// before posting sends.
+    /// Creates a queue pair in this protection domain, receiving through
+    /// `srq` or, without one, through a private SRQ that
+    /// [`QueuePair::post_recv`] posts to. RC QPs must be connected (via
+    /// [`QueuePair::connect_to`] or the connection manager) before posting
+    /// sends.
     pub fn create_qp(
         &self,
         qp_type: QpType,
@@ -384,9 +384,8 @@ impl Pd {
             sim: hca.sim.clone(),
             send_cq: send_cq.clone(),
             recv_cq: recv_cq.clone(),
-            srq: srq.cloned(),
-            recv_queue: RefCell::new(VecDeque::new()),
-            pending_inbound: RefCell::new(VecDeque::new()),
+            srq: srq.cloned().unwrap_or_default(),
+            shared_srq: srq.is_some(),
             remote: Cell::new(None),
             state: Cell::new(if qp_type == QpType::Ud {
                 QpState::Rts // UD is usable immediately
@@ -454,12 +453,12 @@ impl QueuePair {
         }
     }
 
-    /// Posts a receive buffer on this QP. Panics if the QP uses an SRQ
-    /// (post to the SRQ instead, as verbs requires) or if the buffer was
-    /// registered under a different protection domain.
+    /// Posts a receive buffer on this QP. Panics if the QP uses a shared
+    /// SRQ (post to the SRQ instead, as verbs requires) or if the buffer
+    /// was registered under a different protection domain.
     pub fn post_recv(&self, wr_id: u64, buf: MrSlice) {
         assert!(
-            self.inner.srq.is_none(),
+            !self.inner.shared_srq,
             "QP uses an SRQ; post receives there"
         );
         assert_eq!(
@@ -477,11 +476,7 @@ impl QueuePair {
                 hca.sim.now(),
             );
         }
-        self.inner
-            .recv_queue
-            .borrow_mut()
-            .push_back(RecvWr { wr_id, buf });
-        self.inner.match_pending();
+        self.inner.srq.post_recv(wr_id, buf);
     }
 
     /// Posts a send-side work request. Returns synchronously; the outcome
@@ -661,16 +656,9 @@ impl QpInner {
         self.sim.schedule_target_at(at, self.clone(), key.token());
     }
 
-    fn pop_recv(&self) -> Option<RecvWr> {
-        match &self.srq {
-            Some(s) => s.pop(),
-            None => self.recv_queue.borrow_mut().pop_front(),
-        }
-    }
-
     /// Handles an inbound two-sided message (or WRITE_WITH_IMM notification):
-    /// copies it into the next receive (on an empty SRQ, one its limit event
-    /// posts), or parks it until one is posted.
+    /// copies it into the SRQ's next receive (on an empty pool, one its
+    /// limit event posts), or parks it there until one is posted.
     /// A registered SEND's window is read here, once — into the receive, or
     /// into a snapshot the parked message then owns, because the sender's
     /// completion does not wait for the park and the window is the sender's
@@ -681,7 +669,7 @@ impl QpInner {
         if msg.payload.read(|_| ()).is_none() {
             return WcStatus::LocalLengthError;
         }
-        match self.pop_recv() {
+        match self.srq.pop() {
             Some(rwr) => self.complete_recv(rwr, msg),
             None => {
                 // RC would RNR-NAK and retry; we park the message until a
@@ -690,30 +678,11 @@ impl QpInner {
                     let snapshot = window.dma_view().map(|bytes| bytes.to_vec());
                     msg.payload = Payload::Owned(snapshot.unwrap_or_default());
                 }
-                self.pending_inbound.borrow_mut().push_back(msg);
-                if let Some(srq) = &self.srq {
-                    srq.inner.parked.borrow_mut().push_back(Rc::downgrade(self));
-                }
+                let parked = (Rc::downgrade(self), msg);
+                self.srq.inner.parked.borrow_mut().push_back(parked);
             }
         }
         WcStatus::Success
-    }
-
-    /// Matches parked messages against this QP's own receive queue (an
-    /// SRQ hands its buffers out itself, see [`Srq::post_recv`]).
-    fn match_pending(self: &Rc<Self>) {
-        loop {
-            let Some(msg) = self.pending_inbound.borrow_mut().pop_front() else {
-                break;
-            };
-            let Some(rwr) = self.pop_recv() else {
-                // More parked than posted: re-park the message at the
-                // front and wait for the next post.
-                self.pending_inbound.borrow_mut().push_front(msg);
-                break;
-            };
-            self.complete_recv(rwr, msg);
-        }
     }
 
     fn complete_recv(&self, rwr: RecvWr, msg: Inbound) {
@@ -876,7 +845,7 @@ impl EventTarget for QpInner {
             }
             Flight::DgramDeliver { msg, rqp } => {
                 // UD with no receive to take drops the datagram.
-                if let Some(rwr) = rqp.pop_recv() {
+                if let Some(rwr) = rqp.srq.pop() {
                     rqp.complete_recv(rwr, msg);
                 }
             }

@@ -130,14 +130,21 @@ fn srq_fans_in_many_qps() {
     drop(bufs);
 }
 
-/// Five sends to one SRQ complete in send order, whoever posts their
-/// buffers. Stocked with two and no limit handler, three messages are
-/// parked on their QP and each buffer posted afterwards goes to the oldest
-/// parked message. Empty, with a handler that posts one buffer per limit
-/// event, every arrival takes the buffer its event posted and none parks.
+/// Five sends to one QP complete in send order, whoever posts their
+/// buffers. Stocked with two and no limit handler, three messages park in
+/// the SRQ — a shared one, or the private one of a QP created without — and
+/// each buffer posted afterwards goes to the oldest parked message. Empty,
+/// with a handler that posts one buffer per limit event, every arrival takes
+/// the buffer its event posted and none parks. A QP closed with messages
+/// parked loses them: the buffers posted afterwards complete nothing.
 #[test]
 fn srq_delivers_parked_messages_in_arrival_order() {
-    for posts_on_limit in [false, true] {
+    for (shared, posts_on_limit, closes) in [
+        (true, false, false),
+        (true, true, false),
+        (false, false, false),
+        (false, false, true),
+    ] {
         let (cluster, a, b) = pair(false);
         // The handler holds the SRQ weakly, as its owner's would.
         let srq = Rc::new(Srq::new());
@@ -160,23 +167,24 @@ fn srq_delivers_parked_messages_in_arrival_order() {
         } else {
             2
         };
-        for (i, mr) in bufs.iter().take(up_front).enumerate() {
-            srq.post_recv(i as u64, mr.full());
-        }
         let qa = a.pd.create_qp(QpType::Rc, &a.cq, &a.cq, None);
-        let qb = b.pd.create_qp(QpType::Rc, &b.cq, &b.cq, Some(&srq));
+        let qb =
+            b.pd.create_qp(QpType::Rc, &b.cq, &b.cq, shared.then_some(&*srq));
         qa.connect_to(b.hca.node(), qb.qpn()).unwrap();
         qb.connect_to(a.hca.node(), qa.qpn()).unwrap();
-        for i in 0..5u8 {
-            qa.post_send(SendWr::new(
-                i as u64,
-                SendOp::SendInline {
-                    data: vec![i; 8],
-                    imm: None,
-                },
-            ))
-            .unwrap();
+        let post = |i: usize, mr: &verbs::Mr| match shared {
+            true => srq.post_recv(i as u64, mr.full()),
+            false => qb.post_recv(i as u64, mr.full()),
+        };
+        for (i, mr) in bufs.iter().take(up_front).enumerate() {
+            post(i, mr);
         }
+        let send = |i: u8| {
+            let data = vec![i; 8];
+            let wr = SendWr::new(i as u64, SendOp::SendInline { data, imm: None });
+            qa.post_send(wr).unwrap();
+        };
+        (0..5).for_each(send);
         cluster.sim().run();
         if posts_on_limit {
             // Everything has arrived, each on a buffer its event posted.
@@ -186,22 +194,38 @@ fn srq_delivers_parked_messages_in_arrival_order() {
             // Everything has arrived: two completed, three parked, pool
             // empty.
             assert_eq!(b.cq.backlog(), 2);
-            assert_eq!(srq.available(), 0);
+            assert!(!shared || srq.available() == 0);
+            if closes {
+                qb.close();
+                for (i, mr) in bufs.iter().enumerate().skip(2) {
+                    post(i, mr);
+                }
+                assert_eq!(
+                    b.cq.backlog(),
+                    2,
+                    "a closed QP's parked messages are skipped"
+                );
+                continue;
+            }
             for (i, mr) in bufs.iter().enumerate().skip(2) {
-                srq.post_recv(i as u64, mr.full());
+                post(i, mr);
                 assert_eq!(b.cq.backlog(), i + 1, "buffer {i} went to a parked message");
             }
         }
-        assert_eq!(srq.available(), 0);
+        assert!(!shared || srq.available() == 0);
         for (i, mr) in bufs.iter().enumerate() {
             let wc = b.cq.poll().expect("five receive completions");
             assert!(wc.status.is_ok());
             assert_eq!(wc.wr_id, i as u64);
             assert_eq!(mr.bytes()[..8], [i as u8; 8], "message {i} out of order");
         }
-        // Nothing left parked: the next buffer joins the pool.
-        srq.post_recv(9, bufs[0].full());
-        assert_eq!(srq.available(), 1);
+        // Nothing left parked: the next buffer joins the pool, and the
+        // next message takes it.
+        post(9, &bufs[0]);
+        assert!(!shared || srq.available() == 1);
+        send(5);
+        cluster.sim().run();
+        assert_eq!(b.cq.poll().map(|wc| wc.wr_id), Some(9));
     }
 }
 
@@ -426,37 +450,18 @@ fn rc_qp_state_machine_is_enforced() {
     // Double connect: invalid.
     qa.connect_to(b.hca.node(), 99).unwrap();
     assert!(qa.connect_to(b.hca.node(), 100).is_err());
+    // Connected, it takes work; closed, it refuses it.
+    let inline = |wr_id| {
+        let data = b"x".to_vec();
+        SendWr::new(wr_id, SendOp::SendInline { data, imm: None })
+    };
+    qa.post_send(inline(2)).unwrap();
+    qa.close();
+    let err = qa.post_send(inline(3)).unwrap_err();
+    assert!(matches!(err, VerbsError::InvalidState(_)));
     // UD QPs cannot use connect_to.
     let qu = a.pd.create_qp(QpType::Ud, &a.cq, &a.cq, None);
     assert!(qu.connect_to(b.hca.node(), 1).is_err());
-}
-
-#[test]
-fn closed_qp_rejects_sends_and_peers_fail() {
-    let (cluster, a, b) = pair(false);
-    let (qa, qb) = connected_qps(&a, &b);
-    qb.close();
-    qa.post_send(SendWr::new(
-        5,
-        SendOp::SendInline {
-            data: b"into-the-void".to_vec(),
-            imm: None,
-        },
-    ))
-    .unwrap();
-    let acq = a.cq.clone();
-    let wc = cluster.sim().block_on(async move { acq.next().await });
-    assert_eq!(wc.status, WcStatus::RetryExceeded);
-    // The closed QP itself refuses new work.
-    assert!(qb
-        .post_send(SendWr::new(
-            6,
-            SendOp::SendInline {
-                data: b"x".to_vec(),
-                imm: None
-            }
-        ))
-        .is_err());
 }
 
 #[test]
@@ -1021,6 +1026,14 @@ fn rdma_read_against_killed_peer_retries_out() {
 #[test]
 fn send_to_killed_hca_reports_retry_exceeded() {
     check_cell(Op::Inline, Fault::HcaKilled, 0);
+}
+
+/// The peer half is the table's `QpClosed` column; the closed QP's own
+/// refusal is part of the RC state machine.
+#[test]
+fn closed_qp_rejects_sends_and_peers_fail() {
+    check_cell(Op::Inline, Fault::QpClosed, 0);
+    rc_qp_state_machine_is_enforced();
 }
 
 // ---------------------------------------------------------------------
