@@ -509,7 +509,7 @@ fn ascii_replies_are_the_bytes_of_their_typed_responses() {
 /// without claiming more than it was given, and without reserving more
 /// entries than the bytes it was given could hold.
 mod hostile_bytes {
-    use proptest::prelude::*;
+    use simnet::{check_cases, SimRng};
 
     use super::*;
     use crate::am_wire::{next_mget_entry, DirReq, DirResp};
@@ -546,32 +546,20 @@ mod hostile_bytes {
         all
     }
 
-    fn mangled() -> impl Strategy<Value = Vec<u8>> {
-        let edits = proptest::collection::vec((any::<usize>(), any::<u8>()), 0..4);
-        let junk = proptest::collection::vec(any::<u8>(), 0..8);
-        (any::<usize>(), edits, any::<usize>(), junk).prop_map(|(pick, edits, cut, junk)| {
-            let wires = valid_wires();
-            let mut wire = wires[pick % wires.len()].clone();
-            for (at, byte) in edits {
-                if let Some(last) = wire.len().checked_sub(1) {
-                    wire[at % (last + 1)] = byte;
-                }
-            }
-            if cut % 3 == 0 {
-                wire.truncate(cut / 3 % (wire.len() + 1));
-            }
-            wire.extend(junk);
-            wire
-        })
+    /// One of `valid_wires`, mangled.
+    fn mangled(r: &mut SimRng) -> Vec<u8> {
+        let wires = valid_wires();
+        let pick = r.next_u64() as usize;
+        r.mangle(wires[pick % wires.len()].clone())
     }
 
     /// Feeds `wire` to every decoder and its decoded objects on through
     /// the codecs, as a request and as the reply to every verb.
-    fn survive(wire: &[u8]) -> Result<(), String> {
+    fn survive(wire: &[u8]) {
         let keys = &KEYS[..];
         if let Some(hdr) = ReqHeader::decode(wire) {
             let held = hdr.keys.iter().map(Vec::len).sum::<usize>();
-            prop_assert!(hdr.keys.capacity() + held <= wire.len());
+            assert!(hdr.keys.capacity() + held <= wire.len());
             ucr::decode_request(&hdr, wire);
         }
         // A reply header is 32 bytes; what follows is its payload.
@@ -580,38 +568,37 @@ mod hostile_bytes {
             for op in McOp::ALL {
                 if let Ok(Reply::Values(hits)) = ucr::decode_reply(op, keys, hdr, payload.to_vec())
                 {
-                    prop_assert!(hits.capacity() <= payload.len());
+                    assert!(hits.capacity() <= payload.len());
                 }
             }
         }
         if let Some(req) = DirReq::decode(wire) {
-            prop_assert!(req.key.len() <= wire.len());
+            assert!(req.key.len() <= wire.len());
         }
         DirResp::decode(wire);
         let mut rest = wire;
         while let Some((key, _, _, value)) = next_mget_entry(&mut rest) {
-            prop_assert!(key.len() + value.len() + rest.len() < wire.len());
+            assert!(key.len() + value.len() + rest.len() < wire.len());
         }
         if let Ok(Some((cmd, used))) = parse_command(wire) {
-            prop_assert!(used <= wire.len());
+            assert!(used <= wire.len());
             ascii::decode_request(&cmd);
         }
         if let Ok(Some((_, used))) = parse_response(wire) {
-            prop_assert!(used <= wire.len());
+            assert!(used <= wire.len());
         }
         for op in McOp::ALL {
             if let Ok(Some((_, used))) = ascii::decode_reply(op, keys, wire) {
-                prop_assert!(used <= wire.len());
+                assert!(used <= wire.len());
             }
         }
         if let Ok(Some((frame, used))) = BinFrame::parse(wire) {
-            prop_assert!(used <= wire.len());
+            assert!(used <= wire.len());
             binary::decode_request(&frame);
             for op in McOp::ALL {
                 let _ = binary::decode_reply(op, keys, vec![frame.clone(), frame.clone()]);
             }
         }
-        Ok(())
     }
 
     /// A hit that echoes another key is not the answer to this `Get`: a
@@ -640,30 +627,39 @@ mod hostile_bytes {
         assert_eq!(binary::decode_reply(McOp::Get, other, frames), Err(refused));
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+    #[test]
+    fn decoders_survive_arbitrary_bytes() {
+        let draw = |r: &mut SimRng| r.vec_of(0..200, |r| r.next_u64() as u8);
+        check_cases("decoders_survive_arbitrary_bytes", 256, draw, |w| {
+            survive(w)
+        });
+    }
 
-        #[test]
-        fn decoders_survive_arbitrary_bytes(wire in proptest::collection::vec(any::<u8>(), 0..200)) {
-            survive(&wire)?;
-        }
+    #[test]
+    fn decoders_survive_mangled_messages() {
+        check_cases("decoders_survive_mangled_messages", 256, mangled, |w| {
+            survive(w)
+        });
+    }
 
-        #[test]
-        fn decoders_survive_mangled_messages(wire in mangled()) {
-            survive(&wire)?;
-        }
-
-        /// The count field holding whatever the peer likes: a request
-        /// header decodes with exactly that many keys or not at all.
-        #[test]
-        fn a_claimed_count_is_met_or_refused(claimed in any::<u16>(), pick in any::<usize>()) {
-            let wires = valid_wires();
-            let mut wire = wires[pick % wires.len()].clone();
-            if wire.len() >= 4 {
-                wire[2..4].copy_from_slice(&claimed.to_le_bytes());
-            }
-            survive(&wire)?;
-            prop_assert!(ReqHeader::decode(&wire).is_none_or(|h| h.keys.len() == claimed.into()));
-        }
+    /// The count field holding whatever the peer likes: a request
+    /// header decodes with exactly that many keys or not at all.
+    #[test]
+    fn a_claimed_count_is_met_or_refused() {
+        let draw = |r: &mut SimRng| (r.next_u64() as u16, r.next_u64() as usize);
+        check_cases(
+            "a_claimed_count_is_met_or_refused",
+            256,
+            draw,
+            |&(claimed, pick)| {
+                let wires = valid_wires();
+                let mut wire = wires[pick % wires.len()].clone();
+                if wire.len() >= 4 {
+                    wire[2..4].copy_from_slice(&claimed.to_le_bytes());
+                }
+                survive(&wire);
+                assert!(ReqHeader::decode(&wire).is_none_or(|h| h.keys.len() == claimed.into()));
+            },
+        );
     }
 }

@@ -194,229 +194,201 @@ fn incremental_response_parse() {
 
 mod properties {
     use super::*;
-    use proptest::prelude::*;
+    use simnet::{check_cases, SimRng};
 
-    fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
-        proptest::collection::vec(0x21u8..0x7f, 1..40)
+    fn printable(r: &mut SimRng) -> u8 {
+        r.gen_range_u64(0x21, 0x7f) as u8
     }
 
-    fn data_strategy() -> impl Strategy<Value = Vec<u8>> {
-        proptest::collection::vec(any::<u8>(), 0..200)
+    fn byte(r: &mut SimRng) -> u8 {
+        r.next_u64() as u8
     }
 
-    fn command_strategy() -> impl Strategy<Value = Command> {
-        let verb = prop_oneof![
-            Just(StoreVerb::Set),
-            Just(StoreVerb::Add),
-            Just(StoreVerb::Replace),
-            Just(StoreVerb::Append),
-            Just(StoreVerb::Prepend),
-        ];
-        prop_oneof![
-            (
-                verb,
-                key_strategy(),
-                any::<u32>(),
-                any::<u32>(),
-                data_strategy(),
-                any::<bool>()
-            )
-                .prop_map(|(verb, key, flags, exptime, data, noreply)| {
-                    Command::Store {
-                        verb,
-                        key,
-                        flags,
-                        exptime,
-                        data,
-                        noreply,
-                    }
-                }),
-            (
-                key_strategy(),
-                any::<u32>(),
-                any::<u32>(),
-                any::<u64>(),
-                data_strategy(),
-                any::<bool>()
-            )
-                .prop_map(|(key, flags, exptime, cas, data, noreply)| Command::Cas {
-                    key,
-                    flags,
-                    exptime,
-                    cas,
-                    data,
-                    noreply
-                }),
-            proptest::collection::vec(key_strategy(), 1..5).prop_map(|keys| Command::Get { keys }),
-            proptest::collection::vec(key_strategy(), 1..5).prop_map(|keys| Command::Gets { keys }),
-            (key_strategy(), any::<bool>())
-                .prop_map(|(key, noreply)| Command::Delete { key, noreply }),
-            (key_strategy(), any::<u64>(), any::<bool>()).prop_map(|(key, delta, noreply)| {
-                Command::Incr {
-                    key,
-                    delta,
-                    noreply,
-                }
-            }),
-            (key_strategy(), any::<u64>(), any::<bool>()).prop_map(|(key, delta, noreply)| {
-                Command::Decr {
-                    key,
-                    delta,
-                    noreply,
-                }
-            }),
-            (key_strategy(), any::<u32>(), any::<bool>()).prop_map(|(key, exptime, noreply)| {
-                Command::Touch {
-                    key,
-                    exptime,
-                    noreply,
-                }
-            }),
-            (any::<u32>(), any::<bool>())
-                .prop_map(|(delay, noreply)| Command::FlushAll { delay, noreply }),
-            proptest::option::of(proptest::collection::vec(0x21u8..0x7f, 1..10))
-                .prop_map(|arg| Command::Stats { arg }),
-            Just(Command::Version),
-            Just(Command::Quit),
-        ]
+    fn flag(r: &mut SimRng) -> bool {
+        r.next_u64() & 1 == 1
     }
 
-    fn response_strategy() -> impl Strategy<Value = Response> {
-        let value = (
-            key_strategy(),
-            any::<u32>(),
-            data_strategy(),
-            proptest::option::of(any::<u64>()),
-        )
-            .prop_map(|(key, flags, data, cas)| GetValue {
-                key,
-                flags,
-                data,
-                cas,
-            });
-        prop_oneof![
-            Just(Response::Stored),
-            Just(Response::NotStored),
-            Just(Response::Exists),
-            Just(Response::NotFound),
-            Just(Response::Deleted),
-            Just(Response::Touched),
-            Just(Response::Ok),
-            Just(Response::Error),
-            proptest::collection::vec(value, 0..4).prop_map(Response::Values),
-            any::<u64>().prop_map(Response::Number),
-        ]
+    fn key(r: &mut SimRng) -> Vec<u8> {
+        r.vec_of(1..40, printable)
+    }
+
+    fn data(r: &mut SimRng) -> Vec<u8> {
+        r.vec_of(0..200, byte)
+    }
+
+    fn command(r: &mut SimRng) -> Command {
+        match r.gen_range_u64(0, 12) {
+            0 => Command::Store {
+                verb: [
+                    StoreVerb::Set,
+                    StoreVerb::Add,
+                    StoreVerb::Replace,
+                    StoreVerb::Append,
+                    StoreVerb::Prepend,
+                ][r.gen_range_u64(0, 5) as usize],
+                key: key(r),
+                flags: r.next_u64() as u32,
+                exptime: r.next_u64() as u32,
+                data: data(r),
+                noreply: flag(r),
+            },
+            1 => Command::Cas {
+                key: key(r),
+                flags: r.next_u64() as u32,
+                exptime: r.next_u64() as u32,
+                cas: r.next_u64(),
+                data: data(r),
+                noreply: flag(r),
+            },
+            2 => Command::Get {
+                keys: r.vec_of(1..5, key),
+            },
+            3 => Command::Gets {
+                keys: r.vec_of(1..5, key),
+            },
+            4 => Command::Delete {
+                key: key(r),
+                noreply: flag(r),
+            },
+            5 => Command::Incr {
+                key: key(r),
+                delta: r.next_u64(),
+                noreply: flag(r),
+            },
+            6 => Command::Decr {
+                key: key(r),
+                delta: r.next_u64(),
+                noreply: flag(r),
+            },
+            7 => Command::Touch {
+                key: key(r),
+                exptime: r.next_u64() as u32,
+                noreply: flag(r),
+            },
+            8 => Command::FlushAll {
+                delay: r.next_u64() as u32,
+                noreply: flag(r),
+            },
+            9 => Command::Stats {
+                arg: flag(r).then(|| r.vec_of(1..10, printable)),
+            },
+            10 => Command::Version,
+            _ => Command::Quit,
+        }
+    }
+
+    fn response(r: &mut SimRng) -> Response {
+        match r.gen_range_u64(0, 10) {
+            0 => Response::Stored,
+            1 => Response::NotStored,
+            2 => Response::Exists,
+            3 => Response::NotFound,
+            4 => Response::Deleted,
+            5 => Response::Touched,
+            6 => Response::Ok,
+            7 => Response::Error,
+            8 => Response::Values(r.vec_of(0..4, |r| GetValue {
+                key: key(r),
+                flags: r.next_u64() as u32,
+                data: data(r),
+                cas: flag(r).then(|| r.next_u64()),
+            })),
+            _ => Response::Number(r.next_u64()),
+        }
     }
 
     /// Words with runs of spaces between them, and before and after.
-    fn spaced_line() -> impl Strategy<Value = Vec<u8>> {
-        let word = proptest::collection::vec(0x21u8..0x7f, 1..6);
-        let words = proptest::collection::vec((word, 0usize..4), 0..6);
-        (0usize..4, words).prop_map(|(lead, words)| {
-            let mut line = vec![b' '; lead];
-            for (word, spaces) in words {
-                line.extend(word);
-                line.extend(std::iter::repeat_n(b' ', spaces));
-            }
-            line
-        })
+    fn spaced_line(r: &mut SimRng) -> Vec<u8> {
+        let lead = r.gen_range_u64(0, 4) as usize;
+        let words = r.vec_of(0..6, |r| (r.vec_of(1..6, printable), r.gen_range_u64(0, 4)));
+        let mut line = vec![b' '; lead];
+        for (word, spaces) in words {
+            line.extend(word);
+            line.extend(std::iter::repeat_n(b' ', spaces as usize));
+        }
+        line
     }
 
-    proptest! {
-        /// The in-place tokenizer splits a line as splitting at every
-        /// space and dropping the empty pieces does.
-        #[test]
-        fn tokens_split_like_split_and_filter(line in spaced_line()) {
-            let want: Vec<&[u8]> = line.split(|&b| b == b' ').filter(|t| !t.is_empty()).collect();
-            prop_assert_eq!(tokens(&line).collect::<Vec<_>>(), want);
-        }
+    /// The in-place tokenizer splits a line as splitting at every
+    /// space and dropping the empty pieces does.
+    #[test]
+    fn tokens_split_like_split_and_filter() {
+        check_cases(
+            "tokens_split_like_split_and_filter",
+            64,
+            spaced_line,
+            |line| {
+                let want: Vec<&[u8]> = line
+                    .split(|&b| b == b' ')
+                    .filter(|t| !t.is_empty())
+                    .collect();
+                assert_eq!(tokens(line).collect::<Vec<_>>(), want);
+            },
+        );
+    }
 
-        /// Client-encoded commands parse back identically on the server.
-        #[test]
-        fn command_encode_parse_round_trip(cmd in command_strategy()) {
-            let wire = encode_command(&cmd);
+    /// Client-encoded commands parse back identically on the server.
+    #[test]
+    fn command_encode_parse_round_trip() {
+        check_cases("command_encode_parse_round_trip", 64, command, |cmd| {
+            let wire = encode_command(cmd);
             let (parsed, used) = parse_command(&wire).unwrap().expect("complete");
-            prop_assert_eq!(used, wire.len());
-            prop_assert_eq!(parsed, cmd);
-        }
+            assert_eq!(used, wire.len());
+            assert_eq!(&parsed, cmd);
+        });
+    }
 
-        /// Server-encoded responses parse back identically on the client.
-        #[test]
-        fn response_encode_parse_round_trip(resp in response_strategy()) {
-            let wire = encode_response(&resp);
+    /// Server-encoded responses parse back identically on the client.
+    #[test]
+    fn response_encode_parse_round_trip() {
+        check_cases("response_encode_parse_round_trip", 64, response, |resp| {
+            let wire = encode_response(resp);
             let (parsed, used) = parse_response(&wire).unwrap().expect("complete");
-            prop_assert_eq!(used, wire.len());
-            prop_assert_eq!(parsed, resp);
-        }
+            assert_eq!(used, wire.len());
+            assert_eq!(&parsed, resp);
+        });
+    }
 
-        /// Truncating a valid frame anywhere yields `None` or a hard error,
-        /// never a wrong successful parse.
-        #[test]
-        fn truncation_is_detected(cmd in command_strategy(), cut in 0usize..64) {
-            let wire = encode_command(&cmd);
-            if cut < wire.len() {
-                if let Ok(Some((parsed, used))) = parse_command(&wire[..wire.len()-1-cut.min(wire.len()-1)]) {
-                    // A shorter prefix may legally contain a complete
-                    // different... no: prefixes of a single command must
-                    // not parse as that command with full length.
-                    prop_assert!(used < wire.len());
-                    let _ = parsed;
+    /// Truncating a valid frame anywhere yields `None` or a hard error,
+    /// never a wrong successful parse.
+    #[test]
+    fn truncation_is_detected() {
+        let draw = |r: &mut SimRng| (command(r), r.gen_range_u64(0, 64) as usize);
+        check_cases("truncation_is_detected", 64, draw, |(cmd, cut)| {
+            let wire = encode_command(cmd);
+            if *cut < wire.len() {
+                if let Ok(Some((_, used))) = parse_command(&wire[..wire.len() - 1 - cut]) {
+                    // A prefix of a single command must not parse as that
+                    // command with full length.
+                    assert!(used < wire.len());
                 }
             }
-        }
+        });
     }
 
     // -----------------------------------------------------------------
     // Hostile bytes: what a peer can send instead of a message
     // -----------------------------------------------------------------
 
-    /// `wire` with a few bytes overwritten, sometimes cut short, sometimes
-    /// followed by junk: still shaped like a message, no longer a valid one.
-    fn mangled(wire: impl Strategy<Value = Vec<u8>>) -> impl Strategy<Value = Vec<u8>> {
-        let edits = proptest::collection::vec((any::<usize>(), any::<u8>()), 0..4);
-        let junk = proptest::collection::vec(any::<u8>(), 0..8);
-        (wire, edits, any::<usize>(), junk).prop_map(|(mut wire, edits, cut, junk)| {
-            for (at, byte) in edits {
-                if let Some(slot) = wire.len().checked_sub(1).map(|last| at % (last + 1)) {
-                    wire[slot] = byte;
-                }
-            }
-            if cut % 3 == 0 {
-                wire.truncate(cut / 3 % (wire.len() + 1));
-            }
-            wire.extend(junk);
-            wire
-        })
-    }
-
     /// A length field at its extremes, where offset arithmetic overflows.
-    fn hostile_length() -> impl Strategy<Value = u64> {
-        prop_oneof![
-            Just(u64::MAX),
-            Just(u64::MAX - 1),
-            Just(u64::MAX - 16),
-            Just(u64::from(u32::MAX)),
-            any::<u64>(),
-            0u64..64,
-        ]
+    fn hostile_length(r: &mut SimRng) -> u64 {
+        match r.gen_range_u64(0, 6) {
+            0 => u64::MAX,
+            1 => u64::MAX - 1,
+            2 => u64::MAX - 16,
+            3 => u64::from(u32::MAX),
+            4 => r.next_u64(),
+            _ => r.gen_range_u64(0, 64),
+        }
     }
 
-    fn bin_frame_strategy() -> impl Strategy<Value = Vec<u8>> {
-        let parts = (
-            0u8..0x20,
-            any::<u32>(),
-            any::<u64>(),
-            key_strategy(),
-            data_strategy(),
-            0usize..21,
-        );
-        parts.prop_map(|(opcode, opaque, cas, key, value, extras)| {
-            let opcode = BinOpcode::from_u8(opcode).unwrap_or(BinOpcode::Noop);
-            let mut f = BinFrame::request(opcode, opaque);
-            (f.cas, f.key, f.extras) = (cas, key, value[..extras.min(value.len())].to_vec());
-            f.value = value;
-            f.encode()
-        })
+    fn bin_frame(r: &mut SimRng) -> Vec<u8> {
+        let opcode = BinOpcode::from_u8(r.gen_range_u64(0, 0x20) as u8).unwrap_or(BinOpcode::Noop);
+        let mut f = BinFrame::request(opcode, r.next_u64() as u32);
+        (f.cas, f.key, f.value) = (r.next_u64(), key(r), data(r));
+        let extras = r.gen_range_u64(0, 21) as usize;
+        f.extras = f.value[..extras.min(f.value.len())].to_vec();
+        f.encode()
     }
 
     /// What a parser may do with hostile bytes: ask for more, refuse, or
@@ -427,12 +399,11 @@ mod properties {
         wire: &[u8],
         parsed: Result<Option<(T, usize)>, ProtoError>,
         owned: impl Fn(&T) -> usize,
-    ) -> Result<(), String> {
+    ) {
         if let Ok(Some((msg, used))) = parsed {
-            prop_assert!(used <= wire.len(), "consumed {used} of {}", wire.len());
-            prop_assert!(owned(&msg) <= used, "owns {} of {used}", owned(&msg));
+            assert!(used <= wire.len(), "consumed {used} of {}", wire.len());
+            assert!(owned(&msg) <= used, "owns {} of {used}", owned(&msg));
         }
-        Ok(())
     }
 
     fn command_owns(cmd: &Command) -> usize {
@@ -463,69 +434,93 @@ mod properties {
         }
     }
 
-    fn check_all(wire: &[u8]) -> Result<(), String> {
-        check(wire, parse_command(wire), command_owns)?;
-        check(wire, parse_response(wire), response_owns)?;
+    fn check_all(wire: &[u8]) {
+        check(wire, parse_command(wire), command_owns);
+        check(wire, parse_response(wire), response_owns);
         check(wire, BinFrame::parse(wire), |f| {
             f.extras.len() + f.key.len() + f.value.len()
-        })?;
+        });
         if let Ok((frame, payload)) = UdpFrame::decode(wire) {
-            prop_assert!(payload.len() + UDP_FRAME_BYTES == wire.len());
-            prop_assert!(frame.seq < frame.total);
+            assert!(payload.len() + UDP_FRAME_BYTES == wire.len());
+            assert!(frame.seq < frame.total);
         }
-        Ok(())
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
+    /// Every parser survives arbitrary bytes.
+    #[test]
+    fn parsers_survive_arbitrary_bytes() {
+        let draw = |r: &mut SimRng| r.vec_of(0..300, byte);
+        check_cases("parsers_survive_arbitrary_bytes", 256, draw, |w| {
+            check_all(w)
+        });
+    }
 
-        /// Every parser survives arbitrary bytes.
-        #[test]
-        fn parsers_survive_arbitrary_bytes(wire in proptest::collection::vec(any::<u8>(), 0..300)) {
-            check_all(&wire)?;
-        }
+    /// Every parser survives every valid message, mangled.
+    #[test]
+    fn parsers_survive_mangled_messages() {
+        let draw = |r: &mut SimRng| {
+            let cmd = encode_command(&command(r));
+            let cmd = r.mangle(cmd);
+            let resp = encode_response(&response(r));
+            let resp = r.mangle(resp);
+            let bin = bin_frame(r);
+            let bin = r.mangle(bin);
+            let udp = udp_fragment(r.next_u64() as u16, &data(r)).remove(0);
+            (cmd, resp, bin, r.mangle(udp))
+        };
+        check_cases(
+            "parsers_survive_mangled_messages",
+            256,
+            draw,
+            |(cmd, resp, bin, udp)| {
+                for wire in [cmd, resp, bin, udp] {
+                    check_all(wire);
+                }
+            },
+        );
+    }
 
-        /// Every parser survives every valid message, mangled.
-        #[test]
-        fn parsers_survive_mangled_messages(
-            cmd in mangled(command_strategy().prop_map(|c| encode_command(&c))),
-            resp in mangled(response_strategy().prop_map(|r| encode_response(&r))),
-            bin in mangled(bin_frame_strategy()),
-            udp in mangled((any::<u16>(), data_strategy()).prop_map(|(id, d)| udp_fragment(id, &d).remove(0))),
-        ) {
-            for wire in [cmd, resp, bin, udp] {
-                check_all(&wire)?;
-            }
-        }
+    /// A data-block length the peer made up: the text parsers add it
+    /// to an offset before they have the bytes.
+    #[test]
+    fn text_parsers_survive_hostile_lengths() {
+        let draw = |r: &mut SimRng| (hostile_length(r), r.next_u64());
+        check_cases(
+            "text_parsers_survive_hostile_lengths",
+            256,
+            draw,
+            |(n, cas)| {
+                for line in [
+                    format!("set k 0 0 {n}\r\nvalue\r\n"),
+                    format!("cas k 0 0 {n} {cas}\r\nvalue\r\n"),
+                    format!("VALUE k 0 {n}\r\nvalue\r\nEND\r\n"),
+                    format!("VALUE k 0 {n} {cas}\r\nvalue\r\nEND\r\n"),
+                ] {
+                    check_all(line.as_bytes());
+                }
+            },
+        );
+    }
 
-        /// A data-block length the peer made up: the text parsers add it
-        /// to an offset before they have the bytes.
-        #[test]
-        fn text_parsers_survive_hostile_lengths(n in hostile_length(), cas in any::<u64>()) {
-            for line in [
-                format!("set k 0 0 {n}\r\nvalue\r\n"),
-                format!("cas k 0 0 {n} {cas}\r\nvalue\r\n"),
-                format!("VALUE k 0 {n}\r\nvalue\r\nEND\r\n"),
-                format!("VALUE k 0 {n} {cas}\r\nvalue\r\nEND\r\n"),
-            ] {
-                check_all(line.as_bytes())?;
-            }
-        }
-
-        /// A binary header whose three length fields the peer made up.
-        #[test]
-        fn binary_parser_survives_hostile_lengths(
-            key_len in any::<u16>(),
-            extras_len in any::<u8>(),
-            body in hostile_length(),
-            tail in data_strategy(),
-        ) {
-            let mut wire = BinFrame::request(BinOpcode::Set, 7).encode();
-            wire[2..4].copy_from_slice(&key_len.to_be_bytes());
-            wire[4] = extras_len;
-            wire[8..12].copy_from_slice(&(body as u32).to_be_bytes());
-            wire.extend(tail);
-            check_all(&wire)?;
-        }
+    /// A binary header whose three length fields the peer made up.
+    #[test]
+    fn binary_parser_survives_hostile_lengths() {
+        let draw = |r: &mut SimRng| {
+            let (key_len, extras_len) = (r.next_u64() as u16, r.next_u64() as u8);
+            (key_len, extras_len, hostile_length(r), data(r))
+        };
+        check_cases(
+            "binary_parser_survives_hostile_lengths",
+            256,
+            draw,
+            |(key_len, extras_len, body, tail)| {
+                let mut wire = BinFrame::request(BinOpcode::Set, 7).encode();
+                wire[2..4].copy_from_slice(&key_len.to_be_bytes());
+                wire[4] = *extras_len;
+                wire[8..12].copy_from_slice(&(*body as u32).to_be_bytes());
+                wire.extend(tail);
+                check_all(&wire);
+            },
+        );
     }
 }

@@ -59,7 +59,7 @@ pub use profiler::{
 };
 pub use profiles::{ClusterProfile, NetKind, Stack};
 pub use resource::FifoResource;
-pub use rng::SimRng;
+pub use rng::{check_cases, SimRng};
 pub use slab::{Slab, SlabKey};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Event, EventRecorder, EventSink, Layer, Phase, Tracer, Track};

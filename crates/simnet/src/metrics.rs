@@ -778,17 +778,22 @@ mod tests {
         assert_matches_sample_list(&[0, 0, u32::MAX as u64]);
     }
 
-    proptest::proptest! {
-        /// Few distinct values with many repeats (the shape virtual-time
-        /// costs have) and all-distinct spreads alike.
-        #[test]
-        fn random_multisets_match_the_sample_list(
-            picks in proptest::collection::vec(0u64..1_000_000, 0..120),
-            distinct in 1u64..1_000_000,
-        ) {
-            let samples: Vec<u64> = picks.iter().map(|p| p % distinct * 37).collect();
-            assert_matches_sample_list(&samples);
-        }
+    /// Few distinct values with many repeats (the shape virtual-time
+    /// costs have) and all-distinct spreads alike.
+    #[test]
+    fn random_multisets_match_the_sample_list() {
+        crate::check_cases(
+            "random_multisets_match_the_sample_list",
+            64,
+            |r| {
+                let picks = r.vec_of(0..120, |r| r.gen_range_u64(0, 1_000_000));
+                (picks, r.gen_range_u64(1, 1_000_000))
+            },
+            |(picks, distinct)| {
+                let samples: Vec<u64> = picks.iter().map(|p| p % distinct * 37).collect();
+                assert_matches_sample_list(&samples);
+            },
+        );
     }
 
     #[test]

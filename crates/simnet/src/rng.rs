@@ -6,6 +6,14 @@
 //! seed passed to [`crate::Sim::new`], which is what makes runs replayable.
 //! The stream is pinned bit for bit by `golden_stream_for_seed_42`: every
 //! committed `results/*` file is a function of it.
+//!
+//! The property tests draw their cases from the same generator:
+//! [`check_cases`] runs a test's cases from one stream seeded by the test's
+//! name and names the case that fails.
+
+use std::fmt::Debug;
+use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::time::SimDuration;
 
@@ -120,6 +128,65 @@ impl SimRng {
             ((n_f.powf(one_minus_s) - 1.0) * u + 1.0).powf(1.0 / one_minus_s)
         };
         (x as usize - 1).min(n - 1)
+    }
+
+    /// A vec whose length is uniform in `len`, its elements drawn by `elem`
+    /// one after another.
+    pub fn vec_of<T>(
+        &mut self,
+        len: Range<usize>,
+        mut elem: impl FnMut(&mut SimRng) -> T,
+    ) -> Vec<T> {
+        let n = self.gen_range_u64(len.start as u64, len.end as u64);
+        (0..n).map(|_| elem(self)).collect()
+    }
+
+    /// `bytes` as a hostile peer might send them: up to three bytes
+    /// overwritten, one time in three cut short, then up to seven bytes of
+    /// junk. Still shaped like a message, most likely no longer a valid one.
+    /// Draws the edits, then the cut, then the junk.
+    pub fn mangle(&mut self, mut bytes: Vec<u8>) -> Vec<u8> {
+        let edits = self.vec_of(0..4, |r| (r.next_u64() as usize, r.next_u64() as u8));
+        let cut = self.next_u64() as usize;
+        let junk = self.vec_of(0..8, |r| r.next_u64() as u8);
+        for (at, byte) in edits {
+            if !bytes.is_empty() {
+                let at = at % bytes.len();
+                bytes[at] = byte;
+            }
+        }
+        if cut.is_multiple_of(3) {
+            bytes.truncate(cut / 3 % (bytes.len() + 1));
+        }
+        bytes.extend(junk);
+        bytes
+    }
+}
+
+/// Runs the property test `name`: `cases` cases, each drawn by `draw` from
+/// one stream seeded with the FNV-1a-64 hash of `name` and handed to
+/// `check`. Every run of the test sees the same cases. A case whose check
+/// panics fails the test with the test's name, the case's index (`k/n`) and
+/// its inputs.
+#[track_caller]
+pub fn check_cases<T: Debug>(
+    name: &str,
+    cases: u32,
+    mut draw: impl FnMut(&mut SimRng) -> T,
+    mut check: impl FnMut(&T),
+) {
+    let seed = name.bytes().fold(0xcbf2_9ce4_8422_2325, |h: u64, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    let mut rng = SimRng::new(seed);
+    for k in 1..=cases {
+        let inputs = draw(&mut rng);
+        if let Err(panic) = catch_unwind(AssertUnwindSafe(|| check(&inputs))) {
+            let msg = (panic.downcast_ref::<String>().map(String::as_str))
+                .or_else(|| panic.downcast_ref::<&str>().copied())
+                .unwrap_or("a panic");
+            panic!("{name}: case {k}/{cases} failed: {msg}\n  inputs: {inputs:?}");
+        }
     }
 }
 

@@ -461,12 +461,11 @@ mod tests {
     /// panic; what the profiler and the exporter render reads back as it
     /// was written.
     mod hostile_bytes {
-        use proptest::prelude::*;
-
         use super::*;
         use crate::metrics::Metrics;
         use crate::profiler::Profiler;
         use crate::trace::EventSink;
+        use crate::{check_cases, SimRng};
 
         /// Event names: real ones, and ones the JSON writer must escape
         /// (names are literals in the code: none holds a line break).
@@ -481,67 +480,44 @@ mod tests {
         const LAYERS: [Layer; 4] = [Layer::Wire, Layer::Verbs, Layer::Ucr, Layer::Core];
 
         /// A stream of spans and instants on a few lanes, in time order.
-        fn events() -> impl Strategy<Value = Vec<Event>> {
-            let one = (
-                0..NAMES.len(),
-                0u8..3,
-                0u8..5,
-                0u8..4,
-                any::<u64>(),
-                0u64..1 << 52,
-            );
-            proptest::collection::vec((one, 0u64..5_000), 0..40).prop_map(|evs| {
-                let mut at = 0;
-                evs.into_iter()
-                    .map(|((name, phase, node, track, op, bytes), dt)| {
-                        at += dt;
-                        Event {
-                            layer: LAYERS[op as usize % LAYERS.len()],
-                            name: NAMES[name],
-                            phase: [Phase::Begin, Phase::End, Phase::Instant][phase as usize],
-                            node: (node < 4).then_some(NodeId(node.into())),
-                            track: [
-                                Track::Main,
-                                Track::Worker(1),
-                                Track::Endpoint(7),
-                                Track::Qp(3),
-                            ][track as usize],
-                            // Few ops, so spans meet their ends.
-                            op: op % 3,
-                            bytes,
-                            at: SimTime::from_nanos(at),
-                        }
-                    })
-                    .collect()
+        fn events(r: &mut SimRng) -> Vec<Event> {
+            let mut at = 0;
+            r.vec_of(0..40, |r| {
+                let name = r.gen_range_u64(0, NAMES.len() as u64) as usize;
+                let phase = r.gen_range_u64(0, 3) as usize;
+                let node = r.gen_range_u64(0, 5) as u32;
+                let track = r.gen_range_u64(0, 4) as usize;
+                let op = r.next_u64();
+                let bytes = r.gen_range_u64(0, 1 << 52);
+                at += r.gen_range_u64(0, 5_000);
+                Event {
+                    layer: LAYERS[op as usize % LAYERS.len()],
+                    name: NAMES[name],
+                    phase: [Phase::Begin, Phase::End, Phase::Instant][phase],
+                    node: (node < 4).then_some(NodeId(node)),
+                    track: [
+                        Track::Main,
+                        Track::Worker(1),
+                        Track::Endpoint(7),
+                        Track::Qp(3),
+                    ][track],
+                    // Few ops, so spans meet their ends.
+                    op: op % 3,
+                    bytes,
+                    at: SimTime::from_nanos(at),
+                }
             })
         }
 
-        /// An export or a folded profile of `events`, with bytes
-        /// overwritten, cut short or followed by junk.
-        fn mangled() -> impl Strategy<Value = Vec<u8>> {
-            let edits = proptest::collection::vec((any::<usize>(), any::<u8>()), 0..4);
-            let junk = proptest::collection::vec(any::<u8>(), 0..8);
-            (events(), any::<bool>(), edits, any::<usize>(), junk).prop_map(
-                |(events, json, edits, cut, junk)| {
-                    let mut text = if json {
-                        chrome_trace_json(&events)
-                    } else {
-                        folded_text(&folded(&events))
-                    }
-                    .into_bytes();
-                    for (at, byte) in edits {
-                        if !text.is_empty() {
-                            let at = at % text.len();
-                            text[at] = byte;
-                        }
-                    }
-                    if cut % 3 == 0 {
-                        text.truncate(cut / 3 % (text.len() + 1));
-                    }
-                    text.extend(junk);
-                    text
-                },
-            )
+        /// An export or a folded profile of `events`, mangled.
+        fn mangled(r: &mut SimRng) -> Vec<u8> {
+            let events = events(r);
+            let text = if r.next_u64() & 1 == 1 {
+                chrome_trace_json(&events)
+            } else {
+                folded_text(&folded(&events))
+            };
+            r.mangle(text.into_bytes())
         }
 
         /// What a profiler fed `events` folds them into.
@@ -570,29 +546,48 @@ mod tests {
             assert!(parse_json(&shallow).is_ok());
         }
 
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(256))]
+        fn arbitrary_bytes(r: &mut SimRng) -> Vec<u8> {
+            r.vec_of(0..300, |r| r.next_u64() as u8)
+        }
 
-            #[test]
-            fn readers_survive_arbitrary_bytes(bytes in proptest::collection::vec(any::<u8>(), 0..300)) {
-                survive(&bytes);
-            }
+        #[test]
+        fn readers_survive_arbitrary_bytes() {
+            check_cases(
+                "readers_survive_arbitrary_bytes",
+                256,
+                arbitrary_bytes,
+                |b| survive(b),
+            );
+        }
 
-            #[test]
-            fn readers_survive_mangled_exports(bytes in mangled()) {
-                survive(&bytes);
-            }
+        #[test]
+        fn readers_survive_mangled_exports() {
+            check_cases("readers_survive_mangled_exports", 256, mangled, |b| {
+                survive(b)
+            });
+        }
 
-            #[test]
-            fn a_folded_profile_reads_back_as_written(events in events()) {
-                let lines = folded(&events);
-                prop_assert_eq!(parse_folded(&folded_text(&lines)), Ok(lines));
-            }
+        #[test]
+        fn a_folded_profile_reads_back_as_written() {
+            check_cases(
+                "a_folded_profile_reads_back_as_written",
+                256,
+                events,
+                |events| {
+                    let lines = folded(events);
+                    assert_eq!(parse_folded(&folded_text(&lines)), Ok(lines));
+                },
+            );
+        }
 
-            #[test]
-            fn an_export_reads_back_as_written(events in events()) {
-                let doc = parse_json(&chrome_trace_json(&events))?;
-                let items = doc.get("traceEvents").and_then(Json::as_arr).ok_or("no events")?;
+        #[test]
+        fn an_export_reads_back_as_written() {
+            check_cases("an_export_reads_back_as_written", 256, events, |events| {
+                let doc = parse_json(&chrome_trace_json(events)).expect("an export parses");
+                let items = doc
+                    .get("traceEvents")
+                    .and_then(Json::as_arr)
+                    .expect("events");
                 fn str_of<'a>(item: &'a Json, key: &str) -> Option<&'a str> {
                     item.get(key).and_then(Json::as_str)
                 }
@@ -600,29 +595,32 @@ mod tests {
                     .iter()
                     .filter(|item| str_of(item, "ph") != Some("M"))
                     .collect();
-                prop_assert_eq!(recorded.len(), events.len());
-                for (item, ev) in recorded.iter().zip(&events) {
+                assert_eq!(recorded.len(), events.len());
+                for (item, ev) in recorded.iter().zip(events) {
                     let ph = match ev.phase {
                         Phase::Begin => "b",
                         Phase::End => "e",
                         Phase::Instant => "i",
                     };
                     let id = format!("0x{:x}", ev.op);
-                    prop_assert_eq!(str_of(item, "ph"), Some(ph));
-                    prop_assert_eq!(str_of(item, "name"), Some(ev.name));
-                    prop_assert_eq!(str_of(item, "cat"), Some(ev.layer.label()));
-                    prop_assert_eq!(str_of(item, "id"), Some(id.as_str()));
+                    assert_eq!(str_of(item, "ph"), Some(ph));
+                    assert_eq!(str_of(item, "name"), Some(ev.name));
+                    assert_eq!(str_of(item, "cat"), Some(ev.layer.label()));
+                    assert_eq!(str_of(item, "id"), Some(id.as_str()));
                     let num = |key: &str| item.get(key).and_then(Json::as_f64);
                     let pid = ev.node.map_or(0, |n| n.0 as u64 + 1);
-                    prop_assert_eq!(num("pid"), Some(pid as f64));
-                    prop_assert_eq!(num("tid"), Some(track_tid(ev.track) as f64));
+                    assert_eq!(num("pid"), Some(pid as f64));
+                    assert_eq!(num("tid"), Some(track_tid(ev.track) as f64));
                     let ns = ev.at.as_nanos();
                     let ts: f64 = format!("{}.{:03}", ns / 1000, ns % 1000).parse().unwrap();
-                    prop_assert_eq!(num("ts"), Some(ts));
-                    let args = item.get("args").ok_or("no args")?;
-                    prop_assert_eq!(args.get("bytes").and_then(Json::as_f64), Some(ev.bytes as f64));
+                    assert_eq!(num("ts"), Some(ts));
+                    let args = item.get("args").expect("args");
+                    assert_eq!(
+                        args.get("bytes").and_then(Json::as_f64),
+                        Some(ev.bytes as f64)
+                    );
                 }
-            }
+            });
         }
     }
 }

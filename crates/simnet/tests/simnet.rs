@@ -5,8 +5,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use proptest::prelude::*;
-use simnet::{Cluster, NodeId, Sim, SimDuration, SimTime};
+use simnet::{check_cases, Cluster, NodeId, Sim, SimDuration, SimRng, SimTime};
 
 /// Runs a random task graph and returns its full event trace.
 fn run_task_graph(seed: u64, delays: &[u64]) -> Vec<(u64, usize)> {
@@ -29,55 +28,62 @@ fn run_task_graph(seed: u64, delays: &[u64]) -> Vec<(u64, usize)> {
     result
 }
 
-proptest! {
-    /// The executor is deterministic: identical seeds and task graphs
-    /// produce identical traces, event for event.
-    #[test]
-    fn executor_is_deterministic(seed in 0u64..1000, delays in proptest::collection::vec(0u64..10_000, 1..12)) {
-        let a = run_task_graph(seed, &delays);
-        let b = run_task_graph(seed, &delays);
-        prop_assert_eq!(a, b);
-    }
+/// The executor is deterministic: identical seeds and task graphs
+/// produce identical traces, event for event.
+#[test]
+fn executor_is_deterministic() {
+    let draw = |r: &mut SimRng| {
+        let seed = r.gen_range_u64(0, 1000);
+        (seed, r.vec_of(1..12, |r| r.gen_range_u64(0, 10_000)))
+    };
+    check_cases("executor_is_deterministic", 64, draw, |(seed, delays)| {
+        assert_eq!(run_task_graph(*seed, delays), run_task_graph(*seed, delays));
+    });
+}
 
-    /// Transfer time over a link is monotone in the byte count and never
-    /// less than propagation.
-    #[test]
-    fn transfer_time_is_monotone(bytes in proptest::collection::vec(1u64..1_000_000, 2..8)) {
-        let cluster = Cluster::cluster_a(1, 2);
-        let ib = cluster.ib().clone();
-        let prop_delay = cluster.profile().ib.propagation;
+/// Transfer time over a link is monotone in the byte count and never
+/// less than propagation.
+#[test]
+fn transfer_time_is_monotone() {
+    let draw = |r: &mut SimRng| r.vec_of(2..8, |r| r.gen_range_u64(1, 1_000_000));
+    check_cases("transfer_time_is_monotone", 64, draw, |bytes| {
+        let prop_delay = Cluster::cluster_a(1, 2).profile().ib.propagation;
         let mut sorted = bytes.clone();
         sorted.sort_unstable();
-        let mut last = SimDuration::ZERO;
+        let (t0, mut last) = (SimTime::ZERO, SimDuration::ZERO);
         for (i, &b) in sorted.iter().enumerate() {
             // Fresh cluster per transfer so queueing never interferes.
             let c = Cluster::cluster_a(1, 2);
-            let net = c.ib().clone();
-            let t = net.transmit(c.sim(), NodeId(0), NodeId(1), b, SimTime::ZERO, || {});
-            let d = t - SimTime::ZERO;
-            prop_assert!(d >= prop_delay);
+            let d = c.ib().transmit(c.sim(), NodeId(0), NodeId(1), b, t0, || {}) - t0;
+            assert!(d >= prop_delay);
             if i > 0 && sorted[i] > sorted[i - 1] {
-                prop_assert!(d >= last, "{b} bytes faster than smaller transfer");
+                assert!(d >= last, "{b} bytes faster than smaller transfer");
             }
             last = d;
         }
-        let _ = ib;
-    }
+    });
+}
 
-    /// Back-to-back transfers through one egress port serialize: total
-    /// elapsed time is at least the sum of serialization times.
-    #[test]
-    fn egress_serialization_conserves_time(n in 1usize..20, bytes in 1_000u64..100_000) {
-        let cluster = Cluster::cluster_a(1, 3);
-        let net = cluster.ib().clone();
-        let ser = net.ser_time(bytes);
-        let mut last = SimTime::ZERO;
-        for _ in 0..n {
-            last = net.transmit(cluster.sim(), NodeId(0), NodeId(1), bytes, SimTime::ZERO, || {});
-        }
-        let total = last - SimTime::ZERO;
-        prop_assert!(total >= ser * n as u64, "{n} transfers finished too fast");
-    }
+/// Back-to-back transfers through one egress port serialize: total
+/// elapsed time is at least the sum of serialization times.
+#[test]
+fn egress_serialization_conserves_time() {
+    let draw = |r: &mut SimRng| (r.gen_range_u64(1, 20), r.gen_range_u64(1_000, 100_000));
+    check_cases(
+        "egress_serialization_conserves_time",
+        64,
+        draw,
+        |&(n, bytes)| {
+            let cluster = Cluster::cluster_a(1, 3);
+            let (net, t0) = (cluster.ib(), SimTime::ZERO);
+            let mut last = t0;
+            for _ in 0..n {
+                last = net.transmit(cluster.sim(), NodeId(0), NodeId(1), bytes, t0, || {});
+            }
+            let ser = net.ser_time(bytes);
+            assert!(last - t0 >= ser * n, "{n} transfers finished too fast");
+        },
+    );
 }
 
 #[test]

@@ -369,7 +369,7 @@ fn item_header_constant_matches_class_selection() {
 
 mod properties {
     use super::*;
-    use proptest::prelude::*;
+    use simnet::{check_cases, SimRng};
     use std::collections::HashMap;
 
     #[derive(Clone, Debug)]
@@ -383,81 +383,83 @@ mod properties {
         Incr(u8, u16),
     }
 
-    fn op_strategy() -> impl Strategy<Value = Op> {
-        let key = 0u8..24;
-        let val = proptest::collection::vec(any::<u8>(), 0..64);
-        prop_oneof![
-            (key.clone(), val.clone()).prop_map(|(k, v)| Op::Set(k, v)),
-            (key.clone(), val.clone()).prop_map(|(k, v)| Op::Add(k, v)),
-            (key.clone(), val.clone()).prop_map(|(k, v)| Op::Replace(k, v)),
-            key.clone().prop_map(Op::Get),
-            key.clone().prop_map(Op::Delete),
-            (key.clone(), val).prop_map(|(k, v)| Op::Append(k, v)),
-            (key, any::<u16>()).prop_map(|(k, d)| Op::Incr(k, d)),
-        ]
+    fn op(r: &mut SimRng) -> Op {
+        let key = |r: &mut SimRng| r.gen_range_u64(0, 24) as u8;
+        let val = |r: &mut SimRng| r.vec_of(0..64, |r| r.next_u64() as u8);
+        match r.gen_range_u64(0, 7) {
+            0 => Op::Set(key(r), val(r)),
+            1 => Op::Add(key(r), val(r)),
+            2 => Op::Replace(key(r), val(r)),
+            3 => Op::Get(key(r)),
+            4 => Op::Delete(key(r)),
+            5 => Op::Append(key(r), val(r)),
+            _ => Op::Incr(key(r), r.next_u64() as u16),
+        }
     }
 
-    proptest! {
-        /// With ample memory (no eviction), the store must behave exactly
-        /// like a HashMap under any operation sequence.
-        #[test]
-        fn store_matches_model(ops in proptest::collection::vec(op_strategy(), 1..300)) {
+    /// With ample memory (no eviction), the store must behave exactly
+    /// like a HashMap under any operation sequence.
+    #[test]
+    fn store_matches_model() {
+        let draw = |r: &mut SimRng| r.vec_of(1..300, op);
+        check_cases("store_matches_model", 64, draw, |ops| {
             let mut s = Store::with_defaults();
             let mut model: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
             let now = 1000u32;
-            for op in ops {
+            for op in ops.iter().cloned() {
                 match op {
                     Op::Set(k, v) => {
                         let key = vec![b'k', k];
-                        prop_assert_eq!(s.set(&key, &v, 0, 0, now), SetOutcome::Stored);
+                        assert_eq!(s.set(&key, &v, 0, 0, now), SetOutcome::Stored);
                         model.insert(key, v);
                     }
                     Op::Add(k, v) => {
                         let key = vec![b'k', k];
                         let outcome = s.add(&key, &v, 0, 0, now);
                         if let std::collections::hash_map::Entry::Vacant(e) = model.entry(key) {
-                            prop_assert_eq!(outcome, SetOutcome::Stored);
+                            assert_eq!(outcome, SetOutcome::Stored);
                             e.insert(v);
                         } else {
-                            prop_assert_eq!(outcome, SetOutcome::NotStored);
+                            assert_eq!(outcome, SetOutcome::NotStored);
                         }
                     }
                     Op::Replace(k, v) => {
                         let key = vec![b'k', k];
                         let outcome = s.replace(&key, &v, 0, 0, now);
-                        if let std::collections::hash_map::Entry::Occupied(mut e) = model.entry(key) {
-                            prop_assert_eq!(outcome, SetOutcome::Stored);
+                        if let std::collections::hash_map::Entry::Occupied(mut e) = model.entry(key)
+                        {
+                            assert_eq!(outcome, SetOutcome::Stored);
                             e.insert(v);
                         } else {
-                            prop_assert_eq!(outcome, SetOutcome::NotStored);
+                            assert_eq!(outcome, SetOutcome::NotStored);
                         }
                     }
                     Op::Get(k) => {
                         let key = vec![b'k', k];
                         let got = s.get(&key, now).map(|v| v.data);
-                        prop_assert_eq!(got, model.get(&key).cloned());
+                        assert_eq!(got, model.get(&key).cloned());
                     }
                     Op::Delete(k) => {
                         let key = vec![b'k', k];
                         let deleted = s.delete(&key, now);
-                        prop_assert_eq!(deleted, model.remove(&key).is_some());
+                        assert_eq!(deleted, model.remove(&key).is_some());
                     }
                     Op::Append(k, v) => {
                         let key = vec![b'k', k];
                         let outcome = s.append(&key, &v, now);
                         match model.get_mut(&key) {
                             Some(existing) => {
-                                prop_assert_eq!(outcome, SetOutcome::Stored);
+                                assert_eq!(outcome, SetOutcome::Stored);
                                 existing.extend_from_slice(&v);
                             }
-                            None => prop_assert_eq!(outcome, SetOutcome::NotStored),
+                            None => assert_eq!(outcome, SetOutcome::NotStored),
                         }
                     }
                     Op::Incr(k, d) => {
                         let key = vec![b'k', k];
                         let result = s.incr(&key, d as u64, now);
                         match model.get_mut(&key) {
-                            None => prop_assert_eq!(result, Err(NumericError::NotFound)),
+                            None => assert_eq!(result, Err(NumericError::NotFound)),
                             Some(existing) => {
                                 let parsed: Result<u64, _> = std::str::from_utf8(existing)
                                     .map_err(|_| ())
@@ -465,11 +467,11 @@ mod properties {
                                 match parsed {
                                     Ok(cur) => {
                                         let newv = cur.wrapping_add(d as u64);
-                                        prop_assert_eq!(result, Ok(newv));
+                                        assert_eq!(result, Ok(newv));
                                         *existing = newv.to_string().into_bytes();
                                     }
                                     Err(()) => {
-                                        prop_assert_eq!(result, Err(NumericError::NotNumeric));
+                                        assert_eq!(result, Err(NumericError::NotNumeric));
                                     }
                                 }
                             }
@@ -477,15 +479,16 @@ mod properties {
                     }
                 }
             }
-            prop_assert_eq!(s.curr_items(), model.len() as u64);
-        }
+            assert_eq!(s.curr_items(), model.len() as u64);
+        });
+    }
 
-        /// Under memory pressure the store may evict, but it must never
-        /// return a value that was not the most recent write for its key.
-        #[test]
-        fn eviction_never_resurrects_stale_data(
-            keys in proptest::collection::vec(0u8..40, 100..400),
-        ) {
+    /// Under memory pressure the store may evict, but it must never
+    /// return a value that was not the most recent write for its key.
+    #[test]
+    fn eviction_never_resurrects_stale_data() {
+        let keys = |r: &mut SimRng| r.vec_of(100..400, |r| r.gen_range_u64(0, 40) as u8);
+        check_cases("eviction_never_resurrects_stale_data", 64, keys, |keys| {
             let mut s = tiny();
             let mut latest: HashMap<u8, u32> = HashMap::new();
             for (gen, k) in keys.iter().enumerate() {
@@ -498,32 +501,36 @@ mod properties {
                 if let Some(v) = s.get(&key, 1) {
                     let text = String::from_utf8(v.data).unwrap();
                     let want_prefix = format!("{k}-{}-", latest[k]);
-                    prop_assert!(
+                    assert!(
                         text.starts_with(&want_prefix),
                         "stale value resurfaced: got {text}, want prefix {want_prefix}"
                     );
                 }
             }
-        }
+        });
+    }
 
-        /// Slab accounting: after arbitrary set/delete churn, freeing
-        /// everything leaves zero used chunks in every class.
-        #[test]
-        fn slab_accounting_balances(ops in proptest::collection::vec((0u8..30, 1usize..2000), 1..200)) {
+    /// Slab accounting: after arbitrary set/delete churn, freeing
+    /// everything leaves zero used chunks in every class.
+    #[test]
+    fn slab_accounting_balances() {
+        let size = |r: &mut SimRng| r.gen_range_u64(1, 2000) as usize;
+        let ops = |r: &mut SimRng| r.vec_of(1..200, |r| (r.gen_range_u64(0, 30) as u8, size(r)));
+        check_cases("slab_accounting_balances", 64, ops, |ops| {
             let mut s = Store::with_defaults();
-            for (k, size) in &ops {
+            for (k, size) in ops {
                 s.set(&[b'a', *k], &vec![0u8; *size], 0, 0, 1);
             }
             for k in 0u8..30 {
                 s.delete(&[b'a', k], 1);
             }
-            prop_assert_eq!(s.curr_items(), 0);
-            prop_assert_eq!(s.bytes_stored(), 0);
+            assert_eq!(s.curr_items(), 0);
+            assert_eq!(s.bytes_stored(), 0);
             for c in 0..s.slabs().class_count() {
                 let st = s.slabs().class_stats(mcstore::ClassId(c as u8));
-                prop_assert_eq!(st.used, 0, "class {} leaks chunks", c);
+                assert_eq!(st.used, 0, "class {} leaks chunks", c);
             }
-        }
+        });
     }
 }
 

@@ -762,115 +762,132 @@ fn one_sided_get_latency_is_a_pure_round_trip() {
 
 mod properties {
     use super::*;
-    use proptest::prelude::*;
+    use simnet::{check_cases, SimRng};
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
+    /// Any sequence of message sizes (spanning eager and rendezvous),
+    /// sent by three endpoints at once to a runtime with 1, 2 or 4
+    /// progress contexts, arrives exactly once with intact bytes.
+    /// Ordering holds per endpoint within each protocol path (eager
+    /// stream; rendezvous stream) but not across them — a small eager
+    /// message can legally overtake an in-flight rendezvous transfer,
+    /// exactly as in GASNet-style active-message runtimes.
+    #[test]
+    fn messages_arrive_exactly_once_in_order() {
+        let draw = |r: &mut SimRng| {
+            let sizes = r.vec_of(1..12, |r| r.gen_range_u64(0, 20_000) as usize);
+            let seed = r.gen_range_u64(0, 1000);
+            (sizes, seed, r.gen_range_u64(0, 3) as u32)
+        };
+        check_cases(
+            "messages_arrive_exactly_once_in_order",
+            24,
+            draw,
+            exactly_once_in_order,
+        );
+    }
 
-        /// Any sequence of message sizes (spanning eager and rendezvous),
-        /// sent by three endpoints at once to a runtime with 1, 2 or 4
-        /// progress contexts, arrives exactly once with intact bytes.
-        /// Ordering holds per endpoint within each protocol path (eager
-        /// stream; rendezvous stream) but not across them — a small eager
-        /// message can legally overtake an in-flight rendezvous transfer,
-        /// exactly as in GASNet-style active-message runtimes.
-        #[test]
-        fn messages_arrive_exactly_once_in_order(
-            sizes in proptest::collection::vec(0usize..20_000, 1..12),
-            seed in 0u64..1000,
-            contexts_log2 in 0u32..3,
-        ) {
-            const SENDERS: usize = 3;
-            let cluster = Rc::new(Cluster::cluster_b(seed, 1 + SENDERS as u32));
-            let fabric = IbFabric::new(cluster.clone());
-            let server = UcrRuntime::with_contexts(&fabric, NodeId(0), 1 << contexts_log2);
-            // What each sender's endpoint delivered, keyed by the sender
-            // index in the application header.
-            let received: Rc<RefCell<Vec<Vec<Vec<u8>>>>> =
-                Rc::new(RefCell::new(vec![Vec::new(); SENDERS]));
-            let received2 = received.clone();
-            server.register_handler(
-                SINK,
-                FnHandler(move |_: &Endpoint, hdr: &[u8], data: AmData| {
-                    received2.borrow_mut()[hdr[0] as usize]
-                        .push(data.into_vec().unwrap_or_default());
-                }),
-            );
-            let listener = server.listen(PORT).unwrap();
-            server.sim().spawn(async move {
-                for _ in 0..SENDERS {
-                    let _ = listener.accept().await;
-                }
-            });
+    /// A case an earlier generator once recorded as failing: an 8128-byte
+    /// message, whose 64-byte packet header takes its buffer one byte past
+    /// the 8 KB eager threshold, then an empty one.
+    #[test]
+    fn an_8128_byte_message_then_an_empty_one_arrive_exactly_once() {
+        for contexts_log2 in 0..3 {
+            exactly_once_in_order(&(vec![8128, 0], 0, contexts_log2));
+        }
+    }
 
-            let expected: Vec<Vec<Vec<u8>>> = (0..SENDERS)
-                .map(|c| {
-                    sizes
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &n)| (0..n).map(|j| ((c * 7 + i * 31 + j) % 251) as u8).collect())
-                        .collect()
-                })
-                .collect();
-            let senders: Vec<_> = expected
-                .iter()
-                .enumerate()
-                .map(|(c, msgs)| {
-                    let client = UcrRuntime::new(&fabric, NodeId(1 + c as u32));
-                    let msgs = msgs.clone();
-                    cluster.sim().spawn(async move {
-                        let ep = client
-                            .connect(NodeId(0), PORT, SimDuration::from_millis(100))
-                            .await
-                            .unwrap();
-                        let origin = client.counter();
-                        for msg in &msgs {
-                            ep.send_message(
-                                SINK,
-                                &[c as u8],
-                                msg,
-                                SendOptions {
-                                    origin: Some(origin.clone()),
-                                    ..Default::default()
-                                },
-                            )
-                            .await
-                            .unwrap();
-                        }
-                        origin
-                            .wait_for(msgs.len() as u64, SimDuration::from_millis(500))
-                            .await
-                            .unwrap();
-                    })
-                })
-                .collect();
-            cluster.sim().block_on(async move {
-                for sender in senders {
-                    sender.await;
-                }
-            });
-            cluster.sim().run();
-            let received = received.borrow();
-            for (received, expected) in received.iter().zip(&expected) {
-                // Exactly once: multiset equality.
-                let mut a = received.clone();
-                let mut b = expected.clone();
-                a.sort();
-                b.sort();
-                prop_assert_eq!(a, b);
-                // In order within each protocol path. The eager threshold
-                // applies to the payload (app header, 1 byte here, + data);
-                // the 64-byte packet header rides in the receive buffers'
-                // extra headroom.
-                // payload = 1 + m.len() <= 8192, i.e. m.len() < 8192.
-                let is_eager = |m: &Vec<u8>| m.len() < 8192;
-                let eager_sent: Vec<&Vec<u8>> = expected.iter().filter(|m| is_eager(m)).collect();
-                let eager_recv: Vec<&Vec<u8>> = received.iter().filter(|m| is_eager(m)).collect();
-                prop_assert_eq!(eager_sent, eager_recv);
-                let rndv_sent: Vec<&Vec<u8>> = expected.iter().filter(|m| !is_eager(m)).collect();
-                let rndv_recv: Vec<&Vec<u8>> = received.iter().filter(|m| !is_eager(m)).collect();
-                prop_assert_eq!(rndv_sent, rndv_recv);
+    /// Sends `sizes` from each of three endpoints to a runtime with
+    /// `1 << contexts_log2` progress contexts on a cluster seeded `seed`.
+    fn exactly_once_in_order((sizes, seed, contexts_log2): &(Vec<usize>, u64, u32)) {
+        const SENDERS: usize = 3;
+        let cluster = Rc::new(Cluster::cluster_b(*seed, 1 + SENDERS as u32));
+        let fabric = IbFabric::new(cluster.clone());
+        let server = UcrRuntime::with_contexts(&fabric, NodeId(0), 1 << contexts_log2);
+        // What each sender's endpoint delivered, keyed by the sender
+        // index in the application header.
+        let received: Rc<RefCell<Vec<Vec<Vec<u8>>>>> =
+            Rc::new(RefCell::new(vec![Vec::new(); SENDERS]));
+        let received2 = received.clone();
+        server.register_handler(
+            SINK,
+            FnHandler(move |_: &Endpoint, hdr: &[u8], data: AmData| {
+                received2.borrow_mut()[hdr[0] as usize].push(data.into_vec().unwrap_or_default());
+            }),
+        );
+        let listener = server.listen(PORT).unwrap();
+        server.sim().spawn(async move {
+            for _ in 0..SENDERS {
+                let _ = listener.accept().await;
             }
+        });
+
+        let expected: Vec<Vec<Vec<u8>>> = (0..SENDERS)
+            .map(|c| {
+                sizes
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &n)| (0..n).map(|j| ((c * 7 + i * 31 + j) % 251) as u8).collect())
+                    .collect()
+            })
+            .collect();
+        let senders: Vec<_> = expected
+            .iter()
+            .enumerate()
+            .map(|(c, msgs)| {
+                let client = UcrRuntime::new(&fabric, NodeId(1 + c as u32));
+                let msgs = msgs.clone();
+                cluster.sim().spawn(async move {
+                    let ep = client
+                        .connect(NodeId(0), PORT, SimDuration::from_millis(100))
+                        .await
+                        .unwrap();
+                    let origin = client.counter();
+                    for msg in &msgs {
+                        ep.send_message(
+                            SINK,
+                            &[c as u8],
+                            msg,
+                            SendOptions {
+                                origin: Some(origin.clone()),
+                                ..Default::default()
+                            },
+                        )
+                        .await
+                        .unwrap();
+                    }
+                    origin
+                        .wait_for(msgs.len() as u64, SimDuration::from_millis(500))
+                        .await
+                        .unwrap();
+                })
+            })
+            .collect();
+        cluster.sim().block_on(async move {
+            for sender in senders {
+                sender.await;
+            }
+        });
+        cluster.sim().run();
+        let received = received.borrow();
+        for (received, expected) in received.iter().zip(&expected) {
+            // Exactly once: multiset equality.
+            let mut a = received.clone();
+            let mut b = expected.clone();
+            a.sort();
+            b.sort();
+            assert_eq!(a, b);
+            // In order within each protocol path. The eager threshold
+            // applies to the payload (app header, 1 byte here, + data);
+            // the 64-byte packet header rides in the receive buffers'
+            // extra headroom.
+            // payload = 1 + m.len() <= 8192, i.e. m.len() < 8192.
+            let is_eager = |m: &Vec<u8>| m.len() < 8192;
+            let eager_sent: Vec<&Vec<u8>> = expected.iter().filter(|m| is_eager(m)).collect();
+            let eager_recv: Vec<&Vec<u8>> = received.iter().filter(|m| is_eager(m)).collect();
+            assert_eq!(eager_sent, eager_recv);
+            let rndv_sent: Vec<&Vec<u8>> = expected.iter().filter(|m| !is_eager(m)).collect();
+            let rndv_recv: Vec<&Vec<u8>> = received.iter().filter(|m| !is_eager(m)).collect();
+            assert_eq!(rndv_sent, rndv_recv);
         }
     }
 }
@@ -1979,7 +1996,7 @@ fn shutdown_or_the_last_handle_going_ends_every_progress_task() {
 
 mod hostile_bytes {
     use super::*;
-    use proptest::prelude::*;
+    use simnet::{check_cases, SimRng};
     use ucr::{PacketHeader, PacketKind, PACKET_HEADER_BYTES};
 
     /// Everything the receiver's handlers were given for one wire buffer.
@@ -2055,74 +2072,88 @@ mod hostile_bytes {
     /// Handlers are only ever given bytes that were in the buffer, each
     /// at most once: what they saw, plus a packet header per message,
     /// fits inside what arrived.
-    fn assert_within(wire_len: usize, seen: &Delivered) -> Result<(), String> {
-        prop_assert!(
+    fn assert_within(wire_len: usize, seen: &Delivered) {
+        assert!(
             seen.bytes + seen.msgs * PACKET_HEADER_BYTES <= wire_len,
             "{} messages / {} bytes delivered out of a {wire_len}-byte buffer",
             seen.msgs,
             seen.bytes
         );
-        Ok(())
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+    /// Arbitrary bytes, biased towards plausible headers (a valid
+    /// kind byte, a registered msg_id): never a panic, never more
+    /// delivered than arrived.
+    #[test]
+    fn arbitrary_bytes_never_over_deliver() {
+        let draw = |r: &mut SimRng| {
+            let wire = r.vec_of(0..600, |r| r.next_u64() as u8);
+            let kind = r.gen_range_u64(0, 5) as u8;
+            (wire, kind, r.gen_range_u64(0, 6) as u16)
+        };
+        check_cases(
+            "arbitrary_bytes_never_over_deliver",
+            64,
+            draw,
+            |(wire, kind, msg_id)| {
+                let mut wire = wire.clone();
+                if wire.len() >= 4 {
+                    wire[0] = *kind;
+                    wire[2..4].copy_from_slice(&msg_id.to_le_bytes());
+                }
+                let len = wire.len();
+                let (seen, _) = receive_raw(wire);
+                assert_within(len, &seen);
+            },
+        );
+    }
 
-        /// Arbitrary bytes, biased towards plausible headers (a valid
-        /// kind byte, a registered msg_id): never a panic, never more
-        /// delivered than arrived.
-        #[test]
-        fn arbitrary_bytes_never_over_deliver(
-            wire in proptest::collection::vec(any::<u8>(), 0..600),
-            kind in 0u8..5,
-            msg_id in 0u16..6,
-        ) {
-            let mut wire = wire;
-            if wire.len() >= 4 {
-                wire[0] = kind;
-                wire[2..4].copy_from_slice(&msg_id.to_le_bytes());
-            }
-            let len = wire.len();
-            let (seen, _) = receive_raw(wire);
-            assert_within(len, &seen)?;
-        }
-
-        /// A well-formed multi-packet buffer with one length field
-        /// overwritten or its tail cut: the packets ahead of the damage
-        /// are delivered, nothing past the end is, and a damaged
-        /// remainder is counted.
-        #[test]
-        fn mutated_multi_packet_buffers_never_over_deliver(
-            parts in proptest::collection::vec((0u16..4, 0usize..40, 0usize..300), 1..6),
-            victim in 0usize..6,
-            field in 0usize..3,
-            value in any::<u64>(),
-            cut in 0usize..80,
-        ) {
-            let mut wire = Vec::new();
-            let mut starts = Vec::new();
-            for (msg_id, hdr, data) in &parts {
-                starts.push(wire.len());
-                wire.extend(eager_packet(*msg_id, &vec![0xaa; *hdr], &vec![0xbb; *data]));
-            }
-            let intact = wire.clone();
-            let at = starts[victim % starts.len()];
-            match field {
-                0 => wire[at + 4..at + 8].copy_from_slice(&(value as u32).to_le_bytes()),
-                1 => wire[at + 8..at + 16].copy_from_slice(&value.to_le_bytes()),
-                _ => wire.truncate(wire.len().saturating_sub(cut)),
-            }
-            let len = wire.len();
-            let damaged = wire != intact;
-            let (seen, dropped) = receive_raw(wire);
-            assert_within(len, &seen)?;
-            if damaged {
-                prop_assert!(seen.msgs < parts.len() || dropped > 0);
-            } else {
-                prop_assert_eq!(seen.msgs, parts.len());
-                prop_assert_eq!(dropped, 0);
-            }
-        }
+    /// A well-formed multi-packet buffer with one length field
+    /// overwritten or its tail cut: the packets ahead of the damage
+    /// are delivered, nothing past the end is, and a damaged
+    /// remainder is counted.
+    #[test]
+    fn mutated_multi_packet_buffers_never_over_deliver() {
+        let draw = |r: &mut SimRng| {
+            let parts = r.vec_of(1..6, |r| {
+                let msg_id = r.gen_range_u64(0, 4) as u16;
+                let hdr = r.gen_range_u64(0, 40) as usize;
+                (msg_id, hdr, r.gen_range_u64(0, 300) as usize)
+            });
+            let (victim, field) = (r.gen_range_u64(0, 6) as usize, r.gen_range_u64(0, 3));
+            let (value, cut) = (r.next_u64(), r.gen_range_u64(0, 80) as usize);
+            (parts, victim, field, value, cut)
+        };
+        check_cases(
+            "mutated_multi_packet_buffers_never_over_deliver",
+            64,
+            draw,
+            |(parts, victim, field, value, cut)| {
+                let mut wire = Vec::new();
+                let mut starts = Vec::new();
+                for (msg_id, hdr, data) in parts {
+                    starts.push(wire.len());
+                    wire.extend(eager_packet(*msg_id, &vec![0xaa; *hdr], &vec![0xbb; *data]));
+                }
+                let intact = wire.clone();
+                let at = starts[victim % starts.len()];
+                match field {
+                    0 => wire[at + 4..at + 8].copy_from_slice(&(*value as u32).to_le_bytes()),
+                    1 => wire[at + 8..at + 16].copy_from_slice(&value.to_le_bytes()),
+                    _ => wire.truncate(wire.len().saturating_sub(*cut)),
+                }
+                let len = wire.len();
+                let damaged = wire != intact;
+                let (seen, dropped) = receive_raw(wire);
+                assert_within(len, &seen);
+                if damaged {
+                    assert!(seen.msgs < parts.len() || dropped > 0);
+                } else {
+                    assert_eq!(seen.msgs, parts.len());
+                    assert_eq!(dropped, 0);
+                }
+            },
+        );
     }
 
     /// The overflow the old unchecked `hdr_end + data_len` hit: a

@@ -135,8 +135,8 @@ fn names_crate(code: &str, krate: &str) -> bool {
     path_root || used
 }
 
-/// `(section, package name)` of every dependency line of `manifest`.
-fn dependency_lines(manifest: &str) -> Vec<(&str, &str)> {
+/// `(section, package name, line)` of every dependency line of `manifest`.
+fn dependency_lines(manifest: &str) -> Vec<(&str, &str, &str)> {
     let mut section = "";
     let mut out = Vec::new();
     for line in manifest.lines().map(str::trim) {
@@ -146,7 +146,7 @@ fn dependency_lines(manifest: &str) -> Vec<(&str, &str)> {
         }
         let name = line.split(['.', ' ', '=']).next().unwrap_or("");
         if !name.is_empty() && !name.starts_with('#') {
-            out.push((section, name));
+            out.push((section, name, line));
         }
     }
     out
@@ -165,7 +165,7 @@ fn every_dependency_edge_is_used() {
         let src = files.len();
         sources(&member.join("tests"), &mut files);
         sources(&member.join("examples"), &mut files);
-        for (section, name) in dependency_lines(&manifest) {
+        for (section, name, _) in dependency_lines(&manifest) {
             let files = match section {
                 "[dependencies]" => &files[..src],
                 "[dev-dependencies]" => &files[..],
@@ -181,39 +181,51 @@ fn every_dependency_edge_is_used() {
 }
 
 /// clippy's `disallowed-methods` checks a use where it stands, which holds
-/// only while nothing can hand one in: no member declares a dependency
-/// edge on a `shims/` crate — a `[dependencies]` edge, or for a member with
-/// `examples/`, a `[dev-dependencies]` one (an example links its package's
-/// dev-dependencies).
+/// only while nothing can hand one in: every dependency edge of every
+/// member, dev edges included, names a workspace crate under `crates/`,
+/// through `workspace = true` or a `path` into that crate's directory.
 #[test]
 fn no_simulated_layer_depends_on_a_host_tool() {
     let root = Path::new(ROOT);
-    let mut host_tools = Vec::new();
-    for shim in std::fs::read_dir(root.join("shims")).expect("shims/") {
-        let manifest =
-            std::fs::read_to_string(shim.expect("shims/ entry").path().join("Cargo.toml"))
-                .expect("a shim manifest");
-        let name = manifest
-            .lines()
-            .find_map(|l| l.trim().strip_prefix("name = "));
-        host_tools.push(name.expect("a package name").trim_matches('"').to_string());
-    }
-    assert!(!host_tools.is_empty(), "shims/ holds no crate");
-    let mut edges = Vec::new();
+    let crates: Vec<(String, PathBuf)> = members()
+        .into_iter()
+        .filter(|m| m.as_path() != root)
+        .map(|dir| {
+            let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).expect("a manifest");
+            let name = manifest
+                .lines()
+                .find_map(|l| l.trim().strip_prefix("name = "))
+                .expect("a package name");
+            (name.trim_matches('"').to_string(), dir)
+        })
+        .collect();
+    let (mut checked, mut edges) = (0, Vec::new());
     for member in members() {
-        let examples = member.join("examples").is_dir();
         let manifest = std::fs::read_to_string(member.join("Cargo.toml")).expect("a manifest");
-        for (section, name) in dependency_lines(&manifest) {
-            let checked =
-                section == "[dependencies]" || (examples && section == "[dev-dependencies]");
-            if checked && host_tools.iter().any(|t| t == name) {
-                edges.push(format!("{}: {section} {name}", member.display()));
+        for (section, name, line) in dependency_lines(&manifest) {
+            if !section.ends_with("dependencies]") {
+                continue;
+            }
+            checked += 1;
+            let dir = crates.iter().find(|(n, _)| n == name).map(|(_, d)| d);
+            let path = line
+                .split_once("path = \"")
+                .and_then(|(_, rest)| rest.split_once('"'))
+                .map(|(path, _)| member.join(path));
+            let resolves = match (dir, path) {
+                (Some(dir), Some(path)) => path.canonicalize().ok() == dir.canonicalize().ok(),
+                (Some(_), None) => line.replace(' ', "").contains("workspace=true"),
+                (None, _) => false,
+            };
+            if !resolves {
+                edges.push(format!("{}: {section} {line}", member.display()));
             }
         }
     }
+    assert!(checked > 0, "no dependency edge found");
     assert!(
         edges.is_empty(),
-        "a simulated layer can reach a host tool: {edges:#?}"
+        "an edge leaves the workspace crates: {edges:#?}"
     );
 }
 
