@@ -17,8 +17,8 @@
 //! reply. A single call is the two back to back; a batch keeps a
 //! window of tickets open per connection.
 
-use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::cell::{Cell, RefCell, RefMut};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
 
 use mcproto::{udp_fragment, BinFrame, ProtoError, UdpFrame, UDP_CHUNK_BYTES};
@@ -259,20 +259,34 @@ pub fn one_at_a_time(key: &[u8]) -> u32 {
     h
 }
 
-/// Responses parked by the UCR handler until their request wakes up.
-/// This is the per-connection in-flight table: entries are keyed by
-/// request id, so responses arriving out of issue order are matched to
-/// the right waiter regardless of pipeline depth.
-type PendingResponses = Rc<RefCell<HashMap<u64, (RespHeader, Vec<u8>)>>>;
+/// What landed for a UCR request id: an AM 2 reply or a directory answer.
+enum Answer {
+    Reply(RespHeader, Vec<u8>),
+    Dir(DirResp),
+}
 
-/// Request ids abandoned before their response arrived (dropped in-flight
-/// handles, timed-out waits). The response handler drops a late response
-/// whose id is flagged here instead of parking it forever.
-type CancelledIds = Rc<RefCell<HashSet<u64>>>;
+/// The UCR in-flight table: a slot per request id that UCR accepted and a
+/// waiter still asks for, `Some` once its answer landed. An answer with no
+/// waiting slot (a duplicate, a stray, a late reply) is dropped.
+type InFlightTable = Rc<RefCell<HashMap<u64, Option<Answer>>>>;
 
-/// Directory answers parked by the bypass handler until their waiter
-/// claims them (same request-id discipline as [`PendingResponses`]).
-type PendingDirResponses = Rc<RefCell<HashMap<u64, DirResp>>>;
+/// Request `id`'s slot, if it is still waiting for its answer.
+fn waiting(table: &InFlightTable, id: u64) -> Option<RefMut<'_, Option<Answer>>> {
+    RefMut::filter_map(table.borrow_mut(), |t| {
+        t.get_mut(&id).filter(|s| s.is_none())
+    })
+    .ok()
+}
+
+/// Closes a directory lookup's in-flight slot however the lookup ends:
+/// answered, timed out or dropped.
+struct DirSlot<'a>(&'a CliInner, u64);
+
+impl Drop for DirSlot<'_> {
+    fn drop(&mut self) {
+        self.0.claim(self.1);
+    }
+}
 
 /// One cached item descriptor for the bypass-GET path: the RDMA window
 /// plus everything needed to validate a one-sided read of it.
@@ -355,12 +369,10 @@ impl Drop for Ticket {
     fn drop(&mut self) {
         if self.owed {
             match &*self.conn {
-                // Claim the parked response if it already landed, otherwise
-                // flag the id so the handler drops it on arrival.
+                // Close the id's slot: a reply parked there goes with it,
+                // one still to come finds no slot and is dropped.
                 Conn::Ucr(_) => {
-                    if self.cli.pending.borrow_mut().remove(&self.id).is_none() {
-                        self.cli.cancelled.borrow_mut().insert(self.id);
-                    }
+                    self.cli.claim(self.id);
                 }
                 Conn::Stream { .. } => self.cli.evict(&self.conn),
                 // A late datagram is dropped by its id.
@@ -438,6 +450,7 @@ impl Conn {
                 ep.send_message(MSG_MC_REQ, wire, data, SendOptions::default())
                     .await
                     .map_err(|_| McError::Disconnected)?;
+                cli.inflight.borrow_mut().insert(id, None);
                 ticket.ctr = Some(ctr);
             }
             Conn::Stream { sock, binary, .. } => {
@@ -489,8 +502,8 @@ impl Ticket {
     /// Awaits this ticket's reply under the per-operation timeout, marks
     /// `client_reply` and decodes it as the reply to a request over
     /// `keys`. Over UCR, responses for *other* tickets may land first —
-    /// the handler parks them in the table by request id, and it is the
-    /// handler that marks `client_reply`, when the response lands.
+    /// the handler parks them in the in-flight table by request id, and it
+    /// is the handler that marks `client_reply`, when the response lands.
     async fn finish(mut self, keys: &[&[u8]]) -> Result<Reply, McError> {
         let (cli, op) = (&self.cli, self.op);
         let reply = match &*self.conn {
@@ -502,8 +515,9 @@ impl Ticket {
                     .await
                     .map_err(|_| McError::Timeout)?;
                 self.owed = false;
-                let parked = cli.pending.borrow_mut().remove(&self.id);
-                let (hdr, payload) = parked.ok_or(McError::Protocol)?;
+                let Some(Answer::Reply(hdr, payload)) = cli.claim(self.id) else {
+                    return Err(McError::Protocol);
+                };
                 self.reply_bytes = payload.len() as u64;
                 return codec::ucr::decode_reply(op, keys, hdr, payload);
             }
@@ -568,8 +582,8 @@ struct CliInner {
     ucr: Option<UcrRuntime>,
     /// By server index; ordered, so a drop closes them in index order.
     conns: RefCell<BTreeMap<usize, Rc<Conn>>>,
-    pending: PendingResponses,
-    cancelled: CancelledIds,
+    /// UCR request ids awaiting their answers.
+    inflight: InFlightTable,
     next_req: Cell<u64>,
     ring: Vec<(u32, usize)>,
     /// Operations issued (`client.nodeN.ops_issued`).
@@ -579,10 +593,8 @@ struct CliInner {
     /// Live pipelined-window occupancy (`client.nodeN.inflight`); the
     /// gauge's high watermark records the deepest window reached.
     inflight_gauge: Rc<simnet::metrics::Gauge>,
-    /// Completed operations (`client.nodeN.ops_completed`).
+    /// Operations that returned `Ok` (`client.nodeN.ops_completed`).
     ops_completed: Rc<simnet::metrics::Counter>,
-    /// Directory answers awaiting their bypass-get waiter.
-    dir_pending: PendingDirResponses,
     /// Cached item descriptors, keyed by (server index, key).
     bypass_cache: RefCell<HashMap<(usize, Vec<u8>), CachedDescriptor>>,
     /// Insertion order of `bypass_cache` keys (FIFO bound).
@@ -597,13 +609,6 @@ struct CliInner {
     bypass_buf: RefCell<Option<UcrMemory>>,
 }
 
-impl CliInner {
-    /// Accounts one completed operation (any transport).
-    fn op_done(&self) {
-        self.ops_completed.inc();
-    }
-}
-
 /// A Memcached client bound to one node of the simulated cluster.
 #[derive(Clone)]
 pub struct McClient {
@@ -615,9 +620,7 @@ impl McClient {
     /// runtime on the node and registers the response handler.
     pub fn new(world: &World, node: NodeId, cfg: McClientConfig) -> McClient {
         assert!(!cfg.servers.is_empty(), "client needs at least one server");
-        let pending: PendingResponses = Rc::new(RefCell::new(HashMap::new()));
-        let cancelled: CancelledIds = Rc::new(RefCell::new(HashSet::new()));
-        let dir_pending: PendingDirResponses = Rc::new(RefCell::new(HashMap::new()));
+        let inflight: InFlightTable = Rc::default();
         // Resolve the RDMA fabric first: asking for RoCE on a cluster
         // whose Ethernet adapters lack it leaves `ucr` unset, and every
         // operation then fails with `McError::Disconnected` — the same
@@ -632,46 +635,39 @@ impl McClient {
         let ucr = match (cfg.transport, fabric) {
             (Transport::Ucr | Transport::UcrRoce, Some(fabric)) => {
                 let rt = UcrRuntime::new(fabric, node);
-                let pending2 = pending.clone();
-                let cancelled2 = cancelled.clone();
+                let table = inflight.clone();
                 let sim2 = world.sim().clone();
                 let tracer2 = tracer.clone();
                 rt.register_handler(
                     MSG_MC_RESP,
                     FnHandler(move |_ep: &Endpoint, hdr: &[u8], data: AmData| {
                         if let Some(resp) = RespHeader::decode(hdr) {
-                            if cancelled2.borrow_mut().remove(&resp.req_id) {
-                                // The op was abandoned (dropped handle or
-                                // timed-out wait); drop the late response
-                                // instead of parking it forever.
-                                return;
+                            if let Some(mut slot) = waiting(&table, resp.req_id) {
+                                // Response landed: the response-wire stage of
+                                // the critical path ends here.
+                                tracer2.instant(
+                                    Layer::Core,
+                                    "client_reply",
+                                    node,
+                                    Track::Main,
+                                    resp.req_id,
+                                    data.len() as u64,
+                                    sim2.now(),
+                                );
+                                let payload = data.into_vec().unwrap_or_default();
+                                *slot = Some(Answer::Reply(resp, payload));
                             }
-                            // Response landed: the response-wire stage of
-                            // the critical path ends here.
-                            tracer2.instant(
-                                Layer::Core,
-                                "client_reply",
-                                node,
-                                Track::Main,
-                                resp.req_id,
-                                data.len() as u64,
-                                sim2.now(),
-                            );
-                            let payload = data.into_vec().unwrap_or_default();
-                            pending2.borrow_mut().insert(resp.req_id, (resp, payload));
                         }
                     }),
                 );
-                let dir2 = dir_pending.clone();
-                let cancelled3 = cancelled.clone();
+                let table = inflight.clone();
                 rt.register_handler(
                     MSG_MC_DIR_RESP,
                     FnHandler(move |_ep: &Endpoint, hdr: &[u8], _data: AmData| {
                         if let Some(resp) = DirResp::decode(hdr) {
-                            if cancelled3.borrow_mut().remove(&resp.req_id) {
-                                return; // abandoned lookup: drop it
+                            if let Some(mut slot) = waiting(&table, resp.req_id) {
+                                *slot = Some(Answer::Dir(resp));
                             }
-                            dir2.borrow_mut().insert(resp.req_id, resp);
                         }
                     }),
                 );
@@ -698,8 +694,7 @@ impl McClient {
                 socks: world.socks.clone(),
                 ucr,
                 conns: RefCell::new(BTreeMap::new()),
-                pending,
-                cancelled,
+                inflight,
                 // Request ids are `(node << 32) | n`: concurrent clients'
                 // ops never collide on the shared trace stream, which
                 // critical-path correlation relies on (one client per
@@ -712,7 +707,6 @@ impl McClient {
                 tracer,
                 inflight_gauge: metrics.gauge(&format!("client.node{}.inflight", node.0)),
                 ops_completed: metrics.counter(&format!("client.node{}.ops_completed", node.0)),
-                dir_pending,
                 bypass_cache: RefCell::new(HashMap::new()),
                 bypass_order: RefCell::new(VecDeque::new()),
                 bypass_eps: RefCell::new(HashMap::new()),
@@ -736,11 +730,11 @@ impl McClient {
         self.inner.ops.get()
     }
 
-    /// Number of responses currently parked in the in-flight table
-    /// awaiting their waiter (diagnostics/tests). Abandoned ops are
-    /// scrubbed, so this stays bounded by the pipeline depth.
+    /// Number of answers landed in the in-flight table and not yet
+    /// claimed by their waiter (diagnostics/tests). Only a waiting slot
+    /// takes an answer, so this stays bounded by the requests in flight.
     pub fn pending_responses(&self) -> usize {
-        self.inner.pending.borrow().len()
+        self.inner.inflight.borrow().values().flatten().count()
     }
 
     /// The client's UCR runtime, when using the UCR transport (ablation
@@ -816,18 +810,15 @@ impl McClient {
         if inner.cfg.bypass_get {
             if let Conn::Ucr(ep) = &*inner.conn(sidx).await? {
                 if let Some(done) = inner.bypass_get(sidx, ep, key).await {
-                    return done;
+                    return inner.completed(done);
                 }
                 // Bypass gave up (descriptor trouble, retry budget): fall
                 // through to the classic AM round trip.
             }
         }
         let keys = [key];
-        fetched(
-            inner
-                .exchange(sidx, &Request::new(McOp::Get, &keys))
-                .await?,
-        )
+        let req = Request::new(McOp::Get, &keys);
+        inner.completed(fetched(inner.exchange(sidx, &req).await?))
     }
 
     /// Multi-key fetch. Keys may span servers; requests are grouped per
@@ -853,7 +844,7 @@ impl McClient {
                 out.extend(hits.into_iter().map(|(i, v)| (part[i].to_vec(), v)));
             }
         }
-        Ok(out)
+        inner.completed(Ok(out))
     }
 
     /// Issues a get without waiting for the response (UCR transports
@@ -1010,7 +1001,7 @@ impl McClient {
     async fn keyed(&self, req: &Request<'_, &[u8]>) -> Result<Reply, McError> {
         let inner = &self.inner;
         inner.ops.inc();
-        inner.exchange(inner.route(req.key()), req).await
+        inner.completed(inner.exchange(inner.route(req.key()), req).await)
     }
 
     async fn store_op(
@@ -1091,8 +1082,7 @@ fn group_by_server<'a>(
 
 /// A request issued but not yet completed — the handle half of the
 /// issue/complete split (UCR transports). Dropping it abandons the op
-/// and scrubs its response from the in-flight table (on arrival if need
-/// be).
+/// and closes its slot in the in-flight table.
 pub struct InFlight<T> {
     ticket: Ticket,
     finish: fn(Reply) -> Result<T, McError>,
@@ -1109,7 +1099,7 @@ impl<T> InFlight<T> {
     /// [`complete`](InFlight::complete) will not block.
     pub fn is_ready(&self) -> bool {
         let ticket = &self.ticket;
-        ticket.cli.pending.borrow().contains_key(&ticket.id)
+        matches!(ticket.cli.inflight.borrow().get(&ticket.id), Some(Some(_)))
     }
 
     /// The request id this op travels under (diagnostics/tests).
@@ -1119,7 +1109,8 @@ impl<T> InFlight<T> {
 
     /// Waits for the response and decodes it.
     pub async fn complete(self) -> Result<T, McError> {
-        (self.finish)(self.ticket.finish(&[]).await?)
+        let cli = self.ticket.cli.clone();
+        (self.finish)(cli.completed(self.ticket.finish(&[]).await)?)
     }
 }
 
@@ -1268,8 +1259,8 @@ impl CliInner {
                     break;
                 };
                 self.inflight_gauge.set(window.len() as f64);
-                sink(j, ticket.finish(make(j).keys).await?)?;
-                self.op_done();
+                let reply = self.completed(ticket.finish(make(j).keys).await)?;
+                sink(j, reply)?;
             }
         }
         Ok(())
@@ -1388,19 +1379,15 @@ impl CliInner {
             ctr_id: ctr.id(),
             key: key.to_vec(),
         };
-        if ep
-            .send_message(MSG_MC_DIR_REQ, &req.encode(), &[], SendOptions::default())
+        ep.send_message(MSG_MC_DIR_REQ, &req.encode(), &[], SendOptions::default())
             .await
-            .is_err()
-        {
-            return Err(McError::Disconnected);
-        }
-        if ctr.wait_for(1, self.cfg.op_timeout).await.is_err() {
-            // Flag the id so a late answer is dropped, not parked forever.
-            self.cancelled.borrow_mut().insert(req_id);
-            return Err(McError::Timeout);
-        }
-        let Some(resp) = self.dir_pending.borrow_mut().remove(&req_id) else {
+            .map_err(|_| McError::Disconnected)?;
+        self.inflight.borrow_mut().insert(req_id, None);
+        let _slot = DirSlot(self, req_id);
+        ctr.wait_for(1, self.cfg.op_timeout)
+            .await
+            .map_err(|_| McError::Timeout)?;
+        let Some(Answer::Dir(resp)) = self.claim(req_id) else {
             return Err(McError::Protocol);
         };
         if !resp.found {
@@ -1544,6 +1531,17 @@ impl CliInner {
         }
     }
 
+    /// Closes request `id`'s in-flight slot, returning its answer if one
+    /// landed.
+    fn claim(&self, id: u64) -> Option<Answer> {
+        self.inflight.borrow_mut().remove(&id).flatten()
+    }
+
+    /// Counts a finished operation in `ops_completed` when it ended `Ok`.
+    fn completed<T>(&self, out: Result<T, McError>) -> Result<T, McError> {
+        out.inspect(|_| self.ops_completed.inc())
+    }
+
     /// The next request id.
     fn next_id(&self) -> u64 {
         let id = self.next_req.get();
@@ -1652,5 +1650,48 @@ mod tests {
         assert!(!cache.contains_key(&key(0)), "the oldest key went");
         assert!(cache.contains_key(&key(1)) && cache.contains_key(&key(BYPASS_CACHE_CAP)));
         assert_eq!(cli.bypass_order.borrow().len(), BYPASS_CACHE_CAP);
+    }
+
+    /// The in-flight table holds no more than the requests still asked
+    /// for: against a server that takes every request and answers none,
+    /// timed-out issued gets, a bypass get whose lookup and fallback both
+    /// time out, and a bypass get dropped mid-lookup leave it empty.
+    #[test]
+    fn unanswered_requests_leave_the_in_flight_table_empty() {
+        let world = World::cluster_b(1, 2);
+        let sim = world.sim().clone();
+        let srv = UcrRuntime::new(&world.ib, NodeId(0));
+        for msg in [MSG_MC_REQ, MSG_MC_DIR_REQ] {
+            srv.register_handler(msg, FnHandler(|_: &Endpoint, _: &[u8], _: AmData| {}));
+        }
+        let listener = srv.listen(11211).expect("port 11211 is free");
+        sim.spawn(async move {
+            let mut eps = Vec::new();
+            while let Ok(ep) = listener.accept().await {
+                eps.push(ep);
+            }
+        });
+        let cfg = McClientConfig {
+            bypass_get: true,
+            ..McClientConfig::single(Transport::Ucr, NodeId(0))
+        };
+        let client = McClient::new(&world, NodeId(1), cfg);
+        let (c, s) = (client.clone(), sim.clone());
+        sim.block_on(async move {
+            let mut issued = Vec::new();
+            for i in 0..8 {
+                issued.push(c.issue_get(format!("key-{i}").as_bytes()).await.unwrap());
+            }
+            assert_eq!(c.inner.inflight.borrow().len(), 8);
+            for op in issued {
+                assert_eq!(op.complete().await, Err(McError::Timeout));
+            }
+            assert_eq!(c.get(b"key-0").await, Err(McError::Timeout));
+            let cut = SimDuration::from_millis(1);
+            assert!(timeout(&s, cut, std::pin::pin!(c.get(b"key-1")))
+                .await
+                .is_err());
+        });
+        assert!(client.inner.inflight.borrow().is_empty());
     }
 }

@@ -144,17 +144,17 @@ impl Executor {
     /// writes the hit once, straight into its wire buffer. Nothing awaits
     /// in between: the store's `RefCell` would refuse any other access.
     ///
-    /// The returned guards still hold the request's store locks. UCR
-    /// posts its reply from `encode` and so sends inside the critical
-    /// section (the historical schedule); a sockets front-end drops the
-    /// guards before its awaited write.
+    /// The request's store locks are released after the `end` mark,
+    /// before `serve` returns. UCR posts its reply from `encode` and so
+    /// sends inside the critical section (the historical schedule); a
+    /// sockets front-end writes its reply after the release.
     pub(super) async fn serve<T>(
         &self,
         req: &Request<'_>,
         id: OpId,
         track: Track,
         encode: impl FnOnce(&Reply<&[u8]>) -> T,
-    ) -> (T, Held) {
+    ) -> T {
         let started = self.begin(id, track, req.value.len() as u64);
         let mut guards = Held::default();
         let (wire, out) = if self.locks.is_empty() {
@@ -195,7 +195,8 @@ impl Executor {
         };
         self.record(req.op, started);
         self.end(id, track, out as u64);
-        (wire, guards)
+        drop(guards);
+        wire
     }
 
     /// Executes `req` against the store at the current instant and has

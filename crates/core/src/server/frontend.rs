@@ -317,12 +317,9 @@ async fn serve_ascii(srv: &Rc<SrvInner>, cmd: Command, widx: u32) -> Option<Vec<
     // lock_wait/lock_hold inside the service frame.
     let id = OpId::Local(srv.next_sock_op());
     let encode = |reply: &Reply<&[u8]>| (!noreply).then(|| codec::ascii::encode_reply(&cmd, reply));
-    let (wire, guards) = srv
-        .exec
+    srv.exec
         .serve(&request, id, Track::Worker(widx), encode)
-        .await;
-    drop(guards);
-    wire
+        .await
 }
 
 async fn serve_sock_bin(srv: &Rc<SrvInner>, sock: Rc<Socket>, frame: BinFrame, widx: u32) {
@@ -330,12 +327,9 @@ async fn serve_sock_bin(srv: &Rc<SrvInner>, sock: Rc<Socket>, frame: BinFrame, w
     let wire = match codec::binary::decode_request(&frame) {
         Some(request) => {
             let encode = |reply: &Reply<&[u8]>| codec::binary::encode_reply(&frame, reply);
-            let (wire, guards) = srv
-                .exec
+            srv.exec
                 .serve(&request, id, Track::Worker(widx), encode)
-                .await;
-            drop(guards);
-            wire
+                .await
         }
         None => BinFrame::response(&frame, BinStatus::InvalidArgs).encode(),
     };

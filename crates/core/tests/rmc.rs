@@ -6,10 +6,11 @@
 //! `tests/experiments.rs`.
 
 use rmc::{
-    Distribution, McClient, McClientConfig, McError, McServer, McServerConfig, Scenario, Transport,
-    World,
+    Distribution, McClient, McClientConfig, McError, McServer, McServerConfig, ReqHeader,
+    RespHeader, RespStatus, Scenario, Transport, World, MSG_MC_REQ, MSG_MC_RESP,
 };
 use simnet::{EventRecorder, Layer, NodeId, SimDuration, Stack, Tracer};
+use ucr::{AmData, Endpoint, FnHandler, SendOptions, UcrRuntime};
 
 const SRV: NodeId = NodeId(0);
 const CLI: NodeId = NodeId(1);
@@ -138,6 +139,46 @@ fn full_command_set_over_every_transport() {
         Transport::Sockets(Stack::OneGigE),
     ] {
         serves_the_command_set(wire);
+    }
+}
+
+/// A client counts an op in `ops_completed` once, when the call that
+/// counted it in `ops_issued` gets its reply back, a refusal included:
+/// after the command set, a pipelined batch and (on UCR) an issued get
+/// and bypass gets, the two counters agree on every wire.
+#[test]
+fn every_issued_op_is_counted_completed_once() {
+    let toe = Stack::TenGigEToe;
+    let wires = [
+        Transport::Ucr,
+        Transport::Sockets(toe),
+        Transport::Binary(toe),
+        Transport::Udp(toe),
+    ];
+    for wire in wires {
+        let cfg = McClientConfig {
+            bypass_get: wire == Transport::Ucr,
+            pipeline_depth: 4,
+            ..McClientConfig::single(wire, SRV)
+        };
+        let s = Scenario::new(world_a(), McServerConfig::default(), [cfg]);
+        let c = s.clients[0].clone();
+        s.world.sim().block_on(command_set(c.clone(), wire));
+        let c2 = c.clone();
+        s.world.sim().block_on(async move {
+            let items: [(&[u8], &[u8]); 2] = [(b"p1", b"x"), (b"p2", b"y")];
+            c2.set_many(&items, 0, 0).await.unwrap();
+            let got = c2.get_many(&[b"p1", b"p2", b"nope"]).await.unwrap();
+            assert_eq!(got.iter().flatten().count(), 2, "{wire:?}");
+            if wire == Transport::Ucr {
+                let hit = c2.issue_get(b"p1").await.unwrap().complete().await;
+                assert_eq!(hit.unwrap().unwrap().data, b"x");
+            }
+        });
+        s.world.sim().run();
+        let name = format!("client.node{}.ops_completed", c.node().0);
+        let completed = s.world.cluster.metrics().counter_value(&name);
+        assert_eq!(completed, c.ops_issued(), "{wire:?}");
     }
 }
 
@@ -341,6 +382,49 @@ fn sockets_client_sees_server_death_too() {
 #[test]
 fn udp_loss_to_dead_server_times_out() {
     a_dead_server_fails_only_its_own_clients(Transport::Udp(Stack::Ipoib));
+}
+
+/// A reply whose request already has its answer is dropped: against a
+/// server that answers every get twice, the get returns the first answer
+/// and nothing stays parked in the client's in-flight table.
+#[test]
+fn a_duplicated_ucr_reply_is_dropped() {
+    let world = world_b();
+    let sim = world.sim().clone();
+    let srv = UcrRuntime::new(&world.ib, SRV);
+    srv.register_handler(
+        MSG_MC_REQ,
+        FnHandler(|ep: &Endpoint, hdr: &[u8], _: AmData| {
+            let req = ReqHeader::decode(hdr).expect("a request header");
+            let resp = RespHeader {
+                req_id: req.req_id,
+                status: RespStatus::Miss,
+                flags: 0,
+                cas: 0,
+                number: 0,
+                nvalues: 0,
+            };
+            for _ in 0..2 {
+                let opts = SendOptions {
+                    target_ctr: req.ctr_id,
+                    ..SendOptions::default()
+                };
+                ep.post_message(MSG_MC_RESP, resp.encode(), &[][..], opts);
+            }
+        }),
+    );
+    let listener = srv.listen(11211).expect("port 11211 is free");
+    sim.spawn(async move {
+        let mut eps = Vec::new();
+        while let Ok(ep) = listener.accept().await {
+            eps.push(ep);
+        }
+    });
+    let client = McClient::new(&world, CLI, McClientConfig::single(Transport::Ucr, SRV));
+    let c = client.clone();
+    sim.block_on(async move { assert_eq!(c.get(b"k").await, Ok(None)) });
+    sim.run();
+    assert_eq!(client.pending_responses(), 0);
 }
 
 /// A client outlives its server's restart, on every wire: the server it

@@ -198,7 +198,7 @@ impl VLock {
         }
     }
 
-    /// Releases the lock: direct handoff to the oldest waiter, else unlock.
+    /// Releases the lock held since `acquired_at`, booking the hold.
     fn release(&self, acquired_at: SimTime, op: u64, track: Track) {
         let hold = self.sim.now().saturating_since(acquired_at);
         self.meters.lock_hold_ns.add(hold.as_nanos());
@@ -213,18 +213,24 @@ impl VLock {
                 self.sim.now(),
             );
         }
+        self.hand_off();
+    }
+
+    /// Hands the held lock to its oldest waiter, else unlocks it.
+    /// Ownership transfers directly: the lock never observably unlocks,
+    /// so a racing fresh acquire cannot jump the queue.
+    fn hand_off(&self) {
         let mut st = self.state.borrow_mut();
-        debug_assert!(st.locked, "release of an unlocked VLock");
-        if let Some(next) = st.queue.pop_front() {
-            // Ownership transfers directly: the lock never observably
-            // unlocks, so a racing fresh acquire cannot jump the queue.
-            let mut w = next.borrow_mut();
-            w.granted = true;
-            if let Some(wk) = w.waker.take() {
-                wk.wake();
+        debug_assert!(st.locked, "hand-off of an unlocked VLock");
+        match st.queue.pop_front() {
+            Some(next) => {
+                let mut w = next.borrow_mut();
+                w.granted = true;
+                if let Some(wk) = w.waker.take() {
+                    wk.wake();
+                }
             }
-        } else {
-            st.locked = false;
+            None => st.locked = false,
         }
     }
 }
@@ -348,46 +354,26 @@ impl Drop for LockFuture {
         let Some(w) = self.waiter.take() else {
             return; // never polled: no state to undo
         };
+        if let Some(t) = &self.lock.trace {
+            t.tracer.end(
+                Layer::Core,
+                "lock_wait",
+                t.node,
+                self.track,
+                self.op,
+                0,
+                self.lock.sim.now(),
+            );
+        }
         if w.borrow().granted {
             // Granted but never observed: pass ownership on so the lock
             // does not leak held. The wait/hold never happened from the
             // caller's perspective, so only release bookkeeping runs.
-            if let Some(t) = &self.lock.trace {
-                t.tracer.end(
-                    Layer::Core,
-                    "lock_wait",
-                    t.node,
-                    self.track,
-                    self.op,
-                    0,
-                    self.lock.sim.now(),
-                );
-            }
-            let mut st = self.lock.state.borrow_mut();
-            if let Some(next) = st.queue.pop_front() {
-                let mut n = next.borrow_mut();
-                n.granted = true;
-                if let Some(wk) = n.waker.take() {
-                    wk.wake();
-                }
-            } else {
-                st.locked = false;
-            }
+            self.lock.hand_off();
         } else {
             let ticket = w.borrow().ticket;
             let mut st = self.lock.state.borrow_mut();
             st.queue.retain(|q| q.borrow().ticket != ticket);
-            if let Some(t) = &self.lock.trace {
-                t.tracer.end(
-                    Layer::Core,
-                    "lock_wait",
-                    t.node,
-                    self.track,
-                    self.op,
-                    0,
-                    self.lock.sim.now(),
-                );
-            }
         }
     }
 }
