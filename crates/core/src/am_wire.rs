@@ -168,21 +168,25 @@ impl RespStatus {
 /// Bytes of a request header ahead of its key list.
 const REQ_FIXED_BYTES: usize = 44;
 
+/// Longest key list of a single-key request header: the length word and
+/// the longest key.
+pub(crate) const ONE_KEY_LIST: usize = 2 + mcstore::MAX_KEY_LEN;
+
 /// Longest single-key request header: what a client encodes on its stack.
-pub(crate) const REQ_HEADER_INLINE: usize = REQ_FIXED_BYTES + 2 + mcstore::MAX_KEY_LEN;
+pub(crate) const REQ_HEADER_INLINE: usize = REQ_FIXED_BYTES + ONE_KEY_LIST;
 
 /// The keys of a request: one for most ops, many for mget. A single key is
 /// held in line, so decoding such a header allocates the key and nothing
-/// else. Reads as a slice of keys.
+/// else (and nothing at all when `K` borrows it). Reads as a slice of keys.
 #[derive(Clone, Debug)]
-pub enum Keys {
+pub enum Keys<K = Vec<u8>> {
     /// One key (empty for keyless ops).
-    One([Vec<u8>; 1]),
+    One([K; 1]),
     /// Any other number of keys.
-    Many(Vec<Vec<u8>>),
+    Many(Vec<K>),
 }
 
-impl Keys {
+impl<K> Keys<K> {
     /// Key slots reserved, filled or not.
     pub fn capacity(&self) -> usize {
         match self {
@@ -192,9 +196,9 @@ impl Keys {
     }
 }
 
-impl std::ops::Deref for Keys {
-    type Target = [Vec<u8>];
-    fn deref(&self) -> &[Vec<u8>] {
+impl<K> std::ops::Deref for Keys<K> {
+    type Target = [K];
+    fn deref(&self) -> &[K] {
         match self {
             Keys::One(key) => key,
             Keys::Many(keys) => keys,
@@ -202,19 +206,19 @@ impl std::ops::Deref for Keys {
     }
 }
 
-impl From<Vec<Vec<u8>>> for Keys {
-    fn from(keys: Vec<Vec<u8>>) -> Keys {
+impl<K> From<Vec<K>> for Keys<K> {
+    fn from(keys: Vec<K>) -> Keys<K> {
         Keys::Many(keys)
     }
 }
 
-impl PartialEq for Keys {
-    fn eq(&self, other: &Keys) -> bool {
+impl<K: PartialEq> PartialEq for Keys<K> {
+    fn eq(&self, other: &Keys<K>) -> bool {
         **self == **other
     }
 }
 
-impl Eq for Keys {}
+impl<K: Eq> Eq for Keys<K> {}
 
 /// A request header (AM 1). Keys ride in the header; the value (for
 /// storage ops) is the active-message data, so a large `set` goes through
@@ -330,44 +334,103 @@ impl ReqHeader {
 
     /// Deserializes; `None` on malformed input.
     pub fn decode(b: &[u8]) -> Option<ReqHeader> {
+        let (head, list) = ReqHead::decode(b)?;
+        Some(ReqHeader {
+            op: head.op,
+            req_id: head.req_id,
+            ctr_id: head.ctr_id,
+            flags: head.flags,
+            exptime: head.exptime,
+            cas: head.cas,
+            delta: head.delta,
+            keys: head.keys(list, <[u8]>::to_vec),
+        })
+    }
+}
+
+/// A request header's fields ahead of its key list, and how many keys the
+/// list holds.
+pub(crate) struct ReqHead {
+    pub op: McOp,
+    pub req_id: u64,
+    pub ctr_id: u64,
+    pub flags: u32,
+    pub exptime: u32,
+    pub cas: u64,
+    pub delta: u64,
+    nkeys: usize,
+}
+
+impl ReqHead {
+    /// Reads the fields of header `b` and finds every key its count claims
+    /// before any is copied, so a header that is not whole allocates
+    /// nothing. Returns the fields and the key list, exactly; `None` on
+    /// malformed input.
+    fn decode(b: &[u8]) -> Option<(ReqHead, &[u8])> {
         if b.len() < REQ_FIXED_BYTES {
             return None;
         }
-        let op = McOp::from_u8(b[0])?;
-        let nkeys = u16::from_le_bytes(b[2..4].try_into().ok()?) as usize;
-        let req_id = u64::from_le_bytes(b[4..12].try_into().ok()?);
-        let ctr_id = u64::from_le_bytes(b[12..20].try_into().ok()?);
-        let flags = u32::from_le_bytes(b[20..24].try_into().ok()?);
-        let exptime = u32::from_le_bytes(b[24..28].try_into().ok()?);
-        let cas = u64::from_le_bytes(b[28..36].try_into().ok()?);
-        let delta = u64::from_le_bytes(b[36..44].try_into().ok()?);
-        // The count is the peer's word: every key is found before any is
-        // copied, so a header that is not whole allocates nothing.
-        let mut rest = &b[REQ_FIXED_BYTES..];
-        for _ in 0..nkeys {
+        let head = ReqHead {
+            op: McOp::from_u8(b[0])?,
+            nkeys: u16::from_le_bytes(b[2..4].try_into().ok()?).into(),
+            req_id: u64::from_le_bytes(b[4..12].try_into().ok()?),
+            ctr_id: u64::from_le_bytes(b[12..20].try_into().ok()?),
+            flags: u32::from_le_bytes(b[20..24].try_into().ok()?),
+            exptime: u32::from_le_bytes(b[24..28].try_into().ok()?),
+            cas: u64::from_le_bytes(b[28..36].try_into().ok()?),
+            delta: u64::from_le_bytes(b[36..44].try_into().ok()?),
+        };
+        let list = &b[REQ_FIXED_BYTES..];
+        let mut rest = list;
+        for _ in 0..head.nkeys {
             next_key(&mut rest)?;
         }
-        let mut rest = &b[REQ_FIXED_BYTES..];
-        let mut next = || next_key(&mut rest).map(<[u8]>::to_vec);
-        let keys = if nkeys == 1 {
-            Keys::One([next()?])
+        Some((head, &list[..list.len() - rest.len()]))
+    }
+
+    /// The keys of a `list` that [`ReqHead::decode`] found whole, each
+    /// made by `key`.
+    fn keys<'a, K>(&self, mut list: &'a [u8], mut key: impl FnMut(&'a [u8]) -> K) -> Keys<K> {
+        let mut next = || key(next_key(&mut list).unwrap_or_default());
+        if self.nkeys == 1 {
+            Keys::One([next()])
         } else {
-            let mut keys = Vec::with_capacity(nkeys);
-            for _ in 0..nkeys {
-                keys.push(next()?);
+            let mut keys = Vec::with_capacity(self.nkeys);
+            for _ in 0..self.nkeys {
+                keys.push(next());
             }
             Keys::Many(keys)
-        };
-        Some(ReqHeader {
-            op,
-            req_id,
-            ctr_id,
-            flags,
-            exptime,
-            cas,
-            delta,
-            keys,
-        })
+        }
+    }
+}
+
+/// A request header (AM 1) found whole, its key list copied into a buffer
+/// its taker lends, for a worker to read the keys in place.
+pub(crate) struct HeldReq {
+    pub head: ReqHead,
+    list: Vec<u8>,
+}
+
+impl HeldReq {
+    /// Takes header `b` off the wire, its key list into the buffer `lend`
+    /// gives, which is asked for only once the header is found whole;
+    /// `None` on malformed input, as [`ReqHeader::decode`].
+    pub fn decode(b: &[u8], lend: impl FnOnce() -> Vec<u8>) -> Option<HeldReq> {
+        let (head, keys) = ReqHead::decode(b)?;
+        let mut list = lend();
+        list.clear();
+        list.extend_from_slice(keys);
+        Some(HeldReq { head, list })
+    }
+
+    /// The keys, read in place: a single key allocates nothing.
+    pub fn keys(&self) -> Keys<&[u8]> {
+        self.head.keys(&self.list, |key| key)
+    }
+
+    /// The lent buffer, for the next header.
+    pub fn into_list(self) -> Vec<u8> {
+        self.list
     }
 }
 

@@ -48,7 +48,7 @@ fn lookup_rev<A: Copy, B: PartialEq + Copy>(table: &[(A, B)], from: B) -> Option
 pub(crate) mod ucr {
     use super::*;
     use crate::am_wire::{
-        encode_mget_entry, mget_entry_len, next_mget_entry, ReqHeader, ReqHeaderRef, RespHeader,
+        encode_mget_entry, mget_entry_len, next_mget_entry, ReqHead, ReqHeaderRef, RespHeader,
         RespStatus,
     };
 
@@ -87,20 +87,23 @@ pub(crate) mod ucr {
         (hdr, req.value)
     }
 
-    /// Server: the request AM 1 carried, borrowing keys from the header
-    /// and the value from the AM data.
-    pub fn decode_request<'a>(hdr: &'a ReqHeader, data: &'a [u8]) -> Request<'a> {
-        Request::store(hdr.op, &hdr.keys, data, hdr.flags, hdr.exptime, hdr.cas)
-            .with_delta(hdr.delta)
+    /// Server: the request AM 1 carried, over its `keys` (read from the
+    /// header in place) and the value from the AM data.
+    pub fn decode_request<'a, K: AsRef<[u8]>>(
+        hdr: &ReqHead,
+        keys: &'a [K],
+        data: &'a [u8],
+    ) -> Request<'a, K> {
+        Request::store(hdr.op, keys, data, hdr.flags, hdr.exptime, hdr.cas).with_delta(hdr.delta)
     }
 
     /// Server: the AM 2 header and data answering request `req_id`. A
     /// single hit's data is its bytes where the reply holds them (lent by
     /// the store), for the send to copy once into its network buffer.
-    pub fn encode_reply<'r, D: AsRef<[u8]>>(
+    pub fn encode_reply<'r, D: AsRef<[u8]>, K: AsRef<[u8]>>(
         req_id: u64,
         reply: &'r Reply<D>,
-        keys: &[Vec<u8>],
+        keys: &[K],
     ) -> (RespHeader, Cow<'r, [u8]>) {
         let mut hdr = RespHeader {
             req_id,
@@ -121,7 +124,7 @@ pub(crate) mod ucr {
                 (hdr.status, hdr.nvalues) = (RespStatus::Hit, hits.len() as u16);
                 let mut entries = Vec::with_capacity(reply.payload_len(keys));
                 for (i, v) in hits {
-                    encode_mget_entry(&mut entries, &keys[*i], v.flags, v.cas, &v.data);
+                    encode_mget_entry(&mut entries, keys[*i].as_ref(), v.flags, v.cas, &v.data);
                 }
                 payload = Cow::Owned(entries);
             }

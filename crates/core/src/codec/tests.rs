@@ -11,7 +11,7 @@ use mcproto::{
 use mcstore::{NumericError, SetOutcome, Value};
 
 use super::{ascii, binary, ucr};
-use crate::am_wire::{McOp, ReqHeader, RespHeader};
+use crate::am_wire::{HeldReq, McOp, RespHeader};
 use crate::request::{Reply, Request};
 
 const KEYS: [&[u8]; 3] = [b"alpha", b"beta", b"gamma"];
@@ -73,8 +73,9 @@ fn requests_survive_every_wire() {
         let want = fields(&req);
 
         let (hdr, data) = ucr::encode_request(&req, 1, 2);
-        let hdr = ReqHeader::decode(&hdr.encode()).expect("header decodes");
-        let got = ucr::decode_request(&hdr, data);
+        let hdr = HeldReq::decode(&hdr.encode(), Vec::new).expect("header decodes");
+        let keys = hdr.keys();
+        let got = ucr::decode_request(&hdr.head, &keys, data);
         assert_eq!(fields(&got), want, "ucr {:?}", req.op);
 
         let wire = ascii::encode_request(&req);
@@ -512,7 +513,9 @@ mod hostile_bytes {
     use simnet::{check_cases, SimRng};
 
     use super::*;
-    use crate::am_wire::{next_mget_entry, DirReq, DirResp};
+    use std::cell::Cell;
+
+    use crate::am_wire::{next_mget_entry, DirReq, DirResp, Keys, ReqHeader};
 
     /// One valid message of every kind on every wire, as bytes.
     fn valid_wires() -> Vec<Vec<u8>> {
@@ -560,7 +563,27 @@ mod hostile_bytes {
         if let Some(hdr) = ReqHeader::decode(wire) {
             let held = hdr.keys.iter().map(Vec::len).sum::<usize>();
             assert!(hdr.keys.capacity() + held <= wire.len());
-            ucr::decode_request(&hdr, wire);
+        }
+        // The server's form of the same header: its keys are the owned
+        // decode's, read in place, and a single key is held in line.
+        let lent = Cell::new(false);
+        let lend = || {
+            lent.set(true);
+            Vec::new()
+        };
+        let held = HeldReq::decode(wire, lend);
+        assert_eq!(held.is_some(), lent.get(), "lent for a refused header");
+        assert_eq!(held.is_some(), ReqHeader::decode(wire).is_some());
+        if let Some(req) = held {
+            let owned = ReqHeader::decode(wire).expect("decodes as the owned form");
+            let in_place = req.keys();
+            assert!(in_place
+                .iter()
+                .copied()
+                .eq(owned.keys.iter().map(Vec::as_slice)));
+            assert_eq!(matches!(in_place, Keys::One(_)), owned.keys.len() == 1);
+            assert!(in_place.capacity() <= wire.len());
+            ucr::decode_request(&req.head, &in_place, wire);
         }
         // A reply header is 32 bytes; what follows is its payload.
         let (head, payload) = wire.split_at(wire.len().min(32));
@@ -659,6 +682,8 @@ mod hostile_bytes {
                 }
                 survive(&wire);
                 assert!(ReqHeader::decode(&wire).is_none_or(|h| h.keys.len() == claimed.into()));
+                let held = HeldReq::decode(&wire, Vec::new);
+                assert!(held.is_none_or(|h| h.keys().len() == claimed.into()));
             },
         );
     }

@@ -9,9 +9,9 @@
 //! [`crate::codec`].
 //!
 //! A `Request` borrows its keys and value from whatever owns them — the
-//! decoded wire object on the server (`K = Vec<u8>`), the caller's
-//! arguments on the client (`K = &[u8]`) — so building one allocates
-//! nothing.
+//! decoded wire object on the server (`K = Vec<u8>` from a sockets frame,
+//! `K = &[u8]` read in place from a UCR header), the caller's arguments on
+//! the client (`K = &[u8]`) — so building one allocates nothing.
 
 use mcstore::{NumericError, SetOutcome, Value};
 

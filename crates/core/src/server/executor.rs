@@ -148,9 +148,9 @@ impl Executor {
     /// before `serve` returns. UCR posts its reply from `encode` and so
     /// sends inside the critical section (the historical schedule); a
     /// sockets front-end writes its reply after the release.
-    pub(super) async fn serve<T>(
+    pub(super) async fn serve<T, K: AsRef<[u8]>>(
         &self,
-        req: &Request<'_>,
+        req: &Request<'_, K>,
         id: OpId,
         track: Track,
         encode: impl FnOnce(&Reply<&[u8]>) -> T,
@@ -203,7 +203,11 @@ impl Executor {
     /// `encode` write the reply while the store still lends a hit; then
     /// syncs the mirrors (no await between the mutation and the sync).
     /// Returns what `encode` made and the reply's payload length.
-    fn run<T>(&self, req: &Request<'_>, encode: impl FnOnce(&Reply<&[u8]>) -> T) -> (T, usize) {
+    fn run<T, K: AsRef<[u8]>>(
+        &self,
+        req: &Request<'_, K>,
+        encode: impl FnOnce(&Reply<&[u8]>) -> T,
+    ) -> (T, usize) {
         let now = unix_now(&self.sim);
         let mut store = self.store.borrow_mut();
         let reply = execute(&mut store, req, now, |store, name| {
@@ -220,10 +224,10 @@ impl Executor {
     /// shard's share of a scattered multiget, wherever it was split (the
     /// UCR dispatcher's per-worker parts, or [`Executor::serve`]'s
     /// in-worker groups). Returns the still-held shard lock.
-    pub(super) async fn fetch_shard(
+    pub(super) async fn fetch_shard<K: AsRef<[u8]>>(
         &self,
         shard: usize,
-        keys: &[Vec<u8>],
+        keys: &[K],
         idxs: &[usize],
         hits: &mut Vec<(usize, Value)>,
         id: OpId,
@@ -243,22 +247,25 @@ impl Executor {
     /// Groups a multi-key read's key indices by owning shard when it has
     /// to be served shard by shard: an `Mget` with keys on more than one
     /// shard. `None` otherwise.
-    pub(super) fn shard_groups(
+    pub(super) fn shard_groups<K: AsRef<[u8]>>(
         &self,
         op: McOp,
-        keys: &[Vec<u8>],
+        keys: &[K],
     ) -> Option<BTreeMap<usize, Vec<usize>>> {
         if op != McOp::Mget || self.router.count() == 1 {
             return None;
         }
-        let mut shards = keys.iter().map(|k| self.router.index(k));
+        let mut shards = keys.iter().map(|k| self.router.index(k.as_ref()));
         let first = shards.next()?;
         if shards.all(|s| s == first) {
             return None;
         }
         let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
         for (i, k) in keys.iter().enumerate() {
-            groups.entry(self.router.index(k)).or_default().push(i);
+            groups
+                .entry(self.router.index(k.as_ref()))
+                .or_default()
+                .push(i);
         }
         Some(groups)
     }
@@ -379,15 +386,15 @@ impl Executor {
 }
 
 /// Fetches `keys[i]` for each `i` in `idxs`, appending the hits in order.
-fn fetch(
+fn fetch<K: AsRef<[u8]>>(
     store: &mut SegmentedStore,
-    keys: &[Vec<u8>],
+    keys: &[K],
     idxs: impl Iterator<Item = usize>,
     now: u32,
     hits: &mut Vec<(usize, Value)>,
 ) {
     hits.extend(idxs.filter_map(|i| {
-        let key = &keys[i];
+        let key = keys[i].as_ref();
         Some((i, store.segment_for(key).get(key, now)?))
     }));
 }
@@ -423,9 +430,9 @@ fn store_item<'s>(
 /// key, an aggregating one on the whole. `stats` renders a statistics
 /// sub-report (it needs server state the store does not hold). A `Get`
 /// hit is lent, so the reply holds the store until it is dropped.
-pub(super) fn execute<'s>(
+pub(super) fn execute<'s, K: AsRef<[u8]>>(
     store: &'s mut SegmentedStore,
-    req: &Request<'_>,
+    req: &Request<'_, K>,
     now: u32,
     stats: impl FnOnce(&mut SegmentedStore, &[u8]) -> Vec<(String, String)>,
 ) -> Reply<&'s [u8]> {

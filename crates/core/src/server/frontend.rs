@@ -20,15 +20,18 @@ use socksim::{DgramSocket, Socket};
 use ucr::{AmBytes, AmData, AmHandler, Endpoint, SendOptions};
 
 use super::executor::OpId;
-use super::{SrvInner, WorkItem};
-use crate::am_wire::{McOp, ReqHeader, MSG_MC_RESP};
+use super::{SrvInner, WorkItem, KEY_LIST_POOL_CAP};
+use crate::am_wire::{HeldReq, McOp, ReqHead, MSG_MC_RESP, ONE_KEY_LIST};
 use crate::codec;
 use crate::request::Reply;
 
 /// Serves one dispatched work item on worker `widx`.
 pub(super) async fn serve(srv: &Rc<SrvInner>, item: WorkItem, widx: u32) {
     match item {
-        WorkItem::Ucr { ep, req, data } => serve_ucr(srv, ep, req, data, widx).await,
+        WorkItem::Ucr { ep, req, data } => {
+            serve_ucr(srv, ep, &req, data, widx).await;
+            srv.give_back_key_list(req.into_list());
+        }
         WorkItem::UcrMgetPart {
             ep,
             merge,
@@ -76,6 +79,24 @@ impl SrvInner {
 // UCR
 // ---------------------------------------------------------------------
 
+impl SrvInner {
+    /// A buffer for a UCR request's key list: an idle one, or a fresh one
+    /// with room for any single key.
+    fn key_list(&self) -> Vec<u8> {
+        let idle = self.key_lists.borrow_mut().pop();
+        idle.unwrap_or_else(|| Vec::with_capacity(ONE_KEY_LIST))
+    }
+
+    /// Takes back a key list whose request is served: into the pool, or
+    /// freed if the pool is full or a longer list grew it.
+    pub(super) fn give_back_key_list(&self, list: Vec<u8>) {
+        let mut idle = self.key_lists.borrow_mut();
+        if list.capacity() <= ONE_KEY_LIST && idle.len() < KEY_LIST_POOL_CAP {
+            idle.push(list);
+        }
+    }
+}
+
 /// AM 1 handler: runs in the progress task of the endpoint's context and
 /// hands the request to a worker — the connection's, unless the store is
 /// sharded and the key's shard belongs to another.
@@ -87,7 +108,7 @@ pub(super) struct ReqDispatch {
 /// parts run on their shards' workers, genuinely in parallel, and the
 /// last to finish posts the one merged response.
 pub(super) struct MgetMerge {
-    req: ReqHeader,
+    req: HeldReq,
     /// When the first part began: the request's service time runs from
     /// here to the end of the last part.
     started: Cell<Option<SimTime>>,
@@ -103,20 +124,25 @@ impl AmHandler for ReqDispatch {
         if !srv.running.get() {
             return;
         }
-        let Some(req) = ReqHeader::decode(hdr) else {
+        let Some(req) = HeldReq::decode(hdr, || srv.key_list()) else {
             return;
         };
         let data = match data {
             AmData::Pool(bytes) => bytes,
             AmData::Placed(_) | AmData::Discarded => AmBytes::default(),
         };
-        srv.mark_dispatch(OpId::Wire(req.req_id), data.len() as u64);
+        srv.mark_dispatch(OpId::Wire(req.head.req_id), data.len() as u64);
         // Over a sharded store, keyed requests go to the owning shard's
         // affine worker and multi-shard Mgets are split into per-shard parts.
         // Everything else keeps the upstream policy: every request of a
         // connection is served by the worker the connection was assigned
         // to (paper §V-A).
-        if let Some(groups) = srv.exec.shard_groups(req.op, &req.keys) {
+        let (groups, affine) = {
+            let keys = req.keys();
+            let groups = srv.exec.shard_groups(req.head.op, &keys);
+            (groups, keys.first().and_then(|k| srv.exec.affine_shard(k)))
+        };
+        if let Some(groups) = groups {
             let merge = Rc::new(MgetMerge {
                 req,
                 started: Cell::new(None),
@@ -132,7 +158,7 @@ impl AmHandler for ReqDispatch {
             }
             return;
         }
-        let widx = match req.keys.first().and_then(|k| srv.exec.affine_shard(k)) {
+        let widx = match affine {
             Some(shard) => srv.worker_for_shard(shard),
             None => srv.worker_for_ep(ep),
         };
@@ -144,11 +170,11 @@ impl AmHandler for ReqDispatch {
     }
 }
 
-/// AM 2: the response, targeting the counter named in AM 1 (§V-B). Its
-/// data is copied once, into the send: from where the reply holds it — a
-/// `Get` hit, from the store.
-fn post_reply<D: AsRef<[u8]>>(ep: &Endpoint, req: &ReqHeader, reply: &Reply<D>) {
-    let (hdr, data) = codec::ucr::encode_reply(req.req_id, reply, &req.keys);
+/// AM 2: the response to the request `req` over `keys`, targeting the
+/// counter named in AM 1 (§V-B). Its data is copied once, into the send:
+/// from where the reply holds it — a `Get` hit, from the store.
+fn post_reply<D: AsRef<[u8]>>(ep: &Endpoint, req: &ReqHead, keys: &[&[u8]], reply: &Reply<D>) {
+    let (hdr, data) = codec::ucr::encode_reply(req.req_id, reply, keys);
     ep.post_message(
         MSG_MC_RESP,
         hdr.encode(),
@@ -160,14 +186,15 @@ fn post_reply<D: AsRef<[u8]>>(ep: &Endpoint, req: &ReqHeader, reply: &Reply<D>) 
     );
 }
 
-/// Serves one UCR request. Its data stays where UCR landed it until the
-/// service has copied it into the store; a rendezvous's bytes then go back
-/// to the runtime's pool.
-async fn serve_ucr(srv: &Rc<SrvInner>, ep: Endpoint, req: ReqHeader, data: AmBytes, widx: u32) {
-    let request = codec::ucr::decode_request(&req, &data);
-    let (id, track) = (OpId::Wire(req.req_id), Track::Worker(widx));
+/// Serves one UCR request, its keys read where the header holds them. Its
+/// data stays where UCR landed it until the service has copied it into the
+/// store; a rendezvous's bytes then go back to the runtime's pool.
+async fn serve_ucr(srv: &Rc<SrvInner>, ep: Endpoint, req: &HeldReq, data: AmBytes, widx: u32) {
+    let keys = req.keys();
+    let request = codec::ucr::decode_request(&req.head, &keys, &data);
+    let (id, track) = (OpId::Wire(req.head.req_id), Track::Worker(widx));
     // Posted at the service instant, the request's locks still held.
-    let post = |reply: &Reply<&[u8]>| post_reply(&ep, &req, reply);
+    let post = |reply: &Reply<&[u8]>| post_reply(&ep, &req.head, &keys, reply);
     srv.exec.serve(&request, id, track, post).await;
 }
 
@@ -185,7 +212,8 @@ async fn serve_ucr_mget_part(
     widx: u32,
 ) {
     let (exec, req) = (&srv.exec, &merge.req);
-    let (id, track) = (OpId::Wire(req.req_id), Track::Worker(widx));
+    let keys = req.keys();
+    let (id, track) = (OpId::Wire(req.head.req_id), Track::Worker(widx));
     // One `worker_service` span per part under the shared request id, one
     // service-time sample per request: both run from the earliest begin
     // to the latest end.
@@ -195,7 +223,7 @@ async fn serve_ucr_mget_part(
     exec.charge_fixed().await;
     let mut hits = Vec::with_capacity(idxs.len());
     let _guards = exec
-        .fetch_shard(shard, &req.keys, &idxs, &mut hits, id, track)
+        .fetch_shard(shard, &keys, &idxs, &mut hits, id, track)
         .await;
     let merged: Option<Reply> = {
         let mut state = merge.state.borrow_mut();
@@ -212,7 +240,7 @@ async fn serve_ucr_mget_part(
     }
     exec.end(id, track, idxs.len() as u64);
     if let Some(reply) = &merged {
-        post_reply(&ep, req, reply);
+        post_reply(&ep, &req.head, &keys, reply);
     }
 }
 

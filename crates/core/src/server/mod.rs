@@ -145,7 +145,9 @@ impl SrvStats {
 enum WorkItem {
     Ucr {
         ep: Endpoint,
-        req: crate::am_wire::ReqHeader,
+        /// The request's header, its key list in a buffer lent by
+        /// [`SrvInner::key_list`].
+        req: crate::am_wire::HeldReq,
         /// The request's data where UCR landed it, until the service has
         /// copied it into the store.
         data: ucr::AmBytes,
@@ -183,6 +185,12 @@ enum WorkItem {
     },
 }
 
+/// Most idle key-list buffers a server keeps: one per UCR request queued
+/// or in service, up to the 128 that 16 clients eight deep keep in flight.
+/// Each holds at most `ONE_KEY_LIST` bytes, so the idle ones hold at most
+/// 32 KiB.
+const KEY_LIST_POOL_CAP: usize = 128;
+
 /// The server process: the executor plus the dispatch state around it.
 struct SrvInner {
     exec: Executor,
@@ -195,6 +203,9 @@ struct SrvInner {
     /// ([`SrvInner::worker_for_ep`]).
     next_worker: Cell<usize>,
     running: Cell<bool>,
+    /// Idle buffers for the key lists of UCR requests, at most
+    /// [`KEY_LIST_POOL_CAP`], each with room for any single key.
+    key_lists: RefCell<Vec<Vec<u8>>>,
     /// The sockets ports this server bound. `shutdown` closes them, so a
     /// server started on the node again can bind them.
     listeners: RefCell<Vec<Rc<Listener>>>,
@@ -224,6 +235,7 @@ impl McServer {
             workers: worker_txs,
             next_worker: Cell::new(0),
             running: Cell::new(true),
+            key_lists: RefCell::new(Vec::new()),
             listeners: RefCell::new(Vec::new()),
             dgram_socks: RefCell::new(Vec::new()),
         });

@@ -396,3 +396,43 @@ fn a_set_publishes_only_the_class_it_moved() {
     set("another-medium", 1_000);
     assert_eq!(published() - before, 1);
 }
+
+/// A UCR request's key list is lent from the server's pool and comes back
+/// once the request is served: one get after another reuses one list; a
+/// list grown past room for any single key is freed, not kept; and lists
+/// coming back to a full pool are freed past its cap.
+#[test]
+fn the_key_list_pool_reuses_its_buffers_and_keeps_its_cap() {
+    use crate::am_wire::ONE_KEY_LIST;
+
+    let cfg = McClientConfig::single(Transport::Ucr, NodeId(0));
+    let Scenario {
+        world,
+        server,
+        clients,
+    } = Scenario::new(World::cluster_b(5, 2), McServerConfig::default(), [cfg]);
+    let get = |key: Vec<u8>| {
+        let c = clients[0].clone();
+        world.sim().block_on(async move {
+            c.get(&key).await.unwrap();
+        });
+    };
+    let idle = || {
+        let lists = server.inner.key_lists.borrow();
+        lists.iter().map(Vec::capacity).collect::<Vec<_>>()
+    };
+    for _ in 0..3 {
+        get(b"k".to_vec());
+    }
+    assert_eq!(idle(), [ONE_KEY_LIST]);
+    get(vec![b'k'; mcstore::MAX_KEY_LEN + 1]);
+    assert_eq!(idle(), [], "the grown list is freed");
+    get(b"k".to_vec());
+    assert_eq!(idle(), [ONE_KEY_LIST]);
+    for _ in 0..2 * super::KEY_LIST_POOL_CAP {
+        server
+            .inner
+            .give_back_key_list(Vec::with_capacity(ONE_KEY_LIST));
+    }
+    assert_eq!(idle().len(), super::KEY_LIST_POOL_CAP);
+}

@@ -209,6 +209,37 @@ fn oversized_value_is_rejected() {
     });
 }
 
+/// Over UCR a key of `MAX_KEY_LEN` bytes, the longest whose header a
+/// server holds in a pooled key list without growing it, is served; a key
+/// one byte longer gets the store's refusal it has always had: not stored,
+/// and not found by any read or update.
+#[test]
+fn ucr_serves_the_longest_key_and_refuses_one_past_it() {
+    let s = Scenario::start(world_a(), Transport::Ucr);
+    let c = s.clients[0].clone();
+    s.world.sim().block_on(async move {
+        let longest = vec![b'k'; mcstore::MAX_KEY_LEN];
+        c.set(&longest, b"v", 0, 0).await.unwrap();
+        let hit = c.get(&longest).await.unwrap().expect("served");
+        assert_eq!(hit.data, b"v");
+        assert_eq!(c.add(&longest, b"w", 0, 0).await, Err(McError::NotStored));
+        assert_eq!(c.touch(&longest, 9).await, Ok(true));
+        assert_eq!(c.incr(&longest, 1).await, Err(McError::NotNumeric));
+        let hits = c.mget(&[&longest[..], b"x"]).await.unwrap();
+        assert_eq!(hits.len(), 1);
+        assert_eq!(c.delete(&longest).await, Ok(true));
+
+        let past = vec![b'k'; mcstore::MAX_KEY_LEN + 1];
+        assert_eq!(c.set(&past, b"v", 0, 0).await, Err(McError::NotStored));
+        assert_eq!(c.get(&past).await, Ok(None));
+        assert_eq!(c.add(&past, b"w", 0, 0).await, Err(McError::NotStored));
+        assert_eq!(c.touch(&past, 9).await, Ok(false));
+        assert_eq!(c.incr(&past, 1).await, Err(McError::NotFound));
+        assert_eq!(c.delete(&past).await, Ok(false));
+        assert_eq!(c.mget(&[&past[..], b"x"]).await, Ok(Vec::new()));
+    });
+}
+
 /// The design goal of §V-A: one server serves every client family, on the
 /// same data. A client on `a` and one on `b` each read the other's value.
 fn two_wires_share_one_store(a: Transport, b: Transport) -> Scenario {

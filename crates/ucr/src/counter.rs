@@ -35,6 +35,15 @@ pub(crate) struct CtrInner {
 }
 
 impl CtrInner {
+    /// A counter at value 0 with nothing parked on it.
+    pub(crate) fn new(id: u64) -> CtrInner {
+        CtrInner {
+            id,
+            value: Cell::new(0),
+            notify: Notify::new(),
+        }
+    }
+
     /// The one mutation: increment, then wake waiters. All bump paths
     /// (local and remote, see `RtInner::bump_counter`) go through here, so
     /// the value is monotonic and no waiter misses an increment.
@@ -54,13 +63,9 @@ pub struct Counter {
 }
 
 impl Counter {
-    pub(crate) fn new(id: u64, sim: Sim, tracer: Rc<Tracer>, node: NodeId) -> Counter {
+    pub(crate) fn new(inner: Rc<CtrInner>, sim: Sim, tracer: Rc<Tracer>, node: NodeId) -> Counter {
         Counter {
-            inner: Rc::new(CtrInner {
-                id,
-                value: Cell::new(0),
-                notify: Notify::new(),
-            }),
+            inner,
             sim,
             tracer,
             node,

@@ -67,6 +67,13 @@ pub const MAX_HEADER_BYTES: usize = NET_BUF_BYTES - PACKET_HEADER_BYTES;
 /// for it.
 pub const MAX_RNDV_BYTES: usize = 64 << 20;
 
+/// Most idle rendezvous header buffers the runtime keeps. A `RndvReq`'s
+/// application header is copied off its receive buffer into one and held
+/// until the read completes; a buffer that comes back to a full list is
+/// freed. Each holds at most [`MAX_HEADER_BYTES`], so the idle ones hold at
+/// most 512 KiB.
+const RNDV_HDR_POOL_CAP: usize = 64;
+
 /// Most bytes of idle rendezvous buffers the runtime keeps. A buffer that
 /// would take the pool past it when it comes back is freed.
 const RNDV_POOL_BYTES: usize = 1 << 20;
@@ -234,9 +241,14 @@ pub(crate) struct RtInner {
     pub eager_threshold: std::cell::Cell<usize>,
     profile: ClusterProfile,
     handlers: RefCell<HashMap<u16, Rc<dyn AmHandler>>>,
-    /// A weak entry per counter made and not yet swept, by id. Ids only
-    /// grow, so a push keeps the table sorted.
-    counters: RefCell<Vec<(u64, Weak<CtrInner>)>>,
+    /// An entry per counter made and not yet swept, by id. Ids only grow,
+    /// so a push keeps the table sorted. An entry the table holds the only
+    /// reference to is released: its counter was dropped.
+    counters: RefCell<Vec<Rc<CtrInner>>>,
+    /// Boxes of released counters the sweep took out of `counters`, for
+    /// [`UcrRuntime::counter`] to refill under fresh ids; never more than
+    /// the table has room for.
+    idle_ctrs: RefCell<Vec<Rc<CtrInner>>>,
     /// By QP number; ordered, so `shutdown` fails them in QP order.
     eps: RefCell<BTreeMap<u32, Rc<EpInner>>>,
     /// Work requests awaiting their completion: what it comes back for,
@@ -260,6 +272,9 @@ pub(crate) struct RtInner {
     /// region in its read's `Pending` entry — or a handler's [`AmBytes`].
     rndv_free: RefCell<Vec<Vec<u8>>>,
     rndv_idle_bytes: Cell<usize>,
+    /// Idle rendezvous header buffers, at most [`RNDV_HDR_POOL_CAP`]; one
+    /// in use is the `hdr` of a read's `Pending` entry.
+    rndv_hdr_free: RefCell<Vec<Vec<u8>>>,
     ud_qp: RefCell<Option<QueuePair>>,
     ud_eps: RefCell<HashMap<(u32, u32), Rc<EpInner>>>,
     next_wr: Cell<u64>,
@@ -365,6 +380,7 @@ impl UcrRuntime {
             profile,
             handlers: RefCell::new(HashMap::new()),
             counters: RefCell::new(Vec::new()),
+            idle_ctrs: RefCell::new(Vec::new()),
             eps: RefCell::new(BTreeMap::new()),
             pending: RefCell::new(HashMap::new()),
             recv_bufs: RefCell::new(HashMap::new()),
@@ -372,6 +388,7 @@ impl UcrRuntime {
             send_free: RefCell::new(Vec::new()),
             rndv_free: RefCell::new(Vec::new()),
             rndv_idle_bytes: Cell::new(0),
+            rndv_hdr_free: RefCell::new(Vec::new()),
             ud_qp: RefCell::new(None),
             ud_eps: RefCell::new(HashMap::new()),
             // Past the receive ids the pool's growth takes.
@@ -420,31 +437,40 @@ impl UcrRuntime {
         self.inner.sim.clone()
     }
 
-    /// Creates a fresh counter registered with this runtime.
+    /// Creates a fresh counter registered with this runtime: a new id, in
+    /// the box of a released counter when one is idle.
     pub fn counter(&self) -> Counter {
-        let id = self.inner.next_ctr.get();
-        self.inner.next_ctr.set(id + 1);
-        let c = Counter::new(
-            id,
-            self.inner.sim.clone(),
-            self.inner.tracer.clone(),
-            self.inner.node,
-        );
-        let mut counters = self.inner.counters.borrow_mut();
-        // A full table drops the entries of released counters (a weak
-        // entry keeps its counter's box allocated) and grows, to twice the
-        // live ones, only if they still fill more than half of it: it holds
-        // at most twice the counters live at once, and a sweep comes at
-        // most once per half a table of counters made.
+        let rt = &self.inner;
+        let id = rt.next_ctr.get();
+        rt.next_ctr.set(id + 1);
+        let mut counters = rt.counters.borrow_mut();
+        let mut idle = rt.idle_ctrs.borrow_mut();
+        // A full table moves the boxes of released counters to the idle
+        // list and grows, to twice the live ones, only if they still fill
+        // more than half of it: it holds at most twice the counters live at
+        // once, a sweep comes at most once per half a table of counters
+        // made, and the boxes it frees are the ones those counters reuse.
         if counters.len() == counters.capacity() {
-            counters.retain(|(_, w)| w.strong_count() > 0);
+            let room = counters.capacity();
+            for released in counters.extract_if(.., |c| Rc::strong_count(c) == 1) {
+                if idle.len() < room {
+                    idle.push(released);
+                }
+            }
             let live = counters.len();
             if 2 * live > counters.capacity() {
                 counters.reserve_exact(live);
             }
         }
-        counters.push((id, Rc::downgrade(&c.inner)));
-        c
+        // An idle box is referenced by the list alone, so it is refilled in
+        // place: value 0, and no waker of its last life left parked on it.
+        let reused = idle.pop().and_then(|mut boxed| {
+            *Rc::get_mut(&mut boxed)? = CtrInner::new(id);
+            Some(boxed)
+        });
+        let inner = reused.unwrap_or_else(|| Rc::new(CtrInner::new(id)));
+        counters.push(inner.clone());
+        Counter::new(inner, rt.sim.clone(), rt.tracer.clone(), rt.node)
     }
 
     /// Registers the handler for `msg_id`, replacing any previous one.
@@ -741,6 +767,24 @@ impl RtInner {
         self.rndv_free.borrow_mut().push(buf);
     }
 
+    /// A copy of a rendezvous message's application header, held until
+    /// its read completes, in an idle header buffer when there is one.
+    fn rndv_header(&self, hdr: &[u8]) -> Vec<u8> {
+        let mut buf = self.rndv_hdr_free.borrow_mut().pop().unwrap_or_default();
+        buf.clear();
+        buf.extend_from_slice(hdr);
+        buf
+    }
+
+    /// Takes back a rendezvous header whose read is done: into the idle
+    /// list, or freed if the list is full.
+    fn give_back_header(&self, buf: Vec<u8>) {
+        let mut free = self.rndv_hdr_free.borrow_mut();
+        if free.len() < RNDV_HDR_POOL_CAP {
+            free.push(buf);
+        }
+    }
+
     pub(crate) fn drop_endpoint(&self, qpn: u32) {
         self.eps.borrow_mut().remove(&qpn);
     }
@@ -843,10 +887,14 @@ impl RtInner {
         if id == 0 {
             return;
         }
+        // A released entry, held by the table alone, is bumped no more
+        // than a counter already swept.
         let ctr = {
             let counters = self.counters.borrow();
-            let at = counters.binary_search_by_key(&id, |&(id, _)| id);
-            at.ok().and_then(|at| counters[at].1.upgrade())
+            let at = counters.binary_search_by_key(&id, |c| c.id);
+            at.ok()
+                .filter(|&at| Rc::strong_count(&counters[at]) > 1)
+                .map(|at| counters[at].clone())
         };
         if let Some(c) = ctr {
             c.bump();
@@ -946,7 +994,7 @@ impl RtInner {
                     return;
                 }
                 self.sim.sleep(self.profile.host.am_dispatch).await;
-                let hdr = first.hdr(&buf.bytes()).to_vec();
+                let hdr = self.rndv_header(first.hdr(&buf.bytes()));
                 self.retire_recv_buffer(buf);
                 let handler = self.handlers.borrow().get(&pkt.msg_id).cloned();
                 let Some(handler) = handler else {
@@ -1125,10 +1173,14 @@ impl RtInner {
                         AmData::Discarded
                     }
                 };
-                let Some(ep_rc) = ep.upgrade() else { return };
+                let Some(ep_rc) = ep.upgrade() else {
+                    self.give_back_header(hdr);
+                    return;
+                };
                 let ep = Endpoint { inner: ep_rc };
                 let track = Track::Endpoint(ep.id());
                 if !wc.status.is_ok() {
+                    self.give_back_header(hdr);
                     self.tracer.end(
                         Layer::Ucr,
                         "rndv_window",
@@ -1155,6 +1207,7 @@ impl RtInner {
                         || handler.on_complete(&ep, &hdr, am_data),
                     );
                 }
+                self.give_back_header(hdr);
                 self.tracer.end(
                     Layer::Ucr,
                     "rndv_window",
@@ -1513,8 +1566,9 @@ mod tests {
     /// The counter table follows the live counters. Behind 3 held ones,
     /// or 8 in flight at a time, 5 000 counters made and dropped never
     /// take it past room for twice the most counters live at once (a
-    /// first table has room for four); and a held counter is still bumped
-    /// by a remote active message after the sweeps.
+    /// first table has room for four), nor its entries and the idle boxes
+    /// together past that bound; and a held counter is still bumped by a
+    /// remote active message after the sweeps.
     #[test]
     fn the_counter_table_holds_at_most_twice_the_live_counters() {
         for (held, in_flight) in [(3, 1), (0, 8)] {
@@ -1530,11 +1584,13 @@ mod tests {
                 }
                 window.push_back(client.counter());
                 let table = client.inner.counters.borrow();
+                let idle = client.inner.idle_ctrs.borrow().len();
                 assert!(
-                    table.capacity() <= bound,
-                    "{} held, {in_flight} in flight: capacity {} past {bound}",
+                    table.capacity() <= bound && table.len() + idle <= bound,
+                    "{} held, {in_flight} in flight: capacity {}, {} entries and {idle} idle, past {bound}",
                     held.len(),
-                    table.capacity()
+                    table.capacity(),
+                    table.len(),
                 );
             }
             let watched = held.first().or(window.back()).cloned();
@@ -1550,9 +1606,78 @@ mod tests {
                 watched.wait_for(1, TIMEOUT).await.expect("bumped");
             });
             let table = client.inner.counters.borrow();
-            let kept = |c: &Counter| table.binary_search_by_key(&c.id(), |&(id, _)| id).is_ok();
+            let kept = |c: &Counter| table.binary_search_by_key(&c.id(), |t| t.id).is_ok();
             assert!(held.iter().all(kept));
         }
+    }
+
+    /// A dropped counter's box is reused, from 0, never its id. A remote
+    /// bump naming the dropped counter's id changes no counter and is not
+    /// traced as a `counter_bump`: while its released entry is still in the
+    /// table, and again once its box counts for a counter with a fresh id.
+    /// A live counter's remote bump still lands.
+    #[test]
+    fn a_bump_for_a_dropped_counter_reaches_no_counter_before_or_after_reuse() {
+        let (cluster, _server, client, _ep, peer) = connected(38);
+        let recorder = simnet::EventRecorder::new();
+        cluster.tracer().add_sink(recorder.clone());
+        let bumps = || {
+            let on_client =
+                |e: &simnet::Event| e.name == "counter_bump" && e.node == Some(client.node());
+            recorder
+                .events()
+                .into_iter()
+                .filter(on_client)
+                .map(|e| e.op)
+                .collect::<Vec<_>>()
+        };
+        let bump = |id: u64| {
+            let peer = peer.clone();
+            let sim = cluster.sim().clone();
+            cluster.sim().block_on(async move {
+                let opts = SendOptions {
+                    target_ctr: id,
+                    ..Default::default()
+                };
+                peer.send_message(MSG, b"h", b"bump", opts)
+                    .await
+                    .expect("eager");
+                sim.sleep(SimDuration::from_millis(1)).await;
+            });
+        };
+        let live = client.counter();
+        let dropped = client.counter();
+        let (dead_id, dead_box) = (dropped.id(), Rc::as_ptr(&dropped.inner));
+        drop(client.counter());
+        bump(dead_id);
+        assert_eq!(
+            (dropped.value(), bumps()),
+            (1, vec![dead_id]),
+            "bumped while held"
+        );
+        recorder.take();
+        drop(dropped);
+
+        bump(dead_id);
+        assert_eq!((live.value(), bumps()), (0, vec![]), "released, not reused");
+
+        // The fourth counter fills the first table (room for four); the
+        // fifth sweeps the two released boxes to the idle list and takes the
+        // later one; the sixth takes the dropped counter's.
+        let mut made = vec![client.counter(), client.counter()];
+        assert_eq!(client.inner.idle_ctrs.borrow().len(), 1, "a box waits");
+        made.push(client.counter());
+        let fresh = &made[2];
+        assert_eq!(Rc::as_ptr(&fresh.inner), dead_box, "the box is reused");
+        assert_eq!(fresh.value(), 0, "from 0");
+        assert!(fresh.id() > dead_id);
+        bump(dead_id);
+        assert!(made.iter().chain([&live]).all(|c| c.value() == 0));
+        assert_eq!(bumps(), vec![], "reused under a fresh id");
+
+        bump(live.id());
+        assert_eq!((live.value(), bumps()), (1, vec![live.id()]));
+        assert!(made.iter().all(|c| c.value() == 0));
     }
 
     /// The receive pool grows to its traffic and keeps its cap. One round
@@ -1680,6 +1805,42 @@ mod tests {
                 assert_eq!(idle, KEPT.min(misses as usize));
             }
         });
+    }
+
+    /// A rendezvous's application header is held in a buffer from the
+    /// target's list until its read completes: one rendezvous after another
+    /// reuses the one buffer, and buffers coming back to a full list are
+    /// freed past its cap.
+    #[test]
+    fn the_rendezvous_header_list_reuses_its_buffers_and_keeps_its_cap() {
+        let (cluster, server, client, ep, _peer) = connected(39);
+        let idle = || {
+            let free = server.inner.rndv_hdr_free.borrow();
+            free.iter().map(|h| h.as_ptr()).collect::<Vec<_>>()
+        };
+        let mut first = None;
+        for _ in 0..3 {
+            let (client, ep) = (client.clone(), ep.clone());
+            cluster.sim().block_on(async move {
+                let done = client.counter();
+                let opts = SendOptions {
+                    completion: Some(done.clone()),
+                    ..Default::default()
+                };
+                let data = vec![7u8; 16 << 10];
+                ep.send_message(MSG, b"header", &data, opts)
+                    .await
+                    .expect("advertised");
+                done.wait_for(1, TIMEOUT).await.expect("handled");
+            });
+            let held = idle();
+            assert_eq!(held.len(), 1);
+            assert_eq!(*first.get_or_insert(held[0]), held[0], "reused");
+        }
+        for _ in 0..2 * RNDV_HDR_POOL_CAP {
+            server.inner.give_back_header(Vec::new());
+        }
+        assert_eq!(idle().len(), RNDV_HDR_POOL_CAP);
     }
 
     /// Only a region's bytes are reused, and only for a message they fit:
