@@ -428,6 +428,13 @@ impl HeldReq {
         self.head.keys(&self.list, |key| key)
     }
 
+    /// The keys, read in place one after another: a walk that allocates
+    /// nothing, whatever their number.
+    pub fn each_key(&self) -> impl Iterator<Item = &[u8]> {
+        let mut list = self.list.as_slice();
+        (0..self.head.nkeys).map(move |_| next_key(&mut list).unwrap_or_default())
+    }
+
     /// The lent buffer, for the next header.
     pub fn into_list(self) -> Vec<u8> {
         self.list

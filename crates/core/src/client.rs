@@ -26,7 +26,7 @@ use mcstore::{NumericError, SetOutcome, Value};
 use simnet::sync::timeout;
 use simnet::trace::{Layer, Track};
 use simnet::{NodeId, Sim, SimDuration, Stack, Tracer};
-use socksim::{DgramSocket, SockError, Socket, SocketAddr};
+use socksim::{DgramSocket, SockError, Socket, SocketAddr, STREAM_BUF_KEEP};
 use ucr::{
     AmData, Counter, Endpoint, FnHandler, MemoryDescriptor, SendOptions, UcrMemory, UcrRuntime,
 };
@@ -454,28 +454,29 @@ impl Conn {
                 ticket.ctr = Some(ctr);
             }
             Conn::Stream { sock, binary, .. } => {
-                let wire = if *binary {
-                    let frames = codec::binary::encode_request(req);
-                    frames
-                        .iter()
-                        .map(BinFrame::encode)
-                        .collect::<Vec<_>>()
-                        .concat()
-                } else {
-                    codec::ascii::encode_request(req)
-                };
+                let write = cli.send_frame(
+                    |wire| {
+                        if *binary {
+                            for frame in codec::binary::encode_request(req) {
+                                frame.borrowed().write_to(wire);
+                            }
+                        } else {
+                            codec::ascii::encode_request(req, wire);
+                        }
+                    },
+                    |wire| sock.write_all(wire),
+                );
                 // A failed write may have sent part of the request.
                 ticket.owed = true;
-                sock.write_all(&wire)
-                    .await
-                    .map_err(|_| McError::Disconnected)?;
+                write.await.map_err(|_| McError::Disconnected)?;
             }
             Conn::Udp { sock, server } => {
-                let wire = codec::ascii::encode_request(req);
-                if wire.len() > UDP_CHUNK_BYTES {
-                    return Err(McError::TooLarge); // requests must fit one datagram
-                }
-                for d in udp_fragment(id as u16, &wire) {
+                let datagrams = cli.send_frame(
+                    |wire| codec::ascii::encode_request(req, wire),
+                    // Requests must fit one datagram.
+                    |wire| (wire.len() <= UDP_CHUNK_BYTES).then(|| udp_fragment(id as u16, wire)),
+                );
+                for d in datagrams.ok_or(McError::TooLarge)? {
                     sock.send_to(*server, &d)
                         .await
                         .map_err(|_| McError::Disconnected)?;
@@ -607,6 +608,8 @@ struct CliInner {
     /// Scratch region one-sided reads land in (grown on demand), while no
     /// read holds it.
     bypass_buf: RefCell<Option<UcrMemory>>,
+    /// The frame of the sockets request being sent ([`CliInner::send_frame`]).
+    wire: RefCell<Vec<u8>>,
 }
 
 /// A Memcached client bound to one node of the simulated cluster.
@@ -711,6 +714,7 @@ impl McClient {
                 bypass_order: RefCell::new(VecDeque::new()),
                 bypass_eps: RefCell::new(HashMap::new()),
                 bypass_buf: RefCell::new(None),
+                wire: RefCell::new(Vec::new()),
             }),
         }
     }
@@ -1565,6 +1569,22 @@ impl CliInner {
             Ok(r) => r,
             Err(_) => Err(McError::Timeout),
         }
+    }
+
+    /// Writes a sockets request frame with `write` into the client's request
+    /// buffer and hands it to `send`, which copies it out before it returns
+    /// (a socket write's future owns its bytes). The buffer is kept for the
+    /// next request unless a frame grew it past [`STREAM_BUF_KEEP`], so a
+    /// window of requests on one connection shares it.
+    fn send_frame<T>(&self, write: impl FnOnce(&mut Vec<u8>), send: impl FnOnce(&[u8]) -> T) -> T {
+        let mut wire = self.wire.borrow_mut();
+        wire.clear();
+        write(&mut wire);
+        let sent = send(&wire);
+        if wire.capacity() > STREAM_BUF_KEEP {
+            *wire = Vec::new();
+        }
+        sent
     }
 
     /// Closes a connection and forgets it, forcing the next operation

@@ -196,12 +196,17 @@ pub(crate) mod ucr {
 }
 
 /// The memcached text protocol, over TCP streams and UDP datagrams. Both
-/// ends write a frame straight from `Request`/`Reply` into one buffer of
-/// exactly its size, and the client reads its reply in place: a hit's
-/// value is the one thing it copies out.
+/// ends write a frame straight from `Request`/`Reply` onto a buffer they
+/// keep, the server reads a request in place from the frame it arrived in,
+/// and the client reads its reply in place: a hit's value is the one thing
+/// either end copies out.
 pub(crate) mod ascii {
     use super::*;
-    use mcproto::{exact, Command, Response, ResponseLine as Line, ResponseLines, StoreVerb};
+    use crate::am_wire::Keys;
+    use mcproto::{
+        frame_into, CommandOf, CommandRef, Response, ResponseLine as Line, ResponseLines,
+        StoreVerb, Wire,
+    };
 
     const VERBS: [(StoreVerb, McOp); 5] = [
         (StoreVerb::Set, McOp::Set),
@@ -211,9 +216,9 @@ pub(crate) mod ascii {
         (StoreVerb::Prepend, McOp::Prepend),
     ];
 
-    /// Client: the command line (and data block) for `req`. Fetches always
-    /// ask for CAS tokens (`gets`).
-    pub fn encode_request<K: AsRef<[u8]>>(req: &Request<'_, K>) -> Vec<u8> {
+    /// Client: writes the command line (and data block) for `req` onto
+    /// `out`. Fetches always ask for CAS tokens (`gets`).
+    pub fn encode_request<K: AsRef<[u8]>>(req: &Request<'_, K>, out: &mut Vec<u8>) {
         let &Request {
             flags,
             exptime,
@@ -223,7 +228,7 @@ pub(crate) mod ascii {
             ..
         } = req;
         let key = Some(req.key());
-        exact(|w| match req.op {
+        frame_into(out, |w| match req.op {
             McOp::Get | McOp::Mget => w.retrieval(b"gets", req.keys),
             McOp::Cas => w.storage(b"cas", req.key(), flags, exptime, Some(cas), value, false),
             McOp::Delete => w.command(b"delete", key, None, false),
@@ -243,12 +248,38 @@ pub(crate) mod ascii {
         })
     }
 
-    /// Server: the request `cmd` asks for plus its `noreply` flag,
-    /// borrowing keys and data from the command. `None` for `quit`, which
-    /// the connection reader consumes.
-    pub fn decode_request(cmd: &Command) -> Option<(Request<'_>, bool)> {
-        use std::slice::from_ref;
-        use Command::*;
+    /// Server: the keys `cmd` names, read in place — a `get`'s keys, the
+    /// key of a keyed command, a `stats` sub-report's name, none for the
+    /// rest. One key allocates nothing.
+    pub fn keys<'a>(cmd: &CommandRef<'a>) -> Keys<&'a [u8]> {
+        use CommandOf::*;
+        match cmd {
+            Get { keys } | Gets { keys } => {
+                let mut first_two = keys.clone();
+                match (first_two.next(), first_two.next()) {
+                    (Some(key), None) => Keys::One([key]),
+                    _ => Keys::Many(keys.clone().collect()),
+                }
+            }
+            Store { key, .. }
+            | Cas { key, .. }
+            | Delete { key, .. }
+            | Incr { key, .. }
+            | Decr { key, .. }
+            | Touch { key, .. }
+            | Stats { arg: Some(key) } => Keys::One([*key]),
+            FlushAll { .. } | Stats { arg: None } | Version | Quit => Keys::Many(Vec::new()),
+        }
+    }
+
+    /// Server: the request `cmd` asks for, over its [`keys`], plus its
+    /// `noreply` flag; keys and data stay where the frame holds them.
+    /// `None` for `quit`, which the connection reader consumes.
+    pub fn decode_request<'k, 'a>(
+        cmd: &CommandRef<'a>,
+        keys: &'k [&'a [u8]],
+    ) -> Option<(Request<'k, &'a [u8]>, bool)> {
+        use CommandOf::*;
         let noreply = match cmd {
             Store { noreply, .. }
             | Cas { noreply, .. }
@@ -259,55 +290,57 @@ pub(crate) mod ascii {
             | FlushAll { noreply, .. } => *noreply,
             Get { .. } | Gets { .. } | Stats { .. } | Version | Quit => false,
         };
-        let req = match cmd {
+        let req = match *cmd {
             Store {
                 verb,
-                key,
                 flags,
                 exptime,
                 data,
                 ..
             } => {
-                let op = lookup(&VERBS, *verb).unwrap_or(McOp::Set);
-                Request::store(op, from_ref(key), data, *flags, *exptime, 0)
+                let op = lookup(&VERBS, verb).unwrap_or(McOp::Set);
+                Request::store(op, keys, data, flags, exptime, 0)
             }
             Cas {
-                key,
                 flags,
                 exptime,
                 cas,
                 data,
                 ..
-            } => Request::store(McOp::Cas, from_ref(key), data, *flags, *exptime, *cas),
-            Get { keys } | Gets { keys } if keys.len() == 1 => Request::new(McOp::Get, keys),
-            Get { keys } | Gets { keys } => Request::new(McOp::Mget, keys),
-            Delete { key, .. } => Request::new(McOp::Delete, from_ref(key)),
-            Incr { key, delta, .. } => Request::new(McOp::Incr, from_ref(key)).with_delta(*delta),
-            Decr { key, delta, .. } => Request::new(McOp::Decr, from_ref(key)).with_delta(*delta),
-            Touch { key, exptime, .. } => {
-                Request::new(McOp::Touch, from_ref(key)).with_exptime(*exptime)
-            }
-            FlushAll { delay, .. } => Request::new(McOp::FlushAll, &[]).with_exptime(*delay),
-            Stats { arg } => Request::new(McOp::Stats, arg.as_slice()),
-            Version => Request::new(McOp::Version, &[]),
+            } => Request::store(McOp::Cas, keys, data, flags, exptime, cas),
+            Get { .. } | Gets { .. } if keys.len() == 1 => Request::new(McOp::Get, keys),
+            Get { .. } | Gets { .. } => Request::new(McOp::Mget, keys),
+            Delete { .. } => Request::new(McOp::Delete, keys),
+            Incr { delta, .. } => Request::new(McOp::Incr, keys).with_delta(delta),
+            Decr { delta, .. } => Request::new(McOp::Decr, keys).with_delta(delta),
+            Touch { exptime, .. } => Request::new(McOp::Touch, keys).with_exptime(exptime),
+            FlushAll { delay, .. } => Request::new(McOp::FlushAll, keys).with_exptime(delay),
+            Stats { .. } => Request::new(McOp::Stats, keys),
+            Version => Request::new(McOp::Version, keys),
             Quit => return None,
         };
         Some((req, noreply))
     }
 
-    /// Server: the response to `cmd`. Hits are written into their `VALUE`
-    /// stanzas behind the keys `cmd` names — a lent hit straight from the
-    /// store; `get` omits the CAS token, `gets` carries it.
-    pub fn encode_reply<D: AsRef<[u8]>>(cmd: &Command, reply: &Reply<D>) -> Vec<u8> {
-        let (keys, with_cas) = match cmd {
-            Command::Get { keys } => (keys.as_slice(), false),
-            Command::Gets { keys } => (keys.as_slice(), true),
-            _ => (&[][..], false),
-        };
+    /// Server: writes the response to `cmd`, over its `keys`, onto `out`.
+    /// Hits are written into their `VALUE` stanzas behind the keys they
+    /// index — a lent hit straight from the store; `get` omits the CAS
+    /// token, `gets` carries it.
+    pub fn encode_reply<D: AsRef<[u8]>>(
+        cmd: &CommandRef<'_>,
+        keys: &[&[u8]],
+        reply: &Reply<D>,
+        out: &mut Vec<u8>,
+    ) {
+        let with_cas = matches!(cmd, CommandOf::Gets { .. });
         let resp = match reply {
-            Reply::Value(hit) => return stanzas(keys, with_cas, hit.iter().map(|v| (0, v))),
+            Reply::Value(hit) => {
+                let hits = hit.iter().map(|v| (0, v));
+                return frame_into(out, |w| stanzas(w, keys, with_cas, hits.clone()));
+            }
             Reply::Values(hits) => {
-                return stanzas(keys, with_cas, hits.iter().map(|(i, v)| (*i, v)))
+                let hits = hits.iter().map(|(i, v)| (*i, v));
+                return frame_into(out, |w| stanzas(w, keys, with_cas, hits.clone()));
             }
             Reply::Stored { outcome, .. } => match outcome {
                 SetOutcome::Stored => Response::Stored,
@@ -319,7 +352,7 @@ pub(crate) mod ascii {
                     Response::ServerError("out of memory storing object".into())
                 }
             },
-            Reply::Found(true) if matches!(cmd, Command::Touch { .. }) => Response::Touched,
+            Reply::Found(true) if matches!(cmd, CommandOf::Touch { .. }) => Response::Touched,
             Reply::Found(true) => Response::Deleted,
             Reply::Found(false) | Reply::Number(Err(NotFound)) => Response::NotFound,
             Reply::Number(Ok(n)) => Response::Number(*n),
@@ -330,27 +363,21 @@ pub(crate) mod ascii {
             Reply::Version(s) => Response::Version(s.clone()),
             Reply::Stats(pairs) => Response::Stats(pairs.clone()),
         };
-        mcproto::encode_response(&resp)
+        frame_into(out, |w| w.response(&resp));
     }
 
     /// The `VALUE` stanzas of `hits`, each behind the key it indexes, and
     /// the closing `END`.
     fn stanzas<'v, D: AsRef<[u8]> + 'v>(
-        keys: &[Vec<u8>],
+        w: &mut Wire<'_>,
+        keys: &[&[u8]],
         with_cas: bool,
-        hits: impl Iterator<Item = (usize, &'v Value<D>)> + Clone,
-    ) -> Vec<u8> {
-        exact(|w| {
-            for (i, v) in hits.clone() {
-                w.value(
-                    &keys[i],
-                    v.flags,
-                    with_cas.then_some(v.cas),
-                    v.data.as_ref(),
-                );
-            }
-            w.status(b"END", None);
-        })
+        hits: impl Iterator<Item = (usize, &'v Value<D>)>,
+    ) {
+        for (i, v) in hits {
+            w.value(keys[i], v.flags, with_cas.then_some(v.cas), v.data.as_ref());
+        }
+        w.status(b"END", None);
     }
 
     /// Client: the reply at the front of `buf` to an `op` request over
@@ -568,16 +595,15 @@ pub(crate) mod binary {
         })
     }
 
-    /// Server: the response to `req`, every frame of it written straight
-    /// from the reply into one buffer of exactly its size. Empty for a
-    /// quiet miss; GetK/GetKQ echo the key; a statistics report is one
-    /// frame per pair closed by an empty frame.
-    pub fn encode_reply<D: AsRef<[u8]>>(req: &BinFrame, reply: &Reply<D>) -> Vec<u8> {
+    /// Server: writes the response to `req` onto `out`, every frame of it
+    /// straight from the reply. Nothing for a quiet miss; GetK/GetKQ echo
+    /// the key; a statistics report is one frame per pair closed by an
+    /// empty frame.
+    pub fn encode_reply<D: AsRef<[u8]>>(req: &BinFrame, reply: &Reply<D>, out: &mut Vec<u8>) {
         let mut len = 0;
         response_frames(req, reply, |f| len += f.wire_len());
-        let mut wire = Vec::with_capacity(len);
-        response_frames(req, reply, |f| f.write_to(&mut wire));
-        wire
+        out.reserve(len);
+        response_frames(req, reply, |f| f.write_to(out));
     }
 
     /// Hands the frames answering `req`, in order, to `emit`.

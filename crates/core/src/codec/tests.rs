@@ -5,8 +5,8 @@
 use std::borrow::Cow;
 
 use mcproto::{
-    encode_command, encode_response, parse_command, parse_response, BinFrame, BinOpcode, Command,
-    GetValue, Response, StoreVerb,
+    encode_command, encode_response, parse_command, parse_command_ref, parse_response, BinFrame,
+    BinOpcode, Command, GetValue, Response, StoreVerb,
 };
 use mcstore::{NumericError, SetOutcome, Value};
 
@@ -78,10 +78,11 @@ fn requests_survive_every_wire() {
         let got = ucr::decode_request(&hdr.head, &keys, data);
         assert_eq!(fields(&got), want, "ucr {:?}", req.op);
 
-        let wire = ascii::encode_request(&req);
-        let (cmd, used) = parse_command(&wire).unwrap().expect("complete command");
+        let wire = ascii_request(&req);
+        let (cmd, used) = parse_command_ref(&wire).unwrap().expect("complete command");
         assert_eq!(used, wire.len());
-        let (got, noreply) = ascii::decode_request(&cmd).expect("not quit");
+        let keys = ascii::keys(&cmd);
+        let (got, noreply) = ascii::decode_request(&cmd, &keys).expect("not quit");
         assert!(!noreply);
         assert_eq!(fields(&got), want, "ascii {:?}", req.op);
 
@@ -188,7 +189,7 @@ fn replies_survive_every_wire() {
             Reply::Stored { outcome, .. } => Reply::Stored { outcome, cas: 0 },
             other => other,
         };
-        let wire = ascii::encode_reply(&server_command(&req).expect("parses"), &reply);
+        let wire = ascii_reply(&ascii_request(&req), &reply);
         let (got, used) = ascii::decode_reply(op, keys, &wire)
             .unwrap()
             .expect("complete reply");
@@ -203,10 +204,35 @@ fn replies_survive_every_wire() {
             continue; // a binary multiget is a train of single-key gets
         }
         let frame = binary::encode_request(&req).remove(0);
-        let wire = binary::encode_reply(&frame, &reply);
+        let wire = binary_reply(&frame, &reply);
         let got = binary::decode_reply(op, keys, frames_of(&wire)).unwrap();
         assert_eq!(got, reply, "binary {op:?}");
     }
+}
+
+/// What the ASCII client writes for `req`.
+fn ascii_request(req: &Request<'_, &[u8]>) -> Vec<u8> {
+    let mut wire = Vec::new();
+    ascii::encode_request(req, &mut wire);
+    wire
+}
+
+/// What the ASCII server answers with `reply` to the command `command`
+/// holds, read in place as a worker reads it.
+fn ascii_reply<D: AsRef<[u8]>>(command: &[u8], reply: &Reply<D>) -> Vec<u8> {
+    let (cmd, _) = parse_command_ref(command)
+        .unwrap()
+        .expect("a whole command");
+    let mut wire = Vec::new();
+    ascii::encode_reply(&cmd, &ascii::keys(&cmd), reply, &mut wire);
+    wire
+}
+
+/// What the binary server answers with `reply` to `frame`.
+fn binary_reply<D: AsRef<[u8]>>(frame: &BinFrame, reply: &Reply<D>) -> Vec<u8> {
+    let mut wire = Vec::new();
+    binary::encode_reply(frame, reply, &mut wire);
+    wire
 }
 
 /// The frames back to back in `wire`, parsed; every byte belongs to one.
@@ -240,16 +266,10 @@ fn a_lent_hit_is_written_as_an_owned_one() {
         matches!(lent_data, Cow::Borrowed(_)),
         "the hit is not copied"
     );
-    let cmd = server_command(&Request::new(McOp::Get, &KEYS[..1])).expect("parses");
-    assert_eq!(
-        ascii::encode_reply(&cmd, &lent),
-        ascii::encode_reply(&cmd, &owned)
-    );
+    let get = ascii_request(&Request::new(McOp::Get, &KEYS[..1]));
+    assert_eq!(ascii_reply(&get, &lent), ascii_reply(&get, &owned));
     let frame = binary::encode_request(&Request::new(McOp::Get, &KEYS[..1])).remove(0);
-    assert_eq!(
-        binary::encode_reply(&frame, &lent),
-        binary::encode_reply(&frame, &owned)
-    );
+    assert_eq!(binary_reply(&frame, &lent), binary_reply(&frame, &owned));
 }
 
 /// The frames the binary encoder once built for a reply to `req`, each
@@ -328,7 +348,7 @@ fn binary_replies_are_the_bytes_of_their_typed_frames() {
                 .iter()
                 .flat_map(BinFrame::encode)
                 .collect();
-            let wire = binary::encode_reply(&req, &reply);
+            let wire = binary_reply(&req, &reply);
             assert_eq!(wire, want, "{:?} {reply:?}", req.opcode);
             assert_eq!(wire.capacity(), wire.len(), "{:?} {reply:?}", req.opcode);
             shapes += 1;
@@ -339,7 +359,7 @@ fn binary_replies_are_the_bytes_of_their_typed_frames() {
     let get = |opcode, reply: &Reply| {
         let mut req = BinFrame::request(opcode, 3);
         req.key = KEYS[0].to_vec();
-        frames_of(&binary::encode_reply(&req, reply))
+        frames_of(&binary_reply(&req, reply))
     };
     assert!(get(BinOpcode::GetKQ, &Reply::Value(None)).is_empty());
     assert!(get(BinOpcode::GetQ, &Reply::Value(None)).is_empty());
@@ -365,7 +385,7 @@ fn binary_replies_are_the_bytes_of_their_typed_frames() {
 
 /// The command a server parses off what the client wrote for `req`.
 fn server_command(req: &Request<'_, &[u8]>) -> Option<Command> {
-    let wire = ascii::encode_request(req);
+    let wire = ascii_request(req);
     parse_command(&wire).ok().flatten().map(|(cmd, _)| cmd)
 }
 
@@ -475,13 +495,7 @@ fn ascii_requests_are_the_bytes_of_their_typed_commands() {
     assert!(McOp::ALL.iter().all(|op| all.iter().any(|r| r.op == *op)));
     for req in &all {
         let want = encode_command(&typed_command(req));
-        assert_eq!(
-            ascii::encode_request(req),
-            want,
-            "{:?} {:?}",
-            req.op,
-            req.keys
-        );
+        assert_eq!(ascii_request(req), want, "{:?} {:?}", req.op, req.keys);
     }
 }
 
@@ -497,7 +511,7 @@ fn ascii_replies_are_the_bytes_of_their_typed_responses() {
         }
         for cmd in cmds {
             let want = encode_response(&typed_response(&cmd, copy(&reply)));
-            let got = ascii::encode_reply(&cmd, &reply);
+            let got = ascii_reply(&encode_command(&cmd), &reply);
             assert_eq!(got, want, "{op:?} {reply:?} {cmd:?}");
         }
     }
@@ -532,18 +546,16 @@ mod hostile_bytes {
         for req in requests() {
             let (hdr, data) = ucr::encode_request(&req, 1, 2);
             all.extend([hdr.encode(), data.to_vec()]);
-            all.push(ascii::encode_request(&req));
+            all.push(ascii_request(&req));
             all.extend(binary::encode_request(&req).iter().map(BinFrame::encode));
         }
         for (op, reply) in replies() {
             let (hdr, payload) = ucr::encode_reply(9, &reply, &server_keys);
             all.extend([hdr.encode().to_vec(), payload.into_owned()]);
             let req = Request::new(op, &KEYS[..]);
-            if let Some(cmd) = server_command(&req) {
-                all.push(ascii::encode_reply(&cmd, &reply));
-            }
+            all.push(ascii_reply(&ascii_request(&req), &reply));
             let frame = binary::encode_request(&Request::new(op, &KEYS[..1])).remove(0);
-            let wire = binary::encode_reply(&frame, &reply);
+            let wire = binary_reply(&frame, &reply);
             all.extend(frames_of(&wire).iter().map(BinFrame::encode));
         }
         all
@@ -603,9 +615,11 @@ mod hostile_bytes {
         while let Some((key, _, _, value)) = next_mget_entry(&mut rest) {
             assert!(key.len() + value.len() + rest.len() < wire.len());
         }
-        if let Ok(Some((cmd, used))) = parse_command(wire) {
+        if let Ok(Some((cmd, used))) = parse_command_ref(wire) {
             assert!(used <= wire.len());
-            ascii::decode_request(&cmd);
+            let keys = ascii::keys(&cmd);
+            assert!(keys.capacity() <= wire.len());
+            ascii::decode_request(&cmd, &keys);
         }
         if let Ok(Some((_, used))) = parse_response(wire) {
             assert!(used <= wire.len());
@@ -632,10 +646,7 @@ mod hostile_bytes {
         let hit = Reply::Value(Some(value(b"v", 1, 2)));
         let refused = crate::client::McError::Protocol;
 
-        let wire = ascii::encode_reply(
-            &server_command(&Request::new(McOp::Get, asked)).expect("parses"),
-            &hit,
-        );
+        let wire = ascii_reply(&ascii_request(&Request::new(McOp::Get, asked)), &hit);
         let ours = ascii::decode_reply(McOp::Get, asked, &wire);
         assert_eq!(ours, Ok(Some((copy(&hit), wire.len()))));
         assert_eq!(
@@ -644,7 +655,7 @@ mod hostile_bytes {
         );
 
         let frame = binary::encode_request(&Request::new(McOp::Get, asked)).remove(0);
-        let frames = frames_of(&binary::encode_reply(&frame, &hit));
+        let frames = frames_of(&binary_reply(&frame, &hit));
         let ours = binary::decode_reply(McOp::Get, asked, frames.clone());
         assert_eq!(ours, Ok(hit));
         assert_eq!(binary::decode_reply(McOp::Get, other, frames), Err(refused));

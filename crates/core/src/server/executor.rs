@@ -172,7 +172,8 @@ impl Executor {
                 // model): visit the shards group by group.
                 let mut hits = Vec::new();
                 for (shard, idxs) in groups {
-                    let fetch = self.fetch_shard(shard, req.keys, &idxs, &mut hits, id, track);
+                    let keys = idxs.iter().map(|&i| (i, req.keys[i].as_ref()));
+                    let fetch = self.fetch_shard(shard, keys, idxs.len(), &mut hits, id, track);
                     drop(fetch.await); // release this shard before the next
                 }
                 hits.sort_unstable_by_key(|(i, _)| *i);
@@ -219,26 +220,26 @@ impl Executor {
         (wire, out)
     }
 
-    /// Locks one shard, charges its keys' hash/item time, and fetches
-    /// `keys[i]` for `i` in `idxs`, appending the hits to `hits` — one
+    /// Locks one shard, charges the hash/item time of its `count` keys,
+    /// and fetches each `(i, key)` of `keys`, appending the hits to `hits` — one
     /// shard's share of a scattered multiget, wherever it was split (the
     /// UCR dispatcher's per-worker parts, or [`Executor::serve`]'s
     /// in-worker groups). Returns the still-held shard lock.
-    pub(super) async fn fetch_shard<K: AsRef<[u8]>>(
+    pub(super) async fn fetch_shard<'k>(
         &self,
         shard: usize,
-        keys: &[K],
-        idxs: &[usize],
+        keys: impl Iterator<Item = (usize, &'k [u8])>,
+        count: usize,
         hits: &mut Vec<(usize, Value)>,
         id: OpId,
         track: Track,
     ) -> Held {
         let guards = self
-            .lock_shards(shard..shard + 1, idxs.len(), id.key(), track)
+            .lock_shards(shard..shard + 1, count, id.key(), track)
             .await;
         let now = unix_now(&self.sim);
         let mut store = self.store.borrow_mut();
-        fetch(&mut store, keys, idxs.iter().copied(), now, hits);
+        fetch(&mut store, keys, now, hits);
         drop(store);
         self.sync_mirrors();
         guards
@@ -385,18 +386,15 @@ impl Executor {
     }
 }
 
-/// Fetches `keys[i]` for each `i` in `idxs`, appending the hits in order.
-fn fetch<K: AsRef<[u8]>>(
+/// Fetches each `(i, key)` of `keys`, appending the hits in order, each
+/// with its index `i`.
+fn fetch<'k>(
     store: &mut SegmentedStore,
-    keys: &[K],
-    idxs: impl Iterator<Item = usize>,
+    keys: impl Iterator<Item = (usize, &'k [u8])>,
     now: u32,
     hits: &mut Vec<(usize, Value)>,
 ) {
-    hits.extend(idxs.filter_map(|i| {
-        let key = keys[i].as_ref();
-        Some((i, store.segment_for(key).get(key, now)?))
-    }));
+    hits.extend(keys.filter_map(|(i, key)| Some((i, store.segment_for(key).get(key, now)?))));
 }
 
 /// The per-verb worker service-time histograms (`mc.nodeN.svc.<verb>`) of
@@ -441,7 +439,8 @@ pub(super) fn execute<'s, K: AsRef<[u8]>>(
         McOp::Get => Reply::Value(store.segment_for(key).get_ref(key, now)),
         McOp::Mget => {
             let mut hits = Vec::new();
-            fetch(store, req.keys, 0..req.keys.len(), now, &mut hits);
+            let keys = req.keys.iter().map(AsRef::as_ref).enumerate();
+            fetch(store, keys, now, &mut hits);
             Reply::Values(hits)
         }
         McOp::Set => store_item(store, key, now, |s| s.set(key, value, flags, exptime, now)),

@@ -10,8 +10,8 @@ use std::cell::{Cell, RefCell};
 use std::rc::{Rc, Weak};
 
 use mcproto::{
-    encode_response, parse_command, udp_fragment, BinFrame, BinOpcode, BinStatus, Command,
-    ProtoError, Response, UdpFrame, MAGIC_REQUEST,
+    encode_response, frame_into, parse_command_ref, udp_fragment, BinFrame, BinFrameRef, BinOpcode,
+    BinStatus, CommandOf, ProtoError, Response, UdpFrame, MAGIC_REQUEST, UDP_FRAME_BYTES,
 };
 use mcstore::Value;
 use simnet::trace::{Phase, Track};
@@ -20,17 +20,20 @@ use socksim::{DgramSocket, Socket};
 use ucr::{AmBytes, AmData, AmHandler, Endpoint, SendOptions};
 
 use super::executor::OpId;
-use super::{SrvInner, WorkItem, KEY_LIST_POOL_CAP};
-use crate::am_wire::{HeldReq, McOp, ReqHead, MSG_MC_RESP, ONE_KEY_LIST};
+use super::{SrvInner, WorkItem};
+use crate::am_wire::{HeldReq, McOp, ReqHead, MSG_MC_RESP};
 use crate::codec;
 use crate::request::Reply;
 
-/// Serves one dispatched work item on worker `widx`.
-pub(super) async fn serve(srv: &Rc<SrvInner>, item: WorkItem, widx: u32) {
+/// Serves one dispatched work item on worker `widx`. A socket reply is
+/// written into `reply`, the worker's own buffer, and copied out of it by
+/// the write.
+pub(super) async fn serve(srv: &Rc<SrvInner>, item: WorkItem, widx: u32, reply: &mut Vec<u8>) {
+    reply.clear();
     match item {
         WorkItem::Ucr { ep, req, data } => {
             serve_ucr(srv, ep, &req, data, widx).await;
-            srv.give_back_key_list(req.into_list());
+            srv.key_lists.give_back(req.into_list());
         }
         WorkItem::UcrMgetPart {
             ep,
@@ -38,23 +41,30 @@ pub(super) async fn serve(srv: &Rc<SrvInner>, item: WorkItem, widx: u32) {
             shard,
             idxs,
         } => serve_ucr_mget_part(srv, ep, merge, shard, idxs, widx).await,
-        WorkItem::Sock { sock, cmd } => {
-            if let Some(wire) = serve_ascii(srv, cmd, widx).await {
-                let _ = sock.write_all(&wire).await;
+        WorkItem::Sock { sock, frame } => {
+            let replied = serve_ascii(srv, &frame, widx, reply).await;
+            srv.frames.give_back(frame);
+            if replied {
+                let _ = sock.write_all(reply).await;
             }
         }
-        WorkItem::SockRefused { sock, reply } => {
-            let _ = sock.write_all(&encode_response(&reply)).await;
+        WorkItem::SockRefused {
+            sock,
+            reply: refusal,
+        } => {
+            frame_into(reply, |w| w.response(&refusal));
+            let _ = sock.write_all(reply).await;
         }
-        WorkItem::SockBin { sock, frame } => serve_sock_bin(srv, sock, frame, widx).await,
+        WorkItem::SockBin { sock, frame } => serve_sock_bin(srv, sock, frame, widx, reply).await,
         WorkItem::SockUdp {
             sock,
             src,
             request_id,
-            cmd,
+            datagram,
         } => {
-            if let Some(wire) = serve_ascii(srv, cmd, widx).await {
-                for datagram in udp_fragment(request_id, &wire) {
+            let command = datagram.get(UDP_FRAME_BYTES..).unwrap_or_default();
+            if serve_ascii(srv, command, widx, reply).await {
+                for datagram in udp_fragment(request_id, reply) {
                     let _ = sock.send_to(src, &datagram).await;
                 }
             }
@@ -78,24 +88,6 @@ impl SrvInner {
 // ---------------------------------------------------------------------
 // UCR
 // ---------------------------------------------------------------------
-
-impl SrvInner {
-    /// A buffer for a UCR request's key list: an idle one, or a fresh one
-    /// with room for any single key.
-    fn key_list(&self) -> Vec<u8> {
-        let idle = self.key_lists.borrow_mut().pop();
-        idle.unwrap_or_else(|| Vec::with_capacity(ONE_KEY_LIST))
-    }
-
-    /// Takes back a key list whose request is served: into the pool, or
-    /// freed if the pool is full or a longer list grew it.
-    pub(super) fn give_back_key_list(&self, list: Vec<u8>) {
-        let mut idle = self.key_lists.borrow_mut();
-        if list.capacity() <= ONE_KEY_LIST && idle.len() < KEY_LIST_POOL_CAP {
-            idle.push(list);
-        }
-    }
-}
 
 /// AM 1 handler: runs in the progress task of the endpoint's context and
 /// hands the request to a worker — the connection's, unless the store is
@@ -124,7 +116,7 @@ impl AmHandler for ReqDispatch {
         if !srv.running.get() {
             return;
         }
-        let Some(req) = HeldReq::decode(hdr, || srv.key_list()) else {
+        let Some(req) = HeldReq::decode(hdr, || srv.key_lists.take()) else {
             return;
         };
         let data = match data {
@@ -200,9 +192,10 @@ async fn serve_ucr(srv: &Rc<SrvInner>, ep: Endpoint, req: &HeldReq, data: AmByte
 
 /// Serves one shard's slice of a split `Mget` (the
 /// [`StoreModel::Sharded`](super::StoreModel) scatter/gather path). Each
-/// part charges its own fixed cost and locks only its shard. The last
-/// part to finish books the request, encodes the merged response in
-/// original key order and posts the single `MSG_MC_RESP`.
+/// part charges its own fixed cost, locks only its shard and picks its
+/// keys out of the request's key list in one walk. The last part to finish
+/// books the request, encodes the merged response in original key order,
+/// posts the single `MSG_MC_RESP` and gives the key list back.
 async fn serve_ucr_mget_part(
     srv: &Rc<SrvInner>,
     ep: Endpoint,
@@ -212,7 +205,6 @@ async fn serve_ucr_mget_part(
     widx: u32,
 ) {
     let (exec, req) = (&srv.exec, &merge.req);
-    let keys = req.keys();
     let (id, track) = (OpId::Wire(req.head.req_id), Track::Worker(widx));
     // One `worker_service` span per part under the shared request id, one
     // service-time sample per request: both run from the earliest begin
@@ -222,8 +214,12 @@ async fn serve_ucr_mget_part(
     merge.started.set(Some(started));
     exec.charge_fixed().await;
     let mut hits = Vec::with_capacity(idxs.len());
+    // `idxs` ascend, as the keys do in the list.
+    let mut mine = idxs.iter().peekable();
+    let keys = req.each_key().enumerate();
+    let keys = keys.filter(|(i, _)| mine.next_if_eq(&i).is_some());
     let _guards = exec
-        .fetch_shard(shard, &keys, &idxs, &mut hits, id, track)
+        .fetch_shard(shard, keys, idxs.len(), &mut hits, id, track)
         .await;
     let merged: Option<Reply> = {
         let mut state = merge.state.borrow_mut();
@@ -240,7 +236,12 @@ async fn serve_ucr_mget_part(
     }
     exec.end(id, track, idxs.len() as u64);
     if let Some(reply) = &merged {
-        post_reply(&ep, &req.head, &keys, reply);
+        post_reply(&ep, &req.head, &req.keys(), reply);
+        // The other parts have finished and let go of the merge: this one
+        // holds it alone.
+        if let Ok(merge) = Rc::try_unwrap(merge) {
+            srv.key_lists.give_back(merge.req.into_list());
+        }
     }
 }
 
@@ -250,7 +251,10 @@ async fn serve_ucr_mget_part(
 
 /// The next thing on a stream connection's receive buffer.
 enum Framed {
-    Item(WorkItem),
+    /// An ASCII command, whole and valid: the first `n` bytes.
+    Command(usize),
+    /// A request taken in its parsed form, and the bytes it took.
+    Item(WorkItem, usize),
     Quit,
     Incomplete,
     Malformed,
@@ -258,43 +262,42 @@ enum Framed {
 
 /// Frames one request off the front of `buf` in the connection's
 /// protocol.
-fn next_request(binary: bool, buf: &mut Vec<u8>, sock: &Rc<Socket>) -> Framed {
+fn next_request(binary: bool, buf: &[u8], sock: &Rc<Socket>) -> Framed {
     let sock = sock.clone();
-    let (item, used) = if binary {
-        match BinFrame::parse(buf) {
-            Ok(Some((frame, used))) if frame.opcode == BinOpcode::Quit => (Framed::Quit, used),
-            Ok(Some((frame, used))) => (Framed::Item(WorkItem::SockBin { sock, frame }), used),
-            Ok(None) => return Framed::Incomplete,
-            Err(_) => return Framed::Malformed,
+    if binary {
+        return match BinFrame::parse(buf) {
+            Ok(Some((frame, _))) if frame.opcode == BinOpcode::Quit => Framed::Quit,
+            Ok(Some((frame, used))) => Framed::Item(WorkItem::SockBin { sock, frame }, used),
+            Ok(None) => Framed::Incomplete,
+            Err(_) => Framed::Malformed,
+        };
+    }
+    // memcached answers an unknown command and a non-numeric delta and
+    // reads on; the answer queues behind the replies it must follow.
+    let refuse = |reply, len| Framed::Item(WorkItem::SockRefused { sock, reply }, len);
+    match parse_command_ref(buf) {
+        Ok(Some((CommandOf::Quit, _))) => Framed::Quit,
+        Ok(Some((_, used))) => Framed::Command(used),
+        Ok(None) => Framed::Incomplete,
+        Err(ProtoError::UnknownCommand { len }) => refuse(Response::Error, len),
+        Err(ProtoError::BadDelta { len }) => {
+            let reply = Response::ClientError("invalid numeric delta argument".into());
+            refuse(reply, len)
         }
-    } else {
-        // memcached answers an unknown command and a non-numeric delta and
-        // reads on; the answer queues behind the replies it must follow.
-        match parse_command(buf) {
-            Ok(Some((Command::Quit, used))) => (Framed::Quit, used),
-            Ok(Some((cmd, used))) => (Framed::Item(WorkItem::Sock { sock, cmd }), used),
-            Ok(None) => return Framed::Incomplete,
-            Err(ProtoError::UnknownCommand { len }) => {
-                let reply = Response::Error;
-                (Framed::Item(WorkItem::SockRefused { sock, reply }), len)
-            }
-            Err(ProtoError::BadDelta { len }) => {
-                let reply = Response::ClientError("invalid numeric delta argument".into());
-                (Framed::Item(WorkItem::SockRefused { sock, reply }), len)
-            }
-            Err(_) => return Framed::Malformed,
-        }
-    };
-    buf.drain(..used);
-    item
+        Err(_) => Framed::Malformed,
+    }
 }
 
 /// Per-connection event task: reads, frames requests, and hands them to
 /// the connection's worker (the libevent notification of the original
 /// architecture). Socket connections keep their round-robin worker
-/// binding under every store model.
+/// binding under every store model. An ASCII command goes to the worker in
+/// the buffer it was read into, lent by the server's frame pool; the bytes
+/// read past it stay here, in another.
 pub(super) async fn conn_reader(srv: Weak<SrvInner>, sock: Rc<Socket>, widx: usize) {
-    let mut buf: Vec<u8> = Vec::new();
+    let Some(mut buf) = srv.upgrade().map(|inner| inner.frames.take()) else {
+        return;
+    };
     // Protocol sniffing: the binary request magic cannot start an ASCII
     // command, so the first byte decides the connection's protocol.
     if sock.read(&mut buf, 64 * 1024).await.is_err() {
@@ -302,22 +305,14 @@ pub(super) async fn conn_reader(srv: Weak<SrvInner>, sock: Rc<Socket>, widx: usi
     }
     let binary = buf[0] == MAGIC_REQUEST;
     loop {
-        match next_request(binary, &mut buf, &sock) {
-            Framed::Item(item) => {
-                let Some(inner) = srv.upgrade() else { return };
-                if !inner.running.get() {
-                    sock.close();
-                    return;
-                }
-                // Op 0 means "no wire id": the profiler attributes the
-                // mark by the single open client op.
-                inner.mark_dispatch(OpId::Local(0), 0);
-                let _ = inner.workers[widx].send(item);
-            }
+        let (item, used) = match next_request(binary, &buf, &sock) {
+            Framed::Item(item, used) => (Some(item), used),
+            Framed::Command(used) => (None, used),
             Framed::Incomplete => {
                 if sock.read(&mut buf, 64 * 1024).await.is_err() {
                     return; // connection closed
                 }
+                continue;
             }
             Framed::Quit => {
                 sock.close();
@@ -332,38 +327,81 @@ pub(super) async fn conn_reader(srv: Weak<SrvInner>, sock: Rc<Socket>, widx: usi
                 sock.close();
                 return;
             }
+        };
+        let Some(inner) = srv.upgrade() else { return };
+        if !inner.running.get() {
+            sock.close();
+            return;
         }
+        let item = match item {
+            Some(item) => {
+                buf.drain(..used);
+                item
+            }
+            None => {
+                let mut rest = inner.frames.take();
+                rest.extend_from_slice(&buf[used..]);
+                buf.truncate(used);
+                let frame = std::mem::replace(&mut buf, rest);
+                WorkItem::Sock {
+                    sock: sock.clone(),
+                    frame,
+                }
+            }
+        };
+        // Op 0 means "no wire id": the profiler attributes the mark by the
+        // single open client op.
+        inner.mark_dispatch(OpId::Local(0), 0);
+        let _ = inner.workers[widx].send(item);
     }
 }
 
-/// Serves one ASCII command (TCP or UDP): the reply's wire bytes, `None`
-/// when it asked for no reply.
-async fn serve_ascii(srv: &Rc<SrvInner>, cmd: Command, widx: u32) -> Option<Vec<u8>> {
-    let (request, noreply) = codec::ascii::decode_request(&cmd)?;
+/// Serves the ASCII command `frame` holds (TCP or UDP), read in place,
+/// and writes its reply onto `reply`: false when it asked for none.
+async fn serve_ascii(srv: &Rc<SrvInner>, frame: &[u8], widx: u32, reply: &mut Vec<u8>) -> bool {
+    // The reader let it through whole and valid.
+    let Ok(Some((cmd, _))) = parse_command_ref(frame) else {
+        return false;
+    };
+    let keys = codec::ascii::keys(&cmd);
+    let Some((request, noreply)) = codec::ascii::decode_request(&cmd, &keys) else {
+        return false;
+    };
     // One op id for the whole service: the `worker_service` span and the
     // lock spans taken under it share the id, so the folded profile nests
     // lock_wait/lock_hold inside the service frame.
     let id = OpId::Local(srv.next_sock_op());
-    let encode = |reply: &Reply<&[u8]>| (!noreply).then(|| codec::ascii::encode_reply(&cmd, reply));
+    let encode = |answer: &Reply<&[u8]>| {
+        if !noreply {
+            codec::ascii::encode_reply(&cmd, &keys, answer, reply);
+        }
+        !noreply
+    };
     srv.exec
         .serve(&request, id, Track::Worker(widx), encode)
         .await
 }
 
-async fn serve_sock_bin(srv: &Rc<SrvInner>, sock: Rc<Socket>, frame: BinFrame, widx: u32) {
+async fn serve_sock_bin(
+    srv: &Rc<SrvInner>,
+    sock: Rc<Socket>,
+    frame: BinFrame,
+    widx: u32,
+    reply: &mut Vec<u8>,
+) {
     let id = OpId::Local(srv.next_sock_op());
-    let wire = match codec::binary::decode_request(&frame) {
+    match codec::binary::decode_request(&frame) {
         Some(request) => {
-            let encode = |reply: &Reply<&[u8]>| codec::binary::encode_reply(&frame, reply);
+            let encode = |answer: &Reply<&[u8]>| codec::binary::encode_reply(&frame, answer, reply);
             srv.exec
                 .serve(&request, id, Track::Worker(widx), encode)
                 .await
         }
-        None => BinFrame::response(&frame, BinStatus::InvalidArgs).encode(),
-    };
+        None => BinFrameRef::response(&frame, BinStatus::InvalidArgs).write_to(reply),
+    }
     // Empty: a quiet miss (binary multiget) is answered by silence.
-    if !wire.is_empty() {
-        let _ = sock.write_all(&wire).await;
+    if !reply.is_empty() {
+        let _ = sock.write_all(reply).await;
     }
 }
 
@@ -386,11 +424,11 @@ pub(super) async fn udp_receiver(srv: Weak<SrvInner>, sock: Rc<DgramSocket>) {
         if frame.total != 1 {
             continue; // multi-datagram requests are not supported
         }
-        let Ok(Some((cmd, _))) = parse_command(payload) else {
-            continue;
-        };
-        if cmd == Command::Quit {
-            continue; // meaningless without a connection
+        // The worker reads the command in place from the datagram; `quit`
+        // is meaningless without a connection.
+        match parse_command_ref(payload) {
+            Ok(Some((CommandOf::Quit, _)) | None) | Err(_) => continue,
+            Ok(Some(_)) => {}
         }
         inner.mark_dispatch(OpId::Local(0), 0);
         let widx = inner.next_worker();
@@ -398,7 +436,7 @@ pub(super) async fn udp_receiver(srv: Weak<SrvInner>, sock: Rc<DgramSocket>) {
             sock: sock.clone(),
             src,
             request_id: frame.request_id,
-            cmd,
+            datagram,
         });
     }
 }

@@ -29,15 +29,15 @@
 use std::cell::{Cell, RefCell};
 use std::rc::{Rc, Weak};
 
-use mcproto::{BinFrame, Command, Response};
+use mcproto::{BinFrame, Response};
 use mcstore::StoreConfig;
 use simnet::metrics::{Counter, Gauge, Metrics};
 use simnet::sync::{self, Receiver, Sender};
 use simnet::{NodeId, Sim, Stack};
-use socksim::{DgramSocket, Listener, Socket};
+use socksim::{DgramSocket, Listener, Socket, STREAM_BUF_KEEP};
 use ucr::{Endpoint, UcrRuntime};
 
-use crate::am_wire::{MSG_MC_DIR_REQ, MSG_MC_REQ};
+use crate::am_wire::{MSG_MC_DIR_REQ, MSG_MC_REQ, ONE_KEY_LIST};
 use crate::world::World;
 
 mod bypass;
@@ -162,9 +162,11 @@ enum WorkItem {
         /// Indices into the request's keys owned by `shard`.
         idxs: Vec<usize>,
     },
+    /// An ASCII/TCP command, read in place by its worker from the frame
+    /// it arrived in: a buffer lent by [`SrvInner::frames`].
     Sock {
         sock: Rc<Socket>,
-        cmd: Command,
+        frame: Vec<u8>,
     },
     /// An ASCII/TCP line answered without service (`ERROR`,
     /// `CLIENT_ERROR`): it queues on the connection's worker so that its
@@ -177,11 +179,13 @@ enum WorkItem {
         sock: Rc<Socket>,
         frame: BinFrame,
     },
+    /// An ASCII/UDP command, read in place by its worker from the
+    /// datagram it arrived in.
     SockUdp {
         sock: Rc<DgramSocket>,
         src: socksim::SocketAddr,
         request_id: u16,
-        cmd: Command,
+        datagram: Vec<u8>,
     },
 }
 
@@ -190,6 +194,48 @@ enum WorkItem {
 /// Each holds at most `ONE_KEY_LIST` bytes, so the idle ones hold at most
 /// 32 KiB.
 const KEY_LIST_POOL_CAP: usize = 128;
+
+/// Most idle frame buffers a server keeps: one per ASCII/TCP command
+/// queued or in service, up to the 128 that 16 clients eight deep keep in
+/// flight. Each holds at most `STREAM_BUF_KEEP` bytes, so the idle ones
+/// hold at most 1 MiB.
+const FRAME_POOL_CAP: usize = 128;
+
+/// A bounded free list of byte buffers (DESIGN.md §16).
+struct BufPool {
+    /// Idle buffers, emptied; the one given back last is lent next.
+    idle: RefCell<Vec<Vec<u8>>>,
+    /// Most idle buffers kept.
+    cap: usize,
+    /// Most capacity a kept buffer has, and what a fresh one starts with.
+    keep: usize,
+}
+
+impl BufPool {
+    fn new(cap: usize, keep: usize) -> BufPool {
+        BufPool {
+            idle: RefCell::new(Vec::new()),
+            cap,
+            keep,
+        }
+    }
+
+    /// An idle buffer, or a fresh one with room for `keep` bytes.
+    fn take(&self) -> Vec<u8> {
+        let idle = self.idle.borrow_mut().pop();
+        idle.unwrap_or_else(|| Vec::with_capacity(self.keep))
+    }
+
+    /// Takes back a buffer whose contents are done with: into the pool, or
+    /// freed if the pool is full or the buffer grew past `keep`.
+    fn give_back(&self, mut buf: Vec<u8>) {
+        let mut idle = self.idle.borrow_mut();
+        if buf.capacity() <= self.keep && idle.len() < self.cap {
+            buf.clear();
+            idle.push(buf);
+        }
+    }
+}
 
 /// The server process: the executor plus the dispatch state around it.
 struct SrvInner {
@@ -205,7 +251,11 @@ struct SrvInner {
     running: Cell<bool>,
     /// Idle buffers for the key lists of UCR requests, at most
     /// [`KEY_LIST_POOL_CAP`], each with room for any single key.
-    key_lists: RefCell<Vec<Vec<u8>>>,
+    key_lists: BufPool,
+    /// Idle buffers for ASCII/TCP connections' bytes: a connection reader
+    /// reads into one and hands each command to its worker in it. At most
+    /// [`FRAME_POOL_CAP`], each at most [`STREAM_BUF_KEEP`] bytes.
+    frames: BufPool,
     /// The sockets ports this server bound. `shutdown` closes them, so a
     /// server started on the node again can bind them.
     listeners: RefCell<Vec<Rc<Listener>>>,
@@ -235,7 +285,8 @@ impl McServer {
             workers: worker_txs,
             next_worker: Cell::new(0),
             running: Cell::new(true),
-            key_lists: RefCell::new(Vec::new()),
+            key_lists: BufPool::new(KEY_LIST_POOL_CAP, ONE_KEY_LIST),
+            frames: BufPool::new(FRAME_POOL_CAP, STREAM_BUF_KEEP),
             listeners: RefCell::new(Vec::new()),
             dgram_socks: RefCell::new(Vec::new()),
         });
@@ -464,6 +515,9 @@ async fn worker_loop(srv: Weak<SrvInner>, rx: Receiver<WorkItem>, widx: u32) {
         None => return,
     };
     let mut batch = Vec::new();
+    // The wire bytes of the socket reply in hand: kept from one request to
+    // the next, freed if a large reply grew it past `STREAM_BUF_KEEP`.
+    let mut reply = Vec::new();
     loop {
         let Ok(first) = rx.recv().await else { break };
         // Drain everything already queued so one wake services all ready
@@ -483,7 +537,10 @@ async fn worker_loop(srv: Weak<SrvInner>, rx: Receiver<WorkItem>, widx: u32) {
             if !inner.running.get() {
                 return;
             }
-            frontend::serve(&inner, item, widx).await;
+            frontend::serve(&inner, item, widx, &mut reply).await;
+            if reply.capacity() > STREAM_BUF_KEEP {
+                reply = Vec::new();
+            }
         }
         // Batch drained: refresh the storage-occupancy gauges so a
         // registry read between requests sees live slab state.

@@ -5,7 +5,7 @@ use mcstore::{NumericError, SegmentedStore, SetOutcome, StoreConfig, Value};
 use simnet::{NodeId, Stack};
 
 use super::executor::execute;
-use super::{McServerConfig, SERVER_VERSION};
+use super::{McServerConfig, StoreModel, SERVER_VERSION};
 use crate::am_wire::McOp;
 use crate::request::{Reply, Request};
 use crate::{McClientConfig, Scenario, Transport, World};
@@ -418,7 +418,7 @@ fn the_key_list_pool_reuses_its_buffers_and_keeps_its_cap() {
         });
     };
     let idle = || {
-        let lists = server.inner.key_lists.borrow();
+        let lists = server.inner.key_lists.idle.borrow();
         lists.iter().map(Vec::capacity).collect::<Vec<_>>()
     };
     for _ in 0..3 {
@@ -432,7 +432,93 @@ fn the_key_list_pool_reuses_its_buffers_and_keeps_its_cap() {
     for _ in 0..2 * super::KEY_LIST_POOL_CAP {
         server
             .inner
-            .give_back_key_list(Vec::with_capacity(ONE_KEY_LIST));
+            .key_lists
+            .give_back(Vec::with_capacity(ONE_KEY_LIST));
     }
     assert_eq!(idle().len(), super::KEY_LIST_POOL_CAP);
+}
+
+/// A split multiget reads its keys in place in every part, and the part
+/// that finishes last gives the request's key list back: once one has
+/// run, more of them leave the pool's idle lists as they found them, so
+/// none takes a fresh list.
+#[test]
+fn a_split_multiget_gives_its_key_list_back() {
+    let sharded = McServerConfig {
+        store_model: StoreModel::Sharded(4),
+        ..Default::default()
+    };
+    let cfg = McClientConfig::single(Transport::Ucr, NodeId(0));
+    let Scenario {
+        world,
+        server,
+        clients,
+    } = Scenario::new(World::cluster_b(5, 2), sharded, [cfg]);
+    let keys: Vec<Vec<u8>> = (0..8).map(|i| format!("{i}-split").into_bytes()).collect();
+    assert!(
+        server.inner.exec.shard_groups(McOp::Mget, &keys).is_some(),
+        "the keys span shards"
+    );
+    let mget = || {
+        let (c, keys) = (clients[0].clone(), keys.clone());
+        world.sim().block_on(async move {
+            for key in &keys {
+                c.set(key, b"v", 0, 0).await.unwrap();
+            }
+            let keys: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+            c.mget(&keys).await.unwrap().len()
+        })
+    };
+    let idle = || server.inner.key_lists.idle.borrow().len();
+    assert_eq!(mget(), 8);
+    let warm = idle();
+    assert!(warm > 0);
+    for _ in 0..10 {
+        assert_eq!(mget(), 8);
+        assert_eq!(idle(), warm);
+    }
+}
+
+/// An ASCII/TCP command reaches its worker in the buffer its connection
+/// read it into, lent by the server's frame pool, which takes it back once
+/// the command is served: gets one after another leave one idle buffer;
+/// the buffer a 64 KB `set` grew is freed, not kept; and buffers coming
+/// back to a full pool are freed past its cap.
+#[test]
+fn the_frame_pool_lends_each_command_its_buffer_and_keeps_its_caps() {
+    use socksim::STREAM_BUF_KEEP;
+
+    let cfg = McClientConfig::single(Transport::Sockets(Stack::TenGigEToe), NodeId(0));
+    let Scenario {
+        world,
+        server,
+        clients,
+    } = Scenario::new(World::cluster_a(5, 2), McServerConfig::default(), [cfg]);
+    let run = |value: Option<Vec<u8>>| {
+        let c = clients[0].clone();
+        world.sim().block_on(async move {
+            if let Some(value) = value {
+                c.set(b"k", &value, 0, 0).await.unwrap();
+            }
+            c.get(b"k").await.unwrap().map(|v| v.data.len())
+        })
+    };
+    let idle = || {
+        let frames = server.inner.frames.idle.borrow();
+        frames.iter().map(Vec::capacity).collect::<Vec<_>>()
+    };
+    assert_eq!(run(Some(vec![1; 100])), Some(100));
+    for _ in 0..3 {
+        run(None);
+        assert_eq!(idle(), [STREAM_BUF_KEEP]);
+    }
+    let large = 64 << 10;
+    assert_eq!(run(Some(vec![2; large])), Some(large));
+    assert!(idle().iter().all(|&capacity| capacity <= STREAM_BUF_KEEP));
+    assert_eq!(run(None), Some(large));
+    assert_eq!(idle(), [STREAM_BUF_KEEP]);
+    for _ in 0..2 * super::FRAME_POOL_CAP {
+        server.inner.frames.give_back(Vec::new());
+    }
+    assert_eq!(idle().len(), super::FRAME_POOL_CAP);
 }

@@ -1,6 +1,6 @@
 //! Request-side framing: parse (server) and encode (client).
 
-use crate::{exact, num, take_block, take_line, tokens, ProtoError};
+use crate::{exact, num, take_block, take_line, tokens, ProtoError, Tokens};
 
 /// The five storage verbs sharing the `<verb> <key> <flags> <exptime>
 /// <bytes> [noreply]\r\n<data>\r\n` shape, plus `cas` with its token.
@@ -39,28 +39,31 @@ impl StoreVerb {
     }
 }
 
-/// A parsed client command.
+/// A client command, generic over how it holds its bytes: a [`Command`]
+/// owns its keys and data, a [`CommandRef`] reads them in place from the
+/// buffer it was parsed from. `B` is a key or a data block, `L` the keys
+/// of a `get`/`gets`.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Command {
+pub enum CommandOf<B, L> {
     /// `set`/`add`/`replace`/`append`/`prepend`.
     Store {
         /// Which verb.
         verb: StoreVerb,
         /// Item key.
-        key: Vec<u8>,
+        key: B,
         /// Opaque client flags.
         flags: u32,
         /// Expiration (0 / relative / absolute, per memcached rules).
         exptime: u32,
         /// The data block.
-        data: Vec<u8>,
+        data: B,
         /// Suppress the reply.
         noreply: bool,
     },
     /// `cas <key> <flags> <exptime> <bytes> <cas> [noreply]`.
     Cas {
         /// Item key.
-        key: Vec<u8>,
+        key: B,
         /// Opaque client flags.
         flags: u32,
         /// Expiration.
@@ -68,31 +71,31 @@ pub enum Command {
         /// Expected CAS token.
         cas: u64,
         /// The data block.
-        data: Vec<u8>,
+        data: B,
         /// Suppress the reply.
         noreply: bool,
     },
     /// `get <key>*` — multi-key fetch.
     Get {
         /// Keys to fetch.
-        keys: Vec<Vec<u8>>,
+        keys: L,
     },
     /// `gets <key>*` — fetch with CAS tokens.
     Gets {
         /// Keys to fetch.
-        keys: Vec<Vec<u8>>,
+        keys: L,
     },
     /// `delete <key> [noreply]`.
     Delete {
         /// Key to remove.
-        key: Vec<u8>,
+        key: B,
         /// Suppress the reply.
         noreply: bool,
     },
     /// `incr <key> <delta> [noreply]`.
     Incr {
         /// Key holding a decimal value.
-        key: Vec<u8>,
+        key: B,
         /// Amount to add.
         delta: u64,
         /// Suppress the reply.
@@ -101,7 +104,7 @@ pub enum Command {
     /// `decr <key> <delta> [noreply]`.
     Decr {
         /// Key holding a decimal value.
-        key: Vec<u8>,
+        key: B,
         /// Amount to subtract (clamped at zero).
         delta: u64,
         /// Suppress the reply.
@@ -110,7 +113,7 @@ pub enum Command {
     /// `touch <key> <exptime> [noreply]`.
     Touch {
         /// Key to refresh.
-        key: Vec<u8>,
+        key: B,
         /// New expiration.
         exptime: u32,
         /// Suppress the reply.
@@ -126,12 +129,109 @@ pub enum Command {
     /// `stats [slabs|items|...]`.
     Stats {
         /// Optional sub-report (memcached's `stats slabs`, `stats items`).
-        arg: Option<Vec<u8>>,
+        arg: Option<B>,
     },
     /// `version`.
     Version,
     /// `quit`.
     Quit,
+}
+
+/// A parsed client command that owns its bytes.
+pub type Command = CommandOf<Vec<u8>, Vec<Vec<u8>>>;
+
+/// A client command read in place: keys and data block borrow the buffer
+/// it was parsed from, and a `get`'s keys are its line's key tokens, each
+/// already checked. Reading one allocates nothing.
+pub type CommandRef<'a> = CommandOf<&'a [u8], Tokens<'a>>;
+
+impl CommandRef<'_> {
+    /// The command with its bytes copied out: each key and the data block
+    /// once, a `get`'s keys into a vector of exactly their number.
+    pub fn into_owned(self) -> Command {
+        use CommandOf::*;
+        let own = <[u8]>::to_vec;
+        match self {
+            Store {
+                verb,
+                key,
+                flags,
+                exptime,
+                data,
+                noreply,
+            } => Store {
+                verb,
+                key: own(key),
+                flags,
+                exptime,
+                data: own(data),
+                noreply,
+            },
+            Cas {
+                key,
+                flags,
+                exptime,
+                cas,
+                data,
+                noreply,
+            } => Cas {
+                key: own(key),
+                flags,
+                exptime,
+                cas,
+                data: own(data),
+                noreply,
+            },
+            Get { keys } => Get {
+                keys: owned_keys(keys),
+            },
+            Gets { keys } => Gets {
+                keys: owned_keys(keys),
+            },
+            Delete { key, noreply } => Delete {
+                key: own(key),
+                noreply,
+            },
+            Incr {
+                key,
+                delta,
+                noreply,
+            } => Incr {
+                key: own(key),
+                delta,
+                noreply,
+            },
+            Decr {
+                key,
+                delta,
+                noreply,
+            } => Decr {
+                key: own(key),
+                delta,
+                noreply,
+            },
+            Touch {
+                key,
+                exptime,
+                noreply,
+            } => Touch {
+                key: own(key),
+                exptime,
+                noreply,
+            },
+            FlushAll { delay, noreply } => FlushAll { delay, noreply },
+            Stats { arg } => Stats { arg: arg.map(own) },
+            Version => Version,
+            Quit => Quit,
+        }
+    }
+}
+
+/// `keys` copied out, into a vector of exactly their number.
+fn owned_keys(keys: Tokens<'_>) -> Vec<Vec<u8>> {
+    let mut owned = Vec::with_capacity(keys.clone().count());
+    owned.extend(keys.map(<[u8]>::to_vec));
+    owned
 }
 
 fn check_key(key: &[u8]) -> Result<(), ProtoError> {
@@ -145,10 +245,17 @@ fn check_key(key: &[u8]) -> Result<(), ProtoError> {
 }
 
 /// Incremental parse: `Ok(None)` means more bytes are needed; on success
-/// returns the command and the number of bytes consumed. The line is split
-/// in place and nothing is copied before the whole command is buffered
-/// and valid, so `Ok(None)` and `Err` allocate nothing.
+/// returns the command and the number of bytes consumed. The command is
+/// [`parse_command_ref`]'s, its bytes copied out once it is whole and
+/// valid, so `Ok(None)` and `Err` allocate nothing.
 pub fn parse_command(buf: &[u8]) -> Result<Option<(Command, usize)>, ProtoError> {
+    Ok(parse_command_ref(buf)?.map(|(cmd, used)| (cmd.into_owned(), used)))
+}
+
+/// [`parse_command`] without the copy: the command at the front of `buf`,
+/// read in place, and the bytes it takes. The line is split in place, so
+/// nothing here allocates.
+pub fn parse_command_ref(buf: &[u8]) -> Result<Option<(CommandRef<'_>, usize)>, ProtoError> {
     let Some((line, line_len)) = take_line(buf)? else {
         return Ok(None);
     };
@@ -168,12 +275,12 @@ pub fn parse_command(buf: &[u8]) -> Result<Option<(Command, usize)>, ProtoError>
             return Ok(None); // waiting for the data block
         };
         return Ok(Some((
-            Command::Store {
+            CommandOf::Store {
                 verb,
-                key: key.to_vec(),
+                key,
                 flags,
                 exptime,
-                data: data.to_vec(),
+                data,
                 noreply,
             },
             total,
@@ -193,32 +300,28 @@ pub fn parse_command(buf: &[u8]) -> Result<Option<(Command, usize)>, ProtoError>
                 return Ok(None);
             };
             return Ok(Some((
-                Command::Cas {
-                    key: key.to_vec(),
+                CommandOf::Cas {
+                    key,
                     flags,
                     exptime,
                     cas,
-                    data: data.to_vec(),
+                    data,
                     noreply,
                 },
                 total,
             )));
         }
         b"get" | b"gets" => {
-            let mut count = 0;
             for key in toks.clone() {
                 check_key(key)?;
-                count += 1;
             }
-            if count == 0 {
+            if toks.clone().next().is_none() {
                 return Err(ProtoError::Malformed("get needs at least one key"));
             }
-            let mut keys = Vec::with_capacity(count);
-            keys.extend(toks.map(<[u8]>::to_vec));
             if verb == b"get" {
-                Command::Get { keys }
+                CommandOf::Get { keys: toks }
             } else {
-                Command::Gets { keys }
+                CommandOf::Gets { keys: toks }
             }
         }
         b"delete" => {
@@ -227,10 +330,7 @@ pub fn parse_command(buf: &[u8]) -> Result<Option<(Command, usize)>, ProtoError>
                 .ok_or(ProtoError::Malformed("delete needs a key"))?;
             check_key(key)?;
             let noreply = toks.noreply();
-            Command::Delete {
-                key: key.to_vec(),
-                noreply,
-            }
+            CommandOf::Delete { key, noreply }
         }
         b"incr" | b"decr" => {
             let [key, delta] = toks
@@ -238,15 +338,15 @@ pub fn parse_command(buf: &[u8]) -> Result<Option<(Command, usize)>, ProtoError>
                 .ok_or(ProtoError::Malformed("incr/decr needs key and delta"))?;
             check_key(key)?;
             let delta = num(delta).map_err(|_| ProtoError::BadDelta { len: line_len })?;
-            let (key, noreply) = (key.to_vec(), toks.noreply());
+            let noreply = toks.noreply();
             if verb == b"incr" {
-                Command::Incr {
+                CommandOf::Incr {
                     key,
                     delta,
                     noreply,
                 }
             } else {
-                Command::Decr {
+                CommandOf::Decr {
                     key,
                     delta,
                     noreply,
@@ -260,8 +360,8 @@ pub fn parse_command(buf: &[u8]) -> Result<Option<(Command, usize)>, ProtoError>
             check_key(key)?;
             let exptime = num(exptime)?;
             let noreply = toks.noreply();
-            Command::Touch {
-                key: key.to_vec(),
+            CommandOf::Touch {
+                key,
                 exptime,
                 noreply,
             }
@@ -276,13 +376,11 @@ pub fn parse_command(buf: &[u8]) -> Result<Option<(Command, usize)>, ProtoError>
                     delay = num(t)?;
                 }
             }
-            Command::FlushAll { delay, noreply }
+            CommandOf::FlushAll { delay, noreply }
         }
-        b"stats" => Command::Stats {
-            arg: toks.next().map(<[u8]>::to_vec),
-        },
-        b"version" => Command::Version,
-        b"quit" => Command::Quit,
+        b"stats" => CommandOf::Stats { arg: toks.next() },
+        b"version" => CommandOf::Version,
+        b"quit" => CommandOf::Quit,
         _ => return Err(ProtoError::UnknownCommand { len: line_len }),
     };
     Ok(Some((cmd, line_len)))

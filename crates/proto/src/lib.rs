@@ -12,11 +12,14 @@
 //! get back `Ok(None)` until a complete frame (including any data block)
 //! is present.
 //!
-//! The owned `Command`/`Response` are the typed forms. Underneath them is
-//! one tokenizer ([`tokens`]), one response-line reader
+//! The owned `Command`/`Response` are the typed forms; a [`CommandRef`]
+//! is a command read in place from the buffer it was framed in, and
+//! [`parse_command`] is that parse with the bytes copied out. Underneath
+//! them is one tokenizer ([`tokens`]), one response-line reader
 //! ([`ResponseLines`]) and one set of line writers ([`Wire`]); a codec
 //! that has its own typed form uses those directly, borrowing what it
-//! reads and writing each frame into one exactly sized buffer.
+//! reads and writing each frame onto a buffer it keeps ([`frame_into`])
+//! or into one of exactly its size ([`exact`]).
 
 #![warn(missing_docs)]
 #![cfg_attr(
@@ -41,7 +44,9 @@ pub use binary::{
     arith_extras, parse_arith_extras, parse_store_extras, store_extras, BinFrame, BinFrameRef,
     BinOpcode, BinStatus, BIN_HEADER_BYTES, MAGIC_REQUEST, MAGIC_RESPONSE,
 };
-pub use command::{encode_command, parse_command, Command, StoreVerb};
+pub use command::{
+    encode_command, parse_command, parse_command_ref, Command, CommandOf, CommandRef, StoreVerb,
+};
 pub use response::{
     encode_response, parse_response, GetValue, Response, ResponseLine, ResponseLines,
 };
@@ -166,37 +171,42 @@ impl<'a> Iterator for Tokens<'a> {
     }
 }
 
-/// Where the line writers put a frame. [`exact`] runs a frame's writers
-/// twice: once to count its bytes, once into a buffer of exactly that
-/// size.
-pub struct Wire {
-    bytes: Vec<u8>,
-    /// The counting pass: `size` grows, `bytes` stays empty.
-    sizing: bool,
+/// Where the line writers put a frame: onto the end of a buffer
+/// ([`frame_into`]), or nowhere while [`exact`] counts its bytes.
+pub struct Wire<'b> {
+    /// `None` on the counting pass.
+    out: Option<&'b mut Vec<u8>>,
     size: usize,
 }
 
-/// The frame `write` produces, in one allocation of exactly its size.
-pub fn exact(write: impl Fn(&mut Wire)) -> Vec<u8> {
-    let mut wire = Wire {
-        bytes: Vec::new(),
-        sizing: true,
+/// Writes the frame `write` produces onto the end of `out`: a pass that
+/// counts its bytes, room for them, then the bytes. A buffer kept across
+/// frames takes each one without allocating once it has grown to the
+/// frames it carries, and grows at most once per frame.
+pub fn frame_into(out: &mut Vec<u8>, write: impl Fn(&mut Wire<'_>)) {
+    let mut count = Wire { out: None, size: 0 };
+    write(&mut count);
+    out.reserve(count.size);
+    let start = out.len();
+    write(&mut Wire {
+        out: Some(out),
         size: 0,
-    };
-    write(&mut wire);
-    wire.bytes.reserve_exact(wire.size);
-    wire.sizing = false;
-    write(&mut wire);
-    debug_assert_eq!(wire.bytes.len(), wire.size, "the two passes disagree");
-    wire.bytes
+    });
+    debug_assert_eq!(out.len() - start, count.size, "the two passes disagree");
 }
 
-impl Wire {
+/// The frame `write` produces, in one allocation of exactly its size.
+pub fn exact(write: impl Fn(&mut Wire<'_>)) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    frame_into(&mut bytes, write);
+    bytes
+}
+
+impl Wire<'_> {
     fn put(&mut self, bytes: &[u8]) {
-        if self.sizing {
-            self.size += bytes.len();
-        } else {
-            self.bytes.extend_from_slice(bytes);
+        match &mut self.out {
+            Some(out) => out.extend_from_slice(bytes),
+            None => self.size += bytes.len(),
         }
     }
 

@@ -1,6 +1,6 @@
 //! Response-side framing: encode (server) and parse (client).
 
-use crate::{exact, num, take_block, take_line, tokens, ProtoError};
+use crate::{exact, num, take_block, take_line, tokens, ProtoError, Wire};
 
 /// One `VALUE` stanza of a get/gets response.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -51,32 +51,39 @@ pub enum Response {
 /// Encodes a response to the wire (server side), in one buffer of exactly
 /// its size.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    exact(|w| match resp {
-        Response::Stored => w.status(b"STORED", None),
-        Response::NotStored => w.status(b"NOT_STORED", None),
-        Response::Exists => w.status(b"EXISTS", None),
-        Response::NotFound => w.status(b"NOT_FOUND", None),
-        Response::Deleted => w.status(b"DELETED", None),
-        Response::Touched => w.status(b"TOUCHED", None),
-        Response::Values(values) => {
-            for v in values {
-                w.value(&v.key, v.flags, v.cas, &v.data);
+    exact(|w| w.response(resp))
+}
+
+impl Wire<'_> {
+    /// The lines of `resp`.
+    pub fn response(&mut self, resp: &Response) {
+        match resp {
+            Response::Stored => self.status(b"STORED", None),
+            Response::NotStored => self.status(b"NOT_STORED", None),
+            Response::Exists => self.status(b"EXISTS", None),
+            Response::NotFound => self.status(b"NOT_FOUND", None),
+            Response::Deleted => self.status(b"DELETED", None),
+            Response::Touched => self.status(b"TOUCHED", None),
+            Response::Values(values) => {
+                for v in values {
+                    self.value(&v.key, v.flags, v.cas, &v.data);
+                }
+                self.status(b"END", None);
             }
-            w.status(b"END", None);
-        }
-        Response::Number(n) => w.number(*n),
-        Response::Stats(stats) => {
-            for (name, value) in stats {
-                w.stat(name, value);
+            Response::Number(n) => self.number(*n),
+            Response::Stats(stats) => {
+                for (name, value) in stats {
+                    self.stat(name, value);
+                }
+                self.status(b"END", None);
             }
-            w.status(b"END", None);
+            Response::Ok => self.status(b"OK", None),
+            Response::Version(v) => self.status(b"VERSION", Some(v.as_bytes())),
+            Response::Error => self.status(b"ERROR", None),
+            Response::ClientError(m) => self.status(b"CLIENT_ERROR", Some(m.as_bytes())),
+            Response::ServerError(m) => self.status(b"SERVER_ERROR", Some(m.as_bytes())),
         }
-        Response::Ok => w.status(b"OK", None),
-        Response::Version(v) => w.status(b"VERSION", Some(v.as_bytes())),
-        Response::Error => w.status(b"ERROR", None),
-        Response::ClientError(m) => w.status(b"CLIENT_ERROR", Some(m.as_bytes())),
-        Response::ServerError(m) => w.status(b"SERVER_ERROR", Some(m.as_bytes())),
-    })
+    }
 }
 
 /// One line of a server response, borrowed from the receive buffer; a

@@ -407,7 +407,7 @@ mod properties {
     }
 
     fn command_owns(cmd: &Command) -> usize {
-        use Command::*;
+        use mcproto::CommandOf::*;
         match cmd {
             Store { key, data, .. } | Cas { key, data, .. } => key.len() + data.len(),
             Get { keys } | Gets { keys } => {

@@ -24,6 +24,17 @@ pub const DEFAULT_CONNECT_TIMEOUT: SimDuration = SimDuration::from_millis(200);
 /// Wire size of a handshake control segment.
 const HANDSHAKE_BYTES: u64 = 74;
 
+/// Most idle segment buffers a fabric keeps: one per stream write in
+/// flight, up to the 128 requests that 16 clients eight deep keep out.
+pub const SEGMENT_POOL_CAP: usize = 128;
+
+/// Largest buffer, in bytes of capacity, that a stream endpoint keeps for
+/// the next write or frame: a segment buffer here, and the request, frame
+/// and reply buffers of the memcached ends above. One grown past it by a
+/// larger frame is freed when it comes back; memcached shrinks a
+/// connection's buffers past the same 8 KiB (`READ_BUFFER_HIGHWAT`).
+pub const STREAM_BUF_KEEP: usize = 8_192;
+
 struct ConnRequest {
     src: SocketAddr,
     /// The buffer the client reads from; the server writes into it.
@@ -44,6 +55,9 @@ pub(crate) struct SockFabricInner {
     dgram_socks: RefCell<HashMap<(Stack, NodeId, u16), Rc<DgramInbox>>>,
     /// The datagrams on their way between sockets.
     pub(crate) datagrams: RefCell<Slab<Datagram>>,
+    /// Idle buffers for the payloads of stream writes, at most
+    /// [`SEGMENT_POOL_CAP`], none larger than [`STREAM_BUF_KEEP`].
+    seg_free: RefCell<Vec<Vec<u8>>>,
     /// By socket id; ordered, so `kill_node` resets them in id order.
     socks: RefCell<BTreeMap<u64, SockRec>>,
     dead: RefCell<HashSet<NodeId>>,
@@ -66,6 +80,7 @@ impl SockFabric {
                 listeners: RefCell::new(HashMap::new()),
                 dgram_socks: RefCell::new(HashMap::new()),
                 datagrams: RefCell::new(Slab::new()),
+                seg_free: RefCell::new(Vec::new()),
                 socks: RefCell::new(BTreeMap::new()),
                 dead: RefCell::new(HashSet::new()),
                 next_sock: Cell::new(1),
@@ -249,6 +264,17 @@ impl SockFabric {
         self.inner.is_dead(node)
     }
 
+    /// The capacity of each idle segment buffer, in the order they came
+    /// back; the next write takes the last.
+    pub fn idle_segment_buffers(&self) -> Vec<usize> {
+        self.inner
+            .seg_free
+            .borrow()
+            .iter()
+            .map(Vec::capacity)
+            .collect()
+    }
+
     fn check_stack(&self, stack: Stack) -> Result<(), SockError> {
         if stack == Stack::Ucr {
             // UCR is not a byte-stream transport.
@@ -264,6 +290,24 @@ impl SockFabric {
 impl SockFabricInner {
     pub(crate) fn is_dead(&self, node: NodeId) -> bool {
         self.dead.borrow().contains(&node)
+    }
+
+    /// A copy of `bytes` in a segment buffer: the idle one given back
+    /// last, or a fresh one.
+    pub(crate) fn segment_buf(&self, bytes: &[u8]) -> Vec<u8> {
+        let mut buf = self.seg_free.borrow_mut().pop().unwrap_or_default();
+        buf.extend_from_slice(bytes);
+        buf
+    }
+
+    /// Takes back a segment buffer whose bytes are delivered or lost: into
+    /// the pool, or freed if the pool is full or a large write grew it.
+    pub(crate) fn give_back_segment(&self, mut buf: Vec<u8>) {
+        let mut idle = self.seg_free.borrow_mut();
+        if buf.capacity() <= STREAM_BUF_KEEP && idle.len() < SEGMENT_POOL_CAP {
+            buf.clear();
+            idle.push(buf);
+        }
     }
 
     /// Stack profile + physical network for `stack`. Callers have already

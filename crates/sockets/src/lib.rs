@@ -58,5 +58,7 @@ mod fabric;
 mod stream;
 
 pub use dgram::{DgramSocket, DGRAM_RCVBUF_DATAGRAMS, MAX_DGRAM_BYTES};
-pub use fabric::{Listener, SockFabric, DEFAULT_CONNECT_TIMEOUT};
+pub use fabric::{
+    Listener, SockFabric, DEFAULT_CONNECT_TIMEOUT, SEGMENT_POOL_CAP, STREAM_BUF_KEEP,
+};
 pub use stream::{SockError, Socket, SocketAddr};

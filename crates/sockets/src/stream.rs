@@ -14,6 +14,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::fmt;
+use std::future::Future;
 use std::rc::Rc;
 
 use simnet::profiles::SocketStackProfile;
@@ -60,6 +61,8 @@ pub struct SocketAddr {
 }
 
 /// One write on its way into a [`RecvBuf`], as the stage it waits for.
+/// Its payload is a buffer from the fabric's segment pool, given back once
+/// the bytes are in the socket buffer or have nowhere to go.
 pub(crate) enum Segment {
     /// On the wire to the receiving node.
     Arrive {
@@ -67,7 +70,10 @@ pub(crate) enum Segment {
         payload: Vec<u8>,
     },
     /// In the receiving kernel, due in the socket buffer.
-    Deliver { payload: Vec<u8> },
+    Deliver {
+        fabric: Rc<SockFabricInner>,
+        payload: Vec<u8>,
+    },
     /// The peer closed: its FIN is one propagation delay out.
     Fin,
 }
@@ -129,9 +135,11 @@ impl EventTarget for RecvBuf {
             Segment::Arrive { fabric, payload } => {
                 let (dst, profile) = (self.node, &self.profile);
                 if fabric.is_dead(dst) {
-                    return; // bytes vanish into the dead node
+                    // The bytes vanish into the dead node.
+                    fabric.give_back_segment(payload);
+                    return;
                 }
-                let sim = fabric.cluster.sim();
+                let sim = fabric.cluster.sim().clone();
                 // Kernel receive-side occupancy: per-message cost plus the
                 // per-byte data path (copies, re-framing).
                 let service = profile.kernel_recv + profile.data_path_cost(payload.len() as u64);
@@ -155,11 +163,15 @@ impl EventTarget for RecvBuf {
                 // direction.
                 ready = ready.max(self.last_delivery.get());
                 self.last_delivery.set(ready);
-                self.launch(sim, ready, Segment::Deliver { payload });
+                self.launch(&sim, ready, Segment::Deliver { fabric, payload });
             }
-            // A reset got here first: the bytes have nowhere to go.
-            Segment::Deliver { .. } if self.closed.get() => {}
-            Segment::Deliver { payload } => self.push(&payload),
+            Segment::Deliver { fabric, payload } => {
+                // A reset that got here first leaves the bytes nowhere to go.
+                if !self.closed.get() {
+                    self.push(&payload);
+                }
+                fabric.give_back_segment(payload);
+            }
             Segment::Fin => self.close(),
         }
     }
@@ -206,40 +218,50 @@ impl Socket {
     /// Queues `buf` for transmission. Resolves when the local kernel has
     /// accepted the bytes (socket-buffer semantics): the transfer itself
     /// completes asynchronously in simulated time.
-    pub async fn write_all(&self, buf: &[u8]) -> Result<(), SockError> {
-        let sim = self.sim();
-        if self.local_closed.get() || self.peer_rx.closed.get() {
-            return Err(SockError::Closed);
-        }
-        if self.fabric.is_dead(self.local.node) {
-            return Err(SockError::Closed);
-        }
-        // Application-side syscall + copy into the socket buffer.
-        sim.sleep(self.profile.app_send).await;
+    ///
+    /// The bytes are copied into a segment buffer from the fabric's pool
+    /// when the call is made, so the returned future does not borrow
+    /// `buf`: the caller may write its next frame into the same buffer
+    /// while this one is on its way.
+    pub fn write_all(&self, buf: &[u8]) -> impl Future<Output = Result<(), SockError>> + '_ {
+        let payload = self.fabric.segment_buf(buf);
+        async move {
+            let sim = self.sim();
+            if self.local_closed.get()
+                || self.peer_rx.closed.get()
+                || self.fabric.is_dead(self.local.node)
+            {
+                self.fabric.give_back_segment(payload);
+                return Err(SockError::Closed);
+            }
+            // Application-side syscall + copy into the socket buffer.
+            sim.sleep(self.profile.app_send).await;
 
-        let mss = (self.net.mtu() as u64)
-            .saturating_sub(SEGMENT_HEADER_BYTES)
-            .max(1);
-        let nseg = (buf.len() as u64).div_ceil(mss).max(1);
-        let wire_bytes = buf.len() as u64 + nseg * SEGMENT_HEADER_BYTES;
+            let len = payload.len() as u64;
+            let mss = (self.net.mtu() as u64)
+                .saturating_sub(SEGMENT_HEADER_BYTES)
+                .max(1);
+            let nseg = len.div_ceil(mss).max(1);
+            let wire_bytes = len + nseg * SEGMENT_HEADER_BYTES;
 
-        // Kernel send-side occupancy (shared with every other socket on
-        // this node).
-        let src_kernel = &self.fabric.cluster.node(self.local.node).kernel;
-        let mut launch = src_kernel.occupy_from(sim.now(), self.profile.kernel_send);
-        if !self.nodelay.get() && (buf.len() as u64) < mss {
-            launch += NAGLE_COALESCE_DELAY;
+            // Kernel send-side occupancy (shared with every other socket on
+            // this node).
+            let src_kernel = &self.fabric.cluster.node(self.local.node).kernel;
+            let mut launch = src_kernel.occupy_from(sim.now(), self.profile.kernel_send);
+            if !self.nodelay.get() && len < mss {
+                launch += NAGLE_COALESCE_DELAY;
+            }
+
+            // Receive-side work happens at delivery.
+            let dst = self.peer.node;
+            let arrives = self.net.carry(self.local.node, dst, wire_bytes, launch);
+            let on_wire = Segment::Arrive {
+                fabric: self.fabric.clone(),
+                payload,
+            };
+            self.peer_rx.launch(&sim, arrives, on_wire);
+            Ok(())
         }
-
-        // Receive-side work happens at delivery.
-        let dst = self.peer.node;
-        let arrives = self.net.carry(self.local.node, dst, wire_bytes, launch);
-        let on_wire = Segment::Arrive {
-            fabric: self.fabric.clone(),
-            payload: buf.to_vec(),
-        };
-        self.peer_rx.launch(&sim, arrives, on_wire);
-        Ok(())
     }
 
     /// Reads up to `max` available bytes onto the end of `buf`, waiting for

@@ -4,8 +4,11 @@
 
 use std::rc::Rc;
 
-use simnet::{Cluster, NodeId, SimDuration, Stack};
-use socksim::{SockError, SockFabric, Socket, SocketAddr, DEFAULT_CONNECT_TIMEOUT};
+use simnet::{Cluster, NodeId, Sim, SimDuration, Stack};
+use socksim::{
+    SockError, SockFabric, Socket, SocketAddr, DEFAULT_CONNECT_TIMEOUT, SEGMENT_POOL_CAP,
+    STREAM_BUF_KEEP,
+};
 
 fn fabric_a() -> (Rc<Cluster>, SockFabric) {
     let cluster = Rc::new(Cluster::cluster_a(5, 6));
@@ -433,6 +436,100 @@ fn closed_socket_rejects_writes_eventually() {
         assert_eq!(err, SockError::Closed);
         assert!(sock.read(&mut Vec::new(), 10).await.is_err());
     });
+}
+
+/// A connected pair on 10GigE-TOE: the client's end and the server's.
+fn connected_pair(fabric: &SockFabric) -> (Rc<Socket>, Rc<Socket>) {
+    let stack = Stack::TenGigEToe;
+    let listener = fabric.listen(stack, SERVER.node, SERVER.port).unwrap();
+    let f = fabric.clone();
+    fabric.cluster().sim().block_on(async move {
+        let accepted = f
+            .cluster()
+            .sim()
+            .spawn(async move { listener.accept().await });
+        let sock = f
+            .connect(stack, NodeId(0), SERVER, DEFAULT_CONNECT_TIMEOUT)
+            .await
+            .unwrap();
+        sock.set_nodelay(true);
+        (Rc::new(sock), Rc::new(accepted.await.unwrap()))
+    })
+}
+
+/// Makes every write of `writes` on `sock` before awaiting any, so all of
+/// their payloads are taken from the segment pool at once, then runs the
+/// simulation until every byte has landed.
+fn write_at_once(sim: &Sim, sock: &Rc<Socket>, writes: Vec<Vec<u8>>) {
+    let sock = sock.clone();
+    sim.block_on(async move {
+        let made: Vec<_> = writes.iter().map(|bytes| sock.write_all(bytes)).collect();
+        for write in made {
+            write.await.unwrap();
+        }
+    });
+    sim.run();
+}
+
+/// A write's bytes ride in a buffer from the fabric's segment pool, which
+/// takes it back once they are in the peer's socket buffer: writes one
+/// after another reuse one buffer; 256 in flight at once leave the pool at
+/// its count cap, none above its size cap; and the buffer a 64 KB write
+/// grew is freed, not kept.
+#[test]
+fn the_segment_pool_reuses_its_buffers_and_keeps_its_caps() {
+    let (cluster, fabric) = fabric_a();
+    let sim = cluster.sim().clone();
+    let (sock, peer) = connected_pair(&fabric);
+    for _ in 0..10 {
+        write_at_once(&sim, &sock, vec![vec![1; 1000]]);
+        assert_eq!(fabric.idle_segment_buffers().len(), 1);
+    }
+    write_at_once(&sim, &sock, vec![vec![2; 1000]; 256]);
+    let idle = fabric.idle_segment_buffers();
+    assert_eq!(idle.len(), SEGMENT_POOL_CAP);
+    assert!(idle.iter().all(|&capacity| capacity <= STREAM_BUF_KEEP));
+    write_at_once(&sim, &sock, vec![vec![3; 64 << 10]]);
+    let idle = fabric.idle_segment_buffers();
+    assert_eq!(
+        idle.len(),
+        SEGMENT_POOL_CAP - 1,
+        "the grown buffer is freed"
+    );
+    assert!(idle.iter().all(|&capacity| capacity <= STREAM_BUF_KEEP));
+    assert_eq!(peer.available(), 10 * 1000 + 256 * 1000 + (64 << 10));
+}
+
+/// Bytes with nowhere to go give their segment buffer back all the same:
+/// a write the receiving end resets before they land, a write into a node
+/// that dies while they are on the wire, and a write refused at once.
+#[test]
+fn a_write_with_nowhere_to_go_gives_its_segment_buffer_back() {
+    let (cluster, fabric) = fabric_a();
+    let sim = cluster.sim().clone();
+    let in_flight = |sock: &Rc<Socket>, bytes: &'static [u8]| {
+        let sock = sock.clone();
+        sim.block_on(async move { sock.write_all(bytes).await.unwrap() });
+        assert!(fabric.idle_segment_buffers().is_empty(), "on its way");
+    };
+
+    let (sock, peer) = connected_pair(&fabric);
+    write_at_once(&sim, &sock, vec![vec![1; 100]]);
+    in_flight(&sock, &[2; 100]);
+    peer.close();
+    sim.run();
+    assert_eq!(fabric.idle_segment_buffers().len(), 1);
+    assert_eq!(peer.available(), 100, "the reset came first");
+
+    let (sock, _peer) = connected_pair(&fabric);
+    in_flight(&sock, &[3; 100]);
+    fabric.kill_node(SERVER.node);
+    sim.run();
+    assert_eq!(fabric.idle_segment_buffers().len(), 1);
+
+    let refused = sim.block_on(async move { sock.write_all(&[4; 100]).await });
+    assert_eq!(refused, Err(SockError::Closed));
+    assert_eq!(fabric.idle_segment_buffers().len(), 1);
 }
 
 #[test]

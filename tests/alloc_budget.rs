@@ -13,7 +13,14 @@
 //! under a fresh id, the server reads the request's key from a pooled key
 //! list, and a rendezvous holds its header in a pooled buffer; what a 64 KB
 //! operation adds is the rendezvous's own (a registration per region, and
-//! the reply's spawned send). They also pin that a run leaves no dead
+//! the reply's spawned send). An ASCII/TCP get allocates the client's value
+//! and nothing else too, and a set nothing at all: a write's bytes ride in a
+//! pooled segment buffer, the client writes each request into the buffer it
+//! keeps, and the server reads a command in place from a pooled frame buffer
+//! and writes its reply into its worker's buffer. What a binary get still
+//! allocates is the parsed frames at both ends (`BinFrame::parse`) and the
+//! client's frame list; a UDP get, the datagrams and their reassembly. They
+//! also pin that a run leaves no dead
 //! timers behind: the event queue holds live events only, and that a UCR
 //! runtime holds the receive buffers its traffic needs, not its pool's cap.
 //!
@@ -482,17 +489,56 @@ fn ucr_pipelined_gets_stay_within_the_allocation_budget() {
 
 #[test]
 fn ascii_socket_gets_stay_within_the_allocation_budget() {
-    ascii_socket_gets().stays_within(9.0); // measured 7.00
+    let load = ascii_socket_gets().stays_within(2.0); // measured 1.00
+    let bytes = load.bytes_per_op();
+    assert!(
+        bytes <= (1024 + 7) as f64, // measured 1 024.0
+        "ascii_socket_gets: {bytes:.1} bytes allocated per operation"
+    );
+}
+
+/// An ASCII/TCP get allocates the client's copy of the value and nothing
+/// else: a write's bytes ride in a pooled segment buffer, the client
+/// writes its request into the buffer it keeps, the server reads the
+/// command in place from the buffer its connection read it into and
+/// writes the reply into its worker's buffer. So no site of the census is
+/// in `crates/sockets/`, in `crates/proto/` or in the server.
+#[test]
+fn an_ascii_socket_get_allocates_only_the_clients_value() {
+    let shape = ascii_socket_gets();
+    shape.run(WARMUP_OPS);
+    let (sites, ops) = shape.census(200);
+    assert!(ops >= 200 && !sites.is_empty(), "a census");
+    let below_the_client: Vec<_> = sites
+        .iter()
+        .filter(|(site, _)| {
+            [
+                "crates/sockets/",
+                "crates/proto/",
+                "crates/core/src/server/",
+            ]
+            .iter()
+            .any(|layer| site.contains(layer))
+        })
+        .collect();
+    assert!(below_the_client.is_empty(), "{below_the_client:?}");
+    // What is left in the simulated layers (the engine's are the
+    // harness's own tasks) is one 1 KB allocation per get.
+    let (allocs, bytes) = sites
+        .iter()
+        .filter(|(site, _)| site.contains(" at crates/") && !site.contains("crates/simnet/"))
+        .fold((0, 0), |sum, (_, site)| (sum.0 + site.0, sum.1 + site.1));
+    assert_eq!((allocs, bytes), (ops, 1024 * ops), "{sites:?}");
 }
 
 #[test]
 fn binary_socket_gets_stay_within_the_allocation_budget() {
-    binary_socket_gets().stays_within(15.0); // measured 13.00
+    binary_socket_gets().stays_within(8.0); // measured 7.00
 }
 
 #[test]
 fn udp_gets_stay_within_the_allocation_budget() {
-    udp_gets().stays_within(20.0); // measured 18.00
+    udp_gets().stays_within(15.0); // measured 14.00
 }
 
 /// A get hit leaves the slab once: the store lends it and the front-end
@@ -521,7 +567,12 @@ fn get_hits_allocate_nothing_in_the_store() {
 
 #[test]
 fn ascii_socket_sets_and_gets_stay_within_the_allocation_budget() {
-    ascii_socket_sets_and_gets().stays_within(9.0); // measured 6.50
+    let load = ascii_socket_sets_and_gets().stays_within(1.5); // measured 0.50
+    let bytes = load.bytes_per_op();
+    assert!(
+        bytes <= (512 + 7) as f64, // measured 512.0
+        "ascii_socket_sets_and_gets: {bytes:.1} bytes allocated per operation"
+    );
 }
 
 /// The text parsers split and frame in place: one that asks for more bytes

@@ -283,37 +283,72 @@ fn literal_constants(dir: &Path, out: &mut BTreeMap<String, Vec<Option<u128>>>) 
             continue;
         }
         let text = std::fs::read_to_string(&path).expect("readable source");
-        for line in text.lines() {
-            let decl = line.trim_start().trim_start_matches("pub ");
-            let decl = decl.strip_prefix("pub(crate) ").unwrap_or(decl);
-            let Some(decl) = decl
-                .strip_prefix("const ")
-                .or_else(|| decl.strip_prefix("static "))
-            else {
-                continue;
-            };
-            let (Some((name, _)), Some((_, init))) = (decl.split_once(':'), decl.split_once('='))
-            else {
-                continue;
-            };
-            let name = name.trim();
-            if !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
-                continue;
-            }
-            let init = init.split(';').next().unwrap_or_default().trim();
-            let end = init
-                .find(|c: char| !(c.is_ascii_digit() || c == '_'))
-                .unwrap_or(init.len());
-            let (digits, suffix) = init.split_at(end);
-            let typed = suffix
-                .strip_prefix(['u', 'i'])
-                .is_some_and(|bits| ["8", "16", "32", "64", "128", "size"].contains(&bits));
-            let literal = !digits.is_empty() && (suffix.is_empty() || typed);
-            let value = literal
-                .then(|| digits.replace('_', "").parse().ok())
-                .flatten();
+        for (name, value) in text.lines().filter_map(constant) {
             out.entry(name.to_owned()).or_default().push(value);
         }
+    }
+}
+
+/// The name of the `const` or `static` that `line` declares, whatever its
+/// visibility (`pub`, `pub(crate)`, `pub(super)`, `pub(in path)`), and its
+/// literal integer initializer, or `None` for any other; `None` outright
+/// for a line declaring neither.
+fn constant(line: &str) -> Option<(&str, Option<u128>)> {
+    let mut decl = line.trim_start();
+    if let Some(rest) = decl.strip_prefix("pub") {
+        let rest = match rest.strip_prefix('(') {
+            Some(scoped) => scoped.split_once(')')?.1,
+            None => rest,
+        };
+        decl = rest.strip_prefix(' ')?;
+    }
+    let decl = decl
+        .strip_prefix("const ")
+        .or_else(|| decl.strip_prefix("static "))?;
+    let (Some((name, _)), Some((_, init))) = (decl.split_once(':'), decl.split_once('=')) else {
+        return None;
+    };
+    let name = name.trim();
+    if !name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
+        return None;
+    }
+    let init = init.split(';').next().unwrap_or_default().trim();
+    let end = init
+        .find(|c: char| !(c.is_ascii_digit() || c == '_'))
+        .unwrap_or(init.len());
+    let (digits, suffix) = init.split_at(end);
+    let typed = suffix
+        .strip_prefix(['u', 'i'])
+        .is_some_and(|bits| ["8", "16", "32", "64", "128", "size"].contains(&bits));
+    let literal = !digits.is_empty() && (suffix.is_empty() || typed);
+    let value = literal
+        .then(|| digits.replace('_', "").parse().ok())
+        .flatten();
+    Some((name, value))
+}
+
+/// The declaration reader sees through every visibility, and reads a
+/// literal only when the whole initializer is one.
+#[test]
+fn constants_are_read_whatever_their_visibility() {
+    let cases = [
+        ("const A: usize = 3;", Some(("A", Some(3)))),
+        ("    pub const B: u64 = 4_096;", Some(("B", Some(4_096)))),
+        ("pub(crate) const C: usize = 8;", Some(("C", Some(8)))),
+        ("pub(super) const X: usize = 7;", Some(("X", Some(7)))),
+        (
+            "pub(in crate::a) const Y: u32 = 1_024;",
+            Some(("Y", Some(1_024))),
+        ),
+        ("pub static S: u8 = 2u8;", Some(("S", Some(2)))),
+        ("const D: usize = 1 << 10;", Some(("D", None))),
+        ("const E: Duration = Duration::ZERO;", Some(("E", None))),
+        ("pub fn f() -> usize {", None),
+        ("publish(x);", None),
+        ("let x: usize = 3;", None),
+    ];
+    for (line, want) in cases {
+        assert_eq!(constant(line), want, "{line}");
     }
 }
 

@@ -11,6 +11,7 @@
 
 use rdma_memcached::rmc::{McClientConfig, McServerConfig, Scenario, Transport, World};
 use rdma_memcached::simnet::{EventRecorder, Layer, NodeId, Phase, SimDuration, Stack};
+use rdma_memcached::socksim::STREAM_BUF_KEEP;
 use rdma_memcached::ucr;
 use rmc_bench::{
     run_pipeline_gets, run_throughput, run_windowed_gets, ucr_totals, ClusterKind, WindowedRun,
@@ -140,6 +141,44 @@ fn pipelined_batches_work_over_sockets() {
         assert_eq!(windowed[items.len()], None);
         assert_eq!(windowed, one_by_one, "{wire:?}");
         assert!(fast < slow, "{wire:?}: {fast:?} !< {slow:?}");
+    }
+}
+
+/// An ASCII/TCP window of 8 writes every request from the client's one
+/// request buffer, and the server reads each command in place from the
+/// buffer its connection read it into, however many commands one read
+/// brought: a window of sets whose values grow past `STREAM_BUF_KEEP`
+/// (so the kept buffers are freed and replaced mid-window), then a window
+/// of gets, completes in request order with every value intact.
+#[test]
+fn an_ascii_window_completes_in_request_order_through_kept_buffers() {
+    let values: Vec<Vec<u8>> = (0..24usize)
+        .map(|i| vec![i as u8; 1 + (i * 997) % (20 << 10)])
+        .collect();
+    let cfg = McClientConfig {
+        pipeline_depth: 8,
+        ..McClientConfig::single(Transport::Sockets(Stack::TenGigEToe), NodeId(0))
+    };
+    let s = Scenario::new(World::cluster_a(7, 2), McServerConfig::default(), [cfg]);
+    let client = s.clients[0].clone();
+    let (got, values) = s.world.sim().block_on(async move {
+        let keys: Vec<Vec<u8>> = (0..values.len())
+            .map(|i| format!("{i}-window").into_bytes())
+            .collect();
+        let items: Vec<(&[u8], &[u8])> = keys
+            .iter()
+            .zip(&values)
+            .map(|(k, v)| (k.as_slice(), v.as_slice()))
+            .collect();
+        let stored = client.set_many(&items, 0, 0).await.unwrap();
+        assert!(stored.iter().all(Result::is_ok));
+        let keys: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+        let got = client.get_many(&keys).await.unwrap();
+        (got, values)
+    });
+    assert!(values.iter().any(|v| v.len() > STREAM_BUF_KEEP));
+    for (i, value) in values.iter().enumerate() {
+        assert_eq!(got[i].as_ref().map(|v| &v.data), Some(value), "item {i}");
     }
 }
 
