@@ -53,6 +53,20 @@ pub(crate) struct Staged {
     origin: Option<Counter>,
 }
 
+/// A rendezvous reply [`Endpoint::post_message`] has accepted and the
+/// runtime's sender task has not yet advertised. Its packet header carries
+/// the caller's counters by id, for the Fin to name; the counters
+/// themselves are not held.
+pub(crate) struct QueuedRndv {
+    pub(crate) ep: Rc<EpInner>,
+    pub(crate) pkt: PacketHeader,
+    /// The application header, in a buffer from the runtime's header pool.
+    pub(crate) hdr: Vec<u8>,
+    /// The source bytes: a buffer from the rendezvous pool, or the
+    /// caller's own.
+    pub(crate) data: Vec<u8>,
+}
+
 /// Send-side eager coalescing state of one RC endpoint. While either end
 /// of the connection is backed up — this end by its own completions (see
 /// [`BACKLOG_MULTIPLE`]), the peer by its own word, carried in every eager
@@ -269,7 +283,7 @@ impl EpInner {
     /// under a fresh rkey, and advertises it; the target pulls it with an
     /// RDMA read — zero copy — and its Fin releases the source (see
     /// [`sources`](Self::sources)).
-    fn send_rndv(
+    pub(crate) fn send_rndv(
         self: &Rc<Self>,
         rt: &RtInner,
         mut pkt: PacketHeader,
@@ -550,13 +564,16 @@ impl Endpoint {
     /// at the post, straight from `data`, staged in a record of the
     /// endpoint and handed on by a targeted event once the staging delay
     /// has passed (hold or post, as [`send_message`](Self::send_message)
-    /// does after the same delay); a rendezvous or unreliable one is sent
-    /// by a spawned task, with `data` as owned bytes. A borrow is copied
-    /// once, here: a rendezvous source into a buffer from the runtime's
+    /// does after the same delay). A rendezvous one is queued, its header
+    /// in a buffer from the runtime's header pool, for the runtime's
+    /// sender task, which the post wakes once and which advertises one
+    /// reply per poll, in post order. An unreliable one is sent by a
+    /// spawned task, with `data` as owned bytes. A borrow is copied once,
+    /// here: a rendezvous source into a buffer from the runtime's
     /// rendezvous pool, a datagram into one of its own; an owned
     /// rendezvous source is registered where it is. Either way a message
     /// that could not be posted — the endpoint failed, its queue pair left
-    /// ready-to-send — counts one `send_failures`.
+    /// ready-to-send, the runtime shut down — counts one `send_failures`.
     pub fn post_message<'d>(
         &self,
         msg_id: u16,
@@ -582,13 +599,14 @@ impl Endpoint {
                 });
                 rt.sim.schedule_target_at(at, inner.clone(), key.token());
             }
-            Ok((_, eager)) => {
-                let data = if eager {
-                    data.into_owned()
-                } else {
-                    rt.rndv_source(data)
-                };
-                let (ep, hdr) = (self.clone(), hdr.to_vec());
+            Ok((pkt, false)) => rt.queue_rndv(QueuedRndv {
+                ep: inner.clone(),
+                pkt,
+                hdr: rt.rndv_header(hdr),
+                data: rt.rndv_source(data),
+            }),
+            Ok((_, true)) => {
+                let (ep, hdr, data) = (self.clone(), hdr.to_vec(), data.into_owned());
                 let failures = rt.stats.send_failures.clone();
                 rt.sim.spawn(async move {
                     let sent = ep.send(msg_id, &hdr, Cow::Owned(data), opts).await;

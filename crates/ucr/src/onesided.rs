@@ -65,6 +65,10 @@ impl UcrMemory {
 impl Endpoint {
     /// One-sided put: writes `data` into the peer's advertised window.
     /// The counter bumps when the data is placed (remote CPU untouched).
+    /// `data` is copied once, into a buffer from the runtime's rendezvous
+    /// pool registered as the write's source, and the buffer goes back to
+    /// the pool when the write completes or its post is refused: a put
+    /// whose buffer the pool holds allocates nothing.
     pub fn put(
         &self,
         remote: MemoryDescriptor,
@@ -75,12 +79,12 @@ impl Endpoint {
             return Err(UcrError::MessageTooLarge); // RDMA needs RC
         }
         let rt = self.runtime()?;
-        let src = rt.pd_ref().register_with(data.to_vec(), Access::default());
+        let src = rt.register_pooled(data, Access::default());
         let local = src.full();
         let wr_id = rt.alloc_pending(Pending::OneSided {
             done,
             ep: self.downgrade(),
-            _src: Some(src),
+            src: Some(src),
         });
         let write = SendOp::RdmaWrite {
             local,
@@ -109,7 +113,7 @@ impl Endpoint {
         let wr_id = rt.alloc_pending(Pending::OneSided {
             done,
             ep: self.downgrade(),
-            _src: None,
+            src: None,
         });
         let read = SendOp::RdmaRead {
             local: slice,

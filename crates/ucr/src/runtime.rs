@@ -17,14 +17,14 @@
 
 use std::borrow::Cow;
 use std::cell::{Cell, Ref, RefCell};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::future::{poll_fn, Future};
 use std::pin::{pin, Pin};
 use std::rc::{Rc, Weak};
-use std::task::Poll;
+use std::task::{Poll, Waker};
 
 use simnet::profiles::{ClusterProfile, UCR_EAGER_THRESHOLD};
-use simnet::sync::{oneshot, OneSender};
+use simnet::sync::{oneshot, OneReceiver, OneSender};
 use simnet::trace::{Layer, Track};
 use simnet::{NodeId, Sim, SimDuration, SimTime, Tracer};
 use verbs::{
@@ -33,7 +33,7 @@ use verbs::{
 };
 
 use crate::counter::{Counter, CtrInner};
-use crate::endpoint::{Endpoint, EpInner};
+use crate::endpoint::{Endpoint, EpInner, QueuedRndv};
 use crate::handler::{AmBytes, AmData, AmDest, AmHandler};
 use crate::wire::{packet_at, Located, PacketHeader, PacketKind, PACKET_HEADER_BYTES};
 use crate::UcrError;
@@ -199,8 +199,9 @@ pub(crate) enum Pending {
     OneSided {
         done: Option<Counter>,
         ep: Weak<EpInner>,
-        /// A put's registered source, pinned until the write completes.
-        _src: Option<Mr>,
+        /// A put's registered source, pinned until the write completes;
+        /// its bytes then go back to the rendezvous pool.
+        src: Option<Mr>,
     },
     /// A rendezvous request or a Fin.
     CtrlSend { ep: Weak<EpInner> },
@@ -234,8 +235,9 @@ pub(crate) struct RtInner {
     cqs: Vec<Cq>,
     /// Round-robin cursor binding new endpoints to contexts.
     next_ctx: Cell<usize>,
-    /// Dropping a context's sender ends its progress task: `shutdown`
-    /// clears them, the last handle going away drops them.
+    /// Dropping a context's sender ends its progress task, and the last
+    /// one the rendezvous sender task: `shutdown` clears them, the last
+    /// handle going away drops them.
     stop: RefCell<Vec<OneSender<()>>>,
     pub srq: Srq,
     pub eager_threshold: std::cell::Cell<usize>,
@@ -275,6 +277,13 @@ pub(crate) struct RtInner {
     /// Idle rendezvous header buffers, at most [`RNDV_HDR_POOL_CAP`]; one
     /// in use is the `hdr` of a read's `Pending` entry.
     rndv_hdr_free: RefCell<Vec<Vec<u8>>>,
+    /// Rendezvous replies [`Endpoint::post_message`] accepted, oldest
+    /// first, for the sender task to advertise: each post wakes the task
+    /// once and each poll sends one, so the queue is empty again before
+    /// virtual time moves on.
+    rndv_sends: RefCell<VecDeque<QueuedRndv>>,
+    /// The sender task's waker, from its first poll on.
+    rndv_sender: RefCell<Option<Waker>>,
     ud_qp: RefCell<Option<QueuePair>>,
     ud_eps: RefCell<HashMap<(u32, u32), Rc<EpInner>>>,
     next_wr: Cell<u64>,
@@ -293,6 +302,10 @@ impl Drop for RtInner {
         for ep in self.eps.borrow().values() {
             ep.flush_held(self);
         }
+        // Queued rendezvous replies go with the runtime that was to send
+        // them.
+        let queued = self.rndv_sends.borrow().len();
+        self.stats.send_failures.add(queued as u64);
     }
 }
 
@@ -318,6 +331,32 @@ async fn progress(rt: Weak<RtInner>, cq: Cq) {
             rt.handle_completion(wc).await;
         }
     }
+}
+
+/// The rendezvous sender of a runtime: each poll advertises the oldest
+/// reply [`Endpoint::post_message`] queued. A post wakes it once, so every
+/// reply goes out at the ready-queue position, and with the poll, that a
+/// task spawned for it would have had.
+async fn rndv_sender(rt: Weak<RtInner>) {
+    poll_fn(|cx| {
+        if let Some(rt) = rt.upgrade() {
+            rt.send_queued(cx.waker());
+        }
+        Poll::<()>::Pending
+    })
+    .await
+}
+
+/// Spawns `task`, to run until `stopped`'s sender is dropped.
+fn spawn_until(sim: &Sim, mut stopped: OneReceiver<()>, task: impl Future<Output = ()> + 'static) {
+    sim.spawn(async move {
+        let mut run = pin!(task);
+        poll_fn(|cx| match Pin::new(&mut stopped).poll(cx) {
+            Poll::Ready(_) => Poll::Ready(()),
+            Poll::Pending => run.as_mut().poll(cx),
+        })
+        .await
+    });
 }
 
 /// The Unified Communication Runtime for one node.
@@ -356,7 +395,8 @@ impl UcrRuntime {
         hca.revive();
         let pd = hca.alloc_pd();
         let cqs: Vec<Cq> = (0..contexts.max(1)).map(|_| hca.create_cq()).collect();
-        let (stop, stopped): (Vec<_>, Vec<_>) = cqs.iter().map(|_| oneshot::<()>()).unzip();
+        // One stop per context, and one for the rendezvous sender.
+        let (stop, stopped): (Vec<_>, Vec<_>) = (0..=cqs.len()).map(|_| oneshot::<()>()).unzip();
         let srq = Srq::new();
         let sim = hca.sim();
         let profile = fabric.cluster().profile().clone();
@@ -389,6 +429,8 @@ impl UcrRuntime {
             rndv_free: RefCell::new(Vec::new()),
             rndv_idle_bytes: Cell::new(0),
             rndv_hdr_free: RefCell::new(Vec::new()),
+            rndv_sends: RefCell::new(VecDeque::new()),
+            rndv_sender: RefCell::new(None),
             ud_qp: RefCell::new(None),
             ud_eps: RefCell::new(HashMap::new()),
             // Past the receive ids the pool's growth takes.
@@ -405,19 +447,16 @@ impl UcrRuntime {
                 rt.grow_recv_pool();
             }
         });
-        // One progress task per context. Each holds the runtime weakly and
-        // runs until its stop sender is dropped — by `shutdown`, or with
-        // the last UcrRuntime handle, so everything unwinds.
-        for (cq, mut stopped) in inner.cqs.iter().cloned().zip(stopped) {
-            let weak = Rc::downgrade(&inner);
-            sim.spawn(async move {
-                let mut run = pin!(progress(weak, cq));
-                poll_fn(|cx| match Pin::new(&mut stopped).poll(cx) {
-                    Poll::Ready(_) => Poll::Ready(()),
-                    Poll::Pending => run.as_mut().poll(cx),
-                })
-                .await
-            });
+        // One progress task per context, then the rendezvous sender. Each
+        // holds the runtime weakly and runs until its stop sender is
+        // dropped — by `shutdown`, or with the last UcrRuntime handle, so
+        // everything unwinds.
+        let mut stopped = stopped.into_iter();
+        for (cq, stopped) in inner.cqs.iter().cloned().zip(stopped.by_ref()) {
+            spawn_until(&sim, stopped, progress(Rc::downgrade(&inner), cq));
+        }
+        for stopped in stopped {
+            spawn_until(&sim, stopped, rndv_sender(Rc::downgrade(&inner)));
         }
         UcrRuntime { inner }
     }
@@ -517,13 +556,19 @@ impl UcrRuntime {
     /// fail and the adapter dies with its listeners, so the port is free
     /// for a runtime started on the node again. Models a process exit.
     pub fn shutdown(&self) {
-        self.inner.stop.borrow_mut().clear();
-        for ep in self.inner.eps.borrow().values() {
-            ep.fail(&self.inner);
+        let rt = &self.inner;
+        rt.stop.borrow_mut().clear();
+        for ep in rt.eps.borrow().values() {
+            ep.fail(rt);
             ep.qp.close();
         }
-        self.inner.eps.borrow_mut().clear();
-        self.inner.hca.kill();
+        rt.eps.borrow_mut().clear();
+        // The sender is gone: what it had queued fails here.
+        let queued = std::mem::take(&mut *rt.rndv_sends.borrow_mut());
+        for reply in queued {
+            rt.discard_rndv(reply);
+        }
+        rt.hca.kill();
     }
 
     /// Binds this runtime's shared UD queue pair and returns its QP
@@ -602,6 +647,14 @@ impl UcrRuntime {
         &self.inner.pd
     }
 
+    /// `data` copied into a buffer from the rendezvous pool and registered
+    /// with `access`; the bytes go back to the pool with
+    /// [`RtInner::give_back`] once the region is done.
+    pub(crate) fn register_pooled(&self, data: &[u8], access: Access) -> Mr {
+        let bytes = self.inner.rndv_source(Cow::Borrowed(data));
+        self.inner.pd.register_with(bytes, access)
+    }
+
     pub(crate) fn alloc_pending(&self, p: Pending) -> u64 {
         self.inner.alloc_wr(p)
     }
@@ -657,13 +710,17 @@ impl RtInner {
     /// A refused post (the queue pair has left ready-to-send, or the local
     /// HCA is down) withdraws it, and whatever it pinned, so `pending` holds
     /// only what a completion will come back for; its send buffer, if it
-    /// has one, goes back to the pool.
+    /// has one, and a put's source bytes go back to their pools.
     pub(crate) fn post(&self, qp: &QueuePair, wr: SendWr) -> Result<(), UcrError> {
         let wr_id = wr.wr_id;
         qp.post_send(wr).map_err(|_| {
             let withdrawn = self.pending.borrow_mut().remove(&wr_id);
-            if let Some((_, Some(buf))) = withdrawn {
-                self.return_send_buf(buf);
+            match withdrawn {
+                Some((_, Some(buf))) => self.return_send_buf(buf),
+                Some((Pending::OneSided { src: Some(src), .. }, None)) => {
+                    self.give_back(src.into_vec());
+                }
+                _ => {}
             }
             UcrError::EndpointFailed
         })
@@ -769,20 +826,60 @@ impl RtInner {
 
     /// A copy of a rendezvous message's application header, held until
     /// its read completes, in an idle header buffer when there is one.
-    fn rndv_header(&self, hdr: &[u8]) -> Vec<u8> {
+    pub(crate) fn rndv_header(&self, hdr: &[u8]) -> Vec<u8> {
         let mut buf = self.rndv_hdr_free.borrow_mut().pop().unwrap_or_default();
         buf.clear();
         buf.extend_from_slice(hdr);
         buf
     }
 
-    /// Takes back a rendezvous header whose read is done: into the idle
-    /// list, or freed if the list is full.
+    /// Takes back a rendezvous header whose read is done, or whose
+    /// request went out or never will: into the idle list, or freed if the
+    /// list is full.
     fn give_back_header(&self, buf: Vec<u8>) {
         let mut free = self.rndv_hdr_free.borrow_mut();
         if free.len() < RNDV_HDR_POOL_CAP {
             free.push(buf);
         }
+    }
+
+    /// Queues a rendezvous reply for the sender task and wakes it once.
+    pub(crate) fn queue_rndv(&self, reply: QueuedRndv) {
+        self.rndv_sends.borrow_mut().push_back(reply);
+        if let Some(sender) = self.rndv_sender.borrow().as_ref() {
+            sender.wake_by_ref();
+        }
+    }
+
+    /// One poll of the sender task: advertises the oldest queued reply, or
+    /// discards it if its endpoint has failed. Its header buffer goes back
+    /// to the pool either way.
+    fn send_queued(&self, waker: &Waker) {
+        // The first poll comes before any post can: an endpoint exists only
+        // once its handshake has yielded, and unreliable ones never queue.
+        self.rndv_sender
+            .borrow_mut()
+            .get_or_insert_with(|| waker.clone());
+        let Some(reply) = self.rndv_sends.borrow_mut().pop_front() else {
+            return;
+        };
+        if reply.ep.failed.get() {
+            return self.discard_rndv(reply);
+        }
+        let QueuedRndv { ep, pkt, hdr, data } = reply;
+        let sent = ep.send_rndv(self, pkt, &hdr, data);
+        self.give_back_header(hdr);
+        if sent.is_err() {
+            self.stats.send_failures.inc();
+        }
+    }
+
+    /// A queued rendezvous reply that will not go counts one send failure,
+    /// and its bytes and header buffer go back to their pools.
+    fn discard_rndv(&self, reply: QueuedRndv) {
+        self.stats.send_failures.inc();
+        self.give_back(reply.data);
+        self.give_back_header(reply.hdr);
     }
 
     pub(crate) fn drop_endpoint(&self, qpn: u32) {
@@ -1144,7 +1241,10 @@ impl RtInner {
             self.return_send_buf(buf);
         }
         match pending {
-            Pending::OneSided { done, ep, .. } => {
+            Pending::OneSided { done, ep, src } => {
+                if let Some(src) = src {
+                    self.give_back(src.into_vec());
+                }
                 if !crate::onesided::complete_onesided(done, &ep, wc.status) {
                     self.stats.send_failures.inc();
                 }
@@ -1380,11 +1480,11 @@ mod tests {
     #[test]
     fn refused_posts_leave_nothing_behind() {
         const N: usize = 8;
-        let (cluster, _server, client, ep, _peer) = connected(21);
+        let (cluster, server, client, ep, _peer) = connected(21);
         cluster.sim().block_on(async move {
             let tables = || send_tables(&client, &ep);
-            // One round trip each way first, so the baseline is a settled
-            // runtime and not an empty one.
+            // One round trip each way and one put first, so the baseline is
+            // a settled runtime and not an empty one.
             let done = client.counter();
             let opts = || SendOptions {
                 completion: Some(done.clone()),
@@ -1397,7 +1497,12 @@ mod tests {
             ep.send_message(MSG, b"h", &large, opts())
                 .await
                 .expect("rendezvous");
-            done.wait_for(2, TIMEOUT).await.expect("both Fins");
+            let target = server.register_memory(64);
+            ep.put(target.descriptor(0, 64), &[1; 64], Some(done.clone()))
+                .expect("put");
+            done.wait_for(3, TIMEOUT)
+                .await
+                .expect("both Fins and the put");
             let baseline = tables();
 
             // The queue pair leaves ready-to-send under a live endpoint: the
@@ -1531,6 +1636,62 @@ mod tests {
         assert_eq!(failures_after(SMALL, |_, peer| peer.inner.qp.close()), N);
         assert_eq!(failures_after(LARGE, |_, peer| peer.inner.qp.close()), N);
     }
+    /// A rendezvous reply queued for the sender and not yet advertised when
+    /// its endpoint fails, or its runtime shuts down, counts one
+    /// `send_failures`, and its source bytes and header buffer go back to
+    /// their pools. The replies echo a rendezvous's landed payload, whose
+    /// [`AmBytes`] the handler drops: at quiesce every rendezvous buffer the
+    /// target drew — the landing region and each reply's source — is idle
+    /// in its pool, and so is every header buffer.
+    #[test]
+    fn a_queued_rendezvous_reply_that_cannot_go_counts_once_and_gives_its_buffers_back() {
+        const N: usize = 4;
+        const LEN: usize = 64 << 10;
+        /// Echoes the payload `N` times, then breaks the endpoint or the
+        /// whole runtime before the sender has polled once.
+        struct EchoThenFail {
+            rt: Weak<RtInner>,
+            shutdown: bool,
+        }
+        impl AmHandler for EchoThenFail {
+            fn on_complete(&self, ep: &Endpoint, hdr: &[u8], data: AmData) {
+                let AmData::Pool(bytes) = data else {
+                    panic!("a pool payload");
+                };
+                for _ in 0..N {
+                    ep.post_message(MSG, hdr, &bytes[..], SendOptions::default());
+                }
+                let rt = self.rt.upgrade().expect("live");
+                assert_eq!(rt.rndv_sends.borrow().len(), N, "queued, not sent");
+                if self.shutdown {
+                    UcrRuntime::from_inner(rt).shutdown();
+                } else {
+                    rt.end_ep(&ep.inner, "test fault");
+                }
+            }
+        }
+        for shutdown in [false, true] {
+            let (cluster, server, client, ep, _peer) = connected(41);
+            let rt = Rc::downgrade(&server.inner);
+            server.register_handler(MSG, EchoThenFail { rt, shutdown });
+            let sending = client.clone();
+            cluster.sim().block_on(async move {
+                let data = vec![3u8; LEN];
+                let sent = ep.send_message(MSG, b"h", &data, SendOptions::default());
+                sent.await.expect("advertised");
+                sending.sim().sleep(SimDuration::from_millis(5)).await;
+            });
+            let rt = &server.inner;
+            assert_eq!(server.stats().send_failures.get(), N as u64, "{shutdown}");
+            assert_eq!(server.stats().messages_sent.get(), 0, "{shutdown}");
+            assert!(rt.rndv_sends.borrow().is_empty());
+            assert_eq!(drawn(&server), (0, N as u64 + 1), "{shutdown}");
+            assert_eq!(rt.rndv_free.borrow().len(), N + 1, "{shutdown}");
+            assert_eq!(rt.rndv_idle_bytes.get(), (N + 1) * LEN, "{shutdown}");
+            assert_eq!(rt.rndv_hdr_free.borrow().len(), N + 1, "{shutdown}");
+        }
+    }
+
     /// The send pool grows to what is in flight and keeps no more than its
     /// cap: twice the cap of replies in flight at once takes a buffer each;
     /// at quiesce exactly the cap is idle, the surplus is deregistered and

@@ -1948,9 +1948,10 @@ fn a_failure_on_one_context_leaves_the_others_untouched() {
     assert_eq!(echoes(true), echoes(false));
 }
 
-/// `shutdown` ends every progress task, and so does dropping the last
-/// handle of a runtime that was never shut down; either way nothing of it
-/// stays scheduled.
+/// `shutdown` ends every progress task and the rendezvous sender, and so
+/// does dropping the last handle of a runtime that was never shut down;
+/// either way nothing of it stays scheduled. A runtime runs one task per
+/// context and the sender.
 #[test]
 fn shutdown_or_the_last_handle_going_ends_every_progress_task() {
     let (cluster, fabric) = world(false, 3);
@@ -1958,7 +1959,7 @@ fn shutdown_or_the_last_handle_going_ends_every_progress_task() {
     let (idle_tasks, idle_events) = (sim.live_tasks(), sim.pending_events());
     let a = UcrRuntime::with_contexts(&fabric, NodeId(0), 4);
     let b = UcrRuntime::with_contexts(&fabric, NodeId(1), 3);
-    assert_eq!(sim.live_tasks(), idle_tasks + 7);
+    assert_eq!(sim.live_tasks(), idle_tasks + 9);
     // Some traffic first, so the tasks have been through their loops.
     let listener = a.listen(PORT).unwrap();
     let got = Rc::new(std::cell::Cell::new(0u32));
@@ -1983,14 +1984,14 @@ fn shutdown_or_the_last_handle_going_ends_every_progress_task() {
     });
     sim.run();
     assert_eq!(got.get(), 3);
-    assert_eq!(sim.live_tasks(), idle_tasks + 7);
+    assert_eq!(sim.live_tasks(), idle_tasks + 9);
 
     a.shutdown();
     sim.run();
-    assert_eq!(sim.live_tasks(), idle_tasks + 3, "a's four tasks ended");
+    assert_eq!(sim.live_tasks(), idle_tasks + 4, "a's five tasks ended");
     drop(b);
     sim.run();
-    assert_eq!(sim.live_tasks(), idle_tasks, "b's three tasks ended");
+    assert_eq!(sim.live_tasks(), idle_tasks, "b's four tasks ended");
     assert_eq!(sim.pending_events(), idle_events);
 }
 
@@ -2173,4 +2174,125 @@ mod hostile_bytes {
         let (seen, dropped) = receive_raw(wire);
         assert_eq!((seen.msgs, seen.bytes, dropped), (1, 7, 1));
     }
+}
+
+// ---------------------------------------------------------------------
+// Replies posted from handlers: the order they reach the wire
+// ---------------------------------------------------------------------
+
+const FAN: u16 = 3;
+
+/// What one burst of handler replies left on the wire: the server's send
+/// events (name, endpoint track, work request, instant in ns) in emission
+/// order, and the tags the client's handler saw, in arrival order.
+type WireOrder = (Vec<(&'static str, String, u64, u64)>, Vec<String>);
+
+/// A client with two connections to a server whose FAN handler, on the
+/// first message, posts 64 KB (rendezvous) and 16 B (eager) replies across
+/// both of its endpoints in one instant, with a task of its own spawned
+/// between two of the posts.
+fn fan_out_order() -> WireOrder {
+    const BIG: usize = 64 << 10;
+    let (cluster, fabric) = world(true, 2);
+    let recorder = EventRecorder::new();
+    cluster.tracer().add_sink(recorder.clone());
+    let server = UcrRuntime::new(&fabric, NodeId(1));
+    let client = UcrRuntime::new(&fabric, NodeId(0));
+    let accepted: Rc<RefCell<Vec<Endpoint>>> = Rc::default();
+    let eps = accepted.clone();
+    let sim = server.sim();
+    server.register_handler(
+        FAN,
+        FnHandler(move |_: &Endpoint, _: &[u8], _: AmData| {
+            let eps = eps.borrow();
+            let (a, b) = (&eps[0], &eps[1]);
+            let big = |fill: u8| vec![fill; BIG];
+            let none = SendOptions::default;
+            a.post_message(SINK, b"a0", &big(1)[..], none());
+            a.post_message(SINK, b"a1", &[2u8; 16][..], none());
+            b.post_message(SINK, b"b0", big(3), none());
+            let own = b.clone();
+            let data = big(4);
+            sim.spawn(async move {
+                let sent = own.send_message(SINK, b"t0", &data, SendOptions::default());
+                sent.await.unwrap();
+            });
+            b.post_message(SINK, b"b1", &[5u8; 16][..], none());
+            a.post_message(SINK, b"a2", &big(6)[..], none());
+            b.post_message(SINK, b"b2", &big(7)[..], none());
+            a.post_message(SINK, b"a3", &[8u8; 16][..], none());
+        }),
+    );
+    let listener = server.listen(PORT).unwrap();
+    cluster.sim().spawn(async move {
+        while let Ok(ep) = listener.accept().await {
+            accepted.borrow_mut().push(ep);
+        }
+    });
+    let seen: Rc<RefCell<Vec<String>>> = Rc::default();
+    let seen2 = seen.clone();
+    client.register_handler(
+        SINK,
+        FnHandler(move |ep: &Endpoint, hdr: &[u8], data: AmData| {
+            let tag = String::from_utf8_lossy(hdr);
+            seen2
+                .borrow_mut()
+                .push(format!("{tag}@{} {}", ep.id(), data.len()));
+        }),
+    );
+    let sim = cluster.sim().clone();
+    cluster.sim().block_on(async move {
+        let first = connect(&client).await;
+        let _second = connect(&client).await;
+        first
+            .send_message(FAN, b"go", b"", SendOptions::default())
+            .await
+            .unwrap();
+        sim.sleep(SimDuration::from_millis(1)).await;
+    });
+    let sends = recorder
+        .events()
+        .into_iter()
+        .filter(|e| e.node == Some(NodeId(1)) && e.name.starts_with("am_send"))
+        .map(|e| (e.name, format!("{:?}", e.track), e.op, e.at.as_nanos()))
+        .collect();
+    let seen = seen.borrow().clone();
+    (sends, seen)
+}
+
+/// Rendezvous replies go out in the instant they are posted, in post
+/// order and interleaved with whatever the handler spawned between them;
+/// eager ones once their staging delay has passed. This is the order a
+/// task spawned per rendezvous reply gave them, recorded at that design
+/// and held here: same work request ids, same instants, same arrivals.
+#[test]
+fn handler_replies_reach_the_wire_in_post_order() {
+    let (sends, seen) = fan_out_order();
+    let (a, b) = ("Endpoint(1)", "Endpoint(2)");
+    let want = [
+        ("am_send_rndv", a, 130, 23_720),
+        ("am_send_rndv", b, 131, 23_720),
+        ("am_send_rndv", b, 132, 23_720),
+        ("am_send_rndv", a, 133, 23_720),
+        ("am_send_rndv", b, 134, 23_720),
+        ("am_send_eager", a, 135, 23_734),
+        ("am_send_eager", b, 136, 23_734),
+        ("am_send_eager", a, 137, 23_734),
+    ];
+    let sends: Vec<_> = sends
+        .iter()
+        .map(|(name, track, wr, at)| (*name, track.as_str(), *wr, *at))
+        .collect();
+    assert_eq!(sends, want);
+    let arrivals = [
+        "a1@1 16",
+        "b1@2 16",
+        "a3@1 16",
+        "a0@1 65536",
+        "b0@2 65536",
+        "t0@2 65536",
+        "a2@1 65536",
+        "b2@2 65536",
+    ];
+    assert_eq!(seen, arrivals);
 }

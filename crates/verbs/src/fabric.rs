@@ -46,6 +46,9 @@ pub(crate) struct HcaInner {
     pub profile: VerbsProfile,
     pub fabric: Weak<IbFabricInner>,
     pub mrs: RefCell<HashMap<u32, Weak<MrInner>>>,
+    /// Records of deregistered regions, emptied, for the next
+    /// registrations to refill: at most [`IDLE_MR_RECORDS`](crate::IDLE_MR_RECORDS).
+    pub idle_mrs: RefCell<Vec<Rc<MrInner>>>,
     pub qps: RefCell<HashMap<u32, Rc<QpInner>>>,
     /// By port; ordered, so `kill` closes them in port order.
     pub listeners: RefCell<BTreeMap<u16, sync::Sender<CmMessage>>>,
@@ -128,6 +131,7 @@ impl IbFabric {
             profile: self.inner.verbs,
             fabric: Rc::downgrade(&self.inner),
             mrs: RefCell::new(HashMap::new()),
+            idle_mrs: RefCell::new(Vec::new()),
             qps: RefCell::new(HashMap::new()),
             listeners: RefCell::new(BTreeMap::new()),
             pending_connects: RefCell::new(BTreeMap::new()),
@@ -253,5 +257,12 @@ impl Hca {
     /// Memory regions currently registered with this adapter.
     pub fn registered_regions(&self) -> usize {
         self.inner.mrs.borrow().len()
+    }
+
+    /// Records of deregistered regions the adapter keeps for its next
+    /// registrations, at most [`IDLE_MR_RECORDS`](crate::IDLE_MR_RECORDS);
+    /// each holds no bytes.
+    pub fn idle_region_records(&self) -> usize {
+        self.inner.idle_mrs.borrow().len()
     }
 }

@@ -61,7 +61,7 @@ mod types;
 pub use cm::{connect, Listener, DEFAULT_CONNECT_TIMEOUT};
 pub use cq::Cq;
 pub use fabric::{Hca, IbFabric};
-pub use mr::{Mr, MrSlice, Pd};
+pub use mr::{Mr, MrSlice, Pd, IDLE_MR_RECORDS};
 pub use qp::{QpType, QueuePair, SendOp, SendWr, Srq, RETRY_EXCEEDED_DELAY};
 pub use types::{
     Access, RemoteMemory, VerbsError, Wc, WcOpcode, WcStatus, UD_GRH_BYTES, WIRE_HEADER_BYTES,

@@ -6,6 +6,11 @@
 //! resolves the rkey through the owning HCA's region table, checks access
 //! and bounds, and then actually moves the bytes, from region to region —
 //! so data integrity is end-to-end observable in tests.
+//!
+//! A deregistered region's record goes back to its HCA when nothing else
+//! holds it, and the next registration there refills it under a fresh rkey
+//! (in the spirit of `ibv_rereg_mr`): registering costs the host no
+//! allocation, and a peer holding the old rkey reaches nothing.
 
 use std::cell::{Ref, RefCell};
 use std::rc::{Rc, Weak};
@@ -13,6 +18,12 @@ use std::rc::{Rc, Weak};
 use crate::types::{Access, RemoteMemory, VerbsError};
 use simnet::NodeId;
 
+/// Most records of deregistered regions an HCA keeps for its next
+/// registrations ([`Hca::idle_region_records`](crate::Hca::idle_region_records)).
+/// Each holds no bytes; one that comes back to a full list is freed.
+pub const IDLE_MR_RECORDS: usize = 16;
+
+#[derive(Default)]
 pub(crate) struct MrInner {
     pub rkey: u32,
     pub pd_id: u32,
@@ -54,16 +65,24 @@ impl Pd {
         self.register_with(vec![0u8; len], access)
     }
 
-    /// Registers a region initialized with `data`.
+    /// Registers a region initialized with `data`, under a fresh rkey, in
+    /// the record of a deregistered region when the HCA has one idle.
     pub fn register_with(&self, data: Vec<u8>, access: Access) -> Mr {
         let hca = &self.hca;
-        let rkey = hca.next_key();
-        let inner = Rc::new(MrInner {
-            rkey,
+        let fresh = MrInner {
+            rkey: hca.next_key(),
             pd_id: self.pd_id,
             access,
             buf: RefCell::new(data),
-        });
+        };
+        let rkey = fresh.rkey;
+        // An idle record is held by the free list alone, so it is refilled
+        // in place; with none idle, a blank one is.
+        let mut inner: Rc<MrInner> = hca.idle_mrs.borrow_mut().pop().unwrap_or_default();
+        match Rc::get_mut(&mut inner) {
+            Some(record) => *record = fresh,
+            None => inner = Rc::new(fresh),
+        }
         hca.mrs.borrow_mut().insert(rkey, Rc::downgrade(&inner));
         Mr {
             inner,
@@ -159,8 +178,18 @@ impl Mr {
 impl Drop for Mr {
     fn drop(&mut self) {
         // Deregister: peers holding a stale rkey get RemoteAccessError.
-        if let Some(hca) = self.hca.upgrade() {
-            hca.mrs.borrow_mut().remove(&self.inner.rkey);
+        let Some(hca) = self.hca.upgrade() else {
+            return;
+        };
+        hca.mrs.borrow_mut().remove(&self.inner.rkey);
+        // No window, work request or table entry holds the record: its
+        // bytes go now and the record waits for the next registration.
+        // One still held is freed when its last holder lets go.
+        let unique = Rc::strong_count(&self.inner) == 1 && Rc::weak_count(&self.inner) == 0;
+        let mut idle = hca.idle_mrs.borrow_mut();
+        if unique && idle.len() < IDLE_MR_RECORDS {
+            *self.inner.buf.borrow_mut() = Vec::new();
+            idle.push(self.inner.clone());
         }
     }
 }

@@ -8,7 +8,7 @@ use std::rc::Rc;
 use simnet::{Cluster, NodeId, SimDuration, SimTime};
 use verbs::{
     connect, Access, Cq, Hca, IbFabric, Pd, QpType, QueuePair, SendOp, SendWr, Srq, VerbsError,
-    WcOpcode, WcStatus, DEFAULT_CONNECT_TIMEOUT,
+    WcOpcode, WcStatus, DEFAULT_CONNECT_TIMEOUT, IDLE_MR_RECORDS,
 };
 
 struct Side {
@@ -636,6 +636,9 @@ enum Fault {
     BadRkey,
     /// The remote key names a region deregistered before the post.
     Deregistered,
+    /// The remote key names a region deregistered before the post, whose
+    /// record a later registration refilled under a fresh key.
+    Reused,
     /// The target region grants no remote access (no `REMOTE_READ`, no
     /// `REMOTE_WRITE`).
     NoRemoteRight,
@@ -703,10 +706,10 @@ fn characterize(op: Op, fault: Fault, at: usize) -> Outcome {
     let all = Access::LOCAL_WRITE | Access::REMOTE_READ | Access::REMOTE_WRITE;
     // The target's memory: where a SEND's receive or a WRITE lands, and
     // what a READ pulls from.
-    let mut image = vec![0u8; at + LEN];
-    if op == Op::Read {
-        image[at..].copy_from_slice(&payload);
-    }
+    let image = match op {
+        Op::Read => image_of(at, &payload),
+        _ => vec![0u8; at + LEN],
+    };
     let rights = match fault {
         Fault::NoRemoteRight => Access::LOCAL_WRITE,
         _ => all,
@@ -717,6 +720,13 @@ fn characterize(op: Op, fault: Fault, at: usize) -> Outcome {
         _ => a.pd.register_with(payload.clone(), Access::default()),
     };
     let notice = b.pd.register(0, Access::LOCAL_WRITE);
+    // What a region refilling a deregistered one's record holds: what a
+    // READ would pull, or what a WRITE would overwrite.
+    let bait = match op {
+        Op::Read => image_of(at, &payload),
+        _ => vec![0u8; at + LEN],
+    };
+    let mut reused = None;
     match op {
         Op::Send | Op::SendImm | Op::Inline | Op::UdSend => {
             qb.post_recv(9, remote_mr.slice(at, LEN))
@@ -731,6 +741,16 @@ fn characterize(op: Op, fault: Fault, at: usize) -> Outcome {
         },
         // The region drops at the end of the statement: deregistered.
         Fault::Deregistered => b.pd.register(at + LEN, all).remote(at, LEN),
+        Fault::Reused => {
+            let idle = b.hca.idle_region_records();
+            let stale = b.pd.register(at + LEN, all).remote(at, LEN);
+            assert_eq!(b.hca.idle_region_records(), idle + 1);
+            let next = b.pd.register_with(bait.clone(), all);
+            assert_eq!(b.hca.idle_region_records(), idle, "the record is reused");
+            assert_ne!(next.rkey(), stale.rkey);
+            reused = Some(next);
+            stale
+        }
         _ => remote_mr.remote(at, LEN),
     };
     let imm = match op {
@@ -781,7 +801,11 @@ fn characterize(op: Op, fault: Fault, at: usize) -> Outcome {
     }
     qa.post_send(wr).unwrap();
     match fault {
-        Fault::None | Fault::BadRkey | Fault::Deregistered | Fault::NoRemoteRight => {}
+        Fault::None
+        | Fault::BadRkey
+        | Fault::Deregistered
+        | Fault::Reused
+        | Fault::NoRemoteRight => {}
         Fault::QpClosed => qb.close(),
         Fault::HcaKilled => b.hca.kill(),
         Fault::HcaKilledAtTarget => {
@@ -835,7 +859,21 @@ fn characterize(op: Op, fault: Fault, at: usize) -> Outcome {
         Op::Read => local_mr.read_at(0, LEN) == payload,
         _ => remote_mr.read_at(at, LEN) == payload,
     };
-    Outcome { send, recv, landed }
+    // An access through a stale key that reached the region now in its
+    // record has landed too.
+    let touched = reused.is_some_and(|mr| mr.read_at(0, at + LEN) != bait);
+    Outcome {
+        send,
+        recv,
+        landed: landed || touched,
+    }
+}
+
+/// A region of `at` zero bytes followed by `payload`.
+fn image_of(at: usize, payload: &[u8]) -> Vec<u8> {
+    let mut image = vec![0u8; at];
+    image.extend_from_slice(payload);
+    image
 }
 
 /// One cell of the closure-era behaviour of the verbs data path: which
@@ -896,7 +934,7 @@ fn expected(op: Op, fault: Fault) -> Outcome {
                     landed: false,
                 },
                 // The NAK reports the length the request carried.
-                BadRkey | Deregistered | NoRemoteRight => Outcome {
+                BadRkey | Deregistered | Reused | NoRemoteRight => Outcome {
                     send: Some((opcode, RemoteAccessError, len, land + st.prop)),
                     recv: Option::None,
                     landed: false,
@@ -911,7 +949,7 @@ fn expected(op: Op, fault: Fault) -> Outcome {
             let send = match fault {
                 None | QpClosed | HcaKilledAtTarget => (opcode, Success, len, back + st.hca_msg),
                 HcaKilled => (opcode, RetryExceeded, 0, arrive + retry),
-                BadRkey | Deregistered | NoRemoteRight => {
+                BadRkey | Deregistered | Reused | NoRemoteRight => {
                     (opcode, RemoteAccessError, 0, serve + st.prop)
                 }
             };
@@ -965,6 +1003,7 @@ fn every_opcode_under_every_fault_completes_as_characterized() {
         HcaKilledAtTarget,
         BadRkey,
         Deregistered,
+        Reused,
         NoRemoteRight,
     ];
     for (at, op, fault) in [0, 128]
@@ -973,7 +1012,7 @@ fn every_opcode_under_every_fault_completes_as_characterized() {
         .flat_map(|(at, op)| faults.map(|fault| (at, op, fault)))
     {
         let two_sided = matches!(op, Op::Send | Op::SendImm | Op::Inline | Op::UdSend);
-        let refused_key = matches!(fault, BadRkey | Deregistered | NoRemoteRight);
+        let refused_key = matches!(fault, BadRkey | Deregistered | Reused | NoRemoteRight);
         if two_sided && refused_key {
             continue; // a SEND names no remote key
         }
@@ -1016,6 +1055,14 @@ fn rdma_read_without_permission_is_refused() {
 #[test]
 fn deregistered_rkey_is_refused() {
     check_cell(Op::Read, Fault::Deregistered, 0);
+}
+
+/// A READ and a WRITE through the old key of a region whose record the next
+/// registration refilled reach nothing: the key was retired with the region.
+#[test]
+fn the_old_rkey_of_a_reused_record_is_refused() {
+    check_cell(Op::Read, Fault::Reused, 128);
+    check_cell(Op::Write, Fault::Reused, 0);
 }
 
 #[test]
@@ -1376,4 +1423,77 @@ fn a_ud_send_reads_its_window_at_the_post() {
         (WcStatus::Success, LEN as u32)
     );
     assert_eq!(dst.read_at(0, LEN), old);
+}
+
+// ---------------------------------------------------------------------
+// Region records: reused only when nothing holds them
+// ---------------------------------------------------------------------
+
+/// A region's record is refilled by the next registration on its HCA only
+/// once nothing holds it. A window kept, or a work request in flight, over
+/// a region emptied by `into_vec` keeps the record: the next registration
+/// takes a fresh one, and the old window still sees its region empty — a
+/// SEND from it fails and the new region's bytes go nowhere.
+#[test]
+fn a_record_still_held_by_a_window_or_a_work_request_is_not_reused() {
+    for by_work_request in [false, true] {
+        let (cluster, a, b) = pair(true);
+        let (qa, qb) = connected_qps(&a, &b);
+        let dst = b.pd.register_with(vec![9u8; LEN], Access::LOCAL_WRITE);
+        qb.post_recv(9, dst.full());
+        let idle = a.hca.idle_region_records();
+        let src = a.pd.register_with(vec![1u8; LEN], Access::LOCAL_WRITE);
+        // The work request's window, or one kept by the application.
+        let window = if by_work_request {
+            send_window(&qa, &src);
+            None
+        } else {
+            Some(src.full())
+        };
+        drop(src.into_vec());
+        assert_eq!(a.hca.idle_region_records(), idle, "still held");
+        let next = a.pd.register_with(vec![5u8; LEN], Access::LOCAL_WRITE);
+        if let Some(window) = window {
+            assert!(window.write_prefix(&[2]).is_err(), "its region is empty");
+            let send = SendOp::Send {
+                local: window,
+                imm: None,
+            };
+            qa.post_send(SendWr::new(1, send)).unwrap();
+        }
+        cluster.sim().run();
+        let sent = a.cq.poll().map(|wc| wc.status);
+        assert_eq!(sent, Some(WcStatus::LocalLengthError), "{by_work_request}");
+        assert!(b.cq.poll().is_none());
+        assert_eq!(dst.read_at(0, LEN), vec![9u8; LEN]);
+        assert_eq!(next.read_at(0, LEN), vec![5u8; LEN]);
+        // The work request let go after the deregistration: the record
+        // is freed, not kept.
+        assert_eq!(a.hca.idle_region_records(), idle);
+    }
+}
+
+/// An HCA keeps at most `IDLE_MR_RECORDS` idle records, whatever is
+/// deregistered at once, and each registration after takes one under a
+/// key never handed out before.
+#[test]
+fn the_idle_record_list_keeps_its_cap_and_its_keys_stay_fresh() {
+    let (_cluster, a, _b) = pair(true);
+    let regions: Vec<_> = (0..2 * IDLE_MR_RECORDS)
+        .map(|_| a.pd.register(64, Access::LOCAL_WRITE))
+        .collect();
+    let last_key = regions.iter().map(|mr| mr.rkey()).max().unwrap();
+    drop(regions);
+    assert_eq!(a.hca.registered_regions(), 0);
+    assert_eq!(a.hca.idle_region_records(), IDLE_MR_RECORDS);
+    let next: Vec<_> = (0..IDLE_MR_RECORDS + 1)
+        .map(|i| a.pd.register_with(vec![i as u8; 64], Access::LOCAL_WRITE))
+        .collect();
+    assert_eq!(a.hca.idle_region_records(), 0);
+    for (i, mr) in next.iter().enumerate() {
+        assert!(mr.rkey() > last_key);
+        assert_eq!(mr.read_at(0, 64), vec![i as u8; 64]);
+    }
+    drop(next);
+    assert_eq!(a.hca.idle_region_records(), IDLE_MR_RECORDS);
 }

@@ -11,9 +11,11 @@
 //! showing up in a benchmark run. A UCR get allocates the client's value and
 //! nothing else: the counter the client waits on is a released counter's box
 //! under a fresh id, the server reads the request's key from a pooled key
-//! list, and a rendezvous holds its header in a pooled buffer; what a 64 KB
-//! operation adds is the rendezvous's own (a registration per region, and
-//! the reply's spawned send). An ASCII/TCP get allocates the client's value
+//! list, and a rendezvous holds its header in a pooled buffer. A 64 KB
+//! operation adds nothing to that: each registration refills the record of
+//! a deregistered region, the server's reply waits for its runtime's
+//! rendezvous sender instead of a task of its own, and a 64 KB set
+//! allocates nothing at all. An ASCII/TCP get allocates the client's value
 //! and nothing else too, and a set nothing at all: a write's bytes ride in a
 //! pooled segment buffer, the client writes each request into the buffer it
 //! keeps, and the server reads a command in place from a pooled frame buffer
@@ -776,16 +778,112 @@ fn ucr_64k_sets_and_gets() -> Shape {
     )
 }
 
+/// The same four clients getting the 64 KB values only: a rendezvous per
+/// get, the server's reply.
+fn ucr_64k_gets() -> Shape {
+    Shape::new(
+        "ucr_64k_gets",
+        World::cluster_b(42, 5),
+        McServerConfig::default(),
+        Transport::Ucr,
+        4,
+        64 << 10,
+        |s, ops| closed_loop(&s.world, &s.clients, ops, None),
+    )
+}
+
+/// A 64 KB get allocates the client's copy of the value and nothing else:
+/// the server's reply is queued for its runtime's rendezvous sender, not
+/// given a task of its own, its source and the client's landing region are
+/// buffers from the runtimes' rendezvous pools, and each registration
+/// refills the record of a deregistered region. So no site of the census
+/// is in `crates/verbs/` or in the engine's `Sim::spawn` (beyond the
+/// harness's own tasks, a handful per run), and what is left in the
+/// simulated layers is one 64 KB allocation per get.
+#[test]
+fn a_64k_ucr_get_allocates_only_the_clients_value() {
+    let shape = ucr_64k_gets();
+    shape.run(WARMUP_OPS);
+    let (sites, ops) = shape.census(200);
+    assert!(ops >= 200 && !sites.is_empty(), "a census");
+    let in_verbs: Vec<_> = sites
+        .iter()
+        .filter(|(site, _)| site.contains("crates/verbs/"))
+        .collect();
+    assert!(in_verbs.is_empty(), "{in_verbs:?}");
+    // The harness spawns one task per client and one to wait on them, each
+    // its future and its waker.
+    let in_spawn: u64 = sites
+        .iter()
+        .filter(|(site, _)| site.contains("crates/simnet/src/engine.rs"))
+        .map(|(_, (count, _))| count)
+        .sum();
+    let harness = 2 * (shape.clients.len() as u64 + 1);
+    assert!(in_spawn <= harness, "{in_spawn} in Sim::spawn: {sites:?}");
+    let (allocs, bytes) = sites
+        .iter()
+        .filter(|(site, _)| site.contains(" at crates/") && !site.contains("crates/simnet/"))
+        .fold((0, 0), |sum, (_, site)| (sum.0 + site.0, sum.1 + site.1));
+    assert_eq!((allocs, bytes), (ops, (64 << 10) * ops), "{sites:?}");
+}
+
 #[test]
 fn ucr_64k_sets_and_gets_stay_within_the_allocation_budget() {
     let shape = ucr_64k_sets_and_gets();
-    let load = shape.stays_within(5.0); // measured 4.00
+    let load = shape.stays_within(1.5); // measured 0.50
     shape.holds_recv_buffers(6, 4); // measured 4 and 2
     let bytes = load.bytes_per_op();
     assert!(
-        bytes <= 33_421.0, // measured 33 413.7
-        "ucr_64k_sets_and_gets: {bytes:.0} bytes allocated per operation"
+        bytes <= 32_777.0, // measured 32 769.7
+        "ucr_64k_sets_and_gets: {bytes:.1} bytes allocated per operation"
     );
+}
+
+/// A UCR put copies its data into a buffer from the runtime's rendezvous
+/// pool, registered in the record of a deregistered region, and gives the
+/// buffer back when the write completes: once the pool holds a buffer, a
+/// thousand 64 KB puts, each waited for, cost the allocator nothing.
+#[test]
+fn a_warm_one_sided_put_allocates_nothing() {
+    use rdma_memcached::simnet::Cluster;
+    use rdma_memcached::verbs::IbFabric;
+    const LEN: usize = 64 << 10;
+    const PUTS: u64 = 1_000;
+    const PORT: u16 = 11_311;
+    let cluster = Rc::new(Cluster::cluster_b(42, 2));
+    let fabric = IbFabric::new(cluster.clone());
+    let target = UcrRuntime::new(&fabric, NodeId(1));
+    let origin = UcrRuntime::new(&fabric, NodeId(0));
+    let window = Rc::new(target.register_memory(LEN));
+    let listener = target.listen(PORT).expect("port free");
+    let sim = cluster.sim().clone();
+    let _accepted = sim.spawn(async move { listener.accept().await });
+    let connecting = origin.clone();
+    let ep = sim
+        .block_on(async move {
+            let timeout = SimDuration::from_millis(100);
+            connecting.connect(NodeId(1), PORT, timeout).await
+        })
+        .expect("connected");
+    // What one round of puts of `fill` bytes cost the allocator.
+    let round = |fill: u8| {
+        let (ep, window, done) = (ep.clone(), window.clone(), origin.counter());
+        let data = vec![fill; LEN];
+        sim.block_on(async move {
+            let before = ALLOCS.with(Cell::get);
+            for i in 1..=PUTS {
+                ep.put(window.descriptor(0, LEN), &data, Some(done.clone()))
+                    .expect("posted");
+                done.wait_for(i, SimDuration::from_millis(1))
+                    .await
+                    .expect("placed");
+            }
+            ALLOCS.with(Cell::get) - before
+        })
+    };
+    assert!(round(1) > 0, "the first put fills the pool");
+    assert_eq!(round(2), 0);
+    assert_eq!(window.read(0, LEN), vec![2; LEN]);
 }
 
 /// One-sided verbs move bytes from registered region to registered region:
@@ -941,6 +1039,7 @@ fn print_allocation_sites() {
         ascii_socket_gets(),
         ascii_socket_sets_and_gets(),
         ucr_64k_sets_and_gets(),
+        ucr_64k_gets(),
         binary_socket_gets(),
         udp_gets(),
     ];
