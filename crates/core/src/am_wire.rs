@@ -405,20 +405,22 @@ impl ReqHead {
 }
 
 /// A request header (AM 1) found whole, its key list copied into a buffer
-/// its taker lends, for a worker to read the keys in place.
+/// from the server's key lists, for a worker to read the keys in place.
 pub(crate) struct HeldReq {
     pub head: ReqHead,
     list: Vec<u8>,
 }
 
 impl HeldReq {
-    /// Takes header `b` off the wire, its key list into the buffer `lend`
-    /// gives, which is asked for only once the header is found whole;
-    /// `None` on malformed input, as [`ReqHeader::decode`].
-    pub fn decode(b: &[u8], lend: impl FnOnce() -> Vec<u8>) -> Option<HeldReq> {
+    /// Takes header `b` off the wire, its key list into an idle buffer of
+    /// `lists`, taken only once the header is found whole, or a fresh one
+    /// with room for any single key; `None` on malformed input, as
+    /// [`ReqHeader::decode`].
+    pub fn decode(b: &[u8], lists: &simnet::FreeList<Vec<u8>>) -> Option<HeldReq> {
         let (head, keys) = ReqHead::decode(b)?;
-        let mut list = lend();
-        list.clear();
+        let mut list = lists
+            .take()
+            .unwrap_or_else(|| Vec::with_capacity(ONE_KEY_LIST));
         list.extend_from_slice(keys);
         Some(HeldReq { head, list })
     }

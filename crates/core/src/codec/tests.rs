@@ -9,6 +9,7 @@ use mcproto::{
     BinOpcode, Command, GetValue, Response, StoreVerb,
 };
 use mcstore::{NumericError, SetOutcome, Value};
+use simnet::FreeList;
 
 use super::{ascii, binary, ucr};
 use crate::am_wire::{HeldReq, McOp, RespHeader};
@@ -73,7 +74,7 @@ fn requests_survive_every_wire() {
         let want = fields(&req);
 
         let (hdr, data) = ucr::encode_request(&req, 1, 2);
-        let hdr = HeldReq::decode(&hdr.encode(), Vec::new).expect("header decodes");
+        let hdr = HeldReq::decode(&hdr.encode(), &FreeList::new(0)).expect("header decodes");
         let keys = hdr.keys();
         let got = ucr::decode_request(&hdr.head, &keys, data);
         assert_eq!(fields(&got), want, "ucr {:?}", req.op);
@@ -527,7 +528,6 @@ mod hostile_bytes {
     use simnet::{check_cases, SimRng};
 
     use super::*;
-    use std::cell::Cell;
 
     use crate::am_wire::{next_mget_entry, DirReq, DirResp, Keys, ReqHeader};
 
@@ -578,13 +578,14 @@ mod hostile_bytes {
         }
         // The server's form of the same header: its keys are the owned
         // decode's, read in place, and a single key is held in line.
-        let lent = Cell::new(false);
-        let lend = || {
-            lent.set(true);
-            Vec::new()
-        };
-        let held = HeldReq::decode(wire, lend);
-        assert_eq!(held.is_some(), lent.get(), "lent for a refused header");
+        let lists = FreeList::new(1);
+        lists.give_back(Vec::new());
+        let held = HeldReq::decode(wire, &lists);
+        assert_eq!(
+            held.is_some(),
+            lists.is_empty(),
+            "lent for a refused header"
+        );
         assert_eq!(held.is_some(), ReqHeader::decode(wire).is_some());
         if let Some(req) = held {
             let owned = ReqHeader::decode(wire).expect("decodes as the owned form");
@@ -693,7 +694,7 @@ mod hostile_bytes {
                 }
                 survive(&wire);
                 assert!(ReqHeader::decode(&wire).is_none_or(|h| h.keys.len() == claimed.into()));
-                let held = HeldReq::decode(&wire, Vec::new);
+                let held = HeldReq::decode(&wire, &FreeList::new(0));
                 assert!(held.is_none_or(|h| h.keys().len() == claimed.into()));
             },
         );

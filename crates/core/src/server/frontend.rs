@@ -16,7 +16,7 @@ use mcproto::{
 use mcstore::Value;
 use simnet::trace::{Phase, Track};
 use simnet::SimTime;
-use socksim::{DgramSocket, Socket};
+use socksim::{DgramSocket, Socket, STREAM_BUF_KEEP};
 use ucr::{AmBytes, AmData, AmHandler, Endpoint, SendOptions};
 
 use super::executor::OpId;
@@ -33,7 +33,7 @@ pub(super) async fn serve(srv: &Rc<SrvInner>, item: WorkItem, widx: u32, reply: 
     match item {
         WorkItem::Ucr { ep, req, data } => {
             serve_ucr(srv, ep, &req, data, widx).await;
-            srv.key_lists.give_back(req.into_list());
+            srv.key_lists.give_back_bytes(req.into_list());
         }
         WorkItem::UcrMgetPart {
             ep,
@@ -43,7 +43,7 @@ pub(super) async fn serve(srv: &Rc<SrvInner>, item: WorkItem, widx: u32, reply: 
         } => serve_ucr_mget_part(srv, ep, merge, shard, idxs, widx).await,
         WorkItem::Sock { sock, frame } => {
             let replied = serve_ascii(srv, &frame, widx, reply).await;
-            srv.frames.give_back(frame);
+            srv.frames.give_back_bytes(frame);
             if replied {
                 let _ = sock.write_all(reply).await;
             }
@@ -83,6 +83,13 @@ impl SrvInner {
             OpId::Local(_) => self.exec.counters.sock_requests.inc(),
         }
     }
+
+    /// An idle frame buffer, or a fresh one with room for
+    /// [`STREAM_BUF_KEEP`] bytes.
+    fn frame(&self) -> Vec<u8> {
+        let idle = self.frames.take();
+        idle.unwrap_or_else(|| Vec::with_capacity(STREAM_BUF_KEEP))
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -116,7 +123,7 @@ impl AmHandler for ReqDispatch {
         if !srv.running.get() {
             return;
         }
-        let Some(req) = HeldReq::decode(hdr, || srv.key_lists.take()) else {
+        let Some(req) = HeldReq::decode(hdr, &srv.key_lists) else {
             return;
         };
         let data = match data {
@@ -240,7 +247,7 @@ async fn serve_ucr_mget_part(
         // The other parts have finished and let go of the merge: this one
         // holds it alone.
         if let Ok(merge) = Rc::try_unwrap(merge) {
-            srv.key_lists.give_back(merge.req.into_list());
+            srv.key_lists.give_back_bytes(merge.req.into_list());
         }
     }
 }
@@ -295,7 +302,7 @@ fn next_request(binary: bool, buf: &[u8], sock: &Rc<Socket>) -> Framed {
 /// the buffer it was read into, lent by the server's frame pool; the bytes
 /// read past it stay here, in another.
 pub(super) async fn conn_reader(srv: Weak<SrvInner>, sock: Rc<Socket>, widx: usize) {
-    let Some(mut buf) = srv.upgrade().map(|inner| inner.frames.take()) else {
+    let Some(mut buf) = srv.upgrade().map(|inner| inner.frame()) else {
         return;
     };
     // Protocol sniffing: the binary request magic cannot start an ASCII
@@ -339,7 +346,7 @@ pub(super) async fn conn_reader(srv: Weak<SrvInner>, sock: Rc<Socket>, widx: usi
                 item
             }
             None => {
-                let mut rest = inner.frames.take();
+                let mut rest = inner.frame();
                 rest.extend_from_slice(&buf[used..]);
                 buf.truncate(used);
                 let frame = std::mem::replace(&mut buf, rest);

@@ -33,7 +33,7 @@ use mcproto::{BinFrame, Response};
 use mcstore::StoreConfig;
 use simnet::metrics::{Counter, Gauge, Metrics};
 use simnet::sync::{self, Receiver, Sender};
-use simnet::{NodeId, Sim, Stack};
+use simnet::{FreeList, NodeId, Sim, Stack};
 use socksim::{DgramSocket, Listener, Socket, STREAM_BUF_KEEP};
 use ucr::{Endpoint, UcrRuntime};
 
@@ -201,42 +201,6 @@ const KEY_LIST_POOL_CAP: usize = 128;
 /// hold at most 1 MiB.
 const FRAME_POOL_CAP: usize = 128;
 
-/// A bounded free list of byte buffers (DESIGN.md §16).
-struct BufPool {
-    /// Idle buffers, emptied; the one given back last is lent next.
-    idle: RefCell<Vec<Vec<u8>>>,
-    /// Most idle buffers kept.
-    cap: usize,
-    /// Most capacity a kept buffer has, and what a fresh one starts with.
-    keep: usize,
-}
-
-impl BufPool {
-    fn new(cap: usize, keep: usize) -> BufPool {
-        BufPool {
-            idle: RefCell::new(Vec::new()),
-            cap,
-            keep,
-        }
-    }
-
-    /// An idle buffer, or a fresh one with room for `keep` bytes.
-    fn take(&self) -> Vec<u8> {
-        let idle = self.idle.borrow_mut().pop();
-        idle.unwrap_or_else(|| Vec::with_capacity(self.keep))
-    }
-
-    /// Takes back a buffer whose contents are done with: into the pool, or
-    /// freed if the pool is full or the buffer grew past `keep`.
-    fn give_back(&self, mut buf: Vec<u8>) {
-        let mut idle = self.idle.borrow_mut();
-        if buf.capacity() <= self.keep && idle.len() < self.cap {
-            buf.clear();
-            idle.push(buf);
-        }
-    }
-}
-
 /// The server process: the executor plus the dispatch state around it.
 struct SrvInner {
     exec: Executor,
@@ -251,11 +215,11 @@ struct SrvInner {
     running: Cell<bool>,
     /// Idle buffers for the key lists of UCR requests, at most
     /// [`KEY_LIST_POOL_CAP`], each with room for any single key.
-    key_lists: BufPool,
+    key_lists: FreeList<Vec<u8>>,
     /// Idle buffers for ASCII/TCP connections' bytes: a connection reader
     /// reads into one and hands each command to its worker in it. At most
     /// [`FRAME_POOL_CAP`], each at most [`STREAM_BUF_KEEP`] bytes.
-    frames: BufPool,
+    frames: FreeList<Vec<u8>>,
     /// The sockets ports this server bound. `shutdown` closes them, so a
     /// server started on the node again can bind them.
     listeners: RefCell<Vec<Rc<Listener>>>,
@@ -285,8 +249,8 @@ impl McServer {
             workers: worker_txs,
             next_worker: Cell::new(0),
             running: Cell::new(true),
-            key_lists: BufPool::new(KEY_LIST_POOL_CAP, ONE_KEY_LIST),
-            frames: BufPool::new(FRAME_POOL_CAP, STREAM_BUF_KEEP),
+            key_lists: FreeList::of_bytes(KEY_LIST_POOL_CAP, ONE_KEY_LIST),
+            frames: FreeList::of_bytes(FRAME_POOL_CAP, STREAM_BUF_KEEP),
             listeners: RefCell::new(Vec::new()),
             dgram_socks: RefCell::new(Vec::new()),
         });

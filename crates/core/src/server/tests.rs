@@ -398,9 +398,9 @@ fn a_set_publishes_only_the_class_it_moved() {
 }
 
 /// A UCR request's key list is lent from the server's pool and comes back
-/// once the request is served: one get after another reuses one list; a
-/// list grown past room for any single key is freed, not kept; and lists
-/// coming back to a full pool are freed past its cap.
+/// once the request is served: one get after another reuses one list, and
+/// a list grown past room for any single key is freed, not kept. The cap
+/// itself is the pool's [`FreeList`](simnet::FreeList)'s.
 #[test]
 fn the_key_list_pool_reuses_its_buffers_and_keeps_its_cap() {
     use crate::am_wire::ONE_KEY_LIST;
@@ -418,7 +418,7 @@ fn the_key_list_pool_reuses_its_buffers_and_keeps_its_cap() {
         });
     };
     let idle = || {
-        let lists = server.inner.key_lists.idle.borrow();
+        let lists = server.inner.key_lists.idle();
         lists.iter().map(Vec::capacity).collect::<Vec<_>>()
     };
     for _ in 0..3 {
@@ -429,13 +429,6 @@ fn the_key_list_pool_reuses_its_buffers_and_keeps_its_cap() {
     assert_eq!(idle(), [], "the grown list is freed");
     get(b"k".to_vec());
     assert_eq!(idle(), [ONE_KEY_LIST]);
-    for _ in 0..2 * super::KEY_LIST_POOL_CAP {
-        server
-            .inner
-            .key_lists
-            .give_back(Vec::with_capacity(ONE_KEY_LIST));
-    }
-    assert_eq!(idle().len(), super::KEY_LIST_POOL_CAP);
 }
 
 /// A split multiget reads its keys in place in every part, and the part
@@ -469,7 +462,7 @@ fn a_split_multiget_gives_its_key_list_back() {
             c.mget(&keys).await.unwrap().len()
         })
     };
-    let idle = || server.inner.key_lists.idle.borrow().len();
+    let idle = || server.inner.key_lists.len();
     assert_eq!(mget(), 8);
     let warm = idle();
     assert!(warm > 0);
@@ -481,9 +474,9 @@ fn a_split_multiget_gives_its_key_list_back() {
 
 /// An ASCII/TCP command reaches its worker in the buffer its connection
 /// read it into, lent by the server's frame pool, which takes it back once
-/// the command is served: gets one after another leave one idle buffer;
-/// the buffer a 64 KB `set` grew is freed, not kept; and buffers coming
-/// back to a full pool are freed past its cap.
+/// the command is served: gets one after another leave one idle buffer,
+/// and the buffer a 64 KB `set` grew is freed, not kept. The cap itself is
+/// the pool's [`FreeList`](simnet::FreeList)'s.
 #[test]
 fn the_frame_pool_lends_each_command_its_buffer_and_keeps_its_caps() {
     use socksim::STREAM_BUF_KEEP;
@@ -504,7 +497,7 @@ fn the_frame_pool_lends_each_command_its_buffer_and_keeps_its_caps() {
         })
     };
     let idle = || {
-        let frames = server.inner.frames.idle.borrow();
+        let frames = server.inner.frames.idle();
         frames.iter().map(Vec::capacity).collect::<Vec<_>>()
     };
     assert_eq!(run(Some(vec![1; 100])), Some(100));
@@ -517,8 +510,4 @@ fn the_frame_pool_lends_each_command_its_buffer_and_keeps_its_caps() {
     assert!(idle().iter().all(|&capacity| capacity <= STREAM_BUF_KEEP));
     assert_eq!(run(None), Some(large));
     assert_eq!(idle(), [STREAM_BUF_KEEP]);
-    for _ in 0..2 * super::FRAME_POOL_CAP {
-        server.inner.frames.give_back(Vec::new());
-    }
-    assert_eq!(idle().len(), super::FRAME_POOL_CAP);
 }

@@ -10,7 +10,7 @@ use rmc::{
     RespHeader, RespStatus, Scenario, Transport, World, MSG_MC_REQ, MSG_MC_RESP,
 };
 use simnet::{EventRecorder, Layer, NodeId, SimDuration, Stack, Tracer};
-use ucr::{AmData, Endpoint, FnHandler, SendOptions, UcrRuntime};
+use ucr::{AmData, Endpoint, FnHandler, SendOptions, UcrRuntime, SEND_POOL_CAP};
 
 const SRV: NodeId = NodeId(0);
 const CLI: NodeId = NodeId(1);
@@ -500,8 +500,8 @@ fn a_ucr_client_redials_a_restarted_server() {
 }
 
 /// Registered memory follows live state. The server's adapter holds its
-/// UCR runtime's receive pool, its idle send buffers (at most the send
-/// pool's cap, 128) and one region per published bypass mirror page, and a
+/// UCR runtime's receive pool, its idle send buffers (at most
+/// [`SEND_POOL_CAP`]) and one region per published bypass mirror page, and a
 /// client's adapter its runtime's two pools; each table is back at that
 /// baseline once traffic quiesces. The traffic takes every registration a
 /// runtime keeps past one call: an endpoint's advertised rendezvous
@@ -510,7 +510,6 @@ fn a_ucr_client_redials_a_restarted_server() {
 /// reader's get publishes and the key's delete retires.
 #[test]
 fn registered_memory_returns_to_its_baseline_at_quiesce() {
-    const SEND_POOL_CAP: usize = 128;
     let reader = McClientConfig {
         bypass_get: true,
         ..McClientConfig::single(Transport::Ucr, SRV)

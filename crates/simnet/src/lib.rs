@@ -39,6 +39,7 @@
 
 mod engine;
 mod fabric;
+mod free_list;
 pub mod metrics;
 pub mod profiler;
 pub mod profiles;
@@ -53,6 +54,7 @@ pub mod vlock;
 
 pub use engine::{EventTarget, JoinHandle, Sim, TaskId};
 pub use fabric::{Cluster, Network, Node, NodeId};
+pub use free_list::FreeList;
 pub use metrics::Metrics;
 pub use profiler::{
     AuditReport, CriticalPath, PathStage, Profiler, ProfilerConfig, PATH_STAGE_COUNT,

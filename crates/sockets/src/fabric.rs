@@ -13,7 +13,7 @@ use std::rc::Rc;
 
 use simnet::profiles::SocketStackProfile;
 use simnet::sync::{self, timeout};
-use simnet::{Cluster, Network, NodeId, SimDuration, Slab, Stack};
+use simnet::{Cluster, FreeList, Network, NodeId, SimDuration, Slab, Stack};
 
 use crate::dgram::{Datagram, DgramInbox, DgramSocket};
 use crate::stream::{RecvBuf, SockError, Socket, SocketAddr};
@@ -57,7 +57,7 @@ pub(crate) struct SockFabricInner {
     pub(crate) datagrams: RefCell<Slab<Datagram>>,
     /// Idle buffers for the payloads of stream writes, at most
     /// [`SEGMENT_POOL_CAP`], none larger than [`STREAM_BUF_KEEP`].
-    seg_free: RefCell<Vec<Vec<u8>>>,
+    pub(crate) seg_free: FreeList<Vec<u8>>,
     /// By socket id; ordered, so `kill_node` resets them in id order.
     socks: RefCell<BTreeMap<u64, SockRec>>,
     dead: RefCell<HashSet<NodeId>>,
@@ -80,7 +80,7 @@ impl SockFabric {
                 listeners: RefCell::new(HashMap::new()),
                 dgram_socks: RefCell::new(HashMap::new()),
                 datagrams: RefCell::new(Slab::new()),
-                seg_free: RefCell::new(Vec::new()),
+                seg_free: FreeList::of_bytes(SEGMENT_POOL_CAP, STREAM_BUF_KEEP),
                 socks: RefCell::new(BTreeMap::new()),
                 dead: RefCell::new(HashSet::new()),
                 next_sock: Cell::new(1),
@@ -267,12 +267,8 @@ impl SockFabric {
     /// The capacity of each idle segment buffer, in the order they came
     /// back; the next write takes the last.
     pub fn idle_segment_buffers(&self) -> Vec<usize> {
-        self.inner
-            .seg_free
-            .borrow()
-            .iter()
-            .map(Vec::capacity)
-            .collect()
+        let idle = self.inner.seg_free.idle();
+        idle.iter().map(Vec::capacity).collect()
     }
 
     fn check_stack(&self, stack: Stack) -> Result<(), SockError> {
@@ -290,24 +286,6 @@ impl SockFabric {
 impl SockFabricInner {
     pub(crate) fn is_dead(&self, node: NodeId) -> bool {
         self.dead.borrow().contains(&node)
-    }
-
-    /// A copy of `bytes` in a segment buffer: the idle one given back
-    /// last, or a fresh one.
-    pub(crate) fn segment_buf(&self, bytes: &[u8]) -> Vec<u8> {
-        let mut buf = self.seg_free.borrow_mut().pop().unwrap_or_default();
-        buf.extend_from_slice(bytes);
-        buf
-    }
-
-    /// Takes back a segment buffer whose bytes are delivered or lost: into
-    /// the pool, or freed if the pool is full or a large write grew it.
-    pub(crate) fn give_back_segment(&self, mut buf: Vec<u8>) {
-        let mut idle = self.seg_free.borrow_mut();
-        if buf.capacity() <= STREAM_BUF_KEEP && idle.len() < SEGMENT_POOL_CAP {
-            buf.clear();
-            idle.push(buf);
-        }
     }
 
     /// Stack profile + physical network for `stack`. Callers have already

@@ -136,7 +136,7 @@ impl EventTarget for RecvBuf {
                 let (dst, profile) = (self.node, &self.profile);
                 if fabric.is_dead(dst) {
                     // The bytes vanish into the dead node.
-                    fabric.give_back_segment(payload);
+                    fabric.seg_free.give_back_bytes(payload);
                     return;
                 }
                 let sim = fabric.cluster.sim().clone();
@@ -170,7 +170,7 @@ impl EventTarget for RecvBuf {
                 if !self.closed.get() {
                     self.push(&payload);
                 }
-                fabric.give_back_segment(payload);
+                fabric.seg_free.give_back_bytes(payload);
             }
             Segment::Fin => self.close(),
         }
@@ -224,14 +224,15 @@ impl Socket {
     /// `buf`: the caller may write its next frame into the same buffer
     /// while this one is on its way.
     pub fn write_all(&self, buf: &[u8]) -> impl Future<Output = Result<(), SockError>> + '_ {
-        let payload = self.fabric.segment_buf(buf);
+        let mut payload = self.fabric.seg_free.take().unwrap_or_default();
+        payload.extend_from_slice(buf);
         async move {
             let sim = self.sim();
             if self.local_closed.get()
                 || self.peer_rx.closed.get()
                 || self.fabric.is_dead(self.local.node)
             {
-                self.fabric.give_back_segment(payload);
+                self.fabric.seg_free.give_back_bytes(payload);
                 return Err(SockError::Closed);
             }
             // Application-side syscall + copy into the socket buffer.

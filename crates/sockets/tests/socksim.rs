@@ -473,9 +473,9 @@ fn write_at_once(sim: &Sim, sock: &Rc<Socket>, writes: Vec<Vec<u8>>) {
 
 /// A write's bytes ride in a buffer from the fabric's segment pool, which
 /// takes it back once they are in the peer's socket buffer: writes one
-/// after another reuse one buffer; 256 in flight at once leave the pool at
-/// its count cap, none above its size cap; and the buffer a 64 KB write
-/// grew is freed, not kept.
+/// after another reuse one buffer; one more than the cap in flight at once
+/// leave the pool at its count cap, none above its size cap; and the
+/// buffer a 64 KB write grew is freed, not kept.
 #[test]
 fn the_segment_pool_reuses_its_buffers_and_keeps_its_caps() {
     let (cluster, fabric) = fabric_a();
@@ -485,7 +485,7 @@ fn the_segment_pool_reuses_its_buffers_and_keeps_its_caps() {
         write_at_once(&sim, &sock, vec![vec![1; 1000]]);
         assert_eq!(fabric.idle_segment_buffers().len(), 1);
     }
-    write_at_once(&sim, &sock, vec![vec![2; 1000]; 256]);
+    write_at_once(&sim, &sock, vec![vec![2; 1000]; SEGMENT_POOL_CAP + 1]);
     let idle = fabric.idle_segment_buffers();
     assert_eq!(idle.len(), SEGMENT_POOL_CAP);
     assert!(idle.iter().all(|&capacity| capacity <= STREAM_BUF_KEEP));
@@ -497,7 +497,8 @@ fn the_segment_pool_reuses_its_buffers_and_keeps_its_caps() {
         "the grown buffer is freed"
     );
     assert!(idle.iter().all(|&capacity| capacity <= STREAM_BUF_KEEP));
-    assert_eq!(peer.available(), 10 * 1000 + 256 * 1000 + (64 << 10));
+    let written = (10 + SEGMENT_POOL_CAP + 1) * 1000 + (64 << 10);
+    assert_eq!(peer.available(), written);
 }
 
 /// Bytes with nowhere to go give their segment buffer back all the same:

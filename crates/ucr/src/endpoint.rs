@@ -619,12 +619,8 @@ impl Endpoint {
         }
     }
 
-    pub(crate) fn runtime(&self) -> Result<crate::runtime::UcrRuntime, UcrError> {
-        self.inner
-            .rt
-            .upgrade()
-            .map(crate::runtime::UcrRuntime::from_inner)
-            .ok_or(UcrError::RuntimeGone)
+    pub(crate) fn runtime(&self) -> Result<Rc<RtInner>, UcrError> {
+        self.inner.rt.upgrade().ok_or(UcrError::RuntimeGone)
     }
 
     pub(crate) fn downgrade(&self) -> Weak<EpInner> {

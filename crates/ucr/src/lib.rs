@@ -51,7 +51,9 @@ pub use counter::Counter;
 pub use endpoint::{Endpoint, SendOptions};
 pub use handler::{AmBytes, AmData, AmDest, AmHandler, FnHandler};
 pub use onesided::{MemoryDescriptor, UcrMemory};
-pub use runtime::{EpListener, RtStats, UcrRuntime, MAX_HEADER_BYTES, MAX_RNDV_BYTES};
+pub use runtime::{
+    EpListener, RtStats, UcrRuntime, MAX_HEADER_BYTES, MAX_RNDV_BYTES, SEND_POOL_CAP,
+};
 pub use wire::{PacketHeader, PacketKind, PACKET_HEADER_BYTES};
 
 /// Errors surfaced by UCR operations.

@@ -27,7 +27,7 @@ impl UcrRuntime {
     /// Registers `len` bytes for remote one-sided access (put and get).
     pub fn register_memory(&self, len: usize) -> UcrMemory {
         UcrMemory {
-            mr: self.pd_ref().register(
+            mr: self.inner.pd.register(
                 len,
                 Access::LOCAL_WRITE | Access::REMOTE_READ | Access::REMOTE_WRITE,
             ),
@@ -79,9 +79,11 @@ impl Endpoint {
             return Err(UcrError::MessageTooLarge); // RDMA needs RC
         }
         let rt = self.runtime()?;
-        let src = rt.register_pooled(data, Access::default());
+        let src = rt
+            .pd
+            .register_with(rt.rndv_source(data.into()), Access::default());
         let local = src.full();
-        let wr_id = rt.alloc_pending(Pending::OneSided {
+        let wr_id = rt.alloc_wr(Pending::OneSided {
             done,
             ep: self.downgrade(),
             src: Some(src),
@@ -110,7 +112,7 @@ impl Endpoint {
         let rt = self.runtime()?;
         let len = remote.len as usize;
         let slice = local.mr.slice(local_offset, len);
-        let wr_id = rt.alloc_pending(Pending::OneSided {
+        let wr_id = rt.alloc_wr(Pending::OneSided {
             done,
             ep: self.downgrade(),
             src: None,

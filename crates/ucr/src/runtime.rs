@@ -26,7 +26,7 @@ use std::task::{Poll, Waker};
 use simnet::profiles::{ClusterProfile, UCR_EAGER_THRESHOLD};
 use simnet::sync::{oneshot, OneReceiver, OneSender};
 use simnet::trace::{Layer, Track};
-use simnet::{NodeId, Sim, SimDuration, SimTime, Tracer};
+use simnet::{FreeList, NodeId, Sim, SimDuration, SimTime, Tracer};
 use verbs::{
     Access, Cq, Hca, IbFabric, Mr, MrSlice, Pd, QpType, QueuePair, SendOp, SendWr, Srq, Wc,
     WcOpcode,
@@ -49,7 +49,7 @@ const RECV_POOL_DEPTH: usize = 128;
 /// Most idle send buffers the runtime keeps registered. The pool grows on
 /// demand, one buffer per packet in flight; a buffer that comes back to a
 /// full pool is deregistered.
-const SEND_POOL_CAP: usize = 128;
+pub const SEND_POOL_CAP: usize = 128;
 
 /// Bytes of one network buffer, send or receive: a packet header and the
 /// eager threshold's worth of payload (the paper's 8 KB, §IV-C).
@@ -262,11 +262,11 @@ pub(crate) struct RtInner {
     /// Retired eager receive buffers awaiting re-posting (registration
     /// reuse instead of a fresh MR per message), at most
     /// [`RECV_POOL_DEPTH`].
-    recv_free: RefCell<Vec<Mr>>,
+    recv_free: FreeList<Mr>,
     /// Idle send buffers, at most [`SEND_POOL_CAP`]; one in use lives in
     /// the staged record, the endpoint's held batch or the pending entry of
     /// the work request that carries it.
-    send_free: RefCell<Vec<Mr>>,
+    send_free: FreeList<Mr>,
     /// Idle rendezvous buffers, of [`rndv_idle_bytes`]
     /// (Self::rndv_idle_bytes) capacity in all, at most
     /// [`RNDV_POOL_BYTES`]. One in use is the bytes of a region registered
@@ -276,7 +276,7 @@ pub(crate) struct RtInner {
     rndv_idle_bytes: Cell<usize>,
     /// Idle rendezvous header buffers, at most [`RNDV_HDR_POOL_CAP`]; one
     /// in use is the `hdr` of a read's `Pending` entry.
-    rndv_hdr_free: RefCell<Vec<Vec<u8>>>,
+    rndv_hdr_free: FreeList<Vec<u8>>,
     /// Rendezvous replies [`Endpoint::post_message`] accepted, oldest
     /// first, for the sender task to advertise: each post wakes the task
     /// once and each poll sends one, so the queue is empty again before
@@ -362,13 +362,7 @@ fn spawn_until(sim: &Sim, mut stopped: OneReceiver<()>, task: impl Future<Output
 /// The Unified Communication Runtime for one node.
 #[derive(Clone)]
 pub struct UcrRuntime {
-    inner: Rc<RtInner>,
-}
-
-impl UcrRuntime {
-    pub(crate) fn from_inner(inner: Rc<RtInner>) -> UcrRuntime {
-        UcrRuntime { inner }
-    }
+    pub(crate) inner: Rc<RtInner>,
 }
 
 /// Accepts inbound UCR endpoint connections on a service port.
@@ -424,11 +418,11 @@ impl UcrRuntime {
             eps: RefCell::new(BTreeMap::new()),
             pending: RefCell::new(HashMap::new()),
             recv_bufs: RefCell::new(HashMap::new()),
-            recv_free: RefCell::new(Vec::new()),
-            send_free: RefCell::new(Vec::new()),
+            recv_free: FreeList::new(RECV_POOL_DEPTH),
+            send_free: FreeList::new(SEND_POOL_CAP),
             rndv_free: RefCell::new(Vec::new()),
             rndv_idle_bytes: Cell::new(0),
-            rndv_hdr_free: RefCell::new(Vec::new()),
+            rndv_hdr_free: FreeList::new(RNDV_HDR_POOL_CAP),
             rndv_sends: RefCell::new(VecDeque::new()),
             rndv_sender: RefCell::new(None),
             ud_qp: RefCell::new(None),
@@ -627,12 +621,12 @@ impl UcrRuntime {
     }
 
     /// Send buffers idle in the pool, registered and waiting for a packet
-    /// (at most the pool's cap, 128). Every other region the runtime holds
+    /// (at most [`SEND_POOL_CAP`]). Every other region the runtime holds
     /// registered — a buffer in flight, a receive buffer, a rendezvous
     /// source — counts in its HCA's
     /// [`registered_regions`](verbs::Hca::registered_regions) beside them.
     pub fn idle_send_buffers(&self) -> usize {
-        self.inner.send_free.borrow().len()
+        self.inner.send_free.len()
     }
 
     /// Receive buffers the runtime holds registered: posted on the SRQ,
@@ -640,27 +634,7 @@ impl UcrRuntime {
     /// and retired awaiting re-posting (at most as many again). The pool
     /// grows to the traffic, so a depth-1 client holds two.
     pub fn recv_buffers(&self) -> usize {
-        self.inner.recv_bufs.borrow().len() + self.inner.recv_free.borrow().len()
-    }
-
-    pub(crate) fn pd_ref(&self) -> &Pd {
-        &self.inner.pd
-    }
-
-    /// `data` copied into a buffer from the rendezvous pool and registered
-    /// with `access`; the bytes go back to the pool with
-    /// [`RtInner::give_back`] once the region is done.
-    pub(crate) fn register_pooled(&self, data: &[u8], access: Access) -> Mr {
-        let bytes = self.inner.rndv_source(Cow::Borrowed(data));
-        self.inner.pd.register_with(bytes, access)
-    }
-
-    pub(crate) fn alloc_pending(&self, p: Pending) -> u64 {
-        self.inner.alloc_wr(p)
-    }
-
-    pub(crate) fn post(&self, qp: &QueuePair, wr: SendWr) -> Result<(), UcrError> {
-        self.inner.post(qp, wr)
+        self.inner.recv_bufs.borrow().len() + self.inner.recv_free.len()
     }
 }
 
@@ -710,7 +684,8 @@ impl RtInner {
     /// A refused post (the queue pair has left ready-to-send, or the local
     /// HCA is down) withdraws it, and whatever it pinned, so `pending` holds
     /// only what a completion will come back for; its send buffer, if it
-    /// has one, and a put's source bytes go back to their pools.
+    /// has one, a put's source bytes, and a rendezvous read's header buffer
+    /// and landing bytes go back to their pools.
     pub(crate) fn post(&self, qp: &QueuePair, wr: SendWr) -> Result<(), UcrError> {
         let wr_id = wr.wr_id;
         qp.post_send(wr).map_err(|_| {
@@ -719,6 +694,12 @@ impl RtInner {
                 Some((_, Some(buf))) => self.return_send_buf(buf),
                 Some((Pending::OneSided { src: Some(src), .. }, None)) => {
                     self.give_back(src.into_vec());
+                }
+                Some((Pending::RndvRead { hdr, dest, .. }, None)) => {
+                    self.rndv_hdr_free.give_back_bytes(hdr);
+                    if let RndvDest::Pool(mr) | RndvDest::Discard(mr) = dest {
+                        self.give_back(mr.into_vec());
+                    }
                 }
                 _ => {}
             }
@@ -749,7 +730,7 @@ impl RtInner {
     /// One packet written into a send buffer from the pool: the one copy
     /// its bytes get at this end.
     pub(crate) fn stage(&self, pkt: &PacketHeader, hdr: &[u8], data: &[u8]) -> SendBuf {
-        let idle = self.send_free.borrow_mut().pop();
+        let idle = self.send_free.take();
         let mr = idle.unwrap_or_else(|| self.pd.register(NET_BUF_BYTES, Access::LOCAL_READ));
         let mut buf = SendBuf { mr, len: 0 };
         buf.push(pkt, hdr, data);
@@ -759,10 +740,7 @@ impl RtInner {
     /// Takes back a send buffer whose packets are gone — completed, refused
     /// or discarded: into the pool, or deregistered if the pool is full.
     pub(crate) fn return_send_buf(&self, buf: SendBuf) {
-        let mut free = self.send_free.borrow_mut();
-        if free.len() < SEND_POOL_CAP {
-            free.push(buf.mr);
-        }
+        self.send_free.give_back(buf.mr);
     }
 
     /// A buffer for a rendezvous region of `len` bytes: the idle one given
@@ -827,20 +805,9 @@ impl RtInner {
     /// A copy of a rendezvous message's application header, held until
     /// its read completes, in an idle header buffer when there is one.
     pub(crate) fn rndv_header(&self, hdr: &[u8]) -> Vec<u8> {
-        let mut buf = self.rndv_hdr_free.borrow_mut().pop().unwrap_or_default();
-        buf.clear();
+        let mut buf = self.rndv_hdr_free.take().unwrap_or_default();
         buf.extend_from_slice(hdr);
         buf
-    }
-
-    /// Takes back a rendezvous header whose read is done, or whose
-    /// request went out or never will: into the idle list, or freed if the
-    /// list is full.
-    fn give_back_header(&self, buf: Vec<u8>) {
-        let mut free = self.rndv_hdr_free.borrow_mut();
-        if free.len() < RNDV_HDR_POOL_CAP {
-            free.push(buf);
-        }
     }
 
     /// Queues a rendezvous reply for the sender task and wakes it once.
@@ -868,7 +835,7 @@ impl RtInner {
         }
         let QueuedRndv { ep, pkt, hdr, data } = reply;
         let sent = ep.send_rndv(self, pkt, &hdr, data);
-        self.give_back_header(hdr);
+        self.rndv_hdr_free.give_back_bytes(hdr);
         if sent.is_err() {
             self.stats.send_failures.inc();
         }
@@ -879,7 +846,7 @@ impl RtInner {
     fn discard_rndv(&self, reply: QueuedRndv) {
         self.stats.send_failures.inc();
         self.give_back(reply.data);
-        self.give_back_header(reply.hdr);
+        self.rndv_hdr_free.give_back_bytes(reply.hdr);
     }
 
     pub(crate) fn drop_endpoint(&self, qpn: u32) {
@@ -959,7 +926,7 @@ impl RtInner {
     fn post_recv_buffer(&self, wr_id: u64) {
         // Recycle a retired buffer when one is available: the
         // registration (and rkey) is reused instead of paid per message.
-        let recycled = self.recv_free.borrow_mut().pop();
+        let recycled = self.recv_free.take();
         let mr = match recycled {
             Some(mr) => {
                 self.stats.recv_bufs_recycled.inc();
@@ -969,15 +936,6 @@ impl RtInner {
         };
         self.srq.post_recv(wr_id, mr.full());
         self.recv_bufs.borrow_mut().insert(wr_id, mr);
-    }
-
-    /// Returns a consumed eager receive buffer to the free list, bounded
-    /// by the pool depth (overflow is dropped, i.e. deregistered).
-    fn retire_recv_buffer(&self, mr: Mr) {
-        let mut free = self.recv_free.borrow_mut();
-        if free.len() < RECV_POOL_DEPTH {
-            free.push(mr);
-        }
     }
 
     fn bump_counter(&self, id: u64) {
@@ -1023,7 +981,7 @@ impl RtInner {
         self.post_recv_buffer(self.next_wr_id());
         let Some(buf) = buf else { return };
         if !wc.status.is_ok() {
-            self.retire_recv_buffer(buf);
+            self.recv_free.give_back(buf);
             return;
         }
         // Every length below comes off the wire: `packet_at` is the one
@@ -1031,7 +989,7 @@ impl RtInner {
         let len = (wc.byte_len as usize).min(buf.len());
         let Some(first) = packet_at(&buf.bytes()[..len], 0) else {
             self.stats.unknown_msg_dropped.inc();
-            self.retire_recv_buffer(buf);
+            self.recv_free.give_back(buf);
             return;
         };
         let ud_qpn = self.ud_qp.borrow().as_ref().map(|q| q.qpn());
@@ -1039,14 +997,14 @@ impl RtInner {
             // Arrived on the shared UD QP: the endpoint is identified by
             // the datagram's source address handle.
             let Some((src_node, src_qpn)) = wc.src else {
-                self.retire_recv_buffer(buf);
+                self.recv_free.give_back(buf);
                 return;
             };
             self.ud_endpoint_for(src_node, src_qpn)
         } else {
             let ep = self.eps.borrow().get(&wc.qp_num).cloned();
             let Some(ep) = ep else {
-                self.retire_recv_buffer(buf);
+                self.recv_free.give_back(buf);
                 return;
             };
             Endpoint { inner: ep }
@@ -1071,33 +1029,34 @@ impl RtInner {
                         self.stats.unknown_msg_dropped.inc();
                     }
                 }
-                self.retire_recv_buffer(buf);
+                self.recv_free.give_back(buf);
             }
             PacketKind::RndvReq => {
                 if ep.is_unreliable() {
                     // RDMA read needs a connection; a rendezvous header on
                     // UD is a protocol violation — drop it.
                     self.stats.unknown_msg_dropped.inc();
-                    self.retire_recv_buffer(buf);
+                    self.recv_free.give_back(buf);
                     return;
                 }
                 if pkt.data_len > MAX_RNDV_BYTES as u64 {
                     // No sender advertises this much: a protocol violation.
                     // The endpoint goes, and nothing is allocated for it.
                     self.stats.unknown_msg_dropped.inc();
-                    self.retire_recv_buffer(buf);
+                    self.recv_free.give_back(buf);
                     self.end_ep(&ep.inner, "rendezvous past MAX_RNDV_BYTES");
                     ep.inner.qp.close();
                     return;
                 }
                 self.sim.sleep(self.profile.host.am_dispatch).await;
-                let hdr = self.rndv_header(first.hdr(&buf.bytes()));
-                self.retire_recv_buffer(buf);
                 let handler = self.handlers.borrow().get(&pkt.msg_id).cloned();
                 let Some(handler) = handler else {
                     self.stats.unknown_msg_dropped.inc();
+                    self.recv_free.give_back(buf);
                     return;
                 };
+                let hdr = self.rndv_header(first.hdr(&buf.bytes()));
+                self.recv_free.give_back(buf);
                 let track = Track::Endpoint(ep.id());
                 let on_header =
                     self.handler_phase(HandlerPhase::Header, &ep, wc.wr_id, pkt.data_len, || {
@@ -1148,11 +1107,11 @@ impl RtInner {
                         0,
                         self.sim.now(),
                     );
-                    ep.inner.failed.set(true);
+                    self.fail_ep(&Rc::downgrade(&ep.inner));
                 }
             }
             PacketKind::Fin => {
-                self.retire_recv_buffer(buf);
+                self.recv_free.give_back(buf);
                 self.bump_counter(pkt.origin_ctr);
                 self.bump_counter(pkt.completion_ctr);
                 ep.inner.release_source(self, pkt.token);
@@ -1274,13 +1233,13 @@ impl RtInner {
                     }
                 };
                 let Some(ep_rc) = ep.upgrade() else {
-                    self.give_back_header(hdr);
+                    self.rndv_hdr_free.give_back_bytes(hdr);
                     return;
                 };
                 let ep = Endpoint { inner: ep_rc };
                 let track = Track::Endpoint(ep.id());
                 if !wc.status.is_ok() {
-                    self.give_back_header(hdr);
+                    self.rndv_hdr_free.give_back_bytes(hdr);
                     self.tracer.end(
                         Layer::Ucr,
                         "rndv_window",
@@ -1307,7 +1266,7 @@ impl RtInner {
                         || handler.on_complete(&ep, &hdr, am_data),
                     );
                 }
-                self.give_back_header(hdr);
+                self.rndv_hdr_free.give_back_bytes(hdr);
                 self.tracer.end(
                     Layer::Ucr,
                     "rndv_window",
@@ -1450,6 +1409,15 @@ mod tests {
         (cluster, server, client, pairs)
     }
 
+    /// Send options whose completion counter is `done`.
+    fn completing(done: &Counter) -> SendOptions {
+        let completion = Some(done.clone());
+        SendOptions {
+            completion,
+            ..Default::default()
+        }
+    }
+
     /// [`linked`] by one connection.
     fn connected(seed: u64) -> (Rc<Cluster>, UcrRuntime, UcrRuntime, Endpoint, Endpoint) {
         let (cluster, server, client, mut pairs) = linked(seed, 1);
@@ -1486,15 +1454,11 @@ mod tests {
             // One round trip each way and one put first, so the baseline is
             // a settled runtime and not an empty one.
             let done = client.counter();
-            let opts = || SendOptions {
-                completion: Some(done.clone()),
-                ..Default::default()
-            };
             let large = vec![7u8; 2 * client.eager_threshold()];
-            ep.send_message(MSG, b"h", b"small", opts())
+            ep.send_message(MSG, b"h", b"small", completing(&done))
                 .await
                 .expect("eager");
-            ep.send_message(MSG, b"h", &large, opts())
+            ep.send_message(MSG, b"h", &large, completing(&done))
                 .await
                 .expect("rendezvous");
             let target = server.register_memory(64);
@@ -1512,9 +1476,9 @@ mod tests {
             let remote = window.descriptor(0, 64);
             let refused = Err(UcrError::EndpointFailed);
             for _ in 0..N {
-                let eager = ep.send_message(MSG, b"h", b"small", opts());
+                let eager = ep.send_message(MSG, b"h", b"small", completing(&done));
                 assert_eq!(eager.await, refused);
-                let rndv = ep.send_message(MSG, b"h", &large, opts());
+                let rndv = ep.send_message(MSG, b"h", &large, completing(&done));
                 assert_eq!(rndv.await, refused);
                 client.inner.send_fin(&ep, 0, done.id(), 0);
                 assert_eq!(ep.put(remote, &[1; 64], None), refused);
@@ -1537,7 +1501,7 @@ mod tests {
         impl AmHandler for ExitOnHeader {
             fn on_header(&self, _: &Endpoint, _: &[u8], _: usize) -> AmDest {
                 if let Some(rt) = self.0.upgrade() {
-                    UcrRuntime::from_inner(rt).shutdown();
+                    UcrRuntime { inner: rt }.shutdown();
                 }
                 AmDest::Discard
             }
@@ -1596,11 +1560,7 @@ mod tests {
                 // One message in first, so the baseline is a settled
                 // receive pool and not a fresh one.
                 let done = client.counter();
-                let opts = SendOptions {
-                    completion: Some(done.clone()),
-                    ..Default::default()
-                };
-                ep.send_message(MSG, b"h", b"warm", opts)
+                ep.send_message(MSG, b"h", b"warm", completing(&done))
                     .await
                     .expect("eager");
                 done.wait_for(1, TIMEOUT).await.expect("its Fin");
@@ -1664,7 +1624,7 @@ mod tests {
                 let rt = self.rt.upgrade().expect("live");
                 assert_eq!(rt.rndv_sends.borrow().len(), N, "queued, not sent");
                 if self.shutdown {
-                    UcrRuntime::from_inner(rt).shutdown();
+                    UcrRuntime { inner: rt }.shutdown();
                 } else {
                     rt.end_ep(&ep.inner, "test fault");
                 }
@@ -1688,7 +1648,7 @@ mod tests {
             assert_eq!(drawn(&server), (0, N as u64 + 1), "{shutdown}");
             assert_eq!(rt.rndv_free.borrow().len(), N + 1, "{shutdown}");
             assert_eq!(rt.rndv_idle_bytes.get(), (N + 1) * LEN, "{shutdown}");
-            assert_eq!(rt.rndv_hdr_free.borrow().len(), N + 1, "{shutdown}");
+            assert_eq!(rt.rndv_hdr_free.len(), N + 1, "{shutdown}");
         }
     }
 
@@ -1874,11 +1834,7 @@ mod tests {
         let srv = server.clone();
         cluster.sim().block_on(async move {
             let done = client.counter();
-            let opts = SendOptions {
-                completion: Some(done.clone()),
-                ..Default::default()
-            };
-            ep.send_message(MSG, b"h", b"warm", opts)
+            ep.send_message(MSG, b"h", b"warm", completing(&done))
                 .await
                 .expect("eager");
             done.wait_for(1, TIMEOUT).await.expect("its Fin");
@@ -1904,7 +1860,7 @@ mod tests {
             client.sim().sleep(dispatch * (N as u64 + 2)).await;
             let wrs = client.stats().eager_wrs_posted.get() - wrs;
             assert_eq!(wrs, N as u64 + 1, "one work request per message");
-            assert!(rt.recv_free.borrow().len() <= RECV_POOL_DEPTH);
+            assert!(rt.recv_free.len() <= RECV_POOL_DEPTH);
             assert!(srv.recv_buffers() <= 2 * RECV_POOL_DEPTH);
         });
         let seen = seen.borrow();
@@ -1936,11 +1892,7 @@ mod tests {
             let tables = || send_tables(&client, &ep);
             // One round trip first, so the receive pool is settled.
             let done = client.counter();
-            let warm = SendOptions {
-                completion: Some(done.clone()),
-                ..Default::default()
-            };
-            ep.send_message(MSG, b"h", b"warm", warm)
+            ep.send_message(MSG, b"h", b"warm", completing(&done))
                 .await
                 .expect("eager");
             done.wait_for(1, TIMEOUT).await.expect("its Fin");
@@ -1970,13 +1922,13 @@ mod tests {
 
     /// A rendezvous's application header is held in a buffer from the
     /// target's list until its read completes: one rendezvous after another
-    /// reuses the one buffer, and buffers coming back to a full list are
-    /// freed past its cap.
+    /// reuses the one buffer. The cap itself is the list's
+    /// [`FreeList`]'s.
     #[test]
     fn the_rendezvous_header_list_reuses_its_buffers_and_keeps_its_cap() {
         let (cluster, server, client, ep, _peer) = connected(39);
         let idle = || {
-            let free = server.inner.rndv_hdr_free.borrow();
+            let free = server.inner.rndv_hdr_free.idle();
             free.iter().map(|h| h.as_ptr()).collect::<Vec<_>>()
         };
         let mut first = None;
@@ -1984,12 +1936,8 @@ mod tests {
             let (client, ep) = (client.clone(), ep.clone());
             cluster.sim().block_on(async move {
                 let done = client.counter();
-                let opts = SendOptions {
-                    completion: Some(done.clone()),
-                    ..Default::default()
-                };
                 let data = vec![7u8; 16 << 10];
-                ep.send_message(MSG, b"header", &data, opts)
+                ep.send_message(MSG, b"header", &data, completing(&done))
                     .await
                     .expect("advertised");
                 done.wait_for(1, TIMEOUT).await.expect("handled");
@@ -1998,10 +1946,6 @@ mod tests {
             assert_eq!(held.len(), 1);
             assert_eq!(*first.get_or_insert(held[0]), held[0], "reused");
         }
-        for _ in 0..2 * RNDV_HDR_POOL_CAP {
-            server.inner.give_back_header(Vec::new());
-        }
-        assert_eq!(idle().len(), RNDV_HDR_POOL_CAP);
     }
 
     /// Only a region's bytes are reused, and only for a message they fit:
@@ -2033,12 +1977,8 @@ mod tests {
         cluster.sim().block_on(async move {
             for (len, fill, hdr) in [(64, 1, "drop"), (16, 2, "keep"), (48, 3, "drop")] {
                 let done = sending.counter();
-                let opts = SendOptions {
-                    completion: Some(done.clone()),
-                    ..Default::default()
-                };
                 let data = vec![fill; len << 10];
-                ep.send_message(MSG, hdr.as_bytes(), &data, opts)
+                ep.send_message(MSG, hdr.as_bytes(), &data, completing(&done))
                     .await
                     .expect("advertised");
                 done.wait_for(1, TIMEOUT).await.expect("read and handled");
@@ -2121,6 +2061,38 @@ mod tests {
         assert_eq!(server.stats().rndv_delivered.get(), 1);
     }
 
+    /// A rendezvous whose READ the target's queue pair refuses — its header
+    /// handler closed it — ends the endpoint and counts one
+    /// `send_failures`, and its landing bytes and header buffer go back to
+    /// their pools.
+    #[test]
+    fn a_refused_rendezvous_read_ends_its_endpoint_and_gives_its_buffers_back() {
+        struct CloseOnHeader;
+        impl AmHandler for CloseOnHeader {
+            fn on_header(&self, ep: &Endpoint, _: &[u8], _: usize) -> AmDest {
+                ep.inner.qp.close();
+                AmDest::Pool
+            }
+            fn on_complete(&self, _: &Endpoint, _: &[u8], _: AmData) {
+                panic!("a refused read lands nothing");
+            }
+        }
+        let (cluster, server, client, ep, _peer) = connected(43);
+        server.register_handler(MSG, CloseOnHeader);
+        cluster.sim().block_on(async move {
+            let data = vec![4u8; 64 << 10];
+            let sent = ep.send_message(MSG, b"h", &data, SendOptions::default());
+            sent.await.expect("advertised");
+            client.sim().sleep(SimDuration::from_millis(5)).await;
+        });
+        let rt = &server.inner;
+        assert_eq!(server.endpoints(), 0);
+        assert_eq!(server.stats().send_failures.get(), 1);
+        assert!(rt.pending.borrow().is_empty());
+        let idle = (rt.rndv_free.borrow().len(), rt.rndv_hdr_free.len());
+        assert_eq!(idle, (1, 1), "landing bytes and header buffer");
+    }
+
     /// A `RndvReq` advertising more than [`MAX_RNDV_BYTES`] — `u64::MAX`, or
     /// one byte more — is a protocol violation: the target drops it, ends
     /// the endpoint that sent it and allocates nothing for it, and keeps
@@ -2133,13 +2105,9 @@ mod tests {
             let (other, _) = pairs.remove(0);
             cluster.sim().block_on(async move {
                 let done = client.counter();
-                let opts = || SendOptions {
-                    completion: Some(done.clone()),
-                    ..Default::default()
-                };
                 // One message first, so the target's receive pool is settled.
                 other
-                    .send_message(MSG, b"h", b"warm", opts())
+                    .send_message(MSG, b"h", b"warm", completing(&done))
                     .await
                     .expect("eager");
                 done.wait_for(1, TIMEOUT).await.expect("its Fin");
@@ -2171,7 +2139,7 @@ mod tests {
                 // The other endpoint is served: a rendezvous and its Fin.
                 let data = vec![5; 2 * UCR_EAGER_THRESHOLD];
                 other
-                    .send_message(MSG, b"h", &data, opts())
+                    .send_message(MSG, b"h", &data, completing(&done))
                     .await
                     .expect("sent");
                 done.wait_for(2, TIMEOUT).await.expect("read and handled");

@@ -12,6 +12,8 @@ use verbs::{Access, IbFabric};
 const PORT: u16 = 11211;
 const ECHO: u16 = 1;
 const SINK: u16 = 2;
+/// How long a test waits for a counter or a connection.
+const WAIT: SimDuration = SimDuration::from_millis(100);
 
 fn world(cluster_b: bool, nodes: u32) -> (Rc<Cluster>, IbFabric) {
     let cluster = Rc::new(if cluster_b {
@@ -72,10 +74,7 @@ async fn echo_once(
             *got2.borrow_mut() = data.into_vec().unwrap_or_default();
         }),
     );
-    let ep = client
-        .connect(server_node, PORT, SimDuration::from_millis(100))
-        .await
-        .unwrap();
+    let ep = connect_to(client, server_node).await;
     let ctr = client.counter();
     let t0 = sim.now();
     let hdr = ctr.id().to_le_bytes().to_vec();
@@ -145,8 +144,7 @@ fn a_header_past_one_network_buffer_is_refused_at_the_send() {
     let sender = client.clone();
     let big = vec![5u8; 64 << 10];
     cluster.sim().block_on(async move {
-        let timeout = SimDuration::from_millis(100);
-        let ep = sender.connect(NodeId(1), PORT, timeout).await.unwrap();
+        let ep = connect(&sender).await;
         let (fits, over) = (
             vec![1u8; ucr::MAX_HEADER_BYTES],
             vec![1u8; ucr::MAX_HEADER_BYTES + 1],
@@ -186,16 +184,10 @@ fn origin_counter_bumps_on_local_completion() {
     let (cluster, fabric) = world(false, 2);
     let server = UcrRuntime::new(&fabric, NodeId(1));
     server.register_handler(SINK, FnHandler(|_: &Endpoint, _: &[u8], _: AmData| {}));
-    let listener = server.listen(PORT).unwrap();
-    server.sim().spawn(async move {
-        let _ = listener.accept().await;
-    });
+    accept_one(&server);
     let client = UcrRuntime::new(&fabric, NodeId(0));
     cluster.sim().block_on(async move {
-        let ep = client
-            .connect(NodeId(1), PORT, SimDuration::from_millis(100))
-            .await
-            .unwrap();
+        let ep = connect(&client).await;
         let origin = client.counter();
         ep.send_message(
             SINK,
@@ -208,10 +200,7 @@ fn origin_counter_bumps_on_local_completion() {
         )
         .await
         .unwrap();
-        origin
-            .wait_for(1, SimDuration::from_millis(100))
-            .await
-            .unwrap();
+        origin.wait_for(1, WAIT).await.unwrap();
         assert_eq!(origin.value(), 1);
     });
 }
@@ -221,17 +210,11 @@ fn origin_counter_bumps_for_rendezvous_via_fin() {
     let (cluster, fabric) = world(false, 2);
     let server = UcrRuntime::new(&fabric, NodeId(1));
     server.register_handler(SINK, FnHandler(|_: &Endpoint, _: &[u8], _: AmData| {}));
-    let listener = server.listen(PORT).unwrap();
-    server.sim().spawn(async move {
-        let _ = listener.accept().await;
-    });
+    accept_one(&server);
     let client = UcrRuntime::new(&fabric, NodeId(0));
     let client2 = client.clone();
     cluster.sim().block_on(async move {
-        let ep = client2
-            .connect(NodeId(1), PORT, SimDuration::from_millis(100))
-            .await
-            .unwrap();
+        let ep = connect(&client2).await;
         let origin = client2.counter();
         ep.send_message(
             SINK,
@@ -244,10 +227,7 @@ fn origin_counter_bumps_for_rendezvous_via_fin() {
         )
         .await
         .unwrap();
-        origin
-            .wait_for(1, SimDuration::from_millis(100))
-            .await
-            .unwrap();
+        origin.wait_for(1, WAIT).await.unwrap();
     });
     assert!(server.stats().fins_sent.get() >= 1);
 }
@@ -257,17 +237,11 @@ fn completion_counter_requires_internal_message() {
     let (cluster, fabric) = world(false, 2);
     let server = UcrRuntime::new(&fabric, NodeId(1));
     server.register_handler(SINK, FnHandler(|_: &Endpoint, _: &[u8], _: AmData| {}));
-    let listener = server.listen(PORT).unwrap();
-    server.sim().spawn(async move {
-        let _ = listener.accept().await;
-    });
+    accept_one(&server);
     let client = UcrRuntime::new(&fabric, NodeId(0));
     let server2 = server.clone();
     cluster.sim().block_on(async move {
-        let ep = client
-            .connect(NodeId(1), PORT, SimDuration::from_millis(100))
-            .await
-            .unwrap();
+        let ep = connect(&client).await;
         let fins_before = server2.stats().fins_sent.get();
 
         // Without a completion counter: no internal message for eager.
@@ -292,10 +266,7 @@ fn completion_counter_requires_internal_message() {
         )
         .await
         .unwrap();
-        completion
-            .wait_for(1, SimDuration::from_millis(100))
-            .await
-            .unwrap();
+        completion.wait_for(1, WAIT).await.unwrap();
         assert_eq!(server2.stats().fins_sent.get(), fins_before + 1);
     });
 }
@@ -339,18 +310,12 @@ fn header_handler_can_place_into_registered_buffer() {
             placed: placed.clone(),
         },
     );
-    let listener = server.listen(PORT).unwrap();
-    server.sim().spawn(async move {
-        let _ = listener.accept().await;
-    });
+    accept_one(&server);
     let client = UcrRuntime::new(&fabric, NodeId(0));
     let payload: Vec<u8> = (0..3000).map(|i| (i % 7) as u8).collect();
     let p2 = payload.clone();
     cluster.sim().block_on(async move {
-        let ep = client
-            .connect(NodeId(1), PORT, SimDuration::from_millis(100))
-            .await
-            .unwrap();
+        let ep = connect(&client).await;
         let origin = client.counter();
         ep.send_message(
             SINK,
@@ -363,10 +328,7 @@ fn header_handler_can_place_into_registered_buffer() {
         )
         .await
         .unwrap();
-        origin
-            .wait_for(1, SimDuration::from_millis(100))
-            .await
-            .unwrap();
+        origin.wait_for(1, WAIT).await.unwrap();
     });
     cluster.sim().run();
     assert_eq!(placed.get(), payload.len());
@@ -378,17 +340,11 @@ fn header_handler_can_place_into_registered_buffer() {
 fn unknown_msg_id_is_counted_and_dropped() {
     let (cluster, fabric) = world(false, 2);
     let server = UcrRuntime::new(&fabric, NodeId(1));
-    let listener = server.listen(PORT).unwrap();
-    server.sim().spawn(async move {
-        let _ = listener.accept().await;
-    });
+    accept_one(&server);
     let client = UcrRuntime::new(&fabric, NodeId(0));
     let server2 = server.clone();
     cluster.sim().block_on(async move {
-        let ep = client
-            .connect(NodeId(1), PORT, SimDuration::from_millis(100))
-            .await
-            .unwrap();
+        let ep = connect(&client).await;
         ep.send_message(999, b"h", b"d", SendOptions::default())
             .await
             .unwrap();
@@ -405,10 +361,7 @@ fn counter_wait_times_out_when_server_dies() {
     let server = start_echo_server(&fabric, NodeId(1), 1);
     let client = UcrRuntime::new(&fabric, NodeId(0));
     cluster.sim().block_on(async move {
-        let ep = client
-            .connect(NodeId(1), PORT, SimDuration::from_millis(100))
-            .await
-            .unwrap();
+        let ep = connect(&client).await;
         // Server dies before the request.
         server.shutdown();
         let ctr = client.counter();
@@ -452,10 +405,7 @@ fn one_failing_endpoint_does_not_break_others() {
     let _ = healthy;
     let client = UcrRuntime::new(&fabric, NodeId(0));
     cluster.sim().block_on(async move {
-        let ep_dying = client
-            .connect(NodeId(1), PORT, SimDuration::from_millis(100))
-            .await
-            .unwrap();
+        let ep_dying = connect(&client).await;
         dying.shutdown();
         let ctr = client.counter();
         let hdr = ctr.id().to_le_bytes().to_vec();
@@ -649,18 +599,12 @@ fn one_sided_put_and_get_move_bytes_without_remote_handlers() {
     let desc_all = region.descriptor(0, 4096);
     let desc_head = region.descriptor(0, 16);
 
-    let listener = server.listen(PORT).unwrap();
-    server.sim().spawn(async move {
-        let _ = listener.accept().await;
-    });
+    accept_one(&server);
 
     let client = UcrRuntime::new(&fabric, NodeId(0));
     let client2 = client.clone();
     cluster.sim().block_on(async move {
-        let ep = client2
-            .connect(NodeId(1), PORT, SimDuration::from_millis(100))
-            .await
-            .unwrap();
+        let ep = connect(&client2).await;
 
         // get: pull the head of the region.
         let local = client2.register_memory(4096);
@@ -724,16 +668,10 @@ fn one_sided_get_latency_is_a_pure_round_trip() {
     let server = UcrRuntime::new(&fabric, NodeId(1));
     let region = server.register_memory(4096);
     let desc = region.descriptor(0, 4096);
-    let listener = server.listen(PORT).unwrap();
-    server.sim().spawn(async move {
-        let _ = listener.accept().await;
-    });
+    accept_one(&server);
     let client = UcrRuntime::new(&fabric, NodeId(0));
     let dt = cluster.sim().block_on(async move {
-        let ep = client
-            .connect(NodeId(1), PORT, SimDuration::from_millis(100))
-            .await
-            .unwrap();
+        let ep = connect(&client).await;
         let local = client.register_memory(4096);
         // Warm.
         let done = client.counter();
@@ -837,10 +775,7 @@ mod properties {
                 let client = UcrRuntime::new(&fabric, NodeId(1 + c as u32));
                 let msgs = msgs.clone();
                 cluster.sim().spawn(async move {
-                    let ep = client
-                        .connect(NodeId(0), PORT, SimDuration::from_millis(100))
-                        .await
-                        .unwrap();
+                    let ep = connect_to(&client, NodeId(0)).await;
                     let origin = client.counter();
                     for msg in &msgs {
                         ep.send_message(
@@ -915,10 +850,7 @@ fn boundary_probe(payload: usize, thr: usize) -> (u64, u64, usize) {
     let rec2 = recorder.clone();
     let sender2 = sender.clone();
     cluster.sim().block_on(async move {
-        let ep = sender2
-            .connect(NodeId(1), PORT, SimDuration::from_millis(100))
-            .await
-            .unwrap();
+        let ep = connect(&sender2).await;
         // Count only the message itself (not connection setup).
         cluster2.tracer().add_sink(rec2);
         let done = sender2.counter();
@@ -1015,10 +947,7 @@ fn counter_wait_past_tracks_concurrent_bumps() {
     // A sender task streams 5 messages at the counter while the main
     // task is already waiting.
     sim.spawn(async move {
-        let ep = sender
-            .connect(NodeId(1), PORT, SimDuration::from_millis(100))
-            .await
-            .unwrap();
+        let ep = connect(&sender).await;
         for _ in 0..5 {
             ep.send_message(
                 SINK,
@@ -1059,10 +988,7 @@ fn counter_timeout_then_late_bump_does_not_stale_notify() {
     let sender = UcrRuntime::new(&fabric, NodeId(0));
     let ctr = receiver.counter();
     cluster.sim().block_on(async move {
-        let ep = sender
-            .connect(NodeId(1), PORT, SimDuration::from_millis(100))
-            .await
-            .unwrap();
+        let ep = connect(&sender).await;
         // Nothing in flight: the wait must time out.
         assert!(matches!(
             ctr.wait_for(1, SimDuration::from_micros(50)).await,
@@ -1080,9 +1006,7 @@ fn counter_timeout_then_late_bump_does_not_stale_notify() {
         )
         .await
         .unwrap();
-        ctr.wait_for(1, SimDuration::from_millis(100))
-            .await
-            .unwrap();
+        ctr.wait_for(1, WAIT).await.unwrap();
         assert_eq!(ctr.value(), 1);
         // The late bump's notification must not satisfy a *new* waiter
         // whose target is still ahead of the counter.
@@ -1172,10 +1096,16 @@ async fn back_up(rt: &UcrRuntime, ep: &Endpoint) {
     rt.sim().sleep(SimDuration::from_micros(30)).await;
 }
 
+/// Has `server` accept one endpoint on [`PORT`].
+fn accept_one(server: &UcrRuntime) {
+    let listener = server.listen(PORT).unwrap();
+    server.sim().spawn(async move {
+        let _ = listener.accept().await;
+    });
+}
+
 async fn connect_to(rt: &UcrRuntime, node: NodeId) -> Endpoint {
-    rt.connect(node, PORT, SimDuration::from_millis(100))
-        .await
-        .unwrap()
+    rt.connect(node, PORT, WAIT).await.unwrap()
 }
 
 async fn connect(rt: &UcrRuntime) -> Endpoint {
@@ -2034,18 +1964,9 @@ mod hostile_bytes {
         let hca = fabric.open(NodeId(0));
         let (pd, cq) = (hca.alloc_pd(), hca.create_cq());
         cluster.sim().block_on(async move {
-            let qp = verbs::connect(
-                &hca,
-                &pd,
-                &cq,
-                &cq,
-                None,
-                NodeId(1),
-                PORT,
-                SimDuration::from_millis(100),
-            )
-            .await
-            .unwrap();
+            let qp = verbs::connect(&hca, &pd, &cq, &cq, None, NodeId(1), PORT, WAIT)
+                .await
+                .unwrap();
             let op = verbs::SendOp::SendInline {
                 data: wire,
                 imm: None,

@@ -13,11 +13,11 @@ use std::rc::{Rc, Weak};
 
 use simnet::profiles::VerbsProfile;
 use simnet::sync;
-use simnet::{Cluster, NetKind, Network, NodeId, Sim, Tracer};
+use simnet::{Cluster, FreeList, NetKind, Network, NodeId, Sim, Tracer};
 
 use crate::cm::CmMessage;
 use crate::cq::Cq;
-use crate::mr::{MrInner, Pd};
+use crate::mr::{MrInner, Pd, IDLE_MR_RECORDS};
 use crate::qp::QpInner;
 use crate::types::VerbsError;
 
@@ -47,8 +47,8 @@ pub(crate) struct HcaInner {
     pub fabric: Weak<IbFabricInner>,
     pub mrs: RefCell<HashMap<u32, Weak<MrInner>>>,
     /// Records of deregistered regions, emptied, for the next
-    /// registrations to refill: at most [`IDLE_MR_RECORDS`](crate::IDLE_MR_RECORDS).
-    pub idle_mrs: RefCell<Vec<Rc<MrInner>>>,
+    /// registrations to refill: at most [`IDLE_MR_RECORDS`].
+    idle_mrs: FreeList<Rc<MrInner>>,
     pub qps: RefCell<HashMap<u32, Rc<QpInner>>>,
     /// By port; ordered, so `kill` closes them in port order.
     pub listeners: RefCell<BTreeMap<u16, sync::Sender<CmMessage>>>,
@@ -131,7 +131,7 @@ impl IbFabric {
             profile: self.inner.verbs,
             fabric: Rc::downgrade(&self.inner),
             mrs: RefCell::new(HashMap::new()),
-            idle_mrs: RefCell::new(Vec::new()),
+            idle_mrs: FreeList::new(IDLE_MR_RECORDS),
             qps: RefCell::new(HashMap::new()),
             listeners: RefCell::new(BTreeMap::new()),
             pending_connects: RefCell::new(BTreeMap::new()),
@@ -174,6 +174,16 @@ impl IbFabricInner {
 }
 
 impl HcaInner {
+    /// The idle record given back last, or a blank one, for a registration.
+    pub(crate) fn idle_record(&self) -> Rc<MrInner> {
+        self.idle_mrs.take().unwrap_or_default()
+    }
+
+    /// Keeps a deregistered region's emptied record unless the list is full.
+    pub(crate) fn keep_record(&self, record: Rc<MrInner>) {
+        self.idle_mrs.give_back(record);
+    }
+
     pub(crate) fn next_key(&self) -> u32 {
         let k = self.next_key.get();
         self.next_key.set(k + 1);
@@ -260,9 +270,9 @@ impl Hca {
     }
 
     /// Records of deregistered regions the adapter keeps for its next
-    /// registrations, at most [`IDLE_MR_RECORDS`](crate::IDLE_MR_RECORDS);
+    /// registrations, at most [`IDLE_MR_RECORDS`];
     /// each holds no bytes.
     pub fn idle_region_records(&self) -> usize {
-        self.inner.idle_mrs.borrow().len()
+        self.inner.idle_mrs.len()
     }
 }

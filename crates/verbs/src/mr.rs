@@ -78,7 +78,7 @@ impl Pd {
         let rkey = fresh.rkey;
         // An idle record is held by the free list alone, so it is refilled
         // in place; with none idle, a blank one is.
-        let mut inner: Rc<MrInner> = hca.idle_mrs.borrow_mut().pop().unwrap_or_default();
+        let mut inner = hca.idle_record();
         match Rc::get_mut(&mut inner) {
             Some(record) => *record = fresh,
             None => inner = Rc::new(fresh),
@@ -185,11 +185,9 @@ impl Drop for Mr {
         // No window, work request or table entry holds the record: its
         // bytes go now and the record waits for the next registration.
         // One still held is freed when its last holder lets go.
-        let unique = Rc::strong_count(&self.inner) == 1 && Rc::weak_count(&self.inner) == 0;
-        let mut idle = hca.idle_mrs.borrow_mut();
-        if unique && idle.len() < IDLE_MR_RECORDS {
+        if Rc::strong_count(&self.inner) == 1 && Rc::weak_count(&self.inner) == 0 {
             *self.inner.buf.borrow_mut() = Vec::new();
-            idle.push(self.inner.clone());
+            hca.keep_record(self.inner.clone());
         }
     }
 }

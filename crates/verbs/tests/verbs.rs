@@ -1473,13 +1473,13 @@ fn a_record_still_held_by_a_window_or_a_work_request_is_not_reused() {
     }
 }
 
-/// An HCA keeps at most `IDLE_MR_RECORDS` idle records, whatever is
-/// deregistered at once, and each registration after takes one under a
-/// key never handed out before.
+/// An HCA keeps at most `IDLE_MR_RECORDS` idle records, one more
+/// deregistered at once is freed, and each registration after takes one
+/// under a key never handed out before.
 #[test]
 fn the_idle_record_list_keeps_its_cap_and_its_keys_stay_fresh() {
     let (_cluster, a, _b) = pair(true);
-    let regions: Vec<_> = (0..2 * IDLE_MR_RECORDS)
+    let regions: Vec<_> = (0..IDLE_MR_RECORDS + 1)
         .map(|_| a.pd.register(64, Access::LOCAL_WRITE))
         .collect();
     let last_key = regions.iter().map(|mr| mr.rkey()).max().unwrap();

@@ -23,8 +23,11 @@
 //! allocates is the parsed frames at both ends (`BinFrame::parse`) and the
 //! client's frame list; a UDP get, the datagrams and their reassembly. They
 //! also pin that a run leaves no dead
-//! timers behind: the event queue holds live events only, and that a UCR
-//! runtime holds the receive buffers its traffic needs, not its pool's cap.
+//! timers behind: the event queue holds live events only; that a UCR
+//! runtime holds the receive buffers its traffic needs, not its pool's cap;
+//! and that the live bytes of every budget shape (allocated minus
+//! freed) stay flat once it is warm: what an operation allocates it frees,
+//! and every pool and table holds its bound.
 //!
 //! The budgets are counts, not timings: for a given build they repeat but
 //! for a hash table that happens to grow inside the measured loop, which is
@@ -56,6 +59,8 @@ thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     /// Bytes asked for by those allocations (a `realloc` counts its new size).
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Bytes given back: a `dealloc`'s, and a `realloc`'s old size.
+    static FREED: Cell<u64> = const { Cell::new(0) };
     /// Where allocations are attributed while a site table is being made
     /// (leaked, so the thread-local has no destructor to register).
     static SITES: Cell<Option<&'static SiteTable>> = const { Cell::new(None) };
@@ -64,6 +69,15 @@ thread_local! {
 /// Counts the calling thread's allocations; per-thread, so the tests of
 /// this binary do not count each other.
 struct Counting;
+
+fn freed(bytes: usize) {
+    let _ = FREED.try_with(|c| c.set(c.get() + bytes as u64));
+}
+
+/// Bytes allocated and not yet freed by the calling thread.
+fn live_bytes() -> i64 {
+    BYTES.with(Cell::get) as i64 - FREED.with(Cell::get) as i64
+}
 
 fn bump(bytes: usize) {
     // `try_with`: an allocation made while the thread's locals are torn down
@@ -121,12 +135,14 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         bump(new_size);
+        freed(layout.size());
         // SAFETY: as in `alloc`; `ptr` and `layout` come from this allocator,
         // which only ever hands out `System` blocks.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        freed(layout.size());
         // SAFETY: as in `realloc`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -150,6 +166,9 @@ fn key(i: usize) -> Vec<u8> {
 struct Load {
     allocs: u64,
     bytes: u64,
+    /// Change in live bytes (allocated minus freed) over the loop, once
+    /// its tasks and keys are gone: set by [`Shape::run`].
+    live: i64,
     ops: u64,
 }
 
@@ -166,6 +185,7 @@ impl Load {
         Load {
             allocs: ALLOCS.with(Cell::get) - before.0,
             bytes: BYTES.with(Cell::get) - before.1,
+            live: 0,
             ops: completed.get(),
         }
     }
@@ -295,7 +315,12 @@ impl Shape {
     }
 
     fn run(&self, ops: u64) -> Load {
-        (self.drive)(self, ops)
+        let before = live_bytes();
+        let load = (self.drive)(self, ops);
+        Load {
+            live: live_bytes() - before,
+            ..load
+        }
     }
 
     /// Where `ops` more operations allocate: per call site (the innermost
@@ -313,9 +338,11 @@ impl Shape {
     }
 
     /// Warms the testbed up, then holds a measured run to `budget`
-    /// allocations per operation and to an event queue of live events.
+    /// allocations per operation, its live bytes to a drift of `drift`
+    /// either way (what an operation allocates it frees, so no table grows
+    /// with the operations run) and its event queue to live events.
     /// Returns the measured run.
-    fn stays_within(&self, budget: f64) -> Load {
+    fn stays_within(&self, budget: f64, drift: u64) -> Load {
         self.run(WARMUP_OPS);
         let load = self.run(MEASURED_OPS);
         let per_op = load.allocs_per_op();
@@ -323,6 +350,13 @@ impl Shape {
             per_op <= budget,
             "{}: {per_op:.2} allocations per operation (budget {budget})",
             self.name
+        );
+        assert!(
+            load.live.unsigned_abs() <= drift,
+            "{}: live bytes drifted by {} over {} operations (bound {drift})",
+            self.name,
+            load.live,
+            load.ops
         );
         // Every get arms a 250 ms timeout and wins it within microseconds:
         // the cancelled timers must be gone, not waiting out their deadline.
@@ -443,7 +477,7 @@ fn ascii_socket_sets_and_gets() -> Shape {
 #[test]
 fn ucr_small_gets_stay_within_the_allocation_budget() {
     let shape = ucr_small_gets();
-    let load = shape.stays_within(2.0); // measured 1.00
+    let load = shape.stays_within(2.0, 1024); // measured 1.00 and 0 B
     shape.holds_recv_buffers(7, 4); // measured 5 and 2
                                     // One word more on a per-op allocation fails this.
     let bytes = load.bytes_per_op();
@@ -475,7 +509,8 @@ fn a_profiler_adds_few_allocations_to_a_ucr_get() {
 #[test]
 fn ucr_pipelined_gets_stay_within_the_allocation_budget() {
     let shape = ucr_pipelined_gets();
-    let load = shape.stays_within(2.01); // measured 1.01
+    // A table reaches its working size in the measured run.
+    let load = shape.stays_within(2.01, 12_288); // measured 1.01 and 10 340 B
     shape.holds_recv_buffers(9, 4); // measured 7 and 2
     let bytes = load.bytes_per_op();
     assert!(
@@ -491,7 +526,7 @@ fn ucr_pipelined_gets_stay_within_the_allocation_budget() {
 
 #[test]
 fn ascii_socket_gets_stay_within_the_allocation_budget() {
-    let load = ascii_socket_gets().stays_within(2.0); // measured 1.00
+    let load = ascii_socket_gets().stays_within(2.0, 1024); // measured 1.00 and 0 B
     let bytes = load.bytes_per_op();
     assert!(
         bytes <= (1024 + 7) as f64, // measured 1 024.0
@@ -535,12 +570,12 @@ fn an_ascii_socket_get_allocates_only_the_clients_value() {
 
 #[test]
 fn binary_socket_gets_stay_within_the_allocation_budget() {
-    binary_socket_gets().stays_within(8.0); // measured 7.00
+    binary_socket_gets().stays_within(8.0, 1024); // measured 7.00 and 0 B
 }
 
 #[test]
 fn udp_gets_stay_within_the_allocation_budget() {
-    udp_gets().stays_within(15.0); // measured 14.00
+    udp_gets().stays_within(15.0, 1024); // measured 14.00 and 0 B
 }
 
 /// A get hit leaves the slab once: the store lends it and the front-end
@@ -569,7 +604,7 @@ fn get_hits_allocate_nothing_in_the_store() {
 
 #[test]
 fn ascii_socket_sets_and_gets_stay_within_the_allocation_budget() {
-    let load = ascii_socket_sets_and_gets().stays_within(1.5); // measured 0.50
+    let load = ascii_socket_sets_and_gets().stays_within(1.5, 1024); // measured 0.50 and 0 B
     let bytes = load.bytes_per_op();
     assert!(
         bytes <= (512 + 7) as f64, // measured 512.0
@@ -752,7 +787,7 @@ fn ucr_4k_gets() -> Shape {
 #[test]
 fn ucr_4k_gets_stay_within_the_allocation_budget() {
     let shape = ucr_4k_gets();
-    let load = shape.stays_within(2.0); // measured 1.00
+    let load = shape.stays_within(2.0, 1024); // measured 1.00 and 0 B
     shape.holds_recv_buffers(4, 4); // measured 2 and 2
     let bytes = load.bytes_per_op();
     assert!(
@@ -830,7 +865,7 @@ fn a_64k_ucr_get_allocates_only_the_clients_value() {
 #[test]
 fn ucr_64k_sets_and_gets_stay_within_the_allocation_budget() {
     let shape = ucr_64k_sets_and_gets();
-    let load = shape.stays_within(1.5); // measured 0.50
+    let load = shape.stays_within(1.5, 1024); // measured 0.50 and 64 B
     shape.holds_recv_buffers(6, 4); // measured 4 and 2
     let bytes = load.bytes_per_op();
     assert!(
@@ -1026,8 +1061,10 @@ fn targeted_events_allocate_nothing_in_steady_state() {
 /// call site (the innermost frame in `crates/`), allocations and bytes per
 /// operation over a thousand operations on a warmed-up testbed. Slow — every
 /// allocation takes a backtrace — and a report, not a check:
-/// `cargo test --test alloc_budget -- --ignored --nocapture`. A UCR shape
-/// also prints the receive buffers each runtime holds.
+/// `cargo test --test alloc_budget -- --ignored --nocapture`. Each shape
+/// also prints how far its live bytes drifted over a measured run as long
+/// as the budget tests', and a UCR shape the receive buffers each runtime
+/// holds.
 #[test]
 #[ignore = "prints the allocation site table; slow"]
 fn print_allocation_sites() {
@@ -1045,6 +1082,7 @@ fn print_allocation_sites() {
     ];
     for shape in shapes {
         shape.run(WARMUP_OPS);
+        let measured = shape.run(MEASURED_OPS);
         let (sites, ops) = shape.census(OPS);
         let ops = ops as f64;
         // Summed over the table: the run's own count includes what taking
@@ -1053,10 +1091,13 @@ fn print_allocation_sites() {
             .iter()
             .fold((0, 0), |sum, (_, site)| (sum.0 + site.0, sum.1 + site.1));
         println!(
-            "\n{}: {:.2} allocs/op, {:.0} bytes/op over {ops} operations",
+            "\n{}: {:.2} allocs/op, {:.0} bytes/op over {ops} operations; \
+             live bytes drifted by {} over {}",
             shape.name,
             allocs as f64 / ops,
-            bytes as f64 / ops
+            bytes as f64 / ops,
+            measured.live,
+            measured.ops
         );
         println!("{:>10} {:>10}  site", "allocs/op", "bytes/op");
         for (site, (count, bytes)) in sites {
