@@ -47,6 +47,7 @@ use std::fmt::Write as _;
 use std::rc::Rc;
 
 use crate::fabric::NodeId;
+use crate::free_list::FreeList;
 use crate::metrics::{Counter, Histogram, Metrics};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Event, EventSink, Layer, Phase, Tracer, Track};
@@ -202,6 +203,9 @@ const TOP_SIGNATURES: usize = 4;
 /// How many of the slowest completed paths the profiler keeps.
 pub const SLOWEST_KEPT: usize = 8;
 
+/// Emptied fold stacks kept for the next lane to open.
+const IDLE_LANE_STACKS: usize = 64;
+
 /// Profiler tunables: none are left. [`Profiler::attach`] still takes
 /// one, so callers that name it keep building.
 #[derive(Clone, Copy, Debug, Default)]
@@ -260,6 +264,8 @@ pub struct Profiler {
     /// stack and aggregate into the same folded path. A lock span's
     /// inclusive time is charged to its op when its frame pops.
     stacks: RefCell<HashMap<LaneKey, Vec<Frame>>>,
+    /// The stacks of closed lanes, emptied, for lanes yet to open.
+    idle_stacks: FreeList<Vec<Frame>>,
     /// Folded exclusive totals: stack path → nanoseconds.
     folded: RefCell<BTreeMap<String, u64>>,
     /// The [`SLOWEST_KEPT`] slowest completed paths, by `end_to_end`
@@ -290,6 +296,7 @@ impl Profiler {
         Rc::new(Profiler {
             open: RefCell::new(HashMap::new()),
             stacks: RefCell::new(HashMap::new()),
+            idle_stacks: FreeList::new(IDLE_LANE_STACKS),
             folded: RefCell::new(BTreeMap::new()),
             slowest: RefCell::new(Vec::with_capacity(SLOWEST_KEPT)),
             completed: metrics.counter("profile.paths"),
@@ -582,7 +589,7 @@ impl Profiler {
         self.stacks
             .borrow_mut()
             .entry((ev.node, ev.track, ev.op))
-            .or_default()
+            .or_insert_with(|| self.idle_stacks.take().unwrap_or_default())
             .push(Frame {
                 layer: ev.layer,
                 name: ev.name,
@@ -636,7 +643,9 @@ impl Profiler {
             }
         }
         if stack.is_empty() {
-            stacks.remove(&key);
+            if let Some(stack) = stacks.remove(&key) {
+                self.idle_stacks.give_back(stack);
+            }
         }
     }
 }

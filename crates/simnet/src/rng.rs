@@ -112,7 +112,7 @@ impl SimRng {
     ///
     /// Known defect, kept because fixing it moves `results/mcslap.json` and
     /// `ext_bypass_get.*`: the continuous draw `x` lies in `(1, n)`, so rank
-    /// `n - 1` is never returned (ROADMAP direction 5 re-calibrates it).
+    /// `n - 1` is never returned (ROADMAP direction 7(b) re-calibrates it).
     pub fn gen_zipf(&mut self, n: usize, s: f64) -> usize {
         assert!(n > 0);
         if s <= f64::EPSILON {

@@ -30,8 +30,8 @@ mod slab;
 mod store;
 
 pub use shard::{SegmentedStore, ShardRouter};
-pub use slab::{ClassId, ClassStats, SlabAllocator, SlabConfig, SlabLoc};
+pub use slab::{ClassId, ClassStats, SlabAllocator, SlabConfig, SlabLoc, ITEM_HEADER_SIZE};
 pub use store::{
     hash_key, normalize_exptime, ItemLocation, NumericError, SetOutcome, SlabEvent, Store,
-    StoreConfig, StoreStats, Value, ITEM_HEADER_SIZE, MAX_KEY_LEN, REALTIME_MAXDELTA,
+    StoreConfig, StoreStats, Value, MAX_KEY_LEN, REALTIME_MAXDELTA,
 };

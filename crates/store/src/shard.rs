@@ -10,7 +10,9 @@
 //! [`ShardRouter`](crate::ShardRouter).
 
 use crate::slab::{ClassId, ClassStats};
-use crate::store::{hash_key, ItemLocation, SlabEvent, Store, StoreConfig, StoreStats};
+use crate::store::{
+    hash_key, item_lines, slab_lines, ItemLocation, SlabEvent, Store, StoreConfig, StoreStats,
+};
 
 /// The hash→shard routing policy: a power-of-two shard count indexed by
 /// the *upper* 16 hash bits, so the lower bits remain well distributed
@@ -233,35 +235,17 @@ impl SegmentedStore {
     /// `stats slabs`-style lines aggregated across segments; byte-identical
     /// to [`Store::slab_stat_lines`] for a single segment.
     pub fn slab_stat_lines(&self) -> Vec<(String, String)> {
-        let mut out = Vec::new();
-        for c in 0..self.class_count() {
-            let st = self.class_stats(ClassId(c as u8));
-            if st.pages == 0 {
-                continue;
-            }
-            out.push((format!("{c}:chunk_size"), st.chunk_size.to_string()));
-            out.push((format!("{c}:total_pages"), st.pages.to_string()));
-            out.push((format!("{c}:used_chunks"), st.used.to_string()));
-            out.push((format!("{c}:free_chunks"), st.free.to_string()));
-        }
-        out.push(("active_slabs".into(), out.len().to_string()));
-        out
+        slab_lines(self.class_count(), |c| self.class_stats(c))
     }
 
     /// `stats items`-style lines aggregated across segments; byte-identical
     /// to [`Store::item_stat_lines`] for a single segment.
     pub fn item_stat_lines(&self) -> Vec<(String, String)> {
-        let mut out = Vec::new();
-        for c in 0..self.class_count() {
-            let used = self.class_stats(ClassId(c as u8)).used;
-            if used == 0 {
-                continue;
-            }
-            let evicted = self.class_evicted(ClassId(c as u8));
-            out.push((format!("items:{c}:number"), used.to_string()));
-            out.push((format!("items:{c}:evicted"), evicted.to_string()));
-        }
-        out
+        item_lines(
+            self.class_count(),
+            |c| self.class_stats(c),
+            |c| self.class_evicted(c),
+        )
     }
 }
 

@@ -11,56 +11,42 @@
 //!
 //! Unlike an accounting-only model, chunks here own real bytes: items are
 //! written into and read out of page memory, so property tests can verify
-//! no two live items ever overlap.
+//! no two live items ever overlap. A chunk holds its item's key and value
+//! from its first byte and the item's header in its last
+//! [`ITEM_HEADER_SIZE`] bytes. A chunk is named by its id, a `u32` packing
+//! its class, its page and its place in the page; no id is `u32::MAX`.
 
-use std::fmt;
+use std::ops::Range;
+
+/// Bytes of item header at the tail of every chunk (memcached's
+/// `sizeof(item)` ballpark); counted toward size-class selection, so a
+/// payload never reaches them.
+pub const ITEM_HEADER_SIZE: usize = 48;
 
 /// Identifies a slab class (index into the class table).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct ClassId(pub u8);
 
-/// The location of an allocated chunk.
+/// Where a chunk sits: what [`SlabAllocator::loc_of`] makes of its id.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct SlabLoc {
     /// Owning class.
     pub class: ClassId,
     /// Page index within the class.
-    page: u32,
+    pub page: u32,
     /// Chunk index within the page.
-    chunk: u32,
-}
-
-impl SlabLoc {
-    /// A placeholder location (class 0, page 0, chunk 0) for slots whose
-    /// real location is assigned immediately after.
-    pub fn placeholder() -> SlabLoc {
-        SlabLoc {
-            class: ClassId(0),
-            page: 0,
-            chunk: 0,
-        }
-    }
-
-    /// Page index within the owning class.
-    pub fn page(&self) -> u32 {
-        self.page
-    }
-
-    /// Chunk index within the page.
-    pub fn chunk(&self) -> u32 {
-        self.chunk
-    }
+    pub chunk: u32,
 }
 
 struct SlabClass {
-    /// Chunk size in bytes (includes the modeled item header).
+    /// Chunk size in bytes (includes the item header).
     chunk_size: u32,
     /// Chunks per page.
     per_page: u32,
     /// Page storage (each page is one Vec).
     pages: Vec<Box<[u8]>>,
-    /// Freed chunks, reused last-freed first.
-    free: Vec<SlabLoc>,
+    /// Ids of freed chunks, reused last-freed first.
+    free: Vec<u32>,
     /// Chunks of the newest page never handed out (memcached 1.4's
     /// `end_page_free`): carved one at a time once `free` is empty.
     uncarved: u32,
@@ -73,6 +59,26 @@ struct SlabClass {
     /// change, which is what lets a remote reader detect that a directly
     /// read chunk raced with a writer (RFP-style bypass gets).
     versions: Vec<u64>,
+}
+
+impl SlabClass {
+    fn new(chunk_size: usize, page_size: usize) -> SlabClass {
+        SlabClass {
+            chunk_size: chunk_size as u32,
+            per_page: (page_size / chunk_size) as u32,
+            pages: Vec::new(),
+            free: Vec::new(),
+            uncarved: 0,
+            used: 0,
+            alloc_count: 0,
+            versions: Vec::new(),
+        }
+    }
+
+    /// Chunks carved from the class's pages so far.
+    fn carved(&self) -> u32 {
+        self.pages.len() as u32 * self.per_page - self.uncarved
+    }
 }
 
 /// Configuration for the allocator.
@@ -119,6 +125,10 @@ pub struct SlabAllocator {
     classes: Vec<SlabClass>,
     config: SlabConfig,
     mem_allocated: usize,
+    /// Bits of a chunk id below its page: its place in the page.
+    chunk_bits: u32,
+    /// Bits of a chunk id below its class.
+    class_shift: u32,
     /// Bit `c`: class `c` went through [`alloc`](Self::alloc) or
     /// [`free`](Self::free), the only places its pages and chunks move,
     /// since the last [`take_moved`](Self::take_moved).
@@ -135,34 +145,25 @@ impl SlabAllocator {
         let mut size = config.min_chunk;
         while size < config.page_size && classes.len() < 62 {
             let aligned = size.next_multiple_of(8);
-            classes.push(SlabClass {
-                chunk_size: aligned as u32,
-                per_page: (config.page_size / aligned) as u32,
-                pages: Vec::new(),
-                free: Vec::new(),
-                uncarved: 0,
-                used: 0,
-                alloc_count: 0,
-                versions: Vec::new(),
-            });
+            classes.push(SlabClass::new(aligned, config.page_size));
             size = ((aligned as f64) * config.growth_factor).ceil() as usize;
         }
         // Final class: one chunk per page (largest storable item).
-        classes.push(SlabClass {
-            chunk_size: config.page_size as u32,
-            per_page: 1,
-            pages: Vec::new(),
-            free: Vec::new(),
-            uncarved: 0,
-            used: 0,
-            alloc_count: 0,
-            versions: Vec::new(),
-        });
+        classes.push(SlabClass::new(config.page_size, config.page_size));
         assert!(classes.len() <= 63, "a class is one bit of the moved mask");
+        let bits = |n: u32| u32::BITS - n.leading_zeros();
+        let chunk_bits = bits(classes[0].per_page - 1);
+        let most_pages = (config.mem_limit / config.page_size) as u32;
+        let class_shift = chunk_bits + bits(most_pages.saturating_sub(1));
+        // Room for one class more than there are, so no id is all ones.
+        let class_bits = bits(classes.len() as u32);
+        assert!(class_shift + class_bits <= 32, "chunk ids must fit a u32");
         SlabAllocator {
             classes,
             config,
             mem_allocated: 0,
+            chunk_bits,
+            class_shift,
             moved: 0,
         }
     }
@@ -188,18 +189,19 @@ impl SlabAllocator {
         (idx < self.classes.len()).then_some(ClassId(idx as u8))
     }
 
-    /// Allocates a chunk in `class`: the last one freed, else the newest
-    /// page's next uncarved one, else a new page's first. `None` when the
-    /// memory limit forbids that page — the caller (the store) must evict.
-    pub fn alloc(&mut self, class: ClassId) -> Option<SlabLoc> {
+    /// Allocates a chunk in `class` and returns its id: the last one
+    /// freed, else the newest page's next uncarved one, else a new page's
+    /// first. `None` when the memory limit forbids that page — the caller
+    /// (the store) must evict.
+    pub fn alloc(&mut self, class: ClassId) -> Option<u32> {
         let limit = self.config.mem_limit;
         let page_size = self.config.page_size;
         self.moved |= 1 << class.0;
         let c = &mut self.classes[class.0 as usize];
         c.alloc_count += 1;
-        if let Some(loc) = c.free.pop() {
+        if let Some(id) = c.free.pop() {
             c.used += 1;
-            return Some(loc);
+            return Some(id);
         }
         if c.uncarved == 0 {
             if self.mem_allocated + page_size > limit {
@@ -213,45 +215,96 @@ impl SlabAllocator {
         }
         c.uncarved -= 1;
         c.used += 1;
-        Some(SlabLoc {
-            class,
-            page: c.pages.len() as u32 - 1,
-            chunk: c.per_page - 1 - c.uncarved,
-        })
+        let (page, chunk) = (c.pages.len() as u32 - 1, c.per_page - 1 - c.uncarved);
+        Some(self.id(class, page, chunk))
     }
 
     /// Returns a chunk to its class's free list.
-    pub fn free(&mut self, loc: SlabLoc) {
-        self.moved |= 1 << loc.class.0;
-        let c = &mut self.classes[loc.class.0 as usize];
-        debug_assert!(!c.free.contains(&loc), "double free of slab chunk {loc:?}");
+    pub fn free(&mut self, id: u32) {
+        let class = self.class_of(id);
+        self.moved |= 1 << class.0;
+        let c = &mut self.classes[class.0 as usize];
+        debug_assert!(!c.free.contains(&id), "double free of slab chunk {id:#x}");
         c.used -= 1;
-        c.free.push(loc);
+        c.free.push(id);
     }
 
-    /// Writes `data` at `offset` within the chunk.
-    pub fn write(&mut self, loc: SlabLoc, offset: usize, data: &[u8]) {
-        let c = &mut self.classes[loc.class.0 as usize];
-        let chunk_size = c.chunk_size as usize;
-        assert!(offset + data.len() <= chunk_size, "write outside chunk");
-        let base = loc.chunk as usize * chunk_size;
-        let page = &mut c.pages[loc.page as usize];
-        page[base + offset..base + offset + data.len()].copy_from_slice(data);
+    /// The class of a chunk id.
+    pub(crate) fn class_of(&self, id: u32) -> ClassId {
+        ClassId((id >> self.class_shift) as u8)
+    }
+
+    /// Where the chunk an id names sits.
+    pub fn loc_of(&self, id: u32) -> SlabLoc {
+        SlabLoc {
+            class: self.class_of(id),
+            page: (id & ((1 << self.class_shift) - 1)) >> self.chunk_bits,
+            chunk: id & ((1 << self.chunk_bits) - 1),
+        }
+    }
+
+    /// The id of chunk `chunk` of page `page` of `class`.
+    fn id(&self, class: ClassId, page: u32, chunk: u32) -> u32 {
+        u32::from(class.0) << self.class_shift | page << self.chunk_bits | chunk
+    }
+
+    /// The ids of every chunk of `class` carved so far, page by page.
+    pub(crate) fn carved(&self, class: ClassId) -> impl Iterator<Item = u32> + '_ {
+        let c = &self.classes[class.0 as usize];
+        (0..c.carved()).map(move |i| self.id(class, i / c.per_page, i % c.per_page))
+    }
+
+    /// Class, page and byte range within the page of a chunk id.
+    fn span(&self, id: u32) -> (usize, usize, Range<usize>) {
+        let loc = self.loc_of(id);
+        let size = self.classes[loc.class.0 as usize].chunk_size as usize;
+        let base = loc.chunk as usize * size;
+        (loc.class.0 as usize, loc.page as usize, base..base + size)
+    }
+
+    /// Writes `data` at `offset` within the chunk's payload, below its
+    /// header.
+    pub fn write(&mut self, id: u32, offset: usize, data: &[u8]) {
+        let (c, page, chunk) = self.span(id);
+        let room = chunk.len() - ITEM_HEADER_SIZE;
+        assert!(offset + data.len() <= room, "write outside chunk payload");
+        let at = chunk.start + offset;
+        self.classes[c].pages[page][at..at + data.len()].copy_from_slice(data);
     }
 
     /// Reads `len` bytes at `offset` within the chunk.
-    pub fn read(&self, loc: SlabLoc, offset: usize, len: usize) -> &[u8] {
-        let c = &self.classes[loc.class.0 as usize];
-        let chunk_size = c.chunk_size as usize;
-        assert!(offset + len <= chunk_size, "read outside chunk");
-        let base = loc.chunk as usize * chunk_size;
-        &c.pages[loc.page as usize][base + offset..base + offset + len]
+    pub fn read(&self, id: u32, offset: usize, len: usize) -> &[u8] {
+        let (c, page, chunk) = self.span(id);
+        assert!(offset + len <= chunk.len(), "read outside chunk");
+        let at = chunk.start + offset;
+        &self.classes[c].pages[page][at..at + len]
     }
 
-    /// Current seqlock version of the chunk at `loc`.
-    pub fn version(&self, loc: SlabLoc) -> u64 {
-        let c = &self.classes[loc.class.0 as usize];
-        c.versions[(loc.page * c.per_page + loc.chunk) as usize]
+    /// The chunk's payload, every byte below its item header, and the
+    /// header: its last [`ITEM_HEADER_SIZE`] bytes.
+    pub(crate) fn item(&self, id: u32) -> (&[u8], &[u8; ITEM_HEADER_SIZE]) {
+        let (c, page, chunk) = self.span(id);
+        let room = chunk.len() - ITEM_HEADER_SIZE;
+        let (payload, header) = self.classes[c].pages[page][chunk].split_at(room);
+        (payload, header.try_into().expect("a header's bytes"))
+    }
+
+    /// The chunk's item header.
+    pub(crate) fn header(&self, id: u32) -> &[u8; ITEM_HEADER_SIZE] {
+        self.item(id).1
+    }
+
+    /// The chunk's item header, to write.
+    pub(crate) fn header_mut(&mut self, id: u32) -> &mut [u8; ITEM_HEADER_SIZE] {
+        let (c, page, chunk) = self.span(id);
+        let bytes = &mut self.classes[c].pages[page][chunk.end - ITEM_HEADER_SIZE..chunk.end];
+        bytes.try_into().expect("a header's bytes")
+    }
+
+    /// Current seqlock version of the chunk.
+    pub fn version(&self, id: u32) -> u64 {
+        let loc = self.loc_of(id);
+        self.version_at(loc.class, loc.page, loc.chunk)
     }
 
     /// Bumps the chunk's version and returns the new value. The store
@@ -259,7 +312,8 @@ impl SlabAllocator {
     /// liveness (set / in-place arithmetic / touch / delete / eviction /
     /// flush), so a remote bypass reader comparing versions observes any
     /// concurrent write as a mismatch.
-    pub fn bump_version(&mut self, loc: SlabLoc) -> u64 {
+    pub fn bump_version(&mut self, id: u32) -> u64 {
+        let loc = self.loc_of(id);
         let c = &mut self.classes[loc.class.0 as usize];
         let v = &mut c.versions[(loc.page * c.per_page + loc.chunk) as usize];
         *v += 1;
@@ -271,8 +325,9 @@ impl SlabAllocator {
         self.classes[class.0 as usize].per_page
     }
 
-    /// Raw bytes of one whole chunk addressed by indices (no `SlabLoc`
-    /// needed): used by the server's bypass mirror to snapshot a page.
+    /// Raw bytes of one whole chunk addressed by indices (no chunk id
+    /// needed), header included: the server's bypass mirror copies the
+    /// bytes below the header.
     pub fn chunk_raw(&self, class: ClassId, page: u32, chunk: u32) -> &[u8] {
         let c = &self.classes[class.0 as usize];
         let chunk_size = c.chunk_size as usize;
@@ -302,11 +357,6 @@ impl SlabAllocator {
         self.mem_allocated
     }
 
-    /// The configured memory limit.
-    pub fn mem_limit(&self) -> usize {
-        self.config.mem_limit
-    }
-
     /// Statistics for one class.
     pub fn class_stats(&self, class: ClassId) -> ClassStats {
         let c = &self.classes[class.0 as usize];
@@ -317,18 +367,6 @@ impl SlabAllocator {
             free: c.free.len() as u32 + c.uncarved,
             alloc_count: c.alloc_count,
         }
-    }
-}
-
-impl fmt::Debug for SlabAllocator {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "SlabAllocator({} classes, {}/{} bytes)",
-            self.classes.len(),
-            self.mem_allocated,
-            self.config.mem_limit
-        )
     }
 }
 
@@ -415,8 +453,8 @@ mod tests {
         let c2 = s.class_for(10_000).unwrap();
         let a = s.alloc(c1).unwrap();
         let b = s.alloc(c2).unwrap();
-        assert_eq!(a.class, c1);
-        assert_eq!(b.class, c2);
+        assert_eq!(s.loc_of(a).class, c1);
+        assert_eq!(s.loc_of(b).class, c2);
         // Each grabbed its own page.
         assert_eq!(s.mem_allocated(), 2 << 20);
     }
@@ -522,14 +560,16 @@ mod tests {
                     })
                 };
                 m.used += u32::from(want.is_some());
-                assert_eq!(s.alloc(class), want, "step {step}");
+                let got = s.alloc(class).map(|id| s.loc_of(id));
+                assert_eq!(got, want, "step {step}");
                 live[i].extend(want);
             } else {
                 let at = next(live[i].len());
                 let loc = live[i].swap_remove(at);
                 m.used -= 1;
                 m.free.push(loc);
-                s.free(loc);
+                let id = s.id(class, loc.page, loc.chunk);
+                s.free(id);
             }
             let want = ClassStats {
                 chunk_size: s.chunk_size(class) as u32,

@@ -3,8 +3,11 @@
 //!
 //! Faithful to memcached 1.4.x semantics where they matter to the paper:
 //!
-//! * items live in slab chunks (`[key][value]`, plus a modeled 48-byte
-//!   header counted toward the size class);
+//! * an item lives in one slab chunk: key and value from the chunk's first
+//!   byte, its 48-byte header (hash, CAS, flags, expiry, store time,
+//!   lengths, and the hash-chain and LRU links) in the chunk's last bytes,
+//!   and the chunk's id is the item's — there is no table of items beside
+//!   the slabs;
 //! * a power-of-two chained hash table grows by **incremental expansion**
 //!   (memcached's `assoc.c`): during an expansion, un-migrated buckets are
 //!   still served from the old table and a fixed number of buckets migrate
@@ -19,11 +22,7 @@
 //! All operations take an explicit `now` (unix seconds): the engine is
 //! pure state — the simulation (or a wall-clock server) owns time.
 
-use crate::slab::{ClassId, SlabAllocator, SlabConfig, SlabLoc};
-
-/// Modeled per-item header bytes (memcached's `sizeof(item)` ballpark);
-/// counted toward size-class selection.
-pub const ITEM_HEADER_SIZE: usize = 48;
+use crate::slab::{ClassId, ClassStats, SlabAllocator, SlabConfig, SlabLoc, ITEM_HEADER_SIZE};
 
 /// Maximum key length (memcached's `KEY_MAX_LENGTH`).
 pub const MAX_KEY_LEN: usize = 250;
@@ -33,6 +32,49 @@ pub const MAX_KEY_LEN: usize = 250;
 pub const REALTIME_MAXDELTA: u32 = 60 * 60 * 24 * 30;
 
 const NIL: u32 = u32::MAX;
+
+// An item's header, the last `ITEM_HEADER_SIZE` bytes of its chunk, by
+// each field's byte offset: hash and CAS (u64), flags, expiry, store
+// time, value length and the hash-chain and LRU links (u32), key length
+// (u16) and a byte that is 1 while the chunk holds a live item.
+const HASH: usize = 0;
+const CAS: usize = 8;
+const FLAGS: usize = 16;
+/// Absolute expiry (unix seconds); 0 = never.
+const EXP: usize = 20;
+const STORED_AT: usize = 24;
+const VLEN: usize = 28;
+const H_NEXT: usize = 32;
+const LRU_PREV: usize = 36;
+const LRU_NEXT: usize = 40;
+const KLEN: usize = 44;
+const LIVE: usize = 46;
+
+fn field<const N: usize>(h: &[u8; ITEM_HEADER_SIZE], at: usize) -> [u8; N] {
+    std::array::from_fn(|i| h[at + i])
+}
+
+fn u32_at(h: &[u8; ITEM_HEADER_SIZE], at: usize) -> u32 {
+    u32::from_le_bytes(field(h, at))
+}
+
+fn u64_at(h: &[u8; ITEM_HEADER_SIZE], at: usize) -> u64 {
+    u64::from_le_bytes(field(h, at))
+}
+
+fn put32(h: &mut [u8; ITEM_HEADER_SIZE], at: usize, to: u32) {
+    h[at..at + 4].copy_from_slice(&to.to_le_bytes());
+}
+
+fn put64(h: &mut [u8; ITEM_HEADER_SIZE], at: usize, to: u64) {
+    h[at..at + 8].copy_from_slice(&to.to_le_bytes());
+}
+
+/// An item's key and value, from its chunk's payload and header.
+fn key_value<'a>(payload: &'a [u8], h: &[u8; ITEM_HEADER_SIZE]) -> (&'a [u8], &'a [u8]) {
+    let klen = usize::from(u16::from_le_bytes(field(h, KLEN)));
+    payload[..klen + u32_at(h, VLEN) as usize].split_at(klen)
+}
 
 /// FNV-1a, the hash family memcached shipped with.
 pub fn hash_key(key: &[u8]) -> u64 {
@@ -219,27 +261,9 @@ impl Default for StoreConfig {
     }
 }
 
-struct ItemSlot {
-    in_use: bool,
-    loc: SlabLoc,
-    hash: u64,
-    klen: u16,
-    vlen: u32,
-    flags: u32,
-    /// Absolute expiry (unix seconds); 0 = never.
-    exp: u32,
-    stored_at: u32,
-    cas: u64,
-    h_next: u32,
-    lru_prev: u32,
-    lru_next: u32,
-}
-
 /// The single-threaded storage engine. See the module docs.
 pub struct Store {
     slabs: SlabAllocator,
-    items: Vec<ItemSlot>,
-    free_items: Vec<u32>,
     buckets: Vec<u32>,
     old_buckets: Vec<u32>,
     expanding: bool,
@@ -266,8 +290,6 @@ impl Store {
         let classes = slabs.class_count();
         Store {
             slabs,
-            items: Vec::new(),
-            free_items: Vec::new(),
             buckets: vec![NIL; 1 << config.hashpower],
             old_buckets: Vec::new(),
             expanding: false,
@@ -378,11 +400,11 @@ impl Store {
         };
         self.stats.get_hits += 1;
         self.lru_bump(id);
-        let it = &self.items[id as usize];
+        let (payload, h) = self.slabs.item(id);
         Some(Value {
-            data: self.slabs.read(it.loc, it.klen as usize, it.vlen as usize),
-            flags: it.flags,
-            cas: it.cas,
+            data: key_value(payload, h).1,
+            flags: u32_at(h, FLAGS),
+            cas: u64_at(h, CAS),
         })
     }
 
@@ -416,19 +438,15 @@ impl Store {
     pub fn touch(&mut self, key: &[u8], exptime: u32, now: u32) -> bool {
         self.maintain();
         let exp = normalize_exptime(exptime, now);
-        match self.lookup_live(key, now) {
-            Some(id) => {
-                self.items[id as usize].exp = exp;
-                self.lru_bump(id);
-                // The item's descriptor (which carries the expiry) is now
-                // stale: advance the version so bypass readers refetch.
-                let loc = self.items[id as usize].loc;
-                let version = self.slabs.bump_version(loc);
-                self.emit(SlabEvent::Written { loc, version });
-                true
-            }
-            None => false,
-        }
+        let Some(id) = self.lookup_live(key, now) else {
+            return false;
+        };
+        put32(self.slabs.header_mut(id), EXP, exp);
+        self.lru_bump(id);
+        // The item's descriptor (which carries the expiry) is now stale:
+        // advance the version so bypass readers refetch.
+        self.changed(id, true);
+        true
     }
 
     /// Invalidates everything stored strictly before `now`, from `now` on
@@ -438,14 +456,17 @@ impl Store {
         if self.track_events {
             // Reclamation stays lazy, but bypass readers must stop trusting
             // cached descriptors immediately: bump every flushed item's
-            // chunk version so direct reads observe the skew.
-            for id in 0..self.items.len() {
-                let it = &self.items[id];
-                if it.in_use && it.stored_at < now {
-                    let loc = it.loc;
-                    let version = self.slabs.bump_version(loc);
-                    self.emit(SlabEvent::Invalidated { loc, version });
-                }
+            // chunk version so direct reads observe the skew. The live
+            // chunks are found where they sit, class by class, page by page.
+            let flushed: Vec<u32> = (0..self.slabs.class_count())
+                .flat_map(|c| self.slabs.carved(ClassId(c as u8)))
+                .filter(|&id| {
+                    self.slabs.header(id)[LIVE] == 1
+                        && u32_at(self.slabs.header(id), STORED_AT) < now
+                })
+                .collect();
+            for id in flushed {
+                self.changed(id, false);
             }
         }
     }
@@ -539,71 +560,61 @@ impl Store {
         if self.is_dead(id, now) {
             return None;
         }
-        let it = &self.items[id as usize];
+        let (exp, stored_at) = (
+            u32_at(self.slabs.header(id), EXP),
+            u32_at(self.slabs.header(id), STORED_AT),
+        );
         // A pending flush barrier that covers the item (`flush_all <delay>`)
         // ends its life at the deadline, and nothing bumps the version
         // then: report the barrier as the expiry, the one staleness signal
         // a bypass reader checks on its own clock.
-        let exp = if self.oldest_live > now && it.stored_at < self.oldest_live {
-            match it.exp {
+        let exp = if self.oldest_live > now && stored_at < self.oldest_live {
+            match exp {
                 0 => self.oldest_live,
                 exp => exp.min(self.oldest_live),
             }
         } else {
-            it.exp
+            exp
         };
         Some(ItemLocation {
-            loc: it.loc,
-            klen: it.klen,
-            vlen: it.vlen,
-            flags: it.flags,
-            cas: it.cas,
+            loc: self.slabs.loc_of(id),
+            klen: self.key(id).len() as u16,
+            vlen: u32_at(self.slabs.header(id), VLEN),
+            flags: u32_at(self.slabs.header(id), FLAGS),
+            cas: u64_at(self.slabs.header(id), CAS),
             exp,
-            version: self.slabs.version(it.loc),
+            version: self.slabs.version(id),
         })
     }
 
-    fn emit(&mut self, ev: SlabEvent) {
+    /// Bumps chunk `id`'s version and, while events are tracked, reports
+    /// the change: the chunk holds a live item (`written`) or it died.
+    fn changed(&mut self, id: u32, written: bool) {
+        let version = self.slabs.bump_version(id);
         if self.track_events {
-            self.events.push(ev);
+            let loc = self.slabs.loc_of(id);
+            self.events.push(match written {
+                true => SlabEvent::Written { loc, version },
+                false => SlabEvent::Invalidated { loc, version },
+            });
         }
     }
 
     /// `stats slabs`-style lines: one `(name, value)` pair per populated
     /// class, mirroring memcached's `STAT <class>:<field> <value>` layout.
     pub fn slab_stat_lines(&self) -> Vec<(String, String)> {
-        let mut out = Vec::new();
-        for c in 0..self.slabs.class_count() {
-            let st = self.slabs.class_stats(ClassId(c as u8));
-            if st.pages == 0 {
-                continue;
-            }
-            out.push((format!("{c}:chunk_size"), st.chunk_size.to_string()));
-            out.push((format!("{c}:total_pages"), st.pages.to_string()));
-            out.push((format!("{c}:used_chunks"), st.used.to_string()));
-            out.push((format!("{c}:free_chunks"), st.free.to_string()));
-        }
-        out.push(("active_slabs".into(), out.len().to_string()));
-        out
+        slab_lines(self.slabs.class_count(), |c| self.slabs.class_stats(c))
     }
 
-    /// `stats items`-style lines: per-class live item counts and the age
-    /// proxy memcached reports (here: the tail key's presence).
+    /// `stats items`-style lines: per-class live item counts and
+    /// evictions.
     pub fn item_stat_lines(&self) -> Vec<(String, String)> {
-        let mut out = Vec::new();
-        for c in 0..self.slabs.class_count() {
-            let class = ClassId(c as u8);
-            let used = self.slabs.class_stats(class).used;
-            if used == 0 {
-                continue;
-            }
-            out.push((format!("items:{c}:number"), used.to_string()));
-            out.push((
-                format!("items:{c}:evicted"),
-                self.evictions_by_class[c].to_string(),
-            ));
-        }
-        out
+        let evicted = |c: ClassId| self.evictions_by_class[c.0 as usize];
+        item_lines(
+            self.slabs.class_count(),
+            |c| self.slabs.class_stats(c),
+            evicted,
+        )
     }
 
     // ------------------------------------------------------------------
@@ -640,7 +651,7 @@ impl Store {
             }
             StorePolicy::Cas(expected) => {
                 let id = existing.expect("checked above");
-                if self.items[id as usize].cas != expected {
+                if u64_at(self.slabs.header(id), CAS) != expected {
                     self.stats.cas_badval += 1;
                     return SetOutcome::Exists;
                 }
@@ -654,37 +665,29 @@ impl Store {
         if let Some(id) = existing {
             self.remove_item(id);
         }
-        let Some(loc) = self.alloc_with_eviction(class, now) else {
+        let Some(id) = self.alloc_with_eviction(class, now) else {
             return SetOutcome::OutOfMemory;
         };
-        let id = self.alloc_slot();
-        let hash = hash_key(key);
         self.cas_counter += 1;
-        self.slabs.write(loc, 0, key);
-        self.slabs.write(loc, key.len(), value);
-        {
-            let slot = &mut self.items[id as usize];
-            slot.in_use = true;
-            slot.loc = loc;
-            slot.hash = hash;
-            slot.klen = key.len() as u16;
-            slot.vlen = value.len() as u32;
-            slot.flags = flags;
-            slot.exp = exp_abs;
-            slot.stored_at = now;
-            slot.cas = self.cas_counter;
-            slot.h_next = NIL;
-            slot.lru_prev = NIL;
-            slot.lru_next = NIL;
-        }
-        self.hash_insert(id);
+        self.slabs.write(id, 0, key);
+        self.slabs.write(id, key.len(), value);
+        let hash = hash_key(key);
+        let h = self.slabs.header_mut(id);
+        put64(h, HASH, hash);
+        put64(h, CAS, self.cas_counter);
+        put32(h, FLAGS, flags);
+        put32(h, EXP, exp_abs);
+        put32(h, STORED_AT, now);
+        put32(h, VLEN, value.len() as u32);
+        h[KLEN..KLEN + 2].copy_from_slice(&(key.len() as u16).to_le_bytes());
+        h[LIVE] = 1;
+        self.hash_insert(id, hash);
         self.lru_push_front(id);
         self.item_count += 1;
         self.bytes_stored += (key.len() + value.len()) as u64;
         self.stats.sets += 1;
         self.stats.total_items += 1;
-        let version = self.slabs.bump_version(loc);
-        self.emit(SlabEvent::Written { loc, version });
+        self.changed(id, true);
         SetOutcome::Stored
     }
 
@@ -693,25 +696,17 @@ impl Store {
         let Some(id) = self.lookup_live(key, now) else {
             return SetOutcome::NotStored;
         };
-        let it = &self.items[id as usize];
-        let old = self
-            .slabs
-            .read(it.loc, it.klen as usize, it.vlen as usize)
-            .to_vec();
-        let (flags, exp_abs) = (it.flags, it.exp);
-        let mut newval = Vec::with_capacity(old.len() + data.len());
-        if append {
-            newval.extend_from_slice(&old);
-            newval.extend_from_slice(data);
-        } else {
-            newval.extend_from_slice(data);
-            newval.extend_from_slice(&old);
-        }
+        let old = self.value(id);
+        let newval = match append {
+            true => [old, data].concat(),
+            false => [data, old].concat(),
+        };
+        let (flags, exp) = (
+            u32_at(self.slabs.header(id), FLAGS),
+            u32_at(self.slabs.header(id), EXP),
+        );
         // Re-store with the item's absolute expiry preserved.
-        match self.store_item(key, &newval, flags, exp_abs, now, StorePolicy::Set) {
-            SetOutcome::Stored => SetOutcome::Stored,
-            other => other,
-        }
+        self.store_item(key, &newval, flags, exp, now, StorePolicy::Set)
     }
 
     fn arith(&mut self, key: &[u8], delta: u64, now: u32, up: bool) -> Result<u64, NumericError> {
@@ -719,8 +714,7 @@ impl Store {
         let Some(id) = self.lookup_live(key, now) else {
             return Err(NumericError::NotFound);
         };
-        let it = &self.items[id as usize];
-        let raw = self.slabs.read(it.loc, it.klen as usize, it.vlen as usize);
+        let raw = self.value(id);
         let text = std::str::from_utf8(raw).map_err(|_| NumericError::NotNumeric)?;
         let cur: u64 = text.trim().parse().map_err(|_| NumericError::NotNumeric)?;
         let newv = if up {
@@ -729,25 +723,25 @@ impl Store {
             cur.saturating_sub(delta)
         };
         let text = newv.to_string();
-        let (flags, exp_abs, loc, klen, old_vlen) = {
-            let it = &self.items[id as usize];
-            (it.flags, it.exp, it.loc, it.klen as usize, it.vlen as usize)
-        };
         self.stats.incr_hits += 1;
-        if text.len() <= old_vlen {
+        let vlen = u32_at(self.slabs.header(id), VLEN);
+        if text.len() <= vlen as usize {
             // Fits in place (memcached pads shorter numbers by rewriting
             // the length).
-            self.slabs.write(loc, klen, text.as_bytes());
+            self.slabs.write(id, self.key(id).len(), text.as_bytes());
             self.cas_counter += 1;
-            let it = &mut self.items[id as usize];
-            self.bytes_stored -= (old_vlen - text.len()) as u64;
-            it.vlen = text.len() as u32;
-            it.cas = self.cas_counter;
-            let version = self.slabs.bump_version(loc);
-            self.emit(SlabEvent::Written { loc, version });
+            self.bytes_stored -= u64::from(vlen) - text.len() as u64;
+            let h = self.slabs.header_mut(id);
+            put32(h, VLEN, text.len() as u32);
+            put64(h, CAS, self.cas_counter);
+            self.changed(id, true);
             Ok(newv)
         } else {
-            match self.store_item(key, text.as_bytes(), flags, exp_abs, now, StorePolicy::Set) {
+            let (flags, exp) = (
+                u32_at(self.slabs.header(id), FLAGS),
+                u32_at(self.slabs.header(id), EXP),
+            );
+            match self.store_item(key, text.as_bytes(), flags, exp, now, StorePolicy::Set) {
                 SetOutcome::Stored => Ok(newv),
                 _ => Err(NumericError::NotFound),
             }
@@ -758,9 +752,9 @@ impl Store {
     // Allocation / eviction
     // ------------------------------------------------------------------
 
-    fn alloc_with_eviction(&mut self, class: ClassId, now: u32) -> Option<SlabLoc> {
-        if let Some(loc) = self.slabs.alloc(class) {
-            return Some(loc);
+    fn alloc_with_eviction(&mut self, class: ClassId, now: u32) -> Option<u32> {
+        if let Some(id) = self.slabs.alloc(class) {
+            return Some(id);
         }
         if !self.config.evict_on_full {
             return None;
@@ -780,55 +774,46 @@ impl Store {
                 self.evictions_by_class[class.0 as usize] += 1;
             }
             self.remove_item(tail);
-            if let Some(loc) = self.slabs.alloc(class) {
-                return Some(loc);
+            if let Some(id) = self.slabs.alloc(class) {
+                return Some(id);
             }
         }
         None
     }
 
-    fn alloc_slot(&mut self) -> u32 {
-        if let Some(id) = self.free_items.pop() {
-            return id;
-        }
-        let id = self.items.len() as u32;
-        self.items.push(ItemSlot {
-            in_use: false,
-            // Placeholder: overwritten by the caller right away.
-            loc: SlabLoc::placeholder(),
-            hash: 0,
-            klen: 0,
-            vlen: 0,
-            flags: 0,
-            exp: 0,
-            stored_at: 0,
-            cas: 0,
-            h_next: NIL,
-            lru_prev: NIL,
-            lru_next: NIL,
-        });
-        id
+    fn remove_item(&mut self, id: u32) {
+        let (payload, h) = self.slabs.item(id);
+        let (key, value) = key_value(payload, h);
+        let (hash, bytes) = (u64_at(h, HASH), key.len() + value.len());
+        self.hash_unlink(id, hash);
+        self.lru_unlink(id);
+        let live = &mut self.slabs.header_mut(id)[LIVE];
+        debug_assert_eq!(*live, 1);
+        *live = 0;
+        self.item_count -= 1;
+        self.bytes_stored -= bytes as u64;
+        self.changed(id, false);
+        self.slabs.free(id);
     }
 
-    fn remove_item(&mut self, id: u32) {
-        self.hash_unlink(id);
-        self.lru_unlink(id);
-        let it = &mut self.items[id as usize];
-        debug_assert!(it.in_use);
-        it.in_use = false;
-        self.item_count -= 1;
-        self.bytes_stored -= (it.klen as u64) + (it.vlen as u64);
-        let loc = it.loc;
-        let version = self.slabs.bump_version(loc);
-        self.emit(SlabEvent::Invalidated { loc, version });
-        self.slabs.free(loc);
-        self.free_items.push(id);
+    /// Item `id`'s key, where it sits in its chunk.
+    fn key(&self, id: u32) -> &[u8] {
+        let (payload, h) = self.slabs.item(id);
+        key_value(payload, h).0
+    }
+
+    /// Item `id`'s value, where it sits in its chunk.
+    fn value(&self, id: u32) -> &[u8] {
+        let (payload, h) = self.slabs.item(id);
+        key_value(payload, h).1
     }
 
     // ------------------------------------------------------------------
     // Hash table with incremental expansion
     // ------------------------------------------------------------------
 
+    /// Where `hash`'s bucket is: in the old table (`true`) while an
+    /// expansion has not migrated it yet, else in the new one.
     fn bucket_index(&self, hash: u64) -> (bool, usize) {
         if self.expanding {
             let old_idx = (hash as usize) & (self.old_buckets.len() - 1);
@@ -839,64 +824,50 @@ impl Store {
         (false, (hash as usize) & (self.buckets.len() - 1))
     }
 
-    fn hash_insert(&mut self, id: u32) {
-        let hash = self.items[id as usize].hash;
-        let (in_old, idx) = self.bucket_index(hash);
-        let head = if in_old {
-            &mut self.old_buckets[idx]
-        } else {
-            &mut self.buckets[idx]
-        };
-        self.items[id as usize].h_next = *head;
-        *head = id;
+    /// The head of `hash`'s chain.
+    fn bucket(&mut self, hash: u64) -> &mut u32 {
+        match self.bucket_index(hash) {
+            (true, idx) => &mut self.old_buckets[idx],
+            (false, idx) => &mut self.buckets[idx],
+        }
+    }
+
+    fn hash_insert(&mut self, id: u32, hash: u64) {
+        let next = std::mem::replace(self.bucket(hash), id);
+        put32(self.slabs.header_mut(id), H_NEXT, next);
         self.maybe_start_expansion();
     }
 
-    fn hash_unlink(&mut self, id: u32) {
-        let hash = self.items[id as usize].hash;
-        let (in_old, idx) = self.bucket_index(hash);
-        let mut cur = if in_old {
-            self.old_buckets[idx]
-        } else {
-            self.buckets[idx]
-        };
+    fn hash_unlink(&mut self, id: u32, hash: u64) {
+        let next = u32_at(self.slabs.header(id), H_NEXT);
+        let mut cur = *self.bucket(hash);
         if cur == id {
-            let next = self.items[id as usize].h_next;
-            if in_old {
-                self.old_buckets[idx] = next;
-            } else {
-                self.buckets[idx] = next;
-            }
+            *self.bucket(hash) = next;
             return;
         }
         while cur != NIL {
-            let next = self.items[cur as usize].h_next;
-            if next == id {
-                self.items[cur as usize].h_next = self.items[id as usize].h_next;
+            let after = u32_at(self.slabs.header(cur), H_NEXT);
+            if after == id {
+                put32(self.slabs.header_mut(cur), H_NEXT, next);
                 return;
             }
-            cur = next;
+            cur = after;
         }
         debug_assert!(false, "unlinking an item that is not in its bucket");
     }
 
     fn lookup(&self, key: &[u8]) -> Option<u32> {
         let hash = hash_key(key);
-        let (in_old, idx) = self.bucket_index(hash);
-        let mut cur = if in_old {
-            self.old_buckets[idx]
-        } else {
-            self.buckets[idx]
+        let mut cur = match self.bucket_index(hash) {
+            (true, idx) => self.old_buckets[idx],
+            (false, idx) => self.buckets[idx],
         };
         while cur != NIL {
-            let it = &self.items[cur as usize];
-            if it.hash == hash {
-                let stored = self.slabs.read(it.loc, 0, it.klen as usize);
-                if stored == key {
-                    return Some(cur);
-                }
+            let (payload, h) = self.slabs.item(cur);
+            if u64_at(h, HASH) == hash && key_value(payload, h).0 == key {
+                return Some(cur);
             }
-            cur = it.h_next;
+            cur = u32_at(h, H_NEXT);
         }
         None
     }
@@ -913,19 +884,17 @@ impl Store {
     }
 
     fn is_dead(&self, id: u32, now: u32) -> bool {
-        let it = &self.items[id as usize];
+        let h = self.slabs.header(id);
+        let (exp, stored_at) = (u32_at(h, EXP), u32_at(h, STORED_AT));
         // A flush barrier set in the future (`flush_all <delay>`) kills
         // nothing until the clock reaches it.
         let flushed =
-            self.oldest_live != 0 && self.oldest_live <= now && it.stored_at < self.oldest_live;
-        (it.exp != 0 && it.exp <= now) || flushed
+            self.oldest_live != 0 && self.oldest_live <= now && stored_at < self.oldest_live;
+        (exp != 0 && exp <= now) || flushed
     }
 
     fn maybe_start_expansion(&mut self) {
-        if self.expanding {
-            return;
-        }
-        if self.item_count <= (self.buckets.len() as u64 * 3) / 2 {
+        if self.expanding || self.item_count <= (self.buckets.len() as u64 * 3) / 2 {
             return;
         }
         let new_size = self.buckets.len() * 2;
@@ -952,10 +921,10 @@ impl Store {
             // migrated items into the new table.
             self.expand_pos += 1;
             while cur != NIL {
-                let next = self.items[cur as usize].h_next;
-                let hash = self.items[cur as usize].hash;
-                let idx = (hash as usize) & (self.buckets.len() - 1);
-                self.items[cur as usize].h_next = self.buckets[idx];
+                let next = u32_at(self.slabs.header(cur), H_NEXT);
+                let idx =
+                    (u64_at(self.slabs.header(cur), HASH) as usize) & (self.buckets.len() - 1);
+                put32(self.slabs.header_mut(cur), H_NEXT, self.buckets[idx]);
                 self.buckets[idx] = cur;
                 cur = next;
             }
@@ -967,12 +936,13 @@ impl Store {
     // ------------------------------------------------------------------
 
     fn lru_push_front(&mut self, id: u32) {
-        let class = self.items[id as usize].loc.class.0 as usize;
+        let class = self.slabs.class_of(id).0 as usize;
         let head = self.lru_head[class];
-        self.items[id as usize].lru_prev = NIL;
-        self.items[id as usize].lru_next = head;
+        let h = self.slabs.header_mut(id);
+        put32(h, LRU_PREV, NIL);
+        put32(h, LRU_NEXT, head);
         if head != NIL {
-            self.items[head as usize].lru_prev = id;
+            put32(self.slabs.header_mut(head), LRU_PREV, id);
         }
         self.lru_head[class] = id;
         if self.lru_tail[class] == NIL {
@@ -981,28 +951,27 @@ impl Store {
     }
 
     fn lru_unlink(&mut self, id: u32) {
-        let class = self.items[id as usize].loc.class.0 as usize;
-        let (prev, next) = {
-            let it = &self.items[id as usize];
-            (it.lru_prev, it.lru_next)
-        };
+        let class = self.slabs.class_of(id).0 as usize;
+        let h = self.slabs.header(id);
+        let (prev, next) = (u32_at(h, LRU_PREV), u32_at(h, LRU_NEXT));
         if prev != NIL {
-            self.items[prev as usize].lru_next = next;
+            put32(self.slabs.header_mut(prev), LRU_NEXT, next);
         } else {
             self.lru_head[class] = next;
         }
         if next != NIL {
-            self.items[next as usize].lru_prev = prev;
+            put32(self.slabs.header_mut(next), LRU_PREV, prev);
         } else {
             self.lru_tail[class] = prev;
         }
-        self.items[id as usize].lru_prev = NIL;
-        self.items[id as usize].lru_next = NIL;
     }
 
     fn lru_bump(&mut self, id: u32) {
-        self.lru_unlink(id);
-        self.lru_push_front(id);
+        // Moving the head to the front leaves the list as it is.
+        if self.lru_head[self.slabs.class_of(id).0 as usize] != id {
+            self.lru_unlink(id);
+            self.lru_push_front(id);
+        }
     }
 
     /// The key at the LRU tail of `class` (tests/diagnostics).
@@ -1011,8 +980,7 @@ impl Store {
         if tail == NIL {
             return None;
         }
-        let it = &self.items[tail as usize];
-        Some(self.slabs.read(it.loc, 0, it.klen as usize).to_vec())
+        Some(self.key(tail).to_vec())
     }
 }
 
@@ -1022,6 +990,46 @@ enum StorePolicy {
     Add,
     Replace,
     Cas(u64),
+}
+
+/// `stats slabs` lines from the figures of `classes` classes: four per
+/// class holding a page, then `active_slabs`.
+pub(crate) fn slab_lines(
+    classes: usize,
+    stats: impl Fn(ClassId) -> ClassStats,
+) -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    for c in 0..classes {
+        let st = stats(ClassId(c as u8));
+        if st.pages == 0 {
+            continue;
+        }
+        out.push((format!("{c}:chunk_size"), st.chunk_size.to_string()));
+        out.push((format!("{c}:total_pages"), st.pages.to_string()));
+        out.push((format!("{c}:used_chunks"), st.used.to_string()));
+        out.push((format!("{c}:free_chunks"), st.free.to_string()));
+    }
+    out.push(("active_slabs".into(), out.len().to_string()));
+    out
+}
+
+/// `stats items` lines from the figures of `classes` classes: live items
+/// and evictions of each class holding an item.
+pub(crate) fn item_lines(
+    classes: usize,
+    stats: impl Fn(ClassId) -> ClassStats,
+    evicted: impl Fn(ClassId) -> u64,
+) -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    for class in (0..classes).map(|c| ClassId(c as u8)) {
+        let used = stats(class).used;
+        if used > 0 {
+            let c = class.0;
+            out.push((format!("items:{c}:number"), used.to_string()));
+            out.push((format!("items:{c}:evicted"), evicted(class).to_string()));
+        }
+    }
+    out
 }
 
 /// Normalizes a protocol expiration time to an absolute unix second:

@@ -510,6 +510,240 @@ mod properties {
         });
     }
 
+    /// A value length: drawn, or whatever fills a chunk of the class with
+    /// this index (modulo the class count) up to its item header.
+    #[derive(Clone, Copy, Debug)]
+    enum Len {
+        Bytes(u16),
+        FillClass(u8),
+    }
+
+    #[derive(Clone, Debug)]
+    enum Step {
+        Set(u8, Len, u32, u32),
+        SetNumber(u8, u64),
+        Append(u8, u16),
+        Incr(u8, u64),
+        Get(u8),
+        Delete(u8),
+        Flush,
+        Tick(u32),
+    }
+
+    fn step(r: &mut SimRng) -> Step {
+        let key = |r: &mut SimRng| r.gen_range_u64(0, 32) as u8;
+        match r.gen_range_u64(0, 16) {
+            0..=3 => {
+                let len = match r.gen_bool(0.5) {
+                    true => Len::Bytes(r.gen_range_u64(0, 3000) as u16),
+                    false => Len::FillClass(r.next_u64() as u8),
+                };
+                let ttl = [0, 0, r.gen_range_u64(1, 8) as u32][r.gen_range_u64(0, 3) as usize];
+                Step::Set(key(r), len, r.next_u64() as u32, ttl)
+            }
+            4 => Step::SetNumber(key(r), r.gen_range_u64(0, 1 << 20)),
+            5 | 6 => Step::Append(key(r), r.gen_range_u64(0, 600) as u16),
+            7 => Step::Incr(key(r), r.gen_range_u64(0, 1 << 40)),
+            8..=10 => Step::Get(key(r)),
+            11 => Step::Delete(key(r)),
+            12 => Step::Flush,
+            _ => Step::Tick(r.gen_range_u64(1, 4) as u32),
+        }
+    }
+
+    /// What a live item's header must read back.
+    struct Expect {
+        value: Vec<u8>,
+        flags: u32,
+        exp: u32,
+        stored_at: u32,
+        /// Learnt from the first read after the store; must not change.
+        cas: Option<u64>,
+        /// The store's eviction count when the item was stored: it may
+        /// vanish once that count moves.
+        evictions: u64,
+    }
+
+    /// The bytes of a drawn value: a pattern, so a shifted copy shows.
+    fn pattern(len: usize, salt: u8) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i as u8).wrapping_mul(31) ^ salt)
+            .collect()
+    }
+
+    /// Every live item's header round-trips through its chunk, and no
+    /// payload byte lands in a header: across set, append, incr, delete,
+    /// eviction, incremental expansion and flush, what `locate` reads from
+    /// each item's header is what was stored, its key and value sit below
+    /// the header, and a flush invalidates every flushed item's chunk.
+    #[test]
+    fn item_headers_round_trip_in_their_chunks() {
+        let draw = |r: &mut SimRng| r.vec_of(50..400, step);
+        let (mut expansions, mut evictions, mut flushed) = (0, 0, 0);
+        check_cases(
+            "item_headers_round_trip_in_their_chunks",
+            64,
+            draw,
+            |steps| {
+                let mut s = Store::new(StoreConfig {
+                    slab: SlabConfig {
+                        mem_limit: 128 << 10,
+                        page_size: 16 << 10,
+                        growth_factor: 2.0,
+                        min_chunk: 96,
+                    },
+                    hashpower: 2,
+                    migrate_per_op: 1,
+                    evict_on_full: true,
+                });
+                s.set_event_tracking(true);
+                let mut model: HashMap<u8, Expect> = HashMap::new();
+                let (mut now, mut last_cas) = (1_000u32, 0u64);
+                for (i, st) in steps.iter().enumerate() {
+                    let evicted = s.stats().evictions;
+                    let fresh = |value: Vec<u8>, flags: u32, exp: u32, now: u32| Expect {
+                        value,
+                        flags,
+                        exp,
+                        stored_at: now,
+                        cas: None,
+                        evictions: evicted,
+                    };
+                    match *st {
+                        Step::Set(k, len, flags, ttl) => {
+                            let klen = 2;
+                            let vlen = match len {
+                                Len::Bytes(n) => n as usize,
+                                Len::FillClass(c) => {
+                                    let class = mcstore::ClassId(c % s.slabs().class_count() as u8);
+                                    s.slabs().chunk_size(class) - ITEM_HEADER_SIZE - klen
+                                }
+                            };
+                            let value = pattern(vlen, i as u8);
+                            match s.set(&[b'k', k], &value, flags, ttl, now) {
+                                SetOutcome::Stored => {
+                                    let exp = if ttl == 0 { 0 } else { now + ttl };
+                                    model.insert(k, fresh(value, flags, exp, now));
+                                }
+                                outcome => {
+                                    assert_eq!(outcome, SetOutcome::OutOfMemory);
+                                    model.remove(&k);
+                                }
+                            }
+                        }
+                        Step::SetNumber(k, n) => {
+                            let value = n.to_string().into_bytes();
+                            if s.set(&[b'k', k], &value, 0, 0, now) == SetOutcome::Stored {
+                                model.insert(k, fresh(value, 0, 0, now));
+                            } else {
+                                model.remove(&k);
+                            }
+                        }
+                        Step::Append(k, n) => {
+                            let data = pattern(n as usize, !(i as u8));
+                            match (s.append(&[b'k', k], &data, now), model.get_mut(&k)) {
+                                (SetOutcome::Stored, Some(e)) => {
+                                    e.value.extend_from_slice(&data);
+                                    *e = fresh(std::mem::take(&mut e.value), e.flags, e.exp, now);
+                                }
+                                (SetOutcome::NotStored, None) | (SetOutcome::TooLarge, Some(_)) => {
+                                }
+                                (SetOutcome::OutOfMemory, Some(_)) => {
+                                    model.remove(&k);
+                                }
+                                (outcome, e) => panic!("append {outcome:?}, held: {}", e.is_some()),
+                            }
+                        }
+                        Step::Incr(k, d) => match (s.incr(&[b'k', k], d, now), model.get_mut(&k)) {
+                            (Ok(n), Some(e)) => {
+                                let text = n.to_string().into_bytes();
+                                let moved = text.len() > e.value.len();
+                                e.value = text;
+                                e.cas = None;
+                                if moved {
+                                    e.stored_at = now;
+                                    e.evictions = evicted;
+                                }
+                            }
+                            (Err(NumericError::NotNumeric), Some(_)) => {}
+                            (Err(NumericError::NotFound), _) => {
+                                model.remove(&k);
+                            }
+                            (result, e) => panic!("incr {result:?}, held: {}", e.is_some()),
+                        },
+                        Step::Get(k) => {
+                            let got = s.get(&[b'k', k], now);
+                            let want = model.get(&k);
+                            assert_eq!(got.map(|v| v.data), want.map(|e| e.value.clone()));
+                        }
+                        Step::Delete(k) => {
+                            assert_eq!(s.delete(&[b'k', k], now), model.remove(&k).is_some());
+                        }
+                        Step::Flush => {
+                            s.take_slab_events();
+                            let old: Vec<_> = model
+                                .iter()
+                                .filter(|(_, e)| e.stored_at < now)
+                                .map(|(k, _)| s.locate(&[b'k', *k], now).expect("live").loc)
+                                .collect();
+                            s.flush_all(now);
+                            let events = s.take_slab_events();
+                            let mut hit: Vec<_> = events.iter().map(|e| e.loc()).collect();
+                            assert!(
+                                old.iter().all(|loc| hit.contains(loc)),
+                                "a flushed chunk kept"
+                            );
+                            hit.sort_by_key(|loc| (loc.class.0, loc.page, loc.chunk));
+                            hit.dedup();
+                            assert_eq!(hit.len(), events.len(), "a chunk invalidated twice");
+                            model.retain(|_, e| e.stored_at >= now);
+                            flushed += old.len();
+                        }
+                        Step::Tick(d) => now += d,
+                    }
+                    // Expired items are gone, whatever their headers say.
+                    model.retain(|k, e| {
+                        let dead = e.exp != 0 && e.exp <= now;
+                        assert!(!dead || s.locate(&[b'k', *k], now).is_none(), "expired {k}");
+                        !dead
+                    });
+                    let slabs = s.slabs();
+                    model.retain(|k, e| {
+                        let key = [b'k', *k];
+                        let Some(at) = s.locate(&key, now) else {
+                            assert!(s.stats().evictions > e.evictions, "step {i}: {k} lost");
+                            return false;
+                        };
+                        let read = (at.klen as usize, at.vlen as usize, at.flags, at.exp);
+                        assert_eq!(read, (2, e.value.len(), e.flags, e.exp), "step {i}: {k}");
+                        match e.cas {
+                            Some(cas) => assert_eq!(at.cas, cas, "step {i}: {k}"),
+                            None => {
+                                assert!(at.cas > last_cas, "step {i}: {k}: a stale CAS");
+                                (last_cas, e.cas) = (at.cas, Some(at.cas));
+                            }
+                        }
+                        let (class, page, chunk) = (at.loc.class, at.loc.page, at.loc.chunk);
+                        let payload = slabs.chunk_size(class) - ITEM_HEADER_SIZE;
+                        let ends = 2 + e.value.len();
+                        assert!(
+                            ends <= payload,
+                            "step {i}: {k}: a payload reaches the header"
+                        );
+                        let raw = &slabs.chunk_raw(class, page, chunk)[..payload];
+                        assert_eq!(raw[..2], key, "step {i}: {k}");
+                        assert_eq!(raw[2..ends], e.value[..], "step {i}: {k}");
+                        true
+                    });
+                    assert!(s.curr_items() >= model.len() as u64);
+                }
+                expansions += s.stats().hash_expansions;
+                evictions += s.stats().evictions;
+            },
+        );
+        assert!(expansions > 0 && evictions > 0 && flushed > 0);
+    }
+
     /// Slab accounting: after arbitrary set/delete churn, freeing
     /// everything leaves zero used chunks in every class.
     #[test]
