@@ -125,7 +125,7 @@ fn main() {
         );
         for (size, us, fins) in [(64u64, small, fins_small), (64 * 1024, large, fins_large)] {
             records.push(
-                rmc_bench::json_out::Record::new()
+                rmc_bench::json::Json::obj()
                     .str("op", "am_echo")
                     .str("transport", "UCR IB")
                     .str("cluster", "Cluster B (QDR)")
@@ -136,7 +136,7 @@ fn main() {
             );
         }
     }
-    rmc_bench::json_out::write("ablation_counters", &records);
+    rmc_bench::json::write("ablation_counters", &records);
     println!("\n(Eager + origin counter costs nothing extra: local completion.");
     println!("Completion counters add one internal message; rendezvous always");
     println!("sends a Fin to release the advertised source buffer.)");

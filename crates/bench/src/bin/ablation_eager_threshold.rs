@@ -52,7 +52,7 @@ fn main() {
             let us = measure(t, size);
             print!("{us:>10.1}");
             records.push(
-                rmc_bench::json_out::Record::new()
+                rmc_bench::json::Json::obj()
                     .str("op", "get")
                     .str("transport", "UCR IB")
                     .str("cluster", "Cluster B (QDR)")
@@ -63,7 +63,7 @@ fn main() {
         }
         println!();
     }
-    rmc_bench::json_out::write("ablation_eager_threshold", &records);
+    rmc_bench::json::write("ablation_eager_threshold", &records);
     println!("\n(Values under the threshold ride the eager path; larger ones pay an");
     println!("extra rendezvous round trip but skip both staging copies.)");
 }

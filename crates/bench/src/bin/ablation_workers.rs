@@ -191,7 +191,7 @@ fn main() {
                         sharded_share = r.hot_shard_share;
                     }
                     records.push(
-                        rmc_bench::json_out::Record::new()
+                        rmc_bench::json::Json::obj()
                             .str("op", "mget16")
                             .str("transport", "UCR IB")
                             .str("cluster", cluster.label())
@@ -274,7 +274,7 @@ fn main() {
             budgets.join(" > ")
         );
         records.push(
-            rmc_bench::json_out::Record::new()
+            rmc_bench::json::Json::obj()
                 .str("op", "get_window8")
                 .str("transport", "UCR IB")
                 .str("cluster", ClusterKind::B.label())
@@ -301,5 +301,5 @@ fn main() {
          the HCA backs up, the dispatch cost per request stays); with a second\n\
          context the server HCA binds again and more workers only shorten queues."
     );
-    rmc_bench::json_out::write("ablation_workers", &records);
+    rmc_bench::json::write("ablation_workers", &records);
 }

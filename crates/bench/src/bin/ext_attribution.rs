@@ -11,7 +11,7 @@
 //! stacks land in `results/ext_attribution.folded`.
 
 use rmc::{McServerConfig, StoreModel, Transport};
-use rmc_bench::json_out::{self, Record};
+use rmc_bench::json::{self, Json};
 use rmc_bench::{
     model_label, run_latency, run_mget_storm, run_throughput, xorshift, Attribution, ClusterKind,
     MgetStorm, Mix, MGET_STORM_CLIENTS as CLIENTS,
@@ -44,10 +44,10 @@ impl Row {
     }
 
     /// Every column of the row.
-    fn record(&self) -> Record {
+    fn record(&self) -> Json {
         let (a, p) = (&self.at, &self.at.profiler);
         let audit = &a.audit;
-        let mut rec = Record::new()
+        let mut rec = Json::obj()
             .str("view", self.view)
             .str("op", "get")
             .str("transport", self.transport)
@@ -277,7 +277,7 @@ fn main() {
     println!("Stages plus residual equal end-to-end for every op of every row. A");
     println!("sockets residual in (b) is time the one-open-op fallback cannot");
     println!("correlate across 16 clients; it is printed, not asserted.");
-    json_out::write("ext_attribution", &records);
+    json::write("ext_attribution", &records);
 
     let folded: Vec<(String, u64)> = c
         .iter()
@@ -287,5 +287,5 @@ fn main() {
             lines.map(move |(path, ns)| (format!("{root};{path}"), ns))
         })
         .collect();
-    json_out::write_file("ext_attribution.folded", &folded_text(&folded));
+    json::write_file("ext_attribution.folded", &folded_text(&folded));
 }

@@ -64,7 +64,7 @@ fn main() {
                     run.read_phase_worker_wakes,
                 );
                 records.push(
-                    rmc_bench::json_out::Record::new()
+                    rmc_bench::json::Json::obj()
                         .str("op", "get")
                         .str("cluster", cluster.label())
                         .str("mode", mode)
@@ -143,7 +143,7 @@ fn main() {
         by_p50 < am_p50,
         "bypass get must beat the AM get at 4 B on Cluster B: {by_p50:.2} vs {am_p50:.2} us"
     );
-    rmc_bench::json_out::write("ext_bypass_get", &records);
+    rmc_bench::json::write("ext_bypass_get", &records);
     println!("\n(The bypass hot path is one RdmaRead against a registered mirror of the");
     println!("item's slab chunk; the version word at the window's tail detects racing");
     println!("writers, so correctness never depends on the server quiescing.)");

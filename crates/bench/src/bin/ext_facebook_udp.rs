@@ -78,7 +78,7 @@ fn main() {
             ("UCR IB", "Cluster B (QDR)", ucr_tps, ucr_lat),
         ] {
             records.push(
-                rmc_bench::json_out::Record::new()
+                rmc_bench::json::Json::obj()
                     .str("op", "get")
                     .str("transport", transport)
                     .str("cluster", cluster)
@@ -89,7 +89,7 @@ fn main() {
             );
         }
     }
-    rmc_bench::json_out::write("ext_facebook_udp", &records);
+    rmc_bench::json::write("ext_facebook_udp", &records);
     println!("\n(Facebook reported ~200-300K UDP req/s at 173+ us; the paper's");
     println!("answer is ~12 us latency and request rates in the millions. The");
     println!("UDP ceiling here is the server's kernel per-datagram cost; UCR's");

@@ -29,7 +29,7 @@ fn main() {
             d.min_us, d.p50_us, d.p95_us, d.p99_us, d.max_us, d.mean_us
         );
         records.push(
-            rmc_bench::json_out::Record::new()
+            rmc_bench::json::Json::obj()
                 .str("op", "get")
                 .str("transport", name)
                 .str("cluster", ClusterKind::B.label())
@@ -42,7 +42,7 @@ fn main() {
                 .num("max_us", d.max_us),
         );
     }
-    rmc_bench::json_out::write("ext_jitter_percentiles", &records);
+    rmc_bench::json::write("ext_jitter_percentiles", &records);
     println!("\n(UCR and IPoIB are tight around their medians; SDP's tail is the");
     println!("QDR artifact the paper describes — the mean hides a long p99.)");
 }

@@ -62,7 +62,7 @@ fn main() {
                         prom = world.cluster.export_prometheus();
                     }
                     records.push(
-                        rmc_bench::json_out::Record::new()
+                        rmc_bench::json::Json::obj()
                             .str("op", "get")
                             .str("cluster", cluster.label())
                             .str("transport", transport.label())
@@ -89,7 +89,7 @@ fn main() {
                 KNEE_GAIN * 100.0
             );
             records.push(
-                rmc_bench::json_out::Record::new()
+                rmc_bench::json::Json::obj()
                     .str("op", "knee")
                     .str("cluster", cluster.label())
                     .str("transport", "UCR")
@@ -108,8 +108,8 @@ fn main() {
         "pipelining win too small: depth-8 {d8:.0} tps vs depth-1 {d1:.0} tps"
     );
 
-    rmc_bench::json_out::write("ext_pipeline_depth", &records);
-    rmc_bench::json_out::write_file("ext_pipeline_depth.prom", &prom);
+    rmc_bench::json::write("ext_pipeline_depth", &records);
+    rmc_bench::json::write_file("ext_pipeline_depth.prom", &prom);
     println!("\n(Depth overlaps wire+stack latency with service time on one connection;");
     println!("the curve saturates where per-op server cost, not latency, binds.)");
 }

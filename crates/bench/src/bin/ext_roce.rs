@@ -41,7 +41,7 @@ fn main() {
         println!("{size:>10}{ib:>12.1}{roce:>12.1}{toe:>12.1}");
         for (name, us) in [("UCR IB", ib), ("UCR RoCE", roce), ("10GigE-TOE", toe)] {
             records.push(
-                rmc_bench::json_out::Record::new()
+                rmc_bench::json::Json::obj()
                     .str("op", "get")
                     .str("transport", name)
                     .str("cluster", "Cluster A (DDR)")
@@ -50,7 +50,7 @@ fn main() {
             );
         }
     }
-    rmc_bench::json_out::write("ext_roce", &records);
+    rmc_bench::json::write("ext_roce", &records);
     println!("\n(RoCE keeps the OS-bypass win over TOE sockets while trailing");
     println!("native DDR IB slightly — Ethernet switch latency and a slower");
     println!("RDMA engine. Exactly the outcome the paper's SVII anticipates.)");

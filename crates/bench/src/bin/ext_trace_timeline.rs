@@ -15,10 +15,9 @@
 //! The exported JSON is re-parsed before the bin exits, so a corrupt
 //! export fails the run instead of silently producing an unloadable file.
 
-use std::io::Write as _;
-
 use rmc::{Scenario, Transport, World};
-use simnet::trace_export::{chrome_trace_json, parse_json};
+use rmc_bench::json::{self, Json};
+use simnet::trace_export::chrome_trace_json;
 use simnet::{EventRecorder, Layer};
 
 fn main() {
@@ -45,20 +44,16 @@ fn main() {
     });
 
     let events = recorder.events();
-    let json = chrome_trace_json(&events);
-    let parsed = parse_json(&json).expect("exported trace must be valid JSON");
+    let trace = chrome_trace_json(&events);
+    let parsed = json::parse(&trace).expect("exported trace must be valid JSON");
     let n = parsed
         .get("traceEvents")
-        .and_then(|e| e.as_arr())
-        .map(|a| a.len())
-        .unwrap_or(0);
+        .and_then(Json::as_arr)
+        .map_or(0, <[Json]>::len);
     assert!(n > 0, "exported trace must be non-empty");
 
-    std::fs::create_dir_all("results").expect("create results/");
-    let path = "results/ext_trace_timeline.trace.json";
-    std::fs::File::create(path)
-        .and_then(|mut f| f.write_all(json.as_bytes()))
-        .expect("write trace file");
+    let name = "ext_trace_timeline.trace.json";
+    json::write_file(name, &trace);
 
     println!("Extension: cross-layer Perfetto timeline of UCR set/get (Cluster B)");
     println!("{:>10}{:>10}", "layer", "events");
@@ -67,5 +62,5 @@ fn main() {
         println!("{:>10}{:>10}", layer.label(), tracer.layer_count(layer));
     }
     println!("{:>10}{:>10}", "total", tracer.total_events());
-    println!("\nwrote {path} ({n} trace entries) — load it at ui.perfetto.dev");
+    println!("\nwrote results/{name} ({n} trace entries) — load it at ui.perfetto.dev");
 }

@@ -109,7 +109,7 @@ fn main() {
         );
         for (transport, qps, tps) in [("UCR RC", rc_qps, rc_tps), ("UCR UD", ud_qps, ud_tps)] {
             records.push(
-                rmc_bench::json_out::Record::new()
+                rmc_bench::json::Json::obj()
                     .str("op", "am_echo")
                     .str("transport", transport)
                     .str("cluster", "Cluster B (QDR)")
@@ -120,7 +120,7 @@ fn main() {
             );
         }
     }
-    rmc_bench::json_out::write("ext_ud_scale", &records);
+    rmc_bench::json::write("ext_ud_scale", &records);
     println!("\n(RC holds one queue pair per client at the server — memory that");
     println!("grows with the client population. UD multiplexes every client over");
     println!("a single QP at comparable throughput, which is why SVII proposes it");

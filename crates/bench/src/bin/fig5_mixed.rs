@@ -2,7 +2,7 @@
 //! non-interleaved (10% Set / 90% Get: 1 set then 9 gets) and interleaved
 //! (50% / 50%: alternating) — on Clusters A and B.
 
-use rmc_bench::json_out::{self, Record};
+use rmc_bench::json::{self, Json};
 use rmc_bench::{
     latency_sweep, render_latency_table, ClusterKind, Mix, DEFAULT_ITERS, SMALL_SIZES,
 };
@@ -50,7 +50,7 @@ fn main() {
         for (label, points) in &columns {
             for p in points {
                 records.push(
-                    Record::new()
+                    Json::obj()
                         .str("op", op)
                         .str("transport", label.as_str())
                         .str("cluster", cluster.label())
@@ -61,5 +61,5 @@ fn main() {
         }
         println!("{}", render_latency_table(title, SMALL_SIZES, &columns));
     }
-    json_out::write("fig5_mixed", &records);
+    json::write("fig5_mixed", &records);
 }

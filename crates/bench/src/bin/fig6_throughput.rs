@@ -6,7 +6,7 @@
 //! UCR ≈ 6× SDP on Cluster B, reaching ≈ 1.8 M TPS at 4 B with 16
 //! clients; SDP slightly below IPoIB on B.
 
-use rmc_bench::json_out::{self, Record};
+use rmc_bench::json::{self, Json};
 use rmc_bench::{render_tps_table, throughput_sweep, ClusterKind, DEFAULT_TPUT_OPS};
 
 fn main() {
@@ -48,7 +48,7 @@ fn main() {
         for (label, points) in &columns {
             for p in points {
                 records.push(
-                    Record::new()
+                    Json::obj()
                         .str("op", "get")
                         .str("transport", label.as_str())
                         .str("cluster", cluster.label())
@@ -60,5 +60,5 @@ fn main() {
         }
         println!("{}", render_tps_table(title, &clients, &columns));
     }
-    json_out::write("fig6_throughput", &records);
+    json::write("fig6_throughput", &records);
 }

@@ -229,7 +229,7 @@ fn main() {
             100.0 * hits as f64 / gets as f64
         );
     }
-    let record = rmc_bench::json_out::Record::new()
+    let record = rmc_bench::json::Json::obj()
         .str("op", "mixed")
         .str("transport", a.transport.label())
         .str("cluster", a.cluster.label())
@@ -251,5 +251,5 @@ fn main() {
                 f64::NAN
             },
         );
-    rmc_bench::json_out::write("mcslap", &[record]);
+    rmc_bench::json::write("mcslap", &[record]);
 }

@@ -21,9 +21,9 @@
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-pub mod json_out;
+pub mod json;
 
-use json_out::Record;
+use json::Json;
 use rmc::{
     McClient, McClientConfig, McError, McServer, McServerConfig, Scenario, StoreModel, Transport,
     World,
@@ -353,7 +353,7 @@ pub fn latency_figure(cluster: ClusterKind, figure: u64, name: &str) {
         for (label, points) in &columns {
             for p in points {
                 records.push(
-                    Record::new()
+                    Json::obj()
                         .str("op", if mix == Mix::SetOnly { "set" } else { "get" })
                         .str("transport", label.as_str())
                         .str("cluster", cluster.label())
@@ -366,7 +366,7 @@ pub fn latency_figure(cluster: ClusterKind, figure: u64, name: &str) {
             format!("Figure {figure}({panel}): Latency of {op} - {scale} Message, {testbed} (us)");
         println!("{}", render_latency_table(&title, sizes, &columns));
     }
-    json_out::write(name, &records);
+    json::write(name, &records);
 }
 
 /// Aggregate get throughput with `clients` concurrent clients on distinct

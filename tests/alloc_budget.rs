@@ -492,23 +492,30 @@ fn ucr_small_gets_stay_within_the_allocation_budget() {
 }
 
 /// What watching costs the host: the allocations a profiler adds to a UCR
-/// get. Folded paths and signatures are strings only at first sight, and
-/// a fold lane (an op's spans on one track) takes its stack from the
-/// profiler's free list and gives it back when it closes.
+/// get, alone, pipelined and at 64 KB. Folded paths and signatures are
+/// strings only at first sight, and a fold lane (an op's spans on one
+/// track) takes its stack from the profiler's free list and gives it back
+/// when it closes.
 #[test]
 fn a_profiler_adds_few_allocations_to_a_ucr_get() {
-    let shape = ucr_small_gets();
-    let allocs_per_op = || {
-        shape.run(WARMUP_OPS);
-        shape.run(MEASURED_OPS).allocs_per_op()
-    };
-    let bare = allocs_per_op();
-    let _profiler = Profiler::attach(shape.world.cluster.tracer(), ProfilerConfig::default());
-    let added = allocs_per_op() - bare;
-    assert!(
-        added <= 1.0, // measured 0.00
-        "a profiler adds {added:.2} allocations per operation (budget 1)"
-    );
+    for (shape, budget) in [
+        (ucr_small_gets(), 0.01),        // measured 0.0003
+        (ucr_pipelined_gets(), 0.1),     // measured 0.019
+        (ucr_64k_sets_and_gets(), 0.01), // measured 0.0000
+    ] {
+        let allocs_per_op = || {
+            shape.run(WARMUP_OPS);
+            shape.run(WARMUP_OPS).allocs_per_op()
+        };
+        let bare = allocs_per_op();
+        let _profiler = Profiler::attach(shape.world.cluster.tracer(), ProfilerConfig::default());
+        let added = allocs_per_op() - bare;
+        assert!(
+            added <= budget,
+            "{}: a profiler adds {added:.4} allocations per operation (budget {budget})",
+            shape.name
+        );
+    }
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! if a calibration change breaks a claim, this suite fails.
 
 use rmc::Transport;
-use rmc_bench::{measure_latency, measure_throughput, ClusterKind, Mix};
+use rmc_bench::{json, measure_latency, measure_throughput, ClusterKind, Mix};
 use simnet::Stack;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -208,6 +208,27 @@ fn experiments_are_reproducible() {
     let t1 = measure_throughput(ClusterKind::B, SDP, 8, 4, 200, 5);
     let t2 = measure_throughput(ClusterKind::B, SDP, 8, 4, 200, 5);
     assert_eq!(t1, t2);
+}
+
+/// Reader and writer agree on every committed results twin: each parses
+/// and renders again to its own bytes.
+#[test]
+fn every_results_twin_reads_back_as_written() {
+    let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
+    let mut twins = 0;
+    for entry in std::fs::read_dir(results).expect("results/") {
+        let path = entry.expect("results/ entry").path();
+        let name = path.display().to_string();
+        // A `.trace.json` is simnet's Perfetto export, not a twin.
+        if !name.ends_with(".json") || name.ends_with(".trace.json") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("a readable twin");
+        let doc = json::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(json::render(&doc) == text, "{name} renders otherwise");
+        twins += 1;
+    }
+    assert_ne!(twins, 0, "no results twin");
 }
 
 /// The documents name only what exists. Every literal `results/<file>`,

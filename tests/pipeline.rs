@@ -13,6 +13,7 @@ use rdma_memcached::rmc::{McClientConfig, McServerConfig, Scenario, Transport, W
 use rdma_memcached::simnet::{EventRecorder, Layer, NodeId, Phase, SimDuration, Stack};
 use rdma_memcached::socksim::STREAM_BUF_KEEP;
 use rdma_memcached::ucr;
+use rmc_bench::json::{self, Json};
 use rmc_bench::{
     run_pipeline_gets, run_throughput, run_windowed_gets, ucr_totals, ClusterKind, WindowedRun,
     DEFAULT_TPUT_OPS, WINDOWED_CLIENTS,
@@ -385,19 +386,23 @@ fn pipelined_runs_are_deterministic() {
 // ---------------------------------------------------------------------
 
 /// The `tps` of the one record in a committed `results/<bench>.json`
-/// whose line carries every one of `fields` (records are one per line).
-fn committed_tps(bench: &str, fields: &[String]) -> f64 {
+/// that holds every field of `cell`.
+fn committed_tps(bench: &str, cell: Json) -> f64 {
     let path = format!("{}/results/{bench}.json", env!("CARGO_MANIFEST_DIR"));
-    let doc = std::fs::read_to_string(&path).expect("committed results file");
-    let mut hits = doc
-        .lines()
-        .filter(|line| fields.iter().all(|f| line.contains(f.as_str())));
-    let line = hits
+    let text = std::fs::read_to_string(&path).expect("committed results file");
+    let doc = json::parse(&text).expect("a results twin");
+    let records = doc.get("records").and_then(Json::as_arr).expect("records");
+    let Json::Obj(want) = &cell else {
+        panic!("a cell is an object");
+    };
+    let mut hits = records
+        .iter()
+        .filter(|r| want.iter().all(|(k, v)| r.get(k) == Some(v)));
+    let hit = hits
         .next()
-        .unwrap_or_else(|| panic!("no {fields:?} in {path}"));
-    assert!(hits.next().is_none(), "{fields:?} is ambiguous in {path}");
-    let tps = line.rsplit("\"tps\": ").next().expect("tps field");
-    tps.trim_end_matches(['}', ',', ' ']).parse().expect("tps")
+        .unwrap_or_else(|| panic!("no {cell:?} in {path}"));
+    assert!(hits.next().is_none(), "{cell:?} is ambiguous in {path}");
+    hit.get("tps").and_then(Json::as_f64).expect("tps")
 }
 
 /// Depth 1 never holds: with one request in flight per connection every
@@ -416,13 +421,12 @@ fn depth_one_holds_nothing() {
     // One set, then the gets, per client; a request and a reply each.
     let ops = (CLIENTS * (1 + DEFAULT_TPUT_OPS)) as u64;
     assert_eq!((sent, posted), (2 * ops, 2 * ops));
-    let cell = [
-        "\"transport\": \"UCR\"".to_string(),
-        "\"cluster\": \"Cluster B (QDR)\"".to_string(),
-        "\"size\": 4,".to_string(),
-        "\"clients\": 16,".to_string(),
-    ];
-    assert_eq!(tps, committed_tps("fig6_throughput", &cell));
+    let cell = Json::obj()
+        .str("transport", "UCR")
+        .str("cluster", "Cluster B (QDR)")
+        .int("size", 4)
+        .int("clients", 16);
+    assert_eq!(tps, committed_tps("fig6_throughput", cell));
 }
 
 /// The `ucr_pipelined_sharded_16c` shape on Cluster B with the
@@ -510,13 +514,12 @@ fn a_single_pipelined_client_loses_nothing() {
             for depth in [2usize, 4, 8] {
                 let world = cluster.world(77, 4);
                 let tps = run_pipeline_gets(&world, Transport::Ucr, depth, size, 1000);
-                let cell = [
-                    format!("\"cluster\": \"{}\"", cluster.label()),
-                    "\"transport\": \"UCR\"".to_string(),
-                    format!("\"size\": {size},"),
-                    format!("\"depth\": {depth},"),
-                ];
-                let committed = committed_tps("ext_pipeline_depth", &cell);
+                let cell = Json::obj()
+                    .str("cluster", cluster.label())
+                    .str("transport", "UCR")
+                    .int("size", size as u64)
+                    .int("depth", depth as u64);
+                let committed = committed_tps("ext_pipeline_depth", cell);
                 assert!(
                     tps >= committed,
                     "{} {size} B depth {depth}: {tps:.0} ops/s, committed {committed:.0}",

@@ -9,10 +9,11 @@ use rdma_memcached::rmc::{
     McClient, McClientConfig, McServerConfig, Scenario, StoreModel, Transport, World,
 };
 use rdma_memcached::simnet::profiler::SLOWEST_KEPT;
-use rdma_memcached::simnet::trace_export::{folded_text, parse_folded};
+use rdma_memcached::simnet::trace_export::folded_text;
 use rdma_memcached::simnet::{
     Event, EventRecorder, Layer, NodeId, PathStage, Phase, Profiler, ProfilerConfig, Stack,
 };
+use rmc_bench::json::parse_folded;
 
 /// Two workers behind one store lock, and one client over `transport`.
 fn global_lock(seed: u64, transport: Transport) -> Scenario {

@@ -7,8 +7,9 @@
 
 use rdma_memcached::rmc::{McClientConfig, McServerConfig, Scenario, Transport, World};
 use rdma_memcached::simnet::trace::{Layer, Phase};
-use rdma_memcached::simnet::trace_export::{chrome_trace_json, parse_json, Json};
+use rdma_memcached::simnet::trace_export::chrome_trace_json;
 use rdma_memcached::simnet::{EventRecorder, NodeId, Profiler, ProfilerConfig, Stack};
+use rmc_bench::json::{parse, Json};
 
 /// Items of the exported `traceEvents` array matching a predicate.
 fn items<'a>(trace: &'a Json, pred: impl Fn(&Json) -> bool + 'a) -> Vec<&'a Json> {
@@ -37,7 +38,7 @@ fn four_kb_get_trace_correlates_all_three_layers() {
         recorder.take(); // trace exactly the one get
         client.get(b"k").await.unwrap().unwrap();
 
-        let trace = parse_json(&chrome_trace_json(&recorder.events())).expect("valid JSON");
+        let trace = parse(&chrome_trace_json(&recorder.events())).expect("valid JSON");
 
         // Core: the client op span, the server dispatch marker, and the
         // worker service span all share the request id.
