@@ -894,7 +894,7 @@ impl McClient {
                 keys.len(),
                 |i| Request::new(McOp::Get, std::slice::from_ref(&keys[i])),
                 |i, reply| {
-                    out[i] = fetched(reply)?;
+                    out[i] = fetched(reply?)?;
                     Ok(())
                 },
             )
@@ -926,7 +926,7 @@ impl McClient {
                     Request::store(McOp::Set, key, value, flags, exptime, 0)
                 },
                 |i, reply| {
-                    out[i] = stored(reply);
+                    out[i] = reply.and_then(stored);
                     Ok(())
                 },
             )
@@ -1238,13 +1238,14 @@ impl CliInner {
 
     /// Runs requests `make(0..n)` as a pipelined batch, up to
     /// `pipeline_depth` tickets open per connection, handing each reply to
-    /// `sink` with its index. Requests are grouped per server by their
-    /// key; within a group they finish in the order they started.
+    /// `sink` with its index, or the refusal of a request that could not be
+    /// sent. Requests are grouped per server by their key; within a group
+    /// they finish in the order they started.
     async fn batch<'k>(
         self: &Rc<Self>,
         n: usize,
         make: impl Fn(usize) -> Request<'k, &'k [u8]>,
-        mut sink: impl FnMut(usize, Reply) -> Result<(), McError>,
+        mut sink: impl FnMut(usize, Result<Reply, McError>) -> Result<(), McError>,
     ) -> Result<(), McError> {
         self.ops.add(n as u64);
         for (sidx, idxs) in group_by_server(self, (0..n).map(|i| make(i).key())) {
@@ -1256,7 +1257,13 @@ impl CliInner {
                 // Top the window up, then finish its oldest ticket.
                 while window.len() < depth {
                     let Some(i) = issue.next() else { break };
-                    window.push_back((i, conn.start(self, &make(i)).await?));
+                    match conn.start(self, &make(i)).await {
+                        Ok(ticket) => window.push_back((i, ticket)),
+                        // Refused before it was sent (over UDP, a request
+                        // past one datagram): that item's own outcome.
+                        Err(McError::TooLarge) => sink(i, Err(McError::TooLarge))?,
+                        Err(e) => return Err(e),
+                    }
                     self.inflight_gauge.set(window.len() as f64);
                 }
                 let Some((j, ticket)) = window.pop_front() else {
@@ -1264,7 +1271,7 @@ impl CliInner {
                 };
                 self.inflight_gauge.set(window.len() as f64);
                 let reply = self.completed(ticket.finish(make(j).keys).await)?;
-                sink(j, reply)?;
+                sink(j, Ok(reply))?;
             }
         }
         Ok(())

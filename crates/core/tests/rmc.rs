@@ -12,6 +12,9 @@ use rmc::{
 use simnet::{EventRecorder, Layer, NodeId, SimDuration, Stack, Tracer};
 use ucr::{AmData, Endpoint, FnHandler, SendOptions, UcrRuntime, SEND_POOL_CAP};
 
+#[path = "cells/oversize.rs"]
+mod oversize;
+
 const SRV: NodeId = NodeId(0);
 const CLI: NodeId = NodeId(1);
 
@@ -201,12 +204,7 @@ fn large_values_travel_by_rendezvous() {
 
 #[test]
 fn oversized_value_is_rejected() {
-    let s = Scenario::start(world_a(), Transport::Ucr);
-    let c = s.clients[0].clone();
-    s.world.sim().block_on(async move {
-        let too_big = vec![0u8; 2 << 20];
-        assert_eq!(c.set(b"huge", &too_big, 0, 0).await, Err(McError::TooLarge));
-    });
+    oversize::oversize_is_refused(Transport::Ucr);
 }
 
 /// Over UCR a key of `MAX_KEY_LEN` bytes, the longest whose header a

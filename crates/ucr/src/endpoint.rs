@@ -130,6 +130,11 @@ pub(crate) struct EpInner {
     /// key plus one as [`PacketHeader::token`]: 0 on the wire means "no
     /// source".
     pub(crate) sources: RefCell<Slab<Mr>>,
+    /// Set by [`Endpoint::close`]: the endpoint stays with the runtime, its
+    /// QP open, until nothing of it is in flight
+    /// ([`close_if_done`](Self::close_if_done)) or an error completion
+    /// ends it.
+    closing: Cell<bool>,
 }
 
 impl EpInner {
@@ -152,6 +157,7 @@ impl EpInner {
             eager: EagerQueue::default(),
             staged: RefCell::new(Slab::new()),
             sources: RefCell::new(Slab::new()),
+            closing: Cell::new(false),
         })
     }
 
@@ -166,6 +172,18 @@ impl EpInner {
         let source = self.sources.borrow_mut().remove(SlabKey::from_token(key));
         if let Some(mr) = source {
             rt.give_back(mr.into_vec());
+        }
+        self.close_if_done(rt);
+    }
+
+    /// Finishes a close once no eager work request of the endpoint is
+    /// unreaped and no source unacknowledged: the runtime drops it and
+    /// tears its QP down, and the peer's sends fail over to its error path.
+    pub(crate) fn close_if_done(&self, rt: &RtInner) {
+        let idle = self.eager.in_flight.get() == 0 && self.sources.borrow().is_empty();
+        if self.closing.get() && idle {
+            rt.drop_endpoint(self.qp.qpn());
+            self.qp.close();
         }
     }
 
@@ -253,6 +271,7 @@ impl EpInner {
         let payload = buf.len() - PACKET_HEADER_BYTES;
         let wr_id = rt.next_wr_id();
         let eager = Pending::Eager {
+            msgs: 1,
             origins: origin.into_iter().collect(),
             ep: Rc::downgrade(self),
             posted: rt.sim.now(),
@@ -396,6 +415,7 @@ impl EpInner {
             }
         }
         let batch = Pending::Eager {
+            msgs,
             origins: std::mem::take(&mut *q.origins.borrow_mut()),
             ep: Rc::downgrade(self),
             posted: rt.sim.now(),
@@ -631,16 +651,27 @@ impl Endpoint {
         &self.inner.qp
     }
 
-    /// Closes the endpoint. The peer's sends will fail over to its error
-    /// path; this runtime drops the QP immediately.
+    /// Closes the endpoint: what it holds is posted now, and later sends
+    /// are refused. As a flush close does in UCX, the endpoint stays open
+    /// until its eager work requests complete and its peer has acknowledged
+    /// every rendezvous source with a Fin. A source keeps it open even when
+    /// nothing else is in flight, so a Fin that names nothing goes out
+    /// too: a peer that is gone fails it, and the error completion ends
+    /// the endpoint and releases the sources.
     pub fn close(&self) {
-        if let Some(rt) = self.inner.rt.upgrade() {
-            self.inner.flush_held(&rt);
-            rt.drop_endpoint(self.inner.qp.qpn());
+        let inner = &self.inner;
+        let Some(rt) = inner.rt.upgrade() else {
+            inner.qp.close();
+            inner.failed.set(true);
+            return inner.release_sources();
+        };
+        inner.flush_held(&rt);
+        inner.failed.set(true);
+        inner.closing.set(true);
+        if !inner.sources.borrow().is_empty() {
+            rt.send_fin(self, 0, 0, 0);
         }
-        self.inner.qp.close();
-        self.inner.failed.set(true);
-        self.inner.release_sources();
+        inner.close_if_done(&rt);
     }
 }
 

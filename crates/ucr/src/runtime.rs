@@ -189,9 +189,10 @@ impl SendBuf {
 }
 
 pub(crate) enum Pending {
-    /// One eager work request: a lone message or the messages an endpoint
+    /// One eager work request: a lone message or the `msgs` an endpoint
     /// had held, with the origin counters of those that named one.
     Eager {
+        msgs: u64,
         origins: Vec<Counter>,
         ep: Weak<EpInner>,
         posted: SimTime,
@@ -1107,7 +1108,7 @@ impl RtInner {
                         0,
                         self.sim.now(),
                     );
-                    self.fail_ep(&Rc::downgrade(&ep.inner));
+                    self.fail_ep(&Rc::downgrade(&ep.inner), 1);
                 }
             }
             PacketKind::Fin => {
@@ -1209,13 +1210,19 @@ impl RtInner {
                 }
             }
             Pending::Eager {
+                msgs,
                 origins,
                 ep,
                 posted,
-            } => self.eager_send_done(&ep, posted, wc.status.is_ok(), origins),
+            } => {
+                if !wc.status.is_ok() {
+                    return self.fail_ep(&ep, msgs);
+                }
+                self.eager_send_done(&ep, posted, origins);
+            }
             Pending::CtrlSend { ep } => {
                 if !wc.status.is_ok() {
-                    self.fail_ep(&ep);
+                    self.fail_ep(&ep, 1);
                 }
             }
             Pending::RndvRead { ep, pkt, hdr, dest } => {
@@ -1249,7 +1256,7 @@ impl RtInner {
                         0,
                         self.sim.now(),
                     );
-                    self.fail_ep(&Rc::downgrade(&ep.inner));
+                    self.fail_ep(&Rc::downgrade(&ep.inner), 1);
                     return;
                 }
                 // Zero-copy path: only the calibrated host cost, no copy.
@@ -1290,17 +1297,7 @@ impl RtInner {
     /// extra message needed for eager), so their origin counters bump
     /// here; and the send queue just drained by one, so whatever the
     /// endpoint held meanwhile goes out now, as one work request.
-    fn eager_send_done(
-        &self,
-        ep: &Weak<EpInner>,
-        posted: SimTime,
-        ok: bool,
-        origins: Vec<Counter>,
-    ) {
-        if !ok {
-            self.fail_ep(ep);
-            return;
-        }
+    fn eager_send_done(&self, ep: &Weak<EpInner>, posted: SimTime, origins: Vec<Counter>) {
         for c in origins {
             c.bump();
         }
@@ -1309,13 +1306,19 @@ impl RtInner {
             if !ep.failed.get() {
                 ep.flush_held(self);
             }
+            ep.close_if_done(self);
         }
     }
 
-    fn fail_ep(&self, ep: &Weak<EpInner>) {
-        self.stats.send_failures.inc();
+    /// A work request of `ep` carrying `msgs` messages failed. Each of them
+    /// counts; only the first such completion ends the endpoint, so the work
+    /// requests it strands neither end it again nor each raise a fault.
+    fn fail_ep(&self, ep: &Weak<EpInner>, msgs: u64) {
+        self.stats.send_failures.add(msgs);
         if let Some(ep) = ep.upgrade() {
-            self.end_ep(&ep, "send error");
+            if self.eps.borrow().contains_key(&ep.qp.qpn()) {
+                self.end_ep(&ep, "send error");
+            }
         }
     }
 
@@ -1339,7 +1342,13 @@ impl RtInner {
         ));
     }
 
-    fn send_fin(self: &Rc<Self>, ep: &Endpoint, origin_ctr: u64, completion_ctr: u64, token: u64) {
+    pub(crate) fn send_fin(
+        self: &Rc<Self>,
+        ep: &Endpoint,
+        origin_ctr: u64,
+        completion_ctr: u64,
+        token: u64,
+    ) {
         let mut pkt = PacketHeader::new(PacketKind::Fin, 0);
         pkt.origin_ctr = origin_ctr;
         pkt.completion_ctr = completion_ctr;
@@ -1491,8 +1500,8 @@ mod tests {
 
     /// A source whose Fin will never come goes with the endpoint that
     /// advertised it: when the endpoint fails, or — where the request was
-    /// delivered, so that nothing ever reports a failure — when it is closed.
-    /// Its bytes go back to the rendezvous pool.
+    /// delivered, so that nothing else reports a failure — when the probe
+    /// its close sends fails. Its bytes go back to the rendezvous pool.
     #[test]
     fn an_advertised_source_goes_with_its_endpoint() {
         /// The peer's process exits when the first rendezvous request
@@ -1530,9 +1539,12 @@ mod tests {
                 client.sim().sleep(SimDuration::from_millis(5)).await;
                 assert_eq!(ep.is_failed(), !delivered);
                 if delivered {
-                    // The sender cannot know the read will never come.
+                    // The sender cannot know the read will never come: its
+                    // close waits for a Fin until the probe fails.
                     assert_eq!(tables().0 .1, baseline.0 .1 + sends);
                     ep.close();
+                    assert_eq!(tables().0 .1, baseline.0 .1 + sends);
+                    client.sim().sleep(SimDuration::from_millis(5)).await;
                 }
                 assert_eq!(tables().0, baseline.0);
                 assert_eq!(tables().1 .1, baseline.1 .1 + sends);
@@ -1995,37 +2007,33 @@ mod tests {
         assert_eq!(drawn(&server), (1, 2));
     }
 
-    /// A source released by `close` while the peer's READ of it is still
-    /// outstanding gives its bytes to the next rendezvous, registered under
-    /// a fresh rkey: the stale READ completes in error, ending the reader's
-    /// endpoint, and the only payload the peer's handler sees is the next
-    /// message's, read through its own rkey.
+    /// A source released by its endpoint's failure while the peer's READ
+    /// of it is still outstanding gives its bytes to the next rendezvous,
+    /// registered under a fresh rkey: the stale READ completes in error,
+    /// ending the reader's endpoint, and the only payload the peer's
+    /// handler sees is the next message's, read through its own rkey.
     #[test]
     fn a_source_released_under_a_read_never_lands_the_next_message() {
         const LEN: usize = 64 << 10;
-        /// Closes `source` when the first message's header arrives — just
+        /// Fails `source` when the first message's header arrives — just
         /// before the target posts its READ — and advertises the next
         /// message on `next`, from the same bytes.
-        struct CloseOnHeader {
+        struct FailOnHeader {
             source: Endpoint,
             next: Endpoint,
             landed: Rc<RefCell<Vec<Vec<u8>>>>,
         }
-        impl AmHandler for CloseOnHeader {
+        impl AmHandler for FailOnHeader {
             fn on_header(&self, _: &Endpoint, hdr: &[u8], _: usize) -> AmDest {
                 if hdr == b"first" {
-                    self.source.close();
+                    let rt = self.source.inner.rt.upgrade().expect("live");
+                    rt.end_ep(&self.source.inner, "failed under a read");
                     let next = self.next.clone();
-                    next.inner
-                        .rt
-                        .upgrade()
-                        .expect("live")
-                        .sim
-                        .spawn(async move {
-                            let data = vec![2; LEN];
-                            let sent = next.send_message(MSG, b"next", &data, Default::default());
-                            sent.await.expect("advertised");
-                        });
+                    rt.sim.spawn(async move {
+                        let data = vec![2; LEN];
+                        let sent = next.send_message(MSG, b"next", &data, Default::default());
+                        sent.await.expect("advertised");
+                    });
                 }
                 AmDest::Pool
             }
@@ -2039,7 +2047,7 @@ mod tests {
         let landed: Rc<RefCell<Vec<Vec<u8>>>> = Rc::default();
         server.register_handler(
             MSG,
-            CloseOnHeader {
+            FailOnHeader {
                 source: first.clone(),
                 next: second,
                 landed: landed.clone(),

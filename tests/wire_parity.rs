@@ -26,6 +26,9 @@ use rdma_memcached::simnet::{NodeId, SimDuration, Stack};
 use rdma_memcached::socksim::{Socket, SocketAddr};
 use rdma_memcached::ucr::{AmData, Endpoint, FnHandler, SendOptions, UcrRuntime};
 
+#[path = "../crates/core/tests/cells/oversize.rs"]
+mod oversize;
+
 const SRV: NodeId = NodeId(0);
 /// Where the raw-wire requests come from: past every scenario's clients.
 const RAW: NodeId = NodeId(3);
@@ -481,18 +484,7 @@ fn replies_do_not_depend_on_the_store_model() {
 
 #[test]
 fn oversize_values_are_refused_without_touching_the_store() {
-    for wire in WIRES {
-        let bed = testbed(63, StoreModel::Idealized, &[wire]);
-        let (c, big) = (bed.clients[0].clone(), vec![7u8; 2 << 20]);
-        let refused = bed
-            .world
-            .sim()
-            .block_on(async move { c.set(b"big", &big, 0, 0).await });
-        // UDP refuses client-side (a request must fit one datagram).
-        assert_eq!(refused, Err(McError::TooLarge), "{wire:?}");
-        assert_eq!(bed.server.store_stats(), StoreStats::default(), "{wire:?}");
-        assert_eq!(bed.server.curr_items(), 0, "{wire:?}");
-    }
+    WIRES.into_iter().for_each(oversize::oversize_is_refused);
 }
 
 /// memcached 1.4 answers an unknown command with `ERROR` and a
