@@ -3,8 +3,11 @@
 //!
 //! A server front-end calls `decode_request` → executor → `encode_reply`;
 //! the client calls `encode_request` → round trip → `decode_reply`. The
-//! wire types themselves (`ReqHeader`/`RespHeader`, `Command`/`Response`,
-//! `BinFrame`) stay pure framing. What only a wire cares about —
+//! wire objects stay pure framing: on UCR the client writes a
+//! `ReqHeaderRef` and reads a `RespHeader`, and the server reads a
+//! `ReqHead` whose keys it holds as a `HeldReq`; on ASCII the server reads
+//! a `CommandRef` in place and the client reads `ResponseLines`; binary is
+//! a `BinFrame` in and `BinFrameRef`s out. What only a wire cares about —
 //! `noreply`, `gets` vs `get`, quiet opcodes, key echo — is read off the
 //! wire object here and never reaches the executor.
 

@@ -7,7 +7,7 @@
 //! (or, for one shard's slice of a scattered multiget,
 //! [`Executor::fetch_shard`]). Everything a request costs in virtual time
 //! is charged here. The [`StoreModel`] is read once, into a shape — how
-//! many shards, locked or not (DESIGN.md §12) — and nothing below
+//! many shards, locked or not (DESIGN.md §5) — and nothing below
 //! [`Executor::new`] asks which model it came from.
 
 use std::cell::{Cell, Ref, RefCell};

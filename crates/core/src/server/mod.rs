@@ -19,9 +19,9 @@
 //! Workers are simulated threads: each occupies itself for the service
 //! time of a request, which is what caps server throughput in Figure 6.
 //!
-//! The transports are front-ends, not servers of their own (DESIGN.md
-//! "Request path"): `frontend` decodes each wire into one `Request` and
-//! encodes the `Reply`; `executor` owns the store and is the only code
+//! The transports are front-ends, not servers of their own (DESIGN.md §6):
+//! `frontend` decodes each wire into one `Request` and encodes the
+//! `Reply`; `executor` owns the store and is the only code
 //! that charges, locks and runs a request; `bypass` is the one-sided GET
 //! directory; `stats` is the `stats` surface. This module is the process
 //! around them: configuration, listeners, the worker pool.
@@ -380,7 +380,7 @@ impl McServer {
 /// Workers per UCR progress context. Every committed figure was measured
 /// on memcached's default four workers behind one progress task; a server
 /// configured with more workers gets pollers in the same proportion
-/// (DESIGN.md §16; EXPERIMENTS.md has the sweep: more pollers than that
+/// (DESIGN.md §4.2; EXPERIMENTS.md has the sweep: more pollers than that
 /// buy no throughput and make the hand-off to the workers burstier).
 const WORKERS_PER_CONTEXT: usize = 4;
 

@@ -19,7 +19,7 @@
 //! an `Rc` clone and a word. A closure is boxed, which is why the data path —
 //! every work request, socket segment and staged reply — schedules targeted
 //! events and closures are left to what happens once per connection (see
-//! `DESIGN.md`, "simnet engine").
+//! `DESIGN.md` §2).
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
@@ -130,7 +130,7 @@ struct Task {
 
 /// Tasks ready to be polled. Shared with wakers, hence the (uncontended)
 /// mutex: `std::task::Wake` requires `Send + Sync` even though this executor
-/// never leaves one thread (see `DESIGN.md`, "simnet engine", for why not a
+/// never leaves one thread (see `DESIGN.md` §2 for why not a
 /// `RawWaker` over `Rc`).
 type ReadyQueue = Arc<Mutex<VecDeque<TaskId>>>;
 

@@ -1,5 +1,5 @@
 //! A bounded LIFO free list: the one pool type behind every buffer or
-//! record a layer keeps idle for its next use (DESIGN.md §16). It grows as
+//! record a layer keeps idle for its next use (DESIGN.md §4.3). It grows as
 //! items come back, and what a user makes when it is empty stays the
 //! user's.
 

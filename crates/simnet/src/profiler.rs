@@ -1,6 +1,6 @@
 //! Continuous zero-virtual-time profiler over the [`Tracer`] event stream.
 //!
-//! The trace layer (PR 2) gives a *timeline you read*; this module turns
+//! The trace layer gives a *timeline you read*; this module turns
 //! it into an *explanation the system computes*, in four parts:
 //!
 //! 1. **Folded span profiles** — every begin/end span pair is folded into

@@ -12,7 +12,7 @@
 //! `VLock` is private to this module: the one way to take one is
 //! [`VLockTable::lock`], which takes a *range* of a table's locks in
 //! ascending index order — the total order that makes holding several at
-//! once deadlock-free (DESIGN.md §12). An acquisition in any other order
+//! once deadlock-free (DESIGN.md §5). An acquisition in any other order
 //! cannot be written outside this file.
 //!
 //! Every lock books acquisitions, contention and cumulative wait/hold

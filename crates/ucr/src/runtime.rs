@@ -13,7 +13,7 @@
 //! connection is the thread that polls for it (paper §V-A); endpoints on
 //! different contexts never wait for each other's handlers. Everything
 //! else — buffer pool, tables, statistics — is the one runtime's
-//! (DESIGN.md §16).
+//! (DESIGN.md §4.2, §4.3).
 
 use std::borrow::Cow;
 use std::cell::{Cell, Ref, RefCell};

@@ -24,7 +24,7 @@
 //!
 //! A work request in transit is one [`Flight`] record in a table of the
 //! queue pair that posted it, advanced stage by stage by targeted events
-//! (`impl EventTarget for QpInner`; DESIGN.md §5 has the stage table per
+//! (`impl EventTarget for QpInner`; DESIGN.md §3 has the stage table per
 //! opcode). Nothing is allocated for a stage. A registered request carries
 //! its local window, and the target HCA's stage copies region to region: a
 //! SEND lands from the posted window in the receive it matches, a WRITE in

@@ -268,8 +268,20 @@ fn the_documents_name_only_what_exists() {
 #[test]
 fn the_documents_state_constants_as_the_code_does() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut code = BTreeMap::new();
-    literal_constants(&root.join("crates"), &mut code);
+    let mut sources = Vec::new();
+    source_files(&root.join("crates"), &mut sources);
+    let mut code: BTreeMap<&str, Vec<Option<u128>>> = BTreeMap::new();
+    let texts: Vec<String> = sources
+        .iter()
+        .filter(|path| path.extension().is_some_and(|e| e == "rs"))
+        .map(|path| std::fs::read_to_string(path).expect("readable source"))
+        .collect();
+    for (name, value) in texts
+        .iter()
+        .flat_map(|text| text.lines().filter_map(constant))
+    {
+        code.entry(name).or_default().push(value);
+    }
     let (mut stated, mut wrong) = (0, Vec::new());
     for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
         let text = std::fs::read_to_string(root.join(doc)).expect(doc);
@@ -291,21 +303,191 @@ fn the_documents_state_constants_as_the_code_does() {
     );
 }
 
-/// Every `const` and `static` declared on one line in the `.rs` files under
-/// `dir`: its literal integer initializer, or `None` for any other.
-fn literal_constants(dir: &Path, out: &mut BTreeMap<String, Vec<Option<u128>>>) {
+/// Every DESIGN.md section cited anywhere is a heading of it: `§N` a
+/// `## N.` heading, `§N.M` a `### N.M` one. A citation is a numeric
+/// `§N[.M]` later in a paragraph that names `DESIGN` (so a list of sections
+/// may wrap a line), in `crates/`, `src/`, `tests/`, `examples/` and
+/// `scripts/`, in README.md, EXPERIMENTS.md, the verify skill and the CI
+/// workflow; in DESIGN.md every numeric `§N[.M]` is one. The paper's
+/// sections are roman (`§VI-D`) and never match. CHANGES.md and ROADMAP.md
+/// are history and are not read.
+#[test]
+fn every_design_section_cited_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md");
+    let headings = design_headings(&design);
+    let mut cited: Vec<(String, String)> = section_marks(&design)
+        .into_iter()
+        .map(|s| ("DESIGN.md".to_owned(), s))
+        .collect();
+    let mut files: Vec<PathBuf> = [
+        "README.md",
+        "EXPERIMENTS.md",
+        ".claude/skills/verify/SKILL.md",
+        ".github/workflows/ci.yml",
+    ]
+    .iter()
+    .map(|doc| root.join(doc))
+    .collect();
+    for dir in ["crates", "src", "tests", "examples", "scripts"] {
+        source_files(&root.join(dir), &mut files);
+    }
+    for path in files {
+        // A file that is not text cites nothing.
+        let Ok(text) = std::fs::read_to_string(&path) else {
+            continue;
+        };
+        let name = path
+            .strip_prefix(root)
+            .unwrap_or(&path)
+            .display()
+            .to_string();
+        cited.extend(
+            design_citations(&text)
+                .into_iter()
+                .map(|s| (name.clone(), s)),
+        );
+    }
+    assert!(
+        cited.iter().any(|(file, _)| file != "DESIGN.md"),
+        "the scan found no citation outside DESIGN.md"
+    );
+    let missing: Vec<String> = cited
+        .iter()
+        .filter(|(_, section)| !headings.contains(section))
+        .map(|(file, section)| format!("{file}: §{section}"))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "cited but not a DESIGN.md heading:\n{}",
+        missing.join("\n")
+    );
+}
+
+/// DESIGN.md states what is; which pull request made it so is CHANGES.md's.
+#[test]
+fn design_names_no_pull_request() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md");
+    let named: Vec<&str> = design
+        .lines()
+        .filter(|line| names_pull_request(line))
+        .collect();
+    assert!(
+        named.is_empty(),
+        "DESIGN.md names a pull request:\n{}",
+        named.join("\n")
+    );
+}
+
+/// The citation reader follows a wrapped list, ends at a blank (or bare
+/// comment) line and skips the paper's roman sections; the pull-request
+/// reader wants a whole word `PR` before a number. The cases below are
+/// themselves scanned as citations, so they name sections that exist.
+#[test]
+fn section_citations_are_read_as_the_checks_mean() {
+    let cases: [(&str, &[&str]); 5] = [
+        ("see DESIGN.md §9.1,\n§9.2). The families", &["9.1", "9.2"]),
+        ("DESIGN §10, stage tables in §3", &["10", "3"]),
+        ("//! (DESIGN.md §4.2)\n//!\n//! RFC 8259 §6", &["4.2"]),
+        ("the paper's §VI-D; DESIGN.md §VI", &[]),
+        ("RFC 8259 §6 (DESIGN.md)", &[]),
+    ];
+    for (text, want) in cases {
+        assert_eq!(design_citations(text), want, "{text:?}");
+    }
+    assert_eq!(
+        design_headings("## 4. UCR\n### 4.1 Eager\n#### 4.1.1 no\n## Notes"),
+        BTreeSet::from(["4".to_owned(), "4.1".to_owned()])
+    );
+    for (line, named) in [
+        ("PR 16 measured", true),
+        ("(PR\u{a0}34)", true),
+        ("the PRs", false),
+        ("RFP 3", false),
+        ("SPR 2", false),
+    ] {
+        assert_eq!(names_pull_request(line), named, "{line}");
+    }
+}
+
+/// The `## N.` and `### N.M` headings of `design`, as `N` and `N.M`.
+fn design_headings(design: &str) -> BTreeSet<String> {
+    let mut headings = BTreeSet::new();
+    for line in design.lines() {
+        let (number, depth) = if let Some(rest) = line.strip_prefix("## ") {
+            (rest.split_once(". ").map(|(n, _)| n), 1)
+        } else if let Some(rest) = line.strip_prefix("### ") {
+            (rest.split_once(' ').map(|(n, _)| n), 2)
+        } else {
+            continue;
+        };
+        let Some(number) = number else { continue };
+        let parts: Vec<&str> = number.split('.').collect();
+        let numeric = parts
+            .iter()
+            .all(|p| !p.is_empty() && p.bytes().all(|b| b.is_ascii_digit()));
+        if numeric && parts.len() == depth {
+            headings.insert(number.to_owned());
+        }
+    }
+    headings
+}
+
+/// The DESIGN.md sections `text` cites: every numeric `§N[.M]` after a
+/// mention of `DESIGN` in the same paragraph. A paragraph ends at a line
+/// that is blank once comment markers are trimmed.
+fn design_citations(text: &str) -> Vec<String> {
+    let mut cited = Vec::new();
+    let mut paragraph = String::new();
+    for line in text.lines().chain([""]) {
+        let bare = line.trim().trim_matches(['/', '!', '#', '*']);
+        if bare.trim().is_empty() {
+            if let Some(at) = paragraph.find("DESIGN") {
+                cited.extend(section_marks(&paragraph[at..]));
+            }
+            paragraph.clear();
+        } else {
+            paragraph.push_str(line);
+            paragraph.push('\n');
+        }
+    }
+    cited
+}
+
+/// Every numeric `§N` or `§N.M` in `text`, as `N` or `N.M`.
+fn section_marks(text: &str) -> Vec<String> {
+    let digits = |s: &str| s.len() - s.trim_start_matches(|c: char| c.is_ascii_digit()).len();
+    let mut marks = Vec::new();
+    for rest in text.split('§').skip(1) {
+        let major = digits(rest);
+        if major == 0 {
+            continue;
+        }
+        let minor = rest[major..].strip_prefix('.').map_or(0, digits);
+        let end = if minor == 0 { major } else { major + 1 + minor };
+        marks.push(rest[..end].to_owned());
+    }
+    marks
+}
+
+/// Whether `line` names a pull request: the word `PR` before a number.
+fn names_pull_request(line: &str) -> bool {
+    line.match_indices("PR").any(|(at, _)| {
+        let whole = !line[..at].ends_with(|c: char| c.is_alphanumeric());
+        let after = line[at + 2..].trim_start_matches([' ', '\u{a0}', '#']);
+        whole && after.starts_with(|c: char| c.is_ascii_digit())
+    })
+}
+
+/// Every file under `dir`, recursively.
+fn source_files(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in std::fs::read_dir(dir).expect("readable directory") {
         let path = entry.expect("directory entry").path();
         if path.is_dir() {
-            literal_constants(&path, out);
-            continue;
-        }
-        if path.extension().is_none_or(|e| e != "rs") {
-            continue;
-        }
-        let text = std::fs::read_to_string(&path).expect("readable source");
-        for (name, value) in text.lines().filter_map(constant) {
-            out.entry(name.to_owned()).or_default().push(value);
+            source_files(&path, out);
+        } else {
+            out.push(path);
         }
     }
 }
@@ -406,9 +588,12 @@ fn stated_constants(text: &str) -> Vec<(&str, u128)> {
             number.push_str(&group[..3]);
             tail = &group[3..];
         }
-        let power = tail.starts_with([
-            '⁰', '¹', '²', '³', '⁴', '⁵', '⁶', '⁷', '⁸', '⁹', '.', ',', '–',
-        ]);
+        // A figure ends at a comma or full stop unless a digit follows it
+        // ("1.5", "1,024").
+        let fraction =
+            tail.starts_with(['.', ',']) && tail[1..].starts_with(|c: char| c.is_ascii_digit());
+        let power =
+            fraction || tail.starts_with(['⁰', '¹', '²', '³', '⁴', '⁵', '⁶', '⁷', '⁸', '⁹', '–']);
         let next = tail.trim_start();
         let operator = next.starts_with(['+', '-', '×', '*', '/', '^', '<']);
         let word: String = next.chars().take_while(char::is_ascii_alphabetic).collect();

@@ -229,7 +229,7 @@ fn no_simulated_layer_depends_on_a_host_tool() {
     );
 }
 
-/// Determinism and panic freedom are clippy's (DESIGN.md §10): the root
+/// Determinism and panic freedom are clippy's (DESIGN.md §9.2): the root
 /// `clippy.toml` disallows every host-time and entropy path, and outside
 /// its tests every library denies iterating a hash table, the five
 /// protocol crates also every way to panic.
