@@ -70,7 +70,9 @@ pub enum AmData {
     /// `n` bytes were placed into the buffer returned by the header
     /// handler.
     Placed(usize),
-    /// The header handler asked for the data to be dropped.
+    /// Nothing was placed: the header handler asked for the data to be
+    /// dropped, or the buffer it returned could not take them (a region
+    /// registered without `LOCAL_WRITE`, say).
     Discarded,
 }
 

@@ -1151,9 +1151,12 @@ impl RtInner {
             AmDest::Pool => AmData::Pool(AmBytes::new(data.to_vec(), Weak::new())),
             AmDest::Buffer(slice) => {
                 let n = data_len.min(slice.len());
-                // Copy into the caller's registered destination.
-                let _ = slice.write_prefix(&data[..n]);
-                AmData::Placed(n)
+                // Copy into the caller's registered destination, if it
+                // takes the bytes.
+                match slice.write_prefix(&data[..n]) {
+                    Ok(()) => AmData::Placed(n),
+                    Err(_) => AmData::Discarded,
+                }
             }
             AmDest::Discard => AmData::Discarded,
         };
@@ -1448,6 +1451,32 @@ mod tests {
             (pending, ep.inner.sources.borrow().len(), regions),
             (idle, idle_rndv),
         )
+    }
+
+    /// An eager message whose header handler names a buffer that cannot
+    /// take its bytes — one registered without `LOCAL_WRITE` — places none,
+    /// and its completion handler is handed `Discarded`, not `Placed`.
+    #[test]
+    fn bytes_a_buffer_refuses_are_handed_over_as_discarded() {
+        struct ReadOnly(Mr, Rc<Cell<Option<bool>>>);
+        impl AmHandler for ReadOnly {
+            fn on_header(&self, _: &Endpoint, _: &[u8], _: usize) -> AmDest {
+                AmDest::Buffer(self.0.full())
+            }
+            fn on_complete(&self, _: &Endpoint, _: &[u8], data: AmData) {
+                self.1.set(Some(matches!(data, AmData::Discarded)));
+            }
+        }
+        let (cluster, server, _client, ep, _peer) = connected(21);
+        let seen = Rc::default();
+        let mr = server.inner.pd.register(64, Access::REMOTE_READ);
+        server.register_handler(MSG + 1, ReadOnly(mr, Rc::clone(&seen)));
+        cluster.sim().block_on(async move {
+            let sent = ep.send_message(MSG + 1, b"h", &[7; 64], SendOptions::default());
+            sent.await.expect("eager");
+        });
+        cluster.sim().run();
+        assert_eq!(seen.get(), Some(true));
     }
 
     /// A send whose post the queue pair refuses is withdrawn whole: no

@@ -108,25 +108,6 @@ fn eager_round_trip_delivers_data_and_counter() {
     assert!(dt.as_micros_f64() > 1.0, "RTT {dt} suspiciously fast");
 }
 
-#[test]
-fn rendezvous_moves_large_payloads() {
-    let (cluster, fabric) = world(false, 2);
-    let server = start_echo_server(&fabric, NodeId(1), 1);
-    let client = UcrRuntime::new(&fabric, NodeId(0));
-    // 64 KB: far past the 8 KB eager threshold in both directions.
-    let payload: Vec<u8> = (0..65536u32).map(|i| (i % 251) as u8).collect();
-    let p2 = payload.clone();
-    let client2 = client.clone();
-    let (_dt, reply) = cluster
-        .sim()
-        .block_on(async move { echo_once(&client2, NodeId(1), p2).await });
-    assert_eq!(reply, payload);
-    // Both directions used the rendezvous path.
-    assert!(server.stats().rndv_delivered.get() >= 1);
-    assert!(client.stats().rndv_delivered.get() >= 1);
-    assert_eq!(server.stats().unknown_msg_dropped.get(), 0);
-}
-
 /// Whatever its kind, a message's headers travel in one network buffer: an
 /// application header of `MAX_HEADER_BYTES` is delivered, eagerly with no
 /// data and in a rendezvous request with 64 KB of it; one byte more is
@@ -169,114 +150,6 @@ fn a_header_past_one_network_buffer_is_refused_at_the_send() {
 }
 
 #[test]
-fn eager_and_rendezvous_deliver_identical_bytes() {
-    // Same content through both paths must be byte-identical.
-    for size in [64usize, 8 * 1024 - 200, 8 * 1024 + 1, 100_000] {
-        let (cluster, fabric) = world(true, 2);
-        let _server = start_echo_server(&fabric, NodeId(1), 1);
-        let client = UcrRuntime::new(&fabric, NodeId(0));
-        let payload: Vec<u8> = (0..size).map(|i| (i % 253) as u8).collect();
-        let p2 = payload.clone();
-        let (_, reply) = cluster
-            .sim()
-            .block_on(async move { echo_once(&client, NodeId(1), p2).await });
-        assert_eq!(reply, payload, "size {size}");
-    }
-}
-
-#[test]
-fn origin_counter_bumps_on_local_completion() {
-    let (cluster, fabric) = world(false, 2);
-    let server = UcrRuntime::new(&fabric, NodeId(1));
-    server.register_handler(SINK, FnHandler(|_: &Endpoint, _: &[u8], _: AmData| {}));
-    accept_one(&server);
-    let client = UcrRuntime::new(&fabric, NodeId(0));
-    cluster.sim().block_on(async move {
-        let ep = connect(&client).await;
-        let origin = client.counter();
-        ep.send_message(
-            SINK,
-            b"hdr",
-            &vec![1u8; 256],
-            SendOptions {
-                origin: Some(origin.clone()),
-                ..Default::default()
-            },
-        )
-        .await
-        .unwrap();
-        origin.wait_for(1, WAIT).await.unwrap();
-        assert_eq!(origin.value(), 1);
-    });
-}
-
-#[test]
-fn origin_counter_bumps_for_rendezvous_via_fin() {
-    let (cluster, fabric) = world(false, 2);
-    let server = UcrRuntime::new(&fabric, NodeId(1));
-    server.register_handler(SINK, FnHandler(|_: &Endpoint, _: &[u8], _: AmData| {}));
-    accept_one(&server);
-    let client = UcrRuntime::new(&fabric, NodeId(0));
-    let client2 = client.clone();
-    cluster.sim().block_on(async move {
-        let ep = connect(&client2).await;
-        let origin = client2.counter();
-        ep.send_message(
-            SINK,
-            b"hdr",
-            &vec![9u8; 50_000],
-            SendOptions {
-                origin: Some(origin.clone()),
-                ..Default::default()
-            },
-        )
-        .await
-        .unwrap();
-        origin.wait_for(1, WAIT).await.unwrap();
-    });
-    assert!(server.stats().fins_sent.get() >= 1);
-}
-
-#[test]
-fn completion_counter_requires_internal_message() {
-    let (cluster, fabric) = world(false, 2);
-    let server = UcrRuntime::new(&fabric, NodeId(1));
-    server.register_handler(SINK, FnHandler(|_: &Endpoint, _: &[u8], _: AmData| {}));
-    accept_one(&server);
-    let client = UcrRuntime::new(&fabric, NodeId(0));
-    let server2 = server.clone();
-    cluster.sim().block_on(async move {
-        let ep = connect(&client).await;
-        let fins_before = server2.stats().fins_sent.get();
-
-        // Without a completion counter: no internal message for eager.
-        ep.send_message(SINK, b"h", b"data", SendOptions::default())
-            .await
-            .unwrap();
-        client
-            .sim()
-            .run_until(client.sim().now() + SimDuration::from_millis(1));
-        assert_eq!(server2.stats().fins_sent.get(), fins_before);
-
-        // With one: the target sends Fin and the counter fires.
-        let completion = client.counter();
-        ep.send_message(
-            SINK,
-            b"h",
-            b"data",
-            SendOptions {
-                completion: Some(completion.clone()),
-                ..Default::default()
-            },
-        )
-        .await
-        .unwrap();
-        completion.wait_for(1, WAIT).await.unwrap();
-        assert_eq!(server2.stats().fins_sent.get(), fins_before + 1);
-    });
-}
-
-#[test]
 fn header_handler_can_place_into_registered_buffer() {
     struct IntoBuffer {
         mr: Rc<RefCell<Option<verbs::Mr>>>,
@@ -307,11 +180,7 @@ fn header_handler_can_place_into_registered_buffer() {
         SINK,
         IntoBuffer {
             mr: mr_cell.clone(),
-            pd: {
-                let f2 = IbFabric::new(cluster.clone());
-                let _ = f2;
-                fabric.open(NodeId(1)).alloc_pd()
-            },
+            pd: fabric.open(NodeId(1)).alloc_pd(),
             placed: placed.clone(),
         },
     );
@@ -891,13 +760,13 @@ fn counter_timeout_then_late_bump_does_not_stale_notify() {
 }
 
 // ---------------------------------------------------------------------
-// The stream sweep: eager coalescing's hold, flush and discard over
-// seeded scripts, checked by one oracle
+// The stream sweep: delivery both ways, and eager coalescing's hold, flush
+// and discard, over seeded scripts, checked by one oracle
 // ---------------------------------------------------------------------
 
-/// A receiver→sender ping asks for a completion counter, so the sender's
-/// progress engine answers it with a Fin on the endpoint its stream may be
-/// held on.
+/// A ping, a message from the receiver back to a sender, names a completion
+/// counter, so the sender's progress engine answers it with a Fin on the
+/// endpoint its own stream may be held on.
 const PING: u16 = 41;
 
 /// Data lengths a script draws from, after each message's 4-byte header
@@ -916,7 +785,7 @@ struct Msg {
     origin: bool,
     /// Goes by `post_message` rather than `send_message`.
     post: bool,
-    /// How long the sender waits before its next send.
+    /// How long its sender waits before sending it.
     pace: SimDuration,
 }
 
@@ -937,6 +806,11 @@ impl Msg {
         self.origin = true;
         self
     }
+
+    fn after(mut self, pace: SimDuration) -> Msg {
+        self.pace = pace;
+        self
+    }
 }
 
 /// How a script's stream ends: right after each sender's last message is
@@ -953,14 +827,15 @@ enum Ending {
     /// at its adapter or at a receiver whose read of a released source
     /// fails and ends its endpoint.
     SenderShutdown,
-    /// The receiver shuts down just before the first sender's `n`th send.
+    /// The receiver shuts down just before the first sender's `n`th message
+    /// (and its pause).
     PeerShutdown(usize),
 }
 
 /// Senders on nodes `1..=senders` each stream `msgs` (after backing their
 /// queues up, with `back_up`) to a receiver on node 0 with `contexts`
-/// progress contexts, which pings them in turn, each ping `pings[k]` µs
-/// after the last one's Fin.
+/// progress contexts, which meanwhile sends them `pings`, in turn and back
+/// to back.
 #[derive(Debug, Clone)]
 struct Script {
     seed: u64,
@@ -969,7 +844,7 @@ struct Script {
     senders: u32,
     back_up: bool,
     msgs: Vec<Msg>,
-    pings: Vec<u64>,
+    pings: Vec<Msg>,
     ending: Ending,
 }
 
@@ -999,16 +874,24 @@ impl Script {
         Script { ending, ..self }
     }
 
+    fn pings(self, pings: Vec<Msg>) -> Script {
+        Script { pings, ..self }
+    }
+
     fn draw(r: &mut SimRng) -> Script {
         let pick = |r: &mut SimRng, n: usize| r.gen_range_u64(0, n as u64) as usize;
         // Half the scripts stay eager, so that more endings find messages
         // held.
         let sizes = &SIZES[..if r.gen_bool(0.5) { 9 } else { 6 }];
-        let msgs = r.vec_of(1..16, |r| Msg {
+        let msg = |r: &mut SimRng, pace| Msg {
             len: sizes[pick(r, sizes.len())],
             origin: r.gen_bool(0.5),
             post: r.gen_bool(0.3),
-            pace: SimDuration::from_nanos(r.gen_range_u64(0, 1001).saturating_sub(500)),
+            pace,
+        };
+        let msgs = r.vec_of(1..16, |r| {
+            let pace = r.gen_range_u64(0, 1001).saturating_sub(500);
+            msg(r, SimDuration::from_nanos(pace))
         });
         let ending = match pick(r, 5) {
             0 => Ending::Close,
@@ -1021,21 +904,26 @@ impl Script {
         (s.seed, s.cluster_b, s.contexts) =
             (r.gen_range_u64(0, 1000), r.gen_bool(0.5), 1 + pick(r, 2));
         (s.senders, s.back_up) = (1 + pick(r, 4) as u32, r.gen_bool(0.5));
-        s.pings = r.vec_of(0..5, |r| r.gen_range_u64(0, 40));
+        // Half the pings go with no pause, and the rest reach past a
+        // backed-up stream's drain, which ends some 100 µs in.
+        s.pings = r.vec_of(0..9, |r| {
+            let pace = r.gen_range_u64(0, 161).saturating_sub(80);
+            msg(r, SimDuration::from_micros(pace))
+        });
         s
     }
 }
 
-/// The `len` data bytes of message `seq` of node `node`: a cut of a cycle
-/// of 251 at an offset set by both.
-fn stream_data(node: u32, seq: u32, len: usize) -> &'static [u8] {
+/// The `len` data bytes of message `seq` of flow `dir` of sender `i`'s
+/// connection: a cut of a cycle of 251 at an offset set by all three.
+fn stream_data(i: usize, dir: usize, seq: u32, len: usize) -> &'static [u8] {
     static CYCLE: std::sync::LazyLock<Vec<u8>> =
         std::sync::LazyLock::new(|| (0..251 + (1 << 17)).map(|k| (k % 251) as u8).collect());
-    let at = (node as usize * 7 + seq as usize * 31) % 251;
+    let at = (i * 7 + dir * 101 + seq as usize * 31) % 251;
     &CYCLE[at..at + len]
 }
 
-/// A message the sender's runtime took, by sequence number.
+/// A message the sending runtime took, by sequence number.
 struct Accepted {
     /// When `send_message` resolved, or when the staging delay of a posted
     /// eager message ends: messages leave an endpoint in the order of this
@@ -1044,174 +932,210 @@ struct Accepted {
     len: usize,
     eager: bool,
     origin: Option<Counter>,
-    /// The origin counter's value when `send_message` resolved.
+    /// The origin counter's value when the send returned.
     origin_then: u64,
+    /// The completion counter a ping names, and how many messages of the
+    /// other flow its sender had seen announced when the Fin bumped it.
+    completion: Option<Counter>,
+    at_fin: Option<usize>,
 }
 
-/// What a sender leaves the oracle, runtime or not: its endpoint, what its
-/// runtime accepted, how many it had accepted at each ping it got, and its
-/// `eager_wrs_posted`, `eager_coalesced` and `send_failures`.
-#[derive(Clone)]
-struct Trail {
-    ep: Endpoint,
-    log: Rc<RefCell<Vec<Accepted>>>,
-    at_ping: Rc<RefCell<Vec<u64>>>,
-    counts: [Rc<simnet::metrics::Counter>; 3],
+/// One direction of one sender's connection, by sequence number: what its
+/// sending runtime accepted; the headers its receiver announced; and the
+/// messages delivered, with their lengths, whether their bytes were the
+/// ones sent, and the receiving runtime's `messages_sent` when it answered.
+#[derive(Default)]
+struct Flow {
+    log: Vec<Accepted>,
+    announced: Vec<u32>,
+    delivered: Vec<(u32, usize, bool, u64)>,
 }
 
-/// One sender of a stream.
+/// Per sender, by node less one: its stream and the receiver's pings to it;
+/// and when the receiver was shut down in a `PeerShutdown` ending.
+#[derive(Default)]
+struct Inbox {
+    flows: RefCell<Vec<[Flow; 2]>>,
+    killed: Cell<SimTime>,
+}
+
+/// A runtime's handler: files each message it gets in its flow — the
+/// receiver's (node 0) by the sending node, a sender's as a ping.
+struct Sink {
+    inbox: Rc<Inbox>,
+    node: u32,
+    sent: Rc<simnet::metrics::Counter>,
+}
+
+impl Sink {
+    /// Runs `f` on the flow of `ep`'s message with header `hdr`, with the
+    /// flow's sender index and direction and the message's sequence number.
+    fn file(&self, ep: &Endpoint, hdr: &[u8], f: impl FnOnce(&mut Flow, (usize, usize), u32)) {
+        let (i, dir) = match self.node {
+            0 => (ep.peer().0 as usize - 1, 0),
+            n => (n as usize - 1, 1),
+        };
+        let seq = u32::from_le_bytes(hdr.try_into().unwrap());
+        f(&mut self.inbox.flows.borrow_mut()[i][dir], (i, dir), seq);
+    }
+}
+
+impl AmHandler for Sink {
+    fn on_header(&self, ep: &Endpoint, hdr: &[u8], _: usize) -> AmDest {
+        self.file(ep, hdr, |flow, _, seq| flow.announced.push(seq));
+        AmDest::Pool
+    }
+
+    fn on_complete(&self, ep: &Endpoint, hdr: &[u8], data: AmData) {
+        let data = data.into_vec().unwrap_or_default();
+        self.file(ep, hdr, |flow, (i, dir), seq| {
+            let intact = data == stream_data(i, dir, seq, data.len());
+            (flow.delivered).push((seq, data.len(), intact, self.sent.get()));
+        });
+    }
+}
+
+/// A runtime's sending half. It writes every message into its one buffer
+/// and rewrites it as soon as the send returns, so a source the runtime
+/// did not copy or own arrives corrupted.
 struct Tx {
     rt: UcrRuntime,
     profile: ClusterProfile,
-    trail: Trail,
+    inbox: Rc<Inbox>,
+    buf: Cell<Vec<u8>>,
 }
 
 /// Messages [`Tx::back_up`] sends.
 const BACKED_UP: usize = 201;
 
 impl Tx {
-    async fn connect(rt: UcrRuntime, to: NodeId, profile: &ClusterProfile) -> Tx {
-        let (at_ping, st) = (Rc::<RefCell<Vec<u64>>>::default(), rt.stats());
-        let (sent, pings) = (st.messages_sent.clone(), at_ping.clone());
-        let ping = move |_: &Endpoint, _: &[u8], _: AmData| pings.borrow_mut().push(sent.get());
-        rt.register_handler(PING, FnHandler(ping));
-        let counts = [&st.eager_wrs_posted, &st.eager_coalesced, &st.send_failures].map(Rc::clone);
-        let (ep, log) = (connect_to(&rt, to).await, Rc::default());
-        let trail = Trail {
-            ep,
-            log,
-            at_ping,
-            counts,
+    /// A sending half for `rt`, whose handler files into `inbox`.
+    fn new(rt: UcrRuntime, profile: &ClusterProfile, inbox: &Rc<Inbox>) -> Tx {
+        let (node, sent) = (rt.node().0, rt.stats().messages_sent.clone());
+        let inbox = inbox.clone();
+        let sink = Sink {
+            inbox: inbox.clone(),
+            node,
+            sent,
         };
-        let profile = profile.clone();
-        Tx { rt, profile, trail }
+        rt.register_handler(if node == 0 { SINK } else { PING }, sink);
+        let (profile, buf) = (profile.clone(), Cell::default());
+        Tx {
+            rt,
+            profile,
+            inbox,
+            buf,
+        }
     }
 
-    /// Sends the next message of the stream; `Err` if it was refused.
-    async fn send(&self, m: Msg) -> Result<(), UcrError> {
-        let (Trail { ep, log, .. }, sim) = (&self.trail, self.rt.sim());
-        let seq = log.borrow().len() as u32;
-        let (hdr, data) = (seq.to_le_bytes(), stream_data(self.rt.node().0, seq, m.len));
-        let origin = m.origin.then(|| self.rt.counter());
+    /// Sends `m` on `ep` as the next message of flow `dir` of sender `i`'s
+    /// connection: 0, its stream; 1, a ping. `Err` if it was refused.
+    async fn send(&self, ep: &Endpoint, (i, dir): (usize, usize), m: Msg) -> Result<(), UcrError> {
+        let sim = self.rt.sim();
+        sim.sleep(m.pace).await;
+        let seq = self.inbox.flows.borrow()[i][dir].log.len() as u32;
+        let mut buf = self.buf.take();
+        buf.clear();
+        buf.extend_from_slice(stream_data(i, dir, seq, m.len));
+        let (hdr, counter) = (seq.to_le_bytes(), || self.rt.counter());
+        let (origin, completion) = (m.origin.then(counter), (dir == 1).then(counter));
         let opts = SendOptions {
             origin: origin.clone(),
+            completion: completion.clone(),
             ..Default::default()
         };
+        let msg_id = [SINK, PING][dir];
         let eager = hdr.len() + m.len <= self.rt.eager_threshold();
-        let at = if !m.post {
-            ep.send_message(SINK, &hdr, data, opts).await?;
-            sim.now()
-        } else if eager {
-            ep.post_message(SINK, hdr, data, opts);
+        let sent = if m.post {
+            ep.post_message(msg_id, hdr, &buf[..], opts);
+            Ok(())
+        } else {
+            ep.send_message(msg_id, &hdr, &buf, opts).await
+        };
+        buf.fill(0xa5);
+        self.buf.set(buf);
+        sent?;
+        let at = if m.post && eager {
             // The staging delay `post_message` documents.
             let (p, len) = (&self.profile, m.len as u64);
             let copy = SimDuration::for_bytes_at(len, p.host.copy_bw_bps);
             sim.now() + copy + p.ucr_eager_cost(len) / 2
         } else {
-            ep.post_message(SINK, hdr, data, opts);
             sim.now()
         };
         let (len, origin_then) = (m.len, origin.as_ref().map_or(0, Counter::value));
-        log.borrow_mut().push(Accepted {
+        if let Some(done) = completion.clone() {
+            let inbox = self.inbox.clone();
+            sim.spawn(async move {
+                if done.wait_for(1, WAIT).await.is_ok() {
+                    let flows = &mut inbox.flows.borrow_mut()[i];
+                    flows[dir].log[seq as usize].at_fin = Some(flows[1 - dir].announced.len());
+                }
+            });
+        }
+        self.inbox.flows.borrow_mut()[i][dir].log.push(Accepted {
             at,
             len,
             eager,
             origin,
             origin_then,
+            completion,
+            at_fin: None,
         });
-        sim.sleep(m.pace).await;
         Ok(())
     }
 
-    /// Backs the endpoint's send queue up. One lone message shows how fast
-    /// a send can complete; then a burst of 200 queues in the HCA (0.4 µs
-    /// each), so its later completions take many times as long. Returns
-    /// 30 µs into the 80 µs drain — slow completions reaped, more in
-    /// flight: exactly the state in which the next eager sends are held.
-    /// None of these is held itself (the burst is posted before its first
-    /// completion is reaped).
-    async fn back_up(&self) {
-        self.send(SMALL.origin()).await.unwrap();
-        let lone = self.trail.log.borrow().last().unwrap().origin.clone();
+    /// Backs `ep`'s send queue up. One lone message shows how fast a send
+    /// can complete; then a burst of 200 queues in the HCA (0.4 µs each),
+    /// so its later completions take many times as long. Returns 30 µs into
+    /// the 80 µs drain — slow completions reaped, more in flight: exactly
+    /// the state in which the next eager sends are held. None of these is
+    /// held itself (the burst is posted before its first completion is
+    /// reaped).
+    async fn back_up(&self, ep: &Endpoint, i: usize) {
+        self.send(ep, (i, 0), SMALL.origin()).await.unwrap();
+        let lone = self.inbox.flows.borrow()[i][0].log[0].origin.clone();
         let lone = lone.unwrap();
         lone.wait_for(1, SimDuration::from_millis(1)).await.unwrap();
         for _ in 1..BACKED_UP {
-            self.send(SMALL).await.unwrap();
+            self.send(ep, (i, 0), SMALL).await.unwrap();
         }
         self.rt.sim().sleep(SimDuration::from_micros(30)).await;
     }
 
-    /// Runs this sender's part of `s` to receiver `rx`, whose handler fills
-    /// `inbox`.
-    async fn stream(self, s: Script, rx: UcrRuntime, inbox: Rc<Inbox>) {
+    /// Runs this sender's part of `s` on `ep` to receiver `rx`.
+    async fn stream(self, ep: Endpoint, s: Script, rx: UcrRuntime) {
         let (sim, i) = (self.rt.sim(), self.rt.node().0 as usize - 1);
         if s.back_up {
-            self.back_up().await;
+            self.back_up(&ep, i).await;
         }
         for (k, m) in s.msgs.iter().enumerate() {
             if i == 0 && s.ending == Ending::PeerShutdown(k) {
                 rx.shutdown();
-                inbox.killed.set(sim.now());
+                self.inbox.killed.set(sim.now());
             }
-            if self.send(*m).await.is_err() {
+            if self.send(&ep, (i, 0), *m).await.is_err() {
                 break;
             }
         }
-        let log = &self.trail.log;
-        let last = log.borrow().iter().map(|a| a.at).max();
+        let last = self.inbox.flows.borrow()[i][0]
+            .log
+            .iter()
+            .map(|a| a.at)
+            .max();
         sim.sleep_until(last.unwrap_or(SimTime::ZERO)).await;
         match s.ending {
-            Ending::Close => self.trail.ep.close(),
+            Ending::Close => ep.close(),
             Ending::SenderShutdown => self.rt.shutdown(),
             _ => {}
         }
     }
 }
 
-/// What the receiver's handlers saw of one sender's stream, by sequence
-/// number: headers announced; messages delivered, with their lengths and
-/// whether their bytes were the ones sent; and how many of its messages
-/// had been announced when the Fin of each ping to it arrived.
-#[derive(Default)]
-struct Arrivals {
-    announced: Vec<u32>,
-    delivered: Vec<(u32, usize, bool)>,
-    at_fin: Vec<usize>,
-}
-
-/// What the receiver saw, by sending node less one, and when it was shut
-/// down in a `PeerShutdown` ending.
-#[derive(Default)]
-struct Inbox {
-    seen: RefCell<Vec<Arrivals>>,
-    killed: Cell<SimTime>,
-}
-
-/// The receiver's handler: files each message under its sending node.
-struct Sink(Rc<Inbox>);
-
-impl AmHandler for Sink {
-    fn on_header(&self, ep: &Endpoint, hdr: &[u8], _: usize) -> AmDest {
-        let seen = &mut self.0.seen.borrow_mut()[ep.peer().0 as usize - 1];
-        seen.announced
-            .push(u32::from_le_bytes(hdr.try_into().unwrap()));
-        AmDest::Pool
-    }
-
-    fn on_complete(&self, ep: &Endpoint, hdr: &[u8], data: AmData) {
-        let (node, seq) = (ep.peer().0, u32::from_le_bytes(hdr.try_into().unwrap()));
-        let data = data.into_vec().unwrap_or_default();
-        let intact = data == stream_data(node, seq, data.len());
-        self.0.seen.borrow_mut()[node as usize - 1]
-            .delivered
-            .push((seq, data.len(), intact));
-    }
-}
-
-/// Counts a row pins, summed over a script's senders: `eager_coalesced`,
+/// Counts a row pins: summed over a script's senders, `eager_coalesced`,
 /// `send_failures`, and the eager messages accepted and never posted (held,
-/// then discarded).
-type Tally = (u64, u64, u64);
+/// then discarded); and the receiver's `eager_coalesced`.
+type Tally = (u64, u64, u64, u64);
 
 /// Runs `s` and checks it against the one oracle. A failed clause panics
 /// with the flight recorder's dump, which `check_cases` prints beside the
@@ -1226,57 +1150,54 @@ fn run_script(s: &Script) -> Tally {
     let recorder = EventRecorder::new();
     cluster.tracer().add_sink(recorder.clone());
     let rx = UcrRuntime::with_contexts(&fabric, NodeId(0), s.contexts);
-    let inbox = Rc::new(Inbox::default());
-    (inbox.seen.borrow_mut()).resize_with(s.senders as usize, Arrivals::default);
-    rx.register_handler(SINK, Sink(inbox.clone()));
-    let (listener, eps) = (rx.listen(PORT).unwrap(), Rc::new(RefCell::new(Vec::new())));
-    let accepted = eps.clone();
+    let (inbox, profile) = (Rc::new(Inbox::default()), cluster.profile().clone());
+    (inbox.flows.borrow_mut()).resize_with(s.senders as usize, Default::default);
+    let pinger = Tx::new(rx.clone(), &profile, &inbox);
+    let (listener, accepted) = (rx.listen(PORT).unwrap(), Rc::new(RefCell::new(Vec::new())));
+    let eps = accepted.clone();
     sim.spawn(async move {
         while let Ok(ep) = listener.accept().await {
-            accepted.borrow_mut().push(ep);
+            eps.borrow_mut().push(ep);
         }
     });
-    let profile = cluster.profile().clone();
-    let txs: Vec<Tx> = sim.block_on(async move {
+    let into = inbox.clone();
+    let txs: Vec<(Tx, Endpoint)> = sim.block_on(async move {
         let mut txs = Vec::new();
         for n in 1..nodes {
-            txs.push(Tx::connect(UcrRuntime::new(&fabric, NodeId(n)), NodeId(0), &profile).await);
+            let tx = Tx::new(UcrRuntime::new(&fabric, NodeId(n)), &profile, &into);
+            let ep = connect_to(&tx.rt, NodeId(0)).await;
+            txs.push((tx, ep));
         }
         txs
     });
     sim.run();
     let idle_events = sim.pending_events();
-    let trails: Vec<Trail> = txs.iter().map(|tx| tx.trail.clone()).collect();
+    let eps: Vec<Endpoint> = txs.iter().map(|(_, ep)| ep.clone()).collect();
     // What a `DropRuntime` ending lets go of is kept otherwise.
-    let kept: Vec<UcrRuntime> = txs.iter().map(|tx| tx.rt.clone()).collect();
+    let kept: Vec<UcrRuntime> = txs.iter().map(|(tx, _)| tx.rt.clone()).collect();
     let kept = (s.ending != Ending::DropRuntime).then_some(kept);
-    for tx in txs {
-        sim.spawn(tx.stream(s.clone(), rx.clone(), inbox.clone()));
+    for (tx, ep) in txs {
+        sim.spawn(tx.stream(ep, s.clone(), rx.clone()));
     }
-    let (rx2, inbox2, pings) = (rx.clone(), inbox.clone(), s.pings.clone());
+    let pings = s.pings.clone();
     sim.spawn(async move {
-        for (k, gap) in pings.into_iter().enumerate() {
-            rx2.sim().sleep(SimDuration::from_micros(gap)).await;
-            let ep = eps.borrow()[k % eps.borrow().len()].clone();
-            let done = rx2.counter();
-            let opts = SendOptions {
-                completion: Some(done.clone()),
-                ..Default::default()
-            };
-            let sent = ep.send_message(PING, &[], &[], opts).await;
-            let fin = done.wait_for(1, SimDuration::from_millis(10));
-            if sent.is_err() || fin.await.is_err() {
+        for (k, m) in pings.into_iter().enumerate() {
+            let ep = accepted.borrow()[k % accepted.borrow().len()].clone();
+            let i = ep.peer().0 as usize - 1;
+            if pinger.send(&ep, (i, 1), m).await.is_err() {
                 break;
             }
-            let seen = &mut inbox2.seen.borrow_mut()[ep.peer().0 as usize - 1];
-            seen.at_fin.push(seen.announced.len());
         }
     });
     sim.run();
 
     // The oracle. A clause that fails raises a fault with the flight
     // recorder's dump.
-    let (t, seen, events) = (cluster.tracer(), inbox.seen.borrow(), recorder.events());
+    let (t, flows, events) = (cluster.tracer(), inbox.flows.borrow(), recorder.events());
+    let stat = |n: usize, name: &str| {
+        let metrics = cluster.metrics();
+        metrics.counter_value(&format!("ucr.ib.node{n}.{name}"))
+    };
     macro_rules! ensure {
         ($ok:expr => $($why:tt)+) => {
             if !$ok {
@@ -1284,11 +1205,23 @@ fn run_script(s: &Script) -> Tally {
             }
         };
     }
-    let clean = matches!(s.ending, Ending::Quiesce | Ending::Close);
-    let clean = clean || s.ending == Ending::DropRuntime;
-    let (mut eager_left, mut tally) = (0, (0, 0, 0));
-    for (node, (trail, seen)) in (1..).zip(trails.iter().zip(seen.iter())) {
-        let (log, [posted, coalesced, failures]) = (trail.log.borrow(), &trail.counts);
+    let clean = !matches!(s.ending, Ending::SenderShutdown | Ending::PeerShutdown(_));
+    // Per runtime, from what was delivered to it: its rendezvous messages,
+    // and the Fins it owes — one per rendezvous read and per message that
+    // named a completion counter. A stream's eager message never owes one.
+    let (mut rndv, mut owed) = (vec![0; nodes as usize], vec![0; nodes as usize]);
+    // One flow, either way. Its delivery order, whatever the ending: what
+    // was announced is the head of the send order; each eager message is
+    // delivered as it is announced; each message at most once, intact. An
+    // origin counter bumps at the carrying completion, never when its
+    // message is accepted; a completion counter only for a message
+    // delivered, its Fin arriving after what the receiving runtime had
+    // accepted the other way when it answered was announced. With
+    // `complete`, every message arrives and each counter bumps once — an
+    // origin counter unless the progress engine that would reap its
+    // completion went with a dropped runtime. Returns the send order.
+    let mut check = |flow: &Flow, (node, to): (usize, usize), complete: bool| {
+        let (log, announced, arrived) = (&flow.log, &flow.announced, &flow.delivered);
         let mut order: Vec<u32> = (0..log.len() as u32).collect();
         order.sort_by_key(|&q| (log[q as usize].at, q));
         let eager = |seqs: &[u32]| -> Vec<u32> {
@@ -1296,53 +1229,66 @@ fn run_script(s: &Script) -> Tally {
                 .filter(|&q| log[q as usize].eager)
                 .collect()
         };
-        let (announced, arrived) = (&seen.announced, &seen.delivered);
         let delivered: Vec<u32> = arrived.iter().map(|d| d.0).collect();
-        eager_left += eager(announced).len();
-        // Delivery order, whatever the ending: what was announced is the
-        // head of the send order; each eager message is delivered as it is
-        // announced; each message at most once, intact.
         let head = order.get(..announced.len()) == Some(announced);
-        ensure!(head => "node {node}: announced {announced:?}, sent {order:?}");
+        ensure!(head => "{node}→{to}: announced {announced:?}, sent {order:?}");
         let once: std::collections::BTreeSet<_> = delivered.iter().collect();
         let intact = arrived
             .iter()
-            .all(|&(q, len, bytes)| bytes && log[q as usize].len == len);
+            .all(|&(q, len, bytes, _)| bytes && log[q as usize].len == len);
         let intact = intact && once.len() == delivered.len();
         let in_order = eager(&delivered) == eager(announced);
-        ensure!(intact && in_order => "node {node}: delivered {arrived:?}");
-        // An origin counter bumps at the carrying completion, never when
-        // its message is accepted.
+        ensure!(intact && in_order => "{node}→{to}: delivered {arrived:?}");
         let early = log.iter().any(|a| a.origin_then > 0);
-        ensure!(!early => "node {node}: an origin counter bumped at its send");
-        // Fins: what was accepted before a ping was announced before the
-        // Fin answering it.
-        let (at_ping, at_fin) = (trail.at_ping.borrow(), &seen.at_fin);
-        let fins = at_ping.iter().zip(at_fin).all(|(&p, &f)| f as u64 >= p);
-        ensure!(fins => "node {node}: Fin overtook: {at_ping:?} sent, {at_fin:?} seen");
-        let (wrs, failed) = (posted.get() + coalesced.get(), failures.get());
-        tally.0 += coalesced.get();
+        let fins = log.iter().zip(0..).all(|(a, q)| {
+            let answered = |f: usize| arrived.iter().any(|d| d.0 == q && f as u64 >= d.3);
+            a.at_fin.is_none_or(answered)
+        });
+        ensure!(!early && fins => "{node}→{to}: a counter bumped early");
+        for &(q, ..) in arrived {
+            let a = &log[q as usize];
+            rndv[to] += u64::from(!a.eager);
+            owed[to] += u64::from(!a.eager || a.completion.is_some());
+        }
+        if complete {
+            let dropped = s.ending == Ending::DropRuntime;
+            let bumped = |c: &Option<Counter>| c.as_ref().is_none_or(|c| c.value() == 1);
+            let once =
+                (log.iter()).all(|a| bumped(&a.completion) && (dropped || bumped(&a.origin)));
+            let all = delivered.len() == log.len() && announced.len() == log.len();
+            ensure!(all && once => "{node}→{to}: delivered {delivered:?}, counters not bumped once");
+        }
+        order
+    };
+    // How many of `seqs` went eagerly.
+    let eager_of = |log: &[Accepted], seqs: &[u32]| {
+        let eager = seqs.iter().filter(|&&q| log[q as usize].eager);
+        eager.count() as u64
+    };
+    let (mut eager_left, mut pings) = (0, 0);
+    let mut tally = (0, 0, 0, stat(0, "eager_coalesced"));
+    for (node, (ep, [stream, back])) in (1..).zip(eps.iter().zip(flows.iter())) {
+        let (order, log) = (check(stream, (node, 0), clean), &stream.log);
+        // A sender may close or drop its runtime under pings on their way.
+        let back_order = check(back, (0, node), s.ending == Ending::Quiesce);
+        pings += eager_of(&back.log, &back_order);
+        eager_left += eager_of(log, &stream.announced);
+        let (coalesced, failed) = (stat(node, "eager_coalesced"), stat(node, "send_failures"));
+        let wrs = stat(node, "eager_wrs_posted") + coalesced;
+        let discarded = eager_of(log, &order) - wrs;
+        tally.0 += coalesced;
         tally.1 += failed;
-        let discarded = eager(&order).len() as u64 - wrs;
         tally.2 += discarded;
-        let origins = log.iter().filter_map(|a| a.origin.as_ref());
-        let bumps: Vec<u64> = origins.map(Counter::value).collect();
         if clean {
-            // Everything accepted arrives, in a work request of its own or
-            // behind another, with no send failure.
-            let eager = eager(&order).len() as u64;
-            let all = announced.len() == log.len() && wrs == eager && failed == 0;
-            ensure!(all => "node {node}: {wrs} work requests, {failed} failures");
-            // Each origin counter bumps once, unless the progress engine
-            // that would reap its completion went with the runtime.
-            let once = bumps.iter().all(|&b| b == 1) || s.ending == Ending::DropRuntime;
-            let all = delivered.len() == log.len() && once;
-            ensure!(all => "node {node}: delivered {delivered:?}, origins {bumps:?}");
+            // Everything accepted arrives, with no send failure.
+            ensure!(discarded == 0 && failed == 0 => "node {node}: {wrs} work requests, {failed} failures");
         } else {
             // Lost: never announced. One accepted before a peer's shutdown
             // may have reached its HCA and been lost there, its sender
             // seeing success; one accepted after cannot have.
-            let lost = order[announced.len()..].iter().map(|&q| &log[q as usize]);
+            let lost = order[stream.announced.len()..]
+                .iter()
+                .map(|&q| &log[q as usize]);
             let lost: Vec<&Accepted> = lost.filter(|a| a.at >= inbox.killed.get()).collect();
             let bumped = lost
                 .iter()
@@ -1354,16 +1300,34 @@ fn run_script(s: &Script) -> Tally {
             };
             ensure!(counted && !bumped => "node {node}: {n} lost, {discarded} discarded, {failed} failures");
             // The endpoint refuses whatever comes next.
-            if sim.block_on(late(trail.ep.clone())).is_ok() {
+            if sim.block_on(late(ep.clone())).is_ok() {
                 sim.run();
             }
-            let refused = sim.block_on(late(trail.ep.clone())) == Err(UcrError::EndpointFailed);
+            let refused = sim.block_on(late(ep.clone())) == Err(UcrError::EndpointFailed);
             ensure!(refused => "node {node}: a failed endpoint still takes sends");
         }
     }
-    // Trace: one `am_send_eager` per eager message that left, keyed by a
-    // work request verbs posted; no SEND past a receive buffer; each
-    // endpoint failed at most once; handler spans balanced.
+    if s.ending == Ending::Quiesce {
+        let wrs = stat(0, "eager_wrs_posted") + tally.3;
+        let failed = stat(0, "send_failures");
+        ensure!(wrs == pings && failed == 0 => "node 0: {wrs} work requests for {pings} pings, {failed} failures");
+    }
+    if clean {
+        // No message is dropped unhandled, and a Fin answers what owes one
+        // and nothing else, but for the one a `close` sends to a peer
+        // still holding an unacknowledged source.
+        for n in 0..nodes as usize {
+            let (fins, closed) = (stat(n, "fins_sent"), s.ending == Ending::Close && n > 0);
+            let fins = (owed[n]..=owed[n] + u64::from(closed)).contains(&fins);
+            let handled = stat(n, "unknown_msg_dropped") == 0;
+            let read = stat(n, "rndv_delivered") == rndv[n];
+            ensure!(fins && handled && read => "node {n}: {} Fins for {}, {} reads for {}",
+                stat(n, "fins_sent"), owed[n], stat(n, "rndv_delivered"), rndv[n]);
+        }
+    }
+    // Trace: one `am_send_eager` per eager message that left a sender,
+    // keyed by a work request verbs posted; no SEND past a receive buffer;
+    // each endpoint failed at most once; handler spans balanced.
     let of = |name, phase| {
         events
             .iter()
@@ -1372,7 +1336,7 @@ fn run_script(s: &Script) -> Tally {
     let sends = || of("send", Phase::Begin).filter(|e| e.layer == Layer::Verbs);
     let wrs: std::collections::HashSet<_> = sends().map(|e| (e.node, e.op)).collect();
     let ams = of("am_send_eager", Phase::Instant).filter(|e| e.node != Some(NodeId(0)));
-    let n = ams.clone().count();
+    let n = ams.clone().count() as u64;
     let keyed = ams.clone().all(|am| wrs.contains(&(am.node, am.op)));
     ensure!((!clean || n == eager_left) && keyed => "{n} am_send_eager for {eager_left}");
     let buf = (ucr::PACKET_HEADER_BYTES + rx.eager_threshold()) as u64;
@@ -1419,10 +1383,10 @@ mod properties {
     use super::*;
     use simnet::check_cases;
 
-    /// Any script: message sizes across the eager threshold, by either send
-    /// call, paced or not, from 1–4 senders to a receiver with 1 or 2
-    /// progress contexts, behind a backed-up queue or not, with pings and
-    /// with each ending.
+    /// Any script: message sizes across the eager threshold each way, by
+    /// either send call, paced or not, from 1–4 senders to a receiver with
+    /// 1 or 2 progress contexts that pings them back, behind a backed-up
+    /// queue or not, with each ending.
     #[test]
     fn messages_arrive_exactly_once_in_order() {
         let name = "messages_arrive_exactly_once_in_order";
@@ -1451,6 +1415,53 @@ mod properties {
     }
 }
 
+/// 64 KB each way, far past the 8 KB eager threshold: both go by
+/// rendezvous.
+#[test]
+fn rendezvous_moves_large_payloads() {
+    run_script(&Script::plain(vec![Msg::of(64 << 10)]).pings(vec![Msg::of(64 << 10)]));
+}
+
+/// The same bytes through either path, each way, on Cluster B.
+#[test]
+fn eager_and_rendezvous_deliver_identical_bytes() {
+    let msgs = [64, 8 * 1024 - 200, 8 * 1024 + 1, 100_000]
+        .map(Msg::of)
+        .to_vec();
+    let mut s = Script::plain(msgs.clone()).pings(msgs);
+    s.cluster_b = true;
+    run_script(&s);
+}
+
+#[test]
+fn origin_counter_bumps_on_local_completion() {
+    run_script(&Script::plain(vec![Msg::of(256).origin()]));
+}
+
+#[test]
+fn origin_counter_bumps_for_rendezvous_via_fin() {
+    run_script(&Script::plain(vec![Msg::of(50_000).origin()]));
+}
+
+/// An eager message sends no Fin; one that names a completion counter (a
+/// ping) is answered by one.
+#[test]
+fn completion_counter_requires_internal_message() {
+    run_script(&Script::plain(vec![SMALL]).pings(vec![SMALL]));
+}
+
+/// Overlapping rendezvous sends from one buffer each own their source: a
+/// send copies the caller's bytes into a region its endpoint holds until
+/// the target's Fin, and the caller rewrites the buffer as soon as the send
+/// returns. The second is sent before the first's Fin; each arrives with
+/// the payload it was sent with.
+#[test]
+fn overlapping_rendezvous_sends_each_own_their_source() {
+    let mut s = Script::plain(vec![Msg::of(64 << 10); 2]);
+    (s.seed, s.cluster_b) = (77, true);
+    run_script(&s);
+}
+
 /// Five held messages share work requests, in send order; their origin
 /// counters bump at the carrying completion.
 #[test]
@@ -1466,14 +1477,13 @@ fn rendezvous_request_does_not_overtake_held_messages() {
 }
 
 /// A sender streams faster than its HCA drains while the receiver pings it
-/// twelve times, so its progress engine sends Fins on the endpoint its
-/// stream is held on. Un-paced, the receiver falls more than the 128
-/// buffers its pool can grow to behind, and the overflow waits, parked in
-/// arrival order, at its HCA.
+/// twelve times, every 10 µs, so its progress engine sends Fins on the
+/// endpoint its stream is held on. Un-paced, the receiver falls more than
+/// the 128 buffers its pool can grow to behind, and the overflow waits,
+/// parked in arrival order, at its HCA.
 fn flood(msgs: usize, pace: SimDuration) -> Script {
-    let mut s = Script::plain(vec![Msg { pace, ..SMALL }; msgs]);
-    s.pings = vec![0; 12];
-    s
+    let ping = Msg::of(0).after(SimDuration::from_micros(10));
+    Script::plain(vec![SMALL.after(pace); msgs]).pings(vec![ping; 12])
 }
 
 #[test]
@@ -1499,7 +1509,7 @@ fn a_message_that_would_overflow_the_buffer_starts_a_new_one() {
 #[test]
 fn close_posts_what_is_held() {
     let tally = run_script(&Script::backed_up(vec![SMALL; 3]).ending(Ending::Close));
-    assert_eq!(tally, (2, 0, 0));
+    assert_eq!(tally, (2, 0, 0, 0));
 }
 
 /// A close while the peer still reads a rendezvous source keeps the
@@ -1511,19 +1521,19 @@ fn close_posts_what_is_held() {
 fn close_lets_the_peer_finish_reading() {
     let msgs = vec![SMALL, Msg::of(64 << 10), SMALL, SMALL, SMALL];
     let tally = run_script(&Script::backed_up(msgs).ending(Ending::Close));
-    assert_eq!(tally, (2, 0, 0));
+    assert_eq!(tally, (2, 0, 0, 0));
 }
 
 #[test]
 fn dropping_the_runtime_posts_what_is_held() {
     let tally = run_script(&Script::backed_up(vec![SMALL; 5]).ending(Ending::DropRuntime));
-    assert_eq!(tally, (4, 0, 0));
+    assert_eq!(tally, (4, 0, 0, 0));
 }
 
 #[test]
 fn shutdown_discards_what_is_held_and_counts_it() {
     let s = Script::backed_up(vec![SMALL.origin(); 3]).ending(Ending::SenderShutdown);
-    assert_eq!(run_script(&s), (0, 3, 3));
+    assert_eq!(run_script(&s), (0, 3, 3, 0));
 }
 
 /// The peer dies mid-drain. Sends accepted from then on go out behind the
@@ -1533,8 +1543,8 @@ fn shutdown_discards_what_is_held_and_counts_it() {
 #[test]
 fn endpoint_failure_discards_what_is_held_and_counts_it() {
     let mut msgs = vec![SMALL; 10];
-    msgs[9].pace = SimDuration::from_micros(100);
     msgs.extend([SMALL.origin(); 3]);
+    msgs[10].pace = SimDuration::from_micros(100);
     let tally = run_script(&Script::backed_up(msgs).ending(Ending::PeerShutdown(0)));
     assert!(tally.2 == 3 && tally.1 >= 13, "{tally:?}");
 }
@@ -1605,57 +1615,23 @@ fn ud_endpoints_never_hold() {
     assert_eq!(server.stats().eager_delivered.get(), 120);
 }
 
-/// Five back-to-back messages from the stream's *receiver* to its sender,
-/// on the endpoint the sender's traffic arrived on, after everything else
-/// has drained; returns how many of them rode behind another. The
-/// receiver's own completions are never slow, so only the peer's word —
-/// the backed-up bit of the last eager packet it got — can make it hold.
-fn answers_coalesced(sender_recovers: bool) -> u64 {
-    let (cluster, fabric) = world(false, 2);
-    let sender = UcrRuntime::new(&fabric, NodeId(0));
-    sender.register_handler(SINK, FnHandler(|_: &Endpoint, _: &[u8], _: AmData| {}));
-    let receiver = UcrRuntime::new(&fabric, NodeId(1));
-    let back: Rc<RefCell<Option<Endpoint>>> = Rc::default();
-    let back2 = back.clone();
-    let came_in = move |ep: &Endpoint, _: &[u8], _: AmData| *back2.borrow_mut() = Some(ep.clone());
-    receiver.register_handler(SINK, FnHandler(came_in));
-    accept_one(&receiver);
-    let (rt, rx, profile) = (sender.clone(), receiver.clone(), cluster.profile().clone());
-    cluster.sim().block_on(async move {
-        let tx = Tx::connect(rt, NodeId(1), &profile).await;
-        let pause = || tx.rt.sim().sleep(SimDuration::from_millis(1));
-        tx.back_up().await;
-        pause().await;
-        // All drained, but the last completion reaped was one of the
-        // burst's slow ones: the next message still says "backed up".
-        tx.send(Msg::of(0)).await.unwrap();
-        pause().await;
-        if sender_recovers {
-            // That message completed fast, so this one takes the word back.
-            tx.send(SMALL).await.unwrap();
-            pause().await;
-        }
-        let answer = back.borrow().clone().unwrap();
-        for seq in 0..5u32 {
-            let seq = seq.to_le_bytes();
-            let sent = answer.send_message(SINK, &[], &seq, SendOptions::default());
-            sent.await.unwrap();
-        }
-        assert_eq!(rx.stats().messages_sent.get(), 5);
-    });
-    cluster.sim().run();
-    assert_eq!(sender.stats().eager_delivered.get(), 5);
-    receiver.stats().eager_coalesced.get()
-}
-
 /// An end whose own sends complete fast still holds behind its in-flight
 /// send while the peer says it is backed up — the bottleneck may be one
 /// only the peer can see — and stops as soon as the peer says otherwise.
+/// The sender backs up and, once drained, sends an empty message, whose
+/// packet still says "backed up" (the last completion reaped was one of
+/// the burst's slow ones); then, if it recovers, a small one, which takes
+/// the word back. Then the receiver answers five times back to back.
 #[test]
 fn a_backed_up_peer_makes_this_end_hold_too() {
+    let (ms, empty) = (SimDuration::from_millis, Msg::of(0));
+    let answers = [vec![empty.after(ms(3))], vec![empty; 4]].concat();
+    let drained = empty.after(ms(1));
     // First answer posted, the other four share the next work request.
-    assert_eq!(answers_coalesced(false), 3);
-    assert_eq!(answers_coalesced(true), 0);
+    for (msgs, coalesced) in [(vec![drained], 3), (vec![drained, SMALL.after(ms(1))], 0)] {
+        let s = Script::backed_up(msgs).pings(answers.clone());
+        assert_eq!(run_script(&s).3, coalesced);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -380,6 +380,53 @@ fn design_names_no_pull_request() {
     );
 }
 
+/// Every function DESIGN.md §9.1's table names — a backticked snake_case
+/// name, or the last segment of such a path — is a `fn` defined in
+/// `crates/`, `src/`, `tests/` or `examples/`, so a row folded, moved or
+/// renamed leaves no name in the table that points at nothing.
+#[test]
+fn the_testing_table_names_only_functions_that_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).expect("DESIGN.md");
+    let section = design.split("\n### 9.1 ").nth(1).expect("a §9.1 heading");
+    let table = section.split("\n### ").next().unwrap_or_default().lines();
+    let quoted = table.filter(|line| line.starts_with('|'));
+    let quoted = quoted.flat_map(|line| line.split('`').skip(1).step_by(2));
+    let named: BTreeSet<&str> = quoted.filter_map(function_named).collect();
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples"] {
+        source_files(&root.join(dir), &mut files);
+    }
+    let mut defined = BTreeSet::new();
+    for path in files
+        .iter()
+        .filter(|p| p.extension().is_some_and(|e| e == "rs"))
+    {
+        let text = std::fs::read_to_string(path).expect("readable source");
+        for after in text.split("fn ").skip(1) {
+            let end = after.find(|c: char| !c.is_alphanumeric() && c != '_');
+            defined.insert(after[..end.unwrap_or(after.len())].to_owned());
+        }
+    }
+    assert!(named.len() > 10, "the scan found only {named:?}");
+    let missing: Vec<&&str> = named.iter().filter(|n| !defined.contains(**n)).collect();
+    assert!(
+        missing.is_empty(),
+        "DESIGN.md §9.1 names no such fn: {missing:?}"
+    );
+}
+
+/// The function a backticked `quoted` names: the last segment of a `::`
+/// path of lowercase snake_case segments, if that segment has an
+/// underscore.
+fn function_named(quoted: &str) -> Option<&str> {
+    let name = quoted.rsplit("::").next()?;
+    let path = quoted
+        .bytes()
+        .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b"_:".contains(&b));
+    (path && name.contains('_')).then_some(name)
+}
+
 /// The citation reader follows a wrapped list, ends at a blank (or bare
 /// comment) line and skips the paper's roman sections; the pull-request
 /// reader wants a whole word `PR` before a number. The cases below are

@@ -3,8 +3,7 @@
 //! (`run_case`, whose oracle the fixed rows call), out-of-order response
 //! correlation on one connection, the batch APIs over both
 //! transport families (including rendezvous-size values mid-pipeline),
-//! a rendezvous source belonging to the send that advertised it, the
-//! invariants the engine must preserve — tracing still costs zero
+//! the invariants the engine must preserve — tracing still costs zero
 //! virtual time and equal seeds give equal clocks — and UCR's eager
 //! coalescing as the pipelined workloads see it: absent at depth 1, past
 //! the server-HCA wall — and, with a second progress context polling for
@@ -23,7 +22,6 @@ use rdma_memcached::simnet::{
     check_cases, Event, EventRecorder, NodeId, Phase, SimDuration, SimRng, SimTime, Stack,
 };
 use rdma_memcached::socksim::STREAM_BUF_KEEP;
-use rdma_memcached::ucr;
 use rmc_bench::json::{self, Json};
 use rmc_bench::{
     run_pipeline_gets, run_throughput, run_windowed_gets, ucr_totals, ClusterKind, WindowedRun,
@@ -110,84 +108,6 @@ fn an_ascii_window_completes_in_request_order_through_kept_buffers() {
     let mut case = one_client(Transport::Sockets(Stack::TenGigEToe), 8, set_then_get(0, 6));
     case.cluster_b = false;
     run_case(&case, true);
-}
-
-/// Overlapping rendezvous sends from one buffer each own their source: a
-/// send copies the caller's bytes into a region its endpoint holds until
-/// the target's Fin. The first transfer is only advertised when the caller
-/// rewrites the buffer and sends again, and the target must still read
-/// what the first send was given. Each message arrives with the payload it
-/// was sent with.
-#[test]
-fn overlapping_rendezvous_sends_each_own_their_source() {
-    const MSG: u16 = 7;
-    const PORT: u16 = 9099;
-    let world = World::cluster_b(77, 2);
-    let sim = world.sim().clone();
-    let srv = ucr::UcrRuntime::new(&world.ib, NodeId(0));
-    let received: Rc<RefCell<Vec<Vec<u8>>>> = Rc::new(RefCell::new(Vec::new()));
-    let received2 = received.clone();
-    srv.register_handler(
-        MSG,
-        ucr::FnHandler(move |_: &ucr::Endpoint, _: &[u8], data: ucr::AmData| {
-            received2
-                .borrow_mut()
-                .push(data.into_vec().unwrap_or_default());
-        }),
-    );
-    let listener = srv.listen(PORT).unwrap();
-    sim.spawn(async move {
-        let mut eps = Vec::new();
-        while let Ok(ep) = listener.accept().await {
-            eps.push(ep);
-        }
-    });
-    let cli = ucr::UcrRuntime::new(&world.ib, NodeId(1));
-    let cli2 = cli.clone();
-    sim.block_on(async move {
-        let timeout = SimDuration::from_millis(250);
-        let ep = cli2.connect(NodeId(0), PORT, timeout).await.unwrap();
-        let mut buf = vec![1u8; 64 * 1024];
-        assert!(buf.len() > cli2.eager_threshold());
-
-        let c1 = cli2.counter();
-        ep.send_message(
-            MSG,
-            b"",
-            &buf,
-            ucr::SendOptions {
-                completion: Some(c1.clone()),
-                ..Default::default()
-            },
-        )
-        .await
-        .unwrap();
-        // The first transfer is only advertised so far; rewrite the
-        // buffer and send again from the same address before its Fin.
-        buf.iter_mut().for_each(|b| *b = 2);
-        let c2 = cli2.counter();
-        ep.send_message(
-            MSG,
-            b"",
-            &buf,
-            ucr::SendOptions {
-                completion: Some(c2.clone()),
-                ..Default::default()
-            },
-        )
-        .await
-        .unwrap();
-        c1.wait_for(1, timeout).await.unwrap();
-        c2.wait_for(1, timeout).await.unwrap();
-
-        let got = received.borrow();
-        assert_eq!(got.len(), 2);
-        assert!(
-            got[0].iter().all(|&b| b == 1),
-            "first transfer must deliver the payload it advertised"
-        );
-        assert!(got[1].iter().all(|&b| b == 2));
-    });
 }
 
 /// Abandoned in-flight handles must not leak parked responses: dropping
