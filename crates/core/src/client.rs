@@ -21,7 +21,7 @@ use std::cell::{Cell, RefCell, RefMut};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
 
-use mcproto::{udp_fragment, BinFrame, ProtoError, UdpFrame, UDP_CHUNK_BYTES};
+use mcproto::{ProtoError, UdpFrame, UDP_DATAGRAM_BYTES, UDP_FRAME_BYTES};
 use mcstore::{NumericError, SetOutcome, Value};
 use simnet::sync::timeout;
 use simnet::trace::{Layer, Track};
@@ -454,33 +454,32 @@ impl Conn {
                 ticket.ctr = Some(ctr);
             }
             Conn::Stream { sock, binary, .. } => {
-                let write = cli.send_frame(
-                    |wire| {
-                        if *binary {
-                            for frame in codec::binary::encode_request(req) {
-                                frame.borrowed().write_to(wire);
-                            }
-                        } else {
-                            codec::ascii::encode_request(req, wire);
-                        }
-                    },
-                    |wire| sock.write_all(wire),
-                );
+                let write = cli.in_wire(|wire| {
+                    if *binary {
+                        codec::binary::encode_request(req, wire);
+                    } else {
+                        codec::ascii::encode_request(req, wire);
+                    }
+                    sock.write_all(wire)
+                });
                 // A failed write may have sent part of the request.
                 ticket.owed = true;
                 write.await.map_err(|_| McError::Disconnected)?;
             }
             Conn::Udp { sock, server } => {
-                let datagrams = cli.send_frame(
-                    |wire| codec::ascii::encode_request(req, wire),
+                let frame = UdpFrame {
+                    request_id: id as u16,
+                    seq: 0,
+                    total: 1,
+                };
+                let send = cli.in_wire(|wire| {
+                    wire.extend_from_slice(&frame.encode());
+                    codec::ascii::encode_request(req, wire);
                     // Requests must fit one datagram.
-                    |wire| (wire.len() <= UDP_CHUNK_BYTES).then(|| udp_fragment(id as u16, wire)),
-                );
-                for d in datagrams.ok_or(McError::TooLarge)? {
-                    sock.send_to(*server, &d)
-                        .await
-                        .map_err(|_| McError::Disconnected)?;
-                }
+                    (wire.len() <= UDP_DATAGRAM_BYTES).then(|| sock.send_to(*server, wire))
+                });
+                let send = send.ok_or(McError::TooLarge)?;
+                send.await.map_err(|_| McError::Disconnected)?;
             }
         }
         ticket.owed = true;
@@ -523,22 +522,14 @@ impl Ticket {
                 return codec::ucr::decode_reply(op, keys, hdr, payload);
             }
             Conn::Stream { sock, binary, rbuf } => {
-                cli.timed(async {
-                    if !*binary {
-                        let decode = |buf: &[u8]| codec::ascii::decode_reply(op, keys, buf);
-                        return read_frame(sock, rbuf, decode).await;
+                let decode = |buf: &[u8]| {
+                    if *binary {
+                        codec::binary::decode_reply(op, keys, buf)
+                    } else {
+                        codec::ascii::decode_reply(op, keys, buf)
                     }
-                    let mut frames = Vec::new();
-                    loop {
-                        let frame = read_frame(sock, rbuf, BinFrame::parse).await?;
-                        let last = codec::binary::ends_reply(op, &frame);
-                        frames.push(frame);
-                        if last {
-                            return codec::binary::decode_reply(op, keys, frames);
-                        }
-                    }
-                })
-                .await?
+                };
+                cli.timed(read_frame(sock, rbuf, decode)).await?
             }
             // Response datagrams are reassembled by request id. Loss
             // (including receiver-buffer overflow at a hot server) surfaces
@@ -546,21 +537,38 @@ impl Ticket {
             // deployment managed (§III).
             Conn::Udp { sock, .. } => {
                 let want = self.id as u16;
+                let decode = |whole: &[u8]| {
+                    let decoded = codec::ascii::decode_reply(op, keys, whole)?;
+                    decoded.map(|(reply, _)| reply).ok_or(McError::Protocol)
+                };
                 cli.timed(async {
-                    let mut frames: Vec<(UdpFrame, Vec<u8>)> = Vec::new();
+                    // The datagrams of a reply that takes more than one.
+                    let mut parts: Vec<Vec<u8>> = Vec::new();
                     loop {
                         let (_, datagram) =
                             sock.recv_from().await.map_err(|_| McError::Disconnected)?;
-                        let Ok((frame, payload)) = UdpFrame::decode(&datagram) else {
-                            continue;
+                        let total = match UdpFrame::decode(&datagram) {
+                            Ok((frame, _)) if frame.request_id == want => frame.total,
+                            // Malformed, or a stale response from a
+                            // timed-out request.
+                            _ => {
+                                sock.give_back(datagram);
+                                continue;
+                            }
                         };
-                        if frame.request_id != want {
-                            continue; // stale response from a timed-out request
+                        // A reply of one datagram is read where it landed.
+                        if total == 1 {
+                            let reply = decode(&datagram[UDP_FRAME_BYTES..]);
+                            sock.give_back(datagram);
+                            return reply;
                         }
-                        frames.push((frame, payload.to_vec()));
-                        if let Some(whole) = mcproto::udp_reassemble(want, &frames) {
-                            let decoded = codec::ascii::decode_reply(op, keys, &whole)?;
-                            return decoded.map(|(reply, _)| reply).ok_or(McError::Protocol);
+                        parts.push(datagram);
+                        let reply = cli.in_wire(|whole| {
+                            mcproto::udp_reassemble(want, &parts, whole).then(|| decode(whole))
+                        });
+                        if let Some(reply) = reply {
+                            parts.into_iter().for_each(|part| sock.give_back(part));
+                            return reply;
                         }
                     }
                 })
@@ -608,7 +616,8 @@ struct CliInner {
     /// Scratch region one-sided reads land in (grown on demand), while no
     /// read holds it.
     bypass_buf: RefCell<Option<UcrMemory>>,
-    /// The frame of the sockets request being sent ([`CliInner::send_frame`]).
+    /// The frame of the sockets request being sent, or of the UDP reply
+    /// being reassembled ([`CliInner::in_wire`]).
     wire: RefCell<Vec<u8>>,
 }
 
@@ -1578,16 +1587,16 @@ impl CliInner {
         }
     }
 
-    /// Writes a sockets request frame with `write` into the client's request
-    /// buffer and hands it to `send`, which copies it out before it returns
-    /// (a socket write's future owns its bytes). The buffer is kept for the
-    /// next request unless a frame grew it past [`STREAM_BUF_KEEP`], so a
-    /// window of requests on one connection shares it.
-    fn send_frame<T>(&self, write: impl FnOnce(&mut Vec<u8>), send: impl FnOnce(&[u8]) -> T) -> T {
+    /// Runs `frame` on the client's wire buffer, emptied: it writes a
+    /// sockets request there and sends it, the send copying it out before it
+    /// returns (a socket's send future owns its bytes), or it reassembles a
+    /// UDP reply there and decodes it. The buffer is kept for the next frame
+    /// unless one grew it past [`STREAM_BUF_KEEP`], so a window of requests
+    /// on one connection shares it.
+    fn in_wire<T>(&self, frame: impl FnOnce(&mut Vec<u8>) -> T) -> T {
         let mut wire = self.wire.borrow_mut();
         wire.clear();
-        write(&mut wire);
-        let sent = send(&wire);
+        let sent = frame(&mut wire);
         if wire.capacity() > STREAM_BUF_KEEP {
             *wire = Vec::new();
         }

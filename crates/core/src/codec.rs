@@ -489,8 +489,8 @@ pub(crate) mod ascii {
 pub(crate) mod binary {
     use super::*;
     use mcproto::{
-        arith_extras, parse_arith_extras, parse_store_extras, store_extras, BinFrame, BinFrameRef,
-        BinOpcode, BinStatus,
+        arith_extras, parse_arith_extras, parse_store_extras, store_extras, BinFrameRef, BinOpcode,
+        BinStatus,
     };
 
     const STORE_STATUS: [(SetOutcome, BinStatus); 6] = [
@@ -519,51 +519,62 @@ pub(crate) mod binary {
         (McOp::Stats, BinOpcode::Stat),
     ];
 
-    /// Client: the frames for `req`. A multi-key fetch becomes quiet GetKQ
-    /// frames closed by a Noop (the protocol's signature optimization);
-    /// everything else is one frame.
-    pub fn encode_request<K: AsRef<[u8]>>(req: &Request<'_, K>) -> Vec<BinFrame> {
+    /// Client: writes the frames for `req` onto `out`. A multi-key fetch
+    /// becomes quiet GetKQ frames closed by a Noop (the protocol's signature
+    /// optimization); everything else is one frame.
+    pub fn encode_request<K: AsRef<[u8]>>(req: &Request<'_, K>, out: &mut Vec<u8>) {
         let mut opaque = 1u32;
-        let mut frame = |opcode: BinOpcode, key: &[u8]| {
+        let mut frame = |opcode: BinOpcode, key| {
             opaque += 1;
-            let mut f = BinFrame::request(opcode, opaque);
-            f.key = key.to_vec();
-            f
-        };
-        let mut f = match req.op {
-            McOp::Get | McOp::Mget if req.keys.len() == 1 => frame(BinOpcode::GetK, req.key()),
-            McOp::Get | McOp::Mget => {
-                let gets = req.keys.iter().map(|k| frame(BinOpcode::GetKQ, k.as_ref()));
-                let mut out: Vec<BinFrame> = gets.collect();
-                out.push(frame(BinOpcode::Noop, &[]));
-                return out;
+            BinFrameRef {
+                key,
+                ..BinFrameRef::request(opcode, opaque)
             }
-            McOp::Cas => frame(BinOpcode::Set, req.key()),
-            op => frame(lookup(&OPCODES, op).unwrap_or(BinOpcode::Noop), req.key()),
         };
-        match req.op {
+        let opcode = match req.op {
+            McOp::Get | McOp::Mget if req.keys.len() == 1 => BinOpcode::GetK,
+            McOp::Get | McOp::Mget => {
+                for key in req.keys {
+                    frame(BinOpcode::GetKQ, key.as_ref()).write_to(out);
+                }
+                return frame(BinOpcode::Noop, &[]).write_to(out);
+            }
+            McOp::Cas => BinOpcode::Set,
+            op => lookup(&OPCODES, op).unwrap_or(BinOpcode::Noop),
+        };
+        let mut f = frame(opcode, req.key());
+        let (store, arith, word);
+        f.extras = match req.op {
             McOp::Set | McOp::Add | McOp::Replace | McOp::Cas => {
-                f.extras = store_extras(req.flags, req.exptime);
                 f.cas = req.cas;
+                store = store_extras(req.flags, req.exptime);
+                &store
             }
             McOp::Incr | McOp::Decr => {
                 // All-ones expiry means "fail on a missing key".
                 let exptime = req.initial.map_or(u32::MAX, |_| req.exptime);
-                f.extras = arith_extras(req.delta, req.initial.unwrap_or(0), exptime);
+                arith = arith_extras(req.delta, req.initial.unwrap_or(0), exptime);
+                &arith
             }
-            McOp::Touch => f.extras = req.exptime.to_be_bytes().to_vec(),
-            McOp::FlushAll if req.exptime > 0 => f.extras = req.exptime.to_be_bytes().to_vec(),
-            _ => {}
-        }
-        f.value = req.value.to_vec();
-        vec![f]
+            McOp::Touch => {
+                word = req.exptime.to_be_bytes();
+                &word
+            }
+            McOp::FlushAll if req.exptime > 0 => {
+                word = req.exptime.to_be_bytes();
+                &word
+            }
+            _ => &[],
+        };
+        f.value = req.value;
+        f.write_to(out);
     }
 
     /// Server: the request `frame` asks for, borrowing key and value from
     /// it; `None` when the extras are malformed (answered `InvalidArgs`).
     /// `Noop` occupies a worker like any keyless op, so it is served as
     /// `Version` and its payload dropped at encode.
-    pub fn decode_request(frame: &BinFrame) -> Option<Request<'_>> {
+    pub fn decode_request<'a>(frame: &'a BinFrameRef<'a>) -> Option<Request<'a, &'a [u8]>> {
         let key = std::slice::from_ref(&frame.key);
         let op = lookup_rev(&OPCODES, frame.opcode).unwrap_or(McOp::Version);
         let be_u32 = |b: &[u8]| b.try_into().map(u32::from_be_bytes);
@@ -572,26 +583,24 @@ pub(crate) mod binary {
                 Request::new(McOp::Get, key)
             }
             BinOpcode::Set | BinOpcode::Add | BinOpcode::Replace => {
-                let (flags, exptime) = parse_store_extras(&frame.extras)?;
+                let (flags, exptime) = parse_store_extras(frame.extras)?;
                 let op = if frame.cas != 0 { McOp::Cas } else { op };
-                Request::store(op, key, &frame.value, flags, exptime, frame.cas)
+                Request::store(op, key, frame.value, flags, exptime, frame.cas)
             }
-            BinOpcode::Append | BinOpcode::Prepend => {
-                Request::store(op, key, &frame.value, 0, 0, 0)
-            }
+            BinOpcode::Append | BinOpcode::Prepend => Request::store(op, key, frame.value, 0, 0, 0),
             BinOpcode::Increment | BinOpcode::Decrement => {
-                let (delta, initial, exptime) = parse_arith_extras(&frame.extras)?;
+                let (delta, initial, exptime) = parse_arith_extras(frame.extras)?;
                 // Spec: create with the initial value unless the expiry is
                 // all-ones.
                 let initial = (exptime != u32::MAX).then_some(initial);
                 let req = Request::new(op, key).with_delta(delta);
                 Request { initial, ..req }.with_exptime(exptime)
             }
-            BinOpcode::Touch => Request::new(op, key).with_exptime(be_u32(&frame.extras).ok()?),
+            BinOpcode::Touch => Request::new(op, key).with_exptime(be_u32(frame.extras).ok()?),
             // Extras carry the optional delay; anything but exactly 4
             // bytes means "now".
             BinOpcode::Flush => {
-                Request::new(op, &[]).with_exptime(be_u32(&frame.extras).unwrap_or(0))
+                Request::new(op, &[]).with_exptime(be_u32(frame.extras).unwrap_or(0))
             }
             BinOpcode::Stat | BinOpcode::Delete => Request::new(op, key),
             BinOpcode::Version | BinOpcode::Noop | BinOpcode::Quit => Request::new(op, &[]),
@@ -602,7 +611,11 @@ pub(crate) mod binary {
     /// straight from the reply. Nothing for a quiet miss; GetK/GetKQ echo
     /// the key; a statistics report is one frame per pair closed by an
     /// empty frame.
-    pub fn encode_reply<D: AsRef<[u8]>>(req: &BinFrame, reply: &Reply<D>, out: &mut Vec<u8>) {
+    pub fn encode_reply<D: AsRef<[u8]>>(
+        req: &BinFrameRef<'_>,
+        reply: &Reply<D>,
+        out: &mut Vec<u8>,
+    ) {
         let mut len = 0;
         response_frames(req, reply, |f| len += f.wire_len());
         out.reserve(len);
@@ -611,7 +624,7 @@ pub(crate) mod binary {
 
     /// Hands the frames answering `req`, in order, to `emit`.
     fn response_frames<D: AsRef<[u8]>>(
-        req: &BinFrame,
+        req: &BinFrameRef<'_>,
         reply: &Reply<D>,
         mut emit: impl FnMut(BinFrameRef<'_>),
     ) {
@@ -623,7 +636,7 @@ pub(crate) mod binary {
                 flags = v.flags.to_be_bytes();
                 (resp.extras, resp.cas, resp.value) = (&flags, v.cas, v.data.as_ref());
                 if matches!(req.opcode, BinOpcode::GetK | BinOpcode::GetKQ) {
-                    resp.key = &req.key;
+                    resp.key = req.key;
                 }
             }
             Reply::Value(None) if req.opcode.is_quiet() => return,
@@ -657,7 +670,7 @@ pub(crate) mod binary {
     /// statistics report ends with an empty frame, a multiget (a GetKQ
     /// train closed by Noop, or one GetK) with the first frame that is not
     /// a quiet hit; every other reply is one frame.
-    pub fn ends_reply(op: McOp, frame: &BinFrame) -> bool {
+    fn ends_reply(op: McOp, frame: &BinFrameRef<'_>) -> bool {
         match op {
             McOp::Stats => frame.key.is_empty() && frame.value.is_empty(),
             McOp::Mget => frame.opcode != BinOpcode::GetKQ,
@@ -665,65 +678,90 @@ pub(crate) mod binary {
         }
     }
 
-    /// Client: the reply `frames` carry for an `op` request over `keys`.
+    /// The frames back to back in `wire`, read in place, up to the first
+    /// that is not whole and well formed.
+    fn frames(mut wire: &[u8]) -> impl Iterator<Item = BinFrameRef<'_>> {
+        std::iter::from_fn(move || {
+            let (frame, used) = BinFrameRef::parse(wire).ok()??;
+            wire = &wire[used..];
+            Some(frame)
+        })
+    }
+
+    /// Client: the reply to an `op` request over `keys` framed off the
+    /// front of `buf`, and the bytes it took; `Ok(None)` until all of its
+    /// frames are buffered. The frames are read in place: a hit's value is
+    /// the one thing copied out.
     pub fn decode_reply(
         op: McOp,
         keys: &[&[u8]],
-        mut frames: Vec<BinFrame>,
-    ) -> Result<Reply, McError> {
-        let value = |f: BinFrame| Value {
-            flags: f.extras.as_slice().try_into().map_or(0, u32::from_be_bytes),
+        buf: &[u8],
+    ) -> Result<Option<(Reply, usize)>, McError> {
+        let mut used = 0;
+        let last = loop {
+            let Some((frame, len)) =
+                BinFrameRef::parse(&buf[used..]).map_err(|_| McError::Protocol)?
+            else {
+                return Ok(None);
+            };
+            used += len;
+            if ends_reply(op, &frame) {
+                break frame;
+            }
+        };
+        let value = |f: &BinFrameRef<'_>| Value {
+            flags: f.extras.try_into().map_or(0, u32::from_be_bytes),
             cas: f.cas,
-            data: f.value,
+            data: f.value.to_vec(),
         };
         let text = |b: &[u8]| String::from_utf8_lossy(b).into_owned();
+        let whole = frames(&buf[..used]);
         if op == McOp::Mget {
             let mut cursor = KeyCursor { keys, next: 0 };
             let mut hits = Vec::new();
-            for f in frames {
+            for f in whole {
                 match f.opcode {
                     BinOpcode::GetK | BinOpcode::GetKQ if f.status() == Some(BinStatus::Ok) => {
-                        hits.push((cursor.index_of(&f.key)?, value(f)))
+                        hits.push((cursor.index_of(f.key)?, value(&f)))
                     }
                     BinOpcode::GetK | BinOpcode::GetKQ | BinOpcode::Noop => {}
                     _ => return Err(McError::Protocol),
                 }
             }
-            return Ok(Reply::Values(hits));
+            return Ok(Some((Reply::Values(hits), used)));
         }
         if op == McOp::Stats {
-            let named = frames.iter().take_while(|f| !f.key.is_empty());
-            return Ok(Reply::Stats(
-                named.map(|f| (text(&f.key), text(&f.value))).collect(),
-            ));
+            let named = whole.take_while(|f| !f.key.is_empty());
+            let pairs = named.map(|f| (text(f.key), text(f.value))).collect();
+            return Ok(Some((Reply::Stats(pairs), used)));
         }
-        let f = frames.pop().ok_or(McError::Protocol)?;
-        Ok(match (op, f.status().ok_or(McError::Protocol)?) {
+        let reply = match (op, last.status().ok_or(McError::Protocol)?) {
             // GetK echoes the key: a hit for another one is not ours.
-            (McOp::Get, BinStatus::Ok) if keys.first() != Some(&f.key.as_slice()) => {
+            (McOp::Get, BinStatus::Ok) if keys.first() != Some(&last.key) => {
                 return Err(McError::Protocol)
             }
-            (McOp::Get, BinStatus::Ok) => Reply::Value(Some(value(f))),
+            (McOp::Get, BinStatus::Ok) => Reply::Value(Some(value(&last))),
             (McOp::Get, BinStatus::KeyNotFound) => Reply::Value(None),
             (op, status) if op.is_store() => {
                 let outcome = lookup_rev(&STORE_STATUS, status).ok_or(McError::Protocol)?;
                 Reply::Stored {
                     outcome,
-                    cas: f.cas,
+                    cas: last.cas,
                 }
             }
             (McOp::Delete | McOp::Touch, BinStatus::Ok) => Reply::Found(true),
             (McOp::Delete | McOp::Touch, BinStatus::KeyNotFound) => Reply::Found(false),
             (McOp::Incr | McOp::Decr, BinStatus::Ok) => {
-                let n = f.value.as_slice().try_into().map(u64::from_be_bytes);
+                let n = last.value.try_into().map(u64::from_be_bytes);
                 Reply::Number(Ok(n.map_err(|_| McError::Protocol)?))
             }
             (McOp::Incr | McOp::Decr, BinStatus::KeyNotFound) => Reply::Number(Err(NotFound)),
             (McOp::Incr | McOp::Decr, BinStatus::NonNumeric) => Reply::Number(Err(NotNumeric)),
             (McOp::FlushAll, BinStatus::Ok) => Reply::Done,
-            (McOp::Version, BinStatus::Ok) => Reply::Version(text(&f.value)),
+            (McOp::Version, BinStatus::Ok) => Reply::Version(text(last.value)),
             _ => return Err(McError::Protocol),
-        })
+        };
+        Ok(Some((reply, used)))
     }
 }
 

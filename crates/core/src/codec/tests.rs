@@ -6,7 +6,7 @@ use std::borrow::Cow;
 
 use mcproto::{
     encode_command, encode_response, parse_command, parse_command_ref, parse_response, BinFrame,
-    BinOpcode, Command, GetValue, Response, StoreVerb,
+    BinFrameRef, BinOpcode, Command, GetValue, Response, StoreVerb,
 };
 use mcstore::{NumericError, SetOutcome, Value};
 use simnet::FreeList;
@@ -87,13 +87,14 @@ fn requests_survive_every_wire() {
         assert!(!noreply);
         assert_eq!(fields(&got), want, "ascii {:?}", req.op);
 
-        let frames = binary::encode_request(&req);
+        let frames = binary_request(&req);
         if req.op == McOp::Mget {
             // A GetKQ per key, closed by a Noop.
             assert_eq!(frames.len(), req.keys.len() + 1);
             continue;
         }
         let (frame, _) = BinFrame::parse(&frames[0].encode()).unwrap().unwrap();
+        let frame = frame.borrowed();
         let got = binary::decode_request(&frame).expect("well-formed extras");
         let mut want = want;
         if matches!(req.op, McOp::Incr | McOp::Decr) {
@@ -204,10 +205,14 @@ fn replies_survive_every_wire() {
         if op == McOp::Mget {
             continue; // a binary multiget is a train of single-key gets
         }
-        let frame = binary::encode_request(&req).remove(0);
+        let frame = binary_request(&req).remove(0);
         let wire = binary_reply(&frame, &reply);
-        let got = binary::decode_reply(op, keys, frames_of(&wire)).unwrap();
-        assert_eq!(got, reply, "binary {op:?}");
+        let got = binary::decode_reply(op, keys, &wire).unwrap();
+        assert_eq!(got, Some((copy(&reply), wire.len())), "binary {op:?}");
+        for short in 0..wire.len() {
+            let partial = binary::decode_reply(op, keys, &wire[..short]);
+            assert_eq!(partial, Ok(None), "binary {op:?} cut at {short}");
+        }
     }
 }
 
@@ -232,8 +237,15 @@ fn ascii_reply<D: AsRef<[u8]>>(command: &[u8], reply: &Reply<D>) -> Vec<u8> {
 /// What the binary server answers with `reply` to `frame`.
 fn binary_reply<D: AsRef<[u8]>>(frame: &BinFrame, reply: &Reply<D>) -> Vec<u8> {
     let mut wire = Vec::new();
-    binary::encode_reply(frame, reply, &mut wire);
+    binary::encode_reply(&frame.borrowed(), reply, &mut wire);
     wire
+}
+
+/// The frames the binary client writes for `req`.
+fn binary_request(req: &Request<'_, &[u8]>) -> Vec<BinFrame> {
+    let mut wire = Vec::new();
+    binary::encode_request(req, &mut wire);
+    frames_of(&wire)
 }
 
 /// The frames back to back in `wire`, parsed; every byte belongs to one.
@@ -269,7 +281,7 @@ fn a_lent_hit_is_written_as_an_owned_one() {
     );
     let get = ascii_request(&Request::new(McOp::Get, &KEYS[..1]));
     assert_eq!(ascii_reply(&get, &lent), ascii_reply(&get, &owned));
-    let frame = binary::encode_request(&Request::new(McOp::Get, &KEYS[..1])).remove(0);
+    let frame = binary_request(&Request::new(McOp::Get, &KEYS[..1])).remove(0);
     assert_eq!(binary_reply(&frame, &lent), binary_reply(&frame, &owned));
 }
 
@@ -328,7 +340,7 @@ fn typed_frames(req: &BinFrame, reply: Reply) -> Vec<BinFrame> {
 fn binary_replies_are_the_bytes_of_their_typed_frames() {
     let mut shapes = 0;
     for (op, reply) in replies() {
-        let frame = binary::encode_request(&Request::new(op, &KEYS[..1])).remove(0);
+        let frame = binary_request(&Request::new(op, &KEYS[..1])).remove(0);
         let mut frames = vec![frame.clone()];
         let fetches = [
             BinOpcode::Get,
@@ -547,14 +559,14 @@ mod hostile_bytes {
             let (hdr, data) = ucr::encode_request(&req, 1, 2);
             all.extend([hdr.encode(), data.to_vec()]);
             all.push(ascii_request(&req));
-            all.extend(binary::encode_request(&req).iter().map(BinFrame::encode));
+            all.extend(binary_request(&req).iter().map(BinFrame::encode));
         }
         for (op, reply) in replies() {
             let (hdr, payload) = ucr::encode_reply(9, &reply, &server_keys);
             all.extend([hdr.encode().to_vec(), payload.into_owned()]);
             let req = Request::new(op, &KEYS[..]);
             all.push(ascii_reply(&ascii_request(&req), &reply));
-            let frame = binary::encode_request(&Request::new(op, &KEYS[..1])).remove(0);
+            let frame = binary_request(&Request::new(op, &KEYS[..1])).remove(0);
             let wire = binary_reply(&frame, &reply);
             all.extend(frames_of(&wire).iter().map(BinFrame::encode));
         }
@@ -630,11 +642,16 @@ mod hostile_bytes {
                 assert!(used <= wire.len());
             }
         }
-        if let Ok(Some((frame, used))) = BinFrame::parse(wire) {
+        if let Ok(Some((frame, used))) = BinFrameRef::parse(wire) {
             assert!(used <= wire.len());
             binary::decode_request(&frame);
+            let twice = [&wire[..used], &wire[..used]].concat();
             for op in McOp::ALL {
-                let _ = binary::decode_reply(op, keys, vec![frame.clone(), frame.clone()]);
+                for wire in [wire, &twice] {
+                    if let Ok(Some((_, used))) = binary::decode_reply(op, keys, wire) {
+                        assert!(used <= wire.len());
+                    }
+                }
             }
         }
     }
@@ -655,11 +672,11 @@ mod hostile_bytes {
             Err(refused.clone())
         );
 
-        let frame = binary::encode_request(&Request::new(McOp::Get, asked)).remove(0);
-        let frames = frames_of(&binary_reply(&frame, &hit));
-        let ours = binary::decode_reply(McOp::Get, asked, frames.clone());
-        assert_eq!(ours, Ok(hit));
-        assert_eq!(binary::decode_reply(McOp::Get, other, frames), Err(refused));
+        let frame = binary_request(&Request::new(McOp::Get, asked)).remove(0);
+        let wire = binary_reply(&frame, &hit);
+        let ours = binary::decode_reply(McOp::Get, asked, &wire);
+        assert_eq!(ours, Ok(Some((hit, wire.len()))));
+        assert_eq!(binary::decode_reply(McOp::Get, other, &wire), Err(refused));
     }
 
     #[test]

@@ -10,8 +10,9 @@ use std::cell::{Cell, RefCell};
 use std::rc::{Rc, Weak};
 
 use mcproto::{
-    encode_response, frame_into, parse_command_ref, udp_fragment, BinFrame, BinFrameRef, BinOpcode,
-    BinStatus, CommandOf, ProtoError, Response, UdpFrame, MAGIC_REQUEST, UDP_FRAME_BYTES,
+    encode_response, frame_into, parse_command_ref, udp_fragment, BinFrameRef, BinOpcode,
+    BinStatus, CommandOf, ProtoError, Response, UdpFrame, MAGIC_REQUEST, UDP_DATAGRAM_BYTES,
+    UDP_FRAME_BYTES,
 };
 use mcstore::Value;
 use simnet::trace::{Phase, Track};
@@ -41,8 +42,16 @@ pub(super) async fn serve(srv: &Rc<SrvInner>, item: WorkItem, widx: u32, reply: 
             shard,
             idxs,
         } => serve_ucr_mget_part(srv, ep, merge, shard, idxs, widx).await,
-        WorkItem::Sock { sock, frame } => {
-            let replied = serve_ascii(srv, &frame, widx, reply).await;
+        WorkItem::Sock {
+            sock,
+            binary,
+            frame,
+        } => {
+            let replied = if binary {
+                serve_binary(srv, &frame, widx, reply).await
+            } else {
+                serve_ascii(srv, &frame, widx, reply).await
+            };
             srv.frames.give_back_bytes(frame);
             if replied {
                 let _ = sock.write_all(reply).await;
@@ -55,19 +64,22 @@ pub(super) async fn serve(srv: &Rc<SrvInner>, item: WorkItem, widx: u32, reply: 
             frame_into(reply, |w| w.response(&refusal));
             let _ = sock.write_all(reply).await;
         }
-        WorkItem::SockBin { sock, frame } => serve_sock_bin(srv, sock, frame, widx, reply).await,
         WorkItem::SockUdp {
             sock,
             src,
             request_id,
-            datagram,
+            mut datagram,
         } => {
             let command = datagram.get(UDP_FRAME_BYTES..).unwrap_or_default();
             if serve_ascii(srv, command, widx, reply).await {
-                for datagram in udp_fragment(request_id, reply) {
-                    let _ = sock.send_to(src, &datagram).await;
+                // The reply's datagrams are written over the request's.
+                datagram.clear();
+                udp_fragment(request_id, reply, &mut datagram);
+                for part in datagram.chunks(UDP_DATAGRAM_BYTES) {
+                    let _ = sock.send_to(src, part).await;
                 }
             }
+            sock.give_back(datagram);
         }
     }
 }
@@ -258,7 +270,8 @@ async fn serve_ucr_mget_part(
 
 /// The next thing on a stream connection's receive buffer.
 enum Framed {
-    /// An ASCII command, whole and valid: the first `n` bytes.
+    /// A request in the connection's protocol, whole (and, in ASCII,
+    /// valid): the first `n` bytes.
     Command(usize),
     /// A request taken in its parsed form, and the bytes it took.
     Item(WorkItem, usize),
@@ -272,9 +285,9 @@ enum Framed {
 fn next_request(binary: bool, buf: &[u8], sock: &Rc<Socket>) -> Framed {
     let sock = sock.clone();
     if binary {
-        return match BinFrame::parse(buf) {
+        return match BinFrameRef::parse(buf) {
             Ok(Some((frame, _))) if frame.opcode == BinOpcode::Quit => Framed::Quit,
-            Ok(Some((frame, used))) => Framed::Item(WorkItem::SockBin { sock, frame }, used),
+            Ok(Some((_, used))) => Framed::Command(used),
             Ok(None) => Framed::Incomplete,
             Err(_) => Framed::Malformed,
         };
@@ -298,9 +311,9 @@ fn next_request(binary: bool, buf: &[u8], sock: &Rc<Socket>) -> Framed {
 /// Per-connection event task: reads, frames requests, and hands them to
 /// the connection's worker (the libevent notification of the original
 /// architecture). Socket connections keep their round-robin worker
-/// binding under every store model. An ASCII command goes to the worker in
-/// the buffer it was read into, lent by the server's frame pool; the bytes
-/// read past it stay here, in another.
+/// binding under every store model. A request goes to the worker in the
+/// buffer it was read into, lent by the server's frame pool; the bytes read
+/// past it stay here, in another.
 pub(super) async fn conn_reader(srv: Weak<SrvInner>, sock: Rc<Socket>, widx: usize) {
     let Some(mut buf) = srv.upgrade().map(|inner| inner.frame()) else {
         return;
@@ -352,6 +365,7 @@ pub(super) async fn conn_reader(srv: Weak<SrvInner>, sock: Rc<Socket>, widx: usi
                 let frame = std::mem::replace(&mut buf, rest);
                 WorkItem::Sock {
                     sock: sock.clone(),
+                    binary,
                     frame,
                 }
             }
@@ -389,13 +403,14 @@ async fn serve_ascii(srv: &Rc<SrvInner>, frame: &[u8], widx: u32, reply: &mut Ve
         .await
 }
 
-async fn serve_sock_bin(
-    srv: &Rc<SrvInner>,
-    sock: Rc<Socket>,
-    frame: BinFrame,
-    widx: u32,
-    reply: &mut Vec<u8>,
-) {
+/// Serves the binary request `frame` holds, read in place, and writes its
+/// reply onto `reply`: false when it is answered by silence (a quiet miss,
+/// the binary multiget's).
+async fn serve_binary(srv: &Rc<SrvInner>, frame: &[u8], widx: u32, reply: &mut Vec<u8>) -> bool {
+    // The reader let it through whole.
+    let Ok(Some((frame, _))) = BinFrameRef::parse(frame) else {
+        return false;
+    };
     let id = OpId::Local(srv.next_sock_op());
     match codec::binary::decode_request(&frame) {
         Some(request) => {
@@ -406,10 +421,7 @@ async fn serve_sock_bin(
         }
         None => BinFrameRef::response(&frame, BinStatus::InvalidArgs).write_to(reply),
     }
-    // Empty: a quiet miss (binary multiget) is answered by silence.
-    if !reply.is_empty() {
-        let _ = sock.write_all(reply).await;
-    }
+    !reply.is_empty()
 }
 
 /// UDP receive loop: one task per (stack, port). Requests must fit a
@@ -425,24 +437,26 @@ pub(super) async fn udp_receiver(srv: Weak<SrvInner>, sock: Rc<DgramSocket>) {
         if !inner.running.get() {
             return;
         }
-        let Ok((frame, payload)) = UdpFrame::decode(&datagram) else {
+        // The worker reads the command in place from the datagram. A
+        // multi-datagram request is not supported, and `quit` is
+        // meaningless without a connection.
+        let request_id = match UdpFrame::decode(&datagram) {
+            Ok((frame, payload)) if frame.total == 1 => match parse_command_ref(payload) {
+                Ok(Some((CommandOf::Quit, _)) | None) | Err(_) => None,
+                Ok(Some(_)) => Some(frame.request_id),
+            },
+            _ => None,
+        };
+        let Some(request_id) = request_id else {
+            sock.give_back(datagram);
             continue;
         };
-        if frame.total != 1 {
-            continue; // multi-datagram requests are not supported
-        }
-        // The worker reads the command in place from the datagram; `quit`
-        // is meaningless without a connection.
-        match parse_command_ref(payload) {
-            Ok(Some((CommandOf::Quit, _)) | None) | Err(_) => continue,
-            Ok(Some(_)) => {}
-        }
         inner.mark_dispatch(OpId::Local(0), 0);
         let widx = inner.next_worker();
         let _ = inner.workers[widx].send(WorkItem::SockUdp {
             sock: sock.clone(),
             src,
-            request_id: frame.request_id,
+            request_id,
             datagram,
         });
     }

@@ -29,7 +29,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::{Rc, Weak};
 
-use mcproto::{BinFrame, Response};
+use mcproto::Response;
 use mcstore::StoreConfig;
 use simnet::metrics::{Counter, Gauge, Metrics};
 use simnet::sync::{self, Receiver, Sender};
@@ -162,25 +162,20 @@ enum WorkItem {
         /// Indices into the request's keys owned by `shard`.
         idxs: Vec<usize>,
     },
-    /// An ASCII/TCP command, read in place by its worker from the frame
-    /// it arrived in: a buffer lent by [`SrvInner::frames`].
+    /// An ASCII or binary TCP request, read in place by its worker from
+    /// the frame it arrived in: a buffer lent by [`SrvInner::frames`].
     Sock {
         sock: Rc<Socket>,
+        binary: bool,
         frame: Vec<u8>,
     },
     /// An ASCII/TCP line answered without service (`ERROR`,
     /// `CLIENT_ERROR`): it queues on the connection's worker so that its
     /// answer keeps its place among the replies.
-    SockRefused {
-        sock: Rc<Socket>,
-        reply: Response,
-    },
-    SockBin {
-        sock: Rc<Socket>,
-        frame: BinFrame,
-    },
+    SockRefused { sock: Rc<Socket>, reply: Response },
     /// An ASCII/UDP command, read in place by its worker from the
-    /// datagram it arrived in.
+    /// datagram it arrived in, a buffer from the socket fabric's pool; the
+    /// reply's datagrams are written over it.
     SockUdp {
         sock: Rc<DgramSocket>,
         src: socksim::SocketAddr,

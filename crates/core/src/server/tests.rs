@@ -201,10 +201,13 @@ fn binary_only_request_shapes() {
         let mut frame = BinFrame::request(opcode, 1);
         frame.key = b"text".to_vec();
         frame.value = b"swapped".to_vec();
-        frame.extras = store_extras(0, 0);
+        frame.extras = store_extras(0, 0).to_vec();
         frame.cas = token + 1;
+        let frame = frame.borrowed();
         let req = crate::codec::binary::decode_request(&frame).unwrap();
         assert_eq!(req.op, McOp::Cas, "{opcode:?}");
+        let key = [frame.key.to_vec()];
+        let req = Request::store(req.op, &key, req.value, req.flags, req.exptime, req.cas);
         assert_eq!(run(&mut store, &req), stored(SetOutcome::Exists));
     }
 }

@@ -159,37 +159,17 @@ pub struct BinFrame {
 impl BinFrame {
     /// A request frame with empty body parts.
     pub fn request(opcode: BinOpcode, opaque: u32) -> BinFrame {
-        BinFrame {
-            magic: MAGIC_REQUEST,
-            opcode,
-            vbucket_or_status: 0,
-            opaque,
-            cas: 0,
-            extras: Vec::new(),
-            key: Vec::new(),
-            value: Vec::new(),
-        }
+        BinFrameRef::request(opcode, opaque).to_frame()
     }
 
     /// A response frame answering `req` with `status`.
     pub fn response(req: &BinFrame, status: BinStatus) -> BinFrame {
-        BinFrame {
-            magic: MAGIC_RESPONSE,
-            opcode: req.opcode,
-            vbucket_or_status: status as u16,
-            opaque: req.opaque,
-            cas: 0,
-            extras: Vec::new(),
-            key: Vec::new(),
-            value: Vec::new(),
-        }
+        BinFrameRef::response(&req.borrowed(), status).to_frame()
     }
 
     /// The response status, if this is a response frame with a known code.
     pub fn status(&self) -> Option<BinStatus> {
-        (self.magic == MAGIC_RESPONSE)
-            .then(|| BinStatus::from_u16(self.vbucket_or_status))
-            .flatten()
+        self.borrowed().status()
     }
 
     /// This frame with its body parts borrowed.
@@ -215,8 +195,70 @@ impl BinFrame {
     }
 
     /// Incremental parse: `Ok(None)` until a whole frame is buffered; on
-    /// success returns the frame and bytes consumed.
+    /// success returns the frame, its body parts copied out, and bytes
+    /// consumed.
     pub fn parse(buf: &[u8]) -> Result<Option<(BinFrame, usize)>, ProtoError> {
+        let parsed = BinFrameRef::parse(buf)?;
+        Ok(parsed.map(|(frame, used)| (frame.to_frame(), used)))
+    }
+}
+
+/// A [`BinFrame`] whose body parts are borrowed: a frame read in place from
+/// the buffer it arrived in, or written from parts its writer does not own —
+/// a hit straight out of the store.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct BinFrameRef<'a> {
+    /// `MAGIC_REQUEST` or `MAGIC_RESPONSE`.
+    pub magic: u8,
+    /// Operation.
+    pub opcode: BinOpcode,
+    /// vbucket (requests) / status (responses).
+    pub vbucket_or_status: u16,
+    /// Client-chosen token echoed verbatim in the response.
+    pub opaque: u32,
+    /// CAS token.
+    pub cas: u64,
+    /// Extras block.
+    pub extras: &'a [u8],
+    /// Key bytes.
+    pub key: &'a [u8],
+    /// Value bytes.
+    pub value: &'a [u8],
+}
+
+impl<'a> BinFrameRef<'a> {
+    /// A request frame with empty body parts.
+    pub fn request(opcode: BinOpcode, opaque: u32) -> BinFrameRef<'a> {
+        BinFrameRef {
+            magic: MAGIC_REQUEST,
+            opcode,
+            vbucket_or_status: 0,
+            opaque,
+            cas: 0,
+            extras: &[],
+            key: &[],
+            value: &[],
+        }
+    }
+
+    /// A response frame answering `req` with `status`, its body empty.
+    pub fn response(req: &BinFrameRef<'_>, status: BinStatus) -> BinFrameRef<'a> {
+        BinFrameRef {
+            magic: MAGIC_RESPONSE,
+            opcode: req.opcode,
+            vbucket_or_status: status as u16,
+            opaque: req.opaque,
+            cas: 0,
+            extras: &[],
+            key: &[],
+            value: &[],
+        }
+    }
+
+    /// Incremental parse in place: `Ok(None)` until a whole frame is
+    /// buffered; on success returns the frame, its body parts borrowed from
+    /// `buf`, and bytes consumed. Nothing is copied.
+    pub fn parse(buf: &'a [u8]) -> Result<Option<(BinFrameRef<'a>, usize)>, ProtoError> {
         if buf.len() < BIN_HEADER_BYTES {
             return Ok(None);
         }
@@ -245,57 +287,41 @@ impl BinFrame {
             buf[16], buf[17], buf[18], buf[19], buf[20], buf[21], buf[22], buf[23],
         ]);
         let body = &buf[BIN_HEADER_BYTES..frame_len];
+        let (extras, rest) = body.split_at(extras_len);
+        let (key, value) = rest.split_at(key_len);
         Ok(Some((
-            BinFrame {
+            BinFrameRef {
                 magic,
                 opcode,
                 vbucket_or_status,
                 opaque,
                 cas,
-                extras: body[..extras_len].to_vec(),
-                key: body[extras_len..extras_len + key_len].to_vec(),
-                value: body[extras_len + key_len..].to_vec(),
+                extras,
+                key,
+                value,
             },
             frame_len,
         )))
     }
-}
 
-/// A [`BinFrame`] whose body parts are borrowed: what a server writes a
-/// response from — a hit straight out of the store — without owning a byte
-/// of it.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct BinFrameRef<'a> {
-    /// `MAGIC_REQUEST` or `MAGIC_RESPONSE`.
-    pub magic: u8,
-    /// Operation.
-    pub opcode: BinOpcode,
-    /// vbucket (requests) / status (responses).
-    pub vbucket_or_status: u16,
-    /// Client-chosen token echoed verbatim in the response.
-    pub opaque: u32,
-    /// CAS token.
-    pub cas: u64,
-    /// Extras block.
-    pub extras: &'a [u8],
-    /// Key bytes.
-    pub key: &'a [u8],
-    /// Value bytes.
-    pub value: &'a [u8],
-}
+    /// The response status, if this is a response frame with a known code.
+    pub fn status(&self) -> Option<BinStatus> {
+        (self.magic == MAGIC_RESPONSE)
+            .then(|| BinStatus::from_u16(self.vbucket_or_status))
+            .flatten()
+    }
 
-impl<'a> BinFrameRef<'a> {
-    /// A response frame answering `req` with `status`, its body empty.
-    pub fn response(req: &BinFrame, status: BinStatus) -> BinFrameRef<'a> {
-        BinFrameRef {
-            magic: MAGIC_RESPONSE,
-            opcode: req.opcode,
-            vbucket_or_status: status as u16,
-            opaque: req.opaque,
-            cas: 0,
-            extras: &[],
-            key: &[],
-            value: &[],
+    /// This frame with its body parts copied into vectors of its own.
+    pub fn to_frame(&self) -> BinFrame {
+        BinFrame {
+            magic: self.magic,
+            opcode: self.opcode,
+            vbucket_or_status: self.vbucket_or_status,
+            opaque: self.opaque,
+            cas: self.cas,
+            extras: self.extras.to_vec(),
+            key: self.key.to_vec(),
+            value: self.value.to_vec(),
         }
     }
 
@@ -324,10 +350,10 @@ impl<'a> BinFrameRef<'a> {
 }
 
 /// Builds the extras block for storage requests (`flags`, `exptime`).
-pub fn store_extras(flags: u32, exptime: u32) -> Vec<u8> {
-    let mut e = Vec::with_capacity(8);
-    e.extend_from_slice(&flags.to_be_bytes());
-    e.extend_from_slice(&exptime.to_be_bytes());
+pub fn store_extras(flags: u32, exptime: u32) -> [u8; 8] {
+    let mut e = [0; 8];
+    e[..4].copy_from_slice(&flags.to_be_bytes());
+    e[4..].copy_from_slice(&exptime.to_be_bytes());
     e
 }
 
@@ -344,11 +370,11 @@ pub fn parse_store_extras(extras: &[u8]) -> Option<(u32, u32)> {
 
 /// Builds the extras block for incr/decr (`delta`, `initial`, `exptime`);
 /// `exptime == 0xffff_ffff` means "do not create on miss".
-pub fn arith_extras(delta: u64, initial: u64, exptime: u32) -> Vec<u8> {
-    let mut e = Vec::with_capacity(20);
-    e.extend_from_slice(&delta.to_be_bytes());
-    e.extend_from_slice(&initial.to_be_bytes());
-    e.extend_from_slice(&exptime.to_be_bytes());
+pub fn arith_extras(delta: u64, initial: u64, exptime: u32) -> [u8; 20] {
+    let mut e = [0; 20];
+    e[..8].copy_from_slice(&delta.to_be_bytes());
+    e[8..16].copy_from_slice(&initial.to_be_bytes());
+    e[16..].copy_from_slice(&exptime.to_be_bytes());
     e
 }
 
@@ -372,13 +398,19 @@ mod tests {
     fn frame_round_trip() {
         let mut f = BinFrame::request(BinOpcode::Set, 0xdead_beef);
         f.cas = 42;
-        f.extras = store_extras(7, 3600);
+        f.extras = store_extras(7, 3600).to_vec();
         f.key = b"the-key".to_vec();
         f.value = vec![0u8, 1, 2, 255];
         let wire = f.encode();
         let (parsed, used) = BinFrame::parse(&wire).unwrap().unwrap();
         assert_eq!(used, wire.len());
         assert_eq!(parsed, f);
+        let (lent, used) = BinFrameRef::parse(&wire).unwrap().unwrap();
+        assert_eq!((lent, used), (f.borrowed(), wire.len()));
+        assert!(
+            std::ptr::eq(lent.value, &wire[wire.len() - 4..]),
+            "read in place"
+        );
     }
 
     #[test]
@@ -474,7 +506,7 @@ mod tests {
             key: &req.key,
             value: b"value",
             cas: 41,
-            ..BinFrameRef::response(&req, BinStatus::Ok)
+            ..BinFrameRef::response(&req.borrowed(), BinStatus::Ok)
         };
         assert_eq!(lent, owned.borrowed());
         let mut out = b"prefix".to_vec();
@@ -484,7 +516,7 @@ mod tests {
         assert_eq!(out.len() - 6, lent.wire_len());
         let empty = BinFrame::response(&req, BinStatus::KeyNotFound);
         assert_eq!(
-            BinFrameRef::response(&req, BinStatus::KeyNotFound),
+            BinFrameRef::response(&req.borrowed(), BinStatus::KeyNotFound),
             empty.borrowed()
         );
     }

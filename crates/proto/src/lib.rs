@@ -50,7 +50,9 @@ pub use command::{
 pub use response::{
     encode_response, parse_response, GetValue, Response, ResponseLine, ResponseLines,
 };
-pub use udp::{udp_fragment, udp_reassemble, UdpFrame, UDP_CHUNK_BYTES, UDP_FRAME_BYTES};
+pub use udp::{
+    udp_fragment, udp_reassemble, UdpFrame, UDP_CHUNK_BYTES, UDP_DATAGRAM_BYTES, UDP_FRAME_BYTES,
+};
 
 /// Protocol-level errors.
 #[derive(Clone, Debug, PartialEq, Eq)]

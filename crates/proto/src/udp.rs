@@ -53,53 +53,49 @@ impl UdpFrame {
     }
 }
 
-/// Splits `payload` into framed datagrams for `request_id`.
-pub fn udp_fragment(request_id: u16, payload: &[u8]) -> Vec<Vec<u8>> {
-    let chunks: Vec<&[u8]> = if payload.is_empty() {
-        vec![&[][..]]
-    } else {
-        payload.chunks(UDP_CHUNK_BYTES).collect()
-    };
-    let total = chunks.len() as u16;
-    chunks
-        .iter()
-        .enumerate()
-        .map(|(seq, chunk)| {
-            let mut d = Vec::with_capacity(UDP_FRAME_BYTES + chunk.len());
-            d.extend_from_slice(
-                &UdpFrame {
-                    request_id,
-                    seq: seq as u16,
-                    total,
-                }
-                .encode(),
-            );
-            d.extend_from_slice(chunk);
-            d
-        })
-        .collect()
+/// Bytes of every datagram of a message but its last: the frame header
+/// and a whole chunk.
+pub const UDP_DATAGRAM_BYTES: usize = UDP_FRAME_BYTES + UDP_CHUNK_BYTES;
+
+/// Appends `payload` to `out` as the framed datagrams for `request_id`, back
+/// to back. Every datagram but the last takes [`UDP_DATAGRAM_BYTES`], so
+/// `chunks(UDP_DATAGRAM_BYTES)` of what was appended yields them in order.
+/// An empty payload is one datagram, the frame header alone.
+pub fn udp_fragment(request_id: u16, payload: &[u8], out: &mut Vec<u8>) {
+    let total = payload.len().div_ceil(UDP_CHUNK_BYTES).max(1) as u16;
+    out.reserve(usize::from(total) * UDP_FRAME_BYTES + payload.len());
+    let mut chunks = payload.chunks(UDP_CHUNK_BYTES);
+    for seq in 0..total {
+        let frame = UdpFrame {
+            request_id,
+            seq,
+            total,
+        };
+        out.extend_from_slice(&frame.encode());
+        out.extend_from_slice(chunks.next().unwrap_or_default());
+    }
 }
 
-/// Reassembles datagrams of one message; `None` until all fragments of
-/// `request_id` are present. Fragments of other request ids are ignored.
-pub fn udp_reassemble(request_id: u16, datagrams: &[(UdpFrame, Vec<u8>)]) -> Option<Vec<u8>> {
-    let mine: Vec<&(UdpFrame, Vec<u8>)> = datagrams
-        .iter()
-        .filter(|(f, _)| f.request_id == request_id)
-        .collect();
-    let total = mine.first()?.0.total as usize;
-    if mine.len() < total {
-        return None;
+/// Appends the message of `request_id` to `out` once every one of its
+/// datagrams is among `datagrams` (whole datagrams, frame header first, in
+/// any order): false, and nothing appended, until then. Datagrams of other
+/// request ids and malformed ones are skipped.
+pub fn udp_reassemble<D: AsRef<[u8]>>(request_id: u16, datagrams: &[D], out: &mut Vec<u8>) -> bool {
+    let mine = || {
+        let decoded = datagrams
+            .iter()
+            .filter_map(|d| UdpFrame::decode(d.as_ref()).ok());
+        decoded.filter(|(f, _)| f.request_id == request_id)
+    };
+    let part = |seq| mine().find(|(f, _)| f.seq == seq).map(|(_, part)| part);
+    let Some((first, _)) = mine().next() else {
+        return false;
+    };
+    if !(0..first.total).all(|seq| part(seq).is_some()) {
+        return false;
     }
-    let mut parts: Vec<Option<&[u8]>> = vec![None; total];
-    for (f, data) in mine {
-        *parts.get_mut(f.seq as usize)? = Some(data);
-    }
-    let mut out = Vec::new();
-    for p in parts {
-        out.extend_from_slice(p?);
-    }
-    Some(out)
+    (0..first.total).for_each(|seq| out.extend_from_slice(part(seq).unwrap_or_default()));
+    true
 }
 
 #[cfg(test)]
@@ -132,43 +128,43 @@ mod tests {
         assert!(UdpFrame::decode(&f.encode()).is_err());
     }
 
+    /// The datagrams `udp_fragment` appends to `out`, each on its own.
+    fn datagrams(request_id: u16, payload: &[u8]) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        udp_fragment(request_id, payload, &mut out);
+        out.chunks(UDP_DATAGRAM_BYTES).map(<[u8]>::to_vec).collect()
+    }
+
     #[test]
     fn fragment_reassemble_round_trip() {
         let payload: Vec<u8> = (0..5000u32).map(|i| (i % 251) as u8).collect();
-        let dgrams = udp_fragment(9, &payload);
+        let dgrams = datagrams(9, &payload);
         assert_eq!(dgrams.len(), payload.len().div_ceil(UDP_CHUNK_BYTES));
-        let parsed: Vec<(UdpFrame, Vec<u8>)> = dgrams
-            .iter()
-            .map(|d| {
-                let (f, p) = UdpFrame::decode(d).unwrap();
-                (f, p.to_vec())
-            })
-            .collect();
-        assert_eq!(udp_reassemble(9, &parsed), Some(payload));
+        let mut whole = b"kept".to_vec();
+        assert!(udp_reassemble(9, &dgrams, &mut whole));
+        assert_eq!(whole[4..], payload[..], "appended");
         // Wrong request id: nothing to assemble.
-        assert_eq!(udp_reassemble(10, &parsed), None);
+        assert!(!udp_reassemble(10, &dgrams, &mut whole));
+        assert_eq!(whole.len(), 4 + payload.len());
     }
 
     #[test]
     fn reassembly_waits_for_all_fragments() {
         let payload = vec![7u8; 3000];
-        let dgrams = udp_fragment(1, &payload);
-        let mut parsed: Vec<(UdpFrame, Vec<u8>)> = dgrams
-            .iter()
-            .map(|d| {
-                let (f, p) = UdpFrame::decode(d).unwrap();
-                (f, p.to_vec())
-            })
-            .collect();
-        let last = parsed.pop().unwrap();
-        assert_eq!(udp_reassemble(1, &parsed), None, "incomplete");
-        parsed.insert(0, last); // out of order is fine
-        assert_eq!(udp_reassemble(1, &parsed), Some(payload));
+        let mut dgrams = datagrams(1, &payload);
+        let mut whole = Vec::new();
+        let last = dgrams.pop().unwrap();
+        assert!(!udp_reassemble(1, &dgrams, &mut whole), "incomplete");
+        assert!(whole.is_empty());
+        dgrams.insert(0, last); // out of order is fine
+        dgrams.insert(1, b"junk".to_vec()); // and so is a malformed one
+        assert!(udp_reassemble(1, &dgrams, &mut whole));
+        assert_eq!(whole, payload);
     }
 
     #[test]
     fn empty_payload_is_one_datagram() {
-        let dgrams = udp_fragment(3, b"");
+        let dgrams = datagrams(3, b"");
         assert_eq!(dgrams.len(), 1);
         let (f, rest) = UdpFrame::decode(&dgrams[0]).unwrap();
         assert_eq!((f.seq, f.total), (0, 1));

@@ -3,7 +3,8 @@
 
 use mcproto::{
     encode_command, encode_response, parse_command, parse_response, tokens, udp_fragment, BinFrame,
-    BinOpcode, Command, GetValue, ProtoError, Response, StoreVerb, UdpFrame, UDP_FRAME_BYTES,
+    BinOpcode, Command, GetValue, ProtoError, Response, StoreVerb, UdpFrame, UDP_DATAGRAM_BYTES,
+    UDP_FRAME_BYTES,
 };
 
 #[test]
@@ -465,7 +466,9 @@ mod properties {
             let resp = r.mangle(resp);
             let bin = bin_frame(r);
             let bin = r.mangle(bin);
-            let udp = udp_fragment(r.next_u64() as u16, &data(r)).remove(0);
+            let mut udp = Vec::new();
+            udp_fragment(r.next_u64() as u16, &data(r), &mut udp);
+            udp.truncate(UDP_DATAGRAM_BYTES);
             (cmd, resp, bin, r.mangle(udp))
         };
         check_cases(

@@ -27,6 +27,13 @@ impl<T> FreeList<T> {
         self.idle.borrow_mut().pop()
     }
 
+    /// The item given back last, if one is idle and `fits` it; otherwise
+    /// the list is left as it was.
+    pub fn take_if(&self, fits: impl FnOnce(&T) -> bool) -> Option<T> {
+        let mut idle = self.idle.borrow_mut();
+        idle.pop_if(|item| fits(item))
+    }
+
     /// Keeps `item` while fewer than the cap are idle, drops it otherwise.
     pub fn give_back(&self, item: T) {
         let mut idle = self.idle.borrow_mut();
@@ -84,6 +91,13 @@ mod tests {
             (list.take(), list.take(), list.take()),
             (Some(1), Some(0), None)
         );
+        (0..2).for_each(|i| list.give_back(i));
+        assert_eq!(
+            list.take_if(|&i| i == 0),
+            None,
+            "only the last is looked at"
+        );
+        assert_eq!((list.take_if(|&i| i == 1), list.len()), (Some(1), 1));
         let bytes = FreeList::of_bytes(2, 64);
         bytes.give_back_bytes(Vec::with_capacity(65));
         assert!(bytes.is_empty(), "grown past the keep bound, freed");

@@ -7,10 +7,13 @@
 //! connection, silent loss when the receiver's socket buffer overflows
 //! (the real failure mode Facebook engineered around), silent loss into
 //! dead nodes, and per-message kernel costs like the TCP paths — but no
-//! per-connection state.
+//! per-connection state. A datagram's bytes ride in a buffer from the
+//! fabric's pool, as a stream write's do, from the send to the receiver's
+//! [`DgramSocket::give_back`].
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::future::Future;
 use std::rc::Rc;
 
 use simnet::profiles::SocketStackProfile;
@@ -68,7 +71,8 @@ impl EventTarget for SockFabricInner {
         let dst = dgram.dst;
         if !dgram.in_kernel {
             if self.is_dead(dst.node) {
-                return; // dropped on the floor
+                // Dropped on the floor.
+                return self.seg_free.give_back_bytes(dgram.payload);
             }
             let kernel = &self.cluster.node(dst.node).kernel;
             let p = &dgram.profile;
@@ -79,14 +83,15 @@ impl EventTarget for SockFabricInner {
             return;
         }
         let Some(inbox) = self.dgram_inbox(dgram.stack, dst) else {
-            return; // no socket bound: ICMP port unreachable, i.e. silence
+            // No socket bound: ICMP port unreachable, i.e. silence.
+            return self.seg_free.give_back_bytes(dgram.payload);
         };
         let mut q = inbox.queue.borrow_mut();
         if q.len() >= DGRAM_RCVBUF_DATAGRAMS {
             // Receive buffer overflow: the datagram is lost. This
             // is UDP's defining hazard under load.
             inbox.dropped.set(inbox.dropped.get() + 1);
-            return;
+            return self.seg_free.give_back_bytes(dgram.payload);
         }
         q.push_back((dgram.src, dgram.payload));
         drop(q);
@@ -112,35 +117,50 @@ impl DgramSocket {
 
     /// Sends one datagram to `dst`. Resolves when the local kernel has
     /// taken the packet; delivery is best-effort.
-    pub async fn send_to(&self, dst: SocketAddr, payload: &[u8]) -> Result<(), SockError> {
-        if payload.len() > MAX_DGRAM_BYTES {
-            return Err(SockError::Closed);
+    ///
+    /// The bytes are copied into a buffer from the fabric's pool when the
+    /// call is made, as a stream write's are, so the returned future does
+    /// not borrow `payload`.
+    pub fn send_to(
+        &self,
+        dst: SocketAddr,
+        payload: &[u8],
+    ) -> impl Future<Output = Result<(), SockError>> + '_ {
+        let copied = (payload.len() <= MAX_DGRAM_BYTES).then(|| {
+            let mut buf = self.fabric.seg_free.take().unwrap_or_default();
+            buf.extend_from_slice(payload);
+            buf
+        });
+        async move {
+            let payload = copied.ok_or(SockError::Closed)?;
+            if self.fabric.is_dead(self.local.node) {
+                return Err(SockError::Closed);
+            }
+            if dst.node == self.local.node {
+                return Err(SockError::ConnectionRefused);
+            }
+            let sim = self.sim();
+            sim.sleep(self.profile.app_send).await;
+            let kernel = &self.fabric.cluster.node(self.local.node).kernel;
+            let launch = kernel.occupy_from(sim.now(), self.profile.kernel_send);
+            let wire = payload.len() as u64 + 46; // UDP/IP/Ethernet headers
+            let arrives = self.net.carry(self.local.node, dst.node, wire, launch);
+            let on_wire = Datagram {
+                stack: self.stack,
+                profile: self.profile,
+                src: self.local,
+                dst,
+                payload,
+                in_kernel: false,
+            };
+            self.fabric.launch(arrives, on_wire);
+            Ok(())
         }
-        let sim = self.sim();
-        if self.fabric.is_dead(self.local.node) {
-            return Err(SockError::Closed);
-        }
-        if dst.node == self.local.node {
-            return Err(SockError::ConnectionRefused);
-        }
-        sim.sleep(self.profile.app_send).await;
-        let kernel = &self.fabric.cluster.node(self.local.node).kernel;
-        let launch = kernel.occupy_from(sim.now(), self.profile.kernel_send);
-        let wire = payload.len() as u64 + 46; // UDP/IP/Ethernet headers
-        let arrives = self.net.carry(self.local.node, dst.node, wire, launch);
-        let on_wire = Datagram {
-            stack: self.stack,
-            profile: self.profile,
-            src: self.local,
-            dst,
-            payload: payload.to_vec(),
-            in_kernel: false,
-        };
-        self.fabric.launch(arrives, on_wire);
-        Ok(())
     }
 
-    /// Receives the next datagram (waits if none is queued).
+    /// Receives the next datagram (waits if none is queued), in a buffer
+    /// from the fabric's pool: [`give_back`](DgramSocket::give_back) returns
+    /// it once read.
     pub async fn recv_from(&self) -> Result<(SocketAddr, Vec<u8>), SockError> {
         let sim = self.sim();
         loop {
@@ -158,6 +178,12 @@ impl DgramSocket {
                 .wait_until(|| !inbox.queue.borrow().is_empty() || inbox.closed.get())
                 .await;
         }
+    }
+
+    /// Hands a received datagram's buffer back to the fabric's pool, for
+    /// the next datagram sent.
+    pub fn give_back(&self, datagram: Vec<u8>) {
+        self.fabric.seg_free.give_back_bytes(datagram);
     }
 
     /// Unbinds the port now (a process closing its socket): a parked

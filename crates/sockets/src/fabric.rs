@@ -55,8 +55,8 @@ pub(crate) struct SockFabricInner {
     dgram_socks: RefCell<HashMap<(Stack, NodeId, u16), Rc<DgramInbox>>>,
     /// The datagrams on their way between sockets.
     pub(crate) datagrams: RefCell<Slab<Datagram>>,
-    /// Idle buffers for the payloads of stream writes, at most
-    /// [`SEGMENT_POOL_CAP`], none larger than [`STREAM_BUF_KEEP`].
+    /// Idle buffers for the payloads of stream writes and datagrams, at
+    /// most [`SEGMENT_POOL_CAP`], none larger than [`STREAM_BUF_KEEP`].
     pub(crate) seg_free: FreeList<Vec<u8>>,
     /// By socket id; ordered, so `kill_node` resets them in id order.
     socks: RefCell<BTreeMap<u64, SockRec>>,

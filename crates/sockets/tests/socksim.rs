@@ -574,6 +574,8 @@ mod dgram {
     use super::*;
     use socksim::DGRAM_RCVBUF_DATAGRAMS;
 
+    /// A datagram rides in a buffer from the fabric's segment pool: given
+    /// back once read, it carries the reply.
     #[test]
     fn datagrams_round_trip_with_source_addresses() {
         let (cluster, fabric) = fabric_a();
@@ -593,6 +595,9 @@ mod dgram {
                 .unwrap();
             let (src, data) = server.recv_from().await.unwrap();
             assert_eq!(data, b"ping");
+            let ping = data.as_ptr();
+            server.give_back(data);
+            assert_eq!(fabric.idle_segment_buffers().len(), 1);
             assert_eq!(
                 src,
                 SocketAddr {
@@ -604,6 +609,7 @@ mod dgram {
             server.send_to(src, b"pong").await.unwrap();
             let (src2, data2) = client.recv_from().await.unwrap();
             assert_eq!(data2, b"pong");
+            assert_eq!(data2.as_ptr(), ping, "the ping's buffer");
             assert_eq!(src2.node, NodeId(0));
         });
     }
@@ -629,6 +635,11 @@ mod dgram {
         });
         cluster.sim().run();
         assert_eq!(client.dropped(), 0);
+        assert_eq!(
+            fabric.idle_segment_buffers().len(),
+            1,
+            "its buffer went back"
+        );
     }
 
     #[test]
@@ -655,6 +666,7 @@ mod dgram {
         });
         cluster.sim().run();
         assert_eq!(server.dropped(), 50, "overflow beyond SO_RCVBUF drops");
+        assert_eq!(fabric.idle_segment_buffers().len(), 50, "theirs went back");
         // The surviving datagrams are the first N, in order.
         let got = sim.block_on({
             let server = server;

@@ -12,9 +12,10 @@
 //!   (memcached's `assoc.c`): during an expansion, un-migrated buckets are
 //!   still served from the old table and a fixed number of buckets migrate
 //!   per operation, so no single request pays the full rehash;
-//! * each slab class keeps its own LRU; allocation failure first reclaims
-//!   expired items near the tail, then evicts the tail (memcached's
-//!   behaviour with `-M` off);
+//! * each slab class keeps its own LRU; an allocation that finds its class
+//!   full first reclaims the first dead (expired or flushed) item among the
+//!   `TAIL_SEARCH_DEPTH` = 5 nearest the tail, and evicts the tail only if
+//!   there is none (memcached's tail search with `-M` off);
 //! * expiration is lazy (checked on access) with `flush_all` implemented
 //!   as an `oldest_live` barrier;
 //! * every mutation bumps a global CAS counter.
@@ -32,6 +33,10 @@ pub const MAX_KEY_LEN: usize = 250;
 pub const REALTIME_MAXDELTA: u32 = 60 * 60 * 24 * 30;
 
 const NIL: u32 = u32::MAX;
+
+/// Items an allocation that finds its class full looks at, from the LRU
+/// tail up, for a dead one to reclaim before it evicts the tail.
+const TAIL_SEARCH_DEPTH: usize = 5;
 
 // An item's header, the last `ITEM_HEADER_SIZE` bytes of its chunk, by
 // each field's byte offset: hash and CAS (u64), flags, expiry, store
@@ -759,26 +764,28 @@ impl Store {
         if !self.config.evict_on_full {
             return None;
         }
-        // Walk up to 5 items from the LRU tail looking for expired ones to
-        // reclaim first (memcached's tail scan), else evict the tail.
-        for _ in 0..5 {
-            let tail = self.lru_tail[class.0 as usize];
-            if tail == NIL {
-                return None;
-            }
-            let expired = self.is_dead(tail, now);
-            if expired {
+        let tail = self.lru_tail[class.0 as usize];
+        if tail == NIL {
+            return None;
+        }
+        // The first dead item up from the tail is reclaimed; with none in
+        // reach, the tail is evicted. Either frees a chunk of the class.
+        let up = |&id: &u32| Some(u32_at(self.slabs.header(id), LRU_PREV)).filter(|&p| p != NIL);
+        let dead = std::iter::successors(Some(tail), up)
+            .take(TAIL_SEARCH_DEPTH)
+            .find(|&id| self.is_dead(id, now));
+        match dead {
+            Some(id) => {
                 self.stats.reclaimed += 1;
-            } else {
+                self.remove_item(id);
+            }
+            None => {
                 self.stats.evictions += 1;
                 self.evictions_by_class[class.0 as usize] += 1;
-            }
-            self.remove_item(tail);
-            if let Some(id) = self.slabs.alloc(class) {
-                return Some(id);
+                self.remove_item(tail);
             }
         }
-        None
+        self.slabs.alloc(class)
     }
 
     fn remove_item(&mut self, id: u32) {

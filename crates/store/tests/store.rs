@@ -305,6 +305,36 @@ fn expired_tail_items_are_reclaimed_before_evicting() {
     assert_eq!(st.evictions, evictions_before, "no live evictions needed");
 }
 
+/// A full class reclaims a dead item near its tail before it evicts a live
+/// one. In a 1 MB store of 900 B values (885 to its one page), a live A sits
+/// at the tail and a B just above it expires first; once B has expired, one
+/// more set reclaims B, evicts nothing, and A is still there.
+#[test]
+fn a_full_class_reclaims_an_expired_item_above_its_live_tail() {
+    let mut s = Store::new(StoreConfig {
+        slab: SlabConfig {
+            mem_limit: 1 << 20,
+            ..SlabConfig::default()
+        },
+        ..StoreConfig::default()
+    });
+    let val = [7u8; 900];
+    let class = s.class_of(5, val.len()).unwrap();
+    assert_eq!(s.set(b"key-a", &val, 0, 0, 1), SetOutcome::Stored);
+    assert_eq!(s.set(b"key-b", &val, 0, 10, 1), SetOutcome::Stored); // expires at 11
+    let full = s.slabs().chunks_per_page(class);
+    assert_eq!(full, 885);
+    for i in 2..full {
+        let key = format!("f{i:04}");
+        assert_eq!(s.set(key.as_bytes(), &val, 0, 0, 1), SetOutcome::Stored);
+    }
+    assert_eq!(s.slabs().class_stats(class).used, full, "the class is full");
+    assert_eq!((s.stats().reclaimed, s.stats().evictions), (0, 0));
+    assert_eq!(s.set(b"key-c", &val, 0, 0, 20), SetOutcome::Stored);
+    assert_eq!((s.stats().reclaimed, s.stats().evictions), (1, 0));
+    assert!(s.get(b"key-a", 20).is_some(), "the live tail stays");
+}
+
 #[test]
 fn hash_expansion_preserves_all_items() {
     // Small initial table forces several expansions.

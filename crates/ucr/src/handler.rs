@@ -25,20 +25,31 @@ pub enum AmDest {
     Discard,
 }
 
-/// An active message's data in a buffer the runtime owns. A rendezvous
-/// landed its data in bytes from the runtime's rendezvous pool, and they go
-/// back to it when this is dropped; [`into_vec`](AmBytes::into_vec) keeps
-/// them instead. An eager message's data is a buffer of its own.
+/// An active message's data in a buffer the runtime owns, from one of its
+/// pools: an eager message's data was copied off its network buffer into a
+/// buffer from the eager pool, a rendezvous landed its data in bytes from
+/// the rendezvous pool. The bytes go back to their pool when this is
+/// dropped; [`into_vec`](AmBytes::into_vec) keeps them instead. Empty data
+/// holds no buffer.
 #[derive(Default)]
 pub struct AmBytes {
     bytes: Vec<u8>,
-    /// The runtime whose pool the bytes return to (none for eager data).
-    pool: Weak<RtInner>,
+    /// The runtime whose pool the bytes return to.
+    home: Weak<RtInner>,
+    pool: PayloadPool,
+}
+
+/// Which of its runtime's pools an [`AmBytes`]'s buffer came from.
+#[derive(Clone, Copy, Default)]
+pub(crate) enum PayloadPool {
+    #[default]
+    Eager,
+    Rendezvous,
 }
 
 impl AmBytes {
-    pub(crate) fn new(bytes: Vec<u8>, pool: Weak<RtInner>) -> AmBytes {
-        AmBytes { bytes, pool }
+    pub(crate) fn new(bytes: Vec<u8>, home: Weak<RtInner>, pool: PayloadPool) -> AmBytes {
+        AmBytes { bytes, home, pool }
     }
 
     /// Takes the bytes out, for a caller that keeps them.
@@ -57,8 +68,12 @@ impl Deref for AmBytes {
 
 impl Drop for AmBytes {
     fn drop(&mut self) {
-        if let Some(rt) = self.pool.upgrade() {
-            rt.give_back(std::mem::take(&mut self.bytes));
+        if let Some(rt) = self.home.upgrade() {
+            let bytes = std::mem::take(&mut self.bytes);
+            match self.pool {
+                PayloadPool::Eager => rt.give_back_eager(bytes),
+                PayloadPool::Rendezvous => rt.give_back(bytes),
+            }
         }
     }
 }

@@ -34,7 +34,7 @@ use verbs::{
 
 use crate::counter::{Counter, CtrInner};
 use crate::endpoint::{Endpoint, EpInner, QueuedRndv};
-use crate::handler::{AmBytes, AmData, AmDest, AmHandler};
+use crate::handler::{AmBytes, AmData, AmDest, AmHandler, PayloadPool};
 use crate::wire::{packet_at, Located, PacketHeader, PacketKind, PACKET_HEADER_BYTES};
 use crate::UcrError;
 
@@ -73,6 +73,13 @@ pub const MAX_RNDV_BYTES: usize = 64 << 20;
 /// freed. Each holds at most [`MAX_HEADER_BYTES`], so the idle ones hold at
 /// most 512 KiB.
 const RNDV_HDR_POOL_CAP: usize = 64;
+
+/// Most idle eager payload buffers the runtime keeps. An eager message's
+/// data is copied off its network buffer into one for a handler that asks
+/// for a pool buffer, and comes back when the handler drops it; a buffer
+/// that comes back to a full list is freed. Each holds at most
+/// [`UCR_EAGER_THRESHOLD`], so the idle ones hold at most 1 MiB.
+const EAGER_POOL_CAP: usize = 128;
 
 /// Most bytes of idle rendezvous buffers the runtime keeps. A buffer that
 /// would take the pool past it when it comes back is freed.
@@ -275,6 +282,9 @@ pub(crate) struct RtInner {
     /// region in its read's `Pending` entry — or a handler's [`AmBytes`].
     rndv_free: RefCell<Vec<Vec<u8>>>,
     rndv_idle_bytes: Cell<usize>,
+    /// Idle eager payload buffers, at most [`EAGER_POOL_CAP`]; one in use
+    /// is a handler's [`AmBytes`].
+    eager_free: FreeList<Vec<u8>>,
     /// Idle rendezvous header buffers, at most [`RNDV_HDR_POOL_CAP`]; one
     /// in use is the `hdr` of a read's `Pending` entry.
     rndv_hdr_free: FreeList<Vec<u8>>,
@@ -423,6 +433,7 @@ impl UcrRuntime {
             send_free: FreeList::new(SEND_POOL_CAP),
             rndv_free: RefCell::new(Vec::new()),
             rndv_idle_bytes: Cell::new(0),
+            eager_free: FreeList::of_bytes(EAGER_POOL_CAP, UCR_EAGER_THRESHOLD),
             rndv_hdr_free: FreeList::new(RNDV_HDR_POOL_CAP),
             rndv_sends: RefCell::new(VecDeque::new()),
             rndv_sender: RefCell::new(None),
@@ -803,6 +814,34 @@ impl RtInner {
         self.rndv_free.borrow_mut().push(buf);
     }
 
+    /// A copy of an eager message's data for its handler: in the idle
+    /// eager buffer given back last if its capacity is at least the data's
+    /// length and under twice it, or else in a fresh buffer of exactly that
+    /// length. Empty data takes no buffer.
+    fn eager_payload(self: &Rc<Self>, data: &[u8]) -> AmBytes {
+        let len = data.len();
+        let mut buf = match len {
+            0 => Vec::new(),
+            _ => {
+                let fits = len..len.saturating_mul(2);
+                let idle = self
+                    .eager_free
+                    .take_if(|buf| fits.contains(&buf.capacity()));
+                idle.unwrap_or_else(|| Vec::with_capacity(len))
+            }
+        };
+        buf.extend_from_slice(data);
+        AmBytes::new(buf, Rc::downgrade(self), PayloadPool::Eager)
+    }
+
+    /// Takes back an eager payload's buffer a handler dropped: into the
+    /// eager pool, unless it is full. An empty payload has none.
+    pub(crate) fn give_back_eager(&self, buf: Vec<u8>) {
+        if buf.capacity() != 0 {
+            self.eager_free.give_back_bytes(buf);
+        }
+    }
+
     /// A copy of a rendezvous message's application header, held until
     /// its read completes, in an idle header buffer when there is one.
     pub(crate) fn rndv_header(&self, hdr: &[u8]) -> Vec<u8> {
@@ -1147,8 +1186,8 @@ impl RtInner {
         });
         let am_data = match dest {
             // Single copy: the payload moves straight off the
-            // network buffer into its owned destination.
-            AmDest::Pool => AmData::Pool(AmBytes::new(data.to_vec(), Weak::new())),
+            // network buffer into a buffer from the eager pool.
+            AmDest::Pool => AmData::Pool(self.eager_payload(data)),
             AmDest::Buffer(slice) => {
                 let n = data_len.min(slice.len());
                 // Copy into the caller's registered destination, if it
@@ -1234,7 +1273,8 @@ impl RtInner {
                 // payload, which gives them back to the pool when dropped.
                 let am_data = match dest {
                     RndvDest::Pool(mr) => {
-                        AmData::Pool(AmBytes::new(mr.into_vec(), Rc::downgrade(self)))
+                        let home = Rc::downgrade(self);
+                        AmData::Pool(AmBytes::new(mr.into_vec(), home, PayloadPool::Rendezvous))
                     }
                     RndvDest::Buffer(_) => AmData::Placed(pkt.data_len as usize),
                     RndvDest::Discard(mr) => {
@@ -1959,6 +1999,67 @@ mod tests {
                 assert_eq!(idle, KEPT.min(misses as usize));
             }
         });
+    }
+
+    /// An eager payload a handler takes from the pool is copied into a
+    /// buffer from the runtime's eager pool. One the handler drops goes back
+    /// and carries the next payload it fits; one it keeps leaves the pool; a
+    /// payload the buffer given back last does not fit takes a fresh buffer
+    /// of exactly its length, and an empty one takes none. None of them is
+    /// a rendezvous buffer, so `mr_cache_*` count none.
+    #[test]
+    fn an_eager_payload_rides_in_a_buffer_from_the_eager_pool() {
+        let (cluster, server, client, ep, _peer) = connected(44);
+        // Each payload's address and length.
+        type Seen = RefCell<Vec<(*const u8, usize)>>;
+        let seen: Rc<Seen> = Rc::default();
+        let kept: Rc<RefCell<Vec<Vec<u8>>>> = Rc::default();
+        let (seen2, kept2) = (seen.clone(), kept.clone());
+        server.register_handler(
+            MSG,
+            FnHandler(move |_: &Endpoint, hdr: &[u8], data: AmData| {
+                if let AmData::Pool(bytes) = &data {
+                    seen2.borrow_mut().push((bytes.as_ptr(), bytes.len()));
+                }
+                if hdr == b"keep" {
+                    kept2.borrow_mut().extend(data.into_vec());
+                }
+            }),
+        );
+        let sending = client.clone();
+        cluster.sim().block_on(async move {
+            for (hdr, len) in [("drop", 64), ("drop", 64), ("keep", 64), ("drop", 64)] {
+                let done = sending.counter();
+                let data = vec![1u8; len];
+                ep.send_message(MSG, hdr.as_bytes(), &data, completing(&done))
+                    .await
+                    .expect("eager");
+                done.wait_for(1, TIMEOUT).await.expect("handled");
+            }
+            for len in [0, 16] {
+                let done = sending.counter();
+                let data = vec![2u8; len];
+                ep.send_message(MSG, b"drop", &data, completing(&done))
+                    .await
+                    .expect("eager");
+                done.wait_for(1, TIMEOUT).await.expect("handled");
+            }
+        });
+        let seen = seen.borrow();
+        let lens: Vec<usize> = seen.iter().map(|s| s.1).collect();
+        assert_eq!(lens, [64, 64, 64, 64, 0, 16]);
+        assert_eq!(seen[1].0, seen[0].0, "a dropped payload's buffer is reused");
+        assert_eq!(seen[2].0, seen[0].0, "and then kept");
+        assert_eq!(kept.borrow()[0].as_ptr(), seen[0].0);
+        assert_ne!(seen[3].0, seen[0].0, "a kept buffer has left the pool");
+        let idle = server.inner.eager_free.idle();
+        let idle: Vec<_> = idle.iter().map(|b| (b.as_ptr(), b.capacity())).collect();
+        assert_eq!(
+            idle,
+            [(seen[3].0, 64), (seen[5].0, 16)],
+            "the empty one took none"
+        );
+        assert_eq!(drawn(&server), (0, 0));
     }
 
     /// A rendezvous's application header is held in a buffer from the

@@ -11,18 +11,19 @@
 //! showing up in a benchmark run. A UCR get allocates the client's value and
 //! nothing else: the counter the client waits on is a released counter's box
 //! under a fresh id, the server reads the request's key from a pooled key
-//! list, and a rendezvous holds its header in a pooled buffer. A 64 KB
-//! operation adds nothing to that: each registration refills the record of
-//! a deregistered region, the server's reply waits for its runtime's
-//! rendezvous sender instead of a task of its own, and a 64 KB set
-//! allocates nothing at all. An ASCII/TCP get allocates the client's value
-//! and nothing else too, and a set nothing at all: a write's bytes ride in a
-//! pooled segment buffer, the client writes each request into the buffer it
-//! keeps, and the server reads a command in place from a pooled frame buffer
-//! and writes its reply into its worker's buffer. What a binary get still
-//! allocates is the parsed frames at both ends (`BinFrame::parse`) and the
-//! client's frame list; a UDP get, the datagrams and their reassembly. They
-//! also pin that a run leaves no dead
+//! list, and a rendezvous holds its header in a pooled buffer. A UCR set
+//! allocates nothing at all: its value lands in a payload buffer from the
+//! server runtime's eager pool, or, at 64 KB, in a landing region from its
+//! rendezvous pool. A 64 KB get adds nothing to the client's value either:
+//! each registration refills the record of a deregistered region and the
+//! server's reply waits for its runtime's rendezvous sender instead of a
+//! task of its own. On the three socket wires — ASCII and binary over TCP,
+//! ASCII over UDP — a get allocates the client's value and nothing else too,
+//! and a set nothing at all: a write's bytes and a datagram's ride in a
+//! pooled buffer, the client writes each request into the buffer it keeps
+//! and reads a reply in place, and the server reads a request in place from
+//! the pooled buffer it arrived in and writes its reply into its worker's
+//! buffer. They also pin that a run leaves no dead
 //! timers behind: the event queue holds live events only; that a UCR
 //! runtime holds the receive buffers its traffic needs, not its pool's cap;
 //! and that the live bytes of every budget shape (allocated minus
@@ -43,7 +44,8 @@ use std::rc::Rc;
 
 use rdma_memcached::mcstore::{ClassId, Store};
 use rdma_memcached::rmc::{
-    McClient, McClientConfig, McServer, McServerConfig, Scenario, StoreModel, Transport, World,
+    InFlightGet, InFlightSet, McClient, McClientConfig, McServer, McServerConfig, Scenario,
+    StoreModel, Transport, World,
 };
 use rdma_memcached::simnet::{
     EventTarget, JoinHandle, NodeId, Profiler, ProfilerConfig, Sim, SimDuration, Stack,
@@ -174,12 +176,28 @@ struct Load {
     /// its tasks and keys are gone: set by [`Shape::run`].
     live: i64,
     ops: u64,
+    /// Of those, the gets: each hands its client a value.
+    gets: u64,
+}
+
+/// Operations completed by a driver's clients: all of them, and the gets.
+#[derive(Default)]
+struct Completed {
+    ops: Cell<u64>,
+    gets: Cell<u64>,
+}
+
+impl Completed {
+    fn count(&self, get: bool) {
+        self.ops.set(self.ops.get() + 1);
+        self.gets.set(self.gets.get() + u64::from(get));
+    }
 }
 
 impl Load {
     /// Runs `tasks` to the end: what that cost, and the operations they
     /// counted into `completed`.
-    fn of(sim: &Sim, tasks: Vec<JoinHandle<()>>, completed: &Cell<u64>) -> Load {
+    fn of(sim: &Sim, tasks: Vec<JoinHandle<()>>, completed: &Completed) -> Load {
         let before = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
         sim.block_on(async move {
             for t in tasks {
@@ -190,7 +208,8 @@ impl Load {
             allocs: ALLOCS.with(Cell::get) - before.0,
             bytes: BYTES.with(Cell::get) - before.1,
             live: 0,
-            ops: completed.get(),
+            ops: completed.ops.get(),
+            gets: completed.gets.get(),
         }
     }
 
@@ -210,7 +229,7 @@ fn closed_loop(world: &World, clients: &[McClient], ops: u64, store: Option<&[u8
     let sim = world.sim().clone();
     let keys: Rc<Vec<Vec<u8>>> = Rc::new((0..KEYS).map(key).collect());
     let value: Option<Rc<[u8]>> = store.map(Rc::from);
-    let completed = Rc::new(Cell::new(0u64));
+    let completed = Rc::new(Completed::default());
     let tasks: Vec<_> = clients
         .iter()
         .enumerate()
@@ -219,18 +238,19 @@ fn closed_loop(world: &World, clients: &[McClient], ops: u64, store: Option<&[u8
             let value = value.clone();
             sim.spawn(async move {
                 let mut k = c;
-                while completed.get() < ops {
+                while completed.ops.get() < ops {
                     let key = &keys[k % KEYS];
                     match &value {
                         Some(value) if k % 2 == 0 => {
                             client.set(key, value, 0, 0).await.expect("set");
+                            completed.count(false);
                         }
                         _ => {
                             let got = client.get(key).await;
                             assert!(matches!(got, Ok(Some(_))), "every key was preloaded");
+                            completed.count(true);
                         }
                     }
-                    completed.set(completed.get() + 1);
                     k += KEY_STRIDE;
                 }
             })
@@ -239,31 +259,69 @@ fn closed_loop(world: &World, clients: &[McClient], ops: u64, store: Option<&[u8
     Load::of(&sim, tasks, &completed)
 }
 
-/// Sliding windows of gets, `depth` handles in flight per client (claimed
-/// oldest first), until `ops` have completed in total.
-fn pipelined_gets(world: &World, clients: &[McClient], depth: usize, ops: u64) -> Load {
+/// A get or a set issued and not yet claimed.
+enum Issued {
+    Get(InFlightGet),
+    Set(InFlightSet),
+}
+
+impl Issued {
+    /// Claims the answer and counts the operation into `completed`.
+    async fn complete(self, completed: &Completed) {
+        match self {
+            Issued::Get(get) => {
+                let got = get.complete().await;
+                assert!(matches!(got, Ok(Some(_))), "every key was preloaded");
+                completed.count(true);
+            }
+            Issued::Set(set) => {
+                set.complete().await.expect("set");
+                completed.count(false);
+            }
+        }
+    }
+}
+
+/// Sliding windows, `depth` handles in flight per client (claimed oldest
+/// first), until `ops` have completed in total, and then the windows
+/// drained: gets, or — given a value to store — sets and gets by turns.
+fn pipelined_gets(
+    world: &World,
+    clients: &[McClient],
+    depth: usize,
+    ops: u64,
+    store: Option<&[u8]>,
+) -> Load {
     let sim = world.sim().clone();
     let keys: Rc<Vec<Vec<u8>>> = Rc::new((0..KEYS).map(key).collect());
-    let completed = Rc::new(Cell::new(0u64));
+    let value: Option<Rc<[u8]>> = store.map(Rc::from);
+    let completed = Rc::new(Completed::default());
     let tasks: Vec<_> = clients
         .iter()
         .enumerate()
         .map(|(c, client)| {
             let (client, keys, completed) = (client.clone(), keys.clone(), completed.clone());
+            let value = value.clone();
             sim.spawn(async move {
                 let mut window = std::collections::VecDeque::with_capacity(depth);
                 let mut k = c;
-                while completed.get() < ops {
+                while completed.ops.get() < ops {
                     while window.len() < depth {
-                        window.push_back(client.issue_get(&keys[k % KEYS]).await.expect("issue"));
+                        let key = &keys[k % KEYS];
+                        window.push_back(match &value {
+                            Some(value) if k % 2 == 0 => {
+                                let set = client.issue_set(key, value, 0, 0).await;
+                                Issued::Set(set.expect("issue"))
+                            }
+                            _ => Issued::Get(client.issue_get(key).await.expect("issue")),
+                        });
                         k += KEY_STRIDE;
                     }
                     let oldest = window.pop_front().expect("window is full");
-                    assert!(matches!(oldest.complete().await, Ok(Some(_))));
-                    completed.set(completed.get() + 1);
+                    oldest.complete(&completed).await;
                 }
                 for rest in window {
-                    assert!(matches!(rest.complete().await, Ok(Some(_))));
+                    rest.complete(&completed).await;
                 }
             })
         })
@@ -331,14 +389,14 @@ impl Shape {
     /// frame in `crates/`), allocations and bytes in total, most allocations
     /// first, and the operations they took. Slow: every allocation takes a
     /// backtrace.
-    fn census(&self, ops: u64) -> (Census, u64) {
+    fn census(&self, ops: u64) -> (Census, Load) {
         let table: &'static SiteTable = Box::leak(Box::default());
         SITES.set(Some(table));
-        let ops = self.run(ops).ops;
+        let load = self.run(ops);
         SITES.set(None);
         let mut sites: Vec<_> = table.borrow_mut().drain().collect();
         sites.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        (sites, ops)
+        (sites, load)
     }
 
     /// Warms the testbed up, then holds a measured run to `budget`
@@ -417,6 +475,23 @@ fn ucr_small_gets() -> Shape {
 /// (the benchmark's `ucr_pipelined_sharded_16c` shape). Requests and
 /// replies queued behind a backed-up send share network buffers here.
 fn ucr_pipelined_gets() -> Shape {
+    pipelined_shape("ucr_pipelined_gets", |s, ops| {
+        pipelined_gets(&s.world, &s.clients, 8, ops, None)
+    })
+}
+
+/// The same pipelined testbed storing its 64 B values and getting them by
+/// turns: a set's value rides eager, into a payload buffer from the
+/// server runtime's pool.
+fn ucr_pipelined_sets_and_gets() -> Shape {
+    pipelined_shape("ucr_pipelined_sets_and_gets", |s, ops| {
+        pipelined_gets(&s.world, &s.clients, 8, ops, Some(&[7u8; 64]))
+    })
+}
+
+/// 16 UCR clients, 64 B values, against 8 workers over 16 store shards,
+/// driven by `drive`.
+fn pipelined_shape(name: &'static str, drive: fn(&Shape, u64) -> Load) -> Shape {
     const CLIENTS: u32 = 16;
     let sharded = McServerConfig {
         workers: 8,
@@ -424,13 +499,13 @@ fn ucr_pipelined_gets() -> Shape {
         ..Default::default()
     };
     Shape::new(
-        "ucr_pipelined_gets",
+        name,
         World::cluster_b(42, CLIENTS + 1),
         sharded,
         Transport::Ucr,
         CLIENTS as usize,
         64,
-        |s, ops| pipelined_gets(&s.world, &s.clients, 8, ops),
+        drive,
     )
 }
 
@@ -522,17 +597,36 @@ fn a_profiler_adds_few_allocations_to_a_ucr_get() {
 fn ucr_pipelined_gets_stay_within_the_allocation_budget() {
     let shape = ucr_pipelined_gets();
     // A table reaches its working size in the measured run.
-    let load = shape.stays_within(2.01, 12_288); // measured 1.01 and 10 340 B
+    let load = shape.stays_within(2.01, 12_288); // measured 1.00 and 10 852 B
     shape.holds_recv_buffers(9, 4); // measured 7 and 2
     let bytes = load.bytes_per_op();
     assert!(
-        bytes <= 73.0, // measured 65.8
+        bytes <= 73.0, // measured 65.6
         "ucr_pipelined_gets: {bytes:.1} bytes allocated per operation"
     );
     let rt = shape.server.ucr_runtime().expect("UCR server");
     assert!(
         rt.stats().eager_coalesced.get() > 0,
         "replies shared buffers"
+    );
+}
+
+/// A set's value rides eager into a payload buffer from the server
+/// runtime's pool, and goes back to it once the store has copied it: the
+/// pipelined sets and gets allocate the clients' values, half an operation's
+/// worth of bytes.
+#[test]
+fn ucr_pipelined_sets_and_gets_stay_within_the_allocation_budget() {
+    let shape = ucr_pipelined_sets_and_gets();
+    // A second warm-up: the receive pools reach their working size in it,
+    // and the eager pool in the measured run.
+    shape.run(WARMUP_OPS);
+    let load = shape.stays_within(1.5, 12_288); // measured 0.50 and 1 088 B
+    shape.holds_recv_buffers(17, 6); // measured 15 and 4
+    let bytes = load.bytes_per_op();
+    assert!(
+        bytes <= 40.0, // measured 32.7
+        "ucr_pipelined_sets_and_gets: {bytes:.1} bytes allocated per operation"
     );
 }
 
@@ -546,48 +640,77 @@ fn ascii_socket_gets_stay_within_the_allocation_budget() {
     );
 }
 
-/// An ASCII/TCP get allocates the client's copy of the value and nothing
-/// else: a write's bytes ride in a pooled segment buffer, the client
-/// writes its request into the buffer it keeps, the server reads the
-/// command in place from the buffer its connection read it into and
-/// writes the reply into its worker's buffer. So no site of the census is
-/// in `crates/sockets/`, in `crates/proto/` or in the server.
+/// On every wire an operation allocates the caller's value and nothing
+/// else: a get its client's copy of the value, a set nothing at all. A
+/// socket write's or datagram's bytes ride in a pooled buffer, the client
+/// writes each request into the buffer it keeps and reads a reply in place
+/// where it landed, the server reads a request in place from the buffer it
+/// arrived in — a pooled frame buffer, a pooled datagram — and writes its
+/// reply into its worker's buffer (and a UDP reply's datagrams over the
+/// request's); a UCR set's value lands in a payload buffer from the server
+/// runtime's eager pool. So no site of a census is in `crates/sockets/`, in
+/// `crates/proto/` or in the server, and what is left in the simulated
+/// layers (the engine's are the harness's own tasks) sums to one value per
+/// get: the server runtime's eager copies share their lines with the
+/// client's, and they are what that sum would count past the gets. Each row
+/// is a shape and the bytes of its values.
+fn every_wire_allocates_only_the_callers_value() {
+    for (shape, value) in [
+        (ascii_socket_gets(), 1024),
+        (binary_socket_gets(), 1024),
+        (udp_gets(), 1024),
+        (ucr_pipelined_sets_and_gets(), 64),
+    ] {
+        // Warmed up as long as a budget's measured run: the pipelined sets'
+        // receive pools and counter table reach their working size in it
+        // (a run starts with every window filling at once).
+        shape.run(WARMUP_OPS);
+        shape.run(MEASURED_OPS);
+        let (sites, load) = shape.census(200);
+        assert!(
+            load.ops >= 200 && !sites.is_empty(),
+            "{}: a census",
+            shape.name
+        );
+        let below_the_client: Vec<_> = sites
+            .iter()
+            .filter(|(site, _)| {
+                [
+                    "crates/sockets/",
+                    "crates/proto/",
+                    "crates/core/src/server/",
+                ]
+                .iter()
+                .any(|layer| site.contains(layer))
+            })
+            .collect();
+        assert!(
+            below_the_client.is_empty(),
+            "{}: {below_the_client:?}",
+            shape.name
+        );
+        let (allocs, bytes) = sites
+            .iter()
+            .filter(|(site, _)| site.contains(" at crates/") && !site.contains("crates/simnet/"))
+            .fold((0, 0), |sum, (_, site)| (sum.0 + site.0, sum.1 + site.1));
+        let values = (load.gets, value * load.gets);
+        assert_eq!((allocs, bytes), values, "{}: {sites:?}", shape.name);
+    }
+}
+
 #[test]
 fn an_ascii_socket_get_allocates_only_the_clients_value() {
-    let shape = ascii_socket_gets();
-    shape.run(WARMUP_OPS);
-    let (sites, ops) = shape.census(200);
-    assert!(ops >= 200 && !sites.is_empty(), "a census");
-    let below_the_client: Vec<_> = sites
-        .iter()
-        .filter(|(site, _)| {
-            [
-                "crates/sockets/",
-                "crates/proto/",
-                "crates/core/src/server/",
-            ]
-            .iter()
-            .any(|layer| site.contains(layer))
-        })
-        .collect();
-    assert!(below_the_client.is_empty(), "{below_the_client:?}");
-    // What is left in the simulated layers (the engine's are the
-    // harness's own tasks) is one 1 KB allocation per get.
-    let (allocs, bytes) = sites
-        .iter()
-        .filter(|(site, _)| site.contains(" at crates/") && !site.contains("crates/simnet/"))
-        .fold((0, 0), |sum, (_, site)| (sum.0 + site.0, sum.1 + site.1));
-    assert_eq!((allocs, bytes), (ops, 1024 * ops), "{sites:?}");
+    every_wire_allocates_only_the_callers_value();
 }
 
 #[test]
 fn binary_socket_gets_stay_within_the_allocation_budget() {
-    binary_socket_gets().stays_within(8.0, 1024); // measured 7.00 and 0 B
+    binary_socket_gets().stays_within(2.0, 1024); // measured 1.00 and 0 B
 }
 
 #[test]
 fn udp_gets_stay_within_the_allocation_budget() {
-    udp_gets().stays_within(15.0, 1024); // measured 14.00 and 0 B
+    udp_gets().stays_within(2.0, 1024); // measured 1.00 and 0 B
 }
 
 /// A get hit leaves the slab once: the store lends it and the front-end
@@ -604,8 +727,12 @@ fn get_hits_allocate_nothing_in_the_store() {
         ascii_socket_gets(),
     ] {
         shape.run(WARMUP_OPS);
-        let (sites, ops) = shape.census(OPS);
-        assert!(ops >= OPS && !sites.is_empty(), "{}: a census", shape.name);
+        let (sites, load) = shape.census(OPS);
+        assert!(
+            load.ops >= OPS && !sites.is_empty(),
+            "{}: a census",
+            shape.name
+        );
         let in_store: Vec<_> = sites
             .iter()
             .filter(|(site, _)| site.contains("crates/store/"))
@@ -747,7 +874,7 @@ fn binary_decoders_allocate_nothing_on_refused_input() {
     use rdma_memcached::rmc::{DirReq, DirResp, McOp, ReqHeader, RespHeader, RespStatus};
     use rdma_memcached::ucr::{PacketHeader, PacketKind};
     let mut set = BinFrame::request(BinOpcode::Set, 7);
-    set.extras = store_extras(1, 0);
+    set.extras = store_extras(1, 0).to_vec();
     set.key = key(1);
     set.value = vec![5; 4096];
     let bin = set.encode();
@@ -900,8 +1027,8 @@ fn ucr_64k_gets() -> Shape {
 fn a_64k_ucr_get_allocates_only_the_clients_value() {
     let shape = ucr_64k_gets();
     shape.run(WARMUP_OPS);
-    let (sites, ops) = shape.census(200);
-    assert!(ops >= 200 && !sites.is_empty(), "a census");
+    let (sites, load) = shape.census(200);
+    assert!(load.gets >= 200 && !sites.is_empty(), "a census");
     let in_verbs: Vec<_> = sites
         .iter()
         .filter(|(site, _)| site.contains("crates/verbs/"))
@@ -920,7 +1047,11 @@ fn a_64k_ucr_get_allocates_only_the_clients_value() {
         .iter()
         .filter(|(site, _)| site.contains(" at crates/") && !site.contains("crates/simnet/"))
         .fold((0, 0), |sum, (_, site)| (sum.0 + site.0, sum.1 + site.1));
-    assert_eq!((allocs, bytes), (ops, (64 << 10) * ops), "{sites:?}");
+    assert_eq!(
+        (allocs, bytes),
+        (load.gets, (64 << 10) * load.gets),
+        "{sites:?}"
+    );
 }
 
 #[test]
@@ -1135,6 +1266,7 @@ fn print_allocation_sites() {
         ucr_small_gets(),
         ucr_4k_gets(),
         ucr_pipelined_gets(),
+        ucr_pipelined_sets_and_gets(),
         ascii_socket_gets(),
         ascii_socket_sets_and_gets(),
         ucr_64k_sets_and_gets(),
@@ -1145,8 +1277,8 @@ fn print_allocation_sites() {
     for shape in shapes {
         shape.run(WARMUP_OPS);
         let measured = shape.run(MEASURED_OPS);
-        let (sites, ops) = shape.census(OPS);
-        let ops = ops as f64;
+        let (sites, load) = shape.census(OPS);
+        let ops = load.ops as f64;
         // Summed over the table: the run's own count includes what taking
         // the backtraces allocated.
         let (allocs, bytes) = sites

@@ -127,9 +127,9 @@ async fn raw_flush(world: &World, wire: Transport, delay: u32) {
                 node: SRV,
                 port: PORT,
             };
-            for datagram in udp_fragment(9, &cmd) {
-                sock.send_to(to, &datagram).await.expect("udp send");
-            }
+            let mut datagram = Vec::new();
+            udp_fragment(9, &cmd, &mut datagram);
+            sock.send_to(to, &datagram).await.expect("udp send");
             let (_, datagram) = sock.recv_from().await.expect("udp recv");
             let (frame, payload) = UdpFrame::decode(&datagram).expect("udp frame");
             assert_eq!((frame.request_id, frame.total), (9, 1));
@@ -173,7 +173,7 @@ async fn raw_binary_incr(
     let sock = raw_socket(world).await;
     let mut frame = BinFrame::request(BinOpcode::Increment, 11);
     frame.key = key.to_vec();
-    frame.extras = arith_extras(delta, initial, exptime);
+    frame.extras = arith_extras(delta, initial, exptime).to_vec();
     sock.write_all(&frame.encode()).await.expect("raw write");
     let resp = read_frame(&sock).await;
     sock.close();
@@ -616,7 +616,7 @@ fn binary_quiet_gets_answer_only_their_hits_in_order_then_the_noop() {
             let sock = raw_socket(&world).await;
             let mut set = BinFrame::request(BinOpcode::Set, 1);
             (set.key, set.value) = (b"hit".to_vec(), b"value".to_vec());
-            set.extras = store_extras(5, 0);
+            set.extras = store_extras(5, 0).to_vec();
             sock.write_all(&set.encode()).await.expect("raw write");
             let stored = read_frame(&sock).await;
             assert_eq!(stored.status(), Some(BinStatus::Ok), "{model:?}");
