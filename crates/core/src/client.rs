@@ -22,10 +22,10 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
 
 use mcproto::{ProtoError, UdpFrame, UDP_DATAGRAM_BYTES, UDP_FRAME_BYTES};
-use mcstore::{NumericError, SetOutcome, Value};
+use mcstore::{NumericError, SetOutcome};
 use simnet::sync::timeout;
 use simnet::trace::{Layer, Track};
-use simnet::{NodeId, Sim, SimDuration, Stack, Tracer};
+use simnet::{FreeList, Lent, NodeId, Sim, SimDuration, Stack, Tracer};
 use socksim::{DgramSocket, SockError, Socket, SocketAddr, STREAM_BUF_KEEP};
 use ucr::{
     AmData, Counter, Endpoint, FnHandler, MemoryDescriptor, SendOptions, UcrMemory, UcrRuntime,
@@ -36,9 +36,25 @@ use crate::am_wire::{
     MSG_MC_DIR_RESP, MSG_MC_REQ, MSG_MC_RESP, REQ_HEADER_INLINE,
 };
 use crate::codec;
-use crate::request::{Reply, Request};
+use crate::request::Request;
 use crate::server::unix_now;
 use crate::world::World;
+use crate::Value;
+
+/// A reply as the client decodes it: every value in it is lent, by the
+/// UCR runtime's pool it landed in or by the client's value pool.
+type Reply = crate::request::Reply<Lent, Lent>;
+
+/// Most idle buffers a client's value pool keeps: the values a socket
+/// wire, a multiget or a bypass read copies out of their frames are lent
+/// from it and come back when the caller drops them. Past the cap, one
+/// that comes back is freed.
+const VALUE_POOL_CAP: usize = 64;
+
+/// Largest buffer a client's value pool keeps idle; a value grown past it
+/// is freed when dropped. With [`VALUE_POOL_CAP`], the idle ones hold at
+/// most 4 MiB.
+const VALUE_POOL_KEEP: usize = 64 << 10;
 
 /// Which transport family the client uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -259,9 +275,10 @@ pub fn one_at_a_time(key: &[u8]) -> u32 {
     h
 }
 
-/// What landed for a UCR request id: an AM 2 reply or a directory answer.
+/// What landed for a UCR request id: an AM 2 reply, its data still lent by
+/// the runtime's pool it landed in, or a directory answer.
 enum Answer {
-    Reply(RespHeader, Vec<u8>),
+    Reply(RespHeader, Lent),
     Dir(DirResp),
 }
 
@@ -310,8 +327,9 @@ const BYPASS_CACHE_CAP: usize = 1024;
 
 /// How a single one-sided bypass read ended.
 enum BypassRead {
-    /// Value bytes landed and the trailing version word matched.
-    Ok(Vec<u8>),
+    /// The trailing version word matched: the value bytes, copied out of
+    /// the landing window.
+    Ok(Lent),
     /// The version word moved: a writer raced the read.
     Skew,
     /// The read faulted (deregistered rkey after a slab-page retirement,
@@ -506,6 +524,8 @@ impl Ticket {
     /// is the handler that marks `client_reply`, when the response lands.
     async fn finish(mut self, keys: &[&[u8]]) -> Result<Reply, McError> {
         let (cli, op) = (&self.cli, self.op);
+        // A value copied out of a frame goes into a buffer from the pool.
+        let lend = |b: &[u8]| cli.values.lend(b);
         let reply = match &*self.conn {
             Conn::Ucr(_) => {
                 let ctr = self.ctr.as_ref().ok_or(McError::Protocol)?;
@@ -519,14 +539,14 @@ impl Ticket {
                     return Err(McError::Protocol);
                 };
                 self.reply_bytes = payload.len() as u64;
-                return codec::ucr::decode_reply(op, keys, hdr, payload);
+                return codec::ucr::decode_reply(op, keys, hdr, payload, lend);
             }
             Conn::Stream { sock, binary, rbuf } => {
                 let decode = |buf: &[u8]| {
                     if *binary {
-                        codec::binary::decode_reply(op, keys, buf)
+                        codec::binary::decode_reply(op, keys, buf, lend)
                     } else {
-                        codec::ascii::decode_reply(op, keys, buf)
+                        codec::ascii::decode_reply(op, keys, buf, lend)
                     }
                 };
                 cli.timed(read_frame(sock, rbuf, decode)).await?
@@ -538,7 +558,7 @@ impl Ticket {
             Conn::Udp { sock, .. } => {
                 let want = self.id as u16;
                 let decode = |whole: &[u8]| {
-                    let decoded = codec::ascii::decode_reply(op, keys, whole)?;
+                    let decoded = codec::ascii::decode_reply(op, keys, whole, lend)?;
                     decoded.map(|(reply, _)| reply).ok_or(McError::Protocol)
                 };
                 cli.timed(async {
@@ -604,10 +624,11 @@ struct CliInner {
     inflight_gauge: Rc<simnet::metrics::Gauge>,
     /// Operations that returned `Ok` (`client.nodeN.ops_completed`).
     ops_completed: Rc<simnet::metrics::Counter>,
-    /// Cached item descriptors, keyed by (server index, key).
-    bypass_cache: RefCell<HashMap<(usize, Vec<u8>), CachedDescriptor>>,
+    /// Cached item descriptors, by key: a key routes to one server, so
+    /// it names the descriptor's server too.
+    bypass_cache: RefCell<HashMap<Vec<u8>, CachedDescriptor>>,
     /// Insertion order of `bypass_cache` keys (FIFO bound).
-    bypass_order: RefCell<VecDeque<(usize, Vec<u8>)>>,
+    bypass_order: RefCell<VecDeque<Vec<u8>>>,
     /// Dedicated endpoints for one-sided reads, one per server. A failed
     /// one-sided op poisons its endpoint, so the bypass path dials its
     /// own connection and re-dials after a fault instead of poisoning
@@ -619,6 +640,11 @@ struct CliInner {
     /// The frame of the sockets request being sent, or of the UDP reply
     /// being reassembled ([`CliInner::in_wire`]).
     wire: RefCell<Vec<u8>>,
+    /// Buffers for the values copied out of a frame — a socket wire's, a
+    /// multiget's, a bypass read's landing window — at most
+    /// [`VALUE_POOL_CAP`] idle, none past [`VALUE_POOL_KEEP`]. One in use
+    /// is a caller's value; it comes back when the caller drops it.
+    values: Rc<FreeList<Vec<u8>>>,
 }
 
 /// A Memcached client bound to one node of the simulated cluster.
@@ -666,7 +692,12 @@ impl McClient {
                                     data.len() as u64,
                                     sim2.now(),
                                 );
-                                let payload = data.into_vec().unwrap_or_default();
+                                // Parked as it landed: the caller's value
+                                // is the pool's buffer, lent on.
+                                let payload = match data {
+                                    AmData::Pool(bytes) => bytes,
+                                    AmData::Placed(_) | AmData::Discarded => Lent::default(),
+                                };
                                 *slot = Some(Answer::Reply(resp, payload));
                             }
                         }
@@ -724,6 +755,7 @@ impl McClient {
                 bypass_eps: RefCell::new(HashMap::new()),
                 bypass_buf: RefCell::new(None),
                 wire: RefCell::new(Vec::new()),
+                values: Rc::new(FreeList::of_bytes(VALUE_POOL_CAP, VALUE_POOL_KEEP)),
             }),
         }
     }
@@ -1333,16 +1365,15 @@ impl CliInner {
         am_ep: &Endpoint,
         key: &[u8],
     ) -> Option<Result<Option<Value>, McError>> {
-        let ckey = (sidx, key.to_vec());
         for _attempt in 0..=BYPASS_RETRIES {
             // Resolve a descriptor: cached if present, else one
             // directory round trip (which also primes the cache).
-            let cached = self.bypass_cache.borrow().get(&ckey).copied();
+            let cached = self.bypass_cache.borrow().get(key).copied();
             let desc = match cached {
                 Some(d) => d,
                 None => match self.dir_lookup(rt, am_ep, key).await {
                     Ok(Some(d)) => {
-                        self.cache_descriptor(ckey.clone(), d);
+                        self.cache_descriptor(key, d);
                         d
                     }
                     Ok(None) => return Some(Ok(None)), // authoritative miss
@@ -1354,7 +1385,7 @@ impl CliInner {
                 // version word, so the clock is the only sign): drop the
                 // descriptor and re-resolve — the directory answers miss
                 // once the item is dead.
-                self.uncache_descriptor(&ckey);
+                self.uncache_descriptor(key);
                 continue;
             }
             match self.bypass_read(rt, sidx, &desc).await {
@@ -1369,17 +1400,17 @@ impl CliInner {
                 BypassRead::Skew => {
                     // A writer raced the read: refetch and retry.
                     rt.stats().bypass_retries.inc();
-                    self.uncache_descriptor(&ckey);
+                    self.uncache_descriptor(key);
                 }
                 BypassRead::Failed => {
                     // Stale rkey (the server retired the mirror page) or
                     // endpoint fault: only the AM path is trustworthy now.
-                    self.uncache_descriptor(&ckey);
+                    self.uncache_descriptor(key);
                     return None;
                 }
             }
         }
-        self.uncache_descriptor(&ckey);
+        self.uncache_descriptor(key);
         None
     }
 
@@ -1469,14 +1500,20 @@ impl CliInner {
                 return BypassRead::Failed;
             }
         }
-        let bytes = buf.read(0, len);
-        self.return_bypass_buf(buf);
         let mut word = [0u8; BYPASS_VERSION_BYTES];
-        word.copy_from_slice(&bytes[len - BYPASS_VERSION_BYTES..]);
-        if u64::from_le_bytes(word) != desc.version {
-            return BypassRead::Skew;
-        }
-        BypassRead::Ok(bytes[..desc.vlen as usize].to_vec())
+        buf.read_into(len - BYPASS_VERSION_BYTES, &mut word);
+        let read = if u64::from_le_bytes(word) == desc.version {
+            // Copied straight out of the window into a value from the pool.
+            let vlen = desc.vlen as usize;
+            BypassRead::Ok(self.values.lend_with(vlen, |value| {
+                value.resize(vlen, 0);
+                buf.read_into(0, value);
+            }))
+        } else {
+            BypassRead::Skew
+        };
+        self.return_bypass_buf(buf);
+        read
     }
 
     /// A landing region of at least `len` bytes, taken out of its slot: a
@@ -1528,11 +1565,11 @@ impl CliInner {
     }
 
     /// Caches a descriptor under the FIFO bound.
-    fn cache_descriptor(&self, key: (usize, Vec<u8>), d: CachedDescriptor) {
+    fn cache_descriptor(&self, key: &[u8], d: CachedDescriptor) {
         let mut cache = self.bypass_cache.borrow_mut();
         let mut order = self.bypass_order.borrow_mut();
-        if cache.insert(key.clone(), d).is_none() {
-            order.push_back(key);
+        if cache.insert(key.to_vec(), d).is_none() {
+            order.push_back(key.to_vec());
             while cache.len() > BYPASS_CACHE_CAP {
                 let Some(old) = order.pop_front() else { break };
                 cache.remove(&old);
@@ -1542,10 +1579,10 @@ impl CliInner {
 
     /// Drops a cached descriptor (miss, version skew, read fault), and
     /// its place in the FIFO: the queue holds no more than the cache.
-    fn uncache_descriptor(&self, key: &(usize, Vec<u8>)) {
+    fn uncache_descriptor(&self, key: &[u8]) {
         if self.bypass_cache.borrow_mut().remove(key).is_some() {
             let mut order = self.bypass_order.borrow_mut();
-            if let Some(at) = order.iter().position(|k| k == key) {
+            if let Some(at) = order.iter().position(|k| k[..] == *key) {
                 order.remove(at);
             }
         }
@@ -1649,7 +1686,7 @@ impl Drop for CliInner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Scenario, World};
+    use crate::{McServerConfig, Scenario, World};
 
     /// The bypass descriptor cache and its FIFO queue stay within
     /// `BYPASS_CACHE_CAP`: a key cached and uncached over and over leaves
@@ -1658,7 +1695,7 @@ mod tests {
     fn the_bypass_queue_never_outgrows_its_cache() {
         let s = Scenario::start(World::cluster_b(1, 2), Transport::Ucr);
         let cli = &s.clients[0].inner;
-        let key = |i: usize| (0, format!("key-{i}").into_bytes());
+        let key = |i: usize| format!("key-{i}").into_bytes();
         let d = CachedDescriptor {
             remote: MemoryDescriptor {
                 node: NodeId(0),
@@ -1673,13 +1710,13 @@ mod tests {
             version: 2,
         };
         for _ in 0..10_000 {
-            cli.cache_descriptor(key(0), d);
+            cli.cache_descriptor(&key(0), d);
             cli.uncache_descriptor(&key(0));
         }
         assert!(cli.bypass_order.borrow().len() <= BYPASS_CACHE_CAP);
 
         for i in 0..=BYPASS_CACHE_CAP {
-            cli.cache_descriptor(key(i), d);
+            cli.cache_descriptor(&key(i), d);
         }
         let cache = cli.bypass_cache.borrow();
         assert_eq!(cache.len(), BYPASS_CACHE_CAP);
@@ -1729,5 +1766,195 @@ mod tests {
                 .is_err());
         });
         assert!(client.inner.inflight.borrow().is_empty());
+    }
+
+    /// A one-client scenario of `cfg` whose `key` holds `len` bytes of 7s.
+    fn holding(world: World, cfg: McClientConfig, key: &'static [u8], len: usize) -> Scenario {
+        let s = Scenario::new(world, McServerConfig::default(), [cfg]);
+        let c = s.clients[0].clone();
+        s.world.sim().block_on(async move {
+            c.set(key, &vec![7; len], 0, 0).await.expect("stored");
+        });
+        s
+    }
+
+    /// The value a get of `key` returns, and where its bytes are.
+    fn got_at(s: &Scenario, key: &'static [u8]) -> (Value, *const u8) {
+        let c = s.clients[0].clone();
+        let got = s.world.sim().block_on(async move { c.get(key).await });
+        let value = got.expect("served").expect("a hit");
+        let at = value.data.as_ptr();
+        (value, at)
+    }
+
+    /// On every wire a get lends its value: dropped, its buffer is the one
+    /// the next get of the key takes; kept with `into_vec`, the caller's
+    /// bytes are that same buffer, and the next get takes another. A UCR
+    /// value is the buffer its reply landed in — from the runtime's eager
+    /// pool at 4 B, from its rendezvous pool at 64 KB — and a socket wire's
+    /// or a bypass read's is a copy in a buffer from the client's value
+    /// pool.
+    #[test]
+    fn a_dropped_value_is_the_buffer_the_next_get_takes() {
+        let single = McClientConfig::single;
+        let bypass = McClientConfig {
+            bypass_get: true,
+            ..single(Transport::Ucr, NodeId(0))
+        };
+        let cases = [
+            (
+                "ucr eager",
+                World::cluster_b(1, 2),
+                single(Transport::Ucr, NodeId(0)),
+                4,
+            ),
+            (
+                "ucr rendezvous",
+                World::cluster_b(1, 2),
+                single(Transport::Ucr, NodeId(0)),
+                64 << 10,
+            ),
+            ("ucr bypass", World::cluster_b(1, 2), bypass, 4),
+            (
+                "ascii",
+                World::cluster_a(1, 2),
+                single(Transport::Sockets(Stack::TenGigEToe), NodeId(0)),
+                1024,
+            ),
+            (
+                "binary",
+                World::cluster_a(1, 2),
+                single(Transport::Binary(Stack::TenGigEToe), NodeId(0)),
+                1024,
+            ),
+            (
+                "udp",
+                World::cluster_a(1, 2),
+                single(Transport::Udp(Stack::TenGigEToe), NodeId(0)),
+                1024,
+            ),
+        ];
+        for (wire, world, cfg, len) in cases {
+            let s = holding(world, cfg, b"k", len);
+            // The first get of a bypass client looks its descriptor up.
+            drop(got_at(&s, b"k"));
+            let (first, at) = got_at(&s, b"k");
+            assert_eq!(first.data.len(), len, "{wire}");
+            drop(first);
+            let (again, again_at) = got_at(&s, b"k");
+            assert_eq!(again_at, at, "{wire}: the dropped value's buffer");
+            let kept = again.data.into_vec();
+            assert_eq!(
+                (kept.as_ptr(), kept.len()),
+                (at, len),
+                "{wire}: kept in place"
+            );
+            let (_, next_at) = got_at(&s, b"k");
+            assert_ne!(next_at, at, "{wire}: a kept buffer has left its pool");
+        }
+    }
+
+    /// A caller that holds a thousand values at once leaves the client's
+    /// value pool at its cap once it drops them: over ASCII, a window of
+    /// gets; over UCR, a multiget, whose values are copied out of the one
+    /// reply they share.
+    #[test]
+    fn a_thousand_values_held_at_once_leave_the_value_pool_at_its_cap() {
+        const HELD: usize = 1000;
+        let ascii = Transport::Sockets(Stack::TenGigEToe);
+        for (world, transport) in [
+            (World::cluster_a(1, 2), ascii),
+            (World::cluster_b(1, 2), Transport::Ucr),
+        ] {
+            let s = Scenario::start(world, transport);
+            let c = s.clients[0].clone();
+            let held = s.world.sim().block_on(async move {
+                let keys: Vec<Vec<u8>> = (0..HELD).map(|i| format!("k{i}").into_bytes()).collect();
+                let keys: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+                let items: Vec<(&[u8], &[u8])> =
+                    keys.iter().map(|&k| (k, &[7u8; 64][..])).collect();
+                c.set_many(&items, 0, 0).await.expect("stored");
+                match transport {
+                    Transport::Ucr => {
+                        let hits = c.mget(&keys).await.expect("served");
+                        hits.into_iter().map(|(_, v)| v).collect::<Vec<_>>()
+                    }
+                    _ => {
+                        let hits = c.get_many(&keys).await.expect("served");
+                        hits.into_iter().flatten().collect()
+                    }
+                }
+            });
+            assert_eq!(held.len(), HELD, "{transport:?}");
+            let values = &s.clients[0].inner.values;
+            assert!(values.is_empty(), "{transport:?}: every buffer is held");
+            drop(held);
+            assert_eq!(values.len(), VALUE_POOL_CAP, "{transport:?}");
+        }
+    }
+
+    /// A reply that lands after its get timed out finds no slot and is
+    /// dropped, and its buffer goes back to the runtime's eager pool: the
+    /// next get lands in the buffer the one before the timeout gave back.
+    /// The server answers every request but the second at once, and the
+    /// second after twice the client's timeout.
+    #[test]
+    fn a_late_reply_gives_its_buffer_back() {
+        use crate::am_wire::{ReqHeader, RespStatus};
+        let world = World::cluster_b(1, 2);
+        let sim = world.sim().clone();
+        let srv = UcrRuntime::new(&world.ib, NodeId(0));
+        let cfg = McClientConfig::single(Transport::Ucr, NodeId(0));
+        let late = cfg.op_timeout * 2;
+        let served = Rc::new(Cell::new(0));
+        let sim2 = sim.clone();
+        srv.register_handler(
+            MSG_MC_REQ,
+            FnHandler(move |ep: &Endpoint, hdr: &[u8], _: AmData| {
+                let req = ReqHeader::decode(hdr).expect("a request");
+                served.set(served.get() + 1);
+                let delay = if served.get() == 2 {
+                    late
+                } else {
+                    SimDuration::ZERO
+                };
+                let (ep, sim) = (ep.clone(), sim2.clone());
+                sim2.spawn(async move {
+                    sim.sleep(delay).await;
+                    let resp = RespHeader {
+                        req_id: req.req_id,
+                        status: RespStatus::Hit,
+                        flags: 0,
+                        cas: 0,
+                        number: 0,
+                        nvalues: 0,
+                    };
+                    let opts = SendOptions {
+                        target_ctr: req.ctr_id,
+                        ..Default::default()
+                    };
+                    ep.post_message(MSG_MC_RESP, resp.encode(), &[5u8; 16][..], opts);
+                });
+            }),
+        );
+        let listener = srv.listen(11211).expect("port 11211 is free");
+        sim.spawn(async move {
+            let mut eps = Vec::new();
+            while let Ok(ep) = listener.accept().await {
+                eps.push(ep);
+            }
+        });
+        let client = McClient::new(&world, NodeId(1), cfg);
+        let (c, s) = (client.clone(), sim.clone());
+        sim.block_on(async move {
+            let first = c.get(b"k").await.expect("answered").expect("a hit");
+            let at = first.data.as_ptr();
+            drop(first);
+            assert_eq!(c.get(b"k").await, Err(McError::Timeout));
+            s.sleep(late).await;
+            assert_eq!(c.pending_responses(), 0, "the late reply was dropped");
+            let third = c.get(b"k").await.expect("answered").expect("a hit");
+            assert_eq!(third.data.as_ptr(), at, "the late reply's buffer came back");
+        });
     }
 }

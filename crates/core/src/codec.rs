@@ -36,6 +36,10 @@ impl KeyCursor<'_, '_> {
     }
 }
 
+/// A client's reply framed off the front of a stream's buffer, its values
+/// `D`, and the bytes it took; `None` until all of it is buffered.
+type Framed<D> = Option<(Reply<D, D>, usize)>;
+
 /// Looks `from` up in a two-column table.
 fn lookup<A: PartialEq + Copy, B: Copy>(table: &[(A, B)], from: A) -> Option<B> {
     table.iter().find(|(a, _)| *a == from).map(|(_, b)| *b)
@@ -148,13 +152,16 @@ pub(crate) mod ucr {
         (hdr, payload)
     }
 
-    /// Client: the reply AM 2 carried for an `op` request over `keys`.
-    pub fn decode_reply(
+    /// Client: the reply AM 2 carried for an `op` request over `keys`. A
+    /// single hit's value is the AM data as it landed; a multiget's values
+    /// are copied out of it by `lend`.
+    pub fn decode_reply<D: AsRef<[u8]>>(
         op: McOp,
         keys: &[&[u8]],
         hdr: RespHeader,
-        payload: Vec<u8>,
-    ) -> Result<Reply, McError> {
+        payload: D,
+        lend: impl Fn(&[u8]) -> D,
+    ) -> Result<Reply<D, D>, McError> {
         let (flags, cas) = (hdr.flags, hdr.cas);
         Ok(match (op, hdr.status) {
             (McOp::Get, RespStatus::Hit) => {
@@ -164,15 +171,15 @@ pub(crate) mod ucr {
             (McOp::Get, RespStatus::Miss) => Reply::Value(None),
             (McOp::Mget, _) => {
                 let mut cursor = KeyCursor { keys, next: 0 };
-                let mut rest = payload.as_slice();
+                let mut rest = payload.as_ref();
                 // The count is the peer's word: reserve what the payload
                 // can hold of it.
-                let fit = payload.len() / mget_entry_len(0, 0);
+                let fit = rest.len() / mget_entry_len(0, 0);
                 let mut hits = Vec::with_capacity(fit.min(hdr.nvalues.into()));
                 for _ in 0..hdr.nvalues {
                     let (key, flags, cas, value) =
                         next_mget_entry(&mut rest).ok_or(McError::Protocol)?;
-                    let data = value.to_vec();
+                    let data = lend(value);
                     hits.push((cursor.index_of(key)?, Value { data, flags, cas }));
                 }
                 Reply::Values(hits)
@@ -187,9 +194,11 @@ pub(crate) mod ucr {
             (McOp::Incr | McOp::Decr, RespStatus::NotFound) => Reply::Number(Err(NotFound)),
             (McOp::Incr | McOp::Decr, RespStatus::NotNumeric) => Reply::Number(Err(NotNumeric)),
             (McOp::FlushAll, RespStatus::Ok) => Reply::Done,
-            (McOp::Version, _) => Reply::Version(String::from_utf8_lossy(&payload).into_owned()),
+            (McOp::Version, _) => {
+                Reply::Version(String::from_utf8_lossy(payload.as_ref()).into_owned())
+            }
             (McOp::Stats, _) => {
-                let text = String::from_utf8_lossy(&payload);
+                let text = String::from_utf8_lossy(payload.as_ref());
                 let pairs = text.lines().map(|l| l.split_once(' ').unwrap_or((l, "")));
                 Reply::Stats(pairs.map(|(k, v)| (k.into(), v.into())).collect())
             }
@@ -385,14 +394,16 @@ pub(crate) mod ascii {
 
     /// Client: the reply at the front of `buf` to an `op` request over
     /// `keys`, and the bytes it takes; `Ok(None)` until all of it is
-    /// buffered. Read in place: only a hit's value is copied out.
-    pub fn decode_reply(
+    /// buffered. Read in place: only a hit's value is copied out, by
+    /// `lend`.
+    pub fn decode_reply<D>(
         op: McOp,
         keys: &[&[u8]],
         buf: &[u8],
-    ) -> Result<Option<(Reply, usize)>, McError> {
+        lend: impl Fn(&[u8]) -> D,
+    ) -> Result<Framed<D>, McError> {
         let value = |flags, data: &[u8], cas: Option<u64>| Value {
-            data: data.to_vec(),
+            data: lend(data),
             flags,
             cas: cas.unwrap_or(0),
         };
@@ -691,12 +702,13 @@ pub(crate) mod binary {
     /// Client: the reply to an `op` request over `keys` framed off the
     /// front of `buf`, and the bytes it took; `Ok(None)` until all of its
     /// frames are buffered. The frames are read in place: a hit's value is
-    /// the one thing copied out.
-    pub fn decode_reply(
+    /// the one thing copied out, by `lend`.
+    pub fn decode_reply<D>(
         op: McOp,
         keys: &[&[u8]],
         buf: &[u8],
-    ) -> Result<Option<(Reply, usize)>, McError> {
+        lend: impl Fn(&[u8]) -> D,
+    ) -> Result<Framed<D>, McError> {
         let mut used = 0;
         let last = loop {
             let Some((frame, len)) =
@@ -712,7 +724,7 @@ pub(crate) mod binary {
         let value = |f: &BinFrameRef<'_>| Value {
             flags: f.extras.try_into().map_or(0, u32::from_be_bytes),
             cas: f.cas,
-            data: f.value.to_vec(),
+            data: lend(f.value),
         };
         let text = |b: &[u8]| String::from_utf8_lossy(b).into_owned();
         let whole = frames(&buf[..used]);

@@ -183,7 +183,7 @@ fn replies_survive_every_wire() {
         let (hdr, payload) = ucr::encode_reply(9, &reply, &server_keys);
         assert_eq!(payload.len(), reply.payload_len(keys), "{op:?} {reply:?}");
         let hdr = RespHeader::decode(&hdr.encode()).expect("header decodes");
-        let got = ucr::decode_reply(op, keys, hdr, payload.into_owned()).unwrap();
+        let got = ucr::decode_reply(op, keys, hdr, payload.into_owned(), <[u8]>::to_vec).unwrap();
         assert_eq!(got, reply, "ucr {op:?}");
 
         // ASCII carries no CAS token on a store.
@@ -192,13 +192,13 @@ fn replies_survive_every_wire() {
             other => other,
         };
         let wire = ascii_reply(&ascii_request(&req), &reply);
-        let (got, used) = ascii::decode_reply(op, keys, &wire)
+        let (got, used) = ascii::decode_reply(op, keys, &wire, <[u8]>::to_vec)
             .unwrap()
             .expect("complete reply");
         assert_eq!(used, wire.len());
         assert_eq!(got, want, "ascii {op:?}");
         for short in 0..wire.len() {
-            let partial = ascii::decode_reply(op, keys, &wire[..short]);
+            let partial = ascii::decode_reply(op, keys, &wire[..short], <[u8]>::to_vec);
             assert_eq!(partial, Ok(None), "ascii {op:?} cut at {short}");
         }
 
@@ -207,10 +207,10 @@ fn replies_survive_every_wire() {
         }
         let frame = binary_request(&req).remove(0);
         let wire = binary_reply(&frame, &reply);
-        let got = binary::decode_reply(op, keys, &wire).unwrap();
+        let got = binary::decode_reply(op, keys, &wire, <[u8]>::to_vec).unwrap();
         assert_eq!(got, Some((copy(&reply), wire.len())), "binary {op:?}");
         for short in 0..wire.len() {
-            let partial = binary::decode_reply(op, keys, &wire[..short]);
+            let partial = binary::decode_reply(op, keys, &wire[..short], <[u8]>::to_vec);
             assert_eq!(partial, Ok(None), "binary {op:?} cut at {short}");
         }
     }
@@ -614,7 +614,8 @@ mod hostile_bytes {
         let (head, payload) = wire.split_at(wire.len().min(32));
         if let Some(hdr) = RespHeader::decode(head) {
             for op in McOp::ALL {
-                if let Ok(Reply::Values(hits)) = ucr::decode_reply(op, keys, hdr, payload.to_vec())
+                if let Ok(Reply::Values(hits)) =
+                    ucr::decode_reply(op, keys, hdr, payload.to_vec(), <[u8]>::to_vec)
                 {
                     assert!(hits.capacity() <= payload.len());
                 }
@@ -638,7 +639,7 @@ mod hostile_bytes {
             assert!(used <= wire.len());
         }
         for op in McOp::ALL {
-            if let Ok(Some((_, used))) = ascii::decode_reply(op, keys, wire) {
+            if let Ok(Some((_, used))) = ascii::decode_reply(op, keys, wire, <[u8]>::to_vec) {
                 assert!(used <= wire.len());
             }
         }
@@ -648,7 +649,9 @@ mod hostile_bytes {
             let twice = [&wire[..used], &wire[..used]].concat();
             for op in McOp::ALL {
                 for wire in [wire, &twice] {
-                    if let Ok(Some((_, used))) = binary::decode_reply(op, keys, wire) {
+                    if let Ok(Some((_, used))) =
+                        binary::decode_reply(op, keys, wire, <[u8]>::to_vec)
+                    {
                         assert!(used <= wire.len());
                     }
                 }
@@ -665,18 +668,21 @@ mod hostile_bytes {
         let refused = crate::client::McError::Protocol;
 
         let wire = ascii_reply(&ascii_request(&Request::new(McOp::Get, asked)), &hit);
-        let ours = ascii::decode_reply(McOp::Get, asked, &wire);
+        let ours = ascii::decode_reply(McOp::Get, asked, &wire, <[u8]>::to_vec);
         assert_eq!(ours, Ok(Some((copy(&hit), wire.len()))));
         assert_eq!(
-            ascii::decode_reply(McOp::Get, other, &wire),
+            ascii::decode_reply(McOp::Get, other, &wire, <[u8]>::to_vec),
             Err(refused.clone())
         );
 
         let frame = binary_request(&Request::new(McOp::Get, asked)).remove(0);
         let wire = binary_reply(&frame, &hit);
-        let ours = binary::decode_reply(McOp::Get, asked, &wire);
+        let ours = binary::decode_reply(McOp::Get, asked, &wire, <[u8]>::to_vec);
         assert_eq!(ours, Ok(Some((hit, wire.len()))));
-        assert_eq!(binary::decode_reply(McOp::Get, other, &wire), Err(refused));
+        assert_eq!(
+            binary::decode_reply(McOp::Get, other, &wire, <[u8]>::to_vec),
+            Err(refused)
+        );
     }
 
     #[test]

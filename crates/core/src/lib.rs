@@ -61,4 +61,6 @@ pub use client::{
 pub use server::{McServer, McServerConfig, SrvStats, StoreModel, BASE_UNIX_TIME, SERVER_VERSION};
 pub use world::{Scenario, World};
 
-pub use mcstore::Value;
+/// A fetched value: its bytes are lent by the client's pools and go back
+/// to them when the value is dropped (`data` reads as a `&[u8]`).
+pub type Value = mcstore::Value<simnet::Lent>;

@@ -91,18 +91,20 @@ impl<'a, K: AsRef<[u8]>> Request<'a, K> {
 
 /// The outcome of one [`Request`].
 ///
-/// `D` holds a `Get` hit's bytes: on the server they are lent by the store
-/// (`D = &[u8]`) and written once, into the reply's wire buffer, before the
-/// loan ends; the client owns what it decoded (`D = Vec<u8>`). Multiget
-/// hits are always owned: a split multiget's parts are fetched on several
-/// workers and merged across awaits, which no loan may span.
+/// `D` holds a `Get` hit's bytes and `M` a multiget hit's. On the server
+/// a single hit is lent by the store (`D = &[u8]`) and written once, into
+/// the reply's wire buffer, before the loan ends, and multiget hits are
+/// owned (`M = Vec<u8>`): a split multiget's parts are fetched on several
+/// workers and merged across awaits, which no loan may span. The client
+/// decodes both into bytes lent by its pools (`D = M = Lent`), which go
+/// back when its caller drops the value.
 #[derive(Debug, PartialEq)]
-pub(crate) enum Reply<D = Vec<u8>> {
+pub(crate) enum Reply<D = Vec<u8>, M = Vec<u8>> {
     /// `Get`: the hit, or a miss.
     Value(Option<Value<D>>),
     /// `Mget`: hits as `(index into the request's keys, value)`, in
     /// request order.
-    Values(Vec<(usize, Value)>),
+    Values(Vec<(usize, Value<M>)>),
     /// Storage ops: the store's verdict and, when stored, the item's new
     /// CAS token.
     Stored {
@@ -123,7 +125,7 @@ pub(crate) enum Reply<D = Vec<u8>> {
     Stats(Vec<(String, String)>),
 }
 
-impl<D: AsRef<[u8]>> Reply<D> {
+impl<D: AsRef<[u8]>, M: AsRef<[u8]>> Reply<D, M> {
     /// Payload bytes of this reply in active-message framing: the figure
     /// the service span reports, on every wire.
     pub fn payload_len<K: AsRef<[u8]>>(&self, keys: &[K]) -> usize {
@@ -131,7 +133,7 @@ impl<D: AsRef<[u8]>> Reply<D> {
             Reply::Value(Some(v)) => v.data.as_ref().len(),
             Reply::Values(hits) => hits
                 .iter()
-                .map(|(i, v)| mget_entry_len(keys[*i].as_ref().len(), v.data.len()))
+                .map(|(i, v)| mget_entry_len(keys[*i].as_ref().len(), v.data.as_ref().len()))
                 .sum(),
             Reply::Version(s) => s.len(),
             Reply::Stats(pairs) => pairs.iter().map(|(k, v)| k.len() + v.len() + 2).sum(),

@@ -264,7 +264,10 @@ fn sharded_mget_preserves_per_key_results() {
             let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
             c.mget(&refs).await.unwrap()
         });
-        let entries: Vec<(Vec<u8>, Vec<u8>)> = got.into_iter().map(|(k, v)| (k, v.data)).collect();
+        let entries: Vec<(Vec<u8>, Vec<u8>)> = got
+            .into_iter()
+            .map(|(k, v)| (k, v.data.into_vec()))
+            .collect();
         assert_eq!(entries.len(), 24, "misses are dropped, hits kept");
         match &reference {
             None => reference = Some(entries),

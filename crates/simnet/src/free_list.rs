@@ -4,6 +4,9 @@
 //! user's.
 
 use std::cell::{Ref, RefCell};
+use std::rc::{Rc, Weak};
+
+use crate::lent::Lent;
 
 /// At most `cap` idle items, the one given back last lent first; one coming
 /// back to a full list is dropped. A list of byte buffers also has a keep
@@ -75,6 +78,30 @@ impl FreeList<Vec<u8>> {
             buf.clear();
             self.give_back(buf);
         }
+    }
+
+    /// A copy of `data` lent out of this list: in the idle buffer given
+    /// back last if its capacity is at least `data`'s length and under
+    /// twice it, so a small copy never pins a large buffer, or else in a
+    /// fresh buffer of exactly that length. Empty data takes no buffer.
+    pub fn lend(self: &Rc<Self>, data: &[u8]) -> Lent {
+        self.lend_with(data.len(), |buf| buf.extend_from_slice(data))
+    }
+
+    /// `len` bytes lent out of this list, written by `fill` onto an empty
+    /// buffer chosen as [`lend`](Self::lend) chooses one.
+    pub fn lend_with(self: &Rc<Self>, len: usize, fill: impl FnOnce(&mut Vec<u8>)) -> Lent {
+        let mut buf = match len {
+            0 => Vec::new(),
+            _ => {
+                let fits = len..len.saturating_mul(2);
+                let idle = self.take_if(|buf| fits.contains(&buf.capacity()));
+                idle.unwrap_or_else(|| Vec::with_capacity(len))
+            }
+        };
+        fill(&mut buf);
+        let home: Weak<Self> = Rc::downgrade(self);
+        Lent::new(buf, home)
     }
 }
 

@@ -40,6 +40,7 @@
 mod engine;
 mod fabric;
 mod free_list;
+mod lent;
 pub mod metrics;
 pub mod profiler;
 pub mod profiles;
@@ -55,6 +56,7 @@ pub mod vlock;
 pub use engine::{EventTarget, JoinHandle, Sim, TaskId};
 pub use fabric::{Cluster, Network, Node, NodeId};
 pub use free_list::FreeList;
+pub use lent::{Lender, Lent};
 pub use metrics::Metrics;
 pub use profiler::{
     AuditReport, CriticalPath, PathStage, Profiler, ProfilerConfig, PATH_STAGE_COUNT,

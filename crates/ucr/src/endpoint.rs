@@ -11,7 +11,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::{Rc, Weak};
 
 use simnet::trace::{Layer, Track};
-use simnet::{EventTarget, NodeId, SimDuration, Slab, SlabKey};
+use simnet::{EventTarget, Lender, NodeId, SimDuration, Slab, SlabKey};
 use verbs::{Access, Mr, QueuePair};
 
 use crate::counter::Counter;
@@ -171,7 +171,7 @@ impl EpInner {
         };
         let source = self.sources.borrow_mut().remove(SlabKey::from_token(key));
         if let Some(mr) = source {
-            rt.give_back(mr.into_vec());
+            rt.rndv.take_back(mr.into_vec());
         }
         self.close_if_done(rt);
     }
@@ -196,7 +196,7 @@ impl EpInner {
         for mr in self.sources.borrow_mut().drain() {
             let bytes = mr.into_vec();
             if let Some(rt) = &rt {
-                rt.give_back(bytes);
+                rt.rndv.take_back(bytes);
             }
         }
     }

@@ -6,77 +6,30 @@
 //! data (memcpy off the network buffer for eager messages, RDMA read for
 //! rendezvous) and runs the **completion handler**.
 
-use std::ops::Deref;
-use std::rc::Weak;
-
 use crate::endpoint::Endpoint;
-use crate::runtime::RtInner;
 
 /// Where the target wants an active message's data placed.
 pub enum AmDest {
     /// Let the runtime place it in a pool buffer; the completion handler
     /// receives it as [`AmBytes`].
     Pool,
-    /// Place it directly into caller-provided registered memory (the
-    /// zero-copy path for known destinations, e.g. a Memcached client's
-    /// value buffer).
+    /// Place it directly into caller-provided registered memory: the
+    /// zero-copy path for a destination the header handler picks once it
+    /// knows the data's length. The memcached client does not use it: its
+    /// values are [`Pool`](AmDest::Pool) buffers, lent to its caller.
     Buffer(verbs::MrSlice),
     /// Drop the data (header-only protocols).
     Discard,
 }
 
-/// An active message's data in a buffer the runtime owns, from one of its
+/// An active message's data in a buffer lent by one of its runtime's
 /// pools: an eager message's data was copied off its network buffer into a
 /// buffer from the eager pool, a rendezvous landed its data in bytes from
 /// the rendezvous pool. The bytes go back to their pool when this is
-/// dropped; [`into_vec`](AmBytes::into_vec) keeps them instead. Empty data
+/// dropped, wherever the handler passed them on to;
+/// [`into_vec`](simnet::Lent::into_vec) keeps them instead. Empty data
 /// holds no buffer.
-#[derive(Default)]
-pub struct AmBytes {
-    bytes: Vec<u8>,
-    /// The runtime whose pool the bytes return to.
-    home: Weak<RtInner>,
-    pool: PayloadPool,
-}
-
-/// Which of its runtime's pools an [`AmBytes`]'s buffer came from.
-#[derive(Clone, Copy, Default)]
-pub(crate) enum PayloadPool {
-    #[default]
-    Eager,
-    Rendezvous,
-}
-
-impl AmBytes {
-    pub(crate) fn new(bytes: Vec<u8>, home: Weak<RtInner>, pool: PayloadPool) -> AmBytes {
-        AmBytes { bytes, home, pool }
-    }
-
-    /// Takes the bytes out, for a caller that keeps them.
-    pub fn into_vec(mut self) -> Vec<u8> {
-        std::mem::take(&mut self.bytes)
-    }
-}
-
-impl Deref for AmBytes {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        &self.bytes
-    }
-}
-
-impl Drop for AmBytes {
-    fn drop(&mut self) {
-        if let Some(rt) = self.home.upgrade() {
-            let bytes = std::mem::take(&mut self.bytes);
-            match self.pool {
-                PayloadPool::Eager => rt.give_back_eager(bytes),
-                PayloadPool::Rendezvous => rt.give_back(bytes),
-            }
-        }
-    }
-}
+pub type AmBytes = simnet::Lent;
 
 /// The data as delivered to the completion handler.
 pub enum AmData {

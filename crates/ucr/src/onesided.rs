@@ -56,6 +56,12 @@ impl UcrMemory {
         self.mr.read_at(offset, len)
     }
 
+    /// Local read of `out.len()` bytes at `offset` into `out`, which
+    /// allocates nothing.
+    pub fn read_into(&self, offset: usize, out: &mut [u8]) {
+        out.copy_from_slice(&self.mr.bytes()[offset..offset + out.len()]);
+    }
+
     /// Descriptor for the window `[offset, offset+len)`.
     pub fn descriptor(&self, offset: usize, len: usize) -> MemoryDescriptor {
         self.mr.remote(offset, len)

@@ -26,7 +26,7 @@ use std::task::{Poll, Waker};
 use simnet::profiles::{ClusterProfile, UCR_EAGER_THRESHOLD};
 use simnet::sync::{oneshot, OneReceiver, OneSender};
 use simnet::trace::{Layer, Track};
-use simnet::{FreeList, NodeId, Sim, SimDuration, SimTime, Tracer};
+use simnet::{FreeList, Lender, NodeId, Sim, SimDuration, SimTime, Tracer};
 use verbs::{
     Access, Cq, Hca, IbFabric, Mr, MrSlice, Pd, QpType, QueuePair, SendOp, SendWr, Srq, Wc,
     WcOpcode,
@@ -34,7 +34,7 @@ use verbs::{
 
 use crate::counter::{Counter, CtrInner};
 use crate::endpoint::{Endpoint, EpInner, QueuedRndv};
-use crate::handler::{AmBytes, AmData, AmDest, AmHandler, PayloadPool};
+use crate::handler::{AmBytes, AmData, AmDest, AmHandler};
 use crate::wire::{packet_at, Located, PacketHeader, PacketKind, PACKET_HEADER_BYTES};
 use crate::UcrError;
 
@@ -227,6 +227,50 @@ pub(crate) enum RndvDest {
     Discard(Mr),
 }
 
+/// A runtime's idle rendezvous buffers, of `idle_bytes` capacity in all,
+/// at most [`RNDV_POOL_BYTES`]: the home a source's bytes, a landing
+/// region's and a handler's rendezvous [`AmBytes`] go back to.
+#[derive(Default)]
+pub(crate) struct RndvPool {
+    free: RefCell<Vec<Vec<u8>>>,
+    idle_bytes: Cell<usize>,
+}
+
+impl RndvPool {
+    /// The idle buffer given back last whose capacity is at least `len`
+    /// and under twice it, so a small payload never pins a large buffer.
+    fn take(&self, len: usize) -> Option<Vec<u8>> {
+        let mut free = self.free.borrow_mut();
+        let fits = len..len.saturating_mul(2);
+        let at = free
+            .iter()
+            .rposition(|buf| fits.contains(&buf.capacity()))?;
+        let buf = free.swap_remove(at);
+        self.idle_bytes.set(self.idle_bytes.get() - buf.capacity());
+        Some(buf)
+    }
+
+    /// Number of idle buffers.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.free.borrow().len()
+    }
+}
+
+/// Takes back the bytes of a rendezvous region that is done — read by the
+/// peer, or never to be; landed and handled, or discarded: into the pool,
+/// or freed if they would take it past [`RNDV_POOL_BYTES`].
+impl Lender for RndvPool {
+    fn take_back(&self, buf: Vec<u8>) {
+        let idle = self.idle_bytes.get() + buf.capacity();
+        if buf.capacity() == 0 || idle > RNDV_POOL_BYTES {
+            return;
+        }
+        self.idle_bytes.set(idle);
+        self.free.borrow_mut().push(buf);
+    }
+}
+
 /// The two calls of an active message's handler, each traced as a span.
 enum HandlerPhase {
     Header,
@@ -275,16 +319,14 @@ pub(crate) struct RtInner {
     /// the staged record, the endpoint's held batch or the pending entry of
     /// the work request that carries it.
     send_free: FreeList<Mr>,
-    /// Idle rendezvous buffers, of [`rndv_idle_bytes`]
-    /// (Self::rndv_idle_bytes) capacity in all, at most
-    /// [`RNDV_POOL_BYTES`]. One in use is the bytes of a region registered
-    /// for that one use — a source in its endpoint's `sources`, a landing
-    /// region in its read's `Pending` entry — or a handler's [`AmBytes`].
-    rndv_free: RefCell<Vec<Vec<u8>>>,
-    rndv_idle_bytes: Cell<usize>,
+    /// Idle rendezvous buffers. One in use is the bytes of a region
+    /// registered for that one use — a source in its endpoint's `sources`,
+    /// a landing region in its read's `Pending` entry — or a handler's
+    /// [`AmBytes`], wherever the handler passed it on to.
+    pub(crate) rndv: Rc<RndvPool>,
     /// Idle eager payload buffers, at most [`EAGER_POOL_CAP`]; one in use
-    /// is a handler's [`AmBytes`].
-    eager_free: FreeList<Vec<u8>>,
+    /// is a handler's [`AmBytes`], wherever the handler passed it on to.
+    eager_free: Rc<FreeList<Vec<u8>>>,
     /// Idle rendezvous header buffers, at most [`RNDV_HDR_POOL_CAP`]; one
     /// in use is the `hdr` of a read's `Pending` entry.
     rndv_hdr_free: FreeList<Vec<u8>>,
@@ -431,9 +473,8 @@ impl UcrRuntime {
             recv_bufs: RefCell::new(HashMap::new()),
             recv_free: FreeList::new(RECV_POOL_DEPTH),
             send_free: FreeList::new(SEND_POOL_CAP),
-            rndv_free: RefCell::new(Vec::new()),
-            rndv_idle_bytes: Cell::new(0),
-            eager_free: FreeList::of_bytes(EAGER_POOL_CAP, UCR_EAGER_THRESHOLD),
+            rndv: Rc::default(),
+            eager_free: Rc::new(FreeList::of_bytes(EAGER_POOL_CAP, UCR_EAGER_THRESHOLD)),
             rndv_hdr_free: FreeList::new(RNDV_HDR_POOL_CAP),
             rndv_sends: RefCell::new(VecDeque::new()),
             rndv_sender: RefCell::new(None),
@@ -705,12 +746,12 @@ impl RtInner {
             match withdrawn {
                 Some((_, Some(buf))) => self.return_send_buf(buf),
                 Some((Pending::OneSided { src: Some(src), .. }, None)) => {
-                    self.give_back(src.into_vec());
+                    self.rndv.take_back(src.into_vec());
                 }
                 Some((Pending::RndvRead { hdr, dest, .. }, None)) => {
                     self.rndv_hdr_free.give_back_bytes(hdr);
                     if let RndvDest::Pool(mr) | RndvDest::Discard(mr) = dest {
-                        self.give_back(mr.into_vec());
+                        self.rndv.take_back(mr.into_vec());
                     }
                 }
                 _ => {}
@@ -761,13 +802,8 @@ impl RtInner {
     /// reused buffer still holds its last bytes; the caller writes over
     /// them.
     fn rndv_buffer(&self, len: usize) -> Vec<u8> {
-        let mut free = self.rndv_free.borrow_mut();
-        let fits = len..len.saturating_mul(2);
-        match free.iter().rposition(|buf| fits.contains(&buf.capacity())) {
-            Some(at) => {
-                let buf = free.swap_remove(at);
-                let idle = self.rndv_idle_bytes.get() - buf.capacity();
-                self.rndv_idle_bytes.set(idle);
+        match self.rndv.take(len) {
+            Some(buf) => {
                 self.stats.mr_cache_hits.inc();
                 buf
             }
@@ -800,46 +836,6 @@ impl RtInner {
         let mut buf = self.rndv_buffer(len);
         buf.resize(len, 0);
         self.pd.register_with(buf, Access::LOCAL_WRITE)
-    }
-
-    /// Takes back the bytes of a rendezvous region that is done — read by
-    /// the peer, or never to be; landed and handled, or discarded: into the
-    /// pool, or freed if they would take it past [`RNDV_POOL_BYTES`].
-    pub(crate) fn give_back(&self, buf: Vec<u8>) {
-        let idle = self.rndv_idle_bytes.get() + buf.capacity();
-        if buf.capacity() == 0 || idle > RNDV_POOL_BYTES {
-            return;
-        }
-        self.rndv_idle_bytes.set(idle);
-        self.rndv_free.borrow_mut().push(buf);
-    }
-
-    /// A copy of an eager message's data for its handler: in the idle
-    /// eager buffer given back last if its capacity is at least the data's
-    /// length and under twice it, or else in a fresh buffer of exactly that
-    /// length. Empty data takes no buffer.
-    fn eager_payload(self: &Rc<Self>, data: &[u8]) -> AmBytes {
-        let len = data.len();
-        let mut buf = match len {
-            0 => Vec::new(),
-            _ => {
-                let fits = len..len.saturating_mul(2);
-                let idle = self
-                    .eager_free
-                    .take_if(|buf| fits.contains(&buf.capacity()));
-                idle.unwrap_or_else(|| Vec::with_capacity(len))
-            }
-        };
-        buf.extend_from_slice(data);
-        AmBytes::new(buf, Rc::downgrade(self), PayloadPool::Eager)
-    }
-
-    /// Takes back an eager payload's buffer a handler dropped: into the
-    /// eager pool, unless it is full. An empty payload has none.
-    pub(crate) fn give_back_eager(&self, buf: Vec<u8>) {
-        if buf.capacity() != 0 {
-            self.eager_free.give_back_bytes(buf);
-        }
     }
 
     /// A copy of a rendezvous message's application header, held until
@@ -885,7 +881,7 @@ impl RtInner {
     /// and its bytes and header buffer go back to their pools.
     fn discard_rndv(&self, reply: QueuedRndv) {
         self.stats.send_failures.inc();
-        self.give_back(reply.data);
+        self.rndv.take_back(reply.data);
         self.rndv_hdr_free.give_back_bytes(reply.hdr);
     }
 
@@ -1187,7 +1183,8 @@ impl RtInner {
         let am_data = match dest {
             // Single copy: the payload moves straight off the
             // network buffer into a buffer from the eager pool.
-            AmDest::Pool => AmData::Pool(self.eager_payload(data)),
+            // A copy for the handler, lent by the eager pool.
+            AmDest::Pool => AmData::Pool(self.eager_free.lend(data)),
             AmDest::Buffer(slice) => {
                 let n = data_len.min(slice.len());
                 // Copy into the caller's registered destination, if it
@@ -1245,7 +1242,7 @@ impl RtInner {
         match pending {
             Pending::OneSided { done, ep, src } => {
                 if let Some(src) = src {
-                    self.give_back(src.into_vec());
+                    self.rndv.take_back(src.into_vec());
                 }
                 if !crate::onesided::complete_onesided(done, &ep, wc.status) {
                     self.stats.send_failures.inc();
@@ -1273,12 +1270,12 @@ impl RtInner {
                 // payload, which gives them back to the pool when dropped.
                 let am_data = match dest {
                     RndvDest::Pool(mr) => {
-                        let home = Rc::downgrade(self);
-                        AmData::Pool(AmBytes::new(mr.into_vec(), home, PayloadPool::Rendezvous))
+                        let home: Weak<RndvPool> = Rc::downgrade(&self.rndv);
+                        AmData::Pool(AmBytes::new(mr.into_vec(), home))
                     }
                     RndvDest::Buffer(_) => AmData::Placed(pkt.data_len as usize),
                     RndvDest::Discard(mr) => {
-                        self.give_back(mr.into_vec());
+                        self.rndv.take_back(mr.into_vec());
                         AmData::Discarded
                     }
                 };
@@ -1486,7 +1483,7 @@ mod tests {
         let idle = rt.idle_send_buffers();
         let regions = rt.inner.hca.registered_regions() - idle;
         let pending = rt.inner.pending.borrow().len();
-        let idle_rndv = rt.inner.rndv_free.borrow().len();
+        let idle_rndv = rt.inner.rndv.len();
         (
             (pending, ep.inner.sources.borrow().len(), regions),
             (idle, idle_rndv),
@@ -1727,8 +1724,8 @@ mod tests {
             assert_eq!(server.stats().messages_sent.get(), 0, "{shutdown}");
             assert!(rt.rndv_sends.borrow().is_empty());
             assert_eq!(drawn(&server), (0, N as u64 + 1), "{shutdown}");
-            assert_eq!(rt.rndv_free.borrow().len(), N + 1, "{shutdown}");
-            assert_eq!(rt.rndv_idle_bytes.get(), (N + 1) * LEN, "{shutdown}");
+            assert_eq!(rt.rndv.len(), N + 1, "{shutdown}");
+            assert_eq!(rt.rndv.idle_bytes.get(), (N + 1) * LEN, "{shutdown}");
             assert_eq!(rt.rndv_hdr_free.len(), N + 1, "{shutdown}");
         }
     }
@@ -1988,14 +1985,14 @@ mod tests {
                 client.sim().sleep(SimDuration::from_millis(5)).await;
                 assert_eq!(tables().0, baseline, "none in flight at quiesce");
                 assert_eq!(tables().1 .1, KEPT);
-                assert_eq!(client.inner.rndv_idle_bytes.get(), RNDV_POOL_BYTES);
+                assert_eq!(client.inner.rndv.idle_bytes.get(), RNDV_POOL_BYTES);
                 let reused = (round - 1) * KEPT;
                 assert_eq!(drawn(&client), (reused as u64, (round * N - reused) as u64));
                 // The target drew a landing region per read; each came back
                 // when its handler dropped it, and the pool kept what fits.
                 let (hits, misses) = drawn(&server);
                 assert_eq!(hits + misses, (round * N) as u64);
-                let idle = server.inner.rndv_free.borrow().len();
+                let idle = server.inner.rndv.len();
                 assert_eq!(idle, KEPT.min(misses as usize));
             }
         });
@@ -2060,6 +2057,63 @@ mod tests {
             "the empty one took none"
         );
         assert_eq!(drawn(&server), (0, 0));
+    }
+
+    /// A payload its handler lends on — kept past the handler, as a
+    /// memcached client keeps a reply for its caller — goes back to its
+    /// pool when its last holder drops it: a rendezvous payload dropped
+    /// after its handler returned is the buffer the next rendezvous lands
+    /// in. A thousand payloads of each kind held at once and then dropped
+    /// leave the eager pool at its cap and the rendezvous pool within
+    /// [`RNDV_POOL_BYTES`].
+    #[test]
+    fn a_payload_lent_on_goes_back_to_its_pool_when_dropped() {
+        const HELD: usize = 1000;
+        let (cluster, server, client, ep, _peer) = connected(45);
+        let held: Rc<RefCell<Vec<AmBytes>>> = Rc::default();
+        let held2 = held.clone();
+        server.register_handler(
+            MSG,
+            FnHandler(move |_: &Endpoint, _: &[u8], data: AmData| {
+                if let AmData::Pool(bytes) = data {
+                    held2.borrow_mut().push(bytes);
+                }
+            }),
+        );
+        // Sends `n` messages of `len` bytes, one at a time.
+        let send = |len: usize, n: usize| {
+            let (client, ep) = (client.clone(), ep.clone());
+            cluster.sim().block_on(async move {
+                let data = vec![3u8; len];
+                for _ in 0..n {
+                    let done = client.counter();
+                    ep.send_message(MSG, b"", &data, completing(&done))
+                        .await
+                        .expect("sent");
+                    done.wait_for(1, TIMEOUT).await.expect("handled");
+                }
+            })
+        };
+        let first_landing = || held.borrow().first().map(|b| b.as_ptr());
+        send(16 << 10, 1);
+        let at = first_landing();
+        held.borrow_mut().clear();
+        send(16 << 10, 1);
+        assert_eq!(
+            first_landing(),
+            at,
+            "landed in the dropped payload's buffer"
+        );
+        held.borrow_mut().clear();
+
+        send(64, HELD);
+        send(9 << 10, HELD);
+        assert_eq!(held.borrow().len(), 2 * HELD);
+        assert!(server.inner.eager_free.is_empty() && server.inner.rndv.len() == 0);
+        held.borrow_mut().clear();
+        assert_eq!(server.inner.eager_free.len(), EAGER_POOL_CAP);
+        let idle = server.inner.rndv.idle_bytes.get();
+        assert!(idle <= RNDV_POOL_BYTES && idle > RNDV_POOL_BYTES - (10 << 10));
     }
 
     /// A rendezvous's application header is held in a buffer from the
@@ -2227,7 +2281,7 @@ mod tests {
         assert_eq!(server.endpoints(), 0);
         assert_eq!(server.stats().send_failures.get(), 1);
         assert!(rt.pending.borrow().is_empty());
-        let idle = (rt.rndv_free.borrow().len(), rt.rndv_hdr_free.len());
+        let idle = (rt.rndv.len(), rt.rndv_hdr_free.len());
         assert_eq!(idle, (1, 1), "landing bytes and header buffer");
     }
 

@@ -34,7 +34,7 @@ async fn render_feed(
     for &friend in friends {
         let key = format!("post:{friend}");
         match cache.get(key.as_bytes()).await.expect("cache reachable") {
-            Some(v) => feed.push(v.data),
+            Some(v) => feed.push(v.data.into_vec()),
             None => {
                 let row = db_lookup(sim, friend).await;
                 // 60 s TTL: posts churn.

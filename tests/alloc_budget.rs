@@ -8,33 +8,39 @@
 //! straight into the landing region. These tests pin what one memcached
 //! operation still costs the host allocator on the two transport families,
 //! so the next per-event or per-poll allocation fails `cargo test` instead of
-//! showing up in a benchmark run. A UCR get allocates the client's value and
-//! nothing else: the counter the client waits on is a released counter's box
-//! under a fresh id, the server reads the request's key from a pooled key
-//! list, and a rendezvous holds its header in a pooled buffer. A UCR set
-//! allocates nothing at all: its value lands in a payload buffer from the
-//! server runtime's eager pool, or, at 64 KB, in a landing region from its
-//! rendezvous pool. A 64 KB get adds nothing to the client's value either:
-//! each registration refills the record of a deregistered region and the
+//! showing up in a benchmark run. A warm get allocates nothing on any wire,
+//! its value included: the value a caller gets is lent — the buffer the
+//! reply landed in, from its UCR runtime's eager or rendezvous pool, or a
+//! buffer from the client's value pool that a socket wire's, a multiget's or
+//! a bypass read's value is copied into — and it goes back to its pool when
+//! the caller drops it, for the next get to take. On UCR the counter the
+//! client waits on is a released counter's box under a fresh id, the server
+//! reads the request's key from a pooled key list, and a rendezvous holds
+//! its header in a pooled buffer. A UCR set allocates nothing either: its
+//! value lands in a payload buffer from the server runtime's eager pool, or,
+//! at 64 KB, in a landing region from its rendezvous pool; each
+//! registration refills the record of a deregistered region and the
 //! server's reply waits for its runtime's rendezvous sender instead of a
 //! task of its own. On the three socket wires — ASCII and binary over TCP,
-//! ASCII over UDP — a get allocates the client's value and nothing else too,
-//! and a set nothing at all: a write's bytes and a datagram's ride in a
-//! pooled buffer, the client writes each request into the buffer it keeps
-//! and reads a reply in place, and the server reads a request in place from
-//! the pooled buffer it arrived in and writes its reply into its worker's
-//! buffer. They also pin that a run leaves no dead
-//! timers behind: the event queue holds live events only; that a UCR
-//! runtime holds the receive buffers its traffic needs, not its pool's cap;
-//! and that the live bytes of every budget shape (allocated minus
-//! freed) stay flat once it is warm: what an operation allocates it frees,
-//! and every pool and table holds its bound.
+//! ASCII over UDP — a write's bytes and a datagram's ride in a pooled
+//! buffer, the client writes each request into the buffer it keeps and reads
+//! a reply in place, and the server reads a request in place from the pooled
+//! buffer it arrived in and writes its reply into its worker's buffer. A
+//! bypass get looks its descriptor up by the borrowed key and copies the
+//! value straight out of the landing window. They also pin that a run
+//! leaves no dead timers behind: the event queue holds live events only;
+//! that a UCR runtime holds the receive buffers its traffic needs, not its
+//! pool's cap; and that the live bytes of every budget shape (allocated
+//! minus freed) stay flat once it is warm: what an operation allocates it
+//! frees, and every pool and table holds its bound.
 //!
 //! The budgets are counts, not timings: for a given build they repeat but
 //! for a hash table that happens to grow inside the measured loop, which is
-//! what the headroom of one to two above the measured figures is for. Where the
-//! count of a shape comes from, call site by call site, is what
-//! `cargo test --test alloc_budget -- --ignored --nocapture` prints.
+//! what the headroom above the measured figures is for — a hundredth of an
+//! allocation per operation, which one allocation per operation fails by a
+//! hundredfold. Where the count of a shape comes from, call site by call
+//! site, is what `cargo test --test alloc_budget -- --ignored --nocapture`
+//! prints.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::backtrace::Backtrace;
@@ -352,6 +358,19 @@ impl Shape {
         drive: fn(&Shape, u64) -> Load,
     ) -> Shape {
         let client = McClientConfig::single(transport, SERVER);
+        Shape::with_clients(name, world, server, client, clients, value_size, drive)
+    }
+
+    /// [`Shape::new`], with `clients` clients of configuration `client`.
+    fn with_clients(
+        name: &'static str,
+        world: World,
+        server: McServerConfig,
+        client: McClientConfig,
+        clients: usize,
+        value_size: usize,
+        drive: fn(&Shape, u64) -> Load,
+    ) -> Shape {
         let Scenario {
             world,
             server,
@@ -522,6 +541,26 @@ fn socket_gets(name: &'static str, transport: Transport) -> Shape {
     )
 }
 
+/// The Fig. 6(c) testbed with bypass gets: each of the 16 clients reads a
+/// 4 B value straight out of the server's slab memory with a one-sided
+/// RDMA read, through the descriptor it cached on its first get of the key.
+fn ucr_bypass_gets() -> Shape {
+    const CLIENTS: u32 = 16;
+    let client = McClientConfig {
+        bypass_get: true,
+        ..McClientConfig::single(Transport::Ucr, SERVER)
+    };
+    Shape::with_clients(
+        "ucr_bypass_gets",
+        World::cluster_b(42, CLIENTS + 1),
+        McServerConfig::default(),
+        client,
+        CLIENTS as usize,
+        4,
+        |s, ops| closed_loop(&s.world, &s.clients, ops, None),
+    )
+}
+
 /// The sockets baseline: ASCII over TCP.
 fn ascii_socket_gets() -> Shape {
     socket_gets("ascii_socket_gets", Transport::Sockets(Stack::TenGigEToe))
@@ -556,13 +595,12 @@ fn ascii_socket_sets_and_gets() -> Shape {
 #[test]
 fn ucr_small_gets_stay_within_the_allocation_budget() {
     let shape = ucr_small_gets();
-    let load = shape.stays_within(2.0, 1024); // measured 1.00 and 0 B
+    let load = shape.stays_within(0.01, 1024); // measured 0.0001 and 0 B
     shape.holds_recv_buffers(7, 4); // measured 5 and 2
-                                    // One word more on a per-op allocation fails this.
     let bytes = load.bytes_per_op();
     assert!(
-        bytes <= 11.0, // measured 4.0
-        "ucr_small_gets: {bytes:.1} bytes allocated per operation"
+        bytes <= 1.0, // measured 0.012
+        "ucr_small_gets: {bytes:.3} bytes allocated per operation"
     );
 }
 
@@ -574,8 +612,8 @@ fn ucr_small_gets_stay_within_the_allocation_budget() {
 #[test]
 fn a_profiler_adds_few_allocations_to_a_ucr_get() {
     for (shape, budget) in [
-        (ucr_small_gets(), 0.01),        // measured 0.0003
-        (ucr_pipelined_gets(), 0.1),     // measured 0.019
+        (ucr_small_gets(), 0.01),        // measured 0.0000
+        (ucr_pipelined_gets(), 0.1),     // measured 0.017
         (ucr_64k_sets_and_gets(), 0.01), // measured 0.0000
     ] {
         let allocs_per_op = || {
@@ -597,11 +635,11 @@ fn a_profiler_adds_few_allocations_to_a_ucr_get() {
 fn ucr_pipelined_gets_stay_within_the_allocation_budget() {
     let shape = ucr_pipelined_gets();
     // A table reaches its working size in the measured run.
-    let load = shape.stays_within(2.01, 12_288); // measured 1.00 and 10 852 B
+    let load = shape.stays_within(0.01, 12_288); // measured 0.0025 and 11 332 B
     shape.holds_recv_buffers(9, 4); // measured 7 and 2
     let bytes = load.bytes_per_op();
     assert!(
-        bytes <= 73.0, // measured 65.6
+        bytes <= 8.0, // measured 1.6
         "ucr_pipelined_gets: {bytes:.1} bytes allocated per operation"
     );
     let rt = shape.server.ucr_runtime().expect("UCR server");
@@ -612,54 +650,57 @@ fn ucr_pipelined_gets_stay_within_the_allocation_budget() {
 }
 
 /// A set's value rides eager into a payload buffer from the server
-/// runtime's pool, and goes back to it once the store has copied it: the
-/// pipelined sets and gets allocate the clients' values, half an operation's
-/// worth of bytes.
+/// runtime's pool, and goes back to it once the store has copied it; a
+/// get's value is the client runtime's eager buffer it landed in, back in
+/// that pool once the caller drops it: the pipelined sets and gets
+/// allocate nothing.
 #[test]
 fn ucr_pipelined_sets_and_gets_stay_within_the_allocation_budget() {
     let shape = ucr_pipelined_sets_and_gets();
     // A second warm-up: the receive pools reach their working size in it,
     // and the eager pool in the measured run.
     shape.run(WARMUP_OPS);
-    let load = shape.stays_within(1.5, 12_288); // measured 0.50 and 1 088 B
+    let load = shape.stays_within(0.01, 12_288); // measured 0.0015 and 1 728 B
     shape.holds_recv_buffers(17, 6); // measured 15 and 4
     let bytes = load.bytes_per_op();
     assert!(
-        bytes <= 40.0, // measured 32.7
+        bytes <= 4.0, // measured 0.7
         "ucr_pipelined_sets_and_gets: {bytes:.1} bytes allocated per operation"
     );
 }
 
 #[test]
 fn ascii_socket_gets_stay_within_the_allocation_budget() {
-    let load = ascii_socket_gets().stays_within(2.0, 1024); // measured 1.00 and 0 B
+    let load = ascii_socket_gets().stays_within(0.01, 1024); // measured 0.0001 and 0 B
     let bytes = load.bytes_per_op();
     assert!(
-        bytes <= (1024 + 7) as f64, // measured 1 024.0
-        "ascii_socket_gets: {bytes:.1} bytes allocated per operation"
+        bytes <= 1.0, // measured 0.012
+        "ascii_socket_gets: {bytes:.3} bytes allocated per operation"
     );
 }
 
-/// On every wire an operation allocates the caller's value and nothing
-/// else: a get its client's copy of the value, a set nothing at all. A
-/// socket write's or datagram's bytes ride in a pooled buffer, the client
-/// writes each request into the buffer it keeps and reads a reply in place
-/// where it landed, the server reads a request in place from the buffer it
-/// arrived in — a pooled frame buffer, a pooled datagram — and writes its
-/// reply into its worker's buffer (and a UDP reply's datagrams over the
-/// request's); a UCR set's value lands in a payload buffer from the server
-/// runtime's eager pool. So no site of a census is in `crates/sockets/`, in
-/// `crates/proto/` or in the server, and what is left in the simulated
-/// layers (the engine's are the harness's own tasks) sums to one value per
-/// get: the server runtime's eager copies share their lines with the
-/// client's, and they are what that sum would count past the gets. Each row
-/// is a shape and the bytes of its values.
+/// On every wire a warm operation allocates nothing, not even the caller's
+/// value: a get lends its caller the value, in a buffer that goes back to
+/// its pool when the caller drops it. A socket write's or datagram's bytes
+/// ride in a pooled buffer, the client writes each request into the buffer
+/// it keeps and copies a reply's value out of the frame, where it landed,
+/// into a buffer from its value pool; the server reads a request in place
+/// from the buffer it arrived in — a pooled frame buffer, a pooled datagram
+/// — and writes its reply into its worker's buffer (and a UDP reply's
+/// datagrams over the request's); a UCR set's value lands in a payload
+/// buffer from the server runtime's eager pool and a get's in the client
+/// runtime's; a bypass get copies its value out of the landing window into
+/// a buffer from the value pool. So no site of a census is in
+/// `crates/sockets/`, in `crates/proto/` or in the server, and nothing is
+/// left in the simulated layers but the engine's sites, which are the
+/// harness's own tasks.
 fn every_wire_allocates_only_the_callers_value() {
-    for (shape, value) in [
-        (ascii_socket_gets(), 1024),
-        (binary_socket_gets(), 1024),
-        (udp_gets(), 1024),
-        (ucr_pipelined_sets_and_gets(), 64),
+    for shape in [
+        ascii_socket_gets(),
+        binary_socket_gets(),
+        udp_gets(),
+        ucr_pipelined_sets_and_gets(),
+        ucr_bypass_gets(),
     ] {
         // Warmed up as long as a budget's measured run: the pipelined sets'
         // receive pools and counter table reach their working size in it
@@ -693,8 +734,7 @@ fn every_wire_allocates_only_the_callers_value() {
             .iter()
             .filter(|(site, _)| site.contains(" at crates/") && !site.contains("crates/simnet/"))
             .fold((0, 0), |sum, (_, site)| (sum.0 + site.0, sum.1 + site.1));
-        let values = (load.gets, value * load.gets);
-        assert_eq!((allocs, bytes), values, "{}: {sites:?}", shape.name);
+        assert_eq!((allocs, bytes), (0, 0), "{}: {sites:?}", shape.name);
     }
 }
 
@@ -705,12 +745,64 @@ fn an_ascii_socket_get_allocates_only_the_clients_value() {
 
 #[test]
 fn binary_socket_gets_stay_within_the_allocation_budget() {
-    binary_socket_gets().stays_within(2.0, 1024); // measured 1.00 and 0 B
+    binary_socket_gets().stays_within(0.01, 1024); // measured 0.0001 and 0 B
 }
 
 #[test]
 fn udp_gets_stay_within_the_allocation_budget() {
-    udp_gets().stays_within(2.0, 1024); // measured 1.00 and 0 B
+    udp_gets().stays_within(0.01, 1024); // measured 0.0001 and 0 B
+}
+
+/// A warm bypass get allocates nothing: its descriptor is looked up by the
+/// borrowed key, its read lands in the client's landing window, and the
+/// value is copied from there into a buffer from the client's value pool.
+/// Every get is a one-sided read: none falls back to the AM path.
+#[test]
+fn ucr_bypass_gets_stay_within_the_allocation_budget() {
+    let shape = ucr_bypass_gets();
+    let load = shape.stays_within(0.01, 1024); // measured 0.0001 and 0 B
+    let bytes = load.bytes_per_op();
+    assert!(
+        bytes <= 1.0, // measured 0.012
+        "ucr_bypass_gets: {bytes:.3} bytes allocated per operation"
+    );
+    let rt = shape.clients[0].ucr_runtime().expect("UCR");
+    assert_eq!(
+        rt.stats().bypass_fallbacks.get(),
+        0,
+        "every get read one-sided"
+    );
+    assert!(rt.stats().bypass_reads.get() > 0);
+}
+
+/// A value that outlives its client frees its bytes: the pool it was lent
+/// by went with the client — its UCR runtime's, or its own value pool — so
+/// dropping the value gives the allocator back at least its length.
+#[test]
+fn a_value_that_outlives_its_client_frees_its_bytes() {
+    const LEN: usize = 4096;
+    for (world, transport) in [
+        (World::cluster_b(42, 2), Transport::Ucr),
+        (
+            World::cluster_a(42, 2),
+            Transport::Sockets(Stack::TenGigEToe),
+        ),
+    ] {
+        let scenario = Scenario::start(world, transport);
+        let client = scenario.clients[0].clone();
+        let value = scenario.world.sim().block_on(async move {
+            client.set(b"k", &[7; LEN], 0, 0).await.expect("stored");
+            client.get(b"k").await.expect("served").expect("a hit")
+        });
+        drop(scenario);
+        let before = live_bytes();
+        drop(value);
+        let freed = before - live_bytes();
+        assert!(
+            freed >= LEN as i64,
+            "{transport:?}: dropping the value freed {freed} B"
+        );
+    }
 }
 
 /// A get hit leaves the slab once: the store lends it and the front-end
@@ -792,11 +884,11 @@ fn a_store_keeps_its_items_in_its_slab_pages() {
 
 #[test]
 fn ascii_socket_sets_and_gets_stay_within_the_allocation_budget() {
-    let load = ascii_socket_sets_and_gets().stays_within(1.5, 1024); // measured 0.50 and 0 B
+    let load = ascii_socket_sets_and_gets().stays_within(0.01, 1024); // measured 0.0001 and 0 B
     let bytes = load.bytes_per_op();
     assert!(
-        bytes <= (512 + 7) as f64, // measured 512.0
-        "ascii_socket_sets_and_gets: {bytes:.1} bytes allocated per operation"
+        bytes <= 1.0, // measured 0.012
+        "ascii_socket_sets_and_gets: {bytes:.3} bytes allocated per operation"
     );
 }
 
@@ -968,27 +1060,28 @@ fn ucr_4k_gets() -> Shape {
     )
 }
 
-/// A 4 KB get copies its value into one allocation, the client's own
-/// `Value`: the server writes the hit from the store straight into a
-/// registered send buffer from the pool, and the target HCA lands it in a
-/// pooled receive buffer.
+/// A 4 KB get allocates nothing: the server writes the hit from the store
+/// straight into a registered send buffer from the pool, the target HCA
+/// lands it in a pooled receive buffer, and the client's value is a copy of
+/// it in a buffer from its runtime's eager pool, which the caller gives
+/// back by dropping it.
 #[test]
 fn ucr_4k_gets_stay_within_the_allocation_budget() {
     let shape = ucr_4k_gets();
-    let load = shape.stays_within(2.0, 1024); // measured 1.00 and 0 B
+    let load = shape.stays_within(0.01, 1024); // measured 0.0001 and 0 B
     shape.holds_recv_buffers(4, 4); // measured 2 and 2
     let bytes = load.bytes_per_op();
     assert!(
-        bytes <= (4096 + 7) as f64, // measured 4096.0
-        "ucr_4k_gets: {bytes:.0} bytes allocated per operation"
+        bytes <= 1.0, // measured 0.012
+        "ucr_4k_gets: {bytes:.3} bytes allocated per operation"
     );
 }
 
 /// 64 KB values, sets and gets by turns: every value travels by rendezvous,
 /// a read request out and the data back, the four-stage flight. Both ends
 /// draw the source and the landing region of a rendezvous from their
-/// runtime's pool and give them back when the read is done, so the one
-/// 64 KB allocation left is the client's own value, on a get.
+/// runtime's pool and give them back when the read is done, or, for a
+/// get's landing region, when the caller drops the value it became.
 fn ucr_64k_sets_and_gets() -> Shape {
     Shape::new(
         "ucr_64k_sets_and_gets",
@@ -1015,14 +1108,15 @@ fn ucr_64k_gets() -> Shape {
     )
 }
 
-/// A 64 KB get allocates the client's copy of the value and nothing else:
-/// the server's reply is queued for its runtime's rendezvous sender, not
-/// given a task of its own, its source and the client's landing region are
-/// buffers from the runtimes' rendezvous pools, and each registration
-/// refills the record of a deregistered region. So no site of the census
-/// is in `crates/verbs/` or in the engine's `Sim::spawn` (beyond the
-/// harness's own tasks, a handful per run), and what is left in the
-/// simulated layers is one 64 KB allocation per get.
+/// A 64 KB get allocates nothing, its value included: the server's reply
+/// is queued for its runtime's rendezvous sender, not given a task of its
+/// own, its source and the client's landing region are buffers from the
+/// runtimes' rendezvous pools, each registration refills the record of a
+/// deregistered region, and the landing region's bytes are the value the
+/// caller gets, back in the client runtime's pool when dropped. So no site
+/// of the census is in `crates/verbs/` or in the engine's `Sim::spawn`
+/// (beyond the harness's own tasks, a handful per run), and nothing else is
+/// left in the simulated layers.
 #[test]
 fn a_64k_ucr_get_allocates_only_the_clients_value() {
     let shape = ucr_64k_gets();
@@ -1047,22 +1141,18 @@ fn a_64k_ucr_get_allocates_only_the_clients_value() {
         .iter()
         .filter(|(site, _)| site.contains(" at crates/") && !site.contains("crates/simnet/"))
         .fold((0, 0), |sum, (_, site)| (sum.0 + site.0, sum.1 + site.1));
-    assert_eq!(
-        (allocs, bytes),
-        (load.gets, (64 << 10) * load.gets),
-        "{sites:?}"
-    );
+    assert_eq!((allocs, bytes), (0, 0), "{sites:?}");
 }
 
 #[test]
 fn ucr_64k_sets_and_gets_stay_within_the_allocation_budget() {
     let shape = ucr_64k_sets_and_gets();
-    let load = shape.stays_within(1.5, 1024); // measured 0.50 and 64 B
+    let load = shape.stays_within(0.01, 1024); // measured 0.0002 and 64 B
     shape.holds_recv_buffers(6, 4); // measured 4 and 2
     let bytes = load.bytes_per_op();
     assert!(
-        bytes <= 32_777.0, // measured 32 769.7
-        "ucr_64k_sets_and_gets: {bytes:.1} bytes allocated per operation"
+        bytes <= 1.0, // measured 0.015
+        "ucr_64k_sets_and_gets: {bytes:.3} bytes allocated per operation"
     );
 }
 
@@ -1273,6 +1363,7 @@ fn print_allocation_sites() {
         ucr_64k_gets(),
         binary_socket_gets(),
         udp_gets(),
+        ucr_bypass_gets(),
     ];
     for shape in shapes {
         shape.run(WARMUP_OPS);

@@ -159,7 +159,10 @@ fn counters_session_pattern() {
             j.await;
         }
         let v = checker.get(b"hits").await.unwrap().unwrap();
-        let n: u64 = String::from_utf8(v.data).unwrap().parse().unwrap();
+        let n: u64 = String::from_utf8(v.data.into_vec())
+            .unwrap()
+            .parse()
+            .unwrap();
         assert_eq!(n, 300, "no lost increments");
     });
 }

@@ -480,19 +480,29 @@ async fn run_stream(
                 let names: Vec<Vec<u8>> = keys.iter().map(|&k| key(k)).collect();
                 let refs: Vec<&[u8]> = names.iter().map(Vec::as_slice).collect();
                 let got = client.get_many(&refs).await.unwrap();
-                let got: Vec<_> = got.into_iter().map(|v| v.map(|v| v.data)).collect();
+                let got: Vec<_> = got
+                    .into_iter()
+                    .map(|v| v.map(|v| v.data.into_vec()))
+                    .collect();
                 let want: Vec<_> = keys.iter().map(|k| model.get(k).cloned()).collect();
                 assert_eq!(got, want, "{call:?}");
             }
             Call::Get(k) => {
-                let got = client.get(&key(*k)).await.unwrap().map(|v| v.data);
+                let got = client
+                    .get(&key(*k))
+                    .await
+                    .unwrap()
+                    .map(|v| v.data.into_vec());
                 assert_eq!(got, model.get(k).cloned(), "{call:?}");
             }
             Call::Mget(keys) => {
                 let names: Vec<Vec<u8>> = keys.iter().map(|&k| key(k)).collect();
                 let refs: Vec<&[u8]> = names.iter().map(Vec::as_slice).collect();
                 let got = client.mget(&refs).await.unwrap();
-                let got: Vec<_> = got.into_iter().map(|(k, v)| (k, v.data)).collect();
+                let got: Vec<_> = got
+                    .into_iter()
+                    .map(|(k, v)| (k, v.data.into_vec()))
+                    .collect();
                 let want: Vec<_> = keys
                     .iter()
                     .filter_map(|k| Some((key(*k), model.get(k)?.clone())))

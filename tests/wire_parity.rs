@@ -675,7 +675,8 @@ fn binary_quiet_gets_answer_only_their_hits_in_order_then_the_noop() {
 /// are back at their baseline.
 #[test]
 fn a_get_answers_with_the_bytes_of_its_service_instant() {
-    let data = |hit: Result<Option<Value>, McError>| hit.expect("served").map(|v| v.data);
+    let data =
+        |hit: Result<Option<Value>, McError>| hit.expect("served").map(|v| v.data.into_vec());
     for model in [StoreModel::GlobalLock, StoreModel::Sharded(2)] {
         for wire in [Transport::Ucr, ASCII] {
             let Scenario {
