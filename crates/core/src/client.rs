@@ -1500,17 +1500,15 @@ impl CliInner {
                 return BypassRead::Failed;
             }
         }
-        let mut word = [0u8; BYPASS_VERSION_BYTES];
-        buf.read_into(len - BYPASS_VERSION_BYTES, &mut word);
-        let read = if u64::from_le_bytes(word) == desc.version {
-            // Copied straight out of the window into a value from the pool.
-            let vlen = desc.vlen as usize;
-            BypassRead::Ok(self.values.lend_with(vlen, |value| {
-                value.resize(vlen, 0);
-                buf.read_into(0, value);
-            }))
-        } else {
-            BypassRead::Skew
+        let read = {
+            let bytes = buf.bytes();
+            match bytes[..len].split_last_chunk::<BYPASS_VERSION_BYTES>() {
+                // Copied straight out of the window into a value from the pool.
+                Some((value, word)) if u64::from_le_bytes(*word) == desc.version => {
+                    BypassRead::Ok(self.values.lend(&value[..desc.vlen as usize]))
+                }
+                _ => BypassRead::Skew,
+            }
         };
         self.return_bypass_buf(buf);
         read

@@ -85,21 +85,15 @@ impl FreeList<Vec<u8>> {
     /// twice it, so a small copy never pins a large buffer, or else in a
     /// fresh buffer of exactly that length. Empty data takes no buffer.
     pub fn lend(self: &Rc<Self>, data: &[u8]) -> Lent {
-        self.lend_with(data.len(), |buf| buf.extend_from_slice(data))
-    }
-
-    /// `len` bytes lent out of this list, written by `fill` onto an empty
-    /// buffer chosen as [`lend`](Self::lend) chooses one.
-    pub fn lend_with(self: &Rc<Self>, len: usize, fill: impl FnOnce(&mut Vec<u8>)) -> Lent {
-        let mut buf = match len {
+        let mut buf = match data.len() {
             0 => Vec::new(),
-            _ => {
+            len => {
                 let fits = len..len.saturating_mul(2);
                 let idle = self.take_if(|buf| fits.contains(&buf.capacity()));
                 idle.unwrap_or_else(|| Vec::with_capacity(len))
             }
         };
-        fill(&mut buf);
+        buf.extend_from_slice(data);
         let home: Weak<Self> = Rc::downgrade(self);
         Lent::new(buf, home)
     }

@@ -7,6 +7,8 @@
 //! it with zero remote CPU involvement. Completion is tracked with the
 //! same counters as active messages.
 
+use std::cell::Ref;
+
 use verbs::{Access, Mr, SendOp, SendWr, WcStatus};
 
 use crate::counter::Counter;
@@ -56,10 +58,9 @@ impl UcrMemory {
         self.mr.read_at(offset, len)
     }
 
-    /// Local read of `out.len()` bytes at `offset` into `out`, which
-    /// allocates nothing.
-    pub fn read_into(&self, offset: usize, out: &mut [u8]) {
-        out.copy_from_slice(&self.mr.bytes()[offset..offset + out.len()]);
+    /// The whole region, borrowed: a local read that allocates nothing.
+    pub fn bytes(&self) -> Ref<'_, [u8]> {
+        self.mr.bytes()
     }
 
     /// Descriptor for the window `[offset, offset+len)`.
