@@ -622,7 +622,8 @@ struct CliInner {
     /// Live pipelined-window occupancy (`client.nodeN.inflight`); the
     /// gauge's high watermark records the deepest window reached.
     inflight_gauge: Rc<simnet::metrics::Gauge>,
-    /// Operations that returned `Ok` (`client.nodeN.ops_completed`).
+    /// Operations answered, by a reply or by the client's own refusal
+    /// (`client.nodeN.ops_completed`).
     ops_completed: Rc<simnet::metrics::Counter>,
     /// Cached item descriptors, by key: a key routes to one server, so
     /// it names the descriptor's server too.
@@ -1302,7 +1303,7 @@ impl CliInner {
                         Ok(ticket) => window.push_back((i, ticket)),
                         // Refused before it was sent (over UDP, a request
                         // past one datagram): that item's own outcome.
-                        Err(McError::TooLarge) => sink(i, Err(McError::TooLarge))?,
+                        Err(McError::TooLarge) => sink(i, self.completed(Err(McError::TooLarge)))?,
                         Err(e) => return Err(e),
                     }
                     self.inflight_gauge.set(window.len() as f64);
@@ -1592,9 +1593,14 @@ impl CliInner {
         self.inflight.borrow_mut().remove(&id).flatten()
     }
 
-    /// Counts a finished operation in `ops_completed` when it ended `Ok`.
+    /// Counts a finished operation in `ops_completed` when it was
+    /// answered: it ended `Ok`, or the client refused it unsent (over UDP, a
+    /// request past one datagram).
     fn completed<T>(&self, out: Result<T, McError>) -> Result<T, McError> {
-        out.inspect(|_| self.ops_completed.inc())
+        if matches!(out, Ok(_) | Err(McError::TooLarge)) {
+            self.ops_completed.inc();
+        }
+        out
     }
 
     /// The next request id.

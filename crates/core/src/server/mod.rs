@@ -119,7 +119,9 @@ impl Default for McServerConfig {
 /// (`mc.nodeN.<field>`), taken when the server starts.
 pub struct SrvStats {
     /// Connections accepted (all transports), reported as
-    /// `curr_connections`: a level, so it outlives a `stats reset`.
+    /// `curr_connections`. Nothing decrements it yet, so it counts every
+    /// connection accepted, closed ones too; it is a gauge so that it
+    /// outlives a `stats reset`, as the level it is meant to become.
     pub curr_connections: Rc<Gauge>,
     /// Requests served over UCR.
     pub ucr_requests: Rc<Counter>,

@@ -14,6 +14,9 @@ use ucr::{AmData, Endpoint, FnHandler, SendOptions, UcrRuntime, SEND_POOL_CAP};
 
 #[path = "cells/oversize.rs"]
 mod oversize;
+#[path = "cells/scenario.rs"]
+mod scenario;
+use scenario::{command_set, run_case, Call, Case, Val};
 
 const SRV: NodeId = NodeId(0);
 const CLI: NodeId = NodeId(1);
@@ -72,83 +75,42 @@ fn ucr_connections_go_to_workers_round_robin() {
     }
 }
 
-/// The whole command set through `c`, a client on `wire`: every verb's
-/// success and its refusals.
-async fn command_set(c: McClient, wire: Transport) {
-    // set / get
-    c.set(b"k1", b"v1", 5, 0).await.unwrap();
-    let v = c.get(b"k1").await.unwrap().unwrap();
-    assert_eq!((&v.data[..], v.flags), (&b"v1"[..], 5), "{wire:?}");
-    assert!(v.cas > 0, "{wire:?}");
-
-    // add / replace / append / prepend
-    assert_eq!(c.add(b"k1", b"x", 0, 0).await, Err(McError::NotStored));
-    c.add(b"k2", b"fresh", 0, 0).await.unwrap();
-    c.replace(b"k2", b"newer", 0, 0).await.unwrap();
-    let refused = c.replace(b"missing", b"x", 0, 0).await;
-    assert_eq!(refused, Err(McError::NotStored), "{wire:?}");
-    c.append(b"k2", b"-tail").await.unwrap();
-    c.prepend(b"k2", b"head-").await.unwrap();
-    let joined = c.get(b"k2").await.unwrap().unwrap().data;
-    assert_eq!(joined, b"head-newer-tail", "{wire:?}");
-
-    // cas
-    let v = c.get(b"k1").await.unwrap().unwrap();
-    c.cas(b"k1", b"v2", 0, 0, v.cas).await.unwrap();
-    assert_eq!(c.cas(b"k1", b"v3", 0, 0, v.cas).await, Err(McError::Exists));
-
-    // incr / decr
-    c.set(b"n", b"41", 0, 0).await.unwrap();
-    assert_eq!(c.incr(b"n", 1).await.unwrap(), 42);
-    assert_eq!(c.decr(b"n", 100).await.unwrap(), 0);
-    assert_eq!(c.incr(b"missing", 1).await, Err(McError::NotFound));
-    assert_eq!(c.incr(b"k1", 1).await, Err(McError::NotNumeric));
-
-    // delete / touch
-    assert!(c.delete(b"k2").await.unwrap());
-    assert!(!c.delete(b"k2").await.unwrap());
-    assert!(c.get(b"k2").await.unwrap().is_none());
-    assert!(c.touch(b"k1", 60).await.unwrap());
-    assert!(!c.touch(b"k2", 60).await.unwrap());
-
-    // mget
-    c.set(b"m1", b"a", 0, 0).await.unwrap();
-    c.set(b"m2", b"b", 0, 0).await.unwrap();
-    let got = c.mget(&[b"m1", b"m2", b"nope"]).await.unwrap();
-    assert_eq!(got.len(), 2, "{wire:?}");
-
-    // version / stats / flush_all: that they round-trip is the wire's
-    // part (what `flush_all` invalidates is `tests/wire_parity.rs`).
-    let ver = c.version().await.unwrap();
-    assert!(ver.contains("rmc"), "version {ver}");
-    let stats = c.stats().await.unwrap();
-    assert!(stats.iter().any(|(k, _)| k == "get_hits"));
-    c.flush_all().await.unwrap();
+/// One client per wire on Cluster A, each running the command set on keys
+/// of its own.
+fn command_sets(wires: &[Transport]) -> Case {
+    Case::fixed(false, wires.iter().map(|&w| (w, command_set())).collect())
 }
 
-fn serves_the_command_set(wire: Transport) {
-    let s = Scenario::start(world_a(), wire);
-    let c = s.clients[0].clone();
-    s.world.sim().block_on(command_set(c, wire));
+/// The design goal of §V-A: one server serves every client family, on the
+/// same data. Clients on `a`, `b` and `a` again run the command set in
+/// turn on one key space, each reading what the one before it left.
+fn shared_by(a: Transport, b: Transport) -> Case {
+    Case {
+        shared: true,
+        ..command_sets(&[a, b, a])
+    }
+}
+
+/// Sets then gets each of keys `0..n` in turn.
+fn set_and_get(n: usize) -> Vec<Call> {
+    let pair = |k: usize| [Call::Set(k, Val(k % 3, k as u8)), Call::Get(k)];
+    (0..n).flat_map(pair).collect()
 }
 
 #[test]
 fn full_command_set_over_every_transport() {
-    for wire in [
-        Transport::Ucr,
-        Transport::Sockets(Stack::Sdp),
-        Transport::Sockets(Stack::Ipoib),
-        Transport::Sockets(Stack::TenGigEToe),
-        Transport::Sockets(Stack::OneGigE),
-    ] {
-        serves_the_command_set(wire);
-    }
+    let stacks = [Stack::Sdp, Stack::Ipoib, Stack::TenGigEToe, Stack::OneGigE];
+    let wires: Vec<_> = [Transport::Ucr]
+        .into_iter()
+        .chain(stacks.map(Transport::Sockets))
+        .collect();
+    run_case(&command_sets(&wires), false);
 }
 
 /// A client counts an op in `ops_completed` once, when the call that
 /// counted it in `ops_issued` gets its reply back, a refusal included:
-/// after the command set, a pipelined batch and (on UCR) an issued get
-/// and bypass gets, the two counters agree on every wire.
+/// after the command set, its pipelined batches and (on UCR) bypass gets
+/// and an issued get, the two counters agree on every wire.
 #[test]
 fn every_issued_op_is_counted_completed_once() {
     let toe = Stack::TenGigEToe;
@@ -158,30 +120,22 @@ fn every_issued_op_is_counted_completed_once() {
         Transport::Binary(toe),
         Transport::Udp(toe),
     ];
-    for wire in wires {
-        let cfg = McClientConfig {
-            bypass_get: wire == Transport::Ucr,
-            pipeline_depth: 4,
-            ..McClientConfig::single(wire, SRV)
-        };
-        let s = Scenario::new(world_a(), McServerConfig::default(), [cfg]);
-        let c = s.clients[0].clone();
-        s.world.sim().block_on(command_set(c.clone(), wire));
-        let c2 = c.clone();
-        s.world.sim().block_on(async move {
-            let items: [(&[u8], &[u8]); 2] = [(b"p1", b"x"), (b"p2", b"y")];
-            c2.set_many(&items, 0, 0).await.unwrap();
-            let got = c2.get_many(&[b"p1", b"p2", b"nope"]).await.unwrap();
-            assert_eq!(got.iter().flatten().count(), 2, "{wire:?}");
-            if wire == Transport::Ucr {
-                let hit = c2.issue_get(b"p1").await.unwrap().complete().await;
-                assert_eq!(hit.unwrap().unwrap().data, b"x");
-            }
-        });
-        s.world.sim().run();
+    let case = Case {
+        depth: 4,
+        bypass: true,
+        ..command_sets(&wires)
+    };
+    let s = run_case(&case, false).bed;
+    let ucr = s.clients[0].clone();
+    s.world.sim().block_on(async move {
+        let hit = ucr.issue_get(b"c0-k0").await.unwrap().complete().await;
+        assert!(hit.unwrap().is_some());
+    });
+    s.world.sim().run();
+    for c in &s.clients {
         let name = format!("client.node{}.ops_completed", c.node().0);
         let completed = s.world.cluster.metrics().counter_value(&name);
-        assert_eq!(completed, c.ops_issued(), "{wire:?}");
+        assert_eq!(completed, c.ops_issued(), "{name}");
     }
 }
 
@@ -238,26 +192,13 @@ fn ucr_serves_the_longest_key_and_refuses_one_past_it() {
     });
 }
 
-/// The design goal of §V-A: one server serves every client family, on the
-/// same data. A client on `a` and one on `b` each read the other's value.
-fn two_wires_share_one_store(a: Transport, b: Transport) -> Scenario {
-    let clients = [a, b].map(|wire| McClientConfig::single(wire, SRV));
-    let s = Scenario::new(world_a(), McServerConfig::default(), clients);
-    let (ca, cb) = (s.clients[0].clone(), s.clients[1].clone());
-    s.world.sim().block_on(async move {
-        ca.set(b"shared", b"from-a", 0, 0).await.unwrap();
-        let v = cb.get(b"shared").await.unwrap().unwrap();
-        assert_eq!(v.data, b"from-a", "{a:?} to {b:?}");
-        cb.set(b"shared", b"from-b", 0, 0).await.unwrap();
-        let v = ca.get(b"shared").await.unwrap().unwrap();
-        assert_eq!(v.data, b"from-b", "{b:?} to {a:?}");
-    });
-    s
-}
-
 #[test]
 fn sockets_and_ucr_clients_share_one_server() {
-    let s = two_wires_share_one_store(Transport::Ucr, Transport::Sockets(Stack::Sdp));
+    let s = run_case(
+        &shared_by(Transport::Ucr, Transport::Sockets(Stack::Sdp)),
+        false,
+    )
+    .bed;
     assert!(s.server.stats().ucr_requests.get() >= 2);
     assert!(s.server.stats().sock_requests.get() >= 2);
 }
@@ -597,32 +538,13 @@ fn timed_out_stream_op_does_not_poison_the_next_one() {
 
 #[test]
 fn many_clients_one_server_all_complete() {
-    let Scenario { world, server, .. } = Scenario::new(world_b(), McServerConfig::default(), []);
-    let sim = world.sim().clone();
-    let mut joins = Vec::new();
-    for i in 0..8u32 {
-        let c = McClient::new(
-            &world,
-            NodeId(1 + (i % 7)),
-            McClientConfig::single(Transport::Ucr, SRV),
-        );
-        joins.push(sim.spawn(async move {
-            for j in 0..50u32 {
-                let key = format!("c{i}-k{j}");
-                c.set(key.as_bytes(), key.as_bytes(), 0, 0).await.unwrap();
-                let v = c.get(key.as_bytes()).await.unwrap().unwrap();
-                assert_eq!(v.data, key.as_bytes());
-            }
-        }));
-    }
-    sim.block_on(async move {
-        for j in joins {
-            j.await;
-        }
-    });
-    assert_eq!(server.curr_items(), 8 * 50);
-    let st = server.store_stats();
-    assert_eq!(st.get_hits, 8 * 50);
+    let s = run_case(
+        &Case::fixed(true, vec![(Transport::Ucr, set_and_get(50)); 8]),
+        false,
+    )
+    .bed;
+    assert_eq!(s.server.curr_items(), 8 * 50);
+    assert_eq!(s.server.store_stats().get_hits, 8 * 50);
 }
 
 // ---------------------------------------------------------------------
@@ -684,7 +606,7 @@ fn roce_unavailable_on_cluster_b() {
 
 #[test]
 fn mixed_roce_and_ib_clients_share_data() {
-    two_wires_share_one_store(Transport::Ucr, Transport::UcrRoce);
+    run_case(&shared_by(Transport::Ucr, Transport::UcrRoce), false);
 }
 
 #[test]
@@ -774,35 +696,17 @@ fn server_evicts_under_memory_pressure_end_to_end() {
     assert!(s.server.store_stats().evictions > 0);
 }
 
+/// §V-A: "a worker thread can handle several clients at a time."
 #[test]
 fn workers_one_still_serves_many_clients() {
-    // §V-A: "a worker thread can handle several clients at a time."
-    let one_worker = McServerConfig {
-        workers: 1,
-        ..McServerConfig::default()
-    };
-    let s = Scenario::new(world_b(), one_worker, []);
-    let (world, sim) = (&s.world, s.world.sim().clone());
-    let mut joins = Vec::new();
-    for i in 0..6u32 {
-        let c = McClient::new(
-            world,
-            NodeId(1 + (i % 6)),
-            McClientConfig::single(Transport::Ucr, SRV),
-        );
-        joins.push(sim.spawn(async move {
-            for j in 0..20u32 {
-                let key = format!("w1-{i}-{j}");
-                c.set(key.as_bytes(), b"v", 0, 0).await.unwrap();
-                assert!(c.get(key.as_bytes()).await.unwrap().is_some());
-            }
-        }));
-    }
-    sim.block_on(async move {
-        for j in joins {
-            j.await;
-        }
-    });
+    let clients = vec![(Transport::Ucr, set_and_get(20)); 6];
+    run_case(
+        &Case {
+            workers: 1,
+            ..Case::fixed(true, clients)
+        },
+        false,
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -811,13 +715,19 @@ fn workers_one_still_serves_many_clients() {
 
 #[test]
 fn binary_protocol_full_command_set() {
-    serves_the_command_set(Transport::Binary(Stack::TenGigEToe));
+    run_case(
+        &command_sets(&[Transport::Binary(Stack::TenGigEToe)]),
+        false,
+    );
 }
 
 #[test]
 fn ascii_and_binary_clients_coexist_on_one_server() {
     let toe = Stack::TenGigEToe;
-    two_wires_share_one_store(Transport::Binary(toe), Transport::Sockets(toe));
+    run_case(
+        &shared_by(Transport::Binary(toe), Transport::Sockets(toe)),
+        false,
+    );
 }
 
 #[test]
@@ -847,13 +757,16 @@ fn binary_multiget_pipelines_quietly() {
 
 #[test]
 fn udp_transport_serves_the_command_set() {
-    serves_the_command_set(Transport::Udp(Stack::TenGigEToe));
+    run_case(&command_sets(&[Transport::Udp(Stack::TenGigEToe)]), false);
 }
 
 #[test]
 fn udp_and_tcp_share_the_same_store() {
     let toe = Stack::TenGigEToe;
-    two_wires_share_one_store(Transport::Udp(toe), Transport::Sockets(toe));
+    run_case(
+        &shared_by(Transport::Udp(toe), Transport::Sockets(toe)),
+        false,
+    );
 }
 
 #[test]

@@ -13,6 +13,10 @@ use rmc::{
 };
 use simnet::{Event, EventSink, Metrics, NodeId, Phase, SimDuration, SimTime, Stack};
 
+#[path = "cells/scenario.rs"]
+mod scenario;
+use scenario::{command_set, run_case, Call, Case, Val};
+
 const SRV: NodeId = NodeId(0);
 const CLI: NodeId = NodeId(1);
 
@@ -236,79 +240,41 @@ fn sharded_prom_exposes_per_shard_series() {
     }
 }
 
+/// An mget of hits and misses whose keys span the shards is served split
+/// per shard and merged, with several workers, and answers what one store
+/// answers, in request order.
 #[test]
 fn sharded_mget_preserves_per_key_results() {
-    // The same mget must return identical entries, in identical order,
-    // whether it is served whole (Idealized) or split per shard and
-    // merged (Sharded with multiple workers).
-    let mut reference: Option<Vec<(Vec<u8>, Vec<u8>)>> = None;
-    for model in [StoreModel::Idealized, StoreModel::Sharded(8)] {
-        let config = McServerConfig {
-            store_model: model,
-            ..McServerConfig::default()
-        };
-        let client = McClientConfig::single(Transport::Ucr, SRV);
-        let s = Scenario::new(World::cluster_b(17, 8), config, [client]);
-        let c = s.clients[0].clone();
-        let got = s.world.sim().block_on(async move {
-            for i in 0..24u32 {
-                let key = format!("mg-{i}");
-                let val = format!("val-{i}");
-                c.set(key.as_bytes(), val.as_bytes(), 0, 0).await.unwrap();
-            }
-            // Mixed hits and misses, shard-interleaved request order.
-            let keys: Vec<Vec<u8>> = (0..24u32)
-                .map(|i| format!("mg-{i}").into_bytes())
-                .chain([b"mg-miss-a".to_vec(), b"mg-miss-b".to_vec()])
-                .collect();
-            let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
-            c.mget(&refs).await.unwrap()
-        });
-        let entries: Vec<(Vec<u8>, Vec<u8>)> = got
-            .into_iter()
-            .map(|(k, v)| (k, v.data.into_vec()))
-            .collect();
-        assert_eq!(entries.len(), 24, "misses are dropped, hits kept");
-        match &reference {
-            None => reference = Some(entries),
-            Some(want) => assert_eq!(want, &entries, "{model:?} diverged"),
-        }
-    }
+    let stream = vec![set_many(0..24), Call::Mget((0..26).collect())];
+    let client = vec![(Transport::Ucr, stream)];
+    run_case(
+        &Case {
+            store: StoreModel::Sharded(8),
+            ..Case::fixed(true, client)
+        },
+        false,
+    );
 }
 
+/// An ASCII multi-key get over a byte stream visits the shards group by
+/// group but answers in request order, and the command set still behaves
+/// through the shard router.
 #[test]
 fn sharded_sockets_keep_request_order() {
-    // ASCII multi-key get over a byte-stream transport visits shards
-    // group by group but must still answer in request order.
-    let sharded = McServerConfig {
+    let mut stream = vec![set_many(6..22), Call::Mget((6..22).collect())];
+    stream.extend(command_set());
+    let client = vec![(Transport::Sockets(Stack::Sdp), stream)];
+    let sharded = Case {
         workers: 2,
-        store_model: StoreModel::Sharded(4),
-        ..McServerConfig::default()
+        store: StoreModel::Sharded(4),
+        ..Case::fixed(false, client)
     };
-    let client = McClientConfig::single(Transport::Sockets(Stack::Sdp), SRV);
-    let s = Scenario::new(World::cluster_a(19, 8), sharded, [client]);
-    let c = s.clients[0].clone();
-    s.world.sim().block_on(async move {
-        for i in 0..16u32 {
-            let key = format!("sk-{i}");
-            let val = format!("sv-{i}");
-            c.set(key.as_bytes(), val.as_bytes(), 0, 0).await.unwrap();
-        }
-        let keys: Vec<Vec<u8>> = (0..16u32).map(|i| format!("sk-{i}").into_bytes()).collect();
-        let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
-        let got = c.mget(&refs).await.unwrap();
-        assert_eq!(got.len(), 16);
-        for (i, (k, v)) in got.iter().enumerate() {
-            assert_eq!(k, &format!("sk-{i}").into_bytes(), "order broke at {i}");
-            assert_eq!(v.data, format!("sv-{i}").into_bytes());
-        }
-        // Full command set still behaves through the shard router.
-        c.incr(b"sk-n", 1).await.unwrap_err();
-        c.set(b"sk-n", b"41", 0, 0).await.unwrap();
-        assert_eq!(c.incr(b"sk-n", 1).await.unwrap(), 42);
-        assert!(c.delete(b"sk-3").await.unwrap());
-        assert_eq!(c.get(b"sk-3").await.unwrap(), None);
-    });
+    run_case(&sharded, false);
+}
+
+/// One batch setting each of `keys`.
+fn set_many(keys: std::ops::Range<usize>) -> Call {
+    Call::SetMany(keys.map(|k| (k, Val(k % 3, k as u8))).collect())
 }
 
 #[test]

@@ -8,7 +8,8 @@ use std::rc::{Rc, Weak};
 
 use crate::lent::Lent;
 
-/// At most `cap` idle items, the one given back last lent first; one coming
+/// At most `cap` idle items, the one given back last taken first (a copy
+/// [`lend`](FreeList::lend)s the most recent one that fits it); one coming
 /// back to a full list is dropped. A list of byte buffers also has a keep
 /// bound: a buffer comes back emptied, and one grown past the bound is freed.
 pub struct FreeList<T> {
@@ -30,13 +31,6 @@ impl<T> FreeList<T> {
         self.idle.borrow_mut().pop()
     }
 
-    /// The item given back last, if one is idle and `fits` it; otherwise
-    /// the list is left as it was.
-    pub fn take_if(&self, fits: impl FnOnce(&T) -> bool) -> Option<T> {
-        let mut idle = self.idle.borrow_mut();
-        idle.pop_if(|item| fits(item))
-    }
-
     /// Keeps `item` while fewer than the cap are idle, drops it otherwise.
     pub fn give_back(&self, item: T) {
         let mut idle = self.idle.borrow_mut();
@@ -55,7 +49,7 @@ impl<T> FreeList<T> {
         self.len() == 0
     }
 
-    /// The idle items, in the order they came back.
+    /// The idle items, the one given back last at the end.
     pub fn idle(&self) -> Ref<'_, [T]> {
         Ref::map(self.idle.borrow(), Vec::as_slice)
     }
@@ -80,16 +74,14 @@ impl FreeList<Vec<u8>> {
         }
     }
 
-    /// A copy of `data` lent out of this list: in the idle buffer given
-    /// back last if its capacity is at least `data`'s length and under
-    /// twice it, so a small copy never pins a large buffer, or else in a
-    /// fresh buffer of exactly that length. Empty data takes no buffer.
+    /// A copy of `data` lent out of this list: in the idle buffer that
+    /// [`take_fitting`] picks for its length, or else in a fresh buffer of
+    /// exactly that length. Empty data takes no buffer.
     pub fn lend(self: &Rc<Self>, data: &[u8]) -> Lent {
         let mut buf = match data.len() {
             0 => Vec::new(),
             len => {
-                let fits = len..len.saturating_mul(2);
-                let idle = self.take_if(|buf| fits.contains(&buf.capacity()));
+                let idle = take_fitting(&mut self.idle.borrow_mut(), len);
                 idle.unwrap_or_else(|| Vec::with_capacity(len))
             }
         };
@@ -97,6 +89,18 @@ impl FreeList<Vec<u8>> {
         let home: Weak<Self> = Rc::downgrade(self);
         Lent::new(buf, home)
     }
+}
+
+/// Takes out of `idle` the buffer given back most recently whose capacity
+/// is at least `len` and under twice it, so a small payload never pins a
+/// large buffer: the search of every byte pool. The last buffer moves into
+/// the taken one's place.
+pub fn take_fitting(idle: &mut Vec<Vec<u8>>, len: usize) -> Option<Vec<u8>> {
+    let fits = len..len.saturating_mul(2);
+    let at = idle
+        .iter()
+        .rposition(|buf| fits.contains(&buf.capacity()))?;
+    Some(idle.swap_remove(at))
 }
 
 #[cfg(test)]
@@ -112,13 +116,6 @@ mod tests {
             (list.take(), list.take(), list.take()),
             (Some(1), Some(0), None)
         );
-        (0..2).for_each(|i| list.give_back(i));
-        assert_eq!(
-            list.take_if(|&i| i == 0),
-            None,
-            "only the last is looked at"
-        );
-        assert_eq!((list.take_if(|&i| i == 1), list.len()), (Some(1), 1));
         let bytes = FreeList::of_bytes(2, 64);
         bytes.give_back_bytes(Vec::with_capacity(65));
         assert!(bytes.is_empty(), "grown past the keep bound, freed");
@@ -127,5 +124,24 @@ mod tests {
         bytes.give_back_bytes(used);
         let reused = bytes.take().expect("kept");
         assert_eq!((reused.as_ptr(), reused.len()), (at, 0), "emptied");
+    }
+
+    /// Values of two sizes lent by turns each find the buffer the last one
+    /// of their size went back in, though the other size went back since.
+    #[test]
+    fn alternating_sizes_each_reuse_their_own_buffer() {
+        let pool = Rc::new(FreeList::of_bytes(4, usize::MAX));
+        let (small, large) = (vec![1u8; 100], vec![2u8; 10_000]);
+        let mut seen = Vec::new();
+        for _ in 0..50 {
+            for data in [&small, &large] {
+                let lent = pool.lend(data);
+                assert_eq!(&lent[..], &data[..]);
+                seen.push(lent.as_ptr());
+            }
+        }
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), 2, "one buffer per size, each reused");
     }
 }

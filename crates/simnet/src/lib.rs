@@ -55,7 +55,7 @@ pub mod vlock;
 
 pub use engine::{EventTarget, JoinHandle, Sim, TaskId};
 pub use fabric::{Cluster, Network, Node, NodeId};
-pub use free_list::FreeList;
+pub use free_list::{take_fitting, FreeList};
 pub use lent::{Lender, Lent};
 pub use metrics::Metrics;
 pub use profiler::{

@@ -26,7 +26,7 @@ use std::task::{Poll, Waker};
 use simnet::profiles::{ClusterProfile, UCR_EAGER_THRESHOLD};
 use simnet::sync::{oneshot, OneReceiver, OneSender};
 use simnet::trace::{Layer, Track};
-use simnet::{FreeList, Lender, NodeId, Sim, SimDuration, SimTime, Tracer};
+use simnet::{take_fitting, FreeList, Lender, NodeId, Sim, SimDuration, SimTime, Tracer};
 use verbs::{
     Access, Cq, Hca, IbFabric, Mr, MrSlice, Pd, QpType, QueuePair, SendOp, SendWr, Srq, Wc,
     WcOpcode,
@@ -237,15 +237,9 @@ pub(crate) struct RndvPool {
 }
 
 impl RndvPool {
-    /// The idle buffer given back last whose capacity is at least `len`
-    /// and under twice it, so a small payload never pins a large buffer.
+    /// The idle buffer [`take_fitting`] picks for `len` bytes.
     fn take(&self, len: usize) -> Option<Vec<u8>> {
-        let mut free = self.free.borrow_mut();
-        let fits = len..len.saturating_mul(2);
-        let at = free
-            .iter()
-            .rposition(|buf| fits.contains(&buf.capacity()))?;
-        let buf = free.swap_remove(at);
+        let buf = take_fitting(&mut self.free.borrow_mut(), len)?;
         self.idle_bytes.set(self.idle_bytes.get() - buf.capacity());
         Some(buf)
     }
@@ -2001,8 +1995,9 @@ mod tests {
     /// An eager payload a handler takes from the pool is copied into a
     /// buffer from the runtime's eager pool. One the handler drops goes back
     /// and carries the next payload it fits; one it keeps leaves the pool; a
-    /// payload the buffer given back last does not fit takes a fresh buffer
-    /// of exactly its length, and an empty one takes none. None of them is
+    /// payload no idle buffer fits (by `take_fitting`: at least its length,
+    /// under twice it) takes a fresh buffer of exactly its length, and an
+    /// empty one takes none. None of them is
     /// a rendezvous buffer, so `mr_cache_*` count none.
     #[test]
     fn an_eager_payload_rides_in_a_buffer_from_the_eager_pool() {

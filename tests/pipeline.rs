@@ -10,23 +10,18 @@
 //! the eight workers, past the progress-task wall — at 16 clients ×
 //! depth 8, never a loss for a single pipelined client.
 
-use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::rc::Rc;
-
-use rdma_memcached::mcproto::UDP_CHUNK_BYTES;
-use rdma_memcached::rmc::{
-    McClient, McClientConfig, McError, McServerConfig, Scenario, StoreModel, Transport, World,
-};
-use rdma_memcached::simnet::{
-    check_cases, Event, EventRecorder, NodeId, Phase, SimDuration, SimRng, SimTime, Stack,
-};
+use rdma_memcached::rmc::{McClientConfig, McServerConfig, Scenario, Transport, World};
+use rdma_memcached::simnet::{check_cases, NodeId, Phase, SimDuration, Stack};
 use rdma_memcached::socksim::STREAM_BUF_KEEP;
 use rmc_bench::json::{self, Json};
 use rmc_bench::{
     run_pipeline_gets, run_throughput, run_windowed_gets, ucr_totals, ClusterKind, WindowedRun,
     DEFAULT_TPUT_OPS, WINDOWED_CLIENTS,
 };
+
+#[path = "../crates/core/tests/cells/scenario.rs"]
+mod scenario;
+use scenario::{run_case, Call, Case, Val, KEYS, VALUE_SIZES};
 
 /// A UCR client keeping up to `depth` requests in flight.
 fn ucr(depth: usize) -> McClientConfig {
@@ -89,7 +84,7 @@ fn pipelined_batches_work_over_sockets() {
     ] {
         let case = |depth| one_client(wire, depth, set_then_get(0, 3));
         assert!(
-            run_case(&case(8), false).0 < run_case(&case(1), false).0,
+            run_case(&case(8), false).end < run_case(&case(1), false).end,
             "{wire:?}"
         );
     }
@@ -159,7 +154,7 @@ fn dropped_in_flight_handles_leave_no_parked_responses() {
 #[test]
 fn tracing_adds_no_virtual_time_to_pipelined_paths() {
     let case = mixed_rounds(75, 4);
-    assert_eq!(run_case(&case, false).0, run_case(&case, true).0);
+    assert_eq!(run_case(&case, false).end, run_case(&case, true).end);
 }
 
 /// Equal seeds give bit-equal clocks: the pipelined engine (in-flight
@@ -168,7 +163,7 @@ fn tracing_adds_no_virtual_time_to_pipelined_paths() {
 #[test]
 fn pipelined_runs_are_deterministic() {
     let case = mixed_rounds(76, 3);
-    assert_eq!(run_case(&case, true).0, run_case(&case, true).0);
+    assert_eq!(run_case(&case, true).end, run_case(&case, true).end);
 }
 
 /// One UCR client at depth 8 on Cluster B seeded `seed`: sets of every
@@ -342,13 +337,13 @@ fn a_single_pipelined_client_loses_nothing() {
 #[test]
 fn mixed_eager_and_rendezvous_stream_arrives_in_send_order() {
     let sizes: Vec<usize> = (0..KEYS).map(|k| [5, 0, 1, 4, 0, 1][k % 6]).collect();
-    let sets = Call::SetMany(sizes.iter().copied().enumerate().collect());
+    let sets = Call::SetMany((0..KEYS).map(|k| (k, Val(sizes[k], k as u8))).collect());
     let case = one_client(
         Transport::Ucr,
         8,
         vec![sets, Call::GetMany((0..KEYS).collect())],
     );
-    let (_, events) = run_case(&case, true);
+    let events = run_case(&case, true).events;
     let replies = events.iter().filter(|e| {
         e.name == "header_handler" && e.phase == Phase::Begin && e.node == Some(NodeId(1))
     });
@@ -360,266 +355,27 @@ fn mixed_eager_and_rendezvous_stream_arrives_in_send_order() {
 }
 
 // ---------------------------------------------------------------------
-// The scenario sweep: each wire, store model, depth and bypass setting,
-// with drawn streams of batch and single calls
+// The scenario sweep: drawn cases of `run_case`
 // ---------------------------------------------------------------------
-
-/// Value sizes the sweep draws from: three eager on UCR, three past its
-/// 8 KB threshold (a reply adds its header). Client `i` stores values of
-/// these sizes plus `i`, so a length names its client.
-const VALUE_SIZES: [usize; 6] = [1, 100, 1000, 8000, 9000, 20 << 10];
-
-/// Keys each client draws from; no two clients share one.
-const KEYS: usize = 48;
-
-/// One call of a client's stream, over its own keys `0..KEYS`; a batch
-/// names each key once.
-#[derive(Debug, Clone)]
-enum Call {
-    /// `(key, index into VALUE_SIZES)` pairs.
-    SetMany(Vec<(usize, usize)>),
-    GetMany(Vec<usize>),
-    Get(usize),
-    Mget(Vec<usize>),
-    Delete(usize),
-}
-
-/// A server and one client per stream, all on the same settings.
-#[derive(Debug, Clone)]
-struct Case {
-    seed: u64,
-    /// Cluster B (QDR, sockets over IPoIB) or A (DDR, sockets over
-    /// 10GigE-TOE).
-    cluster_b: bool,
-    wire: Transport,
-    store: StoreModel,
-    depth: usize,
-    bypass: bool,
-    streams: Vec<Vec<Call>>,
-}
-
-impl Case {
-    fn draw(r: &mut SimRng) -> Case {
-        let pick = |r: &mut SimRng, n: usize| r.gen_range_u64(0, n as u64) as usize;
-        let keys = |r: &mut SimRng| {
-            let mut keys = r.vec_of(1..25, |r| pick(r, KEYS));
-            keys.sort_unstable();
-            keys.dedup();
-            keys
-        };
-        let call = |r: &mut SimRng| match pick(r, 5) {
-            0 => Call::SetMany(keys(r).into_iter().map(|k| (k, pick(r, 6))).collect()),
-            1 => Call::GetMany(keys(r)),
-            2 => Call::Get(pick(r, KEYS)),
-            3 => Call::Mget(keys(r)),
-            _ => Call::Delete(pick(r, KEYS)),
-        };
-        let cluster_b = r.gen_bool(0.5);
-        let stack = [Stack::TenGigEToe, Stack::Ipoib][cluster_b as usize];
-        let wires = [
-            Transport::Ucr,
-            Transport::Sockets(stack),
-            Transport::Binary(stack),
-            Transport::Udp(stack),
-        ];
-        let stores = [
-            StoreModel::Idealized,
-            StoreModel::GlobalLock,
-            StoreModel::Sharded(4),
-        ];
-        Case {
-            seed: r.gen_range_u64(0, 1000),
-            cluster_b,
-            wire: wires[pick(r, 4)],
-            store: stores[pick(r, 3)],
-            depth: if r.gen_bool(0.5) { 1 } else { 8 },
-            bypass: r.gen_bool(0.5),
-            streams: r.vec_of(1..5, |r| r.vec_of(1..8, call)),
-        }
-    }
-}
-
-/// Runs client `i`'s calls (on node `i + 1`) against a model of its keys:
-/// every call completes once, with the model's values; after each one
-/// `monotone` checks the registry. Over UDP a set larger than one datagram
-/// is refused and stores nothing. Returns the length of each value set, in
-/// the order the sets were issued.
-async fn run_stream(
-    client: McClient,
-    calls: Vec<Call>,
-    udp: bool,
-    monotone: Rc<dyn Fn()>,
-) -> Vec<usize> {
-    let i = client.node().0 as usize - 1;
-    let key = |k: usize| format!("c{i}-k{k}").into_bytes();
-    let mut model: BTreeMap<usize, Vec<u8>> = BTreeMap::new();
-    let (mut written, mut sets) = (0u8, Vec::new());
-    for call in calls {
-        match &call {
-            Call::SetMany(items) => {
-                let kv: Vec<(Vec<u8>, Vec<u8>)> = items
-                    .iter()
-                    .map(|&(k, z)| {
-                        written = written.wrapping_add(1);
-                        sets.push(VALUE_SIZES[z] + i);
-                        (key(k), vec![written; VALUE_SIZES[z] + i])
-                    })
-                    .collect();
-                let refs: Vec<(&[u8], &[u8])> = kv.iter().map(|(k, v)| (&k[..], &v[..])).collect();
-                let stored = client.set_many(&refs, 0, 0).await.unwrap();
-                for ((&(k, _), (_, v)), got) in items.iter().zip(&kv).zip(stored) {
-                    if !udp || v.len() < UDP_CHUNK_BYTES {
-                        assert_eq!(got, Ok(()), "{call:?}");
-                        model.insert(k, v.clone());
-                    } else {
-                        assert_eq!(got, Err(McError::TooLarge), "{call:?}");
-                    }
-                }
-            }
-            Call::GetMany(keys) => {
-                let names: Vec<Vec<u8>> = keys.iter().map(|&k| key(k)).collect();
-                let refs: Vec<&[u8]> = names.iter().map(Vec::as_slice).collect();
-                let got = client.get_many(&refs).await.unwrap();
-                let got: Vec<_> = got
-                    .into_iter()
-                    .map(|v| v.map(|v| v.data.into_vec()))
-                    .collect();
-                let want: Vec<_> = keys.iter().map(|k| model.get(k).cloned()).collect();
-                assert_eq!(got, want, "{call:?}");
-            }
-            Call::Get(k) => {
-                let got = client
-                    .get(&key(*k))
-                    .await
-                    .unwrap()
-                    .map(|v| v.data.into_vec());
-                assert_eq!(got, model.get(k).cloned(), "{call:?}");
-            }
-            Call::Mget(keys) => {
-                let names: Vec<Vec<u8>> = keys.iter().map(|&k| key(k)).collect();
-                let refs: Vec<&[u8]> = names.iter().map(Vec::as_slice).collect();
-                let got = client.mget(&refs).await.unwrap();
-                let got: Vec<_> = got
-                    .into_iter()
-                    .map(|(k, v)| (k, v.data.into_vec()))
-                    .collect();
-                let want: Vec<_> = keys
-                    .iter()
-                    .filter_map(|k| Some((key(*k), model.get(k)?.clone())))
-                    .collect();
-                assert_eq!(got, want, "{call:?}");
-            }
-            Call::Delete(k) => {
-                let got = client.delete(&key(*k)).await.unwrap();
-                assert_eq!(got, model.remove(k).is_some(), "{call:?}");
-            }
-        }
-        monotone();
-    }
-    sets
-}
-
-/// Runs `c`, `traced` or not: each client's stream at once, then, at
-/// quiesce, nothing parked in any client's in-flight table and, traced on
-/// UCR at depth 8, each connection's set requests announced to the
-/// server's header handlers in the order the client issued them. Returns
-/// the virtual time the last stream ended, and what the tracer recorded.
-fn run_case(c: &Case, traced: bool) -> (SimTime, Vec<Event>) {
-    let store_model = c.store;
-    let server = McServerConfig {
-        store_model,
-        ..McServerConfig::default()
-    };
-    let mut client = McClientConfig::single(c.wire, NodeId(0));
-    (client.pipeline_depth, client.bypass_get) = (c.depth, c.bypass);
-    let (n, world) = (
-        c.streams.len(),
-        [World::cluster_a, World::cluster_b][c.cluster_b as usize],
-    );
-    let s = Scenario::new(world(c.seed, n as u32 + 1), server, vec![client; n]);
-    let recorder = EventRecorder::new();
-    if traced {
-        s.world.cluster.tracer().add_sink(recorder.clone());
-    }
-    let sim = s.world.sim().clone();
-    let (metrics, last) = (
-        s.world.cluster.metrics().clone(),
-        RefCell::new(BTreeMap::new()),
-    );
-    let monotone: Rc<dyn Fn()> = Rc::new(move || {
-        for (name, counter) in metrics.counters() {
-            let (now, before) = (
-                counter.get(),
-                last.borrow_mut().insert(name.clone(), counter.get()),
-            );
-            assert!(now >= before.unwrap_or(0), "{name} fell to {now}");
-        }
-    });
-    let udp = matches!(c.wire, Transport::Udp(_));
-    let streams: Vec<_> = (s.clients.iter().cloned().zip(c.streams.clone()))
-        .map(|(client, calls)| sim.spawn(run_stream(client, calls, udp, monotone.clone())))
-        .collect();
-    let sim2 = sim.clone();
-    let (sets, end) = sim.block_on(async move {
-        let mut sets = Vec::new();
-        for stream in streams {
-            sets.push(stream.await);
-        }
-        (sets, sim2.now())
-    });
-    sim.run();
-    for client in &s.clients {
-        assert_eq!(client.pending_responses(), 0);
-    }
-    let events = recorder.events();
-    assert_eq!(traced, !events.is_empty());
-    if traced && c.wire == Transport::Ucr && c.depth == 8 {
-        let begun = events
-            .iter()
-            .filter(|e| e.name == "header_handler" && e.phase == Phase::Begin);
-        let at_server: Vec<usize> = begun
-            .filter(|e| e.node == Some(NodeId(0)))
-            .map(|e| e.bytes as usize)
-            .collect();
-        for (i, sets) in sets.iter().enumerate() {
-            let mine = at_server
-                .iter()
-                .filter(|&&b| VALUE_SIZES.iter().any(|&v| v + i == b));
-            assert_eq!(
-                mine.copied().collect::<Vec<_>>(),
-                *sets,
-                "client {i}'s sets at the server"
-            );
-        }
-    }
-    (end, events)
-}
 
 /// Sets keys `from..KEYS`, key `k` to a value of `VALUE_SIZES[k % sizes]`
 /// bytes, in one batch, then gets every key in one.
 fn set_then_get(from: usize, sizes: usize) -> Vec<Call> {
-    let sets = (from..KEYS).map(|k| (k, k % sizes)).collect();
+    let sets = (from..KEYS).map(|k| (k, Val(k % sizes, k as u8))).collect();
     vec![Call::SetMany(sets), Call::GetMany((0..KEYS).collect())]
 }
 
 /// One client on Cluster B, at `depth`, with the default server.
 fn one_client(wire: Transport, depth: usize, stream: Vec<Call>) -> Case {
-    let (store, streams) = (StoreModel::Idealized, vec![stream]);
-    let (seed, cluster_b, bypass) = (7, true, false);
     Case {
-        seed,
-        cluster_b,
-        wire,
-        store,
         depth,
-        bypass,
-        streams,
+        ..Case::fixed(true, vec![(wire, stream)])
     }
 }
 
-/// Any case: every op completes once with the model's value, nothing is
-/// left parked, counters only grow, and UCR's pipelined requests reach
-/// the server in the order they were issued.
+/// Any case: every call answers what the store answers, nothing is left
+/// parked, counters only grow, and UCR's pipelined values reach the server
+/// in the order they were sent.
 #[test]
 fn drawn_scenarios_complete_every_op_once_in_order() {
     let name = "drawn_scenarios_complete_every_op_once_in_order";
@@ -641,7 +397,7 @@ fn wide_scenario_sweep() {
 #[test]
 fn a_udp_batch_refuses_only_its_oversized_item() {
     let stream = vec![
-        Call::SetMany(vec![(0, 0), (1, 4), (2, 1)]),
+        Call::SetMany(vec![(0, Val(0, 1)), (1, Val(4, 2)), (2, Val(1, 3))]),
         Call::GetMany(vec![0, 1, 2]),
     ];
     let mut case = one_client(Transport::Udp(Stack::TenGigEToe), 8, stream);
