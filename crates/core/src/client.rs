@@ -697,7 +697,7 @@ impl McClient {
                                 // is the pool's buffer, lent on.
                                 let payload = match data {
                                     AmData::Pool(bytes) => bytes,
-                                    AmData::Placed(_) | AmData::Discarded => Lent::default(),
+                                    AmData::Discarded => Lent::default(),
                                 };
                                 *slot = Some(Answer::Reply(resp, payload));
                             }

@@ -140,7 +140,7 @@ impl AmHandler for ReqDispatch {
         };
         let data = match data {
             AmData::Pool(bytes) => bytes,
-            AmData::Placed(_) | AmData::Discarded => AmBytes::default(),
+            AmData::Discarded => AmBytes::default(),
         };
         srv.mark_dispatch(OpId::Wire(req.head.req_id), data.len() as u64);
         // Over a sharded store, keyed requests go to the owning shard's

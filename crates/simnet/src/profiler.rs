@@ -159,14 +159,13 @@ impl CriticalPath {
     /// Empty end-to-end yields `"-"`.
     pub fn signature(&self, min_share: f64) -> String {
         let mut out = String::new();
-        write_signature(self.signature_key(min_share), &mut out);
+        self.write_signature(min_share, &mut out);
         out
     }
 
-    /// The stages of [`CriticalPath::signature`] in their order, as one
-    /// word that names the signature: each stage's index plus one in four
-    /// bits, the first stage in the lowest. No stage is 0.
-    fn signature_key(&self, min_share: f64) -> u32 {
+    /// Appends [`CriticalPath::signature`] to `out`, allocating nothing
+    /// when `out` has room.
+    fn write_signature(&self, min_share: f64, out: &mut String) {
         let e2e = self.end_to_end.as_nanos();
         let mut parts = [(0u64, 0usize); PATH_STAGE_COUNT];
         let mut n = 0;
@@ -179,24 +178,14 @@ impl CriticalPath {
         }
         let parts = &mut parts[..n];
         parts.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        parts
-            .iter()
-            .rev()
-            .fold(0, |key, &(_, stage)| key << 4 | (stage as u32 + 1))
-    }
-}
-
-/// Appends the signature `key` names ([`CriticalPath::signature_key`]) to
-/// `out`: its stages joined with `>`, or `-` for none.
-fn write_signature(mut key: u32, out: &mut String) {
-    if key == 0 {
-        out.push('-');
-    }
-    while key != 0 {
-        out.push_str(PathStage::ALL[(key & 0xf) as usize - 1].label());
-        key >>= 4;
-        if key != 0 {
-            out.push('>');
+        if parts.is_empty() {
+            out.push('-');
+        }
+        for (i, (_, stage)) in parts.iter().enumerate() {
+            if i > 0 {
+                out.push('>');
+            }
+            out.push_str(PathStage::ALL[*stage].label());
         }
     }
 }
@@ -243,74 +232,10 @@ struct OpenPath {
 struct Frame {
     layer: Layer,
     name: &'static str,
-    /// The folded path this frame closes onto: its lane's and the frames'
-    /// below it, then its own.
-    path: PathId,
     begin: SimTime,
     /// Virtual time already attributed to closed children (subtracted to
     /// get this frame's exclusive time).
     child_ns: u64,
-}
-
-/// A folded path's index in [`FoldedPaths`].
-type PathId = u32;
-
-/// How a folded path extends the one it grows from: a lane's root
-/// (`node0;worker3`), or a span frame (`core:lock_wait`) on a path.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-enum PathStep {
-    Lane(Option<NodeId>, Track),
-    Frame(PathId, Layer, &'static str),
-}
-
-/// Every folded path seen, interned: an id per step from the path it grows
-/// from, so a frame's path is one lookup when it opens and a number when
-/// it closes. Strings are made only for [`Profiler::folded_lines`].
-#[derive(Default)]
-struct FoldedPaths {
-    /// By id: the path's last step, and its exclusive total once a frame
-    /// on it has closed.
-    steps: Vec<(PathStep, Option<u64>)>,
-    ids: HashMap<PathStep, PathId>,
-}
-
-impl FoldedPaths {
-    /// The id of the path `step` makes, interned the first time it is seen.
-    fn intern(&mut self, step: PathStep) -> PathId {
-        if let Some(&id) = self.ids.get(&step) {
-            return id;
-        }
-        let id = self.steps.len() as PathId;
-        self.steps.push((step, None));
-        self.ids.insert(step, id);
-        id
-    }
-
-    /// Adds `ns` to path `id`'s exclusive total.
-    fn tally(&mut self, id: PathId, ns: u64) {
-        let total = &mut self.steps[id as usize].1;
-        *total = Some(total.unwrap_or(0) + ns);
-    }
-
-    /// The paths some frame closed onto, with their totals.
-    fn tallied(&self) -> impl Iterator<Item = (PathId, u64)> + '_ {
-        let totals = self.steps.iter().map(|(_, total)| *total);
-        (0..)
-            .zip(totals)
-            .filter_map(|(id, total)| Some((id, total?)))
-    }
-
-    /// Appends path `id` in collapsed-stack form to `out`.
-    fn write(&self, id: PathId, out: &mut String) {
-        let _ = match self.steps[id as usize].0 {
-            PathStep::Lane(Some(n), track) => write!(out, "node{};{track}", n.0),
-            PathStep::Lane(None, track) => write!(out, "global;{track}"),
-            PathStep::Frame(parent, layer, name) => {
-                self.write(parent, out);
-                write!(out, ";{}:{name}", layer.label())
-            }
-        };
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -329,8 +254,8 @@ type LaneKey = (Option<NodeId>, Track, u64);
 /// histogram per stage: its sum is the stage's total, its quantiles the
 /// stage's p50/p99), end-to-end and residual totals. Folded stacks,
 /// signatures and the slowest paths count from attach on. A folded path
-/// is an interned id and a signature a word naming its stages; either is
-/// made a string only when it is read out.
+/// or a signature is written into one reused buffer and looked up by
+/// `&str`; a `String` key is made only the first time one is seen.
 pub struct Profiler {
     /// In-flight client ops by correlation id.
     open: RefCell<HashMap<u64, OpenPath>>,
@@ -342,7 +267,7 @@ pub struct Profiler {
     /// The stacks of closed lanes, emptied, for lanes yet to open.
     idle_stacks: FreeList<Vec<Frame>>,
     /// Folded exclusive totals: stack path → nanoseconds.
-    folded: RefCell<FoldedPaths>,
+    folded: RefCell<BTreeMap<String, u64>>,
     /// The [`SLOWEST_KEPT`] slowest completed paths, by `end_to_end`
     /// descending; reserved once, so keeping them allocates nothing.
     slowest: RefCell<Vec<CriticalPath>>,
@@ -358,8 +283,10 @@ pub struct Profiler {
     inexact: Rc<Counter>,
     /// `profile.unmatched_events`.
     unmatched_events: Rc<Counter>,
-    /// Cumulative signature counts, by [`CriticalPath::signature_key`].
-    signatures: RefCell<BTreeMap<u32, u64>>,
+    /// Cumulative signature counts.
+    signatures: RefCell<BTreeMap<String, u64>>,
+    /// The one buffer a folded path or a signature is written into.
+    scratch: RefCell<String>,
 }
 
 impl Profiler {
@@ -370,7 +297,7 @@ impl Profiler {
             open: RefCell::new(HashMap::new()),
             stacks: RefCell::new(HashMap::new()),
             idle_stacks: FreeList::new(IDLE_LANE_STACKS),
-            folded: RefCell::default(),
+            folded: RefCell::new(BTreeMap::new()),
             slowest: RefCell::new(Vec::with_capacity(SLOWEST_KEPT)),
             completed: metrics.counter("profile.paths"),
             stage_times: PathStage::ALL
@@ -380,6 +307,7 @@ impl Profiler {
             inexact: metrics.counter("profile.inexact_paths"),
             unmatched_events: metrics.counter("profile.unmatched_events"),
             signatures: RefCell::new(BTreeMap::new()),
+            scratch: RefCell::new(String::new()),
         })
     }
 
@@ -441,12 +369,7 @@ impl Profiler {
     /// first (signature order breaks ties, so output is deterministic).
     pub fn top_signatures(&self, k: usize) -> Vec<(String, u64)> {
         let sigs = self.signatures.borrow();
-        let named = sigs.iter().map(|(&key, &n)| {
-            let mut sig = String::new();
-            write_signature(key, &mut sig);
-            (sig, n)
-        });
-        let mut v: Vec<(String, u64)> = named.collect();
+        let mut v: Vec<(String, u64)> = sigs.iter().map(|(s, n)| (s.clone(), *n)).collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         v.truncate(k);
         v
@@ -473,17 +396,11 @@ impl Profiler {
     /// Folded collapsed-stack lines `(path, exclusive_ns)`, sorted by
     /// path — the flamegraph input format.
     pub fn folded_lines(&self) -> Vec<(String, u64)> {
-        let folded = self.folded.borrow();
-        let mut lines: Vec<(String, u64)> = folded
-            .tallied()
-            .map(|(id, ns)| {
-                let mut path = String::new();
-                folded.write(id, &mut path);
-                (path, ns)
-            })
-            .collect();
-        lines.sort_unstable();
-        lines
+        self.folded
+            .borrow()
+            .iter()
+            .map(|(k, v)| (k.clone(), *v))
+            .collect()
     }
 
     /// The `stats profile` report: audit totals, per-stage cumulative
@@ -540,7 +457,7 @@ impl Profiler {
         }
         out.push((
             "profile.folded_paths".into(),
-            self.folded.borrow().tallied().count().to_string(),
+            self.folded.borrow().len().to_string(),
         ));
         out
     }
@@ -644,8 +561,10 @@ impl Profiler {
         self.e2e_total_ns.add(path.end_to_end.as_nanos());
         self.residual_abs_total_ns
             .add(path.residual_ns.unsigned_abs());
-        let key = path.signature_key(SIGNATURE_MIN_SHARE);
-        *self.signatures.borrow_mut().entry(key).or_insert(0) += 1;
+        let mut sig = self.scratch.borrow_mut();
+        sig.clear();
+        path.write_signature(SIGNATURE_MIN_SHARE, &mut sig);
+        tally(&mut self.signatures.borrow_mut(), &sig, 1);
         self.keep_if_slow(path);
     }
 
@@ -667,22 +586,16 @@ impl Profiler {
     // -- folding ------------------------------------------------------
 
     fn fold_begin(&self, ev: &Event) {
-        let mut stacks = self.stacks.borrow_mut();
-        let stack = stacks
+        self.stacks
+            .borrow_mut()
             .entry((ev.node, ev.track, ev.op))
-            .or_insert_with(|| self.idle_stacks.take().unwrap_or_default());
-        let mut folded = self.folded.borrow_mut();
-        let parent = match stack.last() {
-            Some(top) => top.path,
-            None => folded.intern(PathStep::Lane(ev.node, ev.track)),
-        };
-        stack.push(Frame {
-            layer: ev.layer,
-            name: ev.name,
-            path: folded.intern(PathStep::Frame(parent, ev.layer, ev.name)),
-            begin: ev.at,
-            child_ns: 0,
-        });
+            .or_insert_with(|| self.idle_stacks.take().unwrap_or_default())
+            .push(Frame {
+                layer: ev.layer,
+                name: ev.name,
+                begin: ev.at,
+                child_ns: 0,
+            });
     }
 
     fn fold_end(&self, ev: &Event) {
@@ -715,7 +628,16 @@ impl Profiler {
                     _ => p.lock_hold += d,
                 });
             }
-            self.folded.borrow_mut().tally(f.path, exclusive);
+            let mut path = self.scratch.borrow_mut();
+            path.clear();
+            let _ = match key.0 {
+                Some(n) => write!(path, "node{};{}", n.0, key.1),
+                None => write!(path, "global;{}", key.1),
+            };
+            for fr in stack.iter().chain([&f]) {
+                let _ = write!(path, ";{}:{}", fr.layer.label(), fr.name);
+            }
+            tally(&mut self.folded.borrow_mut(), &path, exclusive);
             if let Some(parent) = stack.last_mut() {
                 parent.child_ns += inclusive;
             }
@@ -751,6 +673,17 @@ pub struct AuditReport {
 fn largest(ns: impl Fn(PathStage) -> u64) -> PathStage {
     let pick = |best: PathStage, s: PathStage| if ns(s) > ns(best) { s } else { best };
     PathStage::ALL.into_iter().fold(PathStage::Issue, pick)
+}
+
+/// Adds `n` to `key`'s count, making a `String` key only for a key not
+/// seen before.
+fn tally(counts: &mut BTreeMap<String, u64>, key: &str, n: u64) {
+    match counts.get_mut(key) {
+        Some(count) => *count += n,
+        None => {
+            counts.insert(key.to_string(), n);
+        }
+    }
 }
 
 fn span(from: Option<SimTime>, to: Option<SimTime>) -> SimDuration {

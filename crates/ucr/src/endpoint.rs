@@ -551,18 +551,6 @@ impl Endpoint {
         data: &[u8],
         opts: SendOptions,
     ) -> Result<(), UcrError> {
-        self.send(msg_id, hdr, Cow::Borrowed(data), opts).await
-    }
-
-    /// [`send_message`](Self::send_message), with owned data past the eager
-    /// threshold registered where it is instead of copied.
-    async fn send(
-        &self,
-        msg_id: u16,
-        hdr: &[u8],
-        data: Cow<'_, [u8]>,
-        opts: SendOptions,
-    ) -> Result<(), UcrError> {
         let inner = &self.inner;
         if inner.failed.get() {
             return Err(UcrError::EndpointFailed);
@@ -571,29 +559,28 @@ impl Endpoint {
         let (pkt, eager) = inner.plan(&rt, msg_id, hdr.len(), data.len(), &opts)?;
         if eager {
             rt.sim.sleep(rt.stage_cost(data.len())).await;
-            let buf = rt.stage(&pkt, hdr, &data);
+            let buf = rt.stage(&pkt, hdr, data);
             inner.send_eager(&rt, buf, opts.origin)
         } else {
-            inner.send_rndv(&rt, pkt, hdr, rt.rndv_source(data))
+            inner.send_rndv(&rt, pkt, hdr, rt.rndv_source(Cow::Borrowed(data)))
         }
     }
 
     /// Fire-and-forget variant usable from inside (synchronous) completion
-    /// handlers, taking `data` borrowed or owned. An eager message on a
-    /// reliable endpoint — a server's reply — is written into a send buffer
-    /// at the post, straight from `data`, staged in a record of the
-    /// endpoint and handed on by a targeted event once the staging delay
-    /// has passed (hold or post, as [`send_message`](Self::send_message)
-    /// does after the same delay). A rendezvous one is queued, its header
-    /// in a buffer from the runtime's header pool, for the runtime's
-    /// sender task, which the post wakes once and which advertises one
-    /// reply per poll, in post order. An unreliable one is sent by a
-    /// spawned task, with `data` as owned bytes. A borrow is copied once,
-    /// here: a rendezvous source into a buffer from the runtime's
-    /// rendezvous pool, a datagram into one of its own; an owned
-    /// rendezvous source is registered where it is. Either way a message
-    /// that could not be posted — the endpoint failed, its queue pair left
-    /// ready-to-send, the runtime shut down — counts one `send_failures`.
+    /// handlers, taking `data` borrowed or owned. An eager message — a
+    /// server's reply, on a reliable endpoint or an unreliable one — is
+    /// written into a send buffer at the post, straight from `data`, staged
+    /// in a record of the endpoint and handed on by a targeted event once
+    /// the staging delay has passed (hold or post, as
+    /// [`send_message`](Self::send_message) does after the same delay). A
+    /// rendezvous one is queued, its header in a buffer from the runtime's
+    /// header pool, for the runtime's sender task, which the post wakes
+    /// once and which advertises one reply per poll, in post order. A
+    /// borrowed rendezvous source is copied once, here, into a buffer from
+    /// the runtime's rendezvous pool; an owned one is registered where it
+    /// is. Either way a message that could not be posted — the endpoint
+    /// failed, its queue pair left ready-to-send, the runtime shut down —
+    /// counts one `send_failures`.
     pub fn post_message<'d>(
         &self,
         msg_id: u16,
@@ -610,7 +597,7 @@ impl Endpoint {
             inner.plan(&rt, msg_id, hdr.len(), data.len(), &opts)
         };
         match planned {
-            Ok((pkt, true)) if inner.ud_dest.is_none() => {
+            Ok((pkt, true)) => {
                 let at = rt.sim.now() + rt.stage_cost(data.len());
                 let key = inner.staged.borrow_mut().insert(Staged {
                     buf: rt.stage(&pkt, hdr, &data),
@@ -625,16 +612,6 @@ impl Endpoint {
                 hdr: rt.rndv_header(hdr),
                 data: rt.rndv_source(data),
             }),
-            Ok((_, true)) => {
-                let (ep, hdr, data) = (self.clone(), hdr.to_vec(), data.into_owned());
-                let failures = rt.stats.send_failures.clone();
-                rt.sim.spawn(async move {
-                    let sent = ep.send(msg_id, &hdr, Cow::Owned(data), opts).await;
-                    if sent.is_err() {
-                        failures.inc();
-                    }
-                });
-            }
             Err(_) => rt.stats.send_failures.inc(),
         }
     }

@@ -2,23 +2,21 @@
 //!
 //! An active message carries a `msg_id` selecting a registered handler at
 //! the target. The **header handler** runs when the header arrives and
-//! identifies the destination buffer for the data; UCR then places the
-//! data (memcpy off the network buffer for eager messages, RDMA read for
-//! rendezvous) and runs the **completion handler**.
+//! learns the data's length; it takes the data or drops it. UCR lands
+//! taken data in a buffer from one of its pools (a copy off the network
+//! buffer for eager messages, an RDMA read for rendezvous) and runs the
+//! **completion handler** with it.
 
 use crate::endpoint::Endpoint;
 
-/// Where the target wants an active message's data placed.
+/// What the target does with an active message's data.
 pub enum AmDest {
-    /// Let the runtime place it in a pool buffer; the completion handler
-    /// receives it as [`AmBytes`].
+    /// Land it in a runtime pool buffer; the completion handler receives
+    /// it as [`AmBytes`].
     Pool,
-    /// Place it directly into caller-provided registered memory: the
-    /// zero-copy path for a destination the header handler picks once it
-    /// knows the data's length. The memcached client does not use it: its
-    /// values are [`Pool`](AmDest::Pool) buffers, lent to its caller.
-    Buffer(verbs::MrSlice),
-    /// Drop the data (header-only protocols).
+    /// Drop it (header-only protocols). A rendezvous is still read, into a
+    /// pool buffer that goes straight back, so the peer's Fin comes as
+    /// always.
     Discard,
 }
 
@@ -35,12 +33,8 @@ pub type AmBytes = simnet::Lent;
 pub enum AmData {
     /// Data in a runtime pool buffer.
     Pool(AmBytes),
-    /// `n` bytes were placed into the buffer returned by the header
-    /// handler.
-    Placed(usize),
-    /// Nothing was placed: the header handler asked for the data to be
-    /// dropped, or the buffer it returned could not take them (a region
-    /// registered without `LOCAL_WRITE`, say).
+    /// Nothing was delivered: the header handler asked for the data to be
+    /// dropped.
     Discarded,
 }
 
@@ -49,7 +43,6 @@ impl AmData {
     pub fn len(&self) -> usize {
         match self {
             AmData::Pool(v) => v.len(),
-            AmData::Placed(n) => *n,
             AmData::Discarded => 0,
         }
     }
@@ -59,32 +52,34 @@ impl AmData {
         self.len() == 0
     }
 
-    /// The bytes, if the runtime owns them, taken out to keep.
+    /// The bytes, if any were delivered, taken out to keep.
     pub fn into_vec(self) -> Option<Vec<u8>> {
         match self {
             AmData::Pool(v) => Some(v.into_vec()),
-            _ => None,
+            AmData::Discarded => None,
         }
     }
 }
 
 /// A registered active-message handler.
 pub trait AmHandler {
-    /// Runs when the message header arrives; returns the data destination.
-    /// The default accepts into a pool buffer.
+    /// Runs when the message header arrives, with the data's length;
+    /// returns whether the data is taken. The default takes it into a pool
+    /// buffer.
     fn on_header(&self, ep: &Endpoint, hdr: &[u8], data_len: usize) -> AmDest {
         let _ = (ep, hdr, data_len);
         AmDest::Pool
     }
 
-    /// Runs once the data is fully placed. Replies are issued with
+    /// Runs once the data has landed. Replies are issued with
     /// [`Endpoint::post_message`] (handlers are synchronous; the post is
     /// fire-and-forget, as header/completion handlers must not block —
     /// the classic active-message restriction).
     fn on_complete(&self, ep: &Endpoint, hdr: &[u8], data: AmData);
 }
 
-/// Wraps a closure as a pool-destination handler.
+/// Wraps a closure as a completion handler whose header handler takes the
+/// data into a pool buffer.
 pub struct FnHandler<F>(pub F);
 
 impl<F: Fn(&Endpoint, &[u8], AmData)> AmHandler for FnHandler<F> {

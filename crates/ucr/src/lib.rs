@@ -47,6 +47,12 @@ mod onesided;
 mod runtime;
 mod wire;
 
+/// What a header handler's choice does with a message's data, a check
+/// shared with `tests/ucr.rs`.
+#[cfg(test)]
+#[path = "../tests/cells/header_choice.rs"]
+mod header_choice;
+
 pub use counter::Counter;
 pub use endpoint::{Endpoint, SendOptions};
 pub use handler::{AmBytes, AmData, AmDest, AmHandler, FnHandler};

@@ -28,8 +28,7 @@ use simnet::sync::{oneshot, OneReceiver, OneSender};
 use simnet::trace::{Layer, Track};
 use simnet::{take_fitting, FreeList, Lender, NodeId, Sim, SimDuration, SimTime, Tracer};
 use verbs::{
-    Access, Cq, Hca, IbFabric, Mr, MrSlice, Pd, QpType, QueuePair, SendOp, SendWr, Srq, Wc,
-    WcOpcode,
+    Access, Cq, Hca, IbFabric, Mr, Pd, QpType, QueuePair, SendOp, SendWr, Srq, Wc, WcOpcode,
 };
 
 use crate::counter::{Counter, CtrInner};
@@ -213,18 +212,17 @@ pub(crate) enum Pending {
     },
     /// A rendezvous request or a Fin.
     CtrlSend { ep: Weak<EpInner> },
+    /// A rendezvous read into `landing`, a region over bytes from the
+    /// rendezvous pool. Its bytes become the handler's [`AmBytes`] if its
+    /// header handler took the data (`keep`), and go straight back to the
+    /// pool otherwise.
     RndvRead {
         ep: Weak<EpInner>,
         pkt: PacketHeader,
         hdr: Vec<u8>,
-        dest: RndvDest,
+        landing: Mr,
+        keep: bool,
     },
-}
-
-pub(crate) enum RndvDest {
-    Pool(Mr),
-    Buffer(MrSlice),
-    Discard(Mr),
 }
 
 /// A runtime's idle rendezvous buffers, of `idle_bytes` capacity in all,
@@ -263,12 +261,6 @@ impl Lender for RndvPool {
         self.idle_bytes.set(idle);
         self.free.borrow_mut().push(buf);
     }
-}
-
-/// The two calls of an active message's handler, each traced as a span.
-enum HandlerPhase {
-    Header,
-    Completion,
 }
 
 pub(crate) struct RtInner {
@@ -742,11 +734,9 @@ impl RtInner {
                 Some((Pending::OneSided { src: Some(src), .. }, None)) => {
                     self.rndv.take_back(src.into_vec());
                 }
-                Some((Pending::RndvRead { hdr, dest, .. }, None)) => {
+                Some((Pending::RndvRead { hdr, landing, .. }, None)) => {
                     self.rndv_hdr_free.give_back_bytes(hdr);
-                    if let RndvDest::Pool(mr) | RndvDest::Discard(mr) = dest {
-                        self.rndv.take_back(mr.into_vec());
-                    }
+                    self.rndv.take_back(landing.into_vec());
                 }
                 _ => {}
             }
@@ -1088,19 +1078,12 @@ impl RtInner {
                 let hdr = self.rndv_header(first.hdr(&buf.bytes()));
                 self.recv_free.give_back(buf);
                 let track = Track::Endpoint(ep.id());
-                let on_header =
-                    self.handler_phase(HandlerPhase::Header, &ep, wc.wr_id, pkt.data_len, || {
+                let dest =
+                    self.handler_phase("header_handler", &ep, wc.wr_id, pkt.data_len, || {
                         handler.on_header(&ep, &hdr, pkt.data_len as usize)
                     });
-                let dest = match on_header {
-                    AmDest::Pool => RndvDest::Pool(self.rndv_landing(pkt.data_len as usize)),
-                    AmDest::Buffer(slice) => RndvDest::Buffer(slice),
-                    AmDest::Discard => RndvDest::Discard(self.rndv_landing(pkt.data_len as usize)),
-                };
-                let local = match &dest {
-                    RndvDest::Pool(mr) | RndvDest::Discard(mr) => mr.full(),
-                    RndvDest::Buffer(s) => s.clone(),
-                };
+                let landing = self.rndv_landing(pkt.data_len as usize);
+                let local = landing.full();
                 let remote = verbs::RemoteMemory {
                     node: ep.peer(),
                     rkey: pkt.rkey,
@@ -1112,7 +1095,8 @@ impl RtInner {
                     ep: Rc::downgrade(&ep.inner),
                     pkt,
                     hdr,
-                    dest,
+                    landing,
+                    keep: matches!(dest, AmDest::Pool),
                 });
                 // The rendezvous window: open when the target posts its
                 // RDMA read, closed when the pulled data has been
@@ -1171,26 +1155,16 @@ impl RtInner {
         // has been delivered.
         let bytes = buf.bytes();
         let (hdr, data) = (p.hdr(&bytes), p.data(&bytes));
-        let dest = self.handler_phase(HandlerPhase::Header, ep, wr_id, pkt.data_len, || {
+        let dest = self.handler_phase("header_handler", ep, wr_id, pkt.data_len, || {
             handler.on_header(ep, hdr, data_len)
         });
         let am_data = match dest {
-            // Single copy: the payload moves straight off the
-            // network buffer into a buffer from the eager pool.
-            // A copy for the handler, lent by the eager pool.
+            // Single copy: the payload moves straight off the network
+            // buffer into a buffer lent by the eager pool.
             AmDest::Pool => AmData::Pool(self.eager_free.lend(data)),
-            AmDest::Buffer(slice) => {
-                let n = data_len.min(slice.len());
-                // Copy into the caller's registered destination, if it
-                // takes the bytes.
-                match slice.write_prefix(&data[..n]) {
-                    Ok(()) => AmData::Placed(n),
-                    Err(_) => AmData::Discarded,
-                }
-            }
             AmDest::Discard => AmData::Discarded,
         };
-        self.handler_phase(HandlerPhase::Completion, ep, wr_id, pkt.data_len, || {
+        self.handler_phase("completion_handler", ep, wr_id, pkt.data_len, || {
             handler.on_complete(ep, hdr, am_data)
         });
         drop(bytes);
@@ -1201,21 +1175,18 @@ impl RtInner {
         }
     }
 
-    /// Runs `call`, one phase of a message's handler, inside that phase's
-    /// span on `ep`'s track, keyed by the work request `wr_id` that brought
-    /// the message's `bytes`.
+    /// Runs `call`, one phase of a message's handler, inside the span
+    /// `name` (`header_handler` or `completion_handler`) on `ep`'s track,
+    /// keyed by the work request `wr_id` that brought the message's
+    /// `bytes`.
     fn handler_phase<R>(
         &self,
-        phase: HandlerPhase,
+        name: &'static str,
         ep: &Endpoint,
         wr_id: u64,
         bytes: u64,
         call: impl FnOnce() -> R,
     ) -> R {
-        let name = match phase {
-            HandlerPhase::Header => "header_handler",
-            HandlerPhase::Completion => "completion_handler",
-        };
         let (node, track) = (self.node, Track::Endpoint(ep.id()));
         self.tracer
             .begin(Layer::Ucr, name, node, track, wr_id, bytes, self.sim.now());
@@ -1258,20 +1229,22 @@ impl RtInner {
                     self.fail_ep(&ep, 1);
                 }
             }
-            Pending::RndvRead { ep, pkt, hdr, dest } => {
+            Pending::RndvRead {
+                ep,
+                pkt,
+                hdr,
+                landing,
+                keep,
+            } => {
                 // The landing region deregisters here, whatever became of
                 // the read. Zero copy: its bytes become the handler's
                 // payload, which gives them back to the pool when dropped.
-                let am_data = match dest {
-                    RndvDest::Pool(mr) => {
-                        let home: Weak<RndvPool> = Rc::downgrade(&self.rndv);
-                        AmData::Pool(AmBytes::new(mr.into_vec(), home))
-                    }
-                    RndvDest::Buffer(_) => AmData::Placed(pkt.data_len as usize),
-                    RndvDest::Discard(mr) => {
-                        self.rndv.take_back(mr.into_vec());
-                        AmData::Discarded
-                    }
+                let am_data = if keep {
+                    let home: Weak<RndvPool> = Rc::downgrade(&self.rndv);
+                    AmData::Pool(AmBytes::new(landing.into_vec(), home))
+                } else {
+                    self.rndv.take_back(landing.into_vec());
+                    AmData::Discarded
                 };
                 let Some(ep_rc) = ep.upgrade() else {
                     self.rndv_hdr_free.give_back_bytes(hdr);
@@ -1299,13 +1272,9 @@ impl RtInner {
                     .await;
                 let handler = self.handlers.borrow().get(&pkt.msg_id).cloned();
                 if let Some(handler) = handler {
-                    self.handler_phase(
-                        HandlerPhase::Completion,
-                        &ep,
-                        wc.wr_id,
-                        pkt.data_len,
-                        || handler.on_complete(&ep, &hdr, am_data),
-                    );
+                    self.handler_phase("completion_handler", &ep, wc.wr_id, pkt.data_len, || {
+                        handler.on_complete(&ep, &hdr, am_data)
+                    });
                 }
                 self.rndv_hdr_free.give_back_bytes(hdr);
                 self.tracer.end(
@@ -1484,30 +1453,13 @@ mod tests {
         )
     }
 
-    /// An eager message whose header handler names a buffer that cannot
-    /// take its bytes — one registered without `LOCAL_WRITE` — places none,
-    /// and its completion handler is handed `Discarded`, not `Placed`.
+    /// A header handler that drops a message's data hands its completion
+    /// handler `Discarded`, eager or rendezvous, and the runtime takes back
+    /// what it landed: the discard half of `tests/ucr.rs`'s
+    /// `header_handler_can_place_into_registered_buffer`.
     #[test]
     fn bytes_a_buffer_refuses_are_handed_over_as_discarded() {
-        struct ReadOnly(Mr, Rc<Cell<Option<bool>>>);
-        impl AmHandler for ReadOnly {
-            fn on_header(&self, _: &Endpoint, _: &[u8], _: usize) -> AmDest {
-                AmDest::Buffer(self.0.full())
-            }
-            fn on_complete(&self, _: &Endpoint, _: &[u8], data: AmData) {
-                self.1.set(Some(matches!(data, AmData::Discarded)));
-            }
-        }
-        let (cluster, server, _client, ep, _peer) = connected(21);
-        let seen = Rc::default();
-        let mr = server.inner.pd.register(64, Access::REMOTE_READ);
-        server.register_handler(MSG + 1, ReadOnly(mr, Rc::clone(&seen)));
-        cluster.sim().block_on(async move {
-            let sent = ep.send_message(MSG + 1, b"h", &[7; 64], SendOptions::default());
-            sent.await.expect("eager");
-        });
-        cluster.sim().run();
-        assert_eq!(seen.get(), Some(true));
+        crate::header_choice::discard_delivers_nothing();
     }
 
     /// A send whose post the queue pair refuses is withdrawn whole: no
@@ -1614,10 +1566,10 @@ mod tests {
         run(8, false);
     }
 
-    /// What `post_message` staged or spawned and then could not post counts
+    /// What `post_message` staged or queued and then could not post counts
     /// one `send_failures` per message — on the record path (eager) and
-    /// the task path (rendezvous) alike — and leaves no record, pending
-    /// entry, advertised source or registration behind.
+    /// the sender's queue (rendezvous) alike — and leaves no record,
+    /// pending entry, advertised source or registration behind.
     #[test]
     fn a_reply_that_cannot_be_posted_counts_once_and_leaves_nothing_behind() {
         const N: u64 = 8;

@@ -12,7 +12,10 @@ use simnet::{
 use ucr::{
     AmData, AmDest, AmHandler, Counter, Endpoint, FnHandler, SendOptions, UcrError, UcrRuntime,
 };
-use verbs::{Access, IbFabric};
+use verbs::IbFabric;
+
+#[path = "cells/header_choice.rs"]
+mod header_choice;
 
 const PORT: u16 = 11211;
 const ECHO: u16 = 1;
@@ -149,65 +152,14 @@ fn a_header_past_one_network_buffer_is_refused_at_the_send() {
     assert_eq!(server.stats().unknown_msg_dropped.get(), 0);
 }
 
+/// A header handler takes a message's data into a pool buffer or drops
+/// it, at 4 B, at exactly the eager threshold and at 50 000 B: its
+/// completion handler gets the bytes sent or `Discarded`, the endpoint
+/// stays up, and every rendezvous buffer goes back to its pool.
 #[test]
 fn header_handler_can_place_into_registered_buffer() {
-    struct IntoBuffer {
-        mr: Rc<RefCell<Option<verbs::Mr>>>,
-        pd: verbs::Pd,
-        placed: Rc<std::cell::Cell<usize>>,
-    }
-    impl AmHandler for IntoBuffer {
-        fn on_header(&self, _ep: &Endpoint, _hdr: &[u8], data_len: usize) -> AmDest {
-            // Allocate exactly data_len, as a Memcached client does once
-            // the item length is known (paper §V-C).
-            let mr = self.pd.register(data_len, Access::LOCAL_WRITE);
-            let slice = mr.full();
-            *self.mr.borrow_mut() = Some(mr);
-            AmDest::Buffer(slice)
-        }
-        fn on_complete(&self, _ep: &Endpoint, _hdr: &[u8], data: AmData) {
-            if let AmData::Placed(n) = data {
-                self.placed.set(n);
-            }
-        }
-    }
-
-    let (cluster, fabric) = world(false, 2);
-    let server = UcrRuntime::new(&fabric, NodeId(1));
-    let mr_cell = Rc::new(RefCell::new(None));
-    let placed = Rc::new(std::cell::Cell::new(0usize));
-    server.register_handler(
-        SINK,
-        IntoBuffer {
-            mr: mr_cell.clone(),
-            pd: fabric.open(NodeId(1)).alloc_pd(),
-            placed: placed.clone(),
-        },
-    );
-    accept_one(&server);
-    let client = UcrRuntime::new(&fabric, NodeId(0));
-    let payload: Vec<u8> = (0..3000).map(|i| (i % 7) as u8).collect();
-    let p2 = payload.clone();
-    cluster.sim().block_on(async move {
-        let ep = connect(&client).await;
-        let origin = client.counter();
-        ep.send_message(
-            SINK,
-            b"h",
-            &p2,
-            SendOptions {
-                origin: Some(origin.clone()),
-                ..Default::default()
-            },
-        )
-        .await
-        .unwrap();
-        origin.wait_for(1, WAIT).await.unwrap();
-    });
-    cluster.sim().run();
-    assert_eq!(placed.get(), payload.len());
-    let mr = mr_cell.borrow_mut().take().unwrap();
-    assert_eq!(mr.read_at(0, payload.len()), payload);
+    header_choice::pool_delivers_the_bytes_sent();
+    header_choice::discard_delivers_nothing();
 }
 
 #[test]
@@ -418,6 +370,63 @@ fn ud_loss_is_detected_by_counter_timeout() {
             .unwrap_err();
         assert_eq!(err, UcrError::Timeout);
     });
+}
+
+/// Replies a handler posts on an unreliable endpoint are staged records of
+/// the endpoint, as on a reliable one, not tasks: `N` of them leave
+/// `Sim::live_tasks()` where it was, and they arrive in post order. One
+/// posted after the runtime's `shutdown` counts one `send_failures`.
+#[test]
+fn ud_replies_are_records_not_tasks() {
+    const N: u32 = 8;
+    let (cluster, fabric) = world(true, 2);
+    let server = UcrRuntime::new(&fabric, NodeId(1));
+    let qpn = server.ud_bind();
+    let sim = cluster.sim().clone();
+    let tasks: Rc<Cell<Option<(usize, usize)>>> = Rc::default();
+    let replier: Rc<RefCell<Option<Endpoint>>> = Rc::default();
+    let (tasks2, replier2) = (tasks.clone(), replier.clone());
+    server.register_handler(
+        ECHO,
+        FnHandler(move |ep: &Endpoint, _: &[u8], _: AmData| {
+            let before = sim.live_tasks();
+            for i in 0..N {
+                let none = SendOptions::default();
+                ep.post_message(ECHO + 100, i.to_le_bytes(), &b"reply"[..], none);
+            }
+            tasks2.set(Some((before, sim.live_tasks())));
+            *replier2.borrow_mut() = Some(ep.clone());
+        }),
+    );
+    let client = UcrRuntime::new(&fabric, NodeId(0));
+    let seen: Rc<RefCell<Vec<u32>>> = Rc::default();
+    let seen2 = seen.clone();
+    client.register_handler(
+        ECHO + 100,
+        FnHandler(move |_: &Endpoint, hdr: &[u8], _: AmData| {
+            seen2
+                .borrow_mut()
+                .extend(hdr.try_into().map(u32::from_le_bytes));
+        }),
+    );
+    let sending = client.clone();
+    cluster.sim().block_on(async move {
+        let ep = sending.ud_endpoint(NodeId(1), qpn);
+        let sent = ep.send_message(ECHO, b"go", b"", SendOptions::default());
+        sent.await.unwrap();
+        sending.sim().sleep(SimDuration::from_millis(1)).await;
+    });
+    let (before, after) = tasks.get().expect("the handler ran");
+    assert_eq!(after, before, "no task per reply");
+    assert!(seen.borrow().iter().copied().eq(0..N), "in post order");
+    assert_eq!(server.stats().send_failures.get(), 0);
+
+    server.shutdown();
+    let ep = replier.borrow_mut().take().expect("the handler's endpoint");
+    ep.post_message(ECHO + 100, b"late", &b"reply"[..], SendOptions::default());
+    cluster.sim().run();
+    assert_eq!(server.stats().send_failures.get(), 1);
+    assert_eq!(seen.borrow().len(), N as usize, "nothing more arrived");
 }
 
 #[test]
